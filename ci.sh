@@ -249,6 +249,14 @@ top = max(doc["config"]["writer_counts"])
 assert by[("oplog", top)] > by[("lock", top)], (by[("oplog", top)], by[("lock", top)])
 EOF
 
+echo "==> oplog bench: full mode reproduces the checked-in BENCH_oplog.json byte for byte"
+# Behaviour-preservation gate for the metadata path: the full matrix
+# (~2 s of wall clock) runs the real lock and oplog planes in virtual
+# time, so any change to cloud-op order, retry use or quorum counting
+# moves a number. A PR that means to change them regenerates the file.
+./target/release/bench_oplog --out "$out/o_full.json" >/dev/null
+cmp "$out/o_full.json" BENCH_oplog.json
+
 echo "==> bench_compare: identical runs are regression-free; drift is advisory"
 # Same-input comparison must report zero regressions across every
 # tracked metric and doc type (throughput, failure counts, latency
@@ -285,5 +293,8 @@ for r in doc["rows"]:
     if r["op"] != "list":
         assert r["mb_per_s"] > 0, r
 EOF
+
+echo "==> syncbench: quick suite (all six workloads, schema, oracle)"
+cargo test --offline --release --manifest-path benchmark/Cargo.toml
 
 echo "CI OK"

@@ -341,7 +341,6 @@ impl MultiCloudBenchmark {
             obs: self.obs.clone(),
             label: label.to_owned(),
             probe: None,
-            idle_wait: None,
             batch_span,
             watchdog: None,
         }

@@ -74,7 +74,6 @@ impl IntuitiveMultiCloud {
             obs: self.obs.clone(),
             label: label.to_owned(),
             probe: None,
-            idle_wait: None,
             batch_span,
             watchdog: None,
         }

@@ -80,7 +80,6 @@ impl SingleCloudClient {
             obs: self.obs.clone(),
             label: label.to_owned(),
             probe: None,
-            idle_wait: None,
             batch_span,
             watchdog: None,
         }

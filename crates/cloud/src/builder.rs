@@ -178,64 +178,6 @@ impl CloudBuilder {
     }
 }
 
-/// Free-function constructors predating [`CloudBuilder`], kept as thin
-/// shims for one PR so downstream call sites migrate at their own
-/// pace. Each composes exactly one builder stage.
-pub mod shims {
-    use super::*;
-
-    /// Wrap `inner` in request-rate shaping.
-    #[deprecated(note = "compose via CloudBuilder::qps")]
-    pub fn shaped(
-        inner: Arc<dyn CloudStore>,
-        rt: &Arc<dyn Runtime>,
-        rate_per_sec: u64,
-        burst: u64,
-    ) -> Arc<dyn CloudStore> {
-        CloudBuilder::new(rt, inner).qps(rate_per_sec, burst).build().store
-    }
-
-    /// Wrap `inner` in seeded fault injection.
-    #[deprecated(note = "compose via CloudBuilder::chaos")]
-    pub fn chaotic(
-        inner: Arc<dyn CloudStore>,
-        rt: &Arc<dyn Runtime>,
-        plan: &FaultPlan,
-        salt: &str,
-    ) -> Arc<ChaosCloud> {
-        CloudBuilder::new(rt, inner)
-            .chaos(plan, salt)
-            .build()
-            .chaos
-            .expect("chaos stage was configured")
-    }
-
-    /// Wrap `inner` in a store-level retry loop.
-    #[deprecated(note = "compose via CloudBuilder::retry")]
-    pub fn retrying(
-        inner: Arc<dyn CloudStore>,
-        rt: &Arc<dyn Runtime>,
-        policy: RetryPolicy,
-    ) -> Arc<dyn CloudStore> {
-        CloudBuilder::new(rt, inner).retry(policy).build().store
-    }
-
-    /// Wrap `inner` in outermost health observation.
-    #[deprecated(note = "compose via CloudBuilder::observed")]
-    pub fn observed(
-        inner: Arc<dyn CloudStore>,
-        rt: &Arc<dyn Runtime>,
-        health: Arc<CloudHealth>,
-        obs: &Obs,
-    ) -> Arc<dyn CloudStore> {
-        CloudBuilder::new(rt, inner)
-            .observed(health)
-            .obs(obs)
-            .build()
-            .store
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,26 +245,5 @@ mod tests {
         let _ = built.store.upload("f", Bytes::from_static(b"x"));
         let tracker = health.tracker();
         assert_eq!(tracker.name(), "m");
-    }
-
-    #[test]
-    fn deprecated_shims_still_compose() {
-        #![allow(deprecated)]
-        let rt = rt();
-        let shaped = shims::shaped(Arc::new(MemCloud::new("m")), &rt, 1000, 100);
-        shaped.upload("f", Bytes::from_static(b"x")).unwrap();
-        let retried = shims::retrying(shaped, &rt, RetryPolicy::no_retries());
-        assert_eq!(retried.download("f").unwrap(), Bytes::from_static(b"x"));
-        let chaos = shims::chaotic(
-            Arc::new(MemCloud::new("m")),
-            &rt,
-            &FaultPlan::new(3),
-            "s",
-        );
-        assert_eq!(chaos.injected_faults(), 0);
-        let health = CloudHealth::new("m", HealthConfig::default());
-        let obs = Obs::noop();
-        let observed = shims::observed(Arc::new(MemCloud::new("m")), &rt, health, &obs);
-        assert_eq!(observed.name(), "m");
     }
 }

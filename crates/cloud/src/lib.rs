@@ -14,11 +14,12 @@
 //! * [`ChaosCloud`] / [`FaultPlan`] — deterministic scheduled fault
 //!   injection (transient bursts, outages, quota exhaustion, latency
 //!   spikes, torn uploads, delayed visibility) over any store.
-//! * [`ThrottledCloud`], [`CountingCloud`] — composable decorators for
-//!   bandwidth limiting and traffic accounting.
+//! * [`ThrottledCloud`] — byte-rate limiting decorator (a
+//!   [`TokenBucket`] with bytes as the token unit).
 //! * [`ObservedCloud`] / [`CloudHealth`] / [`HealthBoard`] — the
-//!   measurement decorator and per-cloud health scoreboard (EWMA
-//!   latency, windowed error rate, availability state machine).
+//!   measurement decorator (per-op timing, op/error/byte series over
+//!   any store) and per-cloud health scoreboard (EWMA latency,
+//!   windowed error rate, availability state machine).
 //! * [`Retry`] / [`RetryPolicy`] / [`RetryCloud`] — bounded-backoff
 //!   retries for transient Web API failures, per call site or as a
 //!   store decorator.
@@ -54,7 +55,7 @@ mod sim_cloud;
 mod store;
 mod wrappers;
 
-pub use builder::{shims, BuiltCloud, CloudBuilder};
+pub use builder::{BuiltCloud, CloudBuilder};
 pub use error::{CloudError, CloudOp};
 pub use fault::{ChaosCloud, FaultEvent, FaultKind, FaultPlan};
 pub use health::{
@@ -72,4 +73,4 @@ pub use sim_cloud::{FailureProfile, SimCloud, SimCloudConfig, TrafficCounters, T
 pub use store::{
     split_path, validate_path, CloudCaps, CloudId, CloudSet, CloudStore, ObjectInfo,
 };
-pub use wrappers::{CountingCloud, ThrottledCloud};
+pub use wrappers::ThrottledCloud;

@@ -98,6 +98,19 @@ impl TokenBucket {
     }
 }
 
+/// Charges `tokens` against a shared bucket at `rt`'s clock and sleeps
+/// out any shaper delay on `rt` — how a store decorator applies a
+/// [`TokenBucket`], whatever its token unit.
+pub(crate) fn charge(rt: &Arc<dyn Runtime>, bucket: &Mutex<TokenBucket>, tokens: u64) {
+    // The bucket requires non-decreasing timestamps; the lock
+    // serializes concurrent callers and `max` in `consume` absorbs
+    // any inversion between `now()` and lock acquisition.
+    let delay_ns = bucket.lock().consume(rt.now().as_nanos(), tokens);
+    if delay_ns > 0 {
+        rt.sleep(Duration::from_nanos(delay_ns));
+    }
+}
+
 /// Per-second operation counters for one cloud.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QpsSeries {
@@ -175,7 +188,8 @@ impl QpsSeries {
 /// virtual time this is deterministic backpressure, under wall clock
 /// it is real client-side pacing, exactly what a provider's
 /// 429/Retry-After loop converges to. Contrast with
-/// [`ThrottledCloud`](crate::ThrottledCloud), which meters *bytes*.
+/// [`ThrottledCloud`](crate::ThrottledCloud), which meters *bytes*
+/// through the same bucket.
 pub struct QpsShaper {
     inner: Arc<dyn CloudStore>,
     rt: Arc<dyn Runtime>,
@@ -209,16 +223,7 @@ impl QpsShaper {
 
     /// Charges one op and sleeps out any shaper delay.
     fn charge(&self) {
-        // The bucket requires non-decreasing timestamps; the lock
-        // serializes concurrent callers and `max` in `consume` absorbs
-        // any inversion between `now()` and lock acquisition.
-        let delay_ns = {
-            let mut bucket = self.bucket.lock();
-            bucket.consume(self.rt.now().as_nanos(), 1)
-        };
-        if delay_ns > 0 {
-            self.rt.sleep(Duration::from_nanos(delay_ns));
-        }
+        charge(&self.rt, &self.bucket, 1);
     }
 }
 

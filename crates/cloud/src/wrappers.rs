@@ -4,43 +4,37 @@
 //!   deterministic scheduled fault injection over any store.
 //! * [`ThrottledCloud`] — token-bucket bandwidth limiting under any
 //!   [`Runtime`]; gives the real-directory examples cloud-like speeds.
-//! * [`CountingCloud`] — traffic and operation accounting used by the
-//!   overhead experiments (Table 3, Fig. 13).
+//!
+//! Traffic and operation accounting over any store is
+//! [`ObservedCloud`](crate::ObservedCloud)'s byte/op series; Table 3
+//! and Fig. 13 read [`TrafficSnapshot`](crate::TrafficSnapshot)s.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use unidrive_sim::Runtime;
 use unidrive_util::bytes::Bytes;
 use unidrive_util::sync::Mutex;
 
-use crate::{CloudError, CloudOp, CloudStore, ObjectInfo, TrafficSnapshot};
+use crate::qps::{charge, TokenBucket};
+use crate::{CloudError, CloudOp, CloudStore, ObjectInfo};
 
 /// Wraps a store, limiting payload throughput with a token bucket.
 ///
-/// Tokens are bytes; the bucket refills at `bytes_per_sec` and holds at
-/// most one second of burst. Requests sleep on the wrapped [`Runtime`]
-/// until enough tokens accumulate, so this works under both wall-clock
-/// and virtual time.
+/// Tokens are bytes: a [`TokenBucket`] refilling at `bytes_per_sec`
+/// with one second of burst. A transfer that overdraws the bucket
+/// sleeps out the deficit on the wrapped [`Runtime`], so this works
+/// under both wall-clock and virtual time.
 pub struct ThrottledCloud {
     inner: Arc<dyn CloudStore>,
     rt: Arc<dyn Runtime>,
-    bytes_per_sec: f64,
-    bucket: Mutex<Bucket>,
-}
-
-#[derive(Debug)]
-struct Bucket {
-    tokens: f64,
-    last_refill: unidrive_sim::Time,
+    bucket: Mutex<TokenBucket>,
 }
 
 impl std::fmt::Debug for ThrottledCloud {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ThrottledCloud")
             .field("inner", &self.inner.name())
-            .field("bytes_per_sec", &self.bytes_per_sec)
+            .field("bytes_per_sec", &self.bucket.lock().rate_per_sec())
             .finish()
     }
 }
@@ -53,39 +47,11 @@ impl ThrottledCloud {
     /// Panics if `bytes_per_sec` is not strictly positive.
     pub fn new(inner: Arc<dyn CloudStore>, rt: Arc<dyn Runtime>, bytes_per_sec: f64) -> Self {
         assert!(bytes_per_sec > 0.0, "rate must be positive");
-        let now = rt.now();
+        let rate = bytes_per_sec as u64;
         ThrottledCloud {
             inner,
             rt,
-            bytes_per_sec,
-            bucket: Mutex::new(Bucket {
-                tokens: bytes_per_sec, // one second of initial burst
-                last_refill: now,
-            }),
-        }
-    }
-
-    fn consume(&self, bytes: u64) {
-        let mut need = bytes as f64;
-        loop {
-            let wait = {
-                let mut b = self.bucket.lock();
-                let now = self.rt.now();
-                let elapsed = now.saturating_duration_since(b.last_refill);
-                b.tokens = (b.tokens + elapsed.as_secs_f64() * self.bytes_per_sec)
-                    .min(self.bytes_per_sec);
-                b.last_refill = now;
-                if b.tokens >= need {
-                    b.tokens -= need;
-                    return;
-                }
-                need -= b.tokens;
-                b.tokens = 0.0;
-                Duration::from_secs_f64(need / self.bytes_per_sec)
-            };
-            self.rt.sleep(wait);
-            // After sleeping the bucket will have refilled enough; loop to
-            // account for it exactly.
+            bucket: Mutex::new(TokenBucket::new(rate, rate)),
         }
     }
 }
@@ -96,7 +62,7 @@ impl CloudStore for ThrottledCloud {
     }
 
     fn upload(&self, path: &str, data: Bytes) -> Result<(), CloudError> {
-        self.consume(data.len() as u64);
+        charge(&self.rt, &self.bucket, data.len() as u64);
         self.inner
             .upload(path, data)
             .map_err(|e| e.with_op_context(CloudOp::Upload, path))
@@ -107,7 +73,7 @@ impl CloudStore for ThrottledCloud {
             .inner
             .download(path)
             .map_err(|e| e.with_op_context(CloudOp::Download, path))?;
-        self.consume(data.len() as u64);
+        charge(&self.rt, &self.bucket, data.len() as u64);
         Ok(data)
     }
 
@@ -133,125 +99,6 @@ impl CloudStore for ThrottledCloud {
         // Shaping doesn't change semantics, but appends run through the
         // composed default (so both sub-ops are byte-accounted), never
         // the inner store's native path.
-        crate::CloudCaps {
-            native_append: false,
-            ..self.inner.caps()
-        }
-    }
-}
-
-/// Wraps a store, counting operations and payload bytes.
-///
-/// [`SimCloud`](crate::SimCloud) counts its own traffic including
-/// protocol overhead; `CountingCloud` is the backend-agnostic variant
-/// used to account *payload* traffic for any store (and to attribute
-/// traffic per client in multi-device experiments).
-pub struct CountingCloud {
-    inner: Arc<dyn CloudStore>,
-    uploaded: AtomicU64,
-    downloaded: AtomicU64,
-    ok: AtomicU64,
-    failed: AtomicU64,
-}
-
-impl std::fmt::Debug for CountingCloud {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CountingCloud")
-            .field("inner", &self.inner.name())
-            .field("uploaded", &self.uploaded.load(Ordering::Relaxed))
-            .field("downloaded", &self.downloaded.load(Ordering::Relaxed))
-            .finish()
-    }
-}
-
-impl CountingCloud {
-    /// Wraps `inner` with zeroed counters.
-    pub fn new(inner: Arc<dyn CloudStore>) -> Self {
-        CountingCloud {
-            inner,
-            uploaded: AtomicU64::new(0),
-            downloaded: AtomicU64::new(0),
-            ok: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-        }
-    }
-
-    /// Snapshot of the counters.
-    pub fn traffic(&self) -> TrafficSnapshot {
-        TrafficSnapshot {
-            uploaded_bytes: self.uploaded.load(Ordering::Relaxed),
-            downloaded_bytes: self.downloaded.load(Ordering::Relaxed),
-            ok_requests: self.ok.load(Ordering::Relaxed),
-            failed_requests: self.failed.load(Ordering::Relaxed),
-        }
-    }
-
-    fn record<T>(&self, r: Result<T, CloudError>) -> Result<T, CloudError> {
-        match &r {
-            Ok(_) => self.ok.fetch_add(1, Ordering::Relaxed),
-            Err(_) => self.failed.fetch_add(1, Ordering::Relaxed),
-        };
-        r
-    }
-}
-
-impl CloudStore for CountingCloud {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn upload(&self, path: &str, data: Bytes) -> Result<(), CloudError> {
-        let len = data.len() as u64;
-        let r = self.record(
-            self.inner
-                .upload(path, data)
-                .map_err(|e| e.with_op_context(CloudOp::Upload, path)),
-        );
-        if r.is_ok() {
-            self.uploaded.fetch_add(len, Ordering::Relaxed);
-        }
-        r
-    }
-
-    fn download(&self, path: &str) -> Result<Bytes, CloudError> {
-        let r = self.record(
-            self.inner
-                .download(path)
-                .map_err(|e| e.with_op_context(CloudOp::Download, path)),
-        );
-        if let Ok(data) = &r {
-            self.downloaded.fetch_add(data.len() as u64, Ordering::Relaxed);
-        }
-        r
-    }
-
-    fn create_dir(&self, path: &str) -> Result<(), CloudError> {
-        self.record(
-            self.inner
-                .create_dir(path)
-                .map_err(|e| e.with_op_context(CloudOp::CreateDir, path)),
-        )
-    }
-
-    fn list(&self, path: &str) -> Result<Vec<ObjectInfo>, CloudError> {
-        self.record(
-            self.inner
-                .list(path)
-                .map_err(|e| e.with_op_context(CloudOp::List, path)),
-        )
-    }
-
-    fn delete(&self, path: &str) -> Result<(), CloudError> {
-        self.record(
-            self.inner
-                .delete(path)
-                .map_err(|e| e.with_op_context(CloudOp::Delete, path)),
-        )
-    }
-
-    fn caps(&self) -> crate::CloudCaps {
-        // Counting is transparent, but appends take the composed
-        // default (both sub-ops counted), not the inner native path.
         crate::CloudCaps {
             native_append: false,
             ..self.inner.caps()
@@ -296,19 +143,6 @@ mod tests {
         assert!(took >= 0.9, "took {took}");
     }
 
-    #[test]
-    fn counting_cloud_tallies_payloads() {
-        let c = CountingCloud::new(mem());
-        c.upload("a", Bytes::from(vec![0u8; 100])).unwrap();
-        let _ = c.download("a").unwrap();
-        let _ = c.download("missing");
-        let t = c.traffic();
-        assert_eq!(t.uploaded_bytes, 100);
-        assert_eq!(t.downloaded_bytes, 100);
-        assert_eq!(t.ok_requests, 2);
-        assert_eq!(t.failed_requests, 1);
-    }
-
     /// Drives all five ops through a wrapper and checks they reach the
     /// shared inner store with results intact.
     fn all_five_ops_pass_through(wrapped: &dyn CloudStore, inner: &Arc<dyn CloudStore>) {
@@ -350,17 +184,5 @@ mod tests {
         c.list("").unwrap();
         c.delete("meta").unwrap();
         assert_eq!((sim.now() - t0).as_secs_f64(), 0.0);
-    }
-
-    #[test]
-    fn counting_cloud_passes_all_five_ops_through() {
-        let inner = mem();
-        let c = CountingCloud::new(Arc::clone(&inner));
-        all_five_ops_pass_through(&c, &inner);
-        let t = c.traffic();
-        assert_eq!(t.ok_requests, 5);
-        assert_eq!(t.failed_requests, 0);
-        assert_eq!(t.uploaded_bytes, 7);
-        assert_eq!(t.downloaded_bytes, 7);
     }
 }

@@ -23,13 +23,13 @@ use unidrive_meta::{
 use unidrive_obs::{Event, SpanId};
 use unidrive_sim::{Runtime, SimRng};
 
-use crate::control::MetaError;
 use crate::dataplane::{DataPlane, UploadRequest};
 use crate::upload::{BlockSink, UploadOptions};
 use crate::folder::{LocalChange, LocalStat, SyncFolder};
-use crate::lock::{LockConfig, LockError};
+use crate::lock::LockConfig;
+use crate::lock_plane::LockPlane;
+use crate::oplog_plane::OplogPlane;
 use crate::plan::DataPlaneConfig;
-use crate::plane::build_plane;
 use crate::DownloadError;
 
 /// Client configuration.
@@ -71,13 +71,25 @@ impl ClientConfig {
     }
 }
 
+/// Builds the metadata plane `config.meta_mode` selects, over `clouds`.
+pub fn build_plane(
+    rt: Arc<dyn Runtime>,
+    clouds: CloudSet,
+    config: &ClientConfig,
+    rng: SimRng,
+) -> Box<dyn MetaPlane> {
+    match config.meta_mode {
+        MetaMode::Lock => Box::new(LockPlane::new(rt, clouds, config, rng)),
+        MetaMode::Oplog => Box::new(OplogPlane::new(rt, clouds, config, rng)),
+    }
+}
+
 /// Error from a sync pass.
 #[derive(Debug)]
 pub enum SyncError {
-    /// Could not acquire the metadata lock.
-    Lock(LockError),
-    /// Metadata could not be read or committed.
-    Meta(MetaError),
+    /// The metadata plane could not take its lock, reach a quorum of
+    /// clouds, or read or commit the metadata.
+    Plane(PlaneError),
     /// A cloud-update file could not be reconstructed.
     Download(DownloadError),
     /// Local folder I/O failed.
@@ -87,8 +99,10 @@ pub enum SyncError {
 impl std::fmt::Display for SyncError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SyncError::Lock(e) => write!(f, "lock: {e}"),
-            SyncError::Meta(e) => write!(f, "metadata: {e}"),
+            SyncError::Plane(
+                e @ (PlaneError::Contended { .. } | PlaneError::QuorumUnreachable { .. }),
+            ) => write!(f, "lock: {e}"),
+            SyncError::Plane(e) => write!(f, "metadata: {e}"),
             SyncError::Download(e) => write!(f, "download: {e}"),
             SyncError::Folder(e) => write!(f, "folder: {e}"),
         }
@@ -97,33 +111,9 @@ impl std::fmt::Display for SyncError {
 
 impl std::error::Error for SyncError {}
 
-impl From<LockError> for SyncError {
-    fn from(e: LockError) -> Self {
-        SyncError::Lock(e)
-    }
-}
-
-impl From<MetaError> for SyncError {
-    fn from(e: MetaError) -> Self {
-        SyncError::Meta(e)
-    }
-}
-
 impl From<PlaneError> for SyncError {
     fn from(e: PlaneError) -> Self {
-        // Plane errors keep the pre-refactor surface: lock-shaped
-        // failures report as `Lock`, quorum read/write failures as
-        // `Meta`, so callers matching on the old variants still work.
-        match e {
-            PlaneError::Contended { attempts } => SyncError::Lock(LockError::Contended { attempts }),
-            PlaneError::QuorumUnreachable { reachable, quorum } => {
-                SyncError::Lock(LockError::QuorumUnreachable { reachable, quorum })
-            }
-            PlaneError::QuorumWriteFailed { acked, quorum } => {
-                SyncError::Meta(MetaError::QuorumWriteFailed { acked, quorum })
-            }
-            PlaneError::Unreadable => SyncError::Meta(MetaError::Unreadable),
-        }
+        SyncError::Plane(e)
     }
 }
 
@@ -226,19 +216,7 @@ impl UniDriveClient {
         rng: SimRng,
     ) -> Self {
         let plane = DataPlane::new(Arc::clone(&rt), clouds.clone(), config.data.clone());
-        let meta = build_plane(
-            config.meta_mode,
-            Arc::clone(&rt),
-            clouds,
-            &config.device,
-            &config.passphrase,
-            config.data.retry.clone(),
-            config.lock.clone(),
-            rng,
-            config.data.obs.clone(),
-            config.delta_ratio,
-            config.delta_floor,
-        );
+        let meta = build_plane(Arc::clone(&rt), clouds, &config, rng);
         UniDriveClient {
             rt,
             folder,
@@ -708,5 +686,33 @@ impl UniDriveClient {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Lock-shaped plane failures print under `lock:`, read and commit
+    /// failures under `metadata:` — the texts logs are searched for.
+    #[test]
+    fn plane_errors_keep_their_lock_and_metadata_prefixes() {
+        let shown = |e: PlaneError| SyncError::from(e).to_string();
+        assert_eq!(
+            shown(PlaneError::Contended { attempts: 12 }),
+            "lock: failed to acquire quorum lock after 12 attempts"
+        );
+        assert_eq!(
+            shown(PlaneError::QuorumUnreachable { reachable: 2, quorum: 3 }),
+            "lock: only 2 clouds reachable, quorum of 3 required"
+        );
+        assert_eq!(
+            shown(PlaneError::QuorumWriteFailed { acked: 2, quorum: 3 }),
+            "metadata: metadata write reached 2 clouds, quorum is 3"
+        );
+        assert_eq!(
+            shown(PlaneError::Unreadable),
+            "metadata: no cloud serves a consistent metadata copy"
+        );
     }
 }

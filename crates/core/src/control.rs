@@ -14,50 +14,26 @@ use std::sync::Arc;
 
 use unidrive_cloud::{CloudSet, Retry, RetryPolicy};
 use unidrive_crypto::MetadataCipher;
-use unidrive_meta::{DeltaLog, SyncFolderImage, VersionStamp, BASE_PATH, DELTA_PATH, VERSION_PATH};
+use unidrive_meta::{
+    DeltaLog, PlaneError, SyncFolderImage, VersionStamp, BASE_PATH, DELTA_PATH, VERSION_PATH,
+};
 use unidrive_sim::Runtime;
 
-/// Error from metadata store operations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MetaError {
-    /// Fewer clouds than a quorum acknowledged the write.
-    QuorumWriteFailed {
-        /// Clouds that stored the update.
-        acked: usize,
-        /// Quorum required.
-        quorum: usize,
-    },
-    /// A version file exists somewhere but no cloud serves a matching,
-    /// decryptable base + delta.
-    Unreadable,
-}
-
-impl std::fmt::Display for MetaError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MetaError::QuorumWriteFailed { acked, quorum } => {
-                write!(f, "metadata write reached {acked} clouds, quorum is {quorum}")
-            }
-            MetaError::Unreadable => write!(f, "no cloud serves a consistent metadata copy"),
-        }
-    }
-}
-
-impl std::error::Error for MetaError {}
+use crate::quorum;
 
 /// Metadata fetched from the multi-cloud.
 #[derive(Debug, Clone)]
-pub struct RemoteState {
+pub(crate) struct RemoteState {
     /// Base image with the delta already applied (the up-to-date image).
-    pub image: SyncFolderImage,
+    pub(crate) image: SyncFolderImage,
     /// The delta log as stored (appended to by the next committer).
-    pub delta: DeltaLog,
+    pub(crate) delta: DeltaLog,
     /// Size of the encrypted base file (drives the λ compaction test).
-    pub base_bytes: usize,
+    pub(crate) base_bytes: usize,
 }
 
 /// Replicated, encrypted metadata storage over a [`CloudSet`].
-pub struct MetadataStore {
+pub(crate) struct MetadataStore {
     rt: Arc<dyn Runtime>,
     clouds: CloudSet,
     cipher: MetadataCipher,
@@ -82,7 +58,7 @@ pub fn newer(a: &VersionStamp, b: &VersionStamp) -> bool {
 impl MetadataStore {
     /// Creates a store over `clouds`, encrypting with a key derived from
     /// `passphrase`.
-    pub fn new(
+    pub(crate) fn new(
         rt: Arc<dyn Runtime>,
         clouds: CloudSet,
         passphrase: &str,
@@ -100,24 +76,15 @@ impl MetadataStore {
     /// Reads the version files from every cloud and returns the highest
     /// committed stamp, or `None` on a fresh multi-cloud. This is the
     /// cheap poll UniDrive performs every τ.
-    pub fn read_version(&self) -> Option<VersionStamp> {
-        let tasks: Vec<_> = self
-            .clouds
-            .iter()
-            .map(|(_, cloud)| {
-                let cloud = Arc::clone(cloud);
-                let rt = Arc::clone(&self.rt);
-                let retry = self.retry.clone();
-                unidrive_sim::spawn(&self.rt, "meta-ver", move || {
-                    Retry::new(&rt, &retry)
-                        .run(|| cloud.download(VERSION_PATH))
-                        .ok()
-                })
-            })
-            .collect();
+    pub(crate) fn read_version(&self) -> Option<VersionStamp> {
+        let (rt, retry) = (Arc::clone(&self.rt), self.retry.clone());
+        let versions = quorum::fan_out(&self.rt, &self.clouds, "meta-ver", move |_, cloud| {
+            Retry::new(&rt, &retry)
+                .run(|| cloud.download(VERSION_PATH))
+                .ok()
+        });
         let mut best: Option<VersionStamp> = None;
-        for t in tasks {
-            let Some(data) = t.join() else { continue };
+        for data in versions.into_iter().flatten() {
             if let Ok(stamp) = VersionStamp::decode(&data) {
                 if best.as_ref().is_none_or(|b| newer(&stamp, b)) {
                     best = Some(stamp);
@@ -132,9 +99,9 @@ impl MetadataStore {
     ///
     /// # Errors
     ///
-    /// [`MetaError::Unreadable`] if versions exist but no cloud serves a
+    /// [`PlaneError::Unreadable`] if versions exist but no cloud serves a
     /// consistent copy.
-    pub fn read_remote(&self) -> Result<Option<RemoteState>, MetaError> {
+    pub(crate) fn read_remote(&self) -> Result<Option<RemoteState>, PlaneError> {
         let Some(target) = self.read_version() else {
             return Ok(None);
         };
@@ -177,7 +144,7 @@ impl MetadataStore {
                 base_bytes,
             }));
         }
-        Err(MetaError::Unreadable)
+        Err(PlaneError::Unreadable)
     }
 
     /// Commits metadata to the multi-cloud: uploads the delta (and, when
@@ -188,14 +155,14 @@ impl MetadataStore {
     ///
     /// # Errors
     ///
-    /// [`MetaError::QuorumWriteFailed`] when fewer than a quorum of
+    /// [`PlaneError::QuorumWriteFailed`] when fewer than a quorum of
     /// clouds stored the update.
-    pub fn write_remote(
+    pub(crate) fn write_remote(
         &self,
         new_base: Option<&SyncFolderImage>,
         delta: &DeltaLog,
         version: &VersionStamp,
-    ) -> Result<(), MetaError> {
+    ) -> Result<(), PlaneError> {
         // Mix the commit identity into the nonce so two devices (or two
         // sessions) sharing a passphrase never reuse a CBC IV.
         let nonce = self
@@ -212,44 +179,20 @@ impl MetadataStore {
         let version_bytes = version.encode();
         // Replicate to every cloud concurrently; the version file goes
         // last on each cloud so its presence implies the data files.
-        let tasks: Vec<_> = self
-            .clouds
-            .iter()
-            .map(|(_, cloud)| {
-                let cloud = Arc::clone(cloud);
-                let rt = Arc::clone(&self.rt);
-                let retry = self.retry.clone();
-                let base_ct = base_ct.clone();
-                let delta_ct = delta_ct.clone();
-                let version_bytes = version_bytes.clone();
-                unidrive_sim::spawn(&self.rt, "meta-write", move || {
-                    (|| -> Result<(), unidrive_cloud::CloudError> {
-                        if let Some(base) = &base_ct {
-                            Retry::new(&rt, &retry)
-                                .run(|| cloud.upload(BASE_PATH, base.clone()))?;
-                        }
-                        Retry::new(&rt, &retry)
-                            .run(|| cloud.upload(DELTA_PATH, delta_ct.clone()))?;
-                        Retry::new(&rt, &retry)
-                            .run(|| cloud.upload(VERSION_PATH, version_bytes.clone()))?;
-                        Ok(())
-                    })()
-                    .is_ok()
-                })
-            })
-            .collect();
-        let acked = tasks.into_iter().filter(|_| true).map(|t| t.join()).filter(|ok| *ok).count();
-        let quorum = self.clouds.quorum();
-        if acked >= quorum {
-            Ok(())
-        } else {
-            Err(MetaError::QuorumWriteFailed { acked, quorum })
-        }
-    }
-
-    /// The quorum size of the underlying cloud set.
-    pub fn quorum(&self) -> usize {
-        self.clouds.quorum()
+        let (rt, retry) = (Arc::clone(&self.rt), self.retry.clone());
+        let acks = quorum::fan_out(&self.rt, &self.clouds, "meta-write", move |_, cloud| {
+            (|| -> Result<(), unidrive_cloud::CloudError> {
+                if let Some(base) = &base_ct {
+                    Retry::new(&rt, &retry).run(|| cloud.upload(BASE_PATH, base.clone()))?;
+                }
+                Retry::new(&rt, &retry).run(|| cloud.upload(DELTA_PATH, delta_ct.clone()))?;
+                Retry::new(&rt, &retry)
+                    .run(|| cloud.upload(VERSION_PATH, version_bytes.clone()))?;
+                Ok(())
+            })()
+            .is_ok()
+        });
+        quorum::require_acked(&self.clouds, acks)
     }
 }
 
@@ -358,7 +301,7 @@ mod tests {
             "wrong",
             RetryPolicy::no_retries(),
         );
-        assert_eq!(wrong.read_remote().unwrap_err(), MetaError::Unreadable);
+        assert_eq!(wrong.read_remote().unwrap_err(), PlaneError::Unreadable);
     }
 
     #[test]
@@ -403,7 +346,7 @@ mod tests {
         let delta = DeltaLog::new(image.version.clone());
         assert!(matches!(
             s.write_remote(Some(&image), &delta, &image.version),
-            Err(MetaError::QuorumWriteFailed { acked: 2, quorum: 3 })
+            Err(PlaneError::QuorumWriteFailed { acked: 2, quorum: 3 })
         ));
     }
 

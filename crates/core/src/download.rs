@@ -22,7 +22,7 @@ use unidrive_obs::{Obs, SpanGuard, SpanId};
 use unidrive_sim::{Runtime, Time};
 
 use crate::engine::{EngineParams, JobDesc, TransferEngine, TransferPolicy, WireOp};
-use crate::plan::DataPlaneConfig;
+use crate::plan::{DataPlaneConfig, MAX_BLOCK_BOUNCES};
 use crate::probe::BandwidthProbe;
 
 /// One segment to fetch: its identity, plaintext length, and known
@@ -217,8 +217,6 @@ pub fn run_download_in(
         obs: config.obs.clone(),
         k,
         probing: config.probing,
-        dup_speed_ratio: config.dup_speed_ratio,
-        max_block_bounces: config.max_block_bounces,
         batch_span,
     };
     // Handle the possibility that nothing is fetchable at all — the
@@ -232,7 +230,6 @@ pub fn run_download_in(
         obs: config.obs.clone(),
         label: "download".into(),
         probe: Some(Arc::clone(probe)),
-        idle_wait: config.idle_wait,
         batch_span,
         watchdog: config.watchdog.clone(),
     };
@@ -260,8 +257,6 @@ struct DownloadPolicy {
     obs: Obs,
     k: usize,
     probing: bool,
-    dup_speed_ratio: f64,
-    max_block_bounces: u32,
     batch_span: Option<SpanId>,
 }
 
@@ -274,7 +269,6 @@ impl TransferPolicy for DownloadPolicy {
             cloud.0,
             self.k,
             self.probing,
-            self.dup_speed_ratio,
             &self.probe,
             &self.obs,
         )?;
@@ -362,7 +356,7 @@ impl TransferPolicy for DownloadPolicy {
         }
         let bounces = fetch.bounces.entry(job.index).or_insert(0);
         *bounces += 1;
-        if *bounces >= self.max_block_bounces {
+        if *bounces >= MAX_BLOCK_BOUNCES {
             // The block's holder keeps failing without going
             // unavailable: stop chasing it so the batch can settle
             // (finish_check then completes from other blocks or
@@ -410,13 +404,16 @@ fn decode_segment(
     Ok(Bytes::from(plain))
 }
 
+/// Tail-duplication threshold: an idle cloud duplicates a block in
+/// flight on a cloud at least this many times slower.
+const DUP_SPEED_RATIO: f64 = 1.5;
+
 /// Picks the next block an idle connection of `cloud` should fetch.
 fn next_job(
     st: &mut DownloadState,
     cloud: usize,
     k: usize,
     probing: bool,
-    dup_speed_ratio: f64,
     probe: &BandwidthProbe,
     obs: &Obs,
 ) -> Option<Job> {
@@ -468,7 +465,7 @@ fn next_job(
         if probing && outstanding > 0 && fetch.over_requests < k {
             let stuck_on_slow = fetch.inflight.iter().any(|(_, &other)| {
                 other != cloud
-                    && my_speed > dup_speed_ratio * probe.speed(unidrive_cloud::CloudId(other))
+                    && my_speed > DUP_SPEED_RATIO * probe.speed(unidrive_cloud::CloudId(other))
             });
             if stuck_on_slow {
                 let fetch = &mut st.fetches[fi];

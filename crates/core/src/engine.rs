@@ -124,9 +124,6 @@ pub struct EngineParams {
     /// Feed completed transfers into this probe as in-channel bandwidth
     /// measurements.
     pub probe: Option<Arc<BandwidthProbe>>,
-    /// Upper bound on idle parking before an extra re-poll; `None`
-    /// parks until notified (see `DataPlaneConfig::idle_wait`).
-    pub idle_wait: Option<Duration>,
     /// Batch-level span: parent for `engine.worker` spans and the
     /// fallback parent for `engine.block` spans whose [`JobDesc`]
     /// carries none.
@@ -146,7 +143,6 @@ impl EngineParams {
             obs: Obs::noop(),
             label: label.into(),
             probe: None,
-            idle_wait: None,
             batch_span: None,
             watchdog: None,
         }
@@ -546,12 +542,7 @@ fn worker_loop<P: TransferPolicy>(
             op,
         }) = job
         else {
-            match params.idle_wait {
-                Some(bound) => {
-                    signal.wait_timeout(seen, bound);
-                }
-                None => signal.wait(seen),
-            }
+            signal.wait(seen);
             continue;
         };
         jobs_run += 1;

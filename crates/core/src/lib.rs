@@ -5,10 +5,15 @@
 //! clouds through five public file-access operations.
 //!
 //! * **Control plane** — [`QuorumLock`] (empty-lock-file majority
-//!   locking with ΔT lock breaking), [`MetadataStore`] (DES-encrypted
-//!   base + delta + version files replicated to all clouds), and
+//!   locking with ΔT lock breaking), the two
+//!   [`MetaPlane`](unidrive_meta::MetaPlane)s — [`LockPlane`]
+//!   (DES-encrypted base + delta + version files replicated to all
+//!   clouds under the lock) and [`OplogPlane`] (per-device append-only
+//!   op files, lock only for compaction) — and
 //!   [`UniDriveClient::sync_once`] implementing the paper's Algorithm 1
-//!   with three-way merge and conflict retention.
+//!   with three-way merge and conflict retention. Every metadata
+//!   operation replicates through one per-cloud fan-out and fails
+//!   through one error, [`PlaneError`](unidrive_meta::PlaneError).
 //! * **Data plane** — [`DataPlane`]: content-defined segmentation,
 //!   non-systematic Reed-Solomon blocks, even fair-share placement,
 //!   **over-provisioning** onto idle fast clouds, the
@@ -33,16 +38,17 @@ mod download;
 mod engine;
 mod folder;
 mod lock;
+mod lock_plane;
 mod maintenance;
+mod oplog_plane;
 mod plan;
-mod plane;
 mod probe;
+mod quorum;
 mod rebalance;
 mod upload;
 
-pub use client::{ClientConfig, SyncError, SyncReport, UniDriveClient};
-pub use control::{newer, MetaError, MetadataStore, RemoteState};
-pub use plane::{build_plane, LockPlane, OplogPlane};
+pub use client::{build_plane, ClientConfig, SyncError, SyncReport, UniDriveClient};
+pub use control::newer;
 pub use dataplane::{DataPlane, FileSegmentation, UploadRequest};
 pub use download::{
     run_download, run_download_in, DownloadError, DownloadReport, SegmentFetch,
@@ -53,8 +59,10 @@ pub use engine::{
 pub use folder::{
     scan_changes, DirFolder, FolderError, LocalChange, LocalStat, MemFolder, SyncFolder,
 };
-pub use lock::{LockConfig, LockError, LockGuard, QuorumLock};
+pub use lock::{LockConfig, LockGuard, QuorumLock};
+pub use lock_plane::LockPlane;
 pub use maintenance::{trim_overprovisioned, trim_plan};
+pub use oplog_plane::OplogPlane;
 pub use plan::{normal_assignment, s3_cloud_set, DataPlaneConfig, SegmentData};
 pub use probe::BandwidthProbe;
 pub use rebalance::{add_cloud, remove_cloud, RebalanceError, RebalanceOutcome};

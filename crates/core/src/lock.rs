@@ -19,11 +19,14 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
+use unidrive_util::bytes::Bytes;
 use unidrive_util::sync::Mutex;
-use unidrive_cloud::{CloudError, CloudSet};
-use unidrive_meta::{lock_file_name, parse_lock_name, LOCK_DIR};
+use unidrive_cloud::CloudSet;
+use unidrive_meta::{lock_file_name, parse_lock_name, PlaneError, LOCK_DIR};
 use unidrive_obs::{Event, Obs, SpanId};
 use unidrive_sim::{Runtime, SimRng, Time};
+
+use crate::quorum;
 
 /// Tunables of the lock protocol.
 #[derive(Debug, Clone)]
@@ -57,39 +60,6 @@ impl Default for LockConfig {
     }
 }
 
-/// Error from lock operations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LockError {
-    /// Could not win a majority within `max_attempts` rounds.
-    Contended {
-        /// Rounds attempted.
-        attempts: u32,
-    },
-    /// Fewer than a quorum of clouds are reachable at all.
-    QuorumUnreachable {
-        /// Clouds that answered.
-        reachable: usize,
-        /// Quorum size needed.
-        quorum: usize,
-    },
-}
-
-impl std::fmt::Display for LockError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LockError::Contended { attempts } => {
-                write!(f, "failed to acquire quorum lock after {attempts} attempts")
-            }
-            LockError::QuorumUnreachable { reachable, quorum } => write!(
-                f,
-                "only {reachable} clouds reachable, quorum of {quorum} required"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for LockError {}
-
 /// The metadata lock over a user's multi-cloud.
 pub struct QuorumLock {
     rt: Arc<dyn Runtime>,
@@ -111,13 +81,12 @@ impl std::fmt::Debug for QuorumLock {
     }
 }
 
-/// Proof of lock ownership; release with [`LockGuard::release`] (Drop
-/// releases best-effort too, but an explicit release reports errors).
+/// Proof of lock ownership. Dropping the guard releases the lock;
+/// [`LockGuard::release`] names that point in the protocol.
 #[derive(Debug)]
 pub struct LockGuard<'a> {
     lock: &'a QuorumLock,
     lock_name: String,
-    released: bool,
     /// The (ended) `lock.acquire` span: causal parent for the
     /// `lock.refresh` / `lock.release` spans of this hold.
     span: Option<SpanId>,
@@ -159,10 +128,10 @@ impl QuorumLock {
     ///
     /// # Errors
     ///
-    /// [`LockError::Contended`] after `max_attempts` losing rounds;
-    /// [`LockError::QuorumUnreachable`] if a majority of clouds cannot
+    /// [`PlaneError::Contended`] after `max_attempts` losing rounds;
+    /// [`PlaneError::QuorumUnreachable`] if a majority of clouds cannot
     /// even be contacted.
-    pub fn acquire(&self) -> Result<LockGuard<'_>, LockError> {
+    pub fn acquire(&self) -> Result<LockGuard<'_>, PlaneError> {
         self.acquire_in(None)
     }
 
@@ -174,7 +143,7 @@ impl QuorumLock {
     /// # Errors
     ///
     /// Same as [`acquire`](QuorumLock::acquire).
-    pub fn acquire_in(&self, parent: Option<SpanId>) -> Result<LockGuard<'_>, LockError> {
+    pub fn acquire_in(&self, parent: Option<SpanId>) -> Result<LockGuard<'_>, PlaneError> {
         let quorum = self.clouds.quorum();
         let t0 = self.rt.now();
         let mut span = self.obs.span("lock.acquire", parent);
@@ -202,7 +171,6 @@ impl QuorumLock {
                     return Ok(LockGuard {
                         lock: self,
                         lock_name,
-                        released: false,
                         span: span_id,
                     });
                 }
@@ -234,19 +202,19 @@ impl QuorumLock {
                         span.attr_bool("starved", true);
                     }
                 }
-                RoundOutcome::Unreachable { reachable } => {
+                RoundOutcome::Unreachable(short) => {
                     self.obs.inc("lock.unreachable");
                     self.withdraw(&lock_name);
                     span.attr_u64("rounds", (attempt + 1) as u64);
                     span.attr_bool("ok", false);
-                    return Err(LockError::QuorumUnreachable { reachable, quorum });
+                    return Err(short);
                 }
             }
         }
         self.obs.inc("lock.exhausted");
         span.attr_u64("rounds", self.config.max_attempts as u64);
         span.attr_bool("ok", false);
-        Err(LockError::Contended {
+        Err(PlaneError::Contended {
             attempts: self.config.max_attempts,
         })
     }
@@ -255,44 +223,19 @@ impl QuorumLock {
     /// and count clouds where ours is the only live lock. `parent` is
     /// the enclosing `lock.acquire` span (for `lock.break` spans).
     fn try_round(&self, lock_name: &str, parent: Option<SpanId>) -> RoundOutcome {
-        let quorum = self.clouds.quorum();
         let path = format!("{LOCK_DIR}/{lock_name}");
         // Lock files go out to all clouds concurrently (the client opens
         // one HTTP request per cloud), then the listings come back
         // concurrently too.
-        let upload_tasks: Vec<_> = self
-            .clouds
-            .iter()
-            .map(|(_, cloud)| {
-                let cloud = std::sync::Arc::clone(cloud);
-                let path = path.clone();
-                unidrive_sim::spawn(&self.rt, "lock-up", move || {
-                    cloud.upload(&path, unidrive_util::bytes::Bytes::new()).is_ok()
-                })
-            })
-            .collect();
-        for t in upload_tasks {
-            let _ = t.join();
-        }
-        let list_tasks: Vec<_> = self
-            .clouds
-            .iter()
-            .map(|(id, cloud)| {
-                let cloud = std::sync::Arc::clone(cloud);
-                unidrive_sim::spawn(&self.rt, "lock-list", move || {
-                    (id, cloud.list(LOCK_DIR).ok())
-                })
-            })
-            .collect();
-        let listings: Vec<_> = list_tasks.into_iter().map(|t| t.join()).collect();
+        quorum::fan_out(&self.rt, &self.clouds, "lock-up", move |_, cloud| {
+            let _ = cloud.upload(&path, Bytes::new());
+        });
+        let listings = quorum::fan_out(&self.rt, &self.clouds, "lock-list", |_, cloud| {
+            cloud.list(LOCK_DIR).ok()
+        });
         let mut reachable = 0usize;
         let mut held = 0usize;
-        for (id, entries) in listings {
-            // `id` came from iterating this same set above, but stay
-            // fallible anyway: an unknown id just skips the cloud.
-            let Some(cloud) = self.clouds.try_get(id).map(std::sync::Arc::clone) else {
-                continue;
-            };
+        for ((id, cloud), entries) in self.clouds.iter().zip(listings) {
             let Some(entries) = entries else {
                 continue;
             };
@@ -334,10 +277,10 @@ impl QuorumLock {
                 held += 1;
             }
         }
-        if reachable < quorum {
-            return RoundOutcome::Unreachable { reachable };
+        if let Err(short) = quorum::require_reachable(&self.clouds, reachable) {
+            return RoundOutcome::Unreachable(short);
         }
-        if held >= quorum {
+        if held >= self.clouds.quorum() {
             RoundOutcome::Won
         } else {
             RoundOutcome::Lost { held }
@@ -358,33 +301,21 @@ impl QuorumLock {
         now.saturating_duration_since(first) > self.config.stale_after
     }
 
-    /// Deletes our lock file from every cloud (concurrently).
+    /// Deletes our lock file from every cloud (concurrently). Best
+    /// effort: a delete lost to a transient failure leaves a file the
+    /// self-reclaim in `try_round` removes on our next round.
     fn withdraw(&self, lock_name: &str) {
         let path = format!("{LOCK_DIR}/{lock_name}");
-        let tasks: Vec<_> = self
-            .clouds
-            .iter()
-            .map(|(_, cloud)| {
-                let cloud = std::sync::Arc::clone(cloud);
-                let path = path.clone();
-                unidrive_sim::spawn(&self.rt, "lock-del", move || {
-                    match cloud.delete(&path) {
-                        Ok(()) | Err(CloudError::NotFound { .. }) => {}
-                        Err(_) => { /* best effort; self-reclaim handles it */ }
-                    }
-                })
-            })
-            .collect();
-        for t in tasks {
-            t.join();
-        }
+        quorum::fan_out(&self.rt, &self.clouds, "lock-del", move |_, cloud| {
+            let _ = cloud.delete(&path);
+        });
     }
 }
 
 enum RoundOutcome {
     Won,
     Lost { held: usize },
-    Unreachable { reachable: usize },
+    Unreachable(PlaneError),
 }
 
 impl LockGuard<'_> {
@@ -399,36 +330,16 @@ impl LockGuard<'_> {
         let mut span = self.lock.obs.span("lock.refresh", self.span);
         span.attr_str("device", self.lock.device.as_str());
         let new_path = format!("{LOCK_DIR}/{new_name}");
-        let tasks: Vec<_> = self
-            .lock
-            .clouds
-            .iter()
-            .map(|(_, cloud)| {
-                let cloud = std::sync::Arc::clone(cloud);
-                let path = new_path.clone();
-                unidrive_sim::spawn(&self.lock.rt, "lock-refresh", move || {
-                    let _ = cloud.upload(&path, unidrive_util::bytes::Bytes::new());
-                })
-            })
-            .collect();
-        for t in tasks {
-            t.join();
-        }
+        quorum::fan_out(&self.lock.rt, &self.lock.clouds, "lock-refresh", move |_, cloud| {
+            let _ = cloud.upload(&new_path, Bytes::new());
+        });
         self.lock.withdraw(&self.lock_name);
         self.lock_name = new_name;
     }
 
-    /// Releases the lock by deleting our lock files everywhere.
-    pub fn release(mut self) {
-        let mut span = self.lock.obs.span("lock.release", self.span);
-        span.attr_str("device", self.lock.device.as_str());
-        self.lock.withdraw(&self.lock_name);
-        self.released = true;
-        self.lock.obs.inc("lock.released");
-        self.lock.obs.event(|| Event::LockReleased {
-            device: self.lock.device.clone(),
-        });
-    }
+    /// Releases the lock by deleting our lock files everywhere — the
+    /// guard's `Drop`, spelled out where the protocol releases.
+    pub fn release(self) {}
 
     /// The `lock.acquire` span of this hold (causal parent for work
     /// done under the lock), if tracing is enabled.
@@ -444,15 +355,13 @@ impl LockGuard<'_> {
 
 impl Drop for LockGuard<'_> {
     fn drop(&mut self) {
-        if !self.released {
-            let mut span = self.lock.obs.span("lock.release", self.span);
-            span.attr_str("device", self.lock.device.as_str());
-            self.lock.withdraw(&self.lock_name);
-            self.lock.obs.inc("lock.released");
-            self.lock.obs.event(|| Event::LockReleased {
-                device: self.lock.device.clone(),
-            });
-        }
+        let mut span = self.lock.obs.span("lock.release", self.span);
+        span.attr_str("device", self.lock.device.as_str());
+        self.lock.withdraw(&self.lock_name);
+        self.lock.obs.inc("lock.released");
+        self.lock.obs.event(|| Event::LockReleased {
+            device: self.lock.device.clone(),
+        });
     }
 }
 
@@ -631,7 +540,7 @@ mod tests {
         let lock = lock_on(rt, clouds, "dev-a", 9);
         assert!(matches!(
             lock.acquire().unwrap_err(),
-            LockError::QuorumUnreachable { reachable: 2, quorum: 3 }
+            PlaneError::QuorumUnreachable { reachable: 2, quorum: 3 }
         ));
     }
 
@@ -684,7 +593,7 @@ mod tests {
             .with_obs(obs.clone());
         assert!(matches!(
             lock.acquire().unwrap_err(),
-            LockError::Contended { attempts: 8 }
+            PlaneError::Contended { attempts: 8 }
         ));
         let snap = obs.snapshot().unwrap();
         assert_eq!(snap.counter("lock.contended_rounds"), 8);

@@ -1,11 +1,15 @@
 //! Shared data-plane configuration and block-assignment planning.
 
-use std::time::Duration;
-
 use unidrive_chunker::ChunkerConfig;
 use unidrive_cloud::RetryPolicy;
 use unidrive_erasure::RedundancyConfig;
 use unidrive_obs::Obs;
+
+/// Both schedulers give up on a block after this many failed transfers
+/// across the batch (each failure first re-queues it elsewhere), so a
+/// holder that keeps failing without going unavailable cannot keep a
+/// batch from settling.
+pub(crate) const MAX_BLOCK_BOUNCES: u32 = 8;
 
 /// Configuration of the data plane (paper §6, plus ablation switches).
 #[derive(Debug, Clone)]
@@ -30,17 +34,6 @@ pub struct DataPlaneConfig {
     /// Enable in-channel probing (download tail duplication onto faster
     /// clouds). Disabling reduces downloads to plain idle-pull.
     pub probing: bool,
-    /// Give up on placing a block after this many failed placements
-    /// across the batch (each failure re-queues it elsewhere first).
-    pub max_block_bounces: u32,
-    /// Download tail-duplication threshold: an idle cloud duplicates a
-    /// block in flight on a cloud at least this many times slower.
-    pub dup_speed_ratio: f64,
-    /// Upper bound on how long an idle transfer-engine worker parks
-    /// before re-polling its policy. `None` (the default) parks until a
-    /// completion or failure actually notifies it — the former 5 ms
-    /// `IDLE_POLL` constant, kept sweepable for ablations.
-    pub idle_wait: Option<Duration>,
     /// Worker threads for the CPU-bound ingest pipeline in
     /// [`DataPlane::upload_files`](crate::DataPlane::upload_files):
     /// cut-point discovery scans disjoint buffer slices on the pool,
@@ -71,9 +64,6 @@ impl DataPlaneConfig {
             overprovisioning: true,
             two_phase: true,
             probing: true,
-            max_block_bounces: 8,
-            dup_speed_ratio: 1.5,
-            idle_wait: None,
             ingest_threads: 1,
             obs: Obs::noop(),
             watchdog: None,

@@ -23,7 +23,7 @@ use unidrive_meta::{block_path, BlockRef, SegmentId};
 use unidrive_sim::{Runtime, Time};
 
 use crate::engine::{EngineParams, JobDesc, TransferEngine, TransferPolicy, WireOp};
-use crate::plan::{normal_assignment, DataPlaneConfig, SegmentData};
+use crate::plan::{normal_assignment, DataPlaneConfig, SegmentData, MAX_BLOCK_BOUNCES};
 use crate::probe::BandwidthProbe;
 
 /// One file to upload, already segmented.
@@ -291,7 +291,6 @@ pub fn run_upload_opts(
         obs: config.obs.clone(),
         label: "upload".into(),
         probe: Some(Arc::clone(probe)),
-        idle_wait: config.idle_wait,
         batch_span,
         watchdog: config.watchdog.clone(),
     };
@@ -421,7 +420,7 @@ impl TransferPolicy for UploadPolicy {
 
     fn on_failure(&mut self, cloud: CloudId, job: Job, error: CloudError, _now: Time) {
         self.st.segs[job.seg].inflight[cloud.0] -= 1;
-        handle_failure(&mut self.st, job, cloud, error, self.config.max_block_bounces);
+        handle_failure(&mut self.st, job, cloud, error);
         maybe_finish(&mut self.st, self.cap);
     }
 }
@@ -576,13 +575,7 @@ fn mint_extra(st: &mut UploadState, p: usize, cloud: usize, cap: usize) -> Optio
     Some(Job { seg: p, index })
 }
 
-fn handle_failure(
-    st: &mut UploadState,
-    job: Job,
-    cloud: CloudId,
-    error: CloudError,
-    max_bounces: u32,
-) {
+fn handle_failure(st: &mut UploadState, job: Job, cloud: CloudId, error: CloudError) {
     let fatal = matches!(
         error,
         CloudError::Unavailable { .. } | CloudError::QuotaExceeded { .. }
@@ -597,7 +590,7 @@ fn handle_failure(
     }
     let seg = &mut st.segs[job.seg];
     seg.bounces += 1;
-    if seg.bounces <= max_bounces {
+    if seg.bounces <= MAX_BLOCK_BOUNCES {
         seg.reassign.push_back(job.index);
     } else {
         st.unplaced += 1;

@@ -86,12 +86,13 @@ const OPLOG_COMPACT_OPS: u64 = 3;
 /// λ threshold in op count: a folder's accumulated ops trigger a base
 /// compaction (the analytic mirror of `delta_ratio`/`delta_floor`).
 const OPLOG_COMPACT_EVERY: u64 = 64;
-/// Escalation multiple: once a folder's pending-op backlog reaches
+/// Escalation multiple (the constant the real oplog plane escalates
+/// at): once a folder's pending-op backlog reaches
 /// `OPLOG_COMPACT_ESCALATE × OPLOG_COMPACT_EVERY`, a committer stops
 /// deferring to the advisory compaction lock and barges — waiting out
 /// the holder's bounded window, then folding (the analytic mirror of
 /// core's forced-compaction retries past its escalate threshold).
-const OPLOG_COMPACT_ESCALATE: u64 = 4;
+const OPLOG_COMPACT_ESCALATE: u64 = unidrive_meta::OPLOG_COMPACT_ESCALATE as u64;
 /// Metadata commit under the lock: version write + lock release.
 const COMMIT_NS: u64 = 500_000_000;
 /// Drain guard: give the fleet at most this many pull rounds.

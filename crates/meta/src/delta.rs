@@ -64,6 +64,21 @@ pub enum DeltaRecord {
     },
 }
 
+/// The paper's compaction threshold λ = max(`ratio` × base size,
+/// `floor_bytes`): a log (the delta file, or the live oplog) that has
+/// outgrown it is merged into a new base. The paper uses ratio 0.25
+/// and floor 10 KB.
+pub fn compaction_threshold(base_size: usize, ratio: f64, floor_bytes: usize) -> usize {
+    ((base_size as f64 * ratio) as usize).max(floor_bytes)
+}
+
+/// The oplog plane stops treating compaction as optional once the live
+/// log exceeds this multiple of λ: a contended lock or flaky quorum can
+/// defer any single compaction, but nothing may defer all of them
+/// forever — the op cache and the full-replace op-file body would grow
+/// without bound. Shared by the real plane and the fleet model.
+pub const OPLOG_COMPACT_ESCALATE: usize = 4;
+
 /// The delta file: every change since `base` (identified by its version
 /// stamp), in commit order.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -101,12 +116,10 @@ impl DeltaLog {
         image.version = self.head.clone();
     }
 
-    /// Whether the delta has outgrown the paper's threshold
-    /// λ = max(`ratio` × base size, `floor_bytes`) and should be merged
-    /// into a new base. The paper uses ratio 0.25 and floor 10 KB.
+    /// Whether the delta has outgrown [`compaction_threshold`] and
+    /// should be merged into a new base.
     pub fn should_compact(&self, base_size: usize, ratio: f64, floor_bytes: usize) -> bool {
-        let threshold = ((base_size as f64 * ratio) as usize).max(floor_bytes);
-        self.encoded_len() > threshold
+        self.encoded_len() > compaction_threshold(base_size, ratio, floor_bytes)
     }
 
     /// Size of the serialized log.

@@ -18,7 +18,7 @@ mod model;
 mod op;
 mod plane;
 
-pub use delta::{DeltaLog, DeltaRecord};
+pub use delta::{compaction_threshold, DeltaLog, DeltaRecord, OPLOG_COMPACT_ESCALATE};
 pub use diff::{diff, merge3, Conflict, EntryChange, MergeOutcome, TreeDelta};
 pub use layout::{
     block_path, lock_file_name, lock_file_path, op_file_name, op_file_path, parse_lock_name,
