@@ -1,7 +1,10 @@
 #!/usr/bin/env sh
 # Offline CI for the UniDrive reproduction. No network access is
 # assumed anywhere: the workspace has zero external dependencies and
-# every cargo invocation passes --offline.
+# every cargo invocation passes --offline. The gate needs cargo and a
+# POSIX shell, nothing else: every report a step writes is checked by
+# the Rust binary that owns its schema (`bench_compare --validate`,
+# `obs_report --validate`, `trace_report --validate`).
 #
 #   ./ci.sh         tier-1 gate + full workspace tests + obs lint
 #   ./ci.sh quick   tier-1 gate only
@@ -18,8 +21,10 @@ if [ "${1:-}" = "quick" ]; then
     # parallel cut-point driver must emit byte-identical cuts at any
     # thread count (dumped for both hash kinds over a fixed buffer and
     # cmp'd), and (b) gear-kind ingest must beat rabin-kind ingest at
-    # every pool width — the whole point of shipping a second hash.
-    cargo build --offline --release -p unidrive-bench --bin bench_kernels
+    # every pool width the host can exercise — the whole point of
+    # shipping a second hash; `bench_compare --validate` asserts it
+    # along with the rest of the report's schema.
+    cargo build --offline --release -p unidrive-bench --bin bench_kernels --bin bench_compare
     qout="$(mktemp -d)"
     trap 'rm -rf "$qout"' EXIT
     ./target/release/bench_kernels --cuts-out "$qout/cuts1.txt" --cuts-threads 1
@@ -28,16 +33,7 @@ if [ "${1:-}" = "quick" ]; then
     cmp "$qout/cuts1.txt" "$qout/cuts2.txt"
     cmp "$qout/cuts1.txt" "$qout/cuts8.txt"
     ./target/release/bench_kernels --quick --out "$qout/bench_kernels.json" >/dev/null
-    python3 - "$qout/bench_kernels.json" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-rabin = {r["threads"]: r["mb_per_s"] for r in doc["rows"] if r["kernel"] == "ingest"}
-gear = {r["threads"]: r["mb_per_s"] for r in doc["rows"] if r["kernel"] == "ingest_gear"}
-assert rabin and set(rabin) == set(gear), (sorted(rabin), sorted(gear))
-for t in sorted(rabin):
-    assert gear[t] >= rabin[t], f"gear ingest slower than rabin at {t} threads: {gear[t]:.0f} < {rabin[t]:.0f} MiB/s"
-print("    gear >= rabin ingest at threads " + ", ".join(f"{t} ({gear[t]:.0f} vs {rabin[t]:.0f} MiB/s)" for t in sorted(rabin)))
-EOF
+    ./target/release/bench_compare --validate "$qout/bench_kernels.json"
     echo "==> quick mode: skipping workspace tests and lints"
     exit 0
 fi
@@ -45,9 +41,8 @@ fi
 echo "==> workspace tests (all crates)"
 cargo test --offline --workspace -q
 
-echo "==> bench binaries compile (debug) and build (release)"
-cargo build --offline -p unidrive-bench --all-targets
-# The determinism and microbench steps below run the release binaries;
+echo "==> bench binaries build (release)"
+# The determinism and bench steps below run the release binaries;
 # the root release build alone does not produce them.
 cargo build --offline --release -p unidrive-bench
 
@@ -67,52 +62,33 @@ trap 'rm -rf "$out"' EXIT
 ./target/release/fig08_micro quick --metrics-out "$out/b.json" >/dev/null
 cmp "$out/a.json" "$out/b.json"
 
-echo "==> transfer-engine scheduling determinism (same seed => byte-identical)"
+echo "==> fig11 same-seed determinism: metrics, span trace and windowed series"
 # fig11 drives the full sync protocol plus all three baselines through
-# the shared notifier-parked transfer engine; identical metrics across
-# two runs means worker wake order is reproducible, not just timers.
-./target/release/fig11_batch_sync quick --metrics-out "$out/c.json" >/dev/null
-./target/release/fig11_batch_sync quick --metrics-out "$out/d.json" >/dev/null
+# the shared notifier-parked transfer engine. One run per side with all
+# three exports on; each pair must be byte-identical:
+#  - metrics: worker wake order is reproducible, not just timers;
+#  - Chrome trace: which must also be well-formed — non-negative
+#    ts/dur, unique span ids, every parent id present (trace_report
+#    --validate);
+#  - windowed series: a pure function of the seed that passes its own
+#    validator — schema tag, strictly increasing window indices,
+#    quantile monotonicity (p50 <= p95 <= p99) in every sample window.
+./target/release/fig11_batch_sync quick --metrics-out "$out/c.json" --trace-out "$out/t1.json" --series-out "$out/s1.json" >/dev/null
+./target/release/fig11_batch_sync quick --metrics-out "$out/d.json" --trace-out "$out/t2.json" --series-out "$out/s2.json" >/dev/null
 cmp "$out/c.json" "$out/d.json"
-
-echo "==> kernel microbenchmarks (quick) + deterministic export shape"
-# Throughput numbers vary with the machine; what CI pins down is that
-# every kernel runs to completion and the JSON schema stays stable
-# (fixed key set, rows in fixed order). The checked-in
-# BENCH_kernels.json at the repo root is a full-mode snapshot.
-./target/release/bench_kernels --quick --out "$out/bench_kernels.json"
-python3 - "$out/bench_kernels.json" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-assert doc["bench_kernels"] == "unidrive/v1", doc
-kernels = [r["kernel"] for r in doc["rows"]]
-for expected in ["sha1", "rabin_roll", "gear_roll", "chunker_cut_points", "gear_cut_points",
-                 "cut_points_parallel", "rs_encode", "rs_decode", "ingest", "ingest_gear"]:
-    assert expected in kernels, f"missing kernel row: {expected}"
-for r in doc["rows"]:
-    assert set(r) == {"kernel", "bytes", "threads", "iters", "mb_per_s", "mean_ns", "p50_ns", "p95_ns"}, r
-    assert r["iters"] > 0 and r["mb_per_s"] > 0, r
-EOF
-
-echo "==> span trace determinism + Chrome trace-event shape"
-# Two same-seed runs must export byte-identical Chrome traces, and the
-# trace must be well-formed: non-negative ts/dur, unique span ids, and
-# every parent id present (trace_report --validate exits non-zero
-# otherwise).
-./target/release/fig11_batch_sync quick --trace-out "$out/t1.json" >/dev/null
-./target/release/fig11_batch_sync quick --trace-out "$out/t2.json" >/dev/null
 cmp "$out/t1.json" "$out/t2.json"
 ./target/release/trace_report --validate "$out/t1.json"
-
-echo "==> windowed series export: determinism + schema validation (fig11)"
-# The obs series layer (--series-out) must be a pure function of the
-# seed and pass its own validator: schema tag, strictly increasing
-# window indices, and quantile monotonicity (p50 <= p95 <= p99) in
-# every sample window.
-./target/release/fig11_batch_sync quick --series-out "$out/s1.json" >/dev/null
-./target/release/fig11_batch_sync quick --series-out "$out/s2.json" >/dev/null
 cmp "$out/s1.json" "$out/s2.json"
 ./target/release/obs_report --validate "$out/s1.json"
+
+echo "==> kernel bench (quick) + report schema and shape"
+# Throughput numbers vary with the machine; what CI pins down is that
+# every kernel runs to completion, the schema stays stable (fixed key
+# set, fixed kernel list, rows only at widths this host can exercise)
+# and gear ingest is no slower than rabin. The checked-in
+# BENCH_kernels.json at the repo root is a full-mode snapshot.
+./target/release/bench_kernels --quick --out "$out/bench_kernels.json"
+./target/release/bench_compare --validate "$out/bench_kernels.json"
 
 echo "==> chaos soak: invariants hold, lethal plan minimizes, same seed => byte-identical"
 # Randomized (but seeded) fault schedules must never violate an
@@ -132,25 +108,16 @@ echo "==> chaos health round: targeted outage visibly degrades, then recovers"
 # The health-round acceptance gate: the scoreboard fed by ObservedCloud
 # wrappers must show the targeted cloud leaving healthy during its
 # outage window and back to healthy once the window closes, while no
-# untargeted cloud ever goes down. The same scoreboard is embedded in
-# the series export, which must also validate.
+# untargeted cloud ever goes down — chaos_soak derives all three from
+# the scoreboard's trackers (the target's transitions, timeline and
+# *final* state; the others' transitions) and folds them into its
+# verdict. The same scoreboard is embedded in the series export, which
+# must also validate.
 cmp "$out/csh1.json" "$out/csh2.json"
 ./target/release/obs_report --validate "$out/csh1.json"
 grep -q '"dipped": true' "$out/cs1.json"
 grep -q '"recovered": true' "$out/cs1.json"
-python3 - "$out/csh1.json" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-rows = {h["cloud"]: h for h in doc["health"]}
-target = rows["c2"]
-dipped = {w["state"] for w in target["timeline"]} & {"degraded", "down"}
-assert dipped, [w["state"] for w in target["timeline"]]
-assert target["state"] == "healthy", target["state"]
-assert any(t["to"] in ("degraded", "down") for t in target["transitions"]), target["transitions"]
-for name, row in rows.items():
-    if name != "c2":
-        assert all(t["to"] != "down" for t in row["transitions"]), (name, row["transitions"])
-EOF
+grep -q '"others_clean": true' "$out/cs1.json"
 # The default run soaks both metadata planes; the oplog-restricted run
 # additionally proves the --meta-mode flag itself is honored and that
 # the oplog plane passes in isolation (op files absorbing torn uploads
@@ -168,50 +135,17 @@ echo "==> fleet bench: 10k-device quick run, invariants + schema + byte-identica
 ./target/release/bench_fleet quick --out "$out/f1.json" --series-out "$out/fs1.json" >/dev/null
 ./target/release/bench_fleet quick --shards 3 --threads 2 --out "$out/f2.json" --series-out "$out/fs2.json" >/dev/null
 cmp "$out/f1.json" "$out/f2.json"
-python3 - "$out/f1.json" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-assert doc["bench_fleet"] == "unidrive/v1", doc
-assert set(doc) == {"bench_fleet", "config", "counters", "clouds", "hist", "invariants", "run"}, sorted(doc)
-assert doc["config"]["devices"] == 10000, doc["config"]
-for inv in doc["invariants"]:
-    assert inv["pass"] is True, inv
-for name in ["lock_rounds", "lock_wait_ns", "sync_latency_ns"]:
-    h = doc["hist"][name]
-    assert h["count"] > 0 and h["p50"] <= h["p95"] <= h["p99"], (name, h)
-assert len(doc["clouds"]) == 5, doc["clouds"]
-for c in doc["clouds"]:
-    assert c["ops"] == c["lock_ops"] + c["transfer_ops"], c
-started = doc["counters"]["sessions.started"]
-assert started == doc["counters"]["sessions.completed"] > 0, doc["counters"]
-# Contention and compaction-pressure counters must be first-class
-# schema members even when zero (lock mode leaves the oplog ones at 0).
-for name in ["lock.starved", "oplog.compact_forced", "oplog.compact_overdue"]:
-    assert name in doc["counters"], sorted(doc["counters"])
-EOF
+./target/release/bench_compare --validate "$out/f1.json"
+grep -q '"devices": 10000' "$out/f1.json"
 
 echo "==> fleet series: byte-identical across shard/thread layouts + health schema"
 # The per-shard series banks must merge to the same document no matter
 # how the event set is partitioned — the windowed-telemetry analogue
 # of the BENCH_fleet.json determinism gate — and the embedded health
-# scoreboard must carry one valid row per cloud.
+# scoreboard must carry one valid, busy row per cloud next to the four
+# series fleet consumers read (obs_report's fleet-export rules).
 cmp "$out/fs1.json" "$out/fs2.json"
-./target/release/obs_report --validate "$out/fs1.json"
-python3 - "$out/fs1.json" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-assert doc["series"] == "unidrive-obs-series/v1", doc.get("series")
-assert doc["window_ns"] > 0
-for metric in ["fleet.arrivals", "fleet.sessions", "cloud.ops", "fleet.sync_latency_ns"]:
-    assert metric in doc["metrics"], sorted(doc["metrics"])
-health = doc["health"]
-assert len(health) == 5, [h["cloud"] for h in health]
-for row in health:
-    assert row["state"] in ("healthy", "degraded", "down"), row
-    assert row["ops"] > 0, row
-    indices = [w["i"] for w in row["timeline"]]
-    assert indices == sorted(set(indices)), row["cloud"]
-EOF
+./target/release/obs_report --validate "$out/fs1.json" | grep "5 health rows"
 
 echo "==> oplog bench: N-writer scaling shape + schema + byte-identical"
 # The metadata-plane headline: on a hot shared folder, oplog commits
@@ -225,29 +159,7 @@ echo "==> oplog bench: N-writer scaling shape + schema + byte-identical"
 cmp "$out/o1.json" "$out/o2.json"
 cmp "$out/os1.json" "$out/os2.json"
 ./target/release/obs_report --validate "$out/os1.json"
-python3 - "$out/o1.json" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-assert doc["bench_oplog"] == "unidrive/v1", doc
-assert set(doc) == {"bench_oplog", "config", "rows"}, sorted(doc)
-rows = doc["rows"]
-assert len(rows) == 2 * len(doc["config"]["writer_counts"]), rows
-by = {}
-for r in rows:
-    assert set(r) == {"commits", "commits_per_min", "compact_forced", "compact_overdue",
-                      "failed", "lock_starved", "mode", "retries", "rounds",
-                      "virtual_secs", "writers"}, r
-    assert r["commits"] == r["writers"] * r["rounds"] and r["failed"] == 0, r
-    # The metadata plane's own counters: an uncontended oplog run must
-    # never leave a compaction overdue, and starvation audits belong to
-    # the lock plane.
-    assert r["compact_overdue"] == 0, r
-    if r["mode"] == "oplog":
-        assert r["lock_starved"] == 0, r
-    by[(r["mode"], r["writers"])] = r["commits_per_min"]
-top = max(doc["config"]["writer_counts"])
-assert by[("oplog", top)] > by[("lock", top)], (by[("oplog", top)], by[("lock", top)])
-EOF
+./target/release/bench_compare --validate "$out/o1.json"
 
 echo "==> oplog bench: full mode reproduces the checked-in BENCH_oplog.json byte for byte"
 # Behaviour-preservation gate for the metadata path: the full matrix
@@ -258,41 +170,30 @@ echo "==> oplog bench: full mode reproduces the checked-in BENCH_oplog.json byte
 cmp "$out/o_full.json" BENCH_oplog.json
 
 echo "==> bench_compare: identical runs are regression-free; drift is advisory"
-# Same-input comparison must report zero regressions across every
-# tracked metric and doc type (throughput, failure counts, latency
-# percentiles, headline counters) — the tool's own no-false-positive
-# gate. Comparing a quick run against the checked-in full-mode
-# baseline is informational only: different rounds, expected drift.
+# Every compare run validates both inputs first (exit 2 on a refused
+# document). Same-input comparison must report zero regressions across
+# every tracked metric and doc type (throughput, latency percentiles,
+# headline counters) — the tool's own no-false-positive gate.
+# Comparing a quick run against the checked-in full-mode baseline is
+# informational only (different rounds, expected drift): exit 1 is
+# advisory, a refused document (exit 2) still fails CI.
 ./target/release/bench_compare "$out/o1.json" "$out/o2.json" --md "$out/cmp_oplog.md"
 grep -q "0 regression" "$out/cmp_oplog.md"
 ./target/release/bench_compare "$out/f1.json" "$out/f1.json" >/dev/null
 ./target/release/bench_compare "$out/bench_kernels.json" "$out/bench_kernels.json" >/dev/null
-./target/release/bench_compare BENCH_oplog.json "$out/o1.json" --md "$out/cmp_baseline.md" \
-    || echo "    advisory: quick run drifts from the full-mode baseline (expected, not a gate)"
+rc=0
+./target/release/bench_compare BENCH_oplog.json "$out/o1.json" --md "$out/cmp_baseline.md" || rc=$?
+[ "$rc" -le 1 ]
+[ "$rc" -eq 0 ] || echo "    advisory: quick run drifts from the full-mode baseline (expected, not a gate)"
 
-echo "==> s3 backend: real-socket sync gate + HTTP bench schema"
+echo "==> s3 backend: real-socket sync gate"
 # The HTTP backend's acceptance bar: the two-device workload must
 # converge through in-process S3 servers over real TCP, and the chaos
 # phase (torn uploads + 503 bursts) must end byte-identical to the
 # clean phase — asserted inside the test. Release build keeps the
-# wall-clock runs snappy. s3_bench throughput varies with the machine;
-# CI pins the JSON schema and the fixed row ordering.
+# wall-clock runs snappy. What a PUT/GET/LIST costs over the same
+# loopback wire is syncbench's `http.*` ledger rows.
 cargo test --offline --release --test s3_sync -q
-./target/release/s3_bench --quick --out "$out/s3_bench.json" >/dev/null
-python3 - "$out/s3_bench.json" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-assert doc["s3_bench"] == "unidrive/v1", doc
-assert set(doc) == {"s3_bench", "mode", "rows"}, sorted(doc)
-ops = [r["op"] for r in doc["rows"]]
-assert ops == ["upload"] * 3 + ["download"] * 3 + ["append", "list", "upload_delete"], ops
-for r in doc["rows"]:
-    assert set(r) == {"op", "bytes", "iters", "mb_per_s", "mean_ns", "p50_ns", "p95_ns"}, r
-    assert r["iters"] >= 3 and r["mean_ns"] > 0, r
-    assert r["p50_ns"] <= r["p95_ns"], r
-    if r["op"] != "list":
-        assert r["mb_per_s"] > 0, r
-EOF
 
 echo "==> syncbench: quick suite (all six workloads, schema, oracle)"
 cargo test --offline --release --manifest-path benchmark/Cargo.toml

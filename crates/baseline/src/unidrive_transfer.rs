@@ -9,7 +9,7 @@ use std::time::Duration;
 use unidrive_util::bytes::Bytes;
 use unidrive_util::sync::Mutex;
 use unidrive_cloud::{CloudError, CloudSet};
-use unidrive_core::{DataPlane, DataPlaneConfig, SegmentFetch, UploadRequest};
+use unidrive_core::{DataPlane, DataPlaneConfig, SegmentFetch, UploadOptions, UploadRequest};
 use unidrive_meta::{BlockRef, SegmentId};
 use unidrive_sim::Runtime;
 
@@ -55,6 +55,7 @@ impl UniDriveTransfer {
                 data,
             }],
             &HashSet::new(),
+            UploadOptions::default(),
         );
         let Some(available) = report.available_duration() else {
             return Err(CloudError::transient("upload did not reach availability"));
@@ -92,7 +93,7 @@ impl UniDriveTransfer {
                 blocks: blocks.clone(),
             })
             .collect();
-        let report = self.plane.download_segments(fetches);
+        let report = self.plane.download_segments(fetches, None);
         if !report.is_complete() {
             return Err(CloudError::transient(format!(
                 "download incomplete: {}",

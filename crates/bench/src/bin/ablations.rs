@@ -11,7 +11,8 @@ use unidrive_util::bytes::Bytes;
 use unidrive_bench::ExperimentScale;
 use unidrive_cloud::{CloudSet, CloudStore};
 use unidrive_core::{
-    DataPlane, DataPlaneConfig, LockConfig, QuorumLock, SegmentFetch, UploadRequest,
+    DataPlane, DataPlaneConfig, LockConfig, QuorumLock, SegmentFetch, UploadOptions,
+    UploadRequest,
 };
 use unidrive_erasure::RedundancyConfig;
 use unidrive_meta::SegmentId;
@@ -40,6 +41,7 @@ fn upload_avail_secs(plane: &DataPlane, data: &Bytes, tag: &str) -> Option<f64> 
             data: data.clone(),
         }],
         &HashSet::new(),
+        UploadOptions::default(),
     );
     report.available_duration().map(|d| d.as_secs_f64())
 }
@@ -92,6 +94,7 @@ fn main() {
                         data: data.clone(),
                     }],
                     &HashSet::new(),
+                    UploadOptions::default(),
                 );
                 if !report.all_available() {
                     continue;
@@ -110,7 +113,7 @@ fn main() {
                         blocks: by_seg.get(id).cloned().unwrap_or_default(),
                     })
                     .collect();
-                let dl = plane.download_segments(fetches);
+                let dl = plane.download_segments(fetches, None);
                 if dl.is_complete() {
                     out.push(dl.total_duration().as_secs_f64());
                 }
@@ -141,7 +144,7 @@ fn main() {
                         data: random_bytes(size / 8, 2200 + rep as u64 * 10 + i),
                     })
                     .collect();
-                let (report, _) = plane.upload_files(requests, &HashSet::new());
+                let (report, _) = plane.upload_files(requests, &HashSet::new(), UploadOptions::default());
                 if let Some(d) = report.available_duration() {
                     out.push(d.as_secs_f64());
                 }
@@ -212,7 +215,7 @@ fn main() {
                         );
                         for _ in 0..4 {
                             let t0 = sim2.now();
-                            if let Ok(guard) = lock.acquire() {
+                            if let Ok(guard) = lock.acquire(None) {
                                 latencies
                                     .lock()
                                     .push((sim2.now() - t0).as_secs_f64());

@@ -24,7 +24,7 @@
 
 use std::time::Instant;
 
-use unidrive_bench::{meta_mode_from_args, metrics_out};
+use unidrive_bench::{arg_value, meta_mode_from_args, metrics_out, quick_arg};
 use unidrive_fleet::{FleetConfig, FleetSim};
 use unidrive_workload::TextTable;
 
@@ -40,31 +40,23 @@ fn peak_rss_kib() -> Option<u64> {
     None
 }
 
-fn flag_u64(args: &[String], name: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+fn flag_u64(name: &str) -> Option<u64> {
+    arg_value(name).and_then(|v| v.parse().ok())
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "quick" || a == "--quick");
-    let seed = flag_u64(&args, "--seed").unwrap_or(42);
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let quick = quick_arg();
+    let seed = flag_u64("--seed").unwrap_or(42);
+    let out = arg_value("--out");
     let mut cfg = if quick {
         FleetConfig::quick(seed)
     } else {
         FleetConfig::full(seed)
     };
-    if let Some(s) = flag_u64(&args, "--shards") {
+    if let Some(s) = flag_u64("--shards") {
         cfg.shards = s as usize;
     }
-    if let Some(t) = flag_u64(&args, "--threads") {
+    if let Some(t) = flag_u64("--threads") {
         cfg.threads = t as usize;
     }
     cfg.meta_mode = meta_mode_from_args();
@@ -225,9 +217,7 @@ fn main() {
         metrics.obs.add(&format!("fleet.{name}"), *v);
     }
     metrics.obs.set_gauge("fleet.virtual_end_secs", m.virtual_end_ns as f64 / 1e9);
-    if let Some(path) = metrics.write() {
-        println!("metrics written to {path}");
-    }
+    metrics.write();
 
     if let Some(path) = &series_out {
         match std::fs::write(path, m.series_json()) {

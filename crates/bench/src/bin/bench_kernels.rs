@@ -11,14 +11,22 @@
 //! - `chunker_cut_points` / `gear_cut_points` — content-defined
 //!   segmentation, serial, per kind (no hashing)
 //! - `cut_points_parallel` — gear cut-point discovery fanned across
-//!   disjoint slices at 1/2/4/8 worker threads (byte-identical output
-//!   to the serial scan; `--cuts-out` below gates that in CI)
+//!   disjoint slices at each pool width the host can exercise (see
+//!   below; byte-identical output to the serial scan; `--cuts-out`
+//!   gates that in CI)
 //! - `rs_encode` / `rs_decode` — (255, 3) non-systematic codec,
 //!   full 5-block stripe per iteration (the paper's N = 5)
 //! - `ingest` / `ingest_gear` — end-to-end chunk + hash + encode per
-//!   chunker kind at 1/2/4/8 worker threads through
+//!   chunker kind at each exercisable pool width through
 //!   `unidrive_util::pool::WorkerPool` (both cut discovery and
 //!   per-segment work ride the pool, as in `DataPlane`)
+//!
+//! Pool widths are 1/2/4/8 capped at the host's
+//! `std::thread::available_parallelism`, which is stamped into the
+//! report header: a `threads = 8` row timed on one vCPU measures pool
+//! overhead, not scaling, and is worse than no row. `bench_compare`
+//! notes rows present on one side only, so reports from hosts of
+//! different widths still compare.
 //!
 //! Per-iteration wall-clock nanoseconds are kept as exact samples and
 //! `p50_ns`/`p95_ns` are computed from the sorted sample array.
@@ -26,10 +34,8 @@
 //! log₂ histogram, whose quantile returns its bucket's *upper bound*
 //! `2^k - 1`; with power-of-two payloads that collapses every row's
 //! p50/p95 to `bytes - 1` — a coarse bucket artifact, not a latency.)
-//! Each sample is still recorded into the obs histogram so the export
-//! machinery stays exercised. Results export as JSON with a fixed
-//! schema and row order — values are wall clock and vary run to run,
-//! the *shape* never does.
+//! Results export as JSON with a fixed schema and row order — values
+//! are wall clock and vary run to run, the *shape* never does.
 //!
 //! Usage: `bench_kernels [--quick|quick] [--out PATH]`
 //! (default out: `BENCH_kernels.json`), or
@@ -42,12 +48,12 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
+use unidrive_bench::{arg_value, quick_arg};
 use unidrive_chunker::{
     cut_points, cut_points_parallel, ChunkerConfig, GearHash, RabinHash,
 };
 use unidrive_crypto::Sha1;
 use unidrive_erasure::Codec;
-use unidrive_obs::{Obs, Registry};
 use unidrive_util::bytes::Bytes;
 use unidrive_util::pool::WorkerPool;
 use unidrive_workload::random_bytes;
@@ -65,7 +71,6 @@ struct Row {
 }
 
 struct Harness {
-    obs: Obs,
     /// Per-row time budget.
     budget: std::time::Duration,
     rows: Vec<Row>,
@@ -84,11 +89,7 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
 
 impl Harness {
     fn new(quick: bool) -> Self {
-        let registry = Registry::new();
-        let epoch = Instant::now();
-        registry.set_clock(move || epoch.elapsed().as_nanos() as u64);
         Harness {
-            obs: Obs::with_registry(registry),
             budget: std::time::Duration::from_millis(if quick { 120 } else { 500 }),
             rows: Vec::new(),
         }
@@ -105,15 +106,12 @@ impl Harness {
         mut f: impl FnMut() -> T,
     ) {
         black_box(f());
-        let name = format!("bench.{kernel}.{bytes}.{threads}");
         let start = Instant::now();
         let mut samples: Vec<u64> = Vec::with_capacity(256);
         while samples.len() < 3 || (start.elapsed() < self.budget && samples.len() < 10_000) {
             let t0 = Instant::now();
             black_box(f());
-            let ns = t0.elapsed().as_nanos() as u64;
-            self.obs.observe(&name, ns);
-            samples.push(ns);
+            samples.push(t0.elapsed().as_nanos() as u64);
         }
         let iters = samples.len() as u64;
         let mean_ns = samples.iter().sum::<u64>() as f64 / iters as f64;
@@ -136,10 +134,11 @@ impl Harness {
         self.rows.push(row);
     }
 
-    fn to_json(&self, mode: &str) -> String {
+    fn to_json(&self, mode: &str, parallelism: usize) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\n\"bench_kernels\": \"unidrive/v1\",\n");
         let _ = writeln!(out, "\"mode\": \"{mode}\",");
+        let _ = writeln!(out, "\"available_parallelism\": {parallelism},");
         out.push_str("\"rows\": [");
         for (i, r) in self.rows.iter().enumerate() {
             if i > 0 {
@@ -196,24 +195,22 @@ fn dump_cuts(path: &str, threads: usize) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    if let Some(path) = flag("--cuts-out") {
-        let threads = flag("--cuts-threads")
+    if let Some(path) = arg_value("--cuts-out") {
+        let threads = arg_value("--cuts-threads")
             .and_then(|t| t.parse().ok())
             .unwrap_or(1);
         dump_cuts(&path, threads);
         return;
     }
-    let quick = args.iter().any(|a| a == "--quick" || a == "quick");
-    let out_path = flag("--out").unwrap_or_else(|| "BENCH_kernels.json".to_owned());
+    let quick = quick_arg();
+    let out_path = arg_value("--out").unwrap_or_else(|| "BENCH_kernels.json".to_owned());
     let mode = if quick { "quick" } else { "full" };
-    println!("bench_kernels ({mode} mode)\n");
+    let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let widths: Vec<usize> = [1, 2, 4, 8]
+        .into_iter()
+        .filter(|&t| t <= parallelism)
+        .collect();
+    println!("bench_kernels ({mode} mode, available parallelism {parallelism})\n");
 
     let mut h = Harness::new(quick);
 
@@ -262,7 +259,7 @@ fn main() {
     h.row("gear_cut_points", chunk_size, 1, || {
         cut_points(&data, &gear_config)
     });
-    for threads in [1usize, 2, 4, 8] {
+    for &threads in &widths {
         let pool = WorkerPool::new(threads);
         h.row("cut_points_parallel", chunk_size, threads, || {
             cut_points_parallel(&data, &gear_config, &pool)
@@ -288,20 +285,20 @@ fn main() {
     let data = random_bytes(ingest_size, 0x1265);
     let rabin_ingest = ChunkerConfig::new(ingest_size / 16);
     let gear_ingest = ChunkerConfig::gear(ingest_size / 16);
-    for threads in [1usize, 2, 4, 8] {
+    for &threads in &widths {
         let pool = WorkerPool::new(threads);
         h.row("ingest", ingest_size, threads, || {
             ingest(&data, &rabin_ingest, &codec, &pool)
         });
     }
-    for threads in [1usize, 2, 4, 8] {
+    for &threads in &widths {
         let pool = WorkerPool::new(threads);
         h.row("ingest_gear", ingest_size, threads, || {
             ingest(&data, &gear_ingest, &codec, &pool)
         });
     }
 
-    let json = h.to_json(mode);
+    let json = h.to_json(mode, parallelism);
     std::fs::write(&out_path, &json).unwrap_or_else(|e| {
         eprintln!("bench_kernels: cannot write {out_path}: {e}");
         std::process::exit(1);

@@ -37,6 +37,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use unidrive_bench::{arg_value, meta_mode_arg, quick_arg};
 use unidrive_cloud::{CloudSet, CloudStore, MemCloud, SimCloud, SimCloudConfig};
 use unidrive_core::{ClientConfig, DataPlaneConfig, MemFolder, SyncFolder, UniDriveClient};
 use unidrive_erasure::RedundancyConfig;
@@ -200,29 +201,10 @@ fn fmt_f64(x: f64) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "quick" || a == "--quick");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let only_mode = args
-        .iter()
-        .position(|a| a == "--meta-mode")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| match MetaMode::parse(v) {
-            Some(m) => m,
-            None => {
-                eprintln!("--meta-mode must be 'lock' or 'oplog', got '{v}'");
-                std::process::exit(2);
-            }
-        });
-    let series_out = args
-        .iter()
-        .position(|a| a == "--series-out")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let quick = quick_arg();
+    let out = arg_value("--out");
+    let only_mode = meta_mode_arg();
+    let series_out = arg_value("--series-out");
     let rounds = if quick { 4 } else { 8 };
     let modes: Vec<MetaMode> = match only_mode {
         Some(m) => vec![m],

@@ -50,9 +50,10 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
+use unidrive_bench::{arg_value, meta_mode_arg, quick_arg};
 use unidrive_cloud::{
     ChaosCloud, CloudBuilder, CloudSet, CloudStore, FaultEvent, FaultKind, FaultPlan,
-    HealthBoard, HealthConfig, MemCloud, SimCloud, SimCloudConfig,
+    HealthBoard, HealthConfig, HealthState, HealthTracker, MemCloud, SimCloud, SimCloudConfig,
 };
 use unidrive_core::{ClientConfig, DataPlaneConfig, MemFolder, SyncFolder, UniDriveClient};
 use unidrive_erasure::RedundancyConfig;
@@ -421,25 +422,34 @@ fn health_round(series_out: Option<&str>) -> HealthOutcome {
         }
     }
 
-    let target_tag = format!("{{\"cloud\": \"{HEALTH_TARGET}\"");
-    let target = rows
-        .iter()
-        .find(|r| r.starts_with(&target_tag))
-        .cloned()
-        .unwrap_or_default();
-    let dipped =
-        target.contains("\"to\": \"degraded\"") || target.contains("\"to\": \"down\"");
-    let recovered = target.contains("\"state\": \"healthy\"");
-    let others_clean = rows
-        .iter()
-        .filter(|r| !r.starts_with(&target_tag))
-        .all(|r| !r.contains("\"to\": \"down\""));
+    let trackers: Vec<HealthTracker> = (0..CLOUDS)
+        .map(|i| board.cloud(&format!("c{i}")).tracker())
+        .collect();
+    let (dipped, recovered, others_clean) = health_verdict(&trackers);
     HealthOutcome {
         dipped,
         recovered,
         others_clean,
         rows,
     }
+}
+
+/// `(dipped, recovered, others_clean)` of a finished scoreboard (see
+/// [`HealthOutcome`]). `recovered` is the target's *final* state: a
+/// cloud that was healthy before its outage and ends `down` has not
+/// recovered.
+fn health_verdict(trackers: &[HealthTracker]) -> (bool, bool, bool) {
+    let target = trackers.iter().find(|t| t.name() == HEALTH_TARGET);
+    let dipped = target.is_some_and(|t| {
+        t.transitions().iter().any(|x| x.to != HealthState::Healthy)
+            && t.timeline().iter().any(|w| w.state != HealthState::Healthy)
+    });
+    let recovered = target.is_some_and(|t| t.state() == HealthState::Healthy);
+    let others_clean = trackers
+        .iter()
+        .filter(|t| t.name() != HEALTH_TARGET)
+        .all(|t| t.transitions().iter().all(|x| x.to != HealthState::Down));
+    (dipped, recovered, others_clean)
 }
 
 /// A randomized per-round schedule drawn only from fault kinds the
@@ -526,30 +536,10 @@ fn json_str_list(items: &[&str]) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "quick" || a == "--quick");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let series_out = args
-        .iter()
-        .position(|a| a == "--series-out")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let only_mode = args
-        .iter()
-        .position(|a| a == "--meta-mode")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| match MetaMode::parse(v) {
-            Some(m) => m,
-            None => {
-                eprintln!("--meta-mode must be 'lock' or 'oplog', got '{v}'");
-                std::process::exit(2);
-            }
-        });
-    let modes: Vec<MetaMode> = match only_mode {
+    let quick = quick_arg();
+    let out = arg_value("--out");
+    let series_out = arg_value("--series-out");
+    let modes: Vec<MetaMode> = match meta_mode_arg() {
         Some(m) => vec![m],
         None => vec![MetaMode::Lock, MetaMode::Oplog],
     };
@@ -671,5 +661,56 @@ fn main() {
     }
     if !pass {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const W: u64 = 1_000;
+
+    /// A tracker fed one window per entry: `true` = ten clean ops,
+    /// `false` = ten failed ones.
+    fn tracker(name: &str, windows: &[bool]) -> HealthTracker {
+        let config = HealthConfig {
+            window_ns: W,
+            ..HealthConfig::default()
+        };
+        let mut t = HealthTracker::new(name, config);
+        for (w, &ok) in windows.iter().enumerate() {
+            for k in 0..10 {
+                t.record(w as u64 * W + k, 50, ok);
+            }
+        }
+        t.finish(windows.len() as u64 * W);
+        t
+    }
+
+    #[test]
+    fn a_target_that_dips_and_climbs_back_is_recovered() {
+        let target = tracker(HEALTH_TARGET, &[true, false, true, true, true, true]);
+        let other = tracker("c0", &[true; 6]);
+        assert_eq!(health_verdict(&[other, target]), (true, true, true));
+    }
+
+    /// The row of a cloud that ends `down` still carries `"state":
+    /// "healthy"` in its pre-outage timeline windows; only the final
+    /// state may count as recovery.
+    #[test]
+    fn a_target_healthy_earlier_but_down_at_the_end_is_not_recovered() {
+        let target = tracker(HEALTH_TARGET, &[true, true, false, false]);
+        assert_eq!(target.timeline()[0].state, HealthState::Healthy);
+        assert_eq!(target.state(), HealthState::Down);
+        assert!(target.to_json().contains("\"state\": \"healthy\""));
+        let other = tracker("c0", &[true; 4]);
+        assert_eq!(health_verdict(&[other, target]), (true, false, true));
+    }
+
+    #[test]
+    fn an_untargeted_cloud_going_down_is_not_clean() {
+        let target = tracker(HEALTH_TARGET, &[true; 4]);
+        let other = tracker("c0", &[true, false, true, true]);
+        assert_eq!(health_verdict(&[other, target]), (false, true, false));
     }
 }

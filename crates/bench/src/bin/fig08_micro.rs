@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 
-use unidrive_bench::{meta_mode_from_args, metrics_out, systems_at_observed, ExperimentScale};
+use unidrive_bench::{meta_mode_from_args, metrics_out, systems_at, ExperimentScale};
 use unidrive_sim::{Runtime, SimRuntime};
 use unidrive_workload::{random_bytes, Summary, TextTable, EC2_SITES};
 
@@ -41,7 +41,7 @@ fn main() {
         let sim = SimRuntime::new(0x0808 + site.name.len() as u64 * 131);
         // Virtual-time clock for the windowed series (--series-out).
         sim.install_obs(metrics.obs.clone());
-        let sys = systems_at_observed(&sim, site, scale.theta, &metrics.obs);
+        let sys = systems_at(&sim, site, scale.theta, &metrics.obs);
         let mut up: Vec<Vec<f64>> = vec![Vec::new(); 8];
         let mut down: Vec<Vec<f64>> = vec![Vec::new(); 8];
         for rep in 0..scale.repeats {
@@ -119,7 +119,5 @@ fn main() {
         "UniDrive vs multi-cloud benchmark:  upload {:.2}x              (paper: ~1.5x)",
         avg(&bench_speedups)
     );
-    if let Some(path) = metrics.write() {
-        println!("metrics snapshot written to {path}");
-    }
+    metrics.write();
 }

@@ -5,6 +5,7 @@
 use std::time::Duration;
 
 use unidrive_bench::{systems_at, ExperimentScale};
+use unidrive_obs::Obs;
 use unidrive_sim::{Runtime, SimRuntime};
 use unidrive_workload::{random_bytes, site_by_name, Summary, TextTable};
 
@@ -28,7 +29,7 @@ fn main() {
     for &mb in &sizes_mb {
         let size = mb * 1024 * 1024;
         let sim = SimRuntime::new(900 + mb as u64);
-        let sys = systems_at(&sim, site, scale.theta.min(size));
+        let sys = systems_at(&sim, site, scale.theta.min(size), &Obs::noop());
         let data = random_bytes(size, mb as u64);
         let mut uni = Vec::new();
         let mut bench = Vec::new();

@@ -8,6 +8,7 @@ use std::time::Duration;
 
 use unidrive_baseline::SingleCloudClient;
 use unidrive_bench::{systems_at, ExperimentScale};
+use unidrive_obs::Obs;
 use unidrive_sim::{Runtime, SimRuntime};
 use unidrive_workload::{random_bytes, site_by_name, Provider, Summary, TextTable};
 
@@ -16,7 +17,7 @@ fn main() {
     let size = scale.large_file;
     let site = site_by_name("Virginia").expect("site exists");
     let sim = SimRuntime::new(1010);
-    let sys = systems_at(&sim, site, scale.theta);
+    let sys = systems_at(&sim, site, scale.theta, &Obs::noop());
     // OneDrive is the paper's comparison point at Virginia.
     let onedrive_cloud = sys
         .clouds

@@ -347,7 +347,5 @@ fn main() {
         let avg = speedups.iter().sum::<f64>() / speedups.len() as f64;
         println!("\nUniDrive vs fastest CCS per site: {avg:.2}x (paper: 1.33x)");
     }
-    if let Some(path) = metrics.write() {
-        println!("metrics snapshot written to {path}");
-    }
+    metrics.write();
 }

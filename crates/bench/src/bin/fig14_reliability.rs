@@ -6,7 +6,7 @@
 
 use std::time::Duration;
 
-use unidrive_bench::{metrics_out, systems_at_observed, ExperimentScale};
+use unidrive_bench::{metrics_out, systems_at, ExperimentScale};
 use unidrive_sim::{Runtime, SimRuntime};
 use unidrive_workload::{random_bytes, site_by_name, Summary, TextTable};
 
@@ -24,7 +24,7 @@ fn main() {
     let mut table = TextTable::new(&["n dead", "success", "avg secs", "min-max secs"]);
     for n in 0..=4usize {
         let sim = SimRuntime::new(1400 + n as u64);
-        let sys = systems_at_observed(&sim, site, scale.theta, &metrics.obs);
+        let sys = systems_at(&sim, site, scale.theta, &metrics.obs);
         let data = random_bytes(size, 14);
         // Pre-upload with the reliability requirement fulfilled (let the
         // background reliability phase complete before the outages).
@@ -62,7 +62,5 @@ fn main() {
          n = 4 because K_s = 2 caps any single cloud below k blocks; performance\n\
          degrades as fewer clouds remain)"
     );
-    if let Some(path) = metrics.write() {
-        println!("metrics snapshot written to {path}");
-    }
+    metrics.write();
 }

@@ -69,7 +69,5 @@ fn main() {
         println!("{name:10} weekly mean {mean:5.1} Mbit/s, day-to-day cv {cv:.2}");
     }
     println!("(paper: stable across the week and similar across the four sites)");
-    if let Some(path) = metrics.write() {
-        println!("metrics snapshot written to {path}");
-    }
+    metrics.write();
 }

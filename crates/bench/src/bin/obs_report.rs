@@ -19,11 +19,22 @@
 //!   `HistogramSnapshot` merging must preserve);
 //! * counter windows non-negative;
 //! * health rows: states drawn from `{healthy, degraded, down}`,
-//!   timelines strictly increasing, error rates within `[0, 1]`.
+//!   timelines strictly increasing, error rates within `[0, 1]`;
+//! * a fleet export (recognised by its `fleet.*` series) carries the
+//!   four series its consumers read ([`FLEET_METRICS`]) and every
+//!   health row served operations (`ops > 0`).
 //!
 //! Usage: `obs_report SERIES.json [--validate]`.
 
 use unidrive_bench::json::{parse_json, Json};
+
+/// Series every fleet-simulator export must carry.
+const FLEET_METRICS: [&str; 4] = [
+    "fleet.arrivals",
+    "fleet.sessions",
+    "cloud.ops",
+    "fleet.sync_latency_ns",
+];
 
 /// Sparkline glyphs, low to high.
 const SPARK: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
@@ -241,12 +252,27 @@ fn validate(doc: &Json) -> Vec<String> {
         }
     });
 
+    let metrics = doc.get("metrics").and_then(Json::as_obj).unwrap_or(&[]);
+    let fleet = metrics.iter().any(|(name, _)| name.starts_with("fleet."));
+    if fleet {
+        for required in FLEET_METRICS {
+            if !metrics.iter().any(|(name, _)| name == required) {
+                errs.push(format!("fleet export lacks series {required:?}"));
+            }
+        }
+    }
+
     for row in doc
         .get("health")
         .and_then(Json::as_arr)
         .unwrap_or(&[])
     {
         let cloud = row.get("cloud").and_then(Json::as_str).unwrap_or("?");
+        // Every fleet lane serves traffic; an idle one is a wiring bug.
+        let busy = row.get("ops").and_then(Json::as_f64) > Some(0.0);
+        if fleet && !busy {
+            errs.push(format!("health {cloud}: fleet row without ops > 0"));
+        }
         let ok_state =
             |s: &str| matches!(s, "healthy" | "degraded" | "down");
         match row.get("state").and_then(Json::as_str) {
@@ -351,5 +377,46 @@ fn main() {
         }
     } else {
         digest(&doc);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn fleet_doc(metrics: &[&str], ops: u64) -> Json {
+        let series: Vec<String> = metrics
+            .iter()
+            .map(|m| {
+                format!("\"{m}\": {{\"all\": {{\"kind\": \"counter\", \"windows\": [[0, 1]]}}}}")
+            })
+            .collect();
+        parse_json(&format!(
+            "{{\"series\": \"unidrive-obs-series/v1\", \"window_ns\": 60, \"metrics\": {{{}}}, \
+             \"health\": [{{\"cloud\": \"Dropbox\", \"state\": \"healthy\", \"ops\": {ops}, \
+             \"timeline\": [], \"transitions\": []}}]}}",
+            series.join(", ")
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn fleet_exports_must_carry_their_series_and_busy_health_rows() {
+        assert_eq!(
+            validate(&fleet_doc(&FLEET_METRICS, 7)),
+            Vec::<String>::new()
+        );
+        let errs = validate(&fleet_doc(&FLEET_METRICS[..3], 7));
+        assert_eq!(
+            errs,
+            ["fleet export lacks series \"fleet.sync_latency_ns\""]
+        );
+        let errs = validate(&fleet_doc(&FLEET_METRICS, 0));
+        assert_eq!(errs, ["health Dropbox: fleet row without ops > 0"]);
+        // Not a fleet export: neither rule applies.
+        assert_eq!(
+            validate(&fleet_doc(&["cloud.ops"], 0)),
+            Vec::<String>::new()
+        );
     }
 }

@@ -9,6 +9,7 @@
 use std::time::Duration;
 
 use unidrive_bench::{systems_at, ExperimentScale};
+use unidrive_obs::Obs;
 use unidrive_sim::{Runtime, SimRuntime};
 use unidrive_workload::{random_bytes, Summary, TextTable, EC2_SITES};
 
@@ -27,7 +28,7 @@ fn main() {
     ];
     for (si, site) in EC2_SITES.iter().enumerate() {
         let sim = SimRuntime::new(1202 + si as u64);
-        let sys = systems_at(&sim, *site, scale.theta);
+        let sys = systems_at(&sim, *site, scale.theta, &Obs::noop());
         let data = random_bytes(size, si as u64);
         let mut samples: Vec<Vec<f64>> = vec![Vec::new(); 4];
         for rep in 0..repeats {

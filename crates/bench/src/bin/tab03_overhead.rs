@@ -219,8 +219,6 @@ fn main() {
     println!(
         "(paper: UniDrive 1.04%, benchmark 1.01%, intuitive 14.93%, natives 0.70-7.07%)"
     );
-    if let Some(path) = metrics.write() {
-        println!("metrics snapshot written to {path}");
-    }
+    metrics.write();
     let _ = Provider::ALL;
 }

@@ -4,8 +4,9 @@
 //! paper's evaluation (§3.2 measurement study, §7 experiments, §7.3
 //! trial). Each `src/bin/*` binary prints one table/figure; see
 //! `EXPERIMENTS.md` at the repository root for the index and recorded
-//! outcomes, and `benches/` for Criterion micro-benchmarks of the
-//! primitives.
+//! outcomes. Wall-clock kernel throughput is `bench_kernels`' job (the
+//! workspace's only timing loop); what a sync round costs end to end
+//! and per layer is measured by `syncbench` in `benchmark/`.
 //!
 //! All experiments run under deterministic virtual time, so a "month" of
 //! half-hourly probes takes seconds of wall time; run the binaries with
@@ -74,26 +75,37 @@ impl ExperimentScale {
     }
 }
 
-/// Parses `--meta-mode {lock,oplog}` from the process arguments
-/// (default: `lock`, the paper's quorum-locked plane). Shared by every
-/// experiment binary so `run_all --meta-mode oplog` drives both planes
-/// uniformly. An unknown value aborts with a usage message — a typo
-/// must not silently benchmark the wrong plane.
-pub fn meta_mode_from_args() -> unidrive_meta::MetaMode {
+/// The value following flag `name` in the process arguments
+/// (`--out PATH` → `PATH`): the one flag reader the binaries share.
+pub fn arg_value(name: &str) -> Option<String> {
     let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        if arg == "--meta-mode" {
-            let value = args.next().unwrap_or_default();
-            match unidrive_meta::MetaMode::parse(&value) {
-                Some(mode) => return mode,
-                None => {
-                    eprintln!("--meta-mode must be 'lock' or 'oplog', got '{value}'");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
-    unidrive_meta::MetaMode::Lock
+    args.find(|arg| arg == name)?;
+    args.next()
+}
+
+/// Whether the process arguments ask for the reduced-scale run
+/// (`quick` or `--quick`).
+pub fn quick_arg() -> bool {
+    std::env::args().any(|arg| arg == "quick" || arg == "--quick")
+}
+
+/// `--meta-mode {lock,oplog}` from the process arguments, if given. An
+/// unknown value aborts with a usage message — a typo must not
+/// silently benchmark the wrong plane.
+pub fn meta_mode_arg() -> Option<unidrive_meta::MetaMode> {
+    arg_value("--meta-mode").map(|value| {
+        unidrive_meta::MetaMode::parse(&value).unwrap_or_else(|| {
+            eprintln!("--meta-mode must be 'lock' or 'oplog', got '{value}'");
+            std::process::exit(2);
+        })
+    })
+}
+
+/// [`meta_mode_arg`], defaulting to `lock` (the paper's quorum-locked
+/// plane). Shared by every experiment binary so `run_all --meta-mode
+/// oplog` drives both planes uniformly.
+pub fn meta_mode_from_args() -> unidrive_meta::MetaMode {
+    meta_mode_arg().unwrap_or(unidrive_meta::MetaMode::Lock)
 }
 
 /// The four systems under comparison at one site (paper §7.1).
@@ -123,20 +135,13 @@ impl std::fmt::Debug for Systems {
 /// Builds all comparison systems over the same five simulated clouds at
 /// `site`, with the paper's parameters (K_r = 3, K_s = 2, k = 3, ≤ 5
 /// connections per cloud).
-pub fn systems_at(sim: &Arc<SimRuntime>, site: Site, theta: usize) -> Systems {
-    systems_at_observed(sim, site, theta, &Obs::noop())
-}
-
-/// Like [`systems_at`], but threads an [`Obs`] handle through the
-/// UniDrive data plane and installs it on every simulated cloud (which
-/// also points the registry clock at `sim`'s virtual time), so the run
-/// can be exported with `--metrics-out` (see [`metrics_out`]).
-pub fn systems_at_observed(
-    sim: &Arc<SimRuntime>,
-    site: Site,
-    theta: usize,
-    obs: &Obs,
-) -> Systems {
+///
+/// `obs` is threaded through the UniDrive data plane and installed on
+/// every simulated cloud (which also points the registry clock at
+/// `sim`'s virtual time), so the run can be exported with
+/// `--metrics-out` (see [`metrics_out`]); pass [`Obs::noop`] for an
+/// unobserved run.
+pub fn systems_at(sim: &Arc<SimRuntime>, site: Site, theta: usize, obs: &Obs) -> Systems {
     let (clouds, handles) = build_multicloud(sim, site);
     for handle in &handles {
         handle.install_obs(obs.clone());
@@ -167,84 +172,6 @@ pub fn systems_at_observed(
     }
 }
 
-/// Minimal micro-benchmark harness (replaces Criterion so the
-/// workspace builds offline with zero external crates). Each sample
-/// times one call of the closure; results print as
-/// `name  mean (min..max)  [throughput]`.
-pub mod microbench {
-    use std::hint::black_box;
-    use std::time::{Duration, Instant};
-
-    /// Timing summary for one benchmark.
-    #[derive(Debug, Clone)]
-    pub struct BenchResult {
-        /// Benchmark label.
-        pub name: String,
-        /// Number of timed samples.
-        pub samples: usize,
-        /// Mean sample duration.
-        pub mean: Duration,
-        /// Fastest sample.
-        pub min: Duration,
-        /// Slowest sample.
-        pub max: Duration,
-    }
-
-    impl BenchResult {
-        /// Mean duration in nanoseconds.
-        pub fn mean_ns(&self) -> f64 {
-            self.mean.as_secs_f64() * 1e9
-        }
-    }
-
-    fn fmt(d: Duration) -> String {
-        let ns = d.as_secs_f64() * 1e9;
-        if ns < 1e3 {
-            format!("{ns:.0} ns")
-        } else if ns < 1e6 {
-            format!("{:.2} µs", ns / 1e3)
-        } else if ns < 1e9 {
-            format!("{:.2} ms", ns / 1e6)
-        } else {
-            format!("{:.3} s", ns / 1e9)
-        }
-    }
-
-    /// Times `f` for `samples` runs after one warm-up run and prints a
-    /// summary line. `bytes` (when non-zero) adds a throughput column.
-    pub fn run<T>(name: &str, samples: usize, bytes: usize, mut f: impl FnMut() -> T) -> BenchResult {
-        black_box(f());
-        let mut times = Vec::with_capacity(samples);
-        for _ in 0..samples.max(1) {
-            let start = Instant::now();
-            black_box(f());
-            times.push(start.elapsed());
-        }
-        let total: Duration = times.iter().sum();
-        let result = BenchResult {
-            name: name.to_owned(),
-            samples: times.len(),
-            mean: total / times.len() as u32,
-            min: *times.iter().min().expect("non-empty"),
-            max: *times.iter().max().expect("non-empty"),
-        };
-        let throughput = if bytes > 0 {
-            let mibps = bytes as f64 / result.mean.as_secs_f64().max(1e-12) / (1024.0 * 1024.0);
-            format!("  {mibps:.1} MiB/s")
-        } else {
-            String::new()
-        };
-        println!(
-            "{:<44} {:>10} ({} .. {}){throughput}",
-            result.name,
-            fmt(result.mean),
-            fmt(result.min),
-            fmt(result.max),
-        );
-        result
-    }
-}
-
 /// `--metrics-out <path>` / `--trace-out <path>` support shared by the
 /// experiment binaries: when either flag is present the binary records
 /// the run into a registry-backed [`Obs`] and on exit writes the
@@ -267,14 +194,13 @@ pub mod metrics_out {
     /// Parsed `--metrics-out` / `--trace-out` / `--series-out` state;
     /// obtain via [`from_args`].
     pub struct MetricsOut {
-        /// Handle to thread through [`crate::systems_at_observed`] or
+        /// Handle to thread through [`crate::systems_at`] or
         /// `DataPlaneConfig.obs` / `SimCloud::install_obs` directly.
         pub obs: Obs,
         registry: Option<Arc<Registry>>,
         path: Option<String>,
         trace_path: Option<String>,
         series_path: Option<String>,
-        health_rows: Vec<String>,
     }
 
     impl std::fmt::Debug for MetricsOut {
@@ -293,19 +219,9 @@ pub mod metrics_out {
     /// enables windowed series collection on it (window =
     /// [`DEFAULT_SERIES_WINDOW_NS`]).
     pub fn from_args() -> MetricsOut {
-        let mut args = std::env::args();
-        let mut path = None;
-        let mut trace_path = None;
-        let mut series_path = None;
-        while let Some(arg) = args.next() {
-            if arg == "--metrics-out" {
-                path = args.next();
-            } else if arg == "--trace-out" {
-                trace_path = args.next();
-            } else if arg == "--series-out" {
-                series_path = args.next();
-            }
-        }
+        let path = crate::arg_value("--metrics-out");
+        let trace_path = crate::arg_value("--trace-out");
+        let series_path = crate::arg_value("--series-out");
         let (obs, registry) = if path.is_some() || trace_path.is_some() || series_path.is_some()
         {
             let registry = Registry::with_trace_capacity(EXPORT_TRACE_CAPACITY);
@@ -322,7 +238,6 @@ pub mod metrics_out {
             path,
             trace_path,
             series_path,
-            health_rows: Vec::new(),
         }
     }
 
@@ -339,19 +254,6 @@ pub mod metrics_out {
     }
 
     impl MetricsOut {
-        /// True when `--series-out` was given (callers can skip
-        /// series-only work otherwise).
-        pub fn series_enabled(&self) -> bool {
-            self.series_path.is_some()
-        }
-
-        /// Health scoreboard rows (`unidrive-health/v1` objects, one
-        /// per cloud, pre-sorted) to embed in the `--series-out`
-        /// export's `"health"` array.
-        pub fn set_health_rows(&mut self, rows: Vec<String>) {
-            self.health_rows = rows;
-        }
-
         /// Claims the `--series-out` path, disabling the
         /// registry-backed series write in [`write`](MetricsOut::write).
         /// For binaries whose series come from a deterministic source
@@ -363,23 +265,22 @@ pub mod metrics_out {
 
         /// Writes the canonicalized snapshot to the `--metrics-out`
         /// path, the Chrome trace to the `--trace-out` path, and the
-        /// windowed series (plus any health rows) to the
-        /// `--series-out` path, then prints a `p50/p95/p99` summary of
-        /// every latency histogram. Returns the metrics path written,
-        /// or `None` when that flag was absent. I/O errors are
+        /// windowed series to the `--series-out` path, then prints a
+        /// `p50/p95/p99` summary of every latency histogram. Each
+        /// file written is announced on stdout; I/O errors are
         /// reported on stderr, not fatal: the figure output already
         /// printed.
-        pub fn write(&self) -> Option<String> {
+        pub fn write(&self) {
             if let (Some(series_path), Some(registry)) = (&self.series_path, &self.registry) {
-                let doc = registry
-                    .series_snapshot()
-                    .to_json_with_health(&self.health_rows);
+                let doc = registry.series_snapshot().to_json();
                 match std::fs::write(series_path, doc) {
                     Ok(()) => println!("series written to {series_path}"),
                     Err(e) => eprintln!("failed to write --series-out {series_path}: {e}"),
                 }
             }
-            let mut snap = self.obs.snapshot()?;
+            let Some(mut snap) = self.obs.snapshot() else {
+                return;
+            };
             snap.canonicalize();
             for (name, h) in &snap.histograms {
                 if name.ends_with("_ns") && h.count > 0 {
@@ -392,33 +293,18 @@ pub mod metrics_out {
                     Err(e) => eprintln!("failed to write --trace-out {path}: {e}"),
                 }
             }
-            let path = self.path.clone()?;
-            let body = if path.ends_with(".csv") {
-                snap.to_csv()
-            } else {
-                snap.to_json()
-            };
-            match std::fs::write(&path, body) {
-                Ok(()) => Some(path),
-                Err(e) => {
-                    eprintln!("failed to write --metrics-out {path}: {e}");
-                    None
+            if let Some(path) = &self.path {
+                let body = if path.ends_with(".csv") {
+                    snap.to_csv()
+                } else {
+                    snap.to_json()
+                };
+                match std::fs::write(path, body) {
+                    Ok(()) => println!("metrics snapshot written to {path}"),
+                    Err(e) => eprintln!("failed to write --metrics-out {path}: {e}"),
                 }
             }
         }
-    }
-}
-
-/// Formats a duration in seconds with two decimals.
-pub fn fmt_secs(d: Duration) -> String {
-    format!("{:.2}", d.as_secs_f64())
-}
-
-/// Formats a sample as `mean (min-max)`.
-pub fn fmt_stats(values: &[f64]) -> String {
-    match unidrive_workload::Summary::of(values) {
-        Some(s) => format!("{:.2} ({:.2}-{:.2})", s.mean, s.min, s.max),
-        None => "n/a".to_owned(),
     }
 }
 

@@ -267,28 +267,9 @@ impl UniDriveClient {
         let Some((_, snapshot)) = &entry.conflict else {
             return Ok(None);
         };
-        let fetches: Vec<crate::SegmentFetch> = snapshot
-            .segments
-            .iter()
-            .map(|id| {
-                let pool = self.original.segment(id).expect("conflict segments pooled");
-                crate::SegmentFetch {
-                    id: *id,
-                    len: pool.len,
-                    blocks: pool.blocks.clone(),
-                }
-            })
-            .collect();
-        let order: Vec<SegmentId> = fetches.iter().map(|f| f.id).collect();
-        let mut report = self.plane.download_segments(fetches);
-        if let Some(e) = report.failed.pop() {
-            return Err(e);
-        }
-        let mut out = Vec::new();
-        for id in order {
-            out.extend_from_slice(&report.segments[&id]);
-        }
-        Ok(Some(out))
+        self.plane
+            .download_snapshot(&self.original, snapshot)
+            .map(Some)
     }
 
     /// Resolves the conflict on `path`: `keep_current` keeps the
@@ -451,7 +432,7 @@ impl UniDriveClient {
                 stats.insert(path.clone(), *stat);
             }
         }
-        let (upload, segmentations) = self.plane.upload_files_opts(
+        let (upload, segmentations) = self.plane.upload_files(
             requests,
             &known,
             UploadOptions {
@@ -645,7 +626,7 @@ impl UniDriveClient {
             }
         }
         if !to_write.is_empty() {
-            let mut dl = self.plane.download_segments_in(fetches, round);
+            let mut dl = self.plane.download_segments(fetches, round);
             if let Some(err) = dl.failed.pop() {
                 return Err(SyncError::Download(err));
             }

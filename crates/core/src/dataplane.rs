@@ -10,13 +10,13 @@ use unidrive_chunker::Segment;
 use unidrive_cloud::CloudSet;
 use unidrive_crypto::Sha1;
 use unidrive_erasure::Codec;
-use unidrive_meta::{block_path, SegmentId, SyncFolderImage};
+use unidrive_meta::{block_path, SegmentId, Snapshot, SyncFolderImage};
 use unidrive_sim::Runtime;
 
-use crate::download::{run_download_in, DownloadReport, SegmentFetch};
+use crate::download::{run_download, DownloadError, DownloadReport, SegmentFetch};
 use crate::plan::{DataPlaneConfig, SegmentData};
 use crate::probe::BandwidthProbe;
-use crate::upload::{run_upload_opts, FileUpload, UploadOptions, UploadReport};
+use crate::upload::{run_upload, FileUpload, UploadOptions, UploadReport};
 
 /// A file (path + content) handed to [`DataPlane::upload_files`].
 #[derive(Debug, Clone)]
@@ -152,17 +152,9 @@ impl DataPlane {
     /// `known` (deduplication against the current metadata), and runs
     /// the two-phase over-provisioning scheduler. Returns the upload
     /// report plus the per-file segmentations (for metadata snapshots).
+    /// `options` selects availability detach, the asynchronous block
+    /// sink and the parent span ([`UploadOptions::default`]: none).
     pub fn upload_files(
-        &self,
-        requests: Vec<UploadRequest>,
-        known: &HashSet<SegmentId>,
-    ) -> (UploadReport, Vec<FileSegmentation>) {
-        self.upload_files_opts(requests, known, UploadOptions::default())
-    }
-
-    /// [`upload_files`](DataPlane::upload_files) with [`UploadOptions`]
-    /// (availability detach, asynchronous block sink).
-    pub fn upload_files_opts(
         &self,
         requests: Vec<UploadRequest>,
         known: &HashSet<SegmentId>,
@@ -195,7 +187,7 @@ impl DataPlane {
                 segments: to_send,
             });
         }
-        let report = run_upload_opts(
+        let report = run_upload(
             &self.rt,
             &self.clouds,
             &self.codec,
@@ -207,20 +199,14 @@ impl DataPlane {
         (report, segmentations)
     }
 
-    /// Downloads and reconstructs the given segments.
-    pub fn download_segments(&self, fetches: Vec<SegmentFetch>) -> DownloadReport {
-        self.download_segments_in(fetches, None)
-    }
-
-    /// [`download_segments`](DataPlane::download_segments) with span
-    /// causality: the batch span is parented to `parent` (usually a
-    /// `sync.round` span).
-    pub fn download_segments_in(
+    /// Downloads and reconstructs the given segments. The batch span
+    /// is parented to `parent` (usually a `sync.round` span).
+    pub fn download_segments(
         &self,
         fetches: Vec<SegmentFetch>,
         parent: Option<unidrive_obs::SpanId>,
     ) -> DownloadReport {
-        run_download_in(
+        run_download(
             &self.rt,
             &self.clouds,
             &self.codec,
@@ -231,25 +217,36 @@ impl DataPlane {
         )
     }
 
-    /// Downloads a whole file per the metadata `image`: fetches every
-    /// missing segment and concatenates.
+    /// Downloads a whole file per the metadata `image`.
     ///
     /// # Errors
     ///
-    /// First failure from the underlying fetches, or a missing pool
-    /// entry.
+    /// [`DownloadError::NoSuchFile`] when `image` has no entry at
+    /// `path`; otherwise as [`download_snapshot`](Self::download_snapshot).
     pub fn download_file(
         &self,
         image: &SyncFolderImage,
         path: &str,
-    ) -> Result<Vec<u8>, crate::DownloadError> {
-        let entry = image.file(path).ok_or(crate::DownloadError::NotEnoughBlocks {
-            segment: SegmentId(unidrive_crypto::Sha1::digest(path.as_bytes())),
-            got: 0,
-            need: self.codec.k(),
+    ) -> Result<Vec<u8>, DownloadError> {
+        let entry = image.file(path).ok_or_else(|| DownloadError::NoSuchFile {
+            path: path.to_owned(),
         })?;
-        let fetches: Vec<SegmentFetch> = entry
-            .snapshot
+        self.download_snapshot(image, &entry.snapshot)
+    }
+
+    /// Downloads the content one `snapshot` of `image` describes (a
+    /// file's current version or a retained conflict copy): fetches its
+    /// segments in snapshot order and concatenates them.
+    ///
+    /// # Errors
+    ///
+    /// First failure from the underlying fetches.
+    pub fn download_snapshot(
+        &self,
+        image: &SyncFolderImage,
+        snapshot: &Snapshot,
+    ) -> Result<Vec<u8>, DownloadError> {
+        let fetches: Vec<SegmentFetch> = snapshot
             .segments
             .iter()
             .map(|id| {
@@ -261,19 +258,13 @@ impl DataPlane {
                 }
             })
             .collect();
-        let order: Vec<SegmentId> = fetches.iter().map(|f| f.id).collect();
-        let mut report = self.download_segments(fetches);
+        let mut report = self.download_segments(fetches, None);
         if let Some(err) = report.failed.pop() {
             return Err(err);
         }
-        let mut out = Vec::with_capacity(entry.snapshot.size as usize);
-        for id in order {
-            out.extend_from_slice(
-                report
-                    .segments
-                    .get(&id)
-                    .expect("complete report contains every segment"),
-            );
+        let mut out = Vec::with_capacity(snapshot.size as usize);
+        for id in &snapshot.segments {
+            out.extend_from_slice(&report.segments[id]);
         }
         Ok(out)
     }
@@ -365,6 +356,7 @@ mod tests {
                 data: data.clone(),
             }],
             &HashSet::new(),
+            UploadOptions::default(),
         );
         assert!(report.all_available());
 
@@ -378,7 +370,7 @@ mod tests {
         }
         image.upsert_file(
             "doc.bin",
-            unidrive_meta::Snapshot {
+            Snapshot {
                 mtime_ns: 0,
                 size: segs[0].size,
                 segments: segs[0].segments.iter().map(|(id, _)| *id).collect(),
@@ -386,6 +378,19 @@ mod tests {
         );
         let restored = plane.download_file(&image, "doc.bin").unwrap();
         assert_eq!(restored, data.to_vec());
+    }
+
+    /// An unknown path used to come back as `NotEnoughBlocks` for a
+    /// segment id made up from SHA-1(path).
+    #[test]
+    fn download_file_of_an_unknown_path_says_so() {
+        let (_sim, plane) = plane(1);
+        assert_eq!(
+            plane.download_file(&SyncFolderImage::new(), "ghost.bin"),
+            Err(DownloadError::NoSuchFile {
+                path: "ghost.bin".into()
+            })
+        );
     }
 
     #[test]
@@ -398,6 +403,7 @@ mod tests {
                 data: data.clone(),
             }],
             &HashSet::new(),
+            UploadOptions::default(),
         );
         assert!(!first.blocks.is_empty());
         let known: HashSet<SegmentId> = segs[0].segments.iter().map(|(id, _)| *id).collect();
@@ -407,6 +413,7 @@ mod tests {
                 data,
             }],
             &known,
+            UploadOptions::default(),
         );
         assert!(second.all_available());
         assert!(second.blocks.is_empty(), "dedup hit must transfer nothing");
@@ -422,6 +429,7 @@ mod tests {
                 data,
             }],
             &HashSet::new(),
+            UploadOptions::default(),
         );
         let mut image = SyncFolderImage::new();
         for (id, len) in &segs[0].segments {
@@ -473,6 +481,7 @@ mod tests {
                     data: data.clone(),
                 }],
                 &HashSet::new(),
+                UploadOptions::default(),
             );
             assert!(report.all_available(), "threads={threads}");
             (report.blocks, report.timeline, segs[0].segments.clone())
@@ -508,6 +517,7 @@ mod tests {
                 data: data.clone(),
             }],
             &HashSet::new(),
+            UploadOptions::default(),
         );
         assert!(report.all_available());
         let mut image = SyncFolderImage::new();
@@ -561,6 +571,7 @@ mod tests {
                 data: data.clone(),
             }],
             &HashSet::new(),
+            UploadOptions::default(),
         );
         assert!(segs[0].segments.len() > 2, "expected multiple segments");
         let mut image = SyncFolderImage::new();

@@ -57,6 +57,11 @@ pub enum DownloadError {
         /// The segment that failed verification.
         segment: SegmentId,
     },
+    /// The metadata image has no file at the requested path.
+    NoSuchFile {
+        /// The path asked for.
+        path: String,
+    },
 }
 
 impl std::fmt::Display for DownloadError {
@@ -67,6 +72,9 @@ impl std::fmt::Display for DownloadError {
             }
             DownloadError::IntegrityMismatch { segment } => {
                 write!(f, "segment {segment}: content does not match its hash")
+            }
+            DownloadError::NoSuchFile { path } => {
+                write!(f, "no file {path:?} in the metadata image")
             }
         }
     }
@@ -143,23 +151,9 @@ struct Job {
 }
 
 /// Runs one download batch, reconstructing each segment from any `k`
-/// blocks.
+/// blocks. The batch's `engine.batch` span is parented to `parent`
+/// (usually a client's `sync.round` span); `None` makes it a root.
 pub fn run_download(
-    rt: &Arc<dyn Runtime>,
-    clouds: &CloudSet,
-    codec: &Arc<Codec>,
-    config: &DataPlaneConfig,
-    probe: &Arc<BandwidthProbe>,
-    fetches: Vec<SegmentFetch>,
-) -> DownloadReport {
-    run_download_in(rt, clouds, codec, config, probe, fetches, None)
-}
-
-/// [`run_download`] with span causality: the batch's `engine.batch`
-/// span is parented to `parent` (usually a client's `sync.round`
-/// span).
-#[allow(clippy::too_many_arguments)]
-pub fn run_download_in(
     rt: &Arc<dyn Runtime>,
     clouds: &CloudSet,
     codec: &Arc<Codec>,
@@ -527,7 +521,7 @@ fn finish_check(st: &mut DownloadState, k: usize, failures: &mut Vec<DownloadErr
 mod tests {
     use super::*;
     use crate::plan::SegmentData;
-    use crate::upload::{run_upload, FileUpload};
+    use crate::upload::{run_upload, FileUpload, UploadOptions};
     use unidrive_cloud::{CloudStore, SimCloud, SimCloudConfig};
     use unidrive_crypto::Sha1;
     use unidrive_erasure::RedundancyConfig;
@@ -592,6 +586,7 @@ mod tests {
                     data: Bytes::from(data.clone()),
                 }],
             }],
+            UploadOptions::default(),
         );
         assert!(report.all_available());
         let blocks = report
@@ -618,6 +613,7 @@ mod tests {
                 len: data.len() as u64,
                 blocks,
             }],
+            None,
         );
         assert!(report.is_complete(), "failures: {:?}", report.failed);
         assert_eq!(report.segments[&id], data);
@@ -641,6 +637,7 @@ mod tests {
                 len: data.len() as u64,
                 blocks,
             }],
+            None,
         );
         assert!(report.is_complete(), "failures: {:?}", report.failed);
         assert_eq!(report.segments[&id], data);
@@ -664,6 +661,7 @@ mod tests {
                 len: data.len() as u64,
                 blocks,
             }],
+            None,
         );
         // One cloud holds at most cap = 2 < k = 3 blocks: K_s = 2 means
         // a single provider can never reconstruct.
@@ -690,6 +688,7 @@ mod tests {
                 len: data.len() as u64,
                 blocks: blocks.clone(),
             }],
+            None,
         );
         assert!(report.is_complete());
         // The fast cloud holds cap=2 blocks (over-provisioned during
@@ -725,6 +724,7 @@ mod tests {
                 len: data.len() as u64,
                 blocks: restricted,
             }],
+            None,
         );
         // With only k candidate blocks and one of them corrupt, the
         // fetch must fail (after discarding the bad combination it has
@@ -757,6 +757,7 @@ mod tests {
                 len: data.len() as u64,
                 blocks,
             }],
+            None,
         );
         assert!(
             report.is_complete(),
@@ -791,6 +792,7 @@ mod tests {
                 len: data.len() as u64,
                 blocks,
             }],
+            None,
         );
         assert!(report.is_complete(), "failures: {:?}", report.failed);
         assert_eq!(report.segments[&id], data);
@@ -817,6 +819,7 @@ mod tests {
                 len: data.len() as u64,
                 blocks,
             }],
+            None,
         );
         assert!(!report.is_complete());
         assert!(matches!(
@@ -829,7 +832,15 @@ mod tests {
     fn empty_fetch_list_finishes_immediately() {
         let r = rig(6, &[1e6; 5]);
         let t0 = r.sim.now();
-        let report = run_download(&r.rt, &r.clouds, &r.codec, &r.config, &r.probe, vec![]);
+        let report = run_download(
+            &r.rt,
+            &r.clouds,
+            &r.codec,
+            &r.config,
+            &r.probe,
+            vec![],
+            None,
+        );
         assert!(report.is_complete());
         assert!(report.segments.is_empty());
         assert_eq!(r.sim.now(), t0);

@@ -50,9 +50,7 @@ mod upload;
 pub use client::{build_plane, ClientConfig, SyncError, SyncReport, UniDriveClient};
 pub use control::newer;
 pub use dataplane::{DataPlane, FileSegmentation, UploadRequest};
-pub use download::{
-    run_download, run_download_in, DownloadError, DownloadReport, SegmentFetch,
-};
+pub use download::{run_download, DownloadError, DownloadReport, SegmentFetch};
 pub use engine::{
     EngineParams, JobDesc, TransferEngine, TransferPolicy, WatchdogConfig, WireOp,
 };
@@ -67,6 +65,5 @@ pub use plan::{normal_assignment, s3_cloud_set, DataPlaneConfig, SegmentData};
 pub use probe::BandwidthProbe;
 pub use rebalance::{add_cloud, remove_cloud, RebalanceError, RebalanceOutcome};
 pub use upload::{
-    run_upload, run_upload_opts, BlockSink, FileUpload, FileUploadResult, UploadOptions,
-    UploadReport,
+    run_upload, BlockSink, FileUpload, FileUploadResult, UploadOptions, UploadReport,
 };

@@ -124,26 +124,17 @@ impl QuorumLock {
         &self.device
     }
 
-    /// Acquires the quorum lock, retrying with random backoff.
-    ///
-    /// # Errors
-    ///
-    /// [`PlaneError::Contended`] after `max_attempts` losing rounds;
-    /// [`PlaneError::QuorumUnreachable`] if a majority of clouds cannot
-    /// even be contacted.
-    pub fn acquire(&self) -> Result<LockGuard<'_>, PlaneError> {
-        self.acquire_in(None)
-    }
-
-    /// [`acquire`](QuorumLock::acquire) with span causality: the
+    /// Acquires the quorum lock, retrying with random backoff. The
     /// attempt is recorded as a `lock.acquire` span (device, rounds,
     /// outcome) parented to `parent`, and any `lock.break` performed
     /// along the way parents to that span.
     ///
     /// # Errors
     ///
-    /// Same as [`acquire`](QuorumLock::acquire).
-    pub fn acquire_in(&self, parent: Option<SpanId>) -> Result<LockGuard<'_>, PlaneError> {
+    /// [`PlaneError::Contended`] after `max_attempts` losing rounds;
+    /// [`PlaneError::QuorumUnreachable`] if a majority of clouds cannot
+    /// even be contacted.
+    pub fn acquire(&self, parent: Option<SpanId>) -> Result<LockGuard<'_>, PlaneError> {
         let quorum = self.clouds.quorum();
         let t0 = self.rt.now();
         let mut span = self.obs.span("lock.acquire", parent);
@@ -399,7 +390,7 @@ mod tests {
         let rt: Arc<dyn Runtime> = Arc::new(RealRuntime::new());
         let clouds = mem_clouds(5);
         let lock = lock_on(rt, clouds.clone(), "dev-a", 1);
-        let guard = lock.acquire().unwrap();
+        let guard = lock.acquire(None).unwrap();
         // Lock files visible on every cloud.
         for (_, c) in clouds.iter() {
             assert_eq!(c.list(LOCK_DIR).unwrap().len(), 1);
@@ -416,13 +407,13 @@ mod tests {
         let rt = sim.clone().as_runtime();
         let clouds = mem_clouds(5);
         let lock_a = lock_on(rt.clone(), clouds.clone(), "dev-a", 3);
-        let guard = lock_a.acquire().unwrap();
+        let guard = lock_a.acquire(None).unwrap();
 
         let rt2 = rt.clone();
         let clouds2 = clouds.clone();
         let contender = spawn(&rt, "dev-b", move || {
             let lock_b = lock_on(rt2.clone(), clouds2, "dev-b", 4);
-            let acquired = lock_b.acquire().is_ok();
+            let acquired = lock_b.acquire(None).is_ok();
             acquired
         });
         // Hold the lock briefly, then release; B must eventually win.
@@ -447,7 +438,7 @@ mod tests {
                 spawn(&rt, &format!("dev-{i}"), move || {
                     let lock = lock_on(rt2.clone(), clouds, &format!("dev-{i}"), 100 + i);
                     for _ in 0..3 {
-                        let guard = lock.acquire().expect("acquire");
+                        let guard = lock.acquire(None).expect("acquire");
                         let n = in_cs.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1;
                         max_seen.fetch_max(n, std::sync::atomic::Ordering::SeqCst);
                         rt2.sleep(Duration::from_millis(50));
@@ -494,7 +485,7 @@ mod tests {
             SimRng::seed_from_u64(7),
         );
         let t0 = sim.now();
-        let guard = lock.acquire().expect("should break the stale lock");
+        let guard = lock.acquire(None).expect("should break the stale lock");
         let waited = sim.now() - t0;
         assert!(
             waited > Duration::from_secs(120),
@@ -529,7 +520,7 @@ mod tests {
         let rt: Arc<dyn Runtime> = Arc::new(RealRuntime::new());
         let clouds = clouds_with_dead(&rt, 5, 2);
         let lock = lock_on(rt, clouds, "dev-a", 8);
-        let guard = lock.acquire().expect("3 of 5 clouds suffice");
+        let guard = lock.acquire(None).expect("3 of 5 clouds suffice");
         guard.release();
     }
 
@@ -539,7 +530,7 @@ mod tests {
         let clouds = clouds_with_dead(&rt, 5, 3);
         let lock = lock_on(rt, clouds, "dev-a", 9);
         assert!(matches!(
-            lock.acquire().unwrap_err(),
+            lock.acquire(None).unwrap_err(),
             PlaneError::QuorumUnreachable { reachable: 2, quorum: 3 }
         ));
     }
@@ -550,7 +541,7 @@ mod tests {
         let rt = sim.clone().as_runtime();
         let clouds = mem_clouds(3);
         let lock = lock_on(rt, clouds.clone(), "dev-a", 11);
-        let mut guard = lock.acquire().unwrap();
+        let mut guard = lock.acquire(None).unwrap();
         let old = guard.lock_name().to_owned();
         sim.sleep(Duration::from_secs(30));
         guard.refresh();
@@ -592,7 +583,7 @@ mod tests {
         let lock = QuorumLock::new(rt, clouds, "dev-a", config, SimRng::seed_from_u64(15))
             .with_obs(obs.clone());
         assert!(matches!(
-            lock.acquire().unwrap_err(),
+            lock.acquire(None).unwrap_err(),
             PlaneError::Contended { attempts: 8 }
         ));
         let snap = obs.snapshot().unwrap();
@@ -613,7 +604,7 @@ mod tests {
         let clouds = mem_clouds(3);
         let lock = lock_on(rt, clouds.clone(), "dev-a", 12);
         {
-            let _guard = lock.acquire().unwrap();
+            let _guard = lock.acquire(None).unwrap();
         }
         for (_, c) in clouds.iter() {
             assert!(c.list(LOCK_DIR).unwrap().is_empty());

@@ -101,7 +101,7 @@ impl MetaPlane for LockPlane {
         round: Option<SpanId>,
         build: &mut MergeFn<'_>,
     ) -> Result<Option<SyncFolderImage>, PlaneError> {
-        let mut guard = self.lock.acquire_in(round)?;
+        let mut guard = self.lock.acquire(round)?;
         // Fast path: the tiny version file tells us whether a cloud
         // update exists at all; if not, the cached delta from our last
         // read/commit is current and the base + delta downloads are

@@ -153,6 +153,7 @@ mod tests {
                 data: data.clone(),
             }],
             &HashSet::new(),
+            crate::UploadOptions::default(),
         );
         assert!(report.all_available());
         let mut image = SyncFolderImage::new();

@@ -40,7 +40,7 @@ use crate::quorum;
 const OPLOG_FOLDER: &str = "root";
 
 /// Extra blocking compaction attempts once past the escalation cap
-/// (each is a full [`QuorumLock::acquire_in`] with its own backoff).
+/// (each is a full [`QuorumLock::acquire`] with its own backoff).
 const OPLOG_COMPACT_FORCED_RETRIES: usize = 2;
 
 /// `a` covers `b` when `a`'s watermark is a pointwise superset: every
@@ -426,7 +426,7 @@ impl OplogPlane {
     /// [`covers`] the stored base it replaces, so stored bases form a
     /// coverage chain.
     fn try_compact(&mut self, round: Option<SpanId>) -> bool {
-        let Ok(guard) = self.lock.acquire_in(round) else {
+        let Ok(guard) = self.lock.acquire(round) else {
             self.obs.inc("meta.oplog.compact_skipped");
             return false;
         };

@@ -140,6 +140,7 @@ pub fn remove_cloud(
                 len: entry.len,
                 blocks: survivors.clone(),
             }],
+            None,
         );
         let plain = report
             .segments
@@ -243,6 +244,7 @@ pub fn add_cloud(
                 len: entry.len,
                 blocks: entry.blocks.clone(),
             }],
+            None,
         );
         let plain = report.segments.get(&id).cloned().ok_or_else(|| {
             RebalanceError::Fetch(crate::DownloadError::NotEnoughBlocks {

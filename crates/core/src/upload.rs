@@ -193,20 +193,9 @@ struct Job {
 ///
 /// The caller provides files already segmented (and deduplicated);
 /// see [`DataPlane`](crate::DataPlane) for the full path from bytes.
+/// `options` carries availability detach, the block sink and the
+/// parent span; [`UploadOptions::default`] is a plain blocking batch.
 pub fn run_upload(
-    rt: &Arc<dyn Runtime>,
-    clouds: &CloudSet,
-    codec: &Arc<Codec>,
-    config: &DataPlaneConfig,
-    probe: &Arc<BandwidthProbe>,
-    uploads: Vec<FileUpload>,
-) -> UploadReport {
-    run_upload_opts(rt, clouds, codec, config, probe, uploads, UploadOptions::default())
-}
-
-/// [`run_upload`] with [`UploadOptions`] (availability detach, block
-/// sink).
-pub fn run_upload_opts(
     rt: &Arc<dyn Runtime>,
     clouds: &CloudSet,
     codec: &Arc<Codec>,
@@ -629,7 +618,7 @@ fn maybe_finish(st: &mut UploadState, cap: usize) {
         seg.reassign.clear();
     }
     st.finished = true;
-    // Ending the batch span here — not when `run_upload_opts` returns —
+    // Ending the batch span here — not when `run_upload` returns —
     // stamps the true completion time even for detached uploads whose
     // reliability phase outlives the call.
     st.batch_guard.take();
@@ -696,6 +685,7 @@ mod tests {
             &config,
             &probe,
             vec![make_file("f", 300_000, 3)],
+            UploadOptions::default(),
         );
         assert!(report.all_available());
         assert!(report.files[0].reliable);
@@ -719,6 +709,7 @@ mod tests {
             &config,
             &probe,
             vec![make_file("f", 600_000, 5)],
+            UploadOptions::default(),
         );
         assert!(report.all_available());
         let on_fast = report.blocks.iter().filter(|(_, b)| b.cloud == 0).count();
@@ -740,6 +731,7 @@ mod tests {
             &config,
             &probe,
             (0..4).map(|i| make_file(&format!("f{i}"), 200_000, i as u8 + 1)).collect(),
+            UploadOptions::default(),
         );
         let cap = config.redundancy.per_cloud_cap();
         let mut per_seg_cloud: std::collections::HashMap<(SegmentId, u16), usize> =
@@ -783,6 +775,7 @@ mod tests {
             &config,
             &probe,
             vec![make_file("f", 300_000, 7)],
+            UploadOptions::default(),
         );
         assert!(report.all_available(), "upload must survive one outage");
         assert!(report
@@ -798,7 +791,7 @@ mod tests {
         let files: Vec<FileUpload> = (0..5)
             .map(|i| make_file(&format!("f{i}"), 150_000, i as u8 + 1))
             .collect();
-        let report = run_upload(&rt, &clouds, &codec, &config, &probe, files);
+        let report = run_upload(&rt, &clouds, &codec, &config, &probe, files, UploadOptions::default());
         assert!(report.all_available());
         assert_eq!(report.timeline.len(), 5);
         // Availability of the last file precedes the end of the batch
@@ -820,6 +813,7 @@ mod tests {
                 path: "empty.txt".into(),
                 segments: Vec::new(),
             }],
+            UploadOptions::default(),
         );
         assert!(report.all_available());
         assert_eq!(report.blocks.len(), 0);
@@ -831,7 +825,7 @@ mod tests {
         let f1 = make_file("a", 100_000, 9);
         let mut f2 = f1.clone();
         f2.path = "b".into();
-        let report = run_upload(&rt, &clouds, &codec, &config, &probe, vec![f1, f2]);
+        let report = run_upload(&rt, &clouds, &codec, &config, &probe, vec![f1, f2], UploadOptions::default());
         assert!(report.all_available());
         let seg_ids: std::collections::HashSet<_> =
             report.blocks.iter().map(|(s, _)| *s).collect();

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use unidrive_util::bytes::Bytes;
 use unidrive_cloud::{CloudSet, CloudStore, SimCloud, SimCloudConfig};
-use unidrive_core::{DataPlane, DataPlaneConfig, SegmentFetch, UploadRequest};
+use unidrive_core::{DataPlane, DataPlaneConfig, SegmentFetch, UploadOptions, UploadRequest};
 use unidrive_erasure::RedundancyConfig;
 use unidrive_meta::{BlockRef, SegmentId};
 use unidrive_sim::SimRuntime;
@@ -60,6 +60,7 @@ fn upload_one(rig: &Rig, tag: u8) -> UploadOutcome {
             data,
         }],
         &HashSet::new(),
+        UploadOptions::default(),
     );
     assert!(report.all_available());
     (segs[0].segments.clone(), report.blocks)
@@ -131,7 +132,7 @@ fn download_prefers_fast_clouds_once_probed() {
             blocks: by_seg[id].clone(),
         })
         .collect();
-    let report = r.plane.download_segments(fetches);
+    let report = r.plane.download_segments(fetches, None);
     assert!(report.is_complete());
     let served: Vec<u64> = r
         .handles
@@ -157,6 +158,7 @@ fn download_timeline_orders_segments() {
             data,
         }],
         &HashSet::new(),
+        UploadOptions::default(),
     );
     let mut by_seg: HashMap<SegmentId, Vec<BlockRef>> = HashMap::new();
     for (id, b) in &report.blocks {
@@ -172,7 +174,7 @@ fn download_timeline_orders_segments() {
         })
         .collect();
     let n = fetches.len();
-    let dl = r.plane.download_segments(fetches);
+    let dl = r.plane.download_segments(fetches, None);
     assert!(dl.is_complete());
     assert_eq!(dl.timeline.len(), n);
     // Timestamps are non-decreasing.
@@ -190,7 +192,7 @@ fn upload_timeline_matches_file_order_under_two_phase() {
             data: content(150_000, i as u8 + 1),
         })
         .collect();
-    let (report, _) = r.plane.upload_files(requests, &HashSet::new());
+    let (report, _) = r.plane.upload_files(requests, &HashSet::new(), UploadOptions::default());
     assert!(report.all_available());
     assert_eq!(report.timeline.len(), 6);
     // With equal clouds and equal sizes, availability-first means files
@@ -209,6 +211,7 @@ fn available_duration_is_before_total_duration() {
             data,
         }],
         &HashSet::new(),
+        UploadOptions::default(),
     );
     let avail = report.available_duration().expect("available");
     let total = report.total_duration();

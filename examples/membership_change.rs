@@ -11,7 +11,9 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use unidrive::cloud::{CloudId, CloudSet, CloudStore, SimCloud, SimCloudConfig};
-use unidrive::core::{add_cloud, remove_cloud, DataPlane, DataPlaneConfig, UploadRequest};
+use unidrive::core::{
+    add_cloud, remove_cloud, DataPlane, DataPlaneConfig, UploadOptions, UploadRequest,
+};
 use unidrive::erasure::RedundancyConfig;
 use unidrive::meta::{Snapshot, SyncFolderImage};
 use unidrive::sim::SimRuntime;
@@ -55,6 +57,7 @@ fn main() {
             data: data.clone(),
         }],
         &HashSet::new(),
+        UploadOptions::default(),
     );
     assert!(report.all_available());
     let mut image = SyncFolderImage::new();

@@ -9,7 +9,7 @@ use std::time::Duration;
 use unidrive::cloud::{CloudId, CloudSet, CloudStore, SimCloud, SimCloudConfig};
 use unidrive::core::{
     add_cloud, remove_cloud, trim_overprovisioned, ClientConfig, DataPlane, DataPlaneConfig,
-    MemFolder, SyncFolder, UniDriveClient, UploadRequest,
+    MemFolder, SyncFolder, UniDriveClient, UploadOptions, UploadRequest,
 };
 use unidrive::erasure::RedundancyConfig;
 use unidrive::meta::Snapshot;
@@ -216,6 +216,7 @@ fn remove_then_add_cloud_round_trip() {
             data: data.clone(),
         }],
         &Default::default(),
+        UploadOptions::default(),
     );
     assert!(report.all_available());
     let mut image = unidrive::meta::SyncFolderImage::new();
@@ -319,6 +320,7 @@ fn quota_exhaustion_fails_over_to_other_clouds() {
             data,
         }],
         &Default::default(),
+        UploadOptions::default(),
     );
     assert!(report.all_available(), "quota failure must not block availability");
     // Cloud 0 holds at most what its quota allowed; other clouds
