@@ -3,8 +3,8 @@
 # assumed anywhere: the workspace has zero external dependencies and
 # every cargo invocation passes --offline. The gate needs cargo and a
 # POSIX shell, nothing else: every report a step writes is checked by
-# the Rust binary that owns its schema (`bench_compare --validate`,
-# `obs_report --validate`, `trace_report --validate`).
+# the Rust binary that owns its schema (`bench_compare --validate`
+# for BENCH documents, `obs_report --validate` for `--obs-out` bundles).
 #
 #   ./ci.sh         tier-1 gate + full workspace tests + obs lint
 #   ./ci.sh quick   tier-1 gate only
@@ -55,31 +55,39 @@ else
     echo "    clippy not installed; skipped"
 fi
 
-echo "==> metrics export determinism (same seed => byte-identical)"
+echo "==> one trace, one artefact, one reader: the retired names stay retired"
+# The typed Event ring, the three per-format flags and the second
+# report binary must not creep back. (The bracketed letters keep this
+# line from matching itself.)
+if grep -rnE '\bEvent::|Traced[E]vent|--metrics-[o]ut|--trace-[o]ut|--series-[o]ut|trace_[r]eport' \
+    crates src tests examples ci.sh; then
+    echo "    retired obs name found (see matches above)"
+    exit 1
+fi
+
+echo "==> obs export determinism (same seed => byte-identical)"
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
-./target/release/fig08_micro quick --metrics-out "$out/a.json" >/dev/null
-./target/release/fig08_micro quick --metrics-out "$out/b.json" >/dev/null
+./target/release/fig08_micro quick --obs-out "$out/a.json" >/dev/null
+./target/release/fig08_micro quick --obs-out "$out/b.json" >/dev/null
 cmp "$out/a.json" "$out/b.json"
+./target/release/obs_report --validate "$out/a.json"
 
-echo "==> fig11 same-seed determinism: metrics, span trace and windowed series"
+echo "==> fig11 same-seed determinism: one bundle holds metrics, span trace and windowed series"
 # fig11 drives the full sync protocol plus all three baselines through
-# the shared notifier-parked transfer engine. One run per side with all
-# three exports on; each pair must be byte-identical:
-#  - metrics: worker wake order is reproducible, not just timers;
-#  - Chrome trace: which must also be well-formed — non-negative
-#    ts/dur, unique span ids, every parent id present (trace_report
-#    --validate);
-#  - windowed series: a pure function of the seed that passes its own
-#    validator — schema tag, strictly increasing window indices,
-#    quantile monotonicity (p50 <= p95 <= p99) in every sample window.
-./target/release/fig11_batch_sync quick --metrics-out "$out/c.json" --trace-out "$out/t1.json" --series-out "$out/s1.json" >/dev/null
-./target/release/fig11_batch_sync quick --metrics-out "$out/d.json" --trace-out "$out/t2.json" --series-out "$out/s2.json" >/dev/null
+# the shared notifier-parked transfer engine. One run per side; the one
+# artefact must be byte-identical across them — counters (worker wake
+# order is reproducible, not just timers), trace and series alike —
+# and pass both halves of its validator:
+#  - trace: non-negative ts/dur, unique span ids, and — the export
+#    ring dropped nothing — every parent id present;
+#  - series: schema tag, strictly increasing window indices, quantile
+#    monotonicity (p50 <= p95 <= p99) in every sample window.
+./target/release/fig11_batch_sync quick --obs-out "$out/c.json" >/dev/null
+./target/release/fig11_batch_sync quick --obs-out "$out/d.json" >/dev/null
 cmp "$out/c.json" "$out/d.json"
-cmp "$out/t1.json" "$out/t2.json"
-./target/release/trace_report --validate "$out/t1.json"
-cmp "$out/s1.json" "$out/s2.json"
-./target/release/obs_report --validate "$out/s1.json"
+grep -q '^"traceEvents": \[$' "$out/c.json"
+./target/release/obs_report --validate "$out/c.json" | grep "(0 dropped); .* series"
 
 echo "==> kernel bench (quick) + report schema and shape"
 # Throughput numbers vary with the machine; what CI pins down is that
@@ -97,8 +105,8 @@ echo "==> chaos soak: invariants hold, lethal plan minimizes, same seed => byte-
 # flight record are all derived from virtual time only, so two
 # same-seed runs must be byte-identical — the fig11 gate's analogue
 # for the fault-injection layer.
-./target/release/chaos_soak quick --out "$out/cs1.json" --series-out "$out/csh1.json" >/dev/null
-./target/release/chaos_soak quick --out "$out/cs2.json" --series-out "$out/csh2.json" >/dev/null
+./target/release/chaos_soak quick --out "$out/cs1.json" --obs-out "$out/csh1.json" >/dev/null
+./target/release/chaos_soak quick --out "$out/cs2.json" --obs-out "$out/csh2.json" >/dev/null
 cmp "$out/cs1.json" "$out/cs2.json"
 cmp "$out/cs1.minplan.json" "$out/cs2.minplan.json"
 cmp "$out/cs1.flight.json" "$out/cs2.flight.json"
@@ -111,8 +119,8 @@ echo "==> chaos health round: targeted outage visibly degrades, then recovers"
 # untargeted cloud ever goes down — chaos_soak derives all three from
 # the scoreboard's trackers (the target's transitions, timeline and
 # *final* state; the others' transitions) and folds them into its
-# verdict. The same scoreboard is embedded in the series export, which
-# must also validate.
+# verdict. The same scoreboard is embedded in the health round's obs
+# bundle, which must also validate.
 cmp "$out/csh1.json" "$out/csh2.json"
 ./target/release/obs_report --validate "$out/csh1.json"
 grep -q '"dipped": true' "$out/cs1.json"
@@ -132,8 +140,8 @@ echo "==> fleet bench: 10k-device quick run, invariants + schema + byte-identica
 # green, emit a schema-stable report, and be a pure function of the
 # seed: two quick runs (the second with a different shard and thread
 # count) must produce byte-identical BENCH_fleet.json.
-./target/release/bench_fleet quick --out "$out/f1.json" --series-out "$out/fs1.json" >/dev/null
-./target/release/bench_fleet quick --shards 3 --threads 2 --out "$out/f2.json" --series-out "$out/fs2.json" >/dev/null
+./target/release/bench_fleet quick --out "$out/f1.json" --obs-out "$out/fs1.json" >/dev/null
+./target/release/bench_fleet quick --shards 3 --threads 2 --out "$out/f2.json" --obs-out "$out/fs2.json" >/dev/null
 cmp "$out/f1.json" "$out/f2.json"
 ./target/release/bench_compare --validate "$out/f1.json"
 grep -q '"devices": 10000' "$out/f1.json"
@@ -154,8 +162,8 @@ echo "==> oplog bench: N-writer scaling shape + schema + byte-identical"
 # through the real client protocol), the report schema must stay
 # stable, and the shape claim itself is asserted: at the top writer
 # count, oplog aggregate throughput must beat lock.
-./target/release/bench_oplog quick --out "$out/o1.json" --series-out "$out/os1.json" >/dev/null
-./target/release/bench_oplog quick --out "$out/o2.json" --series-out "$out/os2.json" >/dev/null
+./target/release/bench_oplog quick --out "$out/o1.json" --obs-out "$out/os1.json" >/dev/null
+./target/release/bench_oplog quick --out "$out/o2.json" --obs-out "$out/os2.json" >/dev/null
 cmp "$out/o1.json" "$out/o2.json"
 cmp "$out/os1.json" "$out/os2.json"
 ./target/release/obs_report --validate "$out/os1.json"

@@ -15,16 +15,15 @@
 //! facts, and would break the byte-identical gate.
 //!
 //! Usage: `bench_fleet [quick] [--seed N] [--shards N] [--threads N]
-//! [--out BENCH_fleet.json] [--series-out SERIES.json]`.
-//! `--metrics-out`/`--trace-out` mirror the counters into a standard
-//! obs snapshot for `run_all` integration; `--series-out` writes the
-//! windowed per-cloud/workload series with the health scoreboard
-//! embedded (byte-identical across shard and thread counts — CI runs
-//! two layouts and byte-compares).
+//! [--out BENCH_fleet.json] [--obs-out OBS.json]`.
+//! `--obs-out` writes the obs bundle: the counters mirrored into a
+//! standard `snapshot` plus the windowed per-cloud/workload `series`
+//! with the health scoreboard embedded (byte-identical across shard
+//! and thread counts — CI runs two layouts and byte-compares).
 
 use std::time::Instant;
 
-use unidrive_bench::{arg_value, meta_mode_from_args, metrics_out, quick_arg};
+use unidrive_bench::{arg_value, meta_mode_from_args, obs_out, quick_arg};
 use unidrive_fleet::{FleetConfig, FleetSim};
 use unidrive_workload::TextTable;
 
@@ -60,10 +59,7 @@ fn main() {
         cfg.threads = t as usize;
     }
     cfg.meta_mode = meta_mode_from_args();
-    let mut metrics = metrics_out::from_args();
-    // The fleet's series are merged per-shard banks, not registry
-    // cells: claim the path and write the fleet's own document.
-    let series_out = metrics.take_series_path();
+    let metrics = obs_out::from_args();
 
     println!(
         "Fleet bench ({}): {} devices, {} hot folders, {}s horizon, {} shards, seed {}, meta-mode {}",
@@ -137,12 +133,9 @@ fn main() {
     );
     println!(
         "sync latency:  {}",
-        metrics_out::fmt_quantiles_ms(&m.sync_latency)
+        obs_out::fmt_quantiles_ms(&m.sync_latency)
     );
-    println!(
-        "lock wait:     {}",
-        metrics_out::fmt_quantiles_ms(&m.lock_wait)
-    );
+    println!("lock wait:     {}", obs_out::fmt_quantiles_ms(&m.lock_wait));
     println!(
         "lock rounds:   p50={} p99={} max={}",
         m.lock_rounds.p50(),
@@ -177,7 +170,7 @@ fn main() {
     println!("\n{}", table.render());
 
     // Health scoreboard summary: final state per cloud (full timelines
-    // are in the --series-out export).
+    // are in the --obs-out export).
     let state_of = |row: &str| {
         row.split("\"state\": \"")
             .nth(1)
@@ -211,20 +204,14 @@ fn main() {
         );
     }
 
-    // Mirror the counters into the obs registry so run_all's derived
-    // --metrics-out/--trace-out paths get a standard snapshot.
+    // Mirror the counters into the obs registry so the --obs-out
+    // bundle carries a standard snapshot; its series are the fleet's
+    // merged per-shard banks, not registry cells.
     for (name, v) in &m.counters {
         metrics.obs.add(&format!("fleet.{name}"), *v);
     }
     metrics.obs.set_gauge("fleet.virtual_end_secs", m.virtual_end_ns as f64 / 1e9);
-    metrics.write();
-
-    if let Some(path) = &series_out {
-        match std::fs::write(path, m.series_json()) {
-            Ok(()) => println!("series written to {path}"),
-            Err(e) => eprintln!("failed to write --series-out {path}: {e}"),
-        }
-    }
+    metrics.write_with_series(&m.series_json());
 
     let json = m.to_json();
     match &out {

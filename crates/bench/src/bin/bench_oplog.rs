@@ -26,23 +26,23 @@
 //! so the metadata plane's own counters land in the report: per-cell
 //! `lock_starved` (starvation audits under contention — lock plane),
 //! `compact_forced` and `compact_overdue` (λ-compaction escalation —
-//! oplog plane). `--series-out` exports the windowed series of the
-//! hottest cell (top writer count, last plane).
+//! oplog plane). `--obs-out` exports the obs bundle (trace, snapshot,
+//! windowed series) of the hottest cell (top writer count, last plane).
 //!
 //! Usage: `bench_oplog [quick] [--meta-mode {lock,oplog}]
-//! [--out BENCH_oplog.json] [--series-out SERIES.json]`.
+//! [--out BENCH_oplog.json] [--obs-out OBS.json]`.
 //! Without `--meta-mode` both planes run (that is the point); with it,
 //! only the selected plane's rows are produced.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use unidrive_bench::{arg_value, meta_mode_arg, quick_arg};
+use unidrive_bench::{arg_value, meta_mode_arg, obs_out, quick_arg};
 use unidrive_cloud::{CloudSet, CloudStore, MemCloud, SimCloud, SimCloudConfig};
 use unidrive_core::{ClientConfig, DataPlaneConfig, MemFolder, SyncFolder, UniDriveClient};
 use unidrive_erasure::RedundancyConfig;
 use unidrive_meta::MetaMode;
-use unidrive_obs::{Obs, Registry, DEFAULT_SERIES_WINDOW_NS};
+use unidrive_obs::{Obs, Registry, Snapshot, DEFAULT_SERIES_WINDOW_NS};
 use unidrive_sim::{spawn, Runtime, SimRng, SimRuntime};
 use unidrive_workload::TextTable;
 
@@ -66,8 +66,9 @@ struct Cell {
     compact_forced: u64,
     /// Forced compactions that *still* failed — backlog left overdue.
     compact_overdue: u64,
-    /// Windowed series export of this cell, when requested.
-    series: Option<String>,
+    /// This cell's registry snapshot and windowed series document,
+    /// when its export was requested.
+    export: Option<(Snapshot, String)>,
 }
 
 fn payload(seed: u64, len: usize) -> Vec<u8> {
@@ -78,12 +79,12 @@ fn payload(seed: u64, len: usize) -> Vec<u8> {
 /// Runs one cell: `writers` clients hammering commits of fresh files
 /// into the same shared folder, `rounds` commits each, no think time —
 /// the pure hot-folder contention case.
-fn run_cell(mode: MetaMode, writers: usize, rounds: usize, seed: u64, want_series: bool) -> Cell {
+fn run_cell(mode: MetaMode, writers: usize, rounds: usize, seed: u64, want_export: bool) -> Cell {
     let sim = SimRuntime::new(seed);
     let rt = sim.clone().as_runtime();
     // Per-cell registry: the lock/oplog planes feed their counters and
     // windowed series here (virtual-time clocked via install_obs).
-    let registry = Registry::with_trace_capacity(1 << 14);
+    let registry = Registry::with_trace_capacity(obs_out::EXPORT_SPAN_CAPACITY);
     registry.enable_series(DEFAULT_SERIES_WINDOW_NS);
     let obs = Obs::with_registry(Arc::clone(&registry));
     sim.install_obs(obs.clone());
@@ -174,7 +175,6 @@ fn run_cell(mode: MetaMode, writers: usize, rounds: usize, seed: u64, want_serie
     }
     let virtual_secs = (sim.now() - t0).as_secs_f64();
     let snap = obs.snapshot().expect("registry snapshot");
-    let series = want_series.then(|| registry.series_snapshot().to_json());
     Cell {
         mode,
         writers,
@@ -187,7 +187,7 @@ fn run_cell(mode: MetaMode, writers: usize, rounds: usize, seed: u64, want_serie
         lock_starved: snap.counter("lock.starved"),
         compact_forced: snap.counter("meta.oplog.compact_forced"),
         compact_overdue: snap.counter("meta.oplog.compact_overdue"),
-        series,
+        export: want_export.then(|| (snap, registry.series_snapshot().to_json())),
     }
 }
 
@@ -204,7 +204,7 @@ fn main() {
     let quick = quick_arg();
     let out = arg_value("--out");
     let only_mode = meta_mode_arg();
-    let series_out = arg_value("--series-out");
+    let obs_path = arg_value("--obs-out");
     let rounds = if quick { 4 } else { 8 };
     let modes: Vec<MetaMode> = match only_mode {
         Some(m) => vec![m],
@@ -222,13 +222,11 @@ fn main() {
     for &mode in &modes {
         for &writers in &WRITER_COUNTS {
             // Same seed for every cell: both planes face the identical
-            // world; only the metadata plane differs. The series export
+            // world; only the metadata plane differs. The obs export
             // (when asked for) comes from the hottest cell of the last
             // plane — the most contended world in the matrix.
-            let want_series = series_out.is_some()
-                && writers == top
-                && Some(&mode) == modes.last();
-            cells.push(run_cell(mode, writers, rounds, 0x9106, want_series));
+            let want_export = obs_path.is_some() && writers == top && Some(&mode) == modes.last();
+            cells.push(run_cell(mode, writers, rounds, 0x9106, want_export));
         }
     }
     let elapsed = wall.elapsed();
@@ -284,14 +282,10 @@ fn main() {
         );
     }
 
-    if let Some(path) = &series_out {
-        match cells.iter().find_map(|c| c.series.as_deref()) {
-            Some(doc) => match std::fs::write(path, doc) {
-                Ok(()) => println!("series written to {path}"),
-                Err(e) => eprintln!("failed to write --series-out {path}: {e}"),
-            },
-            None => eprintln!("--series-out: no cell produced a series"),
-        }
+    if let (Some(path), Some((snap, series))) =
+        (&obs_path, cells.iter_mut().find_map(|c| c.export.take()))
+    {
+        obs_out::write_bundle(path, snap, &series);
     }
 
     let rows: Vec<String> = cells

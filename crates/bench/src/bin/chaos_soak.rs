@@ -7,7 +7,7 @@
 //!   `sync_once` reported as uploaded is readable, byte-identical, on
 //!   every device after the soak;
 //! * **lock** — at most one quorum-lock holder at any instant (scanned
-//!   from the `LockAcquired`/`LockReleased`/`LockBroken` trace);
+//!   from the `lock.acquire`/`lock.release`/`lock.break` spans);
 //! * **convergence** — once the fault horizon closes, every device's
 //!   `SyncFolderImage` converges to the same encoded bytes;
 //! * **refcounts** — each converged image's segment refcounts match a
@@ -39,18 +39,18 @@
 //! shared per-provider [`HealthBoard`]: the targeted cloud must leave
 //! `healthy` during the fault window and return to `healthy` after it
 //! closes, and no untargeted cloud may go `down`. The scoreboard is
-//! embedded in the verdict and, with `--series-out`, exported alongside
-//! the windowed obs series.
+//! embedded in the verdict and, with `--obs-out`, exported inside the
+//! health round's obs bundle alongside the windowed series.
 //!
 //! Usage: `chaos_soak [quick] [--meta-mode {lock,oplog}]
-//! [--out verdict.json] [--series-out SERIES.json]`.
+//! [--out verdict.json] [--obs-out OBS.json]`.
 //! `--meta-mode` restricts the randomized rounds to one plane.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use unidrive_bench::{arg_value, meta_mode_arg, quick_arg};
+use unidrive_bench::{arg_value, meta_mode_arg, obs_out, quick_arg};
 use unidrive_cloud::{
     ChaosCloud, CloudBuilder, CloudSet, CloudStore, FaultEvent, FaultKind, FaultPlan,
     HealthBoard, HealthConfig, HealthState, HealthTracker, MemCloud, SimCloud, SimCloudConfig,
@@ -58,7 +58,7 @@ use unidrive_cloud::{
 use unidrive_core::{ClientConfig, DataPlaneConfig, MemFolder, SyncFolder, UniDriveClient};
 use unidrive_erasure::RedundancyConfig;
 use unidrive_meta::MetaMode;
-use unidrive_obs::{Event, Obs, Registry, DEFAULT_SERIES_WINDOW_NS};
+use unidrive_obs::{bundle_json, FieldValue, Obs, Registry, SpanRecord, DEFAULT_SERIES_WINDOW_NS};
 use unidrive_sim::{spawn, SimRng, SimRuntime};
 
 const CLOUDS: usize = 5;
@@ -101,7 +101,7 @@ fn deterministic_bytes(seed: u64, len: usize) -> Vec<u8> {
 fn run_round(plan: &FaultPlan, mode: MetaMode, want_flight: bool) -> RoundOutcome {
     let sim = SimRuntime::new(plan.seed);
     let rt = sim.clone().as_runtime();
-    let obs = Obs::with_registry(Registry::with_trace_capacity(1 << 16));
+    let obs = Obs::with_registry(Registry::with_trace_capacity(obs_out::EXPORT_SPAN_CAPACITY));
     sim.install_obs(obs.clone());
 
     // Five providers, each one shared backing store with a per-device
@@ -247,26 +247,12 @@ fn run_round(plan: &FaultPlan, mode: MetaMode, want_flight: bool) -> RoundOutcom
         failed.push("durability");
     }
     let snap = obs.snapshot().expect("registry snapshot");
-    let mut holders: Vec<String> = Vec::new();
-    let mut two_holders = false;
-    for e in &snap.events {
-        match &e.event {
-            Event::LockAcquired { device, .. } => {
-                if !holders.is_empty() && !holders.iter().any(|h| h == device) {
-                    two_holders = true;
-                }
-                if !holders.iter().any(|h| h == device) {
-                    holders.push(device.clone());
-                }
-            }
-            Event::LockReleased { device } => holders.retain(|h| h != device),
-            Event::LockBroken { victim, .. } => holders.retain(|h| h != victim),
-            _ => {}
-        }
-    }
-    if two_holders {
-        failed.push("lock");
-    }
+    // An evicted `lock.*` span would blind the audit below.
+    assert_eq!(
+        snap.dropped_spans, 0,
+        "span ring too small for a soak round"
+    );
+    failed.extend(lock_invariant(&snap.spans));
     if clients.iter().any(|c| {
         let mut recounted = c.image().clone();
         recounted.recompute_refcounts();
@@ -278,7 +264,7 @@ fn run_round(plan: &FaultPlan, mode: MetaMode, want_flight: bool) -> RoundOutcom
     let flight = want_flight.then(|| {
         let mut snap = snap;
         snap.canonicalize();
-        snap.to_json()
+        bundle_json(Some(&snap), None)
     });
     RoundOutcome {
         failed,
@@ -287,6 +273,39 @@ fn run_round(plan: &FaultPlan, mode: MetaMode, want_flight: bool) -> RoundOutcom
         injected: chaos_handles.iter().map(|h| h.injected_faults()).sum(),
         flight,
     }
+}
+
+/// The mutual-exclusion audit: `Some("lock")` if two devices ever held
+/// the quorum lock at once. `spans` must be in ring order, which is
+/// span-*end* order: a won `lock.acquire` (`ok` = true) ends the
+/// instant its device holds the lock, a `lock.release` once the
+/// device's lock files are withdrawn, a `lock.break` once the
+/// `victim`'s stale file is deleted.
+fn lock_invariant(spans: &[SpanRecord]) -> Option<&'static str> {
+    fn attr<'a>(s: &'a SpanRecord, key: &str) -> &'a str {
+        match s.attr(key) {
+            Some(FieldValue::S(v)) => v,
+            other => panic!("{} span without a string {key}: {other:?}", s.name),
+        }
+    }
+    let mut holders: Vec<&str> = Vec::new();
+    for s in spans {
+        match s.name {
+            "lock.acquire" if s.attr("ok") == Some(&FieldValue::B(true)) => {
+                let device = attr(s, "device");
+                if !holders.contains(&device) {
+                    if !holders.is_empty() {
+                        return Some("lock");
+                    }
+                    holders.push(device);
+                }
+            }
+            "lock.release" => holders.retain(|h| *h != attr(s, "device")),
+            "lock.break" => holders.retain(|h| *h != attr(s, "victim")),
+            _ => {}
+        }
+    }
+    None
 }
 
 /// Cloud targeted by the [`health_round`] outage.
@@ -312,10 +331,11 @@ struct HealthOutcome {
 /// tracker (the scoreboard scores the provider, not one device's view
 /// of it). This is the observability acceptance check: the fault
 /// window must demonstrably move the targeted cloud out of `healthy`
-/// and the close of the window must bring it back. When `series_out`
-/// is set, the windowed series + health scoreboard export is written
-/// there — virtual-time deterministic, same seed ⇒ byte-identical.
-fn health_round(series_out: Option<&str>) -> HealthOutcome {
+/// and the close of the window must bring it back. When `bundle_path`
+/// is set, the round's obs bundle — trace, snapshot, windowed series with
+/// the health scoreboard embedded — is written there: virtual-time
+/// deterministic, same seed ⇒ byte-identical.
+fn health_round(bundle_path: Option<&str>) -> HealthOutcome {
     let plan = FaultPlan::with_events(
         0x4ea17,
         vec![FaultEvent::always(HEALTH_TARGET, FaultKind::Outage)
@@ -323,7 +343,7 @@ fn health_round(series_out: Option<&str>) -> HealthOutcome {
     );
     let sim = SimRuntime::new(plan.seed);
     let rt = sim.clone().as_runtime();
-    let registry = Registry::with_trace_capacity(1 << 16);
+    let registry = Registry::with_trace_capacity(obs_out::EXPORT_SPAN_CAPACITY);
     registry.enable_series(DEFAULT_SERIES_WINDOW_NS);
     let obs = Obs::with_registry(Arc::clone(&registry));
     sim.install_obs(obs.clone());
@@ -414,12 +434,9 @@ fn health_round(series_out: Option<&str>) -> HealthOutcome {
 
     board.finish(rt.now().as_nanos());
     let rows = board.to_json_rows();
-    if let Some(path) = series_out {
-        let doc = registry.series_snapshot().to_json_with_health(&rows);
-        match std::fs::write(path, doc) {
-            Ok(()) => println!("series written to {path}"),
-            Err(e) => eprintln!("failed to write --series-out {path}: {e}"),
-        }
+    if let Some(path) = bundle_path {
+        let series = registry.series_snapshot().to_json_with_health(&rows);
+        obs_out::write_bundle(path, registry.snapshot(), &series);
     }
 
     let trackers: Vec<HealthTracker> = (0..CLOUDS)
@@ -538,7 +555,7 @@ fn json_str_list(items: &[&str]) -> String {
 fn main() {
     let quick = quick_arg();
     let out = arg_value("--out");
-    let series_out = arg_value("--series-out");
+    let obs_path = arg_value("--obs-out");
     let modes: Vec<MetaMode> = match meta_mode_arg() {
         Some(m) => vec![m],
         None => vec![MetaMode::Lock, MetaMode::Oplog],
@@ -604,7 +621,7 @@ fn main() {
     );
 
     // Health round: targeted outage must visibly move the scoreboard.
-    let health = health_round(series_out.as_deref());
+    let health = health_round(obs_path.as_deref());
     println!(
         "\nhealth round: outage on {HEALTH_TARGET} [{}s,{}s): dipped={} recovered={} others_clean={}",
         HEALTH_OUTAGE.0, HEALTH_OUTAGE.1, health.dipped, health.recovered, health.others_clean,
@@ -685,6 +702,73 @@ mod tests {
         }
         t.finish(windows.len() as u64 * W);
         t
+    }
+
+    /// A `lock.*` span ending at `end_ns` (the audit reads ring = end
+    /// order, so the tests list spans by ascending end).
+    fn lock_span(name: &'static str, end_ns: u64, attrs: &[(&'static str, &str)]) -> SpanRecord {
+        SpanRecord {
+            id: end_ns,
+            parent: 0,
+            name,
+            track: 0,
+            start_ns: end_ns.saturating_sub(5),
+            end_ns,
+            attrs: attrs
+                .iter()
+                .map(|(k, v)| (*k, FieldValue::S((*v).to_owned())))
+                .collect(),
+        }
+    }
+
+    fn acquire(end_ns: u64, device: &str, ok: bool) -> SpanRecord {
+        let mut span = lock_span("lock.acquire", end_ns, &[("device", device)]);
+        span.attrs.push(("ok", FieldValue::B(ok)));
+        span
+    }
+
+    fn release(end_ns: u64, device: &str) -> SpanRecord {
+        lock_span("lock.release", end_ns, &[("device", device)])
+    }
+
+    #[test]
+    fn overlapping_holds_by_two_devices_break_the_lock_invariant() {
+        // dev0 holds [10, 40); dev1 wins at 20, inside that interval.
+        let spans = [
+            acquire(10, "dev0", true),
+            acquire(20, "dev1", true),
+            release(40, "dev0"),
+            release(50, "dev1"),
+        ];
+        assert_eq!(lock_invariant(&spans), Some("lock"));
+        // The same holds back to back are fine, and a lost acquisition
+        // (`ok` = false) holds nothing.
+        let spans = [
+            acquire(10, "dev0", true),
+            acquire(20, "dev1", false),
+            release(40, "dev0"),
+            acquire(45, "dev1", true),
+            release(50, "dev1"),
+        ];
+        assert_eq!(lock_invariant(&spans), None);
+    }
+
+    #[test]
+    fn breaking_a_stale_lock_then_acquiring_is_not_a_violation() {
+        // dev0 crashed holding the lock: it never releases. dev1 breaks
+        // the stale file, then wins.
+        let spans = [
+            acquire(10, "dev0", true),
+            lock_span("lock.break", 90, &[("device", "dev1"), ("victim", "dev0")]),
+            acquire(95, "dev1", true),
+            release(99, "dev1"),
+        ];
+        assert_eq!(lock_invariant(&spans), None);
+        // Without the break the same acquisition overlaps dev0's hold.
+        assert_eq!(
+            lock_invariant(&[spans[0].clone(), spans[2].clone()]),
+            Some("lock")
+        );
     }
 
     #[test]

@@ -8,13 +8,13 @@
 
 use std::time::Duration;
 
-use unidrive_bench::{meta_mode_from_args, metrics_out, systems_at, ExperimentScale};
+use unidrive_bench::{meta_mode_from_args, obs_out, systems_at, ExperimentScale};
 use unidrive_sim::{Runtime, SimRuntime};
 use unidrive_workload::{random_bytes, Summary, TextTable, EC2_SITES};
 
 fn main() {
     let scale = ExperimentScale::from_args();
-    let metrics = metrics_out::from_args();
+    let metrics = obs_out::from_args();
     // Accepted for uniform drivability from run_all: fig08 measures the
     // raw data plane (no metadata commits), so the mode only selects
     // the echo — the transfer numbers are identical under both planes.
@@ -39,7 +39,7 @@ fn main() {
 
     for site in EC2_SITES {
         let sim = SimRuntime::new(0x0808 + site.name.len() as u64 * 131);
-        // Virtual-time clock for the windowed series (--series-out).
+        // Virtual-time clock for the windowed series (--obs-out).
         sim.install_obs(metrics.obs.clone());
         let sys = systems_at(&sim, site, scale.theta, &metrics.obs);
         let mut up: Vec<Vec<f64>> = vec![Vec::new(); 8];

@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use unidrive_util::sync::Mutex;
 use unidrive_baseline::{IntuitiveMultiCloud, MultiCloudBenchmark, SingleCloudClient};
-use unidrive_bench::{meta_mode_from_args, metrics_out, ExperimentScale};
+use unidrive_bench::{meta_mode_from_args, obs_out, ExperimentScale};
 use unidrive_cloud::{CloudId, CloudSet};
 use unidrive_core::{ClientConfig, DataPlaneConfig, MemFolder, SyncFolder, UniDriveClient};
 use unidrive_erasure::RedundancyConfig;
@@ -102,7 +102,7 @@ where
 
 fn main() {
     let scale = ExperimentScale::from_args();
-    let metrics = metrics_out::from_args();
+    let metrics = obs_out::from_args();
     let meta_mode = meta_mode_from_args();
     let (count, size) = scale.batch;
     let sinks = EC2_SITES.len() - 1;
@@ -124,7 +124,7 @@ fn main() {
         {
             let sim = SimRuntime::new(1100 + si as u64);
             // Point the registry clock at this world's virtual time so
-            // windowed series (--series-out) land in real windows; each
+            // windowed series (--obs-out) land in real windows; each
             // site's world restarts at t=0, so same-named series
             // aggregate per window index across sites (deterministic).
             sim.install_obs(metrics.obs.clone());

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use unidrive_util::sync::Mutex;
 use unidrive_baseline::{IntuitiveMultiCloud, MultiCloudBenchmark, SingleCloudClient};
-use unidrive_bench::{metrics_out, ExperimentScale};
+use unidrive_bench::{obs_out, ExperimentScale};
 use unidrive_cloud::CloudId;
 use unidrive_core::{ClientConfig, DataPlaneConfig, MemFolder, SyncFolder, UniDriveClient};
 use unidrive_erasure::RedundancyConfig;
@@ -16,7 +16,7 @@ use unidrive_workload::{batch, build_multicloud_shared, site_by_name, TextTable}
 
 fn main() {
     let scale = ExperimentScale::from_args();
-    let metrics = metrics_out::from_args();
+    let metrics = obs_out::from_args();
     let (count, size) = scale.batch;
     let oregon = site_by_name("Oregon").expect("site");
     let virginia = site_by_name("Virginia").expect("site");

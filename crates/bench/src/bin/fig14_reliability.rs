@@ -6,13 +6,13 @@
 
 use std::time::Duration;
 
-use unidrive_bench::{metrics_out, systems_at, ExperimentScale};
+use unidrive_bench::{obs_out, systems_at, ExperimentScale};
 use unidrive_sim::{Runtime, SimRuntime};
 use unidrive_workload::{random_bytes, site_by_name, Summary, TextTable};
 
 fn main() {
     let scale = ExperimentScale::from_args();
-    let metrics = metrics_out::from_args();
+    let metrics = obs_out::from_args();
     let size = scale.large_file;
     let site = site_by_name("Tokyo").expect("site");
     let repeats = 12; // the paper repeats each n twelve times

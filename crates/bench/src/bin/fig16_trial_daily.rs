@@ -5,7 +5,7 @@
 use std::time::Duration;
 
 use unidrive_baseline::UniDriveTransfer;
-use unidrive_bench::{mbps, metrics_out, ExperimentScale};
+use unidrive_bench::{mbps, obs_out, ExperimentScale};
 use unidrive_core::DataPlaneConfig;
 use unidrive_erasure::RedundancyConfig;
 use unidrive_sim::{Runtime, SimRuntime};
@@ -13,7 +13,7 @@ use unidrive_workload::{build_multicloud, random_bytes, site_by_name, Summary, T
 
 fn main() {
     let scale = ExperimentScale::from_args();
-    let metrics = metrics_out::from_args();
+    let metrics = obs_out::from_args();
     let sites = ["Princeton", "London", "Tokyo", "Sydney"];
     let days = 7;
     let uploads_per_day = if scale.repeats >= 5 { 24 } else { 8 };

@@ -2,11 +2,11 @@
 //! (with whatever scale argument was passed through) and prints each
 //! one's output with a banner. Useful for regenerating EXPERIMENTS.md.
 //!
-//! `--metrics-out <path>` / `--trace-out <path>` are treated as base
-//! paths: each experiment writes to its own derived file (the
-//! experiment name is inserted before the extension, e.g.
-//! `out.json` → `out.fig11_batch_sync.json`), so the exports don't
-//! clobber each other.
+//! `--obs-out <path>` is treated as a base path: each experiment
+//! writes to its own derived file (the experiment name is inserted
+//! before the extension, e.g. `out.json` →
+//! `out.fig11_batch_sync.json`), so the exports don't clobber each
+//! other.
 //!
 //! ```sh
 //! cargo run --release -p unidrive-bench --bin run_all quick
@@ -50,17 +50,14 @@ const EXPERIMENTS: [&str; 20] = [
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    // Pull the output flags out of the passthrough; their paths become
-    // per-experiment bases.
+    // Pull the output flag out of the passthrough; its path becomes
+    // the per-experiment base.
     let mut passthrough = Vec::new();
-    let mut metrics_base = None;
-    let mut trace_base = None;
+    let mut obs_base = None;
     let mut it = raw.into_iter();
     while let Some(arg) = it.next() {
-        if arg == "--metrics-out" {
-            metrics_base = it.next();
-        } else if arg == "--trace-out" {
-            trace_base = it.next();
+        if arg == "--obs-out" {
+            obs_base = it.next();
         } else {
             passthrough.push(arg);
         }
@@ -71,12 +68,8 @@ fn main() {
     for name in EXPERIMENTS {
         println!("\n================ {name} ================\n");
         let mut args = passthrough.clone();
-        if let Some(base) = &metrics_base {
-            args.push("--metrics-out".into());
-            args.push(derive_path(base, name));
-        }
-        if let Some(base) = &trace_base {
-            args.push("--trace-out".into());
+        if let Some(base) = &obs_base {
+            args.push("--obs-out".into());
             args.push(derive_path(base, name));
         }
         let status = Command::new(bin_dir.join(name)).args(&args).status();

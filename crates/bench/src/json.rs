@@ -1,7 +1,6 @@
 //! Minimal JSON value + recursive-descent parser, shared by the
-//! report/diff binaries (`trace_report`, `obs_report`,
-//! `bench_compare`). Hand-rolled: the workspace builds offline with
-//! zero external crates.
+//! report/diff binaries (`obs_report`, `bench_compare`). Hand-rolled:
+//! the workspace builds offline with zero external crates.
 //!
 //! Numbers parse as `f64` — every number the harness emits (counters,
 //! nanosecond quantiles, microsecond trace stamps) is well inside

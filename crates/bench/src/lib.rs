@@ -138,9 +138,8 @@ impl std::fmt::Debug for Systems {
 ///
 /// `obs` is threaded through the UniDrive data plane and installed on
 /// every simulated cloud (which also points the registry clock at
-/// `sim`'s virtual time), so the run can be exported with
-/// `--metrics-out` (see [`metrics_out`]); pass [`Obs::noop`] for an
-/// unobserved run.
+/// `sim`'s virtual time), so the run can be exported with `--obs-out`
+/// (see [`obs_out`]); pass [`Obs::noop`] for an unobserved run.
 pub fn systems_at(sim: &Arc<SimRuntime>, site: Site, theta: usize, obs: &Obs) -> Systems {
     let (clouds, handles) = build_multicloud(sim, site);
     for handle in &handles {
@@ -172,73 +171,50 @@ pub fn systems_at(sim: &Arc<SimRuntime>, site: Site, theta: usize, obs: &Obs) ->
     }
 }
 
-/// `--metrics-out <path>` / `--trace-out <path>` support shared by the
-/// experiment binaries: when either flag is present the binary records
-/// the run into a registry-backed [`Obs`] and on exit writes the
-/// canonicalized snapshot to the `--metrics-out` path (JSON, or CSV
-/// when the path ends in `.csv`) and/or the Chrome trace-event export
-/// (Perfetto-loadable) to the `--trace-out` path. Without either flag
-/// the returned handle is a no-op and the run pays only an `Option`
-/// branch per instrumentation site.
-pub mod metrics_out {
-    use std::sync::Arc;
+/// `--obs-out <path>` support shared by the experiment binaries: when
+/// the flag is present the binary records the run into a
+/// registry-backed [`Obs`] (windowed series on) and on exit writes the
+/// one run artefact — [`unidrive_obs::bundle_json`]: Perfetto-loadable
+/// `traceEvents`, the `snapshot` of counters/gauges/histograms, and the
+/// windowed `series` — to that path; `obs_report` digests and
+/// validates it. Without the flag the returned handle is a no-op and
+/// the run pays only an `Option` branch per instrumentation site.
+pub mod obs_out {
+    use unidrive_obs::{
+        bundle_json, HistogramSnapshot, Obs, Registry, Snapshot, DEFAULT_SERIES_WINDOW_NS,
+    };
 
-    use unidrive_obs::{HistogramSnapshot, Obs, Registry, DEFAULT_SERIES_WINDOW_NS};
+    /// Span-ring capacity used for exported runs: large enough that a
+    /// full figure run keeps every span and instant, so the export
+    /// reports `droppedSpans: 0`, every parent id resolves, and the
+    /// same-seed determinism check never depends on what was evicted.
+    pub const EXPORT_SPAN_CAPACITY: usize = 1 << 17;
 
-    /// Event-ring capacity used for exported runs: large enough that a
-    /// full figure run keeps every event, so the export (and therefore
-    /// the same-seed determinism check) never depends on eviction
-    /// order between racing actors.
-    pub const EXPORT_TRACE_CAPACITY: usize = 1 << 16;
-
-    /// Parsed `--metrics-out` / `--trace-out` / `--series-out` state;
-    /// obtain via [`from_args`].
-    pub struct MetricsOut {
+    /// Parsed `--obs-out` state; obtain via [`from_args`].
+    pub struct ObsOut {
         /// Handle to thread through [`crate::systems_at`] or
         /// `DataPlaneConfig.obs` / `SimCloud::install_obs` directly.
         pub obs: Obs,
-        registry: Option<Arc<Registry>>,
         path: Option<String>,
-        trace_path: Option<String>,
-        series_path: Option<String>,
     }
 
-    impl std::fmt::Debug for MetricsOut {
+    impl std::fmt::Debug for ObsOut {
         fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("MetricsOut")
-                .field("path", &self.path)
-                .field("trace_path", &self.trace_path)
-                .field("series_path", &self.series_path)
-                .finish()
+            f.debug_struct("ObsOut").field("path", &self.path).finish()
         }
     }
 
-    /// Reads `--metrics-out <path>`, `--trace-out <path>`, and
-    /// `--series-out <path>` from the process arguments. Any of the
-    /// three flags installs a real registry; `--series-out` also
-    /// enables windowed series collection on it (window =
-    /// [`DEFAULT_SERIES_WINDOW_NS`]).
-    pub fn from_args() -> MetricsOut {
-        let path = crate::arg_value("--metrics-out");
-        let trace_path = crate::arg_value("--trace-out");
-        let series_path = crate::arg_value("--series-out");
-        let (obs, registry) = if path.is_some() || trace_path.is_some() || series_path.is_some()
-        {
-            let registry = Registry::with_trace_capacity(EXPORT_TRACE_CAPACITY);
-            if series_path.is_some() {
-                registry.enable_series(DEFAULT_SERIES_WINDOW_NS);
-            }
-            (Obs::with_registry(Arc::clone(&registry)), Some(registry))
-        } else {
-            (Obs::noop(), None)
-        };
-        MetricsOut {
-            obs,
-            registry,
-            path,
-            trace_path,
-            series_path,
-        }
+    /// Reads `--obs-out <path>` from the process arguments. The flag
+    /// installs a real registry collecting windowed series at
+    /// [`DEFAULT_SERIES_WINDOW_NS`].
+    pub fn from_args() -> ObsOut {
+        let path = crate::arg_value("--obs-out");
+        let obs = path.as_ref().map_or_else(Obs::noop, |_| {
+            let registry = Registry::with_trace_capacity(EXPORT_SPAN_CAPACITY);
+            registry.enable_series(DEFAULT_SERIES_WINDOW_NS);
+            Obs::with_registry(registry)
+        });
+        ObsOut { obs, path }
     }
 
     /// `p50/p95/p99` of a latency histogram, rendered in milliseconds.
@@ -253,57 +229,42 @@ pub mod metrics_out {
         )
     }
 
-    impl MetricsOut {
-        /// Claims the `--series-out` path, disabling the
-        /// registry-backed series write in [`write`](MetricsOut::write).
-        /// For binaries whose series come from a deterministic source
-        /// of their own (the fleet bench merges per-shard banks) and
-        /// must write that document instead.
-        pub fn take_series_path(&mut self) -> Option<String> {
-            self.series_path.take()
+    /// Writes the run artefact — `snapshot`, canonicalized, plus the
+    /// `series` document — to `path` and announces it on stdout. An
+    /// I/O error is reported on stderr, not fatal: the figure output
+    /// already printed.
+    pub fn write_bundle(path: &str, mut snapshot: Snapshot, series: &str) {
+        snapshot.canonicalize();
+        match std::fs::write(path, bundle_json(Some(&snapshot), Some(series))) {
+            Ok(()) => println!("obs bundle written to {path}"),
+            Err(e) => eprintln!("failed to write --obs-out {path}: {e}"),
+        }
+    }
+
+    impl ObsOut {
+        /// Prints a `p50/p95/p99` summary of every latency histogram
+        /// and writes the registry — trace, snapshot and its windowed
+        /// series — to the `--obs-out` path.
+        pub fn write(&self) {
+            if let Some(registry) = self.obs.registry() {
+                self.write_with_series(&registry.series_snapshot().to_json());
+            }
         }
 
-        /// Writes the canonicalized snapshot to the `--metrics-out`
-        /// path, the Chrome trace to the `--trace-out` path, and the
-        /// windowed series to the `--series-out` path, then prints a
-        /// `p50/p95/p99` summary of every latency histogram. Each
-        /// file written is announced on stdout; I/O errors are
-        /// reported on stderr, not fatal: the figure output already
-        /// printed.
-        pub fn write(&self) {
-            if let (Some(series_path), Some(registry)) = (&self.series_path, &self.registry) {
-                let doc = registry.series_snapshot().to_json();
-                match std::fs::write(series_path, doc) {
-                    Ok(()) => println!("series written to {series_path}"),
-                    Err(e) => eprintln!("failed to write --series-out {series_path}: {e}"),
-                }
-            }
-            let Some(mut snap) = self.obs.snapshot() else {
+        /// [`write`](ObsOut::write) with `series` in place of the
+        /// registry's own series document, for binaries whose series
+        /// come from a deterministic source of their own (the fleet
+        /// bench merges per-shard banks).
+        pub fn write_with_series(&self, series: &str) {
+            let (Some(snap), Some(path)) = (self.obs.snapshot(), &self.path) else {
                 return;
             };
-            snap.canonicalize();
             for (name, h) in &snap.histograms {
                 if name.ends_with("_ns") && h.count > 0 {
                     println!("{name}: {}", fmt_quantiles_ms(h));
                 }
             }
-            if let Some(path) = &self.trace_path {
-                match std::fs::write(path, snap.to_chrome_trace()) {
-                    Ok(()) => println!("chrome trace written to {path}"),
-                    Err(e) => eprintln!("failed to write --trace-out {path}: {e}"),
-                }
-            }
-            if let Some(path) = &self.path {
-                let body = if path.ends_with(".csv") {
-                    snap.to_csv()
-                } else {
-                    snap.to_json()
-                };
-                match std::fs::write(path, body) {
-                    Ok(()) => println!("metrics snapshot written to {path}"),
-                    Err(e) => eprintln!("failed to write --metrics-out {path}: {e}"),
-                }
-            }
+            write_bundle(path, snap, series);
         }
     }
 }

@@ -2,15 +2,17 @@
 //!
 //! Call sites used to hand-nest decorators (`SimCloud` →
 //! `ChaosCloud` → `ObservedCloud` → ...), each picking its own order —
-//! and order matters: retries *outside* the fault injector see (and
-//! absorb) injected failures, observation *outside* everything times
-//! what the caller actually experienced, and rate shaping belongs
-//! *inside* chaos so throttle delays can themselves be disturbed.
+//! and order matters: observation *outside* the fault injector times
+//! what the caller actually experienced, injected failures included.
 //! [`CloudBuilder`] fixes the canonical order once:
 //!
 //! ```text
-//! base → QpsShaper → ChaosCloud → RetryCloud → ObservedCloud
+//! base → ChaosCloud → ObservedCloud
 //! ```
+//!
+//! Retrying is not a stage: every product path retries per call site
+//! through [`Retry`](crate::Retry), outside whatever stack it was
+//! handed.
 //!
 //! Every stage is optional; setters may be called in any order and the
 //! stack still composes canonically. [`build`](CloudBuilder::build)
@@ -22,12 +24,11 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use unidrive_cloud::{CloudBuilder, CloudStore, FaultPlan, MemCloud, RetryPolicy};
+//! use unidrive_cloud::{CloudBuilder, CloudStore, FaultPlan, MemCloud};
 //! use unidrive_sim::{RealRuntime, Runtime};
 //!
 //! let rt: Arc<dyn Runtime> = Arc::new(RealRuntime::new());
 //! let built = CloudBuilder::new(&rt, Arc::new(MemCloud::new("m")))
-//!     .retry(RetryPolicy::no_retries())
 //!     .chaos(&FaultPlan::new(7), "demo")
 //!     .build();
 //! assert_eq!(built.store.name(), "m");
@@ -40,8 +41,6 @@ use unidrive_obs::Obs;
 use unidrive_sim::Runtime;
 
 use crate::health::CloudHealth;
-use crate::qps::QpsShaper;
-use crate::retry::{RetryCloud, RetryPolicy};
 use crate::{ChaosCloud, CloudStore, FaultPlan, ObservedCloud};
 
 /// The composed stack plus handles to stages that stay interactive.
@@ -69,9 +68,7 @@ impl std::fmt::Debug for BuiltCloud {
 pub struct CloudBuilder {
     rt: Arc<dyn Runtime>,
     base: Arc<dyn CloudStore>,
-    qps: Option<(u64, u64)>,
     chaos: Option<(FaultPlan, String)>,
-    retry: Option<RetryPolicy>,
     observed: Option<Arc<CloudHealth>>,
     obs: Option<Obs>,
 }
@@ -80,9 +77,7 @@ impl std::fmt::Debug for CloudBuilder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CloudBuilder")
             .field("base", &self.base.name())
-            .field("qps", &self.qps.is_some())
             .field("chaos", &self.chaos.is_some())
-            .field("retry", &self.retry.is_some())
             .field("observed", &self.observed.is_some())
             .finish()
     }
@@ -95,19 +90,10 @@ impl CloudBuilder {
         CloudBuilder {
             rt: Arc::clone(rt),
             base,
-            qps: None,
             chaos: None,
-            retry: None,
             observed: None,
             obs: None,
         }
-    }
-
-    /// Adds request-rate shaping: `rate_per_sec` requests sustained,
-    /// `burst` of headroom (see [`QpsShaper`]).
-    pub fn qps(mut self, rate_per_sec: u64, burst: u64) -> CloudBuilder {
-        self.qps = Some((rate_per_sec, burst));
-        self
     }
 
     /// Adds seeded fault injection. `salt` keeps RNG streams disjoint
@@ -118,12 +104,6 @@ impl CloudBuilder {
         self
     }
 
-    /// Adds a store-level retry loop around everything below it.
-    pub fn retry(mut self, policy: RetryPolicy) -> CloudBuilder {
-        self.retry = Some(policy);
-        self
-    }
-
     /// Adds outermost latency/health observation feeding `health`.
     pub fn observed(mut self, health: Arc<CloudHealth>) -> CloudBuilder {
         self.observed = Some(health);
@@ -131,8 +111,8 @@ impl CloudBuilder {
     }
 
     /// Attaches observability to the stages that emit it: installed on
-    /// the chaos stage, used by retry counters and the observed
-    /// stage's series. Without it those stages run silent.
+    /// the chaos stage and used by the observed stage's series.
+    /// Without it those stages run silent.
     pub fn obs(mut self, obs: &Obs) -> CloudBuilder {
         self.obs = Some(obs.clone());
         self
@@ -143,9 +123,6 @@ impl CloudBuilder {
     pub fn build(self) -> BuiltCloud {
         let obs = self.obs.clone().unwrap_or_else(Obs::noop);
         let mut store = self.base;
-        if let Some((rate, burst)) = self.qps {
-            store = Arc::new(QpsShaper::new(store, Arc::clone(&self.rt), rate, burst));
-        }
         let mut chaos_handle = None;
         if let Some((plan, salt)) = &self.chaos {
             let chaos = Arc::new(ChaosCloud::with_label(
@@ -159,14 +136,6 @@ impl CloudBuilder {
             }
             chaos_handle = Some(Arc::clone(&chaos));
             store = chaos;
-        }
-        if let Some(policy) = self.retry {
-            store = Arc::new(RetryCloud::new(
-                store,
-                Arc::clone(&self.rt),
-                policy,
-                obs.clone(),
-            ));
         }
         if let Some(health) = self.observed {
             store = Arc::new(ObservedCloud::new(store, Arc::clone(&self.rt), health, obs));
@@ -204,46 +173,27 @@ mod tests {
 
     #[test]
     fn canonical_order_is_independent_of_setter_order() {
-        // Retry outside chaos: a retryable injected failure must be
-        // absorbed even though .retry() was configured before .chaos().
+        // Observed outside chaos: an injected failure must reach the
+        // health tracker even though .observed() was configured before
+        // .chaos() — an observer *inside* the injector would time the
+        // base store only and score the cloud clean.
         let rt = rt();
         let mut plan = FaultPlan::new(0x5eed);
         plan.push(FaultEvent::always(
             "m",
             FaultKind::TransientBurst { probability: 1.0 },
         ));
-        let built = CloudBuilder::new(&rt, Arc::new(MemCloud::new("m")))
-            .retry(RetryPolicy {
-                max_attempts: 50,
-                initial_backoff: std::time::Duration::from_millis(1),
-                max_backoff: std::time::Duration::from_millis(1),
-            })
-            .chaos(&plan, "t")
-            .build();
-        // With p = 1.0 the op ultimately fails, but if (and only if)
-        // the retry layer sits outside the injector, every one of the
-        // 50 attempts reaches it and is counted as an injected fault.
-        let chaos = built.chaos.as_ref().unwrap();
-        let err = built.store.upload("f", Bytes::from_static(b"x")).unwrap_err();
-        assert!(matches!(err, CloudError::Transient { .. }));
-        assert!(chaos.injected_faults() >= 50, "retry sat outside chaos");
-    }
-
-    #[test]
-    fn observed_stage_is_outermost_and_health_sees_failures() {
-        let rt = rt();
-        let mut plan = FaultPlan::new(9);
-        plan.push(FaultEvent::always(
-            "m",
-            FaultKind::TransientBurst { probability: 1.0 },
-        ));
         let health = CloudHealth::new("m", HealthConfig::default());
         let built = CloudBuilder::new(&rt, Arc::new(MemCloud::new("m")))
-            .chaos(&plan, "t")
             .observed(Arc::clone(&health))
+            .chaos(&plan, "t")
             .build();
-        let _ = built.store.upload("f", Bytes::from_static(b"x"));
-        let tracker = health.tracker();
-        assert_eq!(tracker.name(), "m");
+        let err = built.store.upload("f", Bytes::from_static(b"x")).unwrap_err();
+        assert!(matches!(err, CloudError::Transient { .. }));
+        assert_eq!(built.chaos.as_ref().unwrap().injected_faults(), 1);
+        assert!(
+            health.to_json().contains("\"ops\": 1, \"errors\": 1"),
+            "observer sat inside chaos"
+        );
     }
 }

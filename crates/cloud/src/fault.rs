@@ -7,8 +7,8 @@
 //! late — not just a flat per-request coin flip. A [`FaultPlan`] is a
 //! seeded, serializable schedule of such faults; [`ChaosCloud`] applies
 //! the plan to any [`CloudStore`] deterministically (same plan, same
-//! seed ⇒ same injected faults), emitting an
-//! [`Event::FaultInjected`] and `chaos.*` counters for every injection
+//! seed ⇒ same injected faults), emitting a
+//! `chaos.fault` instant and `chaos.*` counters for every injection
 //! so invariant checkers can reconcile observed damage against the
 //! schedule.
 //!
@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use unidrive_obs::{Event, Obs};
+use unidrive_obs::{FieldValue, Obs};
 use unidrive_sim::{Runtime, SimRng};
 use unidrive_util::bytes::Bytes;
 use unidrive_util::sync::Mutex;
@@ -65,8 +65,8 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// Stable taxonomy label, matching the `kind` field of
-    /// [`Event::FaultInjected`].
+    /// Stable taxonomy label, matching the `kind` attribute of
+    /// the `chaos.fault` instant.
     pub fn label(&self) -> &'static str {
         match self {
             FaultKind::TransientBurst { .. } => "transient",
@@ -252,8 +252,8 @@ fn escape_json(s: &str) -> String {
 /// latency spike → outage / availability switch → quota (uploads) →
 /// transient roll; torn uploads and delayed visibility act on the
 /// operation itself. Every injection increments
-/// `chaos.{cloud}.injected` and `chaos.{cloud}.{kind}` and traces an
-/// [`Event::FaultInjected`] when an [`Obs`] is installed.
+/// `chaos.{cloud}.injected` and `chaos.{cloud}.{kind}` and traces a
+/// `chaos.fault` instant when an [`Obs`] is installed.
 pub struct ChaosCloud {
     inner: Arc<dyn CloudStore>,
     rt: Arc<dyn Runtime>,
@@ -332,7 +332,7 @@ impl ChaosCloud {
     }
 
     /// Installs an observability handle for injection counters and
-    /// [`Event::FaultInjected`] traces.
+    /// `chaos.fault` instants.
     pub fn install_obs(&self, obs: Obs) {
         *self.obs.lock() = obs;
     }
@@ -360,10 +360,12 @@ impl ChaosCloud {
             let name = self.inner.name();
             obs.inc(&format!("chaos.{name}.injected"));
             obs.inc(&format!("chaos.{name}.{kind}"));
-            obs.event(|| Event::FaultInjected {
-                cloud: name.to_owned(),
-                op: op.as_str(),
-                kind,
+            obs.instant("chaos.fault", None, || {
+                vec![
+                    ("cloud", FieldValue::S(name.to_owned())),
+                    ("op", FieldValue::S(op.as_str().to_owned())),
+                    ("kind", FieldValue::S(kind.to_owned())),
+                ]
             });
         }
     }
@@ -757,7 +759,7 @@ mod tests {
         let snap = obs.snapshot().unwrap();
         assert_eq!(snap.counter("chaos.c0.injected"), 1);
         assert_eq!(snap.counter("chaos.c0.outage"), 1);
-        assert_eq!(snap.event_count("FaultInjected"), 1);
+        assert_eq!(snap.span_count("chaos.fault"), 1);
     }
 
     #[test]

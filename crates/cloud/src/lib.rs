@@ -20,14 +20,12 @@
 //!   measurement decorator (per-op timing, op/error/byte series over
 //!   any store) and per-cloud health scoreboard (EWMA latency,
 //!   windowed error rate, availability state machine).
-//! * [`Retry`] / [`RetryPolicy`] / [`RetryCloud`] — bounded-backoff
-//!   retries for transient Web API failures, per call site or as a
-//!   store decorator.
-//! * [`TokenBucket`] / [`QpsSeries`] / [`QpsShaper`] — deterministic
-//!   per-cloud request-rate shaping and accounting, shared by the
-//!   fleet simulator and the store interface.
-//! * [`CloudBuilder`] — composes the decorators above in one canonical
-//!   order (base → qps → chaos → retry → observed).
+//! * [`Retry`] / [`RetryPolicy`] — bounded-backoff retries for
+//!   transient Web API failures, applied per call site.
+//! * [`TokenBucket`] / [`QpsSeries`] — deterministic per-cloud
+//!   request-rate shaping and accounting for the fleet simulator.
+//! * [`CloudBuilder`] — composes the fault-injection and measurement
+//!   decorators in one canonical order (base → chaos → observed).
 //! * [`S3Cloud`] / [`MockS3`] — a real HTTP backend speaking the
 //!   S3-compatible REST dialect over the std-only pooled
 //!   [`http::HttpClient`], plus the in-process server the integration
@@ -66,8 +64,8 @@ pub use local::LocalDirCloud;
 pub use mem::MemCloud;
 pub use mock_s3::MockS3;
 pub use observed::ObservedCloud;
-pub use qps::{QpsSeries, QpsShaper, TokenBucket};
-pub use retry::{Retry, RetryCloud, RetryPolicy};
+pub use qps::{QpsSeries, TokenBucket};
+pub use retry::{Retry, RetryPolicy};
 pub use s3::{S3Cloud, S3Endpoint};
 pub use sim_cloud::{FailureProfile, SimCloud, SimCloudConfig, TrafficCounters, TrafficSnapshot};
 pub use store::{

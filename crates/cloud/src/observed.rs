@@ -6,7 +6,7 @@
 //!   availability state machine — see [`health`](crate::health)), and
 //! * the obs windowed series (`cloud.op_ns`, `cloud.ops`, `cloud.err`,
 //!   `cloud.bytes_up`, `cloud.bytes_down`, labeled by cloud name) so
-//!   `--series-out` exports show per-cloud behavior over time.
+//!   `--obs-out` exports show per-cloud behavior over time.
 //!
 //! Stack it *outermost* (e.g. `SimCloud → ChaosCloud → ObservedCloud`)
 //! so injected faults and simulated latency are part of what it

@@ -16,18 +16,15 @@
 //! accumulation, no wall clock, so same-seed fleet runs reproduce the
 //! same delays bit-for-bit in any shard or thread configuration.
 //!
-//! [`QpsShaper`] lifts the same bucket into the [`CloudStore`]
-//! interface as a decorator, so a real HTTP backend and a `SimCloud`
-//! are shaped by identical semantics.
+//! [`ThrottledCloud`](crate::ThrottledCloud) lifts the same bucket into
+//! the [`CloudStore`](crate::CloudStore) interface with bytes as the
+//! token unit.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use unidrive_sim::Runtime;
-use unidrive_util::bytes::Bytes;
 use unidrive_util::sync::Mutex;
-
-use crate::{CloudError, CloudOp, CloudStore, ObjectInfo};
 
 const NS_PER_SEC: u64 = 1_000_000_000;
 
@@ -174,109 +171,6 @@ impl QpsSeries {
     /// Number of seconds spanned.
     pub fn span_secs(&self) -> usize {
         self.buckets.len()
-    }
-}
-
-/// A [`CloudStore`] decorator charging every operation against a
-/// shared per-cloud [`TokenBucket`] — the same request-rate model the
-/// fleet simulator charges, lifted into the store interface so sim
-/// *and* HTTP backends share one throttling semantic.
-///
-/// Each of the five ops (and `append`, as one op) costs one token;
-/// when the bucket is in deficit the caller sleeps the shaper's delay
-/// on the wrapped [`Runtime`] before the request is issued — under
-/// virtual time this is deterministic backpressure, under wall clock
-/// it is real client-side pacing, exactly what a provider's
-/// 429/Retry-After loop converges to. Contrast with
-/// [`ThrottledCloud`](crate::ThrottledCloud), which meters *bytes*
-/// through the same bucket.
-pub struct QpsShaper {
-    inner: Arc<dyn CloudStore>,
-    rt: Arc<dyn Runtime>,
-    bucket: Mutex<TokenBucket>,
-}
-
-impl std::fmt::Debug for QpsShaper {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QpsShaper")
-            .field("inner", &self.inner.name())
-            .field("rate_per_sec", &self.bucket.lock().rate_per_sec())
-            .finish()
-    }
-}
-
-impl QpsShaper {
-    /// Wraps `inner`, limiting it to `rate_per_sec` requests per
-    /// second with `burst` requests of headroom.
-    pub fn new(
-        inner: Arc<dyn CloudStore>,
-        rt: Arc<dyn Runtime>,
-        rate_per_sec: u64,
-        burst: u64,
-    ) -> QpsShaper {
-        QpsShaper {
-            inner,
-            rt,
-            bucket: Mutex::new(TokenBucket::new(rate_per_sec, burst)),
-        }
-    }
-
-    /// Charges one op and sleeps out any shaper delay.
-    fn charge(&self) {
-        charge(&self.rt, &self.bucket, 1);
-    }
-}
-
-impl CloudStore for QpsShaper {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn upload(&self, path: &str, data: Bytes) -> Result<(), CloudError> {
-        self.charge();
-        self.inner
-            .upload(path, data)
-            .map_err(|e| e.with_op_context(CloudOp::Upload, path))
-    }
-
-    fn download(&self, path: &str) -> Result<Bytes, CloudError> {
-        self.charge();
-        self.inner
-            .download(path)
-            .map_err(|e| e.with_op_context(CloudOp::Download, path))
-    }
-
-    fn create_dir(&self, path: &str) -> Result<(), CloudError> {
-        self.charge();
-        self.inner
-            .create_dir(path)
-            .map_err(|e| e.with_op_context(CloudOp::CreateDir, path))
-    }
-
-    fn list(&self, path: &str) -> Result<Vec<ObjectInfo>, CloudError> {
-        self.charge();
-        self.inner
-            .list(path)
-            .map_err(|e| e.with_op_context(CloudOp::List, path))
-    }
-
-    fn delete(&self, path: &str) -> Result<(), CloudError> {
-        self.charge();
-        self.inner
-            .delete(path)
-            .map_err(|e| e.with_op_context(CloudOp::Delete, path))
-    }
-
-    fn append(&self, path: &str, data: Bytes) -> Result<(), CloudError> {
-        // One metered request, delegated so a native inner append stays
-        // native (providers meter append as a single call too).
-        self.charge();
-        self.inner.append(path, data)
-    }
-
-    fn caps(&self) -> crate::CloudCaps {
-        // Append is delegated verbatim, so capabilities pass through.
-        self.inner.caps()
     }
 }
 

@@ -13,10 +13,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use unidrive_obs::{Event, Obs, SpanId};
+use unidrive_obs::{Obs, SpanId};
 use unidrive_sim::Runtime;
 
-use crate::{CloudError, CloudStore};
+use crate::CloudError;
 
 /// Bounded exponential backoff policy.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,15 +76,15 @@ impl Default for RetryPolicy {
 /// sleeping on a [`Runtime`] between attempts, with optional
 /// observability and span causality.
 ///
-/// * [`obs`](Retry::obs) — each re-attempt increments `retry.attempts`,
-///   records the backoff into the `retry.backoff_ns` histogram, and
-///   traces an [`Event::RetryAttempt`] labeled with the operation label;
+/// * [`obs`](Retry::obs) — each re-attempt increments `retry.attempts`
+///   and records the backoff into the `retry.backoff_ns` histogram;
 ///   `retry.recovered` / `retry.exhausted` count how retried operations
-///   ended.
-/// * [`span`](Retry::span) — every wire attempt becomes a `wire.attempt`
-///   span parented to the given span (e.g. the engine's per-block span),
-///   rendered on the given display lane, carrying the operation label,
-///   the 1-based attempt number, and the outcome.
+///   ended. Every wire attempt becomes a `wire.attempt` span carrying
+///   the operation label, the 1-based attempt number, the backoff slept
+///   before it (re-attempts only), and the outcome.
+/// * [`span`](Retry::span) — parents those `wire.attempt` spans to the
+///   given span (e.g. the engine's per-block span) on the given display
+///   lane.
 ///
 /// Without `obs`, the loop is silent (a no-op [`Obs`] is used).
 ///
@@ -142,7 +142,7 @@ impl<'a> Retry<'a> {
     }
 
     /// Attaches observability: retry counters, backoff histogram, and
-    /// [`Event::RetryAttempt`] events labeled `label`.
+    /// `wire.attempt` spans labeled `label`.
     pub fn obs(mut self, obs: &'a Obs, label: &'a str) -> Retry<'a> {
         self.obs = Some(obs);
         self.label = label;
@@ -168,12 +168,16 @@ impl<'a> Retry<'a> {
         let noop = Obs::noop();
         let obs = self.obs.unwrap_or(&noop);
         let mut attempt = 1;
+        let mut backoff = Duration::ZERO;
         loop {
             let result = {
                 let mut span = obs.span("wire.attempt", self.parent);
                 span.set_track(self.track);
                 span.attr_str("op", self.label);
                 span.attr_u64("attempt", attempt as u64);
+                if attempt > 1 {
+                    span.attr_u64("backoff_ns", backoff.as_nanos() as u64);
+                }
                 let result = op();
                 span.attr_bool("ok", result.is_ok());
                 result
@@ -187,14 +191,9 @@ impl<'a> Retry<'a> {
                 }
                 Err(e) if e.is_retryable() && attempt < self.policy.max_attempts => {
                     attempt += 1;
-                    let backoff = self.policy.backoff_before(attempt);
+                    backoff = self.policy.backoff_before(attempt);
                     obs.inc("retry.attempts");
                     obs.observe("retry.backoff_ns", backoff.as_nanos() as u64);
-                    obs.event(|| Event::RetryAttempt {
-                        op: self.label.to_owned(),
-                        attempt,
-                        backoff_ns: backoff.as_nanos() as u64,
-                    });
                     if backoff > Duration::ZERO {
                         self.rt.sleep(backoff);
                     }
@@ -207,118 +206,6 @@ impl<'a> Retry<'a> {
                 }
             }
         }
-    }
-}
-
-/// A [`CloudStore`] decorator running every operation through
-/// [`Retry`] — the store-level home of the retry loop for callers that
-/// compose a whole stack up front (see
-/// [`CloudBuilder`](crate::CloudBuilder)) instead of wrapping each
-/// call site.
-///
-/// Each op retries per the policy with the op name as the retry label,
-/// so `retry.attempts`/`retry.recovered`/`retry.exhausted` counters
-/// and [`Event::RetryAttempt`] events attribute correctly. `append` is
-/// delegated to the inner store inside one retry loop (a retried
-/// composed append re-reads, so a torn first attempt cannot embed a
-/// stale tail).
-pub struct RetryCloud {
-    inner: Arc<dyn CloudStore>,
-    rt: Arc<dyn Runtime>,
-    policy: RetryPolicy,
-    obs: Obs,
-}
-
-impl std::fmt::Debug for RetryCloud {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RetryCloud")
-            .field("inner", &self.inner.name())
-            .field("policy", &self.policy)
-            .finish()
-    }
-}
-
-impl RetryCloud {
-    /// Wraps `inner`, retrying per `policy`. Pass [`Obs::noop`] for a
-    /// silent loop.
-    pub fn new(
-        inner: Arc<dyn CloudStore>,
-        rt: Arc<dyn Runtime>,
-        policy: RetryPolicy,
-        obs: Obs,
-    ) -> RetryCloud {
-        RetryCloud {
-            inner,
-            rt,
-            policy,
-            obs,
-        }
-    }
-
-    fn retry<T>(
-        &self,
-        label: &str,
-        op: impl FnMut() -> Result<T, CloudError>,
-    ) -> Result<T, CloudError> {
-        Retry::new(&self.rt, &self.policy)
-            .obs(&self.obs, label)
-            .run(op)
-    }
-}
-
-impl crate::CloudStore for RetryCloud {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn upload(&self, path: &str, data: unidrive_util::bytes::Bytes) -> Result<(), CloudError> {
-        self.retry("upload", || {
-            self.inner
-                .upload(path, data.clone())
-                .map_err(|e| e.with_op_context(crate::CloudOp::Upload, path))
-        })
-    }
-
-    fn download(&self, path: &str) -> Result<unidrive_util::bytes::Bytes, CloudError> {
-        self.retry("download", || {
-            self.inner
-                .download(path)
-                .map_err(|e| e.with_op_context(crate::CloudOp::Download, path))
-        })
-    }
-
-    fn create_dir(&self, path: &str) -> Result<(), CloudError> {
-        self.retry("create_dir", || {
-            self.inner
-                .create_dir(path)
-                .map_err(|e| e.with_op_context(crate::CloudOp::CreateDir, path))
-        })
-    }
-
-    fn list(&self, path: &str) -> Result<Vec<crate::ObjectInfo>, CloudError> {
-        self.retry("list", || {
-            self.inner
-                .list(path)
-                .map_err(|e| e.with_op_context(crate::CloudOp::List, path))
-        })
-    }
-
-    fn delete(&self, path: &str) -> Result<(), CloudError> {
-        self.retry("delete", || {
-            self.inner
-                .delete(path)
-                .map_err(|e| e.with_op_context(crate::CloudOp::Delete, path))
-        })
-    }
-
-    fn append(&self, path: &str, data: unidrive_util::bytes::Bytes) -> Result<(), CloudError> {
-        self.retry("append", || self.inner.append(path, data.clone()))
-    }
-
-    fn caps(&self) -> crate::CloudCaps {
-        // Retrying is semantically transparent and `append` delegates,
-        // so capabilities pass straight through.
-        self.inner.caps()
     }
 }
 
@@ -389,7 +276,10 @@ mod tests {
         assert_eq!(snap.counter("retry.attempts"), 4); // 2 + 2 re-attempts
         assert_eq!(snap.counter("retry.recovered"), 1);
         assert_eq!(snap.counter("retry.exhausted"), 1);
-        assert_eq!(snap.event_count("RetryAttempt"), 4);
+        // One span per wire attempt; each re-attempt says what it slept.
+        assert_eq!(snap.span_count("wire.attempt"), 6);
+        let slept = |s: &&unidrive_obs::SpanRecord| s.attr("backoff_ns").is_some();
+        assert_eq!(snap.spans.iter().filter(slept).count(), 4);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use unidrive_obs::{Event, Obs};
+use unidrive_obs::{FieldValue, Obs};
 use unidrive_util::bytes::Bytes;
 use unidrive_util::sync::Mutex;
 use unidrive_sim::{LinkId, LinkProfile, Runtime, SimRng, SimRuntime, Time, TransferError};
@@ -227,7 +227,7 @@ impl SimCloud {
     /// Installs an observability handle. Requests are then counted per
     /// cloud (`cloud.{name}.requests_ok`/`requests_failed`/`bytes`, a
     /// `request_bytes` size histogram) and failures traced as
-    /// [`Event::CloudOpFailed`]. The handle is also installed on the
+    /// `cloud.op_failed` instants. The handle is also installed on the
     /// engine (see [`SimRuntime::install_obs`]), which points the
     /// registry clock at virtual time so stamps are deterministic.
     pub fn install_obs(&self, obs: Obs) {
@@ -243,11 +243,13 @@ impl SimCloud {
         self.counters.failed_requests.fetch_add(1, Ordering::Relaxed);
         let obs = self.obs();
         obs.inc(&format!("cloud.{}.requests_failed", self.name));
-        obs.event(|| Event::CloudOpFailed {
-            cloud: self.name.clone(),
-            op,
-            bytes,
-            transient,
+        obs.instant("cloud.op_failed", None, || {
+            vec![
+                ("cloud", FieldValue::S(self.name.clone())),
+                ("op", FieldValue::S(op.to_owned())),
+                ("bytes", FieldValue::U(bytes)),
+                ("transient", FieldValue::B(transient)),
+            ]
         });
     }
 

@@ -20,7 +20,7 @@ use unidrive_cloud::CloudSet;
 use unidrive_meta::{
     merge3, MetaMode, MetaPlane, PlaneError, SegmentId, Snapshot, SyncFolderImage, VersionStamp,
 };
-use unidrive_obs::{Event, SpanId};
+use unidrive_obs::SpanId;
 use unidrive_sim::{Runtime, SimRng};
 
 use crate::dataplane::{DataPlane, UploadRequest};
@@ -301,9 +301,10 @@ impl UniDriveClient {
             // restored content as a local change and commits it.
             self.shadow.remove(path);
         }
-        let garbage = self.original.resolve_conflict(path);
-        self.original.collect_garbage();
-        let _ = garbage; // remote copies die with the next commit's GC
+        // The copy's now-unreferenced pool entries stay in `v_o` with
+        // their block locations: the next commit's GC collects them and
+        // deletes the blocks from the clouds.
+        self.original.resolve_conflict(path);
         Ok(true)
     }
 
@@ -337,11 +338,6 @@ impl UniDriveClient {
         obs.observe("client.sync_round_ns", elapsed_ns);
         obs.series_add("client.sync_rounds", outcome, 1);
         obs.series_observe("client.sync_round_ns", self.config.device.as_str(), elapsed_ns);
-        obs.event(|| Event::SyncRoundCompleted {
-            device: self.config.device.clone(),
-            outcome,
-            elapsed_ns,
-        });
         result
     }
 
@@ -466,9 +462,6 @@ impl UniDriveClient {
             for (id, len) in &segmentation.segments {
                 local.ensure_segment(*id, *len);
             }
-            for (id, block) in &upload.blocks {
-                local.record_block(*id, *block);
-            }
             let stat = stats[&segmentation.path];
             local.upsert_file(
                 &segmentation.path,
@@ -480,6 +473,11 @@ impl UniDriveClient {
             );
             report.uploaded.push(segmentation.path.clone());
             committed_stats.insert(segmentation.path.clone(), Some(stat));
+        }
+        if !report.uploaded.is_empty() {
+            for (id, block) in &upload.blocks {
+                local.record_block(*id, *block);
+            }
         }
         for (change, _) in &changes {
             if let LocalChange::Deleted { path } = change {

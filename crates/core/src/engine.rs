@@ -11,7 +11,7 @@
 //! The engine owns everything the five former hand-rolled loops
 //! duplicated: the worker pool (one actor per cloud connection),
 //! a traced [`Retry`] around every wire call, `unidrive-obs`
-//! counters, spans, and `BlockDispatched`/`BlockCompleted` events, feeding the
+//! counters and `engine.*` spans, feeding the
 //! [`BandwidthProbe`], and idle parking. Workers park on a
 //! [`Notifier`] (an eventcount) instead of polling: each completion or
 //! failure broadcasts, so an idle connection re-polls its policy only
@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use unidrive_cloud::{CloudError, CloudId, CloudSet, Retry, RetryPolicy};
-use unidrive_obs::{Event, Obs, SpanId};
+use unidrive_obs::{bundle_json, Obs, SpanId};
 use unidrive_sim::{spawn, Notifier, Runtime, Task, Time};
 use unidrive_util::bytes::Bytes;
 use unidrive_util::sync::Mutex;
@@ -63,9 +63,9 @@ impl std::fmt::Debug for WireOp {
 pub struct JobDesc<T> {
     /// Opaque policy state returned via `on_success`/`on_failure`.
     pub token: T,
-    /// Block index (for the dispatch/completion events).
+    /// Block index (an `engine.block` span attribute).
     pub index: u16,
-    /// Whether this is an over-provisioned extra (event + counter tag).
+    /// Whether this is an over-provisioned extra (span + counter tag).
     pub extra: bool,
     /// Causal parent for this job's `engine.block` span — how span
     /// context crosses the policy-lock boundary: whichever worker ends
@@ -116,9 +116,9 @@ pub struct EngineParams {
     pub connections_per_cloud: usize,
     /// Retry policy wrapped around every wire call.
     pub retry: RetryPolicy,
-    /// Observability handle (counters, events, retry trace).
+    /// Observability handle (counters, spans, retry trace).
     pub obs: Obs,
-    /// Counter/event namespace: counters are `{label}.blocks_dispatched`
+    /// Counter namespace: counters are `{label}.blocks_dispatched`
     /// etc., retry traces `{label}:{cloud}`.
     pub label: String,
     /// Feed completed transfers into this probe as in-channel bandwidth
@@ -155,7 +155,7 @@ impl EngineParams {
 /// under sim, wall time otherwise). If the policy is not done when it
 /// expires — the signature of the PR 2 bounce-loop class of hang,
 /// where every worker parks forever on the notifier — the watchdog
-/// dumps a flight record (last spans/events plus per-worker state) to
+/// dumps a flight record (last spans plus per-worker state) to
 /// `dump_path`, aborts the workers, and lets `join` return instead of
 /// hanging silently. A hard block failure (retries exhausted) also
 /// triggers the dump, so the record captures the state that led up to
@@ -180,8 +180,8 @@ struct WorkerState {
     since_ns: u64,
 }
 
-/// How many trailing spans/events a flight dump keeps.
-const FLIGHT_RECORD_TAIL: usize = 256;
+/// How many trailing spans (instants included) a flight dump keeps.
+const FLIGHT_RECORD_TAIL: usize = 512;
 
 /// Shared stall/failure recorder: worker states, the abort flag the
 /// watchdog trips, and the once-only dump.
@@ -264,11 +264,9 @@ impl FlightRecorder {
         match self.obs.snapshot() {
             Some(mut snap) => {
                 snap.canonicalize();
-                let keep_ev = snap.events.len().saturating_sub(FLIGHT_RECORD_TAIL);
-                snap.events.drain(..keep_ev);
                 let keep_sp = snap.spans.len().saturating_sub(FLIGHT_RECORD_TAIL);
                 snap.spans.drain(..keep_sp);
-                out.push_str(&snap.to_json());
+                out.push_str(&bundle_json(Some(&snap), None));
             }
             None => out.push_str("null\n"),
         }
@@ -546,7 +544,7 @@ fn worker_loop<P: TransferPolicy>(
             continue;
         };
         jobs_run += 1;
-        // Events stamp through the obs registry clock (which reads the
+        // Spans stamp through the obs registry clock (which reads the
         // sim engine state), so everything below runs lock-free with
         // respect to the policy.
         let mut bspan = obs.span("engine.block", parent_span.or(params.batch_span));
@@ -563,12 +561,6 @@ fn worker_loop<P: TransferPolicy>(
                 if extra {
                     obs.inc(&names.extra_dispatched);
                 }
-                obs.event(|| Event::BlockDispatched {
-                    cloud: cloud_id.0,
-                    index,
-                    bytes: bytes_len,
-                    extra,
-                });
                 t0 = rt.now();
                 if let Some(rec) = &ctx.recorder {
                     rec.set_state(ctx.slot, "transferring", &path, t0.as_nanos());
@@ -581,12 +573,6 @@ fn worker_loop<P: TransferPolicy>(
             }
             WireOp::Download { path } => {
                 obs.inc(&names.dispatched);
-                obs.event(|| Event::BlockDispatched {
-                    cloud: cloud_id.0,
-                    index,
-                    bytes: 0, // size unknown until the block arrives
-                    extra: false,
-                });
                 t0 = rt.now();
                 if let Some(rec) = &ctx.recorder {
                     rec.set_state(ctx.slot, "transferring", &path, t0.as_nanos());
@@ -619,12 +605,6 @@ fn worker_loop<P: TransferPolicy>(
                 obs.observe(&names.block_elapsed, elapsed.as_nanos() as u64);
                 obs.series_observe("engine.block_ns", cloud.name(), elapsed.as_nanos() as u64);
                 obs.series_add("engine.block_bytes", cloud.name(), bytes_len);
-                obs.event(|| Event::BlockCompleted {
-                    cloud: cloud_id.0,
-                    index,
-                    bytes: bytes_len,
-                    elapsed_ns: elapsed.as_nanos() as u64,
-                });
             }
             Err(_) => {
                 obs.inc(&names.failures);

@@ -23,7 +23,7 @@ use unidrive_util::bytes::Bytes;
 use unidrive_util::sync::Mutex;
 use unidrive_cloud::CloudSet;
 use unidrive_meta::{lock_file_name, parse_lock_name, PlaneError, LOCK_DIR};
-use unidrive_obs::{Event, Obs, SpanId};
+use unidrive_obs::{FieldValue, Obs, SpanId};
 use unidrive_sim::{Runtime, SimRng, Time};
 
 use crate::quorum;
@@ -151,11 +151,6 @@ impl QuorumLock {
                     self.obs.inc("lock.acquired");
                     self.obs.observe("lock.acquire_wait_ns", wait_ns);
                     self.obs.series_observe("lock.wait_ns", &self.device, wait_ns);
-                    self.obs.event(|| Event::LockAcquired {
-                        device: self.device.clone(),
-                        rounds: attempt + 1,
-                        wait_ns,
-                    });
                     span.attr_u64("rounds", (attempt + 1) as u64);
                     span.attr_bool("ok", true);
                     span.end();
@@ -168,10 +163,12 @@ impl QuorumLock {
                 RoundOutcome::Lost { held } => {
                     self.obs.inc("lock.contended_rounds");
                     self.obs.series_add("lock.contended", &self.device, 1);
-                    self.obs.event(|| Event::LockContended {
-                        device: self.device.clone(),
-                        held,
-                        quorum,
+                    self.obs.instant("lock.contended", span_id, || {
+                        vec![
+                            ("device", FieldValue::S(self.device.clone())),
+                            ("held", FieldValue::U(held as u64)),
+                            ("quorum", FieldValue::U(quorum as u64)),
+                        ]
                     });
                     self.withdraw(&lock_name);
                     let cap = self
@@ -256,10 +253,6 @@ impl QuorumLock {
                     let _ = cloud.delete(&format!("{LOCK_DIR}/{}", entry.name));
                     bspan.end();
                     self.obs.inc("lock.broken");
-                    self.obs.event(|| Event::LockBroken {
-                        device: self.device.clone(),
-                        victim: device.to_owned(),
-                    });
                 } else {
                     foreign_live = true;
                 }
@@ -350,9 +343,6 @@ impl Drop for LockGuard<'_> {
         span.attr_str("device", self.lock.device.as_str());
         self.lock.withdraw(&self.lock_name);
         self.lock.obs.inc("lock.released");
-        self.lock.obs.event(|| Event::LockReleased {
-            device: self.lock.device.clone(),
-        });
     }
 }
 

@@ -103,10 +103,9 @@ pub fn normal_assignment(redundancy: &RedundancyConfig) -> Vec<Vec<u16>> {
 ///
 /// The stores are returned bare: the sync engine already applies
 /// [`DataPlaneConfig::retry`] around every Web API call, exactly as it
-/// does for simulated or in-memory members, so wrapping retries here
-/// would double them. Compose
+/// does for simulated or in-memory members. Compose
 /// [`CloudBuilder`](unidrive_cloud::CloudBuilder) stages around the
-/// members first if a deployment wants shaping or observation.
+/// members first if a deployment wants fault injection or observation.
 pub fn s3_cloud_set(
     rt: &std::sync::Arc<dyn unidrive_sim::Runtime>,
     endpoints: &[unidrive_cloud::S3Endpoint],

@@ -2,10 +2,11 @@
 //!
 //! Observability substrate for the UniDrive reproduction: a cheap,
 //! thread-safe **metrics registry** (counters, gauges, log-bucketed
-//! histograms), a ring-buffered **structured event trace**, and
-//! **scoped timers** — all timestamped through an installable clock so
-//! that under the simulation's virtual time the full export is
-//! *deterministic*: the same seed produces a byte-identical snapshot.
+//! histograms), one ring-buffered **span trace** (parent-linked
+//! intervals plus zero-duration instants), and windowed **series** —
+//! all timestamped through an installable clock so that under the
+//! simulation's virtual time the full export is *deterministic*: the
+//! same seed produces a byte-identical artefact ([`bundle_json`]).
 //!
 //! ## Design
 //!
@@ -24,7 +25,7 @@
 //! obs.observe("upload_block_bytes", 4 << 20);
 //! let snap = obs.snapshot().unwrap();
 //! assert_eq!(snap.counter("blocks_uploaded"), 1);
-//! assert!(snap.to_json().contains("blocks_uploaded"));
+//! assert!(unidrive_obs::bundle_json(Some(&snap), None).contains("blocks_uploaded"));
 //! ```
 //!
 //! Timestamps come from the registry clock, which components install
@@ -38,16 +39,14 @@ mod export;
 mod metrics;
 mod series;
 mod span;
-mod trace;
 
-pub use export::{histogram_json, Snapshot};
+pub use export::{bundle_json, histogram_json, Snapshot, BUNDLE_SCHEMA};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use series::{
     SeriesBank, SeriesCell, SeriesEntry, SeriesHandle, SeriesKind, SeriesSnapshot, TimeSeries,
     WindowStat, DEFAULT_SERIES_WINDOW_NS,
 };
-pub use span::{SpanId, SpanRecord, DEFAULT_SPAN_CAPACITY};
-pub use trace::{Event, FieldValue, TracedEvent, DEFAULT_TRACE_CAPACITY};
+pub use span::{FieldValue, SpanId, SpanRecord, DEFAULT_SPAN_CAPACITY};
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,7 +55,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// The shared clock: nanoseconds since some epoch (virtual or real).
 pub type ClockFn = Arc<dyn Fn() -> u64 + Send + Sync>;
 
-/// Central store for metrics and the event trace. Shared via
+/// Central store for metrics and the span trace. Shared via
 /// [`Obs::with_registry`]; all methods take `&self` and are
 /// thread-safe.
 pub struct Registry {
@@ -64,8 +63,6 @@ pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-    trace: trace::TraceRing,
-    dropped_events: AtomicU64,
     spans: span::SpanRing,
     next_span: AtomicU64,
     dropped_spans: AtomicU64,
@@ -77,20 +74,17 @@ pub struct Registry {
 impl Registry {
     /// A registry with the default trace capacity and a zero clock.
     pub fn new() -> Arc<Registry> {
-        Registry::with_trace_capacity(DEFAULT_TRACE_CAPACITY)
+        Registry::with_trace_capacity(DEFAULT_SPAN_CAPACITY)
     }
 
-    /// A registry whose event ring and span ring each keep at most
-    /// `capacity` entries (oldest dropped first; drops are counted
-    /// deterministically).
+    /// A registry whose span ring keeps at most `capacity` entries
+    /// (oldest dropped first; drops are counted deterministically).
     pub fn with_trace_capacity(capacity: usize) -> Arc<Registry> {
         Arc::new(Registry {
             clock: Mutex::new(Arc::new(|| 0)),
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
-            trace: trace::TraceRing::new(capacity),
-            dropped_events: AtomicU64::new(0),
             spans: span::SpanRing::new(capacity),
             next_span: AtomicU64::new(1),
             dropped_spans: AtomicU64::new(0),
@@ -99,7 +93,7 @@ impl Registry {
         })
     }
 
-    /// Installs the time source used to stamp events and timers.
+    /// Installs the time source used to stamp spans and series.
     /// Under simulation pass the virtual clock
     /// (`move || rt.now().as_nanos()`) so traces are reproducible.
     pub fn set_clock(&self, clock: impl Fn() -> u64 + Send + Sync + 'static) {
@@ -125,14 +119,6 @@ impl Registry {
     /// The histogram named `name`, created on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         get_or_insert(&self.histograms, name)
-    }
-
-    /// Appends `event` to the trace, stamped with the installed clock.
-    pub fn record(&self, event: Event) {
-        let t_ns = self.now_ns();
-        if self.trace.push(TracedEvent { t_ns, event }) {
-            self.dropped_events.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Allocates a fresh span id (monotonic, never 0).
@@ -232,8 +218,6 @@ impl Registry {
                 .iter()
                 .map(|(k, v)| (k.clone(), v.snapshot()))
                 .collect(),
-            events: self.trace.drain_copy(),
-            dropped_events: self.dropped_events.load(Ordering::Relaxed),
             spans: self.spans.drain_copy(),
             dropped_spans: self.dropped_spans.load(Ordering::Relaxed),
         }
@@ -317,26 +301,28 @@ impl Obs {
         }
     }
 
-    /// Appends `event` to the trace. The closure only runs when a
-    /// registry is installed, so building the event is free when
-    /// disabled.
+    /// Records a point occurrence as a zero-duration span named
+    /// `name` under `parent`: one clock stamp serves as start and end.
+    /// The closure only runs when a registry is installed, so building
+    /// the attributes is free when disabled.
     #[inline]
-    pub fn event(&self, make: impl FnOnce() -> Event) {
+    pub fn instant(
+        &self,
+        name: &'static str,
+        parent: Option<SpanId>,
+        attrs: impl FnOnce() -> Vec<(&'static str, FieldValue)>,
+    ) {
         if let Some(r) = &self.registry {
-            r.record(make());
-        }
-    }
-
-    /// Starts a scoped timer; on drop the elapsed clock time is
-    /// recorded into histogram `name` (nanoseconds). No-op (and
-    /// allocation-free) when disabled.
-    #[inline]
-    pub fn timer(&self, name: &str) -> TimerGuard {
-        match &self.registry {
-            Some(r) => TimerGuard {
-                inner: Some((Arc::clone(r), r.histogram(name), r.now_ns())),
-            },
-            None => TimerGuard { inner: None },
+            let t_ns = r.now_ns();
+            r.record_span(SpanRecord {
+                id: r.alloc_span_id().0,
+                parent: parent.map_or(0, |p| p.0),
+                name,
+                track: 0,
+                start_ns: t_ns,
+                end_ns: t_ns,
+                attrs: attrs(),
+            });
         }
     }
 
@@ -394,14 +380,6 @@ impl Obs {
         }
     }
 
-    /// Pre-resolved counter for hot paths: one atomic add per call,
-    /// no map lookup. No-op when disabled.
-    pub fn counter_handle(&self, name: &str) -> CounterHandle {
-        CounterHandle {
-            inner: self.registry.as_ref().map(|r| r.counter(name)),
-        }
-    }
-
     /// Snapshot of the backing registry, if enabled.
     pub fn snapshot(&self) -> Option<Snapshot> {
         self.registry.as_ref().map(|r| r.snapshot())
@@ -413,31 +391,6 @@ impl std::fmt::Debug for Obs {
         f.debug_struct("Obs")
             .field("enabled", &self.is_enabled())
             .finish()
-    }
-}
-
-/// Scope guard returned by [`Obs::timer`]; records elapsed nanoseconds
-/// into its histogram when dropped.
-pub struct TimerGuard {
-    inner: Option<(Arc<Registry>, Arc<Histogram>, u64)>,
-}
-
-impl TimerGuard {
-    /// Stops the timer early, recording now; otherwise drop records.
-    pub fn stop(mut self) {
-        self.finish();
-    }
-
-    fn finish(&mut self) {
-        if let Some((registry, hist, start)) = self.inner.take() {
-            hist.record(registry.now_ns().saturating_sub(start));
-        }
-    }
-}
-
-impl Drop for TimerGuard {
-    fn drop(&mut self) {
-        self.finish();
     }
 }
 
@@ -527,31 +480,6 @@ impl std::fmt::Debug for SpanGuard {
     }
 }
 
-/// Pre-resolved counter handle for hot loops (see
-/// [`Obs::counter_handle`]).
-#[derive(Clone, Default)]
-pub struct CounterHandle {
-    inner: Option<Arc<Counter>>,
-}
-
-impl CounterHandle {
-    /// Increments by 1 (no-op when disabled).
-    #[inline]
-    pub fn inc(&self) {
-        if let Some(c) = &self.inner {
-            c.add(1);
-        }
-    }
-
-    /// Adds `n` (no-op when disabled).
-    #[inline]
-    pub fn add(&self, n: u64) {
-        if let Some(c) = &self.inner {
-            c.add(n);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -561,8 +489,7 @@ mod tests {
         let obs = Obs::noop();
         obs.inc("x");
         obs.observe("h", 5);
-        let _t = obs.timer("t");
-        obs.event(|| panic!("must not be called"));
+        obs.instant("i", None, || panic!("must not be called"));
         let mut s = obs.span("noop", None);
         assert_eq!(s.id(), None);
         s.attr_u64("k", 1);
@@ -631,31 +558,13 @@ mod tests {
     }
 
     #[test]
-    fn timer_uses_installed_clock() {
-        let reg = Registry::new();
-        let t = Arc::new(AtomicU64::new(1_000));
-        let t2 = Arc::clone(&t);
-        reg.set_clock(move || t2.load(Ordering::SeqCst));
-        let obs = Obs::with_registry(Arc::clone(&reg));
-        {
-            let _guard = obs.timer("lat");
-            t.store(3_500, Ordering::SeqCst);
-        }
-        let h = reg.snapshot().histogram("lat").unwrap().clone();
-        assert_eq!(h.count, 1);
-        assert_eq!(h.sum, 2_500);
-    }
-
-    #[test]
     fn concurrent_counters_do_not_lose_increments() {
         let obs = Obs::with_registry(Registry::new());
         let threads: Vec<_> = (0..8)
             .map(|_| {
                 let obs = obs.clone();
                 std::thread::spawn(move || {
-                    let hot = obs.counter_handle("hot");
                     for _ in 0..10_000 {
-                        hot.inc();
                         obs.inc("cold");
                         obs.observe("hist", 7);
                     }
@@ -666,7 +575,6 @@ mod tests {
             t.join().unwrap();
         }
         let snap = obs.snapshot().unwrap();
-        assert_eq!(snap.counter("hot"), 80_000);
         assert_eq!(snap.counter("cold"), 80_000);
         assert_eq!(snap.histogram("hist").unwrap().count, 80_000);
     }
@@ -712,17 +620,34 @@ mod tests {
     }
 
     #[test]
-    fn events_are_stamped_and_ordered() {
+    fn an_instant_is_a_zero_duration_span_under_its_parent() {
         let reg = Registry::new();
         let obs = Obs::with_registry(Arc::clone(&reg));
-        reg.set_clock(|| 42);
-        obs.event(|| Event::RetryAttempt {
-            op: "upload".into(),
-            attempt: 2,
-            backoff_ns: 7,
+        reg.set_clock(|| 42_000);
+        let round = obs.span("sync.round", None);
+        obs.instant("chaos.fault", round.id(), || {
+            vec![
+                ("cloud", FieldValue::S("c0".into())),
+                ("kind", FieldValue::S("outage".into())),
+            ]
         });
+        round.end();
         let snap = reg.snapshot();
-        assert_eq!(snap.events.len(), 1);
-        assert_eq!(snap.events[0].t_ns, 42);
+        let (instant, round) = (&snap.spans[0], &snap.spans[1]);
+        assert_eq!(instant.name, "chaos.fault");
+        assert_eq!((instant.start_ns, instant.end_ns), (42_000, 42_000));
+        assert_eq!(instant.parent, round.id);
+        assert_eq!(instant.attr("kind"), Some(&FieldValue::S("outage".into())));
+        // Exported with `dur` 0 and a parent that is present in the file.
+        let doc = bundle_json(Some(&snap), None);
+        assert!(doc.contains(&format!(
+            "\"name\": \"chaos.fault\", \"cat\": \"unidrive\", \"ph\": \"X\", \"pid\": 1, \
+             \"tid\": 0, \"ts\": 42.000, \"dur\": 0.000, \"args\": {{\"span_id\": {}, \"parent\": {}",
+            instant.id, round.id
+        )));
+        assert!(doc.contains(&format!(
+            "\"args\": {{\"span_id\": {}, \"parent\": 0",
+            round.id
+        )));
     }
 }

@@ -26,7 +26,7 @@
 //!   the real client stack.
 //!
 //! Export is deterministic: sorted keys, windows ascending, integers
-//! only. Same seed ⇒ byte-identical `--series-out` files.
+//! only. Same seed ⇒ byte-identical `--obs-out` files.
 //!
 //! [`Obs::series_observe`]: crate::Obs::series_observe
 //! [`Obs::series_add`]: crate::Obs::series_add

@@ -3,22 +3,33 @@
 //! A span is one timed operation in the sync pipeline (a sync round, a
 //! lock acquisition, a transfer batch, one block attempt). Spans carry
 //! a registry-unique [`SpanId`], an optional parent link, typed
-//! attributes (reusing the event [`FieldValue`] scalar), and start/end
-//! timestamps stamped through the same installable clock as events —
-//! so under simulated time the whole span tree is deterministic and a
-//! same-seed run exports byte-identically.
+//! attributes ([`FieldValue`] scalars), and start/end timestamps
+//! stamped through the registry's installable clock — so under
+//! simulated time the whole span tree is deterministic and a same-seed
+//! run exports byte-identically. A point occurrence (a flow starting,
+//! an injected fault) is an *instant*: a span whose start and end are
+//! the same stamp (see `Obs::instant`).
 //!
-//! Completed spans land in a bounded ring mirroring the event
-//! `TraceRing`: oldest spans are evicted first and evictions are
-//! counted, never silently lost.
+//! Completed spans land in one bounded ring, the registry's only
+//! trace: oldest spans are evicted first and evictions are counted,
+//! never silently lost.
 
 use std::collections::VecDeque;
 use std::sync::{Mutex, PoisonError};
 
-use crate::trace::FieldValue;
-
 /// Default span-ring capacity.
 pub const DEFAULT_SPAN_CAPACITY: usize = 8192;
+
+/// Scalar value of one span attribute.
+#[derive(Debug, Clone, PartialEq)]
+pub enum FieldValue {
+    /// Unsigned integer.
+    U(u64),
+    /// String.
+    S(String),
+    /// Boolean.
+    B(bool),
+}
 
 /// Identifier of one span within its registry. Ids are allocated from
 /// 1; the value 0 is reserved to mean "no parent" in exports.

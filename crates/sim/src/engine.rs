@@ -48,7 +48,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use unidrive_obs::{Event, Obs};
+use unidrive_obs::{FieldValue, Obs};
 use unidrive_util::sync::{Condvar, Mutex};
 
 use crate::link::{Flow, LinkId, LinkProfile, LinkState};
@@ -207,7 +207,7 @@ impl SimRuntime {
     /// engine), making every recorded event deterministic under a fixed
     /// seed. The engine then counts flows (`sim.flows_*`,
     /// `sim.flow_bytes`) and epoch re-samples (`sim.epoch_resamples`)
-    /// and traces `FlowStarted`/`FlowFinished`.
+    /// and traces `sim.flow_started`/`sim.flow_finished` instants.
     pub fn install_obs(&self, obs: Obs) {
         if let Some(registry) = obs.registry() {
             let weak = self.weak_self.clone();
@@ -347,14 +347,17 @@ impl SimRuntime {
         if bytes == 0 {
             return Ok(());
         }
-        // Events stamp through the registry clock (which reads engine
+        // Instants stamp through the registry clock (which reads engine
         // state), so they must be recorded while the state lock is free.
+        let flow_attrs = || {
+            vec![
+                ("link", FieldValue::U(link.0 as u64)),
+                ("bytes", FieldValue::U(bytes)),
+            ]
+        };
         obs.inc("sim.flows_started");
         obs.add("sim.flow_bytes", bytes);
-        obs.event(|| Event::FlowStarted {
-            link: link.0,
-            bytes,
-        });
+        obs.instant("sim.flow_started", None, flow_attrs);
         let me = self.current_actor();
         let mut st = self.state.lock();
         let now = st.now_ns;
@@ -377,10 +380,7 @@ impl SimRuntime {
             obs.add("sim.epoch_resamples", resampled);
         }
         obs.inc("sim.flows_finished");
-        obs.event(|| Event::FlowFinished {
-            link: link.0,
-            bytes,
-        });
+        obs.instant("sim.flow_finished", None, flow_attrs);
         Ok(())
     }
 

@@ -22,7 +22,7 @@
 //!   scheduler, and [`core::UniDriveClient`]
 //! * [`baseline`] — single-cloud and multi-cloud baselines from the paper
 //! * [`workload`] — network profiles and evaluation workloads
-//! * [`obs`] — virtual-time-aware metrics registry and event trace
+//! * [`obs`] — virtual-time-aware metrics registry and span trace
 //!
 //! # Quickstart
 //!

@@ -150,6 +150,65 @@ fn conflict_resolution_keep_current_and_keep_copy() {
     assert!(!a.resolve_conflict("doc", true).unwrap());
 }
 
+/// Resolving a conflict must not forget where the losing copy's blocks
+/// live: its unreferenced pool entries ride in `v_o` until the next
+/// commit's GC deletes the block objects from the clouds.
+#[test]
+fn resolved_conflict_copy_is_deleted_from_the_clouds_by_the_next_commit() {
+    let r = rig(7, &[2e6; 5]);
+    let folder_a = MemFolder::new();
+    let folder_b = MemFolder::new();
+    let mut a = client(&r, "a", &folder_a, 8);
+    let mut b = client(&r, "b", &folder_b, 9);
+
+    folder_a.write("doc", &content(40_000, 1), 1).unwrap();
+    a.sync_once().unwrap();
+    b.sync_once().unwrap();
+    folder_a.write("doc", &content(42_000, 2), 2).unwrap();
+    folder_b.write("doc", &content(44_000, 3), 2).unwrap();
+    a.sync_once().unwrap();
+    b.sync_once().unwrap();
+    assert_eq!(b.conflicts(), vec!["doc"]);
+    // Let B's detached reliability uploads land and be committed, so
+    // the image below knows every block of the copy.
+    r.sim.sleep(Duration::from_secs(60));
+    b.sync_once().unwrap();
+
+    // Where B's image places the losing copy's blocks.
+    let entry = b.image().file("doc").unwrap();
+    let (_, copy) = entry.conflict.as_ref().expect("retained copy");
+    let objects: Vec<(usize, String)> = copy
+        .segments
+        .iter()
+        .filter(|id| !entry.snapshot.segments.contains(id))
+        .flat_map(|id| {
+            let blocks = &b.image().segment(id).expect("pooled").blocks;
+            blocks.iter().map(move |blk| {
+                (
+                    blk.cloud as usize,
+                    unidrive::meta::block_path(id, blk.index),
+                )
+            })
+        })
+        .collect();
+    assert!(objects.len() >= 3, "the copy has at least k blocks");
+    for (cloud, path) in &objects {
+        assert!(r.handles[*cloud].exists(path).unwrap(), "{path} stored");
+    }
+
+    // Keep the winner, then commit once more.
+    assert!(b.resolve_conflict("doc", true).unwrap());
+    folder_b.write("other", &content(10_000, 4), 3).unwrap();
+    assert_eq!(b.sync_once().unwrap().uploaded, vec!["other"]);
+    assert!(b.conflicts().is_empty());
+    for (cloud, path) in &objects {
+        assert!(
+            !r.handles[*cloud].exists(path).unwrap(),
+            "{path} leaked on cloud{cloud}"
+        );
+    }
+}
+
 #[test]
 fn trim_after_sync_reclaims_space_without_breaking_reads() {
     let r = rig(4, &[0.2e6, 0.4e6, 1e6, 2e6, 4e6]); // very uneven
