@@ -65,6 +65,28 @@ if grep -rnE '\bEvent::|Traced[E]vent|--metrics-[o]ut|--trace-[o]ut|--series-[o]
     exit 1
 fi
 
+echo "==> one door to block storage: block objects are touched by the transfer engine only"
+# Outside engine.rs no product line of unidrive-core (a file's unit
+# tests, which plant and corrupt blocks on purpose, start at its
+# #[cfg(test)]) puts, gets or deletes a block_path(..) on a cloud
+# itself, and the retired entry points stay out of the public API.
+for f in crates/core/src/*.rs; do
+    [ "$f" = crates/core/src/engine.rs ] && continue
+    if ! awk '/^#\[cfg\(test\)\]/ { exit }
+              /\.(delete|upload|download)\(.*block_path\(/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+              END { exit bad }' "$f"; then
+        echo "    bare cloud call on a block path (see above); go through DataPlane / run_batch"
+        exit 1
+    fi
+done
+if grep -nE 'run_upload|run_download|scan_changes' crates/core/src/lib.rs; then
+    echo "    retired name back in unidrive-core's public API"
+    exit 1
+fi
+
+echo "==> membership change smoke: remove a cloud, add a cloud, both round trips verified"
+cargo run --offline --release --quiet --example membership_change >/dev/null
+
 echo "==> obs export determinism (same seed => byte-identical)"
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT

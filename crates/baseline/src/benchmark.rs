@@ -6,7 +6,7 @@
 //! wait for the slowest assignment, and downloads fetch a statically
 //! chosen set of `k` blocks.
 //!
-//! Both directions run on the shared [`TransferEngine`]; the policies
+//! Both directions run on the shared transfer engine ([`run_batch`]); the policies
 //! here encode the *static* plans (fixed block→cloud assignment, no
 //! reaction to observed speed) that UniDrive's dynamic scheduling
 //! improves on.
@@ -16,10 +16,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use unidrive_cloud::{CloudError, CloudId, CloudSet, RetryPolicy};
-use unidrive_core::{EngineParams, JobDesc, TransferEngine, TransferPolicy, WireOp};
+use unidrive_core::{run_batch, EngineParams, JobDesc, TransferPolicy, WireOp};
 use unidrive_erasure::{Codec, RedundancyConfig};
 use unidrive_meta::{block_path, BlockRef, SegmentId};
-use unidrive_obs::{Obs, SpanId};
+use unidrive_obs::Obs;
 use unidrive_sim::{Runtime, Time};
 use unidrive_util::bytes::Bytes;
 use unidrive_util::sync::Mutex;
@@ -34,10 +34,8 @@ pub struct MultiCloudBenchmark {
     clouds: CloudSet,
     redundancy: RedundancyConfig,
     codec: Arc<Codec>,
-    connections: usize,
     chunk_size: usize,
-    retry: RetryPolicy,
-    obs: Obs,
+    engine: EngineParams,
     /// name → per-segment (id, len, blocks).
     manifest: Mutex<HashMap<String, SegmentManifest>>,
 }
@@ -312,10 +310,8 @@ impl MultiCloudBenchmark {
             clouds,
             redundancy,
             codec,
-            connections: connections.max(1),
             chunk_size: 4 * 1024 * 1024,
-            retry: RetryPolicy::new(),
-            obs: Obs::noop(),
+            engine: EngineParams::new("bench", connections.max(1), RetryPolicy::new(), Obs::noop()),
             manifest: Mutex::new(HashMap::new()),
         }
     }
@@ -330,20 +326,8 @@ impl MultiCloudBenchmark {
     /// (`bench.upload.*`, `bench.download.*`).
     #[must_use]
     pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.obs = obs;
+        self.engine.obs = obs;
         self
-    }
-
-    fn engine_params(&self, label: &str, batch_span: Option<SpanId>) -> EngineParams {
-        EngineParams {
-            connections_per_cloud: self.connections,
-            retry: self.retry.clone(),
-            obs: self.obs.clone(),
-            label: label.to_owned(),
-            probe: None,
-            batch_span,
-            watchdog: None,
-        }
     }
 
     /// Uploads `data`: fixed-size segments, each erasure-coded into
@@ -390,17 +374,9 @@ impl MultiCloudBenchmark {
             segments.push((id, chunk.len() as u64, blocks));
         }
         let policy = BenchUploadPolicy::new(queues, seg_count, k, t0);
-        let mut batch = self.obs.span("engine.batch", None);
-        batch.attr_str("label", "bench.upload");
-        batch.attr_u64("segments", seg_count as u64);
-        let done = TransferEngine::start(
-            &self.rt,
-            &self.clouds,
-            self.engine_params("bench.upload", batch.id()),
-            policy,
-        )
-        .join();
-        batch.end();
+        let params = self.engine.labelled("bench.upload");
+        let size = ("segments", seg_count as u64);
+        let done = run_batch(&self.rt, &self.clouds, params, None, size, policy);
         match (done.available, done.error) {
             // Availability reached: later failures only degrade
             // reliability, not the reported metric.
@@ -433,17 +409,9 @@ impl MultiCloudBenchmark {
         let t0 = self.rt.now();
         let seg_count = segments.len();
         let policy = BenchDownloadPolicy::new(segments, Arc::clone(&self.codec), self.codec.k());
-        let mut batch = self.obs.span("engine.batch", None);
-        batch.attr_str("label", "bench.download");
-        batch.attr_u64("segments", seg_count as u64);
-        let done = TransferEngine::start(
-            &self.rt,
-            &self.clouds,
-            self.engine_params("bench.download", batch.id()),
-            policy,
-        )
-        .join();
-        batch.end();
+        let params = self.engine.labelled("bench.download");
+        let size = ("segments", seg_count as u64);
+        let done = run_batch(&self.rt, &self.clouds, params, None, size, policy);
         if let Some(e) = done.error {
             return Err(e);
         }

@@ -5,33 +5,29 @@
 //! There is no redundancy: every part is needed, so the operation
 //! completes only when the **slowest** cloud finishes — exactly the
 //! degradation the paper observes for this design. The N native apps
-//! are modelled as one shared [`TransferEngine`] run whose static plan
+//! are modelled as one shared transfer-engine run whose [`StaticPlan`]
 //! assigns part `i`'s chunks to cloud `i` (same per-cloud chunking and
 //! object paths a [`SingleCloudClient`](crate::SingleCloudClient) per
 //! part would produce).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use unidrive_cloud::{CloudError, CloudSet, RetryPolicy};
-use unidrive_core::{EngineParams, TransferEngine};
-use unidrive_obs::{Obs, SpanId};
+use unidrive_cloud::{CloudError, CloudId, CloudSet, RetryPolicy};
+use unidrive_core::{run_batch, EngineParams, StaticPlan, WireOp};
+use unidrive_obs::Obs;
 use unidrive_sim::Runtime;
 use unidrive_util::bytes::Bytes;
 use unidrive_util::sync::Mutex;
-
-use crate::planned::{PlannedJob, PlannedPolicy};
 
 /// The intuitive multi-cloud: N native single-cloud apps, one file
 /// part each.
 pub struct IntuitiveMultiCloud {
     rt: Arc<dyn Runtime>,
     clouds: CloudSet,
-    connections: usize,
     chunk_size: usize,
-    retry: RetryPolicy,
-    obs: Obs,
+    engine: EngineParams,
     /// name → total length.
     manifest: Mutex<HashMap<String, u64>>,
 }
@@ -51,10 +47,8 @@ impl IntuitiveMultiCloud {
         IntuitiveMultiCloud {
             rt,
             clouds: clouds.clone(),
-            connections: connections.max(1),
             chunk_size: 1024 * 1024,
-            retry: RetryPolicy::new(),
-            obs: Obs::noop(),
+            engine: EngineParams::new("intuitive", connections.max(1), RetryPolicy::new(), Obs::noop()),
             manifest: Mutex::new(HashMap::new()),
         }
     }
@@ -63,20 +57,21 @@ impl IntuitiveMultiCloud {
     /// (`intuitive.upload.*`, `intuitive.download.*`).
     #[must_use]
     pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.obs = obs;
+        self.engine.obs = obs;
         self
     }
 
-    fn engine_params(&self, label: &str, batch_span: Option<SpanId>) -> EngineParams {
-        EngineParams {
-            connections_per_cloud: self.connections,
-            retry: self.retry.clone(),
-            obs: self.obs.clone(),
-            label: label.to_owned(),
-            probe: None,
-            batch_span,
-            watchdog: None,
-        }
+    /// Runs a static plan over the N native apps as the batch `label`;
+    /// the first native app failure fails it.
+    fn run(
+        &self,
+        label: &str,
+        size: (&'static str, u64),
+        plan: StaticPlan,
+    ) -> Result<StaticPlan, CloudError> {
+        let params = self.engine.labelled(label);
+        let mut done = run_batch(&self.rt, &self.clouds, params, None, size, plan);
+        done.error.take().map_or(Ok(done), Err)
     }
 
     /// The per-part byte ranges of a `len`-byte file across N clouds.
@@ -97,37 +92,18 @@ impl IntuitiveMultiCloud {
     /// The first native app failure.
     pub fn upload(&self, name: &str, data: Bytes) -> Result<Duration, CloudError> {
         let t0 = self.rt.now();
-        let mut queues = Vec::new();
+        let mut plan = StaticPlan::new(self.clouds.len());
         for (i, (start, end)) in self.part_ranges(data.len()).into_iter().enumerate() {
-            let part = data.slice(start..end);
-            queues.push(
-                part.chunks(self.chunk_size)
-                    .map(Bytes::copy_from_slice)
-                    .enumerate()
-                    .map(|(j, chunk)| PlannedJob {
-                        path: format!("native/{name}.part{i}.{j}"),
-                        data: Some(chunk),
-                        slot: 0,
-                        index: j as u16,
-                    })
-                    .collect::<VecDeque<_>>(),
-            );
+            for (j, chunk) in data[start..end].chunks(self.chunk_size).enumerate() {
+                let chunk = Bytes::copy_from_slice(chunk);
+                let op = WireOp::Upload {
+                    path: format!("native/{name}.part{i}.{j}"),
+                    payload: Box::new(move || chunk),
+                };
+                plan.push(CloudId(i), j as u16, op);
+            }
         }
-        let policy = PlannedPolicy::new(queues, 0);
-        let mut batch = self.obs.span("engine.batch", None);
-        batch.attr_str("label", "intuitive.upload");
-        batch.attr_u64("files", 1);
-        let done = TransferEngine::start(
-            &self.rt,
-            &self.clouds,
-            self.engine_params("intuitive.upload", batch.id()),
-            policy,
-        )
-        .join();
-        batch.end();
-        if let Some(e) = done.error {
-            return Err(e);
-        }
+        self.run("intuitive.upload", ("files", 1), plan)?;
         self.manifest
             .lock()
             .insert(name.to_owned(), data.len() as u64);
@@ -150,42 +126,17 @@ impl IntuitiveMultiCloud {
             return Err(CloudError::not_found(name));
         };
         let t0 = self.rt.now();
-        let mut queues = Vec::new();
-        let mut slot = 0;
+        let mut plan = StaticPlan::new(self.clouds.len());
         for (i, (start, end)) in self.part_ranges(len as usize).into_iter().enumerate() {
-            let chunk_count = (end - start).div_ceil(self.chunk_size);
-            queues.push(
-                (0..chunk_count)
-                    .map(|j| {
-                        let job = PlannedJob {
-                            path: format!("native/{name}.part{i}.{j}"),
-                            data: None,
-                            slot,
-                            index: j as u16,
-                        };
-                        slot += 1;
-                        job
-                    })
-                    .collect::<VecDeque<_>>(),
-            );
+            for j in 0..(end - start).div_ceil(self.chunk_size) {
+                let path = format!("native/{name}.part{i}.{j}");
+                plan.push(CloudId(i), j as u16, WireOp::Download { path });
+            }
         }
-        let policy = PlannedPolicy::new(queues, slot);
-        let mut batch = self.obs.span("engine.batch", None);
-        batch.attr_str("label", "intuitive.download");
-        batch.attr_u64("segments", slot as u64);
-        let done = TransferEngine::start(
-            &self.rt,
-            &self.clouds,
-            self.engine_params("intuitive.download", batch.id()),
-            policy,
-        )
-        .join();
-        batch.end();
-        if let Some(e) = done.error {
-            return Err(e);
-        }
+        let chunks = plan.landed.len() as u64;
+        let done = self.run("intuitive.download", ("segments", chunks), plan)?;
         let mut out = Vec::with_capacity(len as usize);
-        for chunk in &done.results {
+        for chunk in &done.data {
             out.extend_from_slice(chunk.as_ref().expect("no error implies all chunks"));
         }
         Ok((self.rt.now().saturating_duration_since(t0), out))

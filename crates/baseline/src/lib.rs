@@ -12,19 +12,22 @@
 //! * [`UniDriveTransfer`] — UniDrive's own data plane behind the same
 //!   interface so the harness can compare all four uniformly.
 //!
-//! All three baselines run on the same pull-based
-//! [`TransferEngine`](unidrive_core::TransferEngine) as UniDrive's own
-//! data plane — only their [`TransferPolicy`](unidrive_core::TransferPolicy)
-//! differs (static plans instead of dynamic scheduling), which keeps the
-//! comparison about *scheduling*, not about transfer-loop plumbing, and
-//! gives them the same retry and observability wiring for free.
+//! All three baselines run on the same pull-based transfer engine as
+//! UniDrive's own data plane, each batch through
+//! [`run_batch`](unidrive_core::run_batch) — only their
+//! [`TransferPolicy`](unidrive_core::TransferPolicy) differs: the
+//! single-cloud and intuitive clients build a
+//! [`StaticPlan`](unidrive_core::StaticPlan) (the same static policy
+//! UniDrive's own GC and rebalancing use), the multi-cloud benchmark
+//! its two fair-share policies. That keeps the comparison about
+//! *scheduling*, not about transfer-loop plumbing, and gives them the
+//! same retry and observability wiring for free.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod benchmark;
 mod intuitive;
-mod planned;
 mod single;
 mod unidrive_transfer;
 

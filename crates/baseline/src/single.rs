@@ -6,29 +6,25 @@
 //! paper's comparison measures. `SingleCloudClient` reproduces that:
 //! files are split into fixed-size chunks pushed over up to
 //! `connections` parallel streams to a single cloud, driven by the
-//! shared [`TransferEngine`] with a one-cloud static plan.
+//! shared transfer engine with a one-cloud [`StaticPlan`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use unidrive_cloud::{CloudError, CloudSet, CloudStore, RetryPolicy};
-use unidrive_core::{EngineParams, TransferEngine};
-use unidrive_obs::{Obs, SpanId};
+use unidrive_cloud::{CloudError, CloudId, CloudSet, CloudStore, RetryPolicy};
+use unidrive_core::{run_batch, EngineParams, StaticPlan, WireOp};
+use unidrive_obs::Obs;
 use unidrive_sim::Runtime;
 use unidrive_util::bytes::Bytes;
 use unidrive_util::sync::Mutex;
-
-use crate::planned::{PlannedJob, PlannedPolicy};
 
 /// Chunked parallel transfer client bound to one cloud.
 pub struct SingleCloudClient {
     rt: Arc<dyn Runtime>,
     cloud: Arc<dyn CloudStore>,
-    connections: usize,
     chunk_size: usize,
-    retry: RetryPolicy,
-    obs: Obs,
+    engine: EngineParams,
     /// name → (total length, chunk count).
     manifest: Mutex<HashMap<String, (u64, usize)>>,
 }
@@ -37,7 +33,7 @@ impl std::fmt::Debug for SingleCloudClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SingleCloudClient")
             .field("cloud", &self.cloud.name())
-            .field("connections", &self.connections)
+            .field("connections", &self.engine.connections_per_cloud)
             .finish()
     }
 }
@@ -52,10 +48,8 @@ impl SingleCloudClient {
         SingleCloudClient {
             rt,
             cloud,
-            connections: connections.max(1),
             chunk_size: 1024 * 1024,
-            retry: RetryPolicy::new(),
-            obs: Obs::noop(),
+            engine: EngineParams::new("single", connections.max(1), RetryPolicy::new(), Obs::noop()),
             manifest: Mutex::new(HashMap::new()),
         }
     }
@@ -64,7 +58,7 @@ impl SingleCloudClient {
     /// (`single.upload.*`, `single.download.*`).
     #[must_use]
     pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.obs = obs;
+        self.engine.obs = obs;
         self
     }
 
@@ -73,16 +67,17 @@ impl SingleCloudClient {
         self.cloud.name()
     }
 
-    fn engine_params(&self, label: &str, batch_span: Option<SpanId>) -> EngineParams {
-        EngineParams {
-            connections_per_cloud: self.connections,
-            retry: self.retry.clone(),
-            obs: self.obs.clone(),
-            label: label.to_owned(),
-            probe: None,
-            batch_span,
-            watchdog: None,
-        }
+    /// Runs a one-cloud static plan as the batch `label`; the first
+    /// chunk error after retries fails it.
+    fn run(
+        &self,
+        label: &str,
+        size: (&'static str, u64),
+        plan: StaticPlan,
+    ) -> Result<StaticPlan, CloudError> {
+        let clouds = CloudSet::new(vec![Arc::clone(&self.cloud)]);
+        let mut done = run_batch(&self.rt, &clouds, self.engine.labelled(label), None, size, plan);
+        done.error.take().map_or(Ok(done), Err)
     }
 
     /// Uploads `data` as chunked objects under `name`.
@@ -92,34 +87,17 @@ impl SingleCloudClient {
     /// The first chunk error after retries.
     pub fn upload(&self, name: &str, data: Bytes) -> Result<Duration, CloudError> {
         let t0 = self.rt.now();
-        let queue: VecDeque<PlannedJob> = data
-            .chunks(self.chunk_size)
-            .map(Bytes::copy_from_slice)
-            .enumerate()
-            .map(|(i, chunk)| PlannedJob {
+        let mut plan = StaticPlan::new(1);
+        for (i, chunk) in data.chunks(self.chunk_size).enumerate() {
+            let chunk = Bytes::copy_from_slice(chunk);
+            let op = WireOp::Upload {
                 path: format!("native/{name}.{i}"),
-                data: Some(chunk),
-                slot: i,
-                index: i as u16,
-            })
-            .collect();
-        let chunk_count = queue.len();
-        let clouds = CloudSet::new(vec![Arc::clone(&self.cloud)]);
-        let policy = PlannedPolicy::new(vec![queue], 0);
-        let mut batch = self.obs.span("engine.batch", None);
-        batch.attr_str("label", "single.upload");
-        batch.attr_u64("files", 1);
-        let done = TransferEngine::start(
-            &self.rt,
-            &clouds,
-            self.engine_params("single.upload", batch.id()),
-            policy,
-        )
-        .join();
-        batch.end();
-        if let Some(e) = done.error {
-            return Err(e);
+                payload: Box::new(move || chunk),
+            };
+            plan.push(CloudId(0), i as u16, op);
         }
+        let chunk_count = plan.landed.len();
+        self.run("single.upload", ("files", 1), plan)?;
         self.manifest
             .lock()
             .insert(name.to_owned(), (data.len() as u64, chunk_count));
@@ -149,32 +127,14 @@ impl SingleCloudClient {
             .copied()
             .ok_or_else(|| CloudError::not_found(name))?;
         let t0 = self.rt.now();
-        let queue: VecDeque<PlannedJob> = (0..chunk_count)
-            .map(|i| PlannedJob {
-                path: format!("native/{name}.{i}"),
-                data: None,
-                slot: i,
-                index: i as u16,
-            })
-            .collect();
-        let clouds = CloudSet::new(vec![Arc::clone(&self.cloud)]);
-        let policy = PlannedPolicy::new(vec![queue], chunk_count);
-        let mut batch = self.obs.span("engine.batch", None);
-        batch.attr_str("label", "single.download");
-        batch.attr_u64("segments", chunk_count as u64);
-        let done = TransferEngine::start(
-            &self.rt,
-            &clouds,
-            self.engine_params("single.download", batch.id()),
-            policy,
-        )
-        .join();
-        batch.end();
-        if let Some(e) = done.error {
-            return Err(e);
+        let mut plan = StaticPlan::new(1);
+        for i in 0..chunk_count {
+            let path = format!("native/{name}.{i}");
+            plan.push(CloudId(0), i as u16, WireOp::Download { path });
         }
+        let done = self.run("single.download", ("segments", chunk_count as u64), plan)?;
         let mut out = Vec::with_capacity(len as usize);
-        for chunk in &done.results {
+        for chunk in &done.data {
             out.extend_from_slice(chunk.as_ref().expect("no error implies all chunks"));
         }
         Ok((self.rt.now().saturating_duration_since(t0), out))

@@ -17,6 +17,7 @@ use crate::benchmark::SegmentManifest;
 
 /// UniDrive's data plane behind the uniform transfer interface.
 pub struct UniDriveTransfer {
+    rt: Arc<dyn Runtime>,
     plane: DataPlane,
     /// name → ordered (segment, len) plus block locations.
     manifest: Mutex<HashMap<String, SegmentManifest>>,
@@ -32,7 +33,8 @@ impl UniDriveTransfer {
     /// Creates the wrapper over `clouds`.
     pub fn new(rt: Arc<dyn Runtime>, clouds: CloudSet, config: DataPlaneConfig) -> Self {
         UniDriveTransfer {
-            plane: DataPlane::new(rt, clouds, config),
+            plane: DataPlane::new(Arc::clone(&rt), clouds, config),
+            rt,
             manifest: Mutex::new(HashMap::new()),
         }
     }
@@ -85,26 +87,23 @@ impl UniDriveTransfer {
             .get(name)
             .cloned()
             .ok_or_else(|| CloudError::not_found(name))?;
-        let fetches: Vec<SegmentFetch> = manifest
-            .iter()
-            .map(|(id, len, blocks)| SegmentFetch {
+        let t0 = self.rt.now();
+        let segments: Vec<SegmentId> = manifest.iter().map(|(id, _, _)| *id).collect();
+        let locate = |id: &SegmentId| {
+            let (_, len, blocks) = manifest.iter().find(|(known, _, _)| known == id)?;
+            Some(SegmentFetch {
                 id: *id,
                 len: *len,
                 blocks: blocks.clone(),
             })
-            .collect();
-        let report = self.plane.download_segments(fetches, None);
-        if !report.is_complete() {
-            return Err(CloudError::transient(format!(
-                "download incomplete: {}",
-                report.failed[0]
-            )));
-        }
-        let mut out = Vec::new();
-        for (id, _, _) in &manifest {
-            out.extend_from_slice(&report.segments[id]);
-        }
-        Ok((report.total_duration(), out))
+        };
+        let file = [&segments[..]];
+        let mut contents = self
+            .plane
+            .download_files(&file, locate, None)
+            .map_err(|e| CloudError::transient(format!("download incomplete: {e}")))?;
+        let out = contents.next().expect("one file asked for, one returned");
+        Ok((self.rt.now().saturating_duration_since(t0), out))
     }
 }
 

@@ -30,7 +30,7 @@ use crate::lock::LockConfig;
 use crate::lock_plane::LockPlane;
 use crate::oplog_plane::OplogPlane;
 use crate::plan::DataPlaneConfig;
-use crate::DownloadError;
+use crate::{DownloadError, SegmentFetch};
 
 /// Client configuration.
 #[derive(Debug, Clone)]
@@ -563,7 +563,10 @@ impl UniDriveClient {
             self.materialize_cloud_changes(&local, &committed, &mut report, round)?;
         }
         self.original = committed;
-        self.plane.delete_blocks(&garbage);
+        let dead = garbage
+            .iter()
+            .flat_map(|(id, entry)| entry.blocks.iter().map(move |b| (*id, *b)));
+        self.plane.delete_blocks(dead, round);
         Ok(report)
     }
 
@@ -593,28 +596,18 @@ impl UniDriveClient {
         round: Option<SpanId>,
     ) -> Result<(), SyncError> {
         let delta = unidrive_meta::diff(from, to);
-        // Gather every changed file's segments into ONE download batch:
-        // the scheduler then spreads all files across all connections
+        // Every changed file goes into ONE download batch: the
+        // scheduler then spreads all files across all connections
         // ("when k blocks are downloaded, all networking resources are
         // assigned to the next file", paper §6.2).
-        let mut to_write: Vec<(&str, &unidrive_meta::Snapshot)> = Vec::new();
-        let mut fetches: Vec<crate::SegmentFetch> = Vec::new();
-        let mut wanted: std::collections::HashSet<SegmentId> = std::collections::HashSet::new();
+        let mut to_write: Vec<&str> = Vec::new();
+        let mut segments: Vec<&[SegmentId]> = Vec::new();
         for (path, change) in delta.iter() {
             match change {
                 unidrive_meta::EntryChange::Upsert(_) => {
                     let entry = to.file(path).expect("diff reported an existing path");
-                    for id in &entry.snapshot.segments {
-                        if wanted.insert(*id) {
-                            let pool = to.segment(id).expect("snapshot segments are pooled");
-                            fetches.push(crate::SegmentFetch {
-                                id: *id,
-                                len: pool.len,
-                                blocks: pool.blocks.clone(),
-                            });
-                        }
-                    }
-                    to_write.push((path, &entry.snapshot));
+                    to_write.push(path);
+                    segments.push(&entry.snapshot.segments);
                 }
                 unidrive_meta::EntryChange::Delete => {
                     self.folder.remove(path).map_err(SyncError::Folder)?;
@@ -624,17 +617,12 @@ impl UniDriveClient {
             }
         }
         if !to_write.is_empty() {
-            let mut dl = self.plane.download_segments(fetches, round);
-            if let Some(err) = dl.failed.pop() {
-                return Err(SyncError::Download(err));
-            }
-            for (path, snapshot) in to_write {
-                let mut data = Vec::with_capacity(snapshot.size as usize);
-                for id in &snapshot.segments {
-                    data.extend_from_slice(
-                        dl.segments.get(id).expect("complete batch has every segment"),
-                    );
-                }
+            let locate = |id: &SegmentId| SegmentFetch::from_image(to, id);
+            let contents = self
+                .plane
+                .download_files(&segments, locate, round)
+                .map_err(SyncError::Download)?;
+            for (path, data) in to_write.into_iter().zip(contents) {
                 let mtime = self.rt.now().as_nanos();
                 self.folder
                     .write(path, &data, mtime)

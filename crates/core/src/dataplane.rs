@@ -7,16 +7,19 @@ use std::sync::Arc;
 use unidrive_util::bytes::Bytes;
 use unidrive_util::pool::WorkerPool;
 use unidrive_chunker::Segment;
-use unidrive_cloud::CloudSet;
+use unidrive_cloud::{CloudId, CloudSet};
 use unidrive_crypto::Sha1;
 use unidrive_erasure::Codec;
-use unidrive_meta::{block_path, SegmentId, Snapshot, SyncFolderImage};
+use unidrive_meta::{block_path, BlockRef, SegmentId, Snapshot, SyncFolderImage};
+use unidrive_obs::SpanId;
 use unidrive_sim::Runtime;
 
-use crate::download::{run_download, DownloadError, DownloadReport, SegmentFetch};
-use crate::plan::{DataPlaneConfig, SegmentData};
+use crate::download::{DownloadError, SegmentFetch};
+use crate::engine::{run_batch, EngineParams, WireOp};
+use crate::plan::DataPlaneConfig;
 use crate::probe::BandwidthProbe;
-use crate::upload::{run_upload, FileUpload, UploadOptions, UploadReport};
+use crate::static_plan::StaticPlan;
+use crate::upload::{FileUpload, SegmentData, UploadOptions, UploadReport};
 
 /// A file (path + content) handed to [`DataPlane::upload_files`].
 #[derive(Debug, Clone)]
@@ -40,13 +43,18 @@ pub struct FileSegmentation {
 }
 
 /// The data plane: segmentation, erasure coding, and the
-/// over-provisioning block scheduler over a cloud set.
+/// over-provisioning block scheduler over a cloud set. It is the only
+/// holder of the runtime, cloud set, codec and bandwidth probe: every
+/// block put, get and delete in the crate goes through one of its
+/// methods, and through the transfer engine from there.
 pub struct DataPlane {
-    rt: Arc<dyn Runtime>,
-    clouds: CloudSet,
-    config: DataPlaneConfig,
-    codec: Arc<Codec>,
-    probe: Arc<BandwidthProbe>,
+    pub(crate) rt: Arc<dyn Runtime>,
+    pub(crate) clouds: CloudSet,
+    pub(crate) config: DataPlaneConfig,
+    pub(crate) codec: Arc<Codec>,
+    pub(crate) probe: Arc<BandwidthProbe>,
+    /// Engine wiring of every batch on this plane, relabelled per batch.
+    pub(crate) engine: EngineParams,
     ingest_pool: WorkerPool,
 }
 
@@ -76,6 +84,14 @@ impl DataPlane {
         let probe = Arc::new(
             BandwidthProbe::new(clouds.len(), 1_000_000.0).with_obs(config.obs.clone()),
         );
+        let mut engine = EngineParams::new(
+            "",
+            config.connections_per_cloud,
+            config.retry.clone(),
+            config.obs.clone(),
+        );
+        engine.probe = Some(Arc::clone(&probe));
+        engine.watchdog = config.watchdog.clone();
         let ingest_pool = WorkerPool::new(config.ingest_threads);
         DataPlane {
             rt,
@@ -83,6 +99,7 @@ impl DataPlane {
             config,
             codec,
             probe,
+            engine,
             ingest_pool,
         }
     }
@@ -122,11 +139,6 @@ impl DataPlane {
     /// The configuration in effect.
     pub fn config(&self) -> &DataPlaneConfig {
         &self.config
-    }
-
-    /// The bandwidth probe (shared with the schedulers).
-    pub fn probe(&self) -> &Arc<BandwidthProbe> {
-        &self.probe
     }
 
     /// The cloud set.
@@ -187,34 +199,7 @@ impl DataPlane {
                 segments: to_send,
             });
         }
-        let report = run_upload(
-            &self.rt,
-            &self.clouds,
-            &self.codec,
-            &self.config,
-            &self.probe,
-            uploads,
-            options,
-        );
-        (report, segmentations)
-    }
-
-    /// Downloads and reconstructs the given segments. The batch span
-    /// is parented to `parent` (usually a `sync.round` span).
-    pub fn download_segments(
-        &self,
-        fetches: Vec<SegmentFetch>,
-        parent: Option<unidrive_obs::SpanId>,
-    ) -> DownloadReport {
-        run_download(
-            &self.rt,
-            &self.clouds,
-            &self.codec,
-            &self.config,
-            &self.probe,
-            fetches,
-            parent,
-        )
+        (self.run_upload(uploads, options), segmentations)
     }
 
     /// Downloads a whole file per the metadata `image`.
@@ -235,55 +220,108 @@ impl DataPlane {
     }
 
     /// Downloads the content one `snapshot` of `image` describes (a
-    /// file's current version or a retained conflict copy): fetches its
-    /// segments in snapshot order and concatenates them.
+    /// file's current version or a retained conflict copy).
     ///
     /// # Errors
     ///
-    /// First failure from the underlying fetches.
+    /// As [`download_files`](Self::download_files).
     pub fn download_snapshot(
         &self,
         image: &SyncFolderImage,
         snapshot: &Snapshot,
     ) -> Result<Vec<u8>, DownloadError> {
-        let fetches: Vec<SegmentFetch> = snapshot
-            .segments
-            .iter()
-            .map(|id| {
-                let pool = image.segment(id).expect("pool entry for snapshot segment");
-                SegmentFetch {
-                    id: *id,
-                    len: pool.len,
-                    blocks: pool.blocks.clone(),
-                }
-            })
-            .collect();
-        let mut report = self.download_segments(fetches, None);
+        let locate = |id: &SegmentId| SegmentFetch::from_image(image, id);
+        let file = [&snapshot.segments[..]];
+        let mut contents = self.download_files(&file, locate, None)?;
+        Ok(contents.next().expect("one file asked for, one returned"))
+    }
+
+    /// Fetches, in ONE batch, every segment `files` name — a segment
+    /// several of them share, once — and yields each file's content,
+    /// its segments concatenated in order (built as the caller pulls
+    /// it, so a batch is never in memory twice). `locate` says where a
+    /// segment's blocks live (an image's pool, a baseline's manifest);
+    /// the batch span is parented to `parent`.
+    ///
+    /// # Errors
+    ///
+    /// [`DownloadError::NotEnoughBlocks`] with `got: 0` for a segment
+    /// `locate` does not know (metadata read from a cloud can name one
+    /// its pool lacks); otherwise the last failure of the batch.
+    pub fn download_files<'a>(
+        &self,
+        files: &'a [&'a [SegmentId]],
+        locate: impl Fn(&SegmentId) -> Option<SegmentFetch>,
+        parent: Option<SpanId>,
+    ) -> Result<impl Iterator<Item = Vec<u8>> + 'a, DownloadError> {
+        let mut wanted = HashSet::new();
+        let mut fetches = Vec::new();
+        for id in files.iter().flat_map(|ids| ids.iter()) {
+            if wanted.insert(*id) {
+                fetches.push(locate(id).ok_or(DownloadError::NotEnoughBlocks {
+                    segment: *id,
+                    got: 0,
+                    need: self.codec.k(),
+                })?);
+            }
+        }
+        let mut report = self.download_segments(fetches, parent);
         if let Some(err) = report.failed.pop() {
             return Err(err);
         }
-        let mut out = Vec::with_capacity(snapshot.size as usize);
-        for id in &snapshot.segments {
-            out.extend_from_slice(&report.segments[id]);
-        }
-        Ok(out)
+        // `concat` sizes each buffer from the segments actually
+        // fetched, never from a size the metadata claims.
+        let fetched = report.segments;
+        Ok(files.iter().map(move |ids| {
+            let parts: Vec<&[u8]> = ids.iter().map(|id| &fetched[id][..]).collect();
+            parts.concat()
+        }))
     }
 
-    /// Deletes the stored blocks of garbage-collected segments from the
-    /// clouds (best effort).
-    pub fn delete_blocks(&self, garbage: &[(SegmentId, unidrive_meta::SegmentEntry)]) {
-        for (id, entry) in garbage {
-            for b in &entry.blocks {
-                // Metadata can reference a cloud that has since been
-                // removed from the set (§6.2, removing a CCS); its
-                // blocks are unreachable, not a crash.
-                let Some(cloud) = self.clouds.try_get(unidrive_cloud::CloudId(b.cloud as usize))
-                else {
-                    continue;
-                };
-                let _ = cloud.delete(&block_path(id, b.index));
+    /// Deletes stored blocks from the clouds (garbage-collected
+    /// segments, trimmed surplus): one delete per block, every cloud's
+    /// connections working through that cloud's blocks in the order
+    /// given, retried under [`DataPlaneConfig::retry`], joined before
+    /// returning. Best effort: a block whose delete still fails stays
+    /// behind. The batch span (label `gc`) is parented to `parent`.
+    pub fn delete_blocks(
+        &self,
+        blocks: impl IntoIterator<Item = (SegmentId, BlockRef)>,
+        parent: Option<SpanId>,
+    ) {
+        self.delete_labelled("gc", blocks, parent);
+    }
+
+    pub(crate) fn delete_labelled(
+        &self,
+        label: &str,
+        blocks: impl IntoIterator<Item = (SegmentId, BlockRef)>,
+        parent: Option<SpanId>,
+    ) {
+        let mut plan = StaticPlan::new(self.clouds.len());
+        for (id, b) in blocks {
+            // Metadata can reference a cloud that has since been
+            // removed from the set (§6.2, removing a CCS); its blocks
+            // are unreachable, not a crash.
+            if (b.cloud as usize) < self.clouds.len() {
+                let path = block_path(&id, b.index);
+                plan.push(CloudId(b.cloud as usize), b.index, WireOp::Delete { path });
             }
         }
+        self.run_plan(label, plan, parent);
+    }
+
+    /// Runs `plan` over this plane's clouds as one joined `engine.batch`
+    /// labelled `label` under `parent`.
+    pub(crate) fn run_plan(
+        &self,
+        label: &str,
+        plan: StaticPlan,
+        parent: Option<SpanId>,
+    ) -> StaticPlan {
+        let size = ("blocks", plan.landed.len() as u64);
+        let params = self.engine.labelled(label);
+        run_batch(&self.rt, &self.clouds, params, parent, size, plan)
     }
 }
 
@@ -440,15 +478,85 @@ mod tests {
         }
         let garbage = image.collect_garbage(); // nothing referenced them
         assert!(!garbage.is_empty());
-        plane.delete_blocks(&garbage);
-        for (id, entry) in &garbage {
-            for b in &entry.blocks {
-                let cloud = plane
-                    .clouds()
-                    .get(unidrive_cloud::CloudId(b.cloud as usize));
-                assert!(!cloud.exists(&block_path(id, b.index)).unwrap());
-            }
+        let blocks = |garbage: &[(SegmentId, unidrive_meta::SegmentEntry)]| -> Vec<_> {
+            garbage
+                .iter()
+                .flat_map(|(id, entry)| entry.blocks.iter().map(|b| (*id, *b)))
+                .collect()
+        };
+        plane.delete_blocks(blocks(&garbage), None);
+        for (id, b) in blocks(&garbage) {
+            let cloud = plane.clouds().get(CloudId(b.cloud as usize));
+            assert!(!cloud.exists(&block_path(&id, b.index)).unwrap());
         }
+    }
+
+    /// Garbage collection runs on the engine: with B blocks on each of
+    /// five clouds and a request latency of L, the deletes of a cloud
+    /// overlap across its connections and the clouds across each other
+    /// — about ⌈B / connections⌉·L in all, where the old one-at-a-time
+    /// loop took 5·B·L.
+    #[test]
+    fn delete_blocks_overlaps_across_clouds_and_connections() {
+        use std::time::Duration;
+        use unidrive_sim::Runtime;
+        const B: u16 = 12;
+        let latency = Duration::from_millis(100);
+        let sim = SimRuntime::new(5);
+        let clouds = CloudSet::new(
+            (0..5)
+                .map(|i| {
+                    let mut cfg = SimCloudConfig::steady(2e6, 10e6);
+                    cfg.up = cfg.up.with_latency(latency, Duration::ZERO);
+                    Arc::new(SimCloud::new(&sim, format!("c{i}"), cfg)) as Arc<dyn CloudStore>
+                })
+                .collect(),
+        );
+        let config = DataPlaneConfig::with_params(RedundancyConfig::new(5, 3, 3, 2).unwrap(), 64 * 1024);
+        let connections = config.connections_per_cloud as u32;
+        let plane = DataPlane::new(sim.clone().as_runtime(), clouds, config);
+        let id = SegmentId(Sha1::digest(b"doomed"));
+        let doomed: Vec<(SegmentId, BlockRef)> = (0..5u16)
+            .flat_map(|cloud| (0..B).map(move |index| (id, BlockRef { index, cloud })))
+            .collect();
+        for (id, b) in &doomed {
+            let cloud = plane.clouds().get(CloudId(b.cloud as usize));
+            cloud.upload(&block_path(id, b.index), Bytes::from(vec![1u8; 8])).unwrap();
+        }
+        let t0 = sim.now();
+        plane.delete_blocks(doomed.iter().copied(), None);
+        let took = sim.now().saturating_duration_since(t0);
+        let rounds = (B as u32).div_ceil(connections);
+        assert!(
+            took >= latency * rounds && took < latency * (rounds + 1),
+            "{took:?} for {rounds} rounds of {latency:?}"
+        );
+        for (id, b) in &doomed {
+            let cloud = plane.clouds().get(CloudId(b.cloud as usize));
+            assert!(!cloud.exists(&block_path(id, b.index)).unwrap());
+        }
+    }
+
+    /// An image decoded from a cloud can carry a snapshot naming a
+    /// segment its pool lacks; reading such a file is an error, not a
+    /// panic, and no buffer is sized from the snapshot's claimed size.
+    #[test]
+    fn snapshot_naming_an_unpooled_segment_is_an_error() {
+        let (_sim, plane) = plane(6);
+        let id = SegmentId(Sha1::digest(b"never pooled"));
+        let snapshot = Snapshot {
+            mtime_ns: 0,
+            size: u64::MAX,
+            segments: vec![id],
+        };
+        assert_eq!(
+            plane.download_snapshot(&SyncFolderImage::new(), &snapshot),
+            Err(DownloadError::NotEnoughBlocks {
+                segment: id,
+                got: 0,
+                need: 3
+            })
+        );
     }
 
     #[test]

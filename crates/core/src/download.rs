@@ -15,14 +15,15 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use unidrive_util::bytes::Bytes;
-use unidrive_cloud::{CloudError, CloudId, CloudSet};
+use unidrive_cloud::{CloudError, CloudId};
 use unidrive_erasure::Codec;
-use unidrive_meta::{block_path, BlockRef, SegmentId};
-use unidrive_obs::{Obs, SpanGuard, SpanId};
-use unidrive_sim::{Runtime, Time};
+use unidrive_meta::{block_path, BlockRef, SegmentId, SyncFolderImage};
+use unidrive_obs::{Obs, SpanId};
+use unidrive_sim::Time;
 
-use crate::engine::{EngineParams, JobDesc, TransferEngine, TransferPolicy, WireOp};
-use crate::plan::{DataPlaneConfig, MAX_BLOCK_BOUNCES};
+use crate::dataplane::DataPlane;
+use crate::engine::{run_batch, JobDesc, TransferPolicy, WireOp};
+use crate::plan::MAX_BLOCK_BOUNCES;
 use crate::probe::BandwidthProbe;
 
 /// One segment to fetch: its identity, plaintext length, and known
@@ -35,6 +36,18 @@ pub struct SegmentFetch {
     pub len: u64,
     /// Known `<Block-ID, Cloud-ID>` locations.
     pub blocks: Vec<BlockRef>,
+}
+
+impl SegmentFetch {
+    /// The fetch for segment `id` per `image`'s segment pool; `None` if
+    /// the pool has no such entry.
+    pub fn from_image(image: &SyncFolderImage, id: &SegmentId) -> Option<Self> {
+        image.segment(id).map(|entry| SegmentFetch {
+            id: *id,
+            len: entry.len,
+            blocks: entry.blocks.clone(),
+        })
+    }
 }
 
 /// Error from a download batch.
@@ -140,9 +153,6 @@ struct DownloadState {
     cloud_alive: Vec<bool>,
     finished: bool,
     timeline: Vec<(Time, SegmentId)>,
-    /// Live `engine.batch` span; dropped (= ended) when `finished`
-    /// flips so it stamps the true batch completion time.
-    batch_guard: Option<SpanGuard>,
 }
 
 struct Job {
@@ -150,92 +160,73 @@ struct Job {
     index: u16,
 }
 
-/// Runs one download batch, reconstructing each segment from any `k`
-/// blocks. The batch's `engine.batch` span is parented to `parent`
-/// (usually a client's `sync.round` span); `None` makes it a root.
-pub fn run_download(
-    rt: &Arc<dyn Runtime>,
-    clouds: &CloudSet,
-    codec: &Arc<Codec>,
-    config: &DataPlaneConfig,
-    probe: &Arc<BandwidthProbe>,
-    fetches: Vec<SegmentFetch>,
-    parent: Option<SpanId>,
-) -> DownloadReport {
-    let started = rt.now();
-    let n_clouds = clouds.len();
-    let k = codec.k();
-
-    let mut batch_guard = config.obs.span("engine.batch", parent);
-    batch_guard.attr_str("label", "download");
-    batch_guard.attr_u64("segments", fetches.len() as u64);
-    let batch_span = batch_guard.id();
-
-    let st = DownloadState {
-        fetches: fetches
-            .iter()
-            .map(|f| {
-                let mut candidates = vec![Vec::new(); n_clouds];
-                for b in &f.blocks {
-                    if (b.cloud as usize) < n_clouds {
-                        candidates[b.cloud as usize].push(b.index);
+impl DataPlane {
+    /// Downloads and reconstructs the given segments, each from any `k`
+    /// of its blocks, as one batch. The batch's `engine.batch` span is
+    /// parented to `parent` (usually a client's `sync.round` span);
+    /// `None` makes it a root.
+    pub fn download_segments(
+        &self,
+        fetches: Vec<SegmentFetch>,
+        parent: Option<SpanId>,
+    ) -> DownloadReport {
+        let started = self.rt.now();
+        let n_clouds = self.clouds.len();
+        let k = self.codec.k();
+        let st = DownloadState {
+            fetches: fetches
+                .iter()
+                .map(|f| {
+                    let mut candidates = vec![Vec::new(); n_clouds];
+                    for b in &f.blocks {
+                        if (b.cloud as usize) < n_clouds {
+                            candidates[b.cloud as usize].push(b.index);
+                        }
                     }
-                }
-                FetchState {
-                    id: f.id,
-                    len: f.len as usize,
-                    candidates,
-                    requested: HashSet::new(),
-                    over_requests: 0,
-                    inflight: HashMap::new(),
-                    bounces: HashMap::new(),
-                    have: HashMap::new(),
-                    integrity_retries: 0,
-                    done: false,
-                    exhausted: false,
-                }
-            })
-            .collect(),
-        cloud_alive: vec![true; n_clouds],
-        finished: fetches.is_empty(),
-        timeline: Vec::new(),
-        batch_guard: Some(batch_guard),
-    };
+                    FetchState {
+                        id: f.id,
+                        len: f.len as usize,
+                        candidates,
+                        requested: HashSet::new(),
+                        over_requests: 0,
+                        inflight: HashMap::new(),
+                        bounces: HashMap::new(),
+                        have: HashMap::new(),
+                        integrity_retries: 0,
+                        done: false,
+                        exhausted: false,
+                    }
+                })
+                .collect(),
+            cloud_alive: vec![true; n_clouds],
+            finished: fetches.is_empty(),
+            timeline: Vec::new(),
+        };
+        let mut policy = DownloadPolicy {
+            st,
+            segments: HashMap::new(),
+            failures: Vec::new(),
+            codec: Arc::clone(&self.codec),
+            probe: Arc::clone(&self.probe),
+            obs: self.config.obs.clone(),
+            k,
+            probing: self.config.probing,
+        };
+        // Handle the possibility that nothing is fetchable at all — the
+        // batch must be born finished then (engine deadlock-safety
+        // invariant: no work, nothing in flight, done).
+        finish_check(&mut policy.st, k, &mut policy.failures);
 
-    let mut policy = DownloadPolicy {
-        st,
-        segments: HashMap::new(),
-        failures: Vec::new(),
-        codec: Arc::clone(codec),
-        probe: Arc::clone(probe),
-        obs: config.obs.clone(),
-        k,
-        probing: config.probing,
-        batch_span,
-    };
-    // Handle the possibility that nothing is fetchable at all — the
-    // batch must be born finished then (engine deadlock-safety
-    // invariant: no work, nothing in flight, done).
-    finish_check(&mut policy.st, k, &mut policy.failures);
-
-    let params = EngineParams {
-        connections_per_cloud: config.connections_per_cloud,
-        retry: config.retry.clone(),
-        obs: config.obs.clone(),
-        label: "download".into(),
-        probe: Some(Arc::clone(probe)),
-        batch_span,
-        watchdog: config.watchdog.clone(),
-    };
-    let policy = TransferEngine::start(rt, clouds, params, policy).join();
-
-    let finished = rt.now();
-    DownloadReport {
-        segments: policy.segments,
-        failed: policy.failures,
-        started,
-        finished,
-        timeline: policy.st.timeline,
+        let params = self.engine.labelled("download");
+        let size = ("segments", fetches.len() as u64);
+        let policy = run_batch(&self.rt, &self.clouds, params, parent, size, policy);
+        DownloadReport {
+            segments: policy.segments,
+            failed: policy.failures,
+            started,
+            finished: self.rt.now(),
+            timeline: policy.st.timeline,
+        }
     }
 }
 
@@ -251,7 +242,6 @@ struct DownloadPolicy {
     obs: Obs,
     k: usize,
     probing: bool,
-    batch_span: Option<SpanId>,
 }
 
 impl TransferPolicy for DownloadPolicy {
@@ -270,7 +260,8 @@ impl TransferPolicy for DownloadPolicy {
         Some(JobDesc {
             index: job.index,
             extra: false,
-            parent_span: self.batch_span,
+            // Every block parents to the engine's batch span.
+            parent_span: None,
             op: WireOp::Download { path },
             token: job,
         })
@@ -512,29 +503,23 @@ fn finish_check(st: &mut DownloadState, k: usize, failures: &mut Vec<DownloadErr
     }
     if all_settled {
         st.finished = true;
-        // End the batch span at settle time, not at `join` time.
-        st.batch_guard.take();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::SegmentData;
-    use crate::upload::{run_upload, FileUpload, UploadOptions};
-    use unidrive_cloud::{CloudStore, SimCloud, SimCloudConfig};
+    use crate::plan::DataPlaneConfig;
+    use crate::upload::{FileUpload, SegmentData, UploadOptions};
+    use unidrive_cloud::{CloudSet, CloudStore, SimCloud, SimCloudConfig};
     use unidrive_crypto::Sha1;
     use unidrive_erasure::RedundancyConfig;
-    use unidrive_sim::SimRuntime;
+    use unidrive_sim::{Runtime, SimRuntime};
 
     struct Rig {
         sim: Arc<SimRuntime>,
-        rt: Arc<dyn Runtime>,
-        clouds: CloudSet,
         sim_clouds: Vec<Arc<SimCloud>>,
-        codec: Arc<Codec>,
-        config: DataPlaneConfig,
-        probe: Arc<BandwidthProbe>,
+        plane: DataPlane,
     }
 
     fn rig(seed: u64, rates: &[f64]) -> Rig {
@@ -553,32 +538,20 @@ mod tests {
                 c as Arc<dyn CloudStore>
             })
             .collect();
-        let clouds = CloudSet::new(members);
         let redundancy = RedundancyConfig::new(rates.len(), 3, 3, 2).unwrap();
         let config = DataPlaneConfig::with_params(redundancy, 64 * 1024);
-        let codec = Arc::new(Codec::for_config(&config.redundancy).unwrap());
-        let probe = Arc::new(BandwidthProbe::new(rates.len(), 1e6));
-        let rt = sim.clone().as_runtime();
+        let plane = DataPlane::new(sim.clone().as_runtime(), CloudSet::new(members), config);
         Rig {
             sim,
-            rt,
-            clouds,
             sim_clouds,
-            codec,
-            config,
-            probe,
+            plane,
         }
     }
 
     fn upload_one(rig: &Rig, size: usize, tag: u8) -> (SegmentId, Vec<u8>, Vec<BlockRef>) {
         let data: Vec<u8> = (0..size).map(|i| (i as u8).wrapping_mul(tag).wrapping_add(tag)).collect();
         let id = SegmentId(Sha1::digest(&data));
-        let report = run_upload(
-            &rig.rt,
-            &rig.clouds,
-            &rig.codec,
-            &rig.config,
-            &rig.probe,
+        let report = rig.plane.run_upload(
             vec![FileUpload {
                 path: "f".into(),
                 segments: vec![SegmentData {
@@ -598,23 +571,20 @@ mod tests {
         (id, data, blocks)
     }
 
+    fn fetch_one(r: &Rig, id: SegmentId, len: usize, blocks: Vec<BlockRef>) -> DownloadReport {
+        let fetch = SegmentFetch {
+            id,
+            len: len as u64,
+            blocks,
+        };
+        r.plane.download_segments(vec![fetch], None)
+    }
+
     #[test]
     fn round_trip_through_the_multicloud() {
         let r = rig(1, &[1e6; 5]);
         let (id, data, blocks) = upload_one(&r, 200_000, 3);
-        let report = run_download(
-            &r.rt,
-            &r.clouds,
-            &r.codec,
-            &r.config,
-            &r.probe,
-            vec![SegmentFetch {
-                id,
-                len: data.len() as u64,
-                blocks,
-            }],
-            None,
-        );
+        let report = fetch_one(&r, id, data.len(), blocks);
         assert!(report.is_complete(), "failures: {:?}", report.failed);
         assert_eq!(report.segments[&id], data);
     }
@@ -626,19 +596,7 @@ mod tests {
         // K_r = 3: any 3 clouds must suffice, so kill 2.
         r.sim_clouds[1].set_available(false);
         r.sim_clouds[3].set_available(false);
-        let report = run_download(
-            &r.rt,
-            &r.clouds,
-            &r.codec,
-            &r.config,
-            &r.probe,
-            vec![SegmentFetch {
-                id,
-                len: data.len() as u64,
-                blocks,
-            }],
-            None,
-        );
+        let report = fetch_one(&r, id, data.len(), blocks);
         assert!(report.is_complete(), "failures: {:?}", report.failed);
         assert_eq!(report.segments[&id], data);
     }
@@ -650,19 +608,7 @@ mod tests {
         for i in 0..4 {
             r.sim_clouds[i].set_available(false);
         }
-        let report = run_download(
-            &r.rt,
-            &r.clouds,
-            &r.codec,
-            &r.config,
-            &r.probe,
-            vec![SegmentFetch {
-                id,
-                len: data.len() as u64,
-                blocks,
-            }],
-            None,
-        );
+        let report = fetch_one(&r, id, data.len(), blocks);
         // One cloud holds at most cap = 2 < k = 3 blocks: K_s = 2 means
         // a single provider can never reconstruct.
         assert!(!report.is_complete());
@@ -677,19 +623,7 @@ mod tests {
         let r = rig(4, &[20e6, 1e6, 1e6, 1e6, 1e6]);
         let (id, data, blocks) = upload_one(&r, 400_000, 9);
         // Warm the probe so ranking reflects reality.
-        let report = run_download(
-            &r.rt,
-            &r.clouds,
-            &r.codec,
-            &r.config,
-            &r.probe,
-            vec![SegmentFetch {
-                id,
-                len: data.len() as u64,
-                blocks: blocks.clone(),
-            }],
-            None,
-        );
+        let report = fetch_one(&r, id, data.len(), blocks.clone());
         assert!(report.is_complete());
         // The fast cloud holds cap=2 blocks (over-provisioned during
         // upload); a correct dynamic scheduler uses them.
@@ -704,7 +638,7 @@ mod tests {
         // Corrupt one stored block on cloud of the first block.
         let victim = blocks[0];
         let path = block_path(&id, victim.index);
-        let cloud = r.clouds.get(unidrive_cloud::CloudId(victim.cloud as usize));
+        let cloud = r.plane.clouds().get(unidrive_cloud::CloudId(victim.cloud as usize));
         let mut corrupted = cloud.download(&path).unwrap().to_vec();
         corrupted[0] ^= 0xFF;
         cloud.upload(&path, Bytes::from(corrupted)).unwrap();
@@ -713,19 +647,7 @@ mod tests {
         // with candidates restricted to k blocks including the victim.
         let mut restricted = vec![victim];
         restricted.extend(blocks.iter().filter(|b| **b != victim).take(2).copied());
-        let report = run_download(
-            &r.rt,
-            &r.clouds,
-            &r.codec,
-            &r.config,
-            &r.probe,
-            vec![SegmentFetch {
-                id,
-                len: data.len() as u64,
-                blocks: restricted,
-            }],
-            None,
-        );
+        let report = fetch_one(&r, id, data.len(), restricted);
         // With only k candidate blocks and one of them corrupt, the
         // fetch must fail (after discarding the bad combination it has
         // nothing left to retry with) — never silently succeed.
@@ -742,23 +664,11 @@ mod tests {
         // poisoned combination.
         let victim = blocks[0];
         let path = block_path(&id, victim.index);
-        let cloud = r.clouds.get(unidrive_cloud::CloudId(victim.cloud as usize));
+        let cloud = r.plane.clouds().get(unidrive_cloud::CloudId(victim.cloud as usize));
         let mut corrupted = cloud.download(&path).unwrap().to_vec();
         corrupted[10] ^= 0xAA;
         cloud.upload(&path, Bytes::from(corrupted)).unwrap();
-        let report = run_download(
-            &r.rt,
-            &r.clouds,
-            &r.codec,
-            &r.config,
-            &r.probe,
-            vec![SegmentFetch {
-                id,
-                len: data.len() as u64,
-                blocks,
-            }],
-            None,
-        );
+        let report = fetch_one(&r, id, data.len(), blocks);
         assert!(
             report.is_complete(),
             "spares must absorb one corrupt block: {:?}",
@@ -778,22 +688,10 @@ mod tests {
         let (id, data, blocks) = upload_one(&r, 300_000, 17);
         // Erase every stored block on two clouds (ransack, not outage).
         for b in blocks.iter().filter(|b| b.cloud <= 1) {
-            let cloud = r.clouds.get(unidrive_cloud::CloudId(b.cloud as usize));
+            let cloud = r.plane.clouds().get(unidrive_cloud::CloudId(b.cloud as usize));
             cloud.delete(&block_path(&id, b.index)).unwrap();
         }
-        let report = run_download(
-            &r.rt,
-            &r.clouds,
-            &r.codec,
-            &r.config,
-            &r.probe,
-            vec![SegmentFetch {
-                id,
-                len: data.len() as u64,
-                blocks,
-            }],
-            None,
-        );
+        let report = fetch_one(&r, id, data.len(), blocks);
         assert!(report.is_complete(), "failures: {:?}", report.failed);
         assert_eq!(report.segments[&id], data);
     }
@@ -805,22 +703,10 @@ mod tests {
         let r = rig(9, &[1e6; 5]);
         let (id, data, blocks) = upload_one(&r, 200_000, 19);
         for b in blocks.iter().filter(|b| b.cloud <= 3) {
-            let cloud = r.clouds.get(unidrive_cloud::CloudId(b.cloud as usize));
+            let cloud = r.plane.clouds().get(unidrive_cloud::CloudId(b.cloud as usize));
             cloud.delete(&block_path(&id, b.index)).unwrap();
         }
-        let report = run_download(
-            &r.rt,
-            &r.clouds,
-            &r.codec,
-            &r.config,
-            &r.probe,
-            vec![SegmentFetch {
-                id,
-                len: data.len() as u64,
-                blocks,
-            }],
-            None,
-        );
+        let report = fetch_one(&r, id, data.len(), blocks);
         assert!(!report.is_complete());
         assert!(matches!(
             report.failed[0],
@@ -832,15 +718,7 @@ mod tests {
     fn empty_fetch_list_finishes_immediately() {
         let r = rig(6, &[1e6; 5]);
         let t0 = r.sim.now();
-        let report = run_download(
-            &r.rt,
-            &r.clouds,
-            &r.codec,
-            &r.config,
-            &r.probe,
-            vec![],
-            None,
-        );
+        let report = r.plane.download_segments(vec![], None);
         assert!(report.is_complete());
         assert!(report.segments.is_empty());
         assert_eq!(r.sim.now(), t0);

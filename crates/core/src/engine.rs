@@ -3,20 +3,27 @@
 //! The paper's data plane is one idea applied everywhere: an idle
 //! (cloud, connection) pair *pulls* the next best block, so a faster
 //! cloud — whose connections go idle more often — naturally receives
-//! more work. This module implements that dispatch loop exactly once.
-//! What differs between upload, download, and the baseline clients is
-//! only *which* block an idle connection should take and *what* to do
-//! when it lands: that is a [`TransferPolicy`].
+//! more work. This module implements that dispatch loop exactly once,
+//! for all three things done to a block object — put, get and delete
+//! ([`WireOp`]). What differs between upload, download, garbage
+//! collection, rebalancing and the baseline clients is only *which*
+//! block an idle connection should take and *what* to do when it lands:
+//! that is a [`TransferPolicy`].
 //!
-//! The engine owns everything the five former hand-rolled loops
-//! duplicated: the worker pool (one actor per cloud connection),
-//! a traced [`Retry`] around every wire call, `unidrive-obs`
-//! counters and `engine.*` spans, feeding the
-//! [`BandwidthProbe`], and idle parking. Workers park on a
-//! [`Notifier`] (an eventcount) instead of polling: each completion or
-//! failure broadcasts, so an idle connection re-polls its policy only
-//! when the schedulable state may actually have changed — no timer
-//! churn in the simulator, no busy-wait under wall clock.
+//! The engine owns everything the former hand-rolled loops duplicated:
+//! the worker pool (one actor per cloud connection), a traced [`Retry`]
+//! around every wire call, `unidrive-obs` counters and `engine.*`
+//! spans, feeding the [`BandwidthProbe`], and idle parking. Workers
+//! park on a [`Notifier`] (an eventcount) instead of polling: each
+//! completion or failure broadcasts, so an idle connection re-polls its
+//! policy only when the schedulable state may actually have changed —
+//! no timer churn in the simulator, no busy-wait under wall clock.
+//!
+//! Callers do not start engines: a batch that is joined before its
+//! caller moves on goes through [`run_batch`], which also owns the
+//! `engine.batch` span. [`TransferEngine::start`] has exactly one other
+//! caller, the upload path, because it alone outlives its call
+//! (`wait_until` availability, then `detach`).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -46,6 +53,12 @@ pub enum WireOp {
         /// Object path on the cloud.
         path: String,
     },
+    /// Delete the object at `path`. A cloud answering `NotFound` has
+    /// done the job: the object is gone, which was the goal.
+    Delete {
+        /// Object path on the cloud.
+        path: String,
+    },
 }
 
 impl std::fmt::Debug for WireOp {
@@ -53,6 +66,7 @@ impl std::fmt::Debug for WireOp {
         match self {
             WireOp::Upload { path, .. } => f.debug_struct("Upload").field("path", path).finish(),
             WireOp::Download { path } => f.debug_struct("Download").field("path", path).finish(),
+            WireOp::Delete { path } => f.debug_struct("Delete").field("path", path).finish(),
         }
     }
 }
@@ -102,7 +116,8 @@ pub trait TransferPolicy: Send + 'static {
     fn is_done(&self) -> bool;
 
     /// A job finished. `data` carries downloaded bytes (`None` for
-    /// uploads); `now` is the runtime clock right after the transfer.
+    /// uploads and deletes); `now` is the runtime clock right after the
+    /// wire call.
     fn on_success(&mut self, cloud: CloudId, token: Self::Token, data: Option<Bytes>, now: Time);
 
     /// A job failed after retries.
@@ -134,18 +149,32 @@ pub struct EngineParams {
 }
 
 impl EngineParams {
-    /// Minimal wiring: one connection per cloud, default retries, no
-    /// observability, no probe, no watchdog.
-    pub fn new(label: impl Into<String>) -> Self {
+    /// The wiring every engine user has — connections, retries,
+    /// observability — under counter namespace `label`; no probe, no
+    /// batch span, no watchdog.
+    pub fn new(
+        label: impl Into<String>,
+        connections_per_cloud: usize,
+        retry: RetryPolicy,
+        obs: Obs,
+    ) -> Self {
         EngineParams {
-            connections_per_cloud: 1,
-            retry: RetryPolicy::new(),
-            obs: Obs::noop(),
+            connections_per_cloud,
+            retry,
+            obs,
             label: label.into(),
             probe: None,
             batch_span: None,
             watchdog: None,
         }
+    }
+
+    /// The same wiring under another counter namespace: a client keeps
+    /// one `EngineParams` and labels it per batch.
+    pub fn labelled(&self, label: &str) -> Self {
+        let mut params = self.clone();
+        params.label = label.to_owned();
+        params
     }
 }
 
@@ -332,7 +361,8 @@ impl<P: TransferPolicy> std::fmt::Debug for TransferEngine<P> {
 
 impl<P: TransferPolicy> TransferEngine<P> {
     /// Spawns `connections_per_cloud` workers per cloud, each pulling
-    /// jobs from `policy` until it is done.
+    /// jobs from `policy` until it is done. A policy that is born done
+    /// (an empty batch) spawns nothing: there is no job to pull.
     pub fn start(
         rt: &Arc<dyn Runtime>,
         clouds: &CloudSet,
@@ -342,6 +372,13 @@ impl<P: TransferPolicy> TransferEngine<P> {
         let born_done = policy.is_done();
         let policy = Arc::new(Mutex::new(policy));
         let signal = rt.notifier();
+        if born_done {
+            return TransferEngine {
+                policy,
+                signal,
+                workers: Vec::new(),
+            };
+        }
         let names = Arc::new(CounterNames::new(&params.label));
         let recorder = params.watchdog.clone().map(|config| {
             let mut slots = Vec::new();
@@ -398,11 +435,7 @@ impl<P: TransferPolicy> TransferEngine<P> {
                 slot += 1;
             }
         }
-        // The watchdog only makes sense for batches that do work: a
-        // born-done policy never notifies, so the watchdog would sleep
-        // out its whole deadline and stall `join` instead of guarding
-        // it.
-        if let Some(rec) = recorder.filter(|_| !born_done) {
+        if let Some(rec) = recorder {
             let rt2 = Arc::clone(rt);
             let policy = Arc::clone(&policy);
             let signal = Arc::clone(&signal);
@@ -453,6 +486,29 @@ impl<P: TransferPolicy> TransferEngine<P> {
     pub fn detach(self) {
         drop(self.workers);
     }
+}
+
+/// Runs `policy` to completion as one batch: opens the `engine.batch`
+/// span (labelled `params.label`, sized by `size` = attribute name and
+/// count) under `parent`, starts the engine, joins it, ends the span
+/// and hands the policy back with its results. A policy that is born
+/// done comes straight back — no worker, no span.
+pub fn run_batch<P: TransferPolicy>(
+    rt: &Arc<dyn Runtime>,
+    clouds: &CloudSet,
+    mut params: EngineParams,
+    parent: Option<SpanId>,
+    size: (&'static str, u64),
+    policy: P,
+) -> P {
+    if policy.is_done() {
+        return policy;
+    }
+    let mut batch = params.obs.span("engine.batch", parent);
+    batch.attr_str("label", params.label.as_str());
+    batch.attr_u64(size.0, size.1);
+    params.batch_span = batch.id();
+    TransferEngine::start(rt, clouds, params, policy).join()
 }
 
 /// Per-worker identity: flight-recorder slot, connection number, and
@@ -552,37 +608,43 @@ fn worker_loop<P: TransferPolicy>(
         bspan.attr_u64("cloud", cloud_id.0 as u64);
         bspan.attr_u64("index", index as u64);
         bspan.attr_bool("extra", extra);
-        let t0;
-        let (result, bytes_len) = match op {
+        // Counts the dispatch, stamps the flight recorder and starts the
+        // transfer clock; hands back the traced retry the wire call
+        // runs under.
+        let begin = |path: &str| {
+            obs.inc(&names.dispatched);
+            if extra {
+                obs.inc(&names.extra_dispatched);
+            }
+            let t0 = rt.now();
+            if let Some(rec) = &ctx.recorder {
+                rec.set_state(ctx.slot, "transferring", path, t0.as_nanos());
+            }
+            let retry = Retry::new(rt, &params.retry)
+                .obs(obs, retry_label)
+                .span(bspan.id(), ctx.track);
+            (t0, retry)
+        };
+        let (t0, result, bytes_len) = match op {
             WireOp::Upload { path, payload } => {
                 let data = payload();
-                let bytes_len = data.len() as u64;
-                obs.inc(&names.dispatched);
-                if extra {
-                    obs.inc(&names.extra_dispatched);
-                }
-                t0 = rt.now();
-                if let Some(rec) = &ctx.recorder {
-                    rec.set_state(ctx.slot, "transferring", &path, t0.as_nanos());
-                }
-                let r = Retry::new(rt, &params.retry)
-                    .obs(obs, retry_label)
-                    .span(bspan.id(), ctx.track)
-                    .run(|| cloud.upload(&path, data.clone()));
-                (r.map(|()| None), bytes_len)
+                let (t0, retry) = begin(&path);
+                let r = retry.run(|| cloud.upload(&path, data.clone()));
+                (t0, r.map(|()| None), data.len() as u64)
             }
             WireOp::Download { path } => {
-                obs.inc(&names.dispatched);
-                t0 = rt.now();
-                if let Some(rec) = &ctx.recorder {
-                    rec.set_state(ctx.slot, "transferring", &path, t0.as_nanos());
-                }
-                let r = Retry::new(rt, &params.retry)
-                    .obs(obs, retry_label)
-                    .span(bspan.id(), ctx.track)
-                    .run(|| cloud.download(&path));
+                let (t0, retry) = begin(&path);
+                let r = retry.run(|| cloud.download(&path));
                 let len = r.as_ref().map_or(0, |d| d.len() as u64);
-                (r.map(Some), len)
+                (t0, r.map(Some), len)
+            }
+            WireOp::Delete { path } => {
+                let (t0, retry) = begin(&path);
+                let r = match retry.run(|| cloud.delete(&path)) {
+                    Err(CloudError::NotFound { .. }) => Ok(()),
+                    r => r,
+                };
+                (t0, r.map(|()| None), 0)
             }
         };
         let now = rt.now();

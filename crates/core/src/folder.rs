@@ -2,8 +2,9 @@
 //!
 //! UniDrive monitors a local folder for changes and commits cloud
 //! updates back into it. We use scan-based change detection (no
-//! OS-specific watchers): [`scan_changes`] compares the folder against
-//! the last-synced [`SyncFolderImage`] and produces the ChangedFileList.
+//! OS-specific watchers): the client compares [`SyncFolder::scan`]
+//! against the `(size, mtime)` it recorded for every path at its last
+//! sync and produces the ChangedFileList of [`LocalChange`]s.
 //!
 //! Two backends: [`MemFolder`] (simulation, virtual-time experiments)
 //! and [`DirFolder`] (a real directory on disk for the examples).
@@ -14,7 +15,6 @@ use std::sync::Arc;
 
 use unidrive_util::bytes::Bytes;
 use unidrive_util::sync::RwLock;
-use unidrive_meta::SyncFolderImage;
 
 /// Error from sync folder operations.
 #[derive(Debug)]
@@ -86,7 +86,7 @@ pub trait SyncFolder: Send + Sync {
     fn remove(&self, path: &str) -> Result<(), FolderError>;
 }
 
-/// A local change detected by [`scan_changes`].
+/// A local change detected by the client's folder scan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LocalChange {
     /// File is new or its (size, mtime) differs from the synced image.
@@ -110,42 +110,6 @@ impl LocalChange {
             LocalChange::Changed { path, .. } | LocalChange::Deleted { path } => path,
         }
     }
-}
-
-/// Compares the folder against the image, producing the paper's
-/// ChangedFileList: everything added, edited or deleted since the last
-/// successful sync. A file counts as edited when its size or mtime
-/// differs from the snapshot (content hashing happens later, during
-/// segmentation, and suppresses false positives via deduplication).
-///
-/// # Errors
-///
-/// Propagates scan failures.
-pub fn scan_changes(
-    folder: &dyn SyncFolder,
-    image: &SyncFolderImage,
-) -> Result<Vec<LocalChange>, FolderError> {
-    let current = folder.scan()?;
-    let mut changes = Vec::new();
-    for (path, stat) in &current {
-        let unchanged = image.file(path).is_some_and(|entry| {
-            entry.snapshot.size == stat.size && entry.snapshot.mtime_ns == stat.mtime_ns
-        });
-        if !unchanged {
-            changes.push(LocalChange::Changed {
-                path: path.clone(),
-                stat: *stat,
-            });
-        }
-    }
-    for (path, _) in image.files() {
-        if !current.contains_key(path) {
-            changes.push(LocalChange::Deleted {
-                path: path.to_owned(),
-            });
-        }
-    }
-    Ok(changes)
 }
 
 /// In-memory sync folder for simulations and tests.
@@ -307,63 +271,6 @@ impl SyncFolder for DirFolder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unidrive_crypto::Sha1;
-    use unidrive_meta::{SegmentId, Snapshot};
-
-    fn image_with(path: &str, size: u64, mtime_ns: u64) -> SyncFolderImage {
-        let mut img = SyncFolderImage::new();
-        let seg = SegmentId(Sha1::digest(path.as_bytes()));
-        img.ensure_segment(seg, size);
-        img.upsert_file(
-            path,
-            Snapshot {
-                mtime_ns,
-                size,
-                segments: vec![seg],
-            },
-        );
-        img
-    }
-
-    #[test]
-    fn scan_detects_new_edit_delete() {
-        let folder = MemFolder::new();
-        folder.write("kept.txt", b"12345", 100).unwrap();
-        folder.write("edited.txt", b"new content", 200).unwrap();
-        folder.write("added.txt", b"hi", 300).unwrap();
-
-        let mut image = image_with("kept.txt", 5, 100);
-        let other = image_with("edited.txt", 5, 100);
-        for (p, e) in other.files() {
-            for id in &e.snapshot.segments {
-                image.ensure_segment(*id, 5);
-            }
-            image.upsert_file(p, e.snapshot.clone());
-        }
-        let ghost = image_with("ghost.txt", 1, 1);
-        for (p, e) in ghost.files() {
-            for id in &e.snapshot.segments {
-                image.ensure_segment(*id, 1);
-            }
-            image.upsert_file(p, e.snapshot.clone());
-        }
-
-        let mut changes = scan_changes(folder.as_ref(), &image).unwrap();
-        changes.sort_by(|a, b| a.path().cmp(b.path()));
-        let paths: Vec<&str> = changes.iter().map(|c| c.path()).collect();
-        assert_eq!(paths, vec!["added.txt", "edited.txt", "ghost.txt"]);
-        assert!(matches!(changes[0], LocalChange::Changed { .. }));
-        assert!(matches!(changes[1], LocalChange::Changed { .. }));
-        assert!(matches!(changes[2], LocalChange::Deleted { .. }));
-    }
-
-    #[test]
-    fn unchanged_files_produce_no_changes() {
-        let folder = MemFolder::new();
-        folder.write("same.txt", b"12345", 100).unwrap();
-        let image = image_with("same.txt", 5, 100);
-        assert!(scan_changes(folder.as_ref(), &image).unwrap().is_empty());
-    }
 
     #[test]
     fn mem_folder_round_trip() {

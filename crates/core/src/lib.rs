@@ -19,7 +19,12 @@
 //!   **over-provisioning** onto idle fast clouds, the
 //!   availability-first / reliability-second two-phase batch principle,
 //!   pull-based download with in-channel probing, and add/remove-cloud
-//!   rebalancing.
+//!   rebalancing. `DataPlane` is the one door to block storage: every
+//!   block put, get and delete — upload, download, garbage collection,
+//!   [`trim_overprovisioned`], [`remove_cloud`]/[`add_cloud`] — is a
+//!   [`TransferPolicy`] run by the one transfer engine ([`run_batch`]),
+//!   dynamic for upload and download, the static [`StaticPlan`] for the
+//!   rest.
 //!
 //! The same code runs under wall-clock or deterministic virtual time —
 //! see [`unidrive_sim`].
@@ -45,25 +50,23 @@ mod plan;
 mod probe;
 mod quorum;
 mod rebalance;
+mod static_plan;
 mod upload;
 
 pub use client::{build_plane, ClientConfig, SyncError, SyncReport, UniDriveClient};
 pub use control::newer;
 pub use dataplane::{DataPlane, FileSegmentation, UploadRequest};
-pub use download::{run_download, DownloadError, DownloadReport, SegmentFetch};
+pub use download::{DownloadError, DownloadReport, SegmentFetch};
 pub use engine::{
-    EngineParams, JobDesc, TransferEngine, TransferPolicy, WatchdogConfig, WireOp,
+    run_batch, EngineParams, JobDesc, TransferEngine, TransferPolicy, WatchdogConfig, WireOp,
 };
-pub use folder::{
-    scan_changes, DirFolder, FolderError, LocalChange, LocalStat, MemFolder, SyncFolder,
-};
+pub use folder::{DirFolder, FolderError, LocalChange, LocalStat, MemFolder, SyncFolder};
 pub use lock::{LockConfig, LockGuard, QuorumLock};
 pub use lock_plane::LockPlane;
 pub use maintenance::{trim_overprovisioned, trim_plan};
 pub use oplog_plane::OplogPlane;
-pub use plan::{normal_assignment, s3_cloud_set, DataPlaneConfig, SegmentData};
+pub use plan::{s3_cloud_set, DataPlaneConfig};
 pub use probe::BandwidthProbe;
 pub use rebalance::{add_cloud, remove_cloud, RebalanceError, RebalanceOutcome};
-pub use upload::{
-    run_upload, BlockSink, FileUpload, FileUploadResult, UploadOptions, UploadReport,
-};
+pub use static_plan::StaticPlan;
+pub use upload::{BlockSink, FileUploadResult, UploadOptions, UploadReport};

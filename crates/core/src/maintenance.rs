@@ -15,9 +15,9 @@ use unidrive_meta::{BlockRef, SegmentId, SyncFolderImage};
 /// beyond it is surplus.
 ///
 /// Returns `(segment, block)` pairs to delete; apply with
-/// [`DataPlane::delete_blocks`](crate::DataPlane::delete_blocks)-style
-/// deletion plus [`SyncFolderImage::remove_block`] on the image the
-/// caller then commits.
+/// [`trim_overprovisioned`], or [`DataPlane::delete_blocks`](crate::DataPlane::delete_blocks)
+/// plus [`SyncFolderImage::remove_block`] on the image the caller then
+/// commits.
 pub fn trim_plan(
     image: &SyncFolderImage,
     redundancy: &RedundancyConfig,
@@ -47,23 +47,16 @@ pub fn trim_plan(
 }
 
 /// Executes a trim: deletes the surplus blocks from the clouds (best
-/// effort) and removes them from `image`. Returns how many blocks were
-/// reclaimed.
+/// effort, one engine batch labelled `trim`) and removes them from
+/// `image`. Returns how many blocks were reclaimed.
 pub fn trim_overprovisioned(
     plane: &crate::DataPlane,
     image: &mut SyncFolderImage,
     redundancy: &RedundancyConfig,
 ) -> usize {
     let plan = trim_plan(image, redundancy);
+    plane.delete_labelled("trim", plan.iter().copied(), None);
     for (id, block) in &plan {
-        // A block on a cloud no longer in the set cannot be deleted
-        // remotely, but it should still leave the image.
-        if let Some(cloud) = plane
-            .clouds()
-            .try_get(unidrive_cloud::CloudId(block.cloud as usize))
-        {
-            let _ = cloud.delete(&unidrive_meta::block_path(id, block.index));
-        }
         image.remove_block(id, *block);
     }
     plan.len()

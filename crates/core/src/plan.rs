@@ -85,7 +85,7 @@ impl DataPlaneConfig {
 /// Deterministic even assignment of the normal parity blocks: block `i`
 /// of a segment goes to cloud `i mod N`, so every cloud receives exactly
 /// its fair share `⌈k/K_r⌉` (paper §6.2, "Basic Upload Scheduling").
-pub fn normal_assignment(redundancy: &RedundancyConfig) -> Vec<Vec<u16>> {
+pub(crate) fn normal_assignment(redundancy: &RedundancyConfig) -> Vec<Vec<u16>> {
     let n = redundancy.clouds();
     let total = redundancy.normal_block_count();
     let mut per_cloud: Vec<Vec<u16>> = vec![Vec::new(); n];
@@ -123,16 +123,6 @@ pub fn s3_cloud_set(
             .collect(),
     )
 }
-
-/// A snapshot of one segment's plaintext, shared across upload workers.
-#[derive(Debug, Clone)]
-pub struct SegmentData {
-    /// Content-addressed id.
-    pub id: unidrive_meta::SegmentId,
-    /// Plaintext bytes.
-    pub data: unidrive_util::bytes::Bytes,
-}
-
 
 #[cfg(test)]
 mod tests {

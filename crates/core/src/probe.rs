@@ -89,19 +89,6 @@ impl BandwidthProbe {
     pub fn samples(&self, cloud: CloudId) -> u64 {
         self.estimates.lock()[cloud.0].samples
     }
-
-    /// Cloud ids sorted fastest-first.
-    pub fn ranking(&self) -> Vec<CloudId> {
-        let est = self.estimates.lock();
-        let mut ids: Vec<usize> = (0..est.len()).collect();
-        ids.sort_by(|&a, &b| {
-            est[b]
-                .bytes_per_sec
-                .partial_cmp(&est[a].bytes_per_sec)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        ids.into_iter().map(CloudId).collect()
-    }
 }
 
 #[cfg(test)]
@@ -124,15 +111,6 @@ mod tests {
         }
         let s = p.speed(CloudId(0));
         assert!((4.9e6..5.1e6).contains(&s), "speed {s}");
-    }
-
-    #[test]
-    fn ranking_orders_fastest_first() {
-        let p = BandwidthProbe::new(3, 1e6);
-        p.record(CloudId(0), 1_000_000, Duration::from_secs(1));
-        p.record(CloudId(1), 9_000_000, Duration::from_secs(1));
-        p.record(CloudId(2), 4_000_000, Duration::from_secs(1));
-        assert_eq!(p.ranking(), vec![CloudId(1), CloudId(2), CloudId(0)]);
     }
 
     #[test]

@@ -10,16 +10,18 @@
 //!   other clouds keep their blocks (extra blocks become reclaimable
 //!   over-provisioned copies that the next GC can trim).
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
-use unidrive_cloud::{CloudId, CloudSet};
-use unidrive_erasure::{Codec, ConfigError, RedundancyConfig};
-use unidrive_meta::{block_path, BlockRef, SegmentId, SyncFolderImage};
-use unidrive_sim::Runtime;
+use unidrive_cloud::{CloudId, CloudSet, CloudStore};
+use unidrive_erasure::ConfigError;
+use unidrive_meta::{BlockRef, SegmentId, SyncFolderImage};
+use unidrive_util::bytes::Bytes;
 
+use crate::dataplane::DataPlane;
 use crate::download::SegmentFetch;
-use crate::plan::DataPlaneConfig;
-use crate::probe::BandwidthProbe;
+use crate::static_plan::StaticPlan;
+use crate::upload::block_upload;
 
 /// Error during a membership change.
 #[derive(Debug)]
@@ -51,47 +53,66 @@ impl std::fmt::Display for RebalanceError {
 
 impl std::error::Error for RebalanceError {}
 
-/// Outcome of a rebalance: the updated image and the new cloud set /
-/// redundancy config the client should switch to.
+/// Outcome of a rebalance: the updated image and the data plane the
+/// client should switch to.
 #[derive(Debug)]
 pub struct RebalanceOutcome {
     /// Image with updated block locations.
     pub image: SyncFolderImage,
-    /// New cloud membership.
-    pub clouds: CloudSet,
-    /// Re-validated redundancy config for the new N.
-    pub redundancy: RedundancyConfig,
-    /// Blocks uploaded during the change.
+    /// The data plane over the new membership: its cloud set, and the
+    /// old plane's settings with the redundancy config re-validated for
+    /// the new N.
+    pub plane: DataPlane,
+    /// Blocks uploaded during the change — exactly those whose upload
+    /// landed (and is recorded in `image`).
     pub blocks_moved: usize,
 }
 
-/// Removes the cloud at `victim` from the deployment: every segment's
-/// blocks stored there are re-homed onto the remaining clouds (under
-/// their security caps), then dropped from the metadata.
+/// `plane`'s successor over `clouds`, its membership after a change.
+fn with_membership(plane: &DataPlane, clouds: CloudSet) -> Result<DataPlane, RebalanceError> {
+    let mut config = plane.config.clone();
+    config.redundancy = config
+        .redundancy
+        .with_clouds(clouds.len())
+        .map_err(RebalanceError::Config)?;
+    Ok(DataPlane::new(Arc::clone(&plane.rt), clouds, config))
+}
+
+/// Reconstructs one segment through `plane` — one segment per batch, so
+/// a membership change holds one plaintext in memory at a time.
+fn rebuild(plane: &DataPlane, fetch: SegmentFetch) -> Result<Bytes, RebalanceError> {
+    let id = fetch.id;
+    let mut report = plane.download_segments(vec![fetch], None);
+    match report.failed.pop() {
+        Some(e) => Err(RebalanceError::Fetch(e)),
+        None => Ok(report.segments.remove(&id).expect("a complete batch holds its segment")),
+    }
+}
+
+/// Removes the cloud at `victim` from `plane`'s deployment: every
+/// segment's blocks stored there are re-homed onto the remaining clouds
+/// (under their security caps), then dropped from the metadata.
 ///
 /// # Errors
 ///
+/// [`RebalanceError::Membership`] if `victim` is not a member,
 /// [`RebalanceError::Config`] if removing would violate `K_r ≤ N`;
 /// [`RebalanceError::Fetch`] if some segment cannot be reconstructed to
-/// mint replacement blocks.
+/// mint replacement blocks. A replacement whose upload still fails
+/// after retries is not an error: it is left out of the image and of
+/// `blocks_moved` (reliability degraded, metadata truthful).
 pub fn remove_cloud(
-    rt: &Arc<dyn Runtime>,
-    clouds: &CloudSet,
-    config: &DataPlaneConfig,
+    plane: &DataPlane,
     image: &SyncFolderImage,
     victim: CloudId,
 ) -> Result<RebalanceOutcome, RebalanceError> {
     // Fail fast on a bad victim id, before any block moves.
-    let remaining = clouds
+    let remaining = plane
+        .clouds
         .try_with_removed(victim)
         .ok_or(RebalanceError::Membership { id: victim })?;
-    let new_redundancy = config
-        .redundancy
-        .with_clouds(clouds.len() - 1)
-        .map_err(RebalanceError::Config)?;
-    let codec = Arc::new(Codec::for_config(&config.redundancy).expect("validated"));
-    let probe = Arc::new(BandwidthProbe::new(clouds.len(), 1e6));
-    let cap = new_redundancy.per_cloud_cap();
+    let shrunk = with_membership(plane, remaining)?;
+    let cap = shrunk.config.redundancy.per_cloud_cap();
 
     let mut out = image.clone();
     let mut blocks_moved = 0usize;
@@ -105,190 +126,113 @@ pub fn remove_cloud(
         }
     };
 
-    let segments: Vec<(SegmentId, unidrive_meta::SegmentEntry)> = image
-        .segments()
-        .map(|(id, e)| (*id, e.clone()))
-        .collect();
-    for (id, entry) in segments {
-        let lost: Vec<BlockRef> = entry
+    for (id, entry) in image.segments() {
+        let (lost, mut blocks): (Vec<BlockRef>, Vec<BlockRef>) = entry
             .blocks
             .iter()
-            .filter(|b| b.cloud as usize == victim.0)
-            .copied()
-            .collect();
-        if lost.is_empty() {
-            // Just remap indices.
-            rewrite_locations(&mut out, &id, &entry.blocks, &remap);
-            continue;
-        }
-        // Reconstruct the segment from surviving blocks, then mint
-        // replacement blocks on the surviving clouds.
-        let survivors: Vec<BlockRef> = entry
-            .blocks
-            .iter()
-            .filter(|b| b.cloud as usize != victim.0)
-            .copied()
-            .collect();
-        let report = crate::download::run_download(
-            rt,
-            clouds,
-            &codec,
-            config,
-            &probe,
-            vec![SegmentFetch {
-                id,
+            .partition(|b| b.cloud as usize == victim.0);
+        if !lost.is_empty() {
+            // Reconstruct the segment from surviving blocks, then mint
+            // replacement blocks on the surviving clouds.
+            let from_survivors = SegmentFetch {
+                id: *id,
                 len: entry.len,
-                blocks: survivors.clone(),
-            }],
-            None,
-        );
-        let plain = report
-            .segments
-            .get(&id)
-            .cloned()
-            .ok_or_else(|| {
-                RebalanceError::Fetch(crate::DownloadError::NotEnoughBlocks {
-                    segment: id,
-                    got: 0,
-                    need: codec.k(),
-                })
-            })?;
-        // Place each lost block on the surviving cloud with the fewest
-        // blocks of this segment (respecting the new cap). The block
-        // index is reused: the data is identical wherever it lives.
-        let mut counts: Vec<(usize, usize)> = clouds
-            .iter()
-            .filter(|(cid, _)| cid.0 != victim.0)
-            .map(|(cid, _)| {
-                (
-                    cid.0,
-                    survivors.iter().filter(|b| b.cloud as usize == cid.0).count(),
-                )
-            })
-            .collect();
-        let mut new_blocks = survivors.clone();
-        for block in lost {
-            counts.sort_by_key(|&(_, count)| count);
-            let Some(slot) = counts.iter_mut().find(|(_, count)| *count < cap) else {
-                break; // cap-saturated; reliability is degraded but valid
+                blocks: blocks.clone(),
             };
-            let data = codec.encode_block(&plain, block.index as usize);
-            // Slots were built from this set's own ids, but stay
-            // fallible: an unknown id cannot host the block.
-            let Some(target) = clouds.try_get(CloudId(slot.0)) else {
-                return Err(RebalanceError::Membership { id: CloudId(slot.0) });
-            };
-            if target.upload(&block_path(&id, block.index), data).is_ok() {
-                slot.1 += 1;
-                blocks_moved += 1;
-                new_blocks.push(BlockRef {
+            let plain = rebuild(plane, from_survivors)?;
+            // Place each lost block on the surviving cloud with the
+            // fewest blocks of this segment (respecting the new cap).
+            // The block index is reused: the data is identical wherever
+            // it lives.
+            let mut counts: Vec<(usize, usize)> = (0..plane.clouds.len())
+                .filter(|&c| c != victim.0)
+                .map(|c| (c, blocks.iter().filter(|b| b.cloud as usize == c).count()))
+                .collect();
+            let mut plan = StaticPlan::new(plane.clouds.len());
+            let mut homes = Vec::new();
+            for block in lost {
+                counts.sort_by_key(|&(_, count)| count);
+                let Some(home) = counts.iter_mut().find(|(_, count)| *count < cap) else {
+                    break; // cap-saturated; reliability is degraded but valid
+                };
+                home.1 += 1;
+                let op = block_upload(&plane.codec, id, &plain, block.index);
+                plan.push(CloudId(home.0), block.index, op);
+                homes.push(BlockRef {
                     index: block.index,
-                    cloud: slot.0 as u16,
+                    cloud: home.0 as u16,
                 });
             }
+            let done = plane.run_plan("rebalance", plan, None);
+            let survivors = blocks.len();
+            let landed = homes.iter().zip(&done.landed).filter(|(_, ok)| **ok);
+            blocks.extend(landed.map(|(home, _)| *home));
+            blocks_moved += blocks.len() - survivors;
         }
-        rewrite_locations(&mut out, &id, &new_blocks, &remap);
+        rewrite_locations(&mut out, id, &blocks, &remap);
         // The departing cloud's objects die with the account; no
         // explicit cleanup is needed.
     }
 
     Ok(RebalanceOutcome {
         image: out,
-        clouds: remaining,
-        redundancy: new_redundancy,
+        plane: shrunk,
         blocks_moved,
     })
 }
 
-/// Adds `cloud` to the deployment: computes its fair share for every
-/// segment and uploads it (minting previously unused block indices).
+/// Adds `cloud` to `plane`'s deployment: computes its fair share for
+/// every segment and uploads it (minting previously unused block
+/// indices).
 ///
 /// # Errors
 ///
 /// [`RebalanceError`] as for [`remove_cloud`].
 pub fn add_cloud(
-    rt: &Arc<dyn Runtime>,
-    clouds: &CloudSet,
-    config: &DataPlaneConfig,
+    plane: &DataPlane,
     image: &SyncFolderImage,
-    cloud: Arc<dyn unidrive_cloud::CloudStore>,
+    cloud: Arc<dyn CloudStore>,
 ) -> Result<RebalanceOutcome, RebalanceError> {
-    let new_clouds = clouds.with_added(cloud);
-    let new_redundancy = config
-        .redundancy
-        .with_clouds(new_clouds.len())
-        .map_err(RebalanceError::Config)?;
-    // The codec must be able to mint indices for the grown deployment.
-    let grown_codec =
-        Arc::new(Codec::for_config(&new_redundancy).expect("validated config"));
-    let old_codec = Arc::new(Codec::for_config(&config.redundancy).expect("validated"));
-    let probe = Arc::new(BandwidthProbe::new(clouds.len(), 1e6));
-    let fair = new_redundancy.fair_share();
-    let newcomer = (new_clouds.len() - 1) as u16;
+    // The grown plane's codec can mint indices for the grown deployment.
+    let grown = with_membership(plane, plane.clouds.with_added(cloud))?;
+    let fair = grown.config.redundancy.fair_share();
+    let newcomer = grown.clouds.len() - 1;
 
     let mut out = image.clone();
     let mut blocks_moved = 0usize;
-    let segments: Vec<(SegmentId, unidrive_meta::SegmentEntry)> = image
-        .segments()
-        .map(|(id, e)| (*id, e.clone()))
-        .collect();
-    for (id, entry) in segments {
-        let report = crate::download::run_download(
-            rt,
-            clouds,
-            &old_codec,
-            config,
-            &probe,
-            vec![SegmentFetch {
-                id,
-                len: entry.len,
-                blocks: entry.blocks.clone(),
-            }],
-            None,
-        );
-        let plain = report.segments.get(&id).cloned().ok_or_else(|| {
-            RebalanceError::Fetch(crate::DownloadError::NotEnoughBlocks {
-                segment: id,
-                got: 0,
-                need: old_codec.k(),
-            })
-        })?;
-        let used: std::collections::HashSet<u16> =
-            entry.blocks.iter().map(|b| b.index).collect();
-        let mut minted = 0usize;
-        for index in 0..grown_codec.n() as u16 {
-            if minted >= fair {
-                break;
-            }
-            if used.contains(&index) {
-                continue;
-            }
-            let data = grown_codec.encode_block(&plain, index as usize);
-            // `newcomer` indexes the cloud just appended to
-            // `new_clouds`, but stay fallible like every other lookup.
-            let Some(target) = new_clouds.try_get(CloudId(newcomer as usize)) else {
-                return Err(RebalanceError::Membership {
-                    id: CloudId(newcomer as usize),
-                });
-            };
-            if target.upload(&block_path(&id, index), data).is_ok() {
-                out.record_block(
-                    id,
-                    BlockRef {
-                        index,
-                        cloud: newcomer,
-                    },
-                );
-                minted += 1;
-                blocks_moved += 1;
-            }
+    for (id, entry) in image.segments() {
+        let known = SegmentFetch {
+            id: *id,
+            len: entry.len,
+            blocks: entry.blocks.clone(),
+        };
+        let plain = rebuild(plane, known)?;
+        let used: HashSet<u16> = entry.blocks.iter().map(|b| b.index).collect();
+        let fresh: Vec<u16> = (0..grown.codec.n() as u16)
+            .filter(|index| !used.contains(index))
+            .take(fair)
+            .collect();
+        let mut plan = StaticPlan::new(grown.clouds.len());
+        for &index in &fresh {
+            let op = block_upload(&grown.codec, id, &plain, index);
+            plan.push(CloudId(newcomer), index, op);
+        }
+        let done = grown.run_plan("rebalance", plan, None);
+        for (&index, _) in fresh.iter().zip(&done.landed).filter(|(_, ok)| **ok) {
+            out.record_block(
+                *id,
+                BlockRef {
+                    index,
+                    cloud: newcomer as u16,
+                },
+            );
+            blocks_moved += 1;
         }
     }
 
     Ok(RebalanceOutcome {
         image: out,
-        clouds: new_clouds,
-        redundancy: new_redundancy,
+        plane: grown,
         blocks_moved,
     })
 }

@@ -16,24 +16,33 @@ use std::time::Duration;
 
 use unidrive_util::bytes::Bytes;
 use unidrive_util::sync::Mutex;
-use unidrive_cloud::{CloudError, CloudId, CloudSet};
+use unidrive_cloud::{CloudError, CloudId};
 use unidrive_obs::{SpanGuard, SpanId};
 use unidrive_erasure::Codec;
 use unidrive_meta::{block_path, BlockRef, SegmentId};
-use unidrive_sim::{Runtime, Time};
+use unidrive_sim::Time;
 
-use crate::engine::{EngineParams, JobDesc, TransferEngine, TransferPolicy, WireOp};
-use crate::plan::{normal_assignment, DataPlaneConfig, SegmentData, MAX_BLOCK_BOUNCES};
-use crate::probe::BandwidthProbe;
+use crate::dataplane::DataPlane;
+use crate::engine::{JobDesc, TransferEngine, TransferPolicy, WireOp};
+use crate::plan::{normal_assignment, DataPlaneConfig, MAX_BLOCK_BOUNCES};
 
 /// One file to upload, already segmented.
 #[derive(Debug, Clone)]
-pub struct FileUpload {
+pub(crate) struct FileUpload {
     /// Sync-folder-relative path (reporting only).
     pub path: String,
     /// The file's segments in order. Segments already present in the
     /// multi-cloud (dedup hits) are simply omitted by the caller.
     pub segments: Vec<SegmentData>,
+}
+
+/// One segment's plaintext, shared across upload workers.
+#[derive(Debug, Clone)]
+pub(crate) struct SegmentData {
+    /// Content-addressed id.
+    pub id: SegmentId,
+    /// Plaintext bytes.
+    pub data: Bytes,
 }
 
 /// Shared sink collecting `(segment, block)` placements that complete
@@ -189,127 +198,114 @@ struct Job {
     index: u16,
 }
 
-/// Runs one upload batch over `clouds` and returns the report.
-///
-/// The caller provides files already segmented (and deduplicated);
-/// see [`DataPlane`](crate::DataPlane) for the full path from bytes.
-/// `options` carries availability detach, the block sink and the
-/// parent span; [`UploadOptions::default`] is a plain blocking batch.
-pub fn run_upload(
-    rt: &Arc<dyn Runtime>,
-    clouds: &CloudSet,
-    codec: &Arc<Codec>,
-    config: &DataPlaneConfig,
-    probe: &Arc<BandwidthProbe>,
-    uploads: Vec<FileUpload>,
-    options: UploadOptions,
-) -> UploadReport {
-    let started = rt.now();
-    let n_clouds = clouds.len();
-    let k = config.redundancy.k();
-    let cap = config.redundancy.per_cloud_cap();
-    let normal_total = config.redundancy.normal_block_count() as u16;
+impl DataPlane {
+    /// Runs one upload batch over the plane's clouds and returns the
+    /// report. `uploads` are already segmented and deduplicated —
+    /// [`upload_files`](DataPlane::upload_files) is the path from bytes.
+    pub(crate) fn run_upload(
+        &self,
+        uploads: Vec<FileUpload>,
+        options: UploadOptions,
+    ) -> UploadReport {
+        let (rt, config) = (&self.rt, &self.config);
+        let started = rt.now();
+        let n_clouds = self.clouds.len();
+        let k = config.redundancy.k();
+        let cap = config.redundancy.per_cloud_cap();
+        let normal_total = config.redundancy.normal_block_count() as u16;
 
-    // Build plans, sharing one plan per distinct segment.
-    let mut files = Vec::new();
-    let mut segs: Vec<SegPlan> = Vec::new();
-    let mut seg_index: std::collections::HashMap<SegmentId, usize> = std::collections::HashMap::new();
-    for (fi, file) in uploads.iter().enumerate() {
-        let mut plan_ids = Vec::new();
-        for seg in &file.segments {
-            let idx = *seg_index.entry(seg.id).or_insert_with(|| {
-                let assignment = normal_assignment(&config.redundancy);
-                segs.push(SegPlan {
-                    id: seg.id,
-                    data: seg.data.clone(),
-                    planned: assignment
-                        .into_iter()
-                        .map(|v| v.into_iter().collect())
-                        .collect(),
-                    reassign: VecDeque::new(),
-                    inflight: vec![0; n_clouds],
-                    done: Vec::new(),
-                    next_extra: normal_total,
-                    bounces: 0,
-                    files: Vec::new(),
+        // Build plans, sharing one plan per distinct segment.
+        let mut files = Vec::new();
+        let mut segs: Vec<SegPlan> = Vec::new();
+        let mut seg_index: std::collections::HashMap<SegmentId, usize> = std::collections::HashMap::new();
+        for (fi, file) in uploads.iter().enumerate() {
+            let mut plan_ids = Vec::new();
+            for seg in &file.segments {
+                let idx = *seg_index.entry(seg.id).or_insert_with(|| {
+                    let assignment = normal_assignment(&config.redundancy);
+                    segs.push(SegPlan {
+                        id: seg.id,
+                        data: seg.data.clone(),
+                        planned: assignment
+                            .into_iter()
+                            .map(|v| v.into_iter().collect())
+                            .collect(),
+                        reassign: VecDeque::new(),
+                        inflight: vec![0; n_clouds],
+                        done: Vec::new(),
+                        next_extra: normal_total,
+                        bounces: 0,
+                        files: Vec::new(),
+                    });
+                    segs.len() - 1
                 });
-                segs.len() - 1
-            });
-            if !segs[idx].files.contains(&fi) {
-                segs[idx].files.push(fi);
+                if !segs[idx].files.contains(&fi) {
+                    segs[idx].files.push(fi);
+                }
+                plan_ids.push(idx);
             }
-            plan_ids.push(idx);
+            files.push((file.path.clone(), plan_ids, None));
         }
-        files.push((file.path.clone(), plan_ids, None));
-    }
 
-    let mut batch_guard = config.obs.span("engine.batch", options.parent_span);
-    batch_guard.attr_str("label", "upload");
-    batch_guard.attr_u64("files", uploads.len() as u64);
-    let batch_span = batch_guard.id();
+        let mut batch_guard = config.obs.span("engine.batch", options.parent_span);
+        batch_guard.attr_str("label", "upload");
+        batch_guard.attr_u64("files", uploads.len() as u64);
+        let mut params = self.engine.labelled("upload");
+        params.batch_span = batch_guard.id();
 
-    let mut st = UploadState {
-        segs,
-        files,
-        cloud_alive: vec![true; n_clouds],
-        finished: false,
-        unplaced: 0,
-        timeline: Vec::new(),
-        batch_guard: Some(batch_guard),
-    };
+        let mut st = UploadState {
+            segs,
+            files,
+            cloud_alive: vec![true; n_clouds],
+            finished: false,
+            unplaced: 0,
+            timeline: Vec::new(),
+            batch_guard: Some(batch_guard),
+        };
 
-    // Files with no segments (empty, or fully deduplicated) are
-    // available immediately — and an empty batch must be born finished
-    // (the engine's deadlock-safety invariant).
-    st.refresh_availability(k, started);
-    maybe_finish(&mut st, cap);
+        // Files with no segments (empty, or fully deduplicated) are
+        // available immediately — and an empty batch must be born finished
+        // (the engine's deadlock-safety invariant).
+        st.refresh_availability(k, started);
+        maybe_finish(&mut st, cap);
 
-    let policy = UploadPolicy {
-        st,
-        config: config.clone(),
-        codec: Arc::clone(codec),
-        sink: options.sink.clone(),
-        k,
-        cap,
-        normal_total,
-        batch_span,
-    };
-    let params = EngineParams {
-        connections_per_cloud: config.connections_per_cloud,
-        retry: config.retry.clone(),
-        obs: config.obs.clone(),
-        label: "upload".into(),
-        probe: Some(Arc::clone(probe)),
-        batch_span,
-        watchdog: config.watchdog.clone(),
-    };
-    let engine = TransferEngine::start(rt, clouds, params, policy);
+        let policy = UploadPolicy {
+            st,
+            config: config.clone(),
+            codec: Arc::clone(&self.codec),
+            sink: options.sink.clone(),
+            k,
+            cap,
+            normal_total,
+        };
+        let engine = TransferEngine::start(rt, &self.clouds, params, policy);
 
-    let fair = config.redundancy.fair_share();
-    if options.detach_after_availability {
-        // Wait only until every file is available (or nothing more can
-        // make progress); the reliability work continues on the detached
-        // workers and reports through the sink.
-        let rt2 = Arc::clone(rt);
-        engine.wait_until(move |p| {
-            let all_avail =
-                p.st.files.iter().all(|(_, _, at)| at.is_some()) || p.st.all_available(p.k);
-            if all_avail {
-                // Stamp availability in case the check above hit the
-                // computed path.
-                let now = rt2.now();
-                p.st.refresh_availability(p.k, now);
-            }
-            all_avail
-        });
-        let finished = rt.now();
-        let report = engine.with(|p| build_report(&p.st, n_clouds, fair, started, finished));
-        engine.detach(); // tasks keep running on their own threads
-        report
-    } else {
-        let policy = engine.join();
-        let finished = rt.now();
-        build_report(&policy.st, n_clouds, fair, started, finished)
+        let fair = config.redundancy.fair_share();
+        if options.detach_after_availability {
+            // Wait only until every file is available (or nothing more can
+            // make progress); the reliability work continues on the detached
+            // workers and reports through the sink.
+            let rt2 = Arc::clone(rt);
+            engine.wait_until(move |p| {
+                let all_avail =
+                    p.st.files.iter().all(|(_, _, at)| at.is_some()) || p.st.all_available(p.k);
+                if all_avail {
+                    // Stamp availability in case the check above hit the
+                    // computed path.
+                    let now = rt2.now();
+                    p.st.refresh_availability(p.k, now);
+                }
+                all_avail
+            });
+            let finished = rt.now();
+            let report = engine.with(|p| build_report(&p.st, n_clouds, fair, started, finished));
+            engine.detach(); // tasks keep running on their own threads
+            report
+        } else {
+            let policy = engine.join();
+            let finished = rt.now();
+            build_report(&policy.st, n_clouds, fair, started, finished)
+        }
     }
 }
 
@@ -363,7 +359,6 @@ struct UploadPolicy {
     k: usize,
     cap: usize,
     normal_total: u16,
-    batch_span: Option<SpanId>,
 }
 
 impl TransferPolicy for UploadPolicy {
@@ -372,19 +367,12 @@ impl TransferPolicy for UploadPolicy {
     fn next_job(&mut self, cloud: CloudId) -> Option<JobDesc<Job>> {
         let job = next_job(&mut self.st, cloud.0, self.k, self.cap, &self.config)?;
         let seg = &self.st.segs[job.seg];
-        let path = block_path(&seg.id, job.index);
-        let data = seg.data.clone();
-        let codec = Arc::clone(&self.codec);
-        let index = job.index;
         Some(JobDesc {
-            index,
-            extra: index >= self.normal_total,
-            parent_span: self.batch_span,
-            // Encoding runs on the worker, outside this policy's lock.
-            op: WireOp::Upload {
-                path,
-                payload: Box::new(move || codec.encode_block(&data, index as usize)),
-            },
+            index: job.index,
+            extra: job.index >= self.normal_total,
+            // Every block parents to the engine's batch span.
+            parent_span: None,
+            op: block_upload(&self.codec, &seg.id, &seg.data, job.index),
             token: job,
         })
     }
@@ -411,6 +399,16 @@ impl TransferPolicy for UploadPolicy {
         self.st.segs[job.seg].inflight[cloud.0] -= 1;
         handle_failure(&mut self.st, job, cloud, error);
         maybe_finish(&mut self.st, self.cap);
+    }
+}
+
+/// The upload of block `index` of segment `id`. Encoding runs when the
+/// worker that took the job calls the payload, outside any policy lock.
+pub(crate) fn block_upload(codec: &Arc<Codec>, id: &SegmentId, plain: &Bytes, index: u16) -> WireOp {
+    let (codec, plain) = (Arc::clone(codec), plain.clone());
+    WireOp::Upload {
+        path: block_path(id, index),
+        payload: Box::new(move || codec.encode_block(&plain, index as usize)),
     }
 }
 
@@ -499,8 +497,8 @@ fn next_job(
 
     // Phase 2 — reliability: remaining fair-share blocks. Under the
     // two-phase principle this work only starts once ALL files are
-    // available; the ablation switch interleaves it instead.
-    if all_avail || !config.two_phase {
+    // available (the ablation switch returned above).
+    if all_avail {
         for p in 0..st.segs.len() {
             if let Some(job) = take_planned(st, p, cloud, cap) {
                 return Some(job);
@@ -627,7 +625,7 @@ fn maybe_finish(st: &mut UploadState, cap: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unidrive_cloud::{CloudStore, SimCloud, SimCloudConfig};
+    use unidrive_cloud::{CloudSet, CloudStore, SimCloud, SimCloudConfig};
     use unidrive_crypto::Sha1;
     use unidrive_erasure::RedundancyConfig;
     use unidrive_sim::SimRuntime;
@@ -643,16 +641,7 @@ mod tests {
         }
     }
 
-    type TestRig = (
-        Arc<SimRuntime>,
-        Arc<dyn Runtime>,
-        CloudSet,
-        Arc<Codec>,
-        DataPlaneConfig,
-        Arc<BandwidthProbe>,
-    );
-
-    fn setup(seed: u64, rates: &[f64]) -> TestRig {
+    fn setup(seed: u64, rates: &[f64]) -> (Arc<SimRuntime>, DataPlane) {
         let sim = SimRuntime::new(seed);
         let clouds = CloudSet::new(
             rates
@@ -669,24 +658,14 @@ mod tests {
         );
         let redundancy = RedundancyConfig::new(rates.len(), 3, 3, 2).unwrap();
         let config = DataPlaneConfig::with_params(redundancy, 64 * 1024);
-        let codec = Arc::new(Codec::for_config(&config.redundancy).unwrap());
-        let probe = Arc::new(BandwidthProbe::new(rates.len(), 1e6));
-        let rt = sim.clone().as_runtime();
-        (sim, rt, clouds, codec, config, probe)
+        let plane = DataPlane::new(sim.clone().as_runtime(), clouds, config);
+        (sim, plane)
     }
 
     #[test]
     fn upload_places_fair_share_everywhere() {
-        let (_sim, rt, clouds, codec, config, probe) = setup(1, &[1e6; 5]);
-        let report = run_upload(
-            &rt,
-            &clouds,
-            &codec,
-            &config,
-            &probe,
-            vec![make_file("f", 300_000, 3)],
-            UploadOptions::default(),
-        );
+        let (_sim, plane) = setup(1, &[1e6; 5]);
+        let report = plane.run_upload(vec![make_file("f", 300_000, 3)], UploadOptions::default());
         assert!(report.all_available());
         assert!(report.files[0].reliable);
         assert_eq!(report.unplaced_blocks, 0);
@@ -700,20 +679,11 @@ mod tests {
     #[test]
     fn over_provisioning_gives_fast_clouds_more_blocks() {
         // Cloud 0 is 10x faster than the rest.
-        let (_sim, rt, clouds, codec, config, probe) =
-            setup(2, &[10e6, 1e6, 1e6, 1e6, 1e6]);
-        let report = run_upload(
-            &rt,
-            &clouds,
-            &codec,
-            &config,
-            &probe,
-            vec![make_file("f", 600_000, 5)],
-            UploadOptions::default(),
-        );
+        let (_sim, plane) = setup(2, &[10e6, 1e6, 1e6, 1e6, 1e6]);
+        let report = plane.run_upload(vec![make_file("f", 600_000, 5)], UploadOptions::default());
         assert!(report.all_available());
         let on_fast = report.blocks.iter().filter(|(_, b)| b.cloud == 0).count();
-        let per_seg_cap = config.redundancy.per_cloud_cap();
+        let per_seg_cap = plane.config.redundancy.per_cloud_cap();
         let segs: std::collections::HashSet<_> =
             report.blocks.iter().map(|(s, _)| *s).collect();
         // The fast cloud should be saturated at its security cap.
@@ -722,18 +692,10 @@ mod tests {
 
     #[test]
     fn security_cap_never_exceeded() {
-        let (_sim, rt, clouds, codec, config, probe) =
-            setup(3, &[20e6, 1e6, 1e6, 1e6, 1e6]);
-        let report = run_upload(
-            &rt,
-            &clouds,
-            &codec,
-            &config,
-            &probe,
-            (0..4).map(|i| make_file(&format!("f{i}"), 200_000, i as u8 + 1)).collect(),
-            UploadOptions::default(),
-        );
-        let cap = config.redundancy.per_cloud_cap();
+        let (_sim, plane) = setup(3, &[20e6, 1e6, 1e6, 1e6, 1e6]);
+        let files = (0..4).map(|i| make_file(&format!("f{i}"), 200_000, i as u8 + 1)).collect();
+        let report = plane.run_upload(files, UploadOptions::default());
+        let cap = plane.config.redundancy.per_cloud_cap();
         let mut per_seg_cloud: std::collections::HashMap<(SegmentId, u16), usize> =
             std::collections::HashMap::new();
         for (seg, b) in &report.blocks {
@@ -762,21 +724,12 @@ mod tests {
             members.push(c);
         }
         sim_clouds[2].set_available(false);
-        let clouds = CloudSet::new(members);
-        let redundancy = RedundancyConfig::new(5, 3, 3, 2).unwrap();
-        let config = DataPlaneConfig::with_params(redundancy, 64 * 1024);
-        let codec = Arc::new(Codec::for_config(&config.redundancy).unwrap());
-        let probe = Arc::new(BandwidthProbe::new(5, 1e6));
-        let rt = sim.clone().as_runtime();
-        let report = run_upload(
-            &rt,
-            &clouds,
-            &codec,
-            &config,
-            &probe,
-            vec![make_file("f", 300_000, 7)],
-            UploadOptions::default(),
+        let plane = DataPlane::new(
+            sim.clone().as_runtime(),
+            CloudSet::new(members),
+            DataPlaneConfig::with_params(RedundancyConfig::new(5, 3, 3, 2).unwrap(), 64 * 1024),
         );
+        let report = plane.run_upload(vec![make_file("f", 300_000, 7)], UploadOptions::default());
         assert!(report.all_available(), "upload must survive one outage");
         assert!(report
             .blocks
@@ -786,12 +739,11 @@ mod tests {
 
     #[test]
     fn two_phase_batches_make_all_files_available_before_reliability() {
-        let (_sim, rt, clouds, codec, config, probe) =
-            setup(5, &[2e6, 1e6, 1e6, 1e6, 0.5e6]);
+        let (_sim, plane) = setup(5, &[2e6, 1e6, 1e6, 1e6, 0.5e6]);
         let files: Vec<FileUpload> = (0..5)
             .map(|i| make_file(&format!("f{i}"), 150_000, i as u8 + 1))
             .collect();
-        let report = run_upload(&rt, &clouds, &codec, &config, &probe, files, UploadOptions::default());
+        let report = plane.run_upload(files, UploadOptions::default());
         assert!(report.all_available());
         assert_eq!(report.timeline.len(), 5);
         // Availability of the last file precedes the end of the batch
@@ -802,30 +754,23 @@ mod tests {
 
     #[test]
     fn empty_and_dedup_only_files_complete_instantly() {
-        let (_sim, rt, clouds, codec, config, probe) = setup(6, &[1e6; 5]);
-        let report = run_upload(
-            &rt,
-            &clouds,
-            &codec,
-            &config,
-            &probe,
-            vec![FileUpload {
-                path: "empty.txt".into(),
-                segments: Vec::new(),
-            }],
-            UploadOptions::default(),
-        );
+        let (_sim, plane) = setup(6, &[1e6; 5]);
+        let empty = FileUpload {
+            path: "empty.txt".into(),
+            segments: Vec::new(),
+        };
+        let report = plane.run_upload(vec![empty], UploadOptions::default());
         assert!(report.all_available());
         assert_eq!(report.blocks.len(), 0);
     }
 
     #[test]
     fn duplicate_segments_upload_once() {
-        let (_sim, rt, clouds, codec, config, probe) = setup(7, &[1e6; 5]);
+        let (_sim, plane) = setup(7, &[1e6; 5]);
         let f1 = make_file("a", 100_000, 9);
         let mut f2 = f1.clone();
         f2.path = "b".into();
-        let report = run_upload(&rt, &clouds, &codec, &config, &probe, vec![f1, f2], UploadOptions::default());
+        let report = plane.run_upload(vec![f1, f2], UploadOptions::default());
         assert!(report.all_available());
         let seg_ids: std::collections::HashSet<_> =
             report.blocks.iter().map(|(s, _)| *s).collect();

@@ -6,10 +6,11 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use unidrive_cloud::{CloudError, CloudId, CloudSet, CloudStore, MemCloud};
+use unidrive_cloud::{CloudError, CloudId, CloudSet, CloudStore, MemCloud, RetryPolicy};
 use unidrive_core::{
     EngineParams, JobDesc, TransferEngine, TransferPolicy, WatchdogConfig, WireOp,
 };
+use unidrive_obs::Obs;
 use unidrive_sim::{SimRuntime, Time};
 use unidrive_util::bytes::Bytes;
 
@@ -18,6 +19,10 @@ fn dump_path(tag: &str) -> String {
         .join(format!("unidrive-flight-{tag}-{}.json", std::process::id()))
         .to_string_lossy()
         .into_owned()
+}
+
+fn params(label: &str, connections: usize) -> EngineParams {
+    EngineParams::new(label, connections, RetryPolicy::new(), Obs::noop())
 }
 
 fn mem_clouds(n: usize) -> CloudSet {
@@ -56,8 +61,7 @@ fn watchdog_unsticks_a_stalled_batch_and_dumps_a_flight_record() {
     let path = dump_path("stall");
     let _ = std::fs::remove_file(&path);
 
-    let mut params = EngineParams::new("stall-test");
-    params.connections_per_cloud = 2;
+    let mut params = params("stall-test", 2);
     params.watchdog = Some(WatchdogConfig {
         deadline: Duration::from_secs(5),
         dump_path: path.clone(),
@@ -126,7 +130,7 @@ fn hard_block_failure_dumps_a_flight_record_before_the_batch_ends() {
     let path = dump_path("failure");
     let _ = std::fs::remove_file(&path);
 
-    let mut params = EngineParams::new("failure-test");
+    let mut params = params("failure-test", 1);
     params.watchdog = Some(WatchdogConfig {
         // Generous deadline: the dump below must come from the failed
         // block, not from a stall.
@@ -159,11 +163,10 @@ fn no_watchdog_means_no_dump_file() {
     let path = dump_path("absent");
     let _ = std::fs::remove_file(&path);
 
-    let params = EngineParams::new("plain-test");
     let engine = TransferEngine::start(
         &rt,
         &clouds,
-        params,
+        params("plain-test", 1),
         OneShotMissing {
             dispatched: false,
             done: false,

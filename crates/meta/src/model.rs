@@ -468,7 +468,7 @@ impl SyncFolderImage {
             let len = r.get_u64("segment len")?;
             let refcount = r.get_u32("segment refcount")?;
             let block_count = r.get_u32("block count")?;
-            let mut blocks = Vec::with_capacity(block_count as usize);
+            let mut blocks = Vec::with_capacity(block_count.min(1 << 20) as usize);
             for _ in 0..block_count {
                 blocks.push(BlockRef {
                     index: r.get_u16("block index")?,
@@ -540,6 +540,29 @@ mod tests {
             img.upsert_file(path, snap(tag, 10));
         }
         img
+    }
+
+    /// A count read from a cloud is clamped before it sizes a buffer:
+    /// a well-formed (checksum-valid) image claiming `u32::MAX` blocks
+    /// runs out of input instead of reserving 16 GiB up front.
+    #[test]
+    fn a_huge_claimed_block_count_is_eof_not_an_allocation() {
+        let mut w = Writer::with_header(IMAGE_MAGIC, IMAGE_VERSION);
+        w.put_str("dev");
+        w.put_u64(1);
+        w.put_u64(1);
+        w.put_u32(0); // files
+        w.put_u32(1); // segments
+        w.put_fixed(seg("s").0.as_bytes());
+        w.put_u64(10);
+        w.put_u32(1);
+        w.put_u32(u32::MAX); // blocks claimed, none present
+        assert_eq!(
+            SyncFolderImage::decode(&w.finish()),
+            Err(DecodeError::UnexpectedEof {
+                context: "block index"
+            })
+        );
     }
 
     #[test]

@@ -31,7 +31,6 @@ fn placement(image: &SyncFolderImage, clouds: usize) -> Vec<usize> {
 
 fn main() {
     let sim = SimRuntime::new(3);
-    let rt = sim.clone().as_runtime();
     let mk_cloud = |name: &str| {
         Arc::new(SimCloud::new(&sim, name, SimCloudConfig::steady(1.5e6, 6e6)))
             as Arc<dyn CloudStore>
@@ -47,7 +46,7 @@ fn main() {
         RedundancyConfig::new(5, 3, 3, 2).expect("valid"),
         256 * 1024,
     );
-    let plane = DataPlane::new(rt.clone(), clouds.clone(), config.clone());
+    let plane = DataPlane::new(sim.clone().as_runtime(), clouds, config);
 
     // Upload a file and build its metadata image.
     let data = random_bytes(1_500_000, 5);
@@ -78,41 +77,31 @@ fn main() {
     println!("initial block placement: {:?}", placement(&image, 5));
 
     // The user cancels their Baidu account (cloud index 3).
-    let removed = remove_cloud(&rt, &clouds, &config, &image, CloudId(3))
-        .expect("rebalance on removal");
+    let removed = remove_cloud(&plane, &image, CloudId(3)).expect("rebalance on removal");
     println!(
         "after removing baidu ({} blocks moved): {:?}",
         removed.blocks_moved,
         placement(&removed.image, 4)
     );
-    // Still fully downloadable from the survivors.
-    let mut config4 = config.clone();
-    config4.redundancy = removed.redundancy;
-    let plane4 = DataPlane::new(rt.clone(), removed.clouds.clone(), config4.clone());
-    let restored = plane4
+    // Still fully downloadable from the survivors, through the data
+    // plane the change hands back.
+    let restored = removed
+        .plane
         .download_file(&removed.image, "album.zip")
         .expect("post-removal download");
     assert_eq!(restored, data.to_vec());
     println!("post-removal download verified");
 
     // The user enrolls a new provider.
-    let grown = add_cloud(
-        &rt,
-        &removed.clouds,
-        &config4,
-        &removed.image,
-        mk_cloud("mega"),
-    )
-    .expect("rebalance on addition");
+    let grown = add_cloud(&removed.plane, &removed.image, mk_cloud("mega"))
+        .expect("rebalance on addition");
     println!(
         "after adding mega ({} blocks moved): {:?}",
         grown.blocks_moved,
         placement(&grown.image, 5)
     );
-    let mut config5 = config4.clone();
-    config5.redundancy = grown.redundancy;
-    let plane5 = DataPlane::new(rt, grown.clouds.clone(), config5);
-    let restored = plane5
+    let restored = grown
+        .plane
         .download_file(&grown.image, "album.zip")
         .expect("post-addition download");
     assert_eq!(restored, data.to_vec());

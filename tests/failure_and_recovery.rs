@@ -6,10 +6,14 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use unidrive::cloud::{CloudId, CloudSet, CloudStore, SimCloud, SimCloudConfig};
+use unidrive::cloud::{
+    ChaosCloud, CloudBuilder, CloudId, CloudOp, CloudSet, CloudStore, FaultEvent, FaultKind,
+    FaultPlan, SimCloud, SimCloudConfig,
+};
 use unidrive::core::{
     add_cloud, remove_cloud, trim_overprovisioned, ClientConfig, DataPlane, DataPlaneConfig,
-    MemFolder, SyncFolder, UniDriveClient, UploadOptions, UploadRequest,
+    DownloadError, MemFolder, RebalanceError, SyncFolder, UniDriveClient, UploadOptions,
+    UploadRequest,
 };
 use unidrive::erasure::RedundancyConfig;
 use unidrive::meta::Snapshot;
@@ -46,10 +50,7 @@ fn rig(seed: u64, rates: &[f64]) -> Rig {
 
 fn client(rig: &Rig, device: &str, folder: &Arc<MemFolder>, seed: u64) -> UniDriveClient {
     let mut config = ClientConfig::paper_default(device);
-    config.data = DataPlaneConfig::with_params(
-        RedundancyConfig::new(rig.clouds.len(), 3, 3, 2).unwrap(),
-        64 * 1024,
-    );
+    config.data = data_config(rig);
     UniDriveClient::new(
         rig.sim.clone().as_runtime(),
         rig.clouds.clone(),
@@ -209,6 +210,64 @@ fn resolved_conflict_copy_is_deleted_from_the_clouds_by_the_next_commit() {
     }
 }
 
+/// Block GC runs on the engine, so a delete that fails transiently is
+/// retried under `DataPlaneConfig::retry`. (It used to be dropped by a
+/// `let _ =` — after `collect_garbage` had already forgotten the pool
+/// entry, which leaked the block for good.)
+#[test]
+fn a_transiently_failing_delete_does_not_leak_the_block() {
+    let r = rig(9, &[2e6; 5]);
+    let (clouds, chaos) = with_late_burst(&r, 1, CloudOp::Delete);
+    let folder_a = MemFolder::new();
+    let folder_b = MemFolder::new();
+    let device = |name: &str, folder: &Arc<MemFolder>, seed: u64| {
+        let mut config = ClientConfig::paper_default(name);
+        config.data = data_config(&r);
+        config.data.retry.max_attempts = 12;
+        UniDriveClient::new(
+            r.sim.clone().as_runtime(),
+            clouds.clone(),
+            Arc::clone(folder) as Arc<dyn SyncFolder>,
+            config,
+            SimRng::seed_from_u64(seed),
+        )
+    };
+    let mut a = device("a", &folder_a, 1);
+    let mut b = device("b", &folder_b, 2);
+
+    folder_a.write("doc", &content(150_000, 1), 1).unwrap();
+    a.sync_once().unwrap();
+    // Let the detached reliability uploads land and be committed, so
+    // the image knows every block of the first version.
+    r.sim.sleep(Duration::from_secs(2000)); // and into the burst
+    a.sync_once().unwrap();
+    b.sync_once().unwrap();
+    let old: Vec<(usize, String)> = a
+        .image()
+        .segments()
+        .flat_map(|(id, entry)| {
+            entry
+                .blocks
+                .iter()
+                .map(move |blk| (blk.cloud as usize, unidrive::meta::block_path(id, blk.index)))
+        })
+        .collect();
+    assert!(old.iter().filter(|(cloud, _)| *cloud == 1).count() >= 3);
+
+    // Overwrite: the commit collects every segment of the old version.
+    folder_a.write("doc", &content(150_000, 2), 2).unwrap();
+    assert_eq!(a.sync_once().unwrap().uploaded, vec!["doc"]);
+    assert!(chaos.injected_faults() > 0, "the burst never fired");
+    for (cloud, path) in &old {
+        assert!(
+            !r.handles[*cloud].exists(path).unwrap(),
+            "{path} leaked on cloud{cloud}"
+        );
+    }
+    assert_eq!(b.sync_once().unwrap().downloaded, vec!["doc"]);
+    assert_eq!(folder_b.read("doc").unwrap().to_vec(), content(150_000, 2));
+}
+
 #[test]
 fn trim_after_sync_reclaims_space_without_breaking_reads() {
     let r = rig(4, &[0.2e6, 0.4e6, 1e6, 2e6, 4e6]); // very uneven
@@ -259,20 +318,13 @@ fn delta_compaction_keeps_long_histories_readable() {
     );
 }
 
-#[test]
-fn remove_then_add_cloud_round_trip() {
-    let r = rig(6, &[2e6; 5]);
-    let rt = r.sim.clone().as_runtime();
-    let config = DataPlaneConfig::with_params(
-        RedundancyConfig::new(5, 3, 3, 2).unwrap(),
-        64 * 1024,
-    );
-    let plane = DataPlane::new(rt.clone(), r.clouds.clone(), config.clone());
-    let data: unidrive_util::bytes::Bytes = content(250_000, 9).into();
+/// Uploads `data` as file "x" through `plane` and returns the image a
+/// client would have committed for it.
+fn image_of(plane: &DataPlane, data: &[u8]) -> unidrive::meta::SyncFolderImage {
     let (report, segs) = plane.upload_files(
         vec![UploadRequest {
             path: "x".into(),
-            data: data.clone(),
+            data: data.to_vec().into(),
         }],
         &Default::default(),
         UploadOptions::default(),
@@ -293,17 +345,31 @@ fn remove_then_add_cloud_round_trip() {
             segments: segs[0].segments.iter().map(|(id, _)| *id).collect(),
         },
     );
+    image
+}
+
+fn data_config(r: &Rig) -> DataPlaneConfig {
+    DataPlaneConfig::with_params(
+        RedundancyConfig::new(r.clouds.len(), 3, 3, 2).unwrap(),
+        64 * 1024,
+    )
+}
+
+fn data_plane(r: &Rig) -> DataPlane {
+    DataPlane::new(r.sim.clone().as_runtime(), r.clouds.clone(), data_config(r))
+}
+
+#[test]
+fn remove_then_add_cloud_round_trip() {
+    let r = rig(6, &[2e6; 5]);
+    let plane = data_plane(&r);
+    let data = content(250_000, 9);
+    let image = image_of(&plane, &data);
 
     // Remove cloud 2; file must stay fully readable with 4 clouds.
-    let removed = remove_cloud(&rt, &r.clouds, &config, &image, CloudId(2)).expect("remove");
-    assert_eq!(removed.clouds.len(), 4);
-    let mut cfg4 = config.clone();
-    cfg4.redundancy = removed.redundancy;
-    let plane4 = DataPlane::new(rt.clone(), removed.clouds.clone(), cfg4.clone());
-    assert_eq!(
-        plane4.download_file(&removed.image, "x").unwrap(),
-        data.to_vec()
-    );
+    let removed = remove_cloud(&plane, &image, CloudId(2)).expect("remove");
+    assert_eq!(removed.plane.clouds().len(), 4);
+    assert_eq!(removed.plane.download_file(&removed.image, "x").unwrap(), data);
     // No block references the removed cloud index range.
     for (_, entry) in removed.image.segments() {
         for b in &entry.blocks {
@@ -317,38 +383,113 @@ fn remove_then_add_cloud_round_trip() {
         "fresh",
         SimCloudConfig::steady(2e6, 8e6),
     ));
-    let grown = add_cloud(
-        &rt,
-        &removed.clouds,
-        &cfg4,
-        &removed.image,
-        newcomer as Arc<dyn CloudStore>,
-    )
-    .expect("add");
-    assert_eq!(grown.clouds.len(), 5);
-    let fair = grown.redundancy.fair_share();
+    let grown = add_cloud(&removed.plane, &removed.image, newcomer as Arc<dyn CloudStore>)
+        .expect("add");
+    assert_eq!(grown.plane.clouds().len(), 5);
+    let fair = grown.plane.config().redundancy.fair_share();
     for (_, entry) in grown.image.segments() {
         assert!(entry.blocks_on(4) >= fair, "newcomer holds its fair share");
     }
-    let mut cfg5 = cfg4.clone();
-    cfg5.redundancy = grown.redundancy;
-    let plane5 = DataPlane::new(rt, grown.clouds.clone(), cfg5);
-    assert_eq!(
-        plane5.download_file(&grown.image, "x").unwrap(),
-        data.to_vec()
-    );
+    assert_eq!(grown.plane.download_file(&grown.image, "x").unwrap(), data);
 }
 
 #[test]
 fn removing_below_k_r_is_rejected() {
     let r = rig(7, &[1e6, 1e6, 1e6]);
-    let rt = r.sim.clone().as_runtime();
-    let config = DataPlaneConfig::with_params(
-        RedundancyConfig::new(3, 3, 3, 2).unwrap(),
-        64 * 1024,
-    );
     let image = unidrive::meta::SyncFolderImage::new();
-    assert!(remove_cloud(&rt, &r.clouds, &config, &image, CloudId(0)).is_err());
+    assert!(remove_cloud(&data_plane(&r), &image, CloudId(0)).is_err());
+}
+
+/// The rig's clouds, `cloud{victim}` behind a fault injector that fails
+/// half of its `op`s from virtual second 1000 on.
+fn with_late_burst(r: &Rig, victim: usize, op: CloudOp) -> (CloudSet, Arc<ChaosCloud>) {
+    let burst = FaultEvent::always(
+        format!("cloud{victim}"),
+        FaultKind::TransientBurst { probability: 0.5 },
+    )
+    .window_secs(1000, u64::MAX)
+    .on_ops(&[op]);
+    let built = CloudBuilder::new(&r.sim.clone().as_runtime(), r.clouds.get(CloudId(victim)).clone())
+        .chaos(&FaultPlan::with_events(7, vec![burst]), "")
+        .build();
+    let mut members: Vec<Arc<dyn CloudStore>> = r.clouds.iter().map(|(_, c)| Arc::clone(c)).collect();
+    members[victim] = built.store;
+    (CloudSet::new(members), built.chaos.expect("chaos stage configured"))
+}
+
+/// Re-homing goes through the engine: an upload that fails transiently
+/// on a survivor is retried instead of silently dropping the block.
+#[test]
+fn remove_cloud_retries_rehoming_through_a_transient_burst() {
+    let r = rig(11, &[2e6; 5]);
+    let (clouds, chaos) = with_late_burst(&r, 0, CloudOp::Upload);
+    let mut config = data_config(&r);
+    config.overprovisioning = false; // one block per cloud per segment
+    config.retry.max_attempts = 12;
+    let plane = DataPlane::new(r.sim.clone().as_runtime(), clouds, config);
+    // Unlike `content`, not periodic: every segment is distinct.
+    let data = unidrive::workload::random_bytes(1_000_000, 3).to_vec();
+    let image = image_of(&plane, &data);
+    let lost: usize = image.segments().map(|(_, e)| e.blocks_on(2)).sum();
+    assert!(lost >= 8, "many segments, one block each on the victim");
+
+    r.sim.sleep(Duration::from_secs(2000)); // into the burst
+    let removed = remove_cloud(&plane, &image, CloudId(2)).expect("remove");
+    assert!(chaos.injected_faults() > 0, "the burst never fired");
+    assert_eq!(removed.blocks_moved, lost, "a re-homed block was dropped");
+    for (id, entry) in removed.image.segments() {
+        let total: usize = (0..4u16).map(|c| entry.blocks_on(c)).sum();
+        assert_eq!(total, 5, "segment {id} is short of blocks");
+        assert!((0..4u16).all(|c| entry.blocks_on(c) >= 1), "segment {id}: a survivor lost its share");
+    }
+    assert_eq!(removed.plane.download_file(&removed.image, "x").unwrap(), data);
+}
+
+/// A failed rebuild reports what the download actually found, not a
+/// made-up `NotEnoughBlocks { got: 0 }`.
+#[test]
+fn remove_cloud_propagates_the_real_rebuild_error() {
+    // One block per cloud (no spares): removing cloud 4 leaves the
+    // survivors 4 blocks of each segment, k = 3.
+    let setup = |seed: u64| {
+        let r = rig(seed, &[2e6; 5]);
+        let mut config = data_config(&r);
+        config.overprovisioning = false;
+        let plane = DataPlane::new(r.sim.clone().as_runtime(), r.clouds.clone(), config);
+        let image = image_of(&plane, &content(50_000, 5));
+        (r, plane, image)
+    };
+    let block_on = |image: &unidrive::meta::SyncFolderImage, cloud: u16| {
+        let (id, entry) = image.segments().next().expect("one segment");
+        let b = entry.blocks.iter().find(|b| b.cloud == cloud).expect("one block per cloud");
+        unidrive::meta::block_path(id, b.index)
+    };
+
+    // Two survivors lost their block: the error counts the two left.
+    let (r, plane, image) = setup(12);
+    for cloud in [0u16, 1] {
+        r.handles[cloud as usize].delete(&block_on(&image, cloud)).unwrap();
+    }
+    match remove_cloud(&plane, &image, CloudId(4)) {
+        Err(RebalanceError::Fetch(DownloadError::NotEnoughBlocks { got: 2, need: 3, .. })) => {}
+        other => panic!("expected 2 of 3 blocks, got {other:?}"),
+    }
+
+    // A survivor serves a corrupted block: the decode that used it is
+    // thrown away, and the error says what was left — or names the
+    // integrity failure — never `got: 0`.
+    let (r, plane, image) = setup(13);
+    let path = block_on(&image, 0);
+    let mut bad = r.handles[0].download(&path).unwrap().to_vec();
+    bad[0] ^= 0xFF;
+    r.handles[0].upload(&path, bad.into()).unwrap();
+    match remove_cloud(&plane, &image, CloudId(4)) {
+        Err(RebalanceError::Fetch(
+            DownloadError::IntegrityMismatch { .. }
+            | DownloadError::NotEnoughBlocks { got: 1.., .. },
+        )) => {}
+        other => panic!("expected the download's own error, got {other:?}"),
+    }
 }
 
 #[test]

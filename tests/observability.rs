@@ -95,6 +95,12 @@ fn run_scenario(seed: u64) -> RunResult {
     let down = sync_until(&mut b, "B fetch");
     assert_eq!(down.downloaded, vec!["big.bin"]);
     assert_eq!(folder_b.read("big.bin").unwrap().to_vec(), data);
+    // Overwriting the file makes A's next commit collect the first
+    // version's segments: a `gc` batch on the transfer engine.
+    let edited: Vec<u8> = data.iter().map(|b| b ^ 0x5a).collect();
+    folder_a.write("big.bin", &edited, 2).unwrap();
+    let up = sync_until(&mut a, "A overwrite");
+    assert_eq!(up.uploaded, vec!["big.bin"]);
 
     let mut snapshot = obs.snapshot().unwrap();
     snapshot.canonicalize();
@@ -215,6 +221,17 @@ fn spans_form_a_causal_tree_rooted_at_sync_rounds() {
         assert!(sp.end_ns >= sp.start_ns, "{} runs backwards", sp.name);
     }
     assert!(blocks > 0, "scenario moved no blocks");
+    // Upload, download and garbage collection all ran as batches of the
+    // one engine (each parented to its sync round, checked above).
+    for label in ["upload", "download", "gc"] {
+        let wanted = unidrive::obs::FieldValue::S(label.to_owned());
+        assert!(
+            s.spans
+                .iter()
+                .any(|sp| sp.name == "engine.batch" && sp.attr("label") == Some(&wanted)),
+            "no {label} batch in the trace"
+        );
+    }
     assert!(s.span_count("sync.round") >= 2, "both devices synced");
     assert!(s.span_count("meta.merge") > 0, "commit path never merged");
 }
