@@ -55,11 +55,12 @@ else
     echo "    clippy not installed; skipped"
 fi
 
-echo "==> one trace, one artefact, one reader: the retired names stay retired"
-# The typed Event ring, the three per-format flags and the second
-# report binary must not creep back. (The bracketed letters keep this
-# line from matching itself.)
-if grep -rnE '\bEvent::|Traced[E]vent|--metrics-[o]ut|--trace-[o]ut|--series-[o]ut|trace_[r]eport' \
+echo "==> one trace, one artefact, one reader, one per-cloud estimator: the retired names stay retired"
+# The typed Event ring, the three per-format flags, the second report
+# binary and the streaming health scoreboard (cloud health is a
+# function `obs_report` computes from the series) must not creep back.
+# (The bracketed letters keep this line from matching itself.)
+if grep -rnE '\bEvent::|Traced[E]vent|--metrics-[o]ut|--trace-[o]ut|--series-[o]ut|trace_[r]eport|Health[T]racker|Health[B]oard|Cloud[H]ealth|Health[C]onfig|to_json_with_[h]ealth|unidrive-[h]ealth/v1' \
     crates src tests examples ci.sh; then
     echo "    retired obs name found (see matches above)"
     exit 1
@@ -133,16 +134,21 @@ cmp "$out/cs1.json" "$out/cs2.json"
 cmp "$out/cs1.minplan.json" "$out/cs2.minplan.json"
 cmp "$out/cs1.flight.json" "$out/cs2.flight.json"
 grep -q '"verdict": "PASS"' "$out/cs1.json"
+# A failure replays from its artefact: one round under the minimized
+# plan as read back from disk violates what the verdict recorded.
+want="$(grep -o '"minimized_failed": \[[^]]*\]' "$out/cs1.json" | cut -d' ' -f2)"
+[ "$want" != "[]" ]
+./target/release/chaos_soak --replay "$out/cs1.minplan.json" | grep -F "invariants violated: $want"
 
 echo "==> chaos health round: targeted outage visibly degrades, then recovers"
-# The health-round acceptance gate: the scoreboard fed by ObservedCloud
-# wrappers must show the targeted cloud leaving healthy during its
-# outage window and back to healthy once the window closes, while no
-# untargeted cloud ever goes down — chaos_soak derives all three from
-# the scoreboard's trackers (the target's transitions, timeline and
-# *final* state; the others' transitions) and folds them into its
-# verdict. The same scoreboard is embedded in the health round's obs
-# bundle, which must also validate.
+# The health-round acceptance gate: the availability lanes derived from
+# the cloud.ops / cloud.err series the ObservedCloud wrappers record
+# must show the targeted cloud leaving healthy during its outage window
+# and back to healthy once the window closes, while no untargeted
+# cloud ever goes down — chaos_soak derives all three from the lanes
+# (the target's windows and *final* state; the others' transitions)
+# and folds them into its verdict. obs_report derives the same lanes
+# from the health round's obs bundle, which must also validate.
 cmp "$out/csh1.json" "$out/csh2.json"
 ./target/release/obs_report --validate "$out/csh1.json"
 grep -q '"dipped": true' "$out/cs1.json"
@@ -168,14 +174,14 @@ cmp "$out/f1.json" "$out/f2.json"
 ./target/release/bench_compare --validate "$out/f1.json"
 grep -q '"devices": 10000' "$out/f1.json"
 
-echo "==> fleet series: byte-identical across shard/thread layouts + health schema"
+echo "==> fleet series: byte-identical across shard/thread layouts + one lane per cloud"
 # The per-shard series banks must merge to the same document no matter
 # how the event set is partitioned — the windowed-telemetry analogue
-# of the BENCH_fleet.json determinism gate — and the embedded health
-# scoreboard must carry one valid, busy row per cloud next to the four
-# series fleet consumers read (obs_report's fleet-export rules).
+# of the BENCH_fleet.json determinism gate — and it must carry the four
+# series fleet consumers read (obs_report's fleet-export rule) plus
+# attempt/error series from which one lane per cloud derives.
 cmp "$out/fs1.json" "$out/fs2.json"
-./target/release/obs_report --validate "$out/fs1.json" | grep "5 health rows"
+./target/release/obs_report --validate "$out/fs1.json" | grep "5 health lanes"
 
 echo "==> oplog bench: N-writer scaling shape + schema + byte-identical"
 # The metadata-plane headline: on a hot shared folder, oplog commits

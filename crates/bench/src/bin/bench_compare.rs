@@ -400,6 +400,7 @@ fn row_key(row: &Json, id_fields: &[&str]) -> String {
         .iter()
         .map(|f| match row.get(f) {
             Some(Json::Str(s)) => s.clone(),
+            Some(Json::Int(v)) => format!("{v}"),
             Some(Json::Num(v)) => format!("{v}"),
             _ => "?".to_owned(),
         })

@@ -18,8 +18,9 @@
 //! [--out BENCH_fleet.json] [--obs-out OBS.json]`.
 //! `--obs-out` writes the obs bundle: the counters mirrored into a
 //! standard `snapshot` plus the windowed per-cloud/workload `series`
-//! with the health scoreboard embedded (byte-identical across shard
-//! and thread counts — CI runs two layouts and byte-compares).
+//! (byte-identical across shard and thread counts — CI runs two
+//! layouts and byte-compares); `obs_report` derives the per-cloud
+//! availability lanes from its `cloud.ops` / `cloud.err` series.
 
 use std::time::Instant;
 
@@ -168,31 +169,6 @@ fn main() {
         ]);
     }
     println!("\n{}", table.render());
-
-    // Health scoreboard summary: final state per cloud (full timelines
-    // are in the --obs-out export).
-    let state_of = |row: &str| {
-        row.split("\"state\": \"")
-            .nth(1)
-            .and_then(|rest| rest.split('"').next())
-            .unwrap_or("?")
-            .to_owned()
-    };
-    let cloud_of = |row: &str| {
-        row.split("\"cloud\": \"")
-            .nth(1)
-            .and_then(|rest| rest.split('"').next())
-            .unwrap_or("?")
-            .to_owned()
-    };
-    println!(
-        "health: {}",
-        m.health_rows
-            .iter()
-            .map(|r| format!("{}={}", cloud_of(r), state_of(r)))
-            .collect::<Vec<_>>()
-            .join(" ")
-    );
 
     println!("invariants:");
     for inv in &m.invariants {

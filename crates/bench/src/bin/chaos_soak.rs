@@ -35,30 +35,40 @@
 //! produce byte-identical verdict files (checked in CI, like fig11).
 //!
 //! A final **health** round drives a targeted single-cloud outage with
-//! every device frontend wrapped in an [`ObservedCloud`] feeding a
-//! shared per-provider [`HealthBoard`]: the targeted cloud must leave
-//! `healthy` during the fault window and return to `healthy` after it
-//! closes, and no untargeted cloud may go `down`. The scoreboard is
-//! embedded in the verdict and, with `--obs-out`, exported inside the
-//! health round's obs bundle alongside the windowed series.
+//! every device frontend wrapped in an `ObservedCloud`, so each
+//! provider's attempts and failures land in the `cloud.ops` /
+//! `cloud.err` series. The availability lanes derived from those
+//! series ([`unidrive_obs::health_lanes`], what `obs_report` prints
+//! from the `--obs-out` bundle) must show the targeted cloud leaving
+//! `healthy` during the fault window and back to `healthy` after it
+//! closes, and no untargeted cloud going `down`. The lanes are
+//! embedded in the verdict.
 //!
 //! Usage: `chaos_soak [quick] [--meta-mode {lock,oplog}]
-//! [--out verdict.json] [--obs-out OBS.json]`.
+//! [--out verdict.json] [--obs-out OBS.json]`, or
+//! `chaos_soak --replay plan.json [--meta-mode {lock,oplog}]`.
 //! `--meta-mode` restricts the randomized rounds to one plane.
+//! `--replay` runs one round under a plan an earlier run wrote
+//! (`*.minplan.json`; the lock plane unless told otherwise), prints
+//! the invariants it violates and exits 1 if there are any.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
+use unidrive_bench::plan::read_fault_plan;
 use unidrive_bench::{arg_value, meta_mode_arg, obs_out, quick_arg};
 use unidrive_cloud::{
-    ChaosCloud, CloudBuilder, CloudSet, CloudStore, FaultEvent, FaultKind, FaultPlan,
-    HealthBoard, HealthConfig, HealthState, HealthTracker, MemCloud, SimCloud, SimCloudConfig,
+    ChaosCloud, CloudBuilder, CloudSet, CloudStore, FaultEvent, FaultKind, FaultPlan, MemCloud,
+    SimCloud, SimCloudConfig,
 };
 use unidrive_core::{ClientConfig, DataPlaneConfig, MemFolder, SyncFolder, UniDriveClient};
 use unidrive_erasure::RedundancyConfig;
 use unidrive_meta::MetaMode;
-use unidrive_obs::{bundle_json, FieldValue, Obs, Registry, SpanRecord, DEFAULT_SERIES_WINDOW_NS};
+use unidrive_obs::{
+    bundle_json, lane_span, FieldValue, HealthLane, HealthState, Obs, Registry, SpanRecord,
+    DEFAULT_SERIES_WINDOW_NS,
+};
 use unidrive_sim::{spawn, SimRng, SimRuntime};
 
 const CLOUDS: usize = 5;
@@ -321,19 +331,20 @@ struct HealthOutcome {
     recovered: bool,
     /// No *untargeted* cloud ever went `down`.
     others_clean: bool,
-    /// Scoreboard rows (one JSON object per cloud, sorted by name).
+    /// One JSON object per cloud, sorted by name: final state and the
+    /// `H d X .` lane over the round's windows.
     rows: Vec<String>,
 }
 
 /// Targeted health round: a fixed outage on [`HEALTH_TARGET`] while
 /// the usual soak workload runs, with every device frontend wrapped in
-/// an [`ObservedCloud`] feeding one *shared* per-provider health
-/// tracker (the scoreboard scores the provider, not one device's view
-/// of it). This is the observability acceptance check: the fault
-/// window must demonstrably move the targeted cloud out of `healthy`
-/// and the close of the window must bring it back. When `bundle_path`
-/// is set, the round's obs bundle — trace, snapshot, windowed series with
-/// the health scoreboard embedded — is written there: virtual-time
+/// an `ObservedCloud` recording into one registry (the series are
+/// labeled by provider, so a lane scores the provider, not one
+/// device's view of it). This is the observability acceptance check:
+/// the fault window must demonstrably move the targeted cloud's
+/// derived lane out of `healthy` and the close of the window must
+/// bring it back. When `bundle_path` is set, the round's obs bundle —
+/// trace, snapshot, windowed series — is written there: virtual-time
 /// deterministic, same seed ⇒ byte-identical.
 fn health_round(bundle_path: Option<&str>) -> HealthOutcome {
     let plan = FaultPlan::with_events(
@@ -347,7 +358,6 @@ fn health_round(bundle_path: Option<&str>) -> HealthOutcome {
     registry.enable_series(DEFAULT_SERIES_WINDOW_NS);
     let obs = Obs::with_registry(Arc::clone(&registry));
     sim.install_obs(obs.clone());
-    let board = HealthBoard::new(HealthConfig::default());
 
     let backings: Vec<Arc<MemCloud>> = (0..CLOUDS)
         .map(|i| Arc::new(MemCloud::new(format!("b{i}"))))
@@ -365,7 +375,7 @@ fn health_round(bundle_path: Option<&str>) -> HealthOutcome {
                 inner.install_obs(obs.clone());
                 CloudBuilder::new(&rt, inner as Arc<dyn CloudStore>)
                     .chaos(&plan, &format!("dev{d}"))
-                    .observed(board.cloud(&format!("c{i}")))
+                    .observed()
                     .obs(&obs)
                     .build()
                     .store
@@ -432,40 +442,47 @@ fn health_round(bundle_path: Option<&str>) -> HealthOutcome {
         rt.sleep(Duration::from_secs(15));
     }
 
-    board.finish(rt.now().as_nanos());
-    let rows = board.to_json_rows();
+    let series = registry.series_snapshot();
     if let Some(path) = bundle_path {
-        let series = registry.series_snapshot().to_json_with_health(&rows);
-        obs_out::write_bundle(path, registry.snapshot(), &series);
+        obs_out::write_bundle(path, registry.snapshot(), &series.to_json());
     }
 
-    let trackers: Vec<HealthTracker> = (0..CLOUDS)
-        .map(|i| board.cloud(&format!("c{i}")).tracker())
-        .collect();
-    let (dipped, recovered, others_clean) = health_verdict(&trackers);
+    let lanes = series.health_lanes();
+    let (dipped, recovered, others_clean) = health_verdict(&lanes);
+    let (lo, hi) = lane_span(&lanes);
     HealthOutcome {
         dipped,
         recovered,
         others_clean,
-        rows,
+        rows: lanes
+            .iter()
+            .map(|(cloud, lane)| {
+                format!(
+                    "{{\"cloud\": \"{cloud}\", \"state\": \"{}\", \"lane\": \"{}\"}}",
+                    lane.state().as_str(),
+                    lane.ascii(lo, hi)
+                )
+            })
+            .collect(),
     }
 }
 
-/// `(dipped, recovered, others_clean)` of a finished scoreboard (see
-/// [`HealthOutcome`]). `recovered` is the target's *final* state: a
-/// cloud that was healthy before its outage and ends `down` has not
+/// `(dipped, recovered, others_clean)` of the round's derived lanes
+/// (see [`HealthOutcome`]). `recovered` is the target's *final* state:
+/// a cloud that was healthy before its outage and ends `down` has not
 /// recovered.
-fn health_verdict(trackers: &[HealthTracker]) -> (bool, bool, bool) {
-    let target = trackers.iter().find(|t| t.name() == HEALTH_TARGET);
-    let dipped = target.is_some_and(|t| {
-        t.transitions().iter().any(|x| x.to != HealthState::Healthy)
-            && t.timeline().iter().any(|w| w.state != HealthState::Healthy)
-    });
-    let recovered = target.is_some_and(|t| t.state() == HealthState::Healthy);
-    let others_clean = trackers
+fn health_verdict(lanes: &[(String, HealthLane)]) -> (bool, bool, bool) {
+    let target = lanes
         .iter()
-        .filter(|t| t.name() != HEALTH_TARGET)
-        .all(|t| t.transitions().iter().all(|x| x.to != HealthState::Down));
+        .find(|(cloud, _)| cloud == HEALTH_TARGET)
+        .map(|(_, lane)| lane);
+    let dipped =
+        target.is_some_and(|l| l.windows.iter().any(|&(_, s)| s != HealthState::Healthy));
+    let recovered = target.is_some_and(|l| l.state() == HealthState::Healthy);
+    let others_clean = lanes
+        .iter()
+        .filter(|(cloud, _)| cloud != HEALTH_TARGET)
+        .all(|(_, l)| l.transitions.iter().all(|t| t.2 != HealthState::Down));
     (dipped, recovered, others_clean)
 }
 
@@ -552,7 +569,30 @@ fn json_str_list(items: &[&str]) -> String {
     format!("[{}]", quoted.join(","))
 }
 
+/// `--replay PLAN.json`: one round under the plan an earlier run wrote.
+fn replay(path: &str) -> ! {
+    let plan = std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| read_fault_plan(&text))
+        .unwrap_or_else(|e| {
+            eprintln!("chaos_soak: cannot replay {path}: {e}");
+            std::process::exit(2);
+        });
+    let mode = meta_mode_arg().unwrap_or(MetaMode::Lock);
+    let outcome = run_round(&plan, mode, false);
+    println!(
+        "replay {path} (seed {}, {} events, {mode} plane): invariants violated: {}",
+        plan.seed,
+        plan.events.len(),
+        json_str_list(&outcome.failed),
+    );
+    std::process::exit(if outcome.failed.is_empty() { 0 } else { 1 });
+}
+
 fn main() {
+    if let Some(path) = arg_value("--replay") {
+        replay(&path);
+    }
     let quick = quick_arg();
     let out = arg_value("--out");
     let obs_path = arg_value("--obs-out");
@@ -620,7 +660,7 @@ fn main() {
         if minimized_outcome.failed.is_empty() { "NO".to_owned() } else { minimized_outcome.failed.join(",") },
     );
 
-    // Health round: targeted outage must visibly move the scoreboard.
+    // Health round: targeted outage must visibly move the derived lane.
     let health = health_round(obs_path.as_deref());
     println!(
         "\nhealth round: outage on {HEALTH_TARGET} [{}s,{}s): dipped={} recovered={} others_clean={}",
@@ -684,24 +724,17 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unidrive_obs::health_lane;
 
-    const W: u64 = 1_000;
-
-    /// A tracker fed one window per entry: `true` = ten clean ops,
+    /// A lane fed one window per entry: `true` = ten clean attempts,
     /// `false` = ten failed ones.
-    fn tracker(name: &str, windows: &[bool]) -> HealthTracker {
-        let config = HealthConfig {
-            window_ns: W,
-            ..HealthConfig::default()
-        };
-        let mut t = HealthTracker::new(name, config);
-        for (w, &ok) in windows.iter().enumerate() {
-            for k in 0..10 {
-                t.record(w as u64 * W + k, 50, ok);
-            }
-        }
-        t.finish(windows.len() as u64 * W);
-        t
+    fn lane(name: &str, windows: &[bool]) -> (String, HealthLane) {
+        let rows: Vec<(u64, u64, u64)> = windows
+            .iter()
+            .enumerate()
+            .map(|(w, &ok)| (w as u64, 10, if ok { 0 } else { 10 }))
+            .collect();
+        (name.to_owned(), health_lane(&rows, windows.len() as u64))
     }
 
     /// A `lock.*` span ending at `end_ns` (the audit reads ring = end
@@ -772,29 +805,25 @@ mod tests {
     }
 
     #[test]
-    fn a_target_that_dips_and_climbs_back_is_recovered() {
-        let target = tracker(HEALTH_TARGET, &[true, false, true, true, true, true]);
-        let other = tracker("c0", &[true; 6]);
-        assert_eq!(health_verdict(&[other, target]), (true, true, true));
-    }
-
-    /// The row of a cloud that ends `down` still carries `"state":
-    /// "healthy"` in its pre-outage timeline windows; only the final
-    /// state may count as recovery.
-    #[test]
-    fn a_target_healthy_earlier_but_down_at_the_end_is_not_recovered() {
-        let target = tracker(HEALTH_TARGET, &[true, true, false, false]);
-        assert_eq!(target.timeline()[0].state, HealthState::Healthy);
-        assert_eq!(target.state(), HealthState::Down);
-        assert!(target.to_json().contains("\"state\": \"healthy\""));
-        let other = tracker("c0", &[true; 4]);
-        assert_eq!(health_verdict(&[other, target]), (true, false, true));
-    }
-
-    #[test]
-    fn an_untargeted_cloud_going_down_is_not_clean() {
-        let target = tracker(HEALTH_TARGET, &[true; 4]);
-        let other = tracker("c0", &[true, false, true, true]);
-        assert_eq!(health_verdict(&[other, target]), (false, true, false));
+    fn the_health_verdict_case_by_case() {
+        // (target windows, another cloud's windows, verdict)
+        let cases: [(&[bool], &[bool], (bool, bool, bool)); 4] = [
+            // Dips and climbs back: recovered.
+            (&[true, false, true, true, true, true], &[true; 6], (true, true, true)),
+            // Healthy before its outage but down at the end: the
+            // earlier `H` windows must not count as recovery.
+            (&[true, true, false, false], &[true; 4], (true, false, true)),
+            // An untargeted cloud going down is not clean, and a target
+            // that never left healthy has not dipped.
+            (&[true; 4], &[true, false, true, true], (false, true, false)),
+            // An empty outage window moves nothing.
+            (&[true; 4], &[true; 4], (false, true, true)),
+        ];
+        for (target, other, want) in cases {
+            let lanes = [lane("c0", other), lane(HEALTH_TARGET, target)];
+            assert_eq!(health_verdict(&lanes), want, "{target:?} / {other:?}");
+        }
+        // No lane for the target at all: neither dipped nor recovered.
+        assert_eq!(health_verdict(&[lane("c0", &[true])]), (false, false, true));
     }
 }

@@ -9,12 +9,13 @@
 //! cargo run --release -p unidrive-bench --bin obs_report -- --validate /tmp/fig11.json
 //! ```
 //!
-//! **`series`** (`unidrive-obs-series/v1`, see `unidrive_obs::series`).
+//! **`series`** (`unidrive-obs-series/v2`, see `unidrive_obs::series`).
 //! The digest prints one line per `(metric, label)` series — window
 //! span, totals, and a coarse per-window sparkline — and, when the
-//! section embeds a health scoreboard, an ASCII availability lane per
-//! cloud (`H` healthy, `d` degraded, `X` down, `.` idle) with its
-//! state transitions. `--validate` checks:
+//! section holds `cloud.ops` series, the ASCII availability lane it
+//! derives for each cloud from `cloud.ops` and `cloud.err`
+//! (`unidrive_obs::health_lanes`: `H` healthy, `d` degraded, `X` down,
+//! `.` idle) with its state transitions. `--validate` checks:
 //!
 //! * schema tag and positive `window_ns`;
 //! * window indices strictly increasing within every series;
@@ -22,11 +23,10 @@
 //!   and `count ≥ 1` (the quantile-monotonicity guarantee that
 //!   `HistogramSnapshot` merging must preserve);
 //! * counter windows non-negative;
-//! * health rows: states drawn from `{healthy, degraded, down}`,
-//!   timelines strictly increasing, error rates within `[0, 1]`;
+//! * `cloud.err` never exceeds `cloud.ops` in any window (`cloud.ops`
+//!   counts attempts, failed and refused ones included);
 //! * a fleet export (recognised by its `fleet.*` series) carries the
-//!   four series its consumers read ([`FLEET_METRICS`]) and every
-//!   health row served operations (`ops > 0`).
+//!   four series its consumers read ([`FLEET_METRICS`]).
 //!
 //! **`traceEvents`** (Chrome trace-event form). The digest
 //! reconstructs the causal span tree (`sync.round` → `lock.*` /
@@ -48,6 +48,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use unidrive_bench::json::{parse_json, Json};
+use unidrive_obs::{health_lanes, lane_span, CounterWindows, HealthLane};
 use unidrive_workload::TextTable;
 
 /// Series every fleet-simulator export must carry.
@@ -93,15 +94,6 @@ fn sparkline(values: &[f64]) -> String {
         .collect()
 }
 
-fn state_char(state: &str) -> char {
-    match state {
-        "healthy" => 'H',
-        "degraded" => 'd',
-        "down" => 'X',
-        _ => '?',
-    }
-}
-
 /// Walks every `(metric, label)` series in document order.
 fn each_series<'a>(doc: &'a Json, mut f: impl FnMut(&str, &str, &'a Json)) {
     let Some(metrics) = doc.get("metrics").and_then(Json::as_obj) else {
@@ -140,63 +132,23 @@ fn digest_series(doc: &Json) {
     });
     println!("  ({count} series)");
 
-    let health = doc
-        .get("health")
-        .and_then(Json::as_arr)
-        .unwrap_or(&[]);
-    if health.is_empty() {
+    let lanes = cloud_lanes(doc);
+    if lanes.is_empty() {
         return;
     }
-    println!("\nhealth scoreboard ({} clouds):", health.len());
-    // Common window span across all timelines, so lanes align.
-    let span: Vec<i64> = health
-        .iter()
-        .flat_map(|row| {
-            row.get("timeline")
-                .and_then(Json::as_arr)
-                .unwrap_or(&[])
-                .iter()
-                .filter_map(|w| w.get("i").and_then(Json::as_f64).map(|v| v as i64))
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    let (lo, hi) = (
-        span.iter().min().copied().unwrap_or(0),
-        span.iter().max().copied().unwrap_or(0),
-    );
-    for row in health {
-        let cloud = row.get("cloud").and_then(Json::as_str).unwrap_or("?");
-        let state = row.get("state").and_then(Json::as_str).unwrap_or("?");
-        let mut lane = vec!['.'; (hi - lo + 1).max(1) as usize];
-        let timeline = row
-            .get("timeline")
-            .and_then(Json::as_arr)
-            .unwrap_or(&[]);
-        for w in timeline {
-            let (Some(i), Some(s)) = (
-                w.get("i").and_then(Json::as_f64).map(|v| v as i64),
-                w.get("state").and_then(Json::as_str),
-            ) else {
-                continue;
-            };
-            lane[(i - lo) as usize] = state_char(s);
-        }
-        let transitions = row
-            .get("transitions")
-            .and_then(Json::as_arr)
-            .unwrap_or(&[]);
-        let trans: Vec<String> = transitions
+    println!("\nhealth lanes ({} clouds):", lanes.len());
+    // Common window span across all lanes, so they align.
+    let (lo, hi) = lane_span(&lanes);
+    for (cloud, lane) in &lanes {
+        let trans: Vec<String> = lane
+            .transitions
             .iter()
-            .filter_map(|t| {
-                let w = t.get("window").and_then(Json::as_f64)? as i64;
-                let from = t.get("from").and_then(Json::as_str)?;
-                let to = t.get("to").and_then(Json::as_str)?;
-                Some(format!("w{w}:{from}→{to}"))
-            })
+            .map(|(w, from, to)| format!("w{w}:{}→{}", from.as_str(), to.as_str()))
             .collect();
         println!(
-            "  {cloud:<8} {state:<8} |{}|  {}",
-            lane.into_iter().collect::<String>(),
+            "  {cloud:<8} {:<8} |{}|  {}",
+            lane.state().as_str(),
+            lane.ascii(lo, hi),
             if trans.is_empty() {
                 "steady".to_owned()
             } else {
@@ -206,11 +158,36 @@ fn digest_series(doc: &Json) {
     }
 }
 
+/// The counter series of `metric` by label, as `health_lanes` reads
+/// them.
+fn counter_windows(doc: &Json, metric: &str) -> BTreeMap<String, CounterWindows> {
+    let mut out = BTreeMap::new();
+    each_series(doc, |m, label, series| {
+        if m == metric {
+            let windows = series.get("windows").and_then(Json::as_arr).unwrap_or(&[]);
+            let pair = |w: &Json| {
+                let pair = w.as_arr()?;
+                Some((pair.first()?.as_u64()?, pair.get(1)?.as_u64()?))
+            };
+            out.insert(label.to_owned(), windows.iter().filter_map(pair).collect());
+        }
+    });
+    out
+}
+
+/// One derived availability lane per cloud of the `series` section.
+fn cloud_lanes(doc: &Json) -> Vec<(String, HealthLane)> {
+    health_lanes(
+        &counter_windows(doc, "cloud.ops"),
+        &counter_windows(doc, "cloud.err"),
+    )
+}
+
 /// Schema checks of the `series` section; returns every violation
 /// found (empty = valid).
 fn validate_series(doc: &Json) -> Vec<String> {
     let mut errs = Vec::new();
-    if doc.get("series").and_then(Json::as_str) != Some("unidrive-obs-series/v1") {
+    if doc.get("series").and_then(Json::as_str) != Some("unidrive-obs-series/v2") {
         errs.push("missing or wrong schema tag \"series\"".to_owned());
     }
     match doc.get("window_ns").and_then(Json::as_f64) {
@@ -282,68 +259,18 @@ fn validate_series(doc: &Json) -> Vec<String> {
         }
     }
 
-    for row in doc
-        .get("health")
-        .and_then(Json::as_arr)
-        .unwrap_or(&[])
-    {
-        let cloud = row.get("cloud").and_then(Json::as_str).unwrap_or("?");
-        // Every fleet lane serves traffic; an idle one is a wiring bug.
-        let busy = row.get("ops").and_then(Json::as_f64) > Some(0.0);
-        if fleet && !busy {
-            errs.push(format!("health {cloud}: fleet row without ops > 0"));
-        }
-        let ok_state =
-            |s: &str| matches!(s, "healthy" | "degraded" | "down");
-        match row.get("state").and_then(Json::as_str) {
-            Some(s) if ok_state(s) => {}
-            other => errs.push(format!("health {cloud}: bad state {other:?}")),
-        }
-        let mut prev: Option<i64> = None;
-        for w in row
-            .get("timeline")
-            .and_then(Json::as_arr)
-            .unwrap_or(&[])
-        {
-            let i = w.get("i").and_then(Json::as_f64).map(|v| v as i64);
-            let Some(i) = i else {
-                errs.push(format!("health {cloud}: timeline window without index"));
-                continue;
-            };
-            if let Some(p) = prev {
-                if i <= p {
-                    errs.push(format!(
-                        "health {cloud}: timeline not strictly increasing at {i}"
-                    ));
-                }
-            }
-            prev = Some(i);
-            if let Some(r) = w.get("err_rate").and_then(Json::as_f64) {
-                if !(0.0..=1.0).contains(&r) {
-                    errs.push(format!(
-                        "health {cloud}: err_rate {r} outside [0,1] in window {i}"
-                    ));
-                }
-            }
-            match w.get("state").and_then(Json::as_str) {
-                Some(s) if ok_state(s) => {}
-                other => errs.push(format!(
-                    "health {cloud}: bad timeline state {other:?} in window {i}"
-                )),
-            }
-        }
-        for t in row
-            .get("transitions")
-            .and_then(Json::as_arr)
-            .unwrap_or(&[])
-        {
-            for key in ["from", "to"] {
-                match t.get(key).and_then(Json::as_str) {
-                    Some(s) if ok_state(s) => {}
-                    other => errs.push(format!(
-                        "health {cloud}: bad transition {key} {other:?}"
-                    )),
-                }
+    // One meaning per name: an error is an attempt that failed.
+    let ops = counter_windows(doc, "cloud.ops");
+    for (cloud, windows) in counter_windows(doc, "cloud.err") {
+        let attempts = ops.get(&cloud).map_or(&[][..], Vec::as_slice);
+        for (i, failed) in windows {
+            let tried = attempts
+                .binary_search_by_key(&i, |w| w.0)
+                .map_or(0, |at| attempts[at].1);
+            if failed > tried {
+                errs.push(format!(
+                    "cloud.err/{cloud}: {failed} errors among {tried} attempts in window {i}"
+                ));
             }
         }
     }
@@ -764,11 +691,8 @@ fn main() {
         if let Some(series) = series {
             let mut count = 0usize;
             each_series(series, |_, _, _| count += 1);
-            let health = series
-                .get("health")
-                .and_then(Json::as_arr)
-                .map_or(0, <[Json]>::len);
-            sections.push(format!("{count} series, {health} health rows"));
+            let lanes = cloud_lanes(series).len();
+            sections.push(format!("{count} series, {lanes} health lanes"));
         }
         println!("obs_report validate: OK ({})", sections.join("; "));
         return;
@@ -795,17 +719,17 @@ fn main() {
 mod tests {
     use super::*;
 
-    fn fleet_doc(metrics: &[&str], ops: u64) -> Json {
+    /// A series section holding `metrics`, each one counter series
+    /// labelled `Dropbox` with the given `[index, sum]` windows.
+    fn series_doc(metrics: &[(&str, &str)]) -> Json {
         let series: Vec<String> = metrics
             .iter()
-            .map(|m| {
-                format!("\"{m}\": {{\"all\": {{\"kind\": \"counter\", \"windows\": [[0, 1]]}}}}")
+            .map(|(m, windows)| {
+                format!("\"{m}\": {{\"Dropbox\": {{\"kind\": \"counter\", \"windows\": {windows}}}}}")
             })
             .collect();
         parse_json(&format!(
-            "{{\"series\": \"unidrive-obs-series/v1\", \"window_ns\": 60, \"metrics\": {{{}}}, \
-             \"health\": [{{\"cloud\": \"Dropbox\", \"state\": \"healthy\", \"ops\": {ops}, \
-             \"timeline\": [], \"transitions\": []}}]}}",
+            "{{\"series\": \"unidrive-obs-series/v2\", \"window_ns\": 60, \"metrics\": {{{}}}}}",
             series.join(", ")
         ))
         .unwrap()
@@ -836,8 +760,8 @@ mod tests {
     fn a_bundle_is_checked_section_by_section() {
         let ok = [(1, 0, "X", 4.0), (2, 1, "X", 2.0), (3, 1, "X", 0.0)];
         assert_eq!(validate(&bundle(0, &ok, "")), Vec::<String>::new());
-        let series = ", \"series\": {\"series\": \"unidrive-obs-series/v1\", \"window_ns\": 10, \
-                      \"metrics\": {}, \"health\": []}";
+        let series = ", \"series\": {\"series\": \"unidrive-obs-series/v2\", \"window_ns\": 10, \
+                      \"metrics\": {}}";
         assert_eq!(validate(&bundle(0, &ok, series)), Vec::<String>::new());
 
         // Trace shape: a dangling parent is an error only when the ring
@@ -891,22 +815,58 @@ mod tests {
     }
 
     #[test]
-    fn fleet_exports_must_carry_their_series_and_busy_health_rows() {
-        assert_eq!(
-            validate_series(&fleet_doc(&FLEET_METRICS, 7)),
-            Vec::<String>::new()
-        );
-        let errs = validate_series(&fleet_doc(&FLEET_METRICS[..3], 7));
+    fn fleet_exports_must_carry_the_series_their_consumers_read() {
+        let doc = |metrics: &[&str]| {
+            let with_windows: Vec<(&str, &str)> =
+                metrics.iter().map(|m| (*m, "[[0, 1]]")).collect();
+            series_doc(&with_windows)
+        };
+        assert_eq!(validate_series(&doc(&FLEET_METRICS)), Vec::<String>::new());
+        let errs = validate_series(&doc(&FLEET_METRICS[..3]));
         assert_eq!(
             errs,
             ["fleet export lacks series \"fleet.sync_latency_ns\""]
         );
-        let errs = validate_series(&fleet_doc(&FLEET_METRICS, 0));
-        assert_eq!(errs, ["health Dropbox: fleet row without ops > 0"]);
-        // Not a fleet export: neither rule applies.
+        // Not a fleet export: the rule does not apply.
+        assert_eq!(validate_series(&doc(&["cloud.ops"])), Vec::<String>::new());
+        // The pre-v2 tag (its `health` rows are gone) is refused.
+        let old = parse_json(
+            "{\"series\": \"unidrive-obs-series/v1\", \"window_ns\": 60, \"metrics\": {}, \"health\": []}",
+        )
+        .unwrap();
         assert_eq!(
-            validate_series(&fleet_doc(&["cloud.ops"], 0)),
-            Vec::<String>::new()
+            validate_series(&old),
+            ["missing or wrong schema tag \"series\""]
+        );
+    }
+
+    #[test]
+    fn lanes_are_derived_from_the_attempt_and_error_series() {
+        // Windows 3..=8: clean, a fully refused window, one clean, a
+        // gap, then clean again.
+        let doc = series_doc(&[
+            ("cloud.err", "[[4, 6]]"),
+            ("cloud.ops", "[[3, 6], [4, 6], [5, 6], [8, 6]]"),
+        ]);
+        assert_eq!(validate_series(&doc), Vec::<String>::new());
+        let lanes = cloud_lanes(&doc);
+        assert_eq!(lanes.len(), 1);
+        assert_eq!(lanes[0].0, "Dropbox");
+        assert_eq!(lanes[0].1.ascii(3, 8), "HXd..H");
+        assert_eq!(lanes[0].1.state().as_str(), "healthy");
+
+        // An error that is not among the attempts breaks the one
+        // meaning `cloud.ops` has; so does one with no attempt at all.
+        let doc = series_doc(&[
+            ("cloud.err", "[[4, 7], [6, 1]]"),
+            ("cloud.ops", "[[4, 6]]"),
+        ]);
+        assert_eq!(
+            validate_series(&doc),
+            [
+                "cloud.err/Dropbox: 7 errors among 6 attempts in window 4",
+                "cloud.err/Dropbox: 1 errors among 0 attempts in window 6"
+            ]
         );
     }
 }

@@ -2,9 +2,11 @@
 //! report/diff binaries (`obs_report`, `bench_compare`). Hand-rolled:
 //! the workspace builds offline with zero external crates.
 //!
-//! Numbers parse as `f64` — every number the harness emits (counters,
-//! nanosecond quantiles, microsecond trace stamps) is well inside
-//! f64's 2^53 exact-integer range.
+//! A non-negative integer literal that fits `u64` is kept exact
+//! ([`Json::Int`]: seeds and `u64::MAX` window ends do not survive an
+//! `f64`); every other number parses as `f64`. [`Json::as_f64`] reads
+//! both, so only a reader that needs the exact integer asks for
+//! [`Json::as_u64`].
 
 /// Parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -13,7 +15,10 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number, as `f64`.
+    /// A non-negative integer literal (no sign, fraction or
+    /// exponent) that fits `u64`, exact.
+    Int(u64),
+    /// Any other number, as `f64`.
     Num(f64),
     /// A string.
     Str(String),
@@ -35,7 +40,16 @@ impl Json {
     /// The numeric value, if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Json::Int(v) => Some(*v as f64),
             Json::Num(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    /// The exact value, if this was written as a non-negative integer.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Int(v) => Some(*v),
             _ => None,
         }
     }
@@ -141,6 +155,9 @@ impl<'a> Parser<'a> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        if let Ok(v) = text.parse::<u64>() {
+            return Ok(Json::Int(v));
+        }
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.error("bad number"))
@@ -283,6 +300,8 @@ mod tests {
         .unwrap();
         assert_eq!(doc.get("a").unwrap().as_arr().unwrap().len(), 3);
         assert_eq!(doc.get("a").unwrap().as_arr().unwrap()[2].as_f64(), Some(-300.0));
+        assert_eq!(doc.get("a").unwrap().as_arr().unwrap()[0], Json::Int(1));
+        assert_eq!(doc.get("a").unwrap().as_arr().unwrap()[1].as_u64(), None);
         assert_eq!(doc.get("s").unwrap().as_str(), Some("x\"yA"));
         assert_eq!(doc.get("b"), Some(&Json::Bool(true)));
         assert_eq!(doc.get("n"), Some(&Json::Null));
@@ -297,11 +316,24 @@ mod tests {
     }
 
     #[test]
+    fn integers_beyond_two_to_the_53_stay_exact() {
+        let doc = parse_json("[9007199254740993, 18446744073709551615, 18446744073709551616]")
+            .unwrap();
+        let items = doc.as_arr().unwrap();
+        assert_eq!(items[0].as_u64(), Some((1 << 53) + 1));
+        assert_eq!(items[0].as_f64(), Some(9007199254740992.0));
+        assert_eq!(items[1].as_u64(), Some(u64::MAX));
+        // One past u64::MAX is still a number, just not an exact one.
+        assert_eq!(items[2].as_u64(), None);
+        assert!(items[2].as_f64().is_some());
+    }
+
+    #[test]
     fn round_trips_a_series_export() {
         let doc = parse_json(
-            r#"{"series": "unidrive-obs-series/v1", "window_ns": 10000000000,
+            r#"{"series": "unidrive-obs-series/v2", "window_ns": 10000000000,
                 "metrics": {"cloud.ops": {"dropbox": {"kind": "counter",
-                "windows": [[0, 6], [3, 2]]}}}, "health": []}"#,
+                "windows": [[0, 6], [3, 2]]}}}}"#,
         )
         .unwrap();
         let m = doc.get("metrics").unwrap().get("cloud.ops").unwrap();

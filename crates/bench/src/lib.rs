@@ -15,6 +15,7 @@
 #![warn(missing_docs)]
 
 pub mod json;
+pub mod plan;
 
 use std::sync::Arc;
 use std::time::Duration;

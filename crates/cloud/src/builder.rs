@@ -40,7 +40,6 @@ use std::sync::Arc;
 use unidrive_obs::Obs;
 use unidrive_sim::Runtime;
 
-use crate::health::CloudHealth;
 use crate::{ChaosCloud, CloudStore, FaultPlan, ObservedCloud};
 
 /// The composed stack plus handles to stages that stay interactive.
@@ -69,7 +68,7 @@ pub struct CloudBuilder {
     rt: Arc<dyn Runtime>,
     base: Arc<dyn CloudStore>,
     chaos: Option<(FaultPlan, String)>,
-    observed: Option<Arc<CloudHealth>>,
+    observed: bool,
     obs: Option<Obs>,
 }
 
@@ -78,7 +77,7 @@ impl std::fmt::Debug for CloudBuilder {
         f.debug_struct("CloudBuilder")
             .field("base", &self.base.name())
             .field("chaos", &self.chaos.is_some())
-            .field("observed", &self.observed.is_some())
+            .field("observed", &self.observed)
             .finish()
     }
 }
@@ -91,7 +90,7 @@ impl CloudBuilder {
             rt: Arc::clone(rt),
             base,
             chaos: None,
-            observed: None,
+            observed: false,
             obs: None,
         }
     }
@@ -104,9 +103,10 @@ impl CloudBuilder {
         self
     }
 
-    /// Adds outermost latency/health observation feeding `health`.
-    pub fn observed(mut self, health: Arc<CloudHealth>) -> CloudBuilder {
-        self.observed = Some(health);
+    /// Adds outermost per-op observation: latency, attempt, error and
+    /// byte series on the registry given to [`obs`](CloudBuilder::obs).
+    pub fn observed(mut self) -> CloudBuilder {
+        self.observed = true;
         self
     }
 
@@ -137,8 +137,8 @@ impl CloudBuilder {
             chaos_handle = Some(Arc::clone(&chaos));
             store = chaos;
         }
-        if let Some(health) = self.observed {
-            store = Arc::new(ObservedCloud::new(store, Arc::clone(&self.rt), health, obs));
+        if self.observed {
+            store = Arc::new(ObservedCloud::new(store, Arc::clone(&self.rt), obs));
         }
         BuiltCloud {
             store,
@@ -150,8 +150,8 @@ impl CloudBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::health::HealthConfig;
     use crate::{CloudError, FaultEvent, FaultKind, MemCloud};
+    use unidrive_obs::Registry;
     use unidrive_sim::SimRuntime;
     use unidrive_util::bytes::Bytes;
 
@@ -174,25 +174,30 @@ mod tests {
     #[test]
     fn canonical_order_is_independent_of_setter_order() {
         // Observed outside chaos: an injected failure must reach the
-        // health tracker even though .observed() was configured before
-        // .chaos() — an observer *inside* the injector would time the
-        // base store only and score the cloud clean.
+        // `cloud.err` series even though .observed() was configured
+        // before .chaos() — an observer *inside* the injector would
+        // time the base store only and score the cloud clean.
         let rt = rt();
         let mut plan = FaultPlan::new(0x5eed);
         plan.push(FaultEvent::always(
             "m",
             FaultKind::TransientBurst { probability: 1.0 },
         ));
-        let health = CloudHealth::new("m", HealthConfig::default());
+        let registry = Registry::new();
+        registry.enable_series(1_000_000_000);
         let built = CloudBuilder::new(&rt, Arc::new(MemCloud::new("m")))
-            .observed(Arc::clone(&health))
+            .observed()
             .chaos(&plan, "t")
+            .obs(&Obs::with_registry(Arc::clone(&registry)))
             .build();
         let err = built.store.upload("f", Bytes::from_static(b"x")).unwrap_err();
         assert!(matches!(err, CloudError::Transient { .. }));
         assert_eq!(built.chaos.as_ref().unwrap().injected_faults(), 1);
-        assert!(
-            health.to_json().contains("\"ops\": 1, \"errors\": 1"),
+        let snap = registry.series_snapshot();
+        let sum = |metric| snap.entry(metric, "m").unwrap().windows[0].stat.sum;
+        assert_eq!(
+            (sum("cloud.ops"), sum("cloud.err")),
+            (1, 1),
             "observer sat inside chaos"
         );
     }

@@ -19,8 +19,8 @@
 //! connection is reported as-is.
 
 use std::collections::VecDeque;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -31,10 +31,20 @@ use unidrive_sim::{Notifier, Runtime};
 const MAX_LINE: usize = 64 * 1024;
 /// Maximum number of headers in one message head.
 const MAX_HEADERS: usize = 128;
+/// Largest accepted message body, declared or accumulated, on any
+/// framing. Far above anything the client writes or reads back (blocks
+/// are θ/k of a segment, metadata images and listings are smaller
+/// still); a peer announcing more is lying or hostile, and the read
+/// fails before anything of that size is allocated.
+const MAX_BODY: usize = 256 * 1024 * 1024;
 /// Socket read timeout: a hung peer surfaces as a timeout error (which
 /// the cloud layer maps to a retryable transient) instead of wedging a
 /// worker forever.
 const READ_TIMEOUT: Duration = Duration::from_secs(30);
+/// Socket write timeout: the same, for a peer that stops draining.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+/// Connect timeout, per resolved address.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 /// Bodies at or above this size are written with chunked
 /// transfer-encoding by [`write_response`] when `chunked` is requested.
 const CHUNK_SIZE: usize = 64 * 1024;
@@ -180,15 +190,17 @@ fn read_headers<R: BufRead>(r: &mut R) -> io::Result<Vec<(String, String)>> {
 
 /// Reads a body framed by the given headers: `Content-Length`, chunked
 /// transfer-encoding, or (responses only, when `to_eof` is set) until
-/// the peer closes the connection.
+/// the peer closes the connection. On every framing a body beyond
+/// `max` bytes ([`MAX_BODY`] on the wire) is an `InvalidData` error.
 fn read_body<R: BufRead>(
     r: &mut R,
     headers: &[(String, String)],
     to_eof: bool,
+    max: usize,
 ) -> io::Result<Vec<u8>> {
     if let Some(te) = header(headers, "Transfer-Encoding") {
         if te.eq_ignore_ascii_case("chunked") {
-            return read_chunked(r);
+            return read_chunked(r, max);
         }
         return Err(invalid("unsupported transfer-encoding"));
     }
@@ -196,13 +208,19 @@ fn read_body<R: BufRead>(
         let len: usize = cl
             .parse()
             .map_err(|_| invalid("bad content-length"))?;
+        if len > max {
+            return Err(invalid("content-length over the body limit"));
+        }
         let mut body = vec![0u8; len];
         r.read_exact(&mut body)?;
         return Ok(body);
     }
     if to_eof {
         let mut body = Vec::new();
-        r.read_to_end(&mut body)?;
+        r.take(max as u64 + 1).read_to_end(&mut body)?;
+        if body.len() > max {
+            return Err(invalid("unframed body over the body limit"));
+        }
         return Ok(body);
     }
     Ok(Vec::new())
@@ -210,7 +228,7 @@ fn read_body<R: BufRead>(
 
 /// Reads a chunked body: hex-sized chunks, a zero-size terminator, and
 /// an (ignored) trailer section.
-fn read_chunked<R: BufRead>(r: &mut R) -> io::Result<Vec<u8>> {
+fn read_chunked<R: BufRead>(r: &mut R, max: usize) -> io::Result<Vec<u8>> {
     let mut body = Vec::new();
     loop {
         let line = read_line(r)?.ok_or_else(|| invalid("EOF inside chunked body"))?;
@@ -228,6 +246,9 @@ fn read_chunked<R: BufRead>(r: &mut R) -> io::Result<Vec<u8>> {
             }
         }
         let at = body.len();
+        if size > max - at {
+            return Err(invalid("chunked body over the body limit"));
+        }
         body.resize(at + size, 0);
         r.read_exact(&mut body[at..])?;
         let crlf = read_line(r)?.ok_or_else(|| invalid("EOF after chunk"))?;
@@ -252,7 +273,7 @@ pub fn read_request<R: BufRead>(r: &mut R) -> io::Result<Option<HttpRequest>> {
         return Err(invalid("unsupported HTTP version"));
     }
     let headers = read_headers(r)?;
-    let body = read_body(r, &headers, false)?;
+    let body = read_body(r, &headers, false, MAX_BODY)?;
     Ok(Some(HttpRequest {
         method: method.to_owned(),
         target: target.to_owned(),
@@ -298,7 +319,7 @@ pub fn read_response<R: BufRead>(r: &mut R) -> io::Result<HttpResponse> {
             .unwrap_or(false);
         let unframed = header(&headers, "Content-Length").is_none()
             && header(&headers, "Transfer-Encoding").is_none();
-        read_body(r, &headers, close && unframed)?
+        read_body(r, &headers, close && unframed, MAX_BODY)?
     };
     Ok(HttpResponse {
         status,
@@ -487,8 +508,17 @@ impl HttpClient {
     }
 
     fn connect(&self) -> io::Result<Conn> {
-        let stream = TcpStream::connect(&self.addr)?;
+        // `TcpStream::connect`, with a bound on each address tried.
+        let mut stream = None;
+        for addr in self.addr.to_socket_addrs()? {
+            stream = Some(TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT));
+            if matches!(stream, Some(Ok(_))) {
+                break;
+            }
+        }
+        let stream = stream.ok_or_else(|| invalid("address resolved to nothing"))??;
         stream.set_read_timeout(Some(READ_TIMEOUT))?;
+        stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
         stream.set_nodelay(true)?;
         Ok(Conn {
             reader: BufReader::with_capacity(64 * 1024, stream),
@@ -646,6 +676,72 @@ mod tests {
         assert_eq!(percent_decode(&enc), path);
         assert_eq!(percent_encode_query("a/b c"), "a%2Fb%20c");
         assert_eq!(percent_decode("a%2Fb%20c"), "a/b c");
+    }
+
+    /// A body stream that never ends, and panics if more than `budget`
+    /// bytes of it are ever pulled: the reader must give up at its
+    /// limit, not buffer whatever the peer keeps sending.
+    struct Endless {
+        budget: usize,
+    }
+
+    impl Read for Endless {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            assert!(self.budget >= buf.len(), "reader pulled past its budget");
+            self.budget -= buf.len();
+            buf.fill(b'x');
+            Ok(buf.len())
+        }
+    }
+
+    fn over_the_limit(e: io::Error) -> bool {
+        e.kind() == io::ErrorKind::InvalidData && e.to_string().contains("over the body limit")
+    }
+
+    #[test]
+    fn a_lying_content_length_is_refused_before_allocating() {
+        // usize::MAX bytes claimed, three sent: at the parent this was
+        // `vec![0u8; usize::MAX]`, a capacity-overflow abort.
+        let wire = b"HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\nabc";
+        let err = read_response(&mut BufReader::new(Cursor::new(wire.to_vec()))).unwrap_err();
+        assert!(over_the_limit(err));
+        // The server side shares the framing code.
+        let wire = b"PUT /b/k HTTP/1.1\r\nContent-Length: 18446744073709551615\r\n\r\nabc";
+        let err = read_request(&mut BufReader::new(Cursor::new(wire.to_vec()))).unwrap_err();
+        assert!(over_the_limit(err));
+        // One past the limit is refused, the limit itself is a size.
+        let head = format!("HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n", MAX_BODY + 1);
+        let err = read_response(&mut BufReader::new(Cursor::new(head.into_bytes()))).unwrap_err();
+        assert!(over_the_limit(err));
+        let mut r = BufReader::new(Cursor::new(b"abcd".to_vec()));
+        let headers = [("Content-Length".to_owned(), "4".to_owned())];
+        assert_eq!(read_body(&mut r, &headers, false, 4).unwrap(), b"abcd");
+    }
+
+    #[test]
+    fn a_lying_chunk_size_is_refused_before_allocating() {
+        let wire = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nffffffffffffffff\r\nabc";
+        let err = read_response(&mut BufReader::new(Cursor::new(wire.to_vec()))).unwrap_err();
+        assert!(over_the_limit(err));
+        // Honest chunks that add up past the limit are refused at the
+        // chunk that crosses it.
+        let mut r = BufReader::new(Cursor::new(b"3\r\nabc\r\n3\r\ndef\r\n0\r\n\r\n".to_vec()));
+        assert!(over_the_limit(read_chunked(&mut r, 5).unwrap_err()));
+        let mut r = BufReader::new(Cursor::new(b"3\r\nabc\r\n3\r\ndef\r\n0\r\n\r\n".to_vec()));
+        assert_eq!(read_chunked(&mut r, 6).unwrap(), b"abcdef");
+    }
+
+    #[test]
+    fn an_endless_unframed_body_is_cut_at_the_limit() {
+        // `Connection: close` with no framing reads to EOF; this peer
+        // never closes. 1 KiB limit: the reader may pull the limit plus
+        // one buffer's worth, never more.
+        let mut r = BufReader::with_capacity(512, Endless { budget: 1024 + 1 + 512 });
+        assert!(over_the_limit(read_body(&mut r, &[], true, 1024).unwrap_err()));
+        // Through the public reader the same framing is picked.
+        let head = b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\nabc".to_vec();
+        let resp = read_response(&mut BufReader::new(Cursor::new(head))).unwrap();
+        assert_eq!(resp.body, b"abc");
     }
 
     #[test]

@@ -16,10 +16,8 @@
 //!   spikes, torn uploads, delayed visibility) over any store.
 //! * [`ThrottledCloud`] — byte-rate limiting decorator (a
 //!   [`TokenBucket`] with bytes as the token unit).
-//! * [`ObservedCloud`] / [`CloudHealth`] / [`HealthBoard`] — the
-//!   measurement decorator (per-op timing, op/error/byte series over
-//!   any store) and per-cloud health scoreboard (EWMA latency,
-//!   windowed error rate, availability state machine).
+//! * [`ObservedCloud`] — the measurement decorator (per-op timing,
+//!   attempt/error/byte series over any store).
 //! * [`Retry`] / [`RetryPolicy`] — bounded-backoff retries for
 //!   transient Web API failures, applied per call site.
 //! * [`TokenBucket`] / [`QpsSeries`] — deterministic per-cloud
@@ -40,7 +38,6 @@ mod builder;
 pub mod contract;
 mod error;
 pub mod fault;
-pub mod health;
 pub mod http;
 mod local;
 mod mem;
@@ -56,10 +53,6 @@ mod wrappers;
 pub use builder::{BuiltCloud, CloudBuilder};
 pub use error::{CloudError, CloudOp};
 pub use fault::{ChaosCloud, FaultEvent, FaultKind, FaultPlan};
-pub use health::{
-    CloudHealth, HealthBoard, HealthConfig, HealthState, HealthTracker, HealthTransition,
-    WindowHealth,
-};
 pub use local::LocalDirCloud;
 pub use mem::MemCloud;
 pub use mock_s3::MockS3;

@@ -1,12 +1,12 @@
 //! [`ObservedCloud`]: the measurement decorator. Wraps any store,
 //! times every one of the five Web API operations through a
-//! [`Runtime`] clock, and feeds the outcomes to two consumers:
-//!
-//! * a [`CloudHealth`] tracker (EWMA latency, windowed error rate,
-//!   availability state machine — see [`health`](crate::health)), and
-//! * the obs windowed series (`cloud.op_ns`, `cloud.ops`, `cloud.err`,
-//!   `cloud.bytes_up`, `cloud.bytes_down`, labeled by cloud name) so
-//!   `--obs-out` exports show per-cloud behavior over time.
+//! [`Runtime`] clock, and records the outcomes in the obs windowed
+//! series (`cloud.op_ns`, `cloud.ops`, `cloud.err`, `cloud.bytes_up`,
+//! `cloud.bytes_down`, labeled by cloud name) so `--obs-out` exports
+//! show per-cloud behavior over time. `cloud.ops` counts attempts and
+//! `cloud.err` the failed ones among them; the availability lanes
+//! `obs_report` prints are derived from those two
+//! (`unidrive_obs::health_lanes`).
 //!
 //! Stack it *outermost* (e.g. `SimCloud → ChaosCloud → ObservedCloud`)
 //! so injected faults and simulated latency are part of what it
@@ -22,14 +22,12 @@ use unidrive_obs::{Obs, SeriesHandle, SeriesKind};
 use unidrive_sim::Runtime;
 use unidrive_util::bytes::Bytes;
 
-use crate::health::CloudHealth;
 use crate::{CloudError, CloudStore, ObjectInfo};
 
 /// Measurement decorator over any [`CloudStore`]; see the module docs.
 pub struct ObservedCloud {
     inner: Arc<dyn CloudStore>,
     rt: Arc<dyn Runtime>,
-    health: Arc<CloudHealth>,
     op_ns: SeriesHandle,
     ops: SeriesHandle,
     err: SeriesHandle,
@@ -41,22 +39,16 @@ impl std::fmt::Debug for ObservedCloud {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ObservedCloud")
             .field("inner", &self.inner.name())
-            .field("state", &self.health.state())
             .finish()
     }
 }
 
 impl ObservedCloud {
-    /// Wraps `inner`, feeding `health` and the windowed series of
-    /// `obs` (series handles resolve to no-ops unless the registry has
-    /// series collection enabled; the handles hold everything needed,
-    /// so `obs` itself is not retained).
-    pub fn new(
-        inner: Arc<dyn CloudStore>,
-        rt: Arc<dyn Runtime>,
-        health: Arc<CloudHealth>,
-        obs: Obs,
-    ) -> ObservedCloud {
+    /// Wraps `inner`, feeding the windowed series of `obs` (series
+    /// handles resolve to no-ops unless the registry has series
+    /// collection enabled; the handles hold everything needed, so
+    /// `obs` itself is not retained).
+    pub fn new(inner: Arc<dyn CloudStore>, rt: Arc<dyn Runtime>, obs: Obs) -> ObservedCloud {
         let label = inner.name().to_owned();
         ObservedCloud {
             op_ns: obs.series_handle("cloud.op_ns", &label, SeriesKind::Sample),
@@ -66,13 +58,7 @@ impl ObservedCloud {
             bytes_down: obs.series_handle("cloud.bytes_down", &label, SeriesKind::Counter),
             inner,
             rt,
-            health,
         }
-    }
-
-    /// The health tracker this wrapper feeds.
-    pub fn health(&self) -> &Arc<CloudHealth> {
-        &self.health
     }
 
     fn measure<T>(&self, run: impl FnOnce() -> Result<T, CloudError>) -> Result<T, CloudError> {
@@ -81,7 +67,6 @@ impl ObservedCloud {
         let t1 = self.rt.now().as_nanos();
         // NotFound is an answered probe, not a provider failure.
         let ok = matches!(&result, Ok(_) | Err(CloudError::NotFound { .. }));
-        self.health.record(t1, t1.saturating_sub(t0), ok);
         self.op_ns.record(t1.saturating_sub(t0));
         self.ops.record(1);
         if !ok {
@@ -158,20 +143,13 @@ impl CloudStore for ObservedCloud {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::health::{HealthConfig, HealthState};
-    use crate::{MemCloud, SimCloud, SimCloudConfig};
+    use crate::MemCloud;
     use unidrive_obs::Registry;
     use unidrive_sim::SimRuntime;
 
-    fn world() -> (Arc<SimRuntime>, Arc<dyn Runtime>) {
-        let sim = SimRuntime::new(7);
-        let rt = sim.clone().as_runtime();
-        (sim, rt)
-    }
-
     #[test]
-    fn observed_cloud_passes_all_five_ops_and_scores_them() {
-        let (_sim, rt) = world();
+    fn observed_cloud_passes_all_five_ops_and_counts_them() {
+        let rt = SimRuntime::new(7).as_runtime();
         let reg = Registry::new();
         reg.enable_series(1_000_000_000);
         let rt_clock = Arc::clone(&rt);
@@ -179,8 +157,7 @@ mod tests {
         let obs = Obs::with_registry(Arc::clone(&reg));
 
         let inner: Arc<dyn CloudStore> = Arc::new(MemCloud::new("m0"));
-        let health = CloudHealth::new("m0", HealthConfig::default());
-        let c = ObservedCloud::new(Arc::clone(&inner), rt, Arc::clone(&health), obs);
+        let c = ObservedCloud::new(Arc::clone(&inner), rt, obs);
 
         c.create_dir("d").unwrap();
         c.upload("d/f", Bytes::from_static(b"abc")).unwrap();
@@ -189,12 +166,6 @@ mod tests {
         c.delete("d/f").unwrap();
         // NotFound counts as an answered (ok) probe.
         assert!(matches!(c.download("d/f"), Err(CloudError::NotFound { .. })));
-
-        health.finish(1);
-        let t = health.tracker();
-        assert_eq!(t.state(), HealthState::Healthy);
-        assert_eq!(t.timeline()[0].ops, 6);
-        assert_eq!(t.timeline()[0].errors, 0);
 
         let snap = reg.series_snapshot();
         let ops = snap.entry("cloud.ops", "m0").unwrap();
@@ -207,46 +178,8 @@ mod tests {
         // No failures: the err cell exists (handles resolve eagerly)
         // but never saw a window.
         assert!(snap.entry("cloud.err", "m0").unwrap().windows.is_empty());
-    }
-
-    #[test]
-    fn outage_window_degrades_health_and_recovery_restores_it() {
-        let (sim, rt) = world();
-        let sim_cloud = Arc::new(SimCloud::new(
-            &sim,
-            "c0",
-            SimCloudConfig::steady(8e6, 8e6),
-        ));
-        let health = CloudHealth::new("c0", HealthConfig {
-            window_ns: 1_000_000_000,
-            ..HealthConfig::default()
-        });
-        let c = ObservedCloud::new(
-            Arc::clone(&sim_cloud) as Arc<dyn CloudStore>,
-            Arc::clone(&rt),
-            Arc::clone(&health),
-            Obs::noop(),
-        );
-
-        let step = std::time::Duration::from_millis(250);
-        let mut probe = |n: usize| {
-            for i in 0..n {
-                let _ = c.upload(&format!("p{i}"), Bytes::from_static(b"x"));
-                rt.sleep(step);
-            }
-        };
-        probe(8); // two healthy windows
-        sim_cloud.set_available(false);
-        probe(8); // outage: every op fails
-        sim_cloud.set_available(true);
-        probe(16); // recovery: clean windows rebuild the streak
-        health.finish(rt.now().as_nanos());
-
-        let t = health.tracker();
-        assert_eq!(t.state(), HealthState::Healthy, "{:?}", t.transitions());
-        let states: Vec<HealthState> = t.transitions().iter().map(|x| x.to).collect();
-        assert!(states.contains(&HealthState::Down), "{states:?}");
-        assert_eq!(*states.last().unwrap(), HealthState::Healthy);
-        assert!(t.timeline().iter().any(|w| w.err_rate > 0.9));
+        let lanes = snap.health_lanes();
+        assert_eq!(lanes.len(), 1);
+        assert_eq!(lanes[0].1.windows, [(0, unidrive_obs::HealthState::Healthy)]);
     }
 }

@@ -48,9 +48,7 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-use unidrive_cloud::{
-    CloudOp, FaultKind, FaultPlan, HealthConfig, HealthTracker, TokenBucket,
-};
+use unidrive_cloud::{CloudOp, FaultKind, FaultPlan, TokenBucket};
 use unidrive_meta::MetaMode;
 use unidrive_obs::{Histogram, SeriesBank};
 use unidrive_sim::shard::{merge_by_key, partition_window, shard_of, Calendar, Entry};
@@ -160,10 +158,6 @@ struct CloudLane {
     bytes_up: u64,
     bytes_down: u64,
     throttle_delay_ns: u64,
-    /// Availability scoreboard, fed by the serial apply phase: every
-    /// op charged to this lane is an ok sample, every op a session
-    /// wanted but could not place (the lane was unreachable) an error.
-    health: HealthTracker,
 }
 
 /// What the parallel phase hands to the merge phase for one event.
@@ -251,19 +245,15 @@ fn upload_reachability(plan: &FaultPlan, now_ns: u64) -> [bool; 5] {
     ok
 }
 
-/// Scores one failed probe on every lane the event wanted but could
-/// not reach: the provider was refusing writes, which is exactly what
-/// a client-side prober would report. Reachable lanes are scored at
-/// the points where ops are actually charged to them.
-fn record_unreachable(
-    lanes: &mut [CloudLane],
-    reachable: &[bool; 5],
-    t: u64,
-    m: &mut FleetMetrics,
-) {
-    for (i, lane) in lanes.iter_mut().enumerate() {
+/// Counts one refused attempt on every lane the event wanted but
+/// could not reach: the provider was refusing writes, which is exactly
+/// what a client-side prober would report. An attempt is an attempt,
+/// so it lands in `cloud.ops` as well as `cloud.err`. Reachable lanes
+/// are counted where ops are actually charged to them.
+fn record_unreachable(lanes: &[CloudLane], reachable: &[bool; 5], t: u64, m: &mut FleetMetrics) {
+    for (i, lane) in lanes.iter().enumerate() {
         if !reachable[i] {
-            lane.health.record(t, 0, false);
+            m.series.add("cloud.ops", lane.name, t, 1);
             m.series.add("cloud.err", lane.name, t, 1);
         }
     }
@@ -315,13 +305,6 @@ impl FleetSim {
                 bytes_up: 0,
                 bytes_down: 0,
                 throttle_delay_ns: 0,
-                health: HealthTracker::new(
-                    p.name(),
-                    HealthConfig {
-                        window_ns: FLEET_SERIES_WINDOW_NS,
-                        ..HealthConfig::default()
-                    },
-                ),
             })
             .collect();
 
@@ -456,7 +439,7 @@ impl FleetSim {
             metrics,
             &folders,
             &maps,
-            &mut lanes,
+            &lanes,
             overrun,
             sync_latency,
             lock_wait,
@@ -571,10 +554,9 @@ impl FleetSim {
                         start + (dur * NS_PER_SEC as f64) as u64,
                         ops,
                     );
-                    // Health sees the share transfer (shaper delay
-                    // included) as one successful timed op.
+                    // The share transfer's latency sample includes
+                    // the shaper delay.
                     let xfer_ns = ((dur * NS_PER_SEC as f64) as u64).saturating_add(d);
-                    lane.health.record(t, xfer_ns, true);
                     m.series.add("cloud.ops", lane.name, t, ops);
                     m.series.add("cloud.bytes_up", lane.name, t, share);
                     m.series.observe("cloud.op_ns", lane.name, t, xfer_ns);
@@ -618,7 +600,6 @@ impl FleetSim {
                             lane.lock_ops += OPLOG_APPEND_OPS;
                             lane.throttle_delay_ns += d;
                             qps_delay = qps_delay.max(d);
-                            lane.health.record(t, d.saturating_add(COMMIT_NS), true);
                             m.series.add("cloud.ops", lane.name, t, OPLOG_APPEND_OPS);
                         }
                     }
@@ -719,7 +700,6 @@ impl FleetSim {
                         lane.lock_ops += LOCK_OPS;
                         lane.throttle_delay_ns += d;
                         qps_delay = qps_delay.max(d);
-                        lane.health.record(t, d.saturating_add(COMMIT_NS), true);
                         m.series.add("cloud.ops", lane.name, t, LOCK_OPS);
                     }
                 }
@@ -883,7 +863,6 @@ impl FleetSim {
                         );
                         let xfer_ns =
                             ((dur * NS_PER_SEC as f64) as u64).saturating_add(d);
-                        lane.health.record(t, xfer_ns, true);
                         m.series.add("cloud.ops", lane.name, t, ops);
                         m.series.add("cloud.bytes_down", lane.name, t, share);
                         m.series.observe("cloud.op_ns", lane.name, t, xfer_ns);
@@ -903,7 +882,7 @@ impl FleetSim {
         mut m: FleetMetrics,
         folders: &[HotFolder],
         maps: &[Mutex<HashMap<u64, ActiveDevice>>],
-        lanes: &mut [CloudLane],
+        lanes: &[CloudLane],
         overrun: bool,
         sync_latency: Histogram,
         lock_wait: Histogram,
@@ -961,19 +940,6 @@ impl FleetSim {
         m.sync_latency = sync_latency.snapshot();
         m.lock_wait = lock_wait.snapshot();
         m.lock_rounds = lock_rounds.snapshot();
-
-        // Close each lane's health tracker at the virtual end time and
-        // render the scoreboard rows, sorted by cloud name so the
-        // export order is independent of `Provider::ALL` ordering.
-        let mut rows: Vec<(String, String)> = lanes
-            .iter_mut()
-            .map(|l| {
-                l.health.finish(m.virtual_end_ns);
-                (l.name.to_owned(), l.health.to_json())
-            })
-            .collect();
-        rows.sort();
-        m.health_rows = rows.into_iter().map(|(_, row)| row).collect();
 
         m.clouds = lanes
             .iter()
@@ -1106,6 +1072,7 @@ fn shard_phase(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unidrive_obs::HealthState;
 
     #[test]
     fn site_assignment_is_stable_and_covers_sites() {
@@ -1198,7 +1165,7 @@ mod tests {
         // The windowed series (per-shard banks merged at window
         // boundaries) must also be byte-identical across layouts.
         assert_eq!(series_a, series_b);
-        assert!(series_a.contains("\"series\": \"unidrive-obs-series/v1\""));
+        assert!(series_a.contains("\"series\": \"unidrive-obs-series/v2\""));
         assert!(series_a.contains("fleet.arrivals"));
     }
 
@@ -1212,33 +1179,23 @@ mod tests {
         cfg.fault_plan = crate::config::default_chaos_plan(31, 600);
         let m = FleetSim::new(cfg).run();
 
-        let target = Provider::ALL[4].name();
-        let row = m
-            .health_rows
-            .iter()
-            .find(|r| r.contains(&format!("\"cloud\": \"{target}\"")))
-            .expect("scoreboard row for the outage provider");
+        // The lanes are what `obs_report` derives from the exported
+        // series: the fully refused window [120s, 180s) is `down`.
+        let lanes = m.series.snapshot().health_lanes();
+        assert_eq!(lanes.len(), Provider::ALL.len());
+        let lane = |p: Provider| &lanes.iter().find(|(name, _)| name == p.name()).expect("lane").1;
+        let target = lane(Provider::ALL[4]);
         // The outage window must drive the cloud out of Healthy…
         assert!(
-            row.contains("\"to\": \"degraded\"") || row.contains("\"to\": \"down\""),
-            "no degradation recorded: {row}"
+            target.transitions.iter().any(|t| t.2 != HealthState::Healthy),
+            "no degradation recorded: {target:?}"
         );
+        assert!(target.windows.contains(&(2, HealthState::Down)), "{target:?}");
         // …and flap damping must walk it back to Healthy by the end.
-        assert!(
-            row.starts_with(&format!("{{\"cloud\": \"{target}\", \"state\": \"healthy\"")),
-            "final state not healthy: {row}"
-        );
+        assert_eq!(target.state(), HealthState::Healthy, "{target:?}");
         // Clouds outside the fault plan's outage stay healthy with no
         // Down transition.
-        let calm = m
-            .health_rows
-            .iter()
-            .find(|r| r.contains(&format!("\"cloud\": \"{}\"", Provider::ALL[0].name())))
-            .expect("row");
-        assert!(!calm.contains("\"to\": \"down\""), "{calm}");
-        // Series and scoreboard travel together in the export.
-        let doc = m.series_json();
-        assert!(doc.contains("\"health\": ["));
-        assert!(doc.contains(&format!("\"cloud\": \"{target}\"")));
+        let calm = lane(Provider::ALL[0]);
+        assert!(calm.transitions.iter().all(|t| t.2 != HealthState::Down), "{calm:?}");
     }
 }

@@ -13,8 +13,7 @@ use unidrive_obs::{histogram_json, Histogram, HistogramSnapshot, SeriesBank};
 
 use crate::config::FleetConfig;
 
-/// Window width of the fleet's time-series rollups (and of the
-/// per-cloud health trackers, which share the grid): one minute of
+/// Window width of the fleet's time-series rollups: one minute of
 /// virtual time per window.
 pub const FLEET_SERIES_WINDOW_NS: u64 = 60 * 1_000_000_000;
 
@@ -97,9 +96,6 @@ pub struct FleetMetrics {
     /// per-shard banks are merged at each window boundary, so the
     /// content is independent of shard and thread layout.
     pub series: SeriesBank,
-    /// Pre-rendered per-cloud health scoreboard rows
-    /// (`unidrive-health/v1` objects), sorted by cloud name.
-    pub health_rows: Vec<String>,
 }
 
 impl FleetMetrics {
@@ -128,17 +124,16 @@ impl FleetMetrics {
             virtual_end_ns: 0,
             drain_rounds: 0,
             series: SeriesBank::new(FLEET_SERIES_WINDOW_NS),
-            health_rows: Vec::new(),
         }
     }
 
-    /// Deterministic windowed-series export (`unidrive-obs-series/v1`)
-    /// with the per-cloud health scoreboard embedded. Like
+    /// Deterministic windowed-series export
+    /// (`unidrive-obs-series/v2`). Like
     /// [`to_json`](FleetMetrics::to_json), the bytes depend only on the
     /// virtual run: same seed ⇒ identical output at any shard or
     /// thread count (CI `cmp`-gates this).
     pub fn series_json(&self) -> String {
-        self.series.snapshot().to_json_with_health(&self.health_rows)
+        self.series.snapshot().to_json()
     }
 
     /// Increments counter `name`.

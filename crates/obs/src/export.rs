@@ -126,8 +126,8 @@ pub fn histogram_json(h: &HistogramSnapshot) -> String {
 /// instants included, is a complete (`"ph": "X"`) event with
 /// microsecond `ts`/`dur`, parent links and typed attributes riding in
 /// `args` — plus a `snapshot` object holding the counters, gauges and
-/// histograms. With `series`: that `unidrive-obs-series/v1` document
-/// (see `SeriesSnapshot::to_json_with_health`) embedded under
+/// histograms. With `series`: that `unidrive-obs-series/v2` document
+/// (see `SeriesSnapshot::to_json`) embedded under
 /// `series`. Canonicalize the snapshot first and same-seed runs
 /// produce byte-identical files.
 pub fn bundle_json(snapshot: Option<&Snapshot>, series: Option<&str>) -> String {
@@ -325,14 +325,14 @@ mod tests {
 
     #[test]
     fn bundle_sections_are_present_only_when_collected() {
-        let series = "{\n  \"series\": \"unidrive-obs-series/v1\"\n}\n";
+        let series = "{\n  \"series\": \"unidrive-obs-series/v2\"\n}\n";
         let only_series = bundle_json(None, Some(series));
         assert!(!only_series.contains("traceEvents") && !only_series.contains("\"snapshot\""));
         assert!(only_series
-            .ends_with("\"series\": {\n  \"series\": \"unidrive-obs-series/v1\"\n}\n}\n"));
+            .ends_with("\"series\": {\n  \"series\": \"unidrive-obs-series/v2\"\n}\n}\n"));
         let both = bundle_json(Some(&sample()), Some(series));
         assert!(both.contains("\"traceEvents\": [") && both.contains("\"snapshot\": {"));
-        assert!(both.ends_with("\"series\": {\n  \"series\": \"unidrive-obs-series/v1\"\n}\n}\n"));
+        assert!(both.ends_with("\"series\": {\n  \"series\": \"unidrive-obs-series/v2\"\n}\n}\n"));
     }
 
     #[test]

@@ -36,11 +36,15 @@
 #![warn(missing_docs)]
 
 mod export;
+mod lanes;
 mod metrics;
 mod series;
 mod span;
 
 pub use export::{bundle_json, histogram_json, Snapshot, BUNDLE_SCHEMA};
+pub use lanes::{
+    health_lane, health_lanes, lane_span, CounterWindows, HealthLane, HealthState,
+};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use series::{
     SeriesBank, SeriesCell, SeriesEntry, SeriesHandle, SeriesKind, SeriesSnapshot, TimeSeries,

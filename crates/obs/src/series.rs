@@ -28,12 +28,20 @@
 //! Export is deterministic: sorted keys, windows ascending, integers
 //! only. Same seed ⇒ byte-identical `--obs-out` files.
 //!
+//! One meaning per name, whoever emits it: `cloud.ops` counts
+//! *attempts* on a cloud — answered, failed and refused alike — and
+//! `cloud.err` the attempts among them that failed (`NotFound` is an
+//! answer, not a failure), so `err / ops` is an error share in `[0, 1]`
+//! in every window. [`health_lanes`](crate::health_lanes) is the
+//! reader that relies on it.
+//!
 //! [`Obs::series_observe`]: crate::Obs::series_observe
 //! [`Obs::series_add`]: crate::Obs::series_add
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
+use crate::lanes::{health_lanes, CounterWindows, HealthLane};
 use crate::metrics::{Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
 
 /// Default rollup interval: 10 virtual seconds.
@@ -422,23 +430,34 @@ impl SeriesSnapshot {
             .find(|e| e.metric == metric && e.label == label)
     }
 
-    /// Serializes as deterministic JSON (schema
-    /// `unidrive-obs-series/v1`): sorted keys, windows ascending,
-    /// integers only. See [`to_json_with_health`]
-    /// (SeriesSnapshot::to_json_with_health) to append a health
-    /// scoreboard.
-    pub fn to_json(&self) -> String {
-        self.to_json_with_health(&[])
+    /// Every counter series of `metric` as `(window index, sum)` pairs,
+    /// keyed by label.
+    fn counter_windows(&self, metric: &str) -> BTreeMap<String, CounterWindows> {
+        self.entries
+            .iter()
+            .filter(|e| e.metric == metric && e.kind == SeriesKind::Counter)
+            .map(|e| {
+                let windows = e.windows.iter().map(|w| (w.index, w.stat.sum)).collect();
+                (e.label.clone(), windows)
+            })
+            .collect()
     }
 
-    /// Like [`to_json`](SeriesSnapshot::to_json), with `health` —
-    /// pre-rendered JSON objects (one per cloud, already deterministic)
-    /// — appended under the `"health"` key. The series layer does not
-    /// know what a health report contains; it only guarantees the
-    /// combined document stays schema-stable.
-    pub fn to_json_with_health(&self, health: &[String]) -> String {
+    /// One availability lane per cloud, derived from the `cloud.ops`
+    /// and `cloud.err` series (see [`health_lanes`]).
+    pub fn health_lanes(&self) -> Vec<(String, HealthLane)> {
+        health_lanes(
+            &self.counter_windows("cloud.ops"),
+            &self.counter_windows("cloud.err"),
+        )
+    }
+
+    /// Serializes as deterministic JSON (schema
+    /// `unidrive-obs-series/v2`): sorted keys, windows ascending,
+    /// integers only.
+    pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
-        out.push_str("{\n  \"series\": \"unidrive-obs-series/v1\",\n");
+        out.push_str("{\n  \"series\": \"unidrive-obs-series/v2\",\n");
         out.push_str(&format!("  \"window_ns\": {},\n", self.window_ns));
         out.push_str("  \"metrics\": {");
         let mut first_metric = true;
@@ -491,19 +510,7 @@ impl SeriesSnapshot {
             }
             out.push_str("\n    }");
         }
-        out.push_str("\n  },\n  \"health\": [");
-        for (j, h) in health.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            out.push_str(h.trim());
-        }
-        if health.is_empty() {
-            out.push_str("]\n}\n");
-        } else {
-            out.push_str("\n  ]\n}\n");
-        }
+        out.push_str("\n  }\n}\n");
         out
     }
 }
@@ -605,7 +612,7 @@ mod tests {
         bank.observe("lat", "c0", 500, 42);
         let a = bank.snapshot().to_json();
         assert_eq!(a, bank.snapshot().to_json());
-        assert!(a.contains("\"series\": \"unidrive-obs-series/v1\""));
+        assert!(a.contains("\"series\": \"unidrive-obs-series/v2\""));
         assert!(a.contains("\"window_ns\": 1000"));
         // Labels sort within a metric; kinds export differently.
         let c0 = a.find("\"c0\": {\"kind\": \"counter\"").unwrap();
@@ -614,19 +621,13 @@ mod tests {
         assert!(a.contains("[0, 1]"));
         assert!(a.contains("\"kind\": \"sample\""));
         assert!(a.contains("\"p50\": 42"));
-        assert!(a.contains("\"health\": []"));
-
-        let with_health = bank
-            .snapshot()
-            .to_json_with_health(&["{\"cloud\": \"c0\"}".to_owned()]);
-        assert!(with_health.contains("\"health\": [\n    {\"cloud\": \"c0\"}\n  ]"));
+        assert!(a.ends_with("\n  }\n}\n"));
     }
 
     #[test]
     fn empty_snapshot_keeps_schema() {
         let json = SeriesSnapshot::empty(W).to_json();
-        assert!(json.contains("\"metrics\": {"));
-        assert!(json.contains("\"health\": []"));
+        assert!(json.ends_with("\"metrics\": {\n  }\n}\n"), "{json}");
     }
 
     #[test]
