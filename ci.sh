@@ -231,7 +231,19 @@ echo "==> s3 backend: real-socket sync gate"
 # loopback wire is syncbench's `http.*` ledger rows.
 cargo test --offline --release --test s3_sync -q
 
+echo "==> segment reuse: an edit downloads about one segment; stale bases, conflicts, stragglers"
+cargo test --offline --release --test segment_reuse -q
+
 echo "==> syncbench: quick suite (all six workloads, schema, oracle)"
 cargo test --offline --release --manifest-path benchmark/Cargo.toml
+
+echo "==> syncbench wire_edit: a sync of an edit moves less than the payload over the wire"
+# The peer of a 4 KiB overwrite fetches the segments its folder lacks,
+# not the file: both directions together stay under one payload byte
+# per payload byte (the whole-file download read 1.84).
+cargo run --offline --release --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload wire_edit --quick --trace 0 |
+    awk '$1 == "wire_bytes_per_payload_byte" { seen = 1; print "    " $0; if ($2 + 0 >= 1) bad = 1 }
+         END { exit !seen || bad }'
 
 echo "CI OK"

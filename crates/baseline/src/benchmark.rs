@@ -376,7 +376,7 @@ impl MultiCloudBenchmark {
         let policy = BenchUploadPolicy::new(queues, seg_count, k, t0);
         let params = self.engine.labelled("bench.upload");
         let size = ("segments", seg_count as u64);
-        let done = run_batch(&self.rt, &self.clouds, params, None, size, policy);
+        let done = run_batch(&self.rt, &self.clouds, params, None, &[size], policy);
         match (done.available, done.error) {
             // Availability reached: later failures only degrade
             // reliability, not the reported metric.
@@ -411,7 +411,7 @@ impl MultiCloudBenchmark {
         let policy = BenchDownloadPolicy::new(segments, Arc::clone(&self.codec), self.codec.k());
         let params = self.engine.labelled("bench.download");
         let size = ("segments", seg_count as u64);
-        let done = run_batch(&self.rt, &self.clouds, params, None, size, policy);
+        let done = run_batch(&self.rt, &self.clouds, params, None, &[size], policy);
         if let Some(e) = done.error {
             return Err(e);
         }

@@ -70,7 +70,7 @@ impl IntuitiveMultiCloud {
         plan: StaticPlan,
     ) -> Result<StaticPlan, CloudError> {
         let params = self.engine.labelled(label);
-        let mut done = run_batch(&self.rt, &self.clouds, params, None, size, plan);
+        let mut done = run_batch(&self.rt, &self.clouds, params, None, &[size], plan);
         done.error.take().map_or(Ok(done), Err)
     }
 

@@ -76,7 +76,7 @@ impl SingleCloudClient {
         plan: StaticPlan,
     ) -> Result<StaticPlan, CloudError> {
         let clouds = CloudSet::new(vec![Arc::clone(&self.cloud)]);
-        let mut done = run_batch(&self.rt, &clouds, self.engine.labelled(label), None, size, plan);
+        let mut done = run_batch(&self.rt, &clouds, self.engine.labelled(label), None, &[size], plan);
         done.error.take().map_or(Ok(done), Err)
     }
 

@@ -100,7 +100,7 @@ impl UniDriveTransfer {
         let file = [&segments[..]];
         let mut contents = self
             .plane
-            .download_files(&file, locate, None)
+            .download_files(&file, &[], locate, None)
             .map_err(|e| CloudError::transient(format!("download incomplete: {e}")))?;
         let out = contents.next().expect("one file asked for, one returned");
         Ok((self.rt.now().saturating_duration_since(t0), out))

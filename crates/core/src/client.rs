@@ -18,12 +18,13 @@ use std::time::Duration;
 use unidrive_util::bytes::Bytes;
 use unidrive_cloud::CloudSet;
 use unidrive_meta::{
-    merge3, MetaMode, MetaPlane, PlaneError, SegmentId, Snapshot, SyncFolderImage, VersionStamp,
+    merge3, BlockRef, MetaMode, MetaPlane, PlaneError, SegmentId, Snapshot, SyncFolderImage,
+    VersionStamp,
 };
 use unidrive_obs::SpanId;
 use unidrive_sim::{Runtime, SimRng};
 
-use crate::dataplane::{DataPlane, UploadRequest};
+use crate::dataplane::{DataPlane, LocalBase, UploadRequest};
 use crate::upload::{BlockSink, UploadOptions};
 use crate::folder::{LocalChange, LocalStat, SyncFolder};
 use crate::lock::LockConfig;
@@ -410,11 +411,15 @@ impl UniDriveClient {
         let mut report = SyncReport::default();
 
         // 1. Upload content data blocks first — no coordination needed,
-        //    blocks are immutable (paper §5.2).
+        //    blocks are immutable (paper §5.2). Dedup only against
+        //    segments a file still references: an image read from the
+        //    clouds keeps the pool entry (and block list) of a segment
+        //    whose last reference is gone, and the commit that dropped
+        //    it has deleted those blocks.
         let known: HashSet<SegmentId> = self
             .original
             .segments()
-            .filter(|(_, e)| !e.blocks.is_empty())
+            .filter(|(_, e)| e.refcount > 0 && !e.blocks.is_empty())
             .map(|(id, _)| *id)
             .collect();
         let mut requests = Vec::new();
@@ -443,14 +448,20 @@ impl UniDriveClient {
         //    draining placements that background reliability workers
         //    reported since the last commit.
         let mut local = self.original.clone();
-        let drained: Vec<(SegmentId, unidrive_meta::BlockRef)> =
+        let drained: Vec<(SegmentId, BlockRef)> =
             std::mem::take(&mut *self.pending_blocks.lock());
         let mut drained_new = false;
-        for (id, block) in &drained {
-            // Only record blocks for segments the metadata still tracks
-            // (a deleted file's stragglers are cleaned by GC instead).
-            if local.segment(id).is_some() {
-                drained_new |= local.record_block(*id, *block);
+        let mut unrecorded = Vec::new();
+        for (id, block) in drained {
+            // Only record blocks for segments the metadata still tracks.
+            // One it does not track is this pass's own upload (recorded
+            // from the report below) or a straggler of a segment GC has
+            // already dropped, which no image will name again:
+            // `unpooled` deletes those at the end of the pass.
+            if local.segment(&id).is_some() {
+                drained_new |= local.record_block(id, block);
+            } else {
+                unrecorded.push((id, block));
             }
         }
         let mut committed_stats: BTreeMap<String, Option<LocalStat>> = BTreeMap::new();
@@ -487,7 +498,9 @@ impl UniDriveClient {
             }
         }
         if report.uploaded.is_empty() && report.deleted_remotely.is_empty() && !drained_new {
-            // Nothing became committable (e.g. total upload failure).
+            // Nothing became committable (e.g. total upload failure, or
+            // a pass woken only by stragglers of collected segments).
+            self.plane.delete_blocks(unpooled(&unrecorded, &local), round);
             return Ok(report);
         }
 
@@ -566,6 +579,7 @@ impl UniDriveClient {
         let dead = garbage
             .iter()
             .flat_map(|(id, entry)| entry.blocks.iter().map(move |b| (*id, *b)));
+        let dead = dead.chain(unpooled(&unrecorded, &self.original));
         self.plane.delete_blocks(dead, round);
         Ok(report)
     }
@@ -587,7 +601,9 @@ impl UniDriveClient {
     }
 
     /// Writes files changed between `from` and `to` into the local
-    /// folder and deletes removed ones.
+    /// folder and deletes removed ones. Only the segments the folder
+    /// lacks cross the wire: [`base_layout`] decides which paths have a
+    /// local base, [`DataPlane::download_files`] verifies and uses it.
     fn materialize_cloud_changes(
         &mut self,
         from: &SyncFolderImage,
@@ -602,12 +618,23 @@ impl UniDriveClient {
         // assigned to the next file", paper §6.2).
         let mut to_write: Vec<&str> = Vec::new();
         let mut segments: Vec<&[SegmentId]> = Vec::new();
+        let mut bases: Vec<LocalBase> = Vec::new();
         for (path, change) in delta.iter() {
             match change {
                 unidrive_meta::EntryChange::Upsert(_) => {
                     let entry = to.file(path).expect("diff reported an existing path");
                     to_write.push(path);
                     segments.push(&entry.snapshot.segments);
+                    // A file `from` says shares content with its new
+                    // version is offered as it stands in the folder;
+                    // `download_files` takes from it only what hashes
+                    // to a wanted id, so neither `from` nor the shadow
+                    // has to be right about what is on disk.
+                    if let Some(layout) = base_layout(from, to, path) {
+                        if let Ok(data) = self.folder.read(path) {
+                            bases.push(LocalBase { data, layout });
+                        }
+                    }
                 }
                 unidrive_meta::EntryChange::Delete => {
                     self.folder.remove(path).map_err(SyncError::Folder)?;
@@ -620,7 +647,7 @@ impl UniDriveClient {
             let locate = |id: &SegmentId| SegmentFetch::from_image(to, id);
             let contents = self
                 .plane
-                .download_files(&segments, locate, round)
+                .download_files(&segments, &bases, locate, round)
                 .map_err(SyncError::Download)?;
             for (path, data) in to_write.into_iter().zip(contents) {
                 let mtime = self.rt.now().as_nanos();
@@ -656,9 +683,86 @@ impl UniDriveClient {
     }
 }
 
+/// The `placements` whose segment `image` does not pool: block objects
+/// no metadata names or ever will (the file was deleted and its
+/// segments collected while the detached worker was still uploading),
+/// so the pass that drains them deletes them.
+fn unpooled<'a>(
+    placements: &'a [(SegmentId, BlockRef)],
+    image: &'a SyncFolderImage,
+) -> impl Iterator<Item = (SegmentId, BlockRef)> + 'a {
+    placements
+        .iter()
+        .filter(|(id, _)| image.segment(id).is_none())
+        .copied()
+}
+
+/// Decide step of a materialization (pure: two images in, no I/O): if
+/// `from`'s snapshot of `path` shares a segment id with `to`'s, the
+/// `(id, length)` layout of that old snapshot per `from`'s pool — the
+/// shape the bytes now in the folder should have. `None` when `path` is
+/// new, when nothing is shared (a read and a hash would buy nothing),
+/// or when `from`'s pool lacks one of the lengths.
+fn base_layout(
+    from: &SyncFolderImage,
+    to: &SyncFolderImage,
+    path: &str,
+) -> Option<Vec<(SegmentId, u64)>> {
+    let old = &from.file(path)?.snapshot.segments;
+    let new: HashSet<&SegmentId> = to.file(path)?.snapshot.segments.iter().collect();
+    if !old.iter().any(|id| new.contains(id)) {
+        return None;
+    }
+    old.iter()
+        .map(|id| Some((*id, from.segment(id)?.len)))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The decide step, case by case: a base exists exactly when the
+    /// old snapshot can supply something, and it is the old snapshot's
+    /// whole layout.
+    #[test]
+    fn base_layout_is_the_old_snapshot_when_it_shares_a_segment() {
+        let id = |tag: &str| SegmentId(unidrive_crypto::Sha1::digest(tag.as_bytes()));
+        let image = |files: &[(&str, &[(&str, u64)])]| {
+            let mut image = SyncFolderImage::new();
+            for (path, segments) in files {
+                for (tag, len) in *segments {
+                    image.ensure_segment(id(tag), *len);
+                }
+                let snapshot = Snapshot {
+                    mtime_ns: 0,
+                    size: segments.iter().map(|(_, len)| len).sum(),
+                    segments: segments.iter().map(|(tag, _)| id(tag)).collect(),
+                };
+                image.upsert_file(path, snapshot);
+            }
+            image
+        };
+        let old: &[(&str, u64)] = &[("a", 10), ("b", 20), ("a", 10)];
+        let from = image(&[("f", old)]);
+        let old_layout = Some(vec![(id("a"), 10), (id("b"), 20), (id("a"), 10)]);
+
+        let check = |case: &str, path: &str, new: &[(&str, u64)], expected| {
+            assert_eq!(base_layout(&from, &image(&[(path, new)]), path), expected, "{case}");
+        };
+        check("new path", "g", &[("a", 10)], None);
+        check("identical snapshot", "f", old, old_layout.clone());
+        check("one shared id", "f", &[("x", 5), ("b", 20), ("y", 7)], old_layout);
+        check("no shared id", "f", &[("x", 5), ("y", 7)], None);
+
+        // An image decoded from a cloud can name a segment its pool
+        // lacks: no base then, not a panic.
+        let mut holed = from.clone();
+        holed.ensure_segment(id("b"), 20).refcount = 0;
+        holed.collect_garbage();
+        assert!(holed.file("f").is_some() && holed.segment(&id("b")).is_none());
+        assert_eq!(base_layout(&holed, &image(&[("f", old)]), "f"), None);
+    }
 
     /// Lock-shaped plane failures print under `lock:`, read and commit
     /// failures under `metadata:` — the texts logs are searched for.

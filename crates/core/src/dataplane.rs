@@ -1,7 +1,7 @@
 //! The data plane facade: from file bytes to erasure-coded blocks in
 //! the multi-cloud and back (paper §6).
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use unidrive_util::bytes::Bytes;
@@ -40,6 +40,19 @@ pub struct FileSegmentation {
     pub segments: Vec<(SegmentId, u64)>,
     /// Total file size.
     pub size: u64,
+}
+
+/// What the folder already holds at a path about to be rewritten: a
+/// candidate source of segments for [`DataPlane::download_files`].
+/// Nothing here is trusted — a range of `data` counts only if it hashes
+/// to the id `layout` gives it.
+#[derive(Debug, Clone)]
+pub struct LocalBase {
+    /// The file's current bytes.
+    pub data: Bytes,
+    /// `(segment id, length)` in file order, as the last image this
+    /// device synced to describes the file.
+    pub layout: Vec<(SegmentId, u64)>,
 }
 
 /// The data plane: segmentation, erasure coding, and the
@@ -232,40 +245,53 @@ impl DataPlane {
     ) -> Result<Vec<u8>, DownloadError> {
         let locate = |id: &SegmentId| SegmentFetch::from_image(image, id);
         let file = [&snapshot.segments[..]];
-        let mut contents = self.download_files(&file, locate, None)?;
+        let mut contents = self.download_files(&file, &[], locate, None)?;
         Ok(contents.next().expect("one file asked for, one returned"))
     }
 
-    /// Fetches, in ONE batch, every segment `files` name — a segment
-    /// several of them share, once — and yields each file's content,
-    /// its segments concatenated in order (built as the caller pulls
-    /// it, so a batch is never in memory twice). `locate` says where a
-    /// segment's blocks live (an image's pool, a baseline's manifest);
-    /// the batch span is parented to `parent`.
+    /// Yields each file's content, its segments concatenated in order
+    /// (built as the caller pulls it, so a batch is never in memory
+    /// twice). A segment several files share is resolved once, in two
+    /// steps. First the folder: a range of a `bases` entry whose layout
+    /// names a wanted id is a cache hit iff its SHA-1 equals that id —
+    /// the check a decoded cloud segment must pass — and is then used
+    /// in place (a zero-copy slice). A base whose length is not its
+    /// layout's sum is ignored; a stale or edited one costs the hash
+    /// and then the fetch of what did not match, never a wrong byte.
+    /// Then the wire: every other segment is fetched in ONE batch.
+    /// `locate` says where a segment's blocks live (an image's pool, a
+    /// baseline's manifest); the batch span is parented to `parent`.
     ///
     /// # Errors
     ///
     /// [`DownloadError::NotEnoughBlocks`] with `got: 0` for a segment
-    /// `locate` does not know (metadata read from a cloud can name one
-    /// its pool lacks); otherwise the last failure of the batch.
+    /// to fetch that `locate` does not know (metadata read from a cloud
+    /// can name one its pool lacks); otherwise the last failure of the
+    /// batch.
     pub fn download_files<'a>(
         &self,
         files: &'a [&'a [SegmentId]],
+        bases: &[LocalBase],
         locate: impl Fn(&SegmentId) -> Option<SegmentFetch>,
         parent: Option<SpanId>,
     ) -> Result<impl Iterator<Item = Vec<u8>> + 'a, DownloadError> {
         let mut wanted = HashSet::new();
-        let mut fetches = Vec::new();
+        let mut order = Vec::new();
         for id in files.iter().flat_map(|ids| ids.iter()) {
             if wanted.insert(*id) {
-                fetches.push(locate(id).ok_or(DownloadError::NotEnoughBlocks {
-                    segment: *id,
-                    got: 0,
-                    need: self.codec.k(),
-                })?);
+                order.push(*id);
             }
         }
-        let mut report = self.download_segments(fetches, parent);
+        let local = self.local_hits(bases, &wanted);
+        let mut fetches = Vec::new();
+        for id in order.iter().filter(|id| !local.contains_key(id)) {
+            fetches.push(locate(id).ok_or(DownloadError::NotEnoughBlocks {
+                segment: *id,
+                got: 0,
+                need: self.codec.k(),
+            })?);
+        }
+        let mut report = self.download_batch(fetches, local, parent);
         if let Some(err) = report.failed.pop() {
             return Err(err);
         }
@@ -276,6 +302,50 @@ impl DataPlane {
             let parts: Vec<&[u8]> = ids.iter().map(|id| &fetched[id][..]).collect();
             parts.concat()
         }))
+    }
+
+    /// The `wanted` segments that `bases` hold: each range a layout
+    /// names with a wanted id is hashed on the ingest pool and kept iff
+    /// the digest is the id. Layout lengths come from metadata, so a
+    /// base is walked only once they are known to sum to its length.
+    fn local_hits(
+        &self,
+        bases: &[LocalBase],
+        wanted: &HashSet<SegmentId>,
+    ) -> HashMap<SegmentId, Bytes> {
+        let mut candidates: Vec<(SegmentId, Bytes)> = Vec::new();
+        let mut seen = HashSet::new();
+        for base in bases {
+            let total = base
+                .layout
+                .iter()
+                .try_fold(0u64, |sum, (_, len)| sum.checked_add(*len));
+            if total != Some(base.data.len() as u64) {
+                continue;
+            }
+            let mut offset = 0usize;
+            for (id, len) in &base.layout {
+                let end = offset + *len as usize;
+                if wanted.contains(id) && seen.insert(*id) {
+                    candidates.push((*id, base.data.slice(offset..end)));
+                }
+                offset = end;
+            }
+        }
+        let verified = self
+            .ingest_pool
+            .par_map_indexed(&candidates, |_, (id, range)| Sha1::digest(range) == id.0);
+        let hits: HashMap<SegmentId, Bytes> = candidates
+            .into_iter()
+            .zip(verified)
+            .filter_map(|(hit, ok)| ok.then_some(hit))
+            .collect();
+        if !hits.is_empty() {
+            let obs = &self.config.obs;
+            obs.add("download.local_segments", hits.len() as u64);
+            obs.add("download.local_bytes", hits.values().map(|b| b.len() as u64).sum());
+        }
+        hits
     }
 
     /// Deletes stored blocks from the clouds (garbage-collected
@@ -321,7 +391,7 @@ impl DataPlane {
     ) -> StaticPlan {
         let size = ("blocks", plan.landed.len() as u64);
         let params = self.engine.labelled(label);
-        run_batch(&self.rt, &self.clouds, params, parent, size, plan)
+        run_batch(&self.rt, &self.clouds, params, parent, &[size], plan)
     }
 }
 
@@ -557,6 +627,62 @@ mod tests {
                 need: 3
             })
         );
+    }
+
+    /// A base is consulted only when its bytes have the length its
+    /// layout adds up to; a longer or shorter one is ignored and every
+    /// segment is fetched. The exact base is the control: all hits, no
+    /// batch at all.
+    #[test]
+    fn a_base_of_the_wrong_length_is_ignored() {
+        let registry = unidrive_obs::Registry::new();
+        let obs = Obs::with_registry(Arc::clone(&registry));
+        let (_sim, plane) =
+            plane_with_config(7, 2, unidrive_chunker::ChunkerKind::Rabin, obs);
+        let data = content(400_000, 23);
+        let (report, segs) = plane.upload_files(
+            vec![UploadRequest {
+                path: "f".into(),
+                data: data.clone(),
+            }],
+            &HashSet::new(),
+            UploadOptions::default(),
+        );
+        let layout = segs[0].segments.clone();
+        assert!(layout.len() > 3, "want a multi-segment file");
+        let mut image = SyncFolderImage::new();
+        for (id, len) in &layout {
+            image.ensure_segment(*id, *len);
+        }
+        for (id, b) in &report.blocks {
+            image.record_block(*id, *b);
+        }
+        let ids: Vec<SegmentId> = layout.iter().map(|(id, _)| *id).collect();
+        let fetch = |base: Bytes| {
+            let before = registry.snapshot();
+            let bases = [LocalBase {
+                data: base,
+                layout: layout.clone(),
+            }];
+            let locate = |id: &SegmentId| SegmentFetch::from_image(&image, id);
+            let got: Vec<Vec<u8>> = plane
+                .download_files(&[&ids[..]], &bases, locate, None)
+                .unwrap()
+                .collect();
+            assert_eq!(got, vec![data.to_vec()]);
+            let after = registry.snapshot();
+            let grew = |name: &str| after.counter(name) - before.counter(name);
+            (grew("download.local_segments"), grew("download.blocks_completed"))
+        };
+
+        let mut longer = data.to_vec();
+        longer.push(0);
+        let (hits, blocks) = fetch(Bytes::from(longer));
+        assert_eq!(hits, 0, "longer than the layout");
+        assert!(blocks >= 3 * ids.len() as u64, "whole fetch: k blocks a segment");
+        let (hits, whole) = fetch(data.slice(..data.len() - 1));
+        assert_eq!((hits, whole >= 3 * ids.len() as u64), (0, true), "shorter than the layout");
+        assert_eq!(fetch(data.clone()), (ids.len() as u64, 0), "exact base: nothing fetched");
     }
 
     #[test]

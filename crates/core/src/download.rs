@@ -170,6 +170,19 @@ impl DataPlane {
         fetches: Vec<SegmentFetch>,
         parent: Option<SpanId>,
     ) -> DownloadReport {
+        self.download_batch(fetches, HashMap::new(), parent)
+    }
+
+    /// [`download_segments`](Self::download_segments) with `local` —
+    /// segments the caller already holds verified plaintext of — placed
+    /// in the report beside the fetched ones; the batch span counts
+    /// both (`local_hits`, `fetched`).
+    pub(crate) fn download_batch(
+        &self,
+        fetches: Vec<SegmentFetch>,
+        local: HashMap<SegmentId, Bytes>,
+        parent: Option<SpanId>,
+    ) -> DownloadReport {
         let started = self.rt.now();
         let n_clouds = self.clouds.len();
         let k = self.codec.k();
@@ -202,9 +215,11 @@ impl DataPlane {
             finished: fetches.is_empty(),
             timeline: Vec::new(),
         };
+        let fetched = fetches.len() as u64;
+        let local_hits = local.len() as u64;
         let mut policy = DownloadPolicy {
             st,
-            segments: HashMap::new(),
+            segments: local,
             failures: Vec::new(),
             codec: Arc::clone(&self.codec),
             probe: Arc::clone(&self.probe),
@@ -218,8 +233,12 @@ impl DataPlane {
         finish_check(&mut policy.st, k, &mut policy.failures);
 
         let params = self.engine.labelled("download");
-        let size = ("segments", fetches.len() as u64);
-        let policy = run_batch(&self.rt, &self.clouds, params, parent, size, policy);
+        let sizes = [
+            ("segments", fetched + local_hits),
+            ("local_hits", local_hits),
+            ("fetched", fetched),
+        ];
+        let policy = run_batch(&self.rt, &self.clouds, params, parent, &sizes, policy);
         DownloadReport {
             segments: policy.segments,
             failed: policy.failures,

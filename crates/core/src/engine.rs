@@ -489,8 +489,9 @@ impl<P: TransferPolicy> TransferEngine<P> {
 }
 
 /// Runs `policy` to completion as one batch: opens the `engine.batch`
-/// span (labelled `params.label`, sized by `size` = attribute name and
-/// count) under `parent`, starts the engine, joins it, ends the span
+/// span (labelled `params.label`, carrying each `sizes` pair as an
+/// attribute name and count) under `parent`, starts the engine, joins
+/// it, ends the span
 /// and hands the policy back with its results. A policy that is born
 /// done comes straight back — no worker, no span.
 pub fn run_batch<P: TransferPolicy>(
@@ -498,7 +499,7 @@ pub fn run_batch<P: TransferPolicy>(
     clouds: &CloudSet,
     mut params: EngineParams,
     parent: Option<SpanId>,
-    size: (&'static str, u64),
+    sizes: &[(&'static str, u64)],
     policy: P,
 ) -> P {
     if policy.is_done() {
@@ -506,7 +507,9 @@ pub fn run_batch<P: TransferPolicy>(
     }
     let mut batch = params.obs.span("engine.batch", parent);
     batch.attr_str("label", params.label.as_str());
-    batch.attr_u64(size.0, size.1);
+    for (key, count) in sizes {
+        batch.attr_u64(key, *count);
+    }
     params.batch_span = batch.id();
     TransferEngine::start(rt, clouds, params, policy).join()
 }

@@ -55,7 +55,7 @@ mod upload;
 
 pub use client::{build_plane, ClientConfig, SyncError, SyncReport, UniDriveClient};
 pub use control::newer;
-pub use dataplane::{DataPlane, FileSegmentation, UploadRequest};
+pub use dataplane::{DataPlane, FileSegmentation, LocalBase, UploadRequest};
 pub use download::{DownloadError, DownloadReport, SegmentFetch};
 pub use engine::{
     run_batch, EngineParams, JobDesc, TransferEngine, TransferPolicy, WatchdogConfig, WireOp,

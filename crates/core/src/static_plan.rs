@@ -159,7 +159,7 @@ mod tests {
         let params = EngineParams::new("gc", 1, RetryPolicy::new(), obs);
         let size = ("blocks", plan.landed.len() as u64);
         let rt = rig.sim.clone().as_runtime();
-        run_batch(&rt, &rig.clouds, params, None, size, plan)
+        run_batch(&rt, &rig.clouds, params, None, &[size], plan)
     }
 
     fn delete(path: &str) -> WireOp {
