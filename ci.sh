@@ -43,8 +43,15 @@ cargo test --offline --workspace -q
 
 echo "==> bench binaries build (release)"
 # The determinism and bench steps below run the release binaries;
-# the root release build alone does not produce them.
+# the root release build alone does not produce them. The wall time is
+# printed so a CHANGES.md entry can quote it.
+bench_build_start="$(date +%s)"
 cargo build --offline --release -p unidrive-bench
+echo "    bench binaries built in $(($(date +%s) - bench_build_start)) s"
+
+echo "==> one figures binary: 7 bench mains, 17 experiments in its table"
+[ "$(ls crates/bench/src/bin | wc -l)" -eq 7 ]
+[ "$(./target/release/figures list | wc -l)" -eq 17 ]
 
 echo "==> clippy on the whole workspace (deny warnings)"
 # rustup-managed toolchains ship clippy; if this toolchain has none,
@@ -55,14 +62,17 @@ else
     echo "    clippy not installed; skipped"
 fi
 
-echo "==> one trace, one artefact, one reader, one per-cloud estimator: the retired names stay retired"
+echo "==> one trace, one artefact, one reader, one per-cloud estimator, one figures binary: the retired names stay retired"
 # The typed Event ring, the three per-format flags, the second report
 # binary and the streaming health scoreboard (cloud health is a
-# function `obs_report` computes from the series) must not creep back.
+# function `obs_report` computes from the series) must not creep back;
+# nor the oplog plane's delta-append fork and the capabilities nobody
+# read, nor the experiment runner that re-entered binaries and the
+# second argument reader.
 # (The bracketed letters keep this line from matching itself.)
-if grep -rnE '\bEvent::|Traced[E]vent|--metrics-[o]ut|--trace-[o]ut|--series-[o]ut|trace_[r]eport|Health[T]racker|Health[B]oard|Cloud[H]ealth|Health[C]onfig|to_json_with_[h]ealth|unidrive-[h]ealth/v1' \
+if grep -rnE '\bEvent::|Traced[E]vent|--metrics-[o]ut|--trace-[o]ut|--series-[o]ut|trace_[r]eport|Health[T]racker|Health[B]oard|Cloud[H]ealth|Health[C]onfig|to_json_with_[h]ealth|unidrive-[h]ealth/v1|native_[a]ppend|supports_conditional_[p]ut|max_object_[b]ytes|run_[a]ll|meta_mode_from_[a]rgs' \
     crates src tests examples ci.sh; then
-    echo "    retired obs name found (see matches above)"
+    echo "    retired name found (see matches above)"
     exit 1
 fi
 
@@ -91,8 +101,8 @@ cargo run --offline --release --quiet --example membership_change >/dev/null
 echo "==> obs export determinism (same seed => byte-identical)"
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
-./target/release/fig08_micro quick --obs-out "$out/a.json" >/dev/null
-./target/release/fig08_micro quick --obs-out "$out/b.json" >/dev/null
+./target/release/figures fig08_micro quick --obs-out "$out/a.json" >/dev/null
+./target/release/figures fig08_micro quick --obs-out "$out/b.json" >/dev/null
 cmp "$out/a.json" "$out/b.json"
 ./target/release/obs_report --validate "$out/a.json"
 
@@ -106,8 +116,8 @@ echo "==> fig11 same-seed determinism: one bundle holds metrics, span trace and 
 #    ring dropped nothing — every parent id present;
 #  - series: schema tag, strictly increasing window indices, quantile
 #    monotonicity (p50 <= p95 <= p99) in every sample window.
-./target/release/fig11_batch_sync quick --obs-out "$out/c.json" >/dev/null
-./target/release/fig11_batch_sync quick --obs-out "$out/d.json" >/dev/null
+./target/release/figures fig11_batch_sync quick --obs-out "$out/c.json" >/dev/null
+./target/release/figures fig11_batch_sync quick --obs-out "$out/d.json" >/dev/null
 cmp "$out/c.json" "$out/d.json"
 grep -q '^"traceEvents": \[$' "$out/c.json"
 ./target/release/obs_report --validate "$out/c.json" | grep "(0 dropped); .* series"

@@ -24,8 +24,9 @@
 
 use std::time::Instant;
 
-use unidrive_bench::{arg_value, meta_mode_from_args, obs_out, quick_arg};
+use unidrive_bench::{arg_value, meta_mode_arg, obs_out, quick_arg};
 use unidrive_fleet::{FleetConfig, FleetSim};
+use unidrive_meta::MetaMode;
 use unidrive_workload::TextTable;
 
 /// `VmHWM` (peak resident set) of this process, in KiB, from
@@ -59,8 +60,8 @@ fn main() {
     if let Some(t) = flag_u64("--threads") {
         cfg.threads = t as usize;
     }
-    cfg.meta_mode = meta_mode_from_args();
-    let metrics = obs_out::from_args();
+    cfg.meta_mode = meta_mode_arg().unwrap_or(MetaMode::Lock);
+    let metrics = obs_out::to_path(arg_value("--obs-out"));
 
     println!(
         "Fleet bench ({}): {} devices, {} hot folders, {}s horizon, {} shards, seed {}, meta-mode {}",

@@ -37,10 +37,9 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use unidrive_bench::{arg_value, meta_mode_arg, obs_out, quick_arg};
+use unidrive_bench::{arg_value, meta_mode_arg, obs_out, paper_client, quick_arg};
 use unidrive_cloud::{CloudSet, CloudStore, MemCloud, SimCloud, SimCloudConfig};
-use unidrive_core::{ClientConfig, DataPlaneConfig, MemFolder, SyncFolder, UniDriveClient};
-use unidrive_erasure::RedundancyConfig;
+use unidrive_core::{MemFolder, SyncFolder, UniDriveClient};
 use unidrive_meta::MetaMode;
 use unidrive_obs::{Obs, Registry, Snapshot, DEFAULT_SERIES_WINDOW_NS};
 use unidrive_sim::{spawn, Runtime, SimRng, SimRuntime};
@@ -114,21 +113,12 @@ fn run_cell(mode: MetaMode, writers: usize, rounds: usize, seed: u64, want_expor
     for d in 0..writers {
         let set = device_set(d);
         let rt2 = rt.clone();
-        let mut config = ClientConfig::paper_default(format!("w{d}"));
-        config.meta_mode = mode;
-        config.data = DataPlaneConfig {
-            obs: obs.clone(),
-            ..DataPlaneConfig::with_params(
-                RedundancyConfig::new(5, 3, 3, 2).expect("paper parameters"),
-                64 * 1024,
-            )
-        };
         let folder = MemFolder::new();
         let mut client = UniDriveClient::new(
             rt.clone(),
             set,
             Arc::clone(&folder) as Arc<dyn SyncFolder>,
-            config,
+            paper_client(&format!("w{d}"), 64 * 1024, &obs, mode),
             SimRng::derive(seed, &format!("bench_oplog/client{d}")),
         );
         tasks.push(spawn(&rt, &format!("writer-{d}"), move || {

@@ -57,13 +57,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use unidrive_bench::plan::read_fault_plan;
-use unidrive_bench::{arg_value, meta_mode_arg, obs_out, quick_arg};
+use unidrive_bench::{arg_value, meta_mode_arg, obs_out, paper_client, quick_arg};
 use unidrive_cloud::{
     ChaosCloud, CloudBuilder, CloudSet, CloudStore, FaultEvent, FaultKind, FaultPlan, MemCloud,
     SimCloud, SimCloudConfig,
 };
-use unidrive_core::{ClientConfig, DataPlaneConfig, MemFolder, SyncFolder, UniDriveClient};
-use unidrive_erasure::RedundancyConfig;
+use unidrive_core::{MemFolder, SyncFolder, UniDriveClient};
 use unidrive_meta::MetaMode;
 use unidrive_obs::{
     bundle_json, lane_span, FieldValue, HealthLane, HealthState, Obs, Registry, SpanRecord,
@@ -145,20 +144,11 @@ fn run_round(plan: &FaultPlan, mode: MetaMode, want_flight: bool) -> RoundOutcom
 
     let folders: Vec<Arc<MemFolder>> = (0..DEVICES).map(|_| MemFolder::new()).collect();
     let client = |d: usize| {
-        let mut config = ClientConfig::paper_default(format!("dev{d}"));
-        config.meta_mode = mode;
-        config.data = DataPlaneConfig {
-            obs: obs.clone(),
-            ..DataPlaneConfig::with_params(
-                RedundancyConfig::new(5, 3, 3, 2).expect("valid"),
-                64 * 1024,
-            )
-        };
         UniDriveClient::new(
             rt.clone(),
             device_sets[d].clone(),
             Arc::clone(&folders[d]) as Arc<dyn SyncFolder>,
-            config,
+            paper_client(&format!("dev{d}"), 64 * 1024, &obs, mode),
             SimRng::derive(plan.seed, &format!("chaos_soak/client{d}")),
         )
     };
@@ -387,20 +377,11 @@ fn health_round(bundle_path: Option<&str>) -> HealthOutcome {
     let folders: Vec<Arc<MemFolder>> = (0..DEVICES).map(|_| MemFolder::new()).collect();
     let mut tasks = Vec::new();
     for d in 0..DEVICES {
-        let mut config = ClientConfig::paper_default(format!("dev{d}"));
-        config.meta_mode = MetaMode::Lock;
-        config.data = DataPlaneConfig {
-            obs: obs.clone(),
-            ..DataPlaneConfig::with_params(
-                RedundancyConfig::new(5, 3, 3, 2).expect("valid"),
-                64 * 1024,
-            )
-        };
         let mut c = UniDriveClient::new(
             rt.clone(),
             device_sets[d].clone(),
             Arc::clone(&folders[d]) as Arc<dyn SyncFolder>,
-            config,
+            paper_client(&format!("dev{d}"), 64 * 1024, &obs, MetaMode::Lock),
             SimRng::derive(plan.seed, &format!("chaos_soak/health{d}")),
         );
         let folder = Arc::clone(&folders[d]);

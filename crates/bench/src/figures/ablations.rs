@@ -7,15 +7,14 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::{figures::Ctx, paper_plane};
 use unidrive_util::bytes::Bytes;
-use unidrive_bench::ExperimentScale;
-use unidrive_cloud::{CloudSet, CloudStore};
 use unidrive_core::{
     DataPlane, DataPlaneConfig, LockConfig, QuorumLock, SegmentFetch, UploadOptions,
     UploadRequest,
 };
-use unidrive_erasure::RedundancyConfig;
 use unidrive_meta::SegmentId;
+use unidrive_obs::Obs;
 use unidrive_sim::{spawn, Runtime, SimRng, SimRuntime};
 use unidrive_workload::{build_multicloud, random_bytes, site_by_name, Summary};
 
@@ -26,10 +25,7 @@ fn plane_with(
     tweak: impl Fn(&mut DataPlaneConfig),
 ) -> DataPlane {
     let (clouds, _) = build_multicloud(sim, site);
-    let mut config = DataPlaneConfig {
-        connections_per_cloud: 5,
-        ..DataPlaneConfig::with_params(RedundancyConfig::new(5, 3, 3, 2).expect("valid"), theta)
-    };
+    let mut config = paper_plane(theta, &Obs::noop());
     tweak(&mut config);
     DataPlane::new(sim.clone().as_runtime(), clouds, config)
 }
@@ -46,8 +42,8 @@ fn upload_avail_secs(plane: &DataPlane, data: &Bytes, tag: &str) -> Option<f64> 
     report.available_duration().map(|d| d.as_secs_f64())
 }
 
-fn main() {
-    let scale = ExperimentScale::from_args();
+pub fn run(cx: &Ctx) {
+    let scale = &cx.scale;
     let site = site_by_name("Beijing").expect("site"); // extreme disparity within the top-3 clouds
     let size = scale.large_file / 2;
     let repeats = scale.repeats.max(3);
@@ -242,5 +238,4 @@ fn main() {
             }
         }
     }
-    let _ = CloudSet::new(vec![Arc::new(unidrive_cloud::MemCloud::new("x")) as Arc<dyn CloudStore>]);
 }

@@ -10,8 +10,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::figures::Ctx;
 use unidrive_baseline::SingleCloudClient;
-use unidrive_bench::ExperimentScale;
 use unidrive_sim::{Runtime, SimRuntime};
 use unidrive_workload::{
     build_cloud, pearson, random_bytes, Provider, Summary, TextTable, PLANETLAB_SITES,
@@ -26,8 +26,8 @@ fn seed_of(site: &str, provider: Provider) -> u64 {
     h
 }
 
-fn main() {
-    let scale = ExperimentScale::from_args();
+pub fn run(cx: &Ctx) {
+    let scale = &cx.scale;
     let days: u64 = if scale.repeats >= 5 { 30 } else { 7 };
     let probes_per_day: u64 = 8; // every 3 virtual hours
     let file_size = 8 * 1024 * 1024;

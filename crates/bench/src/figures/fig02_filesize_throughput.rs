@@ -5,12 +5,12 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::{figures::Ctx, mbps};
 use unidrive_baseline::SingleCloudClient;
-use unidrive_bench::mbps;
 use unidrive_sim::{Runtime, SimRuntime};
 use unidrive_workload::{build_cloud, random_bytes, site_by_name, Provider, TextTable};
 
-fn main() {
+pub fn run(_cx: &Ctx) {
     let site = site_by_name("Princeton").expect("site exists");
     let sizes_kb: [usize; 6] = [128, 512, 1024, 2048, 4096, 8192];
     let repeats = 40;

@@ -10,11 +10,12 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::figures::Ctx;
 use unidrive_baseline::SingleCloudClient;
 use unidrive_sim::{Runtime, SimRuntime};
 use unidrive_workload::{build_cloud, pearson, random_bytes, site_by_name, Provider, Summary, TextTable};
 
-fn main() {
+pub fn run(_cx: &Ctx) {
     let site = site_by_name("Princeton").expect("site exists");
     let days = 30;
     let data = random_bytes(8 * 1024 * 1024, 3);

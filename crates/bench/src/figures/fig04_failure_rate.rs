@@ -4,11 +4,12 @@
 
 use std::time::Duration;
 
+use crate::figures::Ctx;
 use unidrive_cloud::CloudStore;
 use unidrive_sim::{Runtime, SimRuntime};
 use unidrive_workload::{build_cloud, random_bytes, site_by_name, Provider, TextTable};
 
-fn main() {
+pub fn run(_cx: &Ctx) {
     let site = site_by_name("Princeton").expect("site exists");
     let sizes_kb: [usize; 6] = [256, 512, 1024, 2048, 4096, 8192];
     let attempts = 400;

@@ -8,17 +8,16 @@
 
 use std::time::Duration;
 
-use unidrive_bench::{meta_mode_from_args, obs_out, systems_at, ExperimentScale};
+use crate::{figures::Ctx, systems_at};
 use unidrive_sim::{Runtime, SimRuntime};
 use unidrive_workload::{random_bytes, Summary, TextTable, EC2_SITES};
 
-fn main() {
-    let scale = ExperimentScale::from_args();
-    let metrics = obs_out::from_args();
-    // Accepted for uniform drivability from run_all: fig08 measures the
-    // raw data plane (no metadata commits), so the mode only selects
-    // the echo — the transfer numbers are identical under both planes.
-    let meta_mode = meta_mode_from_args();
+pub fn run(cx: &Ctx) {
+    let scale = &cx.scale;
+    // fig08 measures the raw data plane (no metadata commits), so the
+    // mode only selects the echo — the transfer numbers are identical
+    // under both planes.
+    let meta_mode = cx.meta_mode;
     let size = scale.large_file;
     let data = random_bytes(size, 8);
     println!(
@@ -40,8 +39,8 @@ fn main() {
     for site in EC2_SITES {
         let sim = SimRuntime::new(0x0808 + site.name.len() as u64 * 131);
         // Virtual-time clock for the windowed series (--obs-out).
-        sim.install_obs(metrics.obs.clone());
-        let sys = systems_at(&sim, site, scale.theta, &metrics.obs);
+        sim.install_obs(cx.obs.clone());
+        let sys = systems_at(&sim, site, scale.theta, &cx.obs);
         let mut up: Vec<Vec<f64>> = vec![Vec::new(); 8];
         let mut down: Vec<Vec<f64>> = vec![Vec::new(); 8];
         for rep in 0..scale.repeats {
@@ -119,5 +118,4 @@ fn main() {
         "UniDrive vs multi-cloud benchmark:  upload {:.2}x              (paper: ~1.5x)",
         avg(&bench_speedups)
     );
-    metrics.write();
 }

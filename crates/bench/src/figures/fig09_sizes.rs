@@ -4,13 +4,13 @@
 
 use std::time::Duration;
 
-use unidrive_bench::{systems_at, ExperimentScale};
+use crate::{figures::Ctx, systems_at};
 use unidrive_obs::Obs;
 use unidrive_sim::{Runtime, SimRuntime};
 use unidrive_workload::{random_bytes, site_by_name, Summary, TextTable};
 
-fn main() {
-    let scale = ExperimentScale::from_args();
+pub fn run(cx: &Ctx) {
+    let scale = &cx.scale;
     let sizes_mb: Vec<usize> = if scale.repeats >= 5 {
         vec![1, 2, 4, 8, 16, 32]
     } else {

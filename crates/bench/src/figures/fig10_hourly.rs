@@ -6,14 +6,14 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::{figures::Ctx, systems_at};
 use unidrive_baseline::SingleCloudClient;
-use unidrive_bench::{systems_at, ExperimentScale};
 use unidrive_obs::Obs;
 use unidrive_sim::{Runtime, SimRuntime};
 use unidrive_workload::{random_bytes, site_by_name, Provider, Summary, TextTable};
 
-fn main() {
-    let scale = ExperimentScale::from_args();
+pub fn run(cx: &Ctx) {
+    let scale = &cx.scale;
     let size = scale.large_file;
     let site = site_by_name("Virginia").expect("site exists");
     let sim = SimRuntime::new(1010);

@@ -15,27 +15,14 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::{figures::Ctx, paper_client};
 use unidrive_util::sync::Mutex;
 use unidrive_baseline::{IntuitiveMultiCloud, MultiCloudBenchmark, SingleCloudClient};
-use unidrive_bench::{meta_mode_from_args, obs_out, ExperimentScale};
 use unidrive_cloud::{CloudId, CloudSet};
-use unidrive_core::{ClientConfig, DataPlaneConfig, MemFolder, SyncFolder, UniDriveClient};
+use unidrive_core::{MemFolder, SyncFolder, UniDriveClient};
 use unidrive_erasure::RedundancyConfig;
-use unidrive_meta::MetaMode;
-use unidrive_obs::Obs;
 use unidrive_sim::{spawn, Runtime, SimRng, SimRuntime};
 use unidrive_workload::{batch, build_multicloud_shared, Summary, TextTable, EC2_SITES};
-
-fn client_config(device: &str, theta: usize, obs: &Obs, meta_mode: MetaMode) -> ClientConfig {
-    let mut c = ClientConfig::paper_default(device);
-    c.meta_mode = meta_mode;
-    c.data = DataPlaneConfig {
-        connections_per_cloud: 5,
-        obs: obs.clone(),
-        ..DataPlaneConfig::with_params(RedundancyConfig::new(5, 3, 3, 2).expect("valid"), theta)
-    };
-    c
-}
 
 /// A pipelined baseline run: the source uploads files in order, marking
 /// each done; every sink downloads each file as soon as it is marked.
@@ -100,10 +87,9 @@ where
     ok.then(|| (last - t0).as_secs_f64())
 }
 
-fn main() {
-    let scale = ExperimentScale::from_args();
-    let metrics = obs_out::from_args();
-    let meta_mode = meta_mode_from_args();
+pub fn run(cx: &Ctx) {
+    let scale = &cx.scale;
+    let meta_mode = cx.meta_mode;
     let (count, size) = scale.batch;
     let sinks = EC2_SITES.len() - 1;
     println!(
@@ -127,10 +113,10 @@ fn main() {
             // windowed series (--obs-out) land in real windows; each
             // site's world restarts at t=0, so same-named series
             // aggregate per window index across sites (deterministic).
-            sim.install_obs(metrics.obs.clone());
+            sim.install_obs(cx.obs.clone());
             let (sets, handles) = build_multicloud_shared(&sim, &EC2_SITES);
             for handle in handles.iter().flatten() {
-                handle.install_obs(metrics.obs.clone());
+                handle.install_obs(cx.obs.clone());
             }
             let rt = sim.clone().as_runtime();
             let files = batch(count, size, 1100 + si as u64);
@@ -139,7 +125,7 @@ fn main() {
                 rt.clone(),
                 sets[si].clone(),
                 Arc::clone(&uploader_folder) as Arc<dyn SyncFolder>,
-                client_config(&format!("up-{}", site.name), scale.theta, &metrics.obs, meta_mode),
+                paper_client(&format!("up-{}", site.name), scale.theta, &cx.obs, meta_mode),
                 SimRng::seed_from_u64(40 + si as u64),
             );
             let t0 = sim.now();
@@ -155,7 +141,7 @@ fn main() {
                 let theta = scale.theta;
                 let seed = 80 + di as u64;
                 let target = count;
-                let obs = metrics.obs.clone();
+                let obs = cx.obs.clone();
                 let mode = meta_mode;
                 tasks.push(spawn(&rt, &name.clone(), move || {
                     let folder = MemFolder::new();
@@ -163,7 +149,7 @@ fn main() {
                         rt2.clone(),
                         set,
                         folder as Arc<dyn SyncFolder>,
-                        client_config(&name, theta, &obs, mode),
+                        paper_client(&name, theta, &obs, mode),
                         SimRng::seed_from_u64(seed),
                     );
                     let mut done = 0usize;
@@ -229,7 +215,7 @@ fn main() {
 
             let result = match sys_idx {
                 0 => {
-                    let redundancy = RedundancyConfig::new(5, 3, 3, 2).expect("valid");
+                    let redundancy = RedundancyConfig::paper_default();
                     let source = Arc::new(
                         MultiCloudBenchmark::new(rt.clone(), sets[si].clone(), redundancy, 5)
                             .with_chunk_size(scale.theta),
@@ -347,5 +333,4 @@ fn main() {
         let avg = speedups.iter().sum::<f64>() / speedups.len() as f64;
         println!("\nUniDrive vs fastest CCS per site: {avg:.2}x (paper: 1.33x)");
     }
-    metrics.write();
 }

@@ -5,18 +5,18 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::{figures::Ctx, paper_client};
 use unidrive_util::sync::Mutex;
 use unidrive_baseline::{IntuitiveMultiCloud, MultiCloudBenchmark, SingleCloudClient};
-use unidrive_bench::{obs_out, ExperimentScale};
 use unidrive_cloud::CloudId;
-use unidrive_core::{ClientConfig, DataPlaneConfig, MemFolder, SyncFolder, UniDriveClient};
+use unidrive_core::{MemFolder, SyncFolder, UniDriveClient};
 use unidrive_erasure::RedundancyConfig;
-use unidrive_sim::{spawn, Runtime, SimRng, SimRuntime, Time};
+use unidrive_meta::MetaMode;
+use unidrive_sim::{spawn, Runtime, SimRng, SimRuntime};
 use unidrive_workload::{batch, build_multicloud_shared, site_by_name, TextTable};
 
-fn main() {
-    let scale = ExperimentScale::from_args();
-    let metrics = obs_out::from_args();
+pub fn run(cx: &Ctx) {
+    let scale = &cx.scale;
     let (count, size) = scale.batch;
     let oregon = site_by_name("Oregon").expect("site");
     let virginia = site_by_name("Virginia").expect("site");
@@ -33,23 +33,11 @@ fn main() {
         let sim = SimRuntime::new(1212);
         let (sets, handles) = build_multicloud_shared(&sim, &[oregon, virginia]);
         for handle in handles.iter().flatten() {
-            handle.install_obs(metrics.obs.clone());
+            handle.install_obs(cx.obs.clone());
         }
         let rt = sim.clone().as_runtime();
         let files = batch(count, size, 1212);
-        let obs = metrics.obs.clone();
-        let config = move |device: &str| {
-            let mut c = ClientConfig::paper_default(device);
-            c.data = DataPlaneConfig {
-                connections_per_cloud: 5,
-                obs: obs.clone(),
-                ..DataPlaneConfig::with_params(
-                    RedundancyConfig::new(5, 3, 3, 2).expect("valid"),
-                    scale.theta,
-                )
-            };
-            c
-        };
+        let config = |device: &str| paper_client(device, scale.theta, &cx.obs, MetaMode::Lock);
         let t0 = sim.now();
         let downloader = {
             let set = sets[1].clone();
@@ -116,7 +104,7 @@ fn main() {
         let files = batch(count, size, 1212);
         let flags: Arc<Mutex<Vec<bool>>> = Arc::new(Mutex::new(vec![false; files.len()]));
         let t0 = sim.now();
-        let redundancy = RedundancyConfig::new(5, 3, 3, 2).expect("valid");
+        let redundancy = RedundancyConfig::paper_default();
         let src_bench = Arc::new(
             MultiCloudBenchmark::new(rt.clone(), sets[0].clone(), redundancy, 5)
                 .with_chunk_size(scale.theta),
@@ -223,6 +211,4 @@ fn main() {
         }
     }
     println!("(paper: UniDrive readies files fastest with an almost constant slope)");
-    metrics.write();
-    let _ = Time::ZERO;
 }

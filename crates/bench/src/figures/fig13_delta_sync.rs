@@ -7,11 +7,12 @@
 //! files; the transferred traffic is ~13× smaller, with sparse peaks
 //! where the delta is merged into a new base.
 
+use crate::figures::Ctx;
 use unidrive_crypto::Sha1;
 use unidrive_meta::{DeltaLog, DeltaRecord, SegmentId, Snapshot, SyncFolderImage, VersionStamp};
 use unidrive_workload::{Summary, TextTable};
 
-fn main() {
+pub fn run(_cx: &Ctx) {
     let files = 1024usize;
     let file_size = 100 * 1024u64;
     let ratio = 0.25;

@@ -6,13 +6,12 @@
 
 use std::time::Duration;
 
-use unidrive_bench::{obs_out, systems_at, ExperimentScale};
+use crate::{figures::Ctx, systems_at};
 use unidrive_sim::{Runtime, SimRuntime};
 use unidrive_workload::{random_bytes, site_by_name, Summary, TextTable};
 
-fn main() {
-    let scale = ExperimentScale::from_args();
-    let metrics = obs_out::from_args();
+pub fn run(cx: &Ctx) {
+    let scale = &cx.scale;
     let size = scale.large_file;
     let site = site_by_name("Tokyo").expect("site");
     let repeats = 12; // the paper repeats each n twelve times
@@ -24,7 +23,7 @@ fn main() {
     let mut table = TextTable::new(&["n dead", "success", "avg secs", "min-max secs"]);
     for n in 0..=4usize {
         let sim = SimRuntime::new(1400 + n as u64);
-        let sys = systems_at(&sim, site, scale.theta, &metrics.obs);
+        let sys = systems_at(&sim, site, scale.theta, &cx.obs);
         let data = random_bytes(size, 14);
         // Pre-upload with the reliability requirement fulfilled (let the
         // background reliability phase complete before the outages).
@@ -62,5 +61,4 @@ fn main() {
          n = 4 because K_s = 2 caps any single cloud below k blocks; performance\n\
          degrades as fewer clouds remain)"
     );
-    metrics.write();
 }

@@ -10,18 +10,19 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use crate::{figures::Ctx, mbps, paper_plane};
 use unidrive_baseline::UniDriveTransfer;
-use unidrive_bench::{mbps, ExperimentScale};
 use unidrive_cloud::{CloudSet, CloudStore, SimCloud};
 use unidrive_core::DataPlaneConfig;
 use unidrive_erasure::RedundancyConfig;
+use unidrive_obs::Obs;
 use unidrive_sim::SimRuntime;
 use unidrive_workload::{
     cloud_config, random_bytes, trial_population, SizeBucket, TextTable,
 };
 
-fn main() {
-    let scale = ExperimentScale::from_args();
+pub fn run(cx: &Ctx) {
+    let scale = &cx.scale;
     let users = if scale.repeats >= 5 { 272 } else { 80 };
     let files_per_user = if scale.repeats >= 5 { 8 } else { 4 };
     let population = trial_population(1500, users, files_per_user);
@@ -52,9 +53,10 @@ fn main() {
         let n = members.len();
         let clouds = CloudSet::new(members);
         let redundancy = RedundancyConfig::new(n, 3, 3, 2).expect("3..=5 clouds valid");
+        // A trial user enrols 3 to 5 clouds; the rest is the paper's plane.
         let config = DataPlaneConfig {
-            connections_per_cloud: 5,
-            ..DataPlaneConfig::with_params(redundancy, scale.theta)
+            redundancy,
+            ..paper_plane(scale.theta, &Obs::noop())
         };
         let client = UniDriveTransfer::new(sim.clone().as_runtime(), clouds, config);
 

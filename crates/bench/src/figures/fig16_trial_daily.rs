@@ -4,16 +4,13 @@
 
 use std::time::Duration;
 
+use crate::{figures::Ctx, mbps, paper_plane};
 use unidrive_baseline::UniDriveTransfer;
-use unidrive_bench::{mbps, obs_out, ExperimentScale};
-use unidrive_core::DataPlaneConfig;
-use unidrive_erasure::RedundancyConfig;
 use unidrive_sim::{Runtime, SimRuntime};
 use unidrive_workload::{build_multicloud, random_bytes, site_by_name, Summary, TextTable};
 
-fn main() {
-    let scale = ExperimentScale::from_args();
-    let metrics = obs_out::from_args();
+pub fn run(cx: &Ctx) {
+    let scale = &cx.scale;
     let sites = ["Princeton", "London", "Tokyo", "Sydney"];
     let days = 7;
     let uploads_per_day = if scale.repeats >= 5 { 24 } else { 8 };
@@ -30,16 +27,9 @@ fn main() {
         let sim = SimRuntime::new(1600 + si as u64);
         let (clouds, handles) = build_multicloud(&sim, site);
         for handle in &handles {
-            handle.install_obs(metrics.obs.clone());
+            handle.install_obs(cx.obs.clone());
         }
-        let config = DataPlaneConfig {
-            connections_per_cloud: 5,
-            obs: metrics.obs.clone(),
-            ..DataPlaneConfig::with_params(
-                RedundancyConfig::new(5, 3, 3, 2).expect("valid"),
-                scale.theta,
-            )
-        };
+        let config = paper_plane(scale.theta, &cx.obs);
         let client = UniDriveTransfer::new(sim.clone().as_runtime(), clouds, config);
         let mut daily_means = Vec::new();
         for (day, row) in rows.iter_mut().enumerate().take(days) {
@@ -69,5 +59,4 @@ fn main() {
         println!("{name:10} weekly mean {mean:5.1} Mbit/s, day-to-day cv {cv:.2}");
     }
     println!("(paper: stable across the week and similar across the four sites)");
-    metrics.write();
 }

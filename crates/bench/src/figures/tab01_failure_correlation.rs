@@ -10,6 +10,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::figures::Ctx;
 use unidrive_baseline::SingleCloudClient;
 use unidrive_sim::{Runtime, SimRuntime};
 use unidrive_workload::{
@@ -17,7 +18,7 @@ use unidrive_workload::{
     TextTable,
 };
 
-fn main() {
+pub fn run(_cx: &Ctx) {
     let site = site_by_name("Princeton").expect("site exists");
     let horizon = Duration::from_secs(14 * 86_400);
     let probes = 1_000u64;

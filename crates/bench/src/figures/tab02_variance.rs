@@ -4,17 +4,17 @@
 //!
 //! This is the stability cross-section of the Figure 11 campaign; here
 //! we run a lighter single-file sync per site so the table regenerates
-//! quickly (the fig11 binary prints the full batch variant).
+//! quickly (`fig11_batch_sync` prints the full batch variant).
 
 use std::time::Duration;
 
-use unidrive_bench::{systems_at, ExperimentScale};
+use crate::{figures::Ctx, systems_at};
 use unidrive_obs::Obs;
 use unidrive_sim::{Runtime, SimRuntime};
 use unidrive_workload::{random_bytes, Summary, TextTable, EC2_SITES};
 
-fn main() {
-    let scale = ExperimentScale::from_args();
+pub fn run(cx: &Ctx) {
+    let scale = &cx.scale;
     let size = scale.batch.1 * 8; // a medium sync payload
     let repeats = scale.repeats;
 

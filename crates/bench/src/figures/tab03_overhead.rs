@@ -15,13 +15,14 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::{figures::Ctx, paper_client};
 use unidrive_baseline::{IntuitiveMultiCloud, MultiCloudBenchmark, SingleCloudClient};
-use unidrive_bench::{obs_out, ExperimentScale};
 use unidrive_cloud::CloudId;
-use unidrive_core::{ClientConfig, DataPlaneConfig, MemFolder, SyncFolder, UniDriveClient};
+use unidrive_core::{MemFolder, SyncFolder, UniDriveClient};
 use unidrive_erasure::RedundancyConfig;
+use unidrive_meta::MetaMode;
 use unidrive_sim::{Runtime, SimRng, SimRuntime};
-use unidrive_workload::{batch, build_multicloud_shared, site_by_name, Provider, TextTable};
+use unidrive_workload::{batch, build_multicloud_shared, site_by_name, TextTable};
 
 /// Counts the payload bytes of *content* objects (erasure blocks and
 /// native chunks), pass-through for everything else.
@@ -69,13 +70,12 @@ impl unidrive_cloud::CloudStore for ContentCounter {
     }
 }
 
-fn main() {
-    let scale = ExperimentScale::from_args();
-    let metrics = obs_out::from_args();
+pub fn run(cx: &Ctx) {
+    let scale = &cx.scale;
     let (count, size) = scale.batch;
     let oregon = site_by_name("Oregon").expect("site");
     let virginia = site_by_name("Virginia").expect("site");
-    let redundancy = RedundancyConfig::new(5, 3, 3, 2).expect("valid");
+    let redundancy = RedundancyConfig::paper_default();
 
     println!(
         "Table 3: sync overhead (%) for {count} x {} KB batch, Oregon -> Virginia\n",
@@ -107,17 +107,10 @@ fn main() {
         match sys_idx {
             0 => {
                 for handle in handles.iter().flatten() {
-                    handle.install_obs(metrics.obs.clone());
+                    handle.install_obs(cx.obs.clone());
                 }
-                let config = |device: &str| {
-                    let mut c = ClientConfig::paper_default(device);
-                    c.data = DataPlaneConfig {
-                        connections_per_cloud: 5,
-                        obs: metrics.obs.clone(),
-                        ..DataPlaneConfig::with_params(redundancy, scale.theta)
-                    };
-                    c
-                };
+                let config =
+                    |device: &str| paper_client(device, scale.theta, &cx.obs, MetaMode::Lock);
                 let folder = MemFolder::new();
                 let mut up = UniDriveClient::new(
                     rt.clone(),
@@ -219,6 +212,4 @@ fn main() {
     println!(
         "(paper: UniDrive 1.04%, benchmark 1.01%, intuitive 14.93%, natives 0.70-7.07%)"
     );
-    metrics.write();
-    let _ = Provider::ALL;
 }

@@ -2,11 +2,14 @@
 //!
 //! Harness that regenerates every table and figure of the UniDrive
 //! paper's evaluation (§3.2 measurement study, §7 experiments, §7.3
-//! trial). Each `src/bin/*` binary prints one table/figure; see
-//! `EXPERIMENTS.md` at the repository root for the index and recorded
-//! outcomes. Wall-clock kernel throughput is `bench_kernels`' job (the
-//! workspace's only timing loop); what a sync round costs end to end
-//! and per layer is measured by `syncbench` in `benchmark/`.
+//! trial). One binary, `figures`, runs them: each experiment is a row
+//! of [`figures::EXPERIMENTS`] (`figures <id>`, `figures all`,
+//! `figures list`); see `EXPERIMENTS.md` at the repository root for
+//! the index and recorded outcomes. The paper's parameters are stated
+//! once, in [`paper_plane`] / [`paper_client`]. Wall-clock kernel
+//! throughput is `bench_kernels`' job (the workspace's only timing
+//! loop); what a sync round costs end to end and per layer is measured
+//! by `syncbench` in `benchmark/`.
 //!
 //! All experiments run under deterministic virtual time, so a "month" of
 //! half-hourly probes takes seconds of wall time; run the binaries with
@@ -14,6 +17,7 @@
 
 #![warn(missing_docs)]
 
+pub mod figures;
 pub mod json;
 pub mod plan;
 
@@ -24,13 +28,14 @@ use unidrive_baseline::{
     IntuitiveMultiCloud, MultiCloudBenchmark, SingleCloudClient, UniDriveTransfer,
 };
 use unidrive_cloud::{CloudSet, SimCloud};
-use unidrive_core::DataPlaneConfig;
+use unidrive_core::{ClientConfig, DataPlaneConfig};
 use unidrive_erasure::RedundancyConfig;
+use unidrive_meta::MetaMode;
 use unidrive_obs::Obs;
 use unidrive_sim::SimRuntime;
 use unidrive_workload::{build_multicloud, Provider, Site};
 
-/// Evaluation parameters shared by the experiment binaries.
+/// Evaluation parameters shared by the experiments.
 #[derive(Debug, Clone)]
 pub struct ExperimentScale {
     /// Repetitions per measured point.
@@ -55,23 +60,13 @@ impl ExperimentScale {
     }
 
     /// Reduced sizes preserving every ratio the figures depend on; used
-    /// when an experiment binary is invoked with `quick`.
+    /// when `figures` is invoked with `quick`.
     pub fn quick() -> Self {
         ExperimentScale {
             repeats: 3,
             large_file: 8 * 1024 * 1024,
             batch: (30, 512 * 1024),
             theta: 1024 * 1024,
-        }
-    }
-
-    /// Parses the scale from the process arguments (`quick` selects the
-    /// reduced scale; default is the paper scale).
-    pub fn from_args() -> Self {
-        if std::env::args().any(|a| a == "quick") {
-            ExperimentScale::quick()
-        } else {
-            ExperimentScale::paper()
         }
     }
 }
@@ -93,20 +88,34 @@ pub fn quick_arg() -> bool {
 /// `--meta-mode {lock,oplog}` from the process arguments, if given. An
 /// unknown value aborts with a usage message — a typo must not
 /// silently benchmark the wrong plane.
-pub fn meta_mode_arg() -> Option<unidrive_meta::MetaMode> {
+pub fn meta_mode_arg() -> Option<MetaMode> {
     arg_value("--meta-mode").map(|value| {
-        unidrive_meta::MetaMode::parse(&value).unwrap_or_else(|| {
+        MetaMode::parse(&value).unwrap_or_else(|| {
             eprintln!("--meta-mode must be 'lock' or 'oplog', got '{value}'");
             std::process::exit(2);
         })
     })
 }
 
-/// [`meta_mode_arg`], defaulting to `lock` (the paper's quorum-locked
-/// plane). Shared by every experiment binary so `run_all --meta-mode
-/// oplog` drives both planes uniformly.
-pub fn meta_mode_from_args() -> unidrive_meta::MetaMode {
-    meta_mode_arg().unwrap_or(unidrive_meta::MetaMode::Lock)
+/// The paper's data plane (N = 5, k = 3, K_r = 3, K_s = 2, ≤ 5
+/// connections per cloud, every mechanism on) at segment size `theta`,
+/// reporting to `obs`: the one statement of the evaluation's data-plane
+/// parameters. A run that departs from them says so as a struct update
+/// on top of this.
+pub fn paper_plane(theta: usize, obs: &Obs) -> DataPlaneConfig {
+    DataPlaneConfig {
+        obs: obs.clone(),
+        ..DataPlaneConfig::with_params(RedundancyConfig::paper_default(), theta)
+    }
+}
+
+/// The paper's client for `device` over [`paper_plane`], committing
+/// through the `meta_mode` metadata plane.
+pub fn paper_client(device: &str, theta: usize, obs: &Obs, meta_mode: MetaMode) -> ClientConfig {
+    let mut config = ClientConfig::paper_default(device);
+    config.meta_mode = meta_mode;
+    config.data = paper_plane(theta, obs);
+    config
 }
 
 /// The four systems under comparison at one site (paper §7.1).
@@ -134,8 +143,7 @@ impl std::fmt::Debug for Systems {
 }
 
 /// Builds all comparison systems over the same five simulated clouds at
-/// `site`, with the paper's parameters (K_r = 3, K_s = 2, k = 3, ≤ 5
-/// connections per cloud).
+/// `site`, with the paper's parameters ([`paper_plane`]).
 ///
 /// `obs` is threaded through the UniDrive data plane and installed on
 /// every simulated cloud (which also points the registry clock at
@@ -146,12 +154,8 @@ pub fn systems_at(sim: &Arc<SimRuntime>, site: Site, theta: usize, obs: &Obs) ->
     for handle in &handles {
         handle.install_obs(obs.clone());
     }
-    let redundancy = RedundancyConfig::new(5, 3, 3, 2).expect("paper parameters");
-    let config = DataPlaneConfig {
-        connections_per_cloud: 5,
-        obs: obs.clone(),
-        ..DataPlaneConfig::with_params(redundancy, theta)
-    };
+    let config = paper_plane(theta, obs);
+    let redundancy = config.redundancy;
     let rt = sim.clone().as_runtime();
     let unidrive = UniDriveTransfer::new(rt.clone(), clouds.clone(), config);
     let benchmark =
@@ -172,7 +176,7 @@ pub fn systems_at(sim: &Arc<SimRuntime>, site: Site, theta: usize, obs: &Obs) ->
     }
 }
 
-/// `--obs-out <path>` support shared by the experiment binaries: when
+/// `--obs-out <path>` support shared by the bench binaries: when
 /// the flag is present the binary records the run into a
 /// registry-backed [`Obs`] (windowed series on) and on exit writes the
 /// one run artefact — [`unidrive_obs::bundle_json`]: Perfetto-loadable
@@ -191,7 +195,7 @@ pub mod obs_out {
     /// same-seed determinism check never depends on what was evicted.
     pub const EXPORT_SPAN_CAPACITY: usize = 1 << 17;
 
-    /// Parsed `--obs-out` state; obtain via [`from_args`].
+    /// `--obs-out` state; obtain via [`to_path`].
     pub struct ObsOut {
         /// Handle to thread through [`crate::systems_at`] or
         /// `DataPlaneConfig.obs` / `SimCloud::install_obs` directly.
@@ -205,11 +209,10 @@ pub mod obs_out {
         }
     }
 
-    /// Reads `--obs-out <path>` from the process arguments. The flag
-    /// installs a real registry collecting windowed series at
-    /// [`DEFAULT_SERIES_WINDOW_NS`].
-    pub fn from_args() -> ObsOut {
-        let path = crate::arg_value("--obs-out");
+    /// An export to `path` (the value of `--obs-out`): a real registry
+    /// collecting windowed series at [`DEFAULT_SERIES_WINDOW_NS`];
+    /// `None`, the flag absent, is the no-op handle.
+    pub fn to_path(path: Option<String>) -> ObsOut {
         let obs = path.as_ref().map_or_else(Obs::noop, |_| {
             let registry = Registry::with_trace_capacity(EXPORT_SPAN_CAPACITY);
             registry.enable_series(DEFAULT_SERIES_WINDOW_NS);

@@ -167,8 +167,7 @@ mod tests {
         built.store.upload("f", Bytes::from_static(b"x")).unwrap();
         assert_eq!(base.download("f").unwrap(), Bytes::from_static(b"x"));
         assert!(built.chaos.is_none());
-        // No wrapper masked the base's native append capability.
-        assert!(built.store.caps().native_append);
+        assert_eq!(built.store.caps(), base.caps());
     }
 
     #[test]

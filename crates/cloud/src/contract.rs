@@ -169,8 +169,8 @@ pub fn check_invalid_path_rejected(cloud: &dyn CloudStore) {
     }
 }
 
-/// Append creates an absent object and extends an existing one, via
-/// the native path or the composed read-modify-write default alike.
+/// Append creates an absent object and extends an existing one, and
+/// repeated appends observe each other.
 pub fn check_append_accumulates(cloud: &dyn CloudStore) {
     cloud
         .append("ct/app/log", Bytes::from_static(b"one|"))
@@ -203,30 +203,6 @@ pub fn check_read_after_write(cloud: &dyn CloudStore) {
     }
 }
 
-/// `caps()` tells the truth about append: if `native_append` is
-/// claimed the backend must override the composed default, and either
-/// way repeated appends must observe each other (the claim is about
-/// atomicity under faults, which only the fault-injection suites can
-/// probe — here we pin the visible semantics).
-pub fn check_caps_are_coherent(cloud: &dyn CloudStore) {
-    let caps = cloud.caps();
-    // A documented object-size ceiling below 1 MiB would break the
-    // block sizes the planner emits; no real provider is that small.
-    if let Some(limit) = caps.max_object_bytes {
-        assert!(limit >= 1 << 20, "max_object_bytes {limit} implausibly small");
-    }
-    cloud
-        .append("ct/caps/log", Bytes::from_static(b"a"))
-        .expect("append");
-    cloud
-        .append("ct/caps/log", Bytes::from_static(b"b"))
-        .expect("append");
-    assert_eq!(
-        cloud.download("ct/caps/log").expect("download"),
-        Bytes::from_static(b"ab")
-    );
-}
-
 /// One conformance check: takes a fresh store, panics on violation.
 pub type ContractCheck = fn(&dyn CloudStore);
 
@@ -241,7 +217,6 @@ pub const ALL_CHECKS: &[(&str, ContractCheck)] = &[
     ("invalid_path_rejected", check_invalid_path_rejected),
     ("append_accumulates", check_append_accumulates),
     ("read_after_write", check_read_after_write),
-    ("caps_are_coherent", check_caps_are_coherent),
 ];
 
 /// Instantiates the [`contract`](crate::contract) conformance suite as
@@ -283,10 +258,6 @@ macro_rules! cloud_contract_tests {
         #[test]
         fn contract_read_after_write() {
             ($driver)($crate::contract::check_read_after_write as fn(&dyn $crate::CloudStore));
-        }
-        #[test]
-        fn contract_caps_are_coherent() {
-            ($driver)($crate::contract::check_caps_are_coherent as fn(&dyn $crate::CloudStore));
         }
     };
 }

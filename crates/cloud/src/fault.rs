@@ -547,11 +547,7 @@ impl CloudStore for ChaosCloud {
 
     fn caps(&self) -> crate::CloudCaps {
         let inner = self.inner.caps();
-        // Appends go through the composed default so every sub-op is
-        // gated — so even over a natively-appending store, the appends
-        // this wrapper serves can tear.
         crate::CloudCaps {
-            native_append: false,
             // A scheduled visibility window makes fresh objects
             // invisible to other handles: read-after-write is off the
             // table for the duration of the plan.

@@ -167,13 +167,8 @@ impl CloudStore for LocalDirCloud {
 
     fn caps(&self) -> crate::CloudCaps {
         crate::CloudCaps {
-            // Appends are the default download + atomic-rename upload:
-            // no in-place extension, so not native.
-            native_append: false,
             // Local filesystem reads see completed renames immediately.
             read_after_write: true,
-            max_object_bytes: None,
-            supports_conditional_put: false,
             // The filesystem reports ENOENT for absent files and dirs.
             strict_not_found: true,
         }

@@ -114,35 +114,10 @@ impl CloudStore for MemCloud {
 
     fn caps(&self) -> crate::CloudCaps {
         crate::CloudCaps {
-            // The override below extends in place under the write lock:
-            // a true all-or-nothing append.
-            native_append: true,
             read_after_write: true,
-            max_object_bytes: None,
-            supports_conditional_put: false,
             // Missing paths answer NotFound on delete and list alike.
             strict_not_found: true,
         }
-    }
-
-    fn append(&self, path: &str, data: Bytes) -> Result<(), CloudError> {
-        // Native append: one atomic in-place extension under the write
-        // lock (the default read-modify-write would be two ops).
-        validate_path(path)?;
-        let mut t = self.tree.write();
-        t.ensure_parents(path);
-        match t.objects.get_mut(path) {
-            Some(existing) => {
-                let mut out = Vec::with_capacity(existing.len() + data.len());
-                out.extend_from_slice(existing);
-                out.extend_from_slice(&data);
-                *existing = Bytes::from(out);
-            }
-            None => {
-                t.objects.insert(path.to_owned(), data);
-            }
-        }
-        Ok(())
     }
 
     fn create_dir(&self, path: &str) -> Result<(), CloudError> {
@@ -254,39 +229,6 @@ mod tests {
         assert_eq!(c.download("log/ops_a").unwrap(), Bytes::from_static(b"onetwo"));
         // Parents were auto-created like upload does.
         assert!(c.exists("log").unwrap());
-    }
-
-    /// A wrapper that delegates only the five primitive ops, so
-    /// `append` runs the trait's default read-modify-write path.
-    struct FiveOps(MemCloud);
-
-    impl CloudStore for FiveOps {
-        fn name(&self) -> &str {
-            self.0.name()
-        }
-        fn upload(&self, p: &str, d: Bytes) -> Result<(), CloudError> {
-            self.0.upload(p, d)
-        }
-        fn download(&self, p: &str) -> Result<Bytes, CloudError> {
-            self.0.download(p)
-        }
-        fn create_dir(&self, p: &str) -> Result<(), CloudError> {
-            self.0.create_dir(p)
-        }
-        fn list(&self, p: &str) -> Result<Vec<ObjectInfo>, CloudError> {
-            self.0.list(p)
-        }
-        fn delete(&self, p: &str) -> Result<(), CloudError> {
-            self.0.delete(p)
-        }
-    }
-
-    #[test]
-    fn append_default_impl_matches_native() {
-        let c = FiveOps(MemCloud::new("m"));
-        c.append("log/ops_a", Bytes::from_static(b"one")).unwrap();
-        c.append("log/ops_a", Bytes::from_static(b"two")).unwrap();
-        assert_eq!(c.download("log/ops_a").unwrap(), Bytes::from_static(b"onetwo"));
     }
 
     #[test]

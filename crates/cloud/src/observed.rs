@@ -131,12 +131,8 @@ impl CloudStore for ObservedCloud {
     }
 
     fn caps(&self) -> crate::CloudCaps {
-        // Observation is transparent; appends run through the composed
-        // default so both sub-ops are timed, hence not native.
-        crate::CloudCaps {
-            native_append: false,
-            ..self.inner.caps()
-        }
+        // Observation is transparent.
+        self.inner.caps()
     }
 }
 

@@ -257,15 +257,9 @@ impl CloudStore for S3Cloud {
 
     fn caps(&self) -> CloudCaps {
         CloudCaps {
-            // The S3 dialect has no append; the default read-modify-
-            // write (or the oplog plane's full-replace policy) applies.
-            native_append: false,
             // MockS3 — like real S3 since 2020 — is read-after-write
             // consistent for puts and lists.
             read_after_write: true,
-            // S3's single-PUT limit.
-            max_object_bytes: Some(5 * 1024 * 1024 * 1024),
-            supports_conditional_put: false,
             // Real S3: delete of a missing key answers 204 and an
             // absent prefix lists as empty — the wire cannot express
             // the strict dialect.

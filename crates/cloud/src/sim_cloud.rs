@@ -465,13 +465,7 @@ impl CloudStore for SimCloud {
 
     fn caps(&self) -> CloudCaps {
         CloudCaps {
-            // Appends go through the default read-modify-write over the
-            // simulated links (no atomic server-side append), exactly
-            // like the consumer clouds being modeled.
-            native_append: false,
             read_after_write: true,
-            max_object_bytes: None,
-            supports_conditional_put: false,
             // The simulated namespace mirrors MemCloud's strict edges.
             strict_not_found: true,
         }

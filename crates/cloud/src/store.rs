@@ -101,21 +101,18 @@ pub trait CloudStore: Send + Sync {
 
     /// Appends `data` to the object at `path`, creating it when absent.
     ///
-    /// Consumer cloud APIs expose no atomic append, so the default is
+    /// Consumer cloud APIs expose no atomic append, so this is
     /// read-modify-write over the five primitive ops: `download` the
     /// current contents (absent ⇒ empty) and `upload` the extended
-    /// object. The composed calls go through the implementation's own
-    /// `download`/`upload`, so wrappers (latency, chaos/torn-upload
-    /// faults) exercise appends with no extra code. Implementations
-    /// with a native append (e.g. [`MemCloud`](crate::MemCloud)) may
-    /// override.
-    ///
-    /// Note for single-writer logs replicated across clouds: a torn
-    /// upload persists a *prefix* of the composed object, so appenders
-    /// that must survive torn faults should prefer replacing the full
-    /// log tail via [`upload`](CloudStore::upload) (idempotent and
-    /// self-healing) over download-based append, which can embed a
-    /// previously torn tail mid-file.
+    /// object, through the implementation's own `download`/`upload`.
+    /// No store overrides it and no product code calls it: a torn
+    /// upload persists a *prefix* of the composed object, so a
+    /// download-based append can embed a previously torn tail
+    /// mid-file, and the oplog plane replaces its whole op file via
+    /// [`upload`](CloudStore::upload) (idempotent and self-healing)
+    /// instead. The method remains only because `benchmark/src/meter.rs`
+    /// implements it and `benchmark/` is frozen for ordinary PRs; the
+    /// next `[benchmark]` PR can drop both.
     ///
     /// # Errors
     ///
@@ -145,9 +142,9 @@ pub trait CloudStore: Send + Sync {
         }
     }
 
-    /// What this store can actually do beyond the five-op minimum, so
-    /// callers (the oplog metadata plane, the data plane) can *query*
-    /// behavior instead of probing for it. The default is the most
+    /// Where this store's dialect differs from its neighbours', so
+    /// callers can *query* behavior instead of probing for it. The
+    /// default is the most
     /// conservative honest answer for an unknown consumer cloud;
     /// wrappers must forward their inner store's capabilities, masking
     /// anything they themselves break (e.g. a fault injector that
@@ -159,28 +156,15 @@ pub trait CloudStore: Send + Sync {
 
 /// Capability descriptor returned by [`CloudStore::caps`].
 ///
-/// The fields answer the questions UniDrive's planes otherwise had to
-/// answer by folklore: can `append` tear (see the torn-tail note on
-/// [`CloudStore::append`])? can a just-written object be read back
-/// immediately? how big may one object be? is compare-and-swap
-/// available for lock-free metadata commits?
+/// The two questions a caller has to ask of a store it did not build:
+/// can a just-written object be read back immediately, and do delete
+/// and list of a missing path answer `NotFound`?
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CloudCaps {
-    /// The store appends atomically server-side (all-or-nothing, no
-    /// read-modify-write window). When `false`, `append` is the
-    /// composed default and a torn upload can persist a prefix of the
-    /// *whole* object — single-writer logs should full-replace.
-    pub native_append: bool,
     /// Once `upload` returns success, `download`/`list` from any
     /// client observe the new object (paper §5.2's contract). Fault
     /// wrappers that delay visibility must report `false`.
     pub read_after_write: bool,
-    /// Hard per-object size limit, if the provider documents one.
-    pub max_object_bytes: Option<u64>,
-    /// The store offers conditional put (compare-and-swap on upload),
-    /// e.g. S3 `If-Match`. None of the paper's five ops require it;
-    /// reported so future metadata planes can pick commit strategies.
-    pub supports_conditional_put: bool,
     /// Deleting a missing object and listing a never-created directory
     /// report [`NotFound`](crate::CloudError::NotFound). Stores with
     /// idempotent S3-style semantics (delete of an absent key succeeds,
@@ -192,16 +176,12 @@ pub struct CloudCaps {
 
 impl Default for CloudCaps {
     /// The conservative profile of an unknown consumer cloud: no
-    /// native append, no conditional put, no documented size limit,
-    /// no strict not-found edges (the S3-style idempotent dialect is
-    /// the weaker promise), but read-after-write (which [`CloudStore`]
+    /// strict not-found edges (the S3-style idempotent dialect is the
+    /// weaker promise), but read-after-write (which [`CloudStore`]
     /// *requires* of every implementation).
     fn default() -> CloudCaps {
         CloudCaps {
-            native_append: false,
             read_after_write: true,
-            max_object_bytes: None,
-            supports_conditional_put: false,
             strict_not_found: false,
         }
     }

@@ -96,13 +96,8 @@ impl CloudStore for ThrottledCloud {
     }
 
     fn caps(&self) -> crate::CloudCaps {
-        // Shaping doesn't change semantics, but appends run through the
-        // composed default (so both sub-ops are byte-accounted), never
-        // the inner store's native path.
-        crate::CloudCaps {
-            native_append: false,
-            ..self.inner.caps()
-        }
+        // Shaping doesn't change semantics.
+        self.inner.caps()
     }
 }
 

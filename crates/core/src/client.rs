@@ -452,7 +452,7 @@ impl UniDriveClient {
             std::mem::take(&mut *self.pending_blocks.lock());
         let mut drained_new = false;
         let mut unrecorded = Vec::new();
-        for (id, block) in drained {
+        for &(id, block) in &drained {
             // Only record blocks for segments the metadata still tracks.
             // One it does not track is this pass's own upload (recorded
             // from the report below) or a straggler of a segment GC has
@@ -554,8 +554,15 @@ impl UniDriveClient {
         // oplog mode, the op seq) may have reached a minority of clouds
         // and must not be reused.
         self.counter = counter;
-        let Some(committed) = transacted.map_err(SyncError::from)? else {
-            return Ok(report);
+        let committed = match transacted {
+            Ok(Some(committed)) => committed,
+            not_committed => {
+                // No image names the drained placements yet: back on
+                // the sink they go, for the next commit to record.
+                self.pending_blocks.lock().extend(drained);
+                not_committed.map_err(SyncError::from)?;
+                return Ok(report);
+            }
         };
 
         // 4. Settle local state: adopt the committed image, apply any

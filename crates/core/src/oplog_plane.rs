@@ -99,14 +99,6 @@ pub struct OplogPlane {
     /// ciphertext size. Monotone under version-stamp comparison, for
     /// the same reason as `seen_ops`.
     adopted_base: Option<(OplogBase, usize)>,
-    /// Per-cloud (indexed by [`CloudId`]) byte length of this device's
-    /// op file known acked on that cloud; 0 means unknown, forcing the
-    /// next replication to full-replace there (self-healing).
-    op_acked: Vec<usize>,
-    /// The body the `op_acked` lengths refer to; a new body extending
-    /// this one may be delta-appended on clouds whose capabilities
-    /// allow it (see `replicate_op_file`).
-    op_last_body: Bytes,
 }
 
 impl std::fmt::Debug for OplogPlane {
@@ -147,7 +139,6 @@ impl OplogPlane {
         .with_obs(obs.clone());
         OplogPlane {
             rt,
-            op_acked: vec![0; clouds.len()],
             clouds,
             device: config.device.clone(),
             cipher: MetadataCipher::from_passphrase(&config.passphrase),
@@ -162,7 +153,6 @@ impl OplogPlane {
             recovered: false,
             seen_ops: BTreeMap::new(),
             adopted_base: None,
-            op_last_body: Bytes::new(),
         }
     }
 
@@ -347,63 +337,21 @@ impl OplogPlane {
     /// Replicates `body` as this device's op file on every cloud
     /// (concurrently); `Ok` when a quorum acked.
     ///
-    /// The replication mode is chosen per cloud by *querying*
-    /// [`CloudStore::caps`] instead of probing: a cloud advertising a
-    /// native (atomic) append plus read-after-write, whose last acked
-    /// body is a verified prefix of this one, gets only the new frames
-    /// appended; every other cloud gets the torn-tail-safe full
-    /// replace (see the note on [`CloudStore::append`] — the composed
-    /// read-modify-write default can embed a previously torn tail, so
-    /// it is never used here). A duplicate append after a
-    /// reported-failed-but-applied attempt is harmless for *readers*
-    /// (frames carry op ids and folds dedup by id), but it leaves the
-    /// remote object longer than the body we wrote — so an appended ack
-    /// is only recorded as the verified acked length when the retry
-    /// loop reports a single attempt; a retried append (and any
-    /// failure) zeroes that cloud's acked length, forcing the next
-    /// replication to self-heal with a full replace.
-    fn replicate_op_file(&mut self, body: &Bytes) -> Result<(), PlaneError> {
+    /// Every cloud gets the whole file, every time: a full replace is
+    /// idempotent under retries and heals a torn or stale copy, where
+    /// an append of only the new frames could embed a previously torn
+    /// tail mid-file or, retried after a failed-but-applied attempt,
+    /// leave duplicate frames. The file stays small because
+    /// `adopt_base` trims what a compaction covered.
+    fn replicate_op_file(&self, body: &Bytes) -> Result<(), PlaneError> {
         let path = op_file_path(&self.device);
-        let prev = &self.op_last_body;
-        // Per cloud: the new frames to append, or `None` to full-replace.
-        let deltas: Vec<Option<Bytes>> = self
-            .clouds
-            .iter()
-            .map(|(id, cloud)| {
-                let caps = cloud.caps();
-                let extends = !prev.is_empty()
-                    && body.len() > prev.len()
-                    && self.op_acked[id.0] == prev.len()
-                    && body[..prev.len()] == prev[..];
-                (caps.native_append && caps.read_after_write && extends)
-                    .then(|| body.slice(prev.len()..))
-            })
-            .collect();
-        let (rt, retry, full) = (Arc::clone(&self.rt), self.retry.clone(), body.clone());
-        let acks = quorum::fan_out(&self.rt, &self.clouds, "oplog-append", move |id, cloud| {
-            let delta = &deltas[id.0];
-            let mut attempts = 0u32;
-            let ok = Retry::new(&rt, &retry)
-                .run(|| {
-                    attempts += 1;
-                    match delta {
-                        Some(tail) => cloud.append(&path, tail.clone()),
-                        None => cloud.upload(&path, full.clone()),
-                    }
-                })
-                .is_ok();
-            // An append that needed more than one attempt may have been
-            // applied by an earlier failed-but-applied try, leaving
-            // duplicate tail frames remotely: the ack counts, but the
-            // remote length is unknown.
-            let length_verified = delta.is_none() || attempts == 1;
-            (ok, ok && length_verified)
+        let (rt, retry, body) = (Arc::clone(&self.rt), self.retry.clone(), body.clone());
+        let acks = quorum::fan_out(&self.rt, &self.clouds, "oplog-append", move |_, cloud| {
+            Retry::new(&rt, &retry)
+                .run(|| cloud.upload(&path, body.clone()))
+                .is_ok()
         });
-        for (acked_len, (_, verified)) in self.op_acked.iter_mut().zip(&acks) {
-            *acked_len = if *verified { body.len() } else { 0 };
-        }
-        self.op_last_body = body.clone();
-        quorum::require_acked(&self.clouds, acks.into_iter().map(|(ok, _)| ok))
+        quorum::require_acked(&self.clouds, acks)
     }
 
     /// Folds everything live into a fresh base and replicates it, under

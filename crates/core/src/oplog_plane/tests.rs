@@ -239,119 +239,6 @@ fn listed_but_undownloadable_cloud_is_unreachable() {
     assert!(matches!(err, PlaneError::QuorumUnreachable { reachable: 2, quorum: 3 }));
 }
 
-/// Applies appends to `inner` but reports the first `fail` of them
-/// as transient failures — the applied-but-reported-failed shape a
-/// real network append can take.
-struct AppliedButFailedAppend {
-    inner: Arc<MemCloud>,
-    fail: std::sync::atomic::AtomicU32,
-}
-
-impl CloudStore for AppliedButFailedAppend {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-    fn upload(&self, path: &str, data: Bytes) -> Result<(), unidrive_cloud::CloudError> {
-        self.inner.upload(path, data)
-    }
-    fn download(&self, path: &str) -> Result<Bytes, unidrive_cloud::CloudError> {
-        self.inner.download(path)
-    }
-    fn create_dir(&self, path: &str) -> Result<(), unidrive_cloud::CloudError> {
-        self.inner.create_dir(path)
-    }
-    fn list(
-        &self,
-        path: &str,
-    ) -> Result<Vec<unidrive_cloud::ObjectInfo>, unidrive_cloud::CloudError> {
-        self.inner.list(path)
-    }
-    fn delete(&self, path: &str) -> Result<(), unidrive_cloud::CloudError> {
-        self.inner.delete(path)
-    }
-    fn append(&self, path: &str, data: Bytes) -> Result<(), unidrive_cloud::CloudError> {
-        self.inner.append(path, data)?;
-        if self
-            .fail
-            .fetch_update(
-                std::sync::atomic::Ordering::SeqCst,
-                std::sync::atomic::Ordering::SeqCst,
-                |v| v.checked_sub(1),
-            )
-            .is_ok()
-        {
-            return Err(CloudError::transient("applied but reported failed"));
-        }
-        Ok(())
-    }
-    fn caps(&self) -> unidrive_cloud::CloudCaps {
-        self.inner.caps()
-    }
-}
-
-/// A native append that was applied but reported failed gets
-/// re-appended by the retry loop, duplicating tail frames remotely.
-/// The acked length must not be trusted after such a retry: the
-/// next replication full-replaces, restoring the invariant that the
-/// verified acked prefix equals the actual remote bytes.
-#[test]
-fn retried_append_forces_full_replace_self_heal() {
-    let inner0 = Arc::new(MemCloud::new("c0"));
-    let flaky = Arc::new(AppliedButFailedAppend {
-        inner: Arc::clone(&inner0),
-        fail: std::sync::atomic::AtomicU32::new(0),
-    });
-    let mut members: Vec<Arc<dyn CloudStore>> =
-        vec![Arc::clone(&flaky) as Arc<dyn CloudStore>];
-    members.extend((1..3).map(|i| Arc::new(MemCloud::new(format!("c{i}"))) as Arc<dyn CloudStore>));
-    let mut config = config("dev-a", 10 * 1024);
-    config.data.retry = RetryPolicy {
-        max_attempts: 3,
-        initial_backoff: std::time::Duration::from_millis(1),
-        max_backoff: std::time::Duration::from_millis(1),
-    };
-    let mut w = OplogPlane::new(
-        Arc::new(RealRuntime::new()),
-        CloudSet::new(members),
-        &config,
-        SimRng::seed_from_u64(1),
-    );
-    // First commit full-replaces (no previous body); the second
-    // extends, and c0's first append applies yet reports failure,
-    // so the retry duplicates the tail.
-    let img1 = commit_file(&mut w, &SyncFolderImage::new(), "dev-a", "f1.txt", 1);
-    flaky.fail.store(1, std::sync::atomic::Ordering::SeqCst);
-    let img2 = commit_file(&mut w, &img1, "dev-a", "f2.txt", 2);
-    let op_file = op_file_path("dev-a");
-    assert!(
-        inner0.download(&op_file).expect("op file").len() > w.op_last_body.len(),
-        "test premise: the retried append duplicated tail frames"
-    );
-    assert_eq!(w.op_acked[0], 0, "retried append must not be trusted as acked length");
-    // The next replication self-heals c0 with a full replace.
-    let _ = commit_file(&mut w, &img2, "dev-a", "f3.txt", 3);
-    assert_eq!(
-        inner0.download(&op_file).expect("op file"),
-        w.op_last_body,
-        "remote op file must equal the verified body after self-heal"
-    );
-    // Nothing was lost along the way: a fresh reader folding only
-    // c0's (healed) op file sees every commit.
-    let mut reader = oplog_plane(
-        CloudSet::new(vec![Arc::clone(&inner0) as Arc<dyn CloudStore>]),
-        "dev-r",
-        10 * 1024,
-        9,
-    );
-    let merged = reader
-        .poll(&SyncFolderImage::new(), None)
-        .expect("poll")
-        .expect("visible");
-    for f in ["f1.txt", "f2.txt", "f3.txt"] {
-        assert!(merged.file(f).is_some(), "{f} lost across the self-heal");
-    }
-}
-
 /// When compaction keeps failing past the escalation cap, the plane
 /// retries it as blocking work and surfaces the overdue log on the
 /// counters — commits themselves keep succeeding.

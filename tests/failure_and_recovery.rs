@@ -3,6 +3,8 @@
 //! long histories, and add/remove-cloud rebalancing driven through the
 //! public API.
 
+mod common;
+
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -17,7 +19,7 @@ use unidrive::core::{
 };
 use unidrive::erasure::RedundancyConfig;
 use unidrive::meta::Snapshot;
-use unidrive::sim::{Runtime, SimRng, SimRuntime};
+use unidrive::sim::{Runtime, SimRng, SimRuntime, Time};
 
 struct Rig {
     sim: Arc<SimRuntime>,
@@ -266,6 +268,81 @@ fn a_transiently_failing_delete_does_not_leak_the_block() {
     }
     assert_eq!(b.sync_once().unwrap().downloaded, vec!["doc"]);
     assert_eq!(folder_b.read("doc").unwrap().to_vec(), content(150_000, 2));
+}
+
+/// A commit that fails after draining the placements detached workers
+/// reported must hand them to the next one. One slow cloud, so the
+/// first file's reliability blocks land after its commit; the pass that
+/// would record them also uploads a second file, and loses its
+/// transaction to a metadata outage on three clouds (list and download
+/// refused: block uploads go through, the quorum lock does not).
+#[test]
+fn a_failed_commit_keeps_the_placements_it_drained() {
+    const SLOW: usize = 4;
+    let r = rig(21, &[2e6, 2e6, 2e6, 2e6, 2e3]);
+    let rt = r.sim.clone().as_runtime();
+    let outage = |cloud: usize| {
+        FaultEvent::always(format!("cloud{cloud}"), FaultKind::Outage)
+            .window_secs(1000, 2000)
+            .on_ops(&[CloudOp::List, CloudOp::Download])
+    };
+    let plan = FaultPlan::with_events(3, (0..3).map(outage).collect());
+    let members = r.clouds.iter().map(|(_, cloud)| {
+        CloudBuilder::new(&rt, Arc::clone(cloud))
+            .chaos(&plan, "")
+            .build()
+            .store
+    });
+    let folder = MemFolder::new();
+    let mut config = ClientConfig::paper_default("a");
+    config.data = data_config(&r);
+    let mut a = UniDriveClient::new(
+        rt.clone(),
+        CloudSet::new(members.collect()),
+        Arc::clone(&folder) as Arc<dyn SyncFolder>,
+        config,
+        SimRng::seed_from_u64(1),
+    );
+
+    folder.write("first", &content(150_000, 1), 1).unwrap();
+    assert_eq!(a.sync_once().unwrap().uploaded, vec!["first"]);
+    let on_slow = |a: &UniDriveClient| {
+        let segments = a.image().segments().filter(|(_, e)| e.refcount > 0);
+        let shares =
+            segments.map(|(_, e)| e.blocks.iter().filter(|b| b.cloud as usize == SLOW).count());
+        shares.collect::<Vec<usize>>()
+    };
+    assert!(
+        on_slow(&a).contains(&0),
+        "test premise: the slow cloud's blocks land after the first commit"
+    );
+
+    // Into the outage, stragglers landed: this pass drains them, uploads
+    // `second`, and cannot commit.
+    r.sim.sleep(Time::from_secs(1000) - r.sim.now());
+    folder.write("second", &content(90_000, 2), 1).unwrap();
+    assert!(
+        a.sync_once().is_err(),
+        "the metadata outage must fail the commit"
+    );
+
+    r.sim.sleep(Duration::from_secs(1100));
+    assert_eq!(a.sync_once().unwrap().uploaded, vec!["second"]);
+    for _ in 0..4 {
+        r.sim.sleep(Duration::from_secs(600));
+        a.sync_once().unwrap();
+    }
+    assert!(a.sync_once().unwrap().is_noop());
+    assert_eq!(
+        common::unnamed_block_objects(a.image(), &r.handles),
+        Vec::<String>::new()
+    );
+    let fair = data_config(&r).redundancy.fair_share();
+    assert!(
+        on_slow(&a).iter().all(|&held| held >= fair),
+        "a live segment's fair share on the slow cloud is unrecorded: {:?}",
+        on_slow(&a)
+    );
 }
 
 #[test]

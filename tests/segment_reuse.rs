@@ -8,7 +8,9 @@
 //! Also here: the straggler-after-collect leak (a reliability block that
 //! lands after its segment was garbage-collected must not stay behind).
 
-use std::collections::{BTreeSet, HashSet};
+mod common;
+
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -18,7 +20,7 @@ use unidrive::cloud::{
 };
 use unidrive::core::{ClientConfig, DataPlaneConfig, MemFolder, SyncFolder, UniDriveClient};
 use unidrive::erasure::{Codec, RedundancyConfig};
-use unidrive::meta::{block_path, MetaMode, SegmentId, BLOCKS_DIR};
+use unidrive::meta::{MetaMode, SegmentId, BLOCKS_DIR};
 use unidrive::obs::{FieldValue, Obs, Registry};
 use unidrive::sim::{Runtime, SimRng, SimRuntime};
 use unidrive::util::bytes::Bytes;
@@ -424,31 +426,6 @@ fn random_edits_materialize_byte_identically_on_both_planes() {
     }
 }
 
-/// Every block object on every cloud is named by `image`.
-fn unnamed_block_objects(p: &Pair) -> Vec<String> {
-    let image = p.writer.image();
-    let mut unnamed = Vec::new();
-    for (cloud, handle) in p.handles.iter().enumerate() {
-        let named: BTreeSet<String> = image
-            .segments()
-            .flat_map(|(id, entry)| {
-                let here = entry
-                    .blocks
-                    .iter()
-                    .filter(move |b| b.cloud as usize == cloud);
-                here.map(move |b| block_path(id, b.index))
-            })
-            .collect();
-        for object in handle.backing().list(BLOCKS_DIR).unwrap_or_default() {
-            let path = format!("{BLOCKS_DIR}/{}", object.name);
-            if !named.contains(&path) {
-                unnamed.push(format!("cloud{cloud}:{path}"));
-            }
-        }
-    }
-    unnamed
-}
-
 /// A file is deleted while its reliability blocks are still going up to
 /// a slow cloud: the commit of the delete collects the segments, the
 /// blocks land afterwards, and the pass that hears of them must delete
@@ -481,5 +458,8 @@ fn a_block_landing_after_its_segment_was_collected_is_deleted() {
     }
     assert!(p.writer.sync_once().unwrap().is_noop());
     assert!(p.writer.image().file("keep.bin").is_some());
-    assert_eq!(unnamed_block_objects(&p), Vec::<String>::new());
+    assert_eq!(
+        common::unnamed_block_objects(p.writer.image(), &p.handles),
+        Vec::<String>::new()
+    );
 }
