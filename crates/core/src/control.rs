@@ -5,19 +5,21 @@
 //! cloud. Writers hold the quorum lock and must land their update on a
 //! majority of clouds for the commit to count; readers collect version
 //! files from all clouds, pick the highest committed version, and fetch
-//! the matching base + delta (falling back across clouds on corruption
-//! or lag). Version stamps carry a commit counter, so "newest" needs no
-//! global clock.
+//! the matching delta — and the base it extends, unless that is the
+//! base the store already holds (falling back across clouds on
+//! corruption or lag). Version stamps carry a commit counter, so
+//! "newest" needs no global clock.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use unidrive_cloud::{CloudSet, Retry, RetryPolicy};
+use unidrive_cloud::{CloudError, CloudSet, Retry, RetryPolicy};
 use unidrive_crypto::MetadataCipher;
 use unidrive_meta::{
     DeltaLog, PlaneError, SyncFolderImage, VersionStamp, BASE_PATH, DELTA_PATH, VERSION_PATH,
 };
 use unidrive_sim::Runtime;
+use unidrive_util::bytes::Bytes;
 
 use crate::quorum;
 
@@ -39,6 +41,19 @@ pub(crate) struct MetadataStore {
     cipher: MetadataCipher,
     retry: RetryPolicy,
     nonce: AtomicU64,
+    /// The last base this store decrypted or wrote, under the stamp a
+    /// delta names it by (`delta.base`, the pairing every read already
+    /// trusts). A delta extending it is applied to this copy instead of
+    /// downloading `BASE_PATH` again. Plaintext, not a decoded image:
+    /// a second tree per device is resident memory a poll cannot afford.
+    held_base: Option<HeldBase>,
+}
+
+struct HeldBase {
+    version: VersionStamp,
+    plaintext: Bytes,
+    /// Size of the encrypted file the plaintext came from (or went to).
+    stored_bytes: usize,
 }
 
 impl std::fmt::Debug for MetadataStore {
@@ -70,6 +85,7 @@ impl MetadataStore {
             cipher: MetadataCipher::from_passphrase(passphrase),
             retry,
             nonce: AtomicU64::new(1),
+            held_base: None,
         }
     }
 
@@ -101,23 +117,17 @@ impl MetadataStore {
     ///
     /// [`PlaneError::Unreadable`] if versions exist but no cloud serves a
     /// consistent copy.
-    pub(crate) fn read_remote(&self) -> Result<Option<RemoteState>, PlaneError> {
+    pub(crate) fn read_remote(&mut self) -> Result<Option<RemoteState>, PlaneError> {
         let Some(target) = self.read_version() else {
             return Ok(None);
         };
         // Prefer clouds advertising the target version, but fall back to
         // any cloud: stale copies lose to the version check below.
         for (_, cloud) in self.clouds.iter() {
-            let Ok(base_ct) = Retry::new(&self.rt, &self.retry).run(|| cloud.download(BASE_PATH))
-            else {
-                continue;
-            };
-            let Ok(base_pt) = self.cipher.decrypt(&base_ct) else {
-                continue;
-            };
-            let Ok(mut image) = SyncFolderImage::decode(&base_pt) else {
-                continue;
-            };
+            // Delta first: it names the base it extends, and that base
+            // is usually the one already held. Only a cloud that says
+            // "no such file" has no delta yet; one that merely failed
+            // to answer is passed over, not read as an empty log.
             let delta = match Retry::new(&self.rt, &self.retry).run(|| cloud.download(DELTA_PATH)) {
                 Ok(delta_ct) => {
                     let Ok(delta_pt) = self.cipher.decrypt(&delta_ct) else {
@@ -126,10 +136,38 @@ impl MetadataStore {
                     let Ok(delta) = DeltaLog::decode(&delta_pt) else {
                         continue;
                     };
-                    delta
+                    Some(delta)
                 }
-                Err(_) => DeltaLog::new(image.version.clone()),
+                Err(CloudError::NotFound { .. }) => None,
+                Err(_) => continue,
             };
+            let held = self.held_base.as_ref().filter(|held| {
+                delta.as_ref().is_some_and(|delta| delta.base == held.version)
+            });
+            let (mut image, downloaded) =
+                match held.and_then(|held| SyncFolderImage::decode(&held.plaintext).ok()) {
+                    Some(image) => (image, None),
+                    None => {
+                        let Ok(base_ct) =
+                            Retry::new(&self.rt, &self.retry).run(|| cloud.download(BASE_PATH))
+                        else {
+                            continue;
+                        };
+                        let Ok(plaintext) = self.cipher.decrypt(&base_ct) else {
+                            continue;
+                        };
+                        let Ok(image) = SyncFolderImage::decode(&plaintext) else {
+                            continue;
+                        };
+                        let held = HeldBase {
+                            version: image.version.clone(),
+                            plaintext: Bytes::from(plaintext),
+                            stored_bytes: base_ct.len(),
+                        };
+                        (image, Some(held))
+                    }
+                };
+            let delta = delta.unwrap_or_else(|| DeltaLog::new(image.version.clone()));
             if delta.base != image.version {
                 continue; // torn read: delta belongs to another base
             }
@@ -137,7 +175,12 @@ impl MetadataStore {
             if image.version != target && newer(&target, &image.version) {
                 continue; // stale copy
             }
-            let base_bytes = base_ct.len();
+            // Only a base that served an accepted read replaces the held
+            // one: a lagging cloud's older base must not evict it.
+            if downloaded.is_some() {
+                self.held_base = downloaded;
+            }
+            let base_bytes = self.held_base.as_ref().map_or(0, |held| held.stored_bytes);
             return Ok(Some(RemoteState {
                 image,
                 delta,
@@ -149,7 +192,10 @@ impl MetadataStore {
 
     /// Commits metadata to the multi-cloud: uploads the delta (and, when
     /// `new_base` is set, a compacted base) plus the version file to
-    /// every cloud. Succeeds when a majority acknowledged everything.
+    /// every cloud. Succeeds when a majority acknowledged everything,
+    /// with the size of the encrypted base if one was written — which
+    /// the store then holds, so this device's next read of a delta over
+    /// its own compaction downloads no base.
     ///
     /// Callers must hold the quorum lock.
     ///
@@ -158,11 +204,11 @@ impl MetadataStore {
     /// [`PlaneError::QuorumWriteFailed`] when fewer than a quorum of
     /// clouds stored the update.
     pub(crate) fn write_remote(
-        &self,
+        &mut self,
         new_base: Option<&SyncFolderImage>,
         delta: &DeltaLog,
         version: &VersionStamp,
-    ) -> Result<(), PlaneError> {
+    ) -> Result<Option<usize>, PlaneError> {
         // Mix the commit identity into the nonce so two devices (or two
         // sessions) sharing a passphrase never reuse a CBC IV.
         let nonce = self
@@ -171,17 +217,24 @@ impl MetadataStore {
             .wrapping_add(version.counter.wrapping_mul(0x9E37_79B9_7F4A_7C15))
             .wrapping_add(unidrive_crypto::Sha1::digest(version.device.as_bytes()).as_bytes()[0] as u64)
             .wrapping_add(self.rt.now().as_nanos());
-        let base_ct = new_base.map(|image| {
-            unidrive_util::bytes::Bytes::from(self.cipher.encrypt(&image.encode(), nonce.wrapping_mul(3)))
+        let written = new_base.map(|image| {
+            let plaintext = image.encode();
+            let ct = Bytes::from(self.cipher.encrypt(&plaintext, nonce.wrapping_mul(3)));
+            let held = HeldBase {
+                version: image.version.clone(),
+                plaintext,
+                stored_bytes: ct.len(),
+            };
+            (held, ct)
         });
-        let delta_ct =
-            unidrive_util::bytes::Bytes::from(self.cipher.encrypt(&delta.encode(), nonce.wrapping_mul(3) + 1));
+        let base_ct = written.as_ref().map(|(_, ct)| ct.clone());
+        let delta_ct = Bytes::from(self.cipher.encrypt(&delta.encode(), nonce.wrapping_mul(3) + 1));
         let version_bytes = version.encode();
         // Replicate to every cloud concurrently; the version file goes
         // last on each cloud so its presence implies the data files.
         let (rt, retry) = (Arc::clone(&self.rt), self.retry.clone());
         let acks = quorum::fan_out(&self.rt, &self.clouds, "meta-write", move |_, cloud| {
-            (|| -> Result<(), unidrive_cloud::CloudError> {
+            (|| -> Result<(), CloudError> {
                 if let Some(base) = &base_ct {
                     Retry::new(&rt, &retry).run(|| cloud.upload(BASE_PATH, base.clone()))?;
                 }
@@ -192,13 +245,19 @@ impl MetadataStore {
             })()
             .is_ok()
         });
-        quorum::require_acked(&self.clouds, acks)
+        quorum::require_acked(&self.clouds, acks)?;
+        Ok(written.map(|(held, _)| {
+            let stored_bytes = held.stored_bytes;
+            self.held_base = Some(held);
+            stored_bytes
+        }))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oplog_plane::tests::{counted, FailingDownloads};
     use std::sync::Arc;
     use unidrive_cloud::{ChaosCloud, CloudStore, FaultPlan, MemCloud};
     use unidrive_crypto::Sha1;
@@ -234,24 +293,20 @@ mod tests {
                 segments: vec![seg],
             },
         );
-        img.version = VersionStamp {
-            device: "dev".into(),
-            counter,
-            timestamp_ns: counter,
-        };
+        img.version = stamp(counter);
         img
     }
 
     #[test]
     fn fresh_multicloud_reads_none() {
-        let s = store(clouds(3));
+        let mut s = store(clouds(3));
         assert_eq!(s.read_version(), None);
         assert!(s.read_remote().unwrap().is_none());
     }
 
     #[test]
     fn write_then_read_round_trips() {
-        let s = store(clouds(5));
+        let mut s = store(clouds(5));
         let image = sample_image(1);
         let delta = DeltaLog::new(image.version.clone());
         s.write_remote(Some(&image), &delta, &image.version).unwrap();
@@ -262,30 +317,99 @@ mod tests {
 
     #[test]
     fn delta_is_applied_on_read() {
-        let s = store(clouds(3));
+        let mut s = store(clouds(3));
         let base = sample_image(1);
         let mut delta = DeltaLog::new(base.version.clone());
-        let head = VersionStamp {
+        append_commit(&mut delta, 2);
+        s.write_remote(Some(&base), &delta, &stamp(2)).unwrap();
+        let remote = s.read_remote().unwrap().unwrap();
+        assert_eq!(remote.image.version, stamp(2));
+        assert!(remote.image.file("f.txt").is_none());
+    }
+
+    fn stamp(counter: u64) -> VersionStamp {
+        VersionStamp {
             device: "dev".into(),
-            counter: 2,
-            timestamp_ns: 2,
-        };
+            counter,
+            timestamp_ns: counter,
+        }
+    }
+
+    /// Appends one commit, the deletion of `f.txt`, to `delta`.
+    fn append_commit(delta: &mut DeltaLog, counter: u64) {
         delta.append(
             vec![unidrive_meta::DeltaRecord::DeleteFile {
                 path: "f.txt".into(),
             }],
-            head.clone(),
+            stamp(counter),
         );
-        s.write_remote(Some(&base), &delta, &head).unwrap();
-        let remote = s.read_remote().unwrap().unwrap();
-        assert_eq!(remote.image.version, head);
+    }
+
+    /// A delta over the base the store already holds is applied to the
+    /// held copy: the base is downloaded when it changes, not beside
+    /// every delta — whether the holder read it or wrote it.
+    #[test]
+    fn unchanged_base_is_not_downloaded_again() {
+        let set = clouds(3);
+        let mut writer = store(set.clone());
+        let (reader_set, reads) = counted(set.iter().map(|(_, cloud)| Arc::clone(cloud)));
+        let mut reader = store(reader_set);
+        let base_reads = || reads.iter().map(|c| c.downloads_of(BASE_PATH)).sum::<usize>();
+
+        let base = sample_image(1);
+        let mut delta = DeltaLog::new(base.version.clone());
+        writer.write_remote(Some(&base), &delta, &base.version).unwrap();
+        assert_eq!(reader.read_remote().unwrap().unwrap().image, base);
+        assert_eq!(base_reads(), 1);
+
+        append_commit(&mut delta, 2);
+        writer.write_remote(None, &delta, &stamp(2)).unwrap();
+        let remote = reader.read_remote().unwrap().unwrap();
+        assert_eq!(remote.image.version, stamp(2));
         assert!(remote.image.file("f.txt").is_none());
+        assert_eq!(base_reads(), 1, "the delta names the held base");
+        assert_eq!(remote.base_bytes, set.get(unidrive_cloud::CloudId(0)).download(BASE_PATH).unwrap().len());
+
+        // The reader compacts: what it wrote is what it holds.
+        let compacted = sample_image(3);
+        let mut delta = DeltaLog::new(compacted.version.clone());
+        let stored = reader.write_remote(Some(&compacted), &delta, &compacted.version).unwrap();
+        assert_eq!(stored, Some(set.get(unidrive_cloud::CloudId(0)).download(BASE_PATH).unwrap().len()));
+        append_commit(&mut delta, 4);
+        writer.write_remote(None, &delta, &stamp(4)).unwrap();
+        assert_eq!(reader.read_remote().unwrap().unwrap().image.version, stamp(4));
+        assert_eq!(base_reads(), 1, "its own compaction is not read back");
+    }
+
+    /// Only "no such file" means no delta yet. A cloud that fails to
+    /// answer for its delta is passed over — not read as an empty log
+    /// over its base, a regressed image the version check would have to
+    /// catch after a needless base download.
+    #[test]
+    fn unanswered_delta_is_not_an_empty_delta() {
+        let set = clouds(3);
+        let mut writer = store(set.clone());
+        let base = sample_image(1);
+        let mut delta = DeltaLog::new(base.version.clone());
+        append_commit(&mut delta, 2);
+        writer.write_remote(Some(&base), &delta, &stamp(2)).unwrap();
+        let failing: Arc<dyn CloudStore> = Arc::new(FailingDownloads {
+            inner: Arc::clone(set.get(unidrive_cloud::CloudId(0))),
+            only: "meta.delta",
+        });
+        let others = [1, 2].map(|i| Arc::clone(set.get(unidrive_cloud::CloudId(i))));
+        let (reader_set, reads) = counted(std::iter::once(failing).chain(others));
+        let remote = store(reader_set).read_remote().unwrap().unwrap();
+        assert_eq!(remote.image.version, stamp(2));
+        assert_eq!(reads[0].downloads_of(DELTA_PATH), 1);
+        assert_eq!(reads[0].downloads_of(BASE_PATH), 0, "no base read for a delta that never came");
+        assert_eq!(reads[1].downloads_of(BASE_PATH), 1);
     }
 
     #[test]
     fn metadata_on_clouds_is_encrypted() {
         let set = clouds(3);
-        let s = store(set.clone());
+        let mut s = store(set.clone());
         let image = sample_image(1);
         let delta = DeltaLog::new(image.version.clone());
         s.write_remote(Some(&image), &delta, &image.version).unwrap();
@@ -295,7 +419,7 @@ mod tests {
         assert!(SyncFolderImage::decode(&raw).is_err());
         assert!(!raw.windows(5).any(|w| w == b"f.txt"));
         // And a wrong passphrase cannot read it.
-        let wrong = MetadataStore::new(
+        let mut wrong = MetadataStore::new(
             Arc::new(RealRuntime::new()),
             set,
             "wrong",
@@ -307,7 +431,7 @@ mod tests {
     #[test]
     fn reader_picks_newest_version_across_clouds() {
         let set = clouds(3);
-        let s = store(set.clone());
+        let mut s = store(set.clone());
         let v1 = sample_image(1);
         let d1 = DeltaLog::new(v1.version.clone());
         s.write_remote(Some(&v1), &d1, &v1.version).unwrap();
@@ -319,7 +443,7 @@ mod tests {
             Arc::clone(set.get(unidrive_cloud::CloudId(1))),
             Arc::clone(set.get(unidrive_cloud::CloudId(2))),
         ]);
-        let s_partial = store(partial);
+        let mut s_partial = store(partial);
         s_partial.write_remote(Some(&v2), &d2, &v2.version).unwrap();
         // A reader over all three clouds must see v2.
         let remote = s.read_remote().unwrap().unwrap();
@@ -341,7 +465,7 @@ mod tests {
                 members.push(inner);
             }
         }
-        let s = store(CloudSet::new(members));
+        let mut s = store(CloudSet::new(members));
         let image = sample_image(1);
         let delta = DeltaLog::new(image.version.clone());
         assert!(matches!(

@@ -150,14 +150,11 @@ impl MetaPlane for LockPlane {
         commit_span.attr_bool("compacted", new_base.is_some());
         let committed_meta = self.store.write_remote(new_base, &delta, &stamp);
         commit_span.end();
-        committed_meta?;
+        let written_base = committed_meta?;
         guard.release();
-        let base_bytes = match (new_base, &remote) {
-            // Rough but adequate: ciphertext ≈ plaintext + padding + IV.
-            (Some(image), _) => image.encode().len() + 16,
-            (None, Some(state)) => state.base_bytes,
-            (None, None) => 0,
-        };
+        let base_bytes = written_base
+            .or(remote.as_ref().map(|state| state.base_bytes))
+            .unwrap_or(0);
         self.cached = Some((delta, base_bytes));
         Ok(Some(to_commit))
     }

@@ -16,16 +16,17 @@
 //! read-modify-write could embed a torn tail mid-file and lose acked
 //! ops.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use unidrive_util::bytes::Bytes;
 use unidrive_cloud::{CloudError, CloudSet, Retry, RetryPolicy};
-use unidrive_crypto::{MetadataCipher, Sha1};
+use unidrive_crypto::{Digest, MetadataCipher, Sha1};
 use unidrive_meta::{
-    compact, compaction_threshold, fold, frame_chunks, op_file_path, parse_op_file_name,
-    unframe_chunks, DeltaLog, MergeFn, MetaMode, MetaOp, MetaPlane, OplogBase, PlaneError,
-    SyncFolderImage, OPLOG_BASE_PATH, OPLOG_COMPACT_ESCALATE, OPLOG_DIR,
+    base_mark_path, compact, compaction_threshold, fold, frame_chunks, op_file_path,
+    parse_base_mark_name, parse_op_file_name, unframe_chunks, DeltaLog, MergeFn, MetaMode, MetaOp,
+    MetaPlane, OplogBase, PlaneError, SyncFolderImage, OPLOG_BASE_PATH, OPLOG_COMPACT_ESCALATE,
+    OPLOG_DIR,
 };
 use unidrive_obs::{Obs, SpanId};
 use unidrive_sim::{Runtime, SimRng};
@@ -53,6 +54,26 @@ fn covers(a: &OplogBase, b: &OplogBase) -> bool {
     b.watermark
         .iter()
         .all(|(device, seq)| a.watermark.get(device).copied().unwrap_or(0) >= *seq)
+}
+
+/// Whether a read pass must download a cloud's `base`, decided from
+/// the listing it already paid for (the table in `unidrive_meta`'s
+/// layout doc): yes when a base is listed and its marks do not vouch
+/// for it — there are none (a base written before marks existed, or
+/// whose mark upload failed), or one names a base this plane has not
+/// itself decoded. All marks known means the cloud holds a base the
+/// plane has already weighed, or an unacked newer one that an acked
+/// cloud shows under an unknown mark.
+fn base_wanted(base_listed: bool, marks: &[Digest], known: &BTreeSet<Digest>) -> bool {
+    base_listed && (marks.is_empty() || marks.iter().any(|id| !known.contains(id)))
+}
+
+/// Decrypts and decodes a stored base; its id is SHA-1 of the
+/// plaintext, what the base's mark is named after.
+fn decode_base(cipher: &MetadataCipher, ct: &[u8]) -> Option<(OplogBase, Digest)> {
+    let pt = cipher.decrypt(ct).ok()?;
+    let base = OplogBase::decode(&pt).ok()?;
+    Some((base, Sha1::digest(&pt)))
 }
 
 /// The append-only oplog metadata plane: per-device op files, total
@@ -96,9 +117,16 @@ pub struct OplogPlane {
     /// (and whose garbage collection would destroy live segments).
     seen_ops: BTreeMap<[u8; 20], (MetaOp, usize)>,
     /// The freshest base this plane has ever decoded, with its
-    /// ciphertext size. Monotone under version-stamp comparison, for
-    /// the same reason as `seen_ops`.
-    adopted_base: Option<(OplogBase, usize)>,
+    /// ciphertext size and id. Monotone under version-stamp comparison,
+    /// for the same reason as `seen_ops`.
+    adopted_base: Option<(OplogBase, usize, Digest)>,
+    /// Ids of the bases this plane has itself decrypted and decoded
+    /// (in `fetch`, in the under-lock re-read, as its own compaction) —
+    /// never a mark it merely saw listed. A cloud whose marks are all
+    /// in here is not asked for its base again ([`base_wanted`]).
+    /// Pruned every fetch to the ids some cloud still lists plus the
+    /// adopted one, so it is bounded by the cloud count.
+    known_ids: BTreeSet<Digest>,
 }
 
 impl std::fmt::Debug for OplogPlane {
@@ -153,6 +181,7 @@ impl OplogPlane {
             recovered: false,
             seen_ops: BTreeMap::new(),
             adopted_base: None,
+            known_ids: BTreeSet::new(),
         }
     }
 
@@ -161,7 +190,7 @@ impl OplogPlane {
     /// covered prefix of our retained tail so the next append rewrites
     /// a smaller file, and never hands out a seq the watermark proves
     /// was already committed.
-    fn adopt_base(&mut self, base: OplogBase, base_bytes: usize) {
+    fn adopt_base(&mut self, base: OplogBase, base_bytes: usize, id: Digest) {
         self.seen_ops
             .retain(|_, (op, _)| op.seq > base.watermark.get(&op.device).copied().unwrap_or(0));
         let covered = base.watermark.get(&self.device).copied().unwrap_or(0);
@@ -180,11 +209,13 @@ impl OplogPlane {
             self.my_frames = kept;
         }
         self.next_seq = self.next_seq.max(covered + 1);
-        self.adopted_base = Some((base, base_bytes));
+        self.known_ids.insert(id);
+        self.adopted_base = Some((base, base_bytes, id));
     }
 
-    /// Downloads the base and every op file from every cloud
-    /// (concurrently per cloud), decodes and dedups, folds.
+    /// Downloads every op file, and the base where [`base_wanted`]
+    /// says so, from every cloud (concurrently per cloud), decodes and
+    /// dedups, folds.
     ///
     /// A cloud counts as reachable only when everything it advertised
     /// could actually be read: a listing that succeeds while a base or
@@ -195,10 +226,12 @@ impl OplogPlane {
         let mut span = self.obs.span("meta.oplog.fold", round);
         span.attr_str("device", self.device.as_str());
         // One task per cloud: list the oplog dir, then download the
-        // base and each op file. A missing directory is a fresh cloud
+        // base (unless its marks say we have decoded it before) and
+        // each op file. A missing directory is a fresh cloud
         // (reachable, empty); a failing listing — or a listed file the
         // cloud then refuses to serve — is unreachable.
         let (rt, retry) = (Arc::clone(&self.rt), self.retry.clone());
+        let known = self.known_ids.clone();
         let reads = quorum::fan_out(&self.rt, &self.clouds, "oplog-read", move |_, cloud| {
             let entries = match Retry::new(&rt, &retry).run(|| cloud.list(OPLOG_DIR)) {
                 Ok(entries) => entries,
@@ -211,22 +244,28 @@ impl OplogPlane {
                 .map(|e| e.name)
                 .collect();
             names.sort();
+            let marks: Vec<Digest> =
+                names.iter().filter_map(|name| parse_base_mark_name(name)).collect();
+            let base_listed = names.iter().any(|name| name == "base");
+            let want_base = base_wanted(base_listed, &marks, &known);
             let mut base_ct: Option<Bytes> = None;
             let mut bodies: Vec<Bytes> = Vec::new();
             for name in names {
-                if name != "base" && parse_op_file_name(&name).is_none() {
+                let is_base = name == "base";
+                let wanted = if is_base { want_base } else { parse_op_file_name(&name).is_some() };
+                if !wanted {
                     continue;
                 }
                 let path = format!("{OPLOG_DIR}/{name}");
                 match Retry::new(&rt, &retry).run(|| cloud.download(&path)) {
-                    Ok(body) if name == "base" => base_ct = Some(body),
+                    Ok(body) if is_base => base_ct = Some(body),
                     Ok(body) => bodies.push(body),
                     // Listed-then-gone: as absent as unlisted.
                     Err(CloudError::NotFound { .. }) => {}
                     Err(_) => return None,
                 }
             }
-            Some((base_ct, bodies))
+            Some((base_ct, marks, bodies))
         });
 
         let mut reachable = 0usize;
@@ -235,28 +274,31 @@ impl OplogPlane {
         // to a base we have moved past. "Freshest" is watermark
         // coverage (see [`covers`]), with the version stamp only as a
         // tie-break between equal-coverage copies.
-        let mut best_base: Option<(OplogBase, usize)> = self.adopted_base.clone();
+        let mut best_base = self.adopted_base.clone();
+        let mut listed: BTreeSet<Digest> = BTreeSet::new();
+        let mut base_reads = 0u64;
         // Our own ops as stored on the clouds, for seq/tail recovery.
         let mut own: BTreeMap<u64, (MetaOp, Bytes)> = BTreeMap::new();
-        for (base_ct, bodies) in reads.into_iter().flatten() {
+        for (base_ct, marks, bodies) in reads.into_iter().flatten() {
             reachable += 1;
+            listed.extend(marks);
             if let Some(ct) = base_ct {
-                if let Ok(pt) = self.cipher.decrypt(&ct) {
-                    if let Ok(base) = OplogBase::decode(&pt) {
-                        let replace = match &best_base {
-                            None => true,
-                            Some((best, _)) => {
-                                covers(&base, best)
-                                    && (!covers(best, &base)
-                                        || crate::control::newer(
-                                            &base.image.version,
-                                            &best.image.version,
-                                        ))
-                            }
-                        };
-                        if replace {
-                            best_base = Some((base, ct.len()));
+                base_reads += 1;
+                if let Some((base, id)) = decode_base(&self.cipher, &ct) {
+                    self.known_ids.insert(id);
+                    let replace = match &best_base {
+                        None => true,
+                        Some((best, ..)) => {
+                            covers(&base, best)
+                                && (!covers(best, &base)
+                                    || crate::control::newer(
+                                        &base.image.version,
+                                        &best.image.version,
+                                    ))
                         }
+                    };
+                    if replace {
+                        best_base = Some((base, ct.len(), id));
                     }
                 }
             }
@@ -307,8 +349,15 @@ impl OplogPlane {
                 .or_insert((op.clone(), 4 + frame.len()));
         }
 
-        let (base, base_bytes) = best_base.unwrap_or((OplogBase::new(), 0));
-        self.adopt_base(base.clone(), base_bytes);
+        let (base, base_bytes) = match best_base {
+            Some((base, base_bytes, id)) => {
+                self.adopt_base(base.clone(), base_bytes, id);
+                // What no cloud lists any more will not be asked about.
+                self.known_ids.retain(|known| *known == id || listed.contains(known));
+                (base, base_bytes)
+            }
+            None => (OplogBase::new(), 0),
+        };
 
         let mut ops = Vec::with_capacity(self.seen_ops.len());
         let mut log_bytes = 0usize;
@@ -320,6 +369,7 @@ impl OplogPlane {
         }
         let outcome = fold(&base, &ops, OPLOG_FOLDER);
         span.attr_u64("reachable", reachable as u64);
+        span.attr_u64("base_reads", base_reads);
         span.attr_u64("ops", ops.len() as u64);
         span.attr_u64("applied", outcome.applied as u64);
         span.attr_u64("conflicts", outcome.conflicts as u64);
@@ -380,43 +430,55 @@ impl OplogPlane {
         };
         let mut span = self.obs.span("meta.oplog.compact", round);
         span.attr_str("device", self.device.as_str());
-        // Re-read the stored base under the lock. A cloud is
-        // base-readable when it serves a decodable base or has none at
-        // all; a quorum of base-readable clouds is required so this
-        // read intersects the write quorum of whatever compaction most
-        // recently succeeded (an undecodable copy — a torn base upload
-        // — cannot be ruled newer, so it does not count as read).
+        // Re-read the stored base under the lock — from every cloud,
+        // whatever its marks say: skipping a known id here would let us
+        // overwrite an unacked newer copy that some reader has already
+        // adopted and trimmed against, and break the coverage chain. A
+        // cloud is base-readable when it serves a decodable base or has
+        // none at all; a quorum of base-readable clouds is required so
+        // this read intersects the write quorum of whatever compaction
+        // most recently succeeded (an undecodable copy — a torn base
+        // upload — cannot be ruled newer, so it does not count as read).
+        // The same task lists the marks our own will supersede: taken
+        // under the lock, the list cannot hold a mark newer than ours.
         let (rt, retry) = (Arc::clone(&self.rt), self.retry.clone());
         let reads = quorum::fan_out(&self.rt, &self.clouds, "oplog-base-read", move |_, cloud| {
-            match Retry::new(&rt, &retry).run(|| cloud.download(OPLOG_BASE_PATH)) {
-                Ok(ct) => Some(Some(ct)),
-                Err(CloudError::NotFound { .. }) => Some(None),
-                Err(_) => None,
-            }
+            let stored = match Retry::new(&rt, &retry).run(|| cloud.download(OPLOG_BASE_PATH)) {
+                Ok(ct) => Some(ct),
+                Err(CloudError::NotFound { .. }) => None,
+                Err(_) => return (None, Vec::new()),
+            };
+            // A failed listing only leaves its marks to the next
+            // compaction.
+            let marks: Vec<Digest> = Retry::new(&rt, &retry)
+                .run(|| cloud.list(OPLOG_DIR))
+                .unwrap_or_default()
+                .iter()
+                .filter_map(|entry| parse_base_mark_name(&entry.name))
+                .collect();
+            (Some(stored), marks)
         });
         let mut base_readable = 0usize;
-        let mut stored: Vec<(OplogBase, usize)> = Vec::new();
-        for read in reads {
+        let mut stored: Vec<OplogBase> = Vec::new();
+        let mut marks: Vec<Vec<Digest>> = Vec::new();
+        for (read, listed) in reads {
+            marks.push(listed);
             match read {
                 Some(Some(ct)) => {
-                    let decoded = self
-                        .cipher
-                        .decrypt(&ct)
-                        .ok()
-                        .and_then(|pt| OplogBase::decode(&pt).ok());
-                    if let Some(base) = decoded {
+                    if let Some((base, id)) = decode_base(&self.cipher, &ct) {
                         base_readable += 1;
-                        stored.push((base, ct.len()));
+                        self.known_ids.insert(id);
+                        stored.push(base);
                     }
                 }
                 Some(None) => base_readable += 1,
                 None => {}
             }
         }
-        let mut working: Option<OplogBase> = self.adopted_base.as_ref().map(|(b, _)| b.clone());
+        let mut working: Option<OplogBase> = self.adopted_base.as_ref().map(|(b, ..)| b.clone());
         let mut abort = quorum::require_reachable(&self.clouds, base_readable).is_err();
         if !abort {
-            for (base, _) in stored {
+            for base in stored {
                 let ours_covers = working.as_ref().is_some_and(|w| covers(w, &base));
                 if ours_covers {
                     continue;
@@ -453,13 +515,17 @@ impl OplogPlane {
         let nonce = u64::from_le_bytes(digest.as_bytes()[..8].try_into().expect("8 bytes"));
         let ct = Bytes::from(self.cipher.encrypt(&pt, nonce));
         span.attr_u64("bytes", ct.len() as u64);
+        // Base, then its mark: a cloud acks only with both, so a
+        // quorum-acked compaction shows its mark on every read quorum.
         let (rt, retry, upload) = (Arc::clone(&self.rt), self.retry.clone(), ct.clone());
+        let mark_path = base_mark_path(&digest);
         let acks = quorum::fan_out(&self.rt, &self.clouds, "oplog-base", move |_, cloud| {
             Retry::new(&rt, &retry)
                 .run(|| cloud.upload(OPLOG_BASE_PATH, upload.clone()))
+                .and_then(|()| Retry::new(&rt, &retry).run(|| cloud.upload(&mark_path, Bytes::new())))
                 .is_ok()
         });
-        let ok = quorum::require_acked(&self.clouds, acks).is_ok();
+        let ok = quorum::require_acked(&self.clouds, acks.iter().copied()).is_ok();
         span.attr_bool("ok", ok);
         span.end();
         guard.release();
@@ -471,9 +537,22 @@ impl OplogPlane {
             // new base covers our whole tail, so this also trims it;
             // shrink our op file to match (best-effort; the watermark
             // filters either way).
-            self.adopt_base(new_base, ct.len());
+            self.adopt_base(new_base, ct.len(), digest);
             let body = frame_chunks(&self.my_frames);
             let _ = self.replicate_op_file(&body);
+        }
+        // Where ours landed, the marks listed under the lock are stale.
+        // Clearing them needs no lock and no retry: one that stays is
+        // listed, and cleared, by the next compaction.
+        for (listed, acked) in marks.iter_mut().zip(acks) {
+            listed.retain(|id| acked && *id != digest);
+        }
+        if marks.iter().any(|stale| !stale.is_empty()) {
+            quorum::fan_out(&self.rt, &self.clouds, "oplog-mark-clear", move |id, cloud| {
+                for stale in &marks[id.0] {
+                    let _ = cloud.delete(&base_mark_path(stale));
+                }
+            });
         }
         ok
     }
@@ -606,4 +685,4 @@ impl MetaPlane for OplogPlane {
 }
 
 #[cfg(test)]
-mod tests;
+pub(crate) mod tests;

@@ -1,17 +1,19 @@
 //! Tests of [`OplogPlane`](super::OplogPlane); a file of their own
-//! only to keep `oplog_plane.rs` readable in one sitting.
+//! only to keep `oplog_plane.rs` readable in one sitting. The two
+//! `CloudStore` doubles are shared with the lock plane's store tests.
 
 use super::*;
 use crate::lock_plane::tests::{clouds, commit_file, config, plane};
 use unidrive_cloud::{CloudStore, MemCloud};
 use unidrive_sim::RealRuntime;
+use unidrive_util::sync::Mutex;
 
 /// Delegates to `inner` but fails `download` of any path containing
 /// `only` with a non-NotFound error — a cloud that lists fine yet
 /// cannot serve (some of) what it advertised.
-struct FailingDownloads {
-    inner: Arc<dyn CloudStore>,
-    only: &'static str,
+pub(crate) struct FailingDownloads {
+    pub(crate) inner: Arc<dyn CloudStore>,
+    pub(crate) only: &'static str,
 }
 
 impl CloudStore for FailingDownloads {
@@ -45,6 +47,99 @@ impl CloudStore for FailingDownloads {
     }
 }
 
+/// Delegates to `inner` and keeps a log of every call as
+/// `(operation, path)`; `refuse_delete` makes the next delete of a
+/// path containing it fail, once.
+pub(crate) struct Counting {
+    inner: Arc<dyn CloudStore>,
+    log: Mutex<Vec<(&'static str, String)>>,
+    refuse_delete: Mutex<Option<&'static str>>,
+}
+
+impl Counting {
+    pub(crate) fn new(inner: Arc<dyn CloudStore>) -> Arc<Counting> {
+        Arc::new(Counting {
+            inner,
+            log: Mutex::new(Vec::new()),
+            refuse_delete: Mutex::new(None),
+        })
+    }
+
+    fn note(&self, op: &'static str, path: &str) {
+        self.log.lock().push((op, path.to_owned()));
+    }
+
+    pub(crate) fn downloads_of(&self, path: &str) -> usize {
+        let log = self.log.lock();
+        log.iter().filter(|(op, p)| *op == "download" && p == path).count()
+    }
+
+    fn marks(&self) -> Vec<Digest> {
+        let entries = self.inner.list(OPLOG_DIR).expect("oplog dir listed");
+        entries.iter().filter_map(|e| parse_base_mark_name(&e.name)).collect()
+    }
+}
+
+impl CloudStore for Counting {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn upload(&self, path: &str, data: Bytes) -> Result<(), CloudError> {
+        self.note("upload", path);
+        self.inner.upload(path, data)
+    }
+    fn download(&self, path: &str) -> Result<Bytes, CloudError> {
+        self.note("download", path);
+        self.inner.download(path)
+    }
+    fn create_dir(&self, path: &str) -> Result<(), CloudError> {
+        self.note("create_dir", path);
+        self.inner.create_dir(path)
+    }
+    fn list(&self, path: &str) -> Result<Vec<unidrive_cloud::ObjectInfo>, CloudError> {
+        self.note("list", path);
+        self.inner.list(path)
+    }
+    fn delete(&self, path: &str) -> Result<(), CloudError> {
+        self.note("delete", path);
+        let mut refuse = self.refuse_delete.lock();
+        if refuse.is_some_and(|part| path.contains(part)) {
+            *refuse = None;
+            return Err(CloudError::Unavailable {
+                cloud: self.inner.name().to_owned(),
+                op: None,
+                path: Some(path.to_owned()),
+            });
+        }
+        self.inner.delete(path)
+    }
+}
+
+/// Wraps each cloud in a [`Counting`] double: the set a plane syncs
+/// over, and the doubles to question afterwards. Planes built over the
+/// same set share its log.
+pub(crate) fn counted(
+    clouds: impl Iterator<Item = Arc<dyn CloudStore>>,
+) -> (CloudSet, Vec<Arc<Counting>>) {
+    let doubles: Vec<Arc<Counting>> = clouds.map(Counting::new).collect();
+    let members = doubles.iter().map(|c| Arc::clone(c) as Arc<dyn CloudStore>).collect();
+    (CloudSet::new(members), doubles)
+}
+
+fn counting_clouds(n: usize) -> (CloudSet, Vec<Arc<Counting>>) {
+    counted((0..n).map(|i| Arc::new(MemCloud::new(format!("c{i}"))) as Arc<dyn CloudStore>))
+}
+
+/// A second view of the same clouds with a log of its own, so one
+/// device's traffic can be counted apart from another's.
+fn recount(doubles: &[Arc<Counting>]) -> (CloudSet, Vec<Arc<Counting>>) {
+    counted(doubles.iter().map(|c| Arc::clone(c) as Arc<dyn CloudStore>))
+}
+
+fn base_downloads(doubles: &[Arc<Counting>]) -> Vec<usize> {
+    doubles.iter().map(|c| c.downloads_of(OPLOG_BASE_PATH)).collect()
+}
+
 fn oplog_plane(set: CloudSet, device: &str, floor: usize, seed: u64) -> OplogPlane {
     OplogPlane::new(
         Arc::new(RealRuntime::new()),
@@ -53,6 +148,40 @@ fn oplog_plane(set: CloudSet, device: &str, floor: usize, seed: u64) -> OplogPla
         SimRng::seed_from_u64(seed),
     )
 }
+
+/// The per-cloud states a compaction from base A to base B passes
+/// through, as a reader that has decoded A (and later B) meets them.
+#[test]
+fn base_wanted_over_the_states_of_a_compaction() {
+    let (a, b) = (Sha1::digest(b"base A"), Sha1::digest(b"base B"));
+    let knows_a = BTreeSet::from([a]);
+    let knows_both = BTreeSet::from([a, b]);
+    let knows_none = BTreeSet::new();
+    // (base A, {A}): settled, already decoded.
+    assert!(!base_wanted(true, &[a], &knows_a));
+    assert!(base_wanted(true, &[a], &knows_none), "a fresh reader reads it");
+    // (base B, {A}): B's upload landed, its mark has not — this cloud
+    // has not acked B; an acked cloud shows B's mark.
+    assert!(!base_wanted(true, &[a], &knows_a));
+    // (base B, {A, B}): acked, stale mark not yet cleared.
+    assert!(base_wanted(true, &[a, b], &knows_a));
+    assert!(!base_wanted(true, &[a, b], &knows_both));
+    // (base B, {B}): settled again.
+    assert!(base_wanted(true, &[b], &knows_a));
+    assert!(!base_wanted(true, &[b], &knows_both));
+    // (base B, {}): the mark upload failed, or the base predates marks.
+    assert!(base_wanted(true, &[], &knows_both));
+    assert!(base_wanted(true, &[], &knows_none));
+    // (torn base, {B}): a later compaction's upload tore over B; with B
+    // decoded there is nothing to learn, without it the download is
+    // paid and fails to decode.
+    assert!(!base_wanted(true, &[b], &knows_both));
+    assert!(base_wanted(true, &[b], &knows_a));
+    // (no base, {}): nothing to download — nor with a mark left behind.
+    assert!(!base_wanted(false, &[], &knows_none));
+    assert!(!base_wanted(false, &[a], &knows_none));
+}
+
 #[test]
 fn oplog_writers_converge_without_locking() {
     let set = clouds(5);
@@ -270,4 +399,171 @@ fn overdue_compaction_escalates_with_counters() {
     assert_eq!(snap.counter("meta.oplog.compact_forced"), 1);
     assert_eq!(snap.counter("meta.oplog.compact_overdue"), 1);
     assert_eq!(snap.counter("meta.oplog.compactions"), 0);
+}
+
+/// Commits `files` one by one on a plane whose λ floor of one byte
+/// makes every commit compact.
+fn commit_and_compact(
+    w: &mut OplogPlane,
+    mut current: SyncFolderImage,
+    device: &str,
+    files: std::ops::RangeInclusive<u64>,
+) -> SyncFolderImage {
+    for i in files {
+        current = commit_file(w, &current, device, &format!("f{i}.txt"), i);
+    }
+    current
+}
+
+/// (a) A poll that finds the marks it knows downloads no base.
+#[test]
+fn idle_poll_downloads_no_base() {
+    let (set, doubles) = counting_clouds(5);
+    let mut w = oplog_plane(set, "dev-w", 1, 1);
+    let image = commit_and_compact(&mut w, SyncFolderImage::new(), "dev-w", 1..=3);
+    let (reader_set, reads) = recount(&doubles);
+    let mut r = oplog_plane(reader_set, "dev-r", 10 * 1024, 2);
+    let polled = r.poll(&SyncFolderImage::new(), None).expect("poll").expect("visible");
+    assert_eq!(polled.encode(), image.encode());
+    assert_eq!(base_downloads(&reads), [1; 5], "a fresh reader reads every base once");
+    assert!(r.poll(&polled, None).expect("poll").is_none());
+    assert!(r.poll(&polled, None).expect("poll").is_none());
+    assert_eq!(base_downloads(&reads), [1; 5], "nothing new, no base read again");
+}
+
+/// (b) Another device's compaction costs each reader one base download
+/// per cloud, once — and costs the compactor the per-cloud calls the
+/// fleet model's `OPLOG_COMPACT_OPS` is set from.
+#[test]
+fn a_compaction_is_downloaded_once_per_cloud() {
+    let (set, doubles) = counting_clouds(5);
+    let mut w = oplog_plane(set, "dev-w", 1, 1);
+    let first = commit_and_compact(&mut w, SyncFolderImage::new(), "dev-w", 1..=2);
+    let (reader_set, reads) = recount(&doubles);
+    let mut r = oplog_plane(reader_set, "dev-r", 10 * 1024, 2);
+    let seen = r.poll(&SyncFolderImage::new(), None).expect("poll").expect("visible");
+    assert_eq!(seen.encode(), first.encode());
+    let before = base_downloads(&reads);
+
+    let second = commit_and_compact(&mut w, first, "dev-w", 3..=3);
+    let seen = r.poll(&seen, None).expect("poll").expect("the new file");
+    assert_eq!(seen.encode(), second.encode());
+    for _ in 0..3 {
+        assert!(r.poll(&seen, None).expect("poll").is_none());
+    }
+    let after = base_downloads(&reads);
+    for (cloud, (b, a)) in before.iter().zip(&after).enumerate() {
+        assert_eq!(a - b, 1, "cloud {cloud}: the new base, once");
+    }
+
+    // What one uncontended compaction asks of one cloud in the steady
+    // state: a previous compaction's mark in place, a new op to fold.
+    let mut x = oplog_plane(recount(&doubles).0, "dev-x", 10 * 1024, 3);
+    let third = commit_file(&mut x, &second, "dev-x", "x.txt", 4);
+    assert_eq!(w.poll(&second, None).expect("poll").expect("x's file").encode(), third.encode());
+    doubles[0].log.lock().clear();
+    assert!(w.try_compact(None));
+    let calls: Vec<&str> = doubles[0].log.lock().iter().map(|(op, _)| *op).collect();
+    assert_eq!(
+        calls,
+        [
+            "upload",   // lock file
+            "list",     // lock directory
+            "download", // stored base, re-read under the lock
+            "list",     // marks to supersede
+            "upload",   // base
+            "upload",   // base mark
+            "delete",   // lock file
+            "upload",   // own op file, trimmed
+            "delete",   // superseded mark
+        ]
+    );
+    assert_eq!(doubles[0].marks().len(), 1);
+}
+
+/// (c) A cloud rolled back to an older base, mark and op files neither
+/// regresses the fold nor is asked for its base on every pass.
+#[test]
+fn rolled_back_cloud_is_rejected_once() {
+    let (set, doubles) = counting_clouds(3);
+    let mut w = oplog_plane(set, "dev-w", 1, 1);
+    let old = commit_and_compact(&mut w, SyncFolderImage::new(), "dev-w", 1..=2);
+    let snapshot: Vec<(String, Bytes)> = doubles[0]
+        .inner
+        .list(OPLOG_DIR)
+        .expect("listed")
+        .into_iter()
+        .map(|e| {
+            let path = format!("{OPLOG_DIR}/{}", e.name);
+            let body = doubles[0].inner.download(&path).expect("readable");
+            (path, body)
+        })
+        .collect();
+    let (reader_set, reads) = recount(&doubles);
+    let mut r = oplog_plane(reader_set, "dev-r", 10 * 1024, 2);
+    let seen = r.poll(&SyncFolderImage::new(), None).expect("poll").expect("visible");
+    assert_eq!(seen.encode(), old.encode());
+    let new = commit_and_compact(&mut w, old, "dev-w", 3..=4);
+    let seen = r.poll(&seen, None).expect("poll").expect("newer files");
+    assert_eq!(seen.encode(), new.encode());
+
+    // Cloud 0 goes back in time: everything it lists is what it listed
+    // at the snapshot.
+    for e in doubles[0].inner.list(OPLOG_DIR).expect("listed") {
+        doubles[0].inner.delete(&format!("{OPLOG_DIR}/{}", e.name)).expect("deleted");
+    }
+    for (path, body) in snapshot {
+        doubles[0].inner.upload(&path, body).expect("restored");
+    }
+    let before = base_downloads(&reads);
+    for _ in 0..4 {
+        assert!(r.poll(&seen, None).expect("poll").is_none(), "the fold must not regress");
+    }
+    let after = base_downloads(&reads);
+    assert!(after[0] - before[0] <= 1, "the old base is weighed once, not every pass");
+    assert_eq!(after[1..], before[1..]);
+    let (fresh_set, _) = recount(&doubles);
+    let mut fresh = oplog_plane(fresh_set, "dev-f", 10 * 1024, 3);
+    let folded = fresh.poll(&SyncFolderImage::new(), None).expect("poll").expect("visible");
+    assert_eq!(folded.encode(), new.encode(), "a fresh reader beside it converges");
+}
+
+/// (d) A stale mark whose delete was refused is cleared by the next
+/// compaction.
+#[test]
+fn leaked_stale_mark_is_cleared_by_the_next_compaction() {
+    let (set, doubles) = counting_clouds(3);
+    let mut w = oplog_plane(set, "dev-w", 1, 1);
+    let image = commit_and_compact(&mut w, SyncFolderImage::new(), "dev-w", 1..=1);
+    *doubles[0].refuse_delete.lock() = Some("oplog/base_");
+    let image = commit_and_compact(&mut w, image, "dev-w", 2..=2);
+    assert_eq!(doubles[0].marks().len(), 2, "test premise: one mark leaked");
+    assert_eq!(doubles[1].marks().len(), 1);
+    let image = commit_and_compact(&mut w, image, "dev-w", 3..=3);
+    for (i, cloud) in doubles.iter().enumerate() {
+        assert_eq!(cloud.marks().len(), 1, "cloud {i}");
+    }
+    let mut r = oplog_plane(recount(&doubles).0, "dev-r", 10 * 1024, 2);
+    let folded = r.poll(&SyncFolderImage::new(), None).expect("poll").expect("visible");
+    assert_eq!(folded.encode(), image.encode());
+}
+
+/// (e) A base with no mark — every deployment and fixture older than
+/// the marks — folds as before: it is simply downloaded.
+#[test]
+fn unmarked_base_still_folds() {
+    let (set, doubles) = counting_clouds(3);
+    let mut w = oplog_plane(set, "dev-w", 1, 1);
+    let image = commit_and_compact(&mut w, SyncFolderImage::new(), "dev-w", 1..=3);
+    for cloud in &doubles {
+        for id in cloud.marks() {
+            cloud.inner.delete(&base_mark_path(&id)).expect("mark deleted");
+        }
+    }
+    let (reader_set, reads) = recount(&doubles);
+    let mut r = oplog_plane(reader_set, "dev-r", 10 * 1024, 2);
+    let folded = r.poll(&SyncFolderImage::new(), None).expect("poll").expect("visible");
+    assert_eq!(folded.encode(), image.encode());
+    assert!(r.poll(&folded, None).expect("poll").is_none());
+    assert_eq!(base_downloads(&reads), [2; 3], "no mark vouches for it: read on every pass");
 }

@@ -163,6 +163,30 @@ mod tests {
         }
     }
 
+    /// One whole ciphertext, produced by the bit-at-a-time DES this
+    /// crate shipped first: key and IV derivation, nonce whitening,
+    /// chaining and padding cannot drift under a faster block function.
+    #[test]
+    fn golden_ciphertext_is_pinned() {
+        let c = MetadataCipher::from_passphrase("golden passphrase");
+        let pt: Vec<u8> = (0..1024u32).map(|i| (i.wrapping_mul(31) ^ (i >> 3)) as u8).collect();
+        let ct = c.encrypt(&pt, 0x0123_4567_89AB_CDEF);
+        assert_eq!(ct.len(), 1040);
+        assert_eq!(
+            ct[..16],
+            [
+                0x5d, 0x2e, 0x97, 0xf8, 0x39, 0xa2, 0xc4, 0x55, 0x84, 0x74, 0x0f, 0x29, 0xa0,
+                0x65, 0x8d, 0x5a
+            ]
+        );
+        assert_eq!(ct[1032..], [0xf3, 0xd5, 0x8e, 0x17, 0x12, 0x3e, 0x15, 0x1b]);
+        assert_eq!(
+            Sha1::digest(&ct).to_hex(),
+            "285c90c8e5502d36a0807b2d9610232bba92ee4d"
+        );
+        assert_eq!(c.decrypt(&ct).unwrap(), pt);
+    }
+
     #[test]
     fn nonce_randomizes_ciphertext() {
         let c = MetadataCipher::from_passphrase("pw");

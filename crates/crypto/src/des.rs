@@ -96,15 +96,88 @@ const PC2: [u8; 48] = [
 const SHIFTS: [u8; 16] = [1, 1, 2, 2, 2, 2, 2, 2, 1, 2, 2, 2, 2, 2, 2, 1];
 
 /// Applies `table` (1-based source bit indices from the MSB of a
-/// `src_bits`-wide value) producing a `table.len()`-bit value.
-fn permute(value: u64, src_bits: u32, table: &[u8]) -> u64 {
+/// `src_bits`-wide value) producing a `table.len()`-bit value. One bit
+/// per step: it builds the lookup tables below and the key schedule,
+/// never a block.
+const fn permute(value: u64, src_bits: u32, table: &[u8]) -> u64 {
     let mut out = 0u64;
-    for &pos in table {
+    let mut i = 0;
+    while i < table.len() {
         out <<= 1;
-        out |= (value >> (src_bits - pos as u32)) & 1;
+        out |= (value >> (src_bits - table[i] as u32)) & 1;
+        i += 1;
     }
     out
 }
+
+/// S-box and P in one lookup: `SP[i][six]` is `P` applied to S-box
+/// `i`'s output for the 6-bit input `six`, already in the box's nibble
+/// of the 32-bit word, so a round is eight lookups XORed together.
+static SP: [[u32; 64]; 8] = {
+    let mut sp = [[0u32; 64]; 8];
+    let mut i = 0;
+    while i < 8 {
+        let mut six = 0;
+        while six < 64 {
+            let row = ((six & 0x20) >> 4) | (six & 1);
+            let col = (six >> 1) & 0xF;
+            let nibble = (SBOX[i][row * 16 + col] as u64) << (28 - 4 * i);
+            sp[i][six] = permute(nibble, 32, &P) as u32;
+            six += 1;
+        }
+        i += 1;
+    }
+    sp
+};
+
+/// A 64-bit permutation as sixteen nibble-indexed tables: entry
+/// `[nibble][v]` is where the bits of `v`, sitting in input nibble
+/// `nibble` (0 = most significant), land; a permutation is linear over
+/// OR, so the sixteen entries of a block OR to its image. (2 KiB a
+/// permutation: byte-indexed tables would halve the lookups and cost
+/// 16 KiB of cache each, which a 26 KB metadata image does not repay.)
+const fn nibble_tables(table: &[u8; 64]) -> [[u64; 16]; 16] {
+    let mut out = [[0u64; 16]; 16];
+    let mut nibble = 0;
+    while nibble < 16 {
+        let mut bit = 0;
+        while bit < 4 {
+            let lands = permute(1 << (63 - (4 * nibble + bit)), 64, table);
+            let mut v = 0;
+            while v < 16 {
+                if v & (8 >> bit) != 0 {
+                    out[nibble][v] |= lands;
+                }
+                v += 1;
+            }
+            bit += 1;
+        }
+        nibble += 1;
+    }
+    out
+}
+
+static IP_NIBBLES: [[u64; 16]; 16] = nibble_tables(&IP);
+static FP_NIBBLES: [[u64; 16]; 16] = nibble_tables(&FP);
+
+fn spread_nibbles(tables: &[[u64; 16]; 16], block: u64) -> u64 {
+    let mut out = 0u64;
+    for (i, table) in tables.iter().enumerate() {
+        out |= table[(block >> (60 - 4 * i)) as usize & 0xF];
+    }
+    out
+}
+
+// `feistel` reads E as what it is — a 6-bit window sliding 4 bits at
+// a time over the half-block, wrapping at both ends — instead of
+// through a table. Hold the FIPS table to that.
+const _: () = {
+    let mut i = 0;
+    while i < 48 {
+        assert!(E[i] as usize == (4 * (i / 6) + i % 6 + 31) % 32 + 1);
+        i += 1;
+    }
+};
 
 /// The DES block cipher with a fixed key schedule.
 ///
@@ -120,7 +193,10 @@ fn permute(value: u64, src_bits: u32, table: &[u8]) -> u64 {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Des {
-    round_keys: [u64; 16],
+    /// Per round, the 48-bit key as `feistel` consumes it: the four
+    /// even 6-bit groups in `[0]`, the four odd ones in `[1]`, each
+    /// group at the top of its byte.
+    round_keys: [[u32; 2]; 16],
 }
 
 impl Des {
@@ -131,44 +207,49 @@ impl Des {
         let pc1 = permute(key64, 64, &PC1); // 56 bits
         let mut c = (pc1 >> 28) & 0x0FFF_FFFF;
         let mut d = pc1 & 0x0FFF_FFFF;
-        let mut round_keys = [0u64; 16];
-        for (i, &shift) in SHIFTS.iter().enumerate() {
+        let mut round_keys = [[0u32; 2]; 16];
+        for (halves, &shift) in round_keys.iter_mut().zip(&SHIFTS) {
             c = ((c << shift) | (c >> (28 - shift as u32))) & 0x0FFF_FFFF;
             d = ((d << shift) | (d >> (28 - shift as u32))) & 0x0FFF_FFFF;
-            round_keys[i] = permute((c << 28) | d, 56, &PC2); // 48 bits
+            let key48 = permute((c << 28) | d, 56, &PC2);
+            for i in 0..8 {
+                halves[i % 2] |= ((key48 >> (42 - 6 * i)) as u32 & 0x3F) << (26 - 8 * (i / 2));
+            }
         }
         Des { round_keys }
     }
 
-    fn feistel(half: u32, round_key: u64) -> u32 {
-        let expanded = permute(half as u64, 32, &E) ^ round_key; // 48 bits
+    fn feistel(half: u32, round_key: &[u32; 2]) -> u32 {
+        // E's neighbouring groups share two bits of the half-block but
+        // every other group shares none: rotated so that group 0
+        // (bits 32, 1..=5) or group 1 (bits 4..=9) leads, the half-block
+        // holds four whole groups, one at the top of each byte.
+        let keyed = [
+            half.rotate_right(1) ^ round_key[0],
+            half.rotate_left(3) ^ round_key[1],
+        ];
         let mut out = 0u32;
-        for (box_idx, sbox) in SBOX.iter().enumerate() {
-            let six = ((expanded >> (42 - 6 * box_idx)) & 0x3F) as usize;
-            let row = ((six & 0x20) >> 4) | (six & 1);
-            let col = (six >> 1) & 0xF;
-            out = (out << 4) | sbox[row * 16 + col] as u32;
+        for (i, sp) in SP.iter().enumerate() {
+            out ^= sp[(keyed[i % 2] >> (26 - 8 * (i / 2))) as usize & 0x3F];
         }
-        permute(out as u64, 32, &P) as u32
+        out
     }
 
     fn crypt(&self, block: [u8; 8], decrypt: bool) -> [u8; 8] {
-        let permuted = permute(u64::from_be_bytes(block), 64, &IP);
+        let permuted = spread_nibbles(&IP_NIBBLES, u64::from_be_bytes(block));
         let mut left = (permuted >> 32) as u32;
         let mut right = permuted as u32;
-        for round in 0..16 {
-            let rk = if decrypt {
-                self.round_keys[15 - round]
-            } else {
-                self.round_keys[round]
-            };
-            let next_right = left ^ Self::feistel(right, rk);
-            left = right;
-            right = next_right;
+        let mut round = |round_key: &[u32; 2]| {
+            (left, right) = (right, left ^ Self::feistel(right, round_key));
+        };
+        if decrypt {
+            self.round_keys.iter().rev().for_each(&mut round);
+        } else {
+            self.round_keys.iter().for_each(&mut round);
         }
         // Note the halves swap before the final permutation.
         let preoutput = ((right as u64) << 32) | left as u64;
-        permute(preoutput, 64, &FP).to_be_bytes()
+        spread_nibbles(&FP_NIBBLES, preoutput).to_be_bytes()
     }
 
     /// Encrypts one 64-bit block.
@@ -185,6 +266,61 @@ impl Des {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unidrive_sim::SimRng;
+
+    /// FIPS 46-3 read literally, one bit at a time through the tables:
+    /// the cipher this file shipped before the lookup tables, kept as
+    /// the oracle they are checked against.
+    fn reference_crypt(key: [u8; 8], block: [u8; 8], decrypt: bool) -> [u8; 8] {
+        let pc1 = permute(u64::from_be_bytes(key), 64, &PC1);
+        let mut c = (pc1 >> 28) & 0x0FFF_FFFF;
+        let mut d = pc1 & 0x0FFF_FFFF;
+        let mut round_keys = [0u64; 16];
+        for (i, &shift) in SHIFTS.iter().enumerate() {
+            c = ((c << shift) | (c >> (28 - shift as u32))) & 0x0FFF_FFFF;
+            d = ((d << shift) | (d >> (28 - shift as u32))) & 0x0FFF_FFFF;
+            round_keys[i] = permute((c << 28) | d, 56, &PC2);
+        }
+        let permuted = permute(u64::from_be_bytes(block), 64, &IP);
+        let mut left = (permuted >> 32) as u32;
+        let mut right = permuted as u32;
+        for round in 0..16 {
+            let rk = round_keys[if decrypt { 15 - round } else { round }];
+            let expanded = permute(right as u64, 32, &E) ^ rk;
+            let mut out = 0u32;
+            for (box_idx, sbox) in SBOX.iter().enumerate() {
+                let six = ((expanded >> (42 - 6 * box_idx)) & 0x3F) as usize;
+                let row = ((six & 0x20) >> 4) | (six & 1);
+                let col = (six >> 1) & 0xF;
+                out = (out << 4) | sbox[row * 16 + col] as u32;
+            }
+            let next_right = left ^ permute(out as u64, 32, &P) as u32;
+            left = right;
+            right = next_right;
+        }
+        let preoutput = ((right as u64) << 32) | left as u64;
+        permute(preoutput, 64, &FP).to_be_bytes()
+    }
+
+    #[test]
+    fn tables_match_the_bitwise_reference() {
+        let mut rng = SimRng::seed_from_u64(0xDE5_7AB1E);
+        let mut cases = vec![([0u8; 8], [0u8; 8]), ([0xFF; 8], [0xFF; 8])];
+        cases.extend((0..10_000).map(|_| (rng.next_u64().to_be_bytes(), rng.next_u64().to_be_bytes())));
+        for (key, block) in cases {
+            let des = Des::new(key);
+            assert_eq!(
+                des.encrypt_block(block),
+                reference_crypt(key, block, false),
+                "encrypt, key {key:02x?} block {block:02x?}"
+            );
+            assert_eq!(
+                des.decrypt_block(block),
+                reference_crypt(key, block, true),
+                "decrypt, key {key:02x?} block {block:02x?}"
+            );
+        }
+    }
 
     #[test]
     fn classic_walkthrough_vector() {

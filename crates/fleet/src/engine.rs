@@ -79,8 +79,12 @@ const OP_CHUNK_BYTES: u64 = 256 * 1024;
 const LOCK_OPS: u64 = 2;
 /// Oplog commit cost: one append (full-replace upload) per cloud.
 const OPLOG_APPEND_OPS: u64 = 1;
-/// Oplog compaction cost per cloud: lock file + base upload + trim.
-const OPLOG_COMPACT_OPS: u64 = 3;
+/// Oplog compaction cost per cloud, as `unidrive-core`'s test
+/// `a_compaction_is_downloaded_once_per_cloud` counts the calls of one
+/// uncontended compaction: lock file upload, lock-directory list, base
+/// re-read, mark list, base upload, base-mark upload, lock file
+/// delete, op-file trim, superseded-mark delete.
+const OPLOG_COMPACT_OPS: u64 = 9;
 /// λ threshold in op count: a folder's accumulated ops trigger a base
 /// compaction (the analytic mirror of `delta_ratio`/`delta_floor`).
 const OPLOG_COMPACT_EVERY: u64 = 64;

@@ -5,6 +5,37 @@
 //! dedicated lock directory (footnote 3: a separate directory keeps
 //! `list` traffic small), and the erasure-coded blocks named by segment
 //! hash and block index.
+//!
+//! # The oplog directory
+//!
+//! [`OPLOG_DIR`] holds three kinds of object: one op file per device
+//! (`ops_<device>`, [`op_file_path`]), the compacted base
+//! ([`OPLOG_BASE_PATH`], rewritten in place under the quorum lock) and
+//! empty *base marks* (`base_<sha1>`, [`base_mark_path`]) — the lock
+//! file's idiom, a datum in a file name. A compaction follows each
+//! cloud's base upload with a mark named by SHA-1 of the base
+//! *plaintext*, then deletes the marks it found there; a cloud acks
+//! only when base and mark both landed. A reader lists the directory on
+//! every pass anyway, so the marks tell it which base a cloud holds
+//! before it pays for the download, and it skips the download when
+//! every mark names a base it has itself decrypted and decoded (a name
+//! it merely saw is never trusted). Per cloud, with `A` the older base
+//! and `B` the newer:
+//!
+//! | `base` holds | marks | reader has decoded | download? |
+//! |---|---|---|---|
+//! | A | {A} | A | no |
+//! | B, mark not yet up | {A} | A | no — this cloud has not acked B; one that has shows {A,B} or {B} |
+//! | B | {A,B} | A | yes (B unknown); afterwards no |
+//! | B | {B} | A | yes; afterwards no |
+//! | B, mark lost or never written | {} | anything | yes, every pass |
+//! | torn | {B} | B | no; with B unknown, yes, and it fails to decode |
+//! | absent | {} | anything | no |
+//!
+//! Every confusion costs a download, never skips one a quorum-acked
+//! compaction depends on: an acked cloud lists the new base's mark.
+
+use unidrive_crypto::Digest;
 
 use crate::SegmentId;
 
@@ -37,6 +68,9 @@ pub const OPLOG_BASE_PATH: &str = "unidrive/oplog/base";
 
 /// Prefix of per-device op files inside [`OPLOG_DIR`].
 pub const OP_FILE_PREFIX: &str = "ops_";
+
+/// Prefix of base marks inside [`OPLOG_DIR`] (see the module doc).
+const BASE_MARK_PREFIX: &str = "base_";
 
 /// Cloud path of one erasure-coded block: the segment id concatenated
 /// with the block's sequence number (paper §5.1).
@@ -87,6 +121,24 @@ pub fn parse_op_file_name(name: &str) -> Option<&str> {
         return None;
     }
     Some(device)
+}
+
+/// Full cloud path of the mark saying "the base stored here is the
+/// one whose plaintext hashes to `id`".
+pub fn base_mark_path(id: &Digest) -> String {
+    format!("{OPLOG_DIR}/{BASE_MARK_PREFIX}{}", id.to_hex())
+}
+
+/// Parses a base mark's name back into the base id.
+///
+/// Returns `None` for files that are not base marks (the base itself
+/// included).
+pub fn parse_base_mark_name(name: &str) -> Option<Digest> {
+    let hex = name.strip_prefix(BASE_MARK_PREFIX)?;
+    if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return None;
+    }
+    Digest::from_hex(hex)
 }
 
 /// Parses a lock file name back into `(device, t)`.
@@ -153,6 +205,26 @@ mod tests {
         let name = op_file_name("my_home_pc");
         assert_eq!(parse_op_file_name(&name), Some("my_home_pc"));
         assert_eq!(op_file_path("d"), "unidrive/oplog/ops_d");
+    }
+
+    #[test]
+    fn base_mark_round_trip() {
+        let id = Sha1::digest(b"base plaintext");
+        let path = base_mark_path(&id);
+        let name = path.strip_prefix("unidrive/oplog/").expect("inside the oplog dir");
+        assert_eq!(parse_base_mark_name(name), Some(id));
+        assert_eq!(parse_op_file_name(name), None);
+    }
+
+    #[test]
+    fn non_base_mark_names_rejected() {
+        assert_eq!(parse_base_mark_name("base"), None);
+        assert_eq!(parse_base_mark_name("base_"), None);
+        assert_eq!(parse_base_mark_name("base_1234"), None);
+        assert_eq!(parse_base_mark_name("ops_base_0"), None);
+        // 40 bytes after the prefix, but not 40 hex digits.
+        assert_eq!(parse_base_mark_name(&format!("base_+{}", "a".repeat(39))), None);
+        assert_eq!(parse_base_mark_name(&format!("base_{}é", "a".repeat(38))), None);
     }
 
     #[test]
