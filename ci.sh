@@ -62,15 +62,17 @@ else
     echo "    clippy not installed; skipped"
 fi
 
-echo "==> one trace, one artefact, one reader, one per-cloud estimator, one figures binary: the retired names stay retired"
+echo "==> one trace, one artefact, one reader, one per-cloud estimator, one figures binary, one cost statement: the retired names stay retired"
 # The typed Event ring, the three per-format flags, the second report
 # binary and the streaming health scoreboard (cloud health is a
 # function `obs_report` computes from the series) must not creep back;
 # nor the oplog plane's delta-append fork and the capabilities nobody
 # read, nor the experiment runner that re-entered binaries and the
-# second argument reader.
+# second argument reader, nor the fleet's restated lock tunables and
+# guessed call counts (`unidrive_meta::{LockConfig, PROTOCOL_COSTS}`
+# are the one statement).
 # (The bracketed letters keep this line from matching itself.)
-if grep -rnE '\bEvent::|Traced[E]vent|--metrics-[o]ut|--trace-[o]ut|--series-[o]ut|trace_[r]eport|Health[T]racker|Health[B]oard|Cloud[H]ealth|Health[C]onfig|to_json_with_[h]ealth|unidrive-[h]ealth/v1|native_[a]ppend|supports_conditional_[p]ut|max_object_[b]ytes|run_[a]ll|meta_mode_from_[a]rgs' \
+if grep -rnE '\bEvent::|Traced[E]vent|--metrics-[o]ut|--trace-[o]ut|--series-[o]ut|trace_[r]eport|Health[T]racker|Health[B]oard|Cloud[H]ealth|Health[C]onfig|to_json_with_[h]ealth|unidrive-[h]ealth/v1|native_[a]ppend|supports_conditional_[p]ut|max_object_[b]ytes|run_[a]ll|meta_mode_from_[a]rgs|FleetLock[P]arams|LOCK_[O]PS|OPLOG_APPEND_[O]PS|OPLOG_COMPACT_[O]PS' \
     crates src tests examples ci.sh; then
     echo "    retired name found (see matches above)"
     exit 1
@@ -192,6 +194,23 @@ echo "==> fleet series: byte-identical across shard/thread layouts + one lane pe
 # attempt/error series from which one lane per cloud derives.
 cmp "$out/fs1.json" "$out/fs2.json"
 ./target/release/obs_report --validate "$out/fs1.json" | grep "5 health lanes"
+
+echo "==> fleet bench, oplog mode + full mode: byte-identical across layouts and to both checked-in documents"
+# The oplog mode charges a different protocol (appends priced by the op
+# files each listing shows, λ compactions): the same determinism and
+# schema gates as the lock mode. Then the fleet's analogue of the
+# BENCH_oplog.json gate (a few seconds of wall clock per mode): a change
+# to the cost statement, the lock defaults or the fleet's model moves a
+# number, and a PR that means to regenerates BENCH_fleet.json and
+# BENCH_fleet_oplog.json.
+./target/release/bench_fleet quick --meta-mode oplog --out "$out/fo1.json" >/dev/null
+./target/release/bench_fleet quick --meta-mode oplog --shards 3 --threads 2 --out "$out/fo2.json" >/dev/null
+cmp "$out/fo1.json" "$out/fo2.json"
+./target/release/bench_compare --validate "$out/fo1.json"
+./target/release/bench_fleet --out "$out/f_full.json" >/dev/null
+cmp "$out/f_full.json" BENCH_fleet.json
+./target/release/bench_fleet --meta-mode oplog --out "$out/fo_full.json" >/dev/null
+cmp "$out/fo_full.json" BENCH_fleet_oplog.json
 
 echo "==> oplog bench: N-writer scaling shape + schema + byte-identical"
 # The metadata-plane headline: on a hot shared folder, oplog commits

@@ -626,6 +626,7 @@ mod tests {
     const KERNELS: &str = include_str!("../../../../BENCH_kernels.json");
     const OPLOG: &str = include_str!("../../../../BENCH_oplog.json");
     const FLEET: &str = include_str!("../../../../BENCH_fleet.json");
+    const FLEET_OPLOG: &str = include_str!("../../../../BENCH_fleet_oplog.json");
 
     /// The node at `path` (object keys and array indices).
     fn node<'a>(doc: &'a mut Json, path: &[&str]) -> &'a mut Json {
@@ -821,75 +822,78 @@ mod tests {
 
     #[test]
     fn fleet_validator_accepts_the_report_and_names_each_defect() {
-        run_table(
-            FLEET,
-            "bench_fleet",
-            &[
-                (
-                    "missing top-level key",
-                    |d| remove(d, &[], "run"),
-                    "$: missing key `run`",
-                ),
-                (
-                    "extra top-level key",
-                    |d| insert(d, &[], "extra"),
-                    "$: unexpected key `extra`",
-                ),
-                (
-                    "a failed invariant",
-                    |d| set(d, &["invariants", "1", "pass"], Json::Bool(false)),
-                    "invariants[1] (no_lost_acks): violates pass == true",
-                ),
-                (
-                    "a missing histogram",
-                    |d| remove(d, &["hist"], "lock_wait_ns"),
-                    "hist: missing key `lock_wait_ns`",
-                ),
-                (
-                    "an empty histogram",
-                    |d| set(d, &["hist", "lock_rounds", "count"], Json::Num(0.0)),
-                    "hist.lock_rounds: violates count > 0",
-                ),
-                (
-                    "quantiles out of order",
-                    |d| set(d, &["hist", "sync_latency_ns", "p50"], Json::Num(1e18)),
-                    "hist.sync_latency_ns: violates p50 <= p95",
-                ),
-                (
-                    "a missing cloud",
-                    |d| {
-                        let Json::Arr(clouds) = node(d, &["clouds"]) else {
-                            panic!()
-                        };
-                        clouds.pop();
-                    },
-                    "clouds: violates 5 clouds",
-                ),
-                (
-                    "ops that do not add up",
-                    |d| set(d, &["clouds", "2", "ops"], Json::Num(1.0)),
-                    "clouds[2]: violates ops == lock_ops + transfer_ops",
-                ),
-                (
-                    "a session that never completed",
-                    |d| set(d, &["counters", "sessions.completed"], Json::Num(1.0)),
-                    "counters: violates sessions.started == sessions.completed",
-                ),
-                (
-                    "no session at all",
-                    |d| {
-                        set(d, &["counters", "sessions.started"], Json::Num(0.0));
-                        set(d, &["counters", "sessions.completed"], Json::Num(0.0));
-                    },
-                    "counters: violates sessions.completed > 0",
-                ),
-                (
-                    "a counter dropped from the schema",
-                    |d| remove(d, &["counters"], "lock.starved"),
-                    "counters: missing key `lock.starved`",
-                ),
-            ],
-        );
+        // Both checked-in documents: lock mode and oplog mode.
+        for doc in [FLEET, FLEET_OPLOG] {
+            run_table(
+                doc,
+                "bench_fleet",
+                &[
+                    (
+                        "missing top-level key",
+                        |d| remove(d, &[], "run"),
+                        "$: missing key `run`",
+                    ),
+                    (
+                        "extra top-level key",
+                        |d| insert(d, &[], "extra"),
+                        "$: unexpected key `extra`",
+                    ),
+                    (
+                        "a failed invariant",
+                        |d| set(d, &["invariants", "1", "pass"], Json::Bool(false)),
+                        "invariants[1] (no_lost_acks): violates pass == true",
+                    ),
+                    (
+                        "a missing histogram",
+                        |d| remove(d, &["hist"], "lock_wait_ns"),
+                        "hist: missing key `lock_wait_ns`",
+                    ),
+                    (
+                        "an empty histogram",
+                        |d| set(d, &["hist", "lock_rounds", "count"], Json::Num(0.0)),
+                        "hist.lock_rounds: violates count > 0",
+                    ),
+                    (
+                        "quantiles out of order",
+                        |d| set(d, &["hist", "sync_latency_ns", "p50"], Json::Num(1e18)),
+                        "hist.sync_latency_ns: violates p50 <= p95",
+                    ),
+                    (
+                        "a missing cloud",
+                        |d| {
+                            let Json::Arr(clouds) = node(d, &["clouds"]) else {
+                                panic!()
+                            };
+                            clouds.pop();
+                        },
+                        "clouds: violates 5 clouds",
+                    ),
+                    (
+                        "ops that do not add up",
+                        |d| set(d, &["clouds", "2", "ops"], Json::Num(1.0)),
+                        "clouds[2]: violates ops == lock_ops + transfer_ops",
+                    ),
+                    (
+                        "a session that never completed",
+                        |d| set(d, &["counters", "sessions.completed"], Json::Num(1.0)),
+                        "counters: violates sessions.started == sessions.completed",
+                    ),
+                    (
+                        "no session at all",
+                        |d| {
+                            set(d, &["counters", "sessions.started"], Json::Num(0.0));
+                            set(d, &["counters", "sessions.completed"], Json::Num(0.0));
+                        },
+                        "counters: violates sessions.completed > 0",
+                    ),
+                    (
+                        "a counter dropped from the schema",
+                        |d| remove(d, &["counters"], "lock.starved"),
+                        "counters: missing key `lock.starved`",
+                    ),
+                ],
+            );
+        }
     }
 
     /// Before validation-first, a renamed column compared as 0 vs 0 and

@@ -18,8 +18,8 @@ use std::time::Duration;
 use unidrive_util::bytes::Bytes;
 use unidrive_cloud::CloudSet;
 use unidrive_meta::{
-    merge3, BlockRef, MetaMode, MetaPlane, PlaneError, SegmentId, Snapshot, SyncFolderImage,
-    VersionStamp,
+    merge3, BlockRef, LockConfig, MetaMode, MetaPlane, PlaneError, SegmentId, Snapshot,
+    SyncFolderImage, VersionStamp,
 };
 use unidrive_obs::SpanId;
 use unidrive_sim::{Runtime, SimRng};
@@ -27,7 +27,6 @@ use unidrive_sim::{Runtime, SimRng};
 use crate::dataplane::{DataPlane, LocalBase, UploadRequest};
 use crate::upload::{BlockSink, UploadOptions};
 use crate::folder::{LocalChange, LocalStat, SyncFolder};
-use crate::lock::LockConfig;
 use crate::lock_plane::LockPlane;
 use crate::oplog_plane::OplogPlane;
 use crate::plan::DataPlaneConfig;

@@ -110,19 +110,17 @@ impl MetadataStore {
         best
     }
 
-    /// Fetches the newest readable metadata. `None` means a fresh
-    /// multi-cloud (no committed metadata anywhere).
+    /// Fetches metadata at least as new as `target`, the stamp the
+    /// caller's own [`read_version`](Self::read_version) returned (under
+    /// the lock, the stamp read under the lock) — read once, not again
+    /// here.
     ///
     /// # Errors
     ///
-    /// [`PlaneError::Unreadable`] if versions exist but no cloud serves a
-    /// consistent copy.
-    pub(crate) fn read_remote(&mut self) -> Result<Option<RemoteState>, PlaneError> {
-        let Some(target) = self.read_version() else {
-            return Ok(None);
-        };
-        // Prefer clouds advertising the target version, but fall back to
-        // any cloud: stale copies lose to the version check below.
+    /// [`PlaneError::Unreadable`] if no cloud serves a consistent copy.
+    pub(crate) fn read_remote(&mut self, target: &VersionStamp) -> Result<RemoteState, PlaneError> {
+        // Any cloud may serve it: stale copies lose to the version
+        // check below.
         for (_, cloud) in self.clouds.iter() {
             // Delta first: it names the base it extends, and that base
             // is usually the one already held. Only a cloud that says
@@ -172,7 +170,7 @@ impl MetadataStore {
                 continue; // torn read: delta belongs to another base
             }
             delta.apply_to(&mut image);
-            if image.version != target && newer(&target, &image.version) {
+            if image.version != *target && newer(target, &image.version) {
                 continue; // stale copy
             }
             // Only a base that served an accepted read replaces the held
@@ -181,11 +179,11 @@ impl MetadataStore {
                 self.held_base = downloaded;
             }
             let base_bytes = self.held_base.as_ref().map_or(0, |held| held.stored_bytes);
-            return Ok(Some(RemoteState {
+            return Ok(RemoteState {
                 image,
                 delta,
                 base_bytes,
-            }));
+            });
         }
         Err(PlaneError::Unreadable)
     }
@@ -281,6 +279,12 @@ mod tests {
         )
     }
 
+    /// A reader's whole read: the newest stamp, then metadata up to it.
+    fn read(s: &mut MetadataStore) -> RemoteState {
+        let target = s.read_version().expect("committed metadata");
+        s.read_remote(&target).expect("readable")
+    }
+
     fn sample_image(counter: u64) -> SyncFolderImage {
         let mut img = SyncFolderImage::new();
         let seg = SegmentId(Sha1::digest(b"content"));
@@ -299,9 +303,7 @@ mod tests {
 
     #[test]
     fn fresh_multicloud_reads_none() {
-        let mut s = store(clouds(3));
-        assert_eq!(s.read_version(), None);
-        assert!(s.read_remote().unwrap().is_none());
+        assert_eq!(store(clouds(3)).read_version(), None);
     }
 
     #[test]
@@ -310,7 +312,7 @@ mod tests {
         let image = sample_image(1);
         let delta = DeltaLog::new(image.version.clone());
         s.write_remote(Some(&image), &delta, &image.version).unwrap();
-        let remote = s.read_remote().unwrap().unwrap();
+        let remote = read(&mut s);
         assert_eq!(remote.image, image);
         assert_eq!(s.read_version().unwrap(), image.version);
     }
@@ -322,7 +324,7 @@ mod tests {
         let mut delta = DeltaLog::new(base.version.clone());
         append_commit(&mut delta, 2);
         s.write_remote(Some(&base), &delta, &stamp(2)).unwrap();
-        let remote = s.read_remote().unwrap().unwrap();
+        let remote = read(&mut s);
         assert_eq!(remote.image.version, stamp(2));
         assert!(remote.image.file("f.txt").is_none());
     }
@@ -359,12 +361,12 @@ mod tests {
         let base = sample_image(1);
         let mut delta = DeltaLog::new(base.version.clone());
         writer.write_remote(Some(&base), &delta, &base.version).unwrap();
-        assert_eq!(reader.read_remote().unwrap().unwrap().image, base);
+        assert_eq!(read(&mut reader).image, base);
         assert_eq!(base_reads(), 1);
 
         append_commit(&mut delta, 2);
         writer.write_remote(None, &delta, &stamp(2)).unwrap();
-        let remote = reader.read_remote().unwrap().unwrap();
+        let remote = read(&mut reader);
         assert_eq!(remote.image.version, stamp(2));
         assert!(remote.image.file("f.txt").is_none());
         assert_eq!(base_reads(), 1, "the delta names the held base");
@@ -377,7 +379,7 @@ mod tests {
         assert_eq!(stored, Some(set.get(unidrive_cloud::CloudId(0)).download(BASE_PATH).unwrap().len()));
         append_commit(&mut delta, 4);
         writer.write_remote(None, &delta, &stamp(4)).unwrap();
-        assert_eq!(reader.read_remote().unwrap().unwrap().image.version, stamp(4));
+        assert_eq!(read(&mut reader).image.version, stamp(4));
         assert_eq!(base_reads(), 1, "its own compaction is not read back");
     }
 
@@ -399,7 +401,7 @@ mod tests {
         });
         let others = [1, 2].map(|i| Arc::clone(set.get(unidrive_cloud::CloudId(i))));
         let (reader_set, reads) = counted(std::iter::once(failing).chain(others));
-        let remote = store(reader_set).read_remote().unwrap().unwrap();
+        let remote = read(&mut store(reader_set));
         assert_eq!(remote.image.version, stamp(2));
         assert_eq!(reads[0].downloads_of(DELTA_PATH), 1);
         assert_eq!(reads[0].downloads_of(BASE_PATH), 0, "no base read for a delta that never came");
@@ -425,7 +427,8 @@ mod tests {
             "wrong",
             RetryPolicy::no_retries(),
         );
-        assert_eq!(wrong.read_remote().unwrap_err(), PlaneError::Unreadable);
+        let target = wrong.read_version().expect("version files are plaintext");
+        assert_eq!(wrong.read_remote(&target).unwrap_err(), PlaneError::Unreadable);
     }
 
     #[test]
@@ -446,7 +449,7 @@ mod tests {
         let mut s_partial = store(partial);
         s_partial.write_remote(Some(&v2), &d2, &v2.version).unwrap();
         // A reader over all three clouds must see v2.
-        let remote = s.read_remote().unwrap().unwrap();
+        let remote = read(&mut s);
         assert_eq!(remote.image.version.counter, 2);
     }
 

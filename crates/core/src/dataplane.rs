@@ -104,7 +104,6 @@ impl DataPlane {
             config.obs.clone(),
         );
         engine.probe = Some(Arc::clone(&probe));
-        engine.watchdog = config.watchdog.clone();
         let ingest_pool = WorkerPool::new(config.ingest_threads);
         DataPlane {
             rt,

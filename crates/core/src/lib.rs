@@ -61,7 +61,7 @@ pub use engine::{
     run_batch, EngineParams, JobDesc, TransferEngine, TransferPolicy, WatchdogConfig, WireOp,
 };
 pub use folder::{DirFolder, FolderError, LocalChange, LocalStat, MemFolder, SyncFolder};
-pub use lock::{LockConfig, LockGuard, QuorumLock};
+pub use lock::{LockGuard, QuorumLock};
 pub use lock_plane::LockPlane;
 pub use maintenance::{trim_overprovisioned, trim_plan};
 pub use oplog_plane::OplogPlane;
@@ -69,4 +69,5 @@ pub use plan::{s3_cloud_set, DataPlaneConfig};
 pub use probe::BandwidthProbe;
 pub use rebalance::{add_cloud, remove_cloud, RebalanceError, RebalanceOutcome};
 pub use static_plan::StaticPlan;
+pub use unidrive_meta::LockConfig;
 pub use upload::{BlockSink, FileUploadResult, UploadOptions, UploadReport};

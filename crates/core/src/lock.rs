@@ -22,43 +22,11 @@ use std::time::Duration;
 use unidrive_util::bytes::Bytes;
 use unidrive_util::sync::Mutex;
 use unidrive_cloud::CloudSet;
-use unidrive_meta::{lock_file_name, parse_lock_name, PlaneError, LOCK_DIR};
+use unidrive_meta::{lock_file_name, parse_lock_name, LockConfig, PlaneError, LOCK_DIR};
 use unidrive_obs::{FieldValue, Obs, SpanId};
 use unidrive_sim::{Runtime, SimRng, Time};
 
 use crate::quorum;
-
-/// Tunables of the lock protocol.
-#[derive(Debug, Clone)]
-pub struct LockConfig {
-    /// Give up after this many failed acquisition rounds.
-    pub max_attempts: u32,
-    /// Base of the random backoff between rounds.
-    pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_max: Duration,
-    /// ΔT: a foreign lock seen unrefreshed for this long is broken.
-    pub stale_after: Duration,
-    /// Bounded-wait audit: once an acquire has waited this long across
-    /// losing rounds it is flagged as starved (`lock.starved` counter,
-    /// `starved` span attribute) — at fleet scale the randomized
-    /// backoff is unfair, and a device spinning on a hot folder must
-    /// not do so unobserved.
-    pub starvation_audit: Duration,
-}
-
-impl Default for LockConfig {
-    fn default() -> Self {
-        LockConfig {
-            max_attempts: 12,
-            backoff_base: Duration::from_millis(500),
-            backoff_max: Duration::from_secs(15),
-            // The paper's example ΔT = 120 s.
-            stale_after: Duration::from_secs(120),
-            starvation_audit: Duration::from_secs(30),
-        }
-    }
-}
 
 /// The metadata lock over a user's multi-cloud.
 pub struct QuorumLock {
@@ -171,11 +139,7 @@ impl QuorumLock {
                         ]
                     });
                     self.withdraw(&lock_name);
-                    let cap = self
-                        .config
-                        .backoff_max
-                        .min(self.config.backoff_base * 2u32.saturating_pow(attempt));
-                    let nanos = cap.as_nanos().max(1) as u64;
+                    let nanos = self.config.backoff_cap(attempt).as_nanos().max(1) as u64;
                     let wait = Duration::from_nanos(self.rng.lock().below(nanos));
                     self.rt.sleep(wait);
                     // Bounded-wait audit: flag (once) a device that has
@@ -586,6 +550,38 @@ mod tests {
             acquire.attr("starved"),
             Some(&unidrive_obs::FieldValue::B(true))
         );
+    }
+
+    /// A lost round, counted on one cloud: the round, then
+    /// `PROTOCOL_COSTS.lock_withdraw` calls.
+    #[test]
+    fn a_lost_round_costs_a_round_and_a_withdraw() {
+        let sim = SimRuntime::new(16);
+        let inner = mem_clouds(5);
+        for (_, c) in inner.iter() {
+            c.upload(
+                &format!("{LOCK_DIR}/{}", lock_file_name("holder", 1)),
+                unidrive_util::bytes::Bytes::new(),
+            )
+            .unwrap();
+        }
+        let (clouds, doubles) =
+            crate::oplog_plane::tests::counted(inner.iter().map(|(_, c)| Arc::clone(c)));
+        let config = LockConfig {
+            max_attempts: 1,
+            stale_after: Duration::from_secs(100_000),
+            ..LockConfig::default()
+        };
+        let rng = SimRng::seed_from_u64(17);
+        let lock = QuorumLock::new(sim.as_runtime(), clouds, "dev-a", config, rng);
+        assert!(matches!(
+            lock.acquire(None).unwrap_err(),
+            PlaneError::Contended { attempts: 1 }
+        ));
+        let calls = doubles[0].calls();
+        assert_eq!(calls, ["upload", "list", "delete"]);
+        let c = unidrive_meta::PROTOCOL_COSTS;
+        assert_eq!(calls.len() as u64, c.lock_round + c.lock_withdraw);
     }
 
     #[test]

@@ -81,16 +81,13 @@ impl MetaPlane for LockPlane {
             return Ok(None);
         }
         read_span.attr_bool("cached", false);
-        let remote = self.store.read_remote();
+        let remote = self.store.read_remote(&version);
         read_span.end();
-        let Some(RemoteState {
+        let RemoteState {
             image,
             delta,
             base_bytes,
-        }) = remote?
-        else {
-            return Ok(None);
-        };
+        } = remote?;
         self.cached = Some((delta, base_bytes));
         Ok(Some(image))
     }
@@ -108,18 +105,20 @@ impl MetaPlane for LockPlane {
         // skipped entirely (the point of the version-file design, §5.2).
         let mut read_span = self.obs.span("meta.read", round);
         read_span.attr_str("device", self.device.as_str());
-        let version_now = self.store.read_version();
-        let unchanged = version_now.as_ref().is_none_or(|v| *v == current.version);
-        let remote = if unchanged {
-            read_span.attr_bool("cached", true);
-            self.cached.clone().map(|(delta, base_bytes)| RemoteState {
-                image: current.clone(),
-                delta,
-                base_bytes,
-            })
-        } else {
-            read_span.attr_bool("cached", false);
-            self.store.read_remote()?
+        // The stamp read under the lock is the one to read up to.
+        let remote = match self.store.read_version().filter(|v| *v != current.version) {
+            None => {
+                read_span.attr_bool("cached", true);
+                self.cached.clone().map(|(delta, base_bytes)| RemoteState {
+                    image: current.clone(),
+                    delta,
+                    base_bytes,
+                })
+            }
+            Some(target) => {
+                read_span.attr_bool("cached", false);
+                Some(self.store.read_remote(&target)?)
+            }
         };
         read_span.end();
         let Some((to_commit, stamp)) = build(remote.as_ref().map(|s| &s.image)) else {
@@ -164,9 +163,10 @@ impl MetaPlane for LockPlane {
 pub(crate) mod tests {
     use super::*;
     use crate::client::build_plane;
+    use crate::oplog_plane::tests::counted;
     use unidrive_cloud::{CloudStore, MemCloud, RetryPolicy};
     use unidrive_crypto::Sha1;
-    use unidrive_meta::{Snapshot, VersionStamp};
+    use unidrive_meta::{Snapshot, VersionStamp, PROTOCOL_COSTS, VERSION_PATH};
     use unidrive_sim::RealRuntime;
 
     // The helpers below are shared with the oplog plane's tests.
@@ -254,5 +254,56 @@ pub(crate) mod tests {
             // A second poll from the new state is a no-op.
             assert!(reader.poll(&polled, None).expect("poll").is_none());
         }
+    }
+
+    /// A commit under a won lock, counted on one cloud: the round, then
+    /// `PROTOCOL_COSTS.lock_commit` calls.
+    #[test]
+    fn a_won_commit_costs_a_round_and_a_commit() {
+        let (set, doubles) = counted(clouds(3).iter().map(|(_, c)| Arc::clone(c)));
+        let mut p = plane(MetaMode::Lock, set, "dev-a", 1);
+        let first = commit_file(p.as_mut(), &SyncFolderImage::new(), "dev-a", "a.txt", 1);
+        doubles[0].forget();
+        commit_file(p.as_mut(), &first, "dev-a", "b.txt", 2);
+        let calls = doubles[0].calls();
+        let round = PROTOCOL_COSTS.lock_round as usize;
+        assert_eq!(calls[..round], ["upload", "list"]); // lock file, lock directory
+        assert_eq!(
+            calls[round..],
+            [
+                "download", // version file
+                "upload",   // refreshed lock file
+                "delete",   // the lock file it replaces
+                "upload",   // delta
+                "upload",   // version file
+                "delete",   // lock file, released
+            ]
+        );
+        assert_eq!(calls.len() as u64, PROTOCOL_COSTS.lock_round + PROTOCOL_COSTS.lock_commit);
+    }
+
+    /// A read of a changed version downloads each cloud's version file
+    /// once, in a poll and in a commit: the stamp the plane read is the
+    /// one it reads up to.
+    #[test]
+    fn a_changed_version_is_downloaded_once_per_cloud() {
+        let set = clouds(3);
+        let mut writer = plane(MetaMode::Lock, set.clone(), "dev-a", 1);
+        let (reader_set, doubles) = counted(set.iter().map(|(_, c)| Arc::clone(c)));
+        let mut reader = plane(MetaMode::Lock, reader_set, "dev-b", 2);
+        let version_reads = || {
+            let reads: Vec<usize> = doubles.iter().map(|c| c.downloads_of(VERSION_PATH)).collect();
+            doubles.iter().for_each(|c| c.forget());
+            reads
+        };
+
+        let first = commit_file(writer.as_mut(), &SyncFolderImage::new(), "dev-a", "a.txt", 1);
+        let polled = reader.poll(&SyncFolderImage::new(), None).expect("poll").expect("changed");
+        assert_eq!(version_reads(), [1; 3], "a changed poll");
+
+        commit_file(writer.as_mut(), &first, "dev-a", "b.txt", 2);
+        let committed = commit_file(reader.as_mut(), &polled, "dev-b", "c.txt", 3);
+        assert_eq!(version_reads(), [1; 3], "a commit over another device's");
+        assert!(committed.file("b.txt").is_some());
     }
 }

@@ -5,6 +5,7 @@
 use super::*;
 use crate::lock_plane::tests::{clouds, commit_file, config, plane};
 use unidrive_cloud::{CloudStore, MemCloud};
+use unidrive_meta::PROTOCOL_COSTS;
 use unidrive_sim::RealRuntime;
 use unidrive_util::sync::Mutex;
 
@@ -72,6 +73,16 @@ impl Counting {
     pub(crate) fn downloads_of(&self, path: &str) -> usize {
         let log = self.log.lock();
         log.iter().filter(|(op, p)| *op == "download" && p == path).count()
+    }
+
+    /// The operations called since the last [`forget`](Self::forget),
+    /// in order.
+    pub(crate) fn calls(&self) -> Vec<&'static str> {
+        self.log.lock().iter().map(|(op, _)| *op).collect()
+    }
+
+    pub(crate) fn forget(&self) {
+        self.log.lock().clear();
     }
 
     fn marks(&self) -> Vec<Digest> {
@@ -432,8 +443,8 @@ fn idle_poll_downloads_no_base() {
 }
 
 /// (b) Another device's compaction costs each reader one base download
-/// per cloud, once — and costs the compactor the per-cloud calls the
-/// fleet model's `OPLOG_COMPACT_OPS` is set from.
+/// per cloud, once — and costs the compactor
+/// `PROTOCOL_COSTS.oplog_compact` calls per cloud.
 #[test]
 fn a_compaction_is_downloaded_once_per_cloud() {
     let (set, doubles) = counting_clouds(5);
@@ -461,9 +472,10 @@ fn a_compaction_is_downloaded_once_per_cloud() {
     let mut x = oplog_plane(recount(&doubles).0, "dev-x", 10 * 1024, 3);
     let third = commit_file(&mut x, &second, "dev-x", "x.txt", 4);
     assert_eq!(w.poll(&second, None).expect("poll").expect("x's file").encode(), third.encode());
-    doubles[0].log.lock().clear();
+    doubles[0].forget();
     assert!(w.try_compact(None));
-    let calls: Vec<&str> = doubles[0].log.lock().iter().map(|(op, _)| *op).collect();
+    let calls = doubles[0].calls();
+    assert_eq!(calls.len() as u64, PROTOCOL_COSTS.oplog_compact);
     assert_eq!(
         calls,
         [
@@ -479,6 +491,28 @@ fn a_compaction_is_downloaded_once_per_cloud() {
         ]
     );
     assert_eq!(doubles[0].marks().len(), 1);
+}
+
+/// An append lists the oplog directory, downloads every op file the
+/// listing shows and uploads its own: `PROTOCOL_COSTS.oplog_append`
+/// plus `oplog_op_file` per listed file, on each cloud. Three devices
+/// appending in turn list 0, 1 and 2 op files.
+#[test]
+fn an_append_costs_its_listing_plus_one_read_per_op_file() {
+    let (set, doubles) = counting_clouds(3);
+    let mut current = SyncFolderImage::new();
+    for (listed, device) in ["dev-a", "dev-b", "dev-c"].into_iter().enumerate() {
+        let mut p = oplog_plane(set.clone(), device, 10 * 1024, listed as u64);
+        doubles[0].forget();
+        current = commit_file(&mut p, &current, device, "f.txt", listed as u64 + 1);
+        let calls = doubles[0].calls();
+        let mut expected = vec!["list"];
+        expected.extend(std::iter::repeat_n("download", listed));
+        expected.push("upload");
+        assert_eq!(calls, expected, "{listed} op files listed");
+        let cost = PROTOCOL_COSTS.oplog_append + listed as u64 * PROTOCOL_COSTS.oplog_op_file;
+        assert_eq!(calls.len() as u64, cost);
+    }
 }
 
 /// (c) A cloud rolled back to an older base, mark and op files neither

@@ -46,10 +46,6 @@ pub struct DataPlaneConfig {
     /// Observability handle threaded through the schedulers, retries,
     /// and the bandwidth probe (no-op by default; see `unidrive-obs`).
     pub obs: Obs,
-    /// Stall watchdog + flight recorder for every transfer-engine run
-    /// (see [`WatchdogConfig`](crate::WatchdogConfig)). `None` (the
-    /// default) leaves engine behavior untouched.
-    pub watchdog: Option<crate::engine::WatchdogConfig>,
 }
 
 impl DataPlaneConfig {
@@ -66,7 +62,6 @@ impl DataPlaneConfig {
             probing: true,
             ingest_threads: 1,
             obs: Obs::noop(),
-            watchdog: None,
         }
     }
 

@@ -6,32 +6,6 @@ use unidrive_cloud::{CloudOp, FaultEvent, FaultKind, FaultPlan};
 use unidrive_meta::MetaMode;
 use unidrive_workload::{PopulationProfile, Provider};
 
-/// Quorum-lock parameters as the fleet model sees them (the analytic
-/// mirror of `unidrive_core::LockConfig`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetLockParams {
-    /// Losing rounds before a sync round is deferred.
-    pub max_attempts: u32,
-    /// Base of the random backoff between losing rounds.
-    pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_max: Duration,
-    /// Wait beyond which an acquire is flagged starved
-    /// (`lock.starved`), mirroring `LockConfig::starvation_audit`.
-    pub starvation_audit: Duration,
-}
-
-impl Default for FleetLockParams {
-    fn default() -> Self {
-        FleetLockParams {
-            max_attempts: 12,
-            backoff_base: Duration::from_millis(500),
-            backoff_max: Duration::from_secs(15),
-            starvation_audit: Duration::from_secs(30),
-        }
-    }
-}
-
 /// Configuration of one fleet simulation run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
@@ -56,8 +30,6 @@ pub struct FleetConfig {
     pub cloud_qps: u64,
     /// Per-cloud burst allowance, ops.
     pub cloud_burst: u64,
-    /// Lock protocol parameters.
-    pub lock: FleetLockParams,
     /// Metadata-plane mode for hot-folder commits: `Lock` contends a
     /// quorum lock per commit; `Oplog` appends per-device op files and
     /// locks only for periodic base compaction.
@@ -80,7 +52,6 @@ impl FleetConfig {
             hot_folders: 50,
             cloud_qps: 1_500,
             cloud_burst: 3_000,
-            lock: FleetLockParams::default(),
             meta_mode: MetaMode::Lock,
             fault_plan: default_chaos_plan(seed, 600),
         }
@@ -99,7 +70,6 @@ impl FleetConfig {
             hot_folders: 200,
             cloud_qps: 4_000,
             cloud_burst: 8_000,
-            lock: FleetLockParams::default(),
             meta_mode: MetaMode::Lock,
             fault_plan: default_chaos_plan(seed, 1_800),
         }

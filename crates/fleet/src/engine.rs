@@ -45,11 +45,11 @@
 //! per-shard `HashMap` keyed by device id — so peak memory tracks the
 //! number of *concurrent sessions*, not the population size.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Mutex;
 
 use unidrive_cloud::{CloudOp, FaultKind, FaultPlan, TokenBucket};
-use unidrive_meta::MetaMode;
+use unidrive_meta::{LockConfig, MetaMode, PROTOCOL_COSTS};
 use unidrive_obs::{Histogram, SeriesBank};
 use unidrive_sim::shard::{merge_by_key, partition_window, shard_of, Calendar, Entry};
 use unidrive_sim::SimRng;
@@ -75,18 +75,10 @@ const ERASURE_K: u64 = 3;
 const QUORUM_K: usize = 3;
 /// Request granularity: one upload/download op per 256 KiB chunk.
 const OP_CHUNK_BYTES: u64 = 256 * 1024;
-/// Lock round cost: one upload (lock file) + one list per cloud.
-const LOCK_OPS: u64 = 2;
-/// Oplog commit cost: one append (full-replace upload) per cloud.
-const OPLOG_APPEND_OPS: u64 = 1;
-/// Oplog compaction cost per cloud, as `unidrive-core`'s test
-/// `a_compaction_is_downloaded_once_per_cloud` counts the calls of one
-/// uncontended compaction: lock file upload, lock-directory list, base
-/// re-read, mark list, base upload, base-mark upload, lock file
-/// delete, op-file trim, superseded-mark delete.
-const OPLOG_COMPACT_OPS: u64 = 9;
-/// λ threshold in op count: a folder's accumulated ops trigger a base
+/// λ as an op count: a folder's accumulated ops trigger a base
 /// compaction (the analytic mirror of `delta_ratio`/`delta_floor`).
+/// The fleet's size model, not a call count — what a compaction costs
+/// on the wire is `PROTOCOL_COSTS.oplog_compact`.
 const OPLOG_COMPACT_EVERY: u64 = 64;
 /// Escalation multiple (the constant the real oplog plane escalates
 /// at): once a folder's pending-op backlog reaches
@@ -95,7 +87,11 @@ const OPLOG_COMPACT_EVERY: u64 = 64;
 /// the holder's bounded window, then folding (the analytic mirror of
 /// core's forced-compaction retries past its escalate threshold).
 const OPLOG_COMPACT_ESCALATE: u64 = unidrive_meta::OPLOG_COMPACT_ESCALATE as u64;
-/// Metadata commit under the lock: version write + lock release.
+/// How long a metadata commit under the lock takes: the fleet's time
+/// model for the six calls of `PROTOCOL_COSTS.lock_commit` (version
+/// download, refresh upload + delete, delta upload, version upload,
+/// release delete), not a call count — those are charged from
+/// `PROTOCOL_COSTS`.
 const COMMIT_NS: u64 = 500_000_000;
 /// Drain guard: give the fleet at most this many pull rounds.
 const MAX_DRAIN_ROUNDS: u32 = 3;
@@ -143,6 +139,10 @@ struct HotFolder {
     cum_bytes: u64,
     /// Member device → cumulative bytes it has acknowledged.
     member_synced: HashMap<u64, u64>,
+    /// Oplog mode: devices that have appended here — the op files a
+    /// listing of the folder shows (the plane trims op files, never
+    /// deletes them).
+    op_files: HashSet<u64>,
     /// Oplog mode: ops appended since the last base compaction.
     pending_ops: u64,
     /// Oplog mode: compaction lock held until this virtual time
@@ -249,18 +249,87 @@ fn upload_reachability(plan: &FaultPlan, now_ns: u64) -> [bool; 5] {
     ok
 }
 
+/// Charges one metadata step of `ops` calls (a sum of
+/// [`PROTOCOL_COSTS`] fields) to every reachable lane at `t`: token
+/// bucket, QPS series, `lock_ops`, shaper delay and `cloud.ops`.
+/// Returns the worst shaper delay, which gates the step.
+fn charge_meta(
+    lanes: &mut [CloudLane],
+    reachable: &[bool; 5],
+    t: u64,
+    ops: u64,
+    m: &mut FleetMetrics,
+) -> u64 {
+    let mut worst = 0;
+    for (lane, _) in lanes.iter_mut().zip(reachable).filter(|(_, &r)| r) {
+        let d = lane.bucket.consume(t, ops);
+        lane.series.record(t + d, ops);
+        lane.lock_ops += ops;
+        lane.throttle_delay_ns += d;
+        worst = worst.max(d);
+        m.series.add("cloud.ops", lane.name, t, ops);
+    }
+    worst
+}
+
+/// Charges one erasure-share transfer to `lane` at `t`: `share` bytes
+/// up (or down) in `ops` requests, `secs` on the wire. Returns the
+/// shaper delay.
+fn charge_transfer(
+    lane: &mut CloudLane,
+    t: u64,
+    ops: u64,
+    share: u64,
+    secs: f64,
+    upload: bool,
+    m: &mut FleetMetrics,
+) -> u64 {
+    let d = lane.bucket.consume(t, ops);
+    lane.transfer_ops += ops;
+    if upload {
+        lane.bytes_up += share;
+    } else {
+        lane.bytes_down += share;
+    }
+    lane.throttle_delay_ns += d;
+    // Record at post-shaper times: the series reports when ops
+    // actually clear, not the offered spike.
+    let wire_ns = (secs * NS_PER_SEC as f64) as u64;
+    let start = t + d;
+    lane.series.record_spread(start, start + wire_ns, ops);
+    m.series.add("cloud.ops", lane.name, t, ops);
+    let bytes = if upload { "cloud.bytes_up" } else { "cloud.bytes_down" };
+    m.series.add(bytes, lane.name, t, share);
+    // The share transfer's latency sample includes the shaper delay.
+    m.series.observe("cloud.op_ns", lane.name, t, wire_ns.saturating_add(d));
+    d
+}
+
 /// Counts one refused attempt on every lane the event wanted but
 /// could not reach: the provider was refusing writes, which is exactly
 /// what a client-side prober would report. An attempt is an attempt,
 /// so it lands in `cloud.ops` as well as `cloud.err`. Reachable lanes
-/// are counted where ops are actually charged to them.
-fn record_unreachable(lanes: &[CloudLane], reachable: &[bool; 5], t: u64, m: &mut FleetMetrics) {
+/// are counted where ops are actually charged to them. Returns whether
+/// a write quorum was reachable.
+fn quorum_reachable(
+    lanes: &[CloudLane],
+    reachable: &[bool; 5],
+    t: u64,
+    m: &mut FleetMetrics,
+) -> bool {
     for (i, lane) in lanes.iter().enumerate() {
         if !reachable[i] {
             m.series.add("cloud.ops", lane.name, t, 1);
             m.series.add("cloud.err", lane.name, t, 1);
         }
     }
+    reachable.iter().filter(|&&r| r).count() >= QUORUM_K
+}
+
+/// When a step that found no write quorum tries again: once the outage
+/// window has had 30–35 s to end (`retry_u` is the jitter draw).
+fn outage_retry_ns(retry_u: f64) -> u64 {
+    30 * NS_PER_SEC + (retry_u * 5.0 * NS_PER_SEC as f64) as u64
 }
 
 /// The fleet simulator. Construct with a [`FleetConfig`], call
@@ -268,12 +337,18 @@ fn record_unreachable(lanes: &[CloudLane], reachable: &[bool; 5], t: u64, m: &mu
 #[derive(Debug)]
 pub struct FleetSim {
     cfg: FleetConfig,
+    /// The quorum lock's tunables: the product's defaults, which
+    /// nothing sets.
+    lock: LockConfig,
 }
 
 impl FleetSim {
     /// A simulator for `cfg`.
     pub fn new(cfg: FleetConfig) -> FleetSim {
-        FleetSim { cfg }
+        FleetSim {
+            cfg,
+            lock: LockConfig::default(),
+        }
     }
 
     /// Runs the simulation to convergence and returns fleet metrics.
@@ -480,16 +555,12 @@ impl FleetSim {
                 cloud_us,
                 reachable,
             } => {
-                record_unreachable(lanes, &reachable, t, m);
-                let n_reachable = reachable.iter().filter(|&&r| r).count();
-                if n_reachable < QUORUM_K {
+                if !quorum_reachable(lanes, &reachable, t, m) {
                     // Not enough providers accept writes: the upload
                     // cannot reach quorum durability. Retry the session
                     // start once the outage window has a chance to end.
                     m.bump("upload.unreachable_rounds");
-                    let delay =
-                        30 * NS_PER_SEC + (retry_u * 5.0 * NS_PER_SEC as f64) as u64;
-                    calendar.push(t + delay, device, Ev::Arrive { activation });
+                    calendar.push(t + outage_retry_ns(retry_u), device, Ev::Arrive { activation });
                     return;
                 }
                 m.bump("sessions.started");
@@ -545,25 +616,8 @@ impl FleetSim {
                         }
                     }
                     slowest = slowest.max(dur);
-                    let d = lane.bucket.consume(t, ops);
-                    lane.transfer_ops += ops;
-                    lane.bytes_up += share;
-                    lane.throttle_delay_ns += d;
+                    let d = charge_transfer(lane, t, ops, share, dur, true, m);
                     qps_delay = qps_delay.max(d);
-                    // Record at post-shaper times: the series reports
-                    // when ops actually clear, not the offered spike.
-                    let start = t + d;
-                    lane.series.record_spread(
-                        start,
-                        start + (dur * NS_PER_SEC as f64) as u64,
-                        ops,
-                    );
-                    // The share transfer's latency sample includes
-                    // the shaper delay.
-                    let xfer_ns = ((dur * NS_PER_SEC as f64) as u64).saturating_add(d);
-                    m.series.add("cloud.ops", lane.name, t, ops);
-                    m.series.add("cloud.bytes_up", lane.name, t, share);
-                    m.series.observe("cloud.op_ns", lane.name, t, xfer_ns);
                 }
                 let duration = ((slowest * NS_PER_SEC as f64) as u64)
                     .saturating_add(qps_delay)
@@ -580,146 +634,96 @@ impl FleetSim {
                 retry_u,
                 reachable,
             } => {
-                record_unreachable(lanes, &reachable, t, m);
-                let n_reachable = reachable.iter().filter(|&&r| r).count();
-                if n_reachable < QUORUM_K {
+                if !quorum_reachable(lanes, &reachable, t, m) {
                     // Quorum unreachable: back off and retry the same
                     // round once the outage window has a chance to end.
                     m.bump("lock.unreachable_rounds");
-                    let delay =
-                        30 * NS_PER_SEC + (retry_u * 5.0 * NS_PER_SEC as f64) as u64;
-                    calendar.push(t + delay, device, Ev::Attempt { attempt });
+                    calendar.push(t + outage_retry_ns(retry_u), device, Ev::Attempt { attempt });
                     return;
                 }
 
-                if cfg.meta_mode == MetaMode::Oplog {
-                    // Oplog commit: append the device's op file on
-                    // every reachable cloud. No lock round, no losers —
-                    // every attempt commits on its first round.
-                    let mut qps_delay = 0u64;
-                    for (i, lane) in lanes.iter_mut().enumerate() {
-                        if reachable[i] {
-                            let d = lane.bucket.consume(t, OPLOG_APPEND_OPS);
-                            lane.series.record(t + d, OPLOG_APPEND_OPS);
-                            lane.lock_ops += OPLOG_APPEND_OPS;
-                            lane.throttle_delay_ns += d;
-                            qps_delay = qps_delay.max(d);
-                            m.series.add("cloud.ops", lane.name, t, OPLOG_APPEND_OPS);
-                        }
-                    }
-                    m.bump("oplog.appends");
-                    m.series.add("oplog.appends", "fleet", t, 1);
-                    let mut commit = COMMIT_NS.saturating_add(qps_delay);
-                    if let Some(rank) = hot {
-                        let f = &mut folders[rank as usize];
-                        f.pending_ops += 1;
-                        if f.pending_ops >= OPLOG_COMPACT_EVERY {
-                            if t >= f.compact_lock_until_ns {
-                                // λ tripped: fold the log into a new
-                                // base under a short quorum lock held
-                                // only for the rewrite.
-                                for (i, lane) in lanes.iter_mut().enumerate() {
-                                    if reachable[i] {
-                                        let d =
-                                            lane.bucket.consume(t, OPLOG_COMPACT_OPS);
-                                        lane.series.record(t + d, OPLOG_COMPACT_OPS);
-                                        lane.lock_ops += OPLOG_COMPACT_OPS;
-                                        lane.throttle_delay_ns += d;
-                                        m.series.add(
-                                            "cloud.ops",
-                                            lane.name,
-                                            t,
-                                            OPLOG_COMPACT_OPS,
-                                        );
+                // Oplog: list the oplog directory, read every op file it
+                // shows and upload the device's own — no lock round, no
+                // losers, every attempt commits on its first round; a
+                // private folder shows only the device's own file. Lock:
+                // a round, then the commit under the won lock or the lost
+                // round's withdraw.
+                let c = PROTOCOL_COSTS;
+                let (won, ops, compact_ns) = match cfg.meta_mode {
+                    MetaMode::Oplog => {
+                        let mut listed = 1;
+                        // Set when this append folds the log: the wait
+                        // for the compaction lock.
+                        let mut compaction: Option<u64> = None;
+                        if let Some(rank) = hot {
+                            let f = &mut folders[rank as usize];
+                            listed = f.op_files.len() as u64;
+                            f.op_files.insert(device);
+                            f.pending_ops += 1;
+                            if f.pending_ops >= OPLOG_COMPACT_EVERY {
+                                let free = t >= f.compact_lock_until_ns;
+                                if free
+                                    || f.pending_ops
+                                        >= OPLOG_COMPACT_ESCALATE * OPLOG_COMPACT_EVERY
+                                {
+                                    // λ tripped: fold the log into a new
+                                    // base under a short quorum lock held
+                                    // only for the rewrite. Past the
+                                    // escalate threshold a busy lock does
+                                    // not stop it: barge — wait out the
+                                    // remainder of the holder's bounded
+                                    // window, then fold.
+                                    // `oplog.compact_overdue` (a forced
+                                    // fold that still failed) cannot occur
+                                    // here, because the advisory hold is
+                                    // bounded by 2×COMMIT_NS; the counter
+                                    // is zero-initialized for schema
+                                    // parity with the core plane, which
+                                    // can time out.
+                                    let wait = f.compact_lock_until_ns.saturating_sub(t);
+                                    f.pending_ops = 0;
+                                    f.compact_lock_until_ns = t + wait + 2 * COMMIT_NS;
+                                    compaction = Some(wait);
+                                    m.bump("oplog.compactions");
+                                    m.series.add("oplog.compactions", "fleet", t, 1);
+                                    if !free {
+                                        m.bump("oplog.compact_forced");
+                                        m.series.add("oplog.compact_forced", "fleet", t, 1);
                                     }
+                                } else {
+                                    // Another device is compacting; the
+                                    // append stands, the fold waits.
+                                    m.bump("oplog.compact_skipped");
                                 }
-                                f.pending_ops = 0;
-                                f.compact_lock_until_ns = t + 2 * COMMIT_NS;
-                                commit = commit.saturating_add(COMMIT_NS);
-                                m.bump("oplog.compactions");
-                                m.series.add("oplog.compactions", "fleet", t, 1);
-                            } else if f.pending_ops
-                                >= OPLOG_COMPACT_ESCALATE * OPLOG_COMPACT_EVERY
-                            {
-                                // Backlog past the escalate threshold:
-                                // barge — wait out the remainder of the
-                                // holder's bounded window, then fold.
-                                // `oplog.compact_overdue` (a forced fold
-                                // that still failed) cannot occur here,
-                                // because the advisory hold is bounded
-                                // by 2×COMMIT_NS; the counter is zero-
-                                // initialized for schema parity with
-                                // the core plane, which can time out.
-                                let wait = f.compact_lock_until_ns - t;
-                                for (i, lane) in lanes.iter_mut().enumerate() {
-                                    if reachable[i] {
-                                        let d =
-                                            lane.bucket.consume(t, OPLOG_COMPACT_OPS);
-                                        lane.series.record(t + d, OPLOG_COMPACT_OPS);
-                                        lane.lock_ops += OPLOG_COMPACT_OPS;
-                                        lane.throttle_delay_ns += d;
-                                        m.series.add(
-                                            "cloud.ops",
-                                            lane.name,
-                                            t,
-                                            OPLOG_COMPACT_OPS,
-                                        );
-                                    }
-                                }
-                                f.pending_ops = 0;
-                                f.compact_lock_until_ns = t + wait + 2 * COMMIT_NS;
-                                commit = commit
-                                    .saturating_add(wait)
-                                    .saturating_add(COMMIT_NS);
-                                m.bump("oplog.compactions");
-                                m.bump("oplog.compact_forced");
-                                m.series.add("oplog.compactions", "fleet", t, 1);
-                                m.series.add("oplog.compact_forced", "fleet", t, 1);
-                            } else {
-                                // Another device is compacting; the
-                                // append stands, the fold waits.
-                                m.bump("oplog.compact_skipped");
                             }
                         }
+                        m.bump("oplog.appends");
+                        m.add("oplog.op_file_reads", listed);
+                        m.series.add("oplog.appends", "fleet", t, 1);
+                        let ops = c.oplog_append
+                            + listed * c.oplog_op_file
+                            + compaction.map_or(0, |_| c.oplog_compact);
+                        (true, ops, compaction.map_or(0, |wait| wait + COMMIT_NS))
                     }
-                    lock_wait.record(t.saturating_sub(wait_start_ns));
-                    lock_rounds.record(attempt as u64 + 1);
-                    m.series.observe(
-                        "fleet.lock_wait_ns",
-                        cfg.meta_mode.as_str(),
-                        t,
-                        t.saturating_sub(wait_start_ns),
-                    );
-                    calendar.push(t + commit.max(LOOKAHEAD_NS), device, Ev::Release);
-                    return;
-                }
-
-                // One lock round costs LOCK_OPS on every reachable
-                // cloud; the shaper's worst delay gates the round.
-                let mut qps_delay = 0u64;
-                for (i, lane) in lanes.iter_mut().enumerate() {
-                    if reachable[i] {
-                        let d = lane.bucket.consume(t, LOCK_OPS);
-                        lane.series.record(t + d, LOCK_OPS);
-                        lane.lock_ops += LOCK_OPS;
-                        lane.throttle_delay_ns += d;
-                        qps_delay = qps_delay.max(d);
-                        m.series.add("cloud.ops", lane.name, t, LOCK_OPS);
-                    }
-                }
-
-                let won = match hot {
-                    None => true,
-                    Some(rank) => {
-                        let f = &mut folders[rank as usize];
-                        if f.holder.is_none() {
-                            f.holder = Some(device);
-                            true
-                        } else {
-                            false
-                        }
+                    MetaMode::Lock => {
+                        let won = match hot {
+                            None => true,
+                            Some(rank) => {
+                                let f = &mut folders[rank as usize];
+                                if f.holder.is_none() {
+                                    f.holder = Some(device);
+                                    true
+                                } else {
+                                    false
+                                }
+                            }
+                        };
+                        let step = if won { c.lock_commit } else { c.lock_withdraw };
+                        (won, c.lock_round + step, 0)
                     }
                 };
+                // The shaper's worst delay gates what follows.
+                let qps_delay = charge_meta(lanes, &reachable, t, ops, m);
 
                 if !won {
                     m.bump("lock.contended_rounds");
@@ -727,7 +731,7 @@ impl FleetSim {
                     // Starvation audit, mirroring the core lock path:
                     // flag (once) any acquire waiting past the bound.
                     let waited = t.saturating_sub(wait_start_ns);
-                    if waited >= cfg.lock.starvation_audit.as_nanos() as u64 {
+                    if waited >= self.lock.starvation_audit.as_nanos() as u64 {
                         let mut map =
                             maps[shard_of(device, maps.len())].lock().expect("map");
                         let dev = map.get_mut(&device).expect("losing device is active");
@@ -738,7 +742,7 @@ impl FleetSim {
                         }
                     }
                     let next = attempt + 1;
-                    if next >= cfg.lock.max_attempts {
+                    if next >= self.lock.max_attempts {
                         // Exhausted: defer the commit and start a fresh
                         // acquire cycle later.
                         m.bump("lock.exhausted");
@@ -748,11 +752,7 @@ impl FleetSim {
                             (60.0 * NS_PER_SEC as f64 * (1.0 + backoff_u)) as u64;
                         calendar.push(t + defer, device, Ev::Attempt { attempt: 0 });
                     } else {
-                        let cap_ns = cfg
-                            .lock
-                            .backoff_max
-                            .min(cfg.lock.backoff_base * 2u32.saturating_pow(attempt))
-                            .as_nanos() as u64;
+                        let cap_ns = self.lock.backoff_cap(attempt).as_nanos() as u64;
                         let backoff = ((backoff_u * cap_ns as f64) as u64)
                             .saturating_add(qps_delay)
                             .max(LOOKAHEAD_NS);
@@ -761,8 +761,11 @@ impl FleetSim {
                     return;
                 }
 
-                // Lock granted: hold it only for the metadata commit.
-                m.bump("lock.acquired");
+                // Committed: the lock (oplog: the compaction lock, when
+                // this append folds) is held only for the metadata commit.
+                if cfg.meta_mode == MetaMode::Lock {
+                    m.bump("lock.acquired");
+                }
                 lock_wait.record(t.saturating_sub(wait_start_ns));
                 lock_rounds.record(attempt as u64 + 1);
                 m.series.observe(
@@ -771,8 +774,8 @@ impl FleetSim {
                     t,
                     t.saturating_sub(wait_start_ns),
                 );
-                let commit = COMMIT_NS.saturating_add(qps_delay).max(LOOKAHEAD_NS);
-                calendar.push(t + commit, device, Ev::Release);
+                let commit = COMMIT_NS.saturating_add(qps_delay).saturating_add(compact_ns);
+                calendar.push(t + commit.max(LOOKAHEAD_NS), device, Ev::Release);
             }
             Intent::Release {
                 device,
@@ -852,24 +855,9 @@ impl FleetSim {
                     let ops = share.div_ceil(OP_CHUNK_BYTES) + 1;
                     for j in 0..QUORUM_K {
                         let i = (device as usize + j) % lanes.len();
-                        let lane = &mut lanes[i];
                         let down = rates[site][i].1 * rate_flux(i, t);
                         let dur = share as f64 / down.max(1.0);
-                        let d = lane.bucket.consume(t, ops);
-                        lane.transfer_ops += ops;
-                        lane.bytes_down += share;
-                        lane.throttle_delay_ns += d;
-                        let start = t + d;
-                        lane.series.record_spread(
-                            start,
-                            start + (dur * NS_PER_SEC as f64) as u64,
-                            ops,
-                        );
-                        let xfer_ns =
-                            ((dur * NS_PER_SEC as f64) as u64).saturating_add(d);
-                        m.series.add("cloud.ops", lane.name, t, ops);
-                        m.series.add("cloud.bytes_down", lane.name, t, share);
-                        m.series.observe("cloud.op_ns", lane.name, t, xfer_ns);
+                        charge_transfer(&mut lanes[i], t, ops, share, dur, false, m);
                     }
                     f.member_synced.insert(device, f.cum_bytes);
                     m.bump("drain.pulls");

@@ -14,13 +14,15 @@
 //! function of `(seed, config)` — byte-identical at any shard or
 //! thread count.
 //!
-//! * [`FleetConfig`] — population, horizon, QPS ceilings, lock
-//!   parameters, and a [`FaultPlan`](unidrive_cloud::FaultPlan)
-//!   chaos schedule ([`default_chaos_plan`] exercises every
+//! * [`FleetConfig`] — population, horizon, QPS ceilings, metadata
+//!   mode, and a [`FaultPlan`](unidrive_cloud::FaultPlan) chaos
+//!   schedule ([`default_chaos_plan`] exercises every
 //!   [`FaultKind`](unidrive_cloud::FaultKind)).
 //! * [`FleetSim`] — the conservative parallel discrete-event engine
 //!   (windowed lookahead execution, lazy device materialization,
-//!   upload-then-commit sessions against quorum-locked hot folders).
+//!   upload-then-commit sessions against quorum-locked hot folders,
+//!   the product's `LockConfig` defaults, metadata steps charged at
+//!   `unidrive_meta::PROTOCOL_COSTS`).
 //! * [`FleetMetrics`] — counters, latency/wait/round histograms,
 //!   per-cloud accounting, chaos-soak invariants, and the
 //!   deterministic `BENCH_fleet.json` serialization.
@@ -32,6 +34,6 @@ mod config;
 mod engine;
 mod metrics;
 
-pub use config::{default_chaos_plan, FleetConfig, FleetLockParams};
+pub use config::{default_chaos_plan, FleetConfig};
 pub use engine::{FleetSim, LOOKAHEAD_NS};
 pub use metrics::{CloudRow, FleetMetrics, Invariant};

@@ -41,7 +41,8 @@ pub struct CloudRow {
     pub name: String,
     /// Total API operations charged.
     pub ops: u64,
-    /// Operations spent on lock rounds.
+    /// Operations spent on metadata steps (lock rounds, commits,
+    /// appends, compactions), priced at `unidrive_meta::PROTOCOL_COSTS`.
     pub lock_ops: u64,
     /// Operations spent on share transfers.
     pub transfer_ops: u64,

@@ -7,7 +7,9 @@
 
 use std::time::Duration;
 
+use unidrive_cloud::FaultPlan;
 use unidrive_fleet::{default_chaos_plan, FleetConfig, FleetSim};
+use unidrive_meta::{MetaMode, PROTOCOL_COSTS};
 
 /// A population small enough for test time, large enough to exercise
 /// contention, churn, faults, and the drain phase.
@@ -83,6 +85,40 @@ fn chaos_soak_invariants_hold_at_population_scale() {
         m.counter("sessions.completed"),
         "no session lost"
     );
+}
+
+/// With no fault plan every cloud is reachable on every step, so each
+/// lane's metadata ops are the run's counters priced at
+/// `PROTOCOL_COSTS` — the fleet charges the one statement of the
+/// protocol's cost and nothing else.
+#[test]
+fn lanes_are_charged_the_protocol_costs() {
+    let c = PROTOCOL_COSTS;
+    for mode in [MetaMode::Lock, MetaMode::Oplog] {
+        let mut cfg = test_config(13);
+        cfg.hot_folders = 2;
+        cfg.fault_plan = FaultPlan::new(13);
+        cfg.meta_mode = mode;
+        let m = FleetSim::new(cfg).run();
+        let n = |name| m.counter(name);
+        let (priced, exercised) = match mode {
+            MetaMode::Lock => (
+                n("lock.acquired") * (c.lock_round + c.lock_commit)
+                    + n("lock.contended_rounds") * (c.lock_round + c.lock_withdraw),
+                n("lock.contended_rounds"),
+            ),
+            MetaMode::Oplog => (
+                n("oplog.appends") * c.oplog_append
+                    + n("oplog.op_file_reads") * c.oplog_op_file
+                    + n("oplog.compactions") * c.oplog_compact,
+                n("oplog.compactions"),
+            ),
+        };
+        assert!(exercised > 0, "{mode}: the run lost a round or compacted");
+        for cloud in &m.clouds {
+            assert_eq!(cloud.lock_ops, priced, "{mode}: {}", cloud.name);
+        }
+    }
 }
 
 #[test]

@@ -27,4 +27,6 @@ pub use layout::{
 };
 pub use model::{BlockRef, FileEntry, SegmentEntry, SegmentId, Snapshot, SyncFolderImage, VersionStamp};
 pub use op::{compact, fold, frame_chunks, op_id, unframe_chunks, FoldOutcome, MetaOp, OplogBase};
-pub use plane::{MergeFn, MetaMode, MetaPlane, PlaneError};
+pub use plane::{
+    LockConfig, MergeFn, MetaMode, MetaPlane, PlaneError, ProtocolCosts, PROTOCOL_COSTS,
+};

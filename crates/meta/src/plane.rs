@@ -10,6 +10,8 @@
 //! quorum lock survives only for base compaction. Both modes implement
 //! [`MetaPlane`]; the sync client is written against the trait.
 
+use std::time::Duration;
+
 use crate::{SyncFolderImage, VersionStamp};
 use unidrive_obs::SpanId;
 
@@ -98,6 +100,91 @@ impl std::fmt::Display for PlaneError {
 
 impl std::error::Error for PlaneError {}
 
+/// Tunables of the quorum lock (paper §5.2): the lock plane takes it
+/// around every commit, the oplog plane around every compaction, and
+/// the fleet model contends it with the same defaults.
+#[derive(Debug, Clone)]
+pub struct LockConfig {
+    /// Give up after this many failed acquisition rounds.
+    pub max_attempts: u32,
+    /// Base of the random backoff between rounds.
+    pub backoff_base: Duration,
+    /// Backoff ceiling.
+    pub backoff_max: Duration,
+    /// ΔT: a foreign lock seen unrefreshed for this long is broken.
+    pub stale_after: Duration,
+    /// Bounded-wait audit: once an acquire has waited this long across
+    /// losing rounds it is flagged as starved (`lock.starved` counter,
+    /// `starved` span attribute) — at fleet scale the randomized
+    /// backoff is unfair, and a device spinning on a hot folder must
+    /// not do so unobserved.
+    pub starvation_audit: Duration,
+}
+
+impl Default for LockConfig {
+    fn default() -> Self {
+        LockConfig {
+            max_attempts: 12,
+            backoff_base: Duration::from_millis(500),
+            backoff_max: Duration::from_secs(15),
+            // The paper's example ΔT = 120 s.
+            stale_after: Duration::from_secs(120),
+            starvation_audit: Duration::from_secs(30),
+        }
+    }
+}
+
+impl LockConfig {
+    /// Ceiling of the random backoff after losing round `attempt`
+    /// (0-based): the base doubled per round, capped at `backoff_max`.
+    pub fn backoff_cap(&self, attempt: u32) -> Duration {
+        self.backoff_max
+            .min(self.backoff_base * 2u32.saturating_pow(attempt))
+    }
+}
+
+/// What one metadata step costs, in Web API calls on each cloud. The
+/// paper builds every step, the lock included, from the five cloud
+/// operations (§4, §5.2), so a step's cost is a call count per cloud.
+///
+/// The planes do not read this: they *are* the protocol. Tests in
+/// `unidrive-core` count each step's calls on one cloud and assert them
+/// equal to [`PROTOCOL_COSTS`], so a protocol change that moves a cost
+/// fails until this statement moves with it; the fleet model charges
+/// exactly these fields. A step the fleet does not model (polls,
+/// lock-plane base compaction) has no field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProtocolCosts {
+    /// One quorum-lock round, won or lost: lock-file upload, lock
+    /// directory list.
+    pub lock_round: u64,
+    /// A lost round's withdraw: lock-file delete.
+    pub lock_withdraw: u64,
+    /// A lock-plane commit under a won lock: version download, refresh
+    /// upload + delete, delta upload, version upload, release delete.
+    pub lock_commit: u64,
+    /// An oplog append before its op-file reads: oplog directory list,
+    /// own op-file upload.
+    pub oplog_append: u64,
+    /// Each op file the append's listing shows: its download.
+    pub oplog_op_file: u64,
+    /// One uncontended oplog compaction: lock-file upload, lock
+    /// directory list, base re-read, mark list, base upload, base-mark
+    /// upload, lock-file delete, own op-file upload, superseded-mark
+    /// delete.
+    pub oplog_compact: u64,
+}
+
+/// The one statement of the metadata protocol's per-cloud cost.
+pub const PROTOCOL_COSTS: ProtocolCosts = ProtocolCosts {
+    lock_round: 2,
+    lock_withdraw: 1,
+    lock_commit: 6,
+    oplog_append: 2,
+    oplog_op_file: 1,
+    oplog_compact: 9,
+};
+
 /// The merge callback [`MetaPlane::transact`] runs inside the
 /// transaction: given the freshest remote image (`None` on a fresh
 /// multi-cloud), returns the image + stamp to commit, or `None` to
@@ -177,6 +264,15 @@ mod tests {
         assert_eq!(MetaMode::Lock.to_string(), "lock");
         assert_eq!(MetaMode::Oplog.to_string(), "oplog");
         assert_eq!(MetaMode::default(), MetaMode::Lock);
+    }
+
+    #[test]
+    fn backoff_cap_doubles_up_to_the_ceiling() {
+        let config = LockConfig::default();
+        assert_eq!(config.backoff_cap(0), Duration::from_millis(500));
+        assert_eq!(config.backoff_cap(3), Duration::from_secs(4));
+        assert_eq!(config.backoff_cap(5), Duration::from_secs(15));
+        assert_eq!(config.backoff_cap(u32::MAX), Duration::from_secs(15));
     }
 
     #[test]
