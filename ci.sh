@@ -62,7 +62,7 @@ else
     echo "    clippy not installed; skipped"
 fi
 
-echo "==> one trace, one artefact, one reader, one per-cloud estimator, one figures binary, one cost statement: the retired names stay retired"
+echo "==> one trace, one artefact, one reader, one per-cloud estimator, one figures binary, one cost statement, one blocking primitive: the retired names stay retired"
 # The typed Event ring, the three per-format flags, the second report
 # binary and the streaming health scoreboard (cloud health is a
 # function `obs_report` computes from the series) must not creep back;
@@ -70,9 +70,12 @@ echo "==> one trace, one artefact, one reader, one per-cloud estimator, one figu
 # read, nor the experiment runner that re-entered binaries and the
 # second argument reader, nor the fleet's restated lock tunables and
 # guessed call counts (`unidrive_meta::{LockConfig, PROTOCOL_COSTS}`
-# are the one statement).
+# are the one statement), nor a second way to block in the runtime (the
+# `Notifier` is the one primitive; a virtual-time deadlock panics in
+# every parked actor, so no engine needs a stall watchdog) and the sim
+# API nothing called.
 # (The bracketed letters keep this line from matching itself.)
-if grep -rnE '\bEvent::|Traced[E]vent|--metrics-[o]ut|--trace-[o]ut|--series-[o]ut|trace_[r]eport|Health[T]racker|Health[B]oard|Cloud[H]ealth|Health[C]onfig|to_json_with_[h]ealth|unidrive-[h]ealth/v1|native_[a]ppend|supports_conditional_[p]ut|max_object_[b]ytes|run_[a]ll|meta_mode_from_[a]rgs|FleetLock[P]arams|LOCK_[O]PS|OPLOG_APPEND_[O]PS|OPLOG_COMPACT_[O]PS' \
+if grep -rnE '\bEvent::|Traced[E]vent|--metrics-[o]ut|--trace-[o]ut|--series-[o]ut|trace_[r]eport|Health[T]racker|Health[B]oard|Cloud[H]ealth|Health[C]onfig|to_json_with_[h]ealth|unidrive-[h]ealth/v1|native_[a]ppend|supports_conditional_[p]ut|max_object_[b]ytes|run_[a]ll|meta_mode_from_[a]rgs|FleetLock[P]arams|LOCK_[O]PS|OPLOG_APPEND_[O]PS|OPLOG_COMPACT_[O]PS|Sema[p]hore|SimQ[u]eue|RuntimeH[a]ndle|TransferE[r]ror|set_link_[e]nabled|deregister_[t]hread|instantaneous_[r]ate|Watchdog[C]onfig|FlightR[e]corder' \
     crates src tests examples ci.sh; then
     echo "    retired name found (see matches above)"
     exit 1
@@ -92,7 +95,7 @@ for f in crates/core/src/*.rs; do
         exit 1
     fi
 done
-if grep -nE 'run_upload|run_download|scan_changes' crates/core/src/lib.rs; then
+if grep -nE 'run_upload|run_download|scan_changes|TransferEngine|Watchdog[C]onfig' crates/core/src/lib.rs; then
     echo "    retired name back in unidrive-core's public API"
     exit 1
 fi

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use unidrive_obs::{FieldValue, Obs};
 use unidrive_util::bytes::Bytes;
 use unidrive_util::sync::Mutex;
-use unidrive_sim::{LinkId, LinkProfile, Runtime, SimRng, SimRuntime, Time, TransferError};
+use unidrive_sim::{LinkId, LinkProfile, Runtime, SimRng, SimRuntime, Time};
 
 use crate::{CloudCaps, CloudError, CloudOp, CloudStore, MemCloud, ObjectInfo};
 
@@ -342,7 +342,7 @@ impl SimCloud {
             // connection drops.
             let fraction = { self.rng.lock().uniform(0.05, 0.9) };
             let wasted = (total as f64 * fraction) as u64;
-            let _ = self.do_transfer(link, wasted);
+            self.sim.transfer(link, wasted);
             counter.fetch_add(wasted, Ordering::Relaxed);
             self.count_failure(op, payload, true);
             return Err(CloudError::transient(format!(
@@ -350,9 +350,7 @@ impl SimCloud {
                 self.name
             )));
         }
-        self.do_transfer(link, total).inspect_err(|_e| {
-            self.count_failure(op, payload, false);
-        })?;
+        self.sim.transfer(link, total);
         counter.fetch_add(total, Ordering::Relaxed);
         self.counters.ok_requests.fetch_add(1, Ordering::Relaxed);
         let obs = self.obs();
@@ -362,12 +360,6 @@ impl SimCloud {
             obs.observe(&format!("cloud.{}.request_bytes", self.name), payload);
         }
         Ok(())
-    }
-
-    fn do_transfer(&self, link: LinkId, bytes: u64) -> Result<(), CloudError> {
-        self.sim.transfer(link, bytes).map_err(|e| match e {
-            TransferError::LinkDisabled => CloudError::unavailable(self.name.clone()),
-        })
     }
 }
 

@@ -25,12 +25,10 @@
 //! caller, the upload path, because it alone outlives its call
 //! (`wait_until` availability, then `detach`).
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use unidrive_cloud::{CloudError, CloudId, CloudSet, Retry, RetryPolicy};
-use unidrive_obs::{bundle_json, Obs, SpanId};
+use unidrive_obs::{Obs, SpanId};
 use unidrive_sim::{spawn, Notifier, Runtime, Task, Time};
 use unidrive_util::bytes::Bytes;
 use unidrive_util::sync::Mutex;
@@ -91,7 +89,7 @@ pub struct JobDesc<T> {
     pub op: WireOp,
 }
 
-/// The scheduling brain driven by the [`TransferEngine`].
+/// The scheduling brain driven by the transfer engine ([`run_batch`]).
 ///
 /// All methods are called under the engine's policy lock; they must not
 /// block (no wire calls, no sleeps) — heavy work belongs in the
@@ -101,7 +99,9 @@ pub struct JobDesc<T> {
 /// `next_job` would return `None` for every cloud, `is_done` must be
 /// `true` — the engine parks idle workers until a completion notifies
 /// them, so a policy that is "not done" yet hands out no work with
-/// nothing in flight would park everyone forever. Policies uphold this
+/// nothing in flight would park everyone forever (under the simulator,
+/// a run that does so panics as a virtual-time deadlock naming every
+/// parked `{label}-{cloud}-{conn}` worker). Policies uphold this
 /// by re-deriving their finished flag after every completion (and once
 /// at construction, for empty batches).
 pub trait TransferPolicy: Send + 'static {
@@ -143,15 +143,12 @@ pub struct EngineParams {
     /// fallback parent for `engine.block` spans whose [`JobDesc`]
     /// carries none.
     pub batch_span: Option<SpanId>,
-    /// Stall watchdog + flight recorder; `None` (the default) changes
-    /// nothing about engine behavior.
-    pub watchdog: Option<WatchdogConfig>,
 }
 
 impl EngineParams {
     /// The wiring every engine user has — connections, retries,
     /// observability — under counter namespace `label`; no probe, no
-    /// batch span, no watchdog.
+    /// batch span.
     pub fn new(
         label: impl Into<String>,
         connections_per_cloud: usize,
@@ -165,7 +162,6 @@ impl EngineParams {
             label: label.into(),
             probe: None,
             batch_span: None,
-            watchdog: None,
         }
     }
 
@@ -175,142 +171,6 @@ impl EngineParams {
         let mut params = self.clone();
         params.label = label.to_owned();
         params
-    }
-}
-
-/// Deadline + dump destination for the engine's stall watchdog.
-///
-/// When configured, every engine run carries a deadline (virtual time
-/// under sim, wall time otherwise). If the policy is not done when it
-/// expires — the signature of the PR 2 bounce-loop class of hang,
-/// where every worker parks forever on the notifier — the watchdog
-/// dumps a flight record (last spans plus per-worker state) to
-/// `dump_path`, aborts the workers, and lets `join` return instead of
-/// hanging silently. A hard block failure (retries exhausted) also
-/// triggers the dump, so the record captures the state that led up to
-/// a failing batch.
-#[derive(Debug, Clone)]
-pub struct WatchdogConfig {
-    /// How long the batch may run before it is declared stalled.
-    pub deadline: Duration,
-    /// File the flight-recorder JSON is written to.
-    pub dump_path: String,
-}
-
-/// Diagnostic state of one engine worker, captured in flight dumps.
-#[derive(Debug, Clone)]
-struct WorkerState {
-    cloud: String,
-    conn: usize,
-    state: &'static str,
-    current_path: String,
-    completed: u64,
-    failed: u64,
-    since_ns: u64,
-}
-
-/// How many trailing spans (instants included) a flight dump keeps.
-const FLIGHT_RECORD_TAIL: usize = 512;
-
-/// Shared stall/failure recorder: worker states, the abort flag the
-/// watchdog trips, and the once-only dump.
-struct FlightRecorder {
-    config: WatchdogConfig,
-    label: String,
-    obs: Obs,
-    aborted: AtomicBool,
-    dumped: AtomicBool,
-    workers: Mutex<Vec<WorkerState>>,
-}
-
-impl FlightRecorder {
-    fn new(config: WatchdogConfig, label: String, obs: Obs, slots: Vec<(String, usize)>) -> Self {
-        FlightRecorder {
-            config,
-            label,
-            obs,
-            aborted: AtomicBool::new(false),
-            dumped: AtomicBool::new(false),
-            workers: Mutex::new(
-                slots
-                    .into_iter()
-                    .map(|(cloud, conn)| WorkerState {
-                        cloud,
-                        conn,
-                        state: "idle",
-                        current_path: String::new(),
-                        completed: 0,
-                        failed: 0,
-                        since_ns: 0,
-                    })
-                    .collect(),
-            ),
-        }
-    }
-
-    fn set_state(&self, slot: usize, state: &'static str, path: &str, now_ns: u64) {
-        let mut w = self.workers.lock();
-        if let Some(s) = w.get_mut(slot) {
-            s.state = state;
-            s.current_path.clear();
-            s.current_path.push_str(path);
-            s.since_ns = now_ns;
-        }
-    }
-
-    fn count_outcome(&self, slot: usize, ok: bool) {
-        let mut w = self.workers.lock();
-        if let Some(s) = w.get_mut(slot) {
-            if ok {
-                s.completed += 1;
-            } else {
-                s.failed += 1;
-            }
-        }
-    }
-
-    /// Writes the flight record once; later triggers are no-ops.
-    fn dump(&self, reason: &str, now_ns: u64) {
-        if self.dumped.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n\"flight_record\": \"unidrive/v1\",\n");
-        out.push_str(&format!("\"reason\": \"{reason}\",\n"));
-        out.push_str(&format!("\"label\": \"{}\",\n", self.label));
-        out.push_str(&format!("\"t_ns\": {now_ns},\n\"workers\": ["));
-        for (i, w) in self.workers.lock().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n{{\"cloud\": \"{}\", \"conn\": {}, \"state\": \"{}\", \"path\": \"{}\", \
-                 \"completed\": {}, \"failed\": {}, \"since_ns\": {}}}",
-                w.cloud, w.conn, w.state, w.current_path, w.completed, w.failed, w.since_ns
-            ));
-        }
-        out.push_str("\n],\n\"snapshot\": ");
-        match self.obs.snapshot() {
-            Some(mut snap) => {
-                snap.canonicalize();
-                let keep_sp = snap.spans.len().saturating_sub(FLIGHT_RECORD_TAIL);
-                snap.spans.drain(..keep_sp);
-                out.push_str(&bundle_json(Some(&snap), None));
-            }
-            None => out.push_str("null\n"),
-        }
-        out.push_str("}\n");
-        if let Err(e) = std::fs::write(&self.config.dump_path, out) {
-            eprintln!(
-                "flight recorder: failed to write {}: {e}",
-                self.config.dump_path
-            );
-        } else {
-            eprintln!(
-                "flight recorder: {} ({reason}) dumped to {}",
-                self.label, self.config.dump_path
-            );
-        }
     }
 }
 
@@ -345,18 +205,10 @@ impl CounterNames {
 /// [`detach`](TransferEngine::detach)es after
 /// [`wait_until`](TransferEngine::wait_until) some milestone (the
 /// availability-first upload path).
-pub struct TransferEngine<P: TransferPolicy> {
+pub(crate) struct TransferEngine<P: TransferPolicy> {
     policy: Arc<Mutex<P>>,
     signal: Arc<dyn Notifier>,
     workers: Vec<Task<()>>,
-}
-
-impl<P: TransferPolicy> std::fmt::Debug for TransferEngine<P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TransferEngine")
-            .field("workers", &self.workers.len())
-            .finish()
-    }
 }
 
 impl<P: TransferPolicy> TransferEngine<P> {
@@ -380,22 +232,7 @@ impl<P: TransferPolicy> TransferEngine<P> {
             };
         }
         let names = Arc::new(CounterNames::new(&params.label));
-        let recorder = params.watchdog.clone().map(|config| {
-            let mut slots = Vec::new();
-            for (_, cloud) in clouds.iter() {
-                for conn in 0..params.connections_per_cloud {
-                    slots.push((cloud.name().to_owned(), conn));
-                }
-            }
-            Arc::new(FlightRecorder::new(
-                config,
-                params.label.clone(),
-                params.obs.clone(),
-                slots,
-            ))
-        });
         let mut workers = Vec::new();
-        let mut slot = 0usize;
         for (cloud_id, cloud) in clouds.iter() {
             for conn in 0..params.connections_per_cloud {
                 let rt2 = Arc::clone(rt);
@@ -407,12 +244,10 @@ impl<P: TransferPolicy> TransferEngine<P> {
                 let retry_label = format!("{}:{}", params.label, cloud.name());
                 let cloud_blocks = format!("{}.cloud.{}.blocks", params.label, cloud.name());
                 let ctx = WorkerCtx {
-                    slot,
                     conn,
                     // Track 0 is the client/control lane; worker lanes
                     // start at 1 in (cloud, connection) order.
-                    track: slot as u32 + 1,
-                    recorder: recorder.clone(),
+                    track: workers.len() as u32 + 1,
                 };
                 workers.push(spawn(
                     rt,
@@ -432,16 +267,7 @@ impl<P: TransferPolicy> TransferEngine<P> {
                         );
                     },
                 ));
-                slot += 1;
             }
-        }
-        if let Some(rec) = recorder {
-            let rt2 = Arc::clone(rt);
-            let policy = Arc::clone(&policy);
-            let signal = Arc::clone(&signal);
-            workers.push(spawn(rt, &format!("{}-watchdog", rec.label), move || {
-                watchdog_loop(&rt2, &policy, &signal, &rec);
-            }));
         }
         TransferEngine {
             policy,
@@ -514,42 +340,10 @@ pub fn run_batch<P: TransferPolicy>(
     TransferEngine::start(rt, clouds, params, policy).join()
 }
 
-/// Per-worker identity: flight-recorder slot, connection number, and
-/// span display lane.
+/// Per-worker identity: connection number and span display lane.
 struct WorkerCtx {
-    slot: usize,
     conn: usize,
     track: u32,
-    recorder: Option<Arc<FlightRecorder>>,
-}
-
-/// The stall watchdog: parks on the same eventcount as the workers,
-/// re-checking the policy on every completion broadcast, and trips the
-/// flight recorder if the batch outlives its deadline.
-fn watchdog_loop<P: TransferPolicy>(
-    rt: &Arc<dyn Runtime>,
-    policy: &Arc<Mutex<P>>,
-    signal: &Arc<dyn Notifier>,
-    rec: &Arc<FlightRecorder>,
-) {
-    let deadline_at = rt.now() + rec.config.deadline;
-    loop {
-        let seen = signal.generation();
-        if policy.lock().is_done() || rec.aborted.load(Ordering::SeqCst) {
-            return;
-        }
-        let now = rt.now();
-        if now >= deadline_at {
-            rec.dump("stall", now.as_nanos());
-            rec.aborted.store(true, Ordering::SeqCst);
-            // Wake every parked worker so it can observe the abort and
-            // exit; without this, `join` would hang exactly the way the
-            // watchdog exists to prevent.
-            signal.notify_all();
-            return;
-        }
-        signal.wait_timeout(seen, deadline_at.saturating_duration_since(now));
-    }
 }
 
 /// The single dispatch loop every transfer in the workspace now runs.
@@ -574,12 +368,6 @@ fn worker_loop<P: TransferPolicy>(
     wspan.attr_u64("conn", ctx.conn as u64);
     let mut jobs_run = 0u64;
     loop {
-        if let Some(rec) = &ctx.recorder {
-            if rec.aborted.load(Ordering::SeqCst) {
-                rec.set_state(ctx.slot, "aborted", "", rt.now().as_nanos());
-                break;
-            }
-        }
         // Eventcount protocol: read the generation before polling the
         // policy so a completion landing between the poll and the wait
         // still wakes us (no lost wake-ups).
@@ -611,18 +399,14 @@ fn worker_loop<P: TransferPolicy>(
         bspan.attr_u64("cloud", cloud_id.0 as u64);
         bspan.attr_u64("index", index as u64);
         bspan.attr_bool("extra", extra);
-        // Counts the dispatch, stamps the flight recorder and starts the
-        // transfer clock; hands back the traced retry the wire call
-        // runs under.
-        let begin = |path: &str| {
+        // Counts the dispatch and starts the transfer clock; hands back
+        // the traced retry the wire call runs under.
+        let begin = || {
             obs.inc(&names.dispatched);
             if extra {
                 obs.inc(&names.extra_dispatched);
             }
             let t0 = rt.now();
-            if let Some(rec) = &ctx.recorder {
-                rec.set_state(ctx.slot, "transferring", path, t0.as_nanos());
-            }
             let retry = Retry::new(rt, &params.retry)
                 .obs(obs, retry_label)
                 .span(bspan.id(), ctx.track);
@@ -631,18 +415,18 @@ fn worker_loop<P: TransferPolicy>(
         let (t0, result, bytes_len) = match op {
             WireOp::Upload { path, payload } => {
                 let data = payload();
-                let (t0, retry) = begin(&path);
+                let (t0, retry) = begin();
                 let r = retry.run(|| cloud.upload(&path, data.clone()));
                 (t0, r.map(|()| None), data.len() as u64)
             }
             WireOp::Download { path } => {
-                let (t0, retry) = begin(&path);
+                let (t0, retry) = begin();
                 let r = retry.run(|| cloud.download(&path));
                 let len = r.as_ref().map_or(0, |d| d.len() as u64);
                 (t0, r.map(Some), len)
             }
             WireOp::Delete { path } => {
-                let (t0, retry) = begin(&path);
+                let (t0, retry) = begin();
                 let r = match retry.run(|| cloud.delete(&path)) {
                     Err(CloudError::NotFound { .. }) => Ok(()),
                     r => r,
@@ -655,10 +439,6 @@ fn worker_loop<P: TransferPolicy>(
         bspan.attr_bool("ok", result.is_ok());
         bspan.attr_u64("bytes", bytes_len);
         bspan.end();
-        if let Some(rec) = &ctx.recorder {
-            rec.count_outcome(ctx.slot, result.is_ok());
-            rec.set_state(ctx.slot, "idle", "", now.as_nanos());
-        }
         match &result {
             Ok(_) => {
                 if let Some(probe) = &params.probe {
@@ -674,12 +454,6 @@ fn worker_loop<P: TransferPolicy>(
             Err(_) => {
                 obs.inc(&names.failures);
                 obs.series_add("engine.block_fail", cloud.name(), 1);
-                // A hard failure (retries exhausted) is the precursor
-                // of most stalls: capture the state now, while the
-                // other workers are still mid-flight.
-                if let Some(rec) = &ctx.recorder {
-                    rec.dump("block_failure", now.as_nanos());
-                }
             }
         }
         {

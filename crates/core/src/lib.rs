@@ -57,9 +57,7 @@ pub use client::{build_plane, ClientConfig, SyncError, SyncReport, UniDriveClien
 pub use control::newer;
 pub use dataplane::{DataPlane, FileSegmentation, LocalBase, UploadRequest};
 pub use download::{DownloadError, DownloadReport, SegmentFetch};
-pub use engine::{
-    run_batch, EngineParams, JobDesc, TransferEngine, TransferPolicy, WatchdogConfig, WireOp,
-};
+pub use engine::{run_batch, EngineParams, JobDesc, TransferPolicy, WireOp};
 pub use folder::{DirFolder, FolderError, LocalChange, LocalStat, MemFolder, SyncFolder};
 pub use lock::{LockGuard, QuorumLock};
 pub use lock_plane::LockPlane;

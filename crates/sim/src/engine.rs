@@ -4,7 +4,7 @@
 //!
 //! Every thread participating in a simulation is an **actor**. Actors run
 //! real Rust code on real OS threads; only their *blocking* goes through
-//! the engine (sleeps, semaphore waits, network flows). The engine keeps
+//! the engine (sleeps, notifier waits, network flows). The engine keeps
 //! two global invariants:
 //!
 //! * **Cooperative serialization** — at most one actor *executes* at any
@@ -12,7 +12,7 @@
 //!   execution token, which is handed over whenever the current actor
 //!   blocks (or exits). Since every wake-up is enqueued in a
 //!   deterministic order (timers by deadline then actor index, flows in
-//!   link/flow order, semaphore waiters FIFO), the entire interleaving —
+//!   link/flow order, notifier waiters FIFO), the entire interleaving —
 //!   and therefore every scheduling decision made by client code — is a
 //!   pure function of the seed. Same seed ⇒ byte-identical run.
 //! * Virtual time advances **only when every live actor is blocked**.
@@ -28,16 +28,23 @@
 //! an epoch boundary), completions can be computed analytically and a
 //! month of simulated transfers takes milliseconds of wall time.
 //!
+//! If every live actor is blocked and no event is pending, nothing can
+//! ever wake them: a **virtual-time deadlock**. The engine then wakes
+//! every parked actor and each panics with the same diagnostic, naming
+//! the blocked actors and what each waits on, so the run fails instead
+//! of hanging; the engine accepts no further blocking.
+//!
 //! # Rules for actor code
 //!
 //! * Never block through anything except this runtime's primitives
-//!   ([`Runtime::sleep`], [`Semaphore`](crate::Semaphore),
+//!   ([`Runtime::sleep`], [`Notifier::wait`](crate::Notifier::wait),
 //!   [`SimRuntime::transfer`], [`Task::join`](crate::Task::join)); an
 //!   actor blocked in, say, `std::sync::mpsc::recv` looks *running* to the
-//!   engine and time will never advance (the engine cannot detect this —
-//!   the run simply hangs).
-//! * Short critical sections under `parking_lot` mutexes are fine; they
-//!   are not "blocking" in the scheduling sense.
+//!   engine and time will never advance. The engine cannot detect this:
+//!   a deadlock among engine waits panics, so a run that *hangs* has an
+//!   actor blocked outside the runtime.
+//! * Short critical sections under mutexes are fine; they are not
+//!   "blocking" in the scheduling sense.
 //! * The thread that calls [`SimRuntime::new`] is registered as the
 //!   `main` actor and must itself obey these rules.
 
@@ -53,7 +60,7 @@ use unidrive_util::sync::{Condvar, Mutex};
 
 use crate::link::{Flow, LinkId, LinkProfile, LinkState};
 use crate::rng::SimRng;
-use crate::{Notifier, Runtime, Semaphore, Time};
+use crate::{Notifier, Runtime, Time};
 
 static NEXT_ENGINE_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -67,19 +74,17 @@ thread_local! {
 enum WakeReason {
     /// Its timer deadline fired.
     Timeout,
-    /// A semaphore permit was granted to it.
-    Acquired,
     /// Its network flow completed.
     FlowDone,
     /// A notifier it waited on was broadcast.
     Notified,
 }
 
-/// What an actor is currently blocked on (used to validate wake-ups).
+/// What an actor is currently blocked on (named in the deadlock
+/// diagnostic).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BlockKind {
     Sleep,
-    Sem(usize),
     Flow(u64),
     Notify(usize),
 }
@@ -88,7 +93,7 @@ enum BlockKind {
 struct Actor {
     name: String,
     /// Incremented every time the actor blocks; lets the engine discard
-    /// stale timer/semaphore registrations after an early wake.
+    /// stale timer registrations after an early wake.
     epoch: u64,
     running: bool,
     alive: bool,
@@ -97,16 +102,26 @@ struct Actor {
     cv: Arc<Condvar>,
 }
 
-#[derive(Debug)]
-struct SemState {
-    permits: usize,
-    waiters: VecDeque<(usize, u64)>,
+impl Actor {
+    /// A new actor: running (it holds or queues for the token), alive.
+    fn new(name: &str) -> Self {
+        Actor {
+            name: name.to_owned(),
+            epoch: 0,
+            running: true,
+            alive: true,
+            block: None,
+            woken: None,
+            cv: Arc::new(Condvar::new()),
+        }
+    }
 }
 
 #[derive(Debug)]
 struct NotifyState {
     generation: u64,
-    waiters: VecDeque<(usize, u64)>,
+    /// Parked actors, in the order they started waiting.
+    waiters: VecDeque<usize>,
 }
 
 #[derive(Debug)]
@@ -120,11 +135,13 @@ struct EngineState {
     runnable: VecDeque<usize>,
     /// Min-heap of (deadline ns, actor, actor-epoch).
     timers: BinaryHeap<Reverse<(u64, usize, u64)>>,
-    sems: Vec<SemState>,
     notifies: Vec<NotifyState>,
     links: Vec<LinkState>,
     next_flow_id: u64,
     rng: SimRng,
+    /// Set once every live actor is blocked with no pending event: the
+    /// diagnostic each parked actor panics with (see the module docs).
+    deadlock: Option<String>,
 }
 
 /// Deterministic virtual-time [`Runtime`].
@@ -154,7 +171,7 @@ struct EngineState {
 pub struct SimRuntime {
     id: u64,
     state: Mutex<EngineState>,
-    /// Back-reference so spawned threads and semaphores can keep the
+    /// Back-reference so spawned threads and notifiers can keep the
     /// engine alive without unsafe pointer juggling.
     weak_self: std::sync::Weak<SimRuntime>,
     /// Observability handle (no-op until [`SimRuntime::install_obs`]).
@@ -180,24 +197,25 @@ impl SimRuntime {
     /// Creates a virtual-time runtime seeded with `seed` and registers the
     /// calling thread as the `main` actor.
     pub fn new(seed: u64) -> Arc<SimRuntime> {
+        let id = NEXT_ENGINE_ID.fetch_add(1, Ordering::Relaxed);
         let rt = Arc::new_cyclic(|weak| SimRuntime {
-            id: NEXT_ENGINE_ID.fetch_add(1, Ordering::Relaxed),
+            id,
             state: Mutex::new(EngineState {
                 now_ns: 0,
-                actors: Vec::new(),
-                current: None,
+                actors: vec![Actor::new("main")],
+                current: Some(0),
                 runnable: VecDeque::new(),
                 timers: BinaryHeap::new(),
-                sems: Vec::new(),
                 notifies: Vec::new(),
                 links: Vec::new(),
                 next_flow_id: 0,
                 rng: SimRng::seed_from_u64(seed),
+                deadlock: None,
             }),
             weak_self: weak.clone(),
             obs: Mutex::new(Obs::noop()),
         });
-        rt.register_thread("main");
+        CURRENT_ACTOR.with(|c| c.set(Some((id, 0))));
         rt
     }
 
@@ -235,64 +253,6 @@ impl SimRuntime {
         self
     }
 
-    /// Registers the calling thread as a new actor named `name`.
-    ///
-    /// Normally unnecessary: [`SimRuntime::new`] registers the creator and
-    /// [`Runtime::spawn_raw`] registers spawned threads. Only threads
-    /// created outside the runtime need this.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the thread is already registered with this runtime.
-    pub fn register_thread(&self, name: &str) {
-        let (idx, granted) = {
-            let mut st = self.state.lock();
-            st.actors.push(Actor {
-                name: name.to_owned(),
-                epoch: 0,
-                running: true,
-                alive: true,
-                block: None,
-                woken: None,
-                cv: Arc::new(Condvar::new()),
-            });
-            let idx = st.actors.len() - 1;
-            // First-ever actor takes the execution token directly;
-            // anyone registering later queues behind the current holder.
-            if st.current.is_none() && st.runnable.is_empty() {
-                st.current = Some(idx);
-                (idx, true)
-            } else {
-                st.runnable.push_back(idx);
-                (idx, false)
-            }
-        };
-        CURRENT_ACTOR.with(|c| {
-            assert!(
-                c.get().is_none_or(|(eid, _)| eid != self.id),
-                "thread already registered with this SimRuntime"
-            );
-            c.set(Some((self.id, idx)));
-        });
-        if !granted {
-            self.wait_for_grant(idx);
-        }
-    }
-
-    /// Deregisters the calling thread. After this, the thread may no
-    /// longer block on the runtime. The execution token passes to the
-    /// next runnable actor (advancing time if everyone is blocked).
-    pub fn deregister_thread(&self) {
-        let me = self.current_actor();
-        CURRENT_ACTOR.with(|c| c.set(None));
-        let mut st = self.state.lock();
-        st.actors[me].alive = false;
-        st.actors[me].running = false;
-        debug_assert_eq!(st.current, Some(me));
-        st.current = None;
-        self.schedule_next(&mut st);
-    }
-
     /// Derives an independent deterministic RNG stream from the engine
     /// seed; used by higher layers (failure injection, workload
     /// generation) so whole scenarios stay reproducible.
@@ -308,44 +268,18 @@ impl SimRuntime {
         LinkId(st.links.len() - 1)
     }
 
-    /// Enables or disables a link. Transfers attempted on a disabled link
-    /// return [`TransferError::LinkDisabled`] immediately; flows already in
-    /// progress continue (modeling an admission-level outage).
-    pub fn set_link_enabled(&self, link: LinkId, enabled: bool) {
-        self.state.lock().links[link.0].enabled = enabled;
-    }
-
-    /// Current bandwidth multiplier of a link (diagnostics).
-    pub fn link_multiplier(&self, link: LinkId) -> f64 {
-        self.state.lock().links[link.0].multiplier
-    }
-
     /// Blocks the calling actor while `bytes` flow over `link`, modeling
     /// request latency, processor-sharing bandwidth, and epoch
     /// fluctuation. Zero-byte transfers still pay the request latency
     /// (they model metadata/listing calls).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TransferError::LinkDisabled`] if the link is disabled at
-    /// request time.
-    pub fn transfer(&self, link: LinkId, bytes: u64) -> Result<(), TransferError> {
+    pub fn transfer(&self, link: LinkId, bytes: u64) {
         let obs = self.obs();
-        let latency = {
-            let mut st = self.state.lock();
-            let l = &mut st.links[link.0];
-            if !l.enabled {
-                drop(st);
-                obs.inc("sim.flows_rejected");
-                return Err(TransferError::LinkDisabled);
-            }
-            l.sample_latency()
-        };
+        let latency = self.state.lock().links[link.0].sample_latency();
         if latency > Duration::ZERO {
             self.sleep(latency);
         }
         if bytes == 0 {
-            return Ok(());
+            return;
         }
         // Instants stamp through the registry clock (which reads engine
         // state), so they must be recorded while the state lock is free.
@@ -369,7 +303,6 @@ impl SimRuntime {
             a.epoch += 1;
             a.epoch
         };
-        let _ = epoch;
         st.links[link.0].flows.push(Flow {
             remaining_bytes: bytes as f64,
             actor: me,
@@ -381,26 +314,6 @@ impl SimRuntime {
         }
         obs.inc("sim.flows_finished");
         obs.instant("sim.flow_finished", None, flow_attrs);
-        Ok(())
-    }
-
-    /// Mean rate in bytes/second a fresh single connection would get on
-    /// `link` right now (diagnostics / probing oracle in tests).
-    pub fn instantaneous_rate(&self, link: LinkId) -> f64 {
-        let (rate, resampled) = {
-            let mut st = self.state.lock();
-            let now = st.now_ns;
-            let l = &mut st.links[link.0];
-            let resampled = l.maybe_resample(now);
-            let n = l.flows.len() as f64 + 1.0;
-            let per_conn = l.profile.per_conn_bytes_per_sec * l.multiplier;
-            let agg = l.profile.agg_bytes_per_sec * l.multiplier;
-            (per_conn.min(agg / n), resampled)
-        };
-        if resampled > 0 {
-            self.obs().add("sim.epoch_resamples", resampled);
-        }
-        rate
     }
 
     fn current_actor(&self) -> usize {
@@ -408,7 +321,7 @@ impl SimRuntime {
             Some((eid, idx)) if eid == self.id => idx,
             _ => panic!(
                 "thread '{}' is not registered with this SimRuntime; \
-                 spawn it via Runtime::spawn_raw or call register_thread",
+                 spawn it via Runtime::spawn_raw",
                 std::thread::current().name().unwrap_or("?")
             ),
         })
@@ -416,9 +329,15 @@ impl SimRuntime {
 
     /// Core blocking path. The caller must have already (under `st`)
     /// bumped the actor's epoch to `epoch` and registered whatever will
-    /// eventually wake it (timer entry, semaphore waiter, flow). Blocking
+    /// eventually wake it (timer entry, notifier waiter, flow). Blocking
     /// releases the execution token; returning means the actor was both
     /// woken *and* granted the token again.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the deadlock diagnostic once the engine has found a
+    /// virtual-time deadlock, whether this actor was already parked or
+    /// blocks afterwards.
     fn block_prepared(
         &self,
         mut st: unidrive_util::sync::MutexGuard<'_, EngineState>,
@@ -426,6 +345,9 @@ impl SimRuntime {
         epoch: u64,
         kind: BlockKind,
     ) -> WakeReason {
+        if let Some(diagnostic) = &st.deadlock {
+            panic!("{diagnostic}");
+        }
         {
             let a = &mut st.actors[me];
             debug_assert!(a.running, "actor blocking twice");
@@ -447,6 +369,9 @@ impl SimRuntime {
                 debug_assert!(st.actors[me].running);
                 return reason;
             }
+            if let Some(diagnostic) = &st.deadlock {
+                panic!("{diagnostic}");
+            }
             cv.wait(&mut st);
         }
     }
@@ -454,7 +379,7 @@ impl SimRuntime {
     /// Hands the execution token to the next runnable actor, advancing
     /// virtual time first if everyone is blocked. Caller must have
     /// cleared `current`. Leaves `current == None` only when no live
-    /// actor remains.
+    /// actor remains or the engine found a deadlock.
     fn schedule_next(&self, st: &mut EngineState) {
         debug_assert!(st.current.is_none());
         loop {
@@ -464,7 +389,7 @@ impl SimRuntime {
                 cv.notify_all();
                 return;
             }
-            if !st.actors.iter().any(|a| a.alive && !a.running) {
+            if st.deadlock.is_some() || !st.actors.iter().any(|a| a.alive && !a.running) {
                 return; // nothing left to run or wake
             }
             self.advance(st);
@@ -480,7 +405,9 @@ impl SimRuntime {
         }
     }
 
-    /// One engine step: move to the earliest event and fire it.
+    /// One engine step: move to the earliest event and fire it. With no
+    /// event pending, declares the deadlock and wakes every parked actor
+    /// to panic with its diagnostic.
     fn advance(&self, st: &mut EngineState) {
         let mut next: Option<u64> = None;
         let consider = |t: u64, next: &mut Option<u64>| {
@@ -515,11 +442,15 @@ impl SimRuntime {
                 .filter(|a| a.alive && !a.running)
                 .map(|a| format!("{} ({:?})", a.name, a.block))
                 .collect();
-            panic!(
+            st.deadlock = Some(format!(
                 "virtual-time deadlock: all actors blocked with no pending \
                  events; blocked actors: [{}]",
                 blocked.join(", ")
-            );
+            ));
+            for a in st.actors.iter().filter(|a| a.alive && !a.running) {
+                a.cv.notify_all();
+            }
+            return;
         };
         let t_next = t_next.max(st.now_ns);
         let dt = Duration::from_nanos(t_next - st.now_ns);
@@ -598,109 +529,36 @@ impl SimRuntime {
         st.runnable.push_back(actor);
     }
 
-    fn sem_acquire(&self, sem: usize, timeout: Option<Duration>) -> bool {
-        let me = self.current_actor();
-        let mut st = self.state.lock();
-        if st.sems[sem].permits > 0 {
-            st.sems[sem].permits -= 1;
-            return true;
-        }
-        if timeout == Some(Duration::ZERO) {
-            return false;
-        }
-        let epoch = {
-            let a = &mut st.actors[me];
-            a.epoch += 1;
-            a.epoch
-        };
-        st.sems[sem].waiters.push_back((me, epoch));
-        if let Some(t) = timeout {
-            let deadline = st.now_ns + t.as_nanos() as u64;
-            st.timers.push(Reverse((deadline, me, epoch)));
-        }
-        let reason = self.block_prepared(st, me, epoch, BlockKind::Sem(sem));
-        match reason {
-            WakeReason::Acquired => true,
-            WakeReason::Timeout => false,
-            other => unreachable!("{other:?} wake on semaphore wait"),
-        }
-    }
-
     fn notify_generation(&self, idx: usize) -> u64 {
         self.state.lock().notifies[idx].generation
     }
 
     /// Blocks the calling actor until the notifier's generation moves
-    /// past `seen` (no-op if it already has). Returns `false` only on
-    /// timeout. Waiters wake in FIFO registration order, keeping the
-    /// schedule deterministic.
-    fn notify_wait(&self, idx: usize, seen: u64, timeout: Option<Duration>) -> bool {
+    /// past `seen` (no-op if it already has). Waiters wake in FIFO
+    /// registration order, keeping the schedule deterministic.
+    fn notify_wait(&self, idx: usize, seen: u64) {
         let me = self.current_actor();
         let mut st = self.state.lock();
         if st.notifies[idx].generation != seen {
-            return true; // a broadcast already landed; never lose it
+            return; // a broadcast already landed; never lose it
         }
         let epoch = {
             let a = &mut st.actors[me];
             a.epoch += 1;
             a.epoch
         };
-        st.notifies[idx].waiters.push_back((me, epoch));
-        if let Some(t) = timeout {
-            let deadline = st.now_ns + t.as_nanos() as u64;
-            st.timers.push(Reverse((deadline, me, epoch)));
-        }
+        st.notifies[idx].waiters.push_back(me);
         let reason = self.block_prepared(st, me, epoch, BlockKind::Notify(idx));
-        match reason {
-            WakeReason::Notified => true,
-            WakeReason::Timeout => false,
-            other => unreachable!("{other:?} wake on notifier wait"),
-        }
+        debug_assert_eq!(reason, WakeReason::Notified);
     }
 
     fn notify_broadcast(&self, idx: usize) {
         let mut st = self.state.lock();
         st.notifies[idx].generation += 1;
-        // Wake everyone currently parked, FIFO. Entries staled by a
-        // timeout wake are filtered by the epoch/block check.
+        // Wake everyone currently parked, FIFO.
         let waiters = std::mem::take(&mut st.notifies[idx].waiters);
-        for (actor, epoch) in waiters {
-            let valid = {
-                let a = &st.actors[actor];
-                a.alive
-                    && !a.running
-                    && a.woken.is_none()
-                    && a.epoch == epoch
-                    && a.block == Some(BlockKind::Notify(idx))
-            };
-            if valid {
-                Self::mark_woken(&mut st, actor, WakeReason::Notified);
-            }
-        }
-    }
-
-    fn sem_release(&self, sem: usize, n: usize) {
-        let mut st = self.state.lock();
-        st.sems[sem].permits += n;
-        loop {
-            if st.sems[sem].permits == 0 {
-                break;
-            }
-            let Some((actor, epoch)) = st.sems[sem].waiters.pop_front() else {
-                break;
-            };
-            let valid = {
-                let a = &st.actors[actor];
-                a.alive
-                    && !a.running
-                    && a.woken.is_none()
-                    && a.epoch == epoch
-                    && a.block == Some(BlockKind::Sem(sem))
-            };
-            if valid {
-                st.sems[sem].permits -= 1;
-                Self::mark_woken(&mut st, actor, WakeReason::Acquired);
-            }
+        for actor in waiters {
+            Self::mark_woken(&mut st, actor, WakeReason::Notified);
         }
     }
 }
@@ -735,15 +593,7 @@ impl Runtime for SimRuntime {
         // deterministic regardless of OS thread startup timing.
         let idx = {
             let mut st = self.state.lock();
-            st.actors.push(Actor {
-                name: name.to_owned(),
-                epoch: 0,
-                running: true,
-                alive: true,
-                block: None,
-                woken: None,
-                cv: Arc::new(Condvar::new()),
-            });
+            st.actors.push(Actor::new(name));
             let idx = st.actors.len() - 1;
             st.runnable.push_back(idx);
             idx
@@ -758,11 +608,11 @@ impl Runtime for SimRuntime {
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
                 {
                     let mut st = this.state.lock();
-                    // The closure may have deregistered itself already;
-                    // only settle the books once.
-                    if st.actors[idx].alive {
-                        st.actors[idx].alive = false;
-                        st.actors[idx].running = false;
+                    st.actors[idx].alive = false;
+                    st.actors[idx].running = false;
+                    // After a deadlock nobody holds the token and nothing
+                    // is scheduled again.
+                    if st.deadlock.is_none() {
                         debug_assert_eq!(st.current, Some(idx));
                         st.current = None;
                         this.schedule_next(&mut st);
@@ -773,21 +623,6 @@ impl Runtime for SimRuntime {
                 }
             })
             .expect("failed to spawn OS thread");
-    }
-
-    fn semaphore(&self, permits: usize) -> Arc<dyn Semaphore> {
-        let idx = {
-            let mut st = self.state.lock();
-            st.sems.push(SemState {
-                permits,
-                waiters: VecDeque::new(),
-            });
-            st.sems.len() - 1
-        };
-        Arc::new(SimSemaphore {
-            engine: self.strong_self(),
-            idx,
-        })
     }
 
     fn notifier(&self) -> Arc<dyn Notifier> {
@@ -806,51 +641,6 @@ impl Runtime for SimRuntime {
     }
 }
 
-/// Error returned by [`SimRuntime::transfer`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransferError {
-    /// The link was administratively disabled (simulated outage).
-    LinkDisabled,
-}
-
-impl std::fmt::Display for TransferError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TransferError::LinkDisabled => write!(f, "link is disabled"),
-        }
-    }
-}
-
-impl std::error::Error for TransferError {}
-
-struct SimSemaphore {
-    engine: Arc<SimRuntime>,
-    idx: usize,
-}
-
-impl Semaphore for SimSemaphore {
-    fn acquire(&self) {
-        let ok = self.engine.sem_acquire(self.idx, None);
-        debug_assert!(ok);
-    }
-
-    fn acquire_timeout(&self, timeout: Duration) -> bool {
-        self.engine.sem_acquire(self.idx, Some(timeout))
-    }
-
-    fn try_acquire(&self) -> bool {
-        self.engine.sem_acquire(self.idx, Some(Duration::ZERO))
-    }
-
-    fn release(&self, n: usize) {
-        self.engine.sem_release(self.idx, n);
-    }
-
-    fn permits(&self) -> usize {
-        self.engine.state.lock().sems[self.idx].permits
-    }
-}
-
 struct SimNotifier {
     engine: Arc<SimRuntime>,
     idx: usize,
@@ -862,12 +652,7 @@ impl Notifier for SimNotifier {
     }
 
     fn wait(&self, seen: u64) {
-        let ok = self.engine.notify_wait(self.idx, seen, None);
-        debug_assert!(ok);
-    }
-
-    fn wait_timeout(&self, seen: u64, timeout: Duration) -> bool {
-        self.engine.notify_wait(self.idx, seen, Some(timeout))
+        self.engine.notify_wait(self.idx, seen);
     }
 
     fn notify_all(&self) {

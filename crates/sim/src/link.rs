@@ -138,7 +138,6 @@ pub(crate) struct LinkState {
     pub multiplier: f64,
     pub next_resample_ns: u64,
     pub flows: Vec<Flow>,
-    pub enabled: bool,
     rng: SimRng,
 }
 
@@ -149,7 +148,6 @@ impl LinkState {
             next_resample_ns: profile.epoch.as_nanos() as u64,
             profile,
             flows: Vec::new(),
-            enabled: true,
             rng,
         }
     }

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use unidrive_util::sync::{Condvar, Mutex};
 
-use crate::{Notifier, Runtime, Semaphore, Time};
+use crate::{Notifier, Runtime, Time};
 
 /// A [`Runtime`] backed by the operating system clock and scheduler.
 ///
@@ -37,11 +37,6 @@ impl RealRuntime {
             epoch: Instant::now(),
         }
     }
-
-    /// Convenience constructor returning a shared trait handle.
-    pub fn handle() -> Arc<dyn Runtime> {
-        Arc::new(RealRuntime::new())
-    }
 }
 
 impl Default for RealRuntime {
@@ -66,71 +61,11 @@ impl Runtime for RealRuntime {
             .expect("failed to spawn OS thread");
     }
 
-    fn semaphore(&self, permits: usize) -> Arc<dyn Semaphore> {
-        Arc::new(RealSemaphore {
-            state: Mutex::new(permits),
-            cv: Condvar::new(),
-        })
-    }
-
     fn notifier(&self) -> Arc<dyn Notifier> {
         Arc::new(RealNotifier {
             generation: Mutex::new(0),
             cv: Condvar::new(),
         })
-    }
-}
-
-/// Condvar-based counting semaphore.
-#[derive(Debug)]
-struct RealSemaphore {
-    state: Mutex<usize>,
-    cv: Condvar,
-}
-
-impl Semaphore for RealSemaphore {
-    fn acquire(&self) {
-        let mut permits = self.state.lock();
-        while *permits == 0 {
-            self.cv.wait(&mut permits);
-        }
-        *permits -= 1;
-    }
-
-    fn acquire_timeout(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut permits = self.state.lock();
-        while *permits == 0 {
-            if self.cv.wait_until(&mut permits, deadline).timed_out() {
-                return false;
-            }
-        }
-        *permits -= 1;
-        true
-    }
-
-    fn try_acquire(&self) -> bool {
-        let mut permits = self.state.lock();
-        if *permits > 0 {
-            *permits -= 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn release(&self, n: usize) {
-        let mut permits = self.state.lock();
-        *permits += n;
-        if n == 1 {
-            self.cv.notify_one();
-        } else {
-            self.cv.notify_all();
-        }
-    }
-
-    fn permits(&self) -> usize {
-        *self.state.lock()
     }
 }
 
@@ -153,58 +88,9 @@ impl Notifier for RealNotifier {
         }
     }
 
-    fn wait_timeout(&self, seen: u64, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut gen = self.generation.lock();
-        while *gen == seen {
-            if self.cv.wait_until(&mut gen, deadline).timed_out() {
-                return *gen != seen;
-            }
-        }
-        true
-    }
-
     fn notify_all(&self) {
         let mut gen = self.generation.lock();
         *gen += 1;
         self.cv.notify_all();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::spawn;
-
-    #[test]
-    fn semaphore_hands_off_between_threads() {
-        let rt: Arc<dyn Runtime> = Arc::new(RealRuntime::new());
-        let sem = rt.semaphore(0);
-        let sem2 = Arc::clone(&sem);
-        let task = spawn(&rt, "releaser", move || {
-            sem2.release(1);
-            7
-        });
-        sem.acquire();
-        assert_eq!(task.join(), 7);
-    }
-
-    #[test]
-    fn acquire_timeout_expires() {
-        let rt = RealRuntime::new();
-        let sem = rt.semaphore(0);
-        assert!(!sem.acquire_timeout(Duration::from_millis(10)));
-        sem.release(1);
-        assert!(sem.acquire_timeout(Duration::from_millis(10)));
-    }
-
-    #[test]
-    fn try_acquire_counts_permits() {
-        let rt = RealRuntime::new();
-        let sem = rt.semaphore(2);
-        assert!(sem.try_acquire());
-        assert!(sem.try_acquire());
-        assert!(!sem.try_acquire());
-        assert_eq!(sem.permits(), 0);
     }
 }

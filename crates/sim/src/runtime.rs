@@ -4,10 +4,12 @@
 //! ([`SimRuntime`](crate::SimRuntime)).
 //!
 //! The surface is deliberately tiny: a clock, a sleeper, thread spawning,
-//! and a counting semaphore. Every blocking primitive used by the sync
-//! client (work queues, completion counters, joins) is built on the
-//! semaphore, so the virtual-time engine can always tell when all actors
-//! are blocked and time may advance.
+//! and one blocking primitive, the [`Notifier`] eventcount. Every wait in
+//! the sync client (idle transfer workers, the upload availability wait,
+//! the HTTP connection pool, [`Task::join`]) parks on a notifier, so the
+//! virtual-time engine can always tell when all actors are blocked and
+//! time may advance — or, when nothing is pending, that the run is
+//! deadlocked.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -15,29 +17,6 @@ use std::time::Duration;
 use unidrive_util::sync::Mutex;
 
 use crate::Time;
-
-/// A counting semaphore usable under both runtimes.
-///
-/// Under a [`SimRuntime`](crate::SimRuntime) the blocked thread is parked
-/// on the virtual clock; under a [`RealRuntime`](crate::RealRuntime) it is
-/// an ordinary condvar wait.
-pub trait Semaphore: Send + Sync {
-    /// Blocks until a permit is available, then consumes it.
-    fn acquire(&self);
-
-    /// Like [`acquire`](Semaphore::acquire) but gives up after `timeout`.
-    /// Returns `true` if a permit was obtained.
-    fn acquire_timeout(&self, timeout: Duration) -> bool;
-
-    /// Consumes a permit if one is immediately available.
-    fn try_acquire(&self) -> bool;
-
-    /// Adds `n` permits, waking blocked acquirers.
-    fn release(&self, n: usize);
-
-    /// Number of currently available permits (racy; diagnostics only).
-    fn permits(&self) -> usize;
-}
 
 /// A broadcast wait/notify cell (an *eventcount*), the primitive behind
 /// pull-based worker pools: an idle worker parks until state it polls
@@ -63,10 +42,6 @@ pub trait Notifier: Send + Sync {
     /// immediately if it already has.
     fn wait(&self, seen: u64);
 
-    /// Like [`wait`](Notifier::wait) but gives up after `timeout`.
-    /// Returns `true` if woken by a notification, `false` on timeout.
-    fn wait_timeout(&self, seen: u64, timeout: Duration) -> bool;
-
     /// Advances the generation and wakes every current waiter.
     fn notify_all(&self);
 }
@@ -88,26 +63,22 @@ pub trait Runtime: Send + Sync {
     /// [`Task`].
     fn spawn_raw(&self, name: &str, f: Box<dyn FnOnce() + Send>);
 
-    /// Creates a counting semaphore with `permits` initial permits.
-    fn semaphore(&self, permits: usize) -> Arc<dyn Semaphore>;
-
     /// Creates a wait/notify cell; see [`Notifier`].
     fn notifier(&self) -> Arc<dyn Notifier>;
 }
 
-/// Shared handle to a runtime.
-pub type RuntimeHandle = Arc<dyn Runtime>;
-
 /// Handle to a value produced by a spawned thread; see [`spawn`].
 pub struct Task<T> {
     result: Arc<Mutex<Option<T>>>,
-    done: Arc<dyn Semaphore>,
+    /// Generation 0 while the task runs; notified once when it ends,
+    /// by returning or by panicking.
+    done: Arc<dyn Notifier>,
 }
 
 impl<T> std::fmt::Debug for Task<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Task")
-            .field("finished", &(self.done.permits() > 0))
+            .field("finished", &(self.done.generation() > 0))
             .finish()
     }
 }
@@ -119,16 +90,21 @@ impl<T: Send + 'static> Task<T> {
     ///
     /// Panics if the task itself panicked (its result was never stored).
     pub fn join(self) -> T {
-        self.done.acquire();
+        self.done.wait(0);
         self.result
             .lock()
             .take()
             .expect("task panicked before producing a result")
     }
+}
 
-    /// Returns `true` once the task has finished (without consuming it).
-    pub fn is_finished(&self) -> bool {
-        self.done.permits() > 0
+/// Notifies a task's joiner when dropped, so a task that panics still
+/// wakes it (during unwinding).
+struct NotifyOnDrop(Arc<dyn Notifier>);
+
+impl Drop for NotifyOnDrop {
+    fn drop(&mut self) {
+        self.0.notify_all();
     }
 }
 
@@ -150,106 +126,15 @@ where
     F: FnOnce() -> T + Send + 'static,
 {
     let result = Arc::new(Mutex::new(None));
-    let done = rt.semaphore(0);
-    let (res2, done2) = (Arc::clone(&result), Arc::clone(&done));
+    let done = rt.notifier();
+    let (res2, done2) = (Arc::clone(&result), NotifyOnDrop(Arc::clone(&done)));
     rt.spawn_raw(
         name,
         Box::new(move || {
+            let _done = done2;
             let value = f();
             *res2.lock() = Some(value);
-            done2.release(1);
         }),
     );
     Task { result, done }
-}
-
-/// A multi-producer multi-consumer FIFO queue built from a runtime
-/// semaphore, safe to block on under virtual time.
-///
-/// # Examples
-///
-/// ```
-/// use unidrive_sim::{RealRuntime, Runtime, SimQueue};
-/// use std::sync::Arc;
-///
-/// let rt: Arc<dyn Runtime> = Arc::new(RealRuntime::new());
-/// let q = SimQueue::new(&rt);
-/// q.push(5);
-/// assert_eq!(q.pop(), 5);
-/// ```
-#[derive(Clone)]
-pub struct SimQueue<T> {
-    items: Arc<Mutex<std::collections::VecDeque<T>>>,
-    available: Arc<dyn Semaphore>,
-}
-
-impl<T: Send> SimQueue<T> {
-    /// Creates an empty queue on `rt`.
-    pub fn new(rt: &Arc<dyn Runtime>) -> Self {
-        SimQueue {
-            items: Arc::new(Mutex::new(std::collections::VecDeque::new())),
-            available: rt.semaphore(0),
-        }
-    }
-
-    /// Appends an item and wakes one blocked consumer.
-    pub fn push(&self, item: T) {
-        self.items.lock().push_back(item);
-        self.available.release(1);
-    }
-
-    /// Blocks until an item is available and removes it.
-    pub fn pop(&self) -> T {
-        self.available.acquire();
-        self.items
-            .lock()
-            .pop_front()
-            .expect("semaphore permit without queued item")
-    }
-
-    /// Removes an item if one is immediately available.
-    pub fn try_pop(&self) -> Option<T> {
-        if self.available.try_acquire() {
-            Some(
-                self.items
-                    .lock()
-                    .pop_front()
-                    .expect("semaphore permit without queued item"),
-            )
-        } else {
-            None
-        }
-    }
-
-    /// Blocks up to `timeout` for an item.
-    pub fn pop_timeout(&self, timeout: Duration) -> Option<T> {
-        if self.available.acquire_timeout(timeout) {
-            Some(
-                self.items
-                    .lock()
-                    .pop_front()
-                    .expect("semaphore permit without queued item"),
-            )
-        } else {
-            None
-        }
-    }
-
-    /// Current queue length (racy; diagnostics only).
-    pub fn len(&self) -> usize {
-        self.items.lock().len()
-    }
-
-    /// Whether the queue is currently empty (racy; diagnostics only).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<T> std::fmt::Debug for SimQueue<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SimQueue")
-            .field("len", &self.items.lock().len())
-            .finish()
-    }
 }

@@ -1,29 +1,46 @@
 //! Edge-case tests of the virtual-time engine: deadlock detection,
-//! thread deregistration, flow conservation under churn, and timer/
-//! semaphore races.
+//! panicking tasks, flow conservation under churn, and timers.
+//!
+//! A test that could block forever runs its body through
+//! [`panic_message_within`], so it fails at the harness timeout instead
+//! of hanging the suite.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use unidrive_sim::{spawn, LinkProfile, Runtime, SimRng, SimRuntime, Time};
+use unidrive_sim::{spawn, LinkProfile, RealRuntime, Runtime, SimRng, SimRuntime};
+
+const HARNESS_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Runs `f` on a fresh thread and returns its panic message (`None` if
+/// it returned). Fails the test if `f` is still blocked after
+/// [`HARNESS_TIMEOUT`].
+fn panic_message_within(f: impl FnOnce() + Send + 'static) -> Option<String> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+        let _ = tx.send(outcome.err().map(|payload| {
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default()
+        }));
+    });
+    rx.recv_timeout(HARNESS_TIMEOUT)
+        .expect("still blocked at the harness timeout")
+}
 
 #[test]
 fn deadlock_is_detected_and_reported() {
-    let result = std::panic::catch_unwind(|| {
-        let sim = SimRuntime::new(1);
-        let rt = sim.clone().as_runtime();
-        // An actor waiting on a semaphore nobody will ever release, with
-        // no timers and no flows: the engine must panic with a
-        // diagnostic rather than hang.
-        let sem = rt.semaphore(0);
-        sem.acquire();
-    });
-    let payload = result.expect_err("deadlock must panic");
-    let message = payload
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-        .unwrap_or_default();
+    // An actor waiting on a notifier nobody will ever notify, with no
+    // timers and no flows: the engine must panic with a diagnostic
+    // rather than hang.
+    let message = panic_message_within(|| {
+        let rt = SimRuntime::new(1).as_runtime();
+        rt.notifier().wait(0);
+    })
+    .expect("deadlock must panic");
     assert!(
         message.contains("virtual-time deadlock"),
         "diagnostic missing: {message}"
@@ -31,28 +48,51 @@ fn deadlock_is_detected_and_reported() {
 }
 
 #[test]
-fn deregistered_thread_no_longer_blocks_time() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    let sim = SimRuntime::new(2);
-    let rt = sim.clone().as_runtime();
-    let sim2 = sim.clone();
-    let finished = Arc::new(AtomicBool::new(false));
-    let finished2 = Arc::clone(&finished);
-    // The spawned actor deregisters itself and then runs in real time;
-    // the engine must advance virtual time without waiting for it. A
-    // deregistered thread may no longer be awaited through engine
-    // primitives, so completion is signalled via an atomic.
-    spawn(&rt, "free-runner", move || {
-        sim2.deregister_thread();
-        std::thread::sleep(Duration::from_millis(20));
-        finished2.store(true, Ordering::SeqCst);
-    });
-    sim.sleep(Duration::from_secs(10));
-    assert_eq!(sim.now(), Time::from_secs(10));
-    // Main is a *running* actor while it really-waits, which is allowed.
-    while !finished.load(Ordering::SeqCst) {
-        std::thread::sleep(Duration::from_millis(1));
+fn a_deadlock_fails_every_parked_actor() {
+    // Two actors park on a notifier nobody notifies while main joins
+    // the first. The last actor to block finds the deadlock; main, parked
+    // earlier, must panic with the same diagnostic instead of staying
+    // parked.
+    let message = panic_message_within(|| {
+        let sim = SimRuntime::new(2);
+        let rt = sim.clone().as_runtime();
+        let cell = rt.notifier();
+        let parked: Vec<_> = ["left", "right"]
+            .into_iter()
+            .map(|name| {
+                let cell = Arc::clone(&cell);
+                spawn(&rt, name, move || cell.wait(0))
+            })
+            .collect();
+        for task in parked {
+            task.join();
+        }
+    })
+    .expect("the joining main actor must panic");
+    assert!(message.contains("virtual-time deadlock"), "{message}");
+    for actor in ["main (", "left (", "right ("] {
+        assert!(message.contains(actor), "{actor} not listed: {message}");
     }
+}
+
+#[test]
+fn joining_a_panicked_task_panics_under_the_sim() {
+    let message = panic_message_within(|| {
+        let rt = SimRuntime::new(3).as_runtime();
+        spawn(&rt, "doomed", || -> u32 { panic!("task body fails") }).join();
+    })
+    .expect("join must panic");
+    assert!(message.contains("task panicked"), "{message}");
+}
+
+#[test]
+fn joining_a_panicked_task_panics_under_wall_clock() {
+    let message = panic_message_within(|| {
+        let rt: Arc<dyn Runtime> = Arc::new(RealRuntime::new());
+        spawn(&rt, "doomed", || -> u32 { panic!("task body fails") }).join();
+    })
+    .expect("join must panic");
+    assert!(message.contains("task panicked"), "{message}");
 }
 
 #[test]
@@ -66,7 +106,7 @@ fn flows_conserve_bytes_under_churn() {
         .map(|i| {
             let sim2 = sim.clone();
             spawn(&rt, &format!("f{i}"), move || {
-                sim2.transfer(link, 1_000_000).unwrap();
+                sim2.transfer(link, 1_000_000);
             })
         })
         .collect();
@@ -75,29 +115,6 @@ fn flows_conserve_bytes_under_churn() {
     }
     // 10 MB over a 2 MB/s aggregate = 5 s exactly.
     assert!((sim.now().as_secs_f64() - 5.0).abs() < 0.01);
-}
-
-#[test]
-fn timer_and_release_race_is_consistent() {
-    // Release exactly at the timeout instant: the acquirer must observe
-    // exactly one of the outcomes, and the permit must not be lost.
-    let sim = SimRuntime::new(4);
-    let rt = sim.clone().as_runtime();
-    let sem = rt.semaphore(0);
-    let sem2 = Arc::clone(&sem);
-    let rt2 = rt.clone();
-    let releaser = spawn(&rt, "releaser", move || {
-        rt2.sleep(Duration::from_secs(5));
-        sem2.release(1);
-    });
-    let got = sem.acquire_timeout(Duration::from_secs(5));
-    releaser.join();
-    if got {
-        assert_eq!(sem.permits(), 0);
-    } else {
-        // The permit survived for the next acquirer.
-        assert_eq!(sem.permits(), 1);
-    }
 }
 
 #[test]
@@ -116,12 +133,12 @@ fn many_links_advance_independently() {
     let rt = sim.clone().as_runtime();
     let sim_a = sim.clone();
     let a = spawn(&rt, "fast", move || {
-        sim_a.transfer(fast, 8_000_000).unwrap();
+        sim_a.transfer(fast, 8_000_000);
         sim_a.now()
     });
     let sim_b = sim.clone();
     let b = spawn(&rt, "slow", move || {
-        sim_b.transfer(slow, 8_000_000).unwrap();
+        sim_b.transfer(slow, 8_000_000);
         sim_b.now()
     });
     assert_eq!(a.join().as_secs_f64(), 1.0);
@@ -138,34 +155,4 @@ fn rng_forks_are_deterministic_per_seed() {
     assert_eq!(draws(42), draws(42));
     assert_ne!(draws(42), draws(43));
     let _ = SimRng::seed_from_u64(1);
-}
-
-#[test]
-fn try_acquire_never_blocks_the_clock() {
-    let sim = SimRuntime::new(7);
-    let rt = sim.clone().as_runtime();
-    let sem = rt.semaphore(1);
-    assert!(sem.try_acquire());
-    assert!(!sem.try_acquire());
-    // The failed try must not have advanced virtual time.
-    assert_eq!(sim.now(), Time::ZERO);
-}
-
-#[test]
-fn instantaneous_rate_reflects_contention() {
-    let sim = SimRuntime::new(8);
-    let link = sim.add_link(LinkProfile::steady(4e6, 4e6));
-    let idle_rate = sim.instantaneous_rate(link);
-    assert_eq!(idle_rate, 4e6);
-    // Start a competing flow; a new connection now shares the aggregate.
-    let rt = sim.clone().as_runtime();
-    let sim2 = sim.clone();
-    let t = spawn(&rt, "bg", move || {
-        sim2.transfer(link, 4_000_000).unwrap();
-    });
-    // Give the flow a moment to register.
-    sim.sleep(Duration::from_millis(10));
-    let contended = sim.instantaneous_rate(link);
-    assert!(contended <= 2e6 + 1.0, "rate {contended}");
-    t.join();
 }

@@ -9,7 +9,6 @@
 //!   place, so wait loops read naturally (`while p { cv.wait(&mut g) }`).
 
 use std::sync::PoisonError;
-use std::time::Instant;
 
 /// Mutual exclusion primitive; `lock()` never returns a `Result`.
 pub struct Mutex<T: ?Sized> {
@@ -98,17 +97,6 @@ pub struct Condvar {
     inner: std::sync::Condvar,
 }
 
-/// Result of a timed wait; reports whether the deadline elapsed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitTimeoutResult(bool);
-
-impl WaitTimeoutResult {
-    /// Whether the wait ended because the timeout elapsed.
-    pub fn timed_out(&self) -> bool {
-        self.0
-    }
-}
-
 impl Condvar {
     /// Creates a condition variable.
     pub const fn new() -> Self {
@@ -125,27 +113,6 @@ impl Condvar {
             .wait(inner)
             .unwrap_or_else(PoisonError::into_inner);
         guard.inner = Some(inner);
-    }
-
-    /// Blocks until notified or `deadline` passes.
-    pub fn wait_until<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        deadline: Instant,
-    ) -> WaitTimeoutResult {
-        let timeout = deadline.saturating_duration_since(Instant::now());
-        let inner = guard.inner.take().expect("guard taken during wait");
-        let (inner, res) = self
-            .inner
-            .wait_timeout(inner, timeout)
-            .unwrap_or_else(PoisonError::into_inner);
-        guard.inner = Some(inner);
-        WaitTimeoutResult(res.timed_out())
-    }
-
-    /// Wakes one waiter.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
     }
 
     /// Wakes all waiters.
@@ -225,7 +192,6 @@ impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for RwLock<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use std::time::Duration;
 
     #[test]
     fn condvar_wait_reacquires_guard() {
@@ -245,15 +211,6 @@ mod tests {
         }
         assert!(*ready);
         t.join().unwrap();
-    }
-
-    #[test]
-    fn wait_until_times_out() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        let res = cv.wait_until(&mut g, Instant::now() + Duration::from_millis(10));
-        assert!(res.timed_out());
     }
 
     #[test]
