@@ -62,7 +62,7 @@ else
     echo "    clippy not installed; skipped"
 fi
 
-echo "==> one trace, one artefact, one reader, one per-cloud estimator, one figures binary, one cost statement, one blocking primitive: the retired names stay retired"
+echo "==> one trace, one artefact, one reader, one per-cloud estimator, one figures binary, one cost statement, one blocking primitive, one fleet event loop: the retired names stay retired"
 # The typed Event ring, the three per-format flags, the second report
 # binary and the streaming health scoreboard (cloud health is a
 # function `obs_report` computes from the series) must not creep back;
@@ -73,9 +73,10 @@ echo "==> one trace, one artefact, one reader, one per-cloud estimator, one figu
 # are the one statement), nor a second way to block in the runtime (the
 # `Notifier` is the one primitive; a virtual-time deadlock panics in
 # every parked actor, so no engine needs a stall watchdog) and the sim
-# API nothing called.
+# API nothing called, nor the fleet's shard fan-out (one sequential
+# event loop was faster on every layout measured).
 # (The bracketed letters keep this line from matching itself.)
-if grep -rnE '\bEvent::|Traced[E]vent|--metrics-[o]ut|--trace-[o]ut|--series-[o]ut|trace_[r]eport|Health[T]racker|Health[B]oard|Cloud[H]ealth|Health[C]onfig|to_json_with_[h]ealth|unidrive-[h]ealth/v1|native_[a]ppend|supports_conditional_[p]ut|max_object_[b]ytes|run_[a]ll|meta_mode_from_[a]rgs|FleetLock[P]arams|LOCK_[O]PS|OPLOG_APPEND_[O]PS|OPLOG_COMPACT_[O]PS|Sema[p]hore|SimQ[u]eue|RuntimeH[a]ndle|TransferE[r]ror|set_link_[e]nabled|deregister_[t]hread|instantaneous_[r]ate|Watchdog[C]onfig|FlightR[e]corder' \
+if grep -rnE '\bEvent::|Traced[E]vent|--metrics-[o]ut|--trace-[o]ut|--series-[o]ut|trace_[r]eport|Health[T]racker|Health[B]oard|Cloud[H]ealth|Health[C]onfig|to_json_with_[h]ealth|unidrive-[h]ealth/v1|native_[a]ppend|supports_conditional_[p]ut|max_object_[b]ytes|run_[a]ll|meta_mode_from_[a]rgs|FleetLock[P]arams|LOCK_[O]PS|OPLOG_APPEND_[O]PS|OPLOG_COMPACT_[O]PS|Sema[p]hore|SimQ[u]eue|RuntimeH[a]ndle|TransferE[r]ror|set_link_[e]nabled|deregister_[t]hread|instantaneous_[r]ate|Watchdog[C]onfig|FlightR[e]corder|partition_[w]indow|merge_by_[k]ey|shard_[o]f|--sh[a]rds|sim::sh[a]rd' \
     crates src tests examples ci.sh; then
     echo "    retired name found (see matches above)"
     exit 1
@@ -181,24 +182,28 @@ grep -q '"verdict": "PASS"' "$out/cso.json"
 echo "==> fleet bench: 10k-device quick run, invariants + schema + byte-identical"
 # The fleet simulator must converge with every chaos-soak invariant
 # green, emit a schema-stable report, and be a pure function of the
-# seed: two quick runs (the second with a different shard and thread
-# count) must produce byte-identical BENCH_fleet.json.
+# seed: two same-seed quick runs must produce byte-identical
+# BENCH_fleet.json. A --seed that is not a number is refused (exit 2),
+# not silently replaced by the default seed.
 ./target/release/bench_fleet quick --out "$out/f1.json" --obs-out "$out/fs1.json" >/dev/null
-./target/release/bench_fleet quick --shards 3 --threads 2 --out "$out/f2.json" --obs-out "$out/fs2.json" >/dev/null
+./target/release/bench_fleet quick --out "$out/f2.json" --obs-out "$out/fs2.json" >/dev/null
 cmp "$out/f1.json" "$out/f2.json"
 ./target/release/bench_compare --validate "$out/f1.json"
 grep -q '"devices": 10000' "$out/f1.json"
+rc=0
+./target/release/bench_fleet quick --seed nope >/dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ]
 
-echo "==> fleet series: byte-identical across shard/thread layouts + one lane per cloud"
-# The per-shard series banks must merge to the same document no matter
-# how the event set is partitioned — the windowed-telemetry analogue
-# of the BENCH_fleet.json determinism gate — and it must carry the four
-# series fleet consumers read (obs_report's fleet-export rule) plus
+echo "==> fleet series: byte-identical across same-seed runs + one lane per cloud"
+# The windowed series must be the same document on every same-seed
+# run — the windowed-telemetry analogue of the BENCH_fleet.json
+# determinism gate — and it must carry the four series fleet
+# consumers read (obs_report's fleet-export rule) plus
 # attempt/error series from which one lane per cloud derives.
 cmp "$out/fs1.json" "$out/fs2.json"
 ./target/release/obs_report --validate "$out/fs1.json" | grep "5 health lanes"
 
-echo "==> fleet bench, oplog mode + full mode: byte-identical across layouts and to both checked-in documents"
+echo "==> fleet bench, oplog mode + full mode: byte-identical across same-seed runs and to both checked-in documents"
 # The oplog mode charges a different protocol (appends priced by the op
 # files each listing shows, λ compactions): the same determinism and
 # schema gates as the lock mode. Then the fleet's analogue of the
@@ -207,7 +212,7 @@ echo "==> fleet bench, oplog mode + full mode: byte-identical across layouts and
 # number, and a PR that means to regenerates BENCH_fleet.json and
 # BENCH_fleet_oplog.json.
 ./target/release/bench_fleet quick --meta-mode oplog --out "$out/fo1.json" >/dev/null
-./target/release/bench_fleet quick --meta-mode oplog --shards 3 --threads 2 --out "$out/fo2.json" >/dev/null
+./target/release/bench_fleet quick --meta-mode oplog --out "$out/fo2.json" >/dev/null
 cmp "$out/fo1.json" "$out/fo2.json"
 ./target/release/bench_compare --validate "$out/fo1.json"
 ./target/release/bench_fleet --out "$out/f_full.json" >/dev/null

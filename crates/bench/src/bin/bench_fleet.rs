@@ -9,18 +9,19 @@
 //!   holder, no lost acks, session conservation, convergence.
 //!
 //! The run is virtual-time deterministic: same seed ⇒ byte-identical
-//! `BENCH_fleet.json`, regardless of shard or thread count (CI runs
-//! the quick mode twice and byte-compares). Wall-clock time and peak
-//! RSS are printed to stdout only — they are host facts, not run
-//! facts, and would break the byte-identical gate.
+//! `BENCH_fleet.json` (CI runs the quick mode twice and byte-compares,
+//! and the full mode against the checked-in documents). Wall-clock
+//! time and peak RSS are printed to stdout only — they are host facts,
+//! not run facts, and would break the byte-identical gate.
 //!
-//! Usage: `bench_fleet [quick] [--seed N] [--shards N] [--threads N]
-//! [--out BENCH_fleet.json] [--obs-out OBS.json]`.
+//! Usage: `bench_fleet [quick] [--seed N] [--meta-mode lock|oplog]
+//! [--out BENCH_fleet.json] [--obs-out OBS.json]`; a `--seed` that is
+//! not a number exits 2.
 //! `--obs-out` writes the obs bundle: the counters mirrored into a
 //! standard `snapshot` plus the windowed per-cloud/workload `series`
-//! (byte-identical across shard and thread counts — CI runs two
-//! layouts and byte-compares); `obs_report` derives the per-cloud
-//! availability lanes from its `cloud.ops` / `cloud.err` series.
+//! (byte-identical across same-seed runs — CI byte-compares two);
+//! `obs_report` derives the per-cloud availability lanes from its
+//! `cloud.ops` / `cloud.err` series.
 
 use std::time::Instant;
 
@@ -41,35 +42,30 @@ fn peak_rss_kib() -> Option<u64> {
     None
 }
 
-fn flag_u64(name: &str) -> Option<u64> {
-    arg_value(name).and_then(|v| v.parse().ok())
-}
-
 fn main() {
     let quick = quick_arg();
-    let seed = flag_u64("--seed").unwrap_or(42);
+    // A typo must not silently run the default seed.
+    let seed = arg_value("--seed").map_or(42, |value| {
+        value.parse().unwrap_or_else(|_| {
+            eprintln!("--seed must be a non-negative integer, got '{value}'");
+            std::process::exit(2);
+        })
+    });
     let out = arg_value("--out");
     let mut cfg = if quick {
         FleetConfig::quick(seed)
     } else {
         FleetConfig::full(seed)
     };
-    if let Some(s) = flag_u64("--shards") {
-        cfg.shards = s as usize;
-    }
-    if let Some(t) = flag_u64("--threads") {
-        cfg.threads = t as usize;
-    }
     cfg.meta_mode = meta_mode_arg().unwrap_or(MetaMode::Lock);
     let metrics = obs_out::to_path(arg_value("--obs-out"));
 
     println!(
-        "Fleet bench ({}): {} devices, {} hot folders, {}s horizon, {} shards, seed {}, meta-mode {}",
+        "Fleet bench ({}): {} devices, {} hot folders, {}s horizon, seed {}, meta-mode {}",
         if quick { "quick" } else { "full" },
         cfg.devices,
         cfg.hot_folders,
         cfg.horizon.as_secs(),
-        cfg.shards,
         seed,
         cfg.meta_mode
     );
@@ -183,7 +179,7 @@ fn main() {
 
     // Mirror the counters into the obs registry so the --obs-out
     // bundle carries a standard snapshot; its series are the fleet's
-    // merged per-shard banks, not registry cells.
+    // own bank, not registry cells.
     for (name, v) in &m.counters {
         metrics.obs.add(&format!("fleet.{name}"), *v);
     }

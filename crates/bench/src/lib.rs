@@ -258,7 +258,7 @@ pub mod obs_out {
         /// [`write`](ObsOut::write) with `series` in place of the
         /// registry's own series document, for binaries whose series
         /// come from a deterministic source of their own (the fleet
-        /// bench merges per-shard banks).
+        /// bench's `SeriesBank`).
         pub fn write_with_series(&self, series: &str) {
             let (Some(snap), Some(path)) = (self.obs.snapshot(), &self.path) else {
                 return;

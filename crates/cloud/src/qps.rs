@@ -14,7 +14,7 @@
 //!
 //! Both are pure integer arithmetic on virtual nanoseconds: no float
 //! accumulation, no wall clock, so same-seed fleet runs reproduce the
-//! same delays bit-for-bit in any shard or thread configuration.
+//! same delays bit-for-bit on any host.
 //!
 //! [`ThrottledCloud`](crate::ThrottledCloud) lifts the same bucket into
 //! the [`CloudStore`](crate::CloudStore) interface with bytes as the

@@ -13,12 +13,6 @@ pub struct FleetConfig {
     pub seed: u64,
     /// Device population size.
     pub devices: u32,
-    /// Shard count for the parallel phase. Metrics are invariant to
-    /// this — shards are a pure work partition.
-    pub shards: usize,
-    /// Worker threads for the shard fan-out (0 = pool auto-size).
-    /// Like `shards`, has no effect on results.
-    pub threads: usize,
     /// Arrival horizon: no new sessions start after this much virtual
     /// time. In-flight sessions drain to completion afterwards.
     pub horizon: Duration,
@@ -45,8 +39,6 @@ impl FleetConfig {
         FleetConfig {
             seed,
             devices: 10_000,
-            shards: 8,
-            threads: 0,
             horizon: Duration::from_secs(600),
             profile: PopulationProfile::consumer(),
             hot_folders: 50,
@@ -63,8 +55,6 @@ impl FleetConfig {
         FleetConfig {
             seed,
             devices: 100_000,
-            shards: 8,
-            threads: 0,
             horizon: Duration::from_secs(1_800),
             profile: PopulationProfile::consumer(),
             hot_folders: 200,
@@ -144,7 +134,7 @@ mod tests {
     fn presets_are_sane() {
         let q = FleetConfig::quick(1);
         assert_eq!(q.devices, 10_000);
-        assert!(q.shards >= 1 && q.hot_folders >= 1);
+        assert!(q.hot_folders >= 1);
         let f = FleetConfig::full(1);
         assert_eq!(f.devices, 100_000);
         assert_eq!(f.horizon_ns(), 1_800 * 1_000_000_000);

@@ -1,31 +1,25 @@
-//! The fleet engine: a conservative parallel discrete-event simulator
-//! over 100k+ lightweight device actors.
+//! The fleet engine: a discrete-event simulator over 100k+ lightweight
+//! device actors, run as one sequential event loop.
 //!
 //! # Execution model
 //!
-//! One global [`Calendar`] holds at most one pending event per device.
-//! The run loop repeatedly pops a *window* `[t, t + LOOKAHEAD)` of due
-//! events, partitions it by `device % shards`, fans the shard lists out
-//! on a [`WorkerPool`] (the parallel phase computes per-device
-//! *intents* and touches only that shard's device map), then k-way
-//! merges the intents back into `(time, device, seq)` order and
-//! applies them sequentially against global state (folders, per-cloud
-//! shapers, the calendar itself).
+//! One [`Calendar`] holds at most one pending event per device. The run
+//! loop repeatedly pops a *window* `[t, t + LOOKAHEAD)` of due events
+//! and handles each in `(time, device, seq)` order, directly against
+//! the fleet state (device map, folders, per-cloud shapers, the
+//! calendar itself). Every scheduling delay is clamped to at least
+//! [`LOOKAHEAD_NS`], the model's minimum scheduling delay, so no event
+//! handled in a window schedules another into the same window.
 //!
-//! Determinism rests on three rules:
+//! Determinism rests on two rules:
 //!
-//! 1. **Lookahead** — every scheduling delay is clamped to at least
-//!    [`LOOKAHEAD_NS`], so no event popped in a window can have been
-//!    caused by another event in the same window. The parallel phase
-//!    is therefore causally closed.
-//! 2. **Shard-blind randomness** — every draw comes from a stream
-//!    derived from `(seed, device, activation)`; shard identity and
-//!    thread identity never feed an RNG. Shards are a pure work
-//!    partition, so metrics are byte-identical at 1, 4, or 16 shards.
-//! 3. **Fixed draws in the parallel phase only** — each event kind
-//!    consumes a deterministic draw sequence from its device's own
-//!    stream before the merge decides any outcome; the merge phase
-//!    never draws.
+//! 1. **Per-device randomness** — every draw comes from a stream
+//!    derived from `(seed, device, activation)`; nothing else feeds an
+//!    RNG, and a handler reads and writes only its own device's
+//!    [`ActiveDevice`] besides the shared folders, lanes and calendar.
+//! 2. **Fixed draw sequences** — each event kind consumes the same
+//!    draws from its device's own stream whatever the outcome, so a
+//!    refused or lost round never shifts a later draw.
 //!
 //! # Session protocol
 //!
@@ -41,30 +35,25 @@
 //! # Lazy materialization
 //!
 //! An idle device is one 32-byte calendar entry. Full per-device state
-//! ([`ActiveDevice`]) exists only between `Arrive` and `Release`, in a
-//! per-shard `HashMap` keyed by device id — so peak memory tracks the
-//! number of *concurrent sessions*, not the population size.
+//! ([`ActiveDevice`]) exists only between `Arrive` and `Release`, in
+//! one `HashMap` keyed by device id — so peak memory tracks the number
+//! of *concurrent sessions*, not the population size.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Mutex;
 
 use unidrive_cloud::{CloudOp, FaultKind, FaultPlan, TokenBucket};
 use unidrive_meta::{LockConfig, MetaMode, PROTOCOL_COSTS};
-use unidrive_obs::{Histogram, SeriesBank};
-use unidrive_sim::shard::{merge_by_key, partition_window, shard_of, Calendar, Entry};
+use unidrive_obs::Histogram;
 use unidrive_sim::SimRng;
-use unidrive_util::pool::WorkerPool;
 use unidrive_workload::{nominal_rates, DeviceClass, Provider, Zipf, EC2_SITES};
 
+use crate::calendar::Calendar;
 use crate::config::FleetConfig;
-use crate::metrics::{CloudRow, FleetMetrics, FLEET_SERIES_WINDOW_NS};
+use crate::metrics::{CloudRow, FleetMetrics};
 
-/// The total order intents are merged and applied in:
-/// `(time_ns, lane, seq)` as produced by `Entry::key`.
-type MergeKey = (u64, u64, u64);
-
-/// Conservative lookahead: every scheduled delay is at least this, so
-/// a window's events are causally independent of each other.
+/// Minimum scheduling delay: every event is scheduled at least this
+/// far after the one that caused it, so a window of this width never
+/// holds an event and its successor.
 pub const LOOKAHEAD_NS: u64 = 250_000_000;
 
 const NS_PER_SEC: u64 = 1_000_000_000;
@@ -164,59 +153,6 @@ struct CloudLane {
     throttle_delay_ns: u64,
 }
 
-/// What the parallel phase hands to the merge phase for one event.
-/// All random draws have already happened; the merge only combines
-/// them with global state.
-#[derive(Debug)]
-enum Intent {
-    Start {
-        device: u64,
-        hot: Option<u32>,
-        bytes: u64,
-        site: usize,
-        activation: u32,
-        /// Unreachable-retry jitter in `[0, 1)`.
-        retry_u: f64,
-        /// One draw per provider for per-cloud fault coin flips.
-        cloud_us: [f64; 5],
-        /// Upload reachability per provider at this instant.
-        reachable: [bool; 5],
-    },
-    Attempt {
-        device: u64,
-        hot: Option<u32>,
-        attempt: u32,
-        wait_start_ns: u64,
-        /// Backoff / defer-delay position in `[0, 1)`.
-        backoff_u: f64,
-        /// Unreachable-retry jitter in `[0, 1)`.
-        retry_u: f64,
-        /// Upload reachability per provider at this instant.
-        reachable: [bool; 5],
-    },
-    Release {
-        device: u64,
-        hot: Option<u32>,
-        bytes: u64,
-        t0_ns: u64,
-        activation: u32,
-        /// Pre-drawn gap to the next session; `None` = permanent churn.
-        next_gap_secs: Option<f64>,
-    },
-    Pull {
-        device: u64,
-        folder: u32,
-        site: usize,
-    },
-}
-
-/// Read-only context the parallel phase works against.
-struct Shared<'a> {
-    cfg: &'a FleetConfig,
-    zipf: &'a Zipf,
-    plan: &'a FaultPlan,
-}
-
 /// Deterministic "diurnal" rate flux: provider throughput wobbles by
 /// up to 22% across 10-minute slots, out of phase per provider. Pure
 /// integer→float arithmetic — no trig, no platform variance.
@@ -227,7 +163,7 @@ fn rate_flux(provider_idx: usize, now_ns: u64) -> f64 {
 }
 
 /// Stable site assignment: a multiplicative hash of the device id, so
-/// the mapping is independent of shard layout and of every RNG stream.
+/// the mapping is independent of every RNG stream.
 fn site_of(device: u64) -> usize {
     (device.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % EC2_SITES.len()
 }
@@ -352,17 +288,35 @@ impl FleetSim {
     }
 
     /// Runs the simulation to convergence and returns fleet metrics.
-    /// Same config (including seed) ⇒ byte-identical metrics JSON,
-    /// regardless of `shards` and `threads`.
+    /// Same config (including seed) ⇒ byte-identical metrics JSON.
     pub fn run(&self) -> FleetMetrics {
-        let cfg = &self.cfg;
-        let shards = cfg.shards.max(1);
-        let horizon_ns = cfg.horizon_ns();
-        let zipf = Zipf::new(cfg.hot_folders.max(1) as usize, cfg.profile.hot_zipf_s);
-        let plan = &cfg.fault_plan;
+        Run::new(&self.cfg, &self.lock).run()
+    }
+}
 
-        // Per-site × per-provider nominal rates, bytes/sec.
-        let rates: Vec<[(f64, f64); 5]> = EC2_SITES
+/// The state one run's event handlers read and write.
+struct Run<'a> {
+    cfg: &'a FleetConfig,
+    lock: &'a LockConfig,
+    zipf: Zipf,
+    /// Per-site × per-provider nominal rates, bytes/sec.
+    rates: Vec<[(f64, f64); 5]>,
+    horizon_ns: u64,
+    calendar: Calendar<Ev>,
+    /// Devices mid-session.
+    active: HashMap<u64, ActiveDevice>,
+    folders: Vec<HotFolder>,
+    lanes: Vec<CloudLane>,
+    m: FleetMetrics,
+    sync_latency: Histogram,
+    lock_wait: Histogram,
+    lock_rounds: Histogram,
+}
+
+impl<'a> Run<'a> {
+    fn new(cfg: &'a FleetConfig, lock: &'a LockConfig) -> Run<'a> {
+        let horizon_ns = cfg.horizon_ns();
+        let rates = EC2_SITES
             .iter()
             .map(|site| {
                 let mut row = [(0.0, 0.0); 5];
@@ -372,8 +326,7 @@ impl FleetSim {
                 row
             })
             .collect();
-
-        let mut lanes: Vec<CloudLane> = Provider::ALL
+        let lanes = Provider::ALL
             .iter()
             .map(|p| CloudLane {
                 name: p.name(),
@@ -387,17 +340,9 @@ impl FleetSim {
             })
             .collect();
 
-        let mut folders: Vec<HotFolder> =
-            (0..cfg.hot_folders).map(|_| HotFolder::default()).collect();
-
-        let maps: Vec<Mutex<HashMap<u64, ActiveDevice>>> =
-            (0..shards).map(|_| Mutex::new(HashMap::new())).collect();
-
-        let mut metrics = FleetMetrics::new(cfg);
-        let mut calendar: Calendar<Ev> = Calendar::new();
-
         // Seed the calendar: each device's first arrival is uniform in
         // [LOOKAHEAD, horizon), from its own derived bootstrap stream.
+        let mut calendar = Calendar::new();
         for d in 0..cfg.devices as u64 {
             let mut rng = SimRng::derive(cfg.seed, &format!("fleet/boot/{d}"));
             let t = ((rng.next_f64() * horizon_ns as f64) as u64).max(LOOKAHEAD_NS);
@@ -406,33 +351,39 @@ impl FleetSim {
             }
         }
 
-        let pool = if cfg.threads == 0 {
-            WorkerPool::auto()
-        } else {
-            WorkerPool::new(cfg.threads)
-        };
-        let shared = Shared {
+        Run {
             cfg,
-            zipf: &zipf,
-            plan,
-        };
+            lock,
+            zipf: Zipf::new(cfg.hot_folders.max(1) as usize, cfg.profile.hot_zipf_s),
+            rates,
+            horizon_ns,
+            calendar,
+            active: HashMap::new(),
+            folders: (0..cfg.hot_folders).map(|_| HotFolder::default()).collect(),
+            lanes,
+            m: FleetMetrics::new(cfg),
+            sync_latency: Histogram::default(),
+            lock_wait: Histogram::default(),
+            lock_rounds: Histogram::default(),
+        }
+    }
 
-        let sync_latency = Histogram::default();
-        let lock_wait = Histogram::default();
-        let lock_rounds = Histogram::default();
-
+    /// The event loop: one lookahead window at a time, each event
+    /// handled in key order, until the calendar and the drain rounds
+    /// run dry or a safety valve trips.
+    fn run(mut self) -> FleetMetrics {
         let mut now_ns: u64 = 0;
         let mut drain_rounds: u32 = 0;
         // Safety valves — a logic bug must FAIL an invariant, not hang.
-        let max_events: u64 = (cfg.devices as u64).saturating_mul(2_000).max(10_000_000);
-        let max_virtual_ns = horizon_ns.saturating_mul(20);
+        let max_events: u64 = (self.cfg.devices as u64).saturating_mul(2_000).max(10_000_000);
+        let max_virtual_ns = self.horizon_ns.saturating_mul(20);
         let mut overrun = false;
 
         loop {
-            if calendar.is_empty() {
+            if self.calendar.is_empty() {
                 // Drain: schedule catch-up pulls for lagging members.
                 let mut pulls: Vec<(u64, u32)> = Vec::new();
-                for (fi, f) in folders.iter().enumerate() {
+                for (fi, f) in self.folders.iter().enumerate() {
                     let mut lagging: Vec<u64> = f
                         .member_synced
                         .iter()
@@ -451,437 +402,398 @@ impl FleetSim {
                 drain_rounds += 1;
                 let at = now_ns + LOOKAHEAD_NS;
                 for (d, folder) in pulls {
-                    calendar.push(at, d, Ev::Pull { folder });
+                    self.calendar.push(at, d, Ev::Pull { folder });
                 }
             }
 
-            let t = calendar.next_time().expect("calendar non-empty");
-            now_ns = now_ns.max(t);
-            if metrics.events_processed > max_events || now_ns > max_virtual_ns {
+            let start = self.calendar.next_time().expect("calendar non-empty");
+            now_ns = now_ns.max(start);
+            if self.m.events_processed > max_events || now_ns > max_virtual_ns {
                 overrun = true;
                 break;
             }
-            let window = calendar.pop_window(t + LOOKAHEAD_NS);
-            metrics.windows += 1;
-            metrics.events_processed += window.len() as u64;
-
-            // Parallel phase: per-shard intent computation. Shard i
-            // touches only maps[i]; all RNG draws happen here. Each
-            // shard rolls its workload series into a private bank.
-            let parts = partition_window(window, shards);
-            let sharded: Vec<(Vec<(MergeKey, Intent)>, SeriesBank)> =
-                pool.par_map_indexed(&parts, |si, part| {
-                    let mut out = Vec::with_capacity(part.len());
-                    let mut bank = SeriesBank::new(FLEET_SERIES_WINDOW_NS);
-                    let mut map = maps[si].lock().expect("shard map poisoned");
-                    for e in part {
-                        out.push((e.key(), shard_phase(e, &mut map, &shared, &mut bank)));
-                    }
-                    (out, bank)
-                });
-
-            // Fold the per-shard banks into the global series at the
-            // window boundary. Every window fold is commutative and
-            // associative (sums, min/max, bucket unions keyed by
-            // absolute window index), and sharding only partitions the
-            // event set, so the merged content — and therefore the
-            // exported bytes — is identical at any shard/thread count.
-            let mut intents = Vec::with_capacity(sharded.len());
-            for (list, bank) in sharded {
-                metrics.series.merge_from(&bank);
-                intents.push(list);
-            }
-
-            // Merge phase: apply intents in global (time, device, seq)
-            // order against folders, lanes, calendar, metrics.
-            for (key, intent) in merge_by_key(intents, |(k, _)| *k) {
-                self.apply(
-                    key.0,
-                    intent,
-                    &mut folders,
-                    &mut lanes,
-                    &mut calendar,
-                    &maps,
-                    &mut metrics,
-                    &rates,
-                    horizon_ns,
-                    &sync_latency,
-                    &lock_wait,
-                    &lock_rounds,
-                );
+            let window = self.calendar.pop_window(start + LOOKAHEAD_NS);
+            self.m.windows += 1;
+            self.m.events_processed += window.len() as u64;
+            for e in window {
+                let (t, device) = (e.at_ns, e.lane);
+                match e.event {
+                    Ev::Arrive { activation } => self.arrive(t, device, activation),
+                    Ev::Attempt { attempt } => self.attempt(t, device, attempt),
+                    Ev::Release => self.release(t, device),
+                    Ev::Pull { folder } => self.pull(t, device, folder),
+                }
             }
         }
 
-        metrics.virtual_end_ns = now_ns;
-        metrics.drain_rounds = drain_rounds;
-        self.finish(
-            metrics,
-            &folders,
-            &maps,
-            &lanes,
-            overrun,
-            sync_latency,
-            lock_wait,
-            lock_rounds,
-        )
+        self.m.virtual_end_ns = now_ns;
+        self.m.drain_rounds = drain_rounds;
+        self.finish(overrun)
     }
 
-    /// Merge-phase application of one intent. Sequential; no RNG.
-    #[allow(clippy::too_many_arguments)]
-    fn apply(
-        &self,
-        t: u64,
-        intent: Intent,
-        folders: &mut [HotFolder],
-        lanes: &mut [CloudLane],
-        calendar: &mut Calendar<Ev>,
-        maps: &[Mutex<HashMap<u64, ActiveDevice>>],
-        m: &mut FleetMetrics,
-        rates: &[[(f64, f64); 5]],
-        horizon_ns: u64,
-        sync_latency: &Histogram,
-        lock_wait: &Histogram,
-        lock_rounds: &Histogram,
-    ) {
-        let cfg = &self.cfg;
-        match intent {
-            Intent::Start {
-                device,
-                hot,
+    /// A session starts: materialize the device, then upload one
+    /// erasure share per reachable cloud — or, short of a write quorum,
+    /// retry the start once the outage window has a chance to end.
+    fn arrive(&mut self, t: u64, device: u64, activation: u32) {
+        let cfg = self.cfg;
+        // Fixed draw sequence: session bytes, retry jitter, one coin
+        // per provider. An unreachable-retry re-derives the same stream
+        // and gets the same values — deterministic by construction.
+        let mut rng = SimRng::derive(cfg.seed, &format!("fleet/dev/{device}/{activation}"));
+        let class = cfg.profile.class_of(cfg.seed, device);
+        let hot = cfg
+            .profile
+            .hot_membership(cfg.seed, device, &self.zipf)
+            .map(|r| r as u32);
+        let bytes = cfg.profile.session_bytes(class, &mut rng);
+        let retry_u = rng.next_f64();
+        let mut cloud_us = [0.0f64; 5];
+        for u in &mut cloud_us {
+            *u = rng.next_f64();
+        }
+        let m = &mut self.m;
+        m.series.add("fleet.arrivals", class.as_str(), t, 1);
+        m.series.observe("fleet.session_bytes", class.as_str(), t, bytes);
+        // Preserve the original arrival time across retries so sync
+        // latency covers the whole outage wait.
+        let t0_ns = self.active.get(&device).map_or(t, |d| d.t0_ns);
+        self.active.insert(
+            device,
+            ActiveDevice {
+                rng,
+                t0_ns,
+                wait_start_ns: t0_ns,
                 bytes,
-                site,
+                class,
+                hot,
                 activation,
-                retry_u,
-                cloud_us,
-                reachable,
-            } => {
-                if !quorum_reachable(lanes, &reachable, t, m) {
-                    // Not enough providers accept writes: the upload
-                    // cannot reach quorum durability. Retry the session
-                    // start once the outage window has a chance to end.
-                    m.bump("upload.unreachable_rounds");
-                    calendar.push(t + outage_retry_ns(retry_u), device, Ev::Arrive { activation });
-                    return;
+                starved: false,
+            },
+        );
+
+        let reachable = upload_reachability(&cfg.fault_plan, t);
+        if !quorum_reachable(&self.lanes, &reachable, t, m) {
+            // Not enough providers accept writes: the upload cannot
+            // reach quorum durability.
+            m.bump("upload.unreachable_rounds");
+            self.calendar
+                .push(t + outage_retry_ns(retry_u), device, Ev::Arrive { activation });
+            return;
+        }
+        m.bump("sessions.started");
+        m.series.add("fleet.sessions", "started", t, 1);
+        if let Some(rank) = hot {
+            let f = &mut self.folders[rank as usize];
+            // A joining member snapshots the folder: history backfill
+            // is out of band; lag accrues only for writes it
+            // subsequently misses.
+            f.member_synced.entry(device).or_insert(f.cum_bytes);
+        }
+
+        // Erasure-coded upload of one share per reachable cloud; the
+        // slowest share gates the transfer.
+        let site = site_of(device);
+        let share = bytes.div_ceil(ERASURE_K);
+        let ops = share.div_ceil(OP_CHUNK_BYTES) + 2;
+        let mut slowest = 0.0f64;
+        let mut ack_extra_ns = 0u64;
+        let mut qps_delay = 0u64;
+        for (i, lane) in self.lanes.iter_mut().enumerate() {
+            if !reachable[i] {
+                continue;
+            }
+            let up = self.rates[site][i].0 * rate_flux(i, t);
+            let mut dur = share as f64 / up.max(1.0);
+            for ev in &cfg.fault_plan.events {
+                if ev.cloud != lane.name || !ev.applies(t, CloudOp::Upload) {
+                    continue;
                 }
-                m.bump("sessions.started");
-                m.series.add("fleet.sessions", "started", t, 1);
+                match ev.kind {
+                    FaultKind::TransientBurst { probability } => {
+                        // Retries inflate effective transfer time by
+                        // the geometric mean 1/(1-p).
+                        dur /= 1.0 - probability.min(0.8);
+                        m.bump("fault.burst_slowdowns");
+                    }
+                    FaultKind::LatencySpike { extra_ms } => {
+                        dur += (extra_ms as f64 / 1_000.0) * ops as f64;
+                    }
+                    FaultKind::TornUpload { probability } => {
+                        if cloud_us[i] < probability {
+                            // Torn write detected by digest check; one
+                            // repair pass.
+                            dur *= 1.3;
+                            m.bump("fault.torn_repairs");
+                        }
+                    }
+                    FaultKind::DelayedVisibility => {
+                        ack_extra_ns = ack_extra_ns.max(2 * NS_PER_SEC);
+                        m.bump("fault.delayed_acks");
+                    }
+                    FaultKind::Outage | FaultKind::QuotaExhausted => {}
+                }
+            }
+            slowest = slowest.max(dur);
+            let d = charge_transfer(lane, t, ops, share, dur, true, m);
+            qps_delay = qps_delay.max(d);
+        }
+        let duration = ((slowest * NS_PER_SEC as f64) as u64)
+            .saturating_add(qps_delay)
+            .saturating_add(ack_extra_ns)
+            .max(LOOKAHEAD_NS);
+        self.calendar
+            .push(t + duration, device, Ev::Attempt { attempt: 0 });
+    }
+
+    /// One commit round for an uploaded session: an op append (oplog)
+    /// or a quorum-lock round (lock); a lost round backs off, a won one
+    /// holds the lock for the metadata commit.
+    fn attempt(&mut self, t: u64, device: u64, attempt: u32) {
+        let Run {
+            cfg,
+            lock,
+            calendar,
+            active,
+            folders,
+            lanes,
+            m,
+            lock_wait,
+            lock_rounds,
+            ..
+        } = self;
+        let dev = active.get_mut(&device).expect("attempting device is active");
+        if attempt == 0 {
+            // The upload just landed (or a deferred cycle starts); lock
+            // waiting is measured from here.
+            dev.wait_start_ns = t;
+        }
+        // Fixed draw sequence: backoff, retry jitter.
+        let backoff_u = dev.rng.next_f64();
+        let retry_u = dev.rng.next_f64();
+        let hot = dev.hot;
+        m.series.add(
+            "fleet.attempts",
+            if hot.is_some() { "hot" } else { "private" },
+            t,
+            1,
+        );
+
+        let reachable = upload_reachability(&cfg.fault_plan, t);
+        if !quorum_reachable(lanes, &reachable, t, m) {
+            // Quorum unreachable: back off and retry the same round once
+            // the outage window has a chance to end.
+            m.bump("lock.unreachable_rounds");
+            calendar.push(t + outage_retry_ns(retry_u), device, Ev::Attempt { attempt });
+            return;
+        }
+
+        // Oplog: list the oplog directory, read every op file it shows
+        // and upload the device's own — no lock round, no losers, every
+        // attempt commits on its first round; a private folder shows
+        // only the device's own file. Lock: a round, then the commit
+        // under the won lock or the lost round's withdraw.
+        let c = PROTOCOL_COSTS;
+        let (won, ops, compact_ns) = match cfg.meta_mode {
+            MetaMode::Oplog => {
+                let mut listed = 1;
+                // Set when this append folds the log: the wait for the
+                // compaction lock.
+                let mut compaction: Option<u64> = None;
                 if let Some(rank) = hot {
                     let f = &mut folders[rank as usize];
-                    // A joining member snapshots the folder: history
-                    // backfill is out of band; lag accrues only for
-                    // writes it subsequently misses.
-                    f.member_synced.entry(device).or_insert(f.cum_bytes);
-                }
-
-                // Erasure-coded upload of one share per reachable
-                // cloud; the slowest share gates the transfer.
-                let share = bytes.div_ceil(ERASURE_K);
-                let ops = share.div_ceil(OP_CHUNK_BYTES) + 2;
-                let mut slowest = 0.0f64;
-                let mut ack_extra_ns = 0u64;
-                let mut qps_delay = 0u64;
-                for (i, lane) in lanes.iter_mut().enumerate() {
-                    if !reachable[i] {
-                        continue;
-                    }
-                    let up = rates[site][i].0 * rate_flux(i, t);
-                    let mut dur = share as f64 / up.max(1.0);
-                    for ev in &self.cfg.fault_plan.events {
-                        if ev.cloud != lane.name || !ev.applies(t, CloudOp::Upload) {
-                            continue;
-                        }
-                        match ev.kind {
-                            FaultKind::TransientBurst { probability } => {
-                                // Retries inflate effective transfer
-                                // time by the geometric mean 1/(1-p).
-                                dur /= 1.0 - probability.min(0.8);
-                                m.bump("fault.burst_slowdowns");
+                    listed = f.op_files.len() as u64;
+                    f.op_files.insert(device);
+                    f.pending_ops += 1;
+                    if f.pending_ops >= OPLOG_COMPACT_EVERY {
+                        let free = t >= f.compact_lock_until_ns;
+                        if free
+                            || f.pending_ops >= OPLOG_COMPACT_ESCALATE * OPLOG_COMPACT_EVERY
+                        {
+                            // λ tripped: fold the log into a new base
+                            // under a short quorum lock held only for
+                            // the rewrite. Past the escalate threshold a
+                            // busy lock does not stop it: barge — wait
+                            // out the remainder of the holder's bounded
+                            // window, then fold. `oplog.compact_overdue`
+                            // (a forced fold that still failed) cannot
+                            // occur here, because the advisory hold is
+                            // bounded by 2×COMMIT_NS; the counter is
+                            // zero-initialized for schema parity with
+                            // the core plane, which can time out.
+                            let wait = f.compact_lock_until_ns.saturating_sub(t);
+                            f.pending_ops = 0;
+                            f.compact_lock_until_ns = t + wait + 2 * COMMIT_NS;
+                            compaction = Some(wait);
+                            m.bump("oplog.compactions");
+                            m.series.add("oplog.compactions", "fleet", t, 1);
+                            if !free {
+                                m.bump("oplog.compact_forced");
+                                m.series.add("oplog.compact_forced", "fleet", t, 1);
                             }
-                            FaultKind::LatencySpike { extra_ms } => {
-                                dur += (extra_ms as f64 / 1_000.0) * ops as f64;
-                            }
-                            FaultKind::TornUpload { probability } => {
-                                if cloud_us[i] < probability {
-                                    // Torn write detected by digest
-                                    // check; one repair pass.
-                                    dur *= 1.3;
-                                    m.bump("fault.torn_repairs");
-                                }
-                            }
-                            FaultKind::DelayedVisibility => {
-                                ack_extra_ns = ack_extra_ns.max(2 * NS_PER_SEC);
-                                m.bump("fault.delayed_acks");
-                            }
-                            FaultKind::Outage | FaultKind::QuotaExhausted => {}
+                        } else {
+                            // Another device is compacting; the append
+                            // stands, the fold waits.
+                            m.bump("oplog.compact_skipped");
                         }
                     }
-                    slowest = slowest.max(dur);
-                    let d = charge_transfer(lane, t, ops, share, dur, true, m);
-                    qps_delay = qps_delay.max(d);
                 }
-                let duration = ((slowest * NS_PER_SEC as f64) as u64)
-                    .saturating_add(qps_delay)
-                    .saturating_add(ack_extra_ns)
-                    .max(LOOKAHEAD_NS);
-                calendar.push(t + duration, device, Ev::Attempt { attempt: 0 });
+                m.bump("oplog.appends");
+                m.add("oplog.op_file_reads", listed);
+                m.series.add("oplog.appends", "fleet", t, 1);
+                let ops = c.oplog_append
+                    + listed * c.oplog_op_file
+                    + compaction.map_or(0, |_| c.oplog_compact);
+                (true, ops, compaction.map_or(0, |wait| wait + COMMIT_NS))
             }
-            Intent::Attempt {
-                device,
-                hot,
-                attempt,
-                wait_start_ns,
-                backoff_u,
-                retry_u,
-                reachable,
-            } => {
-                if !quorum_reachable(lanes, &reachable, t, m) {
-                    // Quorum unreachable: back off and retry the same
-                    // round once the outage window has a chance to end.
-                    m.bump("lock.unreachable_rounds");
-                    calendar.push(t + outage_retry_ns(retry_u), device, Ev::Attempt { attempt });
-                    return;
-                }
-
-                // Oplog: list the oplog directory, read every op file it
-                // shows and upload the device's own — no lock round, no
-                // losers, every attempt commits on its first round; a
-                // private folder shows only the device's own file. Lock:
-                // a round, then the commit under the won lock or the lost
-                // round's withdraw.
-                let c = PROTOCOL_COSTS;
-                let (won, ops, compact_ns) = match cfg.meta_mode {
-                    MetaMode::Oplog => {
-                        let mut listed = 1;
-                        // Set when this append folds the log: the wait
-                        // for the compaction lock.
-                        let mut compaction: Option<u64> = None;
-                        if let Some(rank) = hot {
-                            let f = &mut folders[rank as usize];
-                            listed = f.op_files.len() as u64;
-                            f.op_files.insert(device);
-                            f.pending_ops += 1;
-                            if f.pending_ops >= OPLOG_COMPACT_EVERY {
-                                let free = t >= f.compact_lock_until_ns;
-                                if free
-                                    || f.pending_ops
-                                        >= OPLOG_COMPACT_ESCALATE * OPLOG_COMPACT_EVERY
-                                {
-                                    // λ tripped: fold the log into a new
-                                    // base under a short quorum lock held
-                                    // only for the rewrite. Past the
-                                    // escalate threshold a busy lock does
-                                    // not stop it: barge — wait out the
-                                    // remainder of the holder's bounded
-                                    // window, then fold.
-                                    // `oplog.compact_overdue` (a forced
-                                    // fold that still failed) cannot occur
-                                    // here, because the advisory hold is
-                                    // bounded by 2×COMMIT_NS; the counter
-                                    // is zero-initialized for schema
-                                    // parity with the core plane, which
-                                    // can time out.
-                                    let wait = f.compact_lock_until_ns.saturating_sub(t);
-                                    f.pending_ops = 0;
-                                    f.compact_lock_until_ns = t + wait + 2 * COMMIT_NS;
-                                    compaction = Some(wait);
-                                    m.bump("oplog.compactions");
-                                    m.series.add("oplog.compactions", "fleet", t, 1);
-                                    if !free {
-                                        m.bump("oplog.compact_forced");
-                                        m.series.add("oplog.compact_forced", "fleet", t, 1);
-                                    }
-                                } else {
-                                    // Another device is compacting; the
-                                    // append stands, the fold waits.
-                                    m.bump("oplog.compact_skipped");
-                                }
-                            }
+            MetaMode::Lock => {
+                let won = match hot {
+                    None => true,
+                    Some(rank) => {
+                        let f = &mut folders[rank as usize];
+                        if f.holder.is_none() {
+                            f.holder = Some(device);
+                            true
+                        } else {
+                            false
                         }
-                        m.bump("oplog.appends");
-                        m.add("oplog.op_file_reads", listed);
-                        m.series.add("oplog.appends", "fleet", t, 1);
-                        let ops = c.oplog_append
-                            + listed * c.oplog_op_file
-                            + compaction.map_or(0, |_| c.oplog_compact);
-                        (true, ops, compaction.map_or(0, |wait| wait + COMMIT_NS))
-                    }
-                    MetaMode::Lock => {
-                        let won = match hot {
-                            None => true,
-                            Some(rank) => {
-                                let f = &mut folders[rank as usize];
-                                if f.holder.is_none() {
-                                    f.holder = Some(device);
-                                    true
-                                } else {
-                                    false
-                                }
-                            }
-                        };
-                        let step = if won { c.lock_commit } else { c.lock_withdraw };
-                        (won, c.lock_round + step, 0)
                     }
                 };
-                // The shaper's worst delay gates what follows.
-                let qps_delay = charge_meta(lanes, &reachable, t, ops, m);
-
-                if !won {
-                    m.bump("lock.contended_rounds");
-                    m.series.add("lock.contended", "fleet", t, 1);
-                    // Starvation audit, mirroring the core lock path:
-                    // flag (once) any acquire waiting past the bound.
-                    let waited = t.saturating_sub(wait_start_ns);
-                    if waited >= self.lock.starvation_audit.as_nanos() as u64 {
-                        let mut map =
-                            maps[shard_of(device, maps.len())].lock().expect("map");
-                        let dev = map.get_mut(&device).expect("losing device is active");
-                        if !dev.starved {
-                            dev.starved = true;
-                            m.bump("lock.starved");
-                            m.series.add("lock.starved", "fleet", t, 1);
-                        }
-                    }
-                    let next = attempt + 1;
-                    if next >= self.lock.max_attempts {
-                        // Exhausted: defer the commit and start a fresh
-                        // acquire cycle later.
-                        m.bump("lock.exhausted");
-                        m.bump("sessions.deferred");
-                        m.series.add("fleet.sessions", "deferred", t, 1);
-                        let defer =
-                            (60.0 * NS_PER_SEC as f64 * (1.0 + backoff_u)) as u64;
-                        calendar.push(t + defer, device, Ev::Attempt { attempt: 0 });
-                    } else {
-                        let cap_ns = self.lock.backoff_cap(attempt).as_nanos() as u64;
-                        let backoff = ((backoff_u * cap_ns as f64) as u64)
-                            .saturating_add(qps_delay)
-                            .max(LOOKAHEAD_NS);
-                        calendar.push(t + backoff, device, Ev::Attempt { attempt: next });
-                    }
-                    return;
-                }
-
-                // Committed: the lock (oplog: the compaction lock, when
-                // this append folds) is held only for the metadata commit.
-                if cfg.meta_mode == MetaMode::Lock {
-                    m.bump("lock.acquired");
-                }
-                lock_wait.record(t.saturating_sub(wait_start_ns));
-                lock_rounds.record(attempt as u64 + 1);
-                m.series.observe(
-                    "fleet.lock_wait_ns",
-                    cfg.meta_mode.as_str(),
-                    t,
-                    t.saturating_sub(wait_start_ns),
-                );
-                let commit = COMMIT_NS.saturating_add(qps_delay).saturating_add(compact_ns);
-                calendar.push(t + commit.max(LOOKAHEAD_NS), device, Ev::Release);
+                let step = if won { c.lock_commit } else { c.lock_withdraw };
+                (won, c.lock_round + step, 0)
             }
-            Intent::Release {
-                device,
-                hot,
-                bytes,
-                t0_ns,
-                activation,
-                next_gap_secs,
-            } => {
-                if let Some(rank) = hot {
-                    let f = &mut folders[rank as usize];
-                    if cfg.meta_mode == MetaMode::Lock {
-                        // Oplog commits never held the folder lock, so
-                        // the holder invariant only applies here.
-                        if f.holder != Some(device) {
-                            m.bump("invariant.holder_violations");
-                        }
-                        f.holder = None;
-                    }
-                    f.version += 1;
-                    f.cum_bytes += bytes;
-                    // The writer trivially has its own write; a push
-                    // implies a pull-first in the sync protocol, so it
-                    // is also caught up on everything earlier.
-                    f.member_synced.insert(device, f.cum_bytes);
+        };
+        // The shaper's worst delay gates what follows.
+        let qps_delay = charge_meta(lanes, &reachable, t, ops, m);
+
+        if !won {
+            m.bump("lock.contended_rounds");
+            m.series.add("lock.contended", "fleet", t, 1);
+            // Starvation audit, mirroring the core lock path: flag
+            // (once) any acquire waiting past the bound.
+            let waited = t.saturating_sub(dev.wait_start_ns);
+            if waited >= lock.starvation_audit.as_nanos() as u64 && !dev.starved {
+                dev.starved = true;
+                m.bump("lock.starved");
+                m.series.add("lock.starved", "fleet", t, 1);
+            }
+            let next = attempt + 1;
+            if next >= lock.max_attempts {
+                // Exhausted: defer the commit and start a fresh acquire
+                // cycle later.
+                m.bump("lock.exhausted");
+                m.bump("sessions.deferred");
+                m.series.add("fleet.sessions", "deferred", t, 1);
+                let defer = (60.0 * NS_PER_SEC as f64 * (1.0 + backoff_u)) as u64;
+                calendar.push(t + defer, device, Ev::Attempt { attempt: 0 });
+            } else {
+                let cap_ns = lock.backoff_cap(attempt).as_nanos() as u64;
+                let backoff = ((backoff_u * cap_ns as f64) as u64)
+                    .saturating_add(qps_delay)
+                    .max(LOOKAHEAD_NS);
+                calendar.push(t + backoff, device, Ev::Attempt { attempt: next });
+            }
+            return;
+        }
+
+        // Committed: the lock (oplog: the compaction lock, when this
+        // append folds) is held only for the metadata commit.
+        if cfg.meta_mode == MetaMode::Lock {
+            m.bump("lock.acquired");
+        }
+        let waited = t.saturating_sub(dev.wait_start_ns);
+        lock_wait.record(waited);
+        lock_rounds.record(attempt as u64 + 1);
+        m.series
+            .observe("fleet.lock_wait_ns", cfg.meta_mode.as_str(), t, waited);
+        let commit = COMMIT_NS.saturating_add(qps_delay).saturating_add(compact_ns);
+        calendar.push(t + commit.max(LOOKAHEAD_NS), device, Ev::Release);
+    }
+
+    /// The commit landed: publish to the folder, fold the device back
+    /// to an idle calendar entry and schedule its next session (or
+    /// churn it).
+    fn release(&mut self, t: u64, device: u64) {
+        let cfg = self.cfg;
+        let mut dev = self
+            .active
+            .remove(&device)
+            .expect("releasing device is active");
+        let next_gap_secs = cfg.profile.next_gap_secs(dev.class, &mut dev.rng);
+        let m = &mut self.m;
+        if let Some(rank) = dev.hot {
+            let f = &mut self.folders[rank as usize];
+            if cfg.meta_mode == MetaMode::Lock {
+                // Oplog commits never held the folder lock, so the
+                // holder invariant only applies here.
+                if f.holder != Some(device) {
+                    m.bump("invariant.holder_violations");
                 }
-                m.bump("sessions.completed");
-                m.add("bytes.synced", bytes);
-                sync_latency.record(t.saturating_sub(t0_ns));
-                m.series.add("fleet.sessions", "completed", t, 1);
-                m.series.observe(
-                    "fleet.sync_latency_ns",
-                    cfg.meta_mode.as_str(),
-                    t,
-                    t.saturating_sub(t0_ns),
-                );
+                f.holder = None;
+            }
+            f.version += 1;
+            f.cum_bytes += dev.bytes;
+            // The writer trivially has its own write; a push implies a
+            // pull-first in the sync protocol, so it is also caught up
+            // on everything earlier.
+            f.member_synced.insert(device, f.cum_bytes);
+        }
+        m.bump("sessions.completed");
+        m.add("bytes.synced", dev.bytes);
+        let latency = t.saturating_sub(dev.t0_ns);
+        self.sync_latency.record(latency);
+        m.series.add("fleet.sessions", "completed", t, 1);
+        m.series
+            .observe("fleet.sync_latency_ns", cfg.meta_mode.as_str(), t, latency);
 
-                maps[shard_of(device, maps.len())]
-                    .lock()
-                    .expect("map")
-                    .remove(&device);
-
-                match next_gap_secs {
-                    None => m.bump("devices.churned"),
-                    Some(gap) => {
-                        let gap_ns =
-                            ((gap * NS_PER_SEC as f64) as u64).max(LOOKAHEAD_NS);
-                        let at = t + gap_ns;
-                        if at < horizon_ns {
-                            calendar.push(
-                                at,
-                                device,
-                                Ev::Arrive {
-                                    activation: activation + 1,
-                                },
-                            );
-                        }
-                    }
+        match next_gap_secs {
+            None => m.bump("devices.churned"),
+            Some(gap) => {
+                let at = t + ((gap * NS_PER_SEC as f64) as u64).max(LOOKAHEAD_NS);
+                if at < self.horizon_ns {
+                    let activation = dev.activation + 1;
+                    self.calendar.push(at, device, Ev::Arrive { activation });
                 }
             }
-            Intent::Pull {
-                device,
-                folder,
-                site,
-            } => {
-                let f = &mut folders[folder as usize];
-                let lag = f
-                    .cum_bytes
-                    .saturating_sub(*f.member_synced.get(&device).unwrap_or(&0));
-                if lag > 0 {
-                    // Download the erasure share of the missed bytes
-                    // from a read quorum (all clouds reachable: drain
-                    // runs after every fault window has closed). The
-                    // quorum rotates by device id so drain load spreads
-                    // across all five providers.
-                    let share = lag.div_ceil(ERASURE_K);
-                    let ops = share.div_ceil(OP_CHUNK_BYTES) + 1;
-                    for j in 0..QUORUM_K {
-                        let i = (device as usize + j) % lanes.len();
-                        let down = rates[site][i].1 * rate_flux(i, t);
-                        let dur = share as f64 / down.max(1.0);
-                        charge_transfer(&mut lanes[i], t, ops, share, dur, false, m);
-                    }
-                    f.member_synced.insert(device, f.cum_bytes);
-                    m.bump("drain.pulls");
-                    m.add("bytes.pulled", lag);
-                }
+        }
+    }
+
+    /// Drain-phase catch-up: download the erasure share of the folder
+    /// writes `device` missed from a read quorum.
+    fn pull(&mut self, t: u64, device: u64, folder: u32) {
+        let m = &mut self.m;
+        m.series.add("fleet.pulls", "drain", t, 1);
+        let f = &mut self.folders[folder as usize];
+        let lag = f
+            .cum_bytes
+            .saturating_sub(*f.member_synced.get(&device).unwrap_or(&0));
+        if lag > 0 {
+            // All clouds reachable: drain runs after every fault window
+            // has closed. The quorum rotates by device id so drain load
+            // spreads across all five providers.
+            let site = site_of(device);
+            let share = lag.div_ceil(ERASURE_K);
+            let ops = share.div_ceil(OP_CHUNK_BYTES) + 1;
+            for j in 0..QUORUM_K {
+                let i = (device as usize + j) % self.lanes.len();
+                let down = self.rates[site][i].1 * rate_flux(i, t);
+                let dur = share as f64 / down.max(1.0);
+                charge_transfer(&mut self.lanes[i], t, ops, share, dur, false, m);
             }
+            f.member_synced.insert(device, f.cum_bytes);
+            m.bump("drain.pulls");
+            m.add("bytes.pulled", lag);
         }
     }
 
     /// Final invariant evaluation and metric assembly.
-    #[allow(clippy::too_many_arguments)]
-    fn finish(
-        &self,
-        mut m: FleetMetrics,
-        folders: &[HotFolder],
-        maps: &[Mutex<HashMap<u64, ActiveDevice>>],
-        lanes: &[CloudLane],
-        overrun: bool,
-        sync_latency: Histogram,
-        lock_wait: Histogram,
-        lock_rounds: Histogram,
-    ) -> FleetMetrics {
-        let residual_active: usize =
-            maps.iter().map(|mx| mx.lock().expect("map").len()).sum();
+    fn finish(self, overrun: bool) -> FleetMetrics {
+        let Run {
+            mut m,
+            folders,
+            lanes,
+            active,
+            ..
+        } = self;
         let held: usize = folders.iter().filter(|f| f.holder.is_some()).count();
         let lagging: usize = folders
             .iter()
@@ -895,6 +807,7 @@ impl FleetSim {
         let members: u64 = folders.iter().map(|f| f.member_synced.len() as u64).sum();
         let started = m.counter("sessions.started");
         let completed = m.counter("sessions.completed");
+        let residual_active = active.len();
 
         m.set("folders.members", members);
         m.set(
@@ -929,9 +842,9 @@ impl FleetSim {
             },
         );
 
-        m.sync_latency = sync_latency.snapshot();
-        m.lock_wait = lock_wait.snapshot();
-        m.lock_rounds = lock_rounds.snapshot();
+        m.sync_latency = self.sync_latency.snapshot();
+        m.lock_wait = self.lock_wait.snapshot();
+        m.lock_rounds = self.lock_rounds.snapshot();
 
         m.clouds = lanes
             .iter()
@@ -948,116 +861,6 @@ impl FleetSim {
             })
             .collect();
         m
-    }
-}
-
-/// Parallel phase for one event: all RNG draws for the event happen
-/// here, against the device's own stream; global state is read-only.
-/// Workload-shaped series (arrivals by class, session sizes, attempt
-/// and pull volume) roll into the shard's private `bank`, merged into
-/// the global series at the window boundary.
-fn shard_phase(
-    e: &Entry<Ev>,
-    map: &mut HashMap<u64, ActiveDevice>,
-    ctx: &Shared<'_>,
-    bank: &mut SeriesBank,
-) -> Intent {
-    let cfg = ctx.cfg;
-    let device = e.lane;
-    match &e.event {
-        Ev::Arrive { activation } => {
-            // Fixed draw sequence: session bytes, retry jitter, one
-            // coin per provider. An unreachable-retry re-derives the
-            // same stream and gets the same values — deterministic by
-            // construction.
-            let mut rng =
-                SimRng::derive(cfg.seed, &format!("fleet/dev/{device}/{activation}"));
-            let class = cfg.profile.class_of(cfg.seed, device);
-            let hot = cfg
-                .profile
-                .hot_membership(cfg.seed, device, ctx.zipf)
-                .map(|r| r as u32);
-            let bytes = cfg.profile.session_bytes(class, &mut rng);
-            let retry_u = rng.next_f64();
-            let mut cloud_us = [0.0f64; 5];
-            for u in &mut cloud_us {
-                *u = rng.next_f64();
-            }
-            bank.add("fleet.arrivals", class.as_str(), e.at_ns, 1);
-            bank.observe("fleet.session_bytes", class.as_str(), e.at_ns, bytes);
-            // Preserve the original arrival time across retries so
-            // sync latency covers the whole outage wait.
-            let t0_ns = map.get(&device).map_or(e.at_ns, |d| d.t0_ns);
-            map.insert(
-                device,
-                ActiveDevice {
-                    rng,
-                    t0_ns,
-                    wait_start_ns: t0_ns,
-                    bytes,
-                    class,
-                    hot,
-                    activation: *activation,
-                    starved: false,
-                },
-            );
-            Intent::Start {
-                device,
-                hot,
-                bytes,
-                site: site_of(device),
-                activation: *activation,
-                retry_u,
-                cloud_us,
-                reachable: upload_reachability(ctx.plan, e.at_ns),
-            }
-        }
-        Ev::Attempt { attempt } => {
-            let dev = map.get_mut(&device).expect("attempting device is active");
-            if *attempt == 0 {
-                // The upload just landed (or a deferred cycle starts);
-                // lock waiting is measured from here.
-                dev.wait_start_ns = e.at_ns;
-            }
-            // Fixed draw sequence: backoff, retry jitter.
-            let backoff_u = dev.rng.next_f64();
-            let retry_u = dev.rng.next_f64();
-            bank.add(
-                "fleet.attempts",
-                if dev.hot.is_some() { "hot" } else { "private" },
-                e.at_ns,
-                1,
-            );
-            Intent::Attempt {
-                device,
-                hot: dev.hot,
-                attempt: *attempt,
-                wait_start_ns: dev.wait_start_ns,
-                backoff_u,
-                retry_u,
-                reachable: upload_reachability(ctx.plan, e.at_ns),
-            }
-        }
-        Ev::Release => {
-            let dev = map.get_mut(&device).expect("releasing device is active");
-            let next_gap_secs = cfg.profile.next_gap_secs(dev.class, &mut dev.rng);
-            Intent::Release {
-                device,
-                hot: dev.hot,
-                bytes: dev.bytes,
-                t0_ns: dev.t0_ns,
-                activation: dev.activation,
-                next_gap_secs,
-            }
-        }
-        Ev::Pull { folder } => {
-            bank.add("fleet.pulls", "drain", e.at_ns, 1);
-            Intent::Pull {
-                device,
-                folder: *folder,
-                site: site_of(device),
-            }
-        }
     }
 }
 
@@ -1138,24 +941,22 @@ mod tests {
     }
 
     #[test]
-    fn oplog_fleet_is_deterministic_across_shards_and_threads() {
-        let run = |shards: usize, threads: usize| {
+    fn oplog_fleet_is_deterministic() {
+        let run = || {
             let mut cfg = FleetConfig::quick(23);
             cfg.devices = 150;
             cfg.horizon = std::time::Duration::from_secs(90);
             cfg.hot_folders = 3;
-            cfg.shards = shards;
-            cfg.threads = threads;
             cfg.fault_plan = crate::config::default_chaos_plan(23, 90);
             cfg.meta_mode = MetaMode::Oplog;
             let m = FleetSim::new(cfg).run();
             (m.to_json(), m.series_json())
         };
-        let (json_a, series_a) = run(1, 1);
-        let (json_b, series_b) = run(8, 8);
+        let (json_a, series_a) = run();
+        let (json_b, series_b) = run();
         assert_eq!(json_a, json_b);
-        // The windowed series (per-shard banks merged at window
-        // boundaries) must also be byte-identical across layouts.
+        // The windowed series must be byte-identical across same-seed
+        // runs too.
         assert_eq!(series_a, series_b);
         assert!(series_a.contains("\"series\": \"unidrive-obs-series/v2\""));
         assert!(series_a.contains("fleet.arrivals"));

@@ -8,18 +8,16 @@
 //! tests runs one OS thread per actor — perfect for exercising the
 //! *real* `QuorumLock`/`SyncEngine` code, hopeless for populations.
 //! This crate trades code-path fidelity for scale: devices are
-//! analytic state machines driven by the same derived-RNG streams,
-//! sharded across a [`WorkerPool`](unidrive_util::WorkerPool), with a
-//! deterministic cross-shard merge so a run's metrics are a pure
-//! function of `(seed, config)` — byte-identical at any shard or
-//! thread count.
+//! analytic state machines driven by derived per-device RNG streams
+//! and handled one event at a time by a single event loop, so a run's
+//! metrics are a pure function of `(seed, config)`.
 //!
 //! * [`FleetConfig`] — population, horizon, QPS ceilings, metadata
 //!   mode, and a [`FaultPlan`](unidrive_cloud::FaultPlan) chaos
 //!   schedule ([`default_chaos_plan`] exercises every
 //!   [`FaultKind`](unidrive_cloud::FaultKind)).
-//! * [`FleetSim`] — the conservative parallel discrete-event engine
-//!   (windowed lookahead execution, lazy device materialization,
+//! * [`FleetSim`] — the discrete-event engine (one sequential loop
+//!   over lookahead windows, lazy device materialization,
 //!   upload-then-commit sessions against quorum-locked hot folders,
 //!   the product's `LockConfig` defaults, metadata steps charged at
 //!   `unidrive_meta::PROTOCOL_COSTS`).
@@ -30,6 +28,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod calendar;
 mod config;
 mod engine;
 mod metrics;

@@ -2,10 +2,9 @@
 //! `BENCH_fleet.json` serialization.
 //!
 //! Everything in the JSON is a function of the *virtual* run only —
-//! seed, population, and fault plan — never of wall-clock time, thread
-//! count, or shard count. That is what lets CI assert byte-identical
-//! output across same-seed runs and across shard layouts (`shards` and
-//! `threads` are deliberately absent from the config echo).
+//! seed, population, and fault plan — never of wall-clock time or the
+//! host. That is what lets CI assert byte-identical output across
+//! same-seed runs and against the checked-in documents.
 
 use std::collections::BTreeMap;
 
@@ -93,9 +92,8 @@ pub struct FleetMetrics {
     pub virtual_end_ns: u64,
     /// Drain rounds needed after the horizon.
     pub drain_rounds: u32,
-    /// Windowed time-series rollups ([`FLEET_SERIES_WINDOW_NS`] grid):
-    /// per-shard banks are merged at each window boundary, so the
-    /// content is independent of shard and thread layout.
+    /// Windowed time-series rollups ([`FLEET_SERIES_WINDOW_NS`] grid),
+    /// recorded by the event handlers as they run.
     pub series: SeriesBank,
 }
 
@@ -131,8 +129,7 @@ impl FleetMetrics {
     /// Deterministic windowed-series export
     /// (`unidrive-obs-series/v2`). Like
     /// [`to_json`](FleetMetrics::to_json), the bytes depend only on the
-    /// virtual run: same seed ⇒ identical output at any shard or
-    /// thread count (CI `cmp`-gates this).
+    /// virtual run: same seed ⇒ identical output (CI `cmp`-gates this).
     pub fn series_json(&self) -> String {
         self.series.snapshot().to_json()
     }
@@ -173,7 +170,7 @@ impl FleetMetrics {
 
     /// Deterministic JSON report: schema `"bench_fleet": "unidrive/v1"`,
     /// sorted keys, no wall-clock or host-dependent data. Same seed ⇒
-    /// byte-identical output at any shard or thread count.
+    /// byte-identical output.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\n  \"bench_fleet\": \"unidrive/v1\",\n");

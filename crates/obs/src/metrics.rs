@@ -180,8 +180,8 @@ impl HistogramSnapshot {
 
     /// Folds `other` into this snapshot: counts and sums add
     /// (saturating), extrema combine, buckets union by lower bound.
-    /// Commutative and associative, which is what lets windowed
-    /// rollups merge per-shard snapshots in any order.
+    /// Commutative and associative, which is what lets a windowed
+    /// rollup fold a late sample into its closed window in any order.
     ///
     /// An empty side is the identity: its `min` is the *sentinel* 0,
     /// not an observation, so a naive `min(self.min, other.min)` would

@@ -3,7 +3,7 @@
 //! The end-of-run [`Snapshot`](crate::Snapshot) answers *how much*;
 //! this module answers *when*. Every sample is bucketed into a window
 //! of fixed virtual-time width (`t_ns / window_ns`), keyed by
-//! `(metric, label)` — the label is a cloud id, shard, device class,
+//! `(metric, label)` — the label is a cloud id, device class,
 //! meta mode, whatever dimension the metric varies over — and each
 //! window keeps either a plain counter delta or a full log₂ histogram
 //! of the samples that landed in it. Diurnal rate flux, chaos windows,
@@ -16,10 +16,8 @@
 //!   recording, no locks; the open window is a fixed bucket array so
 //!   the hot path never allocates (a new allocation happens only when
 //!   a window *closes*, amortized to once per window).
-//! * [`SeriesBank`] — a keyed collection of series with commutative
-//!   [`merge_from`](SeriesBank::merge_from): per-shard banks merged in
-//!   any order produce identical contents, which is what keeps fleet
-//!   exports byte-identical across shard and thread counts.
+//! * [`SeriesBank`] — a keyed collection of series sharing one window
+//!   width, recorded through `&mut` (the fleet simulator's series).
 //! * Registry-backed cells (see [`Obs::series_observe`]
 //!   [`Obs::series_add`], [`Obs::series_handle`](crate::Obs::series_handle))
 //!   — thread-safe recording stamped through the installed clock, for
@@ -171,9 +169,10 @@ impl TimeSeries {
     /// Records `value` at virtual time `t_ns`. Samples within the
     /// current window are allocation-free; a sample in a *later*
     /// window closes the current one first. Late samples (an earlier
-    /// window than the open one — merge phases may replay slightly out
-    /// of order) fold into the already-closed window for their index,
-    /// so the rollup is independent of arrival order.
+    /// window than the open one — registry cells recording under the
+    /// wall clock from several threads can see slightly out-of-order
+    /// stamps) fold into the already-closed window for their index, so
+    /// the rollup is independent of arrival order.
     pub fn record(&mut self, t_ns: u64, value: u64) {
         let index = t_ns / self.window_ns;
         match &mut self.open {
@@ -233,31 +232,11 @@ impl TimeSeries {
     pub fn total(&self) -> u64 {
         self.windows().iter().map(|w| w.stat.sum).sum()
     }
-
-    /// Merges `other`'s windows into this series, window by window.
-    /// Merging is commutative and associative (counts and sums add,
-    /// extrema combine, buckets union), so per-shard series merged in
-    /// any order produce identical contents.
-    pub fn merge_from(&mut self, other: &TimeSeries) {
-        for w in other.windows() {
-            // An open window at the same index would shadow a closed
-            // twin in `windows()`; close and fold it first so the
-            // incoming stat lands in one place.
-            if let Some(open) = &self.open {
-                if open.index == w.index {
-                    let folded = open.close();
-                    self.open = None;
-                    self.insert_closed(folded);
-                }
-            }
-            self.insert_closed(w);
-        }
-    }
 }
 
 /// A keyed collection of [`TimeSeries`], all sharing one window width.
-/// This is the single-threaded building block: the fleet keeps one
-/// bank per shard and merges them at window boundaries.
+/// This is the single-threaded building block: the fleet simulator
+/// records its series into one bank.
 #[derive(Debug, Clone)]
 pub struct SeriesBank {
     window_ns: u64,
@@ -304,18 +283,6 @@ impl SeriesBank {
     /// The series for `(metric, label)`, if any samples were recorded.
     pub fn series(&self, metric: &str, label: &str) -> Option<&TimeSeries> {
         self.series.get(&(metric.to_owned(), label.to_owned()))
-    }
-
-    /// Merges every series of `other` into this bank. Commutative:
-    /// per-shard banks can be merged in any order.
-    pub fn merge_from(&mut self, other: &SeriesBank) {
-        debug_assert_eq!(self.window_ns, other.window_ns, "mixed window widths");
-        for ((metric, label), s) in &other.series {
-            self.series
-                .entry((metric.clone(), label.clone()))
-                .or_insert_with(|| TimeSeries::new(s.kind(), s.window_ns()))
-                .merge_from(s);
-        }
     }
 
     /// Immutable snapshot of every series, sorted by `(metric, label)`.
@@ -561,47 +528,6 @@ mod tests {
         assert_eq!((w[2].index, w[2].stat.count, w[2].stat.sum), (2, 1, 7));
         // Ordering invariants hold after out-of-order recording.
         assert!(w.windows(2).all(|p| p[0].index < p[1].index));
-    }
-
-    #[test]
-    fn merge_is_commutative_across_banks() {
-        let fill = |bank: &mut SeriesBank, offset: u64| {
-            bank.add("ops", "c0", offset, 2);
-            bank.observe("lat", "c0", offset, 100 + offset);
-            bank.observe("lat", "c1", offset + 3 * W, 50);
-        };
-        let mut a = SeriesBank::new(W);
-        let mut b = SeriesBank::new(W);
-        fill(&mut a, 10);
-        fill(&mut b, 2_010);
-
-        let mut ab = a.clone();
-        ab.merge_from(&b);
-        let mut ba = b.clone();
-        ba.merge_from(&a);
-        assert_eq!(ab.snapshot(), ba.snapshot());
-        assert_eq!(ab.snapshot().to_json(), ba.snapshot().to_json());
-
-        // Merging an open window with a closed twin folds, not shadows.
-        let lat = ab.series("lat", "c0").unwrap();
-        assert_eq!(lat.windows().len(), 2);
-    }
-
-    #[test]
-    fn merge_folds_same_index_windows() {
-        let mut a = TimeSeries::new(SeriesKind::Sample, W);
-        let mut b = TimeSeries::new(SeriesKind::Sample, W);
-        a.record(10, 100);
-        b.record(20, 300);
-        b.record(1_020, 7);
-        a.merge_from(&b);
-        let w = a.windows();
-        assert_eq!(w.len(), 2);
-        assert_eq!((w[0].stat.count, w[0].stat.min, w[0].stat.max), (2, 100, 300));
-        assert_eq!(w[1].stat.sum, 7);
-        // The open window keeps accepting samples after a merge.
-        a.record(30, 200);
-        assert_eq!(a.windows()[0].stat.count, 3);
     }
 
     #[test]

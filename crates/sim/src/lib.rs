@@ -48,7 +48,6 @@ mod link;
 mod real;
 mod rng;
 mod runtime;
-pub mod shard;
 mod time;
 
 pub use engine::SimRuntime;

@@ -14,7 +14,6 @@
 //! segments — thread spawn cost is noise; a persistent pool would buy
 //! nothing but lifetime contortions.
 
-use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::sync::Mutex;
@@ -42,12 +41,6 @@ impl WorkerPool {
         WorkerPool {
             threads: threads.max(1),
         }
-    }
-
-    /// A pool sized to the machine: `available_parallelism`, or 1 if
-    /// the OS cannot say.
-    pub fn auto() -> Self {
-        WorkerPool::new(std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
     }
 
     /// The configured worker count.
@@ -106,12 +99,6 @@ impl WorkerPool {
     }
 }
 
-impl Default for WorkerPool {
-    fn default() -> Self {
-        WorkerPool::auto()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,7 +146,6 @@ mod tests {
     #[test]
     fn zero_threads_clamps_to_one() {
         assert_eq!(WorkerPool::new(0).threads(), 1);
-        assert!(WorkerPool::auto().threads() >= 1);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! Everything samples from a caller-supplied [`SimRng`] so the fleet
 //! harness can derive one independent stream per `(seed, device,
-//! activation)` and stay byte-identical across shard counts.
+//! activation)` and a run is a pure function of its seed.
 
 use unidrive_sim::SimRng;
 
@@ -141,7 +141,8 @@ impl Zipf {
 }
 
 /// Activity class of a device, assigned deterministically by hashing
-/// the device id (so the assignment is independent of shard layout).
+/// the device id (so the assignment is independent of every sampling
+/// stream).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeviceClass {
     /// Syncs rarely; small sessions.
@@ -251,7 +252,7 @@ impl PopulationProfile {
     }
 
     /// Deterministic class assignment for `device`, independent of
-    /// shard layout and of every sampling stream.
+    /// every sampling stream.
     pub fn class_of(&self, seed: u64, device: u64) -> DeviceClass {
         let mut rng = SimRng::derive(seed, &format!("pop/class/{device}"));
         let u = rng.next_f64();
@@ -285,7 +286,7 @@ impl PopulationProfile {
 
     /// Whether `device` is a member of a shared hot folder, and if so
     /// which one (Zipf-popular rank in `0..hot_folders`). Deterministic
-    /// per device, independent of shard layout.
+    /// per device, independent of every sampling stream.
     pub fn hot_membership(&self, seed: u64, device: u64, zipf: &Zipf) -> Option<usize> {
         let mut rng = SimRng::derive(seed, &format!("pop/hot/{device}"));
         if rng.chance(self.hot_fraction) {
@@ -338,12 +339,12 @@ mod tests {
     }
 
     #[test]
-    fn derive_streams_are_independent_across_shards_and_devices() {
-        // The fleet relies on derived streams (per shard label, per
-        // device label) being statistically independent.
+    fn derive_streams_are_independent_across_labels_and_devices() {
+        // The fleet relies on derived streams (per bootstrap label, per
+        // device session label) being statistically independent.
         let pairs = [
-            ("fleet/shard/0", "fleet/shard/1"),
-            ("fleet/shard/0", "fleet/dev/0/0"),
+            ("fleet/boot/0", "fleet/boot/1"),
+            ("fleet/boot/0", "fleet/dev/0/0"),
             ("fleet/dev/1/0", "fleet/dev/1/1"),
         ];
         for (la, lb) in pairs {
