@@ -8,9 +8,7 @@
 //!
 //! * `bench_kernels` — `mb_per_s` per `(kernel, bytes, threads)` row;
 //!   regression = throughput drop beyond 25% (kernel benches run in
-//!   wall-clock and jitter with the host), loosened to 35% for the
-//!   pool-backed rows (`cut_points_parallel`, `ingest*`, anything at
-//!   more than one thread) which also see scheduler placement noise.
+//!   wall-clock and jitter with the host).
 //! * `bench_oplog` — `commits_per_min` per `(mode, writers)` cell;
 //!   regression = throughput drop beyond 20% (virtual-time, but the
 //!   schedule shifts with protocol changes). A `failed` commit is not
@@ -45,13 +43,12 @@ const KERNEL_ID: [&str; 3] = ["kernel", "bytes", "threads"];
 /// Identity fields of a `bench_oplog` row.
 const OPLOG_ID: [&str; 2] = ["mode", "writers"];
 /// Kernels every `bench_kernels` report carries at least one row of.
-const KERNEL_ROWS: [&str; 10] = [
+const KERNEL_ROWS: [&str; 9] = [
     "sha1",
     "rabin_roll",
     "gear_roll",
     "chunker_cut_points",
     "gear_cut_points",
-    "cut_points_parallel",
     "rs_encode",
     "rs_decode",
     "ingest",
@@ -184,7 +181,8 @@ fn section<'a>(value: &'a Json, key: &str) -> &'a Json {
 /// `bench_kernels`: header, the fixed row list, per-row sanity, rows
 /// only at widths the recording host could exercise, and the reason a
 /// second chunker hash ships at all — gear ingest is at least as fast
-/// as rabin ingest at every emitted pool width.
+/// as rabin ingest at every emitted width (today one thread; reports
+/// from earlier revisions also carry pooled widths).
 fn validate_kernels(doc: &Json, errs: &mut Vec<String>) {
     require_keys(errs, "$", doc, KERNELS_DOC, true);
     let rows = arr(doc, "rows");
@@ -416,14 +414,14 @@ fn index_rows<'a>(doc: &'a Json, id_fields: &[&str]) -> Vec<(String, &'a Json)> 
         .collect()
 }
 
-/// Compares one numeric field across row sets keyed by identity;
-/// appends deltas for shared keys and notes one-sided keys. The bound
-/// is computed per row key, so one table can mix tolerances.
+/// Compares one higher-is-better numeric field across row sets keyed
+/// by identity; appends deltas for shared keys (regressed on a drop
+/// beyond `tol`) and notes one-sided keys.
 fn compare_rows(
     base: &[(String, &Json)],
     cur: &[(String, &Json)],
     field: &'static str,
-    bound: impl Fn(&str) -> Bound,
+    tol: f64,
     deltas: &mut Vec<Delta>,
     notes: &mut Vec<String>,
 ) {
@@ -431,7 +429,7 @@ fn compare_rows(
         match cur.iter().find(|(k, _)| k == key) {
             Some((_, crow)) => {
                 let (b, c) = (number(brow, field), number(crow, field));
-                deltas.push(delta(key.clone(), field, b, c, bound(key)));
+                deltas.push(delta(key.clone(), field, b, c, Bound::Lower(tol)));
             }
             None => notes.push(format!("row `{key}` only in baseline")),
         }
@@ -446,37 +444,13 @@ fn compare_rows(
 fn compare_kernels(base: &Json, cur: &Json, deltas: &mut Vec<Delta>, notes: &mut Vec<String>) {
     let b = index_rows(base, &KERNEL_ID);
     let c = index_rows(cur, &KERNEL_ID);
-    // Single-thread kernels jitter with the host (25%). Pool-backed
-    // rows (`cut_points_parallel`, `ingest`, `ingest_gear`, and any
-    // row tagged with >1 thread) also contend with whatever else the
-    // CI box runs and with scheduler placement, so they get extra
-    // headroom (35%) rather than extra strictness.
-    compare_rows(
-        &b,
-        &c,
-        "mb_per_s",
-        |key| {
-            let pooled = key.starts_with("cut_points_parallel/")
-                || key.starts_with("ingest")
-                || !key.ends_with("/1");
-            Bound::Lower(if pooled { 0.35 } else { 0.25 })
-        },
-        deltas,
-        notes,
-    );
+    compare_rows(&b, &c, "mb_per_s", 0.25, deltas, notes);
 }
 
 fn compare_oplog(base: &Json, cur: &Json, deltas: &mut Vec<Delta>, notes: &mut Vec<String>) {
     let b = index_rows(base, &OPLOG_ID);
     let c = index_rows(cur, &OPLOG_ID);
-    compare_rows(
-        &b,
-        &c,
-        "commits_per_min",
-        |_| Bound::Lower(0.20),
-        deltas,
-        notes,
-    );
+    compare_rows(&b, &c, "commits_per_min", 0.20, deltas, notes);
 }
 
 fn compare_fleet(base: &Json, cur: &Json, deltas: &mut Vec<Delta>, notes: &mut Vec<String>) {

@@ -9,24 +9,17 @@
 //! - `rabin_roll` / `gear_roll` — rolling-hash slide across a buffer
 //!   (the per-byte cost of each cut-point hash, no chunking logic)
 //! - `chunker_cut_points` / `gear_cut_points` — content-defined
-//!   segmentation, serial, per kind (no hashing)
-//! - `cut_points_parallel` — gear cut-point discovery fanned across
-//!   disjoint slices at each pool width the host can exercise (see
-//!   below; byte-identical output to the serial scan; `--cuts-out`
-//!   gates that in CI)
+//!   segmentation per kind (no hashing)
 //! - `rs_encode` / `rs_decode` — (255, 3) non-systematic codec,
 //!   full 5-block stripe per iteration (the paper's N = 5)
 //! - `ingest` / `ingest_gear` — end-to-end chunk + hash + encode per
-//!   chunker kind at each exercisable pool width through
-//!   `unidrive_util::pool::WorkerPool` (both cut discovery and
-//!   per-segment work ride the pool, as in `DataPlane`)
+//!   chunker kind, through the calls `DataPlane` makes
 //!
-//! Pool widths are 1/2/4/8 capped at the host's
-//! `std::thread::available_parallelism`, which is stamped into the
-//! report header: a `threads = 8` row timed on one vCPU measures pool
-//! overhead, not scaling, and is worse than no row. `bench_compare`
-//! notes rows present on one side only, so reports from hosts of
-//! different widths still compare.
+//! Every row runs on one thread, as ingest does in the product, and
+//! says so (`threads: 1`); the host's
+//! `std::thread::available_parallelism` is still stamped into the
+//! report header, so reports from earlier revisions, which also timed
+//! pooled widths, compare row by row.
 //!
 //! Per-iteration wall-clock nanoseconds are kept as exact samples and
 //! `p50_ns`/`p95_ns` are computed from the sorted sample array.
@@ -38,31 +31,22 @@
 //! are wall clock and vary run to run, the *shape* never does.
 //!
 //! Usage: `bench_kernels [--quick|quick] [--out PATH]`
-//! (default out: `BENCH_kernels.json`), or
-//! `bench_kernels --cuts-out PATH --cuts-threads N` to dump the
-//! parallel cut points of a fixed deterministic buffer (both kinds)
-//! and exit — `ci.sh` runs that at several thread counts and `cmp`s
-//! the dumps.
+//! (default out: `BENCH_kernels.json`).
 
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
 use unidrive_bench::{arg_value, quick_arg};
-use unidrive_chunker::{
-    cut_points, cut_points_parallel, ChunkerConfig, GearHash, RabinHash,
-};
+use unidrive_chunker::{cut_points, segment_bytes, ChunkerConfig, GearHash, RabinHash};
 use unidrive_crypto::Sha1;
 use unidrive_erasure::Codec;
-use unidrive_util::bytes::Bytes;
-use unidrive_util::pool::WorkerPool;
 use unidrive_workload::random_bytes;
 
 /// One measured row of the report.
 struct Row {
     kernel: &'static str,
     bytes: usize,
-    threads: usize,
     iters: u64,
     mb_per_s: f64,
     mean_ns: u64,
@@ -97,14 +81,8 @@ impl Harness {
 
     /// Times `f` until the row budget is spent (≥ 3 iterations), with
     /// one untimed warm-up. `bytes` is the payload a single iteration
-    /// processes; `threads` is a reporting tag.
-    fn row<T>(
-        &mut self,
-        kernel: &'static str,
-        bytes: usize,
-        threads: usize,
-        mut f: impl FnMut() -> T,
-    ) {
+    /// processes.
+    fn row<T>(&mut self, kernel: &'static str, bytes: usize, mut f: impl FnMut() -> T) {
         black_box(f());
         let start = Instant::now();
         let mut samples: Vec<u64> = Vec::with_capacity(256);
@@ -119,7 +97,6 @@ impl Harness {
         let row = Row {
             kernel,
             bytes,
-            threads,
             iters,
             mb_per_s: bytes as f64 / (mean_ns / 1e9).max(1e-12) / (1024.0 * 1024.0),
             mean_ns: mean_ns as u64,
@@ -127,9 +104,8 @@ impl Harness {
             p95_ns: percentile(&samples, 0.95),
         };
         println!(
-            "{:<24} {:>10} B {:>2} thr {:>6} it {:>10.1} MiB/s  (mean {:>9} ns, p50 {:>9}, p95 {:>9})",
-            row.kernel, row.bytes, row.threads, row.iters, row.mb_per_s, row.mean_ns, row.p50_ns,
-            row.p95_ns
+            "{:<24} {:>10} B {:>6} it {:>10.1} MiB/s  (mean {:>9} ns, p50 {:>9}, p95 {:>9})",
+            row.kernel, row.bytes, row.iters, row.mb_per_s, row.mean_ns, row.p50_ns, row.p95_ns
         );
         self.rows.push(row);
     }
@@ -146,9 +122,9 @@ impl Harness {
             }
             let _ = write!(
                 out,
-                "\n{{\"kernel\": \"{}\", \"bytes\": {}, \"threads\": {}, \"iters\": {}, \
+                "\n{{\"kernel\": \"{}\", \"bytes\": {}, \"threads\": 1, \"iters\": {}, \
                  \"mb_per_s\": {:.2}, \"mean_ns\": {}, \"p50_ns\": {}, \"p95_ns\": {}}}",
-                r.kernel, r.bytes, r.threads, r.iters, r.mb_per_s, r.mean_ns, r.p50_ns, r.p95_ns
+                r.kernel, r.bytes, r.iters, r.mb_per_s, r.mean_ns, r.p50_ns, r.p95_ns
             );
         }
         out.push_str("\n]\n}\n");
@@ -156,60 +132,22 @@ impl Harness {
     }
 }
 
-/// The full pipeline one upload performs per file before any network
-/// traffic, mirroring `DataPlane`: parallel content-defined cut
-/// discovery, then per-segment SHA-1 + a 5-block RS stripe, all fanned
-/// across `pool`.
-fn ingest(data: &Bytes, config: &ChunkerConfig, codec: &Codec, pool: &WorkerPool) -> usize {
-    let cuts = cut_points_parallel(data, config, pool);
-    let outputs = pool.par_map_indexed(&cuts, |_, &(offset, len)| {
-        let seg = data.slice(offset..offset + len);
-        let digest = Sha1::digest(&seg);
-        let blocks = codec.encode_blocks(&seg, &[0, 1, 2, 3, 4]);
-        (digest, blocks)
-    });
-    outputs.len()
-}
-
-/// `--cuts-out` mode: chunk one fixed deterministic buffer with the
-/// parallel driver (both kinds) at the given thread count and dump the
-/// cut points as text. Byte-identical dumps across thread counts are
-/// the CI-visible form of the serial ≡ parallel contract.
-fn dump_cuts(path: &str, threads: usize) {
-    let data = random_bytes(8 * 1024 * 1024, 0xC0DE_C4B5);
-    let pool = WorkerPool::new(threads);
-    let mut out = String::new();
-    for config in [
-        ChunkerConfig::new(128 * 1024),
-        ChunkerConfig::gear(128 * 1024),
-    ] {
-        for (offset, len) in cut_points_parallel(&data, &config, &pool) {
-            let _ = writeln!(out, "{} {offset} {len}", config.kind.label());
-        }
+/// The CPU work one upload does per file before any network traffic,
+/// through the calls `DataPlane` makes: `segment_bytes` (cut points,
+/// then each segment's SHA-1) and a 5-block RS stripe per segment.
+fn ingest(data: &[u8], config: &ChunkerConfig, codec: &Codec) -> usize {
+    let segments = segment_bytes(data, config);
+    for s in &segments {
+        black_box(codec.encode_blocks(&data[s.range()], &[0, 1, 2, 3, 4]));
     }
-    std::fs::write(path, &out).unwrap_or_else(|e| {
-        eprintln!("bench_kernels: cannot write {path}: {e}");
-        std::process::exit(1);
-    });
-    println!("wrote cut points for both kinds ({threads} threads) to {path}");
+    segments.len()
 }
 
 fn main() {
-    if let Some(path) = arg_value("--cuts-out") {
-        let threads = arg_value("--cuts-threads")
-            .and_then(|t| t.parse().ok())
-            .unwrap_or(1);
-        dump_cuts(&path, threads);
-        return;
-    }
     let quick = quick_arg();
     let out_path = arg_value("--out").unwrap_or_else(|| "BENCH_kernels.json".to_owned());
     let mode = if quick { "quick" } else { "full" };
     let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let widths: Vec<usize> = [1, 2, 4, 8]
-        .into_iter()
-        .filter(|&t| t <= parallelism)
-        .collect();
     println!("bench_kernels ({mode} mode, available parallelism {parallelism})\n");
 
     let mut h = Harness::new(quick);
@@ -221,12 +159,12 @@ fn main() {
     };
     for &size in sha_sizes {
         let data = random_bytes(size, 0xC0FFEE ^ size as u64);
-        h.row("sha1", size, 1, || Sha1::digest(&data));
+        h.row("sha1", size, || Sha1::digest(&data));
     }
 
     let roll_size = if quick { 1024 * 1024 } else { 4 * 1024 * 1024 };
     let data = random_bytes(roll_size, 0xAB1E);
-    h.row("rabin_roll", roll_size, 1, || {
+    h.row("rabin_roll", roll_size, || {
         let mut hash = RabinHash::new(48);
         for &b in &data[..48] {
             hash.push(b);
@@ -238,7 +176,7 @@ fn main() {
         }
         acc
     });
-    h.row("gear_roll", roll_size, 1, || {
+    h.row("gear_roll", roll_size, || {
         let mut hash = GearHash::new();
         let mut acc = 0u64;
         for &b in data.iter() {
@@ -252,24 +190,16 @@ fn main() {
     let theta = chunk_size / 16;
     let data = random_bytes(chunk_size, 0x5E6);
     let rabin_config = ChunkerConfig::new(theta);
-    h.row("chunker_cut_points", chunk_size, 1, || {
+    h.row("chunker_cut_points", chunk_size, || {
         cut_points(&data, &rabin_config)
     });
     let gear_config = ChunkerConfig::gear(theta);
-    h.row("gear_cut_points", chunk_size, 1, || {
-        cut_points(&data, &gear_config)
-    });
-    for &threads in &widths {
-        let pool = WorkerPool::new(threads);
-        h.row("cut_points_parallel", chunk_size, threads, || {
-            cut_points_parallel(&data, &gear_config, &pool)
-        });
-    }
+    h.row("gear_cut_points", chunk_size, || cut_points(&data, &gear_config));
 
     let rs_size = if quick { 1024 * 1024 } else { 4 * 1024 * 1024 };
     let data = random_bytes(rs_size, 0xEC0DE);
     let codec = Codec::non_systematic(255, 3).expect("paper parameters");
-    h.row("rs_encode", rs_size, 1, || {
+    h.row("rs_encode", rs_size, || {
         codec.encode_blocks(&data, &[0, 1, 2, 3, 4])
     });
     let stripe = codec.encode_blocks(&data, &[0, 1, 2, 3, 4]);
@@ -277,7 +207,7 @@ fn main() {
         .iter()
         .map(|&i| (i, stripe[i].as_ref()))
         .collect();
-    h.row("rs_decode", rs_size, 1, || {
+    h.row("rs_decode", rs_size, || {
         codec.decode(&shares, data.len()).expect("k shares decode")
     });
 
@@ -285,18 +215,8 @@ fn main() {
     let data = random_bytes(ingest_size, 0x1265);
     let rabin_ingest = ChunkerConfig::new(ingest_size / 16);
     let gear_ingest = ChunkerConfig::gear(ingest_size / 16);
-    for &threads in &widths {
-        let pool = WorkerPool::new(threads);
-        h.row("ingest", ingest_size, threads, || {
-            ingest(&data, &rabin_ingest, &codec, &pool)
-        });
-    }
-    for &threads in &widths {
-        let pool = WorkerPool::new(threads);
-        h.row("ingest_gear", ingest_size, threads, || {
-            ingest(&data, &gear_ingest, &codec, &pool)
-        });
-    }
+    h.row("ingest", ingest_size, || ingest(&data, &rabin_ingest, &codec));
+    h.row("ingest_gear", ingest_size, || ingest(&data, &gear_ingest, &codec));
 
     let json = h.to_json(mode, parallelism);
     std::fs::write(&out_path, &json).unwrap_or_else(|e| {

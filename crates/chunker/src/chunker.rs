@@ -14,8 +14,8 @@
 //! and skip-ahead over the minimum-size region make it several times
 //! faster on the same core. Both have an exact fixed-width window
 //! (48 bytes for Rabin, 64 for gear), which is what makes cut
-//! decisions position-independent and therefore parallelizable — see
-//! [`cut_points_parallel`](crate::cut_points_parallel).
+//! decisions position-independent: a boundary depends only on the
+//! bytes just before it.
 //!
 //! Each segment is identified by the SHA-1 of its content, giving
 //! cross-file deduplication for free.
@@ -149,14 +149,6 @@ impl ChunkerConfig {
             ((1u64 << bits) - 1) << (64 - bits)
         }
     }
-
-    /// The mask for this config's kind.
-    pub(crate) fn kind_mask(&self) -> u64 {
-        match self.kind {
-            ChunkerKind::Rabin => self.mask(),
-            ChunkerKind::Gear => self.gear_mask(),
-        }
-    }
 }
 
 /// One content-defined segment of a file.
@@ -212,10 +204,7 @@ pub fn segment_bytes(data: &[u8], config: &ChunkerConfig) -> Vec<Segment> {
 /// paper's rolling scan; the gear path skips ahead over the
 /// minimum-size region and runs the wide unrolled scan. Both produce
 /// the *first eligible candidate* in `(start+min, start+max)` or a
-/// forced cut at `start+max` — exactly the fold
-/// [`cut_points_parallel`](crate::cut_points_parallel) applies to the
-/// candidate set, which is what makes serial and parallel output
-/// byte-identical.
+/// forced cut at `start+max`.
 pub fn cut_points(data: &[u8], config: &ChunkerConfig) -> Vec<(usize, usize)> {
     match config.kind {
         ChunkerKind::Rabin => cut_points_rabin(data, config),
@@ -298,53 +287,46 @@ fn cut_points_gear(data: &[u8], config: &ChunkerConfig) -> Vec<(usize, usize)> {
     out
 }
 
-/// Replays the serial min/max state machine over a pre-computed sorted
-/// candidate list: next cut = first candidate in `[start+min,
-/// start+max)`, else forced at `start+max`. Returns the segmentation
-/// plus the number of candidates skipped because they fell inside a
-/// minimum-size region (the "resync" work the parallel driver reports).
-///
-/// Candidates are position-independent (each is judged on its own
-/// trailing window), so this fold over the *complete* candidate set is
-/// exactly what the serial scans compute — the serial ≡ parallel
-/// contract rests on this function being the single source of truth
-/// for the size constraint.
-pub(crate) fn fold_candidates(
-    len: usize,
-    config: &ChunkerConfig,
-    candidates: &[usize],
-) -> (Vec<(usize, usize)>, usize) {
-    if len == 0 {
-        return (Vec::new(), 0);
-    }
-    let min = config.effective_min();
-    let max = config.max_size();
-    let mut out = Vec::new();
-    let mut start = 0usize;
-    let mut idx = 0usize;
-    let mut skipped = 0usize;
-    while len - start > max {
-        while idx < candidates.len() && candidates[idx] < start + min {
-            idx += 1;
-            skipped += 1;
-        }
-        let cut = if idx < candidates.len() && candidates[idx] < start + max {
-            let c = candidates[idx];
-            idx += 1;
-            c
-        } else {
-            start + max
-        };
-        out.push((start, cut - start));
-        start = cut;
-    }
-    out.push((start, len - start));
-    (out, skipped)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Brute-force oracle of the size contract: replays the min/max
+    /// state machine over the sorted list of *every* position whose
+    /// fingerprint matches — next cut = first candidate in
+    /// `[start+min, start+max)`, else forced at `start+max`. Candidates
+    /// are position-independent (each is judged on its own trailing
+    /// window), so this fold is what the skip-ahead scans must compute.
+    fn fold_candidates(
+        len: usize,
+        config: &ChunkerConfig,
+        candidates: &[usize],
+    ) -> Vec<(usize, usize)> {
+        if len == 0 {
+            return Vec::new();
+        }
+        let min = config.effective_min();
+        let max = config.max_size();
+        let mut out = Vec::new();
+        let mut start = 0usize;
+        let mut idx = 0usize;
+        while len - start > max {
+            while idx < candidates.len() && candidates[idx] < start + min {
+                idx += 1;
+            }
+            let cut = if idx < candidates.len() && candidates[idx] < start + max {
+                let c = candidates[idx];
+                idx += 1;
+                c
+            } else {
+                start + max
+            };
+            out.push((start, cut - start));
+            start = cut;
+        }
+        out.push((start, len - start));
+        out
+    }
 
     fn pseudo_random(len: usize, seed: u64) -> Vec<u8> {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -693,8 +675,8 @@ mod tests {
     #[test]
     fn fold_matches_serial_scan_for_both_kinds() {
         // fold_candidates over the full candidate set must reproduce
-        // the serial skip-ahead scans exactly (the serial ≡ parallel
-        // contract in miniature, without threads).
+        // the skip-ahead scans exactly: skipping the minimum-size
+        // region never skips a cut.
         for config in [cfg(), gear_cfg()] {
             let data = pseudo_random(400_000, 77);
             let min = config.effective_min();
@@ -724,7 +706,7 @@ mod tests {
                     }
                 }
             }
-            let (folded, _) = fold_candidates(data.len(), &config, &candidates);
+            let folded = fold_candidates(data.len(), &config, &candidates);
             assert_eq!(
                 folded,
                 cut_points(&data, &config),

@@ -11,20 +11,16 @@
 //! the paper-faithful LBFS-style [`RabinHash`], and the FastCDC-style
 //! [`GearHash`] whose single shift+add update, wide unrolled scan, and
 //! skip-ahead over the minimum-size region make it several times
-//! faster on the same core. Cut-point *discovery* also parallelizes:
-//! [`cut_points_parallel`] scans disjoint slices on a worker pool and
-//! produces byte-identical output to the serial scan at any thread
-//! count.
+//! faster on the same core. Either way a file is cut by one serial
+//! scan on the caller's thread.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod chunker;
 mod gear;
-mod parallel;
 mod rabin;
 
 pub use chunker::{cut_points, segment_bytes, ChunkerConfig, ChunkerKind, Segment};
 pub use gear::{GearHash, GEAR_TABLE, GEAR_WINDOW};
-pub use parallel::{cut_points_parallel, cut_points_parallel_stats, ChunkStats};
 pub use rabin::{RabinHash, DEFAULT_POLY};

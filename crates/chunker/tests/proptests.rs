@@ -1,16 +1,12 @@
 //! Randomized property tests of the content-defined chunker: the
 //! invariants UniDrive's deduplication and update-traffic claims rest
 //! on, run against **both** rolling hashes ([`ChunkerKind::Rabin`] and
-//! [`ChunkerKind::Gear`]) plus the serial ≡ parallel cut-point
-//! equivalence contract. Driven by the workspace's deterministic
+//! [`ChunkerKind::Gear`]). Driven by the workspace's deterministic
 //! `SimRng` (seeded, so failures reproduce exactly) instead of an
 //! external property-testing crate.
 
-use unidrive_chunker::{
-    cut_points, cut_points_parallel, segment_bytes, ChunkerConfig, ChunkerKind,
-};
+use unidrive_chunker::{segment_bytes, ChunkerConfig, ChunkerKind};
 use unidrive_sim::SimRng;
-use unidrive_util::pool::WorkerPool;
 
 const KINDS: [ChunkerKind; 2] = [ChunkerKind::Rabin, ChunkerKind::Gear];
 
@@ -155,38 +151,6 @@ fn prefix_edit_keeps_downstream_boundaries() {
                     "kind={} theta={theta}",
                     kind.label()
                 );
-            }
-        }
-    }
-}
-
-/// The tentpole contract: parallel cut-point discovery is byte-for-byte
-/// the serial scan at 1/2/8 threads, for both kinds, across seeds × θ
-/// and across inputs spanning the serial-fallback and multi-slice
-/// regimes (including degenerate all-constant data with forced cuts).
-#[test]
-fn parallel_cut_points_equal_serial() {
-    for kind in KINDS {
-        for theta in [2048usize, 8 * 1024] {
-            let cfg = ChunkerConfig::new(theta).with_kind(kind);
-            let mut rng = SimRng::seed_from_u64(0xC407 ^ theta as u64);
-            for round in 0..6 {
-                let len = 50_000 + rng.below(1_500_000) as usize;
-                let data: Vec<u8> = if round == 5 {
-                    vec![0xAB; len] // forced-cut path: no candidates at all
-                } else {
-                    (0..len).map(|_| rng.next_u64() as u8).collect()
-                };
-                let serial = cut_points(&data, &cfg);
-                for threads in [1usize, 2, 8] {
-                    let pool = WorkerPool::new(threads);
-                    assert_eq!(
-                        cut_points_parallel(&data, &cfg, &pool),
-                        serial,
-                        "kind={} theta={theta} len={len} threads={threads}",
-                        kind.label()
-                    );
-                }
             }
         }
     }

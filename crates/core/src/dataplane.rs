@@ -5,8 +5,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use unidrive_util::bytes::Bytes;
-use unidrive_util::pool::WorkerPool;
-use unidrive_chunker::Segment;
+use unidrive_chunker::{segment_bytes, Segment};
 use unidrive_cloud::{CloudId, CloudSet};
 use unidrive_crypto::Sha1;
 use unidrive_erasure::Codec;
@@ -68,7 +67,6 @@ pub struct DataPlane {
     pub(crate) probe: Arc<BandwidthProbe>,
     /// Engine wiring of every batch on this plane, relabelled per batch.
     pub(crate) engine: EngineParams,
-    ingest_pool: WorkerPool,
 }
 
 impl std::fmt::Debug for DataPlane {
@@ -104,7 +102,6 @@ impl DataPlane {
             config.obs.clone(),
         );
         engine.probe = Some(Arc::clone(&probe));
-        let ingest_pool = WorkerPool::new(config.ingest_threads);
         DataPlane {
             rt,
             clouds,
@@ -112,40 +109,20 @@ impl DataPlane {
             codec,
             probe,
             engine,
-            ingest_pool,
         }
     }
 
-    /// Content-defined segmentation with *both* halves fanned out
-    /// across the ingest pool: cut-point discovery scans disjoint
-    /// slices in parallel (candidate positions are judged on their own
-    /// trailing window, so the merged set — and therefore the fold
-    /// that applies the size contract — cannot see the slicing), then
-    /// each segment's SHA-1 runs on a worker, with results collected
-    /// by index. Output is byte-for-byte what
-    /// [`unidrive_chunker::segment_bytes`] returns, at any thread
-    /// count.
-    ///
-    /// Emits the `chunker.*` windowed series (bytes scanned, segments
-    /// cut, resync skips), labelled by the configured
+    /// [`segment_bytes`] on the caller's thread, emitting the
+    /// `chunker.*` windowed series (bytes scanned, segments cut)
+    /// labelled by the configured
     /// [`ChunkerKind`](unidrive_chunker::ChunkerKind).
-    fn segment_parallel(&self, data: &[u8]) -> Vec<Segment> {
-        let (cuts, stats) = unidrive_chunker::cut_points_parallel_stats(
-            data,
-            &self.config.chunker,
-            &self.ingest_pool,
-        );
+    fn segment(&self, data: &[u8]) -> Vec<Segment> {
+        let segments = segment_bytes(data, &self.config.chunker);
         let obs = &self.config.obs;
         let kind = self.config.chunker.kind.label();
         obs.series_add("chunker.bytes", kind, data.len() as u64);
-        obs.series_add("chunker.segments", kind, cuts.len() as u64);
-        obs.series_add("chunker.resync_skips", kind, stats.skipped as u64);
-        self.ingest_pool
-            .par_map_indexed(&cuts, |_, &(offset, len)| Segment {
-                offset,
-                len,
-                digest: Sha1::digest(&data[offset..offset + len]),
-            })
+        obs.series_add("chunker.segments", kind, segments.len() as u64);
+        segments
     }
 
     /// The configuration in effect.
@@ -161,7 +138,7 @@ impl DataPlane {
     /// Content-defined segmentation of one file (no network traffic).
     pub fn segment_file(&self, path: &str, data: &[u8]) -> FileSegmentation {
         let segments = self
-            .segment_parallel(data)
+            .segment(data)
             .into_iter()
             .map(|s| (SegmentId(s.digest), s.len as u64))
             .collect();
@@ -188,7 +165,7 @@ impl DataPlane {
         let mut uploads = Vec::new();
         let mut scheduled: HashSet<SegmentId> = HashSet::new();
         for req in &requests {
-            let cuts = self.segment_parallel(&req.data);
+            let cuts = self.segment(&req.data);
             let mut seg_meta = Vec::new();
             let mut to_send = Vec::new();
             for s in cuts {
@@ -303,16 +280,16 @@ impl DataPlane {
         }))
     }
 
-    /// The `wanted` segments that `bases` hold: each range a layout
-    /// names with a wanted id is hashed on the ingest pool and kept iff
-    /// the digest is the id. Layout lengths come from metadata, so a
-    /// base is walked only once they are known to sum to its length.
+    /// The `wanted` segments that `bases` hold: the first range a
+    /// layout names with a wanted id is hashed and kept iff the digest
+    /// is the id. Layout lengths come from metadata, so a base is
+    /// walked only once they are known to sum to its length.
     fn local_hits(
         &self,
         bases: &[LocalBase],
         wanted: &HashSet<SegmentId>,
     ) -> HashMap<SegmentId, Bytes> {
-        let mut candidates: Vec<(SegmentId, Bytes)> = Vec::new();
+        let mut hits = HashMap::new();
         let mut seen = HashSet::new();
         for base in bases {
             let total = base
@@ -326,19 +303,14 @@ impl DataPlane {
             for (id, len) in &base.layout {
                 let end = offset + *len as usize;
                 if wanted.contains(id) && seen.insert(*id) {
-                    candidates.push((*id, base.data.slice(offset..end)));
+                    let range = base.data.slice(offset..end);
+                    if Sha1::digest(&range) == id.0 {
+                        hits.insert(*id, range);
+                    }
                 }
                 offset = end;
             }
         }
-        let verified = self
-            .ingest_pool
-            .par_map_indexed(&candidates, |_, (id, range)| Sha1::digest(range) == id.0);
-        let hits: HashMap<SegmentId, Bytes> = candidates
-            .into_iter()
-            .zip(verified)
-            .filter_map(|(hit, ok)| ok.then_some(hit))
-            .collect();
         if !hits.is_empty() {
             let obs = &self.config.obs;
             obs.add("download.local_segments", hits.len() as u64);
@@ -403,16 +375,11 @@ mod tests {
     use unidrive_sim::SimRuntime;
 
     fn plane(seed: u64) -> (Arc<SimRuntime>, DataPlane) {
-        plane_with_threads(seed, 1)
-    }
-
-    fn plane_with_threads(seed: u64, ingest_threads: usize) -> (Arc<SimRuntime>, DataPlane) {
-        plane_with_config(seed, ingest_threads, unidrive_chunker::ChunkerKind::Rabin, Obs::noop())
+        plane_with_config(seed, unidrive_chunker::ChunkerKind::Rabin, Obs::noop())
     }
 
     fn plane_with_config(
         seed: u64,
-        ingest_threads: usize,
         kind: unidrive_chunker::ChunkerKind,
         obs: Obs,
     ) -> (Arc<SimRuntime>, DataPlane) {
@@ -433,7 +400,6 @@ mod tests {
             64 * 1024,
         );
         config.chunker = config.chunker.with_kind(kind);
-        config.ingest_threads = ingest_threads;
         config.obs = obs;
         let rt = sim.clone().as_runtime();
         (sim, DataPlane::new(rt, clouds, config))
@@ -636,8 +602,7 @@ mod tests {
     fn a_base_of_the_wrong_length_is_ignored() {
         let registry = unidrive_obs::Registry::new();
         let obs = Obs::with_registry(Arc::clone(&registry));
-        let (_sim, plane) =
-            plane_with_config(7, 2, unidrive_chunker::ChunkerKind::Rabin, obs);
+        let (_sim, plane) = plane_with_config(7, unidrive_chunker::ChunkerKind::Rabin, obs);
         let data = content(400_000, 23);
         let (report, segs) = plane.upload_files(
             vec![UploadRequest {
@@ -685,65 +650,31 @@ mod tests {
     }
 
     #[test]
-    fn parallel_ingest_segmentation_matches_serial() {
-        // The determinism contract of the ingest pool: any thread count
-        // yields the exact segmentation the serial chunker computes.
+    fn segment_file_is_segment_bytes_for_both_kinds() {
+        // The data plane names a file's segments exactly as the chunker
+        // cuts and hashes them, whichever rolling hash is configured.
+        use unidrive_chunker::ChunkerKind;
         let data = content(700_000, 31);
-        let (_sim, serial) = plane_with_threads(10, 1);
-        let reference = serial.segment_file("f", &data);
-        assert!(reference.segments.len() > 5, "want a multi-segment file");
-        for threads in [2usize, 8] {
-            let (_sim, parallel) = plane_with_threads(10, threads);
-            let got = parallel.segment_file("f", &data);
-            assert_eq!(got.segments, reference.segments, "threads={threads}");
-            assert_eq!(got.size, reference.size);
+        for kind in [ChunkerKind::Rabin, ChunkerKind::Gear] {
+            let (_sim, plane) = plane_with_config(10, kind, Obs::noop());
+            let got = plane.segment_file("f", &data);
+            let want: Vec<(SegmentId, u64)> = segment_bytes(&data, &plane.config().chunker)
+                .into_iter()
+                .map(|s| (SegmentId(s.digest), s.len as u64))
+                .collect();
+            assert!(want.len() > 5, "{}: want a multi-segment file", kind.label());
+            assert_eq!(got.segments, want, "{}", kind.label());
+            assert_eq!(got.size, data.len() as u64);
         }
     }
 
     #[test]
-    fn parallel_ingest_upload_is_byte_identical() {
-        // Full upload path at 1/2/8 ingest threads on same-seed sims:
-        // the placements, segmentations, and virtual-time outcomes must
-        // not see the thread count at all.
-        let data = content(500_000, 33);
-        let run = |threads: usize| {
-            let (_sim, plane) = plane_with_threads(11, threads);
-            let (report, segs) = plane.upload_files(
-                vec![UploadRequest {
-                    path: "par.bin".into(),
-                    data: data.clone(),
-                }],
-                &HashSet::new(),
-                UploadOptions::default(),
-            );
-            assert!(report.all_available(), "threads={threads}");
-            (report.blocks, report.timeline, segs[0].segments.clone())
-        };
-        let reference = run(1);
-        for threads in [2usize, 8] {
-            assert_eq!(run(threads), reference, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn gear_ingest_matches_serial_and_round_trips() {
-        // The gear chunker through the full data plane: segmentation is
-        // thread-count-invariant, and an uploaded gear-chunked file
-        // reassembles byte-identically.
+    fn gear_ingest_round_trips() {
+        // The gear chunker through the full data plane: an uploaded
+        // gear-chunked file reassembles byte-identically.
         use unidrive_chunker::ChunkerKind;
         let data = content(700_000, 51);
-        let (_sim, serial) = plane_with_config(20, 1, ChunkerKind::Gear, Obs::noop());
-        let reference = serial.segment_file("g", &data);
-        assert!(reference.segments.len() > 5, "want a multi-segment file");
-        for threads in [2usize, 8] {
-            let (_sim, parallel) = plane_with_config(20, threads, ChunkerKind::Gear, Obs::noop());
-            assert_eq!(
-                parallel.segment_file("g", &data).segments,
-                reference.segments,
-                "threads={threads}"
-            );
-        }
-        let (_sim, plane) = plane_with_config(21, 4, ChunkerKind::Gear, Obs::noop());
+        let (_sim, plane) = plane_with_config(21, ChunkerKind::Gear, Obs::noop());
         let (report, segs) = plane.upload_files(
             vec![UploadRequest {
                 path: "g.bin".into(),
@@ -781,7 +712,7 @@ mod tests {
         registry.set_clock(|| 1);
         registry.enable_series(1_000_000);
         let obs = Obs::with_registry(std::sync::Arc::clone(&registry));
-        let (_sim, plane) = plane_with_config(22, 2, ChunkerKind::Gear, obs);
+        let (_sim, plane) = plane_with_config(22, ChunkerKind::Gear, obs);
         let data = content(400_000, 61);
         let seg = plane.segment_file("s", &data);
         let snap = registry.series_snapshot();
@@ -789,7 +720,6 @@ mod tests {
         assert_eq!(bytes.windows[0].stat.sum, data.len() as u64);
         let segments = snap.entry("chunker.segments", "gear").expect("segments series");
         assert_eq!(segments.windows[0].stat.sum, seg.segments.len() as u64);
-        assert!(snap.entry("chunker.resync_skips", "gear").is_some());
         assert!(snap.entry("chunker.bytes", "rabin").is_none());
     }
 

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use unidrive_cloud::CloudSet;
-use unidrive_meta::{DeltaLog, MergeFn, MetaMode, MetaPlane, PlaneError, SyncFolderImage};
+use unidrive_meta::{DeltaLog, MergeFn, MetaPlane, PlaneError, SyncFolderImage};
 use unidrive_obs::{Obs, SpanId};
 use unidrive_sim::{Runtime, SimRng};
 
@@ -61,10 +61,6 @@ impl LockPlane {
 }
 
 impl MetaPlane for LockPlane {
-    fn mode(&self) -> MetaMode {
-        MetaMode::Lock
-    }
-
     fn poll(
         &mut self,
         current: &SyncFolderImage,
@@ -166,7 +162,7 @@ pub(crate) mod tests {
     use crate::oplog_plane::tests::counted;
     use unidrive_cloud::{CloudStore, MemCloud, RetryPolicy};
     use unidrive_crypto::Sha1;
-    use unidrive_meta::{Snapshot, VersionStamp, PROTOCOL_COSTS, VERSION_PATH};
+    use unidrive_meta::{MetaMode, Snapshot, VersionStamp, PROTOCOL_COSTS, VERSION_PATH};
     use unidrive_sim::RealRuntime;
 
     // The helpers below are shared with the oplog plane's tests.

@@ -24,7 +24,7 @@ use unidrive_cloud::{CloudError, CloudSet, Retry, RetryPolicy};
 use unidrive_crypto::{Digest, MetadataCipher, Sha1};
 use unidrive_meta::{
     base_mark_path, compact, compaction_threshold, fold, frame_chunks, op_file_path,
-    parse_base_mark_name, parse_op_file_name, unframe_chunks, DeltaLog, MergeFn, MetaMode, MetaOp,
+    parse_base_mark_name, parse_op_file_name, unframe_chunks, DeltaLog, MergeFn, MetaOp,
     MetaPlane, OplogBase, PlaneError, SyncFolderImage, OPLOG_BASE_PATH, OPLOG_COMPACT_ESCALATE,
     OPLOG_DIR,
 };
@@ -559,10 +559,6 @@ impl OplogPlane {
 }
 
 impl MetaPlane for OplogPlane {
-    fn mode(&self) -> MetaMode {
-        MetaMode::Oplog
-    }
-
     fn poll(
         &mut self,
         current: &SyncFolderImage,

@@ -5,7 +5,7 @@
 use super::*;
 use crate::lock_plane::tests::{clouds, commit_file, config, plane};
 use unidrive_cloud::{CloudStore, MemCloud};
-use unidrive_meta::PROTOCOL_COSTS;
+use unidrive_meta::{MetaMode, PROTOCOL_COSTS};
 use unidrive_sim::RealRuntime;
 use unidrive_util::sync::Mutex;
 

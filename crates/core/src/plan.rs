@@ -34,15 +34,6 @@ pub struct DataPlaneConfig {
     /// Enable in-channel probing (download tail duplication onto faster
     /// clouds). Disabling reduces downloads to plain idle-pull.
     pub probing: bool,
-    /// Worker threads for the CPU-bound ingest pipeline in
-    /// [`DataPlane::upload_files`](crate::DataPlane::upload_files):
-    /// cut-point discovery scans disjoint buffer slices on the pool,
-    /// and per-segment hashing fans out across it. Cut points are
-    /// byte-identical to the serial scan and hash results are
-    /// collected by input index, so plans, metrics, and traces are
-    /// byte-identical at any width — only wall clock changes. 1 (the
-    /// default) runs strictly inline on the calling thread.
-    pub ingest_threads: usize,
     /// Observability handle threaded through the schedulers, retries,
     /// and the bandwidth probe (no-op by default; see `unidrive-obs`).
     pub obs: Obs,
@@ -60,7 +51,6 @@ impl DataPlaneConfig {
             overprovisioning: true,
             two_phase: true,
             probing: true,
-            ingest_threads: 1,
             obs: Obs::noop(),
         }
     }

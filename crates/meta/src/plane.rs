@@ -203,9 +203,6 @@ pub type MergeFn<'a> =
 /// holds the lock across it and an oplog-mode plane derives the op
 /// from exactly the folded state it read.
 pub trait MetaPlane: Send {
-    /// Which mode this plane implements.
-    fn mode(&self) -> MetaMode;
-
     /// Cheap poll for a cloud update (Algorithm 1 lines 15–18).
     ///
     /// Returns `Some(image)` when the cloud holds a newer image than
@@ -242,14 +239,6 @@ pub trait MetaPlane: Send {
         round: Option<SpanId>,
         build: &mut MergeFn<'_>,
     ) -> Result<Option<SyncFolderImage>, PlaneError>;
-}
-
-impl std::fmt::Debug for dyn MetaPlane {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MetaPlane")
-            .field("mode", &self.mode())
-            .finish()
-    }
 }
 
 #[cfg(test)]

@@ -13,12 +13,8 @@
 //!   the guard directly (poisoning is transparently ignored — a
 //!   panicked holder does not poison unrelated readers) and
 //!   `Condvar::wait` takes the guard by `&mut`.
-//! - [`pool`] — a worker pool whose order-preserving
-//!   `par_map_indexed` parallelizes CPU-bound batch work (the ingest
-//!   pipeline) without perturbing deterministic outputs.
 
 #![warn(missing_docs)]
 
 pub mod bytes;
-pub mod pool;
 pub mod sync;

@@ -1,8 +1,7 @@
 //! End-to-end integration tests for the gear-hash ingest path: full
 //! two-device sync through five simulated clouds with
-//! `ChunkerKind::Gear` and a multi-thread ingest pool, plus
-//! cross-kind interop (the chunker kind is a per-device ingest choice;
-//! blocks on the clouds are kind-agnostic).
+//! `ChunkerKind::Gear`, plus cross-kind interop (the chunker kind is a
+//! per-device ingest choice; blocks on the clouds are kind-agnostic).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -46,13 +45,11 @@ fn client(
     folder: &Arc<MemFolder>,
     seed: u64,
     kind: ChunkerKind,
-    ingest_threads: usize,
 ) -> UniDriveClient {
     let mut config = ClientConfig::paper_default(device);
     config.data =
         DataPlaneConfig::with_params(RedundancyConfig::new(5, 3, 3, 2).unwrap(), 64 * 1024);
     config.data.chunker = config.data.chunker.with_kind(kind);
-    config.data.ingest_threads = ingest_threads;
     config.poll_interval = Duration::from_secs(5);
     UniDriveClient::new(
         rig.sim.clone().as_runtime(),
@@ -77,12 +74,12 @@ fn content(len: usize, tag: u8) -> Vec<u8> {
 }
 
 #[test]
-fn gear_clients_round_trip_with_parallel_ingest() {
+fn gear_clients_round_trip() {
     let r = rig(301);
     let folder_a = MemFolder::new();
     let folder_b = MemFolder::new();
-    let mut a = client(&r, "device-a", &folder_a, 1, ChunkerKind::Gear, 4);
-    let mut b = client(&r, "device-b", &folder_b, 2, ChunkerKind::Gear, 2);
+    let mut a = client(&r, "device-a", &folder_a, 1, ChunkerKind::Gear);
+    let mut b = client(&r, "device-b", &folder_b, 2, ChunkerKind::Gear);
 
     // Several segments' worth so the cut-point path matters.
     let data = content(500_000, 3);
@@ -119,8 +116,8 @@ fn mixed_kind_devices_interoperate() {
     let r = rig(302);
     let folder_a = MemFolder::new();
     let folder_b = MemFolder::new();
-    let mut a = client(&r, "device-a", &folder_a, 11, ChunkerKind::Gear, 2);
-    let mut b = client(&r, "device-b", &folder_b, 12, ChunkerKind::Rabin, 1);
+    let mut a = client(&r, "device-a", &folder_a, 11, ChunkerKind::Gear);
+    let mut b = client(&r, "device-b", &folder_b, 12, ChunkerKind::Rabin);
 
     let from_a = content(300_000, 5);
     folder_a.write("from-gear.bin", &from_a, 1).unwrap();
@@ -148,8 +145,8 @@ fn gear_sync_survives_two_cloud_outage() {
     let r = rig(303);
     let folder_a = MemFolder::new();
     let folder_b = MemFolder::new();
-    let mut a = client(&r, "device-a", &folder_a, 21, ChunkerKind::Gear, 4);
-    let mut b = client(&r, "device-b", &folder_b, 22, ChunkerKind::Gear, 4);
+    let mut a = client(&r, "device-a", &folder_a, 21, ChunkerKind::Gear);
+    let mut b = client(&r, "device-b", &folder_b, 22, ChunkerKind::Gear);
 
     let data = content(200_000, 9);
     folder_a.write("x.bin", &data, 1).unwrap();
