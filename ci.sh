@@ -16,11 +16,10 @@ cargo build --offline --release
 cargo test --offline -q
 
 if [ "${1:-}" = "quick" ]; then
-    echo "==> quick mode: gear-vs-rabin ingest shape"
-    # Cheap enough for the quick gate: gear-kind ingest must beat
-    # rabin-kind ingest — the whole point of shipping a second hash;
-    # `bench_compare --validate` asserts it along with the rest of the
-    # report's schema.
+    echo "==> quick mode: kernel report schema"
+    # Cheap enough for the quick gate: every kernel runs to completion
+    # and `bench_compare --validate` accepts the report's schema (fixed
+    # key set, fixed kernel list) and per-row shape.
     cargo build --offline --release -p unidrive-bench --bin bench_kernels --bin bench_compare
     qout="$(mktemp -d)"
     trap 'rm -rf "$qout"' EXIT
@@ -54,7 +53,7 @@ else
     echo "    clippy not installed; skipped"
 fi
 
-echo "==> one trace, one artefact, one reader, one per-cloud estimator, one figures binary, one cost statement, one blocking primitive, one fleet event loop, one ingest path: the retired names stay retired"
+echo "==> one trace, one artefact, one reader, one per-cloud estimator, one figures binary, one cost statement, one blocking primitive, one fleet event loop, one ingest path, one chunker: the retired names stay retired"
 # The typed Event ring, the three per-format flags, the second report
 # binary and the streaming health scoreboard (cloud health is a
 # function `obs_report` computes from the series) must not creep back;
@@ -68,9 +67,12 @@ echo "==> one trace, one artefact, one reader, one per-cloud estimator, one figu
 # API nothing called, nor the fleet's shard fan-out (one sequential
 # event loop was faster on every layout measured), nor the parallel
 # ingest fork, its worker pool and its knob (ingest chunks and hashes
-# serially on the caller's thread; no caller ever widened it).
+# serially on the caller's thread; no caller ever widened it), nor the
+# second rolling hash, the chunker-kind switch, the polynomial knob and
+# ChaosCloud's two switches (the paper's Rabin scan is the one chunker;
+# a FaultPlan event says what the switches said).
 # (The bracketed letters keep this line from matching itself.)
-if grep -rnE '\bEvent::|Traced[E]vent|--metrics-[o]ut|--trace-[o]ut|--series-[o]ut|trace_[r]eport|Health[T]racker|Health[B]oard|Cloud[H]ealth|Health[C]onfig|to_json_with_[h]ealth|unidrive-[h]ealth/v1|native_[a]ppend|supports_conditional_[p]ut|max_object_[b]ytes|run_[a]ll|meta_mode_from_[a]rgs|FleetLock[P]arams|LOCK_[O]PS|OPLOG_APPEND_[O]PS|OPLOG_COMPACT_[O]PS|Sema[p]hore|SimQ[u]eue|RuntimeH[a]ndle|TransferE[r]ror|set_link_[e]nabled|deregister_[t]hread|instantaneous_[r]ate|Watchdog[C]onfig|FlightR[e]corder|partition_[w]indow|merge_by_[k]ey|shard_[o]f|--sh[a]rds|sim::sh[a]rd|cut_points_paral[l]el|WorkerP[o]ol|par_map_ind[e]xed|ingest_thre[a]ds|resync_sk[i]ps|--cuts-[o]ut|ChunkSt[a]ts' \
+if grep -rnE '\bEvent::|Traced[E]vent|--metrics-[o]ut|--trace-[o]ut|--series-[o]ut|trace_[r]eport|Health[T]racker|Health[B]oard|Cloud[H]ealth|Health[C]onfig|to_json_with_[h]ealth|unidrive-[h]ealth/v1|native_[a]ppend|supports_conditional_[p]ut|max_object_[b]ytes|run_[a]ll|meta_mode_from_[a]rgs|FleetLock[P]arams|LOCK_[O]PS|OPLOG_APPEND_[O]PS|OPLOG_COMPACT_[O]PS|Sema[p]hore|SimQ[u]eue|RuntimeH[a]ndle|TransferE[r]ror|set_link_[e]nabled|deregister_[t]hread|instantaneous_[r]ate|Watchdog[C]onfig|FlightR[e]corder|partition_[w]indow|merge_by_[k]ey|shard_[o]f|--sh[a]rds|sim::sh[a]rd|cut_points_paral[l]el|WorkerP[o]ol|par_map_ind[e]xed|ingest_thre[a]ds|resync_sk[i]ps|--cuts-[o]ut|ChunkSt[a]ts|GearH[a]sh|ChunkerK[i]nd|ingest_g[e]ar|gear_cut_p[o]ints|gear_r[o]ll|GEAR_[W]INDOW|with_p[o]ly|set_flat_prob[a]bility' \
     crates src tests examples ci.sh; then
     echo "    retired name found (see matches above)"
     exit 1
@@ -124,9 +126,9 @@ grep -q '^"traceEvents": \[$' "$out/c.json"
 
 echo "==> kernel bench (quick) + report schema and shape"
 # Throughput numbers vary with the machine; what CI pins down is that
-# every kernel runs to completion, the schema stays stable (fixed key
-# set, fixed kernel list) and gear ingest is no slower than rabin. The
-# checked-in BENCH_kernels.json at the repo root is a full-mode snapshot.
+# every kernel runs to completion and the schema stays stable (fixed key
+# set, fixed kernel list). The checked-in BENCH_kernels.json at the repo
+# root is a full-mode snapshot.
 ./target/release/bench_kernels --quick --out "$out/bench_kernels.json"
 ./target/release/bench_compare --validate "$out/bench_kernels.json"
 

@@ -62,11 +62,6 @@ impl SingleCloudClient {
         self
     }
 
-    /// The cloud this client talks to.
-    pub fn cloud_name(&self) -> &str {
-        self.cloud.name()
-    }
-
     /// Runs a one-cloud static plan as the batch `label`; the first
     /// chunk error after retries fails it.
     fn run(

@@ -43,16 +43,13 @@ const KERNEL_ID: [&str; 3] = ["kernel", "bytes", "threads"];
 /// Identity fields of a `bench_oplog` row.
 const OPLOG_ID: [&str; 2] = ["mode", "writers"];
 /// Kernels every `bench_kernels` report carries at least one row of.
-const KERNEL_ROWS: [&str; 9] = [
+const KERNEL_ROWS: [&str; 6] = [
     "sha1",
     "rabin_roll",
-    "gear_roll",
     "chunker_cut_points",
-    "gear_cut_points",
     "rs_encode",
     "rs_decode",
     "ingest",
-    "ingest_gear",
 ];
 
 /// JSON type of a required field.
@@ -178,11 +175,10 @@ fn section<'a>(value: &'a Json, key: &str) -> &'a Json {
     value.get(key).unwrap_or(&Json::Null)
 }
 
-/// `bench_kernels`: header, the fixed row list, per-row sanity, rows
-/// only at widths the recording host could exercise, and the reason a
-/// second chunker hash ships at all — gear ingest is at least as fast
-/// as rabin ingest at every emitted width (today one thread; reports
-/// from earlier revisions also carry pooled widths).
+/// `bench_kernels`: header, the fixed row list, per-row sanity, and
+/// rows only at widths the recording host could exercise (today one
+/// thread; reports from earlier revisions also carry pooled widths and
+/// kernels this list no longer names, which are accepted).
 fn validate_kernels(doc: &Json, errs: &mut Vec<String>) {
     require_keys(errs, "$", doc, KERNELS_DOC, true);
     let rows = arr(doc, "rows");
@@ -199,26 +195,10 @@ fn validate_kernels(doc: &Json, errs: &mut Vec<String>) {
         let exercisable = n("threads") <= parallelism;
         claim(errs, &at, exercisable, "threads <= available_parallelism");
     }
-    let of_kernel = |name: &'static str| {
-        let is_named = move |row: &&Json| row.get("kernel").and_then(Json::as_str) == Some(name);
-        rows.iter().filter(is_named)
-    };
     for expected in KERNEL_ROWS {
-        if of_kernel(expected).next().is_none() {
+        let named = |row: &Json| row.get("kernel").and_then(Json::as_str) == Some(expected);
+        if !rows.iter().any(named) {
             errs.push(format!("rows: missing kernel row `{expected}`"));
-        }
-    }
-    if of_kernel("ingest").count() != of_kernel("ingest_gear").count() {
-        errs.push("rows: `ingest` and `ingest_gear` cover different widths".to_owned());
-    }
-    for rabin in of_kernel("ingest") {
-        let at = format!("rows ({} vs ingest_gear)", row_key(rabin, &KERNEL_ID));
-        match of_kernel("ingest_gear").find(|gear| gear.get("threads") == rabin.get("threads")) {
-            Some(gear) if num(gear, "mb_per_s") < num(rabin, "mb_per_s") => {
-                errs.push(format!("{at}: violates gear >= rabin ingest MiB/s"));
-            }
-            Some(_) => {}
-            None => errs.push(format!("{at}: no gear row at this width")),
         }
     }
 }
@@ -629,15 +609,6 @@ mod tests {
         fields.retain(|(k, _)| k != key);
     }
 
-    /// Index (as a path segment) of the first row with this identity.
-    fn row(doc: &Json, id_fields: &[&str], key: &str) -> String {
-        let rows = arr(doc, "rows");
-        rows.iter()
-            .position(|r| row_key(r, id_fields) == key)
-            .expect("row")
-            .to_string()
-    }
-
     type Case = (&'static str, fn(&mut Json), &'static str);
 
     /// The checked-in document (what the bench binary wrote) is
@@ -688,22 +659,6 @@ mod tests {
                         });
                     },
                     "rows: missing kernel row `rs_decode`",
-                ),
-                (
-                    "gear slower than rabin",
-                    |d| {
-                        let i = row(d, &KERNEL_ID, "ingest_gear/16777216/1");
-                        set(d, &["rows", &i, "mb_per_s"], Json::Num(1.0));
-                    },
-                    "rows (ingest/16777216/1 vs ingest_gear): violates gear >= rabin",
-                ),
-                (
-                    "gear width without a rabin twin",
-                    |d| {
-                        let i = row(d, &KERNEL_ID, "ingest/16777216/1");
-                        set(d, &["rows", &i, "kernel"], Json::Str("sha1".into()));
-                    },
-                    "different widths",
                 ),
                 (
                     "zero iterations",

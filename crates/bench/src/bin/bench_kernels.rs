@@ -6,14 +6,13 @@
 //! every PR inherits a measured kernel baseline. Rows:
 //!
 //! - `sha1` — one-shot digest, several sizes
-//! - `rabin_roll` / `gear_roll` — rolling-hash slide across a buffer
-//!   (the per-byte cost of each cut-point hash, no chunking logic)
-//! - `chunker_cut_points` / `gear_cut_points` — content-defined
-//!   segmentation per kind (no hashing)
+//! - `rabin_roll` — Rabin slide across a buffer (the per-byte cost of
+//!   the cut-point hash, no chunking logic)
+//! - `chunker_cut_points` — content-defined segmentation (no hashing)
 //! - `rs_encode` / `rs_decode` — (255, 3) non-systematic codec,
 //!   full 5-block stripe per iteration (the paper's N = 5)
-//! - `ingest` / `ingest_gear` — end-to-end chunk + hash + encode per
-//!   chunker kind, through the calls `DataPlane` makes
+//! - `ingest` — end-to-end chunk + hash + encode, through the calls
+//!   `DataPlane` makes
 //!
 //! Every row runs on one thread, as ingest does in the product, and
 //! says so (`threads: 1`); the host's
@@ -38,7 +37,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use unidrive_bench::{arg_value, quick_arg};
-use unidrive_chunker::{cut_points, segment_bytes, ChunkerConfig, GearHash, RabinHash};
+use unidrive_chunker::{cut_points, segment_bytes, ChunkerConfig, RabinHash};
 use unidrive_crypto::Sha1;
 use unidrive_erasure::Codec;
 use unidrive_workload::random_bytes;
@@ -176,25 +175,12 @@ fn main() {
         }
         acc
     });
-    h.row("gear_roll", roll_size, || {
-        let mut hash = GearHash::new();
-        let mut acc = 0u64;
-        for &b in data.iter() {
-            hash.push(b);
-            acc ^= hash.fingerprint();
-        }
-        acc
-    });
 
     let chunk_size = if quick { 4 * 1024 * 1024 } else { 16 * 1024 * 1024 };
     let theta = chunk_size / 16;
     let data = random_bytes(chunk_size, 0x5E6);
-    let rabin_config = ChunkerConfig::new(theta);
-    h.row("chunker_cut_points", chunk_size, || {
-        cut_points(&data, &rabin_config)
-    });
-    let gear_config = ChunkerConfig::gear(theta);
-    h.row("gear_cut_points", chunk_size, || cut_points(&data, &gear_config));
+    let config = ChunkerConfig::new(theta);
+    h.row("chunker_cut_points", chunk_size, || cut_points(&data, &config));
 
     let rs_size = if quick { 1024 * 1024 } else { 4 * 1024 * 1024 };
     let data = random_bytes(rs_size, 0xEC0DE);
@@ -213,10 +199,8 @@ fn main() {
 
     let ingest_size = if quick { 4 * 1024 * 1024 } else { 16 * 1024 * 1024 };
     let data = random_bytes(ingest_size, 0x1265);
-    let rabin_ingest = ChunkerConfig::new(ingest_size / 16);
-    let gear_ingest = ChunkerConfig::gear(ingest_size / 16);
-    h.row("ingest", ingest_size, || ingest(&data, &rabin_ingest, &codec));
-    h.row("ingest_gear", ingest_size, || ingest(&data, &gear_ingest, &codec));
+    let config = ChunkerConfig::new(ingest_size / 16);
+    h.row("ingest", ingest_size, || ingest(&data, &config, &codec));
 
     let json = h.to_json(mode, parallelism);
     std::fs::write(&out_path, &json).unwrap_or_else(|e| {

@@ -7,20 +7,16 @@
 //! mean a local edit re-uploads only the touched segments, and
 //! identical content dedups across files.
 //!
-//! Two interchangeable rolling hashes (selected by [`ChunkerKind`]):
-//! the paper-faithful LBFS-style [`RabinHash`], and the FastCDC-style
-//! [`GearHash`] whose single shift+add update, wide unrolled scan, and
-//! skip-ahead over the minimum-size region make it several times
-//! faster on the same core. Either way a file is cut by one serial
-//! scan on the caller's thread.
+//! The cut points come from one rolling hash, the paper's LBFS-style
+//! [`RabinHash`] over a 48-byte window, and a file is cut by one serial
+//! scan on the caller's thread that skips the minimum-size region after
+//! each cut. [`ChunkerConfig`] is θ alone.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod chunker;
-mod gear;
 mod rabin;
 
-pub use chunker::{cut_points, segment_bytes, ChunkerConfig, ChunkerKind, Segment};
-pub use gear::{GearHash, GEAR_TABLE, GEAR_WINDOW};
+pub use chunker::{cut_points, segment_bytes, ChunkerConfig, Segment};
 pub use rabin::{RabinHash, DEFAULT_POLY};

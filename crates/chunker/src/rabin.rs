@@ -46,7 +46,6 @@ fn mod_shift(mut value: u64, shift: u32, p: u64) -> u64 {
 pub struct RabinHash {
     fingerprint: u64,
     deg: u32,
-    poly: u64,
     low_mask: u64,
     /// `(top_byte << deg) mod P` for the append step.
     append_table: [u64; 256],
@@ -63,32 +62,21 @@ impl RabinHash {
     ///
     /// Panics if `window == 0`.
     pub fn new(window: usize) -> Self {
-        Self::with_poly(window, DEFAULT_POLY)
-    }
-
-    /// Creates a rolling hash with a custom irreducible polynomial.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window == 0` or the polynomial has degree < 9.
-    pub fn with_poly(window: usize, poly: u64) -> Self {
         assert!(window > 0, "window must be non-empty");
-        let deg = degree(poly);
-        assert!(deg >= 9, "polynomial degree too small");
+        let deg = degree(DEFAULT_POLY);
         let mut append_table = [0u64; 256];
         let mut remove_table = [0u64; 256];
         for b in 0..256u64 {
             // b's contribution once it is shifted past the top of the
             // fingerprint register.
-            append_table[b as usize] = mod_shift(b, deg, poly);
+            append_table[b as usize] = mod_shift(b, deg, DEFAULT_POLY);
             // b's contribution once it is the oldest byte of the window
             // *after* a new byte has been appended.
-            remove_table[b as usize] = mod_shift(b, 8 * window as u32, poly);
+            remove_table[b as usize] = mod_shift(b, 8 * window as u32, DEFAULT_POLY);
         }
         RabinHash {
             fingerprint: 0,
             deg,
-            poly,
             low_mask: (1u64 << (deg - 8)) - 1,
             append_table,
             remove_table,
@@ -137,11 +125,6 @@ impl RabinHash {
             f = (((f & self.low_mask) << 8) | b as u64) ^ self.append_table[top as usize];
         }
         f
-    }
-
-    /// The polynomial in use.
-    pub fn poly(&self) -> u64 {
-        self.poly
     }
 }
 

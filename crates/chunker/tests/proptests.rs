@@ -1,17 +1,14 @@
 //! Randomized property tests of the content-defined chunker: the
 //! invariants UniDrive's deduplication and update-traffic claims rest
-//! on, run against **both** rolling hashes ([`ChunkerKind::Rabin`] and
-//! [`ChunkerKind::Gear`]). Driven by the workspace's deterministic
-//! `SimRng` (seeded, so failures reproduce exactly) instead of an
-//! external property-testing crate.
+//! on. Driven by the workspace's deterministic `SimRng` (seeded, so
+//! failures reproduce exactly) instead of an external property-testing
+//! crate.
 
-use unidrive_chunker::{segment_bytes, ChunkerConfig, ChunkerKind};
+use unidrive_chunker::{segment_bytes, ChunkerConfig};
 use unidrive_sim::SimRng;
 
-const KINDS: [ChunkerKind; 2] = [ChunkerKind::Rabin, ChunkerKind::Gear];
-
-fn config_of(kind: ChunkerKind) -> ChunkerConfig {
-    ChunkerConfig::new(4096).with_kind(kind)
+fn config() -> ChunkerConfig {
+    ChunkerConfig::new(4096)
 }
 
 fn random_vec(rng: &mut SimRng, max_len: usize) -> Vec<u8> {
@@ -22,18 +19,16 @@ fn random_vec(rng: &mut SimRng, max_len: usize) -> Vec<u8> {
 /// Segments tile the input exactly: contiguous, complete, in order.
 #[test]
 fn segments_tile_input() {
-    for kind in KINDS {
-        let mut rng = SimRng::seed_from_u64(0xC401);
-        for _ in 0..64 {
-            let data = random_vec(&mut rng, 60_000);
-            let segs = segment_bytes(&data, &config_of(kind));
-            let mut pos = 0usize;
-            for s in &segs {
-                assert_eq!(s.offset, pos, "kind={}", kind.label());
-                pos += s.len;
-            }
-            assert_eq!(pos, data.len(), "kind={}", kind.label());
+    let mut rng = SimRng::seed_from_u64(0xC401);
+    for _ in 0..64 {
+        let data = random_vec(&mut rng, 60_000);
+        let segs = segment_bytes(&data, &config());
+        let mut pos = 0usize;
+        for s in &segs {
+            assert_eq!(s.offset, pos);
+            pos += s.len;
         }
+        assert_eq!(pos, data.len());
     }
 }
 
@@ -41,17 +36,15 @@ fn segments_tile_input() {
 /// bounds; the final one only the upper bound.
 #[test]
 fn segment_sizes_bounded() {
-    for kind in KINDS {
-        let mut rng = SimRng::seed_from_u64(0xC402);
-        let cfg = config_of(kind);
-        for _ in 0..64 {
-            let data = random_vec(&mut rng, 60_000);
-            let segs = segment_bytes(&data, &cfg);
-            for (i, s) in segs.iter().enumerate() {
-                assert!(s.len <= cfg.max_size(), "kind={}", kind.label());
-                if i + 1 < segs.len() {
-                    assert!(s.len >= cfg.min_size(), "kind={}", kind.label());
-                }
+    let mut rng = SimRng::seed_from_u64(0xC402);
+    let cfg = config();
+    for _ in 0..64 {
+        let data = random_vec(&mut rng, 60_000);
+        let segs = segment_bytes(&data, &cfg);
+        for (i, s) in segs.iter().enumerate() {
+            assert!(s.len <= cfg.max_size());
+            if i + 1 < segs.len() {
+                assert!(s.len >= cfg.min_size());
             }
         }
     }
@@ -60,17 +53,13 @@ fn segment_sizes_bounded() {
 /// Segmentation is a pure function of the content.
 #[test]
 fn segmentation_is_deterministic() {
-    for kind in KINDS {
-        let mut rng = SimRng::seed_from_u64(0xC403);
-        for _ in 0..32 {
-            let data = random_vec(&mut rng, 30_000);
-            assert_eq!(
-                segment_bytes(&data, &config_of(kind)),
-                segment_bytes(&data, &config_of(kind)),
-                "kind={}",
-                kind.label()
-            );
-        }
+    let mut rng = SimRng::seed_from_u64(0xC403);
+    for _ in 0..32 {
+        let data = random_vec(&mut rng, 30_000);
+        assert_eq!(
+            segment_bytes(&data, &config()),
+            segment_bytes(&data, &config())
+        );
     }
 }
 
@@ -78,15 +67,13 @@ fn segmentation_is_deterministic() {
 /// within one run (no accidental collisions on random data).
 #[test]
 fn digests_match_content() {
-    for kind in KINDS {
-        let mut rng = SimRng::seed_from_u64(0xC404);
-        for _ in 0..32 {
-            let data = random_vec(&mut rng, 30_000);
-            let segs = segment_bytes(&data, &config_of(kind));
-            for s in &segs {
-                let expect = unidrive_crypto::Sha1::digest(&data[s.range()]);
-                assert_eq!(s.digest, expect, "kind={}", kind.label());
-            }
+    let mut rng = SimRng::seed_from_u64(0xC404);
+    for _ in 0..32 {
+        let data = random_vec(&mut rng, 30_000);
+        let segs = segment_bytes(&data, &config());
+        for s in &segs {
+            let expect = unidrive_crypto::Sha1::digest(&data[s.range()]);
+            assert_eq!(s.digest, expect);
         }
     }
 }
@@ -95,63 +82,53 @@ fn digests_match_content() {
 /// before the appended region (the dedup-stability property).
 #[test]
 fn appends_preserve_early_segments() {
-    for kind in KINDS {
-        let mut rng = SimRng::seed_from_u64(0xC405);
-        let cfg = config_of(kind);
-        for _ in 0..32 {
-            let base_len = 20_000 + rng.below(20_000) as usize;
-            let data: Vec<u8> = (0..base_len).map(|_| rng.next_u64() as u8).collect();
-            let tail_len = 1 + rng.below(4_999) as usize;
-            let tail: Vec<u8> = (0..tail_len).map(|_| rng.next_u64() as u8).collect();
-            let before = segment_bytes(&data, &cfg);
-            let mut extended = data.clone();
-            extended.extend_from_slice(&tail);
-            let after = segment_bytes(&extended, &cfg);
-            // Every 'before' segment except possibly the last two must
-            // reappear verbatim (the tail can merge into the final
-            // segment, and the forced max-size cut before it may shift
-            // once).
-            if before.len() > 2 {
-                for (b, a) in before[..before.len() - 2].iter().zip(&after) {
-                    assert_eq!(b, a, "kind={}", kind.label());
-                }
+    let mut rng = SimRng::seed_from_u64(0xC405);
+    let cfg = config();
+    for _ in 0..32 {
+        let base_len = 20_000 + rng.below(20_000) as usize;
+        let data: Vec<u8> = (0..base_len).map(|_| rng.next_u64() as u8).collect();
+        let tail_len = 1 + rng.below(4_999) as usize;
+        let tail: Vec<u8> = (0..tail_len).map(|_| rng.next_u64() as u8).collect();
+        let before = segment_bytes(&data, &cfg);
+        let mut extended = data.clone();
+        extended.extend_from_slice(&tail);
+        let after = segment_bytes(&extended, &cfg);
+        // Every 'before' segment except possibly the last two must
+        // reappear verbatim (the tail can merge into the final segment,
+        // and the forced max-size cut before it may shift once).
+        if before.len() > 2 {
+            for (b, a) in before[..before.len() - 2].iter().zip(&after) {
+                assert_eq!(b, a);
             }
         }
     }
 }
 
 /// Editing bytes inside an early segment leaves every boundary past
-/// the edited segment untouched, for both kinds across seeds × θ —
-/// cut decisions see only their own trailing window.
+/// the edited segment untouched, across seeds × θ — cut decisions see
+/// only their own trailing window.
 #[test]
 fn prefix_edit_keeps_downstream_boundaries() {
-    for kind in KINDS {
-        for theta in [1024usize, 4096, 16 * 1024] {
-            let cfg = ChunkerConfig::new(theta).with_kind(kind);
-            let mut rng = SimRng::seed_from_u64(0xC406 ^ theta as u64);
-            for _ in 0..8 {
-                let data: Vec<u8> = (0..40 * theta).map(|_| rng.next_u64() as u8).collect();
-                let before = segment_bytes(&data, &cfg);
-                assert!(before.len() > 3, "kind={} theta={theta}", kind.label());
-                let mut edited = data.clone();
-                for b in &mut edited[100..300] {
-                    *b ^= 0xA5;
-                }
-                let after = segment_bytes(&edited, &cfg);
-                let stable_from = before[0].offset + before[0].len.max(after[0].len);
-                let cuts = |segs: &[unidrive_chunker::Segment]| {
-                    segs.iter()
-                        .map(|s| s.offset + s.len)
-                        .filter(|&c| c > stable_from)
-                        .collect::<Vec<_>>()
-                };
-                assert_eq!(
-                    cuts(&before),
-                    cuts(&after),
-                    "kind={} theta={theta}",
-                    kind.label()
-                );
+    for theta in [1024usize, 4096, 16 * 1024] {
+        let cfg = ChunkerConfig::new(theta);
+        let mut rng = SimRng::seed_from_u64(0xC406 ^ theta as u64);
+        for _ in 0..8 {
+            let data: Vec<u8> = (0..40 * theta).map(|_| rng.next_u64() as u8).collect();
+            let before = segment_bytes(&data, &cfg);
+            assert!(before.len() > 3, "theta={theta}");
+            let mut edited = data.clone();
+            for b in &mut edited[100..300] {
+                *b ^= 0xA5;
             }
+            let after = segment_bytes(&edited, &cfg);
+            let stable_from = before[0].offset + before[0].len.max(after[0].len);
+            let cuts = |segs: &[unidrive_chunker::Segment]| {
+                segs.iter()
+                    .map(|s| s.offset + s.len)
+                    .filter(|&c| c > stable_from)
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(cuts(&before), cuts(&after), "theta={theta}");
         }
     }
 }

@@ -17,8 +17,7 @@
 //! Every stage is optional; setters may be called in any order and the
 //! stack still composes canonically. [`build`](CloudBuilder::build)
 //! returns the composed store plus the [`ChaosCloud`] handle (when
-//! configured) so harnesses keep access to fault accounting and the
-//! availability switch.
+//! configured) so harnesses keep access to fault accounting.
 //!
 //! # Examples
 //!
@@ -47,8 +46,7 @@ pub struct BuiltCloud {
     /// The outermost store of the composed stack.
     pub store: Arc<dyn CloudStore>,
     /// The fault injector, when [`CloudBuilder::chaos`] was configured
-    /// (harnesses need [`ChaosCloud::injected_faults`],
-    /// [`ChaosCloud::set_available`], and the flat-probability knob).
+    /// (harnesses read [`ChaosCloud::injected_faults`]).
     pub chaos: Option<Arc<ChaosCloud>>,
 }
 

@@ -12,14 +12,14 @@
 //! so invariant checkers can reconcile observed damage against the
 //! schedule.
 //!
-//! `ChaosCloud` subsumes the older ad-hoc knobs: a flat per-request
-//! failure probability is
-//! [`set_flat_probability`](ChaosCloud::set_flat_probability), and the
-//! `SimCloud::set_available` outage switch is
-//! [`set_available`](ChaosCloud::set_available).
+//! A plan is the only way to make a `ChaosCloud` misbehave: a flat
+//! per-request failure probability is
+//! `FaultEvent::always(name, FaultKind::TransientBurst { probability })`,
+//! and a cloud that is down for the whole run is
+//! `FaultEvent::always(name, FaultKind::Outage)`.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -249,7 +249,7 @@ fn escape_json(s: &str) -> String {
 /// ([`with_label`](ChaosCloud::with_label)).
 ///
 /// Fault gates run in a fixed order before the wrapped operation:
-/// latency spike → outage / availability switch → quota (uploads) →
+/// latency spike → outage → quota (uploads) →
 /// transient roll; torn uploads and delayed visibility act on the
 /// operation itself. Every injection increments
 /// `chaos.{cloud}.injected` and `chaos.{cloud}.{kind}` and traces a
@@ -258,8 +258,6 @@ pub struct ChaosCloud {
     inner: Arc<dyn CloudStore>,
     rt: Arc<dyn Runtime>,
     events: Vec<FaultEvent>,
-    flat_probability: Mutex<f64>,
-    available: AtomicBool,
     rng: Mutex<SimRng>,
     injected: AtomicU64,
     obs: Mutex<Obs>,
@@ -274,7 +272,6 @@ impl std::fmt::Debug for ChaosCloud {
         f.debug_struct("ChaosCloud")
             .field("inner", &self.inner.name())
             .field("events", &self.events.len())
-            .field("flat_probability", &*self.flat_probability.lock())
             .field("injected", &self.injected.load(Ordering::Relaxed))
             .finish()
     }
@@ -309,26 +306,11 @@ impl ChaosCloud {
             inner,
             rt,
             events,
-            flat_probability: Mutex::new(0.0),
-            available: AtomicBool::new(true),
             rng: Mutex::new(SimRng::derive(plan.seed, &label)),
             injected: AtomicU64::new(0),
             obs: Mutex::new(Obs::noop()),
             known: Mutex::new(HashSet::new()),
         }
-    }
-
-    /// Unscheduled flat per-request transient-failure probability, on
-    /// top of any active [`FaultKind::TransientBurst`].
-    pub fn set_flat_probability(&self, p: f64) {
-        *self.flat_probability.lock() = p.clamp(0.0, 1.0);
-    }
-
-    /// Manual outage switch, independent of scheduled
-    /// [`FaultKind::Outage`] windows (the `SimCloud::set_available`
-    /// analogue for any wrapped store).
-    pub fn set_available(&self, available: bool) {
-        self.available.store(available, Ordering::SeqCst);
     }
 
     /// Installs an observability handle for injection counters and
@@ -388,14 +370,13 @@ impl ChaosCloud {
             self.record(op, "latency");
             self.rt.sleep(Duration::from_millis(ms));
         }
-        // 2. Outage (scheduled window or the manual switch).
+        // 2. Outage windows.
         let now = self.now_ns(); // the sleep may have crossed a boundary
-        let in_outage = !self.available.load(Ordering::SeqCst)
-            || self
-                .events
-                .iter()
-                .any(|e| matches!(e.kind, FaultKind::Outage) && e.applies(now, op));
-        if in_outage {
+        if self
+            .events
+            .iter()
+            .any(|e| matches!(e.kind, FaultKind::Outage) && e.applies(now, op))
+        {
             self.record(op, "outage");
             return Err(CloudError::unavailable_op(
                 self.inner.name().to_owned(),
@@ -416,9 +397,9 @@ impl ChaosCloud {
                 available: 0,
             });
         }
-        // 4. Transient failures: flat knob and burst windows combine by
+        // 4. Transient failures: overlapping burst windows combine by
         // taking the largest probability.
-        let mut p = *self.flat_probability.lock();
+        let mut p = 0.0f64;
         for e in &self.events {
             if let FaultKind::TransientBurst { probability } = e.kind {
                 if e.applies(now, op) {
@@ -589,10 +570,13 @@ mod tests {
     }
 
     #[test]
-    fn flat_probability_subsumes_faulty_cloud() {
+    fn an_always_on_burst_is_a_flat_failure_probability() {
         let (_sim, rt) = sim_rt();
-        let c = ChaosCloud::new(mem(), rt, &FaultPlan::new(11));
-        c.set_flat_probability(0.3);
+        let plan = FaultPlan::with_events(
+            11,
+            vec![FaultEvent::always("c0", FaultKind::TransientBurst { probability: 0.3 })],
+        );
+        let c = ChaosCloud::new(mem(), rt, &plan);
         let fails = (0..1000)
             .filter(|_| c.upload("x", Bytes::from_static(b"d")).is_err())
             .count();
@@ -618,13 +602,13 @@ mod tests {
     }
 
     #[test]
-    fn manual_availability_switch_works_without_schedule() {
+    fn an_always_on_outage_refuses_every_op() {
         let (_sim, rt) = sim_rt();
-        let c = ChaosCloud::new(mem(), rt, &FaultPlan::new(5));
-        c.set_available(false);
+        let plan = FaultPlan::with_events(5, vec![FaultEvent::always("c0", FaultKind::Outage)]);
+        let c = ChaosCloud::new(mem(), rt, &plan);
         assert!(c.list("").is_err());
-        c.set_available(true);
-        assert!(c.list("").is_ok());
+        assert!(c.upload("x", Bytes::from_static(b"a")).is_err());
+        assert_eq!(c.injected_faults(), 2);
     }
 
     #[test]

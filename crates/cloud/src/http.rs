@@ -607,16 +607,6 @@ impl HttpClient {
         drop(state);
         self.notifier.notify_all();
     }
-
-    /// (test hook) Number of currently open connections.
-    pub fn open_connections(&self) -> usize {
-        self.state.lock().unwrap().open
-    }
-
-    /// (test hook) Number of idle pooled connections.
-    pub fn idle_connections(&self) -> usize {
-        self.state.lock().unwrap().idle.len()
-    }
 }
 
 #[cfg(test)]

@@ -167,11 +167,6 @@ impl QpsSeries {
             self.total as f64 / self.buckets.len() as f64
         }
     }
-
-    /// Number of seconds spanned.
-    pub fn span_secs(&self) -> usize {
-        self.buckets.len()
-    }
 }
 
 #[cfg(test)]
@@ -217,7 +212,6 @@ mod tests {
         s.record(NS_PER_SEC + 1, 30);
         assert_eq!(s.total(), 40);
         assert_eq!(s.peak(), 30);
-        assert_eq!(s.span_secs(), 2);
         assert!((s.mean() - 20.0).abs() < 1e-9);
 
         let mut sp = QpsSeries::new();

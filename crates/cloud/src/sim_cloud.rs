@@ -53,16 +53,6 @@ impl FailureProfile {
         }
     }
 
-    /// Typical healthy profile: ~1 % base, +0.4 %/MB, capped at 15 %.
-    pub fn typical() -> Self {
-        FailureProfile {
-            base: 0.01,
-            per_mb: 0.004,
-            max: 0.15,
-            degraded: 0.5,
-        }
-    }
-
     /// Failure probability for a request moving `bytes` payload bytes.
     pub fn probability(&self, bytes: u64, in_degraded_window: bool) -> f64 {
         if in_degraded_window {
@@ -294,16 +284,6 @@ impl SimCloud {
     /// via [`SimCloud::with_backing`]).
     pub fn backing(&self) -> Arc<MemCloud> {
         Arc::clone(&self.storage)
-    }
-
-    /// The upstream link id (for tests that inspect the network).
-    pub fn up_link(&self) -> LinkId {
-        self.up
-    }
-
-    /// The downstream link id.
-    pub fn down_link(&self) -> LinkId {
-        self.down
     }
 
     fn in_degraded_window(&self) -> bool {

@@ -316,16 +316,6 @@ impl CloudSet {
         CloudSet { clouds }
     }
 
-    /// Returns a new set with the cloud at `id` removed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range or the set would become empty.
-    pub fn with_removed(&self, id: CloudId) -> CloudSet {
-        self.try_with_removed(id)
-            .expect("with_removed: id out of range or set would become empty")
-    }
-
     /// Returns a new set with the cloud at `id` removed, or `None` if
     /// `id` is out of range or the set would become empty.
     pub fn try_with_removed(&self, id: CloudId) -> Option<CloudSet> {
@@ -390,7 +380,7 @@ mod tests {
         let grown = base.with_added(Arc::new(MemCloud::new("c")));
         assert_eq!(grown.len(), 3);
         assert_eq!(grown.get(CloudId(2)).name(), "c");
-        let shrunk = grown.with_removed(CloudId(1));
+        let shrunk = grown.try_with_removed(CloudId(1)).unwrap();
         assert_eq!(shrunk.len(), 2);
         assert_eq!(shrunk.get(CloudId(1)).name(), "c");
     }

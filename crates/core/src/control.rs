@@ -257,7 +257,7 @@ mod tests {
     use super::*;
     use crate::oplog_plane::tests::{counted, FailingDownloads};
     use std::sync::Arc;
-    use unidrive_cloud::{ChaosCloud, CloudStore, FaultPlan, MemCloud};
+    use unidrive_cloud::{CloudStore, MemCloud};
     use unidrive_crypto::Sha1;
     use unidrive_meta::{SegmentId, Snapshot};
     use unidrive_sim::RealRuntime;
@@ -456,19 +456,7 @@ mod tests {
     #[test]
     fn quorum_write_failure_detected() {
         let rt: Arc<dyn unidrive_sim::Runtime> = Arc::new(unidrive_sim::RealRuntime::new());
-        let mut members: Vec<Arc<dyn CloudStore>> = Vec::new();
-        for i in 0..5 {
-            let inner: Arc<dyn CloudStore> = Arc::new(MemCloud::new(format!("c{i}")));
-            if i < 3 {
-                let chaos =
-                    ChaosCloud::new(inner, Arc::clone(&rt), &FaultPlan::new(i as u64));
-                chaos.set_flat_probability(1.0);
-                members.push(Arc::new(chaos));
-            } else {
-                members.push(inner);
-            }
-        }
-        let mut s = store(CloudSet::new(members));
+        let mut s = store(crate::lock::tests::clouds_with_dead(&rt, 5, 3));
         let image = sample_image(1);
         let delta = DeltaLog::new(image.version.clone());
         assert!(matches!(

@@ -113,15 +113,13 @@ impl DataPlane {
     }
 
     /// [`segment_bytes`] on the caller's thread, emitting the
-    /// `chunker.*` windowed series (bytes scanned, segments cut)
-    /// labelled by the configured
-    /// [`ChunkerKind`](unidrive_chunker::ChunkerKind).
+    /// `chunker.*` windowed series (bytes scanned, segments cut) under
+    /// the label `rabin`, the rolling hash that cuts them.
     fn segment(&self, data: &[u8]) -> Vec<Segment> {
         let segments = segment_bytes(data, &self.config.chunker);
         let obs = &self.config.obs;
-        let kind = self.config.chunker.kind.label();
-        obs.series_add("chunker.bytes", kind, data.len() as u64);
-        obs.series_add("chunker.segments", kind, segments.len() as u64);
+        obs.series_add("chunker.bytes", "rabin", data.len() as u64);
+        obs.series_add("chunker.segments", "rabin", segments.len() as u64);
         segments
     }
 
@@ -375,14 +373,10 @@ mod tests {
     use unidrive_sim::SimRuntime;
 
     fn plane(seed: u64) -> (Arc<SimRuntime>, DataPlane) {
-        plane_with_config(seed, unidrive_chunker::ChunkerKind::Rabin, Obs::noop())
+        plane_with_obs(seed, Obs::noop())
     }
 
-    fn plane_with_config(
-        seed: u64,
-        kind: unidrive_chunker::ChunkerKind,
-        obs: Obs,
-    ) -> (Arc<SimRuntime>, DataPlane) {
+    fn plane_with_obs(seed: u64, obs: Obs) -> (Arc<SimRuntime>, DataPlane) {
         let sim = SimRuntime::new(seed);
         let clouds = CloudSet::new(
             (0..5)
@@ -399,7 +393,6 @@ mod tests {
             RedundancyConfig::new(5, 3, 3, 2).unwrap(),
             64 * 1024,
         );
-        config.chunker = config.chunker.with_kind(kind);
         config.obs = obs;
         let rt = sim.clone().as_runtime();
         (sim, DataPlane::new(rt, clouds, config))
@@ -602,7 +595,7 @@ mod tests {
     fn a_base_of_the_wrong_length_is_ignored() {
         let registry = unidrive_obs::Registry::new();
         let obs = Obs::with_registry(Arc::clone(&registry));
-        let (_sim, plane) = plane_with_config(7, unidrive_chunker::ChunkerKind::Rabin, obs);
+        let (_sim, plane) = plane_with_obs(7, obs);
         let data = content(400_000, 23);
         let (report, segs) = plane.upload_files(
             vec![UploadRequest {
@@ -650,77 +643,38 @@ mod tests {
     }
 
     #[test]
-    fn segment_file_is_segment_bytes_for_both_kinds() {
+    fn segment_file_is_segment_bytes() {
         // The data plane names a file's segments exactly as the chunker
-        // cuts and hashes them, whichever rolling hash is configured.
-        use unidrive_chunker::ChunkerKind;
+        // cuts and hashes them.
         let data = content(700_000, 31);
-        for kind in [ChunkerKind::Rabin, ChunkerKind::Gear] {
-            let (_sim, plane) = plane_with_config(10, kind, Obs::noop());
-            let got = plane.segment_file("f", &data);
-            let want: Vec<(SegmentId, u64)> = segment_bytes(&data, &plane.config().chunker)
-                .into_iter()
-                .map(|s| (SegmentId(s.digest), s.len as u64))
-                .collect();
-            assert!(want.len() > 5, "{}: want a multi-segment file", kind.label());
-            assert_eq!(got.segments, want, "{}", kind.label());
-            assert_eq!(got.size, data.len() as u64);
-        }
-    }
-
-    #[test]
-    fn gear_ingest_round_trips() {
-        // The gear chunker through the full data plane: an uploaded
-        // gear-chunked file reassembles byte-identically.
-        use unidrive_chunker::ChunkerKind;
-        let data = content(700_000, 51);
-        let (_sim, plane) = plane_with_config(21, ChunkerKind::Gear, Obs::noop());
-        let (report, segs) = plane.upload_files(
-            vec![UploadRequest {
-                path: "g.bin".into(),
-                data: data.clone(),
-            }],
-            &HashSet::new(),
-            UploadOptions::default(),
-        );
-        assert!(report.all_available());
-        let mut image = SyncFolderImage::new();
-        for (id, len) in &segs[0].segments {
-            image.ensure_segment(*id, *len);
-        }
-        for (id, b) in &report.blocks {
-            image.record_block(*id, *b);
-        }
-        image.upsert_file(
-            "g.bin",
-            unidrive_meta::Snapshot {
-                mtime_ns: 0,
-                size: segs[0].size,
-                segments: segs[0].segments.iter().map(|(id, _)| *id).collect(),
-            },
-        );
-        assert_eq!(plane.download_file(&image, "g.bin").unwrap(), data.to_vec());
+        let (_sim, plane) = plane(10);
+        let got = plane.segment_file("f", &data);
+        let want: Vec<(SegmentId, u64)> = segment_bytes(&data, &plane.config().chunker)
+            .into_iter()
+            .map(|s| (SegmentId(s.digest), s.len as u64))
+            .collect();
+        assert!(want.len() > 5, "want a multi-segment file");
+        assert_eq!(got.segments, want);
+        assert_eq!(got.size, data.len() as u64);
     }
 
     #[test]
     fn ingest_emits_chunker_series() {
         // The chunker.* windowed series surface in obs_report's
         // sparkline digest; here we pin that ingest records them,
-        // labelled by kind, with sane values.
-        use unidrive_chunker::ChunkerKind;
+        // labelled `rabin`, with sane values.
         let registry = unidrive_obs::Registry::new();
         registry.set_clock(|| 1);
         registry.enable_series(1_000_000);
         let obs = Obs::with_registry(std::sync::Arc::clone(&registry));
-        let (_sim, plane) = plane_with_config(22, ChunkerKind::Gear, obs);
+        let (_sim, plane) = plane_with_obs(22, obs);
         let data = content(400_000, 61);
         let seg = plane.segment_file("s", &data);
         let snap = registry.series_snapshot();
-        let bytes = snap.entry("chunker.bytes", "gear").expect("bytes series");
+        let bytes = snap.entry("chunker.bytes", "rabin").expect("bytes series");
         assert_eq!(bytes.windows[0].stat.sum, data.len() as u64);
-        let segments = snap.entry("chunker.segments", "gear").expect("segments series");
+        let segments = snap.entry("chunker.segments", "rabin").expect("segments series");
         assert_eq!(segments.windows[0].stat.sum, seg.segments.len() as u64);
-        assert!(snap.entry("chunker.bytes", "rabin").is_none());
     }
 
     #[test]

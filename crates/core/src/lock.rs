@@ -311,7 +311,7 @@ impl Drop for LockGuard<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use unidrive_cloud::{CloudStore, MemCloud};
     use unidrive_sim::{spawn, RealRuntime, SimRuntime};
@@ -450,18 +450,17 @@ mod tests {
 
     /// `n` MemClouds, the first `dead` of which fail every request
     /// (a `ChaosCloud` with certain transient failure).
-    fn clouds_with_dead(rt: &Arc<dyn Runtime>, n: usize, dead: usize) -> CloudSet {
+    pub(crate) fn clouds_with_dead(rt: &Arc<dyn Runtime>, n: usize, dead: usize) -> CloudSet {
+        use unidrive_cloud::{ChaosCloud, FaultEvent, FaultKind, FaultPlan};
         let mut members: Vec<Arc<dyn CloudStore>> = Vec::new();
         for i in 0..n {
-            let inner: Arc<dyn CloudStore> = Arc::new(MemCloud::new(format!("c{i}")));
+            let name = format!("c{i}");
+            let inner: Arc<dyn CloudStore> = Arc::new(MemCloud::new(name.clone()));
             if i < dead {
-                let chaos = unidrive_cloud::ChaosCloud::new(
-                    inner,
-                    Arc::clone(rt),
-                    &unidrive_cloud::FaultPlan::new(i as u64),
-                );
-                chaos.set_flat_probability(1.0);
-                members.push(Arc::new(chaos));
+                let certain = FaultKind::TransientBurst { probability: 1.0 };
+                let plan =
+                    FaultPlan::with_events(i as u64, vec![FaultEvent::always(name, certain)]);
+                members.push(Arc::new(ChaosCloud::new(inner, Arc::clone(rt), &plan)));
             } else {
                 members.push(inner);
             }

@@ -248,22 +248,7 @@ fn oplog_compaction_preserves_fold() {
 #[test]
 fn oplog_unreachable_majority_fails_commit_but_not_poll() {
     let rt: Arc<dyn Runtime> = Arc::new(RealRuntime::new());
-    let mut members: Vec<Arc<dyn CloudStore>> = Vec::new();
-    for i in 0..5 {
-        let inner: Arc<dyn CloudStore> = Arc::new(MemCloud::new(format!("c{i}")));
-        if i < 3 {
-            let chaos = unidrive_cloud::ChaosCloud::new(
-                inner,
-                Arc::clone(&rt),
-                &unidrive_cloud::FaultPlan::new(i as u64),
-            );
-            chaos.set_flat_probability(1.0);
-            members.push(Arc::new(chaos));
-        } else {
-            members.push(inner);
-        }
-    }
-    let set = CloudSet::new(members);
+    let set = crate::lock::tests::clouds_with_dead(&rt, 5, 3);
     let mut p = plane(MetaMode::Oplog, set, "dev-a", 1);
     assert!(p.poll(&SyncFolderImage::new(), None).expect("poll").is_none());
     let err = p

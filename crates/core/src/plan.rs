@@ -16,10 +16,8 @@ pub(crate) const MAX_BLOCK_BOUNCES: u32 = 8;
 pub struct DataPlaneConfig {
     /// Erasure-coding and placement parameters (N, k, K_r, K_s).
     pub redundancy: RedundancyConfig,
-    /// Content-defined segmentation parameters (θ, window, and the
-    /// rolling-hash kind: paper-faithful Rabin, or the several-times
-    /// faster FastCDC-style gear hash — see
-    /// [`ChunkerKind`](unidrive_chunker::ChunkerKind)).
+    /// Content-defined segmentation parameters (θ; the cut points come
+    /// from the paper's Rabin scan).
     pub chunker: ChunkerConfig,
     /// Concurrent connections per cloud (the paper uses up to 5).
     pub connections_per_cloud: usize,

@@ -75,7 +75,7 @@ pub(crate) fn require_acked(
 mod tests {
     use super::*;
     use std::time::Duration;
-    use unidrive_cloud::{ChaosCloud, CloudError, FaultPlan, MemCloud};
+    use unidrive_cloud::{ChaosCloud, CloudError, FaultEvent, FaultKind, FaultPlan, MemCloud};
     use unidrive_sim::SimRuntime;
     use unidrive_util::bytes::Bytes;
     use unidrive_util::sync::Mutex;
@@ -91,9 +91,9 @@ mod tests {
             let mem: Arc<dyn CloudStore> = Arc::new(MemCloud::new(format!("c{i}")));
             mem.upload("f", Bytes::from(format!("body-{i}").into_bytes())).unwrap();
             if i == 1 {
-                let down = ChaosCloud::new(mem, Arc::clone(&rt), &FaultPlan::new(1));
-                down.set_available(false);
-                members.push(Arc::new(down));
+                let plan =
+                    FaultPlan::with_events(1, vec![FaultEvent::always("c1", FaultKind::Outage)]);
+                members.push(Arc::new(ChaosCloud::new(mem, Arc::clone(&rt), &plan)));
             } else {
                 members.push(mem);
             }

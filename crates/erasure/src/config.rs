@@ -181,12 +181,6 @@ impl RedundancyConfig {
         self.per_cloud_cap() * self.clouds
     }
 
-    /// How many over-provisioned parity blocks may exist beyond the
-    /// normal ones.
-    pub fn overprovision_budget(&self) -> usize {
-        self.max_block_count() - self.normal_block_count()
-    }
-
     /// Re-derives the configuration for a different cloud count, keeping
     /// k, K_r, K_s (used when the user adds or removes a CCS).
     ///
@@ -210,7 +204,6 @@ mod tests {
         assert_eq!(cfg.per_cloud_cap(), 2);
         assert_eq!(cfg.normal_block_count(), 5);
         assert_eq!(cfg.max_block_count(), 10);
-        assert_eq!(cfg.overprovision_budget(), 5);
     }
 
     #[test]
@@ -259,7 +252,6 @@ mod tests {
         let cfg = RedundancyConfig::new(3, 4, 1, 1).unwrap();
         assert_eq!(cfg.per_cloud_cap(), 4);
         assert_eq!(cfg.fair_share(), 4);
-        assert_eq!(cfg.overprovision_budget(), 0);
     }
 
     #[test]

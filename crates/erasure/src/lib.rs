@@ -9,7 +9,7 @@
 //!   stored blocks carry no plaintext semantics; blocks are generated
 //!   lazily by index for over-provisioning.
 //! * [`RedundancyConfig`] — the paper's (N, k, K_r, K_s) parameter
-//!   algebra: fair shares, per-cloud caps, over-provisioning budgets.
+//!   algebra: fair shares and per-cloud caps.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

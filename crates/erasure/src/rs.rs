@@ -116,7 +116,6 @@ pub struct Codec {
     n: usize,
     k: usize,
     generator: Matrix,
-    systematic: bool,
     /// Lazily built per-row [`CoeffKernel`]s (one slot per block index).
     kernels: Vec<OnceLock<Vec<CoeffKernel>>>,
 }
@@ -135,34 +134,6 @@ impl Codec {
             n,
             k,
             generator: Matrix::vandermonde(&points, k),
-            systematic: false,
-            kernels: (0..n).map(|_| OnceLock::new()).collect(),
-        })
-    }
-
-    /// Creates a systematic codec (first `k` blocks are the plaintext
-    /// shards) — used by the multi-cloud *benchmark* baseline, which does
-    /// not impose UniDrive's security requirement.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::BadParameters`] as for
-    /// [`non_systematic`](Codec::non_systematic).
-    pub fn systematic(n: usize, k: usize) -> Result<Self, CodecError> {
-        Self::validate(n, k)?;
-        // Standard construction: V · V_top⁻¹ has an identity top block
-        // and keeps the MDS property.
-        let points: Vec<u8> = (1..=n as u16).map(|x| x as u8).collect();
-        let v = Matrix::vandermonde(&points, k);
-        let top = v.select_rows(&(0..k).collect::<Vec<_>>());
-        let top_inv = top
-            .inverse()
-            .expect("vandermonde top block is invertible");
-        Ok(Codec {
-            n,
-            k,
-            generator: v.mul(&top_inv),
-            systematic: true,
             kernels: (0..n).map(|_| OnceLock::new()).collect(),
         })
     }
@@ -197,11 +168,6 @@ impl Codec {
     /// Code dimension (blocks needed to decode).
     pub fn k(&self) -> usize {
         self.k
-    }
-
-    /// Whether the first `k` blocks are plaintext shards.
-    pub fn is_systematic(&self) -> bool {
-        self.systematic
     }
 
     /// Length of each block for a segment of `data_len` bytes.
@@ -417,20 +383,6 @@ mod tests {
                 assert_ne!(&block[..shard.len()], shard, "block {i} leaks shard {j}");
             }
         }
-    }
-
-    #[test]
-    fn systematic_codec_exposes_shards() {
-        let codec = Codec::systematic(6, 2).unwrap();
-        let data = sample_data(64);
-        let b0 = codec.encode_block(&data, 0);
-        let b1 = codec.encode_block(&data, 1);
-        assert_eq!(&b0[..], &data[..32]);
-        assert_eq!(&b1[..], &data[32..]);
-        // And parity still decodes.
-        let p = codec.encode_block(&data, 5);
-        let shares: Vec<(usize, &[u8])> = vec![(5, p.as_ref()), (0, b0.as_ref())];
-        assert_eq!(codec.decode(&shares, data.len()).unwrap(), data);
     }
 
     #[test]

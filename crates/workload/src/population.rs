@@ -242,15 +242,6 @@ impl PopulationProfile {
         }
     }
 
-    /// Looks up a profile preset by name (`consumer` | `team`).
-    pub fn by_name(name: &str) -> Option<PopulationProfile> {
-        match name {
-            "consumer" => Some(PopulationProfile::consumer()),
-            "team" => Some(PopulationProfile::team()),
-            _ => None,
-        }
-    }
-
     /// Deterministic class assignment for `device`, independent of
     /// every sampling stream.
     pub fn class_of(&self, seed: u64, device: u64) -> DeviceClass {

@@ -6,7 +6,9 @@
 
 use std::sync::Arc;
 
-use unidrive::cloud::{CloudBuilder, CloudSet, CloudStore, FaultPlan, SimCloud, SimCloudConfig};
+use unidrive::cloud::{
+    CloudBuilder, CloudSet, CloudStore, FaultEvent, FaultKind, FaultPlan, SimCloud, SimCloudConfig,
+};
 use unidrive::core::{ClientConfig, DataPlaneConfig, MemFolder, SyncFolder, UniDriveClient};
 use unidrive::erasure::RedundancyConfig;
 use unidrive::core::SyncReport;
@@ -32,20 +34,21 @@ fn run_scenario(seed: u64) -> RunResult {
     let mut faulty = Vec::new();
     let members: Vec<Arc<dyn CloudStore>> = (0..5u64)
         .map(|i| {
+            let name = format!("cloud{i}");
             let inner = Arc::new(SimCloud::new(
                 &sim,
-                format!("cloud{i}"),
+                name.clone(),
                 SimCloudConfig::steady(2e6, 8e6),
             ));
             inner.install_obs(obs.clone());
             let rt = sim.clone().as_runtime();
+            let flat = FaultKind::TransientBurst { probability: FAILURE_PROB };
+            let plan = FaultPlan::with_events(seed * 31 + i, vec![FaultEvent::always(name, flat)]);
             let built = CloudBuilder::new(&rt, inner as Arc<dyn CloudStore>)
-                .chaos(&FaultPlan::new(seed * 31 + i), "")
+                .chaos(&plan, "")
                 .obs(&obs)
                 .build();
-            let f = built.chaos.expect("chaos stage configured");
-            f.set_flat_probability(FAILURE_PROB);
-            faulty.push(f);
+            faulty.push(built.chaos.expect("chaos stage configured"));
             built.store
         })
         .collect();
