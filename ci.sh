@@ -53,7 +53,7 @@ else
     echo "    clippy not installed; skipped"
 fi
 
-echo "==> one trace, one artefact, one reader, one per-cloud estimator, one figures binary, one cost statement, one blocking primitive, one fleet event loop, one ingest path, one chunker: the retired names stay retired"
+echo "==> one trace, one artefact, one reader, one per-cloud estimator, one figures binary, one cost statement, one blocking primitive, one fleet event loop, one ingest path, one chunker, one object per op: the retired names stay retired"
 # The typed Event ring, the three per-format flags, the second report
 # binary and the streaming health scoreboard (cloud health is a
 # function `obs_report` computes from the series) must not creep back;
@@ -70,9 +70,11 @@ echo "==> one trace, one artefact, one reader, one per-cloud estimator, one figu
 # serially on the caller's thread; no caller ever widened it), nor the
 # second rolling hash, the chunker-kind switch, the polynomial knob and
 # ChaosCloud's two switches (the paper's Rabin scan is the one chunker;
-# a FaultPlan event says what the switches said).
+# a FaultPlan event says what the switches said), nor the oplog's
+# framed full-replace op file and its retained-tail re-upload (each op
+# is one write-once object, read once per cloud).
 # (The bracketed letters keep this line from matching itself.)
-if grep -rnE '\bEvent::|Traced[E]vent|--metrics-[o]ut|--trace-[o]ut|--series-[o]ut|trace_[r]eport|Health[T]racker|Health[B]oard|Cloud[H]ealth|Health[C]onfig|to_json_with_[h]ealth|unidrive-[h]ealth/v1|native_[a]ppend|supports_conditional_[p]ut|max_object_[b]ytes|run_[a]ll|meta_mode_from_[a]rgs|FleetLock[P]arams|LOCK_[O]PS|OPLOG_APPEND_[O]PS|OPLOG_COMPACT_[O]PS|Sema[p]hore|SimQ[u]eue|RuntimeH[a]ndle|TransferE[r]ror|set_link_[e]nabled|deregister_[t]hread|instantaneous_[r]ate|Watchdog[C]onfig|FlightR[e]corder|partition_[w]indow|merge_by_[k]ey|shard_[o]f|--sh[a]rds|sim::sh[a]rd|cut_points_paral[l]el|WorkerP[o]ol|par_map_ind[e]xed|ingest_thre[a]ds|resync_sk[i]ps|--cuts-[o]ut|ChunkSt[a]ts|GearH[a]sh|ChunkerK[i]nd|ingest_g[e]ar|gear_cut_p[o]ints|gear_r[o]ll|GEAR_[W]INDOW|with_p[o]ly|set_flat_prob[a]bility' \
+if grep -rnE '\bEvent::|Traced[E]vent|--metrics-[o]ut|--trace-[o]ut|--series-[o]ut|trace_[r]eport|Health[T]racker|Health[B]oard|Cloud[H]ealth|Health[C]onfig|to_json_with_[h]ealth|unidrive-[h]ealth/v1|native_[a]ppend|supports_conditional_[p]ut|max_object_[b]ytes|run_[a]ll|meta_mode_from_[a]rgs|FleetLock[P]arams|LOCK_[O]PS|OPLOG_APPEND_[O]PS|OPLOG_COMPACT_[O]PS|Sema[p]hore|SimQ[u]eue|RuntimeH[a]ndle|TransferE[r]ror|set_link_[e]nabled|deregister_[t]hread|instantaneous_[r]ate|Watchdog[C]onfig|FlightR[e]corder|partition_[w]indow|merge_by_[k]ey|shard_[o]f|--sh[a]rds|sim::sh[a]rd|cut_points_paral[l]el|WorkerP[o]ol|par_map_ind[e]xed|ingest_thre[a]ds|resync_sk[i]ps|--cuts-[o]ut|ChunkSt[a]ts|GearH[a]sh|ChunkerK[i]nd|ingest_g[e]ar|gear_cut_p[o]ints|gear_r[o]ll|GEAR_[W]INDOW|with_p[o]ly|set_flat_prob[a]bility|frame_ch[u]nks|unframe_ch[u]nks|op_file_n[a]me|my_fr[a]mes|parse_op_file_n[a]me' \
     crates src tests examples ci.sh; then
     echo "    retired name found (see matches above)"
     exit 1
@@ -167,8 +169,9 @@ grep -q '"recovered": true' "$out/cs1.json"
 grep -q '"others_clean": true' "$out/cs1.json"
 # The default run soaks both metadata planes; the oplog-restricted run
 # additionally proves the --meta-mode flag itself is honored and that
-# the oplog plane passes in isolation (op files absorbing torn uploads
-# without the lock plane's rounds masking anything).
+# the oplog plane passes in isolation (torn uploads landing on op
+# objects, which a writer re-sends before anything newer, without the
+# lock plane's rounds masking anything).
 grep -q '"meta_modes": \["lock","oplog"\]' "$out/cs1.json"
 ./target/release/chaos_soak quick --meta-mode oplog --out "$out/cso.json" >/dev/null
 grep -q '"meta_modes": \["oplog"\]' "$out/cso.json"
@@ -200,7 +203,8 @@ cmp "$out/fs1.json" "$out/fs2.json"
 
 echo "==> fleet bench, oplog mode + full mode: byte-identical across same-seed runs and to both checked-in documents"
 # The oplog mode charges a different protocol (appends priced by the op
-# files each listing shows, λ compactions): the same determinism and
+# objects a device has not read yet, λ compactions priced by the op
+# objects their base covers): the same determinism and
 # schema gates as the lock mode. Then the fleet's analogue of the
 # BENCH_oplog.json gate (a few seconds of wall clock per mode): a change
 # to the cost statement, the lock defaults or the fleet's model moves a

@@ -26,7 +26,7 @@
 //! quorum-locked image and the append-only oplog — so the invariants
 //! (durability, convergence, single lock holder, refcounts) are soaked
 //! against oplog commits too, including torn-upload faults landing on
-//! op files mid-append. The lethal round always runs the lock plane:
+//! op objects mid-append. The lethal round always runs the lock plane:
 //! its must-fail verdict depends on delayed visibility breaking the
 //! lock's read-after-write assumption, which the oplog plane absorbs
 //! by construction (ops become visible after the windows close).

@@ -108,9 +108,8 @@ pub trait CloudStore: Send + Sync {
     /// No store overrides it and no product code calls it: a torn
     /// upload persists a *prefix* of the composed object, so a
     /// download-based append can embed a previously torn tail
-    /// mid-file, and the oplog plane replaces its whole op file via
-    /// [`upload`](CloudStore::upload) (idempotent and self-healing)
-    /// instead. The method remains only because `benchmark/src/meter.rs`
+    /// mid-file, and the oplog plane writes each op as an object of its
+    /// own via [`upload`](CloudStore::upload) instead. The method remains only because `benchmark/src/meter.rs`
     /// implements it and `benchmark/` is frozen for ordinary PRs; the
     /// next `[benchmark]` PR can drop both.
     ///

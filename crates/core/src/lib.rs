@@ -8,8 +8,8 @@
 //!   locking with ΔT lock breaking), the two
 //!   [`MetaPlane`](unidrive_meta::MetaPlane)s — [`LockPlane`]
 //!   (DES-encrypted base + delta + version files replicated to all
-//!   clouds under the lock) and [`OplogPlane`] (per-device append-only
-//!   op files, lock only for compaction) — and
+//!   clouds under the lock) and [`OplogPlane`] (one write-once op
+//!   object per append, lock only for compaction) — and
 //!   [`UniDriveClient::sync_once`] implementing the paper's Algorithm 1
 //!   with three-way merge and conflict retention. Every metadata
 //!   operation replicates through one per-cloud fan-out and fails

@@ -208,6 +208,19 @@ pub(crate) mod tests {
         path: &str,
         counter: u64,
     ) -> SyncFolderImage {
+        try_commit_file(plane, current, device, path, counter)
+            .expect("transact")
+            .expect("committed")
+    }
+
+    /// [`commit_file`], returning what the transaction returned.
+    pub(crate) fn try_commit_file(
+        plane: &mut dyn MetaPlane,
+        current: &SyncFolderImage,
+        device: &str,
+        path: &str,
+        counter: u64,
+    ) -> Result<Option<SyncFolderImage>, PlaneError> {
         let stamp = VersionStamp {
             device: device.to_owned(),
             counter,
@@ -229,8 +242,6 @@ pub(crate) mod tests {
                 img.version = stamp.clone();
                 Some((img, stamp.clone()))
             })
-            .expect("transact")
-            .expect("committed")
     }
 
     #[test]

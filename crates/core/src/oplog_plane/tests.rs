@@ -1,10 +1,11 @@
 //! Tests of [`OplogPlane`](super::OplogPlane); a file of their own
-//! only to keep `oplog_plane.rs` readable in one sitting. The two
-//! `CloudStore` doubles are shared with the lock plane's store tests.
+//! only to keep `oplog_plane.rs` readable in one sitting. The
+//! `FailingDownloads` and `Counting` doubles are shared with the lock
+//! plane's store tests.
 
 use super::*;
-use crate::lock_plane::tests::{clouds, commit_file, config, plane};
-use unidrive_cloud::{CloudStore, MemCloud};
+use crate::lock_plane::tests::{clouds, commit_file, config, plane, try_commit_file};
+use unidrive_cloud::{CloudStore, MemCloud, ObjectInfo};
 use unidrive_meta::{MetaMode, PROTOCOL_COSTS};
 use unidrive_sim::RealRuntime;
 use unidrive_util::sync::Mutex;
@@ -50,11 +51,13 @@ impl CloudStore for FailingDownloads {
 
 /// Delegates to `inner` and keeps a log of every call as
 /// `(operation, path)`; `refuse_delete` makes the next delete of a
-/// path containing it fail, once.
+/// path containing it fail, once, and `refuse_upload` every upload of
+/// a path containing it, until cleared.
 pub(crate) struct Counting {
     inner: Arc<dyn CloudStore>,
     log: Mutex<Vec<(&'static str, String)>>,
     refuse_delete: Mutex<Option<&'static str>>,
+    refuse_upload: Mutex<Option<&'static str>>,
 }
 
 impl Counting {
@@ -63,6 +66,7 @@ impl Counting {
             inner,
             log: Mutex::new(Vec::new()),
             refuse_delete: Mutex::new(None),
+            refuse_upload: Mutex::new(None),
         })
     }
 
@@ -81,6 +85,13 @@ impl Counting {
         self.log.lock().iter().map(|(op, _)| *op).collect()
     }
 
+    /// The paths uploaded since the last [`forget`](Self::forget), in
+    /// order.
+    fn uploads(&self) -> Vec<String> {
+        let log = self.log.lock();
+        log.iter().filter(|(op, _)| *op == "upload").map(|(_, p)| p.clone()).collect()
+    }
+
     pub(crate) fn forget(&self) {
         self.log.lock().clear();
     }
@@ -88,6 +99,15 @@ impl Counting {
     fn marks(&self) -> Vec<Digest> {
         let entries = self.inner.list(OPLOG_DIR).expect("oplog dir listed");
         entries.iter().filter_map(|e| parse_base_mark_name(&e.name)).collect()
+    }
+
+    /// The `(device, seq)` of every op object the cloud holds.
+    fn op_objects(&self) -> Vec<(String, u64)> {
+        let entries = self.inner.list(OPLOG_DIR).expect("oplog dir listed");
+        entries
+            .iter()
+            .filter_map(|e| parse_op_object_name(&e.name).map(|(d, seq)| (d.to_owned(), seq)))
+            .collect()
     }
 }
 
@@ -97,6 +117,13 @@ impl CloudStore for Counting {
     }
     fn upload(&self, path: &str, data: Bytes) -> Result<(), CloudError> {
         self.note("upload", path);
+        if self.refuse_upload.lock().is_some_and(|part| path.contains(part)) {
+            return Err(CloudError::Unavailable {
+                cloud: self.inner.name().to_owned(),
+                op: None,
+                path: Some(path.to_owned()),
+            });
+        }
         self.inner.upload(path, data)
     }
     fn download(&self, path: &str) -> Result<Bytes, CloudError> {
@@ -260,9 +287,9 @@ fn oplog_unreachable_majority_fails_commit_but_not_poll() {
 }
 
 /// A compactor holding a pre-lock fold must not overwrite a base
-/// that advanced while it waited: dev-a's second compaction trims
-/// its op file, so a stale base from dev-b would lose those ops in
-/// both the base and the log.
+/// that advanced while it waited: dev-a's compaction deletes the op
+/// objects it covers, so a stale base from dev-b would lose those ops
+/// in both the base and the log.
 #[test]
 fn stale_compactor_cannot_regress_the_stored_base() {
     let set = clouds(3);
@@ -272,8 +299,8 @@ fn stale_compactor_cannot_regress_the_stored_base() {
     // dev-b folds the pre-compaction world and goes stale.
     let mut b = oplog_plane(set.clone(), "dev-b", 10 * 1024, 2);
     assert!(b.poll(&SyncFolderImage::new(), None).expect("poll").is_some());
-    // dev-a (restarted) compacts: base watermark {dev-a: 2}, its op
-    // file trimmed empty — a2's op now lives only in the base.
+    // dev-a (restarted) compacts: base watermark {dev-a: 2}, both its
+    // op objects deleted — a2's op now lives only in the base.
     let mut a2 = oplog_plane(set.clone(), "dev-a", 1, 3);
     let _ = commit_file(&mut a2, &img1, "dev-a", "a2.txt", 2);
     // dev-b compacts from its stale fold. The under-lock re-read
@@ -301,9 +328,8 @@ fn stale_compactor_cannot_regress_the_stored_base() {
 
 /// A plane recreated for an existing device (process restart) must
 /// resume its sequence past the quorum-acked ops — a reused
-/// `(device, seq)` id is silently deduped away — and its first
-/// full-replace upload must carry the surviving frames instead of
-/// clobbering them.
+/// `(device, seq)` id is silently deduped away — and keep every op the
+/// old process committed.
 #[test]
 fn restarted_device_resumes_sequence_and_preserves_log() {
     let set = clouds(3);
@@ -315,7 +341,7 @@ fn restarted_device_resumes_sequence_and_preserves_log() {
     let mut w2 = oplog_plane(set.clone(), "dev-a", 10 * 1024, 2);
     let img3 = commit_file(&mut w2, &img2, "dev-a", "f3.txt", 3);
     assert_eq!(w2.next_seq, 4, "seq resumed after the committed ops");
-    assert_eq!(w2.my_ops.len(), 3, "surviving frames recovered");
+    assert_eq!(w2.my_ops().len(), 0, "every cloud holds every own op");
     assert!(img3.file("f1.txt").is_some() && img3.file("f2.txt").is_some());
     let mut r = plane(MetaMode::Oplog, set, "dev-r", 9);
     let merged = r
@@ -397,8 +423,15 @@ fn overdue_compaction_escalates_with_counters() {
     assert_eq!(snap.counter("meta.oplog.compactions"), 0);
 }
 
+/// Waits for the deletes `p`'s last compaction left running.
+fn settle(p: &mut OplogPlane) {
+    if let Some(clearing) = p.clearing.take() {
+        clearing.join();
+    }
+}
+
 /// Commits `files` one by one on a plane whose λ floor of one byte
-/// makes every commit compact.
+/// makes every commit compact, waiting out each compaction's deletes.
 fn commit_and_compact(
     w: &mut OplogPlane,
     mut current: SyncFolderImage,
@@ -407,6 +440,7 @@ fn commit_and_compact(
 ) -> SyncFolderImage {
     for i in files {
         current = commit_file(w, &current, device, &format!("f{i}.txt"), i);
+        settle(w);
     }
     current
 }
@@ -421,17 +455,44 @@ fn idle_poll_downloads_no_base() {
     let mut r = oplog_plane(reader_set, "dev-r", 10 * 1024, 2);
     let polled = r.poll(&SyncFolderImage::new(), None).expect("poll").expect("visible");
     assert_eq!(polled.encode(), image.encode());
-    assert_eq!(base_downloads(&reads), [1; 5], "a fresh reader reads every base once");
+    assert_eq!(
+        base_downloads(&reads),
+        [1, 0, 0, 0, 0],
+        "a fresh reader reads the base once, from the first cloud listing its mark"
+    );
     assert!(r.poll(&polled, None).expect("poll").is_none());
     assert!(r.poll(&polled, None).expect("poll").is_none());
-    assert_eq!(base_downloads(&reads), [1; 5], "nothing new, no base read again");
+    assert_eq!(base_downloads(&reads), [1, 0, 0, 0, 0], "nothing new, no base read again");
+}
+
+/// A reader polling an idle folder makes one call per cloud — the
+/// listing — however many op objects it lists.
+#[test]
+fn idle_poll_over_listed_op_objects_is_one_list_per_cloud() {
+    let (set, doubles) = counting_clouds(5);
+    let mut w = oplog_plane(set, "dev-w", 10 * 1024, 1);
+    let mut image = SyncFolderImage::new();
+    for i in 1..=3 {
+        image = commit_file(&mut w, &image, "dev-w", &format!("f{i}.txt"), i);
+    }
+    let (reader_set, reads) = recount(&doubles);
+    let mut r = oplog_plane(reader_set, "dev-r", 10 * 1024, 2);
+    let polled = r.poll(&SyncFolderImage::new(), None).expect("poll").expect("visible");
+    assert_eq!(polled.encode(), image.encode());
+    reads.iter().for_each(|cloud| cloud.forget());
+    assert!(r.poll(&polled, None).expect("poll").is_none());
+    for (i, cloud) in reads.iter().enumerate() {
+        assert_eq!(cloud.calls(), ["list"], "cloud {i}");
+        assert_eq!(doubles[i].op_objects().len(), 3, "test premise: cloud {i} lists 3");
+    }
 }
 
 /// (b) Another device's compaction costs each reader one base download
-/// per cloud, once — and costs the compactor
-/// `PROTOCOL_COSTS.oplog_compact` calls per cloud.
+/// in total, from the first cloud listing its mark — and costs the
+/// compactor `PROTOCOL_COSTS.oplog_compact` calls per cloud plus
+/// `oplog_op_delete` per op object its base covers there.
 #[test]
-fn a_compaction_is_downloaded_once_per_cloud() {
+fn a_compaction_is_downloaded_once_in_total() {
     let (set, doubles) = counting_clouds(5);
     let mut w = oplog_plane(set, "dev-w", 1, 1);
     let first = commit_and_compact(&mut w, SyncFolderImage::new(), "dev-w", 1..=2);
@@ -448,9 +509,8 @@ fn a_compaction_is_downloaded_once_per_cloud() {
         assert!(r.poll(&seen, None).expect("poll").is_none());
     }
     let after = base_downloads(&reads);
-    for (cloud, (b, a)) in before.iter().zip(&after).enumerate() {
-        assert_eq!(a - b, 1, "cloud {cloud}: the new base, once");
-    }
+    let new: Vec<usize> = before.iter().zip(&after).map(|(b, a)| a - b).collect();
+    assert_eq!(new, [1, 0, 0, 0, 0], "the new base, once");
 
     // What one uncontended compaction asks of one cloud in the steady
     // state: a previous compaction's mark in place, a new op to fold.
@@ -459,48 +519,173 @@ fn a_compaction_is_downloaded_once_per_cloud() {
     assert_eq!(w.poll(&second, None).expect("poll").expect("x's file").encode(), third.encode());
     doubles[0].forget();
     assert!(w.try_compact(None));
+    settle(&mut w);
     let calls = doubles[0].calls();
-    assert_eq!(calls.len() as u64, PROTOCOL_COSTS.oplog_compact);
+    let covered = 1; // dev-x's op object
+    assert_eq!(
+        calls.len() as u64,
+        PROTOCOL_COSTS.oplog_compact + covered * PROTOCOL_COSTS.oplog_op_delete
+    );
     assert_eq!(
         calls,
         [
             "upload",   // lock file
             "list",     // lock directory
             "download", // stored base, re-read under the lock
-            "list",     // marks to supersede
+            "list",     // marks to supersede, op objects to delete
             "upload",   // base
             "upload",   // base mark
             "delete",   // lock file
-            "upload",   // own op file, trimmed
             "delete",   // superseded mark
+            "delete",   // dev-x's op object, now covered
         ]
     );
     assert_eq!(doubles[0].marks().len(), 1);
+    assert!(doubles[0].op_objects().is_empty());
 }
 
-/// An append lists the oplog directory, downloads every op file the
-/// listing shows and uploads its own: `PROTOCOL_COSTS.oplog_append`
-/// plus `oplog_op_file` per listed file, on each cloud. Three devices
-/// appending in turn list 0, 1 and 2 op files.
+/// An append lists the oplog directory, downloads each op object it
+/// has not read from that cloud and uploads its own:
+/// `PROTOCOL_COSTS.oplog_append` plus `oplog_op_file` per unread
+/// object, on each cloud. Three devices appending in turn read 0, 1
+/// and 2 objects; in the next round each reads the two the others
+/// appended since — never its own, never one it read before.
 #[test]
 fn an_append_costs_its_listing_plus_one_read_per_op_file() {
     let (set, doubles) = counting_clouds(3);
+    let devices = ["dev-a", "dev-b", "dev-c"];
+    let mut planes: Vec<OplogPlane> = (0..3u64)
+        .map(|i| oplog_plane(set.clone(), devices[i as usize], 10 * 1024, i))
+        .collect();
     let mut current = SyncFolderImage::new();
-    for (listed, device) in ["dev-a", "dev-b", "dev-c"].into_iter().enumerate() {
-        let mut p = oplog_plane(set.clone(), device, 10 * 1024, listed as u64);
-        doubles[0].forget();
-        current = commit_file(&mut p, &current, device, "f.txt", listed as u64 + 1);
-        let calls = doubles[0].calls();
-        let mut expected = vec!["list"];
-        expected.extend(std::iter::repeat_n("download", listed));
-        expected.push("upload");
-        assert_eq!(calls, expected, "{listed} op files listed");
-        let cost = PROTOCOL_COSTS.oplog_append + listed as u64 * PROTOCOL_COSTS.oplog_op_file;
-        assert_eq!(calls.len() as u64, cost);
+    let mut counter = 0;
+    for (round, unread) in [[0, 1, 2], [2, 2, 2]].into_iter().enumerate() {
+        for ((p, device), unread) in planes.iter_mut().zip(devices).zip(unread) {
+            counter += 1;
+            doubles[0].forget();
+            current = commit_file(p, &current, device, &format!("f{counter}.txt"), counter);
+            let calls = doubles[0].calls();
+            let mut expected = vec!["list"];
+            expected.extend(std::iter::repeat_n("download", unread));
+            expected.push("upload");
+            assert_eq!(calls, expected, "round {round}, {device}: {unread} unread");
+            let cost = PROTOCOL_COSTS.oplog_append + unread as u64 * PROTOCOL_COSTS.oplog_op_file;
+            assert_eq!(calls.len() as u64, cost);
+        }
     }
 }
 
-/// (c) A cloud rolled back to an older base, mark and op files neither
+/// An append that reached only a minority is uploaded again, ahead of
+/// the next op, to every cloud that lacks it — so no cloud shows the
+/// newer seq without the older one — and the compaction that follows
+/// folds it instead of skipping past it.
+#[test]
+fn a_minority_append_is_uploaded_first_by_the_next() {
+    let (set, doubles) = counting_clouds(5);
+    let mut w = oplog_plane(set, "dev-w", 10 * 1024, 1);
+    for cloud in &doubles[1..] {
+        *cloud.refuse_upload.lock() = Some("oplog/ops_");
+    }
+    let refused = try_commit_file(&mut w, &SyncFolderImage::new(), "dev-w", "f1.txt", 1);
+    assert!(matches!(refused, Err(PlaneError::QuorumWriteFailed { acked: 1, quorum: 3 })));
+    for cloud in &doubles {
+        *cloud.refuse_upload.lock() = None;
+        cloud.forget();
+    }
+    let image = commit_file(&mut w, &SyncFolderImage::new(), "dev-w", "f2.txt", 2);
+    assert!(image.file("f1.txt").is_some(), "the refused op is still the writer's own");
+    let (first, second) = (op_object_path("dev-w", 1), op_object_path("dev-w", 2));
+    assert_eq!(doubles[0].uploads(), [second.as_str()], "cloud 0 acked seq 1 already");
+    for (i, cloud) in doubles.iter().enumerate().skip(1) {
+        assert_eq!(cloud.uploads(), [first.as_str(), second.as_str()], "cloud {i}");
+    }
+    // Another device folds both into a base; a fresh reader of it
+    // still has f1.
+    let mut x = oplog_plane(recount(&doubles).0, "dev-x", 1, 2);
+    let compacted = commit_file(&mut x, &image, "dev-x", "x.txt", 3);
+    settle(&mut x);
+    let stored = x.adopted_base.as_ref().expect("x compacted");
+    assert_eq!(stored.0.watermark.get("dev-w"), Some(&2));
+    assert!(doubles.iter().all(|cloud| cloud.op_objects().is_empty()), "all covered");
+    let mut r = oplog_plane(recount(&doubles).0, "dev-r", 10 * 1024, 3);
+    let folded = r.poll(&SyncFolderImage::new(), None).expect("poll").expect("visible");
+    assert_eq!(folded.encode(), compacted.encode());
+    assert!(folded.file("f1.txt").is_some());
+}
+
+/// Delegates to `inner`, but while `frozen` holds a listing, answers
+/// `list` with it: a reader whose listing was taken before the writes
+/// and deletes that land while it downloads.
+struct StaleListing {
+    inner: Arc<dyn CloudStore>,
+    frozen: Mutex<Option<Vec<ObjectInfo>>>,
+}
+
+impl CloudStore for StaleListing {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn upload(&self, path: &str, data: Bytes) -> Result<(), CloudError> {
+        self.inner.upload(path, data)
+    }
+    fn download(&self, path: &str) -> Result<Bytes, CloudError> {
+        self.inner.download(path)
+    }
+    fn create_dir(&self, path: &str) -> Result<(), CloudError> {
+        self.inner.create_dir(path)
+    }
+    fn list(&self, path: &str) -> Result<Vec<ObjectInfo>, CloudError> {
+        match &*self.frozen.lock() {
+            Some(entries) => Ok(entries.clone()),
+            None => self.inner.list(path),
+        }
+    }
+    fn delete(&self, path: &str) -> Result<(), CloudError> {
+        self.inner.delete(path)
+    }
+}
+
+/// A reader whose listing predates a compaction finds the op objects
+/// it names deleted: the pass folds what it had, never less, and the
+/// next pass adopts the new base.
+#[test]
+fn a_read_racing_a_compactions_deletes_never_regresses() {
+    let inners: Vec<Arc<dyn CloudStore>> = (0..3)
+        .map(|i| Arc::new(MemCloud::new(format!("c{i}"))) as Arc<dyn CloudStore>)
+        .collect();
+    let stale: Vec<Arc<StaleListing>> = inners
+        .iter()
+        .map(|inner| Arc::new(StaleListing { inner: Arc::clone(inner), frozen: Mutex::new(None) }))
+        .collect();
+    let set = CloudSet::new(inners.clone());
+    let mut w = oplog_plane(set.clone(), "dev-w", 10 * 1024, 1);
+    let mut image = SyncFolderImage::new();
+    for i in 1..=2 {
+        image = commit_file(&mut w, &image, "dev-w", &format!("f{i}.txt"), i);
+    }
+    let reader_set = CloudSet::new(stale.iter().map(|s| Arc::clone(s) as Arc<dyn CloudStore>).collect());
+    let mut r = oplog_plane(reader_set, "dev-r", 10 * 1024, 2);
+    let seen = r.poll(&SyncFolderImage::new(), None).expect("poll").expect("visible");
+    assert_eq!(seen.encode(), image.encode());
+    let image = commit_file(&mut w, &image, "dev-w", "f3.txt", 3);
+    for s in &stale {
+        *s.frozen.lock() = Some(s.inner.list(OPLOG_DIR).expect("listed"));
+    }
+    // dev-x folds everything into a base and deletes every op object.
+    let mut x = oplog_plane(set, "dev-x", 1, 3);
+    let compacted = commit_file(&mut x, &image, "dev-x", "x.txt", 4);
+    settle(&mut x);
+    assert!(inners.iter().all(|c| c.list(OPLOG_DIR).expect("listed").len() == 2), "base + mark");
+    let polled = r.poll(&seen, None).expect("poll");
+    assert!(polled.is_none(), "what the listing named is gone: the fold stands where it was");
+    for s in &stale {
+        *s.frozen.lock() = None;
+    }
+    let polled = r.poll(&seen, None).expect("poll").expect("the new base");
+    assert_eq!(polled.encode(), compacted.encode());
+}
+
+/// (c) A cloud rolled back to an older base, mark and op objects neither
 /// regresses the fold nor is asked for its base on every pass.
 #[test]
 fn rolled_back_cloud_is_rejected_once() {
@@ -560,6 +745,28 @@ fn leaked_stale_mark_is_cleared_by_the_next_compaction() {
     assert_eq!(doubles[1].marks().len(), 1);
     let image = commit_and_compact(&mut w, image, "dev-w", 3..=3);
     for (i, cloud) in doubles.iter().enumerate() {
+        assert_eq!(cloud.marks().len(), 1, "cloud {i}");
+    }
+    let mut r = oplog_plane(recount(&doubles).0, "dev-r", 10 * 1024, 2);
+    let folded = r.poll(&SyncFolderImage::new(), None).expect("poll").expect("visible");
+    assert_eq!(folded.encode(), image.encode());
+}
+
+/// A covered op object left on a cloud that did not ack the base is
+/// deleted by the next compaction, like a leaked mark.
+#[test]
+fn covered_op_object_left_behind_is_deleted_by_the_next_compaction() {
+    let (set, doubles) = counting_clouds(3);
+    let mut w = oplog_plane(set, "dev-w", 1, 1);
+    let image = commit_and_compact(&mut w, SyncFolderImage::new(), "dev-w", 1..=1);
+    *doubles[0].refuse_upload.lock() = Some("oplog/base");
+    let image = commit_and_compact(&mut w, image, "dev-w", 2..=2);
+    assert_eq!(doubles[0].op_objects(), [("dev-w".to_owned(), 2)], "test premise: left behind");
+    assert!(doubles[1].op_objects().is_empty());
+    *doubles[0].refuse_upload.lock() = None;
+    let image = commit_and_compact(&mut w, image, "dev-w", 3..=3);
+    for (i, cloud) in doubles.iter().enumerate() {
+        assert!(cloud.op_objects().is_empty(), "cloud {i}");
         assert_eq!(cloud.marks().len(), 1, "cloud {i}");
     }
     let mut r = oplog_plane(recount(&doubles).0, "dev-r", 10 * 1024, 2);

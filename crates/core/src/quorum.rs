@@ -1,7 +1,7 @@
 //! The one statement of the paper's metadata rule (§5.2): replicate to
 //! every cloud concurrently, count the answers, succeed on a majority.
 //!
-//! Lock files, the base/delta/version files, op files and the oplog
+//! Lock files, the base/delta/version files, op objects and the oplog
 //! base all travel through [`fan_out`], and every "did enough clouds
 //! answer?" decision is [`require_reachable`] or [`require_acked`] — so
 //! the quorum lock and both metadata planes share one replication loop

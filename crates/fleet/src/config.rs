@@ -25,7 +25,7 @@ pub struct FleetConfig {
     /// Per-cloud burst allowance, ops.
     pub cloud_burst: u64,
     /// Metadata-plane mode for hot-folder commits: `Lock` contends a
-    /// quorum lock per commit; `Oplog` appends per-device op files and
+    /// quorum lock per commit; `Oplog` appends one op object per commit and
     /// locks only for periodic base compaction.
     pub meta_mode: MetaMode,
     /// Scheduled fault plan evaluated analytically against every

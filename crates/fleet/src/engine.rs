@@ -39,7 +39,7 @@
 //! one `HashMap` keyed by device id — so peak memory tracks the number
 //! of *concurrent sessions*, not the population size.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use unidrive_cloud::{CloudOp, FaultKind, FaultPlan, TokenBucket};
 use unidrive_meta::{LockConfig, MetaMode, PROTOCOL_COSTS};
@@ -128,11 +128,14 @@ struct HotFolder {
     cum_bytes: u64,
     /// Member device → cumulative bytes it has acknowledged.
     member_synced: HashMap<u64, u64>,
-    /// Oplog mode: devices that have appended here — the op files a
-    /// listing of the folder shows (the plane trims op files, never
-    /// deletes them).
-    op_files: HashSet<u64>,
-    /// Oplog mode: ops appended since the last base compaction.
+    /// Oplog mode: op objects ever appended here.
+    appends: u64,
+    /// Oplog mode: member device → `appends` when it last read the
+    /// folder's op objects (its own append reads none).
+    read_upto: HashMap<u64, u64>,
+    /// Oplog mode: ops appended since the last base compaction — the
+    /// op objects a listing of the folder shows (a compaction deletes
+    /// the ones its base covers).
     pending_ops: u64,
     /// Oplog mode: compaction lock held until this virtual time
     /// (compaction is the only quorum-lock user in oplog mode; a
@@ -587,22 +590,25 @@ impl<'a> Run<'a> {
             return;
         }
 
-        // Oplog: list the oplog directory, read every op file it shows
-        // and upload the device's own — no lock round, no losers, every
-        // attempt commits on its first round; a private folder shows
-        // only the device's own file. Lock: a round, then the commit
+        // Oplog: list the oplog directory, read each op object the
+        // device has not read that no compaction has covered, and upload
+        // its own — no lock round, no losers, every attempt commits on
+        // its first round; a private folder shows only the device's own
+        // objects, which it never reads. Lock: a round, then the commit
         // under the won lock or the lost round's withdraw.
         let c = PROTOCOL_COSTS;
         let (won, ops, compact_ns) = match cfg.meta_mode {
             MetaMode::Oplog => {
-                let mut listed = 1;
+                let mut unread = 0;
                 // Set when this append folds the log: the wait for the
-                // compaction lock.
-                let mut compaction: Option<u64> = None;
+                // compaction lock and the op objects its base covers.
+                let mut compaction: Option<(u64, u64)> = None;
                 if let Some(rank) = hot {
                     let f = &mut folders[rank as usize];
-                    listed = f.op_files.len() as u64;
-                    f.op_files.insert(device);
+                    let since = f.appends - f.read_upto.get(&device).copied().unwrap_or(0);
+                    unread = since.min(f.pending_ops);
+                    f.appends += 1;
+                    f.read_upto.insert(device, f.appends);
                     f.pending_ops += 1;
                     if f.pending_ops >= OPLOG_COMPACT_EVERY {
                         let free = t >= f.compact_lock_until_ns;
@@ -621,9 +627,9 @@ impl<'a> Run<'a> {
                             // zero-initialized for schema parity with
                             // the core plane, which can time out.
                             let wait = f.compact_lock_until_ns.saturating_sub(t);
+                            compaction = Some((wait, f.pending_ops));
                             f.pending_ops = 0;
                             f.compact_lock_until_ns = t + wait + 2 * COMMIT_NS;
-                            compaction = Some(wait);
                             m.bump("oplog.compactions");
                             m.series.add("oplog.compactions", "fleet", t, 1);
                             if !free {
@@ -638,12 +644,14 @@ impl<'a> Run<'a> {
                     }
                 }
                 m.bump("oplog.appends");
-                m.add("oplog.op_file_reads", listed);
+                m.add("oplog.op_file_reads", unread);
                 m.series.add("oplog.appends", "fleet", t, 1);
-                let ops = c.oplog_append
-                    + listed * c.oplog_op_file
-                    + compaction.map_or(0, |_| c.oplog_compact);
-                (true, ops, compaction.map_or(0, |wait| wait + COMMIT_NS))
+                let mut ops = c.oplog_append + unread * c.oplog_op_file;
+                if let Some((_, covered)) = compaction {
+                    m.add("oplog.op_deletes", covered);
+                    ops += c.oplog_compact + covered * c.oplog_op_delete;
+                }
+                (true, ops, compaction.map_or(0, |(wait, _)| wait + COMMIT_NS))
             }
             MetaMode::Lock => {
                 let won = match hot {

@@ -88,7 +88,8 @@ fn lanes_are_charged_the_protocol_costs() {
             MetaMode::Oplog => (
                 n("oplog.appends") * c.oplog_append
                     + n("oplog.op_file_reads") * c.oplog_op_file
-                    + n("oplog.compactions") * c.oplog_compact,
+                    + n("oplog.compactions") * c.oplog_compact
+                    + n("oplog.op_deletes") * c.oplog_op_delete,
                 n("oplog.compactions"),
             ),
         };

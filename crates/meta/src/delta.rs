@@ -75,8 +75,8 @@ pub fn compaction_threshold(base_size: usize, ratio: f64, floor_bytes: usize) ->
 /// The oplog plane stops treating compaction as optional once the live
 /// log exceeds this multiple of λ: a contended lock or flaky quorum can
 /// defer any single compaction, but nothing may defer all of them
-/// forever — the op cache and the full-replace op-file body would grow
-/// without bound. Shared by the real plane and the fleet model.
+/// forever — the op cache and the op objects a fresh reader downloads
+/// would grow without bound. Shared by the real plane and the fleet model.
 pub const OPLOG_COMPACT_ESCALATE: usize = 4;
 
 /// The delta file: every change since `base` (identified by its version

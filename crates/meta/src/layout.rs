@@ -8,32 +8,51 @@
 //!
 //! # The oplog directory
 //!
-//! [`OPLOG_DIR`] holds three kinds of object: one op file per device
-//! (`ops_<device>`, [`op_file_path`]), the compacted base
-//! ([`OPLOG_BASE_PATH`], rewritten in place under the quorum lock) and
-//! empty *base marks* (`base_<sha1>`, [`base_mark_path`]) — the lock
-//! file's idiom, a datum in a file name. A compaction follows each
-//! cloud's base upload with a mark named by SHA-1 of the base
-//! *plaintext*, then deletes the marks it found there; a cloud acks
-//! only when base and mark both landed. A reader lists the directory on
-//! every pass anyway, so the marks tell it which base a cloud holds
-//! before it pays for the download, and it skips the download when
-//! every mark names a base it has itself decrypted and decoded (a name
-//! it merely saw is never trusted). Per cloud, with `A` the older base
-//! and `B` the newer:
+//! [`OPLOG_DIR`] holds three kinds of object: one immutable *op object*
+//! per append (`ops_<device>_<seq>`, [`op_object_path`]; the sequence
+//! number zero-padded to 20 digits, so lexical order is seq order), the
+//! compacted base ([`OPLOG_BASE_PATH`], rewritten in place under the
+//! quorum lock) and empty *base marks* (`base_<sha1>`,
+//! [`base_mark_path`]) — the lock file's idiom, a datum in a file name.
 //!
-//! | `base` holds | marks | reader has decoded | download? |
+//! An op object is written once and never rewritten. A writer uploads
+//! its objects to each cloud in seq order, stopping at the first
+//! failure, so a cloud never shows seq `n` of a device without every
+//! seq between the base watermark and `n`. A reader lists the directory
+//! on every pass and downloads only the names its adopted base does not
+//! cover and that it has not already read from that cloud. A
+//! compaction lists the directory under the quorum lock and, once its
+//! base is quorum-acked, deletes the listed names the new base covers
+//! on the clouds that acked it.
+//!
+//! A compaction follows each cloud's base upload with a mark named by
+//! SHA-1 of the base *plaintext*, then deletes the marks it found
+//! there; a cloud acks only when base and mark both landed. The marks
+//! tell a reader which base a cloud holds before it pays for the
+//! download. A mark it has itself decrypted and decoded is never
+//! fetched again (a name it merely saw is never trusted). A new mark
+//! that a quorum of listings show is fetched from *one* cloud and
+//! accepted only if SHA-1 of the plaintext equals the mark; any other
+//! unknown mark, or a base with no mark, is fetched from its own cloud.
+//! Per cloud, with `A` the older base and `B` the newer:
+//!
+//! | object | listing shows | reader has decoded | download? |
 //! |---|---|---|---|
-//! | A | {A} | A | no |
-//! | B, mark not yet up | {A} | A | no — this cloud has not acked B; one that has shows {A,B} or {B} |
-//! | B | {A,B} | A | yes (B unknown); afterwards no |
-//! | B | {B} | A | yes; afterwards no |
-//! | B, mark lost or never written | {} | anything | yes, every pass |
-//! | torn | {B} | B | no; with B unknown, yes, and it fails to decode |
-//! | absent | {} | anything | no |
+//! | base A | {A} | A | no |
+//! | base B, mark not yet up | {A} | A | no — this cloud has not acked B; one that has shows {A,B} or {B} |
+//! | base B | {A,B} or {B} on a quorum | A | from one cloud, once; afterwards no |
+//! | base B | {A,B} or {B} on a minority | A | yes, from each such cloud; afterwards no |
+//! | base B, mark lost or never written | {} | anything | yes, every pass |
+//! | torn base | {B} | B | no; with B unknown, yes, and it fails to decode |
+//! | absent base | {} | anything | no |
+//! | op object `n` | `ops_d_n` | the base covers `n` | no |
+//! | op object `n` | `ops_d_n` | `n` or later of `d` read from this cloud | no |
+//! | op object `n` | `ops_d_n` | neither | yes; once decoded, never again from this cloud |
+//! | torn op object | `ops_d_n` | neither | yes, every pass until its writer heals it |
 //!
 //! Every confusion costs a download, never skips one a quorum-acked
-//! compaction depends on: an acked cloud lists the new base's mark.
+//! write depends on: an acked cloud lists the new base's mark, and it
+//! holds every acked op object whole.
 
 use unidrive_crypto::Digest;
 
@@ -57,7 +76,7 @@ pub const LOCK_DIR: &str = "unidrive/locks";
 /// Directory holding erasure-coded blocks.
 pub const BLOCKS_DIR: &str = "unidrive/blocks";
 
-/// Directory holding the oplog metadata plane: per-device op files
+/// Directory holding the oplog metadata plane: per-append op objects
 /// plus the compacted base (separate from the lock plane's files so
 /// the two modes never alias each other's objects).
 pub const OPLOG_DIR: &str = "unidrive/oplog";
@@ -66,7 +85,7 @@ pub const OPLOG_DIR: &str = "unidrive/oplog";
 /// watermark), written only under the quorum lock.
 pub const OPLOG_BASE_PATH: &str = "unidrive/oplog/base";
 
-/// Prefix of per-device op files inside [`OPLOG_DIR`].
+/// Prefix of op objects inside [`OPLOG_DIR`].
 pub const OP_FILE_PREFIX: &str = "ops_";
 
 /// Prefix of base marks inside [`OPLOG_DIR`] (see the module doc).
@@ -101,26 +120,30 @@ pub fn lock_file_path(device: &str, t_ns: u64) -> String {
     format!("{LOCK_DIR}/{}", lock_file_name(device, t_ns))
 }
 
-/// Name of `device`'s append-only op file (one per device; the device
-/// is its sole writer, so appends never race).
-pub fn op_file_name(device: &str) -> String {
-    format!("{OP_FILE_PREFIX}{device}")
-}
-
-/// Full cloud path of `device`'s op file.
+/// Cloud path every op object of `device` starts with;
+/// [`op_object_path`] appends the sequence number.
 pub fn op_file_path(device: &str) -> String {
-    format!("{OPLOG_DIR}/{}", op_file_name(device))
+    format!("{OPLOG_DIR}/{OP_FILE_PREFIX}{device}")
 }
 
-/// Parses an op file name back into the owning device.
+/// Full cloud path of `device`'s op object number `seq`. The device is
+/// the object's only writer and writes it once.
+pub fn op_object_path(device: &str, seq: u64) -> String {
+    format!("{}_{seq:020}", op_file_path(device))
+}
+
+/// Parses an op object name back into `(device, seq)`. The seq is
+/// after the *last* underscore, so device names may contain them.
 ///
-/// Returns `None` for files that are not op files.
-pub fn parse_op_file_name(name: &str) -> Option<&str> {
-    let device = name.strip_prefix(OP_FILE_PREFIX)?;
-    if device.is_empty() {
+/// Returns `None` for files that are not op objects.
+pub fn parse_op_object_name(name: &str) -> Option<(&str, u64)> {
+    let rest = name.strip_prefix(OP_FILE_PREFIX)?;
+    let sep = rest.rfind('_')?;
+    let (device, digits) = (&rest[..sep], &rest[sep + 1..]);
+    if device.is_empty() || digits.len() != 20 || !digits.bytes().all(|b| b.is_ascii_digit()) {
         return None;
     }
-    Some(device)
+    Some((device, digits.parse().ok()?))
 }
 
 /// Full cloud path of the mark saying "the base stored here is the
@@ -201,10 +224,25 @@ mod tests {
     }
 
     #[test]
-    fn op_file_name_round_trip() {
-        let name = op_file_name("my_home_pc");
-        assert_eq!(parse_op_file_name(&name), Some("my_home_pc"));
-        assert_eq!(op_file_path("d"), "unidrive/oplog/ops_d");
+    fn op_object_name_round_trip() {
+        let path = op_object_path("my_home_pc", 42);
+        assert_eq!(path, "unidrive/oplog/ops_my_home_pc_00000000000000000042");
+        assert!(path.starts_with(&op_file_path("my_home_pc")));
+        let name = path.strip_prefix("unidrive/oplog/").expect("inside the oplog dir");
+        assert_eq!(parse_op_object_name(name), Some(("my_home_pc", 42)));
+        let top = op_object_path("d", u64::MAX);
+        assert_eq!(parse_op_object_name(&top["unidrive/oplog/".len()..]), Some(("d", u64::MAX)));
+    }
+
+    #[test]
+    fn op_object_names_sort_in_seq_order() {
+        let mut names: Vec<String> = [10, 9, 100, 1].iter().map(|&s| op_object_path("d", s)).collect();
+        names.sort();
+        let seqs: Vec<u64> = names
+            .iter()
+            .map(|n| parse_op_object_name(&n["unidrive/oplog/".len()..]).expect("op object").1)
+            .collect();
+        assert_eq!(seqs, [1, 9, 10, 100]);
     }
 
     #[test]
@@ -213,7 +251,7 @@ mod tests {
         let path = base_mark_path(&id);
         let name = path.strip_prefix("unidrive/oplog/").expect("inside the oplog dir");
         assert_eq!(parse_base_mark_name(name), Some(id));
-        assert_eq!(parse_op_file_name(name), None);
+        assert_eq!(parse_op_object_name(name), None);
     }
 
     #[test]
@@ -228,9 +266,14 @@ mod tests {
     }
 
     #[test]
-    fn non_op_file_names_rejected() {
-        assert_eq!(parse_op_file_name("base"), None);
-        assert_eq!(parse_op_file_name("ops_"), None);
-        assert_eq!(parse_op_file_name("lock_dev_1"), None);
+    fn non_op_object_names_rejected() {
+        assert_eq!(parse_op_object_name("base"), None);
+        assert_eq!(parse_op_object_name("ops_"), None);
+        assert_eq!(parse_op_object_name("ops_dev"), None, "a device with no seq");
+        assert_eq!(parse_op_object_name("ops__00000000000000000001"), None);
+        assert_eq!(parse_op_object_name("ops_dev_1"), None, "not zero-padded");
+        assert_eq!(parse_op_object_name("ops_dev_+0000000000000000001"), None);
+        assert_eq!(parse_op_object_name("ops_dev_99999999999999999999"), None, "past u64");
+        assert_eq!(parse_op_object_name("lock_dev_00000000000000000001"), None);
     }
 }

@@ -21,12 +21,12 @@ mod plane;
 pub use delta::{compaction_threshold, DeltaLog, DeltaRecord, OPLOG_COMPACT_ESCALATE};
 pub use diff::{diff, merge3, Conflict, EntryChange, MergeOutcome, TreeDelta};
 pub use layout::{
-    base_mark_path, block_path, lock_file_name, lock_file_path, op_file_name, op_file_path,
-    parse_base_mark_name, parse_lock_name, parse_op_file_name, BASE_PATH, BLOCKS_DIR, DELTA_PATH, LOCK_DIR, OPLOG_BASE_PATH, OPLOG_DIR,
-    OP_FILE_PREFIX, ROOT_DIR, VERSION_PATH,
+    base_mark_path, block_path, lock_file_name, lock_file_path, op_file_path, op_object_path,
+    parse_base_mark_name, parse_lock_name, parse_op_object_name, BASE_PATH, BLOCKS_DIR, DELTA_PATH,
+    LOCK_DIR, OPLOG_BASE_PATH, OPLOG_DIR, OP_FILE_PREFIX, ROOT_DIR, VERSION_PATH,
 };
 pub use model::{BlockRef, FileEntry, SegmentEntry, SegmentId, Snapshot, SyncFolderImage, VersionStamp};
-pub use op::{compact, fold, frame_chunks, op_id, unframe_chunks, FoldOutcome, MetaOp, OplogBase};
+pub use op::{compact, fold, op_id, FoldOutcome, MetaOp, OplogBase};
 pub use plane::{
     LockConfig, MergeFn, MetaMode, MetaPlane, PlaneError, ProtocolCosts, PROTOCOL_COSTS,
 };

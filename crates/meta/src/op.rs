@@ -22,7 +22,7 @@
 //! log outgrows λ, the compactor folds everything into a new
 //! [`OplogBase`] whose watermark records, per device, the highest seq
 //! already folded — ops at or below the watermark are skipped forever
-//! after and devices trim them from their files.
+//! after and the compactor deletes their op objects.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -42,10 +42,12 @@ const OPLOG_BASE_VERSION: u8 = 1;
 /// one device's sync pass, stamped for the total fold order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetaOp {
-    /// Committing device (also names the op file the op lives in).
+    /// Committing device; with `seq` it names the op object the op is
+    /// stored in (`ops_<device>_<seq>`).
     pub device: String,
-    /// Per-device commit sequence number, starting at 1; the visible
-    /// ops of a device always form a prefix `1..=k` of its log.
+    /// Per-device commit sequence number, starting at 1; the ops of a
+    /// device a cloud shows always form a run `w+1..=k` of its log above
+    /// the base watermark `w` (objects reach each cloud in seq order).
     pub seq: u64,
     /// Lamport clock at commit: `max(folded head, own last) + 1`.
     pub lamport: u64,
@@ -321,40 +323,6 @@ pub fn compact(base: &OplogBase, ops: &[MetaOp], folder: &str) -> OplogBase {
     fold(base, ops, folder).base
 }
 
-/// Frames opaque chunks (encrypted op records) into one op-file body:
-/// `[u32 le length][chunk]…`. Appending a new op appends one frame, so
-/// an op file only ever grows by whole frames.
-pub fn frame_chunks(chunks: &[Bytes]) -> Bytes {
-    let total: usize = chunks.iter().map(|c| 4 + c.len()).sum();
-    let mut out = Vec::with_capacity(total);
-    for c in chunks {
-        out.extend_from_slice(&(c.len() as u32).to_le_bytes());
-        out.extend_from_slice(c);
-    }
-    Bytes::from(out)
-}
-
-/// Splits an op-file body back into chunks, salvaging the longest
-/// decodable prefix: a torn upload persists a prefix of the file, so
-/// the final frame may be truncated — it (and anything after it) is
-/// dropped rather than failing the whole file.
-pub fn unframe_chunks(data: &[u8]) -> Vec<Bytes> {
-    let mut out = Vec::new();
-    let mut at = 0usize;
-    while at + 4 <= data.len() {
-        let len = u32::from_le_bytes([data[at], data[at + 1], data[at + 2], data[at + 3]]) as usize;
-        let Some(end) = at.checked_add(4 + len) else {
-            break;
-        };
-        if end > data.len() {
-            break;
-        }
-        out.push(Bytes::from(data[at + 4..end].to_vec()));
-        at = end;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -547,22 +515,5 @@ mod tests {
         let compacted = compact(&OplogBase::new(), &prefix, "root");
         let resumed = fold(&compacted, &suffix, "root");
         assert_eq!(resumed.base, direct.base);
-    }
-
-    #[test]
-    fn frame_round_trip_and_torn_tail_salvage() {
-        let chunks = vec![
-            Bytes::from(b"alpha".to_vec()),
-            Bytes::from(b"b".to_vec()),
-            Bytes::from(b"gamma-gamma".to_vec()),
-        ];
-        let framed = frame_chunks(&chunks);
-        assert_eq!(unframe_chunks(&framed), chunks);
-        // A torn upload keeps a prefix: the cut frame is dropped, the
-        // complete ones survive.
-        let torn = &framed[..framed.len() - 5];
-        assert_eq!(unframe_chunks(torn), chunks[..2].to_vec());
-        assert!(unframe_chunks(&framed[..3]).is_empty());
-        assert!(unframe_chunks(&[]).is_empty());
     }
 }

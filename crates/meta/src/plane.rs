@@ -163,16 +163,19 @@ pub struct ProtocolCosts {
     /// A lock-plane commit under a won lock: version download, refresh
     /// upload + delete, delta upload, version upload, release delete.
     pub lock_commit: u64,
-    /// An oplog append before its op-file reads: oplog directory list,
-    /// own op-file upload.
+    /// An oplog append before its op-object reads: oplog directory
+    /// list, upload of the new op object.
     pub oplog_append: u64,
-    /// Each op file the append's listing shows: its download.
+    /// Each op object the append's listing shows that the device has
+    /// not read from that cloud and its base does not cover: its
+    /// download.
     pub oplog_op_file: u64,
     /// One uncontended oplog compaction: lock-file upload, lock
-    /// directory list, base re-read, mark list, base upload, base-mark
-    /// upload, lock-file delete, own op-file upload, superseded-mark
-    /// delete.
+    /// directory list, base re-read, oplog directory list, base upload,
+    /// base-mark upload, lock-file delete, superseded-mark delete.
     pub oplog_compact: u64,
+    /// Each op object the compaction's new base covers: its delete.
+    pub oplog_op_delete: u64,
 }
 
 /// The one statement of the metadata protocol's per-cloud cost.
@@ -182,7 +185,8 @@ pub const PROTOCOL_COSTS: ProtocolCosts = ProtocolCosts {
     lock_commit: 6,
     oplog_append: 2,
     oplog_op_file: 1,
-    oplog_compact: 9,
+    oplog_compact: 8,
+    oplog_op_delete: 1,
 };
 
 /// The merge callback [`MetaPlane::transact`] runs inside the
