@@ -73,10 +73,20 @@ impl ExperimentScale {
 
 /// The value following flag `name` in the process arguments
 /// (`--out PATH` → `PATH`): the one flag reader the binaries share.
+/// `None` when the flag is absent. A flag given without a value — the
+/// last argument, or followed by another `--…` flag — exits 2 with
+/// `<flag> needs a value`: a dropped value must not silently change the
+/// run.
 pub fn arg_value(name: &str) -> Option<String> {
     let mut args = std::env::args();
     args.find(|arg| arg == name)?;
-    args.next()
+    match args.next() {
+        Some(value) if !value.starts_with("--") => Some(value),
+        _ => {
+            eprintln!("{name} needs a value");
+            std::process::exit(2);
+        }
+    }
 }
 
 /// Whether the process arguments ask for the reduced-scale run
