@@ -268,8 +268,8 @@ hot() { # WORKLOAD "METRIC=VALUE ..."
         $1 in want { print "    " w " " $1 " " $2; if ($2 "" != want[$1]) { print "    pinned: " want[$1]; bad = 1 }; delete want[$1] }
         END { for (m in want) { print "    " w ": no " m; bad = 1 }; exit bad }' "$out/$1.txt"
 }
-hot hot_lock "sync_up_s=5.796603 sync_down_s=3.895031 converge_s=20.404732 cloud_ops_per_round=721.450000 wire_bytes_per_payload_byte=15.313507 stored_bytes_per_live_byte=3.485864"
-hot hot_oplog "sync_up_s=0.526133 sync_down_s=1.075281 converge_s=2.384545 cloud_ops_per_round=374.541667 wire_bytes_per_payload_byte=11.599965 stored_bytes_per_live_byte=3.578668"
+hot hot_lock "sync_up_s=5.958072 sync_down_s=3.761386 converge_s=20.681059 cloud_ops_per_round=721.400000 wire_bytes_per_payload_byte=15.255463 stored_bytes_per_live_byte=3.344032"
+hot hot_oplog "sync_up_s=0.518201 sync_down_s=1.074069 converge_s=2.372977 cloud_ops_per_round=373.291667 wire_bytes_per_payload_byte=11.290670 stored_bytes_per_live_byte=3.362374"
 for m in sync_up_s converge_s; do
     awk -v m="$m" '$1 == m { v[FILENAME] = $2 + 0 }
         END { print "    " m ": oplog " v[ARGV[1]] " < lock " v[ARGV[2]]; exit !(v[ARGV[1]] < v[ARGV[2]]) }' \

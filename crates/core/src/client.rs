@@ -411,10 +411,10 @@ impl UniDriveClient {
 
         // 1. Upload content data blocks first — no coordination needed,
         //    blocks are immutable (paper §5.2). Dedup only against
-        //    segments a file still references: an image read from the
-        //    clouds keeps the pool entry (and block list) of a segment
-        //    whose last reference is gone, and the commit that dropped
-        //    it has deleted those blocks.
+        //    segments a file still references. An image read from the
+        //    clouds no longer pools a collected segment (its collector
+        //    logged `DropSegment`); only a local conflict copy's entries
+        //    can still sit at refcount 0, their blocks perhaps deleted.
         let known: HashSet<SegmentId> = self
             .original
             .segments()
@@ -537,6 +537,17 @@ impl UniDriveClient {
             had_cloud_update = cloud_update;
             let mut to_commit = merged;
             garbage = to_commit.collect_garbage();
+            // A segment the remote image no longer pools was collected,
+            // blocks and all, by the commit that dropped it; the merge
+            // brought it back from our side. Of its blocks, only those
+            // placed since we last read the image are ours to delete.
+            if let Some(remote) = remote {
+                for (id, entry) in &mut garbage {
+                    if let (None, Some(seen)) = (remote.segment(id), ancestor.segment(id)) {
+                        entry.blocks.retain(|b| !seen.blocks.contains(b));
+                    }
+                }
+            }
             counter = counter
                 .max(remote.map(|r| r.version.counter).unwrap_or(0))
                 .max(ancestor.version.counter)

@@ -133,6 +133,8 @@ struct SegPlan {
     reassign: VecDeque<u16>,
     /// Blocks currently in flight per cloud.
     inflight: Vec<usize>,
+    /// Normal (fair-share) blocks among them, on any cloud.
+    normal_inflight: usize,
     /// Successfully placed blocks.
     done: Vec<BlockRef>,
     /// Next over-provisioned index to mint.
@@ -158,6 +160,8 @@ struct UploadState {
     /// File index → (path, plan indices, available_at).
     files: Vec<(String, Vec<usize>, Option<Time>)>,
     cloud_alive: Vec<bool>,
+    /// Block indices below this are normal; the rest are extras.
+    normal_total: u16,
     finished: bool,
     unplaced: usize,
     timeline: Vec<(Time, usize)>,
@@ -167,6 +171,16 @@ struct UploadState {
 }
 
 impl UploadState {
+    /// Takes `job`, just finished on `cloud` either way, off the
+    /// in-flight counts.
+    fn landed(&mut self, job: &Job, cloud: usize) {
+        let seg = &mut self.segs[job.seg];
+        seg.inflight[cloud] -= 1;
+        if job.index < self.normal_total {
+            seg.normal_inflight -= 1;
+        }
+    }
+
     fn file_available(&self, file: usize, k: usize) -> bool {
         self.files[file]
             .1
@@ -232,6 +246,7 @@ impl DataPlane {
                             .collect(),
                         reassign: VecDeque::new(),
                         inflight: vec![0; n_clouds],
+                        normal_inflight: 0,
                         done: Vec::new(),
                         next_extra: normal_total,
                         bounces: 0,
@@ -257,6 +272,7 @@ impl DataPlane {
             segs,
             files,
             cloud_alive: vec![true; n_clouds],
+            normal_total,
             finished: false,
             unplaced: 0,
             timeline: Vec::new(),
@@ -276,7 +292,6 @@ impl DataPlane {
             sink: options.sink.clone(),
             k,
             cap,
-            normal_total,
         };
         let engine = TransferEngine::start(rt, &self.clouds, params, policy);
 
@@ -358,7 +373,6 @@ struct UploadPolicy {
     sink: Option<BlockSink>,
     k: usize,
     cap: usize,
-    normal_total: u16,
 }
 
 impl TransferPolicy for UploadPolicy {
@@ -369,7 +383,7 @@ impl TransferPolicy for UploadPolicy {
         let seg = &self.st.segs[job.seg];
         Some(JobDesc {
             index: job.index,
-            extra: job.index >= self.normal_total,
+            extra: job.index >= self.st.normal_total,
             // Every block parents to the engine's batch span.
             parent_span: None,
             op: block_upload(&self.codec, &seg.id, &seg.data, job.index),
@@ -382,7 +396,7 @@ impl TransferPolicy for UploadPolicy {
     }
 
     fn on_success(&mut self, cloud: CloudId, job: Job, _data: Option<Bytes>, now: Time) {
-        self.st.segs[job.seg].inflight[cloud.0] -= 1;
+        self.st.landed(&job, cloud.0);
         let placed = BlockRef {
             index: job.index,
             cloud: cloud.0 as u16,
@@ -396,7 +410,7 @@ impl TransferPolicy for UploadPolicy {
     }
 
     fn on_failure(&mut self, cloud: CloudId, job: Job, error: CloudError, _now: Time) {
-        self.st.segs[job.seg].inflight[cloud.0] -= 1;
+        self.st.landed(&job, cloud.0);
         handle_failure(&mut self.st, job, cloud, error);
         maybe_finish(&mut self.st, self.cap);
     }
@@ -465,32 +479,26 @@ fn next_job(
         return None;
     }
 
-    // Phase 1 — availability: earliest unavailable file first. All of
-    // this cloud's planned (fair-share) work comes first; only a cloud
-    // that has *finished its fair share* of a file receives
-    // over-provisioned extras (paper: extras are "assigned on the fly to
-    // those clouds finished transferring their fair share").
-    for f in 0..st.files.len() {
-        if st.files[f].2.is_some() {
-            continue;
+    // Phase 1 — availability: earliest unavailable file first. This
+    // cloud's planned (fair-share) blocks of *every* unavailable file
+    // come first; only a cloud that has finished its fair share of the
+    // batch receives over-provisioned extras (paper: extras are
+    // "assigned on the fly to those clouds finished transferring their
+    // fair share").
+    let pending: Vec<usize> = (0..st.files.len())
+        .filter(|&f| st.files[f].2.is_none())
+        .flat_map(|f| st.files[f].1.clone())
+        .filter(|&p| !st.segs[p].available(k))
+        .collect();
+    for &p in &pending {
+        if let Some(job) = take_planned(st, p, cloud, cap) {
+            return Some(job);
         }
-        let plan_ids = st.files[f].1.clone();
-        for &p in &plan_ids {
-            if st.segs[p].available(k) {
-                continue;
-            }
-            if let Some(job) = take_planned(st, p, cloud, cap) {
+    }
+    if config.overprovisioning {
+        for &p in &pending {
+            if let Some(job) = mint_extra(st, p, cloud, cap) {
                 return Some(job);
-            }
-        }
-        if config.overprovisioning {
-            for &p in &plan_ids {
-                if st.segs[p].available(k) {
-                    continue;
-                }
-                if let Some(job) = mint_extra(st, p, cloud, cap) {
-                    return Some(job);
-                }
             }
         }
     }
@@ -509,11 +517,15 @@ fn next_job(
         // process will stop when the slowest cloud finishes uploading
         // its fair share or when the maximally allowed blocks are
         // transferred") — an otherwise idle fast cloud keeps minting
-        // extras, which is what lets Fig. 14 survive n = 3 outages.
+        // extras, which is what lets Fig. 14 survive n = 3 outages. Only
+        // normal blocks count: an extra in flight is not the slowest
+        // cloud's fair share, and counting it would let extras mint
+        // extras until every segment sits at its cap on every cloud.
         if config.overprovisioning {
             let slowest_still_pushing = st.segs.iter().any(|seg| {
-                (0..st.cloud_alive.len()).any(|c| !seg.planned[c].is_empty())
-                    || seg.inflight.iter().any(|&i| i > 0)
+                (0..st.cloud_alive.len()).any(|c| st.cloud_alive[c] && !seg.planned[c].is_empty())
+                    || seg.reassign.iter().any(|&i| i < st.normal_total)
+                    || seg.normal_inflight > 0
             });
             if slowest_still_pushing {
                 for p in 0..st.segs.len() {
@@ -528,19 +540,19 @@ fn next_job(
 }
 
 fn take_planned(st: &mut UploadState, p: usize, cloud: usize, cap: usize) -> Option<Job> {
-    // Our own queued normal blocks first.
-    if let Some(index) = st.segs[p].planned[cloud].pop_front() {
-        st.segs[p].inflight[cloud] += 1;
-        return Some(Job { seg: p, index });
+    let seg = &mut st.segs[p];
+    // Our own queued normal blocks first, then orphans from dead clouds
+    // if the security cap allows us to adopt.
+    let index = match seg.planned[cloud].pop_front() {
+        Some(index) => index,
+        None if seg.blocks_on(cloud) < cap => seg.reassign.pop_front()?,
+        None => return None,
+    };
+    seg.inflight[cloud] += 1;
+    if index < st.normal_total {
+        seg.normal_inflight += 1;
     }
-    // Orphans from dead clouds, if the security cap allows us to adopt.
-    if st.segs[p].blocks_on(cloud) < cap {
-        if let Some(index) = st.segs[p].reassign.pop_front() {
-            st.segs[p].inflight[cloud] += 1;
-            return Some(Job { seg: p, index });
-        }
-    }
-    None
+    Some(Job { seg: p, index })
 }
 
 fn mint_extra(st: &mut UploadState, p: usize, cloud: usize, cap: usize) -> Option<Job> {
@@ -707,6 +719,44 @@ mod tests {
                 "segment {seg} has {count} blocks on cloud {cloud} (cap {cap})"
             );
         }
+    }
+
+    fn files(count: usize, size: usize) -> Vec<FileUpload> {
+        (0..count)
+            .map(|i| make_file(&format!("f{i}"), size, i as u8 + 1))
+            .collect()
+    }
+
+    #[test]
+    fn equal_clouds_get_extras_only_after_their_fair_share() {
+        // Every cloud finishes its fair share at about the same time, so
+        // few extras are minted (at most 10 blocks per segment would be
+        // 200), and availability is not held up by extras queued before
+        // later files' normal blocks.
+        let (_sim, plane) = setup(11, &[1e6; 5]);
+        let report = plane.run_upload(files(20, 100_000), UploadOptions::default());
+        assert!(report.all_available());
+        assert!(report.blocks.len() <= 130, "{} blocks placed", report.blocks.len());
+        let available = report.available_duration().unwrap();
+        assert!(available <= Duration::from_millis(140), "available after {available:?}");
+    }
+
+    #[test]
+    fn unequal_clouds_still_send_extras_to_the_fastest() {
+        // Over-provisioning earns its keep here: the fast clouds take
+        // extras while the slowest still pushes its fair share.
+        let (_sim, plane) = setup(11, &[4e6, 2e6, 1e6, 0.5e6, 0.25e6]);
+        let report = plane.run_upload(files(16, 1_000_000), UploadOptions::default());
+        assert!(report.all_available());
+        let normal = plane.config.redundancy.normal_block_count() as u16;
+        let extras_on_fastest = report
+            .blocks
+            .iter()
+            .filter(|(_, b)| b.cloud == 0 && b.index >= normal)
+            .count();
+        assert!(extras_on_fastest > 0, "the fastest cloud got no extra");
+        let available = report.available_duration().unwrap();
+        assert!(available <= Duration::from_millis(800), "available after {available:?}");
     }
 
     #[test]

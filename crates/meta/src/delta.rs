@@ -62,6 +62,14 @@ pub enum DeltaRecord {
         /// The retained snapshot.
         snapshot: Snapshot,
     },
+    /// A segment left the pool: its committer collected it and deleted
+    /// its blocks. Applied only if nothing references the segment at
+    /// that point, so a fold that let a concurrent modify beat the
+    /// delete keeps it.
+    DropSegment {
+        /// Content-addressed id.
+        id: SegmentId,
+    },
 }
 
 /// The paper's compaction threshold λ = max(`ratio` × base size,
@@ -219,6 +227,13 @@ impl DeltaLog {
                 }
             }
         }
+        // Collected segments last, once the file records above have
+        // released their references.
+        for (id, _) in from.segments() {
+            if to.segment(id).is_none() {
+                records.push(DeltaRecord::DropSegment { id: *id });
+            }
+        }
         records
     }
 }
@@ -256,6 +271,9 @@ pub(crate) fn apply_record(image: &mut SyncFolderImage, record: &DeltaRecord) {
             if image.file(path).is_some() {
                 image.attach_conflict(path, device, snapshot.clone());
             }
+        }
+        DeltaRecord::DropSegment { id } => {
+            image.drop_unreferenced_segment(id);
         }
     }
 }
@@ -299,6 +317,10 @@ pub(crate) fn encode_record(w: &mut Writer, r: &DeltaRecord) {
             w.put_str(device);
             encode_snapshot(w, snapshot);
         }
+        DeltaRecord::DropSegment { id } => {
+            w.put_u8(6);
+            w.put_fixed(id.0.as_bytes());
+        }
     }
 }
 
@@ -335,6 +357,9 @@ pub(crate) fn decode_record(r: &mut Reader<'_>) -> Result<DeltaRecord, DecodeErr
             path: r.get_str("path")?,
             device: r.get_str("device")?,
             snapshot: decode_snapshot(r)?,
+        },
+        6 => DeltaRecord::DropSegment {
+            id: SegmentId(Digest(r.get_fixed::<20>("segment id")?)),
         },
         other => {
             return Err(DecodeError::BadVersion { found: other });
@@ -420,6 +445,7 @@ mod tests {
                     device: "phone".into(),
                     snapshot: snap("s"),
                 },
+                DeltaRecord::DropSegment { id: seg("s") },
             ],
             stamp("a", 2),
         );

@@ -355,6 +355,13 @@ impl SyncFolderImage {
             .collect()
     }
 
+    /// Drops one segment from the pool if no snapshot references it.
+    pub fn drop_unreferenced_segment(&mut self, id: &SegmentId) {
+        if self.segments.get(id).is_some_and(|e| e.refcount == 0) {
+            self.segments.remove(id);
+        }
+    }
+
     /// Recomputes every segment refcount from the file entries (used
     /// after three-way merges).
     pub fn recompute_refcounts(&mut self) {

@@ -499,6 +499,53 @@ mod tests {
     }
 
     #[test]
+    fn a_losing_delete_never_drops_the_segment_the_modify_kept() {
+        // a writes f, then touches it (same segment, new mtime); b
+        // deletes f having folded only a's first op, and its commit
+        // collected the segment. Modify beats delete, so when b's
+        // DropSegment applies the segment is still referenced: it stays,
+        // blocks and all.
+        let touched = Snapshot {
+            mtime_ns: 8,
+            ..snap("s")
+        };
+        let delete = |base_lamport| {
+            op(
+                "b",
+                1,
+                3,
+                base_lamport,
+                vec![
+                    DeltaRecord::DeleteFile { path: "f".into() },
+                    DeltaRecord::DropSegment { id: seg("s") },
+                ],
+            )
+        };
+        let write = op("a", 1, 1, 0, upsert("f", "s"));
+        let touch = op(
+            "a",
+            2,
+            2,
+            1,
+            vec![DeltaRecord::UpsertFile {
+                path: "f".into(),
+                snapshot: touched.clone(),
+            }],
+        );
+        let out = fold(&OplogBase::new(), &[write.clone(), touch.clone(), delete(1)], "root");
+        assert_eq!(out.base.image.file("f").unwrap().snapshot, touched);
+        let kept = out.base.image.segment(&seg("s")).expect("segment kept");
+        assert_eq!(kept.blocks, vec![BlockRef { index: 0, cloud: 1 }]);
+        assert_eq!(kept.refcount, 1);
+
+        // A delete that saw the touch goes through, and the segment
+        // leaves the pool with it.
+        let out = fold(&OplogBase::new(), &[write, touch, delete(2)], "root");
+        assert!(out.base.image.file("f").is_none());
+        assert!(out.base.image.segment(&seg("s")).is_none());
+    }
+
+    #[test]
     fn compact_then_fold_suffix_equals_full_fold() {
         let prefix = vec![
             op("a", 1, 1, 0, upsert("f", "from-a")),

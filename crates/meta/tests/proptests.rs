@@ -11,7 +11,9 @@ use unidrive_meta::{
 use unidrive_sim::SimRng;
 
 /// A small random image: up to 12 files with short random paths, each
-/// with up to 3 random segment tags.
+/// with up to 3 random segment tags. A segment's length follows from
+/// its tag, as content addressing has it, and each registration places
+/// up to 3 random blocks.
 fn random_image(rng: &mut SimRng) -> SyncFolderImage {
     let mut image = SyncFolderImage::new();
     let n_files = rng.below(12) as usize;
@@ -20,11 +22,17 @@ fn random_image(rng: &mut SimRng) -> SyncFolderImage {
         let mtime = rng.below(u16::MAX as u64 + 1);
         let size = 1 + rng.below(999_999);
         let n_segs = 1 + rng.below(3) as usize;
-        let segments: Vec<SegmentId> = (0..n_segs)
-            .map(|_| SegmentId(Sha1::digest(&[rng.next_u64() as u8])))
-            .collect();
-        for id in &segments {
-            image.ensure_segment(*id, size);
+        let tags: Vec<u8> = (0..n_segs).map(|_| rng.next_u64() as u8).collect();
+        let segments: Vec<SegmentId> = tags.iter().map(|t| SegmentId(Sha1::digest(&[*t]))).collect();
+        for (id, tag) in segments.iter().zip(&tags) {
+            image.ensure_segment(*id, 1 + u64::from(*tag));
+            for _ in 0..rng.below(4) {
+                let block = BlockRef {
+                    index: rng.below(10) as u16,
+                    cloud: rng.below(5) as u16,
+                };
+                image.record_block(*id, block);
+            }
         }
         image.upsert_file(
             &path,
@@ -85,7 +93,8 @@ fn image_codec_rejects_bitflips() {
 }
 
 /// Applying records_for(from, to) onto `from` reproduces `to`'s files
-/// and block locations.
+/// and its whole segment pool: ids, lengths, block lists, refcounts —
+/// a segment `to` collected leaves the rebuilt pool too.
 #[test]
 fn delta_records_reconstruct() {
     let mut rng = SimRng::seed_from_u64(0x4E03);
@@ -103,15 +112,12 @@ fn delta_records_reconstruct() {
                 .collect::<Vec<_>>()
         };
         assert_eq!(files(&rebuilt), files(&to));
-        // Every block location in `to` is present in the rebuilt pool.
-        for (id, entry) in to.segments() {
-            if entry.refcount > 0 {
-                let rebuilt_entry = rebuilt.segment(id).unwrap();
-                for b in &entry.blocks {
-                    assert!(rebuilt_entry.blocks.contains(b));
-                }
-            }
-        }
+        let pool = |img: &SyncFolderImage| {
+            img.segments()
+                .map(|(id, e)| (*id, e.clone()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(pool(&rebuilt), pool(&to));
     }
 }
 
