@@ -6,17 +6,18 @@
 //! wait for the slowest assignment, and downloads fetch a statically
 //! chosen set of `k` blocks.
 //!
-//! Both directions run on the shared transfer engine ([`run_batch`]); the policies
-//! here encode the *static* plans (fixed block→cloud assignment, no
-//! reaction to observed speed) that UniDrive's dynamic scheduling
-//! improves on.
+//! Both directions are [`StaticPlan`]s run by the shared transfer
+//! engine ([`run_batch`]) — the same static policy the other two
+//! baselines and UniDrive's GC and rebalancing use: a fixed
+//! block→cloud assignment with no reaction to observed speed, which is
+//! what UniDrive's dynamic scheduling improves on.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use unidrive_cloud::{CloudError, CloudId, CloudSet, RetryPolicy};
-use unidrive_core::{run_batch, EngineParams, JobDesc, TransferPolicy, WireOp};
+use unidrive_core::{run_batch, EngineParams, StaticPlan, WireOp};
 use unidrive_erasure::{Codec, RedundancyConfig};
 use unidrive_meta::{block_path, BlockRef, SegmentId};
 use unidrive_obs::Obs;
@@ -33,7 +34,7 @@ pub struct MultiCloudBenchmark {
     rt: Arc<dyn Runtime>,
     clouds: CloudSet,
     redundancy: RedundancyConfig,
-    codec: Arc<Codec>,
+    codec: Codec,
     chunk_size: usize,
     engine: EngineParams,
     /// name → per-segment (id, len, blocks).
@@ -48,253 +49,6 @@ impl std::fmt::Debug for MultiCloudBenchmark {
     }
 }
 
-/// One statically planned block upload. Kept whole as the job token so
-/// a failed block can be re-queued for one more persistent round.
-struct BenchBlock {
-    si: usize,
-    path: String,
-    bytes: Bytes,
-    requeued: bool,
-}
-
-/// Fair-share static upload: per-cloud queues, per-segment ack counts,
-/// availability stamped when every segment has `k` blocks durable.
-struct BenchUploadPolicy {
-    queues: Vec<VecDeque<BenchBlock>>,
-    inflight: usize,
-    acks: Vec<usize>,
-    segs_ready: usize,
-    k: usize,
-    t0: Time,
-    available: Option<Duration>,
-    error: Option<CloudError>,
-    done: bool,
-}
-
-impl BenchUploadPolicy {
-    fn new(queues: Vec<VecDeque<BenchBlock>>, seg_count: usize, k: usize, t0: Time) -> Self {
-        let mut p = BenchUploadPolicy {
-            queues,
-            inflight: 0,
-            acks: vec![0; seg_count],
-            segs_ready: 0,
-            k,
-            t0,
-            available: None,
-            error: None,
-            done: false,
-        };
-        p.settle();
-        p
-    }
-
-    fn settle(&mut self) {
-        self.done = self.inflight == 0 && self.queues.iter().all(VecDeque::is_empty);
-    }
-}
-
-impl TransferPolicy for BenchUploadPolicy {
-    type Token = BenchBlock;
-
-    fn next_job(&mut self, cloud: CloudId) -> Option<JobDesc<BenchBlock>> {
-        let block = self.queues.get_mut(cloud.0)?.pop_front()?;
-        self.inflight += 1;
-        let path = block.path.clone();
-        let bytes = block.bytes.clone();
-        let index = (block.si % u16::MAX as usize) as u16;
-        Some(JobDesc {
-            token: block,
-            index,
-            extra: false,
-            parent_span: None,
-            op: WireOp::Upload {
-                path,
-                payload: Box::new(move || bytes),
-            },
-        })
-    }
-
-    fn is_done(&self) -> bool {
-        self.done
-    }
-
-    fn on_success(&mut self, _cloud: CloudId, block: BenchBlock, _data: Option<Bytes>, now: Time) {
-        self.inflight -= 1;
-        self.acks[block.si] += 1;
-        if self.acks[block.si] == self.k {
-            self.segs_ready += 1;
-            if self.segs_ready == self.acks.len() {
-                self.available = Some(now.saturating_duration_since(self.t0));
-            }
-        }
-        self.settle();
-    }
-
-    fn on_failure(&mut self, cloud: CloudId, mut block: BenchBlock, error: CloudError, _now: Time) {
-        self.inflight -= 1;
-        if block.requeued {
-            // Persistent failure: two full retry rounds exhausted.
-            if self.error.is_none() {
-                self.error = Some(error);
-            }
-        } else {
-            block.requeued = true;
-            self.queues[cloud.0].push_back(block);
-        }
-        self.settle();
-    }
-}
-
-/// Static k-of-n download: segments strictly in order; the first `k`
-/// blocks of the current segment are fetched in parallel, falling back
-/// to the remaining blocks only on hard errors, then decoded before the
-/// next segment starts — no reassignment if a chosen cloud is slow.
-struct BenchDownloadPolicy {
-    segments: Vec<(SegmentId, u64, Vec<BlockRef>)>,
-    codec: Arc<Codec>,
-    k: usize,
-    cur: usize,
-    /// (share slot, block) waiting for an idle connection of its cloud.
-    pending: Vec<(usize, BlockRef)>,
-    fallback: Vec<BlockRef>,
-    shares: Vec<Option<(u16, Bytes)>>,
-    filled: usize,
-    inflight: usize,
-    out: Vec<u8>,
-    error: Option<CloudError>,
-    done: bool,
-}
-
-impl BenchDownloadPolicy {
-    fn new(segments: Vec<(SegmentId, u64, Vec<BlockRef>)>, codec: Arc<Codec>, k: usize) -> Self {
-        let mut p = BenchDownloadPolicy {
-            segments,
-            codec,
-            k,
-            cur: 0,
-            pending: Vec::new(),
-            fallback: Vec::new(),
-            shares: Vec::new(),
-            filled: 0,
-            inflight: 0,
-            out: Vec::new(),
-            error: None,
-            done: false,
-        };
-        if p.segments.is_empty() {
-            p.done = true;
-        } else {
-            p.load_segment();
-        }
-        p
-    }
-
-    fn load_segment(&mut self) {
-        let (_, _, blocks) = &self.segments[self.cur];
-        self.pending = blocks.iter().take(self.k).copied().enumerate().collect();
-        self.fallback = blocks.iter().skip(self.k).copied().collect();
-        self.shares = vec![None; self.pending.len()];
-        self.filled = 0;
-    }
-
-    fn fail(&mut self, error: CloudError) {
-        if self.error.is_none() {
-            self.error = Some(error);
-        }
-        // Stop dispatching; done once in-flight work drains.
-        self.pending.clear();
-        self.done = self.inflight == 0;
-    }
-}
-
-impl TransferPolicy for BenchDownloadPolicy {
-    type Token = (usize, BlockRef);
-
-    fn next_job(&mut self, cloud: CloudId) -> Option<JobDesc<(usize, BlockRef)>> {
-        let pos = self
-            .pending
-            .iter()
-            .position(|(_, b)| b.cloud as usize == cloud.0)?;
-        let (slot, block) = self.pending.remove(pos);
-        self.inflight += 1;
-        let id = self.segments[self.cur].0;
-        Some(JobDesc {
-            token: (slot, block),
-            index: block.index,
-            extra: false,
-            parent_span: None,
-            op: WireOp::Download {
-                path: block_path(&id, block.index),
-            },
-        })
-    }
-
-    fn is_done(&self) -> bool {
-        self.done
-    }
-
-    fn on_success(
-        &mut self,
-        _cloud: CloudId,
-        (slot, block): (usize, BlockRef),
-        data: Option<Bytes>,
-        _now: Time,
-    ) {
-        self.inflight -= 1;
-        if self.error.is_some() {
-            self.done = self.inflight == 0;
-            return;
-        }
-        self.shares[slot] = Some((block.index, data.expect("download job carries data")));
-        self.filled += 1;
-        if self.filled < self.shares.len() {
-            return;
-        }
-        // Segment complete: decode, then move on (every slot is filled,
-        // so nothing of this segment is still in flight).
-        let collected: Vec<(usize, &[u8])> = self
-            .shares
-            .iter()
-            .map(|s| {
-                let (i, b) = s.as_ref().expect("filled == len");
-                (*i as usize, b.as_ref())
-            })
-            .collect();
-        let len = self.segments[self.cur].1 as usize;
-        match self.codec.decode(&collected, len) {
-            Ok(plain) => {
-                self.out.extend_from_slice(&plain);
-                self.cur += 1;
-                if self.cur == self.segments.len() {
-                    self.done = true;
-                } else {
-                    self.load_segment();
-                }
-            }
-            Err(e) => self.fail(CloudError::transient(format!("decode failed: {e}"))),
-        }
-    }
-
-    fn on_failure(
-        &mut self,
-        _cloud: CloudId,
-        (slot, _block): (usize, BlockRef),
-        error: CloudError,
-        _now: Time,
-    ) {
-        self.inflight -= 1;
-        if self.error.is_some() {
-            self.done = self.inflight == 0;
-            return;
-        }
-        // Hard failure: try a fallback block for the same share slot.
-        match self.fallback.pop() {
-            Some(b) => self.pending.push((slot, b)),
-            None => self.fail(error),
-        }
-    }
-}
-
 impl MultiCloudBenchmark {
     /// Creates the baseline with the given redundancy and 4 MB fixed
     /// segments.
@@ -304,7 +58,7 @@ impl MultiCloudBenchmark {
         redundancy: RedundancyConfig,
         connections: usize,
     ) -> Self {
-        let codec = Arc::new(Codec::for_config(&redundancy).expect("validated config"));
+        let codec = Codec::for_config(&redundancy).expect("validated config");
         MultiCloudBenchmark {
             rt,
             clouds,
@@ -331,8 +85,9 @@ impl MultiCloudBenchmark {
     }
 
     /// Uploads `data`: fixed-size segments, each erasure-coded into
-    /// exactly the normal parity blocks, each cloud receiving its fair
-    /// share — statically, with no reaction to cloud speed.
+    /// exactly the normal parity blocks, block `i` of every segment
+    /// queued on cloud `i mod N` — statically, with no reaction to
+    /// cloud speed.
     ///
     /// Like DepSky/RACS writes, the operation *reports* the time at
     /// which every segment had `k` blocks acknowledged (the data is
@@ -342,30 +97,27 @@ impl MultiCloudBenchmark {
     ///
     /// # Errors
     ///
-    /// The first block failure after retries (a failed block is retried
-    /// with a second full backoff round; only persistent failure
-    /// surfaces).
+    /// The first block failure after retries, if it left some segment
+    /// with fewer than `k` blocks. A failure parks the rest of that
+    /// cloud's queue: a static plan has no other cloud to send it to.
     pub fn upload(&self, name: &str, data: Bytes) -> Result<Duration, CloudError> {
         let t0 = self.rt.now();
         let n = self.clouds.len();
         let k = self.codec.k();
-        let fair = self.redundancy.fair_share();
-        let seg_count = data.chunks(self.chunk_size).count().max(1);
+        let per_segment = self.redundancy.fair_share() * n;
+        let mut plan = StaticPlan::new(n);
         let mut segments = Vec::new();
-        // Static plan: per cloud, the queue of (segment, path, bytes).
-        let mut queues: Vec<VecDeque<BenchBlock>> =
-            (0..n).map(|_| VecDeque::new()).collect();
-        for (si, chunk) in data.chunks(self.chunk_size).enumerate() {
+        for chunk in data.chunks(self.chunk_size) {
             let id = SegmentId(unidrive_crypto::Sha1::digest(chunk));
             let mut blocks = Vec::new();
-            for i in 0..(fair * n) as u16 {
-                let cloud = (i as usize) % n;
-                queues[cloud].push_back(BenchBlock {
-                    si,
+            for i in 0..per_segment as u16 {
+                let cloud = usize::from(i) % n;
+                let bytes = self.codec.encode_block(chunk, usize::from(i));
+                let op = WireOp::Upload {
                     path: block_path(&id, i),
-                    bytes: self.codec.encode_block(chunk, i as usize),
-                    requeued: false,
-                });
+                    payload: Box::new(move || bytes),
+                };
+                plan.push(CloudId(cloud), i, op);
                 blocks.push(BlockRef {
                     index: i,
                     cloud: cloud as u16,
@@ -373,32 +125,38 @@ impl MultiCloudBenchmark {
             }
             segments.push((id, chunk.len() as u64, blocks));
         }
-        let policy = BenchUploadPolicy::new(queues, seg_count, k, t0);
         let params = self.engine.labelled("bench.upload");
-        let size = ("segments", seg_count as u64);
-        let done = run_batch(&self.rt, &self.clouds, params, None, &[size], policy);
-        match (done.available, done.error) {
-            // Availability reached: later failures only degrade
-            // reliability, not the reported metric.
-            (Some(d), _) => {
-                self.manifest.lock().insert(name.to_owned(), segments);
-                Ok(d)
+        let size = ("segments", segments.len() as u64);
+        let done = run_batch(&self.rt, &self.clouds, params, None, &[size], plan);
+        // Segment s owns result slots [s * per_segment, (s + 1) *
+        // per_segment); it is available at its k-th landing, the file
+        // once every segment is. Later failures only degrade
+        // reliability, not the reported metric.
+        let mut available = t0;
+        for slots in done.landed.chunks(per_segment) {
+            let mut times: Vec<Time> = slots.iter().flatten().copied().collect();
+            if times.len() < k {
+                return Err(done.error.expect("a block that did not land failed"));
             }
-            (None, Some(e)) => Err(e),
-            (None, None) => Ok(self.rt.now().saturating_duration_since(t0)),
+            times.sort_unstable();
+            available = available.max(times[k - 1]);
         }
+        self.manifest.lock().insert(name.to_owned(), segments);
+        Ok(available.saturating_duration_since(t0))
     }
 
-    /// Downloads `name` by statically fetching the first `k` blocks of
-    /// every segment (one per cloud, round-robin) — no reassignment if a
-    /// chosen cloud happens to be slow, which is precisely the behaviour
-    /// UniDrive's dynamic scheduling improves on. Falls back to the
-    /// remaining blocks only on hard errors.
+    /// Downloads `name` segment by segment: the first `k` blocks of a
+    /// segment are fetched in parallel, one batch, with no reassignment
+    /// if a chosen cloud happens to be slow — precisely the behaviour
+    /// UniDrive's dynamic scheduling improves on. Blocks that failed
+    /// are replaced by as many of the segment's remaining blocks in a
+    /// second batch (and so on, while blocks remain); then the segment
+    /// is decoded.
     ///
     /// # Errors
     ///
     /// [`CloudError::NotFound`] for unknown names, or a block failure
-    /// when fallbacks are exhausted.
+    /// when a segment's blocks are exhausted.
     pub fn download(&self, name: &str) -> Result<(Duration, Vec<u8>), CloudError> {
         let segments = self
             .manifest
@@ -407,15 +165,40 @@ impl MultiCloudBenchmark {
             .cloned()
             .ok_or_else(|| CloudError::not_found(name))?;
         let t0 = self.rt.now();
-        let seg_count = segments.len();
-        let policy = BenchDownloadPolicy::new(segments, Arc::clone(&self.codec), self.codec.k());
-        let params = self.engine.labelled("bench.download");
-        let size = ("segments", seg_count as u64);
-        let done = run_batch(&self.rt, &self.clouds, params, None, &[size], policy);
-        if let Some(e) = done.error {
-            return Err(e);
+        let k = self.codec.k();
+        let mut out = Vec::new();
+        for (id, len, blocks) in segments {
+            let mut rest = blocks.iter();
+            let mut shares: Vec<(usize, Bytes)> = Vec::with_capacity(k);
+            let mut error = None;
+            while shares.len() < k {
+                let wanted: Vec<BlockRef> = rest.by_ref().take(k - shares.len()).copied().collect();
+                if wanted.is_empty() {
+                    return Err(error.unwrap_or_else(|| CloudError::not_found(name)));
+                }
+                let mut plan = StaticPlan::new(self.clouds.len());
+                for b in &wanted {
+                    let op = WireOp::Download {
+                        path: block_path(&id, b.index),
+                    };
+                    plan.push(CloudId(usize::from(b.cloud)), b.index, op);
+                }
+                let params = self.engine.labelled("bench.download");
+                let size = ("blocks", wanted.len() as u64);
+                let done = run_batch(&self.rt, &self.clouds, params, None, &[size], plan);
+                error = done.error;
+                let fetched = wanted.iter().zip(done.data);
+                shares.extend(fetched.filter_map(|(b, d)| Some((usize::from(b.index), d?))));
+            }
+            let collected: Vec<(usize, &[u8])> =
+                shares.iter().map(|(i, b)| (*i, b.as_ref())).collect();
+            let plain = self
+                .codec
+                .decode(&collected, len as usize)
+                .map_err(|e| CloudError::transient(format!("decode failed: {e}")))?;
+            out.extend_from_slice(&plain);
         }
-        Ok((self.rt.now().saturating_duration_since(t0), done.out))
+        Ok((self.rt.now().saturating_duration_since(t0), out))
     }
 
     /// Known block locations of `name` (for harnesses that kill clouds).
@@ -458,17 +241,19 @@ mod tests {
         Bytes::from((0..len).map(|i| (i % 251) as u8).collect::<Vec<_>>())
     }
 
+    /// Paper redundancy (N = 5, k = 3, one block per cloud), 3
+    /// connections per cloud, 128 KiB segments.
+    fn client(sim: &Arc<SimRuntime>, clouds: CloudSet) -> MultiCloudBenchmark {
+        let rt = sim.clone().as_runtime();
+        MultiCloudBenchmark::new(rt, clouds, RedundancyConfig::paper_default(), 3)
+            .with_chunk_size(128 * 1024)
+    }
+
     #[test]
     fn round_trip() {
         let sim = SimRuntime::new(1);
         let (clouds, _) = set(&sim, &[1e6; 5]);
-        let client = MultiCloudBenchmark::new(
-            sim.clone().as_runtime(),
-            clouds,
-            RedundancyConfig::paper_default(),
-            3,
-        )
-        .with_chunk_size(128 * 1024);
+        let client = client(&sim, clouds);
         let data = content(500_000);
         client.upload("f", data.clone()).unwrap();
         let (_, restored) = client.download("f").unwrap();
@@ -479,13 +264,7 @@ mod tests {
     fn survives_up_to_n_minus_kr_outages() {
         let sim = SimRuntime::new(2);
         let (clouds, handles) = set(&sim, &[1e6; 5]);
-        let client = MultiCloudBenchmark::new(
-            sim.clone().as_runtime(),
-            clouds,
-            RedundancyConfig::paper_default(),
-            3,
-        )
-        .with_chunk_size(128 * 1024);
+        let client = client(&sim, clouds);
         let data = content(300_000);
         client.upload("f", data.clone()).unwrap();
         handles[0].set_available(false);
@@ -515,5 +294,42 @@ mod tests {
         // (6 blocks of ~171 KB over 3 connections at 0.5 MB/s each
         // ≈ 0.7 s) while the two fast clouds idle after ~35 ms.
         assert!(took.as_secs_f64() > 0.5, "took {took:?}");
+    }
+
+    #[test]
+    fn an_empty_file_round_trips() {
+        let sim = SimRuntime::new(4);
+        let (clouds, _) = set(&sim, &[1e6; 5]);
+        let client = client(&sim, clouds);
+        let took = client.upload("e", Bytes::from(Vec::new())).unwrap();
+        assert_eq!(took, Duration::ZERO);
+        let (_, restored) = client.download("e").unwrap();
+        assert!(restored.is_empty());
+    }
+
+    #[test]
+    fn one_dead_cloud_still_reaches_availability() {
+        let sim = SimRuntime::new(5);
+        let (clouds, handles) = set(&sim, &[1e6; 5]);
+        let client = client(&sim, clouds);
+        handles[4].set_available(false);
+        let data = content(500_000);
+        client.upload("f", data.clone()).unwrap();
+        let (_, restored) = client.download("f").unwrap();
+        assert_eq!(restored, data.to_vec());
+    }
+
+    #[test]
+    fn fewer_than_k_live_clouds_refuse_the_upload() {
+        let sim = SimRuntime::new(6);
+        let (clouds, handles) = set(&sim, &[1e6; 5]);
+        let client = client(&sim, clouds);
+        for dead in &handles[..3] {
+            dead.set_available(false);
+        }
+        let err = client.upload("f", content(300_000)).unwrap_err();
+        assert!(matches!(err, CloudError::Unavailable { .. }), "{err:?}");
+        let err = client.download("f").unwrap_err();
+        assert!(matches!(err, CloudError::NotFound { .. }), "{err:?}");
     }
 }

@@ -13,15 +13,13 @@
 //!   interface so the harness can compare all four uniformly.
 //!
 //! All three baselines run on the same pull-based transfer engine as
-//! UniDrive's own data plane, each batch through
-//! [`run_batch`](unidrive_core::run_batch) — only their
-//! [`TransferPolicy`](unidrive_core::TransferPolicy) differs: the
-//! single-cloud and intuitive clients build a
+//! UniDrive's own data plane, each batch a
 //! [`StaticPlan`](unidrive_core::StaticPlan) (the same static policy
-//! UniDrive's own GC and rebalancing use), the multi-cloud benchmark
-//! its two fair-share policies. That keeps the comparison about
-//! *scheduling*, not about transfer-loop plumbing, and gives them the
-//! same retry and observability wiring for free.
+//! UniDrive's own GC and rebalancing use) through
+//! [`run_batch`](unidrive_core::run_batch) — they differ only in how
+//! they build the plan. That keeps the comparison about *scheduling*,
+//! not about transfer-loop plumbing, and gives them the same retry and
+//! observability wiring for free.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

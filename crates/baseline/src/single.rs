@@ -102,7 +102,7 @@ impl SingleCloudClient {
     /// Registers `name` as already uploaded (len bytes) without moving
     /// traffic — the sink side of a native app's change notification.
     pub fn assume_uploaded(&self, name: &str, len: u64) {
-        let chunk_count = (len as usize).div_ceil(self.chunk_size).max(1);
+        let chunk_count = (len as usize).div_ceil(self.chunk_size);
         self.manifest
             .lock()
             .insert(name.to_owned(), (len, chunk_count));
@@ -180,6 +180,23 @@ mod tests {
             client.download("ghost").unwrap_err(),
             CloudError::NotFound { .. }
         ));
+    }
+
+    #[test]
+    fn an_empty_file_assumed_uploaded_downloads_empty() {
+        let sim = SimRuntime::new(5);
+        let cloud = Arc::new(SimCloud::new(
+            &sim,
+            "c",
+            SimCloudConfig::steady(1e6, 1e6),
+        ));
+        let rt = sim.clone().as_runtime();
+        let source = SingleCloudClient::new(rt.clone(), cloud.clone(), 2);
+        source.upload("e", Bytes::from(Vec::new())).unwrap();
+        let sink = SingleCloudClient::new(rt, cloud, 2);
+        sink.assume_uploaded("e", 0);
+        let (_, restored) = sink.download("e").unwrap();
+        assert!(restored.is_empty());
     }
 
     #[test]

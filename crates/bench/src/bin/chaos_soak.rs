@@ -788,7 +788,8 @@ mod tests {
     #[test]
     fn the_health_verdict_case_by_case() {
         // (target windows, another cloud's windows, verdict)
-        let cases: [(&[bool], &[bool], (bool, bool, bool)); 4] = [
+        type Case<'a> = (&'a [bool], &'a [bool], (bool, bool, bool));
+        let cases: [Case; 4] = [
             // Dips and climbs back: recovered.
             (&[true, false, true, true, true, true], &[true; 6], (true, true, true)),
             // Healthy before its outage but down at the end: the

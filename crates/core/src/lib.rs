@@ -22,7 +22,7 @@
 //!   rebalancing. `DataPlane` is the one door to block storage: every
 //!   block put, get and delete — upload, download, garbage collection,
 //!   [`trim_overprovisioned`], [`remove_cloud`]/[`add_cloud`] — is a
-//!   [`TransferPolicy`] run by the one transfer engine ([`run_batch`]),
+//!   `TransferPolicy` run by the one transfer engine ([`run_batch`]),
 //!   dynamic for upload and download, the static [`StaticPlan`] for the
 //!   rest.
 //!
@@ -57,7 +57,7 @@ pub use client::{build_plane, ClientConfig, SyncError, SyncReport, UniDriveClien
 pub use control::newer;
 pub use dataplane::{DataPlane, FileSegmentation, LocalBase, UploadRequest};
 pub use download::{DownloadError, DownloadReport, SegmentFetch};
-pub use engine::{run_batch, EngineParams, JobDesc, TransferPolicy, WireOp};
+pub use engine::{run_batch, EngineParams, WireOp};
 pub use folder::{DirFolder, FolderError, LocalChange, LocalStat, MemFolder, SyncFolder};
 pub use lock::{LockGuard, QuorumLock};
 pub use lock_plane::LockPlane;

@@ -165,7 +165,7 @@ pub fn remove_cloud(
             }
             let done = plane.run_plan("rebalance", plan, None);
             let survivors = blocks.len();
-            let landed = homes.iter().zip(&done.landed).filter(|(_, ok)| **ok);
+            let landed = homes.iter().zip(&done.landed).filter(|(_, at)| at.is_some());
             blocks.extend(landed.map(|(home, _)| *home));
             blocks_moved += blocks.len() - survivors;
         }
@@ -218,7 +218,7 @@ pub fn add_cloud(
             plan.push(CloudId(newcomer), index, op);
         }
         let done = grown.run_plan("rebalance", plan, None);
-        for (&index, _) in fresh.iter().zip(&done.landed).filter(|(_, ok)| **ok) {
+        for (&index, _) in fresh.iter().zip(&done.landed).filter(|(_, at)| at.is_some()) {
             out.record_block(
                 *id,
                 BlockRef {

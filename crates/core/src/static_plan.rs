@@ -6,9 +6,9 @@
 //! That "non-policy" is what block garbage collection, trimming and
 //! add/remove-cloud re-homing need (the metadata already says which
 //! cloud each block lives on or goes to), and it is exactly what
-//! distinguishes the single-cloud and intuitive baselines from
-//! UniDrive's dynamic schedulers — so they all share this type and
-//! differ only in how they build the plan.
+//! distinguishes the three baselines (single-cloud, intuitive and the
+//! multi-cloud benchmark) from UniDrive's dynamic schedulers — so they
+//! all share this type and differ only in how they build the plan.
 
 use std::collections::VecDeque;
 
@@ -33,8 +33,9 @@ struct PlannedJob {
 pub struct StaticPlan {
     queues: Vec<VecDeque<PlannedJob>>,
     inflight: usize,
-    /// By result slot: whether the job's wire operation succeeded.
-    pub landed: Vec<bool>,
+    /// By result slot: when the job's wire operation succeeded, if it
+    /// did.
+    pub landed: Vec<Option<Time>>,
     /// By result slot: the bytes a download job fetched.
     pub data: Vec<Option<Bytes>>,
     /// First hard failure (retries exhausted), if any.
@@ -63,7 +64,7 @@ impl StaticPlan {
     pub fn push(&mut self, cloud: CloudId, index: u16, op: WireOp) -> usize {
         let slot = self.landed.len();
         self.queues[cloud.0].push_back(PlannedJob { slot, index, op });
-        self.landed.push(false);
+        self.landed.push(None);
         self.data.push(None);
         slot
     }
@@ -91,9 +92,9 @@ impl TransferPolicy for StaticPlan {
         self.inflight == 0 && self.queues.iter().all(VecDeque::is_empty)
     }
 
-    fn on_success(&mut self, _: CloudId, (slot, _): Self::Token, data: Option<Bytes>, _: Time) {
+    fn on_success(&mut self, _: CloudId, (slot, _): Self::Token, data: Option<Bytes>, now: Time) {
         self.inflight -= 1;
-        self.landed[slot] = true;
+        self.landed[slot] = Some(now);
         self.data[slot] = data;
     }
 
@@ -116,9 +117,10 @@ mod tests {
     use super::*;
     use crate::engine::{run_batch, EngineParams};
     use std::sync::Arc;
+    use std::time::Duration;
     use unidrive_cloud::{CloudSet, CloudStore, RetryPolicy, SimCloud, SimCloudConfig};
     use unidrive_obs::{Obs, Registry};
-    use unidrive_sim::SimRuntime;
+    use unidrive_sim::{Runtime, SimRuntime};
 
     struct Rig {
         sim: Arc<SimRuntime>,
@@ -127,16 +129,16 @@ mod tests {
         registry: Arc<Registry>,
     }
 
+    /// Fixed request latency of every rig cloud's upstream path, which
+    /// a delete crosses with no payload.
+    const LATENCY: Duration = Duration::from_millis(10);
+
     fn rig(n: usize) -> Rig {
         let sim = SimRuntime::new(1);
+        let mut config = SimCloudConfig::steady(1e6, 4e6);
+        config.up = config.up.with_latency(LATENCY, Duration::ZERO);
         let handles: Vec<Arc<SimCloud>> = (0..n)
-            .map(|i| {
-                Arc::new(SimCloud::new(
-                    &sim,
-                    format!("c{i}"),
-                    SimCloudConfig::steady(1e6, 4e6),
-                ))
-            })
+            .map(|i| Arc::new(SimCloud::new(&sim, format!("c{i}"), config.clone())))
             .collect();
         let clouds = CloudSet::new(
             handles
@@ -166,6 +168,10 @@ mod tests {
         WireOp::Delete { path: path.into() }
     }
 
+    fn landed(plan: &StaticPlan) -> Vec<bool> {
+        plan.landed.iter().map(Option::is_some).collect()
+    }
+
     #[test]
     fn delete_lands_without_data_and_a_missing_object_counts_as_done() {
         let r = rig(1);
@@ -173,8 +179,10 @@ mod tests {
         let mut plan = StaticPlan::new(1);
         assert_eq!(plan.push(CloudId(0), 0, delete("blocks/a")), 0);
         assert_eq!(plan.push(CloudId(0), 1, delete("blocks/ghost")), 1);
+        let t0 = r.sim.now();
         let done = run(&r, plan);
-        assert_eq!(done.landed, [true, true]);
+        // One connection: slot i of the cloud lands at (i + 1) latencies.
+        assert_eq!(done.landed, [Some(t0 + LATENCY), Some(t0 + 2 * LATENCY)]);
         assert_eq!(done.data, [None, None]);
         assert!(done.error.is_none(), "{:?}", done.error);
         assert!(!r.handles[0].exists("blocks/a").unwrap());
@@ -198,7 +206,7 @@ mod tests {
         }
         r.handles[0].set_available(false);
         let done = run(&r, plan);
-        assert_eq!(done.landed, [false, false, false, true, true, true]);
+        assert_eq!(landed(&done), [false, false, false, true, true, true]);
         assert!(matches!(done.error, Some(CloudError::Unavailable { .. })));
         // One delete met the outage; the two behind it were never sent.
         let snap = r.registry.snapshot();
@@ -216,14 +224,14 @@ mod tests {
         plan.push(CloudId(0), 0, WireOp::Download { path: "/abs".into() });
         plan.push(CloudId(0), 1, WireOp::Download { path: "blocks/b".into() });
         let done = run(&r, plan);
-        assert_eq!(done.landed, [false, false]);
+        assert_eq!(landed(&done), [false, false]);
         assert!(matches!(done.error, Some(CloudError::InvalidPath { .. })));
 
         let mut plan = StaticPlan::new(1);
         plan.push(CloudId(0), 0, delete("/abs"));
         plan.push(CloudId(0), 1, delete("blocks/b"));
         let done = run(&r, plan);
-        assert_eq!(done.landed, [false, true]);
+        assert_eq!(landed(&done), [false, true]);
         assert!(matches!(done.error, Some(CloudError::InvalidPath { .. })));
         assert!(!r.handles[0].exists("blocks/b").unwrap());
     }
