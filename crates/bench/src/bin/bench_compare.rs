@@ -34,10 +34,11 @@ const KERNEL_ID: [&str; 3] = ["kernel", "bytes", "threads"];
 /// and jitter with the host.
 const TOLERANCE: f64 = 0.25;
 /// Kernels every `bench_kernels` report carries at least one row of.
-const KERNEL_ROWS: [&str; 6] = [
+const KERNEL_ROWS: [&str; 7] = [
     "sha1",
     "rabin_roll",
     "chunker_cut_points",
+    "cut_points_small",
     "rs_encode",
     "rs_decode",
     "ingest",

@@ -7,8 +7,11 @@
 //!
 //! - `sha1` — one-shot digest, several sizes
 //! - `rabin_roll` — Rabin slide across a buffer (the per-byte cost of
-//!   the cut-point hash, no chunking logic)
+//!   the cut-point hash, no chunking logic; the tables are constants,
+//!   so no table build is timed)
 //! - `chunker_cut_points` — content-defined segmentation (no hashing)
+//! - `cut_points_small` — the same call on an 8 KiB file at the paper's
+//!   θ = 4 MiB: the fixed per-file cost, since no scan runs below 1.5 θ
 //! - `rs_encode` / `rs_decode` — (255, 3) non-systematic codec,
 //!   full 5-block stripe per iteration (the paper's N = 5)
 //! - `ingest` — end-to-end chunk + hash + encode, through the calls
@@ -37,7 +40,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use unidrive_bench::{arg_value, quick_arg};
-use unidrive_chunker::{cut_points, segment_bytes, ChunkerConfig, RabinHash};
+use unidrive_chunker::{cut_points, segment_bytes, ChunkerConfig, RabinHash, WINDOW};
 use unidrive_crypto::Sha1;
 use unidrive_erasure::Codec;
 use unidrive_workload::random_bytes;
@@ -164,13 +167,13 @@ fn main() {
     let roll_size = if quick { 1024 * 1024 } else { 4 * 1024 * 1024 };
     let data = random_bytes(roll_size, 0xAB1E);
     h.row("rabin_roll", roll_size, || {
-        let mut hash = RabinHash::new(48);
-        for &b in &data[..48] {
+        let mut hash = RabinHash::new();
+        for &b in &data[..WINDOW] {
             hash.push(b);
         }
         let mut acc = 0u64;
-        for i in 48..data.len() {
-            hash.roll(data[i - 48], data[i]);
+        for i in WINDOW..data.len() {
+            hash.roll(data[i - WINDOW], data[i]);
             acc ^= hash.fingerprint();
         }
         acc
@@ -181,6 +184,9 @@ fn main() {
     let data = random_bytes(chunk_size, 0x5E6);
     let config = ChunkerConfig::new(theta);
     h.row("chunker_cut_points", chunk_size, || cut_points(&data, &config));
+    let data = random_bytes(8 * 1024, 0x5A11);
+    let config = ChunkerConfig::paper_default();
+    h.row("cut_points_small", data.len(), || cut_points(&data, &config));
 
     let rs_size = if quick { 1024 * 1024 } else { 4 * 1024 * 1024 };
     let data = random_bytes(rs_size, 0xEC0DE);

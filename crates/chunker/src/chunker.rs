@@ -16,10 +16,7 @@
 
 use unidrive_crypto::{Digest, Sha1};
 
-use crate::rabin::RabinHash;
-
-/// Rolling-hash window in bytes (LBFS).
-const WINDOW: usize = 48;
+use crate::rabin::{RabinHash, WINDOW};
 
 /// Parameters of the content-defined chunker.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -130,7 +127,7 @@ pub fn cut_points(data: &[u8], config: &ChunkerConfig) -> Vec<(usize, usize)> {
     let max = config.max_size();
     let mut out = Vec::new();
     let mut start = 0usize;
-    let mut hash = RabinHash::new(WINDOW);
+    let mut hash = RabinHash::new();
     while data.len() - start > max {
         // Find the next cut in (start+min, start+max].
         let mut cut = start + max;
@@ -414,7 +411,7 @@ mod tests {
         let min = config.min_cut();
         let mask = config.mask();
         let mut candidates = Vec::new();
-        let mut hash = RabinHash::new(WINDOW);
+        let mut hash = RabinHash::new();
         for &b in &data[min - WINDOW..min] {
             hash.push(b);
         }

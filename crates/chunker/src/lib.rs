@@ -8,9 +8,10 @@
 //! identical content dedups across files.
 //!
 //! The cut points come from one rolling hash, the paper's LBFS-style
-//! [`RabinHash`] over a 48-byte window, and a file is cut by one serial
-//! scan on the caller's thread that skips the minimum-size region after
-//! each cut. [`ChunkerConfig`] is θ alone.
+//! [`RabinHash`] over a 48-byte [`WINDOW`], whose tables are
+//! compile-time constants. A file is cut by one serial scan on the
+//! caller's thread that skips the minimum-size region after each cut.
+//! [`ChunkerConfig`] is θ alone.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -19,4 +20,4 @@ mod chunker;
 mod rabin;
 
 pub use chunker::{cut_points, segment_bytes, ChunkerConfig, Segment};
-pub use rabin::{RabinHash, DEFAULT_POLY};
+pub use rabin::{RabinHash, DEFAULT_POLY, WINDOW};

@@ -1,21 +1,33 @@
 //! A collected segment is collected once. The commit that drops a
-//! segment's last reference deletes its blocks and says so in the log
-//! (`DeltaRecord::DropSegment`), so no image read from the clouds names
-//! the segment again and no later commit deletes its blocks again — on
-//! either metadata plane, whether or not the later committer had seen
-//! the segment.
+//! segment's last reference says so in the log
+//! (`DeltaRecord::DropSegment`), and the committer's next pass deletes
+//! its blocks, so no image read from the clouds names the segment again
+//! and no later commit deletes its blocks again — on either metadata
+//! plane, whether or not the later committer had seen the segment.
+//!
+//! Deleting at the start of the next pass, not inside the committing
+//! one, opens one crash point and one ordering hazard. A device that
+//! dies in between leaks its garbage but loses nothing; and content
+//! added back on the very next pass, whose fresh blocks have the same
+//! object paths as the garbage, survives the collection.
+
+mod common;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
-use unidrive::cloud::{CloudCaps, CloudError, CloudSet, CloudStore, MemCloud, ObjectInfo};
+use unidrive::cloud::{
+    CloudCaps, CloudError, CloudSet, CloudStore, MemCloud, ObjectInfo, SimCloud, SimCloudConfig,
+};
 use unidrive::core::{ClientConfig, DataPlaneConfig, MemFolder, SyncFolder, UniDriveClient};
 use unidrive::crypto::MetadataCipher;
 use unidrive::erasure::RedundancyConfig;
 use unidrive::meta::{
-    MetaMode, OplogBase, SegmentEntry, SegmentId, SyncFolderImage, BLOCKS_DIR, OPLOG_BASE_PATH,
+    block_path, MetaMode, OplogBase, SegmentEntry, SegmentId, SyncFolderImage, BLOCKS_DIR,
+    OPLOG_BASE_PATH,
 };
-use unidrive::sim::{RealRuntime, Runtime, SimRng};
+use unidrive::sim::{RealRuntime, Runtime, SimRng, SimRuntime};
 use unidrive::util::bytes::Bytes;
 
 const THETA: usize = 64 * 1024;
@@ -115,6 +127,57 @@ fn pool(image: &SyncFolderImage) -> Vec<(SegmentId, SegmentEntry)> {
     image.segments().map(|(id, e)| (*id, e.clone())).collect()
 }
 
+/// The `(cloud, path)` of every block object `image` names for
+/// `segments`, sorted.
+fn named_objects(image: &SyncFolderImage, segments: &[SegmentId]) -> Vec<(usize, String)> {
+    let mut out: Vec<(usize, String)> = segments
+        .iter()
+        .flat_map(|id| {
+            let entry = image.segment(id).expect("pooled");
+            let blocks = entry.blocks.iter();
+            blocks.map(move |b| (b.cloud as usize, block_path(id, b.index)))
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+/// Five simulated clouds named `cloud0..4`.
+fn sim_clouds(sim: &Arc<SimRuntime>) -> Vec<Arc<SimCloud>> {
+    let steady = SimCloudConfig::steady(2e6, 8e6);
+    (0..5)
+        .map(|i| Arc::new(SimCloud::new(sim, format!("cloud{i}"), steady.clone())))
+        .collect()
+}
+
+/// One device over the simulated clouds.
+fn sim_device(
+    sim: &Arc<SimRuntime>,
+    handles: &[Arc<SimCloud>],
+    name: &str,
+    mode: MetaMode,
+    seed: u64,
+) -> (Arc<MemFolder>, UniDriveClient) {
+    let clouds = handles.iter().map(|c| Arc::clone(c) as Arc<dyn CloudStore>);
+    let folder = MemFolder::new();
+    let client = UniDriveClient::new(
+        sim.clone().as_runtime(),
+        CloudSet::new(clouds.collect()),
+        Arc::clone(&folder) as Arc<dyn SyncFolder>,
+        config(name, mode),
+        SimRng::seed_from_u64(seed),
+    );
+    (folder, client)
+}
+
+/// Lets the detached reliability uploads land, then commits their
+/// placements, so `client`'s image names every block it stored.
+fn settle(sim: &Arc<SimRuntime>, client: &mut UniDriveClient) {
+    sim.sleep(Duration::from_secs(60));
+    client.sync_once().unwrap();
+    assert!(client.sync_once().unwrap().is_noop());
+}
+
 /// The oplog base cloud 0 holds, decrypted.
 fn stored_base(cloud: &MemCloud, mode: MetaMode) -> OplogBase {
     let cipher = MetadataCipher::from_passphrase(&config("any", mode).passphrase);
@@ -139,9 +202,17 @@ fn a_collected_segment_is_deleted_once_on_both_planes() {
             if b_saw_f {
                 assert_eq!(b.client.sync_once().unwrap().downloaded, vec!["f.bin"], "{case}");
             }
+            let a_image_before_delete = a.client.image().clone();
 
             a.folder.remove("f.bin").unwrap();
             let before = a.deletes();
+            a.client.sync_once().unwrap();
+            // The commit returned before collecting; the next pass deletes.
+            assert_eq!(a.deletes(), before, "{case}: the delete's commit deleted blocks");
+            for (cloud, path) in named_objects(&a_image_before_delete, &f_segments) {
+                let exists = clouds[cloud].exists(&path).unwrap();
+                assert!(exists, "{case}: {path} deleted by its commit");
+            }
             a.client.sync_once().unwrap();
             assert!(a.deletes() > before, "{case}: the delete's commit collects F");
             let base_after_delete = (mode == MetaMode::Oplog).then(|| stored_base(&clouds[0], mode));
@@ -170,5 +241,86 @@ fn a_collected_segment_is_deleted_once_on_both_planes() {
                 }
             }
         }
+    }
+}
+
+/// A device dies between a commit and the pass that would collect its
+/// garbage. Nothing live is lost: another device converges on the
+/// committed image and every block object it names is stored. What
+/// leaks is exactly the dead device's garbage.
+#[test]
+fn a_device_dropped_between_commit_and_collect_leaks_never_loses() {
+    for mode in [MetaMode::Lock, MetaMode::Oplog] {
+        let sim = SimRuntime::new(5);
+        let handles = sim_clouds(&sim);
+        let (folder_a, mut a) = sim_device(&sim, &handles, "a", mode, 1);
+        let (folder_b, mut b) = sim_device(&sim, &handles, "b", mode, 2);
+        let g = random_bytes(2 * THETA, 8);
+        folder_a.write("f.bin", &random_bytes(3 * THETA, 7), 1).unwrap();
+        folder_a.write("g.bin", &g, 1).unwrap();
+        a.sync_once().unwrap();
+        settle(&sim, &mut a);
+        assert_eq!(common::unnamed_block_objects(a.image(), &handles), Vec::<String>::new());
+        let f_segments = a.image().file("f.bin").unwrap().snapshot.segments.clone();
+        let garbage: Vec<String> = named_objects(a.image(), &f_segments)
+            .into_iter()
+            .map(|(cloud, path)| format!("cloud{cloud}:{path}"))
+            .collect();
+        assert!(!garbage.is_empty(), "{mode:?}: F stored no block");
+
+        folder_a.remove("f.bin").unwrap();
+        assert_eq!(a.sync_once().unwrap().deleted_remotely, vec!["f.bin"], "{mode:?}");
+        let committed = pool(a.image());
+        drop(a);
+
+        let report = b.sync_once().unwrap();
+        assert_eq!(report.downloaded, vec!["g.bin"], "{mode:?}");
+        assert_eq!(folder_b.read("g.bin").unwrap().to_vec(), g, "{mode:?}");
+        assert!(b.image().file("f.bin").is_none(), "{mode:?}");
+        assert_eq!(pool(b.image()), committed, "{mode:?}: B converged");
+        let live: Vec<SegmentId> = b.image().segments().map(|(id, _)| *id).collect();
+        for (cloud, path) in named_objects(b.image(), &live) {
+            assert!(handles[cloud].exists(&path).unwrap(), "{mode:?}: {path} lost");
+        }
+        let mut leaked = common::unnamed_block_objects(b.image(), &handles);
+        leaked.sort();
+        assert_eq!(leaked, garbage, "{mode:?}: the leak is A's garbage");
+    }
+}
+
+/// A file removed and written back byte-identical on the next pass gets
+/// fresh blocks at the object paths its collected segments had. The
+/// collection of the old blocks runs before that pass uploads, so it
+/// cannot delete the new ones.
+#[test]
+fn collected_content_comes_back_on_the_very_next_pass() {
+    for mode in [MetaMode::Lock, MetaMode::Oplog] {
+        let sim = SimRuntime::new(6);
+        let handles = sim_clouds(&sim);
+        let (folder_a, mut a) = sim_device(&sim, &handles, "a", mode, 1);
+        let (folder_b, mut b) = sim_device(&sim, &handles, "b", mode, 2);
+        let f = random_bytes(3 * THETA, 9);
+        folder_a.write("f.bin", &f, 1).unwrap();
+        a.sync_once().unwrap();
+        settle(&sim, &mut a);
+        let f_segments = a.image().file("f.bin").unwrap().snapshot.segments.clone();
+        let old = named_objects(a.image(), &f_segments);
+
+        folder_a.remove("f.bin").unwrap();
+        assert_eq!(a.sync_once().unwrap().deleted_remotely, vec!["f.bin"], "{mode:?}");
+        folder_a.write("f.bin", &f, 2).unwrap();
+        assert_eq!(a.sync_once().unwrap().uploaded, vec!["f.bin"], "{mode:?}");
+
+        let named = named_objects(a.image(), &f_segments);
+        assert!(
+            named.iter().any(|o| old.contains(o)),
+            "{mode:?}: no fresh block reuses a collected object path"
+        );
+        for (cloud, path) in &named {
+            let exists = handles[*cloud].exists(path).unwrap();
+            assert!(exists, "{mode:?}: {path} named but deleted");
+        }
+        assert_eq!(b.sync_once().unwrap().downloaded, vec!["f.bin"], "{mode:?}");
+        assert_eq!(folder_b.read("f.bin").unwrap().to_vec(), f, "{mode:?}");
     }
 }
