@@ -3,14 +3,12 @@
 //!
 //! One [`sync_once`](UniDriveClient::sync_once) call performs one pass:
 //!
-//! 1. delete the block objects the previous commit left dead (GC is
-//!    housekeeping, so no commit waits for its own);
-//! 2. scan the folder for local updates (the ChangedFileList);
-//! 3. if any exist: upload their data blocks *first* (freely, without
+//! 1. scan the folder for local updates (the ChangedFileList);
+//! 2. if any exist: upload their data blocks *first* (freely, without
 //!    coordination — blocks are immutable), then take the quorum lock,
 //!    merge with any pending cloud update, commit metadata (delta-sync,
 //!    compacting when past λ), release;
-//! 4. otherwise: check the small version file; if the cloud moved,
+//! 3. otherwise: check the small version file; if the cloud moved,
 //!    download the cloud update and materialize it into the folder.
 
 use std::collections::{BTreeMap, HashSet};
@@ -197,10 +195,6 @@ pub struct UniDriveClient {
     /// Placements reported by background reliability workers since the
     /// last commit ("set asynchronously via callback", §5.1).
     pending_blocks: BlockSink,
-    /// Block objects the last commit left dead: its collected segments'
-    /// blocks and the stragglers no image pools. The next pass deletes
-    /// them before it uploads anything.
-    garbage: Vec<(SegmentId, BlockRef)>,
 }
 
 impl std::fmt::Debug for UniDriveClient {
@@ -233,7 +227,6 @@ impl UniDriveClient {
             shadow: BTreeMap::new(),
             counter: 0,
             pending_blocks: std::sync::Arc::new(unidrive_util::sync::Mutex::new(Vec::new())),
-            garbage: Vec::new(),
         }
     }
 
@@ -309,23 +302,18 @@ impl UniDriveClient {
             self.shadow.remove(path);
         }
         // The copy's now-unreferenced pool entries stay in `v_o` with
-        // their block locations: the next commit collects them, and the
-        // pass after it deletes the blocks from the clouds.
+        // their block locations: the next commit's GC collects them and
+        // deletes the blocks from the clouds.
         self.original.resolve_conflict(path);
         Ok(true)
     }
 
     /// One pass of Algorithm 1. Returns what changed.
     ///
-    /// A pass returns once its commit lands; deleting the blocks that
-    /// commit left dead is the first step of the next pass.
-    ///
     /// # Errors
     ///
     /// [`SyncError`] on lock, metadata, download or folder failures; the
-    /// pass can be retried. The client's image, shadow and counter are
-    /// unchanged on error, but a failed pass may already have deleted
-    /// the previous commit's garbage (no image names those blocks).
+    /// client state is unchanged on error and the pass can be retried.
     pub fn sync_once(&mut self) -> Result<SyncReport, SyncError> {
         let t0 = self.rt.now();
         // Root of the causal chain: everything this pass does — lock
@@ -354,9 +342,6 @@ impl UniDriveClient {
     }
 
     fn sync_pass(&mut self, round: Option<SpanId>) -> Result<SyncReport, SyncError> {
-        // Collect before this pass uploads: a segment it adds back gets
-        // fresh blocks at the same `block_path`s the garbage names.
-        self.plane.delete_blocks(std::mem::take(&mut self.garbage), round);
         let changes = self.scan_local_changes().map_err(SyncError::Folder)?;
         let has_pending_blocks = !self.pending_blocks.lock().is_empty();
         if !changes.is_empty() || has_pending_blocks {
@@ -471,7 +456,7 @@ impl UniDriveClient {
             // One it does not track is this pass's own upload (recorded
             // from the report below) or a straggler of a segment GC has
             // already dropped, which no image will name again:
-            // `unpooled` hands those to the next pass's collection.
+            // `unpooled` deletes those at the end of the pass.
             if local.segment(&id).is_some() {
                 drained_new |= local.record_block(id, block);
             } else {
@@ -514,7 +499,7 @@ impl UniDriveClient {
         if report.uploaded.is_empty() && report.deleted_remotely.is_empty() && !drained_new {
             // Nothing became committable (e.g. total upload failure, or
             // a pass woken only by stragglers of collected segments).
-            self.garbage.extend(unpooled(&unrecorded, &local));
+            self.plane.delete_blocks(unpooled(&unrecorded, &local), round);
             return Ok(report);
         }
 
@@ -527,7 +512,7 @@ impl UniDriveClient {
         let rt = Arc::clone(&self.rt);
         let ancestor = self.original.clone();
         let mut counter = self.counter;
-        let mut collected: Vec<(SegmentId, unidrive_meta::SegmentEntry)> = Vec::new();
+        let mut garbage: Vec<(SegmentId, unidrive_meta::SegmentEntry)> = Vec::new();
         let mut had_cloud_update = false;
         let transacted = self.meta.transact(&ancestor, round, &mut |remote| {
             let mut merge_span = obs.span("meta.merge", round);
@@ -551,13 +536,13 @@ impl UniDriveClient {
             merge_span.end();
             had_cloud_update = cloud_update;
             let mut to_commit = merged;
-            collected = to_commit.collect_garbage();
+            garbage = to_commit.collect_garbage();
             // A segment the remote image no longer pools was collected,
             // blocks and all, by the commit that dropped it; the merge
             // brought it back from our side. Of its blocks, only those
             // placed since we last read the image are ours to delete.
             if let Some(remote) = remote {
-                for (id, entry) in &mut collected {
+                for (id, entry) in &mut garbage {
                     if let (None, Some(seen)) = (remote.segment(id), ancestor.segment(id)) {
                         entry.blocks.retain(|b| !seen.blocks.contains(b));
                     }
@@ -591,10 +576,9 @@ impl UniDriveClient {
         };
 
         // 4. Settle local state: adopt the committed image, apply any
-        //    merged-in cloud changes to the folder, and leave the dead
-        //    blocks to the next pass. The diff baseline is `local` (what
-        //    the folder holds now), so only the cloud side's
-        //    contributions are materialized.
+        //    merged-in cloud changes to the folder, GC dead blocks. The
+        //    diff baseline is `local` (what the folder holds now), so
+        //    only the cloud side's contributions are materialized.
         for (path, stat) in committed_stats {
             match stat {
                 Some(s) => {
@@ -609,11 +593,11 @@ impl UniDriveClient {
             self.materialize_cloud_changes(&local, &committed, &mut report, round)?;
         }
         self.original = committed;
-        let dead = collected
+        let dead = garbage
             .iter()
             .flat_map(|(id, entry)| entry.blocks.iter().map(move |b| (*id, *b)));
-        self.garbage.extend(dead);
-        self.garbage.extend(unpooled(&unrecorded, &self.original));
+        let dead = dead.chain(unpooled(&unrecorded, &self.original));
+        self.plane.delete_blocks(dead, round);
         Ok(report)
     }
 
@@ -719,7 +703,7 @@ impl UniDriveClient {
 /// The `placements` whose segment `image` does not pool: block objects
 /// no metadata names or ever will (the file was deleted and its
 /// segments collected while the detached worker was still uploading),
-/// so the pass that drains them leaves them to the next collection.
+/// so the pass that drains them deletes them.
 fn unpooled<'a>(
     placements: &'a [(SegmentId, BlockRef)],
     image: &'a SyncFolderImage,

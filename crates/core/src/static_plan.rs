@@ -249,8 +249,8 @@ mod tests {
         assert_eq!(done.data[1].as_deref(), Some(&b"zero"[..]));
     }
 
-    /// What keeps a pass with no garbage to collect exactly as cheap
-    /// as before GC ran on the engine.
+    /// What keeps a commit that collects no garbage exactly as cheap as
+    /// before GC ran on the engine.
     #[test]
     fn a_born_done_plan_spawns_nothing() {
         let r = rig(3);

@@ -155,8 +155,7 @@ fn conflict_resolution_keep_current_and_keep_copy() {
 
 /// Resolving a conflict must not forget where the losing copy's blocks
 /// live: its unreferenced pool entries ride in `v_o` until the next
-/// commit collects them, and the pass after that commit deletes the
-/// block objects from the clouds.
+/// commit's GC deletes the block objects from the clouds.
 #[test]
 fn resolved_conflict_copy_is_deleted_from_the_clouds_by_the_next_commit() {
     let r = rig(7, &[2e6; 5]);
@@ -205,11 +204,6 @@ fn resolved_conflict_copy_is_deleted_from_the_clouds_by_the_next_commit() {
     folder_b.write("other", &content(10_000, 4), 3).unwrap();
     assert_eq!(b.sync_once().unwrap().uploaded, vec!["other"]);
     assert!(b.conflicts().is_empty());
-    // The commit returned before collecting; the next pass deletes.
-    for (cloud, path) in &objects {
-        assert!(r.handles[*cloud].exists(path).unwrap(), "{path} deleted by its commit");
-    }
-    b.sync_once().unwrap();
     for (cloud, path) in &objects {
         assert!(
             !r.handles[*cloud].exists(path).unwrap(),
@@ -262,14 +256,9 @@ fn a_transiently_failing_delete_does_not_leak_the_block() {
         .collect();
     assert!(old.iter().filter(|(cloud, _)| *cloud == 1).count() >= 3);
 
-    // Overwrite: the commit collects every segment of the old version,
-    // and the next pass deletes their blocks.
+    // Overwrite: the commit collects every segment of the old version.
     folder_a.write("doc", &content(150_000, 2), 2).unwrap();
     assert_eq!(a.sync_once().unwrap().uploaded, vec!["doc"]);
-    for (cloud, path) in &old {
-        assert!(r.handles[*cloud].exists(path).unwrap(), "{path} deleted by its commit");
-    }
-    a.sync_once().unwrap();
     assert!(chaos.injected_faults() > 0, "the burst never fired");
     for (cloud, path) in &old {
         assert!(

@@ -428,8 +428,8 @@ fn random_edits_materialize_byte_identically_on_both_planes() {
 
 /// A file is deleted while its reliability blocks are still going up to
 /// a slow cloud: the commit of the delete collects the segments, the
-/// blocks land afterwards, and the pass that hears of them leaves them
-/// to the next pass's collection — no image will ever name them again.
+/// blocks land afterwards, and the pass that hears of them must delete
+/// them — no image will ever name them again.
 #[test]
 fn a_block_landing_after_its_segment_was_collected_is_deleted() {
     let slow_last = |i: usize| {
