@@ -53,7 +53,7 @@ else
     echo "    clippy not installed; skipped"
 fi
 
-echo "==> one trace, one artefact, one reader, one per-cloud estimator, one figures binary, one cost statement, one blocking primitive, one fleet event loop, one ingest path, one chunker, one object per op, one hot-folder benchmark, one static policy, one Rabin window: the retired names stay retired"
+echo "==> one trace, one artefact, one reader, one per-cloud estimator, one figures binary, one cost statement, one blocking primitive, one fleet event loop, one ingest path, one chunker, one object per op, one hot-folder benchmark, one static policy, one Rabin window, one channel from a landed block to the image: the retired names stay retired"
 # The typed Event ring, the three per-format flags, the second report
 # binary and the streaming health scoreboard (cloud health is a
 # function `obs_report` computes from the series) must not creep back;
@@ -78,9 +78,12 @@ echo "==> one trace, one artefact, one reader, one per-cloud estimator, one figu
 # hot-folder measurement, pinned below), nor the multi-cloud benchmark's
 # private fair-share policies (every static batch is a StaticPlan), nor
 # a Rabin window parameter (the window is the constant `WINDOW`, and
-# the hash's tables are built for it at compile time).
+# the hash's tables are built for it at compile time), nor the upload
+# options and their detach switch (a placement reaches the image only
+# through the block sink, and a sink is what makes an upload detach)
+# and MockS3's settable chunk threshold (a constant).
 # (The bracketed letters keep this line from matching itself.)
-if grep -rnE '\bEvent::|Traced[E]vent|--metrics-[o]ut|--trace-[o]ut|--series-[o]ut|trace_[r]eport|Health[T]racker|Health[B]oard|Cloud[H]ealth|Health[C]onfig|to_json_with_[h]ealth|unidrive-[h]ealth/v1|native_[a]ppend|supports_conditional_[p]ut|max_object_[b]ytes|run_[a]ll|meta_mode_from_[a]rgs|FleetLock[P]arams|LOCK_[O]PS|OPLOG_APPEND_[O]PS|OPLOG_COMPACT_[O]PS|Sema[p]hore|SimQ[u]eue|RuntimeH[a]ndle|TransferE[r]ror|set_link_[e]nabled|deregister_[t]hread|instantaneous_[r]ate|Watchdog[C]onfig|FlightR[e]corder|partition_[w]indow|merge_by_[k]ey|shard_[o]f|--sh[a]rds|sim::sh[a]rd|cut_points_paral[l]el|WorkerP[o]ol|par_map_ind[e]xed|ingest_thre[a]ds|resync_sk[i]ps|--cuts-[o]ut|ChunkSt[a]ts|GearH[a]sh|ChunkerK[i]nd|ingest_g[e]ar|gear_cut_p[o]ints|gear_r[o]ll|GEAR_[W]INDOW|with_p[o]ly|set_flat_prob[a]bility|frame_ch[u]nks|unframe_ch[u]nks|op_file_n[a]me|my_fr[a]mes|parse_op_file_n[a]me|bench_opl[o]g|BENCH_opl[o]g|compare_opl[o]g|compare_fl[e]et|validate_opl[o]g|BenchUploadP[o]licy|BenchDownloadP[o]licy|BenchBl[o]ck|RabinH[a]sh::new\([^)]|fn w[i]ndow\(' \
+if grep -rnE '\bEvent::|Traced[E]vent|--metrics-[o]ut|--trace-[o]ut|--series-[o]ut|trace_[r]eport|Health[T]racker|Health[B]oard|Cloud[H]ealth|Health[C]onfig|to_json_with_[h]ealth|unidrive-[h]ealth/v1|native_[a]ppend|supports_conditional_[p]ut|max_object_[b]ytes|run_[a]ll|meta_mode_from_[a]rgs|FleetLock[P]arams|LOCK_[O]PS|OPLOG_APPEND_[O]PS|OPLOG_COMPACT_[O]PS|Sema[p]hore|SimQ[u]eue|RuntimeH[a]ndle|TransferE[r]ror|set_link_[e]nabled|deregister_[t]hread|instantaneous_[r]ate|Watchdog[C]onfig|FlightR[e]corder|partition_[w]indow|merge_by_[k]ey|shard_[o]f|--sh[a]rds|sim::sh[a]rd|cut_points_paral[l]el|WorkerP[o]ol|par_map_ind[e]xed|ingest_thre[a]ds|resync_sk[i]ps|--cuts-[o]ut|ChunkSt[a]ts|GearH[a]sh|ChunkerK[i]nd|ingest_g[e]ar|gear_cut_p[o]ints|gear_r[o]ll|GEAR_[W]INDOW|with_p[o]ly|set_flat_prob[a]bility|frame_ch[u]nks|unframe_ch[u]nks|op_file_n[a]me|my_fr[a]mes|parse_op_file_n[a]me|bench_opl[o]g|BENCH_opl[o]g|compare_opl[o]g|compare_fl[e]et|validate_opl[o]g|BenchUploadP[o]licy|BenchDownloadP[o]licy|BenchBl[o]ck|RabinH[a]sh::new\([^)]|fn w[i]ndow\(|detach_after_availa[b]ility|UploadOpt[i]ons|set_chunk_thre[s]hold' \
     crates src tests examples ci.sh; then
     echo "    retired name found (see matches above)"
     exit 1
@@ -92,8 +95,7 @@ echo "==> one door to block storage: block objects are touched by the transfer e
 # #[cfg(test)]) puts, gets or deletes a block_path(..) on a cloud
 # itself, and the retired entry points stay out of the public API, as
 # do the policy trait and its job type: outside unidrive-core a batch
-# is a StaticPlan (the crate docs still name the trait, so only
-# `pub use` lines are checked for those two).
+# is a StaticPlan, and the crate docs name neither.
 for f in crates/core/src/*.rs; do
     [ "$f" = crates/core/src/engine.rs ] && continue
     if ! awk '/^#\[cfg\(test\)\]/ { exit }
@@ -103,7 +105,7 @@ for f in crates/core/src/*.rs; do
         exit 1
     fi
 done
-if grep -nE 'run_upload|run_download|scan_changes|TransferEngine|Watchdog[C]onfig|^pub use .*\b(TransferPolicy|JobDesc)\b' crates/core/src/lib.rs; then
+if grep -nE 'run_upload|run_download|scan_changes|TransferEngine|Watchdog[C]onfig|\b(TransferPolicy|JobDesc)\b' crates/core/src/lib.rs; then
     echo "    retired name back in unidrive-core's public API"
     exit 1
 fi

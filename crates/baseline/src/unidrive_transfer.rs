@@ -9,7 +9,7 @@ use std::time::Duration;
 use unidrive_util::bytes::Bytes;
 use unidrive_util::sync::Mutex;
 use unidrive_cloud::{CloudError, CloudSet};
-use unidrive_core::{DataPlane, DataPlaneConfig, SegmentFetch, UploadOptions, UploadRequest};
+use unidrive_core::{DataPlane, DataPlaneConfig, SegmentFetch, UploadRequest};
 use unidrive_meta::{BlockRef, SegmentId};
 use unidrive_sim::Runtime;
 
@@ -57,7 +57,8 @@ impl UniDriveTransfer {
                 data,
             }],
             &HashSet::new(),
-            UploadOptions::default(),
+            None,
+            None,
         );
         let Some(available) = report.available_duration() else {
             return Err(CloudError::transient("upload did not reach availability"));

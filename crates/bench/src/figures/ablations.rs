@@ -10,8 +10,7 @@ use std::time::Duration;
 use crate::{figures::Ctx, paper_plane};
 use unidrive_util::bytes::Bytes;
 use unidrive_core::{
-    DataPlane, DataPlaneConfig, LockConfig, QuorumLock, SegmentFetch, UploadOptions,
-    UploadRequest,
+    DataPlane, DataPlaneConfig, LockConfig, QuorumLock, SegmentFetch, UploadRequest,
 };
 use unidrive_meta::SegmentId;
 use unidrive_obs::Obs;
@@ -37,7 +36,8 @@ fn upload_avail_secs(plane: &DataPlane, data: &Bytes, tag: &str) -> Option<f64> 
             data: data.clone(),
         }],
         &HashSet::new(),
-        UploadOptions::default(),
+        None,
+        None,
     );
     report.available_duration().map(|d| d.as_secs_f64())
 }
@@ -90,7 +90,8 @@ pub fn run(cx: &Ctx) {
                         data: data.clone(),
                     }],
                     &HashSet::new(),
-                    UploadOptions::default(),
+                    None,
+                    None,
                 );
                 if !report.all_available() {
                     continue;
@@ -140,7 +141,7 @@ pub fn run(cx: &Ctx) {
                         data: random_bytes(size / 8, 2200 + rep as u64 * 10 + i),
                     })
                     .collect();
-                let (report, _) = plane.upload_files(requests, &HashSet::new(), UploadOptions::default());
+                let (report, _) = plane.upload_files(requests, &HashSet::new(), None, None);
                 if let Some(d) = report.available_duration() {
                     out.push(d.as_secs_f64());
                 }

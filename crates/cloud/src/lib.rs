@@ -60,7 +60,7 @@ pub use observed::ObservedCloud;
 pub use qps::{QpsSeries, TokenBucket};
 pub use retry::{Retry, RetryPolicy};
 pub use s3::{S3Cloud, S3Endpoint};
-pub use sim_cloud::{FailureProfile, SimCloud, SimCloudConfig, TrafficCounters, TrafficSnapshot};
+pub use sim_cloud::{FailureProfile, SimCloud, SimCloudConfig, TrafficSnapshot};
 pub use store::{
     split_path, validate_path, CloudCaps, CloudId, CloudSet, CloudStore, ObjectInfo,
 };

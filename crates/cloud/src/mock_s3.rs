@@ -31,8 +31,8 @@
 //! fail with 500/503 (throttling adds `Retry-After: 0`), letting
 //! integration tests drive the retry path over real sockets with a
 //! seeded, deterministic fault budget. Responses whose body is at
-//! least the configured chunk threshold go out chunked, exercising the
-//! client's de-chunking path.
+//! least [`CHUNK_THRESHOLD`] bytes go out chunked, so both of the
+//! client's body decoders are exercised.
 
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -53,6 +53,9 @@ use crate::{CloudError, CloudStore, MemCloud};
 const IDLE_POLL: Duration = Duration::from_millis(25);
 /// Read timeout once a request has started arriving.
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(5);
+/// Response bodies at or above this many bytes are sent with chunked
+/// transfer-encoding; smaller ones carry a `Content-Length`.
+const CHUNK_THRESHOLD: usize = 64 * 1024;
 
 /// Shared fault-injection and accounting state.
 struct Hooks {
@@ -61,8 +64,6 @@ struct Hooks {
     throttle: AtomicU32,
     requests: AtomicU64,
     faults_injected: AtomicU64,
-    /// Response bodies at or above this many bytes are sent chunked.
-    chunk_threshold: AtomicUsize,
     /// Maximum keys per listing page (real S3: 1000).
     page_size: AtomicUsize,
 }
@@ -99,7 +100,6 @@ impl MockS3 {
             throttle: AtomicU32::new(0),
             requests: AtomicU64::new(0),
             faults_injected: AtomicU64::new(0),
-            chunk_threshold: AtomicUsize::new(64 * 1024),
             page_size: AtomicUsize::new(1000),
         });
         let stop = Arc::new(AtomicBool::new(false));
@@ -162,12 +162,6 @@ impl MockS3 {
     /// carrying `Retry-After: 0`.
     pub fn throttle_next(&self, count: u32) {
         self.hooks.throttle.fetch_add(count, Ordering::SeqCst);
-    }
-
-    /// Response bodies at or above `bytes` are sent with chunked
-    /// transfer-encoding (default 64 KiB; `usize::MAX` disables).
-    pub fn set_chunk_threshold(&self, bytes: usize) {
-        self.hooks.chunk_threshold.store(bytes, Ordering::SeqCst);
     }
 
     /// Caps listing pages at `keys` entries (default 1000, mirroring
@@ -239,8 +233,7 @@ fn serve_connection(stream: TcpStream, store: &MemCloud, hooks: &Hooks, stop: &A
             Some(resp) => resp,
             None => handle(&req, store, hooks),
         };
-        let threshold = hooks.chunk_threshold.load(Ordering::SeqCst);
-        if send(reader.get_mut(), &resp, threshold).is_err() {
+        if send(reader.get_mut(), &resp, CHUNK_THRESHOLD).is_err() {
             return;
         }
     }

@@ -93,18 +93,18 @@ impl SimCloudConfig {
 
 /// Cumulative traffic counters of a [`SimCloud`] (monotonic).
 #[derive(Debug, Default)]
-pub struct TrafficCounters {
+struct TrafficCounters {
     /// Payload + overhead bytes sent client → cloud.
-    pub uploaded_bytes: AtomicU64,
+    uploaded_bytes: AtomicU64,
     /// Payload + overhead bytes sent cloud → client.
-    pub downloaded_bytes: AtomicU64,
+    downloaded_bytes: AtomicU64,
     /// Successful API requests.
-    pub ok_requests: AtomicU64,
+    ok_requests: AtomicU64,
     /// Failed API requests (transient failures and unavailability).
-    pub failed_requests: AtomicU64,
+    failed_requests: AtomicU64,
 }
 
-/// Point-in-time snapshot of [`TrafficCounters`].
+/// Point-in-time snapshot of a [`SimCloud`]'s traffic counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TrafficSnapshot {
     /// Payload + overhead bytes sent client → cloud.
@@ -162,7 +162,7 @@ pub struct SimCloud {
     overhead: u64,
     rng: Mutex<SimRng>,
     available: AtomicBool,
-    counters: Arc<TrafficCounters>,
+    counters: TrafficCounters,
     /// Disjoint (start, end) degraded windows, sorted by start.
     degraded_windows: Mutex<Vec<(Time, Time)>>,
     obs: Mutex<Obs>,
@@ -208,7 +208,7 @@ impl SimCloud {
             overhead: config.request_overhead_bytes,
             rng: Mutex::new(rng),
             available: AtomicBool::new(true),
-            counters: Arc::new(TrafficCounters::default()),
+            counters: TrafficCounters::default(),
             degraded_windows: Mutex::new(Vec::new()),
             obs: Mutex::new(Obs::noop()),
         }
@@ -258,11 +258,6 @@ impl SimCloud {
     /// disjoint.
     pub fn set_degraded_windows(&self, windows: Vec<(Time, Time)>) {
         *self.degraded_windows.lock() = windows;
-    }
-
-    /// Shared handle to this cloud's traffic counters.
-    pub fn counters(&self) -> Arc<TrafficCounters> {
-        Arc::clone(&self.counters)
     }
 
     /// Snapshot of the traffic counters.

@@ -25,7 +25,7 @@ use unidrive_obs::SpanId;
 use unidrive_sim::{Runtime, SimRng};
 
 use crate::dataplane::{DataPlane, LocalBase, UploadRequest};
-use crate::upload::{BlockSink, UploadOptions};
+use crate::upload::BlockSink;
 use crate::folder::{LocalChange, LocalStat, SyncFolder};
 use crate::lock_plane::LockPlane;
 use crate::oplog_plane::OplogPlane;
@@ -435,34 +435,13 @@ impl UniDriveClient {
         let (upload, segmentations) = self.plane.upload_files(
             requests,
             &known,
-            UploadOptions {
-                detach_after_availability: true,
-                sink: Some(std::sync::Arc::clone(&self.pending_blocks)),
-                parent_span: round,
-            },
+            Some(Arc::clone(&self.pending_blocks)),
+            round,
         );
 
         // 2. Build the local image v_l with the files whose uploads
-        //    completed; defer the rest to the next pass. Start by
-        //    draining placements that background reliability workers
-        //    reported since the last commit.
+        //    completed; defer the rest to the next pass.
         let mut local = self.original.clone();
-        let drained: Vec<(SegmentId, BlockRef)> =
-            std::mem::take(&mut *self.pending_blocks.lock());
-        let mut drained_new = false;
-        let mut unrecorded = Vec::new();
-        for &(id, block) in &drained {
-            // Only record blocks for segments the metadata still tracks.
-            // One it does not track is this pass's own upload (recorded
-            // from the report below) or a straggler of a segment GC has
-            // already dropped, which no image will name again:
-            // `unpooled` deletes those at the end of the pass.
-            if local.segment(&id).is_some() {
-                drained_new |= local.record_block(id, block);
-            } else {
-                unrecorded.push((id, block));
-            }
-        }
         let mut committed_stats: BTreeMap<String, Option<LocalStat>> = BTreeMap::new();
         for (result, segmentation) in upload.files.iter().zip(&segmentations) {
             if result.available_at.is_none() {
@@ -484,9 +463,23 @@ impl UniDriveClient {
             report.uploaded.push(segmentation.path.clone());
             committed_stats.insert(segmentation.path.clone(), Some(stat));
         }
-        if !report.uploaded.is_empty() {
-            for (id, block) in &upload.blocks {
-                local.record_block(*id, *block);
+        // The sink is the one way a landed block reaches the image: it
+        // holds this pass's placements and those background reliability
+        // workers reported since the last commit. Drain it only now that
+        // this pass's segments are pooled, so that none is missed.
+        let drained: Vec<(SegmentId, BlockRef)> =
+            std::mem::take(&mut *self.pending_blocks.lock());
+        let mut drained_new = false;
+        let mut unrecorded = Vec::new();
+        for &(id, block) in &drained {
+            // Only record blocks for segments the metadata tracks. One it
+            // does not track is a deferred file's or a straggler of a
+            // segment GC has already dropped, which no image will name
+            // again: `unpooled` deletes those at the end of the pass.
+            if local.segment(&id).is_some() {
+                drained_new |= local.record_block(id, block);
+            } else {
+                unrecorded.push((id, block));
             }
         }
         for (change, _) in &changes {

@@ -18,7 +18,7 @@ use crate::engine::{run_batch, EngineParams, WireOp};
 use crate::plan::DataPlaneConfig;
 use crate::probe::BandwidthProbe;
 use crate::static_plan::StaticPlan;
-use crate::upload::{FileUpload, SegmentData, UploadOptions, UploadReport};
+use crate::upload::{BlockSink, FileUpload, SegmentData, UploadReport};
 
 /// A file (path + content) handed to [`DataPlane::upload_files`].
 #[derive(Debug, Clone)]
@@ -149,15 +149,21 @@ impl DataPlane {
 
     /// Uploads a batch of files: segments them, skips segments in
     /// `known` (deduplication against the current metadata), and runs
-    /// the two-phase over-provisioning scheduler. Returns the upload
-    /// report plus the per-file segmentations (for metadata snapshots).
-    /// `options` selects availability detach, the asynchronous block
-    /// sink and the parent span ([`UploadOptions::default`]: none).
+    /// the two-phase over-provisioning scheduler under `parent`'s span.
+    /// Returns the upload report plus the per-file segmentations (for
+    /// metadata snapshots).
+    ///
+    /// Without a `sink` the call returns when the batch is done and the
+    /// report's `blocks` are every placement. With one, every placement
+    /// goes to the sink as it lands, and the call returns once every
+    /// file is *available* (k blocks of each segment): the
+    /// reliability-second work runs on in the background.
     pub fn upload_files(
         &self,
         requests: Vec<UploadRequest>,
         known: &HashSet<SegmentId>,
-        options: UploadOptions,
+        sink: Option<BlockSink>,
+        parent: Option<SpanId>,
     ) -> (UploadReport, Vec<FileSegmentation>) {
         let mut segmentations = Vec::new();
         let mut uploads = Vec::new();
@@ -186,7 +192,7 @@ impl DataPlane {
                 segments: to_send,
             });
         }
-        (self.run_upload(uploads, options), segmentations)
+        (self.run_upload(uploads, sink, parent), segmentations)
     }
 
     /// Downloads a whole file per the metadata `image`.
@@ -422,7 +428,8 @@ mod tests {
                 data: data.clone(),
             }],
             &HashSet::new(),
-            UploadOptions::default(),
+            None,
+            None,
         );
         assert!(report.all_available());
 
@@ -469,7 +476,8 @@ mod tests {
                 data: data.clone(),
             }],
             &HashSet::new(),
-            UploadOptions::default(),
+            None,
+            None,
         );
         assert!(!first.blocks.is_empty());
         let known: HashSet<SegmentId> = segs[0].segments.iter().map(|(id, _)| *id).collect();
@@ -479,7 +487,8 @@ mod tests {
                 data,
             }],
             &known,
-            UploadOptions::default(),
+            None,
+            None,
         );
         assert!(second.all_available());
         assert!(second.blocks.is_empty(), "dedup hit must transfer nothing");
@@ -495,7 +504,8 @@ mod tests {
                 data,
             }],
             &HashSet::new(),
-            UploadOptions::default(),
+            None,
+            None,
         );
         let mut image = SyncFolderImage::new();
         for (id, len) in &segs[0].segments {
@@ -603,7 +613,8 @@ mod tests {
                 data: data.clone(),
             }],
             &HashSet::new(),
-            UploadOptions::default(),
+            None,
+            None,
         );
         let layout = segs[0].segments.clone();
         assert!(layout.len() > 3, "want a multi-segment file");
@@ -688,7 +699,8 @@ mod tests {
                 data: data.clone(),
             }],
             &HashSet::new(),
-            UploadOptions::default(),
+            None,
+            None,
         );
         assert!(segs[0].segments.len() > 2, "expected multiple segments");
         let mut image = SyncFolderImage::new();

@@ -529,7 +529,7 @@ fn finish_check(st: &mut DownloadState, k: usize, failures: &mut Vec<DownloadErr
 mod tests {
     use super::*;
     use crate::plan::DataPlaneConfig;
-    use crate::upload::{FileUpload, SegmentData, UploadOptions};
+    use crate::upload::{FileUpload, SegmentData};
     use unidrive_cloud::{CloudSet, CloudStore, SimCloud, SimCloudConfig};
     use unidrive_crypto::Sha1;
     use unidrive_erasure::RedundancyConfig;
@@ -578,7 +578,8 @@ mod tests {
                     data: Bytes::from(data.clone()),
                 }],
             }],
-            UploadOptions::default(),
+            None,
+            None,
         );
         assert!(report.all_available());
         let blocks = report

@@ -21,10 +21,13 @@
 //!   pull-based download with in-channel probing, and add/remove-cloud
 //!   rebalancing. `DataPlane` is the one door to block storage: every
 //!   block put, get and delete — upload, download, garbage collection,
-//!   [`trim_overprovisioned`], [`remove_cloud`]/[`add_cloud`] — is a
-//!   `TransferPolicy` run by the one transfer engine ([`run_batch`]),
-//!   dynamic for upload and download, the static [`StaticPlan`] for the
-//!   rest.
+//!   [`trim_overprovisioned`], [`remove_cloud`]/[`add_cloud`] — is one
+//!   batch of the one transfer engine, under a scheduling policy that
+//!   is dynamic for upload and download and the static [`StaticPlan`]
+//!   for the rest (outside this crate a batch is a `StaticPlan` run by
+//!   [`run_batch`]). [`DataPlane::upload_files`] given a [`BlockSink`]
+//!   returns once every file is available and reports each placement
+//!   to the sink, the one way the client learns where a block landed.
 //!
 //! The same code runs under wall-clock or deterministic virtual time —
 //! see [`unidrive_sim`].
@@ -68,4 +71,4 @@ pub use probe::BandwidthProbe;
 pub use rebalance::{add_cloud, remove_cloud, RebalanceError, RebalanceOutcome};
 pub use static_plan::StaticPlan;
 pub use unidrive_meta::LockConfig;
-pub use upload::{BlockSink, FileUploadResult, UploadOptions, UploadReport};
+pub use upload::{BlockSink, FileUploadResult, UploadReport};

@@ -146,7 +146,8 @@ mod tests {
                 data: data.clone(),
             }],
             &HashSet::new(),
-            crate::UploadOptions::default(),
+            None,
+            None,
         );
         assert!(report.all_available());
         let mut image = SyncFolderImage::new();

@@ -45,26 +45,11 @@ pub(crate) struct SegmentData {
     pub data: Bytes,
 }
 
-/// Shared sink collecting `(segment, block)` placements that complete
-/// *after* an upload call returned (paper §5.1: block locations are "set
-/// asynchronously via callback"). The client drains it at its next
-/// metadata commit.
+/// Shared sink receiving every `(segment, block)` placement of an
+/// upload batch, those that land after the call returned included
+/// (paper §5.1: block locations are "set asynchronously via callback").
+/// The client drains it at its next metadata commit.
 pub type BlockSink = Arc<Mutex<Vec<(SegmentId, BlockRef)>>>;
-
-/// Options controlling one upload batch.
-#[derive(Debug, Clone, Default)]
-pub struct UploadOptions {
-    /// Return as soon as every file is *available* (k blocks per
-    /// segment); the reliability-second work continues on background
-    /// workers, reporting placements through `sink`.
-    pub detach_after_availability: bool,
-    /// Receives every successful placement (including those after
-    /// detach).
-    pub sink: Option<BlockSink>,
-    /// Causal parent for this batch's `engine.batch` span (usually the
-    /// client's `sync.round` span); `None` makes the batch a root span.
-    pub parent_span: Option<SpanId>,
-}
 
 /// Outcome for one uploaded file.
 #[derive(Debug, Clone)]
@@ -83,7 +68,8 @@ pub struct FileUploadResult {
 pub struct UploadReport {
     /// Per-file outcomes, in request order.
     pub files: Vec<FileUploadResult>,
-    /// Every block successfully placed: feed these to
+    /// Every block placed by the time the call returned — every block
+    /// of the batch when no sink was given: feed these to
     /// [`SyncFolderImage::record_block`](unidrive_meta::SyncFolderImage::record_block).
     pub blocks: Vec<(SegmentId, BlockRef)>,
     /// Blocks that could not be placed anywhere (all candidate clouds
@@ -215,11 +201,13 @@ struct Job {
 impl DataPlane {
     /// Runs one upload batch over the plane's clouds and returns the
     /// report. `uploads` are already segmented and deduplicated —
-    /// [`upload_files`](DataPlane::upload_files) is the path from bytes.
+    /// [`upload_files`](DataPlane::upload_files) is the path from bytes
+    /// and states what `sink` and `parent` do.
     pub(crate) fn run_upload(
         &self,
         uploads: Vec<FileUpload>,
-        options: UploadOptions,
+        sink: Option<BlockSink>,
+        parent: Option<SpanId>,
     ) -> UploadReport {
         let (rt, config) = (&self.rt, &self.config);
         let started = rt.now();
@@ -262,7 +250,7 @@ impl DataPlane {
             files.push((file.path.clone(), plan_ids, None));
         }
 
-        let mut batch_guard = config.obs.span("engine.batch", options.parent_span);
+        let mut batch_guard = config.obs.span("engine.batch", parent);
         batch_guard.attr_str("label", "upload");
         batch_guard.attr_u64("files", uploads.len() as u64);
         let mut params = self.engine.labelled("upload");
@@ -285,33 +273,24 @@ impl DataPlane {
         st.refresh_availability(k, started);
         maybe_finish(&mut st, cap);
 
+        let detach = sink.is_some();
         let policy = UploadPolicy {
             st,
             config: config.clone(),
             codec: Arc::clone(&self.codec),
-            sink: options.sink.clone(),
+            sink,
             k,
             cap,
         };
         let engine = TransferEngine::start(rt, &self.clouds, params, policy);
 
         let fair = config.redundancy.fair_share();
-        if options.detach_after_availability {
-            // Wait only until every file is available (or nothing more can
-            // make progress); the reliability work continues on the detached
+        if detach {
+            // Wait only until every file is stamped available (or nothing
+            // more can make progress); `on_success` stamps under the lock
+            // this reads. The reliability work continues on the detached
             // workers and reports through the sink.
-            let rt2 = Arc::clone(rt);
-            engine.wait_until(move |p| {
-                let all_avail =
-                    p.st.files.iter().all(|(_, _, at)| at.is_some()) || p.st.all_available(p.k);
-                if all_avail {
-                    // Stamp availability in case the check above hit the
-                    // computed path.
-                    let now = rt2.now();
-                    p.st.refresh_availability(p.k, now);
-                }
-                all_avail
-            });
+            engine.wait_until(|p| p.st.files.iter().all(|(_, _, at)| at.is_some()));
             let finished = rt.now();
             let report = engine.with(|p| build_report(&p.st, n_clouds, fair, started, finished));
             engine.detach(); // tasks keep running on their own threads
@@ -677,7 +656,7 @@ mod tests {
     #[test]
     fn upload_places_fair_share_everywhere() {
         let (_sim, plane) = setup(1, &[1e6; 5]);
-        let report = plane.run_upload(vec![make_file("f", 300_000, 3)], UploadOptions::default());
+        let report = plane.run_upload(vec![make_file("f", 300_000, 3)], None, None);
         assert!(report.all_available());
         assert!(report.files[0].reliable);
         assert_eq!(report.unplaced_blocks, 0);
@@ -692,7 +671,7 @@ mod tests {
     fn over_provisioning_gives_fast_clouds_more_blocks() {
         // Cloud 0 is 10x faster than the rest.
         let (_sim, plane) = setup(2, &[10e6, 1e6, 1e6, 1e6, 1e6]);
-        let report = plane.run_upload(vec![make_file("f", 600_000, 5)], UploadOptions::default());
+        let report = plane.run_upload(vec![make_file("f", 600_000, 5)], None, None);
         assert!(report.all_available());
         let on_fast = report.blocks.iter().filter(|(_, b)| b.cloud == 0).count();
         let per_seg_cap = plane.config.redundancy.per_cloud_cap();
@@ -706,7 +685,7 @@ mod tests {
     fn security_cap_never_exceeded() {
         let (_sim, plane) = setup(3, &[20e6, 1e6, 1e6, 1e6, 1e6]);
         let files = (0..4).map(|i| make_file(&format!("f{i}"), 200_000, i as u8 + 1)).collect();
-        let report = plane.run_upload(files, UploadOptions::default());
+        let report = plane.run_upload(files, None, None);
         let cap = plane.config.redundancy.per_cloud_cap();
         let mut per_seg_cloud: std::collections::HashMap<(SegmentId, u16), usize> =
             std::collections::HashMap::new();
@@ -734,7 +713,7 @@ mod tests {
         // 200), and availability is not held up by extras queued before
         // later files' normal blocks.
         let (_sim, plane) = setup(11, &[1e6; 5]);
-        let report = plane.run_upload(files(20, 100_000), UploadOptions::default());
+        let report = plane.run_upload(files(20, 100_000), None, None);
         assert!(report.all_available());
         assert!(report.blocks.len() <= 130, "{} blocks placed", report.blocks.len());
         let available = report.available_duration().unwrap();
@@ -746,7 +725,7 @@ mod tests {
         // Over-provisioning earns its keep here: the fast clouds take
         // extras while the slowest still pushes its fair share.
         let (_sim, plane) = setup(11, &[4e6, 2e6, 1e6, 0.5e6, 0.25e6]);
-        let report = plane.run_upload(files(16, 1_000_000), UploadOptions::default());
+        let report = plane.run_upload(files(16, 1_000_000), None, None);
         assert!(report.all_available());
         let normal = plane.config.redundancy.normal_block_count() as u16;
         let extras_on_fastest = report
@@ -779,7 +758,7 @@ mod tests {
             CloudSet::new(members),
             DataPlaneConfig::with_params(RedundancyConfig::new(5, 3, 3, 2).unwrap(), 64 * 1024),
         );
-        let report = plane.run_upload(vec![make_file("f", 300_000, 7)], UploadOptions::default());
+        let report = plane.run_upload(vec![make_file("f", 300_000, 7)], None, None);
         assert!(report.all_available(), "upload must survive one outage");
         assert!(report
             .blocks
@@ -793,7 +772,7 @@ mod tests {
         let files: Vec<FileUpload> = (0..5)
             .map(|i| make_file(&format!("f{i}"), 150_000, i as u8 + 1))
             .collect();
-        let report = plane.run_upload(files, UploadOptions::default());
+        let report = plane.run_upload(files, None, None);
         assert!(report.all_available());
         assert_eq!(report.timeline.len(), 5);
         // Availability of the last file precedes the end of the batch
@@ -809,7 +788,7 @@ mod tests {
             path: "empty.txt".into(),
             segments: Vec::new(),
         };
-        let report = plane.run_upload(vec![empty], UploadOptions::default());
+        let report = plane.run_upload(vec![empty], None, None);
         assert!(report.all_available());
         assert_eq!(report.blocks.len(), 0);
     }
@@ -820,7 +799,7 @@ mod tests {
         let f1 = make_file("a", 100_000, 9);
         let mut f2 = f1.clone();
         f2.path = "b".into();
-        let report = plane.run_upload(vec![f1, f2], UploadOptions::default());
+        let report = plane.run_upload(vec![f1, f2], None, None);
         assert!(report.all_available());
         let seg_ids: std::collections::HashSet<_> =
             report.blocks.iter().map(|(s, _)| *s).collect();

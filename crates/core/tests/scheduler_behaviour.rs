@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use unidrive_util::bytes::Bytes;
 use unidrive_cloud::{CloudSet, CloudStore, SimCloud, SimCloudConfig};
-use unidrive_core::{DataPlane, DataPlaneConfig, SegmentFetch, UploadOptions, UploadRequest};
+use unidrive_core::{DataPlane, DataPlaneConfig, SegmentFetch, UploadRequest};
 use unidrive_erasure::RedundancyConfig;
 use unidrive_meta::{BlockRef, SegmentId};
 use unidrive_sim::SimRuntime;
@@ -60,7 +60,8 @@ fn upload_one(rig: &Rig, tag: u8) -> UploadOutcome {
             data,
         }],
         &HashSet::new(),
-        UploadOptions::default(),
+        None,
+        None,
     );
     assert!(report.all_available());
     (segs[0].segments.clone(), report.blocks)
@@ -158,7 +159,8 @@ fn download_timeline_orders_segments() {
             data,
         }],
         &HashSet::new(),
-        UploadOptions::default(),
+        None,
+        None,
     );
     let mut by_seg: HashMap<SegmentId, Vec<BlockRef>> = HashMap::new();
     for (id, b) in &report.blocks {
@@ -192,7 +194,7 @@ fn upload_timeline_matches_file_order_under_two_phase() {
             data: content(150_000, i as u8 + 1),
         })
         .collect();
-    let (report, _) = r.plane.upload_files(requests, &HashSet::new(), UploadOptions::default());
+    let (report, _) = r.plane.upload_files(requests, &HashSet::new(), None, None);
     assert!(report.all_available());
     assert_eq!(report.timeline.len(), 6);
     // With equal clouds and equal sizes, availability-first means files
@@ -211,7 +213,8 @@ fn available_duration_is_before_total_duration() {
             data,
         }],
         &HashSet::new(),
-        UploadOptions::default(),
+        None,
+        None,
     );
     let avail = report.available_duration().expect("available");
     let total = report.total_duration();

@@ -227,21 +227,6 @@ impl PopulationProfile {
         }
     }
 
-    /// Team/enterprise population: tighter sync cadence, more shared
-    /// folders, flatter popularity (teams spread across projects).
-    pub fn team() -> PopulationProfile {
-        PopulationProfile {
-            mean_session_gap_secs: 240.0,
-            dormant_prob: 0.08,
-            mean_dormant_secs: 2.0 * 3600.0,
-            churn_prob: 0.004,
-            session_bytes: BoundedPareto::new(1.4, 8.0 * 1024.0, 128.0 * 1024.0 * 1024.0),
-            hot_fraction: 0.55,
-            hot_zipf_s: 0.8,
-            class_cdf: (0.15, 0.75),
-        }
-    }
-
     /// Deterministic class assignment for `device`, independent of
     /// every sampling stream.
     pub fn class_of(&self, seed: u64, device: u64) -> DeviceClass {

@@ -11,9 +11,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use unidrive::cloud::{CloudId, CloudSet, CloudStore, SimCloud, SimCloudConfig};
-use unidrive::core::{
-    add_cloud, remove_cloud, DataPlane, DataPlaneConfig, UploadOptions, UploadRequest,
-};
+use unidrive::core::{add_cloud, remove_cloud, DataPlane, DataPlaneConfig, UploadRequest};
 use unidrive::erasure::RedundancyConfig;
 use unidrive::meta::{Snapshot, SyncFolderImage};
 use unidrive::sim::SimRuntime;
@@ -56,7 +54,8 @@ fn main() {
             data: data.clone(),
         }],
         &HashSet::new(),
-        UploadOptions::default(),
+        None,
+        None,
     );
     assert!(report.all_available());
     let mut image = SyncFolderImage::new();

@@ -14,11 +14,10 @@ use unidrive::cloud::{
 };
 use unidrive::core::{
     add_cloud, remove_cloud, trim_overprovisioned, ClientConfig, DataPlane, DataPlaneConfig,
-    DownloadError, MemFolder, RebalanceError, SyncFolder, UniDriveClient, UploadOptions,
-    UploadRequest,
+    DownloadError, MemFolder, RebalanceError, SyncFolder, UniDriveClient, UploadRequest,
 };
 use unidrive::erasure::RedundancyConfig;
-use unidrive::meta::Snapshot;
+use unidrive::meta::{Snapshot, BLOCKS_DIR};
 use unidrive::sim::{Runtime, SimRng, SimRuntime, Time};
 
 struct Rig {
@@ -60,6 +59,37 @@ fn client(rig: &Rig, device: &str, folder: &Arc<MemFolder>, seed: u64) -> UniDri
         config,
         SimRng::seed_from_u64(seed),
     )
+}
+
+/// Device "a" over `rig`'s clouds, with list and download refused on
+/// clouds 0–2 over [1000, 2000) s: block uploads go through, the quorum
+/// lock does not.
+fn client_in_metadata_outage(rig: &Rig) -> (Arc<MemFolder>, UniDriveClient) {
+    let rt = rig.sim.clone().as_runtime();
+    let outage = |cloud: usize| {
+        FaultEvent::always(format!("cloud{cloud}"), FaultKind::Outage)
+            .window_secs(1000, 2000)
+            .on_ops(&[CloudOp::List, CloudOp::Download])
+    };
+    let plan = FaultPlan::with_events(3, (0..3).map(outage).collect());
+    let members = rig.clouds.iter().map(|(_, cloud)| {
+        CloudBuilder::new(&rt, Arc::clone(cloud))
+            .chaos(&plan, "")
+            .build()
+            .store
+    });
+    let clouds = CloudSet::new(members.collect());
+    let folder = MemFolder::new();
+    let mut config = ClientConfig::paper_default("a");
+    config.data = data_config(rig);
+    let client = UniDriveClient::new(
+        rt,
+        clouds,
+        Arc::clone(&folder) as Arc<dyn SyncFolder>,
+        config,
+        SimRng::seed_from_u64(1),
+    );
+    (folder, client)
 }
 
 fn content(len: usize, tag: u8) -> Vec<u8> {
@@ -280,29 +310,7 @@ fn a_transiently_failing_delete_does_not_leak_the_block() {
 fn a_failed_commit_keeps_the_placements_it_drained() {
     const SLOW: usize = 4;
     let r = rig(21, &[2e6, 2e6, 2e6, 2e6, 2e3]);
-    let rt = r.sim.clone().as_runtime();
-    let outage = |cloud: usize| {
-        FaultEvent::always(format!("cloud{cloud}"), FaultKind::Outage)
-            .window_secs(1000, 2000)
-            .on_ops(&[CloudOp::List, CloudOp::Download])
-    };
-    let plan = FaultPlan::with_events(3, (0..3).map(outage).collect());
-    let members = r.clouds.iter().map(|(_, cloud)| {
-        CloudBuilder::new(&rt, Arc::clone(cloud))
-            .chaos(&plan, "")
-            .build()
-            .store
-    });
-    let folder = MemFolder::new();
-    let mut config = ClientConfig::paper_default("a");
-    config.data = data_config(&r);
-    let mut a = UniDriveClient::new(
-        rt.clone(),
-        CloudSet::new(members.collect()),
-        Arc::clone(&folder) as Arc<dyn SyncFolder>,
-        config,
-        SimRng::seed_from_u64(1),
-    );
+    let (folder, mut a) = client_in_metadata_outage(&r);
 
     folder.write("first", &content(150_000, 1), 1).unwrap();
     assert_eq!(a.sync_once().unwrap().uploaded, vec!["first"]);
@@ -334,7 +342,7 @@ fn a_failed_commit_keeps_the_placements_it_drained() {
     }
     assert!(a.sync_once().unwrap().is_noop());
     assert_eq!(
-        common::unnamed_block_objects(a.image(), &r.handles),
+        common::unnamed_block_objects(a.image(), r.handles.iter().map(|h| h.backing())),
         Vec::<String>::new()
     );
     let fair = data_config(&r).redundancy.fair_share();
@@ -342,6 +350,52 @@ fn a_failed_commit_keeps_the_placements_it_drained() {
         on_slow(&a).iter().all(|&held| held >= fair),
         "a live segment's fair share on the slow cloud is unrecorded: {:?}",
         on_slow(&a)
+    );
+}
+
+/// A failed pass's own placements are named by the retry that commits
+/// them. `second`'s commit fails in a metadata outage on three clouds,
+/// after some of its blocks landed and while its stragglers land. Its
+/// retry runs with cloud 4 down, so the blocks cloud 4 took in the
+/// first attempt go elsewhere this time; the first attempt's objects on
+/// cloud 4 must still end up named, or GC can never delete them.
+#[test]
+fn a_retry_that_places_elsewhere_names_the_failed_passs_blocks() {
+    const DOWN: usize = 4;
+    let r = rig(22, &[2e6; 5]);
+    let (folder, mut a) = client_in_metadata_outage(&r);
+
+    let blocks_on_down = || {
+        let store = r.handles[DOWN].backing();
+        store.list(BLOCKS_DIR).unwrap_or_default().len()
+    };
+    folder.write("first", &content(150_000, 1), 1).unwrap();
+    assert_eq!(a.sync_once().unwrap().uploaded, vec!["first"]);
+    r.sim.sleep(Time::from_secs(1000) - r.sim.now());
+    let before = blocks_on_down();
+    folder.write("second", &content(90_000, 2), 1).unwrap();
+    assert!(
+        a.sync_once().is_err(),
+        "the metadata outage must fail the commit"
+    );
+
+    // The stragglers land; the retry runs without cloud 4.
+    r.sim.sleep(Time::from_secs(2100) - r.sim.now());
+    assert!(
+        blocks_on_down() > before,
+        "test premise: the failed pass put blocks of `second` on cloud {DOWN}"
+    );
+    r.handles[DOWN].set_available(false);
+    assert_eq!(a.sync_once().unwrap().uploaded, vec!["second"]);
+    r.handles[DOWN].set_available(true);
+    for _ in 0..4 {
+        r.sim.sleep(Duration::from_secs(600));
+        a.sync_once().unwrap();
+    }
+    assert!(a.sync_once().unwrap().is_noop());
+    assert_eq!(
+        common::unnamed_block_objects(a.image(), r.handles.iter().map(|h| h.backing())),
+        Vec::<String>::new()
     );
 }
 
@@ -404,7 +458,8 @@ fn image_of(plane: &DataPlane, data: &[u8]) -> unidrive::meta::SyncFolderImage {
             data: data.to_vec().into(),
         }],
         &Default::default(),
-        UploadOptions::default(),
+        None,
+        None,
     );
     assert!(report.all_available());
     let mut image = unidrive::meta::SyncFolderImage::new();
@@ -597,7 +652,8 @@ fn quota_exhaustion_fails_over_to_other_clouds() {
             data,
         }],
         &Default::default(),
-        UploadOptions::default(),
+        None,
+        None,
     );
     assert!(report.all_available(), "quota failure must not block availability");
     // Cloud 0 holds at most what its quota allowed; other clouds

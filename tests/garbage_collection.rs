@@ -4,11 +4,13 @@
 //! the segment again and no later commit deletes its blocks again — on
 //! either metadata plane, whether or not the later committer had seen
 //! the segment. Content written back on the very next pass gets fresh
-//! blocks at the collected object paths, and keeps them.
+//! blocks at the collected object paths, and keeps them. And GC can
+//! find every block a device stored: its image names each one, even
+//! those its detached uploads land while a pass is still committing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use unidrive::cloud::{
     CloudCaps, CloudError, CloudSet, CloudStore, MemCloud, ObjectInfo, SimCloud, SimCloudConfig,
@@ -22,6 +24,8 @@ use unidrive::meta::{
 };
 use unidrive::sim::{RealRuntime, Runtime, SimRng, SimRuntime};
 use unidrive::util::bytes::Bytes;
+
+mod common;
 
 const THETA: usize = 64 * 1024;
 
@@ -51,6 +55,39 @@ impl CloudStore for DeleteMeter {
         if path.starts_with(BLOCKS_DIR) {
             self.block_deletes.fetch_add(1, Ordering::Relaxed);
         }
+        self.inner.delete(path)
+    }
+    fn caps(&self) -> CloudCaps {
+        self.inner.caps()
+    }
+}
+
+/// Sleeps a fixed delay on the wall clock before each upload it passes
+/// on, so that detached uploads are still landing while the pass that
+/// started them builds its commit.
+struct SlowUploads {
+    inner: Arc<MemCloud>,
+    delay: Duration,
+}
+
+impl CloudStore for SlowUploads {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn upload(&self, path: &str, data: Bytes) -> Result<(), CloudError> {
+        std::thread::sleep(self.delay);
+        self.inner.upload(path, data)
+    }
+    fn download(&self, path: &str) -> Result<Bytes, CloudError> {
+        self.inner.download(path)
+    }
+    fn create_dir(&self, path: &str) -> Result<(), CloudError> {
+        self.inner.create_dir(path)
+    }
+    fn list(&self, path: &str) -> Result<Vec<ObjectInfo>, CloudError> {
+        self.inner.list(path)
+    }
+    fn delete(&self, path: &str) -> Result<(), CloudError> {
         self.inner.delete(path)
     }
     fn caps(&self) -> CloudCaps {
@@ -263,5 +300,53 @@ fn collected_content_comes_back_on_the_very_next_pass() {
         }
         assert_eq!(b.sync_once().unwrap().downloaded, vec!["f.bin"], "{mode:?}");
         assert_eq!(folder_b.read("f.bin").unwrap().to_vec(), f, "{mode:?}");
+    }
+}
+
+/// On the wall clock, blocks go on landing after a pass saw its files
+/// available, some of them before the pass drains the sink. Each pass
+/// rewrites 60 small files; once the detached uploads have landed and
+/// the device has synced until idle, every block object is named.
+#[test]
+fn every_block_a_wall_clock_device_stores_is_named_on_both_planes() {
+    for mode in [MetaMode::Lock, MetaMode::Oplog] {
+        let stores: Vec<Arc<MemCloud>> =
+            (0..5).map(|i| Arc::new(MemCloud::new(format!("c{i}")))).collect();
+        let slow = stores.iter().map(|store| {
+            let delay = Duration::from_micros(200);
+            Arc::new(SlowUploads { inner: Arc::clone(store), delay }) as Arc<dyn CloudStore>
+        });
+        let folder = MemFolder::new();
+        let mut client = UniDriveClient::new(
+            Arc::new(RealRuntime::new()),
+            CloudSet::new(slow.collect()),
+            Arc::clone(&folder) as Arc<dyn SyncFolder>,
+            config("a", mode),
+            SimRng::seed_from_u64(1),
+        );
+        for pass in 0..10 {
+            for i in 0..60 {
+                let data = random_bytes(1024 + (i * 389) % 4096, (pass * 60 + i) as u64);
+                folder.write(&format!("f{i}"), &data, pass as u64 + 1).unwrap();
+            }
+            client.sync_once().unwrap();
+        }
+
+        // Settle: a noop pass over a fully named pool. A block that
+        // lands unnamed only delays this; one that stays unnamed leaked.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            std::thread::sleep(Duration::from_millis(20));
+            let idle = client.sync_once().unwrap().is_noop();
+            let unnamed = common::unnamed_block_objects(client.image(), stores.iter().cloned());
+            if idle && unnamed.is_empty() {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "{mode:?}: {} block objects unnamed after settling: {unnamed:?}",
+                unnamed.len()
+            );
+        }
     }
 }

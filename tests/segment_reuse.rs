@@ -459,7 +459,7 @@ fn a_block_landing_after_its_segment_was_collected_is_deleted() {
     assert!(p.writer.sync_once().unwrap().is_noop());
     assert!(p.writer.image().file("keep.bin").is_some());
     assert_eq!(
-        common::unnamed_block_objects(p.writer.image(), &p.handles),
+        common::unnamed_block_objects(p.writer.image(), p.handles.iter().map(|h| h.backing())),
         Vec::<String>::new()
     );
 }
