@@ -228,9 +228,10 @@ mod tests {
         client
             .upload("f", Bytes::from(vec![1u8; 3 * 1024 * 1024]))
             .unwrap();
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("single.upload.blocks_dispatched"), 3);
-        assert_eq!(snap.counter("single.upload.blocks_completed"), 3);
-        assert_eq!(snap.counter("single.upload.cloud.c.blocks"), 3);
+        let series = registry.series_snapshot();
+        assert_eq!(series.merged("single.upload.blocks_dispatched").sum, 3);
+        assert_eq!(series.merged("single.upload.block_ns").count, 3);
+        let on_c = series.entry("single.upload.block_ns", "c").expect("cloud c's blocks");
+        assert_eq!(on_c.merged().count, 3);
     }
 }

@@ -17,9 +17,9 @@
 //! Usage: `bench_fleet [quick] [--seed N] [--meta-mode lock|oplog]
 //! [--out BENCH_fleet.json] [--obs-out OBS.json]`; a `--seed` that is
 //! not a number exits 2.
-//! `--obs-out` writes the obs bundle: the counters mirrored into a
-//! standard `snapshot` plus the windowed per-cloud/workload `series`
-//! (byte-identical across same-seed runs — CI byte-compares two);
+//! `--obs-out` writes the obs bundle: the fleet's windowed
+//! per-cloud/workload `series` (byte-identical across same-seed runs —
+//! CI byte-compares two);
 //! `obs_report` derives the per-cloud availability lanes from its
 //! `cloud.ops` / `cloud.err` series.
 
@@ -177,13 +177,8 @@ fn main() {
         );
     }
 
-    // Mirror the counters into the obs registry so the --obs-out
-    // bundle carries a standard snapshot; its series are the fleet's
-    // own bank, not registry cells.
-    for (name, v) in &m.counters {
-        metrics.obs.add(&format!("fleet.{name}"), *v);
-    }
-    metrics.obs.set_gauge("fleet.virtual_end_secs", m.virtual_end_ns as f64 / 1e9);
+    // The --obs-out bundle's series are the fleet's own bank, not
+    // registry cells.
     metrics.write_with_series(&m.series_json());
 
     let json = m.to_json();

@@ -66,7 +66,6 @@ use unidrive_core::{MemFolder, SyncFolder, UniDriveClient};
 use unidrive_meta::MetaMode;
 use unidrive_obs::{
     bundle_json, lane_span, FieldValue, HealthLane, HealthState, Obs, Registry, SpanRecord,
-    DEFAULT_SERIES_WINDOW_NS,
 };
 use unidrive_sim::{spawn, SimRng, SimRuntime};
 
@@ -92,7 +91,7 @@ struct RoundOutcome {
     sync_errors: usize,
     /// Faults the chaos layer injected.
     injected: u64,
-    /// Canonicalized obs snapshot of the round, when requested.
+    /// Canonicalized obs trace of the round, when requested.
     flight: Option<String>,
 }
 
@@ -334,7 +333,7 @@ struct HealthOutcome {
 /// the fault window must demonstrably move the targeted cloud's
 /// derived lane out of `healthy` and the close of the window must
 /// bring it back. When `bundle_path` is set, the round's obs bundle —
-/// trace, snapshot, windowed series — is written there: virtual-time
+/// trace and windowed series — is written there: virtual-time
 /// deterministic, same seed ⇒ byte-identical.
 fn health_round(bundle_path: Option<&str>) -> HealthOutcome {
     let plan = FaultPlan::with_events(
@@ -345,7 +344,6 @@ fn health_round(bundle_path: Option<&str>) -> HealthOutcome {
     let sim = SimRuntime::new(plan.seed);
     let rt = sim.clone().as_runtime();
     let registry = Registry::with_trace_capacity(obs_out::EXPORT_SPAN_CAPACITY);
-    registry.enable_series(DEFAULT_SERIES_WINDOW_NS);
     let obs = Obs::with_registry(Arc::clone(&registry));
     sim.install_obs(obs.clone());
 

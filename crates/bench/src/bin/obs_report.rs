@@ -1,6 +1,6 @@
 //! **Obs report** — the one reader of the one run artefact: digest and
 //! validator for the `--obs-out` bundle the benches and the fleet sim
-//! write (schema `unidrive-obs/v3`, see `unidrive_obs::bundle_json`).
+//! write (schema `unidrive-obs/v4`, see `unidrive_obs::bundle_json`).
 //! It reads whatever sections the file holds.
 //!
 //! ```sh
@@ -620,16 +620,6 @@ fn validate(doc: &Json) -> Vec<String> {
                 .into_iter()
                 .map(|e| format!("trace: {e}")),
         );
-        for map in ["counters", "gauges", "histograms"] {
-            if doc
-                .get("snapshot")
-                .and_then(|s| s.get(map))
-                .and_then(Json::as_obj)
-                .is_none()
-            {
-                errs.push(format!("snapshot: missing {map} object"));
-            }
-        }
     }
     if let Some(series) = series {
         errs.extend(validate_series(series));
@@ -736,8 +726,8 @@ mod tests {
     }
 
     /// A bundle whose trace is `events` (each `(span_id, parent, ph,
-    /// dur)`) after `dropped` evictions, with a valid snapshot and the
-    /// given extra top-level members.
+    /// dur)`) after `dropped` evictions, with the given extra top-level
+    /// members.
     fn bundle(dropped: u64, events: &[(u64, u64, &str, f64)], extra: &str) -> Json {
         let events: Vec<String> = events
             .iter()
@@ -749,8 +739,7 @@ mod tests {
             })
             .collect();
         parse_json(&format!(
-            "{{\"schema\": \"unidrive-obs/v3\", \"droppedSpans\": {dropped}, \"traceEvents\": [{}], \
-             \"snapshot\": {{\"counters\": {{}}, \"gauges\": {{}}, \"histograms\": {{}}}}{extra}}}",
+            "{{\"schema\": \"unidrive-obs/v4\", \"droppedSpans\": {dropped}, \"traceEvents\": [{}]{extra}}}",
             events.join(", ")
         ))
         .unwrap()

@@ -188,16 +188,14 @@ pub fn systems_at(sim: &Arc<SimRuntime>, site: Site, theta: usize, obs: &Obs) ->
 
 /// `--obs-out <path>` support shared by the bench binaries: when
 /// the flag is present the binary records the run into a
-/// registry-backed [`Obs`] (windowed series on) and on exit writes the
-/// one run artefact — [`unidrive_obs::bundle_json`]: Perfetto-loadable
-/// `traceEvents`, the `snapshot` of counters/gauges/histograms, and the
-/// windowed `series` — to that path; `obs_report` digests and
-/// validates it. Without the flag the returned handle is a no-op and
-/// the run pays only an `Option` branch per instrumentation site.
+/// registry-backed [`Obs`] and on exit writes the one run artefact —
+/// [`unidrive_obs::bundle_json`]: Perfetto-loadable `traceEvents` and
+/// the windowed `series`, the run's metrics — to that path;
+/// `obs_report` digests and validates it. Without the flag the
+/// returned handle is a no-op and the run pays only an `Option` branch
+/// per instrumentation site.
 pub mod obs_out {
-    use unidrive_obs::{
-        bundle_json, HistogramSnapshot, Obs, Registry, Snapshot, DEFAULT_SERIES_WINDOW_NS,
-    };
+    use unidrive_obs::{bundle_json, HistogramSnapshot, Obs, Registry, SeriesKind, Snapshot};
 
     /// Span-ring capacity used for exported runs: large enough that a
     /// full figure run keeps every span and instant, so the export
@@ -219,14 +217,11 @@ pub mod obs_out {
         }
     }
 
-    /// An export to `path` (the value of `--obs-out`): a real registry
-    /// collecting windowed series at [`DEFAULT_SERIES_WINDOW_NS`];
-    /// `None`, the flag absent, is the no-op handle.
+    /// An export to `path` (the value of `--obs-out`): a real
+    /// registry; `None`, the flag absent, is the no-op handle.
     pub fn to_path(path: Option<String>) -> ObsOut {
         let obs = path.as_ref().map_or_else(Obs::noop, |_| {
-            let registry = Registry::with_trace_capacity(EXPORT_SPAN_CAPACITY);
-            registry.enable_series(DEFAULT_SERIES_WINDOW_NS);
-            Obs::with_registry(registry)
+            Obs::with_registry(Registry::with_trace_capacity(EXPORT_SPAN_CAPACITY))
         });
         ObsOut { obs, path }
     }
@@ -243,8 +238,8 @@ pub mod obs_out {
         )
     }
 
-    /// Writes the run artefact — `snapshot`, canonicalized, plus the
-    /// `series` document — to `path` and announces it on stdout. An
+    /// Writes the run artefact — the trace in `snapshot`, canonicalized,
+    /// plus the `series` document — to `path` and announces it on stdout. An
     /// I/O error is reported on stderr, not fatal: the figure output
     /// already printed.
     pub fn write_bundle(path: &str, mut snapshot: Snapshot, series: &str) {
@@ -256,9 +251,9 @@ pub mod obs_out {
     }
 
     impl ObsOut {
-        /// Prints a `p50/p95/p99` summary of every latency histogram
-        /// and writes the registry — trace, snapshot and its windowed
-        /// series — to the `--obs-out` path.
+        /// Prints a `p50/p95/p99` summary of every latency series and
+        /// writes the registry — trace and windowed series — to the
+        /// `--obs-out` path.
         pub fn write(&self) {
             if let Some(registry) = self.obs.registry() {
                 self.write_with_series(&registry.series_snapshot().to_json());
@@ -270,15 +265,26 @@ pub mod obs_out {
         /// come from a deterministic source of their own (the fleet
         /// bench's `SeriesBank`).
         pub fn write_with_series(&self, series: &str) {
-            let (Some(snap), Some(path)) = (self.obs.snapshot(), &self.path) else {
+            let (Some(registry), Some(path)) = (self.obs.registry(), &self.path) else {
                 return;
             };
-            for (name, h) in &snap.histograms {
-                if name.ends_with("_ns") && h.count > 0 {
-                    println!("{name}: {}", fmt_quantiles_ms(h));
+            // A latency is a sample series named `*_ns`; its whole-run
+            // distribution merges every window and label.
+            let own = registry.series_snapshot();
+            let mut latencies: Vec<&str> = own
+                .entries
+                .iter()
+                .filter(|e| e.kind == SeriesKind::Sample && e.metric.ends_with("_ns"))
+                .map(|e| e.metric.as_str())
+                .collect();
+            latencies.dedup();
+            for metric in latencies {
+                let h = own.merged(metric);
+                if h.count > 0 {
+                    println!("{metric}: {}", fmt_quantiles_ms(&h));
                 }
             }
-            write_bundle(path, snap, series);
+            write_bundle(path, registry.snapshot(), series);
         }
     }
 }

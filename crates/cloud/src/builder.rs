@@ -181,7 +181,6 @@ mod tests {
             FaultKind::TransientBurst { probability: 1.0 },
         ));
         let registry = Registry::new();
-        registry.enable_series(1_000_000_000);
         let built = CloudBuilder::new(&rt, Arc::new(MemCloud::new("m")))
             .observed()
             .chaos(&plan, "t")
@@ -191,7 +190,7 @@ mod tests {
         assert!(matches!(err, CloudError::Transient { .. }));
         assert_eq!(built.chaos.as_ref().unwrap().injected_faults(), 1);
         let snap = registry.series_snapshot();
-        let sum = |metric| snap.entry(metric, "m").unwrap().windows[0].stat.sum;
+        let sum = |metric| snap.entry(metric, "m").unwrap().merged().sum;
         assert_eq!(
             (sum("cloud.ops"), sum("cloud.err")),
             (1, 1),

@@ -8,7 +8,7 @@
 //! seeded, serializable schedule of such faults; [`ChaosCloud`] applies
 //! the plan to any [`CloudStore`] deterministically (same plan, same
 //! seed ⇒ same injected faults), emitting a
-//! `chaos.fault` instant and `chaos.*` counters for every injection
+//! `chaos.fault` instant and a `chaos.injected` count for every injection
 //! so invariant checkers can reconcile observed damage against the
 //! schedule.
 //!
@@ -251,9 +251,9 @@ fn escape_json(s: &str) -> String {
 /// Fault gates run in a fixed order before the wrapped operation:
 /// latency spike → outage → quota (uploads) →
 /// transient roll; torn uploads and delayed visibility act on the
-/// operation itself. Every injection increments
-/// `chaos.{cloud}.injected` and `chaos.{cloud}.{kind}` and traces a
-/// `chaos.fault` instant when an [`Obs`] is installed.
+/// operation itself. Every injection adds one to the `chaos.injected`
+/// series labelled by the cloud and traces a `chaos.fault` instant
+/// carrying its kind when an [`Obs`] is installed.
 pub struct ChaosCloud {
     inner: Arc<dyn CloudStore>,
     rt: Arc<dyn Runtime>,
@@ -313,7 +313,7 @@ impl ChaosCloud {
         }
     }
 
-    /// Installs an observability handle for injection counters and
+    /// Installs an observability handle for the injection series and
     /// `chaos.fault` instants.
     pub fn install_obs(&self, obs: Obs) {
         *self.obs.lock() = obs;
@@ -340,8 +340,7 @@ impl ChaosCloud {
         let obs = self.obs.lock().clone();
         if obs.is_enabled() {
             let name = self.inner.name();
-            obs.inc(&format!("chaos.{name}.injected"));
-            obs.inc(&format!("chaos.{name}.{kind}"));
+            obs.series_add("chaos.injected", name, 1);
             obs.instant("chaos.fault", None, || {
                 vec![
                     ("cloud", FieldValue::S(name.to_owned())),
@@ -736,10 +735,13 @@ mod tests {
         let obs = Obs::with_registry(Registry::new());
         c.install_obs(obs.clone());
         let _ = c.upload("x", Bytes::from_static(b"a"));
+        let injected = obs.series_snapshot().unwrap();
+        assert_eq!(injected.entry("chaos.injected", "c0").unwrap().merged().sum, 1);
+        // The fault's kind rides on its instant.
         let snap = obs.snapshot().unwrap();
-        assert_eq!(snap.counter("chaos.c0.injected"), 1);
-        assert_eq!(snap.counter("chaos.c0.outage"), 1);
         assert_eq!(snap.span_count("chaos.fault"), 1);
+        let fault = snap.spans.iter().find(|s| s.name == "chaos.fault").unwrap();
+        assert_eq!(fault.attr("kind"), Some(&unidrive_obs::FieldValue::S("outage".into())));
     }
 
     #[test]

@@ -76,10 +76,11 @@ impl Default for RetryPolicy {
 /// sleeping on a [`Runtime`] between attempts, with optional
 /// observability and span causality.
 ///
-/// * [`obs`](Retry::obs) — each re-attempt increments `retry.attempts`
-///   and records the backoff into the `retry.backoff_ns` histogram;
-///   `retry.recovered` / `retry.exhausted` count how retried operations
-///   ended. Every wire attempt becomes a `wire.attempt` span carrying
+/// * [`obs`](Retry::obs) — each re-attempt records its backoff into
+///   the `retry.backoff_ns` sample series (so its count is the number of
+///   re-attempts); `retry.recovered` / `retry.exhausted` count how
+///   retried operations ended. All three are labelled by the operation
+///   label. Every wire attempt becomes a `wire.attempt` span carrying
 ///   the operation label, the 1-based attempt number, the backoff slept
 ///   before it (re-attempts only), and the outcome.
 /// * [`span`](Retry::span) — parents those `wire.attempt` spans to the
@@ -141,8 +142,8 @@ impl<'a> Retry<'a> {
         }
     }
 
-    /// Attaches observability: retry counters, backoff histogram, and
-    /// `wire.attempt` spans labeled `label`.
+    /// Attaches observability: retry series and `wire.attempt` spans,
+    /// labelled `label`.
     pub fn obs(mut self, obs: &'a Obs, label: &'a str) -> Retry<'a> {
         self.obs = Some(obs);
         self.label = label;
@@ -185,22 +186,21 @@ impl<'a> Retry<'a> {
             match result {
                 Ok(v) => {
                     if attempt > 1 {
-                        obs.inc("retry.recovered");
+                        obs.series_add("retry.recovered", self.label, 1);
                     }
                     return Ok(v);
                 }
                 Err(e) if e.is_retryable() && attempt < self.policy.max_attempts => {
                     attempt += 1;
                     backoff = self.policy.backoff_before(attempt);
-                    obs.inc("retry.attempts");
-                    obs.observe("retry.backoff_ns", backoff.as_nanos() as u64);
+                    obs.series_observe("retry.backoff_ns", self.label, backoff.as_nanos() as u64);
                     if backoff > Duration::ZERO {
                         self.rt.sleep(backoff);
                     }
                 }
                 Err(e) => {
                     if attempt > 1 {
-                        obs.inc("retry.exhausted");
+                        obs.series_add("retry.exhausted", self.label, 1);
                     }
                     return Err(e);
                 }
@@ -272,10 +272,12 @@ mod tests {
         let _: Result<(), _> = Retry::new(&rt, &policy)
             .obs(&obs, "upload")
             .run(|| Err(CloudError::transient("always")));
+        // A re-attempt is one backoff sample.
+        let series = obs.series_snapshot().unwrap();
+        assert_eq!(series.merged("retry.backoff_ns").count, 4); // 2 + 2 re-attempts
+        assert_eq!(series.merged("retry.recovered").sum, 1);
+        assert_eq!(series.merged("retry.exhausted").sum, 1);
         let snap = obs.snapshot().unwrap();
-        assert_eq!(snap.counter("retry.attempts"), 4); // 2 + 2 re-attempts
-        assert_eq!(snap.counter("retry.recovered"), 1);
-        assert_eq!(snap.counter("retry.exhausted"), 1);
         // One span per wire attempt; each re-attempt says what it slept.
         assert_eq!(snap.span_count("wire.attempt"), 6);
         let slept = |s: &&unidrive_obs::SpanRecord| s.attr("backoff_ns").is_some();

@@ -214,9 +214,11 @@ impl SimCloud {
         }
     }
 
-    /// Installs an observability handle. Requests are then counted per
-    /// cloud (`cloud.{name}.requests_ok`/`requests_failed`/`bytes`, a
-    /// `request_bytes` size histogram) and failures traced as
+    /// Installs an observability handle. Requests are then recorded in
+    /// series labelled by the cloud name — each answered request's
+    /// payload as a `simcloud.request_bytes` sample (its count is the
+    /// answered requests), the bytes it moved in `simcloud.bytes`, a
+    /// failure in `simcloud.requests_failed` — and failures traced as
     /// `cloud.op_failed` instants. The handle is also installed on the
     /// engine (see [`SimRuntime::install_obs`]), which points the
     /// registry clock at virtual time so stamps are deterministic.
@@ -232,7 +234,7 @@ impl SimCloud {
     fn count_failure(&self, op: &'static str, bytes: u64, transient: bool) {
         self.counters.failed_requests.fetch_add(1, Ordering::Relaxed);
         let obs = self.obs();
-        obs.inc(&format!("cloud.{}.requests_failed", self.name));
+        obs.series_add("simcloud.requests_failed", &self.name, 1);
         obs.instant("cloud.op_failed", None, || {
             vec![
                 ("cloud", FieldValue::S(self.name.clone())),
@@ -329,11 +331,8 @@ impl SimCloud {
         counter.fetch_add(total, Ordering::Relaxed);
         self.counters.ok_requests.fetch_add(1, Ordering::Relaxed);
         let obs = self.obs();
-        if obs.is_enabled() {
-            obs.inc(&format!("cloud.{}.requests_ok", self.name));
-            obs.add(&format!("cloud.{}.bytes", self.name), total);
-            obs.observe(&format!("cloud.{}.request_bytes", self.name), payload);
-        }
+        obs.series_add("simcloud.bytes", &self.name, total);
+        obs.series_observe("simcloud.request_bytes", &self.name, payload);
         Ok(())
     }
 }

@@ -333,9 +333,6 @@ impl UniDriveClient {
         rspan.attr_str("outcome", outcome);
         rspan.end();
         let obs = &self.config.data.obs;
-        obs.inc("client.sync_rounds");
-        obs.inc(&format!("client.sync_rounds.{outcome}"));
-        obs.observe("client.sync_round_ns", elapsed_ns);
         obs.series_add("client.sync_rounds", outcome, 1);
         obs.series_observe("client.sync_round_ns", self.config.device.as_str(), elapsed_ns);
         result

@@ -92,9 +92,7 @@ impl DataPlane {
             "redundancy config is for a different number of clouds"
         );
         let codec = Arc::new(Codec::for_config(&config.redundancy).expect("validated config"));
-        let probe = Arc::new(
-            BandwidthProbe::new(clouds.len(), 1_000_000.0).with_obs(config.obs.clone()),
-        );
+        let probe = Arc::new(BandwidthProbe::new(clouds.len(), 1_000_000.0));
         let mut engine = EngineParams::new(
             "",
             config.connections_per_cloud,
@@ -317,8 +315,9 @@ impl DataPlane {
         }
         if !hits.is_empty() {
             let obs = &self.config.obs;
-            obs.add("download.local_segments", hits.len() as u64);
-            obs.add("download.local_bytes", hits.values().map(|b| b.len() as u64).sum());
+            obs.series_add("download.local_segments", "all", hits.len() as u64);
+            let bytes = hits.values().map(|b| b.len() as u64).sum();
+            obs.series_add("download.local_bytes", "all", bytes);
         }
         hits
     }
@@ -627,7 +626,7 @@ mod tests {
         }
         let ids: Vec<SegmentId> = layout.iter().map(|(id, _)| *id).collect();
         let fetch = |base: Bytes| {
-            let before = registry.snapshot();
+            let before = registry.series_snapshot();
             let bases = [LocalBase {
                 data: base,
                 layout: layout.clone(),
@@ -638,9 +637,12 @@ mod tests {
                 .unwrap()
                 .collect();
             assert_eq!(got, vec![data.to_vec()]);
-            let after = registry.snapshot();
-            let grew = |name: &str| after.counter(name) - before.counter(name);
-            (grew("download.local_segments"), grew("download.blocks_completed"))
+            let after = registry.series_snapshot();
+            let grew = |metric: &str| {
+                let (a, b) = (after.merged(metric), before.merged(metric));
+                (a.sum - b.sum, a.count - b.count)
+            };
+            (grew("download.local_segments").0, grew("download.block_ns").1)
         };
 
         let mut longer = data.to_vec();
@@ -676,7 +678,6 @@ mod tests {
         // labelled `rabin`, with sane values.
         let registry = unidrive_obs::Registry::new();
         registry.set_clock(|| 1);
-        registry.enable_series(1_000_000);
         let obs = Obs::with_registry(std::sync::Arc::clone(&registry));
         let (_sim, plane) = plane_with_obs(22, obs);
         let data = content(400_000, 61);

@@ -18,7 +18,7 @@ use unidrive_util::bytes::Bytes;
 use unidrive_cloud::{CloudError, CloudId};
 use unidrive_erasure::Codec;
 use unidrive_meta::{block_path, BlockRef, SegmentId, SyncFolderImage};
-use unidrive_obs::{Obs, SpanId};
+use unidrive_obs::SpanId;
 use unidrive_sim::Time;
 
 use crate::dataplane::DataPlane;
@@ -223,7 +223,7 @@ impl DataPlane {
             failures: Vec::new(),
             codec: Arc::clone(&self.codec),
             probe: Arc::clone(&self.probe),
-            obs: self.config.obs.clone(),
+            truncated_blocks: 0,
             k,
             probing: self.config.probing,
         };
@@ -239,6 +239,17 @@ impl DataPlane {
             ("fetched", fetched),
         ];
         let policy = run_batch(&self.rt, &self.clouds, params, parent, &sizes, policy);
+        // Counted under the policy lock, recorded here: a series record
+        // reads the clock, which under the simulator must not nest in
+        // the scheduler's lock.
+        let obs = &self.config.obs;
+        let over_requests = policy.st.fetches.iter().map(|f| f.over_requests as u64).sum();
+        if over_requests > 0 {
+            obs.series_add("download.over_requests", "all", over_requests);
+        }
+        if policy.truncated_blocks > 0 {
+            obs.series_add("download.truncated_blocks", "all", policy.truncated_blocks);
+        }
         DownloadReport {
             segments: policy.segments,
             failed: policy.failures,
@@ -258,7 +269,8 @@ struct DownloadPolicy {
     failures: Vec<DownloadError>,
     codec: Arc<Codec>,
     probe: Arc<BandwidthProbe>,
-    obs: Obs,
+    /// Blocks rejected for a wrong length (torn uploads).
+    truncated_blocks: u64,
     k: usize,
     probing: bool,
 }
@@ -273,7 +285,6 @@ impl TransferPolicy for DownloadPolicy {
             self.k,
             self.probing,
             &self.probe,
-            &self.obs,
         )?;
         let path = block_path(&self.st.fetches[job.fetch].id, job.index);
         Some(JobDesc {
@@ -304,7 +315,7 @@ impl TransferPolicy for DownloadPolicy {
         // it here, stop chasing that index, and let the fetch proceed
         // from the remaining candidates.
         if data.len() != self.codec.block_len(fetch.len) {
-            self.obs.inc("download.truncated_blocks");
+            self.truncated_blocks += 1;
             for c in &mut fetch.candidates {
                 c.retain(|i| *i != job.index);
             }
@@ -419,7 +430,6 @@ fn next_job(
     k: usize,
     probing: bool,
     probe: &BandwidthProbe,
-    obs: &Obs,
 ) -> Option<Job> {
     if !st.cloud_alive[cloud] {
         return None;
@@ -474,8 +484,6 @@ fn next_job(
             if stuck_on_slow {
                 let fetch = &mut st.fetches[fi];
                 fetch.over_requests += 1;
-                // Counter-only: safe under the scheduler lock (no clock).
-                obs.inc("download.over_requests");
                 fetch.requested.insert(index);
                 fetch.inflight.insert(index, cloud);
                 return Some(Job { fetch: fi, index });

@@ -12,7 +12,7 @@
 //!
 //! The engine owns everything the former hand-rolled loops duplicated:
 //! the worker pool (one actor per cloud connection), a traced [`Retry`]
-//! around every wire call, `unidrive-obs` counters and `engine.*`
+//! around every wire call, `unidrive-obs` block series and `engine.*`
 //! spans, feeding the [`BandwidthProbe`], and idle parking. Workers
 //! park on a [`Notifier`] (an eventcount) instead of polling: each
 //! completion or failure broadcasts, so an idle connection re-polls its
@@ -28,7 +28,7 @@
 use std::sync::Arc;
 
 use unidrive_cloud::{CloudError, CloudId, CloudSet, Retry, RetryPolicy};
-use unidrive_obs::{Obs, SpanId};
+use unidrive_obs::{Obs, SeriesHandle, SeriesKind, SpanId};
 use unidrive_sim::{spawn, Notifier, Runtime, Task, Time};
 use unidrive_util::bytes::Bytes;
 use unidrive_util::sync::Mutex;
@@ -131,10 +131,10 @@ pub struct EngineParams {
     pub connections_per_cloud: usize,
     /// Retry policy wrapped around every wire call.
     pub retry: RetryPolicy,
-    /// Observability handle (counters, spans, retry trace).
+    /// Observability handle (block series, spans, retry trace).
     pub obs: Obs,
-    /// Counter namespace: counters are `{label}.blocks_dispatched`
-    /// etc., retry traces `{label}:{cloud}`.
+    /// Batch label: block series are `{label}.blocks_dispatched` etc.,
+    /// labelled by cloud; retry traces `{label}:{cloud}`.
     pub label: String,
     /// Feed completed transfers into this probe as in-channel bandwidth
     /// measurements.
@@ -147,8 +147,8 @@ pub struct EngineParams {
 
 impl EngineParams {
     /// The wiring every engine user has — connections, retries,
-    /// observability — under counter namespace `label`; no probe, no
-    /// batch span.
+    /// observability — under batch label `label`; no probe, no batch
+    /// span.
     pub fn new(
         label: impl Into<String>,
         connections_per_cloud: usize,
@@ -165,8 +165,8 @@ impl EngineParams {
         }
     }
 
-    /// The same wiring under another counter namespace: a client keeps
-    /// one `EngineParams` and labels it per batch.
+    /// The same wiring under another batch label: a client keeps one
+    /// `EngineParams` and labels it per batch.
     pub fn labelled(&self, label: &str) -> Self {
         let mut params = self.clone();
         params.label = label.to_owned();
@@ -174,25 +174,32 @@ impl EngineParams {
     }
 }
 
-/// Counter names formatted once per engine, not once per block.
-struct CounterNames {
-    dispatched: String,
-    extra_dispatched: String,
-    completed: String,
-    block_bytes: String,
-    block_elapsed: String,
-    failures: String,
+/// The series one worker records into. A worker serves one batch
+/// label and one cloud, so it resolves them once, at spawn: per block
+/// a dispatch (and an extra one), then the transfer time and bytes of
+/// a completion or a failure, each labelled by the cloud. A completed
+/// block is one sample of `{label}.block_ns`.
+#[derive(Default)]
+struct WorkerSeries {
+    dispatched: SeriesHandle,
+    extra_dispatched: SeriesHandle,
+    block_ns: SeriesHandle,
+    block_bytes: SeriesHandle,
+    failures: SeriesHandle,
 }
 
-impl CounterNames {
-    fn new(label: &str) -> Self {
-        CounterNames {
-            dispatched: format!("{label}.blocks_dispatched"),
-            extra_dispatched: format!("{label}.extra_blocks_dispatched"),
-            completed: format!("{label}.blocks_completed"),
-            block_bytes: format!("{label}.block_bytes"),
-            block_elapsed: format!("{label}.block_elapsed_ns"),
-            failures: format!("{label}.block_failures"),
+impl WorkerSeries {
+    fn new(obs: &Obs, label: &str, cloud: &str) -> Self {
+        if !obs.is_enabled() {
+            return WorkerSeries::default();
+        }
+        let handle = |name: &str, kind| obs.series_handle(&format!("{label}.{name}"), cloud, kind);
+        WorkerSeries {
+            dispatched: handle("blocks_dispatched", SeriesKind::Counter),
+            extra_dispatched: handle("extra_blocks_dispatched", SeriesKind::Counter),
+            block_ns: handle("block_ns", SeriesKind::Sample),
+            block_bytes: handle("block_bytes", SeriesKind::Counter),
+            failures: handle("block_failures", SeriesKind::Counter),
         }
     }
 }
@@ -231,7 +238,6 @@ impl<P: TransferPolicy> TransferEngine<P> {
                 workers: Vec::new(),
             };
         }
-        let names = Arc::new(CounterNames::new(&params.label));
         let mut workers = Vec::new();
         for (cloud_id, cloud) in clouds.iter() {
             for conn in 0..params.connections_per_cloud {
@@ -240,9 +246,8 @@ impl<P: TransferPolicy> TransferEngine<P> {
                 let policy = Arc::clone(&policy);
                 let signal = Arc::clone(&signal);
                 let params = params.clone();
-                let names = Arc::clone(&names);
                 let retry_label = format!("{}:{}", params.label, cloud.name());
-                let cloud_blocks = format!("{}.cloud.{}.blocks", params.label, cloud.name());
+                let series = WorkerSeries::new(&params.obs, &params.label, cloud.name());
                 let ctx = WorkerCtx {
                     conn,
                     // Track 0 is the client/control lane; worker lanes
@@ -260,9 +265,8 @@ impl<P: TransferPolicy> TransferEngine<P> {
                             &policy,
                             &signal,
                             &params,
-                            &names,
+                            &series,
                             &retry_label,
-                            &cloud_blocks,
                             ctx,
                         );
                     },
@@ -355,9 +359,8 @@ fn worker_loop<P: TransferPolicy>(
     policy: &Arc<Mutex<P>>,
     signal: &Arc<dyn Notifier>,
     params: &EngineParams,
-    names: &CounterNames,
+    series: &WorkerSeries,
     retry_label: &str,
-    cloud_blocks: &str,
     ctx: WorkerCtx,
 ) {
     let obs = &params.obs;
@@ -402,9 +405,9 @@ fn worker_loop<P: TransferPolicy>(
         // Counts the dispatch and starts the transfer clock; hands back
         // the traced retry the wire call runs under.
         let begin = || {
-            obs.inc(&names.dispatched);
+            series.dispatched.record(1);
             if extra {
-                obs.inc(&names.extra_dispatched);
+                series.extra_dispatched.record(1);
             }
             let t0 = rt.now();
             let retry = Retry::new(rt, &params.retry)
@@ -444,17 +447,10 @@ fn worker_loop<P: TransferPolicy>(
                 if let Some(probe) = &params.probe {
                     probe.record(cloud_id, bytes_len, elapsed);
                 }
-                obs.inc(&names.completed);
-                obs.add(&names.block_bytes, bytes_len);
-                obs.inc(cloud_blocks);
-                obs.observe(&names.block_elapsed, elapsed.as_nanos() as u64);
-                obs.series_observe("engine.block_ns", cloud.name(), elapsed.as_nanos() as u64);
-                obs.series_add("engine.block_bytes", cloud.name(), bytes_len);
+                series.block_ns.record(elapsed.as_nanos() as u64);
+                series.block_bytes.record(bytes_len);
             }
-            Err(_) => {
-                obs.inc(&names.failures);
-                obs.series_add("engine.block_fail", cloud.name(), 1);
-            }
+            Err(_) => series.failures.record(1),
         }
         {
             let mut p = policy.lock();

@@ -116,8 +116,6 @@ impl QuorumLock {
                 RoundOutcome::Won => {
                     let wait_ns =
                         self.rt.now().saturating_duration_since(t0).as_nanos() as u64;
-                    self.obs.inc("lock.acquired");
-                    self.obs.observe("lock.acquire_wait_ns", wait_ns);
                     self.obs.series_observe("lock.wait_ns", &self.device, wait_ns);
                     span.attr_u64("rounds", (attempt + 1) as u64);
                     span.attr_bool("ok", true);
@@ -129,7 +127,6 @@ impl QuorumLock {
                     });
                 }
                 RoundOutcome::Lost { held } => {
-                    self.obs.inc("lock.contended_rounds");
                     self.obs.series_add("lock.contended", &self.device, 1);
                     self.obs.instant("lock.contended", span_id, || {
                         vec![
@@ -149,13 +146,12 @@ impl QuorumLock {
                     let waited = self.rt.now().saturating_duration_since(t0);
                     if !starved && waited >= self.config.starvation_audit {
                         starved = true;
-                        self.obs.inc("lock.starved");
                         self.obs.series_add("lock.starved", &self.device, 1);
                         span.attr_bool("starved", true);
                     }
                 }
                 RoundOutcome::Unreachable(short) => {
-                    self.obs.inc("lock.unreachable");
+                    self.obs.series_add("lock.unreachable", &self.device, 1);
                     self.withdraw(&lock_name);
                     span.attr_u64("rounds", (attempt + 1) as u64);
                     span.attr_bool("ok", false);
@@ -163,7 +159,7 @@ impl QuorumLock {
                 }
             }
         }
-        self.obs.inc("lock.exhausted");
+        self.obs.series_add("lock.exhausted", &self.device, 1);
         span.attr_u64("rounds", self.config.max_attempts as u64);
         span.attr_bool("ok", false);
         Err(PlaneError::Contended {
@@ -216,7 +212,7 @@ impl QuorumLock {
                     bspan.attr_str("victim", device);
                     let _ = cloud.delete(&format!("{LOCK_DIR}/{}", entry.name));
                     bspan.end();
-                    self.obs.inc("lock.broken");
+                    self.obs.series_add("lock.broken", &self.device, 1);
                 } else {
                     foreign_live = true;
                 }
@@ -306,7 +302,7 @@ impl Drop for LockGuard<'_> {
         let mut span = self.lock.obs.span("lock.release", self.span);
         span.attr_str("device", self.lock.device.as_str());
         self.lock.withdraw(&self.lock_name);
-        self.lock.obs.inc("lock.released");
+        self.lock.obs.series_add("lock.released", &self.lock.device, 1);
     }
 }
 
@@ -539,11 +535,13 @@ pub(crate) mod tests {
             lock.acquire(None).unwrap_err(),
             PlaneError::Contended { attempts: 8 }
         ));
-        let snap = obs.snapshot().unwrap();
-        assert_eq!(snap.counter("lock.contended_rounds"), 8);
+        let series = obs.series_snapshot().unwrap();
+        assert_eq!(series.merged("lock.contended").sum, 8);
         // Flagged exactly once however many rounds starve past the
         // threshold.
-        assert_eq!(snap.counter("lock.starved"), 1);
+        assert_eq!(series.merged("lock.starved").sum, 1);
+        assert_eq!(series.merged("lock.exhausted").sum, 1);
+        let snap = obs.snapshot().unwrap();
         let acquire = snap.spans.iter().find(|s| s.name == "lock.acquire").unwrap();
         assert_eq!(
             acquire.attr("starved"),

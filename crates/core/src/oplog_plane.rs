@@ -521,7 +521,7 @@ impl OplogPlane {
         span.attr_u64("applied", outcome.applied as u64);
         span.attr_u64("conflicts", outcome.conflicts as u64);
         span.end();
-        self.obs.inc("meta.oplog.folds");
+        self.obs.series_add("meta.oplog.folds", &self.device, 1);
         OplogFetch {
             folded: outcome.base,
             ops,
@@ -596,7 +596,7 @@ impl OplogPlane {
             clearing.join();
         }
         let Ok(guard) = self.lock.acquire(round) else {
-            self.obs.inc("meta.oplog.compact_skipped");
+            self.obs.series_add("meta.oplog.compact_skipped", &self.device, 1);
             return false;
         };
         let mut span = self.obs.span("meta.oplog.compact", round);
@@ -673,7 +673,7 @@ impl OplogPlane {
         if abort {
             span.attr_bool("ok", false);
             span.end();
-            self.obs.inc("meta.oplog.compact_aborted");
+            self.obs.series_add("meta.oplog.compact_aborted", &self.device, 1);
             guard.release();
             return false;
         }
@@ -747,7 +747,6 @@ impl OplogPlane {
             })
             .collect();
         if ok {
-            self.obs.inc("meta.oplog.compactions");
             self.obs.series_add("meta.oplog.compactions", &self.device, 1);
             // Adopt our own base immediately: the next fold must not
             // pick an older cloud copy while the uploads settle.
@@ -842,7 +841,6 @@ impl MetaPlane for OplogPlane {
         // the caller retries the pass, and the next append uploads it
         // first to every cloud that lacks it.
         replicated?;
-        self.obs.inc("meta.oplog.appends");
         self.obs.series_add("meta.oplog.appends", &self.device, 1);
 
         // The adopted image is the fold including our op — it can
@@ -863,7 +861,6 @@ impl MetaPlane for OplogPlane {
         if live > threshold {
             let mut compacted = self.try_compact(round);
             if !compacted && live > threshold.saturating_mul(OPLOG_COMPACT_ESCALATE) {
-                self.obs.inc("meta.oplog.compact_forced");
                 self.obs.series_add("meta.oplog.compact_forced", &self.device, 1);
                 for _ in 0..OPLOG_COMPACT_FORCED_RETRIES {
                     compacted = self.try_compact(round);
@@ -872,7 +869,6 @@ impl MetaPlane for OplogPlane {
                     }
                 }
                 if !compacted {
-                    self.obs.inc("meta.oplog.compact_overdue");
                     self.obs.series_add("meta.oplog.compact_overdue", &self.device, 1);
                 }
             }

@@ -416,11 +416,12 @@ fn overdue_compaction_escalates_with_counters() {
     );
     let img = commit_file(&mut w, &SyncFolderImage::new(), "dev-a", "f.txt", 1);
     assert!(img.file("f.txt").is_some(), "commit survives a stuck compaction");
-    let snap = registry.snapshot();
-    assert!(snap.counter("meta.oplog.compact_aborted") >= 3, "initial try + forced retries");
-    assert_eq!(snap.counter("meta.oplog.compact_forced"), 1);
-    assert_eq!(snap.counter("meta.oplog.compact_overdue"), 1);
-    assert_eq!(snap.counter("meta.oplog.compactions"), 0);
+    let series = registry.series_snapshot();
+    let total = |metric| series.merged(metric).sum;
+    assert!(total("meta.oplog.compact_aborted") >= 3, "initial try + forced retries");
+    assert_eq!(total("meta.oplog.compact_forced"), 1);
+    assert_eq!(total("meta.oplog.compact_overdue"), 1);
+    assert_eq!(total("meta.oplog.compactions"), 0);
 }
 
 /// Waits for the deletes `p`'s last compaction left running.

@@ -32,8 +32,8 @@ pub struct DataPlaneConfig {
     /// Enable in-channel probing (download tail duplication onto faster
     /// clouds). Disabling reduces downloads to plain idle-pull.
     pub probing: bool,
-    /// Observability handle threaded through the schedulers, retries,
-    /// and the bandwidth probe (no-op by default; see `unidrive-obs`).
+    /// Observability handle threaded through the schedulers and
+    /// retries (no-op by default; see `unidrive-obs`).
     pub obs: Obs,
 }
 

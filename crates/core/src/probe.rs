@@ -12,14 +12,12 @@ use unidrive_util::sync::Mutex;
 use std::time::Duration;
 
 use unidrive_cloud::CloudId;
-use unidrive_obs::Obs;
 
 /// Per-cloud exponential-moving-average throughput estimator.
 #[derive(Debug)]
 pub struct BandwidthProbe {
     alpha: f64,
     estimates: Mutex<Vec<Estimate>>,
-    obs: Obs,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -42,16 +40,7 @@ impl BandwidthProbe {
                 };
                 clouds
             ]),
-            obs: Obs::noop(),
         }
-    }
-
-    /// Builder-style: publishes each cloud's EMA estimate as a
-    /// `probe.cloud{N}.ema_bytes_per_sec` gauge (plus a `probe.samples`
-    /// counter) on every recorded sample.
-    pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.obs = obs;
-        self
     }
 
     /// Records one completed transfer of `bytes` that took `elapsed`.
@@ -62,22 +51,14 @@ impl BandwidthProbe {
             return;
         }
         let sample = bytes as f64 / secs;
-        let ema = {
-            let mut est = self.estimates.lock();
-            let e = &mut est[cloud.0];
-            if e.samples == 0 {
-                e.bytes_per_sec = sample;
-            } else {
-                e.bytes_per_sec = self.alpha * sample + (1.0 - self.alpha) * e.bytes_per_sec;
-            }
-            e.samples += 1;
-            e.bytes_per_sec
-        };
-        if self.obs.is_enabled() {
-            self.obs
-                .set_gauge(&format!("probe.cloud{}.ema_bytes_per_sec", cloud.0), ema);
-            self.obs.inc("probe.samples");
+        let mut est = self.estimates.lock();
+        let e = &mut est[cloud.0];
+        if e.samples == 0 {
+            e.bytes_per_sec = sample;
+        } else {
+            e.bytes_per_sec = self.alpha * sample + (1.0 - self.alpha) * e.bytes_per_sec;
         }
+        e.samples += 1;
     }
 
     /// Current per-connection throughput estimate (bytes/second).

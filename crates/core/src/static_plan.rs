@@ -186,9 +186,10 @@ mod tests {
         assert_eq!(done.data, [None, None]);
         assert!(done.error.is_none(), "{:?}", done.error);
         assert!(!r.handles[0].exists("blocks/a").unwrap());
+        let series = r.registry.series_snapshot();
+        assert_eq!(series.merged("gc.block_ns").count, 2);
+        assert_eq!(series.merged("gc.block_failures").sum, 0);
         let snap = r.registry.snapshot();
-        assert_eq!(snap.counter("gc.blocks_completed"), 2);
-        assert_eq!(snap.counter("gc.block_failures"), 0);
         assert_eq!(snap.span_count("engine.batch"), 1);
         assert_eq!(snap.span_count("engine.block"), 2);
     }
@@ -209,9 +210,9 @@ mod tests {
         assert_eq!(landed(&done), [false, false, false, true, true, true]);
         assert!(matches!(done.error, Some(CloudError::Unavailable { .. })));
         // One delete met the outage; the two behind it were never sent.
-        let snap = r.registry.snapshot();
-        assert_eq!(snap.counter("gc.blocks_dispatched"), 4);
-        assert_eq!(snap.counter("gc.block_failures"), 1);
+        let series = r.registry.series_snapshot();
+        assert_eq!(series.merged("gc.blocks_dispatched").sum, 4);
+        assert_eq!(series.merged("gc.block_failures").sum, 1);
     }
 
     #[test]

@@ -59,8 +59,6 @@ pub struct FileUploadResult {
     /// When the file became *available* (k blocks of every segment in
     /// the multi-cloud), if it did.
     pub available_at: Option<Time>,
-    /// Whether every cloud holds its fair share of every segment.
-    pub reliable: bool,
 }
 
 /// Outcome of an upload batch.
@@ -72,9 +70,6 @@ pub struct UploadReport {
     /// of the batch when no sink was given: feed these to
     /// [`SyncFolderImage::record_block`](unidrive_meta::SyncFolderImage::record_block).
     pub blocks: Vec<(SegmentId, BlockRef)>,
-    /// Blocks that could not be placed anywhere (all candidate clouds
-    /// dead or at their security cap).
-    pub unplaced_blocks: usize,
     /// When the batch started.
     pub started: Time,
     /// When the batch finished.
@@ -149,7 +144,6 @@ struct UploadState {
     /// Block indices below this are normal; the rest are extras.
     normal_total: u16,
     finished: bool,
-    unplaced: usize,
     timeline: Vec<(Time, usize)>,
     /// Live `engine.batch` span; dropped (= ended) when `finished`
     /// flips, so detached uploads stamp their true completion time.
@@ -262,7 +256,6 @@ impl DataPlane {
             cloud_alive: vec![true; n_clouds],
             normal_total,
             finished: false,
-            unplaced: 0,
             timeline: Vec::new(),
             batch_guard: Some(batch_guard),
         };
@@ -284,7 +277,6 @@ impl DataPlane {
         };
         let engine = TransferEngine::start(rt, &self.clouds, params, policy);
 
-        let fair = config.redundancy.fair_share();
         if detach {
             // Wait only until every file is stamped available (or nothing
             // more can make progress); `on_success` stamps under the lock
@@ -292,40 +284,24 @@ impl DataPlane {
             // workers and reports through the sink.
             engine.wait_until(|p| p.st.files.iter().all(|(_, _, at)| at.is_some()));
             let finished = rt.now();
-            let report = engine.with(|p| build_report(&p.st, n_clouds, fair, started, finished));
+            let report = engine.with(|p| build_report(&p.st, started, finished));
             engine.detach(); // tasks keep running on their own threads
             report
         } else {
             let policy = engine.join();
             let finished = rt.now();
-            build_report(&policy.st, n_clouds, fair, started, finished)
+            build_report(&policy.st, started, finished)
         }
     }
 }
 
-fn build_report(
-    st: &UploadState,
-    n_clouds: usize,
-    fair: usize,
-    started: Time,
-    finished: Time,
-) -> UploadReport {
+fn build_report(st: &UploadState, started: Time, finished: Time) -> UploadReport {
     let report_files = st
         .files
         .iter()
-        .map(|(path, plan_ids, available_at)| {
-            let reliable = plan_ids.iter().all(|&p| {
-                let seg = &st.segs[p];
-                (0..n_clouds).all(|c| {
-                    !st.cloud_alive[c]
-                        || seg.done.iter().filter(|b| b.cloud as usize == c).count() >= fair
-                })
-            });
-            FileUploadResult {
-                path: path.clone(),
-                available_at: *available_at,
-                reliable,
-            }
+        .map(|(path, _, available_at)| FileUploadResult {
+            path: path.clone(),
+            available_at: *available_at,
         })
         .collect();
     let blocks = st
@@ -336,7 +312,6 @@ fn build_report(
     UploadReport {
         files: report_files,
         blocks,
-        unplaced_blocks: st.unplaced,
         started,
         finished,
         timeline: st.timeline.clone(),
@@ -570,15 +545,12 @@ fn handle_failure(st: &mut UploadState, job: Job, cloud: CloudId, error: CloudEr
     seg.bounces += 1;
     if seg.bounces <= MAX_BLOCK_BOUNCES {
         seg.reassign.push_back(job.index);
-    } else {
-        st.unplaced += 1;
     }
 }
 
 /// Declares the batch finished when no work remains or none of what
 /// remains is assignable (every candidate cloud is dead or at its
-/// security cap). Permanently-stuck orphan blocks are counted as
-/// unplaced so the report can surface degraded reliability.
+/// security cap). Permanently-stuck orphan blocks are dropped.
 fn maybe_finish(st: &mut UploadState, cap: usize) {
     if st.finished {
         return;
@@ -603,7 +575,6 @@ fn maybe_finish(st: &mut UploadState, cap: usize) {
     // Nothing is in flight and nothing left is assignable: drain the
     // stuck orphans and finish.
     for seg in &mut st.segs {
-        st.unplaced += seg.reassign.len();
         seg.reassign.clear();
     }
     st.finished = true;
@@ -658,8 +629,6 @@ mod tests {
         let (_sim, plane) = setup(1, &[1e6; 5]);
         let report = plane.run_upload(vec![make_file("f", 300_000, 3)], None, None);
         assert!(report.all_available());
-        assert!(report.files[0].reliable);
-        assert_eq!(report.unplaced_blocks, 0);
         // Every cloud holds at least fair share (1) and at most cap (2).
         for c in 0..5u16 {
             let on_c = report.blocks.iter().filter(|(_, b)| b.cloud == c).count();

@@ -1,28 +1,20 @@
-//! Snapshot type and the one deterministic JSON export,
+//! Span-trace snapshot type and the one deterministic JSON export,
 //! [`bundle_json`].
 //!
 //! The JSON writer is hand-rolled (no external crates) and fully
-//! deterministic: metric maps are exported in sorted (BTreeMap) key
-//! order, spans in canonical order, floats through Rust's shortest
-//! round-trip formatting. Two runs with the same seed therefore
-//! produce byte-identical exports.
+//! deterministic: spans in canonical order, floats through Rust's
+//! shortest round-trip formatting. Two runs with the same seed
+//! therefore produce byte-identical exports.
 
 use crate::metrics::HistogramSnapshot;
 use crate::span::{FieldValue, SpanRecord};
 
 /// Schema tag of the [`bundle_json`] document.
-pub const BUNDLE_SCHEMA: &str = "unidrive-obs/v3";
+pub const BUNDLE_SCHEMA: &str = "unidrive-obs/v4";
 
-/// Point-in-time copy of a registry: every metric plus the
-/// completed-span ring.
+/// Point-in-time copy of a registry's completed-span ring.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
-    /// Counters, sorted by name.
-    pub counters: Vec<(String, u64)>,
-    /// Gauges, sorted by name.
-    pub gauges: Vec<(String, f64)>,
-    /// Histograms, sorted by name.
-    pub histograms: Vec<(String, HistogramSnapshot)>,
     /// Completed spans, oldest (by end time) first.
     pub spans: Vec<SpanRecord>,
     /// Spans evicted from the span ring before this snapshot.
@@ -30,41 +22,6 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Value of counter `name` (0 when absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    }
-
-    /// Sum of all counters whose name starts with `prefix`.
-    pub fn counter_sum(&self, prefix: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|(n, _)| n.starts_with(prefix))
-            .map(|(_, v)| *v)
-            .sum()
-    }
-
-    /// Value of gauge `name`, if present and set.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-            .filter(|v| !v.is_nan())
-    }
-
-    /// Histogram snapshot `name`, if present.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, h)| h)
-    }
-
     /// The span record with the given id, if present.
     pub fn span(&self, id: u64) -> Option<&SpanRecord> {
         self.spans.iter().find(|s| s.id == id)
@@ -90,8 +47,7 @@ impl Snapshot {
 /// Serializes one histogram as a deterministic standalone JSON
 /// object: counts, extrema, mean, the p50/p95/p99 quantile
 /// estimates, and the raw log₂ bucket array. Fleet-scale reports
-/// (`BENCH_fleet.json`) embed this per latency/wait distribution
-/// instead of carrying a whole registry snapshot.
+/// (`BENCH_fleet.json`) embed this per latency/wait distribution.
 pub fn histogram_json(h: &HistogramSnapshot) -> String {
     let mut out = String::with_capacity(256);
     out.push_str(&format!(
@@ -125,9 +81,8 @@ pub fn histogram_json(h: &HistogramSnapshot) -> String {
 /// (<https://ui.perfetto.dev>) or `chrome://tracing` — every span,
 /// instants included, is a complete (`"ph": "X"`) event with
 /// microsecond `ts`/`dur`, parent links and typed attributes riding in
-/// `args` — plus a `snapshot` object holding the counters, gauges and
-/// histograms. With `series`: that `unidrive-obs-series/v2` document
-/// (see `SeriesSnapshot::to_json`) embedded under
+/// `args`. With `series`: that `unidrive-obs-series/v2` document
+/// (see `SeriesSnapshot::to_json`), the run's metrics, embedded under
 /// `series`. Canonicalize the snapshot first and same-seed runs
 /// produce byte-identical files.
 pub fn bundle_json(snapshot: Option<&Snapshot>, series: Option<&str>) -> String {
@@ -138,7 +93,6 @@ pub fn bundle_json(snapshot: Option<&Snapshot>, series: Option<&str>) -> String 
             snap.dropped_spans
         ));
         sections.push(snap.trace_events_json());
-        sections.push(snap.metrics_json());
     }
     if let Some(series) = series {
         sections.push(format!("\"series\": {}", series.trim_end()));
@@ -174,50 +128,6 @@ impl Snapshot {
             out.push_str("}}");
         }
         out.push_str("\n]");
-        out
-    }
-
-    fn metrics_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("\"snapshot\": {\n  \"counters\": {");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            json_string(&mut out, name);
-            out.push_str(&format!(": {value}"));
-        }
-        out.push_str("\n  },\n  \"gauges\": {");
-        for (i, (name, value)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            json_string(&mut out, name);
-            out.push_str(": ");
-            json_f64(&mut out, *value);
-        }
-        out.push_str("\n  },\n  \"histograms\": {");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            json_string(&mut out, name);
-            out.push_str(&format!(
-                ": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"buckets\": [",
-                h.count, h.sum, h.min, h.max
-            ));
-            for (j, (lo, n)) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("[{lo}, {n}]"));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("\n  }\n}");
         out
     }
 }
@@ -257,7 +167,7 @@ fn json_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         let s = format!("{v}");
         // Bare integers like `2` are valid JSON numbers, but keep a
-        // decimal point so consumers type gauges consistently.
+        // decimal point so consumers type means consistently.
         if s.contains(['.', 'e', 'E']) {
             out.push_str(&s);
         } else {
@@ -275,18 +185,6 @@ mod tests {
 
     fn sample() -> Snapshot {
         Snapshot {
-            counters: vec![("a".into(), 1), ("b".into(), 2)],
-            gauges: vec![("g".into(), 1.5), ("whole".into(), 2.0)],
-            histograms: vec![(
-                "h".into(),
-                HistogramSnapshot {
-                    count: 2,
-                    sum: 5,
-                    min: 1,
-                    max: 4,
-                    buckets: vec![(1, 1), (4, 1)],
-                },
-            )],
             spans: vec![
                 SpanRecord {
                     id: 1,
@@ -315,12 +213,9 @@ mod tests {
     fn bundle_is_deterministic_and_escaped() {
         let a = bundle_json(Some(&sample()), None);
         assert_eq!(a, bundle_json(Some(&sample()), None));
-        assert!(a.starts_with("{\n\"schema\": \"unidrive-obs/v3\",\n"));
-        assert!(a.contains("\"a\": 1"));
-        assert!(a.contains("\"whole\": 2.0"));
+        assert!(a.starts_with("{\n\"schema\": \"unidrive-obs/v4\",\n"));
         assert!(a.contains("dev-\\\"a\\\""));
-        assert!(a.contains("[4, 1]"));
-        assert!(!a.contains("\"series\""));
+        assert!(!a.contains("\"series\"") && !a.contains("\"snapshot\""));
     }
 
     #[test]
@@ -331,7 +226,7 @@ mod tests {
         assert!(only_series
             .ends_with("\"series\": {\n  \"series\": \"unidrive-obs-series/v2\"\n}\n}\n"));
         let both = bundle_json(Some(&sample()), Some(series));
-        assert!(both.contains("\"traceEvents\": [") && both.contains("\"snapshot\": {"));
+        assert!(both.contains("\"traceEvents\": [") && !both.contains("\"snapshot\""));
         assert!(both.ends_with("\"series\": {\n  \"series\": \"unidrive-obs-series/v2\"\n}\n}\n"));
     }
 
@@ -380,11 +275,7 @@ mod tests {
     #[test]
     fn lookup_helpers() {
         let s = sample();
-        assert_eq!(s.counter("b"), 2);
-        assert_eq!(s.counter("missing"), 0);
-        assert_eq!(s.counter_sum(""), 3);
-        assert_eq!(s.gauge("g"), Some(1.5));
-        assert_eq!(s.histogram("h").unwrap().count, 2);
+        assert_eq!(s.span(2).map(|s| s.name), Some("engine.block"));
         assert_eq!(s.span_count("engine.block"), 1);
     }
 }

@@ -1,12 +1,13 @@
 //! # unidrive-obs
 //!
-//! Observability substrate for the UniDrive reproduction: a cheap,
-//! thread-safe **metrics registry** (counters, gauges, log-bucketed
-//! histograms), one ring-buffered **span trace** (parent-linked
-//! intervals plus zero-duration instants), and windowed **series** —
-//! all timestamped through an installable clock so that under the
-//! simulation's virtual time the full export is *deterministic*: the
-//! same seed produces a byte-identical artefact ([`bundle_json`]).
+//! Observability substrate for the UniDrive reproduction: one
+//! thread-safe **metric store** of windowed, labelled series (a counter
+//! is a counter series, a distribution a sample series) and one
+//! ring-buffered **span trace** (parent-linked intervals plus
+//! zero-duration instants), both timestamped through an installable
+//! clock so that under the simulation's virtual time the full export is
+//! *deterministic*: the same seed produces a byte-identical artefact
+//! ([`bundle_json`]).
 //!
 //! ## Design
 //!
@@ -17,15 +18,23 @@
 //! and bench binaries opt in per component without any global state,
 //! so parallel tests never share a registry by accident.
 //!
+//! Every metric is keyed by `(metric, label)`, the label being the
+//! dimension it varies over (a cloud, a device, an outcome), and rolled
+//! up into [`DEFAULT_SERIES_WINDOW_NS`] windows. A whole-run number is
+//! the merge of a metric's windows and labels,
+//! [`SeriesSnapshot::merged`]: `.sum` of a counter, `.count` and the
+//! quantiles of a sample series.
+//!
 //! ```
 //! use unidrive_obs::{Obs, Registry};
 //!
 //! let obs = Obs::with_registry(Registry::new());
-//! obs.inc("blocks_uploaded");
-//! obs.observe("upload_block_bytes", 4 << 20);
-//! let snap = obs.snapshot().unwrap();
-//! assert_eq!(snap.counter("blocks_uploaded"), 1);
-//! assert!(unidrive_obs::bundle_json(Some(&snap), None).contains("blocks_uploaded"));
+//! obs.series_add("blocks_uploaded", "c0", 1);
+//! obs.series_observe("block_bytes", "c1", 4 << 20);
+//! let series = obs.series_snapshot().unwrap();
+//! assert_eq!(series.merged("blocks_uploaded").sum, 1);
+//! assert_eq!(series.merged("block_bytes").count, 1);
+//! assert!(series.to_json().contains("blocks_uploaded"));
 //! ```
 //!
 //! Timestamps come from the registry clock, which components install
@@ -45,7 +54,7 @@ pub use export::{bundle_json, histogram_json, Snapshot, BUNDLE_SCHEMA};
 pub use lanes::{
     health_lane, health_lanes, lane_span, CounterWindows, HealthLane, HealthState,
 };
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
+pub use metrics::{Histogram, HistogramSnapshot};
 pub use series::{
     SeriesBank, SeriesCell, SeriesEntry, SeriesHandle, SeriesKind, SeriesSnapshot, TimeSeries,
     WindowStat, DEFAULT_SERIES_WINDOW_NS,
@@ -59,20 +68,16 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// The shared clock: nanoseconds since some epoch (virtual or real).
 pub type ClockFn = Arc<dyn Fn() -> u64 + Send + Sync>;
 
-/// Central store for metrics and the span trace. Shared via
-/// [`Obs::with_registry`]; all methods take `&self` and are
+/// Central store for the windowed series and the span trace. Shared
+/// via [`Obs::with_registry`]; all methods take `&self` and are
 /// thread-safe.
 pub struct Registry {
     clock: Mutex<ClockFn>,
-    counters: Mutex<BTreeMap<String, Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
-    histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
     spans: span::SpanRing,
     next_span: AtomicU64,
     dropped_spans: AtomicU64,
-    /// Windowed-series rollup interval in ns; 0 = series disabled.
-    series_window_ns: AtomicU64,
-    series: Mutex<BTreeMap<(String, String), Arc<SeriesCell>>>,
+    /// Series cells by metric, then label: a lookup borrows both keys.
+    series: Mutex<BTreeMap<String, BTreeMap<String, Arc<SeriesCell>>>>,
 }
 
 impl Registry {
@@ -86,13 +91,9 @@ impl Registry {
     pub fn with_trace_capacity(capacity: usize) -> Arc<Registry> {
         Arc::new(Registry {
             clock: Mutex::new(Arc::new(|| 0)),
-            counters: Mutex::new(BTreeMap::new()),
-            gauges: Mutex::new(BTreeMap::new()),
-            histograms: Mutex::new(BTreeMap::new()),
             spans: span::SpanRing::new(capacity),
             next_span: AtomicU64::new(1),
             dropped_spans: AtomicU64::new(0),
-            series_window_ns: AtomicU64::new(0),
             series: Mutex::new(BTreeMap::new()),
         })
     }
@@ -110,21 +111,6 @@ impl Registry {
         clock()
     }
 
-    /// The counter named `name`, created on first use.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        get_or_insert(&self.counters, name)
-    }
-
-    /// The gauge named `name`, created on first use.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        get_or_insert(&self.gauges, name)
-    }
-
-    /// The histogram named `name`, created on first use.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        get_or_insert(&self.histograms, name)
-    }
-
     /// Allocates a fresh span id (monotonic, never 0).
     pub fn alloc_span_id(&self) -> SpanId {
         SpanId(self.next_span.fetch_add(1, Ordering::Relaxed))
@@ -137,91 +123,62 @@ impl Registry {
         }
     }
 
-    /// Turns on windowed-series collection at `window_ns` rollup
-    /// intervals (use [`DEFAULT_SERIES_WINDOW_NS`] unless an
-    /// experiment needs finer grain). Until this is called, every
-    /// `series_*` recording method is a cheap no-op, so instrumented
-    /// code can emit series unconditionally.
-    pub fn enable_series(&self, window_ns: u64) {
-        self.series_window_ns
-            .store(window_ns.max(1), Ordering::Relaxed);
-    }
-
-    /// Whether windowed-series collection is on.
-    pub fn series_enabled(&self) -> bool {
-        self.series_window_ns.load(Ordering::Relaxed) != 0
-    }
-
-    /// The series cell for `(metric, label)`, created on first use;
-    /// `None` while series collection is disabled. The `kind` of the
-    /// first caller wins.
-    pub fn series_cell(
-        &self,
-        metric: &str,
-        label: &str,
-        kind: SeriesKind,
-    ) -> Option<Arc<SeriesCell>> {
-        let window_ns = self.series_window_ns.load(Ordering::Relaxed);
-        if window_ns == 0 {
-            return None;
-        }
+    /// The series cell for `(metric, label)`, created on first use with
+    /// [`DEFAULT_SERIES_WINDOW_NS`] windows. A hit allocates nothing.
+    /// One series has one kind: asking for the other kind is a bug
+    /// (`debug_assert`).
+    pub fn series_cell(&self, metric: &str, label: &str, kind: SeriesKind) -> Arc<SeriesCell> {
         let mut map = lockp(&self.series);
-        if let Some(cell) = map.get(&(metric.to_owned(), label.to_owned())) {
-            return Some(Arc::clone(cell));
-        }
-        let cell = Arc::new(SeriesCell::new(kind, window_ns));
-        map.insert((metric.to_owned(), label.to_owned()), Arc::clone(&cell));
-        Some(cell)
+        let cell = match map.get(metric).and_then(|labels| labels.get(label)) {
+            Some(cell) => Arc::clone(cell),
+            None => {
+                let cell = Arc::new(SeriesCell::new(kind, DEFAULT_SERIES_WINDOW_NS));
+                map.entry(metric.to_owned())
+                    .or_default()
+                    .insert(label.to_owned(), Arc::clone(&cell));
+                cell
+            }
+        };
+        debug_assert_eq!(
+            cell.kind(),
+            kind,
+            "series ({metric}, {label}) recorded as two kinds"
+        );
+        cell
     }
 
     /// Records into series `(metric, label)` stamped with the
-    /// installed clock. No-op while series collection is disabled.
+    /// installed clock.
     pub fn series_record(&self, metric: &str, label: &str, kind: SeriesKind, value: u64) {
-        if let Some(cell) = self.series_cell(metric, label, kind) {
-            cell.record(self.now_ns(), value);
-        }
+        let cell = self.series_cell(metric, label, kind);
+        cell.record(self.now_ns(), value);
     }
 
-    /// Sorted snapshot of every windowed series (empty when disabled).
+    /// Sorted snapshot of every windowed series.
     pub fn series_snapshot(&self) -> SeriesSnapshot {
-        let window_ns = self.series_window_ns.load(Ordering::Relaxed);
         let map = lockp(&self.series);
         SeriesSnapshot {
-            window_ns: if window_ns == 0 {
-                DEFAULT_SERIES_WINDOW_NS
-            } else {
-                window_ns
-            },
+            window_ns: DEFAULT_SERIES_WINDOW_NS,
             entries: map
                 .iter()
-                .map(|((metric, label), cell)| {
-                    let (kind, windows) = cell.view();
-                    SeriesEntry {
-                        metric: metric.clone(),
-                        label: label.clone(),
-                        kind,
-                        windows,
-                    }
+                .flat_map(|(metric, labels)| {
+                    labels.iter().map(move |(label, cell)| {
+                        let (kind, windows) = cell.view();
+                        SeriesEntry {
+                            metric: metric.clone(),
+                            label: label.clone(),
+                            kind,
+                            windows,
+                        }
+                    })
                 })
                 .collect(),
         }
     }
 
-    /// A consistent, sorted snapshot of every metric and the trace.
+    /// A copy of the span trace.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
-            counters: lockp(&self.counters)
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            gauges: lockp(&self.gauges)
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            histograms: lockp(&self.histograms)
-                .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
-                .collect(),
             spans: self.spans.drain_copy(),
             dropped_spans: self.dropped_spans.load(Ordering::Relaxed),
         }
@@ -230,16 +187,6 @@ impl Registry {
 
 fn lockp<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn get_or_insert<T: Default>(map: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
-    let mut map = lockp(map);
-    if let Some(v) = map.get(name) {
-        return Arc::clone(v);
-    }
-    let v = Arc::new(T::default());
-    map.insert(name.to_owned(), Arc::clone(&v));
-    v
 }
 
 /// Cheap-clone instrumentation handle: either no-op (default) or
@@ -271,38 +218,6 @@ impl Obs {
     /// The backing registry, if any.
     pub fn registry(&self) -> Option<&Arc<Registry>> {
         self.registry.as_ref()
-    }
-
-    /// Increments counter `name` by 1.
-    #[inline]
-    pub fn inc(&self, name: &str) {
-        if let Some(r) = &self.registry {
-            r.counter(name).add(1);
-        }
-    }
-
-    /// Adds `n` to counter `name`.
-    #[inline]
-    pub fn add(&self, name: &str, n: u64) {
-        if let Some(r) = &self.registry {
-            r.counter(name).add(n);
-        }
-    }
-
-    /// Sets gauge `name` to `value`.
-    #[inline]
-    pub fn set_gauge(&self, name: &str, value: f64) {
-        if let Some(r) = &self.registry {
-            r.gauge(name).set(value);
-        }
-    }
-
-    /// Records `value` into histogram `name`.
-    #[inline]
-    pub fn observe(&self, name: &str, value: u64) {
-        if let Some(r) = &self.registry {
-            r.histogram(name).record(value);
-        }
     }
 
     /// Records a point occurrence as a zero-duration span named
@@ -354,8 +269,7 @@ impl Obs {
     }
 
     /// Adds `n` to the windowed counter series `(metric, label)` at
-    /// the current clock time. No-op unless the registry is installed
-    /// *and* [`Registry::enable_series`] was called.
+    /// the current clock time. No-op unless a registry is installed.
     #[inline]
     pub fn series_add(&self, metric: &str, label: &str, n: u64) {
         if let Some(r) = &self.registry {
@@ -364,8 +278,8 @@ impl Obs {
     }
 
     /// Records `value` into the windowed sample series
-    /// `(metric, label)` at the current clock time. No-op unless the
-    /// registry is installed and series collection is enabled.
+    /// `(metric, label)` at the current clock time. No-op unless a
+    /// registry is installed.
     #[inline]
     pub fn series_observe(&self, metric: &str, label: &str, value: u64) {
         if let Some(r) = &self.registry {
@@ -374,19 +288,24 @@ impl Obs {
     }
 
     /// Pre-resolved series handle for hot loops: no map lookup per
-    /// record. No-op when the registry or series collection is off.
+    /// record. No-op when no registry is installed.
     pub fn series_handle(&self, metric: &str, label: &str, kind: SeriesKind) -> SeriesHandle {
         SeriesHandle {
-            inner: self.registry.as_ref().and_then(|r| {
-                r.series_cell(metric, label, kind)
-                    .map(|cell| (Arc::clone(r), cell))
-            }),
+            inner: self
+                .registry
+                .as_ref()
+                .map(|r| (Arc::clone(r), r.series_cell(metric, label, kind))),
         }
     }
 
-    /// Snapshot of the backing registry, if enabled.
+    /// The span trace of the backing registry, if enabled.
     pub fn snapshot(&self) -> Option<Snapshot> {
         self.registry.as_ref().map(|r| r.snapshot())
+    }
+
+    /// The series of the backing registry, if enabled.
+    pub fn series_snapshot(&self) -> Option<SeriesSnapshot> {
+        self.registry.as_ref().map(|r| r.series_snapshot())
     }
 }
 
@@ -491,14 +410,16 @@ mod tests {
     #[test]
     fn noop_handle_records_nothing() {
         let obs = Obs::noop();
-        obs.inc("x");
-        obs.observe("h", 5);
+        obs.series_add("x", "c0", 1);
+        obs.series_observe("h", "c0", 5);
+        obs.series_handle("h", "c0", SeriesKind::Sample).record(5);
         obs.instant("i", None, || panic!("must not be called"));
         let mut s = obs.span("noop", None);
         assert_eq!(s.id(), None);
         s.attr_u64("k", 1);
         s.end();
         assert!(obs.snapshot().is_none());
+        assert!(obs.series_snapshot().is_none());
     }
 
     #[test]
@@ -549,28 +470,29 @@ mod tests {
     }
 
     #[test]
-    fn counters_gauges_histograms_round_trip() {
+    fn whole_run_totals_merge_windows_and_labels() {
         let obs = Obs::with_registry(Registry::new());
-        obs.add("c", 3);
-        obs.inc("c");
-        obs.set_gauge("g", 2.5);
-        obs.observe("h", 100);
-        let snap = obs.snapshot().unwrap();
-        assert_eq!(snap.counter("c"), 4);
-        assert_eq!(snap.gauge("g"), Some(2.5));
-        assert_eq!(snap.histogram("h").unwrap().count, 1);
+        obs.series_add("c", "a", 3);
+        obs.series_add("c", "b", 1);
+        obs.series_observe("h", "a", 100);
+        obs.series_handle("h", "b", SeriesKind::Sample).record(300);
+        let series = obs.series_snapshot().unwrap();
+        assert_eq!(series.merged("c").sum, 4);
+        let h = series.merged("h");
+        assert_eq!((h.count, h.sum, h.min, h.max), (2, 400, 100, 300));
+        assert_eq!(series.merged("missing").count, 0);
     }
 
     #[test]
-    fn concurrent_counters_do_not_lose_increments() {
+    fn concurrent_series_do_not_lose_increments() {
         let obs = Obs::with_registry(Registry::new());
         let threads: Vec<_> = (0..8)
             .map(|_| {
                 let obs = obs.clone();
                 std::thread::spawn(move || {
                     for _ in 0..10_000 {
-                        obs.inc("cold");
-                        obs.observe("hist", 7);
+                        obs.series_add("cold", "c0", 1);
+                        obs.series_observe("hist", "c0", 7);
                     }
                 })
             })
@@ -578,35 +500,29 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        let snap = obs.snapshot().unwrap();
-        assert_eq!(snap.counter("cold"), 80_000);
-        assert_eq!(snap.histogram("hist").unwrap().count, 80_000);
+        let series = obs.series_snapshot().unwrap();
+        assert_eq!(series.merged("cold").sum, 80_000);
+        assert_eq!(series.merged("hist").count, 80_000);
     }
 
     #[test]
-    fn series_are_noop_until_enabled_then_stamp_through_the_clock() {
+    fn series_stamp_through_the_clock() {
+        const W: u64 = DEFAULT_SERIES_WINDOW_NS;
         let reg = Registry::new();
         let t = Arc::new(AtomicU64::new(0));
         let t2 = Arc::clone(&t);
         reg.set_clock(move || t2.load(Ordering::SeqCst));
         let obs = Obs::with_registry(Arc::clone(&reg));
 
-        // Disabled: recording is a no-op, handles are inert.
-        obs.series_add("ops", "c0", 1);
-        let dead = obs.series_handle("lat", "c0", SeriesKind::Sample);
-        dead.record(99);
-        assert!(!reg.series_enabled());
-        assert!(reg.series_snapshot().entries.is_empty());
-
-        reg.enable_series(1_000);
-        obs.series_add("ops", "c0", 2);
-        t.store(2_500, Ordering::SeqCst);
-        obs.series_add("ops", "c0", 3);
+        // A handle resolved first records like any later call.
         let lat = obs.series_handle("lat", "c0", SeriesKind::Sample);
+        obs.series_add("ops", "c0", 2);
+        t.store(2 * W + W / 2, Ordering::SeqCst);
+        obs.series_add("ops", "c0", 3);
         lat.record(40);
 
         let snap = reg.series_snapshot();
-        assert_eq!(snap.window_ns, 1_000);
+        assert_eq!(snap.window_ns, W);
         let ops = snap.entry("ops", "c0").unwrap();
         assert_eq!(ops.kind, SeriesKind::Counter);
         assert_eq!(
@@ -618,9 +534,18 @@ mod tests {
         );
         let lat = snap.entry("lat", "c0").unwrap();
         assert_eq!(lat.kind, SeriesKind::Sample);
-        assert_eq!(lat.windows[0].stat.p50(), 40);
+        assert_eq!((lat.windows[0].index, lat.windows[0].stat.p50()), (2, 40));
         // The export path is exercised end to end.
         assert!(snap.to_json().contains("\"ops\""));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "recorded as two kinds")]
+    fn a_series_has_one_kind() {
+        let obs = Obs::with_registry(Registry::new());
+        obs.series_add("x", "c0", 1);
+        obs.series_observe("x", "c0", 1);
     }
 
     #[test]

@@ -1,52 +1,8 @@
-//! Atomic metric primitives: counters, gauges, log₂-bucketed
-//! histograms.
+//! The log₂-bucketed histogram: its buckets are the ones every sample
+//! series window rolls up into, and the fleet simulator records into it
+//! directly.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Monotonically increasing counter.
-#[derive(Default)]
-pub struct Counter {
-    value: AtomicU64,
-}
-
-impl Counter {
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// Last-write-wins floating-point gauge (bits stored in an atomic).
-pub struct Gauge {
-    bits: AtomicU64,
-}
-
-impl Default for Gauge {
-    fn default() -> Self {
-        Gauge {
-            bits: AtomicU64::new(f64::NAN.to_bits()),
-        }
-    }
-}
-
-impl Gauge {
-    /// Sets the gauge.
-    #[inline]
-    pub fn set(&self, value: f64) {
-        self.bits.store(value.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value; `NaN` until first set.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-}
 
 /// Number of histogram buckets: bucket 0 holds zeros, bucket `i ≥ 1`
 /// holds values in `[2^(i-1), 2^i)`.
@@ -130,8 +86,9 @@ impl Histogram {
     }
 }
 
-/// Point-in-time copy of a [`Histogram`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Point-in-time copy of a [`Histogram`] (the default is the empty
+/// one).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Number of observations.
     pub count: u64,

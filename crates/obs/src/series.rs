@@ -1,14 +1,16 @@
-//! Fixed-interval windowed time-series rollups.
+//! Fixed-interval windowed time-series rollups: the one metric store.
 //!
-//! The end-of-run [`Snapshot`](crate::Snapshot) answers *how much*;
-//! this module answers *when*. Every sample is bucketed into a window
-//! of fixed virtual-time width (`t_ns / window_ns`), keyed by
-//! `(metric, label)` — the label is a cloud id, device class,
-//! meta mode, whatever dimension the metric varies over — and each
-//! window keeps either a plain counter delta or a full log₂ histogram
-//! of the samples that landed in it. Diurnal rate flux, chaos windows,
-//! lock-contention ramps and compaction storms that a whole-run
-//! snapshot averages away show up here as per-window rows.
+//! A series answers *when* as well as *how much*: merging a metric's
+//! windows and labels ([`SeriesSnapshot::merged`]) gives the whole-run
+//! number exactly, because windows add bucket counts. Every sample is
+//! bucketed into a window of fixed virtual-time width
+//! (`t_ns / window_ns`), keyed by `(metric, label)` — the label is a
+//! cloud id, device class, meta mode, whatever dimension the metric
+//! varies over — and each window keeps either a plain counter delta or
+//! a full log₂ histogram of the samples that landed in it. Diurnal rate
+//! flux, chaos windows, lock-contention ramps and compaction storms
+//! that a whole-run total averages away show up here as per-window
+//! rows.
 //!
 //! Three layers share one representation:
 //!
@@ -308,14 +310,21 @@ impl SeriesBank {
 /// never allocates while the window stays open.
 #[derive(Debug)]
 pub struct SeriesCell {
+    kind: SeriesKind,
     state: Mutex<TimeSeries>,
 }
 
 impl SeriesCell {
     pub(crate) fn new(kind: SeriesKind, window_ns: u64) -> SeriesCell {
         SeriesCell {
+            kind,
             state: Mutex::new(TimeSeries::new(kind, window_ns)),
         }
+    }
+
+    /// The series kind, fixed at creation.
+    pub(crate) fn kind(&self) -> SeriesKind {
+        self.kind
     }
 
     /// Records `value` at `t_ns`.
@@ -334,7 +343,7 @@ impl SeriesCell {
 }
 
 /// Pre-resolved series handle for hot loops: no map lookup per record,
-/// no-op when series collection is disabled.
+/// no-op when no registry is installed.
 #[derive(Clone, Default)]
 pub struct SeriesHandle {
     pub(crate) inner: Option<(Arc<crate::Registry>, Arc<SeriesCell>)>,
@@ -372,6 +381,18 @@ pub struct SeriesEntry {
     pub windows: Vec<WindowStat>,
 }
 
+impl SeriesEntry {
+    /// Every window folded into one: the whole-run total of a counter
+    /// (`.sum`) or distribution of a sample series.
+    pub fn merged(&self) -> HistogramSnapshot {
+        let mut total = HistogramSnapshot::default();
+        for w in &self.windows {
+            total.merge_from(&w.stat);
+        }
+        total
+    }
+}
+
 /// Point-in-time copy of every windowed series, ready for JSON export.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeriesSnapshot {
@@ -395,6 +416,18 @@ impl SeriesSnapshot {
         self.entries
             .iter()
             .find(|e| e.metric == metric && e.label == label)
+    }
+
+    /// Every window of every label of `metric` folded into one (empty
+    /// when absent). Exact: windows add bucket counts, so a counter's
+    /// total is `.sum`, a sample series' number of samples `.count`
+    /// and its quantiles those of one histogram of every sample.
+    pub fn merged(&self, metric: &str) -> HistogramSnapshot {
+        let mut total = HistogramSnapshot::default();
+        for e in self.entries.iter().filter(|e| e.metric == metric) {
+            total.merge_from(&e.merged());
+        }
+        total
     }
 
     /// Every counter series of `metric` as `(window index, sum)` pairs,

@@ -138,6 +138,9 @@ struct EngineState {
     notifies: Vec<NotifyState>,
     links: Vec<LinkState>,
     next_flow_id: u64,
+    /// Link epoch re-samples not yet recorded: they are counted under
+    /// this lock, and a series record reads the clock, which takes it.
+    resamples: u64,
     rng: SimRng,
     /// Set once every live actor is blocked with no pending event: the
     /// diagnostic each parked actor panics with (see the module docs).
@@ -209,6 +212,7 @@ impl SimRuntime {
                 notifies: Vec::new(),
                 links: Vec::new(),
                 next_flow_id: 0,
+                resamples: 0,
                 rng: SimRng::seed_from_u64(seed),
                 deadlock: None,
             }),
@@ -223,9 +227,11 @@ impl SimRuntime {
     /// registry, the registry clock is pointed at this engine's virtual
     /// time (through a weak reference, so the registry can outlive the
     /// engine), making every recorded event deterministic under a fixed
-    /// seed. The engine then counts flows (`sim.flows_*`,
-    /// `sim.flow_bytes`) and epoch re-samples (`sim.epoch_resamples`)
-    /// and traces `sim.flow_started`/`sim.flow_finished` instants.
+    /// seed. The engine then records each flow's size as a
+    /// `sim.flow_bytes` sample (its count is the flows started), the
+    /// finished flows in `sim.flows_finished` and epoch re-samples in
+    /// `sim.epoch_resamples`, all labelled `all`, and traces
+    /// `sim.flow_started`/`sim.flow_finished` instants.
     pub fn install_obs(&self, obs: Obs) {
         if let Some(registry) = obs.registry() {
             let weak = self.weak_self.clone();
@@ -289,13 +295,12 @@ impl SimRuntime {
                 ("bytes", FieldValue::U(bytes)),
             ]
         };
-        obs.inc("sim.flows_started");
-        obs.add("sim.flow_bytes", bytes);
+        obs.series_observe("sim.flow_bytes", "all", bytes);
         obs.instant("sim.flow_started", None, flow_attrs);
         let me = self.current_actor();
         let mut st = self.state.lock();
         let now = st.now_ns;
-        let resampled = st.links[link.0].maybe_resample(now);
+        st.resamples += st.links[link.0].maybe_resample(now);
         let flow_id = st.next_flow_id;
         st.next_flow_id += 1;
         let epoch = {
@@ -309,10 +314,13 @@ impl SimRuntime {
         });
         let reason = self.block_prepared(st, me, epoch, BlockKind::Flow(flow_id));
         debug_assert_eq!(reason, WakeReason::FlowDone);
-        if resampled > 0 {
-            obs.add("sim.epoch_resamples", resampled);
+        if obs.is_enabled() {
+            let resampled = std::mem::take(&mut self.state.lock().resamples);
+            if resampled > 0 {
+                obs.series_add("sim.epoch_resamples", "all", resampled);
+            }
         }
-        obs.inc("sim.flows_finished");
+        obs.series_add("sim.flows_finished", "all", 1);
         obs.instant("sim.flow_finished", None, flow_attrs);
     }
 
@@ -477,16 +485,10 @@ impl SimRuntime {
 
         // Epoch boundaries.
         let now_ns = st.now_ns;
-        let mut resampled = 0;
         for l in &mut st.links {
             if !l.flows.is_empty() {
-                resampled += l.maybe_resample(now_ns);
+                st.resamples += l.maybe_resample(now_ns);
             }
-        }
-        if resampled > 0 {
-            // Counter only — no clock access, so safe under the state
-            // lock (the separate obs mutex never nests the other way).
-            self.obs().add("sim.epoch_resamples", resampled);
         }
 
         // Flow completions, in link order then flow order — also

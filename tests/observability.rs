@@ -1,8 +1,8 @@
 //! Integration tests of the observability subsystem wired through a
 //! full two-device sync: five simulated clouds behind deterministic
-//! failure injection, one registry shared by both clients, and the
-//! snapshot reconciled against ground truth (injected fault counts,
-//! lock round-trips, block completions).
+//! failure injection, one registry shared by both clients, and its
+//! series reconciled against ground truth (injected fault counts) and
+//! against the span trace (lock acquisitions, sync rounds).
 
 use std::sync::Arc;
 
@@ -12,17 +12,18 @@ use unidrive::cloud::{
 use unidrive::core::{ClientConfig, DataPlaneConfig, MemFolder, SyncFolder, UniDriveClient};
 use unidrive::erasure::RedundancyConfig;
 use unidrive::core::SyncReport;
-use unidrive::obs::{bundle_json, Obs, Registry, Snapshot};
+use unidrive::obs::{bundle_json, FieldValue, Obs, Registry, SeriesSnapshot, Snapshot};
 use unidrive::sim::{Runtime, SimRng, SimRuntime};
 
 const FAILURE_PROB: f64 = 0.08;
 
 struct RunResult {
-    /// Canonicalized export of the whole run (trace + metrics).
+    /// Canonicalized export of the whole run (trace + series).
     json: String,
     /// Ground truth: failures the wrappers actually injected.
     injected: u64,
     snapshot: Snapshot,
+    series: SeriesSnapshot,
 }
 
 /// One full scenario: device A commits a multi-segment file through
@@ -107,10 +108,12 @@ fn run_scenario(seed: u64) -> RunResult {
 
     let mut snapshot = obs.snapshot().unwrap();
     snapshot.canonicalize();
+    let series = obs.series_snapshot().unwrap();
     RunResult {
-        json: bundle_json(Some(&snapshot), None),
+        json: bundle_json(Some(&snapshot), Some(&series.to_json())),
         injected: faulty.iter().map(|f| f.injected_faults()).sum(),
         snapshot,
+        series,
     }
 }
 
@@ -118,41 +121,41 @@ fn run_scenario(seed: u64) -> RunResult {
 fn two_device_sync_records_lock_block_and_retry_metrics() {
     let r = run_scenario(0xb5);
     let s = &r.snapshot;
+    let total = |metric| r.series.merged(metric);
+    let outcome = |label| r.series.entry("client.sync_rounds", label).map_or(0, |e| e.merged().sum);
 
-    // The commit path took (and released) the quorum lock, and the
-    // wait-latency histogram saw every acquisition.
-    assert!(s.counter("lock.acquired") > 0, "no lock acquisitions");
-    assert_eq!(s.counter("lock.acquired"), s.counter("lock.released"));
-    assert_eq!(
-        s.histogram("lock.acquire_wait_ns").expect("lock hist").count,
-        s.counter("lock.acquired"),
-    );
+    // The commit path took (and released) the quorum lock: one wait
+    // sample per acquisition the trace shows succeeding.
+    let acquired = s
+        .spans
+        .iter()
+        .filter(|sp| sp.name == "lock.acquire" && sp.attr("ok") == Some(&FieldValue::B(true)))
+        .count() as u64;
+    assert!(acquired > 0, "no lock acquisitions");
+    assert_eq!(total("lock.wait_ns").count, acquired);
+    assert_eq!(total("lock.released").sum, acquired);
 
     // Both directions of the data plane moved blocks.
-    assert!(s.counter("upload.blocks_completed") > 0, "no uploads");
-    assert!(s.counter("download.blocks_completed") > 0, "no downloads");
-    assert!(s.counter("client.sync_rounds.committed") > 0);
-    assert!(s.counter("client.sync_rounds.fetched") > 0);
+    assert!(total("upload.block_ns").count > 0, "no uploads");
+    assert!(total("download.block_ns").count > 0, "no downloads");
+    assert!(outcome("committed") > 0);
+    assert!(outcome("fetched") > 0);
     assert_eq!(
-        s.counter("client.sync_rounds"),
-        s.counter_sum("client.sync_rounds."),
-        "every sync round has exactly one outcome label"
+        total("client.sync_rounds").sum,
+        s.span_count("sync.round") as u64,
+        "every sync round is counted under exactly one outcome label"
     );
 
     // Retry accounting reconciles with the faults actually injected:
     // the registry saw exactly the wrappers' count, and every observed
-    // data-plane retry was caused by one of them.
+    // data-plane retry (one backoff sample each) was caused by one of
+    // them.
     assert!(r.injected > 0, "scenario injected no failures; raise prob");
-    let observed_injected: u64 = s
-        .counters
-        .iter()
-        .filter(|(name, _)| name.starts_with("chaos.") && name.ends_with(".injected"))
-        .map(|(_, v)| *v)
-        .sum();
-    assert_eq!(observed_injected, r.injected);
-    assert!(s.counter("retry.attempts") > 0, "faults but no retries");
-    assert!(s.counter("retry.attempts") <= r.injected);
-    assert!(s.counter("retry.recovered") > 0, "no retried op recovered");
+    assert_eq!(total("chaos.injected").sum, r.injected);
+    let retries = total("retry.backoff_ns").count;
+    assert!(retries > 0, "faults but no retries");
+    assert!(retries <= r.injected);
+    assert!(total("retry.recovered").sum > 0, "no retried op recovered");
 
     // The virtual clock stamped the trace (nothing at wall time zero
     // only), and nothing was silently dropped at this capacity.

@@ -231,7 +231,7 @@ fn an_edit_of_one_segment_downloads_about_one_segment() {
         "the first sync fetches everything"
     );
     assert_eq!(
-        p.reader_obs.snapshot().counter("download.local_segments"),
+        p.reader_obs.series_snapshot().merged("download.local_segments").sum,
         0
     );
 
@@ -260,13 +260,13 @@ fn an_edit_of_one_segment_downloads_about_one_segment() {
         moved > 0 && moved <= 2 * k_block_bytes,
         "{moved} block bytes down, the edited segments' k blocks are {k_block_bytes}"
     );
-    let snapshot = p.reader_obs.snapshot();
+    let series = p.reader_obs.series_snapshot();
     assert_eq!(
-        snapshot.counter("download.local_segments"),
+        series.merged("download.local_segments").sum,
         kept.len() as u64
     );
     assert_eq!(
-        snapshot.counter("download.local_bytes"),
+        series.merged("download.local_bytes").sum,
         kept.iter().sum::<u64>()
     );
     assert_eq!(
@@ -343,7 +343,7 @@ fn a_conflict_reuses_the_segments_both_versions_share() {
     assert_eq!(read(&p.folder_r, "shared.bin"), version_w);
     let retained = p.reader.fetch_conflict_copy("shared.bin").unwrap().unwrap();
     assert_eq!(retained, version_r);
-    let reused = p.reader_obs.snapshot().counter("download.local_segments");
+    let reused = p.reader_obs.series_snapshot().merged("download.local_segments").sum;
     assert!((9..=11).contains(&reused), "{reused} segments reused");
 }
 
@@ -418,7 +418,7 @@ fn random_edits_materialize_byte_identically_on_both_planes() {
                     data,
                     "{mode:?} seed {seed} round {round}"
                 );
-                reused = p.reader_obs.snapshot().counter("download.local_segments");
+                reused = p.reader_obs.series_snapshot().merged("download.local_segments").sum;
                 random_edit(&mut data, &mut rng);
             }
             assert!(reused > 0, "{mode:?} seed {seed}: no edit reused a segment");
