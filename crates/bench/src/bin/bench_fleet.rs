@@ -18,8 +18,9 @@
 //! [--out BENCH_fleet.json] [--obs-out OBS.json]`; a `--seed` that is
 //! not a number exits 2.
 //! `--obs-out` writes the obs bundle: the fleet's windowed
-//! per-cloud/workload `series` (byte-identical across same-seed runs —
-//! CI byte-compares two);
+//! per-cloud/workload `series`, the one store every number of the
+//! report is read from (byte-identical across same-seed runs — CI
+//! byte-compares two);
 //! `obs_report` derives the per-cloud availability lanes from its
 //! `cloud.ops` / `cloud.err` series.
 
@@ -131,14 +132,18 @@ fn main() {
     );
     println!(
         "sync latency:  {}",
-        obs_out::fmt_quantiles_ms(&m.sync_latency)
+        obs_out::fmt_quantiles_ms(&m.hist("sync_latency_ns"))
     );
-    println!("lock wait:     {}", obs_out::fmt_quantiles_ms(&m.lock_wait));
+    println!(
+        "lock wait:     {}",
+        obs_out::fmt_quantiles_ms(&m.hist("lock_wait_ns"))
+    );
+    let rounds = m.hist("lock_rounds");
     println!(
         "lock rounds:   p50={} p99={} max={}",
-        m.lock_rounds.p50(),
-        m.lock_rounds.p99(),
-        m.lock_rounds.max
+        rounds.p50(),
+        rounds.p99(),
+        rounds.max
     );
 
     let mut table = TextTable::new(&[

@@ -830,6 +830,25 @@ mod tests {
     }
 
     #[test]
+    fn series_names_and_labels_are_escaped_and_round_trip() {
+        // A device name is user input: a quote, a backslash and a
+        // control character must not break the bundle.
+        let device = "dev\"1\\\u{1}";
+        let mut bank = unidrive_obs::SeriesBank::new(60);
+        bank.add("lock.contended", device, 0, 2);
+        bank.add("cloud.ops", "Dropbox", 0, 1);
+        let bundle = unidrive_obs::bundle_json(None, Some(&bank.snapshot().to_json()));
+        let doc = parse_json(&bundle).expect("the bundle parses");
+        assert_eq!(validate(&doc), Vec::<String>::new());
+        let series = doc.get("series").expect("series section");
+        let contended = counter_windows(series, "lock.contended");
+        assert_eq!(contended.keys().collect::<Vec<_>>(), [device]);
+        assert_eq!(contended[device], [(0, 2)]);
+        // Plain names are written as before.
+        assert!(bundle.contains("\"cloud.ops\": {\n      \"Dropbox\": {\"kind\": \"counter\""));
+    }
+
+    #[test]
     fn lanes_are_derived_from_the_attempt_and_error_series() {
         // Windows 3..=8: clean, a fully refused window, one clean, a
         // gap, then clean again.

@@ -14,8 +14,6 @@
 //! * [`ChaosCloud`] / [`FaultPlan`] — deterministic scheduled fault
 //!   injection (transient bursts, outages, quota exhaustion, latency
 //!   spikes, torn uploads, delayed visibility) over any store.
-//! * [`ThrottledCloud`] — byte-rate limiting decorator (a
-//!   [`TokenBucket`] with bytes as the token unit).
 //! * [`ObservedCloud`] — the measurement decorator (per-op timing,
 //!   attempt/error/byte series over any store).
 //! * [`Retry`] / [`RetryPolicy`] — bounded-backoff retries for
@@ -48,7 +46,6 @@ mod retry;
 mod s3;
 mod sim_cloud;
 mod store;
-mod wrappers;
 
 pub use builder::{BuiltCloud, CloudBuilder};
 pub use error::{CloudError, CloudOp};
@@ -64,4 +61,3 @@ pub use sim_cloud::{FailureProfile, SimCloud, SimCloudConfig, TrafficSnapshot};
 pub use store::{
     split_path, validate_path, CloudCaps, CloudId, CloudSet, CloudStore, ObjectInfo,
 };
-pub use wrappers::ThrottledCloud;

@@ -3,9 +3,7 @@
 //!
 //! Lets the examples and integration tests run the full UniDrive stack —
 //! chunking, erasure coding, quorum locking, scheduling — against real
-//! bytes on disk, with each "cloud" being a separate directory. Combine
-//! with [`ThrottledCloud`](crate::ThrottledCloud) to emulate bandwidth
-//! limits under wall-clock time.
+//! bytes on disk, with each "cloud" being a separate directory.
 
 use std::fs;
 use std::path::{Path, PathBuf};

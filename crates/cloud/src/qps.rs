@@ -15,16 +15,6 @@
 //! Both are pure integer arithmetic on virtual nanoseconds: no float
 //! accumulation, no wall clock, so same-seed fleet runs reproduce the
 //! same delays bit-for-bit on any host.
-//!
-//! [`ThrottledCloud`](crate::ThrottledCloud) lifts the same bucket into
-//! the [`CloudStore`](crate::CloudStore) interface with bytes as the
-//! token unit.
-
-use std::sync::Arc;
-use std::time::Duration;
-
-use unidrive_sim::Runtime;
-use unidrive_util::sync::Mutex;
 
 const NS_PER_SEC: u64 = 1_000_000_000;
 
@@ -92,19 +82,6 @@ impl TokenBucket {
     /// The configured sustained rate, ops/s.
     pub fn rate_per_sec(&self) -> u64 {
         self.rate_per_sec
-    }
-}
-
-/// Charges `tokens` against a shared bucket at `rt`'s clock and sleeps
-/// out any shaper delay on `rt` — how a store decorator applies a
-/// [`TokenBucket`], whatever its token unit.
-pub(crate) fn charge(rt: &Arc<dyn Runtime>, bucket: &Mutex<TokenBucket>, tokens: u64) {
-    // The bucket requires non-decreasing timestamps; the lock
-    // serializes concurrent callers and `max` in `consume` absorbs
-    // any inversion between `now()` and lock acquisition.
-    let delay_ns = bucket.lock().consume(rt.now().as_nanos(), tokens);
-    if delay_ns > 0 {
-        rt.sleep(Duration::from_nanos(delay_ns));
     }
 }
 

@@ -22,7 +22,9 @@ use std::time::Duration;
 use unidrive_util::bytes::Bytes;
 use unidrive_util::sync::Mutex;
 use unidrive_cloud::CloudSet;
-use unidrive_meta::{lock_file_name, parse_lock_name, LockConfig, PlaneError, LOCK_DIR};
+use unidrive_meta::{
+    lock_file_name, parse_lock_name, LockConfig, PlaneError, LOCK_DIR, STARVATION_AUDIT,
+};
 use unidrive_obs::{FieldValue, Obs, SpanId};
 use unidrive_sim::{Runtime, SimRng, Time};
 
@@ -140,11 +142,11 @@ impl QuorumLock {
                     let wait = Duration::from_nanos(self.rng.lock().below(nanos));
                     self.rt.sleep(wait);
                     // Bounded-wait audit: flag (once) a device that has
-                    // been losing rounds longer than the configured
-                    // threshold, so starvation under hot-folder
-                    // contention is visible in metrics and traces.
+                    // been losing rounds longer than `STARVATION_AUDIT`,
+                    // so starvation under hot-folder contention is
+                    // visible in metrics and traces.
                     let waited = self.rt.now().saturating_duration_since(t0);
-                    if !starved && waited >= self.config.starvation_audit {
+                    if !starved && waited >= STARVATION_AUDIT {
                         starved = true;
                         self.obs.series_add("lock.starved", &self.device, 1);
                         span.attr_bool("starved", true);
@@ -521,12 +523,13 @@ pub(crate) mod tests {
             )
             .unwrap();
         }
+        // Backoffs long enough that the eight losing rounds wait past
+        // `STARVATION_AUDIT` well before the last one.
         let config = LockConfig {
             max_attempts: 8,
-            backoff_base: Duration::from_millis(400),
-            backoff_max: Duration::from_millis(800),
+            backoff_base: Duration::from_secs(10),
+            backoff_max: Duration::from_secs(20),
             stale_after: Duration::from_secs(100_000),
-            starvation_audit: Duration::from_millis(500),
         };
         let obs = unidrive_obs::Obs::with_registry(unidrive_obs::Registry::new());
         let lock = QuorumLock::new(rt, clouds, "dev-a", config, SimRng::seed_from_u64(15))

@@ -39,17 +39,18 @@
 //! one `HashMap` keyed by device id — so peak memory tracks the number
 //! of *concurrent sessions*, not the population size.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use unidrive_cloud::{CloudOp, FaultKind, FaultPlan, TokenBucket};
-use unidrive_meta::{LockConfig, MetaMode, PROTOCOL_COSTS};
-use unidrive_obs::Histogram;
+use unidrive_meta::{LockConfig, MetaMode, PROTOCOL_COSTS, STARVATION_AUDIT};
+use unidrive_obs::SeriesBank;
 use unidrive_sim::SimRng;
 use unidrive_workload::{nominal_rates, DeviceClass, Provider, Zipf, EC2_SITES};
 
 use crate::calendar::Calendar;
 use crate::config::FleetConfig;
-use crate::metrics::{CloudRow, FleetMetrics};
+use crate::metrics::{CloudRow, FleetMetrics, FLEET_SERIES_WINDOW_NS};
 
 /// Minimum scheduling delay: every event is scheduled at least this
 /// far after the one that caused it, so a window of this width never
@@ -124,7 +125,6 @@ struct ActiveDevice {
 #[derive(Debug, Default)]
 struct HotFolder {
     holder: Option<u64>,
-    version: u64,
     cum_bytes: u64,
     /// Member device → cumulative bytes it has acknowledged.
     member_synced: HashMap<u64, u64>,
@@ -151,8 +151,6 @@ struct CloudLane {
     series: unidrive_cloud::QpsSeries,
     lock_ops: u64,
     transfer_ops: u64,
-    bytes_up: u64,
-    bytes_down: u64,
     throttle_delay_ns: u64,
 }
 
@@ -197,7 +195,7 @@ fn charge_meta(
     reachable: &[bool; 5],
     t: u64,
     ops: u64,
-    m: &mut FleetMetrics,
+    series: &mut SeriesBank,
 ) -> u64 {
     let mut worst = 0;
     for (lane, _) in lanes.iter_mut().zip(reachable).filter(|(_, &r)| r) {
@@ -206,7 +204,7 @@ fn charge_meta(
         lane.lock_ops += ops;
         lane.throttle_delay_ns += d;
         worst = worst.max(d);
-        m.series.add("cloud.ops", lane.name, t, ops);
+        series.add("cloud.ops", lane.name, t, ops);
     }
     worst
 }
@@ -221,26 +219,21 @@ fn charge_transfer(
     share: u64,
     secs: f64,
     upload: bool,
-    m: &mut FleetMetrics,
+    series: &mut SeriesBank,
 ) -> u64 {
     let d = lane.bucket.consume(t, ops);
     lane.transfer_ops += ops;
-    if upload {
-        lane.bytes_up += share;
-    } else {
-        lane.bytes_down += share;
-    }
     lane.throttle_delay_ns += d;
     // Record at post-shaper times: the series reports when ops
     // actually clear, not the offered spike.
     let wire_ns = (secs * NS_PER_SEC as f64) as u64;
     let start = t + d;
     lane.series.record_spread(start, start + wire_ns, ops);
-    m.series.add("cloud.ops", lane.name, t, ops);
+    series.add("cloud.ops", lane.name, t, ops);
     let bytes = if upload { "cloud.bytes_up" } else { "cloud.bytes_down" };
-    m.series.add(bytes, lane.name, t, share);
+    series.add(bytes, lane.name, t, share);
     // The share transfer's latency sample includes the shaper delay.
-    m.series.observe("cloud.op_ns", lane.name, t, wire_ns.saturating_add(d));
+    series.observe("cloud.op_ns", lane.name, t, wire_ns.saturating_add(d));
     d
 }
 
@@ -254,12 +247,12 @@ fn quorum_reachable(
     lanes: &[CloudLane],
     reachable: &[bool; 5],
     t: u64,
-    m: &mut FleetMetrics,
+    series: &mut SeriesBank,
 ) -> bool {
     for (i, lane) in lanes.iter().enumerate() {
         if !reachable[i] {
-            m.series.add("cloud.ops", lane.name, t, 1);
-            m.series.add("cloud.err", lane.name, t, 1);
+            series.add("cloud.ops", lane.name, t, 1);
+            series.add("cloud.err", lane.name, t, 1);
         }
     }
     reachable.iter().filter(|&&r| r).count() >= QUORUM_K
@@ -310,10 +303,9 @@ struct Run<'a> {
     active: HashMap<u64, ActiveDevice>,
     folders: Vec<HotFolder>,
     lanes: Vec<CloudLane>,
+    /// Every event's record: the run's one metric store.
+    series: SeriesBank,
     m: FleetMetrics,
-    sync_latency: Histogram,
-    lock_wait: Histogram,
-    lock_rounds: Histogram,
 }
 
 impl<'a> Run<'a> {
@@ -337,8 +329,6 @@ impl<'a> Run<'a> {
                 series: unidrive_cloud::QpsSeries::new(),
                 lock_ops: 0,
                 transfer_ops: 0,
-                bytes_up: 0,
-                bytes_down: 0,
                 throttle_delay_ns: 0,
             })
             .collect();
@@ -364,10 +354,8 @@ impl<'a> Run<'a> {
             active: HashMap::new(),
             folders: (0..cfg.hot_folders).map(|_| HotFolder::default()).collect(),
             lanes,
+            series: SeriesBank::new(FLEET_SERIES_WINDOW_NS),
             m: FleetMetrics::new(cfg),
-            sync_latency: Histogram::default(),
-            lock_wait: Histogram::default(),
-            lock_rounds: Histogram::default(),
         }
     }
 
@@ -454,9 +442,9 @@ impl<'a> Run<'a> {
         for u in &mut cloud_us {
             *u = rng.next_f64();
         }
-        let m = &mut self.m;
-        m.series.add("fleet.arrivals", class.as_str(), t, 1);
-        m.series.observe("fleet.session_bytes", class.as_str(), t, bytes);
+        let series = &mut self.series;
+        series.add("fleet.arrivals", class.as_str(), t, 1);
+        series.observe("fleet.session_bytes", class.as_str(), t, bytes);
         // Preserve the original arrival time across retries so sync
         // latency covers the whole outage wait.
         let t0_ns = self.active.get(&device).map_or(t, |d| d.t0_ns);
@@ -475,22 +463,24 @@ impl<'a> Run<'a> {
         );
 
         let reachable = upload_reachability(&cfg.fault_plan, t);
-        if !quorum_reachable(&self.lanes, &reachable, t, m) {
+        if !quorum_reachable(&self.lanes, &reachable, t, series) {
             // Not enough providers accept writes: the upload cannot
             // reach quorum durability.
-            m.bump("upload.unreachable_rounds");
+            series.add("upload.unreachable_rounds", "fleet", t, 1);
             self.calendar
                 .push(t + outage_retry_ns(retry_u), device, Ev::Arrive { activation });
             return;
         }
-        m.bump("sessions.started");
-        m.series.add("fleet.sessions", "started", t, 1);
+        series.add("fleet.sessions", "started", t, 1);
         if let Some(rank) = hot {
             let f = &mut self.folders[rank as usize];
             // A joining member snapshots the folder: history backfill
             // is out of band; lag accrues only for writes it
             // subsequently misses.
-            f.member_synced.entry(device).or_insert(f.cum_bytes);
+            if let Entry::Vacant(member) = f.member_synced.entry(device) {
+                member.insert(f.cum_bytes);
+                series.add("folders.members", "fleet", t, 1);
+            }
         }
 
         // Erasure-coded upload of one share per reachable cloud; the
@@ -516,7 +506,7 @@ impl<'a> Run<'a> {
                         // Retries inflate effective transfer time by
                         // the geometric mean 1/(1-p).
                         dur /= 1.0 - probability.min(0.8);
-                        m.bump("fault.burst_slowdowns");
+                        series.add("fault.burst_slowdowns", lane.name, t, 1);
                     }
                     FaultKind::LatencySpike { extra_ms } => {
                         dur += (extra_ms as f64 / 1_000.0) * ops as f64;
@@ -526,18 +516,18 @@ impl<'a> Run<'a> {
                             // Torn write detected by digest check; one
                             // repair pass.
                             dur *= 1.3;
-                            m.bump("fault.torn_repairs");
+                            series.add("fault.torn_repairs", lane.name, t, 1);
                         }
                     }
                     FaultKind::DelayedVisibility => {
                         ack_extra_ns = ack_extra_ns.max(2 * NS_PER_SEC);
-                        m.bump("fault.delayed_acks");
+                        series.add("fault.delayed_acks", lane.name, t, 1);
                     }
                     FaultKind::Outage | FaultKind::QuotaExhausted => {}
                 }
             }
             slowest = slowest.max(dur);
-            let d = charge_transfer(lane, t, ops, share, dur, true, m);
+            let d = charge_transfer(lane, t, ops, share, dur, true, series);
             qps_delay = qps_delay.max(d);
         }
         let duration = ((slowest * NS_PER_SEC as f64) as u64)
@@ -559,9 +549,7 @@ impl<'a> Run<'a> {
             active,
             folders,
             lanes,
-            m,
-            lock_wait,
-            lock_rounds,
+            series,
             ..
         } = self;
         let dev = active.get_mut(&device).expect("attempting device is active");
@@ -574,7 +562,7 @@ impl<'a> Run<'a> {
         let backoff_u = dev.rng.next_f64();
         let retry_u = dev.rng.next_f64();
         let hot = dev.hot;
-        m.series.add(
+        series.add(
             "fleet.attempts",
             if hot.is_some() { "hot" } else { "private" },
             t,
@@ -582,10 +570,10 @@ impl<'a> Run<'a> {
         );
 
         let reachable = upload_reachability(&cfg.fault_plan, t);
-        if !quorum_reachable(lanes, &reachable, t, m) {
+        if !quorum_reachable(lanes, &reachable, t, series) {
             // Quorum unreachable: back off and retry the same round once
             // the outage window has a chance to end.
-            m.bump("lock.unreachable_rounds");
+            series.add("lock.unreachable_rounds", "fleet", t, 1);
             calendar.push(t + outage_retry_ns(retry_u), device, Ev::Attempt { attempt });
             return;
         }
@@ -630,25 +618,22 @@ impl<'a> Run<'a> {
                             compaction = Some((wait, f.pending_ops));
                             f.pending_ops = 0;
                             f.compact_lock_until_ns = t + wait + 2 * COMMIT_NS;
-                            m.bump("oplog.compactions");
-                            m.series.add("oplog.compactions", "fleet", t, 1);
+                            series.add("oplog.compactions", "fleet", t, 1);
                             if !free {
-                                m.bump("oplog.compact_forced");
-                                m.series.add("oplog.compact_forced", "fleet", t, 1);
+                                series.add("oplog.compact_forced", "fleet", t, 1);
                             }
                         } else {
                             // Another device is compacting; the append
                             // stands, the fold waits.
-                            m.bump("oplog.compact_skipped");
+                            series.add("oplog.compact_skipped", "fleet", t, 1);
                         }
                     }
                 }
-                m.bump("oplog.appends");
-                m.add("oplog.op_file_reads", unread);
-                m.series.add("oplog.appends", "fleet", t, 1);
+                series.add("oplog.appends", "fleet", t, 1);
+                series.add("oplog.op_file_reads", "fleet", t, unread);
                 let mut ops = c.oplog_append + unread * c.oplog_op_file;
                 if let Some((_, covered)) = compaction {
-                    m.add("oplog.op_deletes", covered);
+                    series.add("oplog.op_deletes", "fleet", t, covered);
                     ops += c.oplog_compact + covered * c.oplog_op_delete;
                 }
                 (true, ops, compaction.map_or(0, |(wait, _)| wait + COMMIT_NS))
@@ -671,26 +656,22 @@ impl<'a> Run<'a> {
             }
         };
         // The shaper's worst delay gates what follows.
-        let qps_delay = charge_meta(lanes, &reachable, t, ops, m);
+        let qps_delay = charge_meta(lanes, &reachable, t, ops, series);
 
         if !won {
-            m.bump("lock.contended_rounds");
-            m.series.add("lock.contended", "fleet", t, 1);
+            series.add("lock.contended", "fleet", t, 1);
             // Starvation audit, mirroring the core lock path: flag
             // (once) any acquire waiting past the bound.
             let waited = t.saturating_sub(dev.wait_start_ns);
-            if waited >= lock.starvation_audit.as_nanos() as u64 && !dev.starved {
+            if waited >= STARVATION_AUDIT.as_nanos() as u64 && !dev.starved {
                 dev.starved = true;
-                m.bump("lock.starved");
-                m.series.add("lock.starved", "fleet", t, 1);
+                series.add("lock.starved", "fleet", t, 1);
             }
             let next = attempt + 1;
             if next >= lock.max_attempts {
                 // Exhausted: defer the commit and start a fresh acquire
                 // cycle later.
-                m.bump("lock.exhausted");
-                m.bump("sessions.deferred");
-                m.series.add("fleet.sessions", "deferred", t, 1);
+                series.add("fleet.sessions", "deferred", t, 1);
                 let defer = (60.0 * NS_PER_SEC as f64 * (1.0 + backoff_u)) as u64;
                 calendar.push(t + defer, device, Ev::Attempt { attempt: 0 });
             } else {
@@ -705,14 +686,10 @@ impl<'a> Run<'a> {
 
         // Committed: the lock (oplog: the compaction lock, when this
         // append folds) is held only for the metadata commit.
-        if cfg.meta_mode == MetaMode::Lock {
-            m.bump("lock.acquired");
-        }
+        let mode = cfg.meta_mode.as_str();
         let waited = t.saturating_sub(dev.wait_start_ns);
-        lock_wait.record(waited);
-        lock_rounds.record(attempt as u64 + 1);
-        m.series
-            .observe("fleet.lock_wait_ns", cfg.meta_mode.as_str(), t, waited);
+        series.observe("fleet.lock_wait_ns", mode, t, waited);
+        series.observe("fleet.lock_rounds", mode, t, attempt as u64 + 1);
         let commit = COMMIT_NS.saturating_add(qps_delay).saturating_add(compact_ns);
         calendar.push(t + commit.max(LOOKAHEAD_NS), device, Ev::Release);
     }
@@ -727,34 +704,30 @@ impl<'a> Run<'a> {
             .remove(&device)
             .expect("releasing device is active");
         let next_gap_secs = cfg.profile.next_gap_secs(dev.class, &mut dev.rng);
-        let m = &mut self.m;
+        let series = &mut self.series;
         if let Some(rank) = dev.hot {
             let f = &mut self.folders[rank as usize];
             if cfg.meta_mode == MetaMode::Lock {
                 // Oplog commits never held the folder lock, so the
                 // holder invariant only applies here.
                 if f.holder != Some(device) {
-                    m.bump("invariant.holder_violations");
+                    series.add("invariant.holder_violations", "fleet", t, 1);
                 }
                 f.holder = None;
             }
-            f.version += 1;
+            series.add("folders.versions", "fleet", t, 1);
             f.cum_bytes += dev.bytes;
             // The writer trivially has its own write; a push implies a
             // pull-first in the sync protocol, so it is also caught up
             // on everything earlier.
             f.member_synced.insert(device, f.cum_bytes);
         }
-        m.bump("sessions.completed");
-        m.add("bytes.synced", dev.bytes);
+        series.add("bytes.synced", "fleet", t, dev.bytes);
         let latency = t.saturating_sub(dev.t0_ns);
-        self.sync_latency.record(latency);
-        m.series.add("fleet.sessions", "completed", t, 1);
-        m.series
-            .observe("fleet.sync_latency_ns", cfg.meta_mode.as_str(), t, latency);
+        series.observe("fleet.sync_latency_ns", cfg.meta_mode.as_str(), t, latency);
 
         match next_gap_secs {
-            None => m.bump("devices.churned"),
+            None => series.add("devices.churned", "fleet", t, 1),
             Some(gap) => {
                 let at = t + ((gap * NS_PER_SEC as f64) as u64).max(LOOKAHEAD_NS);
                 if at < self.horizon_ns {
@@ -768,8 +741,8 @@ impl<'a> Run<'a> {
     /// Drain-phase catch-up: download the erasure share of the folder
     /// writes `device` missed from a read quorum.
     fn pull(&mut self, t: u64, device: u64, folder: u32) {
-        let m = &mut self.m;
-        m.series.add("fleet.pulls", "drain", t, 1);
+        let series = &mut self.series;
+        series.add("fleet.pulls", "drain", t, 1);
         let f = &mut self.folders[folder as usize];
         let lag = f
             .cum_bytes
@@ -785,11 +758,11 @@ impl<'a> Run<'a> {
                 let i = (device as usize + j) % self.lanes.len();
                 let down = self.rates[site][i].1 * rate_flux(i, t);
                 let dur = share as f64 / down.max(1.0);
-                charge_transfer(&mut self.lanes[i], t, ops, share, dur, false, m);
+                charge_transfer(&mut self.lanes[i], t, ops, share, dur, false, series);
             }
             f.member_synced.insert(device, f.cum_bytes);
-            m.bump("drain.pulls");
-            m.add("bytes.pulled", lag);
+            series.add("drain.pulls", "fleet", t, 1);
+            series.add("bytes.pulled", "fleet", t, lag);
         }
     }
 
@@ -797,11 +770,13 @@ impl<'a> Run<'a> {
     fn finish(self, overrun: bool) -> FleetMetrics {
         let Run {
             mut m,
+            series,
             folders,
             lanes,
             active,
             ..
         } = self;
+        m.series = series.snapshot();
         let held: usize = folders.iter().filter(|f| f.holder.is_some()).count();
         let lagging: usize = folders
             .iter()
@@ -812,23 +787,15 @@ impl<'a> Run<'a> {
                     .count()
             })
             .sum();
-        let members: u64 = folders.iter().map(|f| f.member_synced.len() as u64).sum();
         let started = m.counter("sessions.started");
         let completed = m.counter("sessions.completed");
+        let violations = m.counter("invariant.holder_violations");
         let residual_active = active.len();
 
-        m.set("folders.members", members);
-        m.set(
-            "folders.versions",
-            folders.iter().map(|f| f.version).sum::<u64>(),
-        );
         m.invariant(
             "single_lock_holder",
-            m.counter("invariant.holder_violations") == 0 && held == 0,
-            format!(
-                "{} holder violations, {held} locks still held",
-                m.counter("invariant.holder_violations")
-            ),
+            violations == 0 && held == 0,
+            format!("{violations} holder violations, {held} locks still held"),
         );
         m.invariant(
             "no_lost_acks",
@@ -850,24 +817,26 @@ impl<'a> Run<'a> {
             },
         );
 
-        m.sync_latency = self.sync_latency.snapshot();
-        m.lock_wait = self.lock_wait.snapshot();
-        m.lock_rounds = self.lock_rounds.snapshot();
-
-        m.clouds = lanes
+        let bytes = |metric, lane: &CloudLane| {
+            m.series
+                .entry(metric, lane.name)
+                .map_or(0, |e| e.merged().sum)
+        };
+        let clouds = lanes
             .iter()
             .map(|l| CloudRow {
                 name: l.name.to_owned(),
                 ops: l.lock_ops + l.transfer_ops,
                 lock_ops: l.lock_ops,
                 transfer_ops: l.transfer_ops,
-                bytes_up: l.bytes_up,
-                bytes_down: l.bytes_down,
+                bytes_up: bytes("cloud.bytes_up", l),
+                bytes_down: bytes("cloud.bytes_down", l),
                 throttle_delay_ns: l.throttle_delay_ns,
                 qps_peak: l.series.peak(),
                 qps_mean: l.series.mean(),
             })
             .collect();
+        m.clouds = clouds;
         m
     }
 }
@@ -982,7 +951,7 @@ mod tests {
 
         // The lanes are what `obs_report` derives from the exported
         // series: the fully refused window [120s, 180s) is `down`.
-        let lanes = m.series.snapshot().health_lanes();
+        let lanes = m.series.health_lanes();
         assert_eq!(lanes.len(), Provider::ALL.len());
         let lane = |p: Provider| &lanes.iter().find(|(name, _)| name == p.name()).expect("lane").1;
         let target = lane(Provider::ALL[4]);

@@ -19,11 +19,14 @@
 //! * [`FleetSim`] — the discrete-event engine (one sequential loop
 //!   over lookahead windows, lazy device materialization,
 //!   upload-then-commit sessions against quorum-locked hot folders,
-//!   the product's `LockConfig` defaults, metadata steps charged at
+//!   the product's `LockConfig` defaults and `STARVATION_AUDIT`,
+//!   metadata steps charged at
 //!   `unidrive_meta::PROTOCOL_COSTS`).
-//! * [`FleetMetrics`] — counters, latency/wait/round histograms,
-//!   per-cloud accounting, chaos-soak invariants, and the
-//!   deterministic `BENCH_fleet.json` serialization.
+//! * [`FleetMetrics`] — the run's windowed series (its one metric
+//!   store: every event recorded once), per-cloud accounting,
+//!   chaos-soak invariants, and the deterministic `BENCH_fleet.json`
+//!   serialization, whose counters and histograms are read back from
+//!   the series through one table.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

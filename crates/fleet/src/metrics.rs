@@ -5,10 +5,15 @@
 //! seed, population, and fault plan — never of wall-clock time or the
 //! host. That is what lets CI assert byte-identical output across
 //! same-seed runs and against the checked-in documents.
+//!
+//! The run's windowed series are its one metric store: the report's
+//! `counters` and `hist` sections are read back from them through the
+//! `COUNTERS` and `HISTS` tables, so a new fleet metric is one record
+//! in a handler plus one table row.
 
 use std::collections::BTreeMap;
 
-use unidrive_obs::{histogram_json, Histogram, HistogramSnapshot, SeriesBank};
+use unidrive_obs::{histogram_json, HistogramSnapshot, SeriesSnapshot};
 
 use crate::config::FleetConfig;
 
@@ -16,11 +21,69 @@ use crate::config::FleetConfig;
 /// virtual time per window.
 pub const FLEET_SERIES_WINDOW_NS: u64 = 60 * 1_000_000_000;
 
-/// Counters that must appear in every report even when zero, so the
-/// JSON schema is stable across meta modes and fault plans (CI and
-/// `bench_compare` key off their presence).
-const SCHEMA_COUNTERS: [&str; 3] =
-    ["lock.starved", "oplog.compact_forced", "oplog.compact_overdue"];
+/// Which whole-run number of a series a report key reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stat {
+    /// The total of a counter series.
+    Sum,
+    /// The number of samples of a sample series.
+    Count,
+}
+
+/// Whether a report key is written when its series was never recorded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Presence {
+    /// Written at 0: the key set stays stable across meta modes and
+    /// fault plans (CI and `bench_compare` key off it).
+    Always,
+    /// Written iff the series exists (an add of 0 creates it).
+    IfRecorded,
+}
+
+use Presence::{Always, IfRecorded};
+use Stat::{Count, Sum};
+
+/// The report's `counters` section, the one map from a key to what it
+/// reads: `(key, metric, label, stat, presence)`, where a `None` label
+/// merges every label of the metric. A count a sample series already
+/// carries is read from it, not recorded twice.
+#[rustfmt::skip]
+const COUNTERS: [(&str, &str, Option<&str>, Stat, Presence); 26] = [
+    ("bytes.pulled", "bytes.pulled", None, Sum, IfRecorded),
+    ("bytes.synced", "bytes.synced", None, Sum, IfRecorded),
+    ("devices.churned", "devices.churned", None, Sum, IfRecorded),
+    ("drain.pulls", "drain.pulls", None, Sum, IfRecorded),
+    ("fault.burst_slowdowns", "fault.burst_slowdowns", None, Sum, IfRecorded),
+    ("fault.delayed_acks", "fault.delayed_acks", None, Sum, IfRecorded),
+    ("fault.torn_repairs", "fault.torn_repairs", None, Sum, IfRecorded),
+    ("folders.members", "folders.members", None, Sum, Always),
+    ("folders.versions", "folders.versions", None, Sum, Always),
+    ("invariant.holder_violations", "invariant.holder_violations", None, Sum, IfRecorded),
+    ("lock.acquired", "fleet.lock_wait_ns", Some("lock"), Count, IfRecorded),
+    ("lock.contended_rounds", "lock.contended", None, Sum, IfRecorded),
+    ("lock.exhausted", "fleet.sessions", Some("deferred"), Sum, IfRecorded),
+    ("lock.starved", "lock.starved", None, Sum, Always),
+    ("lock.unreachable_rounds", "lock.unreachable_rounds", None, Sum, IfRecorded),
+    ("oplog.appends", "oplog.appends", None, Sum, IfRecorded),
+    ("oplog.compact_forced", "oplog.compact_forced", None, Sum, Always),
+    ("oplog.compact_overdue", "oplog.compact_overdue", None, Sum, Always),
+    ("oplog.compact_skipped", "oplog.compact_skipped", None, Sum, IfRecorded),
+    ("oplog.compactions", "oplog.compactions", None, Sum, IfRecorded),
+    ("oplog.op_deletes", "oplog.op_deletes", None, Sum, IfRecorded),
+    ("oplog.op_file_reads", "oplog.op_file_reads", None, Sum, IfRecorded),
+    ("sessions.completed", "fleet.sync_latency_ns", None, Count, IfRecorded),
+    ("sessions.deferred", "fleet.sessions", Some("deferred"), Sum, IfRecorded),
+    ("sessions.started", "fleet.sessions", Some("started"), Sum, IfRecorded),
+    ("upload.unreachable_rounds", "upload.unreachable_rounds", None, Sum, IfRecorded),
+];
+
+/// The report's `hist` section: each key and the sample series (every
+/// label merged) whose distribution it prints.
+const HISTS: [(&str, &str); 3] = [
+    ("lock_rounds", "fleet.lock_rounds"),
+    ("lock_wait_ns", "fleet.lock_wait_ns"),
+    ("sync_latency_ns", "fleet.sync_latency_ns"),
+];
 
 /// One invariant verdict, named and explained.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,9 +108,9 @@ pub struct CloudRow {
     pub lock_ops: u64,
     /// Operations spent on share transfers.
     pub transfer_ops: u64,
-    /// Bytes uploaded (erasure shares).
+    /// Bytes uploaded (erasure shares): the `cloud.bytes_up` series.
     pub bytes_up: u64,
-    /// Bytes downloaded (drain pulls).
+    /// Bytes downloaded (drain pulls): the `cloud.bytes_down` series.
     pub bytes_down: u64,
     /// Cumulative shaper-imposed delay, nanoseconds.
     pub throttle_delay_ns: u64,
@@ -72,14 +135,6 @@ pub struct FleetMetrics {
     pub meta_mode: String,
     /// Scheduled fault events in the plan.
     pub fault_events: usize,
-    /// Named counters (sessions, locks, faults, drain).
-    pub counters: BTreeMap<String, u64>,
-    /// End-to-end session latency (arrival → publish), ns.
-    pub sync_latency: HistogramSnapshot,
-    /// Lock wait (upload landed → lock granted), ns.
-    pub lock_wait: HistogramSnapshot,
-    /// Lock rounds needed per successful acquire.
-    pub lock_rounds: HistogramSnapshot,
     /// Per-provider accounting.
     pub clouds: Vec<CloudRow>,
     /// Chaos-soak invariant verdicts.
@@ -92,19 +147,16 @@ pub struct FleetMetrics {
     pub virtual_end_ns: u64,
     /// Drain rounds needed after the horizon.
     pub drain_rounds: u32,
-    /// Windowed time-series rollups ([`FLEET_SERIES_WINDOW_NS`] grid),
-    /// recorded by the event handlers as they run.
-    pub series: SeriesBank,
+    /// Every event the run recorded, as windowed series
+    /// ([`FLEET_SERIES_WINDOW_NS`] grid): the one metric store, of
+    /// which the report's `counters` and `hist` sections and the cloud
+    /// rows' bytes are views.
+    pub series: SeriesSnapshot,
 }
 
 impl FleetMetrics {
     /// An empty metrics value echoing `cfg`.
     pub fn new(cfg: &FleetConfig) -> FleetMetrics {
-        let empty = || Histogram::default().snapshot();
-        let mut counters = BTreeMap::new();
-        for name in SCHEMA_COUNTERS {
-            counters.insert(name.to_owned(), 0);
-        }
         FleetMetrics {
             seed: cfg.seed,
             devices: cfg.devices,
@@ -112,17 +164,13 @@ impl FleetMetrics {
             horizon_secs: cfg.horizon.as_secs(),
             meta_mode: cfg.meta_mode.as_str().to_owned(),
             fault_events: cfg.fault_plan.events.len(),
-            counters,
-            sync_latency: empty(),
-            lock_wait: empty(),
-            lock_rounds: empty(),
             clouds: Vec::new(),
             invariants: Vec::new(),
             events_processed: 0,
             windows: 0,
             virtual_end_ns: 0,
             drain_rounds: 0,
-            series: SeriesBank::new(FLEET_SERIES_WINDOW_NS),
+            series: SeriesSnapshot::empty(FLEET_SERIES_WINDOW_NS),
         }
     }
 
@@ -131,27 +179,49 @@ impl FleetMetrics {
     /// [`to_json`](FleetMetrics::to_json), the bytes depend only on the
     /// virtual run: same seed ⇒ identical output (CI `cmp`-gates this).
     pub fn series_json(&self) -> String {
-        self.series.snapshot().to_json()
+        self.series.to_json()
     }
 
-    /// Increments counter `name`.
-    pub fn bump(&mut self, name: &str) {
-        self.add(name, 1);
+    /// The `counters` section: every [`COUNTERS`] key that is always
+    /// present or whose series exists, with the number it reads.
+    fn counters(&self) -> BTreeMap<&'static str, u64> {
+        COUNTERS
+            .iter()
+            .filter_map(|&(key, metric, label, stat, presence)| {
+                let recorded = match label {
+                    Some(label) => self.series.entry(metric, label).map(|e| e.merged()),
+                    None => self
+                        .series
+                        .entries
+                        .iter()
+                        .any(|e| e.metric == metric)
+                        .then(|| self.series.merged(metric)),
+                };
+                let value = match (recorded, stat) {
+                    (Some(h), Sum) => h.sum,
+                    (Some(h), Count) => h.count,
+                    (None, _) if presence == Always => 0,
+                    (None, _) => return None,
+                };
+                Some((key, value))
+            })
+            .collect()
     }
 
-    /// Adds `n` to counter `name`.
-    pub fn add(&mut self, name: &str, n: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += n;
-    }
-
-    /// Sets counter `name` to `n`.
-    pub fn set(&mut self, name: &str, n: u64) {
-        self.counters.insert(name.to_owned(), n);
-    }
-
-    /// Reads counter `name` (0 if never touched).
+    /// Reads report key `name` of the `counters` section (0 when its
+    /// series was never recorded).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        self.counters().get(name).copied().unwrap_or(0)
+    }
+
+    /// The distribution report key `name` of the `hist` section prints
+    /// (empty when its series was never recorded).
+    pub fn hist(&self, name: &str) -> HistogramSnapshot {
+        HISTS
+            .iter()
+            .find(|(key, _)| *key == name)
+            .map(|(_, metric)| self.series.merged(metric))
+            .unwrap_or_default()
     }
 
     /// Records an invariant verdict.
@@ -183,7 +253,7 @@ impl FleetMetrics {
         out.push_str("},\n");
 
         out.push_str("  \"counters\": {");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
+        for (i, (k, v)) in self.counters().iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
@@ -211,20 +281,17 @@ impl FleetMetrics {
         }
         out.push_str("\n  ],\n");
 
-        out.push_str("  \"hist\": {\n");
-        out.push_str(&format!(
-            "    \"lock_rounds\": {},\n",
-            histogram_json(&self.lock_rounds)
-        ));
-        out.push_str(&format!(
-            "    \"lock_wait_ns\": {},\n",
-            histogram_json(&self.lock_wait)
-        ));
-        out.push_str(&format!(
-            "    \"sync_latency_ns\": {}\n",
-            histogram_json(&self.sync_latency)
-        ));
-        out.push_str("  },\n");
+        out.push_str("  \"hist\": {");
+        for (i, (key, _)) in HISTS.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!(
+                "\n    \"{key}\": {}",
+                histogram_json(&self.hist(key))
+            ));
+        }
+        out.push_str("\n  },\n");
 
         out.push_str("  \"invariants\": [\n");
         for (i, inv) in self.invariants.iter().enumerate() {
@@ -264,12 +331,22 @@ fn fmt_f64(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
+    use unidrive_cloud::{FaultEvent, FaultKind};
+    use unidrive_meta::MetaMode;
+    use unidrive_obs::SeriesBank;
+    use unidrive_workload::Provider;
+
+    use crate::{default_chaos_plan, FleetSim};
 
     fn sample() -> FleetMetrics {
         let cfg = FleetConfig::quick(5);
         let mut m = FleetMetrics::new(&cfg);
-        m.bump("sessions.started");
-        m.add("bytes.synced", 1024);
+        let mut bank = SeriesBank::new(FLEET_SERIES_WINDOW_NS);
+        bank.add("fleet.sessions", "started", 0, 1);
+        bank.add("bytes.synced", "fleet", 0, 1024);
+        m.series = bank.snapshot();
         m.invariant("converged", true, "ok".to_owned());
         m.clouds.push(CloudRow {
             name: "dropbox".to_owned(),
@@ -306,9 +383,62 @@ mod tests {
     fn counters_and_invariants_round_trip() {
         let mut m = sample();
         assert_eq!(m.counter("sessions.started"), 1);
+        assert_eq!(m.counter("bytes.synced"), 1024);
         assert_eq!(m.counter("missing"), 0);
         assert!(m.all_pass());
         m.invariant("broken", false, "nope".to_owned());
         assert!(!m.all_pass());
+    }
+
+    /// Every row of the report tables names a series a tiny fleet
+    /// records in one meta mode or the other: a mistyped name would
+    /// otherwise print 0 or drop its key, which only the full-scale
+    /// byte gate catches.
+    #[test]
+    fn every_report_row_is_fed() {
+        let runs: Vec<FleetMetrics> = [MetaMode::Lock, MetaMode::Oplog]
+            .into_iter()
+            .map(|mode| {
+                let mut cfg = FleetConfig::quick(11);
+                // One hot folder: the lock run exhausts acquires; the
+                // oplog run is larger, since a fold is skipped only when
+                // 64 appends land inside the previous fold's hold.
+                cfg.devices = match mode {
+                    MetaMode::Lock => 3_000,
+                    MetaMode::Oplog => 30_000,
+                };
+                cfg.horizon = Duration::from_secs(300);
+                cfg.hot_folders = 1;
+                cfg.meta_mode = mode;
+                cfg.fault_plan = default_chaos_plan(11, 300);
+                // Three clouds dark at once leave no write quorum.
+                for p in &Provider::ALL[..3] {
+                    let dark = FaultEvent::always(p.name(), FaultKind::Outage);
+                    cfg.fault_plan.push(dark.window_secs(200, 240));
+                }
+                FleetSim::new(cfg).run()
+            })
+            .collect();
+        for (key, metric, ..) in COUNTERS.iter().filter(|row| row.4 == IfRecorded) {
+            if *key == "invariant.holder_violations" {
+                // Only a second lock holder records it, and the lock
+                // run's invariant says there was none.
+                let lock = &runs[0].invariants;
+                let held = lock.iter().find(|i| i.name == "single_lock_holder");
+                assert!(held.is_some_and(|i| i.pass), "{lock:?}");
+                continue;
+            }
+            assert!(
+                runs.iter().any(|m| m.counters().contains_key(key)),
+                "{key}: neither run recorded {metric}"
+            );
+        }
+        for (key, metric) in HISTS {
+            for m in &runs {
+                let mode = &m.meta_mode;
+                let count = m.hist(key).count;
+                assert!(count > 0, "{key}: {mode} run recorded no {metric}");
+            }
+        }
     }
 }

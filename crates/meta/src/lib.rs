@@ -29,4 +29,5 @@ pub use model::{BlockRef, FileEntry, SegmentEntry, SegmentId, Snapshot, SyncFold
 pub use op::{compact, fold, op_id, FoldOutcome, MetaOp, OplogBase};
 pub use plane::{
     LockConfig, MergeFn, MetaMode, MetaPlane, PlaneError, ProtocolCosts, PROTOCOL_COSTS,
+    STARVATION_AUDIT,
 };

@@ -113,12 +113,6 @@ pub struct LockConfig {
     pub backoff_max: Duration,
     /// ΔT: a foreign lock seen unrefreshed for this long is broken.
     pub stale_after: Duration,
-    /// Bounded-wait audit: once an acquire has waited this long across
-    /// losing rounds it is flagged as starved (`lock.starved` counter,
-    /// `starved` span attribute) — at fleet scale the randomized
-    /// backoff is unfair, and a device spinning on a hot folder must
-    /// not do so unobserved.
-    pub starvation_audit: Duration,
 }
 
 impl Default for LockConfig {
@@ -129,7 +123,6 @@ impl Default for LockConfig {
             backoff_max: Duration::from_secs(15),
             // The paper's example ΔT = 120 s.
             stale_after: Duration::from_secs(120),
-            starvation_audit: Duration::from_secs(30),
         }
     }
 }
@@ -188,6 +181,14 @@ pub const PROTOCOL_COSTS: ProtocolCosts = ProtocolCosts {
     oplog_compact: 8,
     oplog_op_delete: 1,
 };
+
+/// Bounded-wait audit of the quorum lock: once an acquire has waited
+/// this long across losing rounds it is flagged as starved
+/// (`lock.starved` series, `starved` span attribute). At fleet scale
+/// the randomized backoff is unfair, and a device spinning on a hot
+/// folder must not do so unobserved; the lock plane and the fleet model
+/// audit at the same bound.
+pub const STARVATION_AUDIT: Duration = Duration::from_secs(30);
 
 /// The merge callback [`MetaPlane::transact`] runs inside the
 /// transaction: given the freshest remote image (`None` on a fresh

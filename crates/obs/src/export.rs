@@ -147,7 +147,8 @@ fn json_field_value(out: &mut String, value: &FieldValue) {
     }
 }
 
-fn json_string(out: &mut String, s: &str) {
+/// Writes `s` as a JSON string literal: the crate's one string writer.
+pub(crate) fn json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -232,12 +233,11 @@ mod tests {
 
     #[test]
     fn standalone_histogram_json_is_deterministic_with_quantiles() {
-        use crate::Histogram;
-        let h = Histogram::default();
+        let mut bank = crate::SeriesBank::new(1_000);
         for v in [100u64, 200, 400, 800, 1600, 3200] {
-            h.record(v);
+            bank.observe("op_ns", "c0", v, v);
         }
-        let snap = h.snapshot();
+        let snap = bank.snapshot().merged("op_ns");
         let a = histogram_json(&snap);
         assert_eq!(a, histogram_json(&snap));
         assert!(a.contains("\"count\": 6"));

@@ -23,7 +23,11 @@
 //! up into [`DEFAULT_SERIES_WINDOW_NS`] windows. A whole-run number is
 //! the merge of a metric's windows and labels,
 //! [`SeriesSnapshot::merged`]: `.sum` of a counter, `.count` and the
-//! quantiles of a sample series.
+//! quantiles of a sample series. The fleet simulator records into the
+//! same store without a registry: a [`SeriesBank`] written through
+//! `&mut`, whose snapshot is the only record of a fleet run
+//! (`BENCH_fleet.json` is a view of it). There is no other counter or
+//! histogram type; [`HistogramSnapshot`] is what a merged window holds.
 //!
 //! ```
 //! use unidrive_obs::{Obs, Registry};
@@ -54,7 +58,7 @@ pub use export::{bundle_json, histogram_json, Snapshot, BUNDLE_SCHEMA};
 pub use lanes::{
     health_lane, health_lanes, lane_span, CounterWindows, HealthLane, HealthState,
 };
-pub use metrics::{Histogram, HistogramSnapshot};
+pub use metrics::HistogramSnapshot;
 pub use series::{
     SeriesBank, SeriesCell, SeriesEntry, SeriesHandle, SeriesKind, SeriesSnapshot, TimeSeries,
     WindowStat, DEFAULT_SERIES_WINDOW_NS,

@@ -1,93 +1,29 @@
-//! The log₂-bucketed histogram: its buckets are the ones every sample
-//! series window rolls up into, and the fleet simulator records into it
-//! directly.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! The log₂ buckets every sample series window rolls up into, and
+//! [`HistogramSnapshot`], the rolled-up distribution a window, a merged
+//! series or a report row carries.
 
 /// Number of histogram buckets: bucket 0 holds zeros, bucket `i ≥ 1`
 /// holds values in `[2^(i-1), 2^i)`.
 pub const HISTOGRAM_BUCKETS: usize = 65;
 
-/// Lock-free log₂-bucketed histogram for latencies and sizes.
-///
-/// The bucket of value `v > 0` is `64 - v.leading_zeros()`, i.e. one
-/// plus the position of its highest set bit, so bucket boundaries are
-/// exact powers of two. Alongside the buckets it tracks count, sum,
-/// min and max.
-pub struct Histogram {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
+/// Index of the bucket `value` falls into: `64 - value.leading_zeros()`,
+/// i.e. one plus the position of its highest set bit, so bucket
+/// boundaries are exact powers of two.
+#[inline]
+pub(crate) fn bucket_index(value: u64) -> usize {
+    (64 - value.leading_zeros()) as usize
 }
 
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: [(); HISTOGRAM_BUCKETS].map(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-        }
+/// Inclusive lower bound of bucket `i` (0 for the zero bucket).
+pub(crate) fn bucket_lower_bound(i: usize) -> u64 {
+    match i {
+        0 | 1 => i as u64,
+        _ => 1u64 << (i - 1),
     }
 }
 
-impl Histogram {
-    /// Index of the bucket `value` falls into.
-    #[inline]
-    pub fn bucket_index(value: u64) -> usize {
-        (64 - value.leading_zeros()) as usize
-    }
-
-    /// Inclusive lower bound of bucket `i` (0 for the zero bucket).
-    pub fn bucket_lower_bound(i: usize) -> u64 {
-        match i {
-            0 | 1 => i as u64,
-            _ => 1u64 << (i - 1),
-        }
-    }
-
-    /// Records one observation.
-    #[inline]
-    pub fn record(&self, value: u64) {
-        self.buckets[Self::bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.min.fetch_min(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
-    }
-
-    /// Consistent-enough copy of the histogram state. (Individual
-    /// atomics are read independently; in quiescent snapshots — the
-    /// only kind the export path takes — the copy is exact.)
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let count = self.count.load(Ordering::Relaxed);
-        HistogramSnapshot {
-            count,
-            sum: self.sum.load(Ordering::Relaxed),
-            min: if count == 0 {
-                0
-            } else {
-                self.min.load(Ordering::Relaxed)
-            },
-            max: self.max.load(Ordering::Relaxed),
-            buckets: self
-                .buckets
-                .iter()
-                .enumerate()
-                .filter_map(|(i, b)| {
-                    let n = b.load(Ordering::Relaxed);
-                    (n > 0).then_some((Self::bucket_lower_bound(i), n))
-                })
-                .collect(),
-        }
-    }
-}
-
-/// Point-in-time copy of a [`Histogram`] (the default is the empty
-/// one).
+/// A log₂-bucketed distribution: count, sum, min, max and the non-empty
+/// buckets (the default is the empty one).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Number of observations.
@@ -208,31 +144,38 @@ impl HistogramSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SeriesKind, TimeSeries};
+
+    /// Every value recorded into one sample window: the one recording
+    /// path, as a series rolls it up.
+    fn snap_of(values: &[u64]) -> HistogramSnapshot {
+        let mut s = TimeSeries::new(SeriesKind::Sample, u64::MAX);
+        for &v in values {
+            s.record(0, v);
+        }
+        s.windows().pop().map(|w| w.stat).unwrap_or_default()
+    }
 
     #[test]
     fn bucket_boundaries_are_powers_of_two() {
-        assert_eq!(Histogram::bucket_index(0), 0);
-        assert_eq!(Histogram::bucket_index(1), 1);
-        assert_eq!(Histogram::bucket_index(2), 2);
-        assert_eq!(Histogram::bucket_index(3), 2);
-        assert_eq!(Histogram::bucket_index(4), 3);
-        assert_eq!(Histogram::bucket_index(1023), 10);
-        assert_eq!(Histogram::bucket_index(1024), 11);
-        assert_eq!(Histogram::bucket_index(u64::MAX), 64);
+        assert_eq!(bucket_index(0), 0);
+        assert_eq!(bucket_index(1), 1);
+        assert_eq!(bucket_index(2), 2);
+        assert_eq!(bucket_index(3), 2);
+        assert_eq!(bucket_index(4), 3);
+        assert_eq!(bucket_index(1023), 10);
+        assert_eq!(bucket_index(1024), 11);
+        assert_eq!(bucket_index(u64::MAX), 64);
         for i in 2..HISTOGRAM_BUCKETS {
-            let lo = Histogram::bucket_lower_bound(i);
-            assert_eq!(Histogram::bucket_index(lo), i, "lower bound of {i}");
-            assert_eq!(Histogram::bucket_index(lo - 1), i - 1);
+            let lo = bucket_lower_bound(i);
+            assert_eq!(bucket_index(lo), i, "lower bound of {i}");
+            assert_eq!(bucket_index(lo - 1), i - 1);
         }
     }
 
     #[test]
     fn histogram_tracks_stats() {
-        let h = Histogram::default();
-        for v in [0, 1, 1, 7, 1024] {
-            h.record(v);
-        }
-        let s = h.snapshot();
+        let s = snap_of(&[0, 1, 1, 7, 1024]);
         assert_eq!(s.count, 5);
         assert_eq!(s.sum, 1033);
         assert_eq!(s.min, 0);
@@ -243,7 +186,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_min_is_zero() {
-        let s = Histogram::default().snapshot();
+        let s = snap_of(&[]);
         assert_eq!((s.count, s.min, s.max), (0, 0, 0));
         assert!(s.buckets.is_empty());
         assert_eq!((s.p50(), s.p95(), s.p99()), (0, 0, 0));
@@ -251,15 +194,10 @@ mod tests {
 
     #[test]
     fn percentiles_walk_the_buckets() {
-        let h = Histogram::default();
         // 90 fast observations around 1 ms, 10 slow around 1 s.
-        for _ in 0..90 {
-            h.record(1_000_000);
-        }
-        for _ in 0..10 {
-            h.record(1_000_000_000);
-        }
-        let s = h.snapshot();
+        let mut values = vec![1_000_000; 90];
+        values.extend([1_000_000_000; 10]);
+        let s = snap_of(&values);
         // p50 lands in the 1 ms bucket; the upper bound clamps to max
         // of that region's observations within one power of two.
         assert!(s.p50() >= 1_000_000 && s.p50() < 2_097_152, "p50 = {}", s.p50());
@@ -269,18 +207,8 @@ mod tests {
         assert!(s.p50() <= s.p95() && s.p95() <= s.p99());
 
         // Single-value histograms are exact at every percentile.
-        let one = Histogram::default();
-        one.record(7);
-        let os = one.snapshot();
+        let os = snap_of(&[7]);
         assert_eq!((os.p50(), os.p95(), os.p99()), (7, 7, 7));
-    }
-
-    fn snap_of(values: &[u64]) -> HistogramSnapshot {
-        let h = Histogram::default();
-        for &v in values {
-            h.record(v);
-        }
-        h.snapshot()
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //!   the hot path never allocates (a new allocation happens only when
 //!   a window *closes*, amortized to once per window).
 //! * [`SeriesBank`] — a keyed collection of series sharing one window
-//!   width, recorded through `&mut` (the fleet simulator's series).
+//!   width, recorded through `&mut` (the fleet simulator's one metric
+//!   store).
 //! * Registry-backed cells (see [`Obs::series_observe`]
 //!   [`Obs::series_add`], [`Obs::series_handle`](crate::Obs::series_handle))
 //!   — thread-safe recording stamped through the installed clock, for
@@ -41,8 +42,9 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
+use crate::export::json_string;
 use crate::lanes::{health_lanes, CounterWindows, HealthLane};
-use crate::metrics::{Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
+use crate::metrics::{bucket_index, bucket_lower_bound, HistogramSnapshot, HISTOGRAM_BUCKETS};
 
 /// Default rollup interval: 10 virtual seconds.
 pub const DEFAULT_SERIES_WINDOW_NS: u64 = 10_000_000_000;
@@ -104,7 +106,7 @@ impl OpenWindow {
 
     #[inline]
     fn record(&mut self, value: u64) {
-        self.buckets[Histogram::bucket_index(value)] += 1;
+        self.buckets[bucket_index(value)] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
         self.min = self.min.min(value);
@@ -123,9 +125,7 @@ impl OpenWindow {
                     .buckets
                     .iter()
                     .enumerate()
-                    .filter_map(|(i, &n)| {
-                        (n > 0).then_some((Histogram::bucket_lower_bound(i), n))
-                    })
+                    .filter_map(|(i, &n)| (n > 0).then_some((bucket_lower_bound(i), n)))
                     .collect(),
             },
         }
@@ -189,10 +189,7 @@ impl TimeSeries {
                     sum: value,
                     min: value,
                     max: value,
-                    buckets: vec![(
-                        Histogram::bucket_lower_bound(Histogram::bucket_index(value)),
-                        1,
-                    )],
+                    buckets: vec![(bucket_lower_bound(bucket_index(value)), 1)],
                 };
                 self.insert_closed(WindowStat { index, stat: one });
                 return;
@@ -468,7 +465,9 @@ impl SeriesSnapshot {
                 out.push(',');
             }
             first_metric = false;
-            out.push_str(&format!("\n    \"{metric}\": {{"));
+            out.push_str("\n    ");
+            json_string(&mut out, metric);
+            out.push_str(": {");
             let mut first_label = true;
             while i < self.entries.len() && &self.entries[i].metric == metric {
                 let e = &self.entries[i];
@@ -476,9 +475,10 @@ impl SeriesSnapshot {
                     out.push(',');
                 }
                 first_label = false;
+                out.push_str("\n      ");
+                json_string(&mut out, &e.label);
                 out.push_str(&format!(
-                    "\n      \"{}\": {{\"kind\": \"{}\", \"windows\": [",
-                    e.label,
+                    ": {{\"kind\": \"{}\", \"windows\": [",
                     e.kind.as_str()
                 ));
                 for (j, w) in e.windows.iter().enumerate() {

@@ -1,7 +1,7 @@
 //! Real-bytes demo: the full UniDrive stack — content-defined chunking,
 //! non-systematic Reed-Solomon, DES-encrypted metadata, quorum locking —
 //! running under **wall-clock time** with five local directories acting
-//! as the clouds (throttled to cloud-like speeds).
+//! as the clouds.
 //!
 //! ```sh
 //! cargo run --example real_directories
@@ -14,7 +14,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use unidrive::cloud::{CloudSet, CloudStore, LocalDirCloud, ThrottledCloud};
+use unidrive::cloud::{CloudSet, CloudStore, LocalDirCloud};
 use unidrive::core::{
     ClientConfig, DataPlaneConfig, DirFolder, SyncFolder, UniDriveClient,
 };
@@ -26,20 +26,16 @@ fn main() {
     let _ = std::fs::remove_dir_all(&base);
     let rt: Arc<dyn Runtime> = Arc::new(RealRuntime::new());
 
-    // Five "clouds": throttled local directories (2-10 MB/s).
-    let rates = [10e6, 8e6, 6e6, 4e6, 2e6];
+    // Five "clouds": local directories.
     let clouds = CloudSet::new(
-        rates
-            .iter()
-            .enumerate()
-            .map(|(i, &rate)| {
+        (0..5)
+            .map(|i| {
                 let dir = LocalDirCloud::create(
                     format!("cloud-{i}"),
                     base.join(format!("clouds/cloud-{i}")),
                 )
                 .expect("create cloud dir");
-                Arc::new(ThrottledCloud::new(Arc::new(dir), Arc::clone(&rt), rate))
-                    as Arc<dyn CloudStore>
+                Arc::new(dir) as Arc<dyn CloudStore>
             })
             .collect(),
     );
