@@ -144,6 +144,18 @@ cmp "$out/c.json" "$out/d.json"
 grep -q '^"traceEvents": \[$' "$out/c.json"
 ./target/release/obs_report --validate "$out/c.json" | grep "(0 dropped); .* series"
 
+echo "==> over-provisioning pays: Fig. 14 holds through n = 3 dead clouds, not n = 4, and A1 reads >= 3x"
+# The payoff of extra blocks, checked in quick mode (~2 s): with the
+# three slowest clouds dead every download still succeeds, with four
+# none can (K_s = 2 keeps any one cloud below k blocks), and turning
+# over-provisioning off makes a file available at least 3x later. An
+# upload-scheduler change that trims extras must keep all three.
+./target/release/figures fig14_reliability ablations quick >"$out/op.txt"
+awk '$1 ~ /^[0-3]$/ && NF >= 2 { print "    n = " $1 ": " $2; seen++; if ($2 != "12/12") bad = 1 }
+     $1 == "4" && NF >= 2 { print "    n = 4: " $2; seen++; if ($2 != "0/12") bad = 1 }
+     $1 == "A1" { r = $NF; gsub(/[()x]/, "", r); print "    A1: " r "x"; seen++; if (r + 0 < 3) bad = 1 }
+     END { exit seen != 6 || bad }' "$out/op.txt"
+
 echo "==> kernel bench (quick) + report schema and shape"
 # Throughput numbers vary with the machine; what CI pins down is that
 # every kernel runs to completion and the schema stays stable (fixed key
@@ -283,8 +295,8 @@ hot() { # WORKLOAD "METRIC=VALUE ..."
         $1 in want { print "    " w " " $1 " " $2; if ($2 "" != want[$1]) { print "    pinned: " want[$1]; bad = 1 }; delete want[$1] }
         END { for (m in want) { print "    " w ": no " m; bad = 1 }; exit bad }' "$out/$1.txt"
 }
-hot hot_lock "sync_up_s=5.958072 sync_down_s=3.761386 converge_s=20.681059 cloud_ops_per_round=721.400000 wire_bytes_per_payload_byte=15.255463 stored_bytes_per_live_byte=3.344032"
-hot hot_oplog "sync_up_s=0.518201 sync_down_s=1.074069 converge_s=2.372977 cloud_ops_per_round=373.291667 wire_bytes_per_payload_byte=11.290670 stored_bytes_per_live_byte=3.362374"
+hot hot_lock "sync_up_s=6.019706 sync_down_s=3.528046 converge_s=21.160395 cloud_ops_per_round=706.975000 wire_bytes_per_payload_byte=13.885510 stored_bytes_per_live_byte=2.410480"
+hot hot_oplog "sync_up_s=0.541454 sync_down_s=1.078297 converge_s=2.418263 cloud_ops_per_round=368.583333 wire_bytes_per_payload_byte=10.233327 stored_bytes_per_live_byte=2.450973"
 for m in sync_up_s converge_s; do
     awk -v m="$m" '$1 == m { v[FILENAME] = $2 + 0 }
         END { print "    " m ": oplog " v[ARGV[1]] " < lock " v[ARGV[2]]; exit !(v[ARGV[1]] < v[ARGV[2]]) }' \

@@ -9,6 +9,14 @@
 //! blocks — the network utilization of each cloud ends up proportional
 //! to its performance exactly as the paper intends, with every completed
 //! transfer doubling as an in-channel bandwidth probe.
+//!
+//! An extra is minted only while it can still beat the block it hedges.
+//! §6.2 gives extras to "clouds that finish their fair share early":
+//! read per segment, a cloud gets an extra of a segment only once none
+//! of its own blocks of that segment is queued or in flight. Extras go
+//! on "until the slowest cloud finishes": read as until the last normal
+//! block has *started* — an extra started once every normal block is on
+//! the wire lands behind all of them.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -114,8 +122,6 @@ struct SegPlan {
     reassign: VecDeque<u16>,
     /// Blocks currently in flight per cloud.
     inflight: Vec<usize>,
-    /// Normal (fair-share) blocks among them, on any cloud.
-    normal_inflight: usize,
     /// Successfully placed blocks.
     done: Vec<BlockRef>,
     /// Next over-provisioned index to mint.
@@ -154,11 +160,7 @@ impl UploadState {
     /// Takes `job`, just finished on `cloud` either way, off the
     /// in-flight counts.
     fn landed(&mut self, job: &Job, cloud: usize) {
-        let seg = &mut self.segs[job.seg];
-        seg.inflight[cloud] -= 1;
-        if job.index < self.normal_total {
-            seg.normal_inflight -= 1;
-        }
+        self.segs[job.seg].inflight[cloud] -= 1;
     }
 
     fn file_available(&self, file: usize, k: usize) -> bool {
@@ -228,7 +230,6 @@ impl DataPlane {
                             .collect(),
                         reassign: VecDeque::new(),
                         inflight: vec![0; n_clouds],
-                        normal_inflight: 0,
                         done: Vec::new(),
                         next_extra: normal_total,
                         bounces: 0,
@@ -435,10 +436,9 @@ fn next_job(
 
     // Phase 1 — availability: earliest unavailable file first. This
     // cloud's planned (fair-share) blocks of *every* unavailable file
-    // come first; only a cloud that has finished its fair share of the
-    // batch receives over-provisioned extras (paper: extras are
-    // "assigned on the fly to those clouds finished transferring their
-    // fair share").
+    // come first; extras are "assigned on the fly to those clouds
+    // finished transferring their fair share", so `mint_extra` serves
+    // only a segment whose blocks on this cloud have all landed.
     let pending: Vec<usize> = (0..st.files.len())
         .filter(|&f| st.files[f].2.is_none())
         .flat_map(|f| st.files[f].1.clone())
@@ -472,14 +472,13 @@ fn next_job(
         // its fair share or when the maximally allowed blocks are
         // transferred") — an otherwise idle fast cloud keeps minting
         // extras, which is what lets Fig. 14 survive n = 3 outages. Only
-        // normal blocks count: an extra in flight is not the slowest
-        // cloud's fair share, and counting it would let extras mint
-        // extras until every segment sits at its cap on every cloud.
+        // a normal block not yet started (queued on a live cloud, or
+        // orphaned) counts: once all are on the wire, an extra started
+        // now lands behind them, and extras never count.
         if config.overprovisioning {
             let slowest_still_pushing = st.segs.iter().any(|seg| {
                 (0..st.cloud_alive.len()).any(|c| st.cloud_alive[c] && !seg.planned[c].is_empty())
                     || seg.reassign.iter().any(|&i| i < st.normal_total)
-                    || seg.normal_inflight > 0
             });
             if slowest_still_pushing {
                 for p in 0..st.segs.len() {
@@ -503,15 +502,14 @@ fn take_planned(st: &mut UploadState, p: usize, cloud: usize, cap: usize) -> Opt
         None => return None,
     };
     seg.inflight[cloud] += 1;
-    if index < st.normal_total {
-        seg.normal_inflight += 1;
-    }
     Some(Job { seg: p, index })
 }
 
+/// Mints the next extra of segment `p` for `cloud`, if the cloud's own
+/// blocks of `p` have all landed and the security cap allows one more.
 fn mint_extra(st: &mut UploadState, p: usize, cloud: usize, cap: usize) -> Option<Job> {
     let seg = &mut st.segs[p];
-    if seg.blocks_on(cloud) >= cap {
+    if !seg.planned[cloud].is_empty() || seg.inflight[cloud] > 0 || seg.blocks_on(cloud) >= cap {
         return None;
     }
     let n_max = seg
@@ -684,9 +682,44 @@ mod tests {
         let (_sim, plane) = setup(11, &[1e6; 5]);
         let report = plane.run_upload(files(20, 100_000), None, None);
         assert!(report.all_available());
-        assert!(report.blocks.len() <= 130, "{} blocks placed", report.blocks.len());
+        assert!(report.blocks.len() <= 110, "{} blocks placed", report.blocks.len());
         let available = report.available_duration().unwrap();
         assert!(available <= Duration::from_millis(140), "available after {available:?}");
+    }
+
+    #[test]
+    fn an_extra_waits_for_its_clouds_own_block_and_an_unstarted_normal_one() {
+        // On equal clouds every normal block is on the wire before any
+        // cloud's own share of a segment lands, so extras are few: at the
+        // cap, 4 segments would hold 40 blocks. Minting an extra beside
+        // the cloud's own block, or after the last normal block started,
+        // places 36 or 33 and makes no file available sooner.
+        let (_sim, plane) = setup(12, &[1e6; 5]);
+        let report = plane.run_upload(files(4, 128 * 1024), None, None);
+        assert!(report.all_available());
+        assert!(report.blocks.len() <= 28, "{} blocks placed", report.blocks.len());
+        let available = report.available_duration().unwrap();
+        assert!(available <= Duration::from_millis(44), "available after {available:?}");
+    }
+
+    #[test]
+    fn the_two_fastest_clouds_hold_every_segment_after_the_join() {
+        // Fig. 14's n = 3 guarantee: with the three slowest clouds out,
+        // the two fastest alone still hold k blocks of every segment.
+        for (count, size) in [(4, 1_000_000), (8, 300_000)] {
+            let (_sim, plane) = setup(13, &[4e6, 2e6, 1e6, 0.5e6, 0.25e6]);
+            let report = plane.run_upload(files(count, size), None, None);
+            assert!(report.all_available());
+            let mut on_fast: std::collections::HashMap<SegmentId, usize> =
+                std::collections::HashMap::new();
+            for (seg, b) in &report.blocks {
+                *on_fast.entry(*seg).or_default() += usize::from(b.cloud <= 1);
+            }
+            assert_eq!(on_fast.len(), count);
+            for (seg, held) in on_fast {
+                assert!(held >= plane.config.redundancy.k(), "segment {seg}: {held} on clouds 0-1");
+            }
+        }
     }
 
     #[test]
