@@ -18,18 +18,19 @@ use std::time::Duration;
 use unidrive_util::bytes::Bytes;
 use unidrive_cloud::CloudSet;
 use unidrive_meta::{
-    merge3, BlockRef, LockConfig, MetaMode, MetaPlane, PlaneError, SegmentId, Snapshot,
-    SyncFolderImage, VersionStamp,
+    merge3, parse_block_name, BlockRef, LockConfig, MetaMode, MetaPlane, PlaneError, SegmentId,
+    Snapshot, SyncFolderImage, VersionStamp,
 };
 use unidrive_obs::SpanId;
-use unidrive_sim::{Runtime, SimRng};
+use unidrive_sim::{Runtime, SimRng, Time};
 
-use crate::dataplane::{DataPlane, LocalBase, UploadRequest};
+use crate::dataplane::{BlockAudit, DataPlane, LocalBase, UploadRequest};
 use crate::upload::BlockSink;
 use crate::folder::{LocalChange, LocalStat, SyncFolder};
 use crate::lock_plane::LockPlane;
 use crate::oplog_plane::OplogPlane;
 use crate::plan::DataPlaneConfig;
+use crate::rebalance::repair;
 use crate::{DownloadError, SegmentFetch};
 
 /// Client configuration.
@@ -195,6 +196,9 @@ pub struct UniDriveClient {
     /// Placements reported by background reliability workers since the
     /// last commit ("set asynchronously via callback", §5.1).
     pending_blocks: BlockSink,
+    /// When this device last audited the block objects, and what it
+    /// found: a scrub acts only on what two audits ΔT apart agree on.
+    scrubbed: (Time, BlockAudit),
 }
 
 impl std::fmt::Debug for UniDriveClient {
@@ -218,6 +222,7 @@ impl UniDriveClient {
         let plane = DataPlane::new(Arc::clone(&rt), clouds.clone(), config.data.clone());
         let meta = build_plane(Arc::clone(&rt), clouds, &config, rng);
         UniDriveClient {
+            scrubbed: (rt.now(), BlockAudit::default()),
             rt,
             folder,
             plane,
@@ -342,7 +347,17 @@ impl UniDriveClient {
         let changes = self.scan_local_changes().map_err(SyncError::Folder)?;
         let has_pending_blocks = !self.pending_blocks.lock().is_empty();
         if !changes.is_empty() || has_pending_blocks {
-            self.commit_local_update(changes, round)
+            // Dedup only against segments a file still references (a
+            // resolved conflict copy's entries sit at refcount 0 until
+            // the next commit collects them). One a peer collects after
+            // this image was read is caught inside the transaction.
+            let known = self
+                .original
+                .segments()
+                .filter(|(_, e)| e.refcount > 0 && !e.blocks.is_empty())
+                .map(|(id, _)| *id)
+                .collect();
+            self.commit_local_update(changes, known, round)
         } else {
             self.check_cloud_update(round)
         }
@@ -402,22 +417,14 @@ impl UniDriveClient {
     fn commit_local_update(
         &mut self,
         changes: Vec<(LocalChange, Option<Bytes>)>,
+        mut known: HashSet<SegmentId>,
         round: Option<SpanId>,
     ) -> Result<SyncReport, SyncError> {
         let mut report = SyncReport::default();
 
         // 1. Upload content data blocks first — no coordination needed,
-        //    blocks are immutable (paper §5.2). Dedup only against
-        //    segments a file still references. An image read from the
-        //    clouds no longer pools a collected segment (its collector
-        //    logged `DropSegment`); only a local conflict copy's entries
-        //    can still sit at refcount 0, their blocks perhaps deleted.
-        let known: HashSet<SegmentId> = self
-            .original
-            .segments()
-            .filter(|(_, e)| e.refcount > 0 && !e.blocks.is_empty())
-            .map(|(id, _)| *id)
-            .collect();
+        //    blocks are immutable (paper §5.2) — skipping the `known`
+        //    segments, whose blocks the image already names.
         let mut requests = Vec::new();
         let mut stats: BTreeMap<String, LocalStat> = BTreeMap::new();
         for (change, data) in &changes {
@@ -502,7 +509,9 @@ impl UniDriveClient {
         let rt = Arc::clone(&self.rt);
         let ancestor = self.original.clone();
         let mut counter = self.counter;
+        let placed: HashSet<(SegmentId, BlockRef)> = drained.iter().copied().collect();
         let mut garbage: Vec<(SegmentId, unidrive_meta::SegmentEntry)> = Vec::new();
+        let mut collected: HashSet<SegmentId> = HashSet::new();
         let mut had_cloud_update = false;
         let transacted = self.meta.transact(&ancestor, round, &mut |remote| {
             let mut merge_span = obs.span("meta.merge", round);
@@ -526,17 +535,33 @@ impl UniDriveClient {
             merge_span.end();
             had_cloud_update = cloud_update;
             let mut to_commit = merged;
-            garbage = to_commit.collect_garbage();
-            // A segment the remote image no longer pools was collected,
-            // blocks and all, by the commit that dropped it; the merge
-            // brought it back from our side. Of its blocks, only those
-            // placed since we last read the image are ours to delete.
-            if let Some(remote) = remote {
-                for (id, entry) in &mut garbage {
-                    if let (None, Some(seen)) = (remote.segment(id), ancestor.segment(id)) {
-                        entry.blocks.retain(|b| !seen.blocks.contains(b));
-                    }
+            // A segment the ancestor pooled and the remote image no
+            // longer does was collected, with every block the ancestor
+            // named, by the commit that dropped it; the merge brought
+            // it back from our side. Only blocks this pass placed
+            // survive that, in the image and among the garbage alike.
+            let gone: Vec<(&SegmentId, _)> = match remote.filter(|_| cloud_update) {
+                Some(remote) => {
+                    let dropped = |(id, _): &(&SegmentId, _)| remote.segment(id).is_none();
+                    ancestor.segments().filter(dropped).collect()
                 }
+                None => Vec::new(),
+            };
+            for (id, seen) in &gone {
+                for b in seen.blocks.iter().filter(|b| !placed.contains(&(**id, **b))) {
+                    to_commit.remove_block(id, *b);
+                }
+            }
+            garbage = to_commit.collect_garbage();
+            // One this pass deduplicated against and still references
+            // lost the blocks it relied on: abort, and upload it again.
+            collected = gone
+                .iter()
+                .filter(|(id, _)| known.contains(*id) && to_commit.segment(id).is_some())
+                .map(|(id, _)| **id)
+                .collect();
+            if !collected.is_empty() {
+                return None;
             }
             counter = counter
                 .max(remote.map(|r| r.version.counter).unwrap_or(0))
@@ -561,7 +586,16 @@ impl UniDriveClient {
                 // the sink they go, for the next commit to record.
                 self.pending_blocks.lock().extend(drained);
                 not_committed.map_err(SyncError::from)?;
-                return Ok(report);
+                // A peer collected segments this pass deduplicated
+                // against: transact again, uploading those from the
+                // bytes in hand and none that went up just now. (Only
+                // ids the ancestor pooled are ever collected, so each
+                // retry shrinks that part of `known`.)
+                known.retain(|id| !collected.contains(id));
+                let available = segmentations.iter().filter(|s| !report.deferred.contains(&s.path));
+                let sent = available.flat_map(|s| s.segments.iter().map(|(id, _)| *id));
+                known.extend(sent.filter(|id| self.original.segment(id).is_none()));
+                return self.commit_local_update(changes, known, round);
             }
         };
 
@@ -599,12 +633,69 @@ impl UniDriveClient {
             .poll(&self.original, round)
             .map_err(SyncError::from)?
         else {
+            self.scrub(round);
             return Ok(report);
         };
         let previous = self.original.clone();
         self.materialize_cloud_changes(&previous, &committed, &mut report, round)?;
         self.original = committed;
         Ok(report)
+    }
+
+    /// Idle-pass maintenance, at most once per ΔT (`lock.stale_after`):
+    /// audits the block objects and acts on what the previous audit also
+    /// found, presuming, as the lock does, a device silent for ΔT dead.
+    /// An unnamed object at a pooled segment's `block_path`, of the
+    /// codec's length and under the per-cloud cap, is adopted and a
+    /// short live segment repaired, both onto the sink for the next pass
+    /// to commit. Other unnamed objects are counted, never deleted: no
+    /// object is dated, and a live device's sink can hold one past ΔT.
+    fn scrub(&mut self, round: Option<SpanId>) {
+        let now = self.rt.now();
+        if now.saturating_duration_since(self.scrubbed.0) < self.config.lock.stale_after {
+            return;
+        }
+        let audit = self.plane.audit(&self.original);
+        let (_, seen) = std::mem::replace(&mut self.scrubbed, (now, audit.clone()));
+        let seen_unnamed: HashSet<_> = seen.unnamed.iter().collect();
+        let (codec, cap) = (&self.plane.codec, self.plane.config.redundancy.per_cloud_cap());
+        let mut adopted: Vec<(SegmentId, BlockRef)> = Vec::new();
+        let mut orphans = vec![0; self.plane.clouds().len()];
+        for (cloud, name, size) in audit.unnamed.iter().filter(|u| seen_unnamed.contains(u)) {
+            let fits = |(id, _): &(SegmentId, u16)| {
+                self.original.segment(id).is_some_and(|e| {
+                    let ours = adopted.iter().filter(|(a, b)| a == id && b.cloud == *cloud);
+                    let held = e.blocks_on(*cloud) + ours.count();
+                    *size == codec.block_len(e.len as usize) as u64 && held < cap
+                })
+            };
+            match parse_block_name(name).filter(fits) {
+                Some((id, index)) => adopted.push((id, BlockRef { index, cloud: *cloud })),
+                None => orphans[*cloud as usize] += 1,
+            }
+        }
+        let seen_short: HashSet<_> = seen.short.iter().map(|(id, _)| id).collect();
+        let short = audit.short.into_iter().filter(|(id, _)| seen_short.contains(id));
+        let short: Vec<_> = short
+            .map(|(id, mut present)| {
+                present.extend(adopted.iter().filter(|(a, _)| *a == id).map(|(_, b)| *b));
+                (id, self.original.segment(&id).map_or(0, |e| e.len), present)
+            })
+            .collect();
+        let mut repaired = Vec::new();
+        // A segment that cannot be rebuilt now stays short for the next.
+        let _ = repair(&self.plane, short, &mut repaired, round);
+        for (id, store) in self.plane.clouds().iter() {
+            let on = |found: &[(SegmentId, BlockRef)]| {
+                found.iter().filter(|(_, b)| b.cloud as usize == id.0).count() as u64
+            };
+            let obs = &self.config.data.obs;
+            obs.series_add("scrub.adopted", store.name(), on(&adopted));
+            obs.series_add("scrub.repaired", store.name(), on(&repaired));
+            obs.series_add("scrub.orphans", store.name(), orphans[id.0]);
+            obs.series_add("scrub.missing", store.name(), on(&audit.missing));
+        }
+        self.pending_blocks.lock().extend(adopted.into_iter().chain(repaired));
     }
 
     /// Writes files changed between `from` and `to` into the local

@@ -1,15 +1,15 @@
 //! The data plane facade: from file bytes to erasure-coded blocks in
 //! the multi-cloud and back (paper §6).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use unidrive_util::bytes::Bytes;
 use unidrive_chunker::{segment_bytes, Segment};
-use unidrive_cloud::{CloudId, CloudSet};
+use unidrive_cloud::{CloudError, CloudId, CloudSet, Retry};
 use unidrive_crypto::Sha1;
 use unidrive_erasure::Codec;
-use unidrive_meta::{block_path, BlockRef, SegmentId, Snapshot, SyncFolderImage};
+use unidrive_meta::{block_path, BlockRef, SegmentId, Snapshot, SyncFolderImage, BLOCKS_DIR};
 use unidrive_obs::SpanId;
 use unidrive_sim::Runtime;
 
@@ -17,6 +17,7 @@ use crate::download::{DownloadError, SegmentFetch};
 use crate::engine::{run_batch, EngineParams, WireOp};
 use crate::plan::DataPlaneConfig;
 use crate::probe::BandwidthProbe;
+use crate::quorum;
 use crate::static_plan::StaticPlan;
 use crate::upload::{BlockSink, FileUpload, SegmentData, UploadReport};
 
@@ -52,6 +53,19 @@ pub struct LocalBase {
     /// `(segment id, length)` in file order, as the last image this
     /// device synced to describes the file.
     pub layout: Vec<(SegmentId, u64)>,
+}
+
+/// What the block objects the clouds list say against an image
+/// ([`DataPlane::audit`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct BlockAudit {
+    /// Objects the image does not name: `(cloud, name, size)`.
+    pub unnamed: Vec<(u16, String, u64)>,
+    /// Blocks the image names that their cloud does not list.
+    pub missing: Vec<(SegmentId, BlockRef)>,
+    /// Live segments below fair share on a listed cloud, counting only
+    /// present blocks, each with those blocks.
+    pub short: Vec<(SegmentId, Vec<BlockRef>)>,
 }
 
 /// The data plane: segmentation, erasure coding, and the
@@ -322,23 +336,14 @@ impl DataPlane {
         hits
     }
 
-    /// Deletes stored blocks from the clouds (garbage-collected
-    /// segments, trimmed surplus): one delete per block, every cloud's
+    /// Deletes stored blocks of garbage-collected segments from the
+    /// clouds: one delete per block, every cloud's
     /// connections working through that cloud's blocks in the order
     /// given, retried under [`DataPlaneConfig::retry`], joined before
     /// returning. Best effort: a block whose delete still fails stays
     /// behind. The batch span (label `gc`) is parented to `parent`.
     pub fn delete_blocks(
         &self,
-        blocks: impl IntoIterator<Item = (SegmentId, BlockRef)>,
-        parent: Option<SpanId>,
-    ) {
-        self.delete_labelled("gc", blocks, parent);
-    }
-
-    pub(crate) fn delete_labelled(
-        &self,
-        label: &str,
         blocks: impl IntoIterator<Item = (SegmentId, BlockRef)>,
         parent: Option<SpanId>,
     ) {
@@ -352,7 +357,45 @@ impl DataPlane {
                 plan.push(CloudId(b.cloud as usize), b.index, WireOp::Delete { path });
             }
         }
-        self.run_plan(label, plan, parent);
+        self.run_plan("gc", plan, parent);
+    }
+
+    /// Compares one `list(BLOCKS_DIR)` per cloud with `image`. A cloud
+    /// whose listing fails is taken to hold what the image says.
+    pub fn audit(&self, image: &SyncFolderImage) -> BlockAudit {
+        let (rt, retry) = (Arc::clone(&self.rt), self.config.retry.clone());
+        let mut listings = quorum::fan_out(&self.rt, &self.clouds, "block-audit", move |_, cloud| {
+            match Retry::new(&rt, &retry).run(|| cloud.list(BLOCKS_DIR)) {
+                Err(CloudError::NotFound { .. }) => Some(BTreeMap::new()),
+                listed => listed.ok().map(|l| l.into_iter().map(|o| (o.name, o.size)).collect()),
+            }
+        });
+        let fair = self.config.redundancy.fair_share();
+        let mut audit = BlockAudit::default();
+        for (id, entry) in image.segments() {
+            let mut present = Vec::new();
+            for b in &entry.blocks {
+                let name = &block_path(id, b.index)[BLOCKS_DIR.len() + 1..];
+                // An unlisted cloud holds it; a removed one does not.
+                let listing = listings.get_mut(b.cloud as usize);
+                match listing.is_some_and(|l| l.as_mut().is_none_or(|l| l.remove(name).is_some())) {
+                    true => present.push(*b),
+                    false => audit.missing.push((*id, *b)),
+                }
+            }
+            let held = |cloud| present.iter().filter(|b| b.cloud as usize == cloud).count();
+            let mut listed = listings.iter().enumerate().filter(|(_, l)| l.is_some());
+            if entry.refcount > 0 && listed.any(|(cloud, _)| held(cloud) < fair) {
+                audit.short.push((*id, present));
+            }
+        }
+        // What the image named is gone from the listings: the rest is
+        // unnamed.
+        for (cloud, listing) in listings.into_iter().enumerate() {
+            let unnamed = listing.into_iter().flatten();
+            audit.unnamed.extend(unnamed.map(|(name, size)| (cloud as u16, name, size)));
+        }
+        audit
     }
 
     /// Runs `plan` over this plane's clouds as one joined `engine.batch`
@@ -526,6 +569,47 @@ mod tests {
             let cloud = plane.clouds().get(CloudId(b.cloud as usize));
             assert!(!cloud.exists(&block_path(&id, b.index)).unwrap());
         }
+    }
+
+    /// The audit of a real upload: a deleted block is missing and leaves
+    /// its segment short on that cloud, a stray object is unnamed, and a
+    /// cloud that cannot list is taken at the image's word.
+    #[test]
+    fn audit_finds_missing_unnamed_and_short_and_trusts_an_unlisted_cloud() {
+        let sim = SimRuntime::new(8);
+        let steady = SimCloudConfig::steady(2e6, 1e7);
+        let handles: Vec<Arc<SimCloud>> = (0..5)
+            .map(|i| Arc::new(SimCloud::new(&sim, format!("c{i}"), steady.clone())))
+            .collect();
+        let clouds = handles.iter().map(|c| Arc::clone(c) as Arc<dyn CloudStore>).collect();
+        let redundancy = RedundancyConfig::new(5, 3, 3, 2).unwrap();
+        let config = DataPlaneConfig::with_params(redundancy, 64 * 1024);
+        let plane = DataPlane::new(sim.clone().as_runtime(), CloudSet::new(clouds), config);
+        let file = UploadRequest { path: "f".into(), data: content(100_000, 5) };
+        let (report, segs) = plane.upload_files(vec![file], &HashSet::new(), None, None);
+        let mut image = SyncFolderImage::new();
+        for (id, len) in &segs[0].segments {
+            image.ensure_segment(*id, *len);
+        }
+        for (id, b) in &report.blocks {
+            image.record_block(*id, *b);
+        }
+        let segments = segs[0].segments.iter().map(|(id, _)| *id).collect();
+        image.upsert_file("f", Snapshot { mtime_ns: 0, size: segs[0].size, segments });
+        let id = segs[0].segments[0].0;
+        assert_eq!(plane.audit(&image), BlockAudit::default(), "the upload as recorded");
+
+        let (lost, present): (Vec<BlockRef>, Vec<BlockRef>) =
+            image.segment(&id).unwrap().blocks.iter().partition(|b| b.cloud == 1);
+        for b in &lost {
+            handles[1].delete(&block_path(&id, b.index)).unwrap();
+        }
+        handles[2].upload(&format!("{BLOCKS_DIR}/stray"), Bytes::from_static(b"x")).unwrap();
+        handles[3].set_available(false);
+        let audit = plane.audit(&image);
+        assert_eq!(audit.missing, lost.iter().map(|b| (id, *b)).collect::<Vec<_>>());
+        assert_eq!(audit.unnamed, vec![(2, "stray".to_owned(), 1)]);
+        assert_eq!(audit.short, vec![(id, present)]);
     }
 
     /// Garbage collection runs on the engine: with B blocks on each of

@@ -21,13 +21,15 @@
 //!   pull-based download with in-channel probing, and add/remove-cloud
 //!   rebalancing. `DataPlane` is the one door to block storage: every
 //!   block put, get and delete — upload, download, garbage collection,
-//!   [`trim_overprovisioned`], [`remove_cloud`]/[`add_cloud`] — is one
+//!   [`remove_cloud`]/[`add_cloud`] and an idle pass's repair — is one
 //!   batch of the one transfer engine, under a scheduling policy that
 //!   is dynamic for upload and download and the static [`StaticPlan`]
 //!   for the rest (outside this crate a batch is a `StaticPlan` run by
 //!   [`run_batch`]). [`DataPlane::upload_files`] given a [`BlockSink`]
 //!   returns once every file is available and reports each placement
 //!   to the sink, the one way the client learns where a block landed.
+//!   [`DataPlane::audit`] compares the block objects the clouds list
+//!   with an image; the client's idle-pass scrub acts on it.
 //!
 //! The same code runs under wall-clock or deterministic virtual time —
 //! see [`unidrive_sim`].
@@ -47,7 +49,6 @@ mod engine;
 mod folder;
 mod lock;
 mod lock_plane;
-mod maintenance;
 mod oplog_plane;
 mod plan;
 mod probe;
@@ -58,13 +59,12 @@ mod upload;
 
 pub use client::{build_plane, ClientConfig, SyncError, SyncReport, UniDriveClient};
 pub use control::newer;
-pub use dataplane::{DataPlane, FileSegmentation, LocalBase, UploadRequest};
+pub use dataplane::{BlockAudit, DataPlane, FileSegmentation, LocalBase, UploadRequest};
 pub use download::{DownloadError, DownloadReport, SegmentFetch};
 pub use engine::{run_batch, EngineParams, WireOp};
 pub use folder::{DirFolder, FolderError, LocalChange, LocalStat, MemFolder, SyncFolder};
 pub use lock::{LockGuard, QuorumLock};
 pub use lock_plane::LockPlane;
-pub use maintenance::{trim_overprovisioned, trim_plan};
 pub use oplog_plane::OplogPlane;
 pub use plan::{s3_cloud_set, DataPlaneConfig};
 pub use probe::BandwidthProbe;

@@ -6,16 +6,18 @@
 //! * **Remove**: the departing cloud's fair share is re-uploaded to the
 //!   remaining clouds (blocks are identifiable from the metadata), then
 //!   its references are dropped.
-//! * **Add**: the new cloud's fair share is computed and uploaded;
-//!   other clouds keep their blocks (extra blocks become reclaimable
-//!   over-provisioned copies that the next GC can trim).
+//! * **Add**: the new cloud's fair share is minted by [`repair`], the
+//!   routine an idle pass's scrub also tops short segments up with;
+//!   other clouds keep their blocks, extras included (nothing trims
+//!   them: see DESIGN §4, "The image names exactly the blocks the
+//!   clouds hold").
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use unidrive_cloud::{CloudId, CloudSet, CloudStore};
 use unidrive_erasure::ConfigError;
 use unidrive_meta::{BlockRef, SegmentId, SyncFolderImage};
+use unidrive_obs::SpanId;
 use unidrive_util::bytes::Bytes;
 
 use crate::dataplane::DataPlane;
@@ -80,9 +82,13 @@ fn with_membership(plane: &DataPlane, clouds: CloudSet) -> Result<DataPlane, Reb
 
 /// Reconstructs one segment through `plane` — one segment per batch, so
 /// a membership change holds one plaintext in memory at a time.
-fn rebuild(plane: &DataPlane, fetch: SegmentFetch) -> Result<Bytes, RebalanceError> {
+fn rebuild(
+    plane: &DataPlane,
+    fetch: SegmentFetch,
+    parent: Option<SpanId>,
+) -> Result<Bytes, RebalanceError> {
     let id = fetch.id;
-    let mut report = plane.download_segments(vec![fetch], None);
+    let mut report = plane.download_segments(vec![fetch], parent);
     match report.failed.pop() {
         Some(e) => Err(RebalanceError::Fetch(e)),
         None => Ok(report.segments.remove(&id).expect("a complete batch holds its segment")),
@@ -139,7 +145,7 @@ pub fn remove_cloud(
                 len: entry.len,
                 blocks: blocks.clone(),
             };
-            let plain = rebuild(plane, from_survivors)?;
+            let plain = rebuild(plane, from_survivors, None)?;
             // Place each lost block on the surviving cloud with the
             // fewest blocks of this segment (respecting the new cap).
             // The block index is reused: the data is identical wherever
@@ -181,9 +187,8 @@ pub fn remove_cloud(
     })
 }
 
-/// Adds `cloud` to `plane`'s deployment: computes its fair share for
-/// every segment and uploads it (minting previously unused block
-/// indices).
+/// Adds `cloud` to `plane`'s deployment: [`repair`] on the grown
+/// plane mints the newcomer's fair share of every segment.
 ///
 /// # Errors
 ///
@@ -193,48 +198,59 @@ pub fn add_cloud(
     image: &SyncFolderImage,
     cloud: Arc<dyn CloudStore>,
 ) -> Result<RebalanceOutcome, RebalanceError> {
-    // The grown plane's codec can mint indices for the grown deployment.
     let grown = with_membership(plane, plane.clouds.with_added(cloud))?;
-    let fair = grown.config.redundancy.fair_share();
-    let newcomer = grown.clouds.len() - 1;
-
+    let segments = image.segments().map(|(id, e)| (*id, e.len, e.blocks.clone()));
+    let mut placed = Vec::new();
+    repair(&grown, segments, &mut placed, None)?;
     let mut out = image.clone();
-    let mut blocks_moved = 0usize;
-    for (id, entry) in image.segments() {
-        let known = SegmentFetch {
-            id: *id,
-            len: entry.len,
-            blocks: entry.blocks.clone(),
-        };
-        let plain = rebuild(plane, known)?;
-        let used: HashSet<u16> = entry.blocks.iter().map(|b| b.index).collect();
-        let fresh: Vec<u16> = (0..grown.codec.n() as u16)
-            .filter(|index| !used.contains(index))
-            .take(fair)
-            .collect();
-        let mut plan = StaticPlan::new(grown.clouds.len());
-        for &index in &fresh {
-            let op = block_upload(&grown.codec, id, &plain, index);
-            plan.push(CloudId(newcomer), index, op);
-        }
-        let done = grown.run_plan("rebalance", plan, None);
-        for (&index, _) in fresh.iter().zip(&done.landed).filter(|(_, at)| at.is_some()) {
-            out.record_block(
-                *id,
-                BlockRef {
-                    index,
-                    cloud: newcomer as u16,
-                },
-            );
-            blocks_moved += 1;
-        }
+    for (id, block) in &placed {
+        out.record_block(*id, *block);
     }
-
     Ok(RebalanceOutcome {
         image: out,
         plane: grown,
-        blocks_moved,
+        blocks_moved: placed.len(),
     })
+}
+
+/// Tops each `(segment, length, present blocks)` up to its fair share
+/// on every cloud of `plane`: rebuilds the plaintext from the present
+/// blocks and mints indices none of them uses, one `repair` batch per
+/// segment under `parent` (one plaintext in memory at a time). Every
+/// landed block goes to `placed`.
+///
+/// # Errors
+///
+/// [`RebalanceError::Fetch`] if a segment cannot be rebuilt; what
+/// landed before it is in `placed`.
+pub(crate) fn repair(
+    plane: &DataPlane,
+    segments: impl IntoIterator<Item = (SegmentId, u64, Vec<BlockRef>)>,
+    placed: &mut Vec<(SegmentId, BlockRef)>,
+    parent: Option<SpanId>,
+) -> Result<(), RebalanceError> {
+    let fair = plane.config.redundancy.fair_share();
+    for (id, len, present) in segments {
+        let held = |cloud| present.iter().filter(|b| b.cloud == cloud).count();
+        let clouds = 0..plane.clouds.len() as u16;
+        let short = clouds.flat_map(|c| vec![c; fair.saturating_sub(held(c))]);
+        let fresh = (0..plane.codec.n() as u16).filter(|i| present.iter().all(|b| b.index != *i));
+        let homes: Vec<BlockRef> =
+            short.zip(fresh).map(|(cloud, index)| BlockRef { index, cloud }).collect();
+        if homes.is_empty() {
+            continue;
+        }
+        let plain = rebuild(plane, SegmentFetch { id, len, blocks: present }, parent)?;
+        let mut plan = StaticPlan::new(plane.clouds.len());
+        for home in &homes {
+            let op = block_upload(&plane.codec, &id, &plain, home.index);
+            plan.push(CloudId(home.cloud as usize), home.index, op);
+        }
+        let done = plane.run_plan("repair", plan, parent);
+        let landed = homes.iter().zip(&done.landed).filter(|(_, at)| at.is_some());
+        placed.extend(landed.map(|(home, _)| (id, *home)));
+    }
+    Ok(())
 }
 
 fn rewrite_locations(

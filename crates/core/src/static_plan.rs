@@ -3,7 +3,7 @@
 //! their cloud's queue in order, and nothing ever reacts to observed
 //! speed.
 //!
-//! That "non-policy" is what block garbage collection, trimming and
+//! That "non-policy" is what block garbage collection, repair and
 //! add/remove-cloud re-homing need (the metadata already says which
 //! cloud each block lives on or goes to), and it is exactly what
 //! distinguishes the three baselines (single-cloud, intuitive and the

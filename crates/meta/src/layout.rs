@@ -109,6 +109,16 @@ pub fn block_path(segment: &SegmentId, index: u16) -> String {
     format!("{BLOCKS_DIR}/{}.{index}", segment.to_hex())
 }
 
+/// Parses a block object's name within [`BLOCKS_DIR`] back into
+/// `(segment, index)`.
+///
+/// Returns `None` for any name [`block_path`] does not produce.
+pub fn parse_block_name(name: &str) -> Option<(SegmentId, u16)> {
+    let (hex, index) = name.split_once('.')?;
+    let parsed = (SegmentId(Digest::from_hex(hex)?), index.parse().ok()?);
+    (block_path(&parsed.0, parsed.1) == format!("{BLOCKS_DIR}/{name}")).then_some(parsed)
+}
+
 /// Name of a lock file for `device` stamped with the device-local
 /// time `t` (paper §5.2: `lock_<d>_<t>`).
 pub fn lock_file_name(device: &str, t_ns: u64) -> String {
@@ -188,6 +198,13 @@ mod tests {
         let id = SegmentId(Sha1::digest(b"seg"));
         assert_ne!(block_path(&id, 0), block_path(&id, 1));
         assert!(block_path(&id, 7).contains(&id.to_hex()));
+        let name = &block_path(&id, 7)[BLOCKS_DIR.len() + 1..];
+        assert_eq!(parse_block_name(name), Some((id, 7)));
+        let hex = id.to_hex();
+        let upper = format!("{}.7", hex.to_uppercase());
+        for bad in [hex.clone(), format!("{hex}.07"), format!("{hex}.x"), upper] {
+            assert_eq!(parse_block_name(&bad), None, "{bad}");
+        }
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Integration tests of the failure paths: outages mid-sync, conflict
-//! resolution, over-provisioned-block trimming, delta compaction over
-//! long histories, and add/remove-cloud rebalancing driven through the
-//! public API.
-
-mod common;
+//! resolution, the idle-pass scrub after a device is dropped, delta
+//! compaction over long histories, and add/remove-cloud rebalancing
+//! driven through the public API.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -13,11 +11,12 @@ use unidrive::cloud::{
     FaultPlan, SimCloud, SimCloudConfig,
 };
 use unidrive::core::{
-    add_cloud, remove_cloud, trim_overprovisioned, ClientConfig, DataPlane, DataPlaneConfig,
-    DownloadError, MemFolder, RebalanceError, SyncFolder, UniDriveClient, UploadRequest,
+    add_cloud, remove_cloud, ClientConfig, DataPlane, DataPlaneConfig, DownloadError, MemFolder,
+    RebalanceError, SyncFolder, UniDriveClient, UploadRequest,
 };
 use unidrive::erasure::RedundancyConfig;
-use unidrive::meta::{Snapshot, BLOCKS_DIR};
+use unidrive::meta::{MetaMode, Snapshot, BLOCKS_DIR};
+use unidrive::obs::{Obs, Registry};
 use unidrive::sim::{Runtime, SimRng, SimRuntime, Time};
 
 struct Rig {
@@ -341,10 +340,7 @@ fn a_failed_commit_keeps_the_placements_it_drained() {
         a.sync_once().unwrap();
     }
     assert!(a.sync_once().unwrap().is_noop());
-    assert_eq!(
-        common::unnamed_block_objects(a.image(), r.handles.iter().map(|h| h.backing())),
-        Vec::<String>::new()
-    );
+    assert_eq!(a.data_plane().audit(a.image()).unnamed, vec![]);
     let fair = data_config(&r).redundancy.fair_share();
     assert!(
         on_slow(&a).iter().all(|&held| held >= fair),
@@ -393,35 +389,97 @@ fn a_retry_that_places_elsewhere_names_the_failed_passs_blocks() {
         a.sync_once().unwrap();
     }
     assert!(a.sync_once().unwrap().is_noop());
-    assert_eq!(
-        common::unnamed_block_objects(a.image(), r.handles.iter().map(|h| h.backing())),
-        Vec::<String>::new()
-    );
+    assert_eq!(a.data_plane().audit(a.image()).unnamed, vec![]);
+}
+
+/// Device "w" commits eight 200 KB files in one pass and is dropped
+/// right after: the reliability placements its detached workers land
+/// later are named by no image. Device "s" then runs one scrub cycle —
+/// two idle passes ΔT apart, then the pass that commits what the second
+/// adopted and repaired. Afterwards the audit finds nothing unnamed and
+/// no live segment below fair share, and every file reads back with any
+/// N − K_r clouds down. `refuse_slowest` has the slowest cloud refuse
+/// uploads while "w" lives: there is nothing to adopt there, so the
+/// scrub's repair must mint that cloud's share. Both planes.
+fn one_scrub_cycle_after_a_dropped_device(seed: u64, rates: &[f64], refuse_slowest: bool) {
+    let files: Vec<Vec<u8>> = (0..8).map(|i| content(200_000, i)).collect();
+    for mode in [MetaMode::Lock, MetaMode::Oplog] {
+        let r = rig(seed, rates);
+        let slowest = rates.len() - 1;
+        let refusal = FaultEvent::always(format!("cloud{slowest}"), FaultKind::Outage)
+            .window_secs(0, 600)
+            .on_ops(&[CloudOp::Upload]);
+        let clouds = match refuse_slowest {
+            false => r.clouds.clone(),
+            true => with_fault(&r, slowest, refusal).0,
+        };
+        let registry = Registry::new();
+        let device = |name: &str, folder: &Arc<MemFolder>, obs: Obs| {
+            let mut config = ClientConfig::paper_default(name);
+            config.data = DataPlaneConfig { obs, ..data_config(&r) };
+            config.meta_mode = mode;
+            UniDriveClient::new(
+                r.sim.clone().as_runtime(),
+                clouds.clone(),
+                Arc::clone(folder) as Arc<dyn SyncFolder>,
+                config,
+                SimRng::seed_from_u64(seed),
+            )
+        };
+        let (folder_w, folder_s) = (MemFolder::new(), MemFolder::new());
+        let mut s = device("s", &folder_s, Obs::with_registry(Arc::clone(&registry)));
+        let mut w = device("w", &folder_w, Obs::noop());
+        for (i, data) in files.iter().enumerate() {
+            folder_w.write(&format!("f{i}"), data, 1).unwrap();
+        }
+        assert_eq!(w.sync_once().unwrap().uploaded.len(), files.len(), "{mode:?}");
+        drop(w);
+        r.sim.sleep(Duration::from_secs(600));
+        assert_eq!(s.sync_once().unwrap().downloaded.len(), files.len(), "{mode:?}");
+        let before = s.data_plane().audit(s.image());
+        assert!(!before.short.is_empty(), "{mode:?}: test premise, a segment below fair share");
+
+        let dt = ClientConfig::paper_default("s").lock.stale_after;
+        assert!(s.sync_once().unwrap().is_noop(), "{mode:?}: first sighting");
+        r.sim.sleep(dt);
+        assert!(s.sync_once().unwrap().is_noop(), "{mode:?}: second sighting");
+        s.sync_once().unwrap();
+        let after = s.data_plane().audit(s.image());
+        let left = (after.unnamed, after.short, after.missing);
+        assert_eq!(left, (vec![], vec![], vec![]), "{mode:?}");
+        let series = registry.series_snapshot();
+        let adopted = series.merged("scrub.adopted").sum as usize;
+        assert_eq!(adopted, before.unnamed.len(), "{mode:?}");
+        let repaired = series.merged("scrub.repaired").sum;
+        assert_eq!(repaired > 0, refuse_slowest, "{mode:?}: {repaired} blocks repaired");
+
+        // N − K_r = 2: every pair of clouds down.
+        for (a, b) in (0..5).flat_map(|a| (a + 1..5).map(move |b| (a, b))) {
+            r.handles[a].set_available(false);
+            r.handles[b].set_available(false);
+            for (i, data) in files.iter().enumerate() {
+                let got = s.data_plane().download_file(s.image(), &format!("f{i}"));
+                assert_eq!(got.as_ref(), Ok(data), "{mode:?}: f{i} with clouds {a} and {b} down");
+            }
+            r.handles[a].set_available(true);
+            r.handles[b].set_available(true);
+        }
+    }
 }
 
 #[test]
-fn trim_after_sync_reclaims_space_without_breaking_reads() {
-    let r = rig(4, &[0.2e6, 0.4e6, 1e6, 2e6, 4e6]); // very uneven
-    let folder = MemFolder::new();
-    let mut c = client(&r, "a", &folder, 6);
-    let data = content(300_000, 7);
-    folder.write("big.bin", &data, 1).unwrap();
-    c.sync_once().unwrap();
-    // Let background reliability work drain, then settle the metadata.
-    r.sim.sleep(Duration::from_secs(120));
-    let _ = c.sync_once();
+fn one_scrub_cycle_restores_fair_share_after_a_dropped_device_on_equal_clouds() {
+    one_scrub_cycle_after_a_dropped_device(31, &[2e6; 5], false);
+}
 
-    let redundancy = RedundancyConfig::new(5, 3, 3, 2).unwrap();
-    let mut image = c.image().clone();
-    let used_before: u64 = r.handles.iter().map(|h| h.used_bytes()).sum();
-    let trimmed = trim_overprovisioned(c.data_plane(), &mut image, &redundancy);
-    let used_after: u64 = r.handles.iter().map(|h| h.used_bytes()).sum();
-    assert!(trimmed > 0, "uneven clouds must over-provision");
-    assert!(used_after < used_before, "trim reclaims quota");
-    assert_eq!(
-        c.data_plane().download_file(&image, "big.bin").unwrap(),
-        data
-    );
+#[test]
+fn one_scrub_cycle_restores_fair_share_after_a_dropped_device_on_uneven_clouds() {
+    one_scrub_cycle_after_a_dropped_device(32, &[4e6, 2e6, 1e6, 0.5e6, 0.25e6], false);
+}
+
+#[test]
+fn one_scrub_cycle_repairs_a_cloud_that_refused_the_dropped_devices_uploads() {
+    one_scrub_cycle_after_a_dropped_device(33, &[4e6, 2e6, 1e6, 0.5e6, 0.25e6], true);
 }
 
 #[test]
@@ -541,8 +599,14 @@ fn with_late_burst(r: &Rig, victim: usize, op: CloudOp) -> (CloudSet, Arc<ChaosC
     )
     .window_secs(1000, u64::MAX)
     .on_ops(&[op]);
+    with_fault(r, victim, burst)
+}
+
+/// The rig's clouds, `cloud{victim}` behind a fault injector playing
+/// `event`.
+fn with_fault(r: &Rig, victim: usize, event: FaultEvent) -> (CloudSet, Arc<ChaosCloud>) {
     let built = CloudBuilder::new(&r.sim.clone().as_runtime(), r.clouds.get(CloudId(victim)).clone())
-        .chaos(&FaultPlan::with_events(7, vec![burst]), "")
+        .chaos(&FaultPlan::with_events(7, vec![event]), "")
         .build();
     let mut members: Vec<Arc<dyn CloudStore>> = r.clouds.iter().map(|(_, c)| Arc::clone(c)).collect();
     members[victim] = built.store;

@@ -25,8 +25,6 @@ use unidrive::meta::{
 use unidrive::sim::{RealRuntime, Runtime, SimRng, SimRuntime};
 use unidrive::util::bytes::Bytes;
 
-mod common;
-
 const THETA: usize = 64 * 1024;
 
 /// Counts the block objects deleted through it.
@@ -338,7 +336,7 @@ fn every_block_a_wall_clock_device_stores_is_named_on_both_planes() {
         loop {
             std::thread::sleep(Duration::from_millis(20));
             let idle = client.sync_once().unwrap().is_noop();
-            let unnamed = common::unnamed_block_objects(client.image(), stores.iter().cloned());
+            let unnamed = client.data_plane().audit(client.image()).unnamed;
             if idle && unnamed.is_empty() {
                 break;
             }

@@ -8,8 +8,6 @@
 //! Also here: the straggler-after-collect leak (a reliability block that
 //! lands after its segment was garbage-collected must not stay behind).
 
-mod common;
-
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -72,7 +70,6 @@ impl CloudStore for BlockMeter {
 /// A writer and a reader over five simulated clouds.
 struct Pair {
     sim: Arc<SimRuntime>,
-    handles: Vec<Arc<SimCloud>>,
     folder_w: Arc<MemFolder>,
     folder_r: Arc<MemFolder>,
     writer: UniDriveClient,
@@ -132,7 +129,6 @@ fn pair(seed: u64, mode: MetaMode, cloud_config: impl Fn(usize) -> SimCloudConfi
     );
     Pair {
         sim,
-        handles,
         folder_w,
         folder_r,
         writer,
@@ -319,9 +315,9 @@ fn a_stale_base_costs_a_fetch_never_a_wrong_byte() {
 
 /// Both devices edit the same path: the winner is materialized over the
 /// loser's bytes, which are a base like any other — looked up by hash,
-/// so it does not matter that they are a different version. (Both edit
-/// the same segment: a loser that kept a segment the winner's commit
-/// collected would name deleted blocks, a race this change leaves.)
+/// so it does not matter that they are a different version. (A loser
+/// that keeps a segment the winner's commit collected uploads it again:
+/// `a_conflict_copy_of_a_collected_segment_stays_readable_on_both_planes`.)
 #[test]
 fn a_conflict_reuses_the_segments_both_versions_share() {
     let mut p = pair(13, MetaMode::Lock, steady);
@@ -458,8 +454,72 @@ fn a_block_landing_after_its_segment_was_collected_is_deleted() {
     }
     assert!(p.writer.sync_once().unwrap().is_noop());
     assert!(p.writer.image().file("keep.bin").is_some());
-    assert_eq!(
-        common::unnamed_block_objects(p.writer.image(), p.handles.iter().map(|h| h.backing())),
-        Vec::<String>::new()
-    );
+    let audit = p.writer.data_plane().audit(p.writer.image());
+    assert_eq!(audit.unnamed, vec![]);
+}
+
+/// Device R adds `copy.bin`, a copy of the file device W edits at the
+/// same moment. W commits first, and its GC deletes the blocks of the
+/// segment its edit replaced — a segment R's copy deduplicated against.
+/// R's commit must not name those blocks: it uploads that segment again,
+/// from the bytes it holds, before the commit lands.
+#[test]
+fn a_copy_of_content_a_peer_collects_is_uploaded_again_on_both_planes() {
+    for mode in [MetaMode::Lock, MetaMode::Oplog] {
+        let mut p = pair(16, mode, steady);
+        let v1 = twelve_segment_file(&p.writer, 9);
+        p.folder_w.write("f.bin", &v1, 1).unwrap();
+        p.writer.sync_once().unwrap();
+        p.reader.sync_once().unwrap();
+
+        let mut v2 = v1.clone();
+        overwrite_segment(&p.writer, &mut v2, 4, 0xa5);
+        p.folder_w.write("f.bin", &v2, 2).unwrap();
+        p.folder_r.write("copy.bin", &v1, 2).unwrap();
+        p.writer.sync_once().unwrap();
+        assert_eq!(p.reader.sync_once().unwrap().uploaded, vec!["copy.bin"], "{mode:?}");
+        for _ in 0..2 {
+            p.writer
+                .sync_once()
+                .unwrap_or_else(|e| panic!("{mode:?}: {e}"));
+        }
+        assert_eq!(read(&p.folder_w, "copy.bin"), v1, "{mode:?}");
+        assert_eq!(read(&p.folder_r, "copy.bin"), v1, "{mode:?}");
+        let audit = p.writer.data_plane().audit(p.writer.image());
+        assert_eq!(audit.missing, vec![], "{mode:?}");
+    }
+}
+
+/// Both devices edit one file; W's edit also replaces a segment R's
+/// version keeps, so W's winning commit collects it. R's conflict copy
+/// names that segment: R uploads it again, and both devices can read
+/// the copy back.
+#[test]
+fn a_conflict_copy_of_a_collected_segment_stays_readable_on_both_planes() {
+    for mode in [MetaMode::Lock, MetaMode::Oplog] {
+        let mut p = pair(13, mode, steady);
+        let v1 = twelve_segment_file(&p.writer, 5);
+        p.folder_w.write("shared.bin", &v1, 1).unwrap();
+        p.writer.sync_once().unwrap();
+        p.reader.sync_once().unwrap();
+
+        let mut version_w = v1.clone();
+        overwrite_segment(&p.writer, &mut version_w, 2, 0xa5);
+        overwrite_segment(&p.writer, &mut version_w, 6, 0xa5);
+        let mut version_r = v1.clone();
+        overwrite_segment(&p.writer, &mut version_r, 6, 0x3c);
+        p.folder_w.write("shared.bin", &version_w, 2).unwrap();
+        p.folder_r.write("shared.bin", &version_r, 2).unwrap();
+        p.writer.sync_once().unwrap();
+        assert_eq!(p.reader.sync_once().unwrap().conflicts, vec!["shared.bin"], "{mode:?}");
+        p.writer.sync_once().unwrap();
+        for device in [&p.reader, &p.writer] {
+            let copy = device
+                .fetch_conflict_copy("shared.bin")
+                .unwrap_or_else(|e| panic!("{mode:?} {}: {e}", device.device()));
+            assert_eq!(copy, Some(version_r.clone()), "{mode:?} {}", device.device());
+        }
+        let audit = p.writer.data_plane().audit(p.writer.image());
+        assert_eq!(audit.missing, vec![], "{mode:?}");
+    }
 }
