@@ -9,9 +9,7 @@
 //! * **lock** — at most one quorum-lock holder at any instant (scanned
 //!   from the `lock.acquire`/`lock.release`/`lock.break` spans);
 //! * **convergence** — once the fault horizon closes, every device's
-//!   `SyncFolderImage` converges to the same encoded bytes;
-//! * **refcounts** — each converged image's segment refcounts match a
-//!   from-scratch recount.
+//!   `SyncFolderImage` converges to the same encoded bytes.
 //!
 //! The randomized plans draw only from *masked* fault kinds (transient
 //! bursts, outages, latency spikes, quota, torn uploads) — faults the
@@ -24,7 +22,7 @@
 //!
 //! Every randomized round runs under **both** metadata planes — the
 //! quorum-locked image and the append-only oplog — so the invariants
-//! (durability, convergence, single lock holder, refcounts) are soaked
+//! (durability, convergence, single lock holder) are soaked
 //! against oplog commits too, including torn-upload faults landing on
 //! op objects mid-append. The lethal round always runs the lock plane:
 //! its must-fail verdict depends on delayed visibility breaking the
@@ -252,13 +250,6 @@ fn run_round(plan: &FaultPlan, mode: MetaMode, want_flight: bool) -> RoundOutcom
         "span ring too small for a soak round"
     );
     failed.extend(lock_invariant(&snap.spans));
-    if clients.iter().any(|c| {
-        let mut recounted = c.image().clone();
-        recounted.recompute_refcounts();
-        recounted.encode() != c.image().encode()
-    }) {
-        failed.push("refcounts");
-    }
 
     let flight = want_flight.then(|| {
         let mut snap = snap;

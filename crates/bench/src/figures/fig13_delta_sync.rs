@@ -45,8 +45,6 @@ pub fn run(_cx: &Ctx) {
             DeltaRecord::UpsertFile {
                 path: format!("trial/file-{i:04}.dat"),
                 snapshot: Snapshot {
-                    mtime_ns: i as u64,
-                    size: file_size,
                     segments: vec![seg],
                 },
             },
@@ -55,8 +53,6 @@ pub fn run(_cx: &Ctx) {
         image.upsert_file(
             &format!("trial/file-{i:04}.dat"),
             Snapshot {
-                mtime_ns: i as u64,
-                size: file_size,
                 segments: vec![seg],
             },
         );

@@ -347,16 +347,16 @@ impl UniDriveClient {
         let changes = self.scan_local_changes().map_err(SyncError::Folder)?;
         let has_pending_blocks = !self.pending_blocks.lock().is_empty();
         if !changes.is_empty() || has_pending_blocks {
-            // Dedup only against segments a file still references (a
-            // resolved conflict copy's entries sit at refcount 0 until
-            // the next commit collects them). One a peer collects after
+            // Dedup only against segments a snapshot still names (a
+            // resolved conflict copy's entries stay pooled until the
+            // next commit collects them). One a peer collects after
             // this image was read is caught inside the transaction.
-            let known = self
-                .original
-                .segments()
-                .filter(|(_, e)| e.refcount > 0 && !e.blocks.is_empty())
-                .map(|(id, _)| *id)
-                .collect();
+            let mut known = self.original.referenced();
+            known.retain(|id| {
+                self.original
+                    .segment(id)
+                    .is_some_and(|e| !e.blocks.is_empty())
+            });
             self.commit_local_update(changes, known, round)
         } else {
             self.check_cloud_update(round)
@@ -456,14 +456,18 @@ impl UniDriveClient {
                 local.ensure_segment(*id, *len);
             }
             let stat = stats[&segmentation.path];
-            local.upsert_file(
-                &segmentation.path,
-                Snapshot {
-                    mtime_ns: stat.mtime_ns,
-                    size: segmentation.size,
-                    segments: segmentation.segments.iter().map(|(id, _)| *id).collect(),
-                },
-            );
+            let snapshot = Snapshot {
+                segments: segmentation.segments.iter().map(|(id, _)| *id).collect(),
+            };
+            if local
+                .file(&segmentation.path)
+                .is_some_and(|e| e.snapshot == snapshot)
+            {
+                // A touch: the bytes are what the image holds already.
+                self.shadow.insert(segmentation.path.clone(), stat);
+                continue;
+            }
+            local.upsert_file(&segmentation.path, snapshot);
             report.uploaded.push(segmentation.path.clone());
             committed_stats.insert(segmentation.path.clone(), Some(stat));
         }
@@ -833,8 +837,6 @@ mod tests {
                     image.ensure_segment(id(tag), *len);
                 }
                 let snapshot = Snapshot {
-                    mtime_ns: 0,
-                    size: segments.iter().map(|(_, len)| len).sum(),
                     segments: segments.iter().map(|(tag, _)| id(tag)).collect(),
                 };
                 image.upsert_file(path, snapshot);
@@ -854,10 +856,24 @@ mod tests {
         check("no shared id", "f", &[("x", 5), ("y", 7)], None);
 
         // An image decoded from a cloud can name a segment its pool
-        // lacks: no base then, not a panic.
-        let mut holed = from.clone();
-        holed.ensure_segment(id("b"), 20).refcount = 0;
-        holed.collect_garbage();
+        // lacks: no base then, not a panic. (The model never builds
+        // one, so the bytes are written by hand.)
+        let mut w = unidrive_meta::codec::Writer::with_header(*b"UDIM", 2);
+        w.put_str("dev");
+        w.put_u64(1);
+        w.put_u64(0);
+        w.put_u32(1); // files
+        w.put_str("f");
+        w.put_u32(3);
+        for tag in ["a", "b", "a"] {
+            w.put_fixed(id(tag).0.as_bytes());
+        }
+        w.put_u8(0); // no conflict
+        w.put_u32(1); // segments: "a" only
+        w.put_fixed(id("a").0.as_bytes());
+        w.put_u64(10);
+        w.put_u32(0); // blocks
+        let holed = SyncFolderImage::decode(&w.finish()).unwrap();
         assert!(holed.file("f").is_some() && holed.segment(&id("b")).is_none());
         assert_eq!(base_layout(&holed, &image(&[("f", old)]), "f"), None);
     }

@@ -292,8 +292,6 @@ mod tests {
         img.upsert_file(
             "f.txt",
             Snapshot {
-                mtime_ns: 1,
-                size: 5,
                 segments: vec![seg],
             },
         );

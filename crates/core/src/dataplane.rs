@@ -38,8 +38,6 @@ pub struct FileSegmentation {
     pub path: String,
     /// `(segment id, length)` in file order.
     pub segments: Vec<(SegmentId, u64)>,
-    /// Total file size.
-    pub size: u64,
 }
 
 /// What the folder already holds at a path about to be rewritten: a
@@ -155,7 +153,6 @@ impl DataPlane {
         FileSegmentation {
             path: path.to_owned(),
             segments,
-            size: data.len() as u64,
         }
     }
 
@@ -197,7 +194,6 @@ impl DataPlane {
             segmentations.push(FileSegmentation {
                 path: req.path.clone(),
                 segments: seg_meta,
-                size: req.data.len() as u64,
             });
             uploads.push(FileUpload {
                 path: req.path.clone(),
@@ -371,6 +367,7 @@ impl DataPlane {
             }
         });
         let fair = self.config.redundancy.fair_share();
+        let live = image.referenced();
         let mut audit = BlockAudit::default();
         for (id, entry) in image.segments() {
             let mut present = Vec::new();
@@ -385,7 +382,7 @@ impl DataPlane {
             }
             let held = |cloud| present.iter().filter(|b| b.cloud as usize == cloud).count();
             let mut listed = listings.iter().enumerate().filter(|(_, l)| l.is_some());
-            if entry.refcount > 0 && listed.any(|(cloud, _)| held(cloud) < fair) {
+            if live.contains(id) && listed.any(|(cloud, _)| held(cloud) < fair) {
                 audit.short.push((*id, present));
             }
         }
@@ -486,8 +483,6 @@ mod tests {
         image.upsert_file(
             "doc.bin",
             Snapshot {
-                mtime_ns: 0,
-                size: segs[0].size,
                 segments: segs[0].segments.iter().map(|(id, _)| *id).collect(),
             },
         );
@@ -595,7 +590,7 @@ mod tests {
             image.record_block(*id, *b);
         }
         let segments = segs[0].segments.iter().map(|(id, _)| *id).collect();
-        image.upsert_file("f", Snapshot { mtime_ns: 0, size: segs[0].size, segments });
+        image.upsert_file("f", Snapshot { segments });
         let id = segs[0].segments[0].0;
         assert_eq!(plane.audit(&image), BlockAudit::default(), "the upload as recorded");
 
@@ -660,16 +655,12 @@ mod tests {
 
     /// An image decoded from a cloud can carry a snapshot naming a
     /// segment its pool lacks; reading such a file is an error, not a
-    /// panic, and no buffer is sized from the snapshot's claimed size.
+    /// panic.
     #[test]
     fn snapshot_naming_an_unpooled_segment_is_an_error() {
         let (_sim, plane) = plane(6);
         let id = SegmentId(Sha1::digest(b"never pooled"));
-        let snapshot = Snapshot {
-            mtime_ns: 0,
-            size: u64::MAX,
-            segments: vec![id],
-        };
+        let snapshot = Snapshot { segments: vec![id] };
         assert_eq!(
             plane.download_snapshot(&SyncFolderImage::new(), &snapshot),
             Err(DownloadError::NotEnoughBlocks {
@@ -752,7 +743,6 @@ mod tests {
             .collect();
         assert!(want.len() > 5, "want a multi-segment file");
         assert_eq!(got.segments, want);
-        assert_eq!(got.size, data.len() as u64);
     }
 
     #[test]
@@ -798,8 +788,6 @@ mod tests {
         image.upsert_file(
             "big.bin",
             unidrive_meta::Snapshot {
-                mtime_ns: 0,
-                size: segs[0].size,
                 segments: segs[0].segments.iter().map(|(id, _)| *id).collect(),
             },
         );

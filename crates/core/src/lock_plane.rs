@@ -234,8 +234,6 @@ pub(crate) mod tests {
                 img.upsert_file(
                     path,
                     Snapshot {
-                        mtime_ns: counter,
-                        size: 3,
                         segments: vec![seg],
                     },
                 );

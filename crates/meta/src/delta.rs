@@ -15,7 +15,7 @@ use crate::model::{decode_snapshot, encode_snapshot};
 use crate::{BlockRef, SegmentId, Snapshot, SyncFolderImage, VersionStamp};
 
 const DELTA_MAGIC: [u8; 4] = *b"UDDL";
-const DELTA_VERSION: u8 = 1;
+const DELTA_VERSION: u8 = 2;
 
 /// One log-structured update to the metadata image.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,7 +63,7 @@ pub enum DeltaRecord {
         snapshot: Snapshot,
     },
     /// A segment left the pool: its committer collected it and deleted
-    /// its blocks. Applied only if nothing references the segment at
+    /// its blocks. Applied only if no snapshot names the segment at
     /// that point, so a fold that let a concurrent modify beat the
     /// delete keeps it.
     DropSegment {
@@ -227,8 +227,8 @@ impl DeltaLog {
                 }
             }
         }
-        // Collected segments last, once the file records above have
-        // released their references.
+        // Collected segments last, once the file records above no
+        // longer name them.
         for (id, _) in from.segments() {
             if to.segment(id).is_none() {
                 records.push(DeltaRecord::DropSegment { id: *id });
@@ -404,8 +404,6 @@ mod tests {
 
     fn snap(tag: &str) -> Snapshot {
         Snapshot {
-            mtime_ns: 0,
-            size: 10,
             segments: vec![seg(tag)],
         }
     }
@@ -488,6 +486,44 @@ mod tests {
             rebuilt.segment(&seg("new")).unwrap().blocks,
             to.segment(&seg("new")).unwrap().blocks
         );
+    }
+
+    /// A `DropSegment` applies against the snapshots as they stand at
+    /// that point in the log: content deleted, collected and written
+    /// back later in the same log keeps only its new blocks, not the
+    /// ones its collector deleted.
+    #[test]
+    fn a_segment_dropped_then_uploaded_again_keeps_only_its_new_blocks() {
+        let (old, new) = (
+            BlockRef { index: 0, cloud: 1 },
+            BlockRef { index: 2, cloud: 3 },
+        );
+        let mut img = SyncFolderImage::new();
+        img.ensure_segment(seg("s"), 10);
+        img.record_block(seg("s"), old);
+        img.upsert_file("f", snap("s"));
+        let mut log = DeltaLog::new(stamp("a", 1));
+        log.append(
+            vec![
+                DeltaRecord::DeleteFile { path: "f".into() },
+                DeltaRecord::DropSegment { id: seg("s") },
+                DeltaRecord::EnsureSegment {
+                    id: seg("s"),
+                    len: 10,
+                },
+                DeltaRecord::AddBlock {
+                    id: seg("s"),
+                    block: new,
+                },
+                DeltaRecord::UpsertFile {
+                    path: "f".into(),
+                    snapshot: snap("s"),
+                },
+            ],
+            stamp("a", 2),
+        );
+        log.apply_to(&mut img);
+        assert_eq!(img.segment(&seg("s")).unwrap().blocks, vec![new]);
     }
 
     #[test]

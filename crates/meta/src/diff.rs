@@ -102,7 +102,8 @@ pub struct MergeOutcome {
 /// * divergent changes keep the cloud snapshot as current and attach the
 ///   local one as a conflict copy (with its content segments retained);
 /// * the segment pool is the union of both pools (block locations are
-///   additive because blocks are immutable), with refcounts recomputed.
+///   additive because blocks are immutable); what no snapshot names any
+///   more is the committer's garbage.
 pub fn merge3(
     original: &SyncFolderImage,
     local: &SyncFolderImage,
@@ -118,11 +119,9 @@ pub fn merge3(
     // Union the segment pools so every snapshot either side references
     // stays resolvable.
     for (id, entry) in local.segments() {
-        let pooled = image.ensure_segment(*id, entry.len);
-        let blocks = entry.blocks.clone();
-        let _ = pooled;
-        for b in blocks {
-            image.record_block(*id, b);
+        image.ensure_segment(*id, entry.len);
+        for b in &entry.blocks {
+            image.record_block(*id, *b);
         }
     }
 
@@ -169,7 +168,6 @@ pub fn merge3(
             }
         }
     }
-    image.recompute_refcounts();
     MergeOutcome { image, conflicts }
 }
 
@@ -185,8 +183,6 @@ mod tests {
 
     fn snap(tag: &str) -> Snapshot {
         Snapshot {
-            mtime_ns: 0,
-            size: 10,
             segments: vec![seg(tag)],
         }
     }
@@ -271,8 +267,8 @@ mod tests {
         assert_eq!(device, "laptop");
         assert_eq!(retained.segments, vec![seg("local-edit")]);
         // Both contents stay referenced so neither is garbage-collected.
-        assert!(out.image.segment(&seg("cloud-edit")).unwrap().refcount >= 1);
-        assert!(out.image.segment(&seg("local-edit")).unwrap().refcount >= 1);
+        let live = out.image.referenced();
+        assert!(live.contains(&seg("cloud-edit")) && live.contains(&seg("local-edit")));
     }
 
     #[test]

@@ -3,11 +3,13 @@
 //! All metadata lives in a single **SyncFolderImage**: the file-hierarchy
 //! image (one [`FileEntry`] per file, each holding a [`Snapshot`]), and
 //! the **segment pool** mapping content-addressed segments to their
-//! `<Block-ID, Cloud-ID>` locations with reference counts for
-//! deduplication. A compact [`VersionStamp`] identifies each committed
-//! metadata version without global clock synchronization.
+//! `<Block-ID, Cloud-ID>` locations. The paper's pool is
+//! reference-counted for deduplication; here the count is not stored
+//! but computed from the snapshots ([`SyncFolderImage::referenced`]).
+//! A compact [`VersionStamp`] identifies each committed metadata
+//! version without global clock synchronization.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 use unidrive_util::bytes::Bytes;
 use unidrive_crypto::Digest;
@@ -15,7 +17,7 @@ use unidrive_crypto::Digest;
 use crate::codec::{DecodeError, Reader, Writer};
 
 const IMAGE_MAGIC: [u8; 4] = *b"UDIM";
-const IMAGE_VERSION: u8 = 1;
+const IMAGE_VERSION: u8 = 2;
 
 /// Content-addressed identity of a segment: the SHA-1 of its bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -45,16 +47,14 @@ pub struct BlockRef {
     pub cloud: u16,
 }
 
-/// Pool entry for one segment: its plaintext length, where its blocks
-/// are, and how many snapshots reference it.
+/// Pool entry for one segment: its plaintext length and where its
+/// blocks are.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SegmentEntry {
     /// Plaintext segment length in bytes.
     pub len: u64,
     /// Known block locations, updated asynchronously as uploads finish.
     pub blocks: Vec<BlockRef>,
-    /// Number of snapshot references (deduplication refcount).
-    pub refcount: u32,
 }
 
 impl SegmentEntry {
@@ -86,15 +86,12 @@ impl SegmentEntry {
     }
 }
 
-/// Point-in-time summary of one file: its size, timestamp and ordered
-/// segment list (paper Fig. 6).
+/// Point-in-time summary of one file: its ordered segment list (paper
+/// Fig. 6). Two snapshots are equal exactly when the contents are, so
+/// a rewrite with the same bytes is no change; a file's timestamps are
+/// the device's own business and stay out of the shared image.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Snapshot {
-    /// Modification time in nanoseconds of runtime time (device-local;
-    /// only compared on the same device).
-    pub mtime_ns: u64,
-    /// File size in bytes.
-    pub size: u64,
     /// Ordered segments whose concatenation is the file content.
     pub segments: Vec<SegmentId>,
 }
@@ -168,11 +165,8 @@ impl std::fmt::Display for VersionStamp {
 /// let mut image = SyncFolderImage::new();
 /// let seg = SegmentId(Sha1::digest(b"content"));
 /// image.ensure_segment(seg, 7);
-/// image.upsert_file(
-///     "docs/a.txt",
-///     Snapshot { mtime_ns: 1, size: 7, segments: vec![seg] },
-/// );
-/// assert_eq!(image.segment(&seg).unwrap().refcount, 1);
+/// image.upsert_file("docs/a.txt", Snapshot { segments: vec![seg] });
+/// assert!(image.referenced().contains(&seg));
 /// let restored = SyncFolderImage::decode(&image.encode()).unwrap();
 /// assert_eq!(restored, image);
 /// ```
@@ -215,8 +209,8 @@ impl SyncFolderImage {
         self.segments.iter()
     }
 
-    /// Registers a segment in the pool (refcount 0) if absent; updates
-    /// the length if it was a placeholder.
+    /// Registers a segment in the pool if absent; updates the length if
+    /// it was a placeholder.
     pub fn ensure_segment(&mut self, id: SegmentId, len: u64) -> &mut SegmentEntry {
         let entry = self.segments.entry(id).or_default();
         entry.len = len;
@@ -238,174 +232,94 @@ impl SyncFolderImage {
             .unwrap_or(false)
     }
 
-    /// Inserts or replaces a file's snapshot, maintaining segment
-    /// refcounts. Returns segments whose refcount dropped to zero (their
-    /// blocks may be garbage-collected from the clouds).
+    /// Inserts or replaces a file's snapshot (and drops its conflict
+    /// copy). Segments the old version alone named become garbage for
+    /// [`collect_garbage`](SyncFolderImage::collect_garbage).
     ///
     /// # Panics
     ///
     /// Panics if a referenced segment was not registered via
     /// [`ensure_segment`](SyncFolderImage::ensure_segment) or
     /// [`record_block`](SyncFolderImage::record_block).
-    pub fn upsert_file(&mut self, path: &str, snapshot: Snapshot) -> Vec<SegmentId> {
-        for id in &snapshot.segments {
-            assert!(
-                self.segments.contains_key(id),
-                "segment {id} referenced before registration"
-            );
-        }
-        let old = self.files.insert(
+    pub fn upsert_file(&mut self, path: &str, snapshot: Snapshot) {
+        self.assert_pooled(&snapshot);
+        self.files.insert(
             path.to_owned(),
             FileEntry {
-                snapshot: snapshot.clone(),
+                snapshot,
                 conflict: None,
             },
         );
-        for id in &snapshot.segments {
-            self.segments
-                .get_mut(id)
-                .expect("checked above")
-                .refcount += 1;
-        }
-        let mut garbage = Vec::new();
-        if let Some(old) = old {
-            garbage.extend(self.release_entry(&old));
-        }
-        garbage
     }
 
-    /// Removes a file, returning newly-orphaned segments.
-    pub fn delete_file(&mut self, path: &str) -> Vec<SegmentId> {
-        match self.files.remove(path) {
-            Some(entry) => self.release_entry(&entry),
-            None => Vec::new(),
-        }
+    /// Removes a file, both its versions included.
+    pub fn delete_file(&mut self, path: &str) {
+        self.files.remove(path);
     }
 
     /// Attaches a conflict snapshot to an existing file (both versions
-    /// retained per the paper's resolution policy). The conflict's
-    /// segments gain references so their data is preserved.
+    /// retained per the paper's resolution policy), replacing any copy
+    /// retained before.
     ///
     /// # Panics
     ///
     /// Panics if the file does not exist or a segment is unregistered.
     pub fn attach_conflict(&mut self, path: &str, origin_device: &str, snapshot: Snapshot) {
+        self.assert_pooled(&snapshot);
+        let entry = self
+            .files
+            .get_mut(path)
+            .expect("attach_conflict on missing file");
+        entry.conflict = Some((origin_device.to_owned(), snapshot));
+    }
+
+    /// Clears a file's conflict (user resolved it).
+    pub fn resolve_conflict(&mut self, path: &str) {
+        if let Some(entry) = self.files.get_mut(path) {
+            entry.conflict = None;
+        }
+    }
+
+    /// Every segment a current or conflict snapshot names: the live
+    /// part of the pool. Computed, never stored, so no image read from
+    /// a cloud can claim a live segment dead.
+    pub fn referenced(&self) -> HashSet<SegmentId> {
+        self.snapshots()
+            .flat_map(|s| s.segments.iter().copied())
+            .collect()
+    }
+
+    /// Drops the segments no snapshot names from the pool, returning
+    /// them with their block locations (for cloud-side deletion).
+    pub fn collect_garbage(&mut self) -> Vec<(SegmentId, SegmentEntry)> {
+        let live = self.referenced();
+        let (kept, dead) = std::mem::take(&mut self.segments)
+            .into_iter()
+            .partition(|(id, _)| live.contains(id));
+        self.segments = kept;
+        dead.into_iter().collect()
+    }
+
+    /// Drops one segment from the pool if no snapshot names it now.
+    pub fn drop_unreferenced_segment(&mut self, id: &SegmentId) {
+        if !self.snapshots().any(|s| s.segments.contains(id)) {
+            self.segments.remove(id);
+        }
+    }
+
+    fn snapshots(&self) -> impl Iterator<Item = &Snapshot> {
+        self.files
+            .values()
+            .flat_map(|e| std::iter::once(&e.snapshot).chain(e.conflict.as_ref().map(|(_, s)| s)))
+    }
+
+    fn assert_pooled(&self, snapshot: &Snapshot) {
         for id in &snapshot.segments {
             assert!(
                 self.segments.contains_key(id),
                 "segment {id} referenced before registration"
             );
         }
-        for id in &snapshot.segments {
-            self.segments.get_mut(id).expect("checked").refcount += 1;
-        }
-        let entry = self
-            .files
-            .get_mut(path)
-            .expect("attach_conflict on missing file");
-        if let Some((_, old)) = entry
-            .conflict
-            .replace((origin_device.to_owned(), snapshot))
-        {
-            // Release the previously retained conflict.
-            let ids = old.segments.clone();
-            for id in ids {
-                if let Some(e) = self.segments.get_mut(&id) {
-                    e.refcount = e.refcount.saturating_sub(1);
-                }
-            }
-        }
-    }
-
-    /// Clears a file's conflict (user resolved it), returning orphaned
-    /// segments.
-    pub fn resolve_conflict(&mut self, path: &str) -> Vec<SegmentId> {
-        let Some(entry) = self.files.get_mut(path) else {
-            return Vec::new();
-        };
-        let Some((_, snap)) = entry.conflict.take() else {
-            return Vec::new();
-        };
-        let mut garbage = Vec::new();
-        for id in snap.segments {
-            if let Some(e) = self.segments.get_mut(&id) {
-                e.refcount = e.refcount.saturating_sub(1);
-                if e.refcount == 0 {
-                    garbage.push(id);
-                }
-            }
-        }
-        garbage
-    }
-
-    /// Drops zero-refcount segments from the pool, returning them with
-    /// their block locations (for cloud-side deletion).
-    pub fn collect_garbage(&mut self) -> Vec<(SegmentId, SegmentEntry)> {
-        let dead: Vec<SegmentId> = self
-            .segments
-            .iter()
-            .filter(|(_, e)| e.refcount == 0)
-            .map(|(id, _)| *id)
-            .collect();
-        dead.into_iter()
-            .map(|id| {
-                let entry = self.segments.remove(&id).expect("listed above");
-                (id, entry)
-            })
-            .collect()
-    }
-
-    /// Drops one segment from the pool if no snapshot references it.
-    pub fn drop_unreferenced_segment(&mut self, id: &SegmentId) {
-        if self.segments.get(id).is_some_and(|e| e.refcount == 0) {
-            self.segments.remove(id);
-        }
-    }
-
-    /// Recomputes every segment refcount from the file entries (used
-    /// after three-way merges).
-    pub fn recompute_refcounts(&mut self) {
-        for entry in self.segments.values_mut() {
-            entry.refcount = 0;
-        }
-        let bump = |segments: &[SegmentId], pool: &mut BTreeMap<SegmentId, SegmentEntry>| {
-            for id in segments {
-                pool.entry(*id).or_default().refcount += 1;
-            }
-        };
-        let files: Vec<(Vec<SegmentId>, Option<Vec<SegmentId>>)> = self
-            .files
-            .values()
-            .map(|e| {
-                (
-                    e.snapshot.segments.clone(),
-                    e.conflict.as_ref().map(|(_, s)| s.segments.clone()),
-                )
-            })
-            .collect();
-        for (main, conflict) in files {
-            bump(&main, &mut self.segments);
-            if let Some(c) = conflict {
-                bump(&c, &mut self.segments);
-            }
-        }
-    }
-
-    fn release_entry(&mut self, entry: &FileEntry) -> Vec<SegmentId> {
-        let mut ids = entry.snapshot.segments.clone();
-        if let Some((_, c)) = &entry.conflict {
-            ids.extend(c.segments.iter().copied());
-        }
-        let mut garbage = Vec::new();
-        for id in ids {
-            if let Some(e) = self.segments.get_mut(&id) {
-                e.refcount = e.refcount.saturating_sub(1);
-                if e.refcount == 0 {
-                    garbage.push(id);
-                }
-            }
-        }
-        garbage
     }
 
     /// Serializes the whole image (the metadata *base* file).
@@ -431,7 +345,6 @@ impl SyncFolderImage {
         for (id, entry) in &self.segments {
             w.put_fixed(id.0.as_bytes());
             w.put_u64(entry.len);
-            w.put_u32(entry.refcount);
             w.put_u32(entry.blocks.len() as u32);
             for b in &entry.blocks {
                 w.put_u16(b.index);
@@ -473,7 +386,6 @@ impl SyncFolderImage {
             let raw = r.get_fixed::<20>("segment id")?;
             let id = SegmentId(Digest(raw));
             let len = r.get_u64("segment len")?;
-            let refcount = r.get_u32("segment refcount")?;
             let block_count = r.get_u32("block count")?;
             let mut blocks = Vec::with_capacity(block_count.min(1 << 20) as usize);
             for _ in 0..block_count {
@@ -482,14 +394,7 @@ impl SyncFolderImage {
                     cloud: r.get_u16("block cloud")?,
                 });
             }
-            segments.insert(
-                id,
-                SegmentEntry {
-                    len,
-                    blocks,
-                    refcount,
-                },
-            );
+            segments.insert(id, SegmentEntry { len, blocks });
         }
         Ok(SyncFolderImage {
             version,
@@ -500,8 +405,6 @@ impl SyncFolderImage {
 }
 
 pub(crate) fn encode_snapshot(w: &mut Writer, s: &Snapshot) {
-    w.put_u64(s.mtime_ns);
-    w.put_u64(s.size);
     w.put_u32(s.segments.len() as u32);
     for id in &s.segments {
         w.put_fixed(id.0.as_bytes());
@@ -509,18 +412,12 @@ pub(crate) fn encode_snapshot(w: &mut Writer, s: &Snapshot) {
 }
 
 pub(crate) fn decode_snapshot(r: &mut Reader<'_>) -> Result<Snapshot, DecodeError> {
-    let mtime_ns = r.get_u64("snapshot mtime")?;
-    let size = r.get_u64("snapshot size")?;
     let count = r.get_u32("snapshot segment count")?;
     let mut segments = Vec::with_capacity(count.min(1 << 20) as usize);
     for _ in 0..count {
         segments.push(SegmentId(Digest(r.get_fixed::<20>("snapshot segment")?)));
     }
-    Ok(Snapshot {
-        mtime_ns,
-        size,
-        segments,
-    })
+    Ok(Snapshot { segments })
 }
 
 #[cfg(test)]
@@ -532,10 +429,8 @@ mod tests {
         SegmentId(Sha1::digest(tag.as_bytes()))
     }
 
-    fn snap(tag: &str, size: u64) -> Snapshot {
+    fn snap(tag: &str) -> Snapshot {
         Snapshot {
-            mtime_ns: 1,
-            size,
             segments: vec![seg(tag)],
         }
     }
@@ -544,7 +439,7 @@ mod tests {
         let mut img = SyncFolderImage::new();
         for (path, tag) in paths {
             img.ensure_segment(seg(tag), 10);
-            img.upsert_file(path, snap(tag, 10));
+            img.upsert_file(path, snap(tag));
         }
         img
     }
@@ -562,7 +457,6 @@ mod tests {
         w.put_u32(1); // segments
         w.put_fixed(seg("s").0.as_bytes());
         w.put_u64(10);
-        w.put_u32(1);
         w.put_u32(u32::MAX); // blocks claimed, none present
         assert_eq!(
             SyncFolderImage::decode(&w.finish()),
@@ -572,28 +466,34 @@ mod tests {
         );
     }
 
+    fn collected(img: &mut SyncFolderImage) -> Vec<SegmentId> {
+        img.collect_garbage()
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect()
+    }
+
     #[test]
-    fn refcounts_track_shared_segments() {
+    fn a_shared_segment_lives_while_any_file_names_it() {
         let mut img = SyncFolderImage::new();
         img.ensure_segment(seg("shared"), 10);
-        img.upsert_file("a", snap("shared", 10));
-        img.upsert_file("b", snap("shared", 10));
-        assert_eq!(img.segment(&seg("shared")).unwrap().refcount, 2);
-        let garbage = img.delete_file("a");
-        assert!(garbage.is_empty());
-        let garbage = img.delete_file("b");
-        assert_eq!(garbage, vec![seg("shared")]);
+        img.upsert_file("a", snap("shared"));
+        img.upsert_file("b", snap("shared"));
+        img.delete_file("a");
+        assert!(collected(&mut img).is_empty());
+        img.delete_file("b");
+        assert_eq!(collected(&mut img), vec![seg("shared")]);
     }
 
     #[test]
     fn replacing_a_file_releases_old_segments() {
         let mut img = SyncFolderImage::new();
         img.ensure_segment(seg("v1"), 10);
-        img.upsert_file("f", snap("v1", 10));
+        img.upsert_file("f", snap("v1"));
         img.ensure_segment(seg("v2"), 12);
-        let garbage = img.upsert_file("f", snap("v2", 12));
-        assert_eq!(garbage, vec![seg("v1")]);
-        assert_eq!(img.segment(&seg("v2")).unwrap().refcount, 1);
+        img.upsert_file("f", snap("v2"));
+        assert_eq!(img.referenced(), HashSet::from([seg("v2")]));
+        assert_eq!(collected(&mut img), vec![seg("v1")]);
     }
 
     #[test]
@@ -622,20 +522,21 @@ mod tests {
     fn conflicts_retain_segment_references() {
         let mut img = image_with(&[("f", "main")]);
         img.ensure_segment(seg("theirs"), 10);
-        img.attach_conflict("f", "laptop", snap("theirs", 10));
-        assert_eq!(img.segment(&seg("theirs")).unwrap().refcount, 1);
+        img.attach_conflict("f", "laptop", snap("theirs"));
+        assert!(img.referenced().contains(&seg("theirs")));
         // Resolving frees the conflict copy.
-        let garbage = img.resolve_conflict("f");
-        assert_eq!(garbage, vec![seg("theirs")]);
+        img.resolve_conflict("f");
         assert!(img.file("f").unwrap().conflict.is_none());
+        assert_eq!(collected(&mut img), vec![seg("theirs")]);
     }
 
     #[test]
     fn deleting_a_conflicted_file_releases_both_versions() {
         let mut img = image_with(&[("f", "main")]);
         img.ensure_segment(seg("theirs"), 10);
-        img.attach_conflict("f", "laptop", snap("theirs", 10));
-        let mut garbage = img.delete_file("f");
+        img.attach_conflict("f", "laptop", snap("theirs"));
+        img.delete_file("f");
+        let mut garbage = collected(&mut img);
         garbage.sort();
         let mut expect = vec![seg("main"), seg("theirs")];
         expect.sort();
@@ -647,7 +548,7 @@ mod tests {
         let mut img = image_with(&[("f", "v1")]);
         img.record_block(seg("v1"), BlockRef { index: 0, cloud: 0 });
         img.ensure_segment(seg("v2"), 10);
-        img.upsert_file("f", snap("v2", 10));
+        img.upsert_file("f", snap("v2"));
         let collected = img.collect_garbage();
         assert_eq!(collected.len(), 1);
         assert_eq!(collected[0].0, seg("v1"));
@@ -659,7 +560,7 @@ mod tests {
     fn encode_decode_round_trip() {
         let mut img = image_with(&[("a/b.txt", "s1"), ("c.bin", "s2")]);
         img.record_block(seg("s1"), BlockRef { index: 2, cloud: 4 });
-        img.attach_conflict("c.bin", "phone", snap("s1", 10));
+        img.attach_conflict("c.bin", "phone", snap("s1"));
         img.version = VersionStamp {
             device: "laptop".into(),
             counter: 9,
@@ -681,18 +582,9 @@ mod tests {
     }
 
     #[test]
-    fn recompute_refcounts_matches_incremental() {
-        let mut img = image_with(&[("a", "s1"), ("b", "s1"), ("c", "s2")]);
-        let incremental: Vec<u32> = img.segments().map(|(_, e)| e.refcount).collect();
-        img.recompute_refcounts();
-        let recomputed: Vec<u32> = img.segments().map(|(_, e)| e.refcount).collect();
-        assert_eq!(incremental, recomputed);
-    }
-
-    #[test]
     #[should_panic(expected = "referenced before registration")]
     fn unregistered_segment_rejected() {
         let mut img = SyncFolderImage::new();
-        img.upsert_file("f", snap("ghost", 10));
+        img.upsert_file("f", snap("ghost"));
     }
 }

@@ -34,9 +34,9 @@ use crate::delta::{apply_record, decode_record, encode_record};
 use crate::{DeltaRecord, SyncFolderImage, VersionStamp};
 
 const OP_MAGIC: [u8; 4] = *b"UDOP";
-const OP_VERSION: u8 = 1;
+const OP_VERSION: u8 = 2;
 const OPLOG_BASE_MAGIC: [u8; 4] = *b"UDOB";
-const OPLOG_BASE_VERSION: u8 = 1;
+const OPLOG_BASE_VERSION: u8 = 2;
 
 /// One committed metadata operation: a batch of [`DeltaRecord`]s from
 /// one device's sync pass, stamped for the total fold order.
@@ -334,8 +334,6 @@ mod tests {
 
     fn snap(tag: &str) -> Snapshot {
         Snapshot {
-            mtime_ns: 7,
-            size: 10,
             segments: vec![seg(tag)],
         }
     }
@@ -500,14 +498,14 @@ mod tests {
 
     #[test]
     fn a_losing_delete_never_drops_the_segment_the_modify_kept() {
-        // a writes f, then touches it (same segment, new mtime); b
-        // deletes f having folded only a's first op, and its commit
-        // collected the segment. Modify beats delete, so when b's
-        // DropSegment applies the segment is still referenced: it stays,
-        // blocks and all.
-        let touched = Snapshot {
-            mtime_ns: 8,
-            ..snap("s")
+        // a writes f, then appends to it (the new version still names
+        // s); b deletes f having folded only a's first op, and its
+        // commit collected s. Modify beats delete, so when b's
+        // DropSegment applies s is still named: the fold keeps it, with
+        // the block locations the log gave it — blocks b's committer
+        // has already deleted from the clouds.
+        let grown = Snapshot {
+            segments: vec![seg("s"), seg("t")],
         };
         let delete = |base_lamport| {
             op(
@@ -522,25 +520,31 @@ mod tests {
             )
         };
         let write = op("a", 1, 1, 0, upsert("f", "s"));
-        let touch = op(
+        let grow = op(
             "a",
             2,
             2,
             1,
-            vec![DeltaRecord::UpsertFile {
-                path: "f".into(),
-                snapshot: touched.clone(),
-            }],
+            vec![
+                DeltaRecord::EnsureSegment {
+                    id: seg("t"),
+                    len: 10,
+                },
+                DeltaRecord::UpsertFile {
+                    path: "f".into(),
+                    snapshot: grown.clone(),
+                },
+            ],
         );
-        let out = fold(&OplogBase::new(), &[write.clone(), touch.clone(), delete(1)], "root");
-        assert_eq!(out.base.image.file("f").unwrap().snapshot, touched);
+        let out = fold(&OplogBase::new(), &[write.clone(), grow.clone(), delete(1)], "root");
+        assert_eq!(out.base.image.file("f").unwrap().snapshot, grown);
         let kept = out.base.image.segment(&seg("s")).expect("segment kept");
         assert_eq!(kept.blocks, vec![BlockRef { index: 0, cloud: 1 }]);
-        assert_eq!(kept.refcount, 1);
+        assert!(out.base.image.referenced().contains(&seg("s")));
 
-        // A delete that saw the touch goes through, and the segment
-        // leaves the pool with it.
-        let out = fold(&OplogBase::new(), &[write, touch, delete(2)], "root");
+        // A delete that saw the append goes through, and s leaves the
+        // pool with it.
+        let out = fold(&OplogBase::new(), &[write, grow, delete(2)], "root");
         assert!(out.base.image.file("f").is_none());
         assert!(out.base.image.segment(&seg("s")).is_none());
     }

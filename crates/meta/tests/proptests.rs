@@ -1,7 +1,10 @@
 //! Randomized property tests of the metadata layer: codec round-trips,
-//! delta-log reconstruction, and three-way merge invariants. Driven by
+//! delta-log reconstruction, three-way merge invariants and segment
+//! liveness. Driven by
 //! the workspace's deterministic `SimRng` (seeded, so failures
 //! reproduce exactly).
+
+use std::collections::BTreeSet;
 
 use unidrive_crypto::{Digest, Sha1};
 use unidrive_meta::{
@@ -11,39 +14,39 @@ use unidrive_meta::{
 use unidrive_sim::SimRng;
 
 /// A small random image: up to 12 files with short random paths, each
-/// with up to 3 random segment tags. A segment's length follows from
-/// its tag, as content addressing has it, and each registration places
-/// up to 3 random blocks.
+/// a random snapshot.
 fn random_image(rng: &mut SimRng) -> SyncFolderImage {
     let mut image = SyncFolderImage::new();
     let n_files = rng.below(12) as usize;
     for _ in 0..n_files {
         let path = random_path(rng);
-        let mtime = rng.below(u16::MAX as u64 + 1);
-        let size = 1 + rng.below(999_999);
-        let n_segs = 1 + rng.below(3) as usize;
-        let tags: Vec<u8> = (0..n_segs).map(|_| rng.next_u64() as u8).collect();
-        let segments: Vec<SegmentId> = tags.iter().map(|t| SegmentId(Sha1::digest(&[*t]))).collect();
-        for (id, tag) in segments.iter().zip(&tags) {
-            image.ensure_segment(*id, 1 + u64::from(*tag));
-            for _ in 0..rng.below(4) {
-                let block = BlockRef {
-                    index: rng.below(10) as u16,
-                    cloud: rng.below(5) as u16,
-                };
-                image.record_block(*id, block);
-            }
-        }
-        image.upsert_file(
-            &path,
-            Snapshot {
-                mtime_ns: mtime,
-                size,
-                segments,
-            },
-        );
+        let snapshot = random_snapshot(rng, &mut image, 256);
+        image.upsert_file(&path, snapshot);
     }
     image
+}
+
+/// Up to 3 segments drawn from `tags` tags, registered in `image`. A
+/// segment's length follows from its tag, as content addressing has
+/// it, and each registration places up to 3 random blocks.
+fn random_snapshot(rng: &mut SimRng, image: &mut SyncFolderImage, tags: u64) -> Snapshot {
+    let n_segs = 1 + rng.below(3) as usize;
+    let tags: Vec<u8> = (0..n_segs).map(|_| rng.below(tags) as u8).collect();
+    let segments: Vec<SegmentId> = tags
+        .iter()
+        .map(|t| SegmentId(Sha1::digest(&[*t])))
+        .collect();
+    for (id, tag) in segments.iter().zip(&tags) {
+        image.ensure_segment(*id, 1 + u64::from(*tag));
+        for _ in 0..rng.below(4) {
+            let block = BlockRef {
+                index: rng.below(10) as u16,
+                cloud: rng.below(5) as u16,
+            };
+            image.record_block(*id, block);
+        }
+    }
+    Snapshot { segments }
 }
 
 fn random_path(rng: &mut SimRng) -> String {
@@ -93,8 +96,8 @@ fn image_codec_rejects_bitflips() {
 }
 
 /// Applying records_for(from, to) onto `from` reproduces `to`'s files
-/// and its whole segment pool: ids, lengths, block lists, refcounts —
-/// a segment `to` collected leaves the rebuilt pool too.
+/// and its whole segment pool: ids, lengths, block lists — a segment
+/// `to` collected leaves the rebuilt pool too.
 #[test]
 fn delta_records_reconstruct() {
     let mut rng = SimRng::seed_from_u64(0x4E03);
@@ -159,8 +162,8 @@ fn merge_with_unchanged_cloud_is_local() {
     }
 }
 
-/// Merge never loses a file that only one side touched, and refcounts
-/// always cover every referenced segment.
+/// Merge never loses a file that only one side touched, and the pool
+/// holds every segment a snapshot names.
 #[test]
 fn merge_preserves_disjoint_changes() {
     let mut rng = SimRng::seed_from_u64(0x4E06);
@@ -183,12 +186,48 @@ fn merge_preserves_disjoint_changes() {
                 }
             }
         }
-        // Pool covers every snapshot reference with a positive refcount.
-        for (_, entry) in out.image.files() {
-            for id in &entry.snapshot.segments {
-                assert!(out.image.segment(id).unwrap().refcount > 0);
+        for id in out.image.referenced() {
+            assert!(
+                out.image.segment(&id).is_some(),
+                "{id} named but not pooled"
+            );
+        }
+    }
+}
+
+/// Liveness is computed from the snapshots: after any sequence of file
+/// and conflict edits, collecting garbage leaves exactly the segments a
+/// current or conflict snapshot names, and returns every other one.
+#[test]
+fn collected_pool_is_the_referenced_set() {
+    let mut rng = SimRng::seed_from_u64(0x4E0C);
+    const PATHS: [&str; 4] = ["a", "b", "c", "d/e"];
+    for _ in 0..64 {
+        let mut image = SyncFolderImage::new();
+        for _ in 0..rng.below(24) {
+            let path = PATHS[rng.below(PATHS.len() as u64) as usize];
+            // Few tags, so files and versions share segments.
+            let snapshot = random_snapshot(&mut rng, &mut image, 12);
+            match rng.below(4) {
+                0 => image.upsert_file(path, snapshot),
+                1 => image.delete_file(path),
+                2 if image.file(path).is_some() => image.attach_conflict(path, "dev", snapshot),
+                _ => image.resolve_conflict(path),
             }
         }
+        let pool =
+            |img: &SyncFolderImage| img.segments().map(|(id, _)| *id).collect::<BTreeSet<_>>();
+        let before = pool(&image);
+        let live: BTreeSet<SegmentId> = image.referenced().into_iter().collect();
+        let collected: BTreeSet<SegmentId> = image
+            .collect_garbage()
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect();
+        assert_eq!(pool(&image), live);
+        assert_eq!(collected, before.difference(&live).copied().collect());
+        let restored = SyncFolderImage::decode(&image.encode()).unwrap();
+        assert_eq!(restored.referenced(), image.referenced());
     }
 }
 

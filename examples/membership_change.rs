@@ -68,8 +68,6 @@ fn main() {
     image.upsert_file(
         "album.zip",
         Snapshot {
-            mtime_ns: 0,
-            size: segs[0].size,
             segments: segs[0].segments.iter().map(|(id, _)| *id).collect(),
         },
     );

@@ -314,7 +314,8 @@ fn a_failed_commit_keeps_the_placements_it_drained() {
     folder.write("first", &content(150_000, 1), 1).unwrap();
     assert_eq!(a.sync_once().unwrap().uploaded, vec!["first"]);
     let on_slow = |a: &UniDriveClient| {
-        let segments = a.image().segments().filter(|(_, e)| e.refcount > 0);
+        let live = a.image().referenced();
+        let segments = a.image().segments().filter(|(id, _)| live.contains(id));
         let shares =
             segments.map(|(_, e)| e.blocks.iter().filter(|b| b.cloud as usize == SLOW).count());
         shares.collect::<Vec<usize>>()
@@ -530,8 +531,6 @@ fn image_of(plane: &DataPlane, data: &[u8]) -> unidrive::meta::SyncFolderImage {
     image.upsert_file(
         "x",
         Snapshot {
-            mtime_ns: 0,
-            size: segs[0].size,
             segments: segs[0].segments.iter().map(|(id, _)| *id).collect(),
         },
     );

@@ -247,8 +247,9 @@ fn a_collected_segment_is_deleted_once_on_both_planes() {
             let mut c = device(&clouds, "c", mode, 3);
             c.client.sync_once().unwrap();
             assert_eq!(pool(c.client.image()), pool(b.client.image()), "{case}");
-            for (id, entry) in pool(b.client.image()) {
-                assert!(entry.refcount > 0, "{case}: {id} pooled unreferenced");
+            let live = b.client.image().referenced();
+            for (id, _) in pool(b.client.image()) {
+                assert!(live.contains(&id), "{case}: {id} pooled unreferenced");
                 assert!(!f_segments.contains(&id), "{case}: F's segment {id} pooled");
             }
 

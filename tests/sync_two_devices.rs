@@ -8,6 +8,7 @@ use std::time::Duration;
 use unidrive::cloud::{CloudSet, CloudStore, SimCloud, SimCloudConfig};
 use unidrive::core::{ClientConfig, DataPlaneConfig, MemFolder, SyncFolder, UniDriveClient};
 use unidrive::erasure::RedundancyConfig;
+use unidrive::meta::MetaMode;
 use unidrive::sim::{Runtime, SimRng, SimRuntime};
 
 struct Rig {
@@ -38,7 +39,18 @@ fn rig(seed: u64) -> Rig {
 }
 
 fn client(rig: &Rig, device: &str, folder: &Arc<MemFolder>, seed: u64) -> UniDriveClient {
+    client_on(rig, device, folder, seed, MetaMode::Lock)
+}
+
+fn client_on(
+    rig: &Rig,
+    device: &str,
+    folder: &Arc<MemFolder>,
+    seed: u64,
+    mode: MetaMode,
+) -> UniDriveClient {
     let mut config = ClientConfig::paper_default(device);
+    config.meta_mode = mode;
     config.data = DataPlaneConfig::with_params(
         RedundancyConfig::new(5, 3, 3, 2).unwrap(),
         64 * 1024, // small θ keeps tests fast
@@ -167,21 +179,65 @@ fn concurrent_edits_yield_conflict_with_both_versions_retained() {
     assert_eq!(folder_a.read("shared.txt").unwrap().to_vec(), version_a);
 }
 
+/// Two devices write the same bytes to a new path at different times:
+/// the content is the same, so neither sees a conflict, on either plane.
 #[test]
 fn identical_concurrent_edits_do_not_conflict() {
-    let r = rig(5);
-    let folder_a = MemFolder::new();
-    let folder_b = MemFolder::new();
-    let mut a = client(&r, "device-a", &folder_a, 51);
-    let mut b = client(&r, "device-b", &folder_b, 52);
+    for mode in [MetaMode::Lock, MetaMode::Oplog] {
+        let r = rig(5);
+        let folder_a = MemFolder::new();
+        let folder_b = MemFolder::new();
+        let mut a = client_on(&r, "device-a", &folder_a, 51, mode);
+        let mut b = client_on(&r, "device-b", &folder_b, 52, mode);
 
-    let same = content(80_000, 9);
-    folder_a.write("same.bin", &same, 1).unwrap();
-    folder_b.write("same.bin", &same, 1).unwrap();
-    a.sync_once().unwrap();
-    let rep = b.sync_once().unwrap();
-    assert!(rep.conflicts.is_empty(), "identical content: no conflict");
-    assert!(b.conflicts().is_empty());
+        let same = content(80_000, 9);
+        folder_a.write("same.bin", &same, 1).unwrap();
+        folder_b.write("same.bin", &same, 2).unwrap();
+        a.sync_once().unwrap();
+        let rep = b.sync_once().unwrap();
+        assert!(
+            rep.conflicts.is_empty(),
+            "{mode:?}: identical content, no conflict"
+        );
+        assert!(b.conflicts().is_empty(), "{mode:?}");
+        a.sync_once().unwrap();
+        assert!(a.conflicts().is_empty(), "{mode:?}");
+    }
+}
+
+/// Rewriting a file with the bytes it already holds changes its mtime
+/// and nothing else: no commit, and nothing for the peer to fetch.
+#[test]
+fn a_touch_is_not_a_change() {
+    for mode in [MetaMode::Lock, MetaMode::Oplog] {
+        let r = rig(8);
+        let folder_a = MemFolder::new();
+        let folder_b = MemFolder::new();
+        let mut a = client_on(&r, "device-a", &folder_a, 81, mode);
+        let mut b = client_on(&r, "device-b", &folder_b, 82, mode);
+
+        let data = content(80_000, 4);
+        folder_a.write("f", &data, 1).unwrap();
+        a.sync_once().unwrap();
+        assert_eq!(b.sync_once().unwrap().downloaded, vec!["f"], "{mode:?}");
+        assert!(a.sync_once().unwrap().is_noop(), "{mode:?}");
+
+        let version = a.image().version.clone();
+        folder_a.write("f", &data, 2).unwrap();
+        let rep = a.sync_once().unwrap();
+        assert!(rep.is_noop(), "{mode:?}: a touch commits nothing: {rep:?}");
+        assert_eq!(a.image().version, version, "{mode:?}");
+        assert!(
+            a.sync_once().unwrap().is_noop(),
+            "{mode:?}: the shadow took the new stat"
+        );
+        let rep = b.sync_once().unwrap();
+        assert!(
+            rep.downloaded.is_empty(),
+            "{mode:?}: B fetched {:?}",
+            rep.downloaded
+        );
+    }
 }
 
 #[test]
