@@ -65,7 +65,7 @@ use unidrive_meta::MetaMode;
 use unidrive_obs::{
     bundle_json, lane_span, FieldValue, HealthLane, HealthState, Obs, Registry, SpanRecord,
 };
-use unidrive_sim::{spawn, SimRng, SimRuntime};
+use unidrive_sim::{spawn, Runtime, SimRng, SimRuntime};
 
 const CLOUDS: usize = 5;
 const DEVICES: usize = 3;
@@ -98,26 +98,30 @@ fn deterministic_bytes(seed: u64, len: usize) -> Vec<u8> {
     (0..len).map(|_| (rng.next_u64() & 0xff) as u8).collect()
 }
 
-/// Runs one full soak round under `plan`: builds a fresh 5-cloud /
-/// 3-device world seeded by `plan.seed` with the given metadata plane,
-/// soaks it through the fault horizon, converges, and checks every
-/// invariant. The lock invariant stays armed in oplog mode: base
-/// compaction still takes the quorum lock, so two simultaneous holders
-/// would be a real violation there too.
-fn run_round(plan: &FaultPlan, mode: MetaMode, want_flight: bool) -> RoundOutcome {
+/// The soak's world, seeded by `plan.seed`: five providers, each one
+/// shared backing store with a per-device network frontend — faults are
+/// injected per device handle, so a visibility anomaly hides *other*
+/// devices' writes, not your own — and one folder per device, all
+/// recording into one registry. `observed` wraps every frontend in an
+/// `ObservedCloud`.
+struct World {
+    rt: Arc<dyn Runtime>,
+    obs: Obs,
+    clouds: Vec<CloudSet>,
+    folders: Vec<Arc<MemFolder>>,
+    chaos: Vec<Arc<ChaosCloud>>,
+}
+
+fn world(plan: &FaultPlan, observed: bool) -> World {
     let sim = SimRuntime::new(plan.seed);
     let rt = sim.clone().as_runtime();
     let obs = Obs::with_registry(Registry::with_trace_capacity(obs_out::EXPORT_SPAN_CAPACITY));
     sim.install_obs(obs.clone());
-
-    // Five providers, each one shared backing store with a per-device
-    // network frontend — faults are injected per device handle, so a
-    // visibility anomaly hides *other* devices' writes, not your own.
     let backings: Vec<Arc<MemCloud>> = (0..CLOUDS)
         .map(|i| Arc::new(MemCloud::new(format!("b{i}"))))
         .collect();
-    let mut chaos_handles: Vec<Arc<ChaosCloud>> = Vec::new();
-    let mut device_sets = Vec::new();
+    let mut chaos = Vec::new();
+    let mut clouds = Vec::new();
     for d in 0..DEVICES {
         let members: Vec<Arc<dyn CloudStore>> = (0..CLOUDS)
             .map(|i| {
@@ -128,49 +132,65 @@ fn run_round(plan: &FaultPlan, mode: MetaMode, want_flight: bool) -> RoundOutcom
                     Arc::clone(&backings[i]),
                 ));
                 inner.install_obs(obs.clone());
-                let built = CloudBuilder::new(&rt, inner as Arc<dyn CloudStore>)
-                    .chaos(plan, &format!("dev{d}"))
-                    .obs(&obs)
-                    .build();
-                chaos_handles.push(built.chaos.expect("chaos stage configured"));
+                let mut builder = CloudBuilder::new(&rt, inner as Arc<dyn CloudStore>)
+                    .chaos(plan, &format!("dev{d}"));
+                if observed {
+                    builder = builder.observed();
+                }
+                let built = builder.obs(&obs).build();
+                chaos.push(built.chaos.expect("chaos stage configured"));
                 built.store
             })
             .collect();
-        device_sets.push(CloudSet::new(members));
+        clouds.push(CloudSet::new(members));
     }
+    let folders = (0..DEVICES).map(|_| MemFolder::new()).collect();
+    World { rt, obs, clouds, folders, chaos }
+}
 
-    let folders: Vec<Arc<MemFolder>> = (0..DEVICES).map(|_| MemFolder::new()).collect();
-    let client = |d: usize| {
-        UniDriveClient::new(
-            rt.clone(),
-            device_sets[d].clone(),
-            Arc::clone(&folders[d]) as Arc<dyn SyncFolder>,
-            paper_client(&format!("dev{d}"), 64 * 1024, &obs, mode),
-            SimRng::derive(plan.seed, &format!("chaos_soak/client{d}")),
-        )
-    };
+/// Uploads acknowledged by a `sync_once`, with their exact bytes.
+type Acked = Vec<(String, Vec<u8>)>;
 
-    // Soak phase: each device syncs on its own schedule in a spawned
-    // task; devices 0 and 1 write fresh files before their first two
-    // rounds. A sync error under faults is tolerated (the daemon just
-    // retries next round), but every *acknowledged* upload is recorded
-    // with its exact bytes for the durability check.
+/// Sleeps until virtual second `secs`, if it is still ahead.
+fn sleep_until(rt: &Arc<dyn Runtime>, secs: u64) {
+    let (target, now) = (secs * 1_000_000_000, rt.now().as_nanos());
+    if target > now {
+        rt.sleep(Duration::from_nanos(target - now));
+    }
+}
+
+/// The soak phase: each device syncs on its own schedule in a spawned
+/// task, with its client's RNG drawn from `chaos_soak/<label><d>`;
+/// devices 0 and 1 write fresh files before their first two rounds. A
+/// sync error under faults is tolerated (the daemon just retries next
+/// round), but every *acknowledged* upload is recorded with its exact
+/// bytes for the durability check. Returns the clients, the acked
+/// uploads and the sync errors once every task is done and the fault
+/// horizon has passed.
+fn soak(
+    world: &World,
+    plan: &FaultPlan,
+    mode: MetaMode,
+    label: &str,
+) -> (Vec<UniDriveClient>, Acked, usize) {
     let mut tasks = Vec::new();
-    for d in 0..DEVICES {
-        let mut c = client(d);
-        let folder = Arc::clone(&folders[d]);
-        let rt2 = rt.clone();
+    for (d, (clouds, folder)) in world.clouds.iter().zip(&world.folders).enumerate() {
+        let mut c = UniDriveClient::new(
+            world.rt.clone(),
+            clouds.clone(),
+            Arc::clone(folder) as Arc<dyn SyncFolder>,
+            paper_client(&format!("dev{d}"), 64 * 1024, &world.obs, mode),
+            SimRng::derive(plan.seed, &format!("chaos_soak/{label}{d}")),
+        );
+        let folder = Arc::clone(folder);
+        let rt = world.rt.clone();
         let seed = plan.seed;
-        tasks.push(spawn(&rt, &format!("soak-dev{d}"), move || {
+        tasks.push(spawn(&world.rt, &format!("{label}-dev{d}"), move || {
             let mut written: BTreeMap<String, Vec<u8>> = BTreeMap::new();
-            let mut acked: Vec<(String, Vec<u8>)> = Vec::new();
+            let mut acked = Acked::new();
             let mut errors = 0usize;
             for (i, &t) in SYNC_TIMES[d].iter().enumerate() {
-                let target = t * 1_000_000_000;
-                let now = rt2.now().as_nanos();
-                if target > now {
-                    rt2.sleep(Duration::from_nanos(target - now));
-                }
+                sleep_until(&rt, t);
                 if d < 2 && i < 2 {
                     let path = format!("dev{d}/f{i}.bin");
                     let data = deterministic_bytes(
@@ -195,7 +215,7 @@ fn run_round(plan: &FaultPlan, mode: MetaMode, want_flight: bool) -> RoundOutcom
         }));
     }
     let mut clients = Vec::new();
-    let mut acked: Vec<(String, Vec<u8>)> = Vec::new();
+    let mut acked = Acked::new();
     let mut sync_errors = 0usize;
     for t in tasks {
         let (c, a, e) = t.join();
@@ -203,14 +223,21 @@ fn run_round(plan: &FaultPlan, mode: MetaMode, want_flight: bool) -> RoundOutcom
         acked.extend(a);
         sync_errors += e;
     }
+    sleep_until(&world.rt, HORIZON_SECS);
+    (clients, acked, sync_errors)
+}
+
+/// Runs one full soak round under `plan` with the given metadata
+/// plane: builds a fresh [`world`], soaks it through the fault horizon,
+/// converges, and checks every invariant. The lock invariant stays
+/// armed in oplog mode: base compaction still takes the quorum lock,
+/// so two simultaneous holders would be a real violation there too.
+fn run_round(plan: &FaultPlan, mode: MetaMode, want_flight: bool) -> RoundOutcome {
+    let world = world(plan, false);
+    let (mut clients, acked, mut sync_errors) = soak(&world, plan, mode, "client");
 
     // Convergence phase: all fault windows have closed; poll every
     // device until one full pass where everyone reports a no-op sync.
-    let horizon = HORIZON_SECS * 1_000_000_000;
-    let now = rt.now().as_nanos();
-    if horizon > now {
-        rt.sleep(Duration::from_nanos(horizon - now));
-    }
     let mut converged = false;
     for _ in 0..15 {
         let mut all_noop = true;
@@ -227,7 +254,7 @@ fn run_round(plan: &FaultPlan, mode: MetaMode, want_flight: bool) -> RoundOutcom
             converged = true;
             break;
         }
-        rt.sleep(Duration::from_secs(10));
+        world.rt.sleep(Duration::from_secs(10));
     }
 
     // Invariant checks.
@@ -237,13 +264,14 @@ fn run_round(plan: &FaultPlan, mode: MetaMode, want_flight: bool) -> RoundOutcom
         failed.push("convergence");
     }
     if acked.iter().any(|(path, data)| {
-        folders
+        world
+            .folders
             .iter()
             .any(|f| f.read(path).map(|d| d.as_ref() != &data[..]).unwrap_or(true))
     }) {
         failed.push("durability");
     }
-    let snap = obs.snapshot().expect("registry snapshot");
+    let snap = world.obs.snapshot().expect("registry snapshot");
     // An evicted `lock.*` span would blind the audit below.
     assert_eq!(
         snap.dropped_spans, 0,
@@ -260,7 +288,7 @@ fn run_round(plan: &FaultPlan, mode: MetaMode, want_flight: bool) -> RoundOutcom
         failed,
         acked: acked.len(),
         sync_errors,
-        injected: chaos_handles.iter().map(|h| h.injected_faults()).sum(),
+        injected: world.chaos.iter().map(|h| h.injected_faults()).sum(),
         flight,
     }
 }
@@ -332,89 +360,22 @@ fn health_round(bundle_path: Option<&str>) -> HealthOutcome {
         vec![FaultEvent::always(HEALTH_TARGET, FaultKind::Outage)
             .window_secs(HEALTH_OUTAGE.0, HEALTH_OUTAGE.1)],
     );
-    let sim = SimRuntime::new(plan.seed);
-    let rt = sim.clone().as_runtime();
-    let registry = Registry::with_trace_capacity(obs_out::EXPORT_SPAN_CAPACITY);
-    let obs = Obs::with_registry(Arc::clone(&registry));
-    sim.install_obs(obs.clone());
-
-    let backings: Vec<Arc<MemCloud>> = (0..CLOUDS)
-        .map(|i| Arc::new(MemCloud::new(format!("b{i}"))))
-        .collect();
-    let mut device_sets = Vec::new();
-    for d in 0..DEVICES {
-        let members: Vec<Arc<dyn CloudStore>> = (0..CLOUDS)
-            .map(|i| {
-                let inner = Arc::new(SimCloud::with_backing(
-                    &sim,
-                    format!("c{i}"),
-                    SimCloudConfig::steady(2e6, 8e6),
-                    Arc::clone(&backings[i]),
-                ));
-                inner.install_obs(obs.clone());
-                CloudBuilder::new(&rt, inner as Arc<dyn CloudStore>)
-                    .chaos(&plan, &format!("dev{d}"))
-                    .observed()
-                    .obs(&obs)
-                    .build()
-                    .store
-            })
-            .collect();
-        device_sets.push(CloudSet::new(members));
-    }
-
-    let folders: Vec<Arc<MemFolder>> = (0..DEVICES).map(|_| MemFolder::new()).collect();
-    let mut tasks = Vec::new();
-    for d in 0..DEVICES {
-        let mut c = UniDriveClient::new(
-            rt.clone(),
-            device_sets[d].clone(),
-            Arc::clone(&folders[d]) as Arc<dyn SyncFolder>,
-            paper_client(&format!("dev{d}"), 64 * 1024, &obs, MetaMode::Lock),
-            SimRng::derive(plan.seed, &format!("chaos_soak/health{d}")),
-        );
-        let folder = Arc::clone(&folders[d]);
-        let rt2 = rt.clone();
-        let seed = plan.seed;
-        tasks.push(spawn(&rt, &format!("health-dev{d}"), move || {
-            for (i, &t) in SYNC_TIMES[d].iter().enumerate() {
-                let target = t * 1_000_000_000;
-                let now = rt2.now().as_nanos();
-                if target > now {
-                    rt2.sleep(Duration::from_nanos(target - now));
-                }
-                if d < 2 && i < 2 {
-                    let path = format!("dev{d}/f{i}.bin");
-                    let data = deterministic_bytes(
-                        seed ^ ((d as u64) << 8) ^ i as u64,
-                        96 * 1024 + d * 4096,
-                    );
-                    folder.write(&path, &data, (i + 1) as u64).expect("mem write");
-                }
-                let _ = c.sync_once();
-            }
-            c
-        }));
-    }
-    let mut clients: Vec<_> = tasks.into_iter().map(|t| t.join()).collect();
+    let world = world(&plan, true);
+    let (mut clients, _, _) = soak(&world, &plan, MetaMode::Lock, "health");
 
     // Cool-down past the horizon: a few no-op sync passes give every
     // cloud clean active windows so recovery streaks can complete.
-    let horizon = HORIZON_SECS * 1_000_000_000;
-    let now = rt.now().as_nanos();
-    if horizon > now {
-        rt.sleep(Duration::from_nanos(horizon - now));
-    }
     for _ in 0..4 {
         for c in &mut clients {
             let _ = c.sync_once();
         }
-        rt.sleep(Duration::from_secs(15));
+        world.rt.sleep(Duration::from_secs(15));
     }
 
-    let series = registry.series_snapshot();
+    let series = world.obs.series_snapshot().expect("registry series");
     if let Some(path) = bundle_path {
-        obs_out::write_bundle(path, registry.snapshot(), &series.to_json());
+        let spans = world.obs.snapshot().expect("registry snapshot");
+        obs_out::write_bundle(path, spans, &series.to_json());
     }
 
     let lanes = series.health_lanes();

@@ -11,15 +11,15 @@
 //! 3. otherwise: check the small version file; if the cloud moved,
 //!    download the cloud update and materialize it into the folder.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
 
 use unidrive_util::bytes::Bytes;
 use unidrive_cloud::CloudSet;
 use unidrive_meta::{
-    merge3, parse_block_name, BlockRef, LockConfig, MetaMode, MetaPlane, PlaneError, SegmentId,
-    Snapshot, SyncFolderImage, VersionStamp,
+    diff, merge3, parse_block_name, BlockRef, DeltaRecord, LockConfig, MetaMode, MetaPlane,
+    PlaneError, SegmentId, Snapshot, SyncFolderImage, VersionStamp,
 };
 use unidrive_obs::SpanId;
 use unidrive_sim::{Runtime, SimRng, Time};
@@ -193,6 +193,9 @@ pub struct UniDriveClient {
     shadow: BTreeMap<String, LocalStat>,
     /// This device's commit counter.
     counter: u64,
+    /// Paths whose conflict the user resolved since the last commit:
+    /// the next pass commits the resolution like any local change.
+    resolved: BTreeSet<String>,
     /// Placements reported by background reliability workers since the
     /// last commit ("set asynchronously via callback", §5.1).
     pending_blocks: BlockSink,
@@ -231,6 +234,7 @@ impl UniDriveClient {
             original: SyncFolderImage::new(),
             shadow: BTreeMap::new(),
             counter: 0,
+            resolved: BTreeSet::new(),
             pending_blocks: std::sync::Arc::new(unidrive_util::sync::Mutex::new(Vec::new())),
         }
     }
@@ -250,11 +254,12 @@ impl UniDriveClient {
         &self.plane
     }
 
-    /// Paths with unresolved conflicts in the current image.
+    /// Paths with unresolved conflicts in the current image, less those
+    /// resolved since the last commit.
     pub fn conflicts(&self) -> Vec<String> {
         self.original
             .files()
-            .filter(|(_, e)| e.conflict.is_some())
+            .filter(|(p, e)| e.conflict.is_some() && !self.resolved.contains(*p))
             .map(|(p, _)| p.to_owned())
             .collect()
     }
@@ -280,17 +285,16 @@ impl UniDriveClient {
     /// Resolves the conflict on `path`: `keep_current` keeps the
     /// snapshot that won the merge; otherwise the retained conflict copy
     /// is restored as the file's content (locally and, at the next sync
-    /// pass, in the cloud metadata). Returns whether a conflict existed.
+    /// pass, in the cloud metadata). Either way the next sync pass
+    /// commits the resolution, which clears the copy on every device.
+    /// Returns whether an unresolved conflict existed.
     ///
     /// # Errors
     ///
     /// [`SyncError::Download`] if the conflict copy's blocks are
     /// unreachable, [`SyncError::Folder`] on local write failures.
     pub fn resolve_conflict(&mut self, path: &str, keep_current: bool) -> Result<bool, SyncError> {
-        let Some(entry) = self.original.file(path) else {
-            return Ok(false);
-        };
-        if entry.conflict.is_none() {
+        if !self.conflicts().iter().any(|p| p == path) {
             return Ok(false);
         }
         if !keep_current {
@@ -306,10 +310,7 @@ impl UniDriveClient {
             // restored content as a local change and commits it.
             self.shadow.remove(path);
         }
-        // The copy's now-unreferenced pool entries stay in `v_o` with
-        // their block locations: the next commit's GC collects them and
-        // deletes the blocks from the clouds.
-        self.original.resolve_conflict(path);
+        self.resolved.insert(path.to_owned());
         Ok(true)
     }
 
@@ -346,11 +347,10 @@ impl UniDriveClient {
     fn sync_pass(&mut self, round: Option<SpanId>) -> Result<SyncReport, SyncError> {
         let changes = self.scan_local_changes().map_err(SyncError::Folder)?;
         let has_pending_blocks = !self.pending_blocks.lock().is_empty();
-        if !changes.is_empty() || has_pending_blocks {
-            // Dedup only against segments a snapshot still names (a
-            // resolved conflict copy's entries stay pooled until the
-            // next commit collects them). One a peer collects after
-            // this image was read is caught inside the transaction.
+        if !changes.is_empty() || has_pending_blocks || !self.resolved.is_empty() {
+            // Dedup only against segments a snapshot still names. One a
+            // peer collects after this image was read is caught inside
+            // the transaction.
             let mut known = self.original.referenced();
             known.retain(|id| {
                 self.original
@@ -443,9 +443,13 @@ impl UniDriveClient {
             round,
         );
 
-        // 2. Build the local image v_l with the files whose uploads
-        //    completed; defer the rest to the next pass.
+        // 2. Build the local image v_l with the resolutions and the
+        //    files whose uploads completed; defer the rest to the next
+        //    pass.
         let mut local = self.original.clone();
+        for path in &self.resolved {
+            local.resolve_conflict(path);
+        }
         let mut committed_stats: BTreeMap<String, Option<LocalStat>> = BTreeMap::new();
         for (result, segmentation) in upload.files.iter().zip(&segmentations) {
             if result.available_at.is_none() {
@@ -497,7 +501,8 @@ impl UniDriveClient {
                 committed_stats.insert(path.clone(), None);
             }
         }
-        if report.uploaded.is_empty() && report.deleted_remotely.is_empty() && !drained_new {
+        let nothing = report.uploaded.is_empty() && report.deleted_remotely.is_empty();
+        if nothing && !drained_new && self.resolved.is_empty() {
             // Nothing became committable (e.g. total upload failure, or
             // a pass woken only by stragglers of collected segments).
             self.plane.delete_blocks(unpooled(&unrecorded, &local), round);
@@ -527,9 +532,7 @@ impl UniDriveClient {
                 // stamps.
                 Some(image) if *image != ancestor => {
                     let out = merge3(&ancestor, &local, image, &device);
-                    report
-                        .conflicts
-                        .extend(out.conflicts.iter().map(|c| c.path.clone()));
+                    report.conflicts.extend(out.conflicts);
                     (out.image, true)
                 }
                 _ => (local.clone(), false),
@@ -607,6 +610,7 @@ impl UniDriveClient {
         //    merged-in cloud changes to the folder, GC dead blocks. The
         //    diff baseline is `local` (what the folder holds now), so
         //    only the cloud side's contributions are materialized.
+        self.resolved.clear();
         for (path, stat) in committed_stats {
             match stat {
                 Some(s) => {
@@ -713,7 +717,7 @@ impl UniDriveClient {
         report: &mut SyncReport,
         round: Option<SpanId>,
     ) -> Result<(), SyncError> {
-        let delta = unidrive_meta::diff(from, to);
+        let delta = diff(from, to);
         // Every changed file goes into ONE download batch: the
         // scheduler then spreads all files across all connections
         // ("when k blocks are downloaded, all networking resources are
@@ -721,12 +725,11 @@ impl UniDriveClient {
         let mut to_write: Vec<&str> = Vec::new();
         let mut segments: Vec<&[SegmentId]> = Vec::new();
         let mut bases: Vec<LocalBase> = Vec::new();
-        for (path, change) in delta.iter() {
-            match change {
-                unidrive_meta::EntryChange::Upsert(_) => {
-                    let entry = to.file(path).expect("diff reported an existing path");
+        for record in &delta {
+            match record {
+                DeltaRecord::UpsertFile { path, snapshot } => {
                     to_write.push(path);
-                    segments.push(&entry.snapshot.segments);
+                    segments.push(&snapshot.segments);
                     // A file `from` says shares content with its new
                     // version is offered as it stands in the folder;
                     // `download_files` takes from it only what hashes
@@ -738,11 +741,13 @@ impl UniDriveClient {
                         }
                     }
                 }
-                unidrive_meta::EntryChange::Delete => {
+                DeltaRecord::DeleteFile { path } => {
                     self.folder.remove(path).map_err(SyncError::Folder)?;
                     self.shadow.remove(path);
                     report.deleted_locally.push(path.to_owned());
                 }
+                // Conflict copies live in the image, not the folder.
+                _ => {}
             }
         }
         if !to_write.is_empty() {

@@ -7,6 +7,8 @@
 //! base. Normally only the delta travels; when it outgrows the threshold
 //! λ it is merged into a new base by the lock holder.
 
+use std::collections::BTreeSet;
+
 use unidrive_util::bytes::Bytes;
 use unidrive_crypto::Digest;
 
@@ -15,7 +17,7 @@ use crate::model::{decode_snapshot, encode_snapshot};
 use crate::{BlockRef, SegmentId, Snapshot, SyncFolderImage, VersionStamp};
 
 const DELTA_MAGIC: [u8; 4] = *b"UDDL";
-const DELTA_VERSION: u8 = 2;
+const DELTA_VERSION: u8 = 3;
 
 /// One log-structured update to the metadata image.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,6 +62,17 @@ pub enum DeltaRecord {
         /// Device whose version was retained.
         device: String,
         /// The retained snapshot.
+        snapshot: Snapshot,
+    },
+    /// A conflict copy was resolved: the user kept the current version.
+    /// Clears the copy only if it is still the one named here, so a
+    /// newer copy attached in the meantime survives.
+    ResolveConflict {
+        /// Contested path.
+        path: String,
+        /// Device the resolved copy was retained for.
+        device: String,
+        /// The resolved copy.
         snapshot: Snapshot,
     },
     /// A segment left the pool: its committer collected it and deleted
@@ -168,9 +181,10 @@ impl DeltaLog {
         })
     }
 
-    /// Extracts the records that turn `from` into `to` (plus the pool
-    /// bookkeeping both sides need). This is what a committer appends
-    /// after merging.
+    /// Extracts the records that turn `from` into `to`: the pool
+    /// bookkeeping both sides need, then [`diff`](crate::diff)'s file
+    /// records, then the collected segments. This is what a committer
+    /// appends after merging.
     pub fn records_for(from: &SyncFolderImage, to: &SyncFolderImage) -> Vec<DeltaRecord> {
         let mut records = Vec::new();
         // Pool first so file records find their segments.
@@ -199,34 +213,7 @@ impl DeltaLog {
                 }
             }
         }
-        let delta = crate::diff(from, to);
-        for (path, change) in delta.iter() {
-            match change {
-                crate::EntryChange::Upsert(snapshot) => records.push(DeltaRecord::UpsertFile {
-                    path: path.to_owned(),
-                    snapshot: snapshot.clone(),
-                }),
-                crate::EntryChange::Delete => records.push(DeltaRecord::DeleteFile {
-                    path: path.to_owned(),
-                }),
-            }
-        }
-        // Conflict attachments that appeared.
-        for (path, entry) in to.files() {
-            if let Some((device, snapshot)) = &entry.conflict {
-                let existed = from
-                    .file(path)
-                    .and_then(|e| e.conflict.as_ref())
-                    .is_some_and(|(d, s)| d == device && s == snapshot);
-                if !existed {
-                    records.push(DeltaRecord::AttachConflict {
-                        path: path.to_owned(),
-                        device: device.clone(),
-                        snapshot: snapshot.clone(),
-                    });
-                }
-            }
-        }
+        records.extend(crate::diff(from, to));
         // Collected segments last, once the file records above no
         // longer name them.
         for (id, _) in from.segments() {
@@ -238,8 +225,59 @@ impl DeltaLog {
     }
 }
 
+impl DeltaRecord {
+    /// The path an upsert or a delete changes.
+    pub fn file_path(&self) -> Option<&str> {
+        match self {
+            DeltaRecord::UpsertFile { path, .. } | DeltaRecord::DeleteFile { path } => Some(path),
+            _ => None,
+        }
+    }
+}
+
+/// The conflict rule of both metadata planes (paper §5.2, Algorithm 1
+/// line 7): applies one commit's `records` to `image`, where
+/// `contested` names the paths another writer changed since the
+/// committer's ancestor. A contested upsert of other content becomes
+/// the file's conflict copy, tagged `device`; a contested delete is
+/// dropped; a contested upsert of a path that is gone applies (modify
+/// beats delete). Every other record applies as it stands. Returns the
+/// contested paths whose change met a different one.
+pub(crate) fn apply_commit(
+    image: &mut SyncFolderImage,
+    records: &[DeltaRecord],
+    device: &str,
+    contested: &BTreeSet<&str>,
+) -> Vec<String> {
+    let mut conflicts = Vec::new();
+    for record in records {
+        let Some(path) = record.file_path().filter(|p| contested.contains(p)) else {
+            apply_record(image, record);
+            continue;
+        };
+        match (record, image.file(path)) {
+            (DeltaRecord::UpsertFile { snapshot, .. }, Some(e)) if e.snapshot == *snapshot => continue,
+            (DeltaRecord::UpsertFile { snapshot, .. }, Some(_)) => {
+                let copy = DeltaRecord::AttachConflict {
+                    path: path.to_owned(),
+                    device: device.to_owned(),
+                    snapshot: snapshot.clone(),
+                };
+                apply_record(image, &copy);
+            }
+            (DeltaRecord::UpsertFile { .. }, None) => apply_record(image, record),
+            // Deleted on both sides.
+            (_, None) => continue,
+            // A delete that loses to the modify.
+            (_, Some(_)) => {}
+        }
+        conflicts.push(path.to_owned());
+    }
+    conflicts
+}
+
 /// Applies one record to `image` (shared by [`DeltaLog::apply_to`] and
-/// the oplog fold in [`crate::op`]).
+/// [`apply_commit`]).
 pub(crate) fn apply_record(image: &mut SyncFolderImage, record: &DeltaRecord) {
     match record {
         DeltaRecord::UpsertFile { path, snapshot } => {
@@ -270,6 +308,16 @@ pub(crate) fn apply_record(image: &mut SyncFolderImage, record: &DeltaRecord) {
             }
             if image.file(path).is_some() {
                 image.attach_conflict(path, device, snapshot.clone());
+            }
+        }
+        DeltaRecord::ResolveConflict {
+            path,
+            device,
+            snapshot,
+        } => {
+            let named = image.file(path).and_then(|e| e.conflict.as_ref());
+            if named.is_some_and(|(d, s)| d == device && s == snapshot) {
+                image.resolve_conflict(path);
             }
         }
         DeltaRecord::DropSegment { id } => {
@@ -321,6 +369,16 @@ pub(crate) fn encode_record(w: &mut Writer, r: &DeltaRecord) {
             w.put_u8(6);
             w.put_fixed(id.0.as_bytes());
         }
+        DeltaRecord::ResolveConflict {
+            path,
+            device,
+            snapshot,
+        } => {
+            w.put_u8(7);
+            w.put_str(path);
+            w.put_str(device);
+            encode_snapshot(w, snapshot);
+        }
     }
 }
 
@@ -360,6 +418,11 @@ pub(crate) fn decode_record(r: &mut Reader<'_>) -> Result<DeltaRecord, DecodeErr
         },
         6 => DeltaRecord::DropSegment {
             id: SegmentId(Digest(r.get_fixed::<20>("segment id")?)),
+        },
+        7 => DeltaRecord::ResolveConflict {
+            path: r.get_str("path")?,
+            device: r.get_str("device")?,
+            snapshot: decode_snapshot(r)?,
         },
         other => {
             return Err(DecodeError::BadVersion { found: other });
@@ -443,11 +506,37 @@ mod tests {
                     device: "phone".into(),
                     snapshot: snap("s"),
                 },
+                DeltaRecord::ResolveConflict {
+                    path: "f.txt".into(),
+                    device: "phone".into(),
+                    snapshot: snap("s"),
+                },
                 DeltaRecord::DropSegment { id: seg("s") },
             ],
             stamp("a", 2),
         );
         assert_eq!(DeltaLog::decode(&log.encode()).unwrap(), log);
+    }
+
+    /// A resolution clears only the copy it names: one a later commit
+    /// attached in the meantime is a new conflict and stays.
+    #[test]
+    fn resolving_an_older_copy_leaves_a_newer_one_in_place() {
+        let mut img = SyncFolderImage::new();
+        for tag in ["cur", "old", "new"] {
+            img.ensure_segment(seg(tag), 10);
+        }
+        img.upsert_file("f", snap("cur"));
+        img.attach_conflict("f", "phone", snap("new"));
+        let resolve = |tag: &str| DeltaRecord::ResolveConflict {
+            path: "f".into(),
+            device: "phone".into(),
+            snapshot: snap(tag),
+        };
+        apply_record(&mut img, &resolve("old"));
+        assert_eq!(img.file("f").unwrap().conflict, Some(("phone".into(), snap("new"))));
+        apply_record(&mut img, &resolve("new"));
+        assert_eq!(img.file("f").unwrap().conflict, None);
     }
 
     #[test]

@@ -2,83 +2,58 @@
 //! (paper §5.2, "Conflicting Local and Cloud Updates").
 //!
 //! To commit a local update when a cloud update also exists, UniDrive
-//! computes ΔL = diff(original, local) and ΔC = diff(original, cloud),
-//! merges entries touched by only one side directly, and for entries
-//! touched by both retains *both* versions — the cloud's wins the main
-//! slot, the local snapshot is attached as a conflict copy for the user
-//! to resolve later.
+//! computes ΔL = diff(original, local) and ΔC = diff(original, cloud)
+//! and applies ΔL to the cloud image under the one conflict rule both
+//! metadata planes share (`apply_commit` in `delta.rs`): a path only
+//! the local side changed takes its change, and a path both sides
+//! changed keeps the cloud's version in the slot, with the local one
+//! attached as a conflict copy for the user to resolve later.
 
 use std::collections::BTreeMap;
 
-use crate::{Snapshot, SyncFolderImage};
+use crate::delta::apply_commit;
+use crate::{DeltaRecord, SyncFolderImage};
 
-/// Per-path change between two images.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EntryChange {
-    /// The path was created or its snapshot replaced.
-    Upsert(Snapshot),
-    /// The path was removed.
-    Delete,
-}
-
-/// The result of a tree comparison: path → change.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TreeDelta {
-    changes: BTreeMap<String, EntryChange>,
-}
-
-impl TreeDelta {
-    /// Number of changed paths.
-    pub fn len(&self) -> usize {
-        self.changes.len()
-    }
-
-    /// Whether nothing changed.
-    pub fn is_empty(&self) -> bool {
-        self.changes.is_empty()
-    }
-
-    /// Change for one path, if any.
-    pub fn get(&self, path: &str) -> Option<&EntryChange> {
-        self.changes.get(path)
-    }
-
-    /// Iterates over `(path, change)` in path order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &EntryChange)> {
-        self.changes.iter().map(|(p, c)| (p.as_str(), c))
-    }
-}
-
-/// Compares two images, returning the changes that turn `from` into
-/// `to`. Only the *current* snapshots are compared (conflict copies are
-/// bookkeeping, not content).
-pub fn diff(from: &SyncFolderImage, to: &SyncFolderImage) -> TreeDelta {
+/// Compares two images, returning the records that turn `from`'s files
+/// into `to`'s: upserts and deletes of current snapshots in path order,
+/// then an `AttachConflict` for each conflict copy that appeared, then
+/// a `ResolveConflict` for each copy cleared while its file's current
+/// snapshot stayed the same.
+pub fn diff(from: &SyncFolderImage, to: &SyncFolderImage) -> Vec<DeltaRecord> {
     let mut changes = BTreeMap::new();
+    let (mut attached, mut resolved) = (Vec::new(), Vec::new());
     for (path, entry) in to.files() {
-        match from.file(path) {
-            Some(old) if old.snapshot == entry.snapshot => {}
-            _ => {
-                changes.insert(path.to_owned(), EntryChange::Upsert(entry.snapshot.clone()));
+        let old = from.file(path);
+        let same = old.is_some_and(|e| e.snapshot == entry.snapshot);
+        if !same {
+            let snapshot = entry.snapshot.clone();
+            changes.insert(path, DeltaRecord::UpsertFile { path: path.to_owned(), snapshot });
+        }
+        let old_copy = old.and_then(|e| e.conflict.as_ref());
+        match (&entry.conflict, old_copy) {
+            (Some((device, snapshot)), _) if old_copy != entry.conflict.as_ref() => {
+                attached.push(DeltaRecord::AttachConflict {
+                    path: path.to_owned(),
+                    device: device.clone(),
+                    snapshot: snapshot.clone(),
+                });
             }
+            (None, Some((device, snapshot))) if same => {
+                resolved.push(DeltaRecord::ResolveConflict {
+                    path: path.to_owned(),
+                    device: device.clone(),
+                    snapshot: snapshot.clone(),
+                });
+            }
+            _ => {}
         }
     }
     for (path, _) in from.files() {
         if to.file(path).is_none() {
-            changes.insert(path.to_owned(), EntryChange::Delete);
+            changes.insert(path, DeltaRecord::DeleteFile { path: path.to_owned() });
         }
     }
-    TreeDelta { changes }
-}
-
-/// One unresolved conflict produced by [`merge3`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Conflict {
-    /// The contested path.
-    pub path: String,
-    /// What the local side wanted.
-    pub local: EntryChange,
-    /// What the cloud side committed.
-    pub cloud: EntryChange,
+    changes.into_values().chain(attached).chain(resolved).collect()
 }
 
 /// Result of a three-way merge.
@@ -87,94 +62,44 @@ pub struct MergeOutcome {
     /// The merged image (cloud version wins contested entries; local
     /// snapshots are retained as conflict copies).
     pub image: SyncFolderImage,
-    /// Entries needing user attention.
-    pub conflicts: Vec<Conflict>,
+    /// Contested paths, in path order: both sides changed them, and
+    /// differently.
+    pub conflicts: Vec<String>,
 }
 
 /// Merges a local image and a cloud image against their common original
-/// (Algorithm 1, line 7). `local_device` labels retained conflict
-/// copies.
+/// (Algorithm 1, line 7): `apply_commit` of ΔL onto the cloud image,
+/// where a path is contested when the cloud changed its current
+/// snapshot since the original. `local_device` labels retained
+/// conflict copies.
 ///
-/// Outcome properties:
-///
-/// * paths changed on only one side take that side's change;
-/// * identical changes on both sides merge silently;
-/// * divergent changes keep the cloud snapshot as current and attach the
-///   local one as a conflict copy (with its content segments retained);
-/// * the segment pool is the union of both pools (block locations are
-///   additive because blocks are immutable); what no snapshot names any
-///   more is the committer's garbage.
+/// The segment pool is the union of both pools (block locations are
+/// additive because blocks are immutable), so every snapshot either
+/// side names stays resolvable; what no snapshot names any more is the
+/// committer's garbage.
 pub fn merge3(
     original: &SyncFolderImage,
     local: &SyncFolderImage,
     cloud: &SyncFolderImage,
     local_device: &str,
 ) -> MergeOutcome {
-    let delta_local = diff(original, local);
-    let delta_cloud = diff(original, cloud);
-
-    // Start from the cloud image: it is the committed truth.
     let mut image = cloud.clone();
-
-    // Union the segment pools so every snapshot either side references
-    // stays resolvable.
     for (id, entry) in local.segments() {
         image.ensure_segment(*id, entry.len);
         for b in &entry.blocks {
             image.record_block(*id, *b);
         }
     }
-
-    let mut conflicts = Vec::new();
-    for (path, local_change) in delta_local.iter() {
-        match delta_cloud.get(path) {
-            None => {
-                // Only we touched it: apply our change.
-                match local_change {
-                    EntryChange::Upsert(snapshot) => {
-                        image.upsert_file(path, snapshot.clone());
-                    }
-                    EntryChange::Delete => {
-                        image.delete_file(path);
-                    }
-                }
-            }
-            Some(cloud_change) if cloud_change == local_change => {
-                // Coincidental identical change: nothing to do.
-            }
-            Some(cloud_change) => {
-                // Divergent: cloud wins the main slot; retain ours.
-                conflicts.push(Conflict {
-                    path: path.to_owned(),
-                    local: local_change.clone(),
-                    cloud: cloud_change.clone(),
-                });
-                match (local_change, cloud_change) {
-                    (EntryChange::Upsert(ours), EntryChange::Upsert(_)) => {
-                        image.attach_conflict(path, local_device, ours.clone());
-                    }
-                    (EntryChange::Upsert(ours), EntryChange::Delete) => {
-                        // Cloud deleted, we edited: resurrect our version
-                        // as the current snapshot (nothing to conflict
-                        // against) — matching SVN/Git "modify beats
-                        // delete" practice.
-                        image.upsert_file(path, ours.clone());
-                    }
-                    (EntryChange::Delete, EntryChange::Upsert(_)) => {
-                        // We deleted, cloud edited: keep the cloud file.
-                    }
-                    (EntryChange::Delete, EntryChange::Delete) => unreachable!("equal changes"),
-                }
-            }
-        }
-    }
+    let cloud_changes = diff(original, cloud);
+    let contested = cloud_changes.iter().filter_map(DeltaRecord::file_path).collect();
+    let conflicts = apply_commit(&mut image, &diff(original, local), local_device, &contested);
     MergeOutcome { image, conflicts }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SegmentId;
+    use crate::{SegmentId, Snapshot};
     use unidrive_crypto::Sha1;
 
     fn seg(tag: &str) -> SegmentId {
@@ -206,11 +131,54 @@ mod tests {
         put(&mut changed, "new.txt", "new");
         put(&mut changed, "common.txt", "edited");
         changed.delete_file("doomed.txt");
-        let d = diff(&original, &changed);
-        assert_eq!(d.len(), 3);
-        assert!(matches!(d.get("new.txt"), Some(EntryChange::Upsert(_))));
-        assert!(matches!(d.get("common.txt"), Some(EntryChange::Upsert(_))));
-        assert_eq!(d.get("doomed.txt"), Some(&EntryChange::Delete));
+        let upsert = |path: &str, tag: &str| DeltaRecord::UpsertFile {
+            path: path.into(),
+            snapshot: snap(tag),
+        };
+        assert_eq!(
+            diff(&original, &changed),
+            vec![
+                upsert("common.txt", "edited"),
+                DeltaRecord::DeleteFile {
+                    path: "doomed.txt".into()
+                },
+                upsert("new.txt", "new"),
+            ]
+        );
+    }
+
+    #[test]
+    fn diff_reports_attached_then_resolved_copies() {
+        let original = base();
+        let mut attached = original.clone();
+        put(&mut attached, "theirs", "theirs");
+        attached.attach_conflict("common.txt", "phone", snap("theirs"));
+        let d = diff(&original, &attached);
+        assert_eq!(
+            d.last(),
+            Some(&DeltaRecord::AttachConflict {
+                path: "common.txt".into(),
+                device: "phone".into(),
+                snapshot: snap("theirs"),
+            })
+        );
+        let mut resolved = attached.clone();
+        resolved.resolve_conflict("common.txt");
+        assert_eq!(
+            diff(&attached, &resolved),
+            vec![DeltaRecord::ResolveConflict {
+                path: "common.txt".into(),
+                device: "phone".into(),
+                snapshot: snap("theirs"),
+            }]
+        );
+        // A copy cleared by an edit of its file is the edit, no more.
+        let mut edited = attached.clone();
+        put(&mut edited, "common.txt", "edited");
+        assert!(matches!(
+            diff(&attached, &edited)[..],
+            [DeltaRecord::UpsertFile { .. }]
+        ));
     }
 
     #[test]
@@ -257,8 +225,7 @@ mod tests {
         put(&mut cloud, "common.txt", "cloud-edit");
 
         let out = merge3(&original, &local, &cloud, "laptop");
-        assert_eq!(out.conflicts.len(), 1);
-        assert_eq!(out.conflicts[0].path, "common.txt");
+        assert_eq!(out.conflicts, vec!["common.txt"]);
         let entry = out.image.file("common.txt").unwrap();
         // Cloud wins the main slot.
         assert_eq!(entry.snapshot.segments, vec![seg("cloud-edit")]);

@@ -19,7 +19,7 @@ mod op;
 mod plane;
 
 pub use delta::{compaction_threshold, DeltaLog, DeltaRecord, OPLOG_COMPACT_ESCALATE};
-pub use diff::{diff, merge3, Conflict, EntryChange, MergeOutcome, TreeDelta};
+pub use diff::{diff, merge3, MergeOutcome};
 pub use layout::{
     base_mark_path, block_path, lock_file_name, lock_file_path, op_file_path, op_object_path,
     parse_base_mark_name, parse_block_name, parse_lock_name, parse_op_object_name, BASE_PATH,

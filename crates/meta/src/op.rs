@@ -11,12 +11,13 @@
 //! the same op set computes byte-identical metadata (strong eventual
 //! consistency, in the style of log-replicated sync engines).
 //!
-//! Conflicts between ops that raced in the log (neither writer had
-//! folded the other's op, detected via `base_lamport`) resolve with the
-//! existing rename-on-conflict policy: the later op in the total order
-//! wins the slot and the loser is retained as a conflict copy, exactly
-//! like `merge3`'s cloud-wins rule. Concurrent delete loses to a
-//! concurrent modify, also mirroring `merge3`.
+//! Ops that raced in the log resolve under the one conflict rule both
+//! planes share (`apply_commit` in `delta.rs`, also called by
+//! `merge3`): an op's change to a path another device wrote after the
+//! op's `base_lamport` (a write the op had not folded) is contested.
+//! The op first in the total order keeps the slot; a later op's upsert
+//! of other content is retained as a conflict copy, and its delete
+//! loses to the modify.
 //!
 //! The quorum lock survives only for **compaction**: when the folded
 //! log outgrows λ, the compactor folds everything into a new
@@ -30,11 +31,11 @@ use unidrive_util::bytes::Bytes;
 use unidrive_crypto::{Digest, Sha1};
 
 use crate::codec::{DecodeError, Reader, Writer};
-use crate::delta::{apply_record, decode_record, encode_record};
+use crate::delta::{apply_commit, decode_record, encode_record};
 use crate::{DeltaRecord, SyncFolderImage, VersionStamp};
 
 const OP_MAGIC: [u8; 4] = *b"UDOP";
-const OP_VERSION: u8 = 2;
+const OP_VERSION: u8 = 3;
 const OPLOG_BASE_MAGIC: [u8; 4] = *b"UDOB";
 const OPLOG_BASE_VERSION: u8 = 2;
 
@@ -217,7 +218,8 @@ pub struct FoldOutcome {
     pub duplicates: usize,
     /// Ops skipped because the watermark already covered them.
     pub filtered: usize,
-    /// Rename-on-conflict resolutions performed.
+    /// Contested changes that met a different one (retained as a
+    /// conflict copy, or a delete that lost to a modify).
     pub conflicts: usize,
 }
 
@@ -249,51 +251,29 @@ pub fn fold(base: &OplogBase, ops: &[MetaOp], folder: &str) -> FoldOutcome {
     let mut conflicts = 0usize;
     let applied = batch.len();
     for op in &batch {
+        // A path is contested when another device wrote it after the
+        // op's base; the op's change takes the slot, and the path a new
+        // writer, only where it is not.
+        let contested: BTreeSet<&str> = op
+            .records
+            .iter()
+            .filter_map(DeltaRecord::file_path)
+            .filter(|path| {
+                out.writers.get(*path).is_some_and(|(lamport, device)| {
+                    device != &op.device && op.base_lamport < *lamport
+                })
+            })
+            .collect();
+        conflicts += apply_commit(&mut out.image, &op.records, &op.device, &contested).len();
         for record in &op.records {
             match record {
-                DeltaRecord::UpsertFile { path, snapshot } => {
-                    // An op is concurrent with the slot's current
-                    // writer when it had not folded that writer's op.
-                    let contested = out.writers.get(path).is_some_and(|(lamport, device)| {
-                        device != &op.device && op.base_lamport < *lamport
-                    });
-                    let loser = if contested {
-                        out.image
-                            .file(path)
-                            .filter(|e| e.snapshot != *snapshot)
-                            .map(|e| {
-                                let (_, device) = &out.writers[path];
-                                (device.clone(), e.snapshot.clone())
-                            })
-                    } else {
-                        None
-                    };
-                    apply_record(&mut out.image, record);
-                    if let Some((device, snapshot)) = loser {
-                        // Rename-on-conflict: the earlier write is
-                        // retained as a conflict copy on the winner,
-                        // exactly like merge3's cloud-wins rule.
-                        for id in &snapshot.segments {
-                            out.image.ensure_segment_if_absent(*id);
-                        }
-                        out.image.attach_conflict(path, &device, snapshot);
-                        conflicts += 1;
-                    }
-                    out.writers
-                        .insert(path.clone(), (op.lamport, op.device.clone()));
+                DeltaRecord::UpsertFile { path, .. } if !contested.contains(path.as_str()) => {
+                    out.writers.insert(path.clone(), (op.lamport, op.device.clone()));
                 }
-                DeltaRecord::DeleteFile { path } => {
-                    let modified_since = out.writers.get(path).is_some_and(|(lamport, device)| {
-                        device != &op.device && op.base_lamport < *lamport
-                    });
-                    if modified_since {
-                        // Modify beats delete, as in merge3.
-                        continue;
-                    }
-                    apply_record(&mut out.image, record);
+                DeltaRecord::DeleteFile { path } if !contested.contains(path.as_str()) => {
                     out.writers.remove(path);
                 }
-                _ => apply_record(&mut out.image, record),
+                _ => {}
             }
         }
         out.watermark.insert(op.device.clone(), op.seq);
@@ -402,11 +382,12 @@ mod tests {
         ];
         let out = fold(&OplogBase::new(), &ops, "root");
         assert_eq!(out.applied, 3);
-        // Total order: a@1, a2@2, b@2 — b wins the slot.
-        assert_eq!(
-            out.base.image.file("f").unwrap().snapshot,
-            snap("from-b")
-        );
+        // Total order: a@1, a2@2, b@2. a's second op overwrites its
+        // first; b had folded neither, so a2 keeps the slot and b's
+        // version is its conflict copy.
+        let entry = out.base.image.file("f").unwrap();
+        assert_eq!(entry.snapshot, snap("from-a2"));
+        assert_eq!(entry.conflict, Some(("b".into(), snap("from-b"))));
         assert_eq!(out.base.image.version, ops[0].stamp());
         assert_eq!(out.base.watermark["a"], 2);
         assert_eq!(out.base.watermark["b"], 1);
@@ -439,8 +420,8 @@ mod tests {
     #[test]
     fn concurrent_upserts_retain_loser_as_conflict_copy() {
         // Neither device folded the other's op (base_lamport 0): the
-        // later op in total order wins, the earlier survives as a
-        // conflict copy — rename-on-conflict, like merge3.
+        // earlier op in total order keeps the slot, the later survives
+        // as a conflict copy tagged with its device, as in merge3.
         let ops = vec![
             op("a", 1, 1, 0, upsert("f", "from-a")),
             op("b", 1, 1, 0, upsert("f", "from-b")),
@@ -448,10 +429,10 @@ mod tests {
         let out = fold(&OplogBase::new(), &ops, "root");
         assert_eq!(out.conflicts, 1);
         let entry = out.base.image.file("f").unwrap();
-        assert_eq!(entry.snapshot, snap("from-b"));
+        assert_eq!(entry.snapshot, snap("from-a"));
         let (device, retained) = entry.conflict.as_ref().unwrap();
-        assert_eq!(device, "a");
-        assert_eq!(retained, &snap("from-a"));
+        assert_eq!(device, "b");
+        assert_eq!(retained, &snap("from-b"));
     }
 
     #[test]

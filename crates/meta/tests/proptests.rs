@@ -8,8 +8,8 @@ use std::collections::BTreeSet;
 
 use unidrive_crypto::{Digest, Sha1};
 use unidrive_meta::{
-    compact, diff, fold, merge3, BlockRef, DeltaLog, MetaOp, OplogBase, SegmentId, Snapshot,
-    SyncFolderImage, VersionStamp,
+    compact, diff, fold, merge3, BlockRef, DeltaLog, DeltaRecord, FileEntry, MetaOp, OplogBase,
+    SegmentId, Snapshot, SyncFolderImage, VersionStamp,
 };
 use unidrive_sim::SimRng;
 
@@ -124,8 +124,8 @@ fn delta_records_reconstruct() {
     }
 }
 
-/// diff(x, x) is empty; diff(a, b) marks exactly the paths whose
-/// snapshots differ.
+/// diff(x, x) is empty; diff(a, b) upserts or deletes exactly the
+/// paths whose current snapshots differ.
 #[test]
 fn diff_is_sound() {
     let mut rng = SimRng::seed_from_u64(0x4E04);
@@ -134,11 +134,13 @@ fn diff_is_sound() {
         let b = random_image(&mut rng);
         assert!(diff(&a, &a.clone()).is_empty());
         let d = diff(&a, &b);
-        for (path, _) in b.files() {
-            let same = a
-                .file(path)
-                .is_some_and(|e| e.snapshot == b.file(path).unwrap().snapshot);
-            assert_eq!(d.get(path).is_none(), same);
+        let changed = |path: &str| d.iter().any(|r| r.file_path() == Some(path));
+        for (path, entry) in b.files() {
+            let same = a.file(path).is_some_and(|e| e.snapshot == entry.snapshot);
+            assert_eq!(changed(path), !same);
+        }
+        for (path, _) in a.files().filter(|(p, _)| b.file(p).is_none()) {
+            assert!(changed(path), "{path} deleted");
         }
     }
 }
@@ -172,18 +174,17 @@ fn merge_preserves_disjoint_changes() {
         let local = random_image(&mut rng);
         let cloud = random_image(&mut rng);
         let out = merge3(&original, &local, &cloud, "dev");
-        let dl = diff(&original, &local);
         let dc = diff(&original, &cloud);
-        for (path, change) in dl.iter() {
-            if dc.get(path).is_none() {
-                match change {
-                    unidrive_meta::EntryChange::Upsert(snap) => {
-                        assert_eq!(&out.image.file(path).unwrap().snapshot, snap);
-                    }
-                    unidrive_meta::EntryChange::Delete => {
-                        assert!(out.image.file(path).is_none());
-                    }
+        let cloud_changed = |path: &str| dc.iter().any(|r| r.file_path() == Some(path));
+        for record in diff(&original, &local) {
+            match record {
+                DeltaRecord::UpsertFile { path, snapshot } if !cloud_changed(&path) => {
+                    assert_eq!(out.image.file(&path).unwrap().snapshot, snapshot);
                 }
+                DeltaRecord::DeleteFile { path } if !cloud_changed(&path) => {
+                    assert!(out.image.file(&path).is_none());
+                }
+                _ => {}
             }
         }
         for id in out.image.referenced() {
@@ -193,6 +194,90 @@ fn merge_preserves_disjoint_changes() {
             );
         }
     }
+}
+
+/// A commit derived from `original`: 1–5 random upserts and deletes
+/// over its paths and the `shared` new ones. Few content tags, so two
+/// commits sometimes write the same snapshot.
+fn derive_commit(rng: &mut SimRng, original: &SyncFolderImage, shared: &[String]) -> SyncFolderImage {
+    let mut image = original.clone();
+    let paths: Vec<String> = original.files().map(|(p, _)| p.to_owned()).chain(shared.iter().cloned()).collect();
+    for _ in 0..1 + rng.below(5) {
+        let path = &paths[rng.below(paths.len() as u64) as usize];
+        if rng.below(3) == 0 {
+            image.delete_file(path);
+        } else {
+            let snapshot = random_snapshot(rng, &mut image, 6);
+            image.upsert_file(path, snapshot);
+        }
+    }
+    image
+}
+
+/// Every file with its current snapshot and its conflict copy.
+fn files_and_copies(image: &SyncFolderImage) -> Vec<(String, FileEntry)> {
+    image.files().map(|(p, e)| (p.to_owned(), e.clone())).collect()
+}
+
+/// The two metadata planes resolve the same race to the same files:
+/// `merge3` of a local commit L onto a cloud commit C, both derived
+/// from O, equals the oplog fold over O of C's op and then L's, neither
+/// of which had folded the other. Some originals hold conflict copies,
+/// and there L resolves one; where C left that file alone the
+/// resolution holds in the result.
+#[test]
+fn both_planes_resolve_a_race_alike() {
+    let mut rng = SimRng::seed_from_u64(0x4E0D);
+    let races = 256;
+    let (mut differing, mut lost) = (0, 0);
+    for race in 0..races {
+        let mut original = random_image(&mut rng);
+        let with_copies = race % 4 == 0;
+        if with_copies {
+            let paths: Vec<String> = original.files().map(|(p, _)| p.to_owned()).collect();
+            for path in &paths {
+                if rng.below(2) == 0 {
+                    let copy = random_snapshot(&mut rng, &mut original, 6);
+                    original.attach_conflict(path, "x", copy);
+                }
+            }
+        }
+        let shared = [random_path(&mut rng), random_path(&mut rng)];
+        let cloud = derive_commit(&mut rng, &original, &shared);
+        let mut local = derive_commit(&mut rng, &original, &shared);
+        let resolved = local.files().find(|(_, e)| e.conflict.is_some()).map(|(p, _)| p.to_owned());
+        if let Some(path) = &resolved {
+            local.resolve_conflict(path);
+        }
+
+        let merged = merge3(&original, &local, &cloud, "l").image;
+        let op = |device: &str, lamport, to: &SyncFolderImage| MetaOp {
+            device: device.into(),
+            seq: 1,
+            lamport,
+            base_lamport: 0,
+            stamp_ns: lamport,
+            records: DeltaLog::records_for(&original, to),
+        };
+        let base = OplogBase {
+            image: original.clone(),
+            ..OplogBase::new()
+        };
+        let folded = fold(&base, &[op("c", 1, &cloud), op("l", 2, &local)], FOLDER).base.image;
+        if files_and_copies(&merged) != files_and_copies(&folded) {
+            differing += 1;
+        }
+        let untouched = |p: &String| cloud.file(p) == original.file(p);
+        if let Some(path) = resolved.filter(untouched) {
+            lost += usize::from(merged.file(&path).unwrap().conflict.is_some());
+        }
+    }
+    assert_eq!(
+        (differing, lost),
+        (0, 0),
+        "of {races} races, {differing} end in different files on the two planes \
+         and {lost} lose the local resolution"
+    );
 }
 
 /// Liveness is computed from the snapshots: after any sequence of file

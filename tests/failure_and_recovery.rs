@@ -182,62 +182,89 @@ fn conflict_resolution_keep_current_and_keep_copy() {
     assert!(!a.resolve_conflict("doc", true).unwrap());
 }
 
-/// Resolving a conflict must not forget where the losing copy's blocks
-/// live: its unreferenced pool entries ride in `v_o` until the next
-/// commit's GC deletes the block objects from the clouds.
+/// Resolving a conflict is a change like any other: the next commit
+/// deletes the copy's blocks from the clouds, and a peer's next pass
+/// clears the copy too, so both devices end with the same files and
+/// copies. Both planes.
 #[test]
 fn resolved_conflict_copy_is_deleted_from_the_clouds_by_the_next_commit() {
-    let r = rig(7, &[2e6; 5]);
-    let folder_a = MemFolder::new();
-    let folder_b = MemFolder::new();
-    let mut a = client(&r, "a", &folder_a, 8);
-    let mut b = client(&r, "b", &folder_b, 9);
+    for mode in [MetaMode::Lock, MetaMode::Oplog] {
+        let r = rig(7, &[2e6; 5]);
+        let device = |name: &str, folder: &Arc<MemFolder>, seed: u64| {
+            let mut config = ClientConfig::paper_default(name);
+            config.data = data_config(&r);
+            config.meta_mode = mode;
+            UniDriveClient::new(
+                r.sim.clone().as_runtime(),
+                r.clouds.clone(),
+                Arc::clone(folder) as Arc<dyn SyncFolder>,
+                config,
+                SimRng::seed_from_u64(seed),
+            )
+        };
+        let folder_a = MemFolder::new();
+        let folder_b = MemFolder::new();
+        let mut a = device("a", &folder_a, 8);
+        let mut b = device("b", &folder_b, 9);
 
-    folder_a.write("doc", &content(40_000, 1), 1).unwrap();
-    a.sync_once().unwrap();
-    b.sync_once().unwrap();
-    folder_a.write("doc", &content(42_000, 2), 2).unwrap();
-    folder_b.write("doc", &content(44_000, 3), 2).unwrap();
-    a.sync_once().unwrap();
-    b.sync_once().unwrap();
-    assert_eq!(b.conflicts(), vec!["doc"]);
-    // Let B's detached reliability uploads land and be committed, so
-    // the image below knows every block of the copy.
-    r.sim.sleep(Duration::from_secs(60));
-    b.sync_once().unwrap();
+        folder_a.write("doc", &content(40_000, 1), 1).unwrap();
+        a.sync_once().unwrap();
+        b.sync_once().unwrap();
+        folder_a.write("doc", &content(42_000, 2), 2).unwrap();
+        folder_b.write("doc", &content(44_000, 3), 2).unwrap();
+        a.sync_once().unwrap();
+        b.sync_once().unwrap();
+        assert_eq!(b.conflicts(), vec!["doc"], "{mode:?}");
+        // Let B's detached reliability uploads land and be committed, so
+        // the image below knows every block of the copy.
+        r.sim.sleep(Duration::from_secs(60));
+        b.sync_once().unwrap();
 
-    // Where B's image places the losing copy's blocks.
-    let entry = b.image().file("doc").unwrap();
-    let (_, copy) = entry.conflict.as_ref().expect("retained copy");
-    let objects: Vec<(usize, String)> = copy
-        .segments
-        .iter()
-        .filter(|id| !entry.snapshot.segments.contains(id))
-        .flat_map(|id| {
-            let blocks = &b.image().segment(id).expect("pooled").blocks;
-            blocks.iter().map(move |blk| {
-                (
-                    blk.cloud as usize,
-                    unidrive::meta::block_path(id, blk.index),
-                )
+        // Where B's image places the losing copy's blocks.
+        let entry = b.image().file("doc").unwrap();
+        let (_, copy) = entry.conflict.as_ref().expect("retained copy");
+        let objects: Vec<(usize, String)> = copy
+            .segments
+            .iter()
+            .filter(|id| !entry.snapshot.segments.contains(id))
+            .flat_map(|id| {
+                let blocks = &b.image().segment(id).expect("pooled").blocks;
+                blocks.iter().map(move |blk| {
+                    (
+                        blk.cloud as usize,
+                        unidrive::meta::block_path(id, blk.index),
+                    )
+                })
             })
-        })
-        .collect();
-    assert!(objects.len() >= 3, "the copy has at least k blocks");
-    for (cloud, path) in &objects {
-        assert!(r.handles[*cloud].exists(path).unwrap(), "{path} stored");
-    }
+            .collect();
+        assert!(objects.len() >= 3, "the copy has at least k blocks");
+        for (cloud, path) in &objects {
+            assert!(r.handles[*cloud].exists(path).unwrap(), "{path} stored");
+        }
 
-    // Keep the winner, then commit once more.
-    assert!(b.resolve_conflict("doc", true).unwrap());
-    folder_b.write("other", &content(10_000, 4), 3).unwrap();
-    assert_eq!(b.sync_once().unwrap().uploaded, vec!["other"]);
-    assert!(b.conflicts().is_empty());
-    for (cloud, path) in &objects {
-        assert!(
-            !r.handles[*cloud].exists(path).unwrap(),
-            "{path} leaked on cloud{cloud}"
-        );
+        // Keep the winner, then commit once more.
+        assert!(b.resolve_conflict("doc", true).unwrap());
+        folder_b.write("other", &content(10_000, 4), 3).unwrap();
+        assert_eq!(b.sync_once().unwrap().uploaded, vec!["other"], "{mode:?}");
+        assert!(b.conflicts().is_empty(), "{mode:?}");
+        for (cloud, path) in &objects {
+            assert!(
+                !r.handles[*cloud].exists(path).unwrap(),
+                "{mode:?}: {path} leaked on cloud{cloud}"
+            );
+        }
+
+        // Once B has settled, one pass of A sees the resolution.
+        r.sim.sleep(Duration::from_secs(60));
+        b.sync_once().unwrap();
+        a.sync_once().unwrap();
+        assert!(a.conflicts().is_empty(), "{mode:?}: A still lists {:?}", a.conflicts());
+        assert_eq!(a.fetch_conflict_copy("doc").unwrap(), None, "{mode:?}");
+        let files = |c: &UniDriveClient| {
+            let files = c.image().files();
+            files.map(|(p, e)| (p.to_owned(), e.clone())).collect::<Vec<_>>()
+        };
+        assert_eq!(files(&a), files(&b), "{mode:?}");
     }
 }
 
