@@ -298,7 +298,16 @@ cargo run --offline --release --quiet --manifest-path benchmark/Cargo.toml -- \
     awk '$1 == "wire_bytes_per_payload_byte" { seen = 1; print "    " $0; if ($2 + 0 >= 1) bad = 1 }
          END { exit !seen || bad }'
 
-echo "==> one hot-folder benchmark: hot_lock/hot_oplog at seed 7 reproduce their pinned numbers, oplog beats lock"
+echo "==> lock model: every interleaving of 2-3 devices over 3 clouds keeps one holder, under the paper's rule and the queue"
+# An exhaustive state explorer (crates/core/tests/lock_model.rs): per-cloud
+# upload, list and delete interleaved, lost deletes, a crash and the ΔT
+# break. It asserts at most one holder under both loser rules and, for
+# the queue, that no reachable state leaves every live contender waiting
+# on the others. It prints the states each world reaches.
+cargo test --offline --release -p unidrive-core --test lock_model -q -- --nocapture >"$out/lock_model.txt"
+awk '/ states$/ { sub(/^[^A-Z]*/, ""); print "    " $0 }' "$out/lock_model.txt"
+
+echo "==> one hot-folder benchmark: hot_lock/hot_oplog at seed 7 reproduce their pinned numbers, oplog beats lock, the lock queues"
 # The behaviour gate of the real metadata planes: 4 writers over WAN
 # latency, in virtual time, so cloud-op order, retries and quorum
 # counting decide each of these numbers to the last printed digit. A PR
@@ -313,8 +322,8 @@ hot() { # WORKLOAD "METRIC=VALUE ..."
         $1 in want { print "    " w " " $1 " " $2; if ($2 "" != want[$1]) { print "    pinned: " want[$1]; bad = 1 }; delete want[$1] }
         END { for (m in want) { print "    " w ": no " m; bad = 1 }; exit bad }' "$out/$1.txt"
 }
-hot hot_lock "sync_up_s=5.891490 sync_down_s=3.318094 converge_s=20.577501 cloud_ops_per_round=706.550000 wire_bytes_per_payload_byte=13.873932 stored_bytes_per_live_byte=2.386793"
-hot hot_oplog "sync_up_s=0.541446 sync_down_s=1.078273 converge_s=2.418231 cloud_ops_per_round=368.583333 wire_bytes_per_payload_byte=9.718547 stored_bytes_per_live_byte=2.427819"
+hot hot_lock "sync_up_s=4.220945 sync_down_s=2.525985 converge_s=13.797341 cloud_ops_per_round=581.850000 wire_bytes_per_payload_byte=13.874878 stored_bytes_per_live_byte=2.386793"
+hot hot_oplog "sync_up_s=0.539353 sync_down_s=1.076483 converge_s=2.406005 cloud_ops_per_round=369.833333 wire_bytes_per_payload_byte=9.718547 stored_bytes_per_live_byte=2.427819"
 for m in sync_up_s converge_s; do
     awk -v m="$m" '$1 == m { v[FILENAME] = $2 + 0 }
         END { print "    " m ": oplog " v[ARGV[1]] " < lock " v[ARGV[2]]; exit !(v[ARGV[1]] < v[ARGV[2]]) }' \

@@ -5,15 +5,27 @@
 //! device uploads an empty `lock_<device>_<t>` file into a dedicated
 //! lock directory on every cloud, then lists each directory — it holds a
 //! cloud's lock iff its own lock file is the only one there. Holding a
-//! **majority** of clouds wins; a loser withdraws its files and retries
-//! after a random backoff.
+//! **majority** of clouds wins.
+//!
+//! A lost round queues instead of colliding (Lamport's bakery order
+//! applied to lock files). Every attempt of one acquire is named
+//! `lock_<device>_<t0 + attempt>`, `t0` being the time of its first
+//! attempt, so its sort key `(t, device)` stays put across rounds. The
+//! contender whose file sorts first among the live names listed on a
+//! majority of clouds — the *head* — keeps its file and lists again
+//! right away; every other loser withdraws its files and retries after
+//! a random backoff. A head lists one upload at most `max_attempts`
+//! times, and only while the file is younger than ΔT/2 (older, others
+//! may break it); then it too withdraws and backs off. The per-upload
+//! bound is what ends a head's wait over clouds whose lists take no
+//! time.
 //!
 //! Fault tolerance needs no global clock: every client records the
 //! *first time it saw* each foreign lock file; a lock file observed for
 //! longer than ΔT without being refreshed is considered abandoned and
-//! deleted (lock breaking). Holders therefore refresh their lock by
-//! uploading a new lock file (new timestamp) and deleting the old one
-//! well within ΔT.
+//! deleted (lock breaking). A holder therefore re-stamps its lock
+//! (uploads a new lock file, deletes the old one) once ΔT/2 has gone
+//! since its file was uploaded.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -57,6 +69,9 @@ impl std::fmt::Debug for QuorumLock {
 pub struct LockGuard<'a> {
     lock: &'a QuorumLock,
     lock_name: String,
+    /// When the upload of `lock_name` began: no observer's first-seen
+    /// of the file is earlier.
+    stamped: Time,
     /// The (ended) `lock.acquire` span: causal parent for the
     /// `lock.refresh` / `lock.release` spans of this hold.
     span: Option<SpanId>,
@@ -94,97 +109,115 @@ impl QuorumLock {
         &self.device
     }
 
-    /// Acquires the quorum lock, retrying with random backoff. The
-    /// attempt is recorded as a `lock.acquire` span (device, rounds,
-    /// outcome) parented to `parent`, and any `lock.break` performed
-    /// along the way parents to that span.
+    /// Acquires the quorum lock: a head lists again, any other loser
+    /// withdraws and retries after a random backoff. The attempt is
+    /// recorded as a `lock.acquire` span (device, rounds, outcome)
+    /// parented to `parent`, and any `lock.break` performed along the
+    /// way parents to that span.
     ///
     /// # Errors
     ///
-    /// [`PlaneError::Contended`] after `max_attempts` losing rounds;
-    /// [`PlaneError::QuorumUnreachable`] if a majority of clouds cannot
-    /// even be contacted.
+    /// [`PlaneError::Contended`] after `max_attempts` uploads that each
+    /// lost; [`PlaneError::QuorumUnreachable`] if a majority of clouds
+    /// cannot even be contacted.
     pub fn acquire(&self, parent: Option<SpanId>) -> Result<LockGuard<'_>, PlaneError> {
         let quorum = self.clouds.quorum();
+        let max = self.config.max_attempts;
         let t0 = self.rt.now();
         let mut span = self.obs.span("lock.acquire", parent);
         span.attr_str("device", self.device.as_str());
         let span_id = span.id();
         let mut starved = false;
-        for attempt in 0..self.config.max_attempts {
-            let lock_name =
-                lock_file_name(&self.device, self.rt.now().as_nanos() + attempt as u64);
-            match self.try_round(&lock_name, span_id) {
-                RoundOutcome::Won => {
-                    let wait_ns =
-                        self.rt.now().saturating_duration_since(t0).as_nanos() as u64;
-                    self.obs.series_observe("lock.wait_ns", &self.device, wait_ns);
-                    span.attr_u64("rounds", (attempt + 1) as u64);
-                    span.attr_bool("ok", true);
-                    span.end();
-                    return Ok(LockGuard {
-                        lock: self,
-                        lock_name,
-                        span: span_id,
-                    });
-                }
-                RoundOutcome::Lost { held } => {
-                    self.obs.series_add("lock.contended", &self.device, 1);
-                    self.obs.instant("lock.contended", span_id, || {
-                        vec![
-                            ("device", FieldValue::S(self.device.clone())),
-                            ("held", FieldValue::U(held as u64)),
-                            ("quorum", FieldValue::U(quorum as u64)),
-                        ]
-                    });
+        let mut rounds = 0u64;
+        for attempt in 0..max {
+            let lock_name = lock_file_name(&self.device, t0.as_nanos() + attempt as u64);
+            let stamped = self.rt.now();
+            let path = format!("{LOCK_DIR}/{lock_name}");
+            // Lock files go out to all clouds concurrently (the client
+            // opens one HTTP request per cloud).
+            quorum::fan_out(&self.rt, &self.clouds, "lock-up", move |_, cloud| {
+                let _ = cloud.upload(&path, Bytes::new());
+            });
+            for lists in 1..=max {
+                rounds += 1;
+                let (held, head) = match self.try_round(&lock_name, span_id) {
+                    RoundOutcome::Won => {
+                        let wait_ns =
+                            self.rt.now().saturating_duration_since(t0).as_nanos() as u64;
+                        self.obs.series_observe("lock.wait_ns", &self.device, wait_ns);
+                        span.attr_u64("rounds", rounds);
+                        span.attr_bool("ok", true);
+                        span.end();
+                        return Ok(LockGuard {
+                            lock: self,
+                            lock_name,
+                            stamped,
+                            span: span_id,
+                        });
+                    }
+                    RoundOutcome::Unreachable(short) => {
+                        self.obs.series_add("lock.unreachable", &self.device, 1);
+                        self.withdraw(&lock_name);
+                        span.attr_u64("rounds", rounds);
+                        span.attr_bool("ok", false);
+                        return Err(short);
+                    }
+                    RoundOutcome::Lost { held, head } => (held, head),
+                };
+                self.obs.series_add("lock.contended", &self.device, 1);
+                self.obs.instant("lock.contended", span_id, || {
+                    vec![
+                        ("device", FieldValue::S(self.device.clone())),
+                        ("held", FieldValue::U(held as u64)),
+                        ("quorum", FieldValue::U(quorum as u64)),
+                        ("head", FieldValue::B(head)),
+                    ]
+                });
+                // First in line: keep the file and list again right
+                // away, up to `max_attempts` lists of one file and while
+                // it is younger than ΔT/2.
+                let age = self.rt.now().saturating_duration_since(stamped);
+                let waits = head && lists < max && age < self.config.stale_after / 2;
+                if !waits {
                     self.withdraw(&lock_name);
                     let nanos = self.config.backoff_cap(attempt).as_nanos().max(1) as u64;
                     let wait = Duration::from_nanos(self.rng.lock().below(nanos));
                     self.rt.sleep(wait);
-                    // Bounded-wait audit: flag (once) a device that has
-                    // been losing rounds longer than `STARVATION_AUDIT`,
-                    // so starvation under hot-folder contention is
-                    // visible in metrics and traces.
-                    let waited = self.rt.now().saturating_duration_since(t0);
-                    if !starved && waited >= STARVATION_AUDIT {
-                        starved = true;
-                        self.obs.series_add("lock.starved", &self.device, 1);
-                        span.attr_bool("starved", true);
-                    }
                 }
-                RoundOutcome::Unreachable(short) => {
-                    self.obs.series_add("lock.unreachable", &self.device, 1);
-                    self.withdraw(&lock_name);
-                    span.attr_u64("rounds", (attempt + 1) as u64);
-                    span.attr_bool("ok", false);
-                    return Err(short);
+                // Bounded-wait audit: flag (once) a device that has been
+                // losing rounds longer than `STARVATION_AUDIT`, so
+                // starvation under hot-folder contention is visible in
+                // metrics and traces.
+                let waited = self.rt.now().saturating_duration_since(t0);
+                if !starved && waited >= STARVATION_AUDIT {
+                    starved = true;
+                    self.obs.series_add("lock.starved", &self.device, 1);
+                    span.attr_bool("starved", true);
+                }
+                if !waits {
+                    break;
                 }
             }
         }
         self.obs.series_add("lock.exhausted", &self.device, 1);
-        span.attr_u64("rounds", self.config.max_attempts as u64);
+        span.attr_u64("rounds", rounds);
         span.attr_bool("ok", false);
-        Err(PlaneError::Contended {
-            attempts: self.config.max_attempts,
-        })
+        Err(PlaneError::Contended { attempts: max })
     }
 
-    /// One acquisition round: upload our lock file everywhere, then list
-    /// and count clouds where ours is the only live lock. `parent` is
-    /// the enclosing `lock.acquire` span (for `lock.break` spans).
+    /// One acquisition round over our uploaded `lock_name`: list every
+    /// lock directory concurrently, count the clouds where ours is the
+    /// only live lock, and on a loss tell whether ours sorts first among
+    /// the live names a majority of listings show. `parent` is the
+    /// enclosing `lock.acquire` span (for `lock.break` spans).
     fn try_round(&self, lock_name: &str, parent: Option<SpanId>) -> RoundOutcome {
-        let path = format!("{LOCK_DIR}/{lock_name}");
-        // Lock files go out to all clouds concurrently (the client opens
-        // one HTTP request per cloud), then the listings come back
-        // concurrently too.
-        quorum::fan_out(&self.rt, &self.clouds, "lock-up", move |_, cloud| {
-            let _ = cloud.upload(&path, Bytes::new());
-        });
         let listings = quorum::fan_out(&self.rt, &self.clouds, "lock-list", |_, cloud| {
             cloud.list(LOCK_DIR).ok()
         });
         let mut reachable = 0usize;
         let mut held = 0usize;
+        // Live name → the clouds whose listing shows it.
+        let mut shown: HashMap<String, usize> = HashMap::new();
         for ((id, cloud), entries) in self.clouds.iter().zip(listings) {
             let Some(entries) = entries else {
                 continue;
@@ -198,16 +231,13 @@ impl QuorumLock {
                 };
                 if entry.name == lock_name {
                     ours_present = true;
-                    continue;
-                }
-                if device == self.device {
+                } else if device == self.device {
                     // A leftover of our own earlier attempt whose delete
                     // was lost to a transient failure: reclaim it
                     // immediately (no ΔT needed — it is certainly ours).
                     let _ = cloud.delete(&format!("{LOCK_DIR}/{}", entry.name));
                     continue;
-                }
-                if self.is_stale(id.0, &entry.name) {
+                } else if self.is_stale(id.0, &entry.name) {
                     // Lock breaking: delete the abandoned lock file.
                     let mut bspan = self.obs.span("lock.break", parent);
                     bspan.attr_str("device", self.device.as_str());
@@ -215,9 +245,11 @@ impl QuorumLock {
                     let _ = cloud.delete(&format!("{LOCK_DIR}/{}", entry.name));
                     bspan.end();
                     self.obs.series_add("lock.broken", &self.device, 1);
+                    continue;
                 } else {
                     foreign_live = true;
                 }
+                *shown.entry(entry.name.clone()).or_default() += 1;
             }
             if ours_present && !foreign_live {
                 held += 1;
@@ -226,11 +258,17 @@ impl QuorumLock {
         if let Err(short) = quorum::require_reachable(&self.clouds, reachable) {
             return RoundOutcome::Unreachable(short);
         }
-        if held >= self.clouds.quorum() {
-            RoundOutcome::Won
-        } else {
-            RoundOutcome::Lost { held }
+        let quorum = self.clouds.quorum();
+        if held >= quorum {
+            return RoundOutcome::Won;
         }
+        let first = shown
+            .iter()
+            .filter(|(_, clouds)| **clouds >= quorum)
+            .filter_map(|(name, _)| parse_lock_name(name).map(|(device, t)| (t, device)))
+            .min();
+        let head = first.is_some_and(|(_, device)| device == self.device);
+        RoundOutcome::Lost { held, head }
     }
 
     /// Tracks first-seen times; returns whether the foreign lock has
@@ -260,16 +298,26 @@ impl QuorumLock {
 
 enum RoundOutcome {
     Won,
-    Lost { held: usize },
+    /// `head`: our file sorts first among the live names a majority of
+    /// listings show.
+    Lost {
+        held: usize,
+        head: bool,
+    },
     Unreachable(PlaneError),
 }
 
 impl LockGuard<'_> {
-    /// Re-stamps the lock (upload new file, delete old) so other clients
-    /// never see it older than ΔT. Call at most every ΔT/2 while holding
-    /// the lock across long operations.
+    /// Re-stamps the lock (upload a new file, delete the old one) once
+    /// ΔT/2 has gone since its file was uploaded, so no other client
+    /// ever sees it older than ΔT; before that it makes no cloud call.
+    /// Call it between the steps of a long hold.
     pub fn refresh(&mut self) {
-        let new_name = lock_file_name(&self.lock.device, self.lock.rt.now().as_nanos());
+        let now = self.lock.rt.now();
+        if now.saturating_duration_since(self.stamped) < self.lock.config.stale_after / 2 {
+            return;
+        }
+        let new_name = lock_file_name(&self.lock.device, now.as_nanos());
         if new_name == self.lock_name {
             return;
         }
@@ -281,6 +329,7 @@ impl LockGuard<'_> {
         });
         self.lock.withdraw(&self.lock_name);
         self.lock_name = new_name;
+        self.stamped = now;
     }
 
     /// Releases the lock by deleting our lock files everywhere — the
@@ -494,7 +543,8 @@ pub(crate) mod tests {
         let lock = lock_on(rt, clouds.clone(), "dev-a", 11);
         let mut guard = lock.acquire(None).unwrap();
         let old = guard.lock_name().to_owned();
-        sim.sleep(Duration::from_secs(30));
+        // Past ΔT/2 (the default ΔT is 120 s): the file is re-stamped.
+        sim.sleep(Duration::from_secs(61));
         guard.refresh();
         assert_ne!(guard.lock_name(), old);
         let (_, cloud) = clouds.iter().next().unwrap();
@@ -509,21 +559,31 @@ pub(crate) mod tests {
         guard.release();
     }
 
+    /// Puts a foreign `device` lock file stamped `t` on every cloud.
+    fn plant(clouds: &CloudSet, device: &str, t: u64) {
+        for (_, c) in clouds.iter() {
+            c.upload(
+                &format!("{LOCK_DIR}/{}", lock_file_name(device, t)),
+                Bytes::new(),
+            )
+            .unwrap();
+        }
+    }
+
+    /// A stamp that sorts after any the tests' devices draw: a file the
+    /// acquiring device waits on as the head.
+    const LATER: u64 = 1 << 60;
+
     #[test]
     fn starved_acquire_is_audited_once() {
         let sim = SimRuntime::new(14);
         let rt = sim.clone().as_runtime();
         let clouds = mem_clouds(5);
-        // A live foreign holder that never goes stale: every round is a
-        // losing round and the acquire eventually exhausts.
-        for (_, c) in clouds.iter() {
-            c.upload(
-                &format!("{LOCK_DIR}/{}", lock_file_name("holder", 1)),
-                unidrive_util::bytes::Bytes::new(),
-            )
-            .unwrap();
-        }
-        // Backoffs long enough that the eight losing rounds wait past
+        // A live foreign holder that never goes stale and sorts after
+        // us: every upload heads the queue, lists until its wait runs
+        // out, and the acquire eventually exhausts.
+        plant(&clouds, "holder", LATER);
+        // Backoffs long enough that the eight uploads wait past
         // `STARVATION_AUDIT` well before the last one.
         let config = LockConfig {
             max_attempts: 8,
@@ -539,7 +599,8 @@ pub(crate) mod tests {
             PlaneError::Contended { attempts: 8 }
         ));
         let series = obs.series_snapshot().unwrap();
-        assert_eq!(series.merged("lock.contended").sum, 8);
+        // Eight uploads, each listed eight times: every round lost.
+        assert_eq!(series.merged("lock.contended").sum, 64);
         // Flagged exactly once however many rounds starve past the
         // threshold.
         assert_eq!(series.merged("lock.starved").sum, 1);
@@ -550,21 +611,21 @@ pub(crate) mod tests {
             acquire.attr("starved"),
             Some(&unidrive_obs::FieldValue::B(true))
         );
+        assert_eq!(
+            acquire.attr("rounds"),
+            Some(&unidrive_obs::FieldValue::U(64))
+        );
     }
 
-    /// A lost round, counted on one cloud: the round, then
-    /// `PROTOCOL_COSTS.lock_withdraw` calls.
+    /// A lost round of a loser that is not first in line, counted on one
+    /// cloud: the round, then `PROTOCOL_COSTS.lock_withdraw` calls.
     #[test]
     fn a_lost_round_costs_a_round_and_a_withdraw() {
         let sim = SimRuntime::new(16);
         let inner = mem_clouds(5);
-        for (_, c) in inner.iter() {
-            c.upload(
-                &format!("{LOCK_DIR}/{}", lock_file_name("holder", 1)),
-                unidrive_util::bytes::Bytes::new(),
-            )
-            .unwrap();
-        }
+        plant(&inner, "holder", 1);
+        // Our stamp, 1 s, sorts after the holder's.
+        sim.sleep(Duration::from_secs(1));
         let (clouds, doubles) =
             crate::oplog_plane::tests::counted(inner.iter().map(|(_, c)| Arc::clone(c)));
         let config = LockConfig {
@@ -582,6 +643,107 @@ pub(crate) mod tests {
         assert_eq!(calls, ["upload", "list", "delete"]);
         let c = unidrive_meta::PROTOCOL_COSTS;
         assert_eq!(calls.len() as u64, c.lock_round + c.lock_withdraw);
+    }
+
+    /// A contender's lock file that it withdraws once the cloud has
+    /// listed it to us: deleted from the store behind the cloud, so
+    /// the counting double above it sees only our calls.
+    struct Withdrawing {
+        inner: Arc<dyn CloudStore>,
+        leaving: Mutex<Option<String>>,
+    }
+
+    impl CloudStore for Withdrawing {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn upload(&self, path: &str, data: Bytes) -> Result<(), unidrive_cloud::CloudError> {
+            self.inner.upload(path, data)
+        }
+        fn download(&self, path: &str) -> Result<Bytes, unidrive_cloud::CloudError> {
+            self.inner.download(path)
+        }
+        fn create_dir(&self, path: &str) -> Result<(), unidrive_cloud::CloudError> {
+            self.inner.create_dir(path)
+        }
+        fn list(
+            &self,
+            path: &str,
+        ) -> Result<Vec<unidrive_cloud::ObjectInfo>, unidrive_cloud::CloudError> {
+            let listing = self.inner.list(path);
+            if let Some(leaving) = self.leaving.lock().take() {
+                self.inner.delete(&leaving).unwrap();
+            }
+            listing
+        }
+        fn delete(&self, path: &str) -> Result<(), unidrive_cloud::CloudError> {
+            self.inner.delete(path)
+        }
+    }
+
+    /// A head whose contender withdraws wins on its next list, counted
+    /// on one cloud: the round, then `PROTOCOL_COSTS.lock_poll` calls —
+    /// no second upload, no withdraw.
+    #[test]
+    fn a_waiting_head_lists_without_reuploading() {
+        let sim = SimRuntime::new(18);
+        let inner = mem_clouds(3);
+        plant(&inner, "later", LATER);
+        let contender = format!("{LOCK_DIR}/{}", lock_file_name("later", LATER));
+        let (clouds, doubles) = crate::oplog_plane::tests::counted(inner.iter().map(|(_, c)| {
+            Arc::new(Withdrawing {
+                inner: Arc::clone(c),
+                leaving: Mutex::new(Some(contender.clone())),
+            }) as Arc<dyn CloudStore>
+        }));
+        let lock = lock_on(sim.as_runtime(), clouds, "dev-a", 19);
+        let guard = lock.acquire(None).expect("the head wins once the contender left");
+        let calls = doubles[0].calls();
+        assert_eq!(calls, ["upload", "list", "list"]);
+        let c = unidrive_meta::PROTOCOL_COSTS;
+        assert_eq!(calls.len() as u64, c.lock_round + c.lock_poll);
+        guard.release();
+    }
+
+    /// Over zero-latency clouds a head's lists take no virtual time, so
+    /// only their count bounds its wait: behind a holder that sorts
+    /// after it and never releases, an acquire ends `Contended` after
+    /// `max_attempts` uploads of `max_attempts` lists each.
+    #[test]
+    fn a_head_behind_a_holder_that_never_releases_gives_up() {
+        let sim = SimRuntime::new(20);
+        let inner = mem_clouds(5);
+        plant(&inner, "holder", LATER);
+        let (clouds, doubles) =
+            crate::oplog_plane::tests::counted(inner.iter().map(|(_, c)| Arc::clone(c)));
+        let lock = lock_on(sim.as_runtime(), clouds, "dev-a", 21);
+        let max = LockConfig::default().max_attempts as usize;
+        assert!(matches!(
+            lock.acquire(None).unwrap_err(),
+            PlaneError::Contended { attempts } if attempts as usize == max
+        ));
+        let calls = doubles[0].calls();
+        let count = |op: &str| calls.iter().filter(|c| **c == op).count();
+        assert_eq!((count("upload"), count("list"), count("delete")), (max, max * max, max));
+    }
+
+    /// A refresh before ΔT/2 re-stamps nothing: counted on one cloud, it
+    /// calls no cloud and keeps the file's name.
+    #[test]
+    fn a_refresh_before_half_delta_t_makes_no_cloud_call() {
+        let sim = SimRuntime::new(22);
+        let (clouds, doubles) = crate::oplog_plane::tests::counted(
+            mem_clouds(3).iter().map(|(_, c)| Arc::clone(c)),
+        );
+        let lock = lock_on(sim.clone().as_runtime(), clouds, "dev-a", 23);
+        let mut guard = lock.acquire(None).unwrap();
+        let name = guard.lock_name().to_owned();
+        doubles[0].forget();
+        sim.sleep(Duration::from_secs(59));
+        guard.refresh();
+        assert!(doubles[0].calls().is_empty());
+        assert_eq!(guard.lock_name(), name);
+        guard.release();
     }
 
     #[test]

@@ -262,7 +262,8 @@ pub(crate) mod tests {
     }
 
     /// A commit under a won lock, counted on one cloud: the round, then
-    /// `PROTOCOL_COSTS.lock_commit` calls.
+    /// `PROTOCOL_COSTS.lock_commit` calls. The hold is younger than ΔT/2,
+    /// so its refresh calls no cloud.
     #[test]
     fn a_won_commit_costs_a_round_and_a_commit() {
         let (set, doubles) = counted(clouds(3).iter().map(|(_, c)| Arc::clone(c)));
@@ -277,8 +278,6 @@ pub(crate) mod tests {
             calls[round..],
             [
                 "download", // version file
-                "upload",   // refreshed lock file
-                "delete",   // the lock file it replaces
                 "upload",   // delta
                 "upload",   // version file
                 "delete",   // lock file, released

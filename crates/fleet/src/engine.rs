@@ -30,7 +30,9 @@
 //! upload lands, `Attempt` rounds contend for the folder's quorum lock
 //! to commit the new version — the critical section is the short
 //! metadata commit, not the transfer; `Release` publishes and folds
-//! the device back to idle.
+//! the device back to idle. A lost round whose lock file sorts first
+//! keeps it up and takes the lock one list after the holder's release;
+//! every other loser backs off.
 //!
 //! # Lazy materialization
 //!
@@ -77,14 +79,30 @@ const OPLOG_COMPACT_EVERY: u64 = 64;
 /// the holder's bounded window, then folding (the analytic mirror of
 /// core's forced-compaction retries past its escalate threshold).
 const OPLOG_COMPACT_ESCALATE: u64 = unidrive_meta::OPLOG_COMPACT_ESCALATE as u64;
-/// How long a metadata commit under the lock takes: the fleet's time
-/// model for the six calls of `PROTOCOL_COSTS.lock_commit` (version
-/// download, refresh upload + delete, delta upload, version upload,
-/// release delete), not a call count — those are charged from
-/// `PROTOCOL_COSTS`.
+/// How long an oplog commit takes: the fleet's time model for an
+/// append, and for the hold of the fold that λ adds to one.
 const COMMIT_NS: u64 = 500_000_000;
+/// One sequential metadata call in the fleet's time model (a WAN round
+/// trip plus the provider's service time).
+const CALL_NS: u64 = 83_333_333;
+/// How long a lock-plane commit holds the lock: the fleet's time model
+/// for the `PROTOCOL_COSTS.lock_commit` sequential calls (version
+/// download, delta upload, version upload, release delete), not a call
+/// count — those are charged from `PROTOCOL_COSTS`.
+const LOCK_COMMIT_NS: u64 = CALL_NS * PROTOCOL_COSTS.lock_commit;
 /// Drain guard: give the fleet at most this many pull rounds.
 const MAX_DRAIN_ROUNDS: u32 = 3;
+
+/// How one commit round ended for the device.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Round {
+    /// It committed (lock: won the lock).
+    Won,
+    /// Lock: it lost, but heads the queue and keeps its file up.
+    Waits,
+    /// Lock: it lost and withdrew.
+    Lost,
+}
 
 /// Events a device can have pending. Exactly one per device at a time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -118,13 +136,24 @@ struct ActiveDevice {
     activation: u32,
     /// Whether this session already tripped the starvation audit.
     starved: bool,
+    /// Lock rounds of the current acquire, a head's lists included.
+    rounds: u32,
+    /// The lock file a waiting head keeps up: when it was uploaded, how
+    /// many lists it has had, and when the last of them ran.
+    kept: Option<(u64, u32, u64)>,
 }
 
 /// A shared hot folder: quorum-lock scope plus per-member sync
 /// watermarks for the no-lost-acks and convergence invariants.
 #[derive(Debug, Default)]
 struct HotFolder {
-    holder: Option<u64>,
+    /// The lock holder's sort key `(acquire start, device)`.
+    holder: Option<(u64, u64)>,
+    /// When the holder's release lands.
+    release_ns: u64,
+    /// The waiting head's sort key: a contender that sorted first
+    /// among the live lock files and kept its own up.
+    head: Option<(u64, u64)>,
     cum_bytes: u64,
     /// Member device → cumulative bytes it has acknowledged.
     member_synced: HashMap<u64, u64>,
@@ -459,6 +488,8 @@ impl<'a> Run<'a> {
                 hot,
                 activation,
                 starved: false,
+                rounds: 0,
+                kept: None,
             },
         );
 
@@ -553,10 +584,12 @@ impl<'a> Run<'a> {
             ..
         } = self;
         let dev = active.get_mut(&device).expect("attempting device is active");
-        if attempt == 0 {
+        if attempt == 0 && dev.kept.is_none() {
             // The upload just landed (or a deferred cycle starts); lock
-            // waiting is measured from here.
+            // waiting is measured from here, and the acquire's lock
+            // files sort by it.
             dev.wait_start_ns = t;
+            dev.rounds = 0;
         }
         // Fixed draw sequence: backoff, retry jitter.
         let backoff_u = dev.rng.next_f64();
@@ -572,8 +605,15 @@ impl<'a> Run<'a> {
         let reachable = upload_reachability(&cfg.fault_plan, t);
         if !quorum_reachable(lanes, &reachable, t, series) {
             // Quorum unreachable: back off and retry the same round once
-            // the outage window has a chance to end.
+            // the outage window has a chance to end. A head gives up its
+            // place, as the lock withdraws on an unreachable round.
             series.add("lock.unreachable_rounds", "fleet", t, 1);
+            if let (Some(_), Some(rank)) = (dev.kept.take(), hot) {
+                let f = &mut folders[rank as usize];
+                if f.head.is_some_and(|(_, d)| d == device) {
+                    f.head = None;
+                }
+            }
             calendar.push(t + outage_retry_ns(retry_u), device, Ev::Attempt { attempt });
             return;
         }
@@ -585,7 +625,9 @@ impl<'a> Run<'a> {
         // objects, which it never reads. Lock: a round, then the commit
         // under the won lock or the lost round's withdraw.
         let c = PROTOCOL_COSTS;
-        let (won, ops, compact_ns) = match cfg.meta_mode {
+        // Lists this event stands for: a waiting head's since its last.
+        let mut lists_now = 1;
+        let (outcome, ops, hold_ns) = match cfg.meta_mode {
             MetaMode::Oplog => {
                 let mut unread = 0;
                 // Set when this append folds the log: the wait for the
@@ -636,36 +678,94 @@ impl<'a> Run<'a> {
                     series.add("oplog.op_deletes", "fleet", t, covered);
                     ops += c.oplog_compact + covered * c.oplog_op_delete;
                 }
-                (true, ops, compaction.map_or(0, |(wait, _)| wait + COMMIT_NS))
+                let fold_ns = compaction.map_or(0, |(wait, _)| wait + COMMIT_NS);
+                (Round::Won, ops, COMMIT_NS + fold_ns)
             }
             MetaMode::Lock => {
-                let won = match hot {
-                    None => true,
+                // A waiting head has listed its kept file every call
+                // since its last event; any other round uploads one
+                // first. Lock files sort by `(acquire start, device)`:
+                // the holder and a head other than us are the live files
+                // a round can find ahead.
+                let polled = dev.kept.is_some();
+                let (stamped, lists) = match dev.kept {
+                    None => (t, 1),
+                    Some((at, n, last)) => {
+                        lists_now = (t - last).div_ceil(CALL_NS).max(1) as u32;
+                        (at, n + lists_now)
+                    }
+                };
+                let key = (dev.wait_start_ns, device);
+                let outcome = match hot {
+                    None => Round::Won,
                     Some(rank) => {
                         let f = &mut folders[rank as usize];
-                        if f.holder.is_none() {
-                            f.holder = Some(device);
-                            true
+                        let other_head = f.head.filter(|h| *h != key);
+                        if f.holder.is_none() && other_head.is_none() {
+                            f.holder = Some(key);
+                            f.head = None;
+                            Round::Won
                         } else {
-                            false
+                            let first = f.holder.into_iter().chain(other_head).all(|k| key < k);
+                            let young = t - stamped < lock.stale_after.as_nanos() as u64 / 2;
+                            if first && lists < lock.max_attempts && young {
+                                f.head = Some(key);
+                                Round::Waits
+                            } else {
+                                if f.head == Some(key) {
+                                    f.head = None;
+                                }
+                                Round::Lost
+                            }
                         }
                     }
                 };
-                let step = if won { c.lock_commit } else { c.lock_withdraw };
-                (won, c.lock_round + step, 0)
+                let listed = if polled {
+                    series.add("lock.head_polls", "fleet", t, u64::from(lists_now));
+                    u64::from(lists_now) * c.lock_poll
+                } else {
+                    c.lock_round
+                };
+                let step = match outcome {
+                    Round::Won => c.lock_commit,
+                    Round::Waits => 0,
+                    Round::Lost => c.lock_withdraw,
+                };
+                dev.kept = (outcome == Round::Waits).then_some((stamped, lists, t));
+                (outcome, listed + step, LOCK_COMMIT_NS)
             }
         };
         // The shaper's worst delay gates what follows.
         let qps_delay = charge_meta(lanes, &reachable, t, ops, series);
 
-        if !won {
-            series.add("lock.contended", "fleet", t, 1);
+        dev.rounds += lists_now;
+        let lost = lists_now - u32::from(outcome == Round::Won);
+        if lost > 0 {
+            series.add("lock.contended", "fleet", t, u64::from(lost));
+        }
+        if outcome != Round::Won {
             // Starvation audit, mirroring the core lock path: flag
             // (once) any acquire waiting past the bound.
             let waited = t.saturating_sub(dev.wait_start_ns);
             if waited >= STARVATION_AUDIT.as_nanos() as u64 && !dev.starved {
                 dev.starved = true;
                 series.add("lock.starved", "fleet", t, 1);
+            }
+            if let (Round::Waits, Some(rank), Some((stamped, lists, _))) =
+                (outcome, hot, dev.kept)
+            {
+                // The head lists every call until one shows the holder's
+                // release, so it takes the lock at most one list after
+                // the release lands — or until its lists or ΔT/2 run out.
+                let f = &folders[rank as usize];
+                let free = f.holder.map_or(t, |_| f.release_ns);
+                let seen = t + free.saturating_sub(t).div_ceil(CALL_NS).max(1) * CALL_NS;
+                let out_of_lists = t + u64::from(lock.max_attempts - lists) * CALL_NS;
+                let too_old = stamped + lock.stale_after.as_nanos() as u64 / 2;
+                let at = seen.min(out_of_lists).min(too_old);
+                let at = at.max(t + qps_delay.max(LOOKAHEAD_NS));
+                calendar.push(at, device, Ev::Attempt { attempt });
+                return;
             }
             let next = attempt + 1;
             if next >= lock.max_attempts {
@@ -689,9 +789,12 @@ impl<'a> Run<'a> {
         let mode = cfg.meta_mode.as_str();
         let waited = t.saturating_sub(dev.wait_start_ns);
         series.observe("fleet.lock_wait_ns", mode, t, waited);
-        series.observe("fleet.lock_rounds", mode, t, attempt as u64 + 1);
-        let commit = COMMIT_NS.saturating_add(qps_delay).saturating_add(compact_ns);
-        calendar.push(t + commit.max(LOOKAHEAD_NS), device, Ev::Release);
+        series.observe("fleet.lock_rounds", mode, t, u64::from(dev.rounds));
+        let release_ns = t + hold_ns.saturating_add(qps_delay).max(LOOKAHEAD_NS);
+        if let (MetaMode::Lock, Some(rank)) = (cfg.meta_mode, hot) {
+            folders[rank as usize].release_ns = release_ns;
+        }
+        calendar.push(release_ns, device, Ev::Release);
     }
 
     /// The commit landed: publish to the folder, fold the device back
@@ -710,7 +813,7 @@ impl<'a> Run<'a> {
             if cfg.meta_mode == MetaMode::Lock {
                 // Oplog commits never held the folder lock, so the
                 // holder invariant only applies here.
-                if f.holder != Some(device) {
+                if f.holder.map(|(_, d)| d) != Some(device) {
                     series.add("invariant.holder_violations", "fleet", t, 1);
                 }
                 f.holder = None;

@@ -48,7 +48,7 @@ use Stat::{Count, Sum};
 /// merges every label of the metric. A count a sample series already
 /// carries is read from it, not recorded twice.
 #[rustfmt::skip]
-const COUNTERS: [(&str, &str, Option<&str>, Stat, Presence); 26] = [
+const COUNTERS: [(&str, &str, Option<&str>, Stat, Presence); 27] = [
     ("bytes.pulled", "bytes.pulled", None, Sum, IfRecorded),
     ("bytes.synced", "bytes.synced", None, Sum, IfRecorded),
     ("devices.churned", "devices.churned", None, Sum, IfRecorded),
@@ -62,6 +62,7 @@ const COUNTERS: [(&str, &str, Option<&str>, Stat, Presence); 26] = [
     ("lock.acquired", "fleet.lock_wait_ns", Some("lock"), Count, IfRecorded),
     ("lock.contended_rounds", "lock.contended", None, Sum, IfRecorded),
     ("lock.exhausted", "fleet.sessions", Some("deferred"), Sum, IfRecorded),
+    ("lock.head_polls", "lock.head_polls", None, Sum, IfRecorded),
     ("lock.starved", "lock.starved", None, Sum, Always),
     ("lock.unreachable_rounds", "lock.unreachable_rounds", None, Sum, IfRecorded),
     ("oplog.appends", "oplog.appends", None, Sum, IfRecorded),

@@ -105,7 +105,8 @@ impl std::error::Error for PlaneError {}
 /// the fleet model contends it with the same defaults.
 #[derive(Debug, Clone)]
 pub struct LockConfig {
-    /// Give up after this many failed acquisition rounds.
+    /// Give up after this many lock-file uploads that lost; a waiting
+    /// head also lists one upload at most this many times.
     pub max_attempts: u32,
     /// Base of the random backoff between rounds.
     pub backoff_base: Duration,
@@ -128,8 +129,8 @@ impl Default for LockConfig {
 }
 
 impl LockConfig {
-    /// Ceiling of the random backoff after losing round `attempt`
-    /// (0-based): the base doubled per round, capped at `backoff_max`.
+    /// Ceiling of the random backoff after upload `attempt` (0-based)
+    /// lost: the base doubled per upload, capped at `backoff_max`.
     pub fn backoff_cap(&self, attempt: u32) -> Duration {
         self.backoff_max
             .min(self.backoff_base * 2u32.saturating_pow(attempt))
@@ -151,10 +152,13 @@ pub struct ProtocolCosts {
     /// One quorum-lock round, won or lost: lock-file upload, lock
     /// directory list.
     pub lock_round: u64,
+    /// A waiting head's further round: lock directory list (its file
+    /// stays up).
+    pub lock_poll: u64,
     /// A lost round's withdraw: lock-file delete.
     pub lock_withdraw: u64,
-    /// A lock-plane commit under a won lock: version download, refresh
-    /// upload + delete, delta upload, version upload, release delete.
+    /// A lock-plane commit under a won lock held less than ΔT/2:
+    /// version download, delta upload, version upload, release delete.
     pub lock_commit: u64,
     /// An oplog append before its op-object reads: oplog directory
     /// list, upload of the new op object.
@@ -174,8 +178,9 @@ pub struct ProtocolCosts {
 /// The one statement of the metadata protocol's per-cloud cost.
 pub const PROTOCOL_COSTS: ProtocolCosts = ProtocolCosts {
     lock_round: 2,
+    lock_poll: 1,
     lock_withdraw: 1,
-    lock_commit: 6,
+    lock_commit: 4,
     oplog_append: 2,
     oplog_op_file: 1,
     oplog_compact: 8,

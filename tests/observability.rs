@@ -105,6 +105,10 @@ fn run_scenario(seed: u64) -> RunResult {
     folder_a.write("big.bin", &edited, 2).unwrap();
     let up = sync_until(&mut a, "A overwrite");
     assert_eq!(up.uploaded, vec!["big.bin"]);
+    // A pass returns once its files are available; its detached
+    // reliability uploads (one may be retrying an injected fault) land
+    // after it. Let them, so the trace holds finished work only.
+    sim.sleep(std::time::Duration::from_secs(60));
 
     let mut snapshot = obs.snapshot().unwrap();
     snapshot.canonicalize();
