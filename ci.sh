@@ -283,6 +283,12 @@ echo "==> s3 backend: real-socket sync gate"
 # loopback wire is syncbench's `http.*` ledger rows.
 cargo test --offline --release --test s3_sync -q
 
+echo "==> copy budget: a 1 MiB block over MockS3 allocates ≤ 1.25x per PUT, ≤ 2.25x per GET, one stripe per encode"
+# A counting global allocator in its own test binary holds DESIGN §4
+# decision 7's table: every layer between encoder and socket hands on
+# the same buffer (before: PUT 4.06x, GET 5.00x, encode 2 stripes).
+cargo test --offline --release -p unidrive-cloud --test payload_copies -q
+
 echo "==> segment reuse: an edit downloads about one segment; stale bases, conflicts, stragglers"
 cargo test --offline --release --test segment_reuse -q
 

@@ -103,7 +103,7 @@ impl UniDriveTransfer {
             .plane
             .download_files(&file, &[], locate, None)
             .map_err(|e| CloudError::transient(format!("download incomplete: {e}")))?;
-        let out = contents.next().expect("one file asked for, one returned");
+        let out = contents.next().expect("one file asked for, one returned").to_vec();
         Ok((self.rt.now().saturating_duration_since(t0), out))
     }
 }

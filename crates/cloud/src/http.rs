@@ -25,6 +25,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use unidrive_sim::{Notifier, Runtime};
+use unidrive_util::bytes::Bytes;
 
 /// Longest accepted request/status/header line, in bytes. Lines beyond
 /// this indicate a corrupt or hostile peer; the read fails cleanly.
@@ -60,8 +61,9 @@ pub struct HttpRequest {
     /// Header name/value pairs in arrival order. Names are
     /// case-insensitive on lookup (see [`header`]).
     pub headers: Vec<(String, String)>,
-    /// Decoded message body.
-    pub body: Vec<u8>,
+    /// Decoded message body, shared: the buffer the reader filled, or
+    /// the caller's own `Bytes`, handed on without a copy.
+    pub body: Bytes,
 }
 
 impl HttpRequest {
@@ -71,7 +73,7 @@ impl HttpRequest {
             method: method.to_owned(),
             target: target.to_owned(),
             headers: Vec::new(),
-            body: Vec::new(),
+            body: Bytes::new(),
         }
     }
 
@@ -81,9 +83,9 @@ impl HttpRequest {
         self
     }
 
-    /// Sets the body.
-    pub fn body(mut self, body: Vec<u8>) -> HttpRequest {
-        self.body = body;
+    /// Sets the body (a `Bytes` is taken as is, a `Vec` adopted).
+    pub fn body(mut self, body: impl Into<Bytes>) -> HttpRequest {
+        self.body = body.into();
         self
     }
 }
@@ -97,8 +99,9 @@ pub struct HttpResponse {
     pub reason: String,
     /// Header name/value pairs in arrival order.
     pub headers: Vec<(String, String)>,
-    /// Decoded (de-chunked) message body.
-    pub body: Vec<u8>,
+    /// Decoded (de-chunked) message body, shared like
+    /// [`HttpRequest::body`].
+    pub body: Bytes,
 }
 
 impl HttpResponse {
@@ -108,7 +111,7 @@ impl HttpResponse {
             status,
             reason: reason.to_owned(),
             headers: Vec::new(),
-            body: Vec::new(),
+            body: Bytes::new(),
         }
     }
 
@@ -118,9 +121,9 @@ impl HttpResponse {
         self
     }
 
-    /// Sets the body.
-    pub fn body(mut self, body: Vec<u8>) -> HttpResponse {
-        self.body = body;
+    /// Sets the body (a `Bytes` is taken as is, a `Vec` adopted).
+    pub fn body(mut self, body: impl Into<Bytes>) -> HttpResponse {
+        self.body = body.into();
         self
     }
 }
@@ -192,12 +195,13 @@ fn read_headers<R: BufRead>(r: &mut R) -> io::Result<Vec<(String, String)>> {
 /// transfer-encoding, or (responses only, when `to_eof` is set) until
 /// the peer closes the connection. On every framing a body beyond
 /// `max` bytes ([`MAX_BODY`] on the wire) is an `InvalidData` error.
+/// The buffer the body is read into becomes the returned `Bytes`.
 fn read_body<R: BufRead>(
     r: &mut R,
     headers: &[(String, String)],
     to_eof: bool,
     max: usize,
-) -> io::Result<Vec<u8>> {
+) -> io::Result<Bytes> {
     if let Some(te) = header(headers, "Transfer-Encoding") {
         if te.eq_ignore_ascii_case("chunked") {
             return read_chunked(r, max);
@@ -213,7 +217,7 @@ fn read_body<R: BufRead>(
         }
         let mut body = vec![0u8; len];
         r.read_exact(&mut body)?;
-        return Ok(body);
+        return Ok(body.into());
     }
     if to_eof {
         let mut body = Vec::new();
@@ -221,14 +225,16 @@ fn read_body<R: BufRead>(
         if body.len() > max {
             return Err(invalid("unframed body over the body limit"));
         }
-        return Ok(body);
+        return Ok(body.into());
     }
-    Ok(Vec::new())
+    Ok(Bytes::new())
 }
 
 /// Reads a chunked body: hex-sized chunks, a zero-size terminator, and
-/// an (ignored) trailer section.
-fn read_chunked<R: BufRead>(r: &mut R, max: usize) -> io::Result<Vec<u8>> {
+/// an (ignored) trailer section. The buffer grows geometrically as
+/// chunks arrive; adopting it as `Bytes` trims the spare capacity, so
+/// the body never pins up to twice its length.
+fn read_chunked<R: BufRead>(r: &mut R, max: usize) -> io::Result<Bytes> {
     let mut body = Vec::new();
     loop {
         let line = read_line(r)?.ok_or_else(|| invalid("EOF inside chunked body"))?;
@@ -239,7 +245,7 @@ fn read_chunked<R: BufRead>(r: &mut R, max: usize) -> io::Result<Vec<u8>> {
             // Trailers until the blank line.
             loop {
                 match read_line(r)? {
-                    Some(l) if l.is_empty() => return Ok(body),
+                    Some(l) if l.is_empty() => return Ok(body.into()),
                     Some(_) => {}
                     None => return Err(invalid("EOF inside trailers")),
                 }
@@ -312,7 +318,7 @@ pub fn read_response<R: BufRead>(r: &mut R) -> io::Result<HttpResponse> {
     let headers = read_headers(r)?;
     // 204 has no body by definition; everything else frames by headers.
     let body = if status == 204 {
-        Vec::new()
+        Bytes::new()
     } else {
         let close = header(&headers, "Connection")
             .map(|v| v.eq_ignore_ascii_case("close"))
@@ -618,7 +624,7 @@ mod tests {
     fn request_roundtrip_content_length() {
         let req = HttpRequest::new("PUT", "/b/k%20ey")
             .header("Host", "x")
-            .body(b"hello".to_vec());
+            .body(Bytes::from_static(b"hello"));
         let mut wire = Vec::new();
         write_request(&mut wire, &req).unwrap();
         let mut r = BufReader::new(Cursor::new(wire));
@@ -626,7 +632,7 @@ mod tests {
         assert_eq!(parsed.method, "PUT");
         assert_eq!(parsed.target, "/b/k%20ey");
         assert_eq!(header(&parsed.headers, "host"), Some("x"));
-        assert_eq!(parsed.body, b"hello");
+        assert_eq!(&parsed.body[..], b"hello");
         // Clean EOF after the request => keep-alive loop sees None.
         assert!(read_request(&mut r).unwrap().is_none());
     }
@@ -641,7 +647,7 @@ mod tests {
             let mut r = BufReader::new(Cursor::new(wire));
             let parsed = read_response(&mut r).unwrap();
             assert_eq!(parsed.status, 200);
-            assert_eq!(parsed.body, body, "chunked={chunked}");
+            assert_eq!(parsed.body[..], body[..], "chunked={chunked}");
         }
     }
 
@@ -705,7 +711,7 @@ mod tests {
         assert!(over_the_limit(err));
         let mut r = BufReader::new(Cursor::new(b"abcd".to_vec()));
         let headers = [("Content-Length".to_owned(), "4".to_owned())];
-        assert_eq!(read_body(&mut r, &headers, false, 4).unwrap(), b"abcd");
+        assert_eq!(&read_body(&mut r, &headers, false, 4).unwrap()[..], b"abcd");
     }
 
     #[test]
@@ -718,7 +724,7 @@ mod tests {
         let mut r = BufReader::new(Cursor::new(b"3\r\nabc\r\n3\r\ndef\r\n0\r\n\r\n".to_vec()));
         assert!(over_the_limit(read_chunked(&mut r, 5).unwrap_err()));
         let mut r = BufReader::new(Cursor::new(b"3\r\nabc\r\n3\r\ndef\r\n0\r\n\r\n".to_vec()));
-        assert_eq!(read_chunked(&mut r, 6).unwrap(), b"abcdef");
+        assert_eq!(&read_chunked(&mut r, 6).unwrap()[..], b"abcdef");
     }
 
     #[test]
@@ -731,7 +737,7 @@ mod tests {
         // Through the public reader the same framing is picked.
         let head = b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\nabc".to_vec();
         let resp = read_response(&mut BufReader::new(Cursor::new(head))).unwrap();
-        assert_eq!(resp.body, b"abc");
+        assert_eq!(&resp.body[..], b"abc");
     }
 
     #[test]

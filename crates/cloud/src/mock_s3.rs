@@ -41,8 +41,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use unidrive_util::bytes::Bytes;
-
 use crate::http::{
     percent_decode, read_request, write_response, HttpRequest, HttpResponse,
 };
@@ -324,14 +322,14 @@ fn handle(req: &HttpRequest, store: &MemCloud, hooks: &Hooks) -> HttpResponse {
                 Err(e) => store_error(&e),
             }
         }
-        ("PUT", _, _) => match store.upload(key, Bytes::copy_from_slice(&req.body)) {
+        ("PUT", _, _) => match store.upload(key, req.body.clone()) {
             Ok(()) => HttpResponse::new(200, "OK"),
             Err(e) => store_error(&e),
         },
         ("GET", _, _) => match store.download(key) {
             Ok(data) => HttpResponse::new(200, "OK")
                 .header("Content-Type", "application/octet-stream")
-                .body(data.to_vec()),
+                .body(data),
             Err(e) => store_error(&e),
         },
         // Real S3 dialect: deleting a missing key succeeds with 204.

@@ -172,7 +172,7 @@ impl CloudStore for S3Cloud {
         validate_path(path)?;
         let req = HttpRequest::new("PUT", &self.key_target(path))
             .header("Host", self.client.addr())
-            .body(data.to_vec());
+            .body(data);
         let resp = self.send(&req, CloudOp::Upload, path)?;
         match resp.status {
             200 => Ok(()),
@@ -186,7 +186,7 @@ impl CloudStore for S3Cloud {
             .header("Host", self.client.addr());
         let resp = self.send(&req, CloudOp::Download, path)?;
         match resp.status {
-            200 => Ok(Bytes::copy_from_slice(&resp.body)),
+            200 => Ok(resp.body),
             _ => Err(self.status_error(&resp, CloudOp::Download, path)),
         }
     }

@@ -270,7 +270,7 @@ impl UniDriveClient {
     /// # Errors
     ///
     /// [`DownloadError`] if the copy's blocks are unreachable.
-    pub fn fetch_conflict_copy(&self, path: &str) -> Result<Option<Vec<u8>>, DownloadError> {
+    pub fn fetch_conflict_copy(&self, path: &str) -> Result<Option<Bytes>, DownloadError> {
         let Some(entry) = self.original.file(path) else {
             return Ok(None);
         };

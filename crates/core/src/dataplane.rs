@@ -213,7 +213,7 @@ impl DataPlane {
         &self,
         image: &SyncFolderImage,
         path: &str,
-    ) -> Result<Vec<u8>, DownloadError> {
+    ) -> Result<Bytes, DownloadError> {
         let entry = image.file(path).ok_or_else(|| DownloadError::NoSuchFile {
             path: path.to_owned(),
         })?;
@@ -230,7 +230,7 @@ impl DataPlane {
         &self,
         image: &SyncFolderImage,
         snapshot: &Snapshot,
-    ) -> Result<Vec<u8>, DownloadError> {
+    ) -> Result<Bytes, DownloadError> {
         let locate = |id: &SegmentId| SegmentFetch::from_image(image, id);
         let file = [&snapshot.segments[..]];
         let mut contents = self.download_files(&file, &[], locate, None)?;
@@ -262,7 +262,7 @@ impl DataPlane {
         bases: &[LocalBase],
         locate: impl Fn(&SegmentId) -> Option<SegmentFetch>,
         parent: Option<SpanId>,
-    ) -> Result<impl Iterator<Item = Vec<u8>> + 'a, DownloadError> {
+    ) -> Result<impl Iterator<Item = Bytes> + 'a, DownloadError> {
         let mut wanted = HashSet::new();
         let mut order = Vec::new();
         for id in files.iter().flat_map(|ids| ids.iter()) {
@@ -283,12 +283,16 @@ impl DataPlane {
         if let Some(err) = report.failed.pop() {
             return Err(err);
         }
-        // `concat` sizes each buffer from the segments actually
-        // fetched, never from a size the metadata claims.
+        // A one-segment file is that segment's buffer; a longer one is
+        // concatenated once, sized from the segments actually fetched,
+        // never from a size the metadata claims.
         let fetched = report.segments;
-        Ok(files.iter().map(move |ids| {
-            let parts: Vec<&[u8]> = ids.iter().map(|id| &fetched[id][..]).collect();
-            parts.concat()
+        Ok(files.iter().map(move |ids| match ids {
+            [id] => fetched[id].clone(),
+            _ => {
+                let parts: Vec<&[u8]> = ids.iter().map(|id| &fetched[id][..]).collect();
+                Bytes::from(parts.concat())
+            }
         }))
     }
 
@@ -707,11 +711,11 @@ mod tests {
                 layout: layout.clone(),
             }];
             let locate = |id: &SegmentId| SegmentFetch::from_image(&image, id);
-            let got: Vec<Vec<u8>> = plane
+            let got: Vec<Bytes> = plane
                 .download_files(&[&ids[..]], &bases, locate, None)
                 .unwrap()
                 .collect();
-            assert_eq!(got, vec![data.to_vec()]);
+            assert_eq!(got, vec![data.clone()]);
             let after = registry.series_snapshot();
             let grew = |metric: &str| {
                 let (a, b) = (after.merged(metric), before.merged(metric));

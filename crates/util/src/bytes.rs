@@ -3,19 +3,21 @@
 //! API-compatible (for the subset this workspace uses) with the
 //! `bytes` crate: `Bytes::new/from/from_static/copy_from_slice`,
 //! zero-copy `slice(range)`, `Deref<Target = [u8]>`, and conversions
-//! from `Vec<u8>` and iterators. Backed by an `Arc<[u8]>` — or a
+//! from `Vec<u8>` and iterators. Backed by an `Arc<Vec<u8>>` — or a
 //! borrowed `&'static [u8]` for [`Bytes::from_static`] — plus a
 //! window, so clones and sub-slices are O(1) and never copy the
-//! payload.
+//! payload. A `Vec<u8>` converts by adoption: its heap buffer becomes
+//! the `Bytes`' storage, so `From<Vec<u8>>` allocates nothing the size
+//! of the payload and `copy_from_slice` copies once.
 
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 
-/// The backing storage: refcounted heap bytes, or a borrowed static
-/// slice (no allocation, no refcount traffic).
+/// The backing storage: an adopted, refcounted vector, or a borrowed
+/// static slice (no allocation, no refcount traffic).
 #[derive(Clone)]
 enum Data {
-    Shared(Arc<[u8]>),
+    Shared(Arc<Vec<u8>>),
     Static(&'static [u8]),
 }
 
@@ -58,10 +60,14 @@ impl Bytes {
         Bytes::from_vec(data.to_vec())
     }
 
-    fn from_vec(v: Vec<u8>) -> Self {
+    /// Adopts `v`'s buffer. Spare capacity is released first, so a
+    /// long-lived `Bytes` pins only what it holds; shrinking reallocates
+    /// in place on the system allocator, without copying the payload.
+    fn from_vec(mut v: Vec<u8>) -> Self {
+        v.shrink_to_fit();
         let end = v.len();
         Bytes {
-            data: Data::Shared(v.into()),
+            data: Data::Shared(Arc::new(v)),
             start: 0,
             end,
         }
@@ -250,8 +256,28 @@ mod tests {
         // Same allocation: s2's first byte is b's byte 3 in memory.
         assert!(std::ptr::eq(&b[3], &s2[0]));
         match (&b.data, &s2.data) {
-            (Data::Shared(a), Data::Shared(c)) => assert!(Arc::ptr_eq(a, c)),
+            (Data::Shared(a), Data::Shared(c)) => {
+                assert!(Arc::ptr_eq(a, c));
+                // Both windows sit on the adopted vector's own buffer.
+                assert!(std::ptr::eq(a.as_ptr(), b.as_ptr()));
+                assert!(std::ptr::eq(&a[3], &s2[0]));
+            }
             _ => panic!("vec-backed Bytes must stay Shared"),
+        }
+    }
+
+    #[test]
+    fn from_vec_adopts_the_buffer_and_trims_its_spare_capacity() {
+        let v = vec![9u8; 4096];
+        let p = v.as_ptr();
+        let b = Bytes::from(v);
+        assert!(std::ptr::eq(p, b.as_ptr()), "adopted, not copied");
+        let mut grown = Vec::with_capacity(1 << 20);
+        grown.extend_from_slice(&[1u8; 1000]);
+        let b = Bytes::from(grown);
+        match &b.data {
+            Data::Shared(v) => assert_eq!((v.len(), v.capacity()), (1000, 1000)),
+            Data::Static(_) => panic!("vec-backed Bytes must stay Shared"),
         }
     }
 

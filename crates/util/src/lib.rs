@@ -6,8 +6,8 @@
 //! two pieces of third-party API the codebase leans on:
 //!
 //! - [`crate::bytes::Bytes`] — an immutable, cheaply-cloneable byte buffer
-//!   over `Arc<[u8]>` (or a borrowed `&'static` slice) with zero-copy
-//!   `slice()`.
+//!   over an adopted `Arc<Vec<u8>>` (or a borrowed `&'static` slice)
+//!   with zero-copy `slice()`.
 //! - [`sync`] — `Mutex`/`RwLock`/`Condvar` wrappers over `std::sync`
 //!   with the ergonomics the code was written against: `lock()` returns
 //!   the guard directly (poisoning is transparently ignored — a

@@ -487,7 +487,7 @@ fn one_scrub_cycle_after_a_dropped_device(seed: u64, rates: &[f64], refuse_slowe
             r.handles[b].set_available(false);
             for (i, data) in files.iter().enumerate() {
                 let got = s.data_plane().download_file(s.image(), &format!("f{i}"));
-                assert_eq!(got.as_ref(), Ok(data), "{mode:?}: f{i} with clouds {a} and {b} down");
+                assert_eq!(got.as_deref(), Ok(&data[..]), "{mode:?}: f{i} with clouds {a} and {b} down");
             }
             r.handles[a].set_available(true);
             r.handles[b].set_available(true);

@@ -517,7 +517,7 @@ fn a_conflict_copy_of_a_collected_segment_stays_readable_on_both_planes() {
             let copy = device
                 .fetch_conflict_copy("shared.bin")
                 .unwrap_or_else(|e| panic!("{mode:?} {}: {e}", device.device()));
-            assert_eq!(copy, Some(version_r.clone()), "{mode:?} {}", device.device());
+            assert_eq!(copy.as_deref(), Some(&version_r[..]), "{mode:?} {}", device.device());
         }
         let audit = p.writer.data_plane().audit(p.writer.image());
         assert_eq!(audit.missing, vec![], "{mode:?}");
