@@ -53,7 +53,7 @@ else
     echo "    clippy not installed; skipped"
 fi
 
-echo "==> one trace, one artefact, one reader, one per-cloud estimator, one figures binary, one cost statement, one blocking primitive, one fleet event loop, one ingest path, one chunker, one object per op, one hot-folder benchmark, one static policy, one Rabin window, one channel from a landed block to the image, one metric store, one store in the fleet too, one audit of block storage, one statement of segment liveness, one conflict rule: the retired names stay retired"
+echo "==> one trace, one artefact, one reader, one per-cloud estimator, one figures binary, one cost statement, one blocking primitive, one fleet event loop, one ingest path, one chunker, one object per op, one hot-folder benchmark, one static policy, one Rabin window, one channel from a landed block to the image, one metric store, one store in the fleet too, one audit of block storage, one statement of segment liveness, one conflict rule, one lock rule (one function the product, the model and the fleet call): the retired names stay retired"
 # The typed Event ring, the three per-format flags, the second report
 # binary and the streaming health scoreboard (cloud health is a
 # function `obs_report` computes from the series) must not creep back;
@@ -97,9 +97,13 @@ echo "==> one trace, one artefact, one reader, one per-cloud estimator, one figu
 # a snapshot names it: `SyncFolderImage::referenced` computes it), nor
 # the tree diff's second vocabulary for a change and the conflict record
 # no caller read (`diff` returns `DeltaRecord`s, and one function
-# applies a commit's records under the conflict rule on both planes).
+# applies a commit's records under the conflict rule on both planes),
+# nor the lock model's own copy of the lock rule and its rule switch,
+# the lock's private round outcome and the fleet's round enum (the lock
+# rule is one function the product, the model and the fleet call:
+# `unidrive_meta::lock_verdict`, with `LockConfig::head_waits`).
 # (The bracketed letters keep this line from matching itself.)
-if grep -rnE '\bEvent::|Traced[E]vent|--metrics-[o]ut|--trace-[o]ut|--series-[o]ut|trace_[r]eport|Health[T]racker|Health[B]oard|Cloud[H]ealth|Health[C]onfig|to_json_with_[h]ealth|unidrive-[h]ealth/v1|native_[a]ppend|supports_conditional_[p]ut|max_object_[b]ytes|run_[a]ll|meta_mode_from_[a]rgs|FleetLock[P]arams|LOCK_[O]PS|OPLOG_APPEND_[O]PS|OPLOG_COMPACT_[O]PS|Sema[p]hore|SimQ[u]eue|RuntimeH[a]ndle|TransferE[r]ror|set_link_[e]nabled|deregister_[t]hread|instantaneous_[r]ate|Watchdog[C]onfig|FlightR[e]corder|partition_[w]indow|merge_by_[k]ey|shard_[o]f|--sh[a]rds|sim::sh[a]rd|cut_points_paral[l]el|WorkerP[o]ol|par_map_ind[e]xed|ingest_thre[a]ds|resync_sk[i]ps|--cuts-[o]ut|ChunkSt[a]ts|GearH[a]sh|ChunkerK[i]nd|ingest_g[e]ar|gear_cut_p[o]ints|gear_r[o]ll|GEAR_[W]INDOW|with_p[o]ly|set_flat_prob[a]bility|frame_ch[u]nks|unframe_ch[u]nks|op_file_n[a]me|my_fr[a]mes|parse_op_file_n[a]me|bench_opl[o]g|BENCH_opl[o]g|compare_opl[o]g|compare_fl[e]et|validate_opl[o]g|BenchUploadP[o]licy|BenchDownloadP[o]licy|BenchBl[o]ck|RabinH[a]sh::new\([^)]|fn w[i]ndow\(|detach_after_availa[b]ility|UploadOpt[i]ons|set_chunk_thre[s]hold|set_ga[u]ge|enable_se[r]ies|series_ena[b]led|counter_s[u]m|metrics_j[s]on|CounterN[a]mes|obs\.in[c]\(|SCHEMA_COUN[T]ERS|fn b[u]mp\(|Histogram::def[a]ult|ThrottledCl[o]ud|starvation_au[d]it|trim_pl[a]n|trim_overprovision[e]d|delete_label[l]ed|unnamed_block_ob[j]ects|recompute_refcount[s]|\.refcou[n]t|refcount: u3[2]|TreeDel[t]a|EntryChan[g]e|pub struct Confli[c]t\b' \
+if grep -rnE '\bEvent::|Traced[E]vent|--metrics-[o]ut|--trace-[o]ut|--series-[o]ut|trace_[r]eport|Health[T]racker|Health[B]oard|Cloud[H]ealth|Health[C]onfig|to_json_with_[h]ealth|unidrive-[h]ealth/v1|native_[a]ppend|supports_conditional_[p]ut|max_object_[b]ytes|run_[a]ll|meta_mode_from_[a]rgs|FleetLock[P]arams|LOCK_[O]PS|OPLOG_APPEND_[O]PS|OPLOG_COMPACT_[O]PS|Sema[p]hore|SimQ[u]eue|RuntimeH[a]ndle|TransferE[r]ror|set_link_[e]nabled|deregister_[t]hread|instantaneous_[r]ate|Watchdog[C]onfig|FlightR[e]corder|partition_[w]indow|merge_by_[k]ey|shard_[o]f|--sh[a]rds|sim::sh[a]rd|cut_points_paral[l]el|WorkerP[o]ol|par_map_ind[e]xed|ingest_thre[a]ds|resync_sk[i]ps|--cuts-[o]ut|ChunkSt[a]ts|GearH[a]sh|ChunkerK[i]nd|ingest_g[e]ar|gear_cut_p[o]ints|gear_r[o]ll|GEAR_[W]INDOW|with_p[o]ly|set_flat_prob[a]bility|frame_ch[u]nks|unframe_ch[u]nks|op_file_n[a]me|my_fr[a]mes|parse_op_file_n[a]me|bench_opl[o]g|BENCH_opl[o]g|compare_opl[o]g|compare_fl[e]et|validate_opl[o]g|BenchUploadP[o]licy|BenchDownloadP[o]licy|BenchBl[o]ck|RabinH[a]sh::new\([^)]|fn w[i]ndow\(|detach_after_availa[b]ility|UploadOpt[i]ons|set_chunk_thre[s]hold|set_ga[u]ge|enable_se[r]ies|series_ena[b]led|counter_s[u]m|metrics_j[s]on|CounterN[a]mes|obs\.in[c]\(|SCHEMA_COUN[T]ERS|fn b[u]mp\(|Histogram::def[a]ult|ThrottledCl[o]ud|starvation_au[d]it|trim_pl[a]n|trim_overprovision[e]d|delete_label[l]ed|unnamed_block_ob[j]ects|recompute_refcount[s]|\.refcou[n]t|refcount: u3[2]|TreeDel[t]a|EntryChan[g]e|pub struct Confli[c]t\b|Rule::Pap[e]r|Rule::Qu[e]ue|enum RoundOu[t]come|RoundOutcome::W[o]n|Round::Wa[i]ts|Round::Wo[n]\b' \
     crates src tests examples ci.sh; then
     echo "    retired name found (see matches above)"
     exit 1
@@ -304,12 +308,15 @@ cargo run --offline --release --quiet --manifest-path benchmark/Cargo.toml -- \
     awk '$1 == "wire_bytes_per_payload_byte" { seen = 1; print "    " $0; if ($2 + 0 >= 1) bad = 1 }
          END { exit !seen || bad }'
 
-echo "==> lock model: every interleaving of 2-3 devices over 3 clouds keeps one holder, under the paper's rule and the queue"
+echo "==> lock model: every interleaving of 2-3 devices over 3 clouds keeps one holder under the product's lock rule, with one list per upload (the paper's rule) and with the queue"
 # An exhaustive state explorer (crates/core/tests/lock_model.rs): per-cloud
 # upload, list and delete interleaved, lost deletes, a crash and the ΔT
-# break. It asserts at most one holder under both loser rules and, for
-# the queue, that no reachable state leaves every live contender waiting
-# on the others. It prints the states each world reaches.
+# break. Every round ends by the product's own decision
+# (`unidrive_meta::lock_verdict`, a head's lists bounded by
+# `LockConfig::head_waits`). It asserts at most one holder and that no
+# reachable state leaves every live contender waiting on the others, in
+# worlds of one list per upload and of several. It prints the states
+# each world reaches.
 cargo test --offline --release -p unidrive-core --test lock_model -q -- --nocapture >"$out/lock_model.txt"
 awk '/ states$/ { sub(/^[^A-Z]*/, ""); print "    " $0 }' "$out/lock_model.txt"
 

@@ -3,22 +3,20 @@
 //!
 //! Built purely from the five cloud file operations: the attempting
 //! device uploads an empty `lock_<device>_<t>` file into a dedicated
-//! lock directory on every cloud, then lists each directory — it holds a
-//! cloud's lock iff its own lock file is the only one there. Holding a
-//! **majority** of clouds wins.
+//! lock directory on every cloud, then lists each directory. Every
+//! attempt of one acquire is named `lock_<device>_<t0 + attempt>`, `t0`
+//! being the time of its first attempt, so its sort key `(t, device)`
+//! stays put across rounds.
 //!
-//! A lost round queues instead of colliding (Lamport's bakery order
-//! applied to lock files). Every attempt of one acquire is named
-//! `lock_<device>_<t0 + attempt>`, `t0` being the time of its first
-//! attempt, so its sort key `(t, device)` stays put across rounds. The
-//! contender whose file sorts first among the live names listed on a
-//! majority of clouds — the *head* — keeps its file and lists again
-//! right away; every other loser withdraws its files and retries after
-//! a random backoff. A head lists one upload at most `max_attempts`
-//! times, and only while the file is younger than ΔT/2 (older, others
-//! may break it); then it too withdraws and backs off. The per-upload
-//! bound is what ends a head's wait over clouds whose lists take no
-//! time.
+//! What a round's listings mean is decided in one place,
+//! [`unidrive_meta::lock_verdict`] with [`LockConfig::head_waits`]: our
+//! file alone on a majority holds; a loser whose file sorts first among
+//! the live files a majority shows (the *head*) keeps it and lists
+//! again while it has lists and ΔT/2 left; every other loser withdraws
+//! (DESIGN §4 decision 16). The lock-model test and the fleet model run
+//! the same functions. This file does the I/O around that decision:
+//! the uploads, listings and deletes, the ΔT lock break, the reclaim of
+//! our own leftovers, the random backoff and the holder's re-stamp.
 //!
 //! Fault tolerance needs no global clock: every client records the
 //! *first time it saw* each foreign lock file; a lock file observed for
@@ -35,7 +33,8 @@ use unidrive_util::bytes::Bytes;
 use unidrive_util::sync::Mutex;
 use unidrive_cloud::CloudSet;
 use unidrive_meta::{
-    lock_file_name, parse_lock_name, LockConfig, PlaneError, LOCK_DIR, STARVATION_AUDIT,
+    lock_file_name, lock_verdict, parse_lock_name, LockConfig, LockVerdict, PlaneError, LOCK_DIR,
+    STARVATION_AUDIT,
 };
 use unidrive_obs::{FieldValue, Obs, SpanId};
 use unidrive_sim::{Runtime, SimRng, Time};
@@ -130,7 +129,8 @@ impl QuorumLock {
         let mut starved = false;
         let mut rounds = 0u64;
         for attempt in 0..max {
-            let lock_name = lock_file_name(&self.device, t0.as_nanos() + attempt as u64);
+            let t = t0.as_nanos() + attempt as u64;
+            let lock_name = lock_file_name(&self.device, t);
             let stamped = self.rt.now();
             let path = format!("{LOCK_DIR}/{lock_name}");
             // Lock files go out to all clouds concurrently (the client
@@ -140,8 +140,8 @@ impl QuorumLock {
             });
             for lists in 1..=max {
                 rounds += 1;
-                let (held, head) = match self.try_round(&lock_name, span_id) {
-                    RoundOutcome::Won => {
+                let (verdict, held) = match self.try_round(&lock_name, t, span_id) {
+                    Ok((LockVerdict::Hold, _)) => {
                         let wait_ns =
                             self.rt.now().saturating_duration_since(t0).as_nanos() as u64;
                         self.obs.series_observe("lock.wait_ns", &self.device, wait_ns);
@@ -155,15 +155,16 @@ impl QuorumLock {
                             span: span_id,
                         });
                     }
-                    RoundOutcome::Unreachable(short) => {
+                    Err(short) => {
                         self.obs.series_add("lock.unreachable", &self.device, 1);
                         self.withdraw(&lock_name);
                         span.attr_u64("rounds", rounds);
                         span.attr_bool("ok", false);
                         return Err(short);
                     }
-                    RoundOutcome::Lost { held, head } => (held, head),
+                    Ok(lost) => lost,
                 };
+                let head = verdict == LockVerdict::Head;
                 self.obs.series_add("lock.contended", &self.device, 1);
                 self.obs.instant("lock.contended", span_id, || {
                     vec![
@@ -173,11 +174,9 @@ impl QuorumLock {
                         ("head", FieldValue::B(head)),
                     ]
                 });
-                // First in line: keep the file and list again right
-                // away, up to `max_attempts` lists of one file and while
-                // it is younger than ΔT/2.
+                // First in line: keep the file and list again right away.
                 let age = self.rt.now().saturating_duration_since(stamped);
-                let waits = head && lists < max && age < self.config.stale_after / 2;
+                let waits = head && self.config.head_waits(lists, age);
                 if !waits {
                     self.withdraw(&lock_name);
                     let nanos = self.config.backoff_cap(attempt).as_nanos().max(1) as u64;
@@ -205,39 +204,38 @@ impl QuorumLock {
         Err(PlaneError::Contended { attempts: max })
     }
 
-    /// One acquisition round over our uploaded `lock_name`: list every
-    /// lock directory concurrently, count the clouds where ours is the
-    /// only live lock, and on a loss tell whether ours sorts first among
-    /// the live names a majority of listings show. `parent` is the
+    /// One acquisition round over our uploaded `lock_name`, stamped
+    /// `t`: list every lock directory concurrently, reclaim our own
+    /// leftovers, break abandoned foreign files, and hand the live
+    /// files' `(t, device)` keys to [`lock_verdict`]. `parent` is the
     /// enclosing `lock.acquire` span (for `lock.break` spans).
-    fn try_round(&self, lock_name: &str, parent: Option<SpanId>) -> RoundOutcome {
+    fn try_round(
+        &self,
+        lock_name: &str,
+        t: u64,
+        parent: Option<SpanId>,
+    ) -> Result<(LockVerdict, usize), PlaneError> {
         let listings = quorum::fan_out(&self.rt, &self.clouds, "lock-list", |_, cloud| {
             cloud.list(LOCK_DIR).ok()
         });
-        let mut reachable = 0usize;
-        let mut held = 0usize;
-        // Live name → the clouds whose listing shows it.
-        let mut shown: HashMap<String, usize> = HashMap::new();
-        for ((id, cloud), entries) in self.clouds.iter().zip(listings) {
+        let mut live = Vec::new();
+        for ((id, cloud), entries) in self.clouds.iter().zip(&listings) {
             let Some(entries) = entries else {
                 continue;
             };
-            reachable += 1;
-            let mut ours_present = false;
-            let mut foreign_live = false;
-            for entry in &entries {
-                let Some((device, _)) = parse_lock_name(&entry.name) else {
+            let mut keys = Vec::new();
+            for entry in entries {
+                let Some((device, stamp)) = parse_lock_name(&entry.name) else {
                     continue;
                 };
-                if entry.name == lock_name {
-                    ours_present = true;
-                } else if device == self.device {
+                if device == self.device && entry.name != lock_name {
                     // A leftover of our own earlier attempt whose delete
                     // was lost to a transient failure: reclaim it
                     // immediately (no ΔT needed — it is certainly ours).
                     let _ = cloud.delete(&format!("{LOCK_DIR}/{}", entry.name));
                     continue;
-                } else if self.is_stale(id.0, &entry.name) {
+                }
+                if device != self.device && self.is_stale(id.0, &entry.name) {
                     // Lock breaking: delete the abandoned lock file.
                     let mut bspan = self.obs.span("lock.break", parent);
                     bspan.attr_str("device", self.device.as_str());
@@ -246,29 +244,13 @@ impl QuorumLock {
                     bspan.end();
                     self.obs.series_add("lock.broken", &self.device, 1);
                     continue;
-                } else {
-                    foreign_live = true;
                 }
-                *shown.entry(entry.name.clone()).or_default() += 1;
+                keys.push((stamp, device));
             }
-            if ours_present && !foreign_live {
-                held += 1;
-            }
+            live.push(keys);
         }
-        if let Err(short) = quorum::require_reachable(&self.clouds, reachable) {
-            return RoundOutcome::Unreachable(short);
-        }
-        let quorum = self.clouds.quorum();
-        if held >= quorum {
-            return RoundOutcome::Won;
-        }
-        let first = shown
-            .iter()
-            .filter(|(_, clouds)| **clouds >= quorum)
-            .filter_map(|(name, _)| parse_lock_name(name).map(|(device, t)| (t, device)))
-            .min();
-        let head = first.is_some_and(|(_, device)| device == self.device);
-        RoundOutcome::Lost { held, head }
+        quorum::require_reachable(&self.clouds, live.len())?;
+        Ok(lock_verdict(&live, self.clouds.quorum(), &(t, self.device.as_str())))
     }
 
     /// Tracks first-seen times; returns whether the foreign lock has
@@ -294,17 +276,6 @@ impl QuorumLock {
             let _ = cloud.delete(&path);
         });
     }
-}
-
-enum RoundOutcome {
-    Won,
-    /// `head`: our file sorts first among the live names a majority of
-    /// listings show.
-    Lost {
-        held: usize,
-        head: bool,
-    },
-    Unreachable(PlaneError),
 }
 
 impl LockGuard<'_> {

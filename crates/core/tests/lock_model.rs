@@ -1,25 +1,29 @@
 //! An exhaustive model of the quorum lock (paper §5.2): every
 //! interleaving of 2–3 devices acquiring over 3 clouds, checked for
-//! mutual exclusion under the paper's loser rule and under the queue.
+//! mutual exclusion.
 //!
 //! Each step is one cloud call of one device: the upload of its lock
 //! file to one cloud, the listing of one lock directory, the delete of
 //! its file from one cloud (which may be lost). Between steps a device
 //! may crash, leaving its files behind, and ΔT may pass, after which any
 //! file of a crashed device and any leftover of a lost delete is broken.
-//! A device's round decides exactly as `QuorumLock` does, from the
-//! listings it took one cloud at a time:
-//! - it holds when its own file is the only live file on a majority;
-//! - under the paper's rule every other round withdraws;
-//! - under the queue the device whose file sorts first among the files
-//!   a majority of its listings show keeps its file and lists again.
+//! A device's round ends as `QuorumLock`'s does, by the product's own
+//! rule: `unidrive_meta::lock_verdict` over the files each cloud listed
+//! decides hold, head or lose, and `LockConfig::head_waits` with the
+//! world's `lists` as `max_attempts` bounds a head's lists. A world of
+//! one list per upload is the paper's loser rule, where every loser
+//! withdraws; more lists are the queue.
 //!
-//! Files sort by device: the model gives each device one acquire and
-//! ranks acquires by when they started, so lower devices started first.
+//! A file's key is its bit below: device-major, so files sort by
+//! device. The model gives each device one acquire and ranks acquires
+//! by when they started, so lower devices started first.
 //! `cargo test --release -p unidrive-core --test lock_model` prints the
 //! states each world reaches.
 
 use std::collections::{HashSet, VecDeque};
+use std::time::Duration;
+
+use unidrive_meta::{lock_verdict, LockConfig, LockVerdict};
 
 const CLOUDS: usize = 3;
 const QUORUM: usize = 2;
@@ -29,12 +33,6 @@ const DEVICES: usize = 3;
 const ALL: u8 = (1 << CLOUDS) - 1;
 /// Room for the lock files of one acquire.
 const UPLOADS: u8 = 2;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Rule {
-    Paper,
-    Queue,
-}
 
 /// A set of lock files: device `d`'s upload `a` is bit `d * UPLOADS + a`.
 type Files = u16;
@@ -92,25 +90,14 @@ fn breakable(s: &State) -> Files {
     out
 }
 
-/// How device `d`'s round over file `a` ends, given its listings:
-/// `Some(true)` holds, `Some(false)` keeps its file and lists again
-/// (the queue's head), `None` withdraws.
-fn decide(rule: Rule, d: usize, a: u8, seen: &[Files; CLOUDS]) -> Option<bool> {
-    let mine = file(d, a);
-    let held = seen.iter().filter(|&&s| s & mine != 0 && s & !mine == 0).count();
-    if held >= QUORUM {
-        return Some(true);
-    }
-    // The files a majority of listings show: ours among them, and none
-    // of a device that sorts before us.
-    let [x, y, z] = *seen;
-    let shown = x & y | x & z | y & z; // on 2 of the 3 clouds
-    let first = shown & mine != 0 && shown & (file(d, 0) - 1) == 0;
-    (rule == Rule::Queue && first).then_some(false)
+/// How device `d`'s round over file `a` ends, given its listings.
+fn verdict(d: usize, a: u8, seen: &[Files; CLOUDS]) -> LockVerdict {
+    let keys = seen.map(|f| (0..Files::BITS).filter(|i| f >> i & 1 != 0).collect::<Vec<_>>());
+    lock_verdict(&keys, QUORUM, &file(d, a).trailing_zeros()).0
 }
 
 /// Every state one step of device `d` leads to.
-fn steps(rule: Rule, w: World, s: &State, d: usize, out: &mut Vec<State>) {
+fn steps(w: World, s: &State, d: usize, out: &mut Vec<State>) {
     let clouds = 0..CLOUDS;
     let mut next = |f: &dyn Fn(&mut State)| {
         let mut n = *s;
@@ -141,12 +128,14 @@ fn steps(rule: Rule, w: World, s: &State, d: usize, out: &mut Vec<State>) {
                     let mut seen = seen;
                     seen[c] = n.clouds[c];
                     let todo = todo & !(1 << c);
-                    n.devices[d] = match (todo, decide(rule, d, a, &seen)) {
-                        (0, Some(true)) => Phase::Hold { a },
-                        (0, Some(false)) if round < w.lists => {
-                            Phase::List { a, round: round + 1, todo: ALL, seen: [0; CLOUDS] }
-                        }
-                        (0, _) => Phase::Withdraw { a, todo: ALL },
+                    n.devices[d] = match todo {
+                        0 => match verdict(d, a, &seen) {
+                            LockVerdict::Hold => Phase::Hold { a },
+                            LockVerdict::Head if w.head_waits(round) => {
+                                Phase::List { a, round: round + 1, todo: ALL, seen: [0; CLOUDS] }
+                            }
+                            _ => Phase::Withdraw { a, todo: ALL },
+                        },
                         _ => Phase::List { a, round, todo, seen },
                     };
                 });
@@ -195,7 +184,7 @@ fn all_waiting(s: &State) -> bool {
                 for listed in &mut seen {
                     *listed &= !(files_of(d) & !file(d, a));
                 }
-                if decide(Rule::Queue, d, a, &seen) != Some(false) {
+                if verdict(d, a, &seen) != LockVerdict::Head {
                     return false;
                 }
                 waiting += 1;
@@ -250,9 +239,17 @@ struct World {
     lists: u8,
 }
 
-/// Explores every state `w` reaches under `rule`. Returns the number
-/// of states.
-fn explore(rule: Rule, w: World) -> usize {
+impl World {
+    /// The product's bound on a head's lists, `lists` standing for
+    /// `max_attempts`. A live device's file is never broken: age zero.
+    fn head_waits(self, round: u8) -> bool {
+        let lock = LockConfig { max_attempts: self.lists.into(), ..LockConfig::default() };
+        lock.head_waits(round.into(), Duration::ZERO)
+    }
+}
+
+/// Explores every state `w` reaches. Returns the number of states.
+fn explore(w: World) -> usize {
     let mut start = State {
         clouds: [0; CLOUDS],
         devices: [Phase::Done; DEVICES],
@@ -264,13 +261,11 @@ fn explore(rule: Rule, w: World) -> usize {
     let mut out = Vec::new();
     while let Some(s) = queue.pop_front() {
         let holders = s.devices.iter().filter(|p| matches!(p, Phase::Hold { .. })).count();
-        assert!(holders <= 1, "{rule:?}: {holders} holders in {s:?}");
-        if rule == Rule::Queue {
-            assert!(!all_waiting(&s), "{rule:?}: every contender waits in {s:?}");
-        }
+        assert!(holders <= 1, "{w:?}: {holders} holders in {s:?}");
+        assert!(!all_waiting(&s), "{w:?}: every contender waits in {s:?}");
         out.clear();
         for d in 0..w.devices {
-            steps(rule, w, &s, d, &mut out);
+            steps(w, &s, d, &mut out);
         }
         // ΔT passes: everything breakable on a cloud is broken.
         let broken = breakable(&s);
@@ -290,16 +285,16 @@ fn explore(rule: Rule, w: World) -> usize {
 
 #[test]
 fn two_devices_never_hold_together() {
-    let w = World { devices: 2, uploads: 2, lists: 3 };
-    for rule in [Rule::Paper, Rule::Queue] {
-        println!("{rule:?}, {w:?}: {} states", explore(rule, w));
+    for lists in [1, 3] {
+        let w = World { devices: 2, uploads: 2, lists };
+        println!("{w:?}: {} states", explore(w));
     }
 }
 
 #[test]
 fn three_devices_never_hold_together() {
-    let w = World { devices: 3, uploads: 1, lists: 2 };
-    for rule in [Rule::Paper, Rule::Queue] {
-        println!("{rule:?}, {w:?}: {} states", explore(rule, w));
+    for lists in [1, 2] {
+        let w = World { devices: 3, uploads: 1, lists };
+        println!("{w:?}: {} states", explore(w));
     }
 }

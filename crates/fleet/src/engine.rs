@@ -43,9 +43,12 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::time::Duration;
 
 use unidrive_cloud::{CloudOp, FaultKind, FaultPlan, TokenBucket};
-use unidrive_meta::{LockConfig, MetaMode, PROTOCOL_COSTS, STARVATION_AUDIT};
+use unidrive_meta::{
+    lock_verdict, LockConfig, LockVerdict, MetaMode, PROTOCOL_COSTS, STARVATION_AUDIT,
+};
 use unidrive_obs::SeriesBank;
 use unidrive_sim::SimRng;
 use unidrive_workload::{nominal_rates, DeviceClass, Provider, Zipf, EC2_SITES};
@@ -92,17 +95,6 @@ const CALL_NS: u64 = 83_333_333;
 const LOCK_COMMIT_NS: u64 = CALL_NS * PROTOCOL_COSTS.lock_commit;
 /// Drain guard: give the fleet at most this many pull rounds.
 const MAX_DRAIN_ROUNDS: u32 = 3;
-
-/// How one commit round ended for the device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Round {
-    /// It committed (lock: won the lock).
-    Won,
-    /// Lock: it lost, but heads the queue and keeps its file up.
-    Waits,
-    /// Lock: it lost and withdrew.
-    Lost,
-}
 
 /// Events a device can have pending. Exactly one per device at a time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -679,14 +671,14 @@ impl<'a> Run<'a> {
                     ops += c.oplog_compact + covered * c.oplog_op_delete;
                 }
                 let fold_ns = compaction.map_or(0, |(wait, _)| wait + COMMIT_NS);
-                (Round::Won, ops, COMMIT_NS + fold_ns)
+                (LockVerdict::Hold, ops, COMMIT_NS + fold_ns)
             }
             MetaMode::Lock => {
                 // A waiting head has listed its kept file every call
                 // since its last event; any other round uploads one
-                // first. Lock files sort by `(acquire start, device)`:
-                // the holder and a head other than us are the live files
-                // a round can find ahead.
+                // first. Rounds do not collide here, so one listing of
+                // quorum one stands for every cloud's: the holder, a head
+                // other than us and ours, keyed `(acquire start, device)`.
                 let polled = dev.kept.is_some();
                 let (stamped, lists) = match dev.kept {
                     None => (t, 1),
@@ -697,27 +689,24 @@ impl<'a> Run<'a> {
                 };
                 let key = (dev.wait_start_ns, device);
                 let outcome = match hot {
-                    None => Round::Won,
+                    None => LockVerdict::Hold,
                     Some(rank) => {
                         let f = &mut folders[rank as usize];
                         let other_head = f.head.filter(|h| *h != key);
-                        if f.holder.is_none() && other_head.is_none() {
+                        let live: Vec<_> =
+                            f.holder.into_iter().chain(other_head).chain([key]).collect();
+                        let age = Duration::from_nanos(t - stamped);
+                        // A head out of lists or ΔT/2 withdraws: from here
+                        // on `Head` is a head that waits.
+                        let outcome = match lock_verdict(&[live], 1, &key).0 {
+                            LockVerdict::Head if !lock.head_waits(lists, age) => LockVerdict::Lose,
+                            verdict => verdict,
+                        };
+                        if outcome == LockVerdict::Hold {
                             f.holder = Some(key);
-                            f.head = None;
-                            Round::Won
-                        } else {
-                            let first = f.holder.into_iter().chain(other_head).all(|k| key < k);
-                            let young = t - stamped < lock.stale_after.as_nanos() as u64 / 2;
-                            if first && lists < lock.max_attempts && young {
-                                f.head = Some(key);
-                                Round::Waits
-                            } else {
-                                if f.head == Some(key) {
-                                    f.head = None;
-                                }
-                                Round::Lost
-                            }
                         }
+                        f.head = if outcome == LockVerdict::Head { Some(key) } else { other_head };
+                        outcome
                     }
                 };
                 let listed = if polled {
@@ -727,11 +716,11 @@ impl<'a> Run<'a> {
                     c.lock_round
                 };
                 let step = match outcome {
-                    Round::Won => c.lock_commit,
-                    Round::Waits => 0,
-                    Round::Lost => c.lock_withdraw,
+                    LockVerdict::Hold => c.lock_commit,
+                    LockVerdict::Head => 0,
+                    LockVerdict::Lose => c.lock_withdraw,
                 };
-                dev.kept = (outcome == Round::Waits).then_some((stamped, lists, t));
+                dev.kept = (outcome == LockVerdict::Head).then_some((stamped, lists, t));
                 (outcome, listed + step, LOCK_COMMIT_NS)
             }
         };
@@ -739,11 +728,11 @@ impl<'a> Run<'a> {
         let qps_delay = charge_meta(lanes, &reachable, t, ops, series);
 
         dev.rounds += lists_now;
-        let lost = lists_now - u32::from(outcome == Round::Won);
+        let lost = lists_now - u32::from(outcome == LockVerdict::Hold);
         if lost > 0 {
             series.add("lock.contended", "fleet", t, u64::from(lost));
         }
-        if outcome != Round::Won {
+        if outcome != LockVerdict::Hold {
             // Starvation audit, mirroring the core lock path: flag
             // (once) any acquire waiting past the bound.
             let waited = t.saturating_sub(dev.wait_start_ns);
@@ -751,7 +740,7 @@ impl<'a> Run<'a> {
                 dev.starved = true;
                 series.add("lock.starved", "fleet", t, 1);
             }
-            if let (Round::Waits, Some(rank), Some((stamped, lists, _))) =
+            if let (LockVerdict::Head, Some(rank), Some((stamped, lists, _))) =
                 (outcome, hot, dev.kept)
             {
                 // The head lists every call until one shows the holder's

@@ -29,6 +29,6 @@ pub use layout::{
 pub use model::{BlockRef, FileEntry, SegmentEntry, SegmentId, Snapshot, SyncFolderImage, VersionStamp};
 pub use op::{compact, fold, op_id, FoldOutcome, MetaOp, OplogBase};
 pub use plane::{
-    LockConfig, MergeFn, MetaMode, MetaPlane, PlaneError, ProtocolCosts, PROTOCOL_COSTS,
-    STARVATION_AUDIT,
+    lock_verdict, LockConfig, LockVerdict, MergeFn, MetaMode, MetaPlane, PlaneError,
+    ProtocolCosts, PROTOCOL_COSTS, STARVATION_AUDIT,
 };

@@ -135,6 +135,58 @@ impl LockConfig {
         self.backoff_max
             .min(self.backoff_base * 2u32.saturating_pow(attempt))
     }
+
+    /// Whether a head that has listed its file `lists` times, the file
+    /// uploaded `age` ago, keeps it and lists again: at most
+    /// `max_attempts` lists per upload, and only while the file is
+    /// younger than ΔT/2 (older, others may break it).
+    pub fn head_waits(&self, lists: u32, age: Duration) -> bool {
+        lists < self.max_attempts && age < self.stale_after / 2
+    }
+}
+
+/// How one round of the quorum lock ends for the contender that
+/// listed the lock directories (paper §5.2, queued as in DESIGN §4
+/// decision 16).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LockVerdict {
+    /// Our file is the only live one on a majority: we hold the lock.
+    Hold,
+    /// We lost, but our file sorts first among the files a majority of
+    /// listings show: keep it and list again while
+    /// [`LockConfig::head_waits`].
+    Head,
+    /// We lost behind another file: withdraw and back off.
+    Lose,
+}
+
+/// The quorum lock's one rule. `listings` holds, for each cloud that
+/// answered, the sort keys of the live lock files it listed (broken and
+/// reclaimed files left out); `ours` is our file's key. Returns the
+/// verdict and the number of clouds on which ours is the only live
+/// file. A key counts once per listing; a cloud missing from
+/// `listings` counts for nothing.
+///
+/// The lock plane keys a file by `(t, device)` as `parse_lock_name`
+/// reads it; any `Ord` key that sorts contenders by when their acquire
+/// started does.
+pub fn lock_verdict<K: Ord>(
+    listings: &[impl AsRef<[K]>],
+    quorum: usize,
+    ours: &K,
+) -> (LockVerdict, usize) {
+    let held = listings
+        .iter()
+        .map(AsRef::as_ref)
+        .filter(|l| !l.is_empty() && l.iter().all(|k| k == ours))
+        .count();
+    if held >= quorum {
+        return (LockVerdict::Hold, held);
+    }
+    let shown = |k: &K| listings.iter().filter(|l| l.as_ref().contains(k)).count() >= quorum;
+    let first = listings.iter().flat_map(AsRef::as_ref).filter(|k| shown(k)).min();
+    let verdict = if first == Some(ours) { LockVerdict::Head } else { LockVerdict::Lose };
+    (verdict, held)
 }
 
 /// What one metadata step costs, in Web API calls on each cloud. The
@@ -272,6 +324,34 @@ mod tests {
         assert_eq!(config.backoff_cap(3), Duration::from_secs(4));
         assert_eq!(config.backoff_cap(5), Duration::from_secs(15));
         assert_eq!(config.backoff_cap(u32::MAX), Duration::from_secs(15));
+    }
+
+    #[test]
+    fn lock_verdict_table() {
+        use LockVerdict::{Head, Hold, Lose};
+        // Three clouds, quorum 2, our key 5; a cloud that did not
+        // answer is left out of the listings.
+        let case = |what: &str, listings: &[&[u32]], want: (LockVerdict, usize)| {
+            assert_eq!(lock_verdict(listings, 2, &5), want, "{what}");
+        };
+        case("alone on a majority holds", &[&[5], &[5], &[3, 5]], (Hold, 2));
+        case("alone on every cloud holds", &[&[5], &[5], &[5]], (Hold, 3));
+        case("alone on a minority, first on a majority", &[&[5], &[5, 7], &[5, 7]], (Head, 1));
+        case("a key on a minority does not take the head", &[&[3, 5], &[5, 7], &[5, 7]], (Head, 0));
+        case("a key counts once per listing", &[&[3, 3, 5], &[5], &[7]], (Head, 1));
+        case("a smaller key on a majority wins", &[&[3, 5], &[3, 5], &[5]], (Lose, 1));
+        case("a missing cloud counts for nothing", &[&[5], &[7]], (Lose, 1));
+    }
+
+    #[test]
+    fn a_head_waits_below_max_attempts_and_half_of_delta_t() {
+        let config = LockConfig::default();
+        let half = config.stale_after / 2;
+        let max = config.max_attempts;
+        assert!(config.head_waits(1, Duration::ZERO));
+        assert!(config.head_waits(max - 1, half - Duration::from_nanos(1)));
+        assert!(!config.head_waits(max, Duration::ZERO));
+        assert!(!config.head_waits(1, half));
     }
 
     #[test]
