@@ -53,7 +53,7 @@ else
     echo "    clippy not installed; skipped"
 fi
 
-echo "==> one trace, one artefact, one reader, one per-cloud estimator, one figures binary, one cost statement, one blocking primitive, one fleet event loop, one ingest path, one chunker, one object per op, one hot-folder benchmark, one static policy, one Rabin window, one channel from a landed block to the image, one metric store, one store in the fleet too, one audit of block storage, one statement of segment liveness, one conflict rule, one lock rule (one function the product, the model and the fleet call): the retired names stay retired"
+echo "==> one trace, one artefact, one reader, one per-cloud estimator, one figures binary, one cost statement, one blocking primitive, one fleet event loop, one ingest path, one chunker, one object per op, one hot-folder benchmark, one static policy, one Rabin window, one channel from a landed block to the image, one metric store, one store in the fleet too, one audit of block storage, one statement of segment liveness, one conflict rule, one lock rule (one function the product, the model and the fleet call), one spare rule (a hedge on time): the retired names stay retired"
 # The typed Event ring, the three per-format flags, the second report
 # binary and the streaming health scoreboard (cloud health is a
 # function `obs_report` computes from the series) must not creep back;
@@ -101,9 +101,11 @@ echo "==> one trace, one artefact, one reader, one per-cloud estimator, one figu
 # nor the lock model's own copy of the lock rule and its rule switch,
 # the lock's private round outcome and the fleet's round enum (the lock
 # rule is one function the product, the model and the fleet call:
-# `unidrive_meta::lock_verdict`, with `LockConfig::head_waits`).
+# `unidrive_meta::lock_verdict`, with `LockConfig::head_waits`), nor
+# the download's speed-ratio threshold for a spare (a spare is a hedge
+# on time: it goes out only when it can still win).
 # (The bracketed letters keep this line from matching itself.)
-if grep -rnE '\bEvent::|Traced[E]vent|--metrics-[o]ut|--trace-[o]ut|--series-[o]ut|trace_[r]eport|Health[T]racker|Health[B]oard|Cloud[H]ealth|Health[C]onfig|to_json_with_[h]ealth|unidrive-[h]ealth/v1|native_[a]ppend|supports_conditional_[p]ut|max_object_[b]ytes|run_[a]ll|meta_mode_from_[a]rgs|FleetLock[P]arams|LOCK_[O]PS|OPLOG_APPEND_[O]PS|OPLOG_COMPACT_[O]PS|Sema[p]hore|SimQ[u]eue|RuntimeH[a]ndle|TransferE[r]ror|set_link_[e]nabled|deregister_[t]hread|instantaneous_[r]ate|Watchdog[C]onfig|FlightR[e]corder|partition_[w]indow|merge_by_[k]ey|shard_[o]f|--sh[a]rds|sim::sh[a]rd|cut_points_paral[l]el|WorkerP[o]ol|par_map_ind[e]xed|ingest_thre[a]ds|resync_sk[i]ps|--cuts-[o]ut|ChunkSt[a]ts|GearH[a]sh|ChunkerK[i]nd|ingest_g[e]ar|gear_cut_p[o]ints|gear_r[o]ll|GEAR_[W]INDOW|with_p[o]ly|set_flat_prob[a]bility|frame_ch[u]nks|unframe_ch[u]nks|op_file_n[a]me|my_fr[a]mes|parse_op_file_n[a]me|bench_opl[o]g|BENCH_opl[o]g|compare_opl[o]g|compare_fl[e]et|validate_opl[o]g|BenchUploadP[o]licy|BenchDownloadP[o]licy|BenchBl[o]ck|RabinH[a]sh::new\([^)]|fn w[i]ndow\(|detach_after_availa[b]ility|UploadOpt[i]ons|set_chunk_thre[s]hold|set_ga[u]ge|enable_se[r]ies|series_ena[b]led|counter_s[u]m|metrics_j[s]on|CounterN[a]mes|obs\.in[c]\(|SCHEMA_COUN[T]ERS|fn b[u]mp\(|Histogram::def[a]ult|ThrottledCl[o]ud|starvation_au[d]it|trim_pl[a]n|trim_overprovision[e]d|delete_label[l]ed|unnamed_block_ob[j]ects|recompute_refcount[s]|\.refcou[n]t|refcount: u3[2]|TreeDel[t]a|EntryChan[g]e|pub struct Confli[c]t\b|Rule::Pap[e]r|Rule::Qu[e]ue|enum RoundOu[t]come|RoundOutcome::W[o]n|Round::Wa[i]ts|Round::Wo[n]\b' \
+if grep -rnE '\bEvent::|Traced[E]vent|--metrics-[o]ut|--trace-[o]ut|--series-[o]ut|trace_[r]eport|Health[T]racker|Health[B]oard|Cloud[H]ealth|Health[C]onfig|to_json_with_[h]ealth|unidrive-[h]ealth/v1|native_[a]ppend|supports_conditional_[p]ut|max_object_[b]ytes|run_[a]ll|meta_mode_from_[a]rgs|FleetLock[P]arams|LOCK_[O]PS|OPLOG_APPEND_[O]PS|OPLOG_COMPACT_[O]PS|Sema[p]hore|SimQ[u]eue|RuntimeH[a]ndle|TransferE[r]ror|set_link_[e]nabled|deregister_[t]hread|instantaneous_[r]ate|Watchdog[C]onfig|FlightR[e]corder|partition_[w]indow|merge_by_[k]ey|shard_[o]f|--sh[a]rds|sim::sh[a]rd|cut_points_paral[l]el|WorkerP[o]ol|par_map_ind[e]xed|ingest_thre[a]ds|resync_sk[i]ps|--cuts-[o]ut|ChunkSt[a]ts|GearH[a]sh|ChunkerK[i]nd|ingest_g[e]ar|gear_cut_p[o]ints|gear_r[o]ll|GEAR_[W]INDOW|with_p[o]ly|set_flat_prob[a]bility|frame_ch[u]nks|unframe_ch[u]nks|op_file_n[a]me|my_fr[a]mes|parse_op_file_n[a]me|bench_opl[o]g|BENCH_opl[o]g|compare_opl[o]g|compare_fl[e]et|validate_opl[o]g|BenchUploadP[o]licy|BenchDownloadP[o]licy|BenchBl[o]ck|RabinH[a]sh::new\([^)]|fn w[i]ndow\(|detach_after_availa[b]ility|UploadOpt[i]ons|set_chunk_thre[s]hold|set_ga[u]ge|enable_se[r]ies|series_ena[b]led|counter_s[u]m|metrics_j[s]on|CounterN[a]mes|obs\.in[c]\(|SCHEMA_COUN[T]ERS|fn b[u]mp\(|Histogram::def[a]ult|ThrottledCl[o]ud|starvation_au[d]it|trim_pl[a]n|trim_overprovision[e]d|delete_label[l]ed|unnamed_block_ob[j]ects|recompute_refcount[s]|\.refcou[n]t|refcount: u3[2]|TreeDel[t]a|EntryChan[g]e|pub struct Confli[c]t\b|Rule::Pap[e]r|Rule::Qu[e]ue|enum RoundOu[t]come|RoundOutcome::W[o]n|Round::Wa[i]ts|Round::Wo[n]\b|DUP_SPEED_R[A]TIO' \
     crates src tests examples ci.sh; then
     echo "    retired name found (see matches above)"
     exit 1
@@ -287,10 +289,12 @@ echo "==> s3 backend: real-socket sync gate"
 # loopback wire is syncbench's `http.*` ledger rows.
 cargo test --offline --release --test s3_sync -q
 
-echo "==> copy budget: a 1 MiB block over MockS3 allocates ≤ 1.25x per PUT, ≤ 2.25x per GET, one stripe per encode"
+echo "==> copy budget: a 1 MiB block over MockS3 allocates ≤ 1.25x per PUT, ≤ 1.25x per GET, one stripe per encode"
 # A counting global allocator in its own test binary holds DESIGN §4
 # decision 7's table: every layer between encoder and socket hands on
-# the same buffer (before: PUT 4.06x, GET 5.00x, encode 2 stripes).
+# the same buffer, and a chunked body is read into one buffer reserved
+# from the decoded length the server states (before: PUT 4.06x, GET
+# 5.00x, encode 2 stripes; GET 2.00x while the buffer grew by doubling).
 cargo test --offline --release -p unidrive-cloud --test payload_copies -q
 
 echo "==> segment reuse: an edit downloads about one segment; stale bases, conflicts, stragglers"
@@ -335,8 +339,8 @@ hot() { # WORKLOAD "METRIC=VALUE ..."
         $1 in want { print "    " w " " $1 " " $2; if ($2 "" != want[$1]) { print "    pinned: " want[$1]; bad = 1 }; delete want[$1] }
         END { for (m in want) { print "    " w ": no " m; bad = 1 }; exit bad }' "$out/$1.txt"
 }
-hot hot_lock "sync_up_s=4.220945 sync_down_s=2.525985 converge_s=13.797341 cloud_ops_per_round=581.850000 wire_bytes_per_payload_byte=13.874878 stored_bytes_per_live_byte=2.386793"
-hot hot_oplog "sync_up_s=0.539353 sync_down_s=1.076483 converge_s=2.406005 cloud_ops_per_round=369.833333 wire_bytes_per_payload_byte=9.718547 stored_bytes_per_live_byte=2.427819"
+hot hot_lock "sync_up_s=4.294644 sync_down_s=0.528993 converge_s=7.455417 cloud_ops_per_round=389.675000 wire_bytes_per_payload_byte=10.121136 stored_bytes_per_live_byte=2.385105"
+hot hot_oplog "sync_up_s=0.545343 sync_down_s=0.881915 converge_s=1.691120 cloud_ops_per_round=259.208333 wire_bytes_per_payload_byte=8.682576 stored_bytes_per_live_byte=2.430497"
 for m in sync_up_s converge_s; do
     awk -v m="$m" '$1 == m { v[FILENAME] = $2 + 0 }
         END { print "    " m ": oplog " v[ARGV[1]] " < lock " v[ARGV[2]]; exit !(v[ARGV[1]] < v[ARGV[2]]) }' \

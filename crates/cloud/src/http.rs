@@ -49,6 +49,12 @@ const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 /// Bodies at or above this size are written with chunked
 /// transfer-encoding by [`write_response`] when `chunked` is requested.
 const CHUNK_SIZE: usize = 64 * 1024;
+/// The response header in which [`write_response`] states a chunked
+/// body's decoded length. A chunked body has no length up front: the
+/// reader reserves its buffer once from this hint (capped by its body
+/// limit) instead of growing it chunk by chunk. The hint only sizes
+/// that buffer: the chunks alone say where the body ends.
+const DECODED_LENGTH: &str = "x-amz-decoded-content-length";
 
 /// One parsed HTTP request (either side of the wire).
 #[derive(Debug, Clone)]
@@ -204,7 +210,8 @@ fn read_body<R: BufRead>(
 ) -> io::Result<Bytes> {
     if let Some(te) = header(headers, "Transfer-Encoding") {
         if te.eq_ignore_ascii_case("chunked") {
-            return read_chunked(r, max);
+            let hint = header(headers, DECODED_LENGTH).and_then(|v| v.parse().ok());
+            return read_chunked(r, max, hint);
         }
         return Err(invalid("unsupported transfer-encoding"));
     }
@@ -231,11 +238,13 @@ fn read_body<R: BufRead>(
 }
 
 /// Reads a chunked body: hex-sized chunks, a zero-size terminator, and
-/// an (ignored) trailer section. The buffer grows geometrically as
-/// chunks arrive; adopting it as `Bytes` trims the spare capacity, so
-/// the body never pins up to twice its length.
-fn read_chunked<R: BufRead>(r: &mut R, max: usize) -> io::Result<Bytes> {
-    let mut body = Vec::new();
+/// an (ignored) trailer section. The buffer is reserved once from
+/// `hint`, the decoded length the sender stated, capped by `max`; past
+/// a short or missing hint it grows geometrically as chunks arrive.
+/// Adopting it as `Bytes` trims the spare capacity (a long hint's
+/// included), so the body never pins more than its length.
+fn read_chunked<R: BufRead>(r: &mut R, max: usize, hint: Option<usize>) -> io::Result<Bytes> {
+    let mut body = Vec::with_capacity(hint.map_or(0, |h| h.min(max)));
     loop {
         let line = read_line(r)?.ok_or_else(|| invalid("EOF inside chunked body"))?;
         let size_part = line.split(';').next().unwrap_or("").trim();
@@ -350,6 +359,7 @@ pub fn write_response<W: Write>(w: &mut W, resp: &HttpResponse, chunked: bool) -
         return w.flush();
     }
     if chunked && !resp.body.is_empty() {
+        head.push_str(&format!("{DECODED_LENGTH}: {}\r\n", resp.body.len()));
         head.push_str("Transfer-Encoding: chunked\r\n\r\n");
         w.write_all(head.as_bytes())?;
         for chunk in resp.body.chunks(CHUNK_SIZE) {
@@ -722,9 +732,9 @@ mod tests {
         // Honest chunks that add up past the limit are refused at the
         // chunk that crosses it.
         let mut r = BufReader::new(Cursor::new(b"3\r\nabc\r\n3\r\ndef\r\n0\r\n\r\n".to_vec()));
-        assert!(over_the_limit(read_chunked(&mut r, 5).unwrap_err()));
+        assert!(over_the_limit(read_chunked(&mut r, 5, None).unwrap_err()));
         let mut r = BufReader::new(Cursor::new(b"3\r\nabc\r\n3\r\ndef\r\n0\r\n\r\n".to_vec()));
-        assert_eq!(&read_chunked(&mut r, 6).unwrap()[..], b"abcdef");
+        assert_eq!(&read_chunked(&mut r, 6, None).unwrap()[..], b"abcdef");
     }
 
     #[test]
@@ -738,6 +748,67 @@ mod tests {
         let head = b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\nabc".to_vec();
         let resp = read_response(&mut BufReader::new(Cursor::new(head))).unwrap();
         assert_eq!(&resp.body[..], b"abc");
+    }
+
+    /// The chunked framing, case by case. The stated decoded length only
+    /// sizes the buffer: a right, short, long, absent, garbled or
+    /// oversized hint reads the same body, and a torn body or one over
+    /// the limit fails as it does with no hint.
+    #[test]
+    fn a_chunked_body_reads_alike_whatever_its_length_hint_says() {
+        let body: Vec<u8> = (0..150_000u32).map(|i| (i % 251) as u8).collect();
+        let wire = |hint: Option<String>| {
+            let mut wire = b"HTTP/1.1 200 OK\r\n".to_vec();
+            if let Some(hint) = hint {
+                wire.extend(format!("{DECODED_LENGTH}: {hint}\r\n").into_bytes());
+            }
+            wire.extend(b"Transfer-Encoding: chunked\r\n\r\n");
+            for chunk in body.chunks(CHUNK_SIZE) {
+                wire.extend(format!("{:x}\r\n", chunk.len()).into_bytes());
+                wire.extend(chunk);
+                wire.extend(b"\r\n");
+            }
+            wire.extend(b"0\r\n\r\n");
+            wire
+        };
+        let read = |wire: &[u8]| read_response(&mut BufReader::new(Cursor::new(wire.to_vec())));
+        // What the writer sends states the right length.
+        let mut written = Vec::new();
+        let resp = HttpResponse::new(200, "OK").body(body.clone());
+        write_response(&mut written, &resp, true).unwrap();
+        assert_eq!(written, wire(Some(body.len().to_string())));
+        let hints = [
+            ("right", Some(body.len().to_string())),
+            ("absent", None),
+            ("short", Some("1000".to_owned())),
+            ("long", Some((10 * body.len()).to_string())),
+            ("garbled", Some("lots".to_owned())),
+            ("over the body limit", Some((MAX_BODY + 1).to_string())),
+            ("past usize", Some("99999999999999999999999".to_owned())),
+        ];
+        for (case, hint) in &hints {
+            let resp = read(&wire(hint.clone())).unwrap_or_else(|e| panic!("{case}: {e}"));
+            assert_eq!(resp.body[..], body[..], "{case}");
+        }
+        // Torn inside the second chunk: the same error with any hint.
+        let torn = |hint: Option<String>| {
+            let wire = wire(hint);
+            read(&wire[..wire.len() / 2]).unwrap_err().kind()
+        };
+        for (case, hint) in &hints {
+            assert_eq!(torn(hint.clone()), torn(None), "torn, {case}");
+            assert_eq!(torn(None), io::ErrorKind::UnexpectedEof);
+        }
+        // A hint past the limit reserves only up to it (usize::MAX
+        // bytes reserved would abort the process), and a body past
+        // the limit is refused whatever the hint says.
+        let chunks = b"3\r\nabc\r\n3\r\ndef\r\n0\r\n\r\n";
+        for hint in [None, Some(3), Some(6), Some(usize::MAX)] {
+            let mut r = BufReader::new(Cursor::new(chunks.to_vec()));
+            assert_eq!(&read_chunked(&mut r, 6, hint).unwrap()[..], b"abcdef");
+            let mut r = BufReader::new(Cursor::new(chunks.to_vec()));
+            assert!(over_the_limit(read_chunked(&mut r, 5, hint).unwrap_err()));
+        }
     }
 
     #[test]

@@ -98,14 +98,15 @@ fn a_put_allocates_the_payload_once_the_servers_read_buffer() {
 }
 
 #[test]
-fn a_get_allocates_the_payload_once_plus_its_chunked_growth() {
+fn a_get_allocates_the_payload_once_the_clients_read_buffer() {
     let _serial = SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let (_server, cloud, data) = warm_cloud();
     let mut got = Bytes::new();
     let ratio = payloads_allocated(|| got = cloud.download("blocks/b").unwrap());
     eprintln!("1 MiB GET allocates {ratio:.2}x the payload");
-    // The body arrives chunked; its buffer doubles as chunks land.
-    assert!(ratio <= 2.25, "GET allocated {ratio:.2}x the payload");
+    // The body arrives chunked; its buffer is reserved once from the
+    // decoded length the server states.
+    assert!(ratio <= 1.25, "GET allocated {ratio:.2}x the payload");
     assert_eq!(got, data);
 }
 

@@ -475,25 +475,6 @@ impl UniDriveClient {
             report.uploaded.push(segmentation.path.clone());
             committed_stats.insert(segmentation.path.clone(), Some(stat));
         }
-        // The sink is the one way a landed block reaches the image: it
-        // holds this pass's placements and those background reliability
-        // workers reported since the last commit. Drain it only now that
-        // this pass's segments are pooled, so that none is missed.
-        let drained: Vec<(SegmentId, BlockRef)> =
-            std::mem::take(&mut *self.pending_blocks.lock());
-        let mut drained_new = false;
-        let mut unrecorded = Vec::new();
-        for &(id, block) in &drained {
-            // Only record blocks for segments the metadata tracks. One it
-            // does not track is a deferred file's or a straggler of a
-            // segment GC has already dropped, which no image will name
-            // again: `unpooled` deletes those at the end of the pass.
-            if local.segment(&id).is_some() {
-                drained_new |= local.record_block(id, block);
-            } else {
-                unrecorded.push((id, block));
-            }
-        }
         for (change, _) in &changes {
             if let LocalChange::Deleted { path } = change {
                 local.delete_file(path);
@@ -502,11 +483,22 @@ impl UniDriveClient {
             }
         }
         let nothing = report.uploaded.is_empty() && report.deleted_remotely.is_empty();
-        if nothing && !drained_new && self.resolved.is_empty() {
-            // Nothing became committable (e.g. total upload failure, or
-            // a pass woken only by stragglers of collected segments).
-            self.plane.delete_blocks(unpooled(&unrecorded, &local), round);
-            return Ok(report);
+        if nothing && self.resolved.is_empty() {
+            // Only the sink can make this pass commit: a placement of a
+            // segment `local` pools and does not name yet. Without one,
+            // nothing became committable (e.g. total upload failure, or
+            // a pass woken only by stragglers of collected segments):
+            // the sink empties here, and the stragglers are deleted.
+            let mut sink = self.pending_blocks.lock();
+            let names = |(id, b): &(SegmentId, BlockRef)| {
+                local.segment(id).is_some_and(|e| !e.blocks.contains(b))
+            };
+            if !sink.iter().any(names) {
+                let stragglers = std::mem::take(&mut *sink);
+                drop(sink);
+                self.plane.delete_blocks(unpooled(&stragglers, &local), round);
+                return Ok(report);
+            }
         }
 
         // 3. Transact through the metadata plane (lines 4–14): the
@@ -518,13 +510,37 @@ impl UniDriveClient {
         let rt = Arc::clone(&self.rt);
         let ancestor = self.original.clone();
         let mut counter = self.counter;
-        let placed: HashSet<(SegmentId, BlockRef)> = drained.iter().copied().collect();
+        let sink = Arc::clone(&self.pending_blocks);
+        let mut drained: Vec<(SegmentId, BlockRef)> = Vec::new();
+        let mut unrecorded: Vec<(SegmentId, BlockRef)> = Vec::new();
         let mut garbage: Vec<(SegmentId, unidrive_meta::SegmentEntry)> = Vec::new();
         let mut collected: HashSet<SegmentId> = HashSet::new();
         let mut had_cloud_update = false;
         let transacted = self.meta.transact(&ancestor, round, &mut |remote| {
+            // The sink is the one way a landed block reaches the image:
+            // it holds this pass's placements and those background
+            // reliability workers reported since the last commit.
+            // Drained here, under the transaction, it also holds every
+            // block that landed while the pass waited for the lock.
+            drained = std::mem::take(&mut *sink.lock());
+            let mut recorded = 0u64;
+            unrecorded.clear();
+            for &(id, block) in &drained {
+                // Only record blocks for segments the metadata tracks.
+                // One it does not track is a deferred file's or a
+                // straggler of a segment GC has already dropped, which
+                // no image will name again: `unpooled` deletes those
+                // at the end of the pass.
+                if local.segment(&id).is_some() {
+                    recorded += u64::from(local.record_block(id, block));
+                } else {
+                    unrecorded.push((id, block));
+                }
+            }
+            let placed: HashSet<(SegmentId, BlockRef)> = drained.iter().copied().collect();
             let mut merge_span = obs.span("meta.merge", round);
             merge_span.attr_str("device", device.as_str());
+            merge_span.attr_u64("placements", recorded);
             let (merged, cloud_update) = match remote {
                 // The merge triggers on image inequality (not stamp
                 // inequality): under the lock the two are equivalent,

@@ -6,9 +6,13 @@
 //! for the earliest unfinished segment — so faster clouds, whose
 //! connections go idle more often, naturally contribute more blocks
 //! (and over-provisioned blocks give them more to contribute). With
-//! in-channel probing enabled, an idle fast cloud may additionally
-//! duplicate a block that is in flight on a much slower cloud,
-//! protecting the tail.
+//! in-channel probing enabled, an idle cloud *hedges* ("The Tail at
+//! Scale", Dean and Barroso, CACM 2013): once a block of the segment
+//! has been in flight as long as this cloud would take for the whole
+//! block by its probed speed, it fetches a spare if the spare would
+//! still land before that block is due, and the segment completes from
+//! whichever k blocks arrive first. A spare that cannot win costs a
+//! block of bytes and holds the batch open until it lands.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -133,8 +137,9 @@ struct FetchState {
     requested: HashSet<u16>,
     /// Spare blocks requested beyond k (probing tail protection).
     over_requests: usize,
-    /// Which cloud each in-flight request is on: index → cloud.
-    inflight: HashMap<u16, usize>,
+    /// Which cloud each in-flight request is on, and since when:
+    /// index → (cloud, start).
+    inflight: HashMap<u16, (usize, Time)>,
     /// Failed attempts per block index. A block whose holder keeps
     /// erroring without reporting itself unavailable (a deleted
     /// directory reads as `NotFound`, not `Unavailable`) would
@@ -153,6 +158,8 @@ struct DownloadState {
     cloud_alive: Vec<bool>,
     finished: bool,
     timeline: Vec<(Time, SegmentId)>,
+    /// When the last `next_job` that found nothing could find a hedge.
+    hedge_due: Option<Time>,
 }
 
 struct Job {
@@ -214,6 +221,7 @@ impl DataPlane {
             cloud_alive: vec![true; n_clouds],
             finished: fetches.is_empty(),
             timeline: Vec::new(),
+            hedge_due: None,
         };
         let fetched = fetches.len() as u64;
         let local_hits = local.len() as u64;
@@ -261,8 +269,8 @@ impl DataPlane {
 }
 
 /// Download-side scheduling brain: earliest-unfinished-segment
-/// dispatch, probing-gated primaries, and tail duplication, driven by
-/// the shared engine.
+/// dispatch, probing-gated primaries, and hedged spares, driven by the
+/// shared engine.
 struct DownloadPolicy {
     st: DownloadState,
     segments: HashMap<SegmentId, Bytes>,
@@ -278,14 +286,9 @@ struct DownloadPolicy {
 impl TransferPolicy for DownloadPolicy {
     type Token = Job;
 
-    fn next_job(&mut self, cloud: CloudId) -> Option<JobDesc<Job>> {
-        let job = next_job(
-            &mut self.st,
-            cloud.0,
-            self.k,
-            self.probing,
-            &self.probe,
-        )?;
+    fn next_job(&mut self, cloud: CloudId, now: Time) -> Option<JobDesc<Job>> {
+        let (k, probing) = (self.k, self.probing);
+        let job = next_job(&mut self.st, cloud.0, now, k, probing, &self.probe, &self.codec)?;
         let path = block_path(&self.st.fetches[job.fetch].id, job.index);
         Some(JobDesc {
             index: job.index,
@@ -297,6 +300,10 @@ impl TransferPolicy for DownloadPolicy {
         })
     }
 
+    fn wake_at(&self) -> Option<Time> {
+        self.st.hedge_due
+    }
+
     fn is_done(&self) -> bool {
         self.st.finished
     }
@@ -305,7 +312,7 @@ impl TransferPolicy for DownloadPolicy {
         let data = data.expect("download job completed without data");
         let fetch = &mut self.st.fetches[job.fetch];
         let seg_id = fetch.id;
-        if fetch.inflight.get(&job.index) == Some(&cloud.0) {
+        if fetch.inflight.get(&job.index).is_some_and(|(c, _)| *c == cloud.0) {
             fetch.inflight.remove(&job.index);
         }
         // Torn blocks must be surfaced, not masked: a block whose length
@@ -366,7 +373,7 @@ impl TransferPolicy for DownloadPolicy {
 
     fn on_failure(&mut self, cloud: CloudId, job: Job, error: CloudError, _now: Time) {
         let fetch = &mut self.st.fetches[job.fetch];
-        if fetch.inflight.get(&job.index) == Some(&cloud.0) {
+        if fetch.inflight.get(&job.index).is_some_and(|(c, _)| *c == cloud.0) {
             fetch.inflight.remove(&job.index);
         }
         let bounces = fetch.bounces.entry(job.index).or_insert(0);
@@ -419,22 +426,24 @@ fn decode_segment(
     Ok(Bytes::from(plain))
 }
 
-/// Tail-duplication threshold: an idle cloud duplicates a block in
-/// flight on a cloud at least this many times slower.
-const DUP_SPEED_RATIO: f64 = 1.5;
-
-/// Picks the next block an idle connection of `cloud` should fetch.
+/// Picks the next block an idle connection of `cloud` should fetch at
+/// `now`. Finding none, it leaves in `st.hedge_due` the earliest
+/// instant a hedge of this cloud falls due.
 fn next_job(
     st: &mut DownloadState,
     cloud: usize,
+    now: Time,
     k: usize,
     probing: bool,
     probe: &BandwidthProbe,
+    codec: &Codec,
 ) -> Option<Job> {
+    st.hedge_due = None;
     if !st.cloud_alive[cloud] {
         return None;
     }
     let my_speed = probe.speed(unidrive_cloud::CloudId(cloud));
+    let mut hedge_due: Option<Time> = None;
     for fi in 0..st.fetches.len() {
         let fetch = &st.fetches[fi];
         if fetch.done || fetch.exhausted {
@@ -467,30 +476,57 @@ fn next_job(
             if !gated {
                 let fetch = &mut st.fetches[fi];
                 fetch.requested.insert(index);
-                fetch.inflight.insert(index, cloud);
+                fetch.inflight.insert(index, (cloud, now));
                 return Some(Job { fetch: fi, index });
             }
         }
-        // Over-request: enough blocks are in flight, but some sit on
-        // much slower clouds — a fast idle connection fetches a *spare*
-        // block (typically an over-provisioned one) so the segment
-        // completes from whichever k arrive first. This is the
-        // download-side payoff of over-provisioning (paper §6.2).
+        // Hedge: enough blocks are in flight, but one of them has been
+        // in flight as long as this cloud would take for a *spare*
+        // block (typically an over-provisioned one), and the spare can
+        // still beat it; the segment completes from whichever k arrive
+        // first. This is the download-side payoff of over-provisioning
+        // (paper §6.2). A hedge not yet due is left in `hedge_due`.
         if probing && outstanding > 0 && fetch.over_requests < k {
-            let stuck_on_slow = fetch.inflight.iter().any(|(_, &other)| {
-                other != cloud
-                    && my_speed > DUP_SPEED_RATIO * probe.speed(unidrive_cloud::CloudId(other))
-            });
-            if stuck_on_slow {
-                let fetch = &mut st.fetches[fi];
-                fetch.over_requests += 1;
-                fetch.requested.insert(index);
-                fetch.inflight.insert(index, cloud);
-                return Some(Job { fetch: fi, index });
+            let len = codec.block_len(fetch.len) as f64;
+            let whole = |c: usize| {
+                Duration::from_secs_f64(len / probe.speed(unidrive_cloud::CloudId(c)).max(1.0))
+            };
+            let mine = whole(cloud);
+            let due = fetch
+                .inflight
+                .values()
+                .filter(|(c, _)| *c != cloud)
+                .filter_map(|&(c, start)| hedge_at(start, now, mine, whole(c)))
+                .min();
+            match due {
+                Some(due) if due <= now => {
+                    let fetch = &mut st.fetches[fi];
+                    fetch.over_requests += 1;
+                    fetch.requested.insert(index);
+                    fetch.inflight.insert(index, (cloud, now));
+                    return Some(Job { fetch: fi, index });
+                }
+                Some(due) => hedge_due = Some(hedge_due.map_or(due, |d| d.min(due))),
+                None => {}
             }
         }
     }
+    st.hedge_due = hedge_due;
     None
+}
+
+/// The first instant, not before `now`, at which a spare that takes
+/// `mine` should shadow a block in flight since `start` on a cloud that
+/// takes `theirs` for it (both by the probe), if there is one. The spare
+/// waits until the block has been in flight for the whole of `mine`, so
+/// a block that lands about when expected costs nothing, and goes out
+/// only while it can still win: while it would land before the block is
+/// due (`elapsed + mine < theirs`). A block past its due time is not
+/// shadowed: how much longer it takes, no estimate tells.
+fn hedge_at(start: Time, now: Time, mine: Duration, theirs: Duration) -> Option<Time> {
+    let last = start + theirs.checked_sub(mine)?;
+    let first = start + mine;
+    (first < last && now < last).then(|| first.max(now))
 }
 
 /// Detects completion: every fetch is done, or stuck fetches cannot make
@@ -541,38 +577,64 @@ mod tests {
     use unidrive_cloud::{CloudSet, CloudStore, SimCloud, SimCloudConfig};
     use unidrive_crypto::Sha1;
     use unidrive_erasure::RedundancyConfig;
+    use unidrive_obs::{Obs, Registry};
     use unidrive_sim::{Runtime, SimRuntime};
 
     struct Rig {
         sim: Arc<SimRuntime>,
         sim_clouds: Vec<Arc<SimCloud>>,
         plane: DataPlane,
+        registry: Arc<Registry>,
     }
 
     fn rig(seed: u64, rates: &[f64]) -> Rig {
+        rig_with(seed, rates, Duration::ZERO)
+    }
+
+    /// Clouds of the given per-connection rates, each request paying
+    /// 100 ms plus up to `jitter` of latency when `jitter` is not zero.
+    fn rig_with(seed: u64, rates: &[f64], jitter: Duration) -> Rig {
         let sim = SimRuntime::new(seed);
         let mut sim_clouds = Vec::new();
         let members: Vec<Arc<dyn CloudStore>> = rates
             .iter()
             .enumerate()
             .map(|(i, &r)| {
-                let c = Arc::new(SimCloud::new(
-                    &sim,
-                    format!("c{i}"),
-                    SimCloudConfig::steady(r, r * 5.0),
-                ));
+                let mut config = SimCloudConfig::steady(r, r * 5.0);
+                if !jitter.is_zero() {
+                    let latency = Duration::from_millis(100);
+                    config.up = config.up.with_latency(latency, jitter);
+                    config.down = config.down.with_latency(latency, jitter);
+                }
+                let c = Arc::new(SimCloud::new(&sim, format!("c{i}"), config));
                 sim_clouds.push(Arc::clone(&c));
                 c as Arc<dyn CloudStore>
             })
             .collect();
-        let redundancy = RedundancyConfig::new(rates.len(), 3, 3, 2).unwrap();
-        let config = DataPlaneConfig::with_params(redundancy, 64 * 1024);
-        let plane = DataPlane::new(sim.clone().as_runtime(), CloudSet::new(members), config);
+        let registry = Registry::new();
+        let plane = DataPlane::new(
+            sim.clone().as_runtime(),
+            CloudSet::new(members),
+            plane_config(rates.len(), &registry),
+        );
         Rig {
             sim,
             sim_clouds,
             plane,
+            registry,
         }
+    }
+
+    fn plane_config(clouds: usize, registry: &Arc<Registry>) -> DataPlaneConfig {
+        let redundancy = RedundancyConfig::new(clouds, 3, 3, 2).unwrap();
+        let mut config = DataPlaneConfig::with_params(redundancy, 64 * 1024);
+        config.obs = Obs::with_registry(Arc::clone(registry));
+        config
+    }
+
+    /// Spares fetched so far by the rig's planes.
+    fn spares(r: &Rig) -> u64 {
+        r.registry.series_snapshot().merged("download.over_requests").sum
     }
 
     fn upload_one(rig: &Rig, size: usize, tag: u8) -> (SegmentId, Vec<u8>, Vec<BlockRef>) {
@@ -740,6 +802,89 @@ mod tests {
             report.failed[0],
             DownloadError::NotEnoughBlocks { .. }
         ));
+    }
+
+    /// Equal clouds whose requests pay 100–400 ms of latency: a spare
+    /// could never land before the block it would shadow is due, so
+    /// eight segments fetch with no spare. (The ratio rule this replaced
+    /// fetched 7 here: the estimates of equal clouds swing apart with
+    /// the latency draws.)
+    #[test]
+    fn equal_clouds_fetch_no_spare() {
+        let r = rig_with(10, &[1e6; 5], Duration::from_millis(300));
+        let uploads: Vec<_> = (0..8).map(|i| upload_one(&r, 60_000, 21 + i)).collect();
+        let fetches = uploads.iter().map(|(id, data, blocks)| SegmentFetch {
+            id: *id,
+            len: data.len() as u64,
+            blocks: blocks.clone(),
+        });
+        let report = r.plane.download_segments(fetches.collect(), None);
+        assert!(report.is_complete(), "failures: {:?}", report.failed);
+        for (id, data, _) in &uploads {
+            assert_eq!(report.segments[id], data[..]);
+        }
+        assert_eq!(spares(&r), 0);
+    }
+
+    /// Cloud 0 serves 1 MB/s, the rest 10 MB/s. A reader whose probe
+    /// has measured nothing rates every cloud alike, so cloud 0 takes a
+    /// primary. Once cloud 1 has measured itself on its own primary, the
+    /// block on cloud 0 is due long after a spare from cloud 1 would
+    /// land: cloud 1 hedges, and the segment completes from the spare,
+    /// as early as under the ratio rule this replaced (50 ms: it sent the
+    /// same spare at the same instant).
+    #[test]
+    fn a_block_stuck_on_a_slow_cloud_is_hedged() {
+        let r = rig(11, &[1e6, 1e7, 1e7, 1e7, 1e7]);
+        let (id, data, blocks) = upload_one(&r, 150_000, 23);
+        let on = |cloud: u16| *blocks.iter().find(|b| b.cloud == cloud).expect("a block per cloud");
+        // Cloud 1 also holds cloud 3's block: the spare it hedges with.
+        let spare = on(3);
+        let path = block_path(&id, spare.index);
+        let copy = r.plane.clouds().get(unidrive_cloud::CloudId(3)).download(&path).unwrap();
+        r.plane.clouds().get(unidrive_cloud::CloudId(1)).upload(&path, copy).unwrap();
+        let spare = BlockRef { cloud: 1, ..spare };
+        // One connection per cloud, and a probe that has measured nothing.
+        let mut config = plane_config(5, &r.registry);
+        config.connections_per_cloud = 1;
+        let cold = DataPlane::new(r.sim.clone().as_runtime(), r.plane.clouds().clone(), config);
+        let fetch = SegmentFetch {
+            id,
+            len: data.len() as u64,
+            blocks: vec![on(0), on(1), on(2), spare],
+        };
+        let report = cold.download_segments(vec![fetch], None);
+        assert!(report.is_complete(), "failures: {:?}", report.failed);
+        assert_eq!(report.segments[&id], data);
+        assert_eq!(spares(&r), 1, "the block on the slow cloud was not hedged");
+        let took = report.total_duration();
+        assert!(took <= Duration::from_millis(50), "the segment took {took:?}");
+    }
+
+    /// The hedge's time rule, case by case, for a block in flight since
+    /// 10 s: a spare of 2 s against a block due after 10 s may go out
+    /// from 12 s (in flight as long as the spare takes) until 18 s (the
+    /// last instant it lands first); against one due after 4 s or less,
+    /// never.
+    #[test]
+    fn a_spare_goes_out_while_it_can_still_win() {
+        let s = |secs: u64| Time::from_secs(secs);
+        let d = Duration::from_secs;
+        let case = |now: u64, theirs: u64, want: Option<Time>| {
+            let got = hedge_at(s(10), s(now), d(2), d(theirs));
+            assert_eq!(got, want, "now {now}, theirs {theirs}");
+        };
+        case(10, 10, Some(s(12)));
+        case(11, 10, Some(s(12)));
+        case(12, 10, Some(s(12)));
+        case(17, 10, Some(s(17)));
+        case(18, 10, None);
+        case(30, 10, None);
+        case(10, 4, None);
+        case(10, 3, None);
+        case(10, 5, Some(s(12)));
+        case(12, 5, Some(s(12)));
+        case(13, 5, None);
     }
 
     #[test]

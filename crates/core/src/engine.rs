@@ -17,7 +17,10 @@
 //! park on a [`Notifier`] (an eventcount) instead of polling: each
 //! completion or failure broadcasts, so an idle connection re-polls its
 //! policy only when the schedulable state may actually have changed —
-//! no timer churn in the simulator, no busy-wait under wall clock.
+//! no timer churn in the simulator, no busy-wait under wall clock. The
+//! one other change is time itself: a policy that will have work at a
+//! known instant says so ([`TransferPolicy::wake_at`]), and one alarm
+//! actor broadcasts then.
 //!
 //! Callers do not start engines: a batch that is joined before its
 //! caller moves on goes through [`run_batch`], which also owns the
@@ -109,8 +112,17 @@ pub trait TransferPolicy: Send + 'static {
     type Token: Send;
 
     /// Picks the next job for an idle connection of `cloud`, or `None`
-    /// if that cloud has nothing useful to do right now.
-    fn next_job(&mut self, cloud: CloudId) -> Option<JobDesc<Self::Token>>;
+    /// if that cloud has nothing useful to do right now. `now` is the
+    /// runtime clock, read by the worker before it took the policy
+    /// lock: under the simulator a clock read must not nest in it.
+    fn next_job(&mut self, cloud: CloudId, now: Time) -> Option<JobDesc<Self::Token>>;
+
+    /// After a `next_job` that returned `None`: the instant at which
+    /// it could return a job with no completion in between, if any.
+    /// The engine wakes its parked workers then.
+    fn wake_at(&self) -> Option<Time> {
+        None
+    }
 
     /// Whether the batch is over (workers exit their loops).
     fn is_done(&self) -> bool;
@@ -214,8 +226,45 @@ impl WorkerSeries {
 /// availability-first upload path).
 pub(crate) struct TransferEngine<P: TransferPolicy> {
     policy: Arc<Mutex<P>>,
-    signal: Arc<dyn Notifier>,
+    wakeups: Arc<Wakeups>,
     workers: Vec<Task<()>>,
+}
+
+/// The wake-ups of one pool: every completion broadcasts on `signal`,
+/// and `alarm` is the instant an armed alarm actor broadcasts next.
+struct Wakeups {
+    signal: Arc<dyn Notifier>,
+    alarm: Mutex<Option<Time>>,
+}
+
+impl Wakeups {
+    /// Makes sure parked workers are woken at `at`: spawns one detached
+    /// actor that sleeps until then and broadcasts, unless an armed one
+    /// broadcasts no later. The actor is not a worker, so a batch that
+    /// finishes first is joined without waiting for it.
+    fn arm(self: &Arc<Self>, rt: &Arc<dyn Runtime>, name: &str, at: Time) {
+        {
+            let mut alarm = self.alarm.lock();
+            if alarm.is_some_and(|armed| armed <= at) {
+                return;
+            }
+            *alarm = Some(at);
+        }
+        let (rt2, wakeups) = (Arc::clone(rt), Arc::clone(self));
+        rt.spawn_raw(
+            name,
+            Box::new(move || {
+                rt2.sleep(at.saturating_duration_since(rt2.now()));
+                {
+                    let mut alarm = wakeups.alarm.lock();
+                    if *alarm == Some(at) {
+                        *alarm = None;
+                    }
+                }
+                wakeups.signal.notify_all();
+            }),
+        );
+    }
 }
 
 impl<P: TransferPolicy> TransferEngine<P> {
@@ -230,11 +279,14 @@ impl<P: TransferPolicy> TransferEngine<P> {
     ) -> Self {
         let born_done = policy.is_done();
         let policy = Arc::new(Mutex::new(policy));
-        let signal = rt.notifier();
+        let wakeups = Arc::new(Wakeups {
+            signal: rt.notifier(),
+            alarm: Mutex::new(None),
+        });
         if born_done {
             return TransferEngine {
                 policy,
-                signal,
+                wakeups,
                 workers: Vec::new(),
             };
         }
@@ -244,7 +296,7 @@ impl<P: TransferPolicy> TransferEngine<P> {
                 let rt2 = Arc::clone(rt);
                 let cloud = Arc::clone(cloud);
                 let policy = Arc::clone(&policy);
-                let signal = Arc::clone(&signal);
+                let wakeups = Arc::clone(&wakeups);
                 let params = params.clone();
                 let retry_label = format!("{}:{}", params.label, cloud.name());
                 let series = WorkerSeries::new(&params.obs, &params.label, cloud.name());
@@ -263,7 +315,7 @@ impl<P: TransferPolicy> TransferEngine<P> {
                             cloud_id,
                             &*cloud,
                             &policy,
-                            &signal,
+                            &wakeups,
                             &params,
                             &series,
                             &retry_label,
@@ -275,7 +327,7 @@ impl<P: TransferPolicy> TransferEngine<P> {
         }
         TransferEngine {
             policy,
-            signal,
+            wakeups,
             workers,
         }
     }
@@ -289,14 +341,14 @@ impl<P: TransferPolicy> TransferEngine<P> {
     /// done, re-checking on every completion broadcast.
     pub fn wait_until(&self, mut cond: impl FnMut(&mut P) -> bool) {
         loop {
-            let seen = self.signal.generation();
+            let seen = self.wakeups.signal.generation();
             {
                 let mut p = self.policy.lock();
                 if cond(&mut p) || p.is_done() {
                     return;
                 }
             }
-            self.signal.wait(seen);
+            self.wakeups.signal.wait(seen);
         }
     }
 
@@ -357,7 +409,7 @@ fn worker_loop<P: TransferPolicy>(
     cloud_id: CloudId,
     cloud: &dyn unidrive_cloud::CloudStore,
     policy: &Arc<Mutex<P>>,
-    signal: &Arc<dyn Notifier>,
+    wakeups: &Arc<Wakeups>,
     params: &EngineParams,
     series: &WorkerSeries,
     retry_label: &str,
@@ -369,18 +421,22 @@ fn worker_loop<P: TransferPolicy>(
     wspan.attr_str("label", params.label.as_str());
     wspan.attr_str("cloud", cloud.name());
     wspan.attr_u64("conn", ctx.conn as u64);
+    let signal = &wakeups.signal;
     let mut jobs_run = 0u64;
     loop {
         // Eventcount protocol: read the generation before polling the
         // policy so a completion landing between the poll and the wait
         // still wakes us (no lost wake-ups).
         let seen = signal.generation();
-        let job = {
+        let now = rt.now();
+        let (job, wake) = {
             let mut p = policy.lock();
             if p.is_done() {
                 break;
             }
-            p.next_job(cloud_id)
+            let job = p.next_job(cloud_id, now);
+            let wake = if job.is_none() { p.wake_at() } else { None };
+            (job, wake)
         };
         let Some(JobDesc {
             token,
@@ -390,6 +446,9 @@ fn worker_loop<P: TransferPolicy>(
             op,
         }) = job
         else {
+            if let Some(at) = wake {
+                wakeups.arm(rt, &format!("{}-alarm", params.label), at);
+            }
             signal.wait(seen);
             continue;
         };
@@ -487,7 +546,7 @@ mod tests {
     impl TransferPolicy for StuckPolicy {
         type Token = ();
 
-        fn next_job(&mut self, _cloud: CloudId) -> Option<JobDesc<()>> {
+        fn next_job(&mut self, _cloud: CloudId, _now: Time) -> Option<JobDesc<()>> {
             None
         }
 
@@ -498,6 +557,71 @@ mod tests {
         fn on_success(&mut self, _: CloudId, _: (), _: Option<Bytes>, _: Time) {}
 
         fn on_failure(&mut self, _: CloudId, _: (), _: CloudError, _: Time) {}
+    }
+
+    /// Has one delete to hand out, and only from `at` on: nothing that
+    /// completes wakes the workers in between, only the alarm.
+    struct LaterPolicy {
+        at: Time,
+        handed: bool,
+        landed: Option<Time>,
+    }
+
+    impl TransferPolicy for LaterPolicy {
+        type Token = ();
+
+        fn next_job(&mut self, _cloud: CloudId, now: Time) -> Option<JobDesc<()>> {
+            if self.handed || now < self.at {
+                return None;
+            }
+            self.handed = true;
+            let op = WireOp::Delete {
+                path: "blocks/x".into(),
+            };
+            Some(JobDesc {
+                token: (),
+                index: 0,
+                extra: false,
+                parent_span: None,
+                op,
+            })
+        }
+
+        fn wake_at(&self) -> Option<Time> {
+            (!self.handed).then_some(self.at)
+        }
+
+        fn is_done(&self) -> bool {
+            self.landed.is_some()
+        }
+
+        fn on_success(&mut self, _: CloudId, _: (), _: Option<Bytes>, now: Time) {
+            self.landed = Some(now);
+        }
+
+        fn on_failure(&mut self, _: CloudId, _: (), _: CloudError, _: Time) {}
+    }
+
+    /// Every worker parks with nothing in flight; the one job is handed
+    /// out at `at`, because the alarm `wake_at` armed wakes them then.
+    #[test]
+    fn an_idle_pool_is_polled_again_when_the_policy_said() {
+        let sim = SimRuntime::new(7);
+        let rt = sim.clone().as_runtime();
+        let clouds = CloudSet::new(
+            (0..2)
+                .map(|i| Arc::new(MemCloud::new(format!("c{i}"))) as Arc<dyn CloudStore>)
+                .collect(),
+        );
+        let params = EngineParams::new("later", 2, RetryPolicy::new(), Obs::noop());
+        let at = rt.now() + Duration::from_secs(3);
+        let policy = LaterPolicy {
+            at,
+            handed: false,
+            landed: None,
+        };
+        let done = run_batch(&rt, &clouds, params, None, &[], policy);
+        assert_eq!(done.landed, Some(at));
     }
 
     #[test]

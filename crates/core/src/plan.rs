@@ -29,8 +29,9 @@ pub struct DataPlaneConfig {
     /// Enable the availability-first / reliability-second two-phase
     /// batch principle. Disabling interleaves both kinds of work.
     pub two_phase: bool,
-    /// Enable in-channel probing (download tail duplication onto faster
-    /// clouds). Disabling reduces downloads to plain idle-pull.
+    /// Enable in-channel probing (download primaries kept off much
+    /// slower clouds, and hedged spares). Disabling reduces downloads to
+    /// plain idle-pull.
     pub probing: bool,
     /// Observability handle threaded through the schedulers and
     /// retries (no-op by default; see `unidrive-obs`).

@@ -74,7 +74,7 @@ impl TransferPolicy for StaticPlan {
     /// `(result slot, whether the job is a delete)`.
     type Token = (usize, bool);
 
-    fn next_job(&mut self, cloud: CloudId) -> Option<JobDesc<Self::Token>> {
+    fn next_job(&mut self, cloud: CloudId, _now: Time) -> Option<JobDesc<Self::Token>> {
         let job = self.queues.get_mut(cloud.0)?.pop_front()?;
         self.inflight += 1;
         Some(JobDesc {

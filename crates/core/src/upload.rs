@@ -333,7 +333,7 @@ struct UploadPolicy {
 impl TransferPolicy for UploadPolicy {
     type Token = Job;
 
-    fn next_job(&mut self, cloud: CloudId) -> Option<JobDesc<Job>> {
+    fn next_job(&mut self, cloud: CloudId, _now: Time) -> Option<JobDesc<Job>> {
         let job = next_job(&mut self.st, cloud.0, self.k, self.cap, &self.config)?;
         let seg = &self.st.segs[job.seg];
         Some(JobDesc {
