@@ -53,7 +53,7 @@ else
     echo "    clippy not installed; skipped"
 fi
 
-echo "==> one trace, one artefact, one reader, one per-cloud estimator, one figures binary, one cost statement, one blocking primitive, one fleet event loop, one ingest path, one chunker, one object per op, one hot-folder benchmark, one static policy, one Rabin window, one channel from a landed block to the image, one metric store, one store in the fleet too, one audit of block storage, one statement of segment liveness, one conflict rule, one lock rule (one function the product, the model and the fleet call), one spare rule (a hedge on time): the retired names stay retired"
+echo "==> one trace, one artefact, one reader, one per-cloud estimator, one figures binary, one cost statement, one blocking primitive, one fleet event loop, one ingest path, one chunker, one object per op, one hot-folder benchmark, one static policy, one Rabin window, one channel from a landed block to the image, one metric store, one store in the fleet too, one audit of block storage, one statement of segment liveness, one conflict rule, one lock rule (one function the product, the model and the fleet call), one spare rule (a hedge on time), one statement of folder semantics: the retired names stay retired"
 # The typed Event ring, the three per-format flags, the second report
 # binary and the streaming health scoreboard (cloud health is a
 # function `obs_report` computes from the series) must not creep back;
@@ -103,9 +103,11 @@ echo "==> one trace, one artefact, one reader, one per-cloud estimator, one figu
 # rule is one function the product, the model and the fleet call:
 # `unidrive_meta::lock_verdict`, with `LockConfig::head_waits`), nor
 # the download's speed-ratio threshold for a spare (a spare is a hedge
-# on time: it goes out only when it can still win).
+# on time: it goes out only when it can still win), nor the op's scalar
+# lamport base (an op's base is the watermark of the fold it was built
+# on; a lamport bound counted unseen writes as seen).
 # (The bracketed letters keep this line from matching itself.)
-if grep -rnE '\bEvent::|Traced[E]vent|--metrics-[o]ut|--trace-[o]ut|--series-[o]ut|trace_[r]eport|Health[T]racker|Health[B]oard|Cloud[H]ealth|Health[C]onfig|to_json_with_[h]ealth|unidrive-[h]ealth/v1|native_[a]ppend|supports_conditional_[p]ut|max_object_[b]ytes|run_[a]ll|meta_mode_from_[a]rgs|FleetLock[P]arams|LOCK_[O]PS|OPLOG_APPEND_[O]PS|OPLOG_COMPACT_[O]PS|Sema[p]hore|SimQ[u]eue|RuntimeH[a]ndle|TransferE[r]ror|set_link_[e]nabled|deregister_[t]hread|instantaneous_[r]ate|Watchdog[C]onfig|FlightR[e]corder|partition_[w]indow|merge_by_[k]ey|shard_[o]f|--sh[a]rds|sim::sh[a]rd|cut_points_paral[l]el|WorkerP[o]ol|par_map_ind[e]xed|ingest_thre[a]ds|resync_sk[i]ps|--cuts-[o]ut|ChunkSt[a]ts|GearH[a]sh|ChunkerK[i]nd|ingest_g[e]ar|gear_cut_p[o]ints|gear_r[o]ll|GEAR_[W]INDOW|with_p[o]ly|set_flat_prob[a]bility|frame_ch[u]nks|unframe_ch[u]nks|op_file_n[a]me|my_fr[a]mes|parse_op_file_n[a]me|bench_opl[o]g|BENCH_opl[o]g|compare_opl[o]g|compare_fl[e]et|validate_opl[o]g|BenchUploadP[o]licy|BenchDownloadP[o]licy|BenchBl[o]ck|RabinH[a]sh::new\([^)]|fn w[i]ndow\(|detach_after_availa[b]ility|UploadOpt[i]ons|set_chunk_thre[s]hold|set_ga[u]ge|enable_se[r]ies|series_ena[b]led|counter_s[u]m|metrics_j[s]on|CounterN[a]mes|obs\.in[c]\(|SCHEMA_COUN[T]ERS|fn b[u]mp\(|Histogram::def[a]ult|ThrottledCl[o]ud|starvation_au[d]it|trim_pl[a]n|trim_overprovision[e]d|delete_label[l]ed|unnamed_block_ob[j]ects|recompute_refcount[s]|\.refcou[n]t|refcount: u3[2]|TreeDel[t]a|EntryChan[g]e|pub struct Confli[c]t\b|Rule::Pap[e]r|Rule::Qu[e]ue|enum RoundOu[t]come|RoundOutcome::W[o]n|Round::Wa[i]ts|Round::Wo[n]\b|DUP_SPEED_R[A]TIO' \
+if grep -rnE '\bEvent::|Traced[E]vent|--metrics-[o]ut|--trace-[o]ut|--series-[o]ut|trace_[r]eport|Health[T]racker|Health[B]oard|Cloud[H]ealth|Health[C]onfig|to_json_with_[h]ealth|unidrive-[h]ealth/v1|native_[a]ppend|supports_conditional_[p]ut|max_object_[b]ytes|run_[a]ll|meta_mode_from_[a]rgs|FleetLock[P]arams|LOCK_[O]PS|OPLOG_APPEND_[O]PS|OPLOG_COMPACT_[O]PS|Sema[p]hore|SimQ[u]eue|RuntimeH[a]ndle|TransferE[r]ror|set_link_[e]nabled|deregister_[t]hread|instantaneous_[r]ate|Watchdog[C]onfig|FlightR[e]corder|partition_[w]indow|merge_by_[k]ey|shard_[o]f|--sh[a]rds|sim::sh[a]rd|cut_points_paral[l]el|WorkerP[o]ol|par_map_ind[e]xed|ingest_thre[a]ds|resync_sk[i]ps|--cuts-[o]ut|ChunkSt[a]ts|GearH[a]sh|ChunkerK[i]nd|ingest_g[e]ar|gear_cut_p[o]ints|gear_r[o]ll|GEAR_[W]INDOW|with_p[o]ly|set_flat_prob[a]bility|frame_ch[u]nks|unframe_ch[u]nks|op_file_n[a]me|my_fr[a]mes|parse_op_file_n[a]me|bench_opl[o]g|BENCH_opl[o]g|compare_opl[o]g|compare_fl[e]et|validate_opl[o]g|BenchUploadP[o]licy|BenchDownloadP[o]licy|BenchBl[o]ck|RabinH[a]sh::new\([^)]|fn w[i]ndow\(|detach_after_availa[b]ility|UploadOpt[i]ons|set_chunk_thre[s]hold|set_ga[u]ge|enable_se[r]ies|series_ena[b]led|counter_s[u]m|metrics_j[s]on|CounterN[a]mes|obs\.in[c]\(|SCHEMA_COUN[T]ERS|fn b[u]mp\(|Histogram::def[a]ult|ThrottledCl[o]ud|starvation_au[d]it|trim_pl[a]n|trim_overprovision[e]d|delete_label[l]ed|unnamed_block_ob[j]ects|recompute_refcount[s]|\.refcou[n]t|refcount: u3[2]|TreeDel[t]a|EntryChan[g]e|pub struct Confli[c]t\b|Rule::Pap[e]r|Rule::Qu[e]ue|enum RoundOu[t]come|RoundOutcome::W[o]n|Round::Wa[i]ts|Round::Wo[n]\b|DUP_SPEED_R[A]TIO|base_lam[p]ort' \
     crates src tests examples ci.sh; then
     echo "    retired name found (see matches above)"
     exit 1
@@ -201,6 +203,11 @@ cmp "$out/cs1.json" "$out/cs2.json"
 cmp "$out/cs1.minplan.json" "$out/cs2.minplan.json"
 cmp "$out/cs1.flight.json" "$out/cs2.flight.json"
 grep -q '"verdict": "PASS"' "$out/cs1.json"
+# The lethal round fails for the reason it was built for: its minimized
+# plan keeps the delayed visibility that splits the lock quorum (a plan
+# without it once failed only the old convergence check, on a pass that
+# committed block placements and reported a no-op).
+grep -q '"kind":"delayed_visibility"' "$out/cs1.minplan.json"
 # A failure replays from its artefact: one round under the minimized
 # plan as read back from disk violates what the verdict recorded.
 want="$(grep -o '"minimized_failed": \[[^]]*\]' "$out/cs1.json" | cut -d' ' -f2)"
@@ -221,15 +228,8 @@ cmp "$out/csh1.json" "$out/csh2.json"
 grep -q '"dipped": true' "$out/cs1.json"
 grep -q '"recovered": true' "$out/cs1.json"
 grep -q '"others_clean": true' "$out/cs1.json"
-# The default run soaks both metadata planes; the oplog-restricted run
-# additionally proves the --meta-mode flag itself is honored and that
-# the oplog plane passes in isolation (torn uploads landing on op
-# objects, which a writer re-sends before anything newer, without the
-# lock plane's rounds masking anything).
-grep -q '"meta_modes": \["lock","oplog"\]' "$out/cs1.json"
-./target/release/chaos_soak quick --meta-mode oplog --out "$out/cso.json" >/dev/null
-grep -q '"meta_modes": \["oplog"\]' "$out/cso.json"
-grep -q '"verdict": "PASS"' "$out/cso.json"
+# Every randomized round runs on both metadata planes.
+grep -q '"mode":"oplog"' "$out/cs1.json"
 
 echo "==> fleet bench: 10k-device quick run, invariants + schema + byte-identical"
 # The fleet simulator must converge with every chaos-soak invariant
@@ -250,7 +250,7 @@ rc=0
 ./target/release/bench_fleet quick --out >/dev/null 2>&1 || rc=$?
 [ "$rc" -eq 2 ]
 rc=0
-./target/release/chaos_soak quick --meta-mode >/dev/null 2>&1 || rc=$?
+./target/release/bench_fleet quick --meta-mode >/dev/null 2>&1 || rc=$?
 [ "$rc" -eq 2 ]
 
 echo "==> fleet series: byte-identical across same-seed runs + one lane per cloud"
@@ -324,6 +324,16 @@ echo "==> lock model: every interleaving of 2-3 devices over 3 clouds keeps one 
 cargo test --offline --release -p unidrive-core --test lock_model -q -- --nocapture >"$out/lock_model.txt"
 awk '/ states$/ { sub(/^[^A-Z]*/, ""); print "    " $0 }' "$out/lock_model.txt"
 
+echo "==> folder spec: both metadata planes produce the spec's folder over random scripts and views"
+# One sequential statement of folder semantics (crates/bench/src/spec.rs)
+# and a property test (crates/bench/tests/folder_spec.rs, run above with
+# the workspace tests): random per-device scripts with copies and
+# resolutions, each commit from a random view, merge3 in a serialization
+# and the oplog fold in (lamport, device, seq) order. It prints what the
+# scripts exercised.
+cargo test --offline -p unidrive-bench --test folder_spec -q -- --nocapture >"$out/folder_spec.txt"
+awk '/folder_spec [a-z]+: / { sub(/^.*folder_spec /, "folder_spec "); print "    " $0; n++ } END { exit n != 2 }' "$out/folder_spec.txt"
+
 echo "==> one hot-folder benchmark: hot_lock/hot_oplog at seed 7 reproduce their pinned numbers, oplog beats lock, the lock queues"
 # The behaviour gate of the real metadata planes: 4 writers over WAN
 # latency, in virtual time, so cloud-op order, retries and quorum
@@ -340,7 +350,7 @@ hot() { # WORKLOAD "METRIC=VALUE ..."
         END { for (m in want) { print "    " w ": no " m; bad = 1 }; exit bad }' "$out/$1.txt"
 }
 hot hot_lock "sync_up_s=4.294644 sync_down_s=0.528993 converge_s=7.455417 cloud_ops_per_round=389.675000 wire_bytes_per_payload_byte=10.121136 stored_bytes_per_live_byte=2.385105"
-hot hot_oplog "sync_up_s=0.545343 sync_down_s=0.881915 converge_s=1.691120 cloud_ops_per_round=259.208333 wire_bytes_per_payload_byte=8.682576 stored_bytes_per_live_byte=2.430497"
+hot hot_oplog "sync_up_s=0.541608 sync_down_s=0.892350 converge_s=1.699942 cloud_ops_per_round=252.250000 wire_bytes_per_payload_byte=8.310343 stored_bytes_per_live_byte=2.451485"
 for m in sync_up_s converge_s; do
     awk -v m="$m" '$1 == m { v[FILENAME] = $2 + 0 }
         END { print "    " m ": oplog " v[ARGV[1]] " < lock " v[ARGV[2]]; exit !(v[ARGV[1]] < v[ARGV[2]]) }' \

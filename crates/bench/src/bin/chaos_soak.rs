@@ -3,31 +3,28 @@
 //! every round (§3.2, §7.3: UniDrive must stay correct while individual
 //! CCSs fail):
 //!
-//! * **durability** — no acknowledged-then-lost data: every file a
-//!   `sync_once` reported as uploaded is readable, byte-identical, on
-//!   every device after the soak;
+//! * **durability** — every device's folder (path → bytes, conflict
+//!   copies included) is the one the folder spec
+//!   (`unidrive_bench::spec`) gives for the commits acknowledged in the
+//!   soak and the convergence passes, and for those a failed pass may
+//!   have made as far as device 0 shows them;
 //! * **lock** — at most one quorum-lock holder at any instant (scanned
 //!   from the `lock.acquire`/`lock.release`/`lock.break` spans);
-//! * **convergence** — once the fault horizon closes, every device's
-//!   `SyncFolderImage` converges to the same encoded bytes.
+//! * **convergence** — once the fault horizon closes, a pass in which
+//!   every device syncs a no-op *and* all images carry one version stamp
+//!   (a pass that commits only block placements is a no-op that moves
+//!   the stamp).
 //!
 //! The randomized plans draw only from *masked* fault kinds (transient
-//! bursts, outages, latency spikes, quota, torn uploads) — faults the
-//! protocol claims to absorb — so every soak round must pass. A final
-//! **lethal** round schedules what the protocol cannot absorb
-//! (delayed-visibility on a lock quorum, plus a torn-upload cloud) and
-//! must *fail*; the failing schedule is then greedily minimized by
-//! dropping events and replaying, and the smallest still-failing plan
-//! is emitted as JSON alongside a flight record of the failing round.
-//!
-//! Every randomized round runs under **both** metadata planes — the
-//! quorum-locked image and the append-only oplog — so the invariants
-//! (durability, convergence, single lock holder) are soaked
-//! against oplog commits too, including torn-upload faults landing on
-//! op objects mid-append. The lethal round always runs the lock plane:
-//! its must-fail verdict depends on delayed visibility breaking the
-//! lock's read-after-write assumption, which the oplog plane absorbs
-//! by construction (ops become visible after the windows close).
+//! bursts, outages, latency spikes, quota, torn uploads), so every soak
+//! round must pass, on both metadata planes (torn uploads landing on op
+//! objects mid-append included). A final **lethal** round, on the lock
+//! plane, schedules what the protocol cannot absorb (delayed visibility
+//! on a lock quorum breaks the lock's read-after-write assumption,
+//! which the oplog plane absorbs by construction) and must *fail*; the
+//! failing schedule is then greedily minimized by dropping events and
+//! replaying, and the smallest still-failing plan is emitted as JSON
+//! alongside a flight record of the failing round.
 //!
 //! Everything runs in virtual time from fixed seeds: same-seed runs
 //! produce byte-identical verdict files (checked in CI, like fig11).
@@ -42,25 +39,22 @@
 //! closes, and no untargeted cloud going `down`. The lanes are
 //! embedded in the verdict.
 //!
-//! Usage: `chaos_soak [quick] [--meta-mode {lock,oplog}]
-//! [--out verdict.json] [--obs-out OBS.json]`, or
-//! `chaos_soak --replay plan.json [--meta-mode {lock,oplog}]`.
-//! `--meta-mode` restricts the randomized rounds to one plane.
-//! `--replay` runs one round under a plan an earlier run wrote
-//! (`*.minplan.json`; the lock plane unless told otherwise), prints
+//! Usage: `chaos_soak [quick] [--out verdict.json] [--obs-out OBS.json]`,
+//! or `chaos_soak --replay plan.json`. `--replay` runs one lock-plane
+//! round under a plan an earlier run wrote (`*.minplan.json`), prints
 //! the invariants it violates and exits 1 if there are any.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use unidrive_bench::plan::read_fault_plan;
-use unidrive_bench::{arg_value, meta_mode_arg, obs_out, paper_client, quick_arg};
+use unidrive_bench::spec::{self, Change, Commit, Entry, Folder, Plane};
+use unidrive_bench::{arg_value, obs_out, paper_client, quick_arg};
 use unidrive_cloud::{
     ChaosCloud, CloudBuilder, CloudSet, CloudStore, FaultEvent, FaultKind, FaultPlan, MemCloud,
     SimCloud, SimCloudConfig,
 };
-use unidrive_core::{MemFolder, SyncFolder, UniDriveClient};
+use unidrive_core::{MemFolder, SyncError, SyncFolder, SyncReport, UniDriveClient};
 use unidrive_meta::MetaMode;
 use unidrive_obs::{
     bundle_json, lane_span, FieldValue, HealthLane, HealthState, Obs, Registry, SpanRecord,
@@ -83,7 +77,7 @@ const HORIZON_SECS: u64 = 300;
 struct RoundOutcome {
     /// Invariants violated (empty = round passed).
     failed: Vec<&'static str>,
-    /// Files acknowledged as uploaded during the soak.
+    /// Changes acknowledged during the soak and convergence.
     acked: usize,
     /// `sync_once` errors tolerated during the soak + convergence.
     sync_errors: usize,
@@ -148,8 +142,30 @@ fn world(plan: &FaultPlan, observed: bool) -> World {
     World { rt, obs, clouds, folders, chaos }
 }
 
-/// Uploads acknowledged by a `sync_once`, with their exact bytes.
-type Acked = Vec<(String, Vec<u8>)>;
+/// A commit one pass may have made: its device, whether the pass
+/// acknowledged it, and its changes.
+type Ack = (usize, bool, Vec<Change<Vec<u8>>>);
+
+/// What [`soak`] returns: the clients, the commits and the sync errors.
+type Soaked = (Vec<UniDriveClient>, Vec<Ack>, usize);
+
+/// What one pass of device `d` committed: an `Ok` pass, the uploads and
+/// deletes its report names; a failed pass, which may have committed
+/// before a later step failed, every file the device wrote (`dev<d>/`).
+fn commit_of(d: usize, folder: &MemFolder, pass: &Result<SyncReport, SyncError>) -> Option<Ack> {
+    let upsert = |p: &String| Change::Upsert(p.clone(), folder.read(p).expect("listed file").to_vec());
+    let changes: Vec<_> = match pass {
+        Ok(report) => {
+            let deletes = report.deleted_remotely.iter().map(|p| Change::Delete(p.clone()));
+            report.uploaded.iter().map(upsert).chain(deletes).collect()
+        }
+        Err(_) => {
+            let own = folder.scan().expect("mem scan").into_keys();
+            own.filter(|p| p.starts_with(&format!("dev{d}/"))).map(|p| upsert(&p)).collect()
+        }
+    };
+    (!changes.is_empty()).then(|| (d, pass.is_ok(), changes))
+}
 
 /// Sleeps until virtual second `secs`, if it is still ahead.
 fn sleep_until(rt: &Arc<dyn Runtime>, secs: u64) {
@@ -163,16 +179,9 @@ fn sleep_until(rt: &Arc<dyn Runtime>, secs: u64) {
 /// task, with its client's RNG drawn from `chaos_soak/<label><d>`;
 /// devices 0 and 1 write fresh files before their first two rounds. A
 /// sync error under faults is tolerated (the daemon just retries next
-/// round), but every *acknowledged* upload is recorded with its exact
-/// bytes for the durability check. Returns the clients, the acked
-/// uploads and the sync errors once every task is done and the fault
-/// horizon has passed.
-fn soak(
-    world: &World,
-    plan: &FaultPlan,
-    mode: MetaMode,
-    label: &str,
-) -> (Vec<UniDriveClient>, Acked, usize) {
+/// round), but every commit a pass made or may have made is recorded
+/// for the durability check. Returns once the fault horizon has passed.
+fn soak(world: &World, plan: &FaultPlan, mode: MetaMode, label: &str) -> Soaked {
     let mut tasks = Vec::new();
     for (d, (clouds, folder)) in world.clouds.iter().zip(&world.folders).enumerate() {
         let mut c = UniDriveClient::new(
@@ -186,45 +195,44 @@ fn soak(
         let rt = world.rt.clone();
         let seed = plan.seed;
         tasks.push(spawn(&world.rt, &format!("{label}-dev{d}"), move || {
-            let mut written: BTreeMap<String, Vec<u8>> = BTreeMap::new();
-            let mut acked = Acked::new();
-            let mut errors = 0usize;
+            let (mut acks, mut errors) = (Vec::new(), 0usize);
             for (i, &t) in SYNC_TIMES[d].iter().enumerate() {
                 sleep_until(&rt, t);
                 if d < 2 && i < 2 {
-                    let path = format!("dev{d}/f{i}.bin");
-                    let data = deterministic_bytes(
-                        seed ^ ((d as u64) << 8) ^ i as u64,
-                        96 * 1024 + d * 4096,
-                    );
-                    folder.write(&path, &data, (i + 1) as u64).expect("mem write");
-                    written.insert(path, data);
+                    let data = deterministic_bytes(seed ^ ((d as u64) << 8) ^ i as u64, 96 * 1024 + d * 4096);
+                    folder.write(&format!("dev{d}/f{i}.bin"), &data, (i + 1) as u64).expect("mem write");
                 }
-                match c.sync_once() {
-                    Ok(report) => {
-                        for p in report.uploaded {
-                            if let Some(data) = written.get(&p) {
-                                acked.push((p, data.clone()));
-                            }
-                        }
-                    }
-                    Err(_) => errors += 1,
-                }
+                let pass = c.sync_once();
+                errors += usize::from(pass.is_err());
+                acks.extend(commit_of(d, &folder, &pass));
             }
-            (c, acked, errors)
+            (c, acks, errors)
         }));
     }
-    let mut clients = Vec::new();
-    let mut acked = Acked::new();
-    let mut sync_errors = 0usize;
+    let (mut clients, mut acks, mut sync_errors) = (Vec::new(), Vec::new(), 0);
     for t in tasks {
         let (c, a, e) = t.join();
         clients.push(c);
-        acked.extend(a);
+        acks.extend(a);
         sync_errors += e;
     }
     sleep_until(&world.rt, HORIZON_SECS);
-    (clients, acked, sync_errors)
+    (clients, acks, sync_errors)
+}
+
+/// A device's folder as the spec states it: every file's bytes, and
+/// the conflict copy its image holds for the file, fetched from the
+/// clouds (empty if it cannot be).
+fn folder_of(client: &UniDriveClient, folder: &MemFolder) -> Folder<Vec<u8>> {
+    let entry = |path: String| {
+        let copy = client.image().file(&path).and_then(|e| e.conflict.as_ref()).map(|(device, _)| {
+            let bytes = client.fetch_conflict_copy(&path).ok().flatten();
+            (device.clone(), bytes.map_or_else(Vec::new, |b| b.to_vec()))
+        });
+        let content = folder.read(&path).expect("scanned file").to_vec();
+        (path, Entry { content, copy })
+    };
+    folder.scan().expect("mem scan").into_keys().map(entry).collect()
 }
 
 /// Runs one full soak round under `plan` with the given metadata
@@ -234,49 +242,48 @@ fn soak(
 /// so two simultaneous holders would be a real violation there too.
 fn run_round(plan: &FaultPlan, mode: MetaMode, want_flight: bool) -> RoundOutcome {
     let world = world(plan, false);
-    let (mut clients, acked, mut sync_errors) = soak(&world, plan, mode, "client");
+    let (mut clients, mut acks, mut sync_errors) = soak(&world, plan, mode, "client");
 
     // Convergence phase: all fault windows have closed; poll every
-    // device until one full pass where everyone reports a no-op sync.
-    let mut converged = false;
-    for _ in 0..15 {
+    // device until one full pass where everyone reports a no-op sync
+    // at one version stamp.
+    let converged = (0..15).any(|_| {
         let mut all_noop = true;
-        for c in &mut clients {
-            match c.sync_once() {
-                Ok(report) => all_noop &= report.is_noop(),
-                Err(_) => {
-                    sync_errors += 1;
-                    all_noop = false;
-                }
-            }
+        for (d, c) in clients.iter_mut().enumerate() {
+            let pass = c.sync_once();
+            sync_errors += usize::from(pass.is_err());
+            all_noop &= pass.as_ref().is_ok_and(SyncReport::is_noop);
+            acks.extend(commit_of(d, &world.folders[d], &pass));
         }
-        if all_noop {
-            converged = true;
-            break;
+        let settled = all_noop && clients.windows(2).all(|w| w[0].image().version == w[1].image().version);
+        if !settled {
+            world.rt.sleep(Duration::from_secs(10));
         }
-        world.rt.sleep(Duration::from_secs(10));
-    }
+        settled
+    });
 
-    // Invariant checks.
-    let mut failed = Vec::new();
-    let images: Vec<_> = clients.iter().map(|c| c.image().encode()).collect();
-    if !converged || images.windows(2).any(|w| w[0] != w[1]) {
-        failed.push("convergence");
+    // Invariant checks. The soak's devices write disjoint paths, each
+    // once, so no change is contested and any order and base give one
+    // folder: the spec applies the commits as recorded, each on top of
+    // all before it, the unacknowledged ones as far as device 0 shows.
+    let mut failed = if converged { vec![] } else { vec!["convergence"] };
+    let folders: Vec<_> = clients.iter().zip(&world.folders).map(|(c, f)| folder_of(c, f)).collect();
+    let mut commits: Vec<Commit<Vec<u8>>> = Vec::new();
+    let mut acked = 0;
+    for (d, ok, mut changes) in acks {
+        acked += if ok { changes.len() } else { 0 };
+        changes.retain(|c| ok || folders[0].contains_key(c.path()));
+        let base = (0..commits.len()).collect();
+        commits.push(Commit { device: format!("dev{d}"), base, changes });
     }
-    if acked.iter().any(|(path, data)| {
-        world
-            .folders
-            .iter()
-            .any(|f| f.read(path).map(|d| d.as_ref() != &data[..]).unwrap_or(true))
-    }) {
+    let plane = if mode == MetaMode::Lock { Plane::Lock } else { Plane::Oplog };
+    let (want, _) = spec::run(&Folder::new(), &commits, plane);
+    if folders.iter().any(|f| *f != want) {
         failed.push("durability");
     }
     let snap = world.obs.snapshot().expect("registry snapshot");
     // An evicted `lock.*` span would blind the audit below.
-    assert_eq!(
-        snap.dropped_spans, 0,
-        "span ring too small for a soak round"
-    );
+    assert_eq!(snap.dropped_spans, 0, "span ring too small for a soak round");
     failed.extend(lock_invariant(&snap.spans));
 
     let flight = want_flight.then(|| {
@@ -286,7 +293,7 @@ fn run_round(plan: &FaultPlan, mode: MetaMode, want_flight: bool) -> RoundOutcom
     });
     RoundOutcome {
         failed,
-        acked: acked.len(),
+        acked,
         sync_errors,
         injected: world.chaos.iter().map(|h| h.injected_faults()).sum(),
         flight,
@@ -361,7 +368,7 @@ fn health_round(bundle_path: Option<&str>) -> HealthOutcome {
             .window_secs(HEALTH_OUTAGE.0, HEALTH_OUTAGE.1)],
     );
     let world = world(&plan, true);
-    let (mut clients, _, _) = soak(&world, &plan, MetaMode::Lock, "health");
+    let (mut clients, ..) = soak(&world, &plan, MetaMode::Lock, "health");
 
     // Cool-down past the horizon: a few no-op sync passes give every
     // cloud clean active windows so recovery streaks can complete.
@@ -509,10 +516,9 @@ fn replay(path: &str) -> ! {
             eprintln!("chaos_soak: cannot replay {path}: {e}");
             std::process::exit(2);
         });
-    let mode = meta_mode_arg().unwrap_or(MetaMode::Lock);
-    let outcome = run_round(&plan, mode, false);
+    let outcome = run_round(&plan, MetaMode::Lock, false);
     println!(
-        "replay {path} (seed {}, {} events, {mode} plane): invariants violated: {}",
+        "replay {path} (seed {}, {} events, lock plane): invariants violated: {}",
         plan.seed,
         plan.events.len(),
         json_str_list(&outcome.failed),
@@ -527,14 +533,9 @@ fn main() {
     let quick = quick_arg();
     let out = arg_value("--out");
     let obs_path = arg_value("--obs-out");
-    let modes: Vec<MetaMode> = match meta_mode_arg() {
-        Some(m) => vec![m],
-        None => vec![MetaMode::Lock, MetaMode::Oplog],
-    };
     let rounds = if quick { 3 } else { 8 };
     println!(
-        "Chaos soak: {rounds} randomized rounds x {} meta plane(s) + 1 lethal round, {DEVICES} devices x {CLOUDS} clouds\n",
-        modes.len()
+        "Chaos soak: {rounds} randomized rounds x 2 meta planes + 1 lethal round, {DEVICES} devices x {CLOUDS} clouds\n"
     );
 
     let mut soak_json = Vec::new();
@@ -542,7 +543,7 @@ fn main() {
     println!("{:>5}  {:>5}  {:>10}  {:>6}  {:>5}  {:>8}  {:>6}  failed", "round", "mode", "seed", "events", "acked", "injected", "errors");
     for round in 0..rounds {
         let plan = random_plan(0x0ddba11 + round as u64);
-        for &mode in &modes {
+        for mode in [MetaMode::Lock, MetaMode::Oplog] {
             let outcome = run_round(&plan, mode, false);
             soak_ok &= outcome.failed.is_empty();
             println!(
@@ -568,9 +569,8 @@ fn main() {
 
     // The lethal round must fail, and its minimized schedule must still
     // fail — that is the evidence the invariant checker has teeth. It
-    // runs the lock plane regardless of --meta-mode: the schedule is
-    // built to break quorum-lock read-after-write, which the oplog
-    // plane sidesteps.
+    // runs the lock plane: the schedule is built to break quorum-lock
+    // read-after-write, which the oplog plane sidesteps.
     let lethal = lethal_plan(0xdead);
     let lethal_outcome = run_round(&lethal, MetaMode::Lock, true);
     println!(
@@ -603,11 +603,9 @@ fn main() {
         && !lethal_outcome.failed.is_empty()
         && !minimized_outcome.failed.is_empty()
         && health_ok;
-    let meta_modes: Vec<&str> = modes.iter().map(|m| m.as_str()).collect();
     let verdict = format!(
-        "{{\n\"chaos_soak\": \"unidrive/v1\",\n\"mode\": \"{}\",\n\"meta_modes\": {},\n\"soak_rounds\": [{}],\n\"soak_ok\": {},\n\"lethal\": {{\"seed\": {}, \"initial_events\": {}, \"failed\": {}, \"minimize_replays\": {}, \"minimized_failed\": {}, \"minimized_plan\": {}}},\n\"health\": {{\"target\": \"{}\", \"outage_secs\": [{}, {}], \"dipped\": {}, \"recovered\": {}, \"others_clean\": {}, \"clouds\": [{}]}},\n\"verdict\": \"{}\"\n}}\n",
+        "{{\n\"chaos_soak\": \"unidrive/v1\",\n\"mode\": \"{}\",\n\"soak_rounds\": [{}],\n\"soak_ok\": {},\n\"lethal\": {{\"seed\": {}, \"initial_events\": {}, \"failed\": {}, \"minimize_replays\": {}, \"minimized_failed\": {}, \"minimized_plan\": {}}},\n\"health\": {{\"target\": \"{}\", \"outage_secs\": [{}, {}], \"dipped\": {}, \"recovered\": {}, \"others_clean\": {}, \"clouds\": [{}]}},\n\"verdict\": \"{}\"\n}}\n",
         if quick { "quick" } else { "full" },
-        json_str_list(&meta_modes),
         soak_json.join(","),
         soak_ok,
         lethal.seed,

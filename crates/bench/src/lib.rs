@@ -20,6 +20,7 @@
 pub mod figures;
 pub mod json;
 pub mod plan;
+pub mod spec;
 
 use std::sync::Arc;
 use std::time::Duration;

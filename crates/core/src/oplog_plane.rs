@@ -819,7 +819,7 @@ impl MetaPlane for OplogPlane {
             device: self.device.clone(),
             seq: self.next_seq,
             lamport: stamp.counter,
-            base_lamport: folded_image.version.counter,
+            base: fetched.folded.watermark.clone(),
             stamp_ns: stamp.timestamp_ns,
             records,
         };

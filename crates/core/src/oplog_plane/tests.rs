@@ -6,7 +6,7 @@
 use super::*;
 use crate::lock_plane::tests::{clouds, commit_file, config, plane, try_commit_file};
 use unidrive_cloud::{CloudStore, MemCloud, ObjectInfo};
-use unidrive_meta::{MetaMode, PROTOCOL_COSTS};
+use unidrive_meta::{MetaMode, SegmentId, Snapshot, VersionStamp, PROTOCOL_COSTS};
 use unidrive_sim::RealRuntime;
 use unidrive_util::sync::Mutex;
 
@@ -243,6 +243,59 @@ fn oplog_writers_converge_without_locking() {
     let next_a = a.as_mut().poll(&img_a, None).expect("poll").expect("sees b");
     assert_eq!(next_a.encode(), img_b.encode());
     assert!(b.as_mut().poll(&img_b, None).expect("poll").is_none());
+}
+
+/// Commits `path` = `tag` on top of what the transaction folded, with
+/// the client's counter rule (one above the folded head).
+fn commit_tag(p: &mut OplogPlane, device: &str, path: &str, tag: &str) -> SyncFolderImage {
+    p.transact(&SyncFolderImage::new(), None, &mut |remote| Some(upserted(remote, device, path, tag)))
+        .expect("transact")
+        .expect("committed")
+}
+
+fn upserted(
+    remote: Option<&SyncFolderImage>,
+    device: &str,
+    path: &str,
+    tag: &str,
+) -> (SyncFolderImage, VersionStamp) {
+    let mut img = remote.cloned().unwrap_or_else(SyncFolderImage::new);
+    let seg = SegmentId(Sha1::digest(tag.as_bytes()));
+    img.ensure_segment(seg, 3);
+    img.upsert_file(path, Snapshot { segments: vec![seg] });
+    let counter = remote.map_or(0, |r| r.version.counter) + 1;
+    img.version = VersionStamp { device: device.to_owned(), counter, timestamp_ns: counter };
+    let stamp = img.version.clone();
+    (img, stamp)
+}
+
+/// a builds f on the empty log. Before its append lands, c commits g,
+/// and b, having folded c's op only, commits f as well. a's op and
+/// c's both carry lamport 1 and b's 2, so b's head covers a's lamport
+/// but not a's write: b's version must be the copy, and a's, whose
+/// commit returned, must keep the slot.
+#[test]
+fn a_write_the_committer_never_folded_survives_below_its_head() {
+    let set = clouds(5);
+    let mut a = oplog_plane(set.clone(), "dev-a", 10 * 1024, 1);
+    let mut b = oplog_plane(set.clone(), "dev-b", 10 * 1024, 2);
+    let mut c = oplog_plane(set.clone(), "dev-c", 10 * 1024, 3);
+    a.transact(&SyncFolderImage::new(), None, &mut |remote| {
+        assert!(remote.is_none(), "a folds the empty log");
+        commit_tag(&mut c, "dev-c", "g", "from-c");
+        let seen = commit_tag(&mut b, "dev-b", "f", "from-b");
+        assert!(seen.file("g").is_some() && seen.version.counter == 2);
+        Some(upserted(remote, "dev-a", "f", "from-a"))
+    })
+    .expect("transact")
+    .expect("committed");
+    let mut r = oplog_plane(set, "dev-r", 10 * 1024, 4);
+    let folded = r.poll(&SyncFolderImage::new(), None).expect("poll").expect("visible");
+    let seg = |tag: &str| SegmentId(Sha1::digest(tag.as_bytes()));
+    let f = folded.file("f").expect("f");
+    assert_eq!(f.snapshot.segments, [seg("from-a")], "the first write keeps the slot");
+    let (device, copy) = f.conflict.as_ref().expect("the later write is the copy");
+    assert_eq!((device.as_str(), &copy.segments[..]), ("dev-b", &[seg("from-b")][..]));
 }
 
 #[test]

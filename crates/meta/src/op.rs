@@ -13,11 +13,11 @@
 //!
 //! Ops that raced in the log resolve under the one conflict rule both
 //! planes share (`apply_commit` in `delta.rs`, also called by
-//! `merge3`): an op's change to a path another device wrote after the
-//! op's `base_lamport` (a write the op had not folded) is contested.
-//! The op first in the total order keeps the slot; a later op's upsert
-//! of other content is retained as a conflict copy, and its delete
-//! loses to the modify.
+//! `merge3`): an op's change to a path whose last writer is an op of
+//! another device that the op's `base` (the watermark of the fold it
+//! was built on) does not cover is contested. The op first in the
+//! total order keeps the slot; a later op's upsert of other content is
+//! retained as a conflict copy, and its delete loses to the modify.
 //!
 //! The quorum lock survives only for **compaction**: when the folded
 //! log outgrows λ, the compactor folds everything into a new
@@ -35,9 +35,9 @@ use crate::delta::{apply_commit, decode_record, encode_record};
 use crate::{DeltaRecord, SyncFolderImage, VersionStamp};
 
 const OP_MAGIC: [u8; 4] = *b"UDOP";
-const OP_VERSION: u8 = 3;
+const OP_VERSION: u8 = 4;
 const OPLOG_BASE_MAGIC: [u8; 4] = *b"UDOB";
-const OPLOG_BASE_VERSION: u8 = 2;
+const OPLOG_BASE_VERSION: u8 = 3;
 
 /// One committed metadata operation: a batch of [`DeltaRecord`]s from
 /// one device's sync pass, stamped for the total fold order.
@@ -52,10 +52,13 @@ pub struct MetaOp {
     pub seq: u64,
     /// Lamport clock at commit: `max(folded head, own last) + 1`.
     pub lamport: u64,
-    /// Highest lamport the device had folded when it built this op;
-    /// two ops are concurrent when neither's `base_lamport` covers the
-    /// other's `lamport`.
-    pub base_lamport: u64,
+    /// The watermark of the fold the device built this op on: per
+    /// device, the highest seq it had folded. An op covers another when
+    /// its base holds the other's seq; two ops are concurrent when
+    /// neither covers the other. (A lamport bound cannot say this: an
+    /// op with a lower lamport than the base's head may still be one
+    /// the device never saw.)
+    pub base: BTreeMap<String, u64>,
     /// Device-local commit time (informational, carried into the
     /// version stamp).
     pub stamp_ns: u64,
@@ -86,7 +89,11 @@ impl MetaOp {
         w.put_str(&self.device);
         w.put_u64(self.seq);
         w.put_u64(self.lamport);
-        w.put_u64(self.base_lamport);
+        w.put_u32(self.base.len() as u32);
+        for (device, seq) in &self.base {
+            w.put_str(device);
+            w.put_u64(*seq);
+        }
         w.put_u64(self.stamp_ns);
         w.put_u32(self.records.len() as u32);
         for r in &self.records {
@@ -105,7 +112,12 @@ impl MetaOp {
         let device = r.get_str("op device")?;
         let seq = r.get_u64("op seq")?;
         let lamport = r.get_u64("op lamport")?;
-        let base_lamport = r.get_u64("op base lamport")?;
+        let n = r.get_u32("op base count")?;
+        let mut base = BTreeMap::new();
+        for _ in 0..n {
+            let device = r.get_str("op base device")?;
+            base.insert(device, r.get_u64("op base seq")?);
+        }
         let stamp_ns = r.get_u64("op stamp")?;
         let count = r.get_u32("op record count")?;
         let mut records = Vec::with_capacity(count.min(1 << 20) as usize);
@@ -116,7 +128,7 @@ impl MetaOp {
             device,
             seq,
             lamport,
-            base_lamport,
+            base,
             stamp_ns,
             records,
         })
@@ -144,10 +156,10 @@ pub struct OplogBase {
     /// Per device, the highest seq folded into `image`; ops at or
     /// below it are skipped by every subsequent fold.
     pub watermark: BTreeMap<String, u64>,
-    /// Per live path, the `(lamport, device)` of the op that last wrote
+    /// Per live path, the `(device, seq)` of the op that last wrote
     /// it — carried so concurrency detection survives compaction and
     /// `fold(compact(log)) == fold(log)` holds exactly.
-    pub writers: BTreeMap<String, (u64, String)>,
+    pub writers: BTreeMap<String, (String, u64)>,
 }
 
 impl OplogBase {
@@ -165,10 +177,10 @@ impl OplogBase {
             w.put_u64(*seq);
         }
         w.put_u32(self.writers.len() as u32);
-        for (path, (lamport, device)) in &self.writers {
+        for (path, (device, seq)) in &self.writers {
             w.put_str(path);
-            w.put_u64(*lamport);
             w.put_str(device);
+            w.put_u64(*seq);
         }
         w.put_bytes(&self.image.encode());
         w.finish()
@@ -192,9 +204,9 @@ impl OplogBase {
         let mut writers = BTreeMap::new();
         for _ in 0..n {
             let path = r.get_str("writer path")?;
-            let lamport = r.get_u64("writer lamport")?;
             let device = r.get_str("writer device")?;
-            writers.insert(path, (lamport, device));
+            let seq = r.get_u64("writer seq")?;
+            writers.insert(path, (device, seq));
         }
         let image = SyncFolderImage::decode(r.get_bytes("base image")?)?;
         Ok(OplogBase {
@@ -251,16 +263,16 @@ pub fn fold(base: &OplogBase, ops: &[MetaOp], folder: &str) -> FoldOutcome {
     let mut conflicts = 0usize;
     let applied = batch.len();
     for op in &batch {
-        // A path is contested when another device wrote it after the
-        // op's base; the op's change takes the slot, and the path a new
-        // writer, only where it is not.
+        // A path is contested when its last writer is another device's
+        // op the op's base does not cover; the op's change takes the
+        // slot, and the path a new writer, only where it is not.
         let contested: BTreeSet<&str> = op
             .records
             .iter()
             .filter_map(DeltaRecord::file_path)
             .filter(|path| {
-                out.writers.get(*path).is_some_and(|(lamport, device)| {
-                    device != &op.device && op.base_lamport < *lamport
+                out.writers.get(*path).is_some_and(|(device, seq)| {
+                    device != &op.device && op.base.get(device).copied().unwrap_or(0) < *seq
                 })
             })
             .collect();
@@ -268,7 +280,7 @@ pub fn fold(base: &OplogBase, ops: &[MetaOp], folder: &str) -> FoldOutcome {
         for record in &op.records {
             match record {
                 DeltaRecord::UpsertFile { path, .. } if !contested.contains(path.as_str()) => {
-                    out.writers.insert(path.clone(), (op.lamport, op.device.clone()));
+                    out.writers.insert(path.clone(), (op.device.clone(), op.seq));
                 }
                 DeltaRecord::DeleteFile { path } if !contested.contains(path.as_str()) => {
                     out.writers.remove(path);
@@ -335,12 +347,12 @@ mod tests {
         ]
     }
 
-    fn op(device: &str, seq: u64, lamport: u64, base_lamport: u64, records: Vec<DeltaRecord>) -> MetaOp {
+    fn op(device: &str, seq: u64, lamport: u64, base: &[(&str, u64)], records: Vec<DeltaRecord>) -> MetaOp {
         MetaOp {
             device: device.into(),
             seq,
             lamport,
-            base_lamport,
+            base: base.iter().map(|(d, s)| ((*d).to_owned(), *s)).collect(),
             stamp_ns: lamport * 100,
             records,
         }
@@ -348,13 +360,13 @@ mod tests {
 
     #[test]
     fn op_encode_decode_round_trip() {
-        let o = op("laptop", 3, 9, 7, upsert("a.txt", "s1"));
+        let o = op("laptop", 3, 9, &[("laptop", 2), ("phone", 5)], upsert("a.txt", "s1"));
         assert_eq!(MetaOp::decode(&o.encode()).unwrap(), o);
     }
 
     #[test]
     fn op_ids_are_distinct_per_folder_device_seq() {
-        let o = op("d", 1, 1, 0, Vec::new());
+        let o = op("d", 1, 1, &[], Vec::new());
         assert_ne!(o.id("root"), o.id("other"));
         assert_ne!(op_id("f", "d", 1), op_id("f", "d", 2));
         assert_ne!(op_id("f", "d1", 1), op_id("f", "d", 11));
@@ -364,7 +376,7 @@ mod tests {
     fn base_encode_decode_round_trip() {
         let folded = fold(
             &OplogBase::new(),
-            &[op("a", 1, 1, 0, upsert("x", "s"))],
+            &[op("a", 1, 1, &[], upsert("x", "s"))],
             "root",
         );
         let base = folded.base;
@@ -376,9 +388,9 @@ mod tests {
         // b's op sorts after a's at the same lamport; both after the
         // lamport-1 op regardless of arrival order.
         let ops = vec![
-            op("b", 1, 2, 0, upsert("f", "from-b")),
-            op("a", 2, 2, 1, upsert("f", "from-a2")),
-            op("a", 1, 1, 0, upsert("f", "from-a1")),
+            op("b", 1, 2, &[], upsert("f", "from-b")),
+            op("a", 2, 2, &[("a", 1)], upsert("f", "from-a2")),
+            op("a", 1, 1, &[], upsert("f", "from-a1")),
         ];
         let out = fold(&OplogBase::new(), &ops, "root");
         assert_eq!(out.applied, 3);
@@ -395,7 +407,7 @@ mod tests {
 
     #[test]
     fn duplicate_ops_fold_once() {
-        let o = op("a", 1, 1, 0, upsert("f", "s"));
+        let o = op("a", 1, 1, &[], upsert("f", "s"));
         let out = fold(&OplogBase::new(), &[o.clone(), o.clone(), o], "root");
         assert_eq!(out.applied, 1);
         assert_eq!(out.duplicates, 2);
@@ -403,12 +415,12 @@ mod tests {
 
     #[test]
     fn watermarked_ops_are_filtered() {
-        let first = fold(&OplogBase::new(), &[op("a", 1, 1, 0, upsert("f", "s"))], "root");
+        let first = fold(&OplogBase::new(), &[op("a", 1, 1, &[], upsert("f", "s"))], "root");
         let again = fold(
             &first.base,
             &[
-                op("a", 1, 1, 0, upsert("f", "s")),
-                op("a", 2, 2, 1, upsert("g", "t")),
+                op("a", 1, 1, &[], upsert("f", "s")),
+                op("a", 2, 2, &[("a", 1)], upsert("g", "t")),
             ],
             "root",
         );
@@ -419,12 +431,12 @@ mod tests {
 
     #[test]
     fn concurrent_upserts_retain_loser_as_conflict_copy() {
-        // Neither device folded the other's op (base_lamport 0): the
+        // Neither device folded the other's op (empty bases): the
         // earlier op in total order keeps the slot, the later survives
         // as a conflict copy tagged with its device, as in merge3.
         let ops = vec![
-            op("a", 1, 1, 0, upsert("f", "from-a")),
-            op("b", 1, 1, 0, upsert("f", "from-b")),
+            op("a", 1, 1, &[], upsert("f", "from-a")),
+            op("b", 1, 1, &[], upsert("f", "from-b")),
         ];
         let out = fold(&OplogBase::new(), &ops, "root");
         assert_eq!(out.conflicts, 1);
@@ -437,11 +449,11 @@ mod tests {
 
     #[test]
     fn sequential_overwrite_is_not_a_conflict() {
-        // b folded a's op (base_lamport 1 >= a's lamport): plain
+        // b folded a's op (its base covers a's seq 1): plain
         // overwrite, no conflict copy.
         let ops = vec![
-            op("a", 1, 1, 0, upsert("f", "from-a")),
-            op("b", 1, 2, 1, upsert("f", "from-b")),
+            op("a", 1, 1, &[], upsert("f", "from-a")),
+            op("b", 1, 2, &[("a", 1)], upsert("f", "from-b")),
         ];
         let out = fold(&OplogBase::new(), &ops, "root");
         assert_eq!(out.conflicts, 0);
@@ -449,29 +461,37 @@ mod tests {
     }
 
     #[test]
+    fn an_unfolded_write_below_the_base_head_stays_contested() {
+        // a and c commit at lamport 1 without seeing each other; b
+        // folded only c's op (head lamport 1) and writes f at 2. b's
+        // base does not cover a's write, so it is contested: a keeps
+        // the slot and b's version is the copy. (A lamport bound of 1
+        // counted a's lamport-1 write as seen, and a's version was
+        // gone.)
+        let ops = vec![
+            op("a", 1, 1, &[], upsert("f", "from-a")),
+            op("c", 1, 1, &[], upsert("g", "from-c")),
+            op("b", 1, 2, &[("c", 1)], upsert("f", "from-b")),
+        ];
+        let out = fold(&OplogBase::new(), &ops, "root");
+        let entry = out.base.image.file("f").unwrap();
+        assert_eq!(entry.snapshot, snap("from-a"));
+        assert_eq!(entry.conflict, Some(("b".into(), snap("from-b"))));
+        assert_eq!(out.conflicts, 1);
+    }
+
+    #[test]
     fn concurrent_delete_loses_to_modify() {
         let ops = vec![
-            op("a", 1, 1, 0, upsert("f", "from-a")),
-            op(
-                "b",
-                1,
-                1,
-                0,
-                vec![DeltaRecord::DeleteFile { path: "f".into() }],
-            ),
+            op("a", 1, 1, &[], upsert("f", "from-a")),
+            op("b", 1, 1, &[], vec![DeltaRecord::DeleteFile { path: "f".into() }]),
         ];
         let out = fold(&OplogBase::new(), &ops, "root");
         assert!(out.base.image.file("f").is_some(), "modify beats delete");
         // A causal delete (b saw a's op) goes through.
         let ops = vec![
-            op("a", 1, 1, 0, upsert("f", "from-a")),
-            op(
-                "b",
-                1,
-                2,
-                1,
-                vec![DeltaRecord::DeleteFile { path: "f".into() }],
-            ),
+            op("a", 1, 1, &[], upsert("f", "from-a")),
+            op("b", 1, 2, &[("a", 1)], vec![DeltaRecord::DeleteFile { path: "f".into() }]),
         ];
         let out = fold(&OplogBase::new(), &ops, "root");
         assert!(out.base.image.file("f").is_none());
@@ -488,24 +508,24 @@ mod tests {
         let grown = Snapshot {
             segments: vec![seg("s"), seg("t")],
         };
-        let delete = |base_lamport| {
+        let delete = |seen: u64| {
             op(
                 "b",
                 1,
                 3,
-                base_lamport,
+                &[("a", seen)],
                 vec![
                     DeltaRecord::DeleteFile { path: "f".into() },
                     DeltaRecord::DropSegment { id: seg("s") },
                 ],
             )
         };
-        let write = op("a", 1, 1, 0, upsert("f", "s"));
+        let write = op("a", 1, 1, &[], upsert("f", "s"));
         let grow = op(
             "a",
             2,
             2,
-            1,
+            &[("a", 1)],
             vec![
                 DeltaRecord::EnsureSegment {
                     id: seg("t"),
@@ -533,14 +553,14 @@ mod tests {
     #[test]
     fn compact_then_fold_suffix_equals_full_fold() {
         let prefix = vec![
-            op("a", 1, 1, 0, upsert("f", "from-a")),
-            op("b", 1, 1, 0, upsert("f", "from-b")),
+            op("a", 1, 1, &[], upsert("f", "from-a")),
+            op("b", 1, 1, &[], upsert("f", "from-b")),
         ];
         let suffix = vec![
             // Concurrent with a's prefix op — the conflict must still
             // be detected after compaction ate the prefix.
-            op("c", 1, 1, 0, upsert("f", "from-c")),
-            op("a", 2, 3, 2, upsert("g", "g1")),
+            op("c", 1, 1, &[], upsert("f", "from-c")),
+            op("a", 2, 3, &[("a", 1), ("b", 1)], upsert("g", "g1")),
         ];
         let all: Vec<MetaOp> = prefix.iter().chain(&suffix).cloned().collect();
         let direct = fold(&OplogBase::new(), &all, "root");

@@ -1,6 +1,8 @@
 //! Randomized property tests of the metadata layer: codec round-trips,
-//! delta-log reconstruction, three-way merge invariants and segment
-//! liveness. Driven by
+//! delta-log reconstruction, diff soundness, the op fold's algebra and
+//! segment liveness. (What a merge or a fold must produce is stated
+//! once, by the folder spec in `unidrive-bench`, and checked by its
+//! `folder_spec` test.) Driven by
 //! the workspace's deterministic `SimRng` (seeded, so failures
 //! reproduce exactly).
 
@@ -8,8 +10,8 @@ use std::collections::BTreeSet;
 
 use unidrive_crypto::{Digest, Sha1};
 use unidrive_meta::{
-    compact, diff, fold, merge3, BlockRef, DeltaLog, DeltaRecord, FileEntry, MetaOp, OplogBase,
-    SegmentId, Snapshot, SyncFolderImage, VersionStamp,
+    compact, diff, fold, BlockRef, DeltaLog, MetaOp, OplogBase, SegmentId, Snapshot,
+    SyncFolderImage, VersionStamp,
 };
 use unidrive_sim::SimRng;
 
@@ -145,141 +147,6 @@ fn diff_is_sound() {
     }
 }
 
-/// Merge with an unchanged cloud side applies exactly the local
-/// changes (no conflicts).
-#[test]
-fn merge_with_unchanged_cloud_is_local() {
-    let mut rng = SimRng::seed_from_u64(0x4E05);
-    for _ in 0..48 {
-        let original = random_image(&mut rng);
-        let local = random_image(&mut rng);
-        let out = merge3(&original, &local, &original, "dev");
-        assert!(out.conflicts.is_empty());
-        let files = |img: &SyncFolderImage| {
-            img.files()
-                .map(|(p, e)| (p.to_owned(), e.snapshot.clone()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(files(&out.image), files(&local));
-    }
-}
-
-/// Merge never loses a file that only one side touched, and the pool
-/// holds every segment a snapshot names.
-#[test]
-fn merge_preserves_disjoint_changes() {
-    let mut rng = SimRng::seed_from_u64(0x4E06);
-    for _ in 0..48 {
-        let original = random_image(&mut rng);
-        let local = random_image(&mut rng);
-        let cloud = random_image(&mut rng);
-        let out = merge3(&original, &local, &cloud, "dev");
-        let dc = diff(&original, &cloud);
-        let cloud_changed = |path: &str| dc.iter().any(|r| r.file_path() == Some(path));
-        for record in diff(&original, &local) {
-            match record {
-                DeltaRecord::UpsertFile { path, snapshot } if !cloud_changed(&path) => {
-                    assert_eq!(out.image.file(&path).unwrap().snapshot, snapshot);
-                }
-                DeltaRecord::DeleteFile { path } if !cloud_changed(&path) => {
-                    assert!(out.image.file(&path).is_none());
-                }
-                _ => {}
-            }
-        }
-        for id in out.image.referenced() {
-            assert!(
-                out.image.segment(&id).is_some(),
-                "{id} named but not pooled"
-            );
-        }
-    }
-}
-
-/// A commit derived from `original`: 1–5 random upserts and deletes
-/// over its paths and the `shared` new ones. Few content tags, so two
-/// commits sometimes write the same snapshot.
-fn derive_commit(rng: &mut SimRng, original: &SyncFolderImage, shared: &[String]) -> SyncFolderImage {
-    let mut image = original.clone();
-    let paths: Vec<String> = original.files().map(|(p, _)| p.to_owned()).chain(shared.iter().cloned()).collect();
-    for _ in 0..1 + rng.below(5) {
-        let path = &paths[rng.below(paths.len() as u64) as usize];
-        if rng.below(3) == 0 {
-            image.delete_file(path);
-        } else {
-            let snapshot = random_snapshot(rng, &mut image, 6);
-            image.upsert_file(path, snapshot);
-        }
-    }
-    image
-}
-
-/// Every file with its current snapshot and its conflict copy.
-fn files_and_copies(image: &SyncFolderImage) -> Vec<(String, FileEntry)> {
-    image.files().map(|(p, e)| (p.to_owned(), e.clone())).collect()
-}
-
-/// The two metadata planes resolve the same race to the same files:
-/// `merge3` of a local commit L onto a cloud commit C, both derived
-/// from O, equals the oplog fold over O of C's op and then L's, neither
-/// of which had folded the other. Some originals hold conflict copies,
-/// and there L resolves one; where C left that file alone the
-/// resolution holds in the result.
-#[test]
-fn both_planes_resolve_a_race_alike() {
-    let mut rng = SimRng::seed_from_u64(0x4E0D);
-    let races = 256;
-    let (mut differing, mut lost) = (0, 0);
-    for race in 0..races {
-        let mut original = random_image(&mut rng);
-        let with_copies = race % 4 == 0;
-        if with_copies {
-            let paths: Vec<String> = original.files().map(|(p, _)| p.to_owned()).collect();
-            for path in &paths {
-                if rng.below(2) == 0 {
-                    let copy = random_snapshot(&mut rng, &mut original, 6);
-                    original.attach_conflict(path, "x", copy);
-                }
-            }
-        }
-        let shared = [random_path(&mut rng), random_path(&mut rng)];
-        let cloud = derive_commit(&mut rng, &original, &shared);
-        let mut local = derive_commit(&mut rng, &original, &shared);
-        let resolved = local.files().find(|(_, e)| e.conflict.is_some()).map(|(p, _)| p.to_owned());
-        if let Some(path) = &resolved {
-            local.resolve_conflict(path);
-        }
-
-        let merged = merge3(&original, &local, &cloud, "l").image;
-        let op = |device: &str, lamport, to: &SyncFolderImage| MetaOp {
-            device: device.into(),
-            seq: 1,
-            lamport,
-            base_lamport: 0,
-            stamp_ns: lamport,
-            records: DeltaLog::records_for(&original, to),
-        };
-        let base = OplogBase {
-            image: original.clone(),
-            ..OplogBase::new()
-        };
-        let folded = fold(&base, &[op("c", 1, &cloud), op("l", 2, &local)], FOLDER).base.image;
-        if files_and_copies(&merged) != files_and_copies(&folded) {
-            differing += 1;
-        }
-        let untouched = |p: &String| cloud.file(p) == original.file(p);
-        if let Some(path) = resolved.filter(untouched) {
-            lost += usize::from(merged.file(&path).unwrap().conflict.is_some());
-        }
-    }
-    assert_eq!(
-        (differing, lost),
-        (0, 0),
-        "of {races} races, {differing} end in different files on the two planes \
-         and {lost} lose the local resolution"
-    );
-}
-
 /// Liveness is computed from the snapshots: after any sequence of file
 /// and conflict edits, collecting garbage leaves exactly the segments a
 /// current or conflict snapshot names, and returns every other one.
@@ -350,11 +217,17 @@ fn random_ops(rng: &mut SimRng, devices: usize, per_device: usize) -> Vec<MetaOp
         for seq in 1..=per_device as u64 {
             let next = random_image(rng);
             lamport += 1 + rng.below(3);
+            // A random watermark over the ops before this one.
+            let base = ops
+                .iter()
+                .filter(|op: &&MetaOp| op.device == device || rng.below(2) == 0)
+                .map(|op| (op.device.clone(), op.seq))
+                .collect();
             ops.push(MetaOp {
                 device: device.clone(),
                 seq,
                 lamport,
-                base_lamport: lamport.saturating_sub(1 + rng.below(4)),
+                base,
                 stamp_ns: rng.next_u64() >> 12,
                 records: DeltaLog::records_for(&prev, &next),
             });
