@@ -334,14 +334,17 @@ echo "==> folder spec: both metadata planes produce the spec's folder over rando
 cargo test --offline -p unidrive-bench --test folder_spec -q -- --nocapture >"$out/folder_spec.txt"
 awk '/folder_spec [a-z]+: / { sub(/^.*folder_spec /, "folder_spec "); print "    " $0; n++ } END { exit n != 2 }' "$out/folder_spec.txt"
 
-echo "==> one hot-folder benchmark: hot_lock/hot_oplog at seed 7 reproduce their pinned numbers, oplog beats lock, the lock queues"
+echo "==> virtual-time benchmarks: hot_lock/hot_oplog/wan_batch at seed 7 reproduce their pinned numbers, oplog beats lock, the lock queues"
 # The behaviour gate of the real metadata planes: 4 writers over WAN
 # latency, in virtual time, so cloud-op order, retries and quorum
 # counting decide each of these numbers to the last printed digit. A PR
 # that means to move one updates the pinned value here and says why in
 # CHANGES.md. The oplog plane's claim is checked on its own: a sync up
-# and a convergence cost less than on the lock plane.
-hot() { # WORKLOAD "METRIC=VALUE ..."
+# and a convergence cost less than on the lock plane. wan_batch is the
+# transfer schedule's pin: 16 x 1 MiB over unequal, failing WAN links,
+# where CPU work (encode, decode, verify) takes no virtual time, so a
+# kernel that moves between threads or off a lock leaves every digit.
+pin() { # WORKLOAD "METRIC=VALUE ..."
     cargo run --offline --release --quiet --manifest-path benchmark/Cargo.toml -- \
         --workload "$1" --seed 7 --seconds 10 --trace 0 >"$out/$1.txt"
     awk -v pins="$2" -v w="$1" '
@@ -349,8 +352,9 @@ hot() { # WORKLOAD "METRIC=VALUE ..."
         $1 in want { print "    " w " " $1 " " $2; if ($2 "" != want[$1]) { print "    pinned: " want[$1]; bad = 1 }; delete want[$1] }
         END { for (m in want) { print "    " w ": no " m; bad = 1 }; exit bad }' "$out/$1.txt"
 }
-hot hot_lock "sync_up_s=4.294644 sync_down_s=0.528993 converge_s=7.455417 cloud_ops_per_round=389.675000 wire_bytes_per_payload_byte=10.121136 stored_bytes_per_live_byte=2.385105"
-hot hot_oplog "sync_up_s=0.541608 sync_down_s=0.892350 converge_s=1.699942 cloud_ops_per_round=252.250000 wire_bytes_per_payload_byte=8.310343 stored_bytes_per_live_byte=2.451485"
+pin hot_lock "sync_up_s=4.294644 sync_down_s=0.528993 converge_s=7.455417 cloud_ops_per_round=389.675000 wire_bytes_per_payload_byte=10.121136 stored_bytes_per_live_byte=2.385105"
+pin hot_oplog "sync_up_s=0.541608 sync_down_s=0.892350 converge_s=1.699942 cloud_ops_per_round=252.250000 wire_bytes_per_payload_byte=8.310343 stored_bytes_per_live_byte=2.451485"
+pin wan_batch "sync_up_s=3.895150 sync_down_s=1.474719 converge_s=29.823731 cloud_ops_per_round=261.857143 wire_bytes_per_payload_byte=3.972170 stored_bytes_per_live_byte=2.931379"
 for m in sync_up_s converge_s; do
     awk -v m="$m" '$1 == m { v[FILENAME] = $2 + 0 }
         END { print "    " m ": oplog " v[ARGV[1]] " < lock " v[ARGV[2]]; exit !(v[ARGV[1]] < v[ARGV[2]]) }' \

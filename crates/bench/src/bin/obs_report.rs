@@ -581,7 +581,7 @@ fn digest_trace(trace: &Trace) {
         let mut cur: &Span = round;
         loop {
             let label = match cur.name.as_str() {
-                "engine.block" | "engine.worker" | "wire.attempt" => lane_cloud
+                "engine.block" | "engine.worker" | "wire.attempt" | "download.decode" => lane_cloud
                     .get(&cur.tid)
                     .map(|c| format!("{} [{}]", cur.name, c))
                     .unwrap_or_else(|| cur.name.clone()),

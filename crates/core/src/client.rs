@@ -95,6 +95,15 @@ pub enum SyncError {
     Download(DownloadError),
     /// Local folder I/O failed.
     Folder(crate::folder::FolderError),
+    /// The pass committed, then could not bring the folder up to its
+    /// commit: `report` names what it uploaded and deleted in the
+    /// clouds, `cause` what failed. The next pass fetches the rest.
+    Committed {
+        /// What the pass committed (and fetched before `cause`).
+        report: Box<SyncReport>,
+        /// The download or folder error that cut the pass short.
+        cause: Box<SyncError>,
+    },
 }
 
 impl std::fmt::Display for SyncError {
@@ -106,6 +115,12 @@ impl std::fmt::Display for SyncError {
             SyncError::Plane(e) => write!(f, "metadata: {e}"),
             SyncError::Download(e) => write!(f, "download: {e}"),
             SyncError::Folder(e) => write!(f, "folder: {e}"),
+            SyncError::Committed { report, cause } => write!(
+                f,
+                "committed {} uploads and {} deletes, then {cause}",
+                report.uploaded.len(),
+                report.deleted_remotely.len()
+            ),
         }
     }
 }
@@ -318,8 +333,13 @@ impl UniDriveClient {
     ///
     /// # Errors
     ///
-    /// [`SyncError`] on lock, metadata, download or folder failures; the
-    /// client state is unchanged on error and the pass can be retried.
+    /// [`SyncError`] on lock, metadata, download or folder failures. A
+    /// pass that fails before its commit lands leaves the client state
+    /// unchanged and can be retried. One that fails after it, fetching
+    /// the cloud changes its commit merged in, returns
+    /// [`SyncError::Committed`] with what it committed, and the client
+    /// resumes from the image it committed against plus its own
+    /// changes, so the next pass fetches only the cloud side's.
     pub fn sync_once(&mut self) -> Result<SyncReport, SyncError> {
         let t0 = self.rt.now();
         // Root of the causal chain: everything this pass does — lock
@@ -625,7 +645,10 @@ impl UniDriveClient {
         // 4. Settle local state: adopt the committed image, apply any
         //    merged-in cloud changes to the folder, GC dead blocks. The
         //    diff baseline is `local` (what the folder holds now), so
-        //    only the cloud side's contributions are materialized.
+        //    only the cloud side's contributions are materialized. The
+        //    commit stands even if that fails: its garbage is deleted,
+        //    and the folder is taken to hold `local`, so the next poll
+        //    diffs from there.
         self.resolved.clear();
         for (path, stat) in committed_stats {
             match stat {
@@ -637,15 +660,23 @@ impl UniDriveClient {
                 }
             }
         }
-        if had_cloud_update {
-            self.materialize_cloud_changes(&local, &committed, &mut report, round)?;
-        }
-        self.original = committed;
+        let materialized = match had_cloud_update {
+            true => self.materialize_cloud_changes(&local, &committed, &mut report, round),
+            false => Ok(()),
+        };
         let dead = garbage
             .iter()
             .flat_map(|(id, entry)| entry.blocks.iter().map(move |b| (*id, *b)));
-        let dead = dead.chain(unpooled(&unrecorded, &self.original));
+        let dead = dead.chain(unpooled(&unrecorded, &committed));
         self.plane.delete_blocks(dead, round);
+        if let Err(cause) = materialized {
+            self.original = local;
+            return Err(SyncError::Committed {
+                report: Box::new(report),
+                cause: Box::new(cause),
+            });
+        }
+        self.original = committed;
         Ok(report)
     }
 

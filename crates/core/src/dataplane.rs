@@ -2,6 +2,7 @@
 //! the multi-cloud and back (paper §6).
 
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use unidrive_util::bytes::Bytes;
@@ -299,13 +300,16 @@ impl DataPlane {
     /// The `wanted` segments that `bases` hold: the first range a
     /// layout names with a wanted id is hashed and kept iff the digest
     /// is the id. Layout lengths come from metadata, so a base is
-    /// walked only once they are known to sum to its length.
+    /// walked only once they are known to sum to its length. The
+    /// ranges are collected first and hashed on up to
+    /// `available_parallelism` scoped threads: pure hashing, no
+    /// runtime call, so a simulated schedule does not see them.
     fn local_hits(
         &self,
         bases: &[LocalBase],
         wanted: &HashSet<SegmentId>,
     ) -> HashMap<SegmentId, Bytes> {
-        let mut hits = HashMap::new();
+        let mut ranges = Vec::new();
         let mut seen = HashSet::new();
         for base in bases {
             let total = base
@@ -319,14 +323,12 @@ impl DataPlane {
             for (id, len) in &base.layout {
                 let end = offset + *len as usize;
                 if wanted.contains(id) && seen.insert(*id) {
-                    let range = base.data.slice(offset..end);
-                    if Sha1::digest(&range) == id.0 {
-                        hits.insert(*id, range);
-                    }
+                    ranges.push((*id, base.data.slice(offset..end)));
                 }
                 offset = end;
             }
         }
+        let hits: HashMap<SegmentId, Bytes> = verified(&ranges).into_iter().collect();
         if !hits.is_empty() {
             let obs = &self.config.obs;
             obs.series_add("download.local_segments", "all", hits.len() as u64);
@@ -411,6 +413,31 @@ impl DataPlane {
         let params = self.engine.labelled(label);
         run_batch(&self.rt, &self.clouds, params, parent, &[size], plan)
     }
+}
+
+/// The `ranges` whose SHA-1 is their id, hashed on up to
+/// `available_parallelism` scoped threads that each take the next
+/// unhashed range (on the caller's thread when one suffices).
+fn verified(ranges: &[(SegmentId, Bytes)]) -> Vec<(SegmentId, Bytes)> {
+    let next = AtomicUsize::new(0);
+    let hash = || {
+        let mut ok = Vec::new();
+        while let Some((id, range)) = ranges.get(next.fetch_add(1, Ordering::Relaxed)) {
+            if Sha1::digest(range) == id.0 {
+                ok.push((*id, range.clone()));
+            }
+        }
+        ok
+    };
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = threads.min(ranges.len());
+    if threads <= 1 {
+        return hash();
+    }
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads).map(|_| scope.spawn(hash)).collect();
+        workers.into_iter().flat_map(|w| w.join().expect("hash worker panicked")).collect()
+    })
 }
 
 #[cfg(test)]

@@ -13,6 +13,16 @@
 //! still land before that block is due, and the segment completes from
 //! whichever k blocks arrive first. A spare that cannot win costs a
 //! block of bytes and holds the batch open until it lands.
+//!
+//! The block that completes a segment's k hands its worker the decode
+//! (an engine [`Work`]): the sorted first k blocks, shared handles, no
+//! copy, are RS-decoded and the result SHA-1-checked against the id
+//! with the scheduler's lock released, so the other connections keep
+//! handing in blocks and taking the next segment's meanwhile ("all
+//! networking resources are assigned to the next file"). While that
+//! decode is out the segment takes no block and the batch stays open;
+//! a digest mismatch discards that combination and decodes again from
+//! the spares in hand, if there are k.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -26,7 +36,7 @@ use unidrive_obs::SpanId;
 use unidrive_sim::Time;
 
 use crate::dataplane::DataPlane;
-use crate::engine::{run_batch, JobDesc, TransferPolicy, WireOp};
+use crate::engine::{run_batch, JobDesc, TransferPolicy, WireOp, Work};
 use crate::plan::MAX_BLOCK_BOUNCES;
 use crate::probe::BandwidthProbe;
 
@@ -149,6 +159,9 @@ struct FetchState {
     have: HashMap<u16, Bytes>,
     /// Decode attempts that failed the content hash (corrupt blocks).
     integrity_retries: u32,
+    /// A worker is decoding k of `have`: the fetch takes no block and
+    /// is not settled until the result is applied.
+    decoding: bool,
     done: bool,
     exhausted: bool,
 }
@@ -191,55 +204,9 @@ impl DataPlane {
         parent: Option<SpanId>,
     ) -> DownloadReport {
         let started = self.rt.now();
-        let n_clouds = self.clouds.len();
-        let k = self.codec.k();
-        let st = DownloadState {
-            fetches: fetches
-                .iter()
-                .map(|f| {
-                    let mut candidates = vec![Vec::new(); n_clouds];
-                    for b in &f.blocks {
-                        if (b.cloud as usize) < n_clouds {
-                            candidates[b.cloud as usize].push(b.index);
-                        }
-                    }
-                    FetchState {
-                        id: f.id,
-                        len: f.len as usize,
-                        candidates,
-                        requested: HashSet::new(),
-                        over_requests: 0,
-                        inflight: HashMap::new(),
-                        bounces: HashMap::new(),
-                        have: HashMap::new(),
-                        integrity_retries: 0,
-                        done: false,
-                        exhausted: false,
-                    }
-                })
-                .collect(),
-            cloud_alive: vec![true; n_clouds],
-            finished: fetches.is_empty(),
-            timeline: Vec::new(),
-            hedge_due: None,
-        };
         let fetched = fetches.len() as u64;
         let local_hits = local.len() as u64;
-        let mut policy = DownloadPolicy {
-            st,
-            segments: local,
-            failures: Vec::new(),
-            codec: Arc::clone(&self.codec),
-            probe: Arc::clone(&self.probe),
-            truncated_blocks: 0,
-            k,
-            probing: self.config.probing,
-        };
-        // Handle the possibility that nothing is fetchable at all — the
-        // batch must be born finished then (engine deadlock-safety
-        // invariant: no work, nothing in flight, done).
-        finish_check(&mut policy.st, k, &mut policy.failures);
-
+        let policy = DownloadPolicy::new(self, &fetches, local);
         let params = self.engine.labelled("download");
         let sizes = [
             ("segments", fetched + local_hits),
@@ -258,12 +225,16 @@ impl DataPlane {
         if policy.truncated_blocks > 0 {
             obs.series_add("download.truncated_blocks", "all", policy.truncated_blocks);
         }
+        // Decodes run concurrently, so results apply out of landing
+        // order under wall clock.
+        let mut timeline = policy.st.timeline;
+        timeline.sort_by_key(|(t, _)| *t);
         DownloadReport {
             segments: policy.segments,
             failed: policy.failures,
             started,
             finished: self.rt.now(),
-            timeline: policy.st.timeline,
+            timeline,
         }
     }
 }
@@ -308,10 +279,15 @@ impl TransferPolicy for DownloadPolicy {
         self.st.finished
     }
 
-    fn on_success(&mut self, cloud: CloudId, job: Job, data: Option<Bytes>, now: Time) {
+    fn on_success(
+        &mut self,
+        cloud: CloudId,
+        job: Job,
+        data: Option<Bytes>,
+        now: Time,
+    ) -> Option<Work<Self>> {
         let data = data.expect("download job completed without data");
         let fetch = &mut self.st.fetches[job.fetch];
-        let seg_id = fetch.id;
         if fetch.inflight.get(&job.index).is_some_and(|(c, _)| *c == cloud.0) {
             fetch.inflight.remove(&job.index);
         }
@@ -326,49 +302,12 @@ impl TransferPolicy for DownloadPolicy {
             for c in &mut fetch.candidates {
                 c.retain(|i| *i != job.index);
             }
-            finish_check(&mut self.st, self.k, &mut self.failures);
-            return;
+        } else {
+            fetch.have.entry(job.index).or_insert(data);
         }
-        fetch.have.entry(job.index).or_insert(data);
-        while !fetch.done && fetch.have.len() >= self.k {
-            match decode_segment(&self.codec, fetch, self.k) {
-                Ok(plain) => {
-                    fetch.done = true;
-                    self.st.timeline.push((now, seg_id));
-                    self.segments.insert(seg_id, plain);
-                }
-                Err(e @ DownloadError::IntegrityMismatch { .. }) => {
-                    // One of the k blocks decode just used is corrupt
-                    // (we cannot tell which): discard exactly that
-                    // combination — the sorted first k, matching
-                    // decode_segment's choice — and keep any other
-                    // gathered blocks; over-provisioned spares exist
-                    // precisely for moments like this. Looping retries
-                    // the decode right away if enough spares are
-                    // already in hand. Give up after a few combinations.
-                    fetch.integrity_retries += 1;
-                    if fetch.integrity_retries > 3 {
-                        fetch.done = true;
-                        self.failures.push(e);
-                    } else {
-                        let mut used: Vec<u16> = fetch.have.keys().copied().collect();
-                        used.sort_unstable();
-                        used.truncate(self.k);
-                        for idx in used {
-                            fetch.have.remove(&idx);
-                            for c in &mut fetch.candidates {
-                                c.retain(|i| *i != idx);
-                            }
-                        }
-                    }
-                }
-                Err(e) => {
-                    fetch.done = true;
-                    self.failures.push(e);
-                }
-            }
-        }
+        let work = self.decode(job.fetch, now);
         finish_check(&mut self.st, self.k, &mut self.failures);
+        work
     }
 
     fn on_failure(&mut self, cloud: CloudId, job: Job, error: CloudError, _now: Time) {
@@ -396,32 +335,155 @@ impl TransferPolicy for DownloadPolicy {
     }
 }
 
+impl DownloadPolicy {
+    /// The policy of a batch fetching `fetches` on `plane`, with the
+    /// `local` segments in its results from the start. A batch with
+    /// nothing fetchable is born finished (engine deadlock-safety
+    /// invariant: no work, nothing in flight, done).
+    fn new(plane: &DataPlane, fetches: &[SegmentFetch], local: HashMap<SegmentId, Bytes>) -> Self {
+        let n_clouds = plane.clouds.len();
+        let k = plane.codec.k();
+        let st = DownloadState {
+            fetches: fetches
+                .iter()
+                .map(|f| {
+                    let mut candidates = vec![Vec::new(); n_clouds];
+                    for b in &f.blocks {
+                        if (b.cloud as usize) < n_clouds {
+                            candidates[b.cloud as usize].push(b.index);
+                        }
+                    }
+                    FetchState {
+                        id: f.id,
+                        len: f.len as usize,
+                        candidates,
+                        requested: HashSet::new(),
+                        over_requests: 0,
+                        inflight: HashMap::new(),
+                        bounces: HashMap::new(),
+                        have: HashMap::new(),
+                        integrity_retries: 0,
+                        decoding: false,
+                        done: false,
+                        exhausted: false,
+                    }
+                })
+                .collect(),
+            cloud_alive: vec![true; n_clouds],
+            finished: fetches.is_empty(),
+            timeline: Vec::new(),
+            hedge_due: None,
+        };
+        let mut policy = DownloadPolicy {
+            st,
+            segments: local,
+            failures: Vec::new(),
+            codec: Arc::clone(&plane.codec),
+            probe: Arc::clone(&plane.probe),
+            truncated_blocks: 0,
+            k,
+            probing: plane.config.probing,
+        };
+        finish_check(&mut policy.st, k, &mut policy.failures);
+        policy
+    }
+
+    /// The decode of fetch `fi`, once it holds k blocks and none is
+    /// out: the sorted first k (sorted so that the chosen subset, and
+    /// replayed traces, do not vary with `HashMap` order), handed to a
+    /// worker as shared handles. `now`, when the k-th block landed, is
+    /// the segment's completion time.
+    fn decode(&mut self, fi: usize, now: Time) -> Option<Work<Self>> {
+        let fetch = &mut self.st.fetches[fi];
+        if fetch.done || fetch.decoding || fetch.have.len() < self.k {
+            return None;
+        }
+        fetch.decoding = true;
+        let mut used: Vec<u16> = fetch.have.keys().copied().collect();
+        used.sort_unstable();
+        used.truncate(self.k);
+        let shares: Vec<(u16, Bytes)> = used.iter().map(|i| (*i, fetch.have[i].clone())).collect();
+        let (codec, id, len) = (Arc::clone(&self.codec), fetch.id, fetch.len);
+        Some(Work {
+            span: "download.decode",
+            run: Box::new(move |span| {
+                let result = decode_segment(&codec, id, len, &shares);
+                span.attr_u64("bytes", len as u64);
+                span.attr_bool("ok", result.is_ok());
+                Box::new(move |policy: &mut Self| policy.decoded(fi, used, result, now))
+            }),
+        })
+    }
+
+    /// Applies the decode of fetch `fi` from blocks `used`.
+    fn decoded(
+        &mut self,
+        fi: usize,
+        used: Vec<u16>,
+        result: Result<Bytes, DownloadError>,
+        now: Time,
+    ) -> Option<Work<Self>> {
+        let fetch = &mut self.st.fetches[fi];
+        fetch.decoding = false;
+        let work = match result {
+            Ok(plain) => {
+                fetch.done = true;
+                self.st.timeline.push((now, fetch.id));
+                self.segments.insert(fetch.id, plain);
+                None
+            }
+            Err(e @ DownloadError::IntegrityMismatch { .. }) => {
+                // One of the k blocks the decode used is corrupt (we
+                // cannot tell which): discard exactly that combination
+                // and keep any other gathered blocks; over-provisioned
+                // spares exist precisely for moments like this. With
+                // enough spares already in hand the decode goes out
+                // again right away. Give up after a few combinations.
+                fetch.integrity_retries += 1;
+                if fetch.integrity_retries > 3 {
+                    fetch.done = true;
+                    self.failures.push(e);
+                    None
+                } else {
+                    for idx in used {
+                        fetch.have.remove(&idx);
+                        for c in &mut fetch.candidates {
+                            c.retain(|i| *i != idx);
+                        }
+                    }
+                    self.decode(fi, now)
+                }
+            }
+            Err(e) => {
+                fetch.done = true;
+                self.failures.push(e);
+                None
+            }
+        };
+        finish_check(&mut self.st, self.k, &mut self.failures);
+        work
+    }
+}
+
+/// Decodes segment `id` (`len` plaintext bytes) from the k `shares`
+/// and verifies its content addressing end to end. Pure: runs in the
+/// worker with no lock held.
 fn decode_segment(
     codec: &Codec,
-    fetch: &FetchState,
-    k: usize,
+    id: SegmentId,
+    len: usize,
+    shares: &[(u16, Bytes)],
 ) -> Result<Bytes, DownloadError> {
-    // Sort for determinism: HashMap iteration order would make the
-    // chosen k-subset (and thus replayed experiment traces) vary run to
-    // run.
-    let mut indices: Vec<u16> = fetch.have.keys().copied().collect();
-    indices.sort_unstable();
-    let shares: Vec<(usize, &[u8])> = indices
-        .iter()
-        .take(k)
-        .map(|i| (*i as usize, fetch.have[i].as_ref()))
-        .collect();
+    let slices: Vec<(usize, &[u8])> = shares.iter().map(|(i, b)| (*i as usize, b.as_ref())).collect();
     let plain = codec
-        .decode(&shares, fetch.len)
+        .decode(&slices, len)
         .map_err(|_| DownloadError::NotEnoughBlocks {
-            segment: fetch.id,
-            got: fetch.have.len(),
-            need: k,
+            segment: id,
+            got: shares.len(),
+            need: codec.k(),
         })?;
-    // Verify content addressing end to end.
-    let digest = unidrive_crypto::Sha1::digest(&plain);
-    if digest != fetch.id.0 {
-        return Err(DownloadError::IntegrityMismatch { segment: fetch.id });
+    if unidrive_crypto::Sha1::digest(&plain) != id.0 {
+        return Err(DownloadError::IntegrityMismatch { segment: id });
     }
     Ok(Bytes::from(plain))
 }
@@ -446,7 +508,7 @@ fn next_job(
     let mut hedge_due: Option<Time> = None;
     for fi in 0..st.fetches.len() {
         let fetch = &st.fetches[fi];
-        if fetch.done || fetch.exhausted {
+        if fetch.done || fetch.exhausted || fetch.decoding {
             continue;
         }
         let has_candidate = |c: usize, fetch: &FetchState| {
@@ -530,7 +592,8 @@ fn hedge_at(start: Time, now: Time, mine: Duration, theirs: Duration) -> Option<
 }
 
 /// Detects completion: every fetch is done, or stuck fetches cannot make
-/// progress (no reachable unrequested candidates and nothing in flight).
+/// progress (no reachable unrequested candidates, nothing in flight and
+/// no decode out).
 fn finish_check(st: &mut DownloadState, k: usize, failures: &mut Vec<DownloadError>) {
     if st.finished {
         return;
@@ -542,7 +605,7 @@ fn finish_check(st: &mut DownloadState, k: usize, failures: &mut Vec<DownloadErr
         if fetch.done || fetch.exhausted {
             continue;
         }
-        if !fetch.inflight.is_empty() {
+        if !fetch.inflight.is_empty() || fetch.decoding {
             all_settled = false;
             continue;
         }
@@ -578,7 +641,7 @@ mod tests {
     use unidrive_crypto::Sha1;
     use unidrive_erasure::RedundancyConfig;
     use unidrive_obs::{Obs, Registry};
-    use unidrive_sim::{Runtime, SimRuntime};
+    use unidrive_sim::{RealRuntime, Runtime, SimRuntime};
 
     struct Rig {
         sim: Arc<SimRuntime>,
@@ -637,10 +700,10 @@ mod tests {
         r.registry.series_snapshot().merged("download.over_requests").sum
     }
 
-    fn upload_one(rig: &Rig, size: usize, tag: u8) -> (SegmentId, Vec<u8>, Vec<BlockRef>) {
+    fn upload_one(plane: &DataPlane, size: usize, tag: u8) -> (SegmentId, Vec<u8>, Vec<BlockRef>) {
         let data: Vec<u8> = (0..size).map(|i| (i as u8).wrapping_mul(tag).wrapping_add(tag)).collect();
         let id = SegmentId(Sha1::digest(&data));
-        let report = rig.plane.run_upload(
+        let report = plane.run_upload(
             vec![FileUpload {
                 path: "f".into(),
                 segments: vec![SegmentData {
@@ -673,7 +736,7 @@ mod tests {
     #[test]
     fn round_trip_through_the_multicloud() {
         let r = rig(1, &[1e6; 5]);
-        let (id, data, blocks) = upload_one(&r, 200_000, 3);
+        let (id, data, blocks) = upload_one(&r.plane, 200_000, 3);
         let report = fetch_one(&r, id, data.len(), blocks);
         assert!(report.is_complete(), "failures: {:?}", report.failed);
         assert_eq!(report.segments[&id], data);
@@ -682,7 +745,7 @@ mod tests {
     #[test]
     fn download_succeeds_with_k_r_clouds_down() {
         let r = rig(2, &[1e6; 5]);
-        let (id, data, blocks) = upload_one(&r, 200_000, 5);
+        let (id, data, blocks) = upload_one(&r.plane, 200_000, 5);
         // K_r = 3: any 3 clouds must suffice, so kill 2.
         r.sim_clouds[1].set_available(false);
         r.sim_clouds[3].set_available(false);
@@ -694,7 +757,7 @@ mod tests {
     #[test]
     fn download_fails_securely_with_one_cloud_left() {
         let r = rig(3, &[1e6; 5]);
-        let (id, data, blocks) = upload_one(&r, 200_000, 7);
+        let (id, data, blocks) = upload_one(&r.plane, 200_000, 7);
         for i in 0..4 {
             r.sim_clouds[i].set_available(false);
         }
@@ -711,7 +774,7 @@ mod tests {
     #[test]
     fn fast_cloud_supplies_most_blocks() {
         let r = rig(4, &[20e6, 1e6, 1e6, 1e6, 1e6]);
-        let (id, data, blocks) = upload_one(&r, 400_000, 9);
+        let (id, data, blocks) = upload_one(&r.plane, 400_000, 9);
         // Warm the probe so ranking reflects reality.
         let report = fetch_one(&r, id, data.len(), blocks.clone());
         assert!(report.is_complete());
@@ -724,7 +787,7 @@ mod tests {
     #[test]
     fn corrupted_block_fails_integrity() {
         let r = rig(5, &[1e6; 5]);
-        let (id, data, blocks) = upload_one(&r, 100_000, 11);
+        let (id, data, blocks) = upload_one(&r.plane, 100_000, 11);
         // Corrupt one stored block on cloud of the first block.
         let victim = blocks[0];
         let path = block_path(&id, victim.index);
@@ -747,8 +810,9 @@ mod tests {
     #[test]
     fn corruption_fails_over_to_spare_blocks() {
         let r = rig(7, &[1e6; 5]);
-        let (id, data, blocks) = upload_one(&r, 300_000, 13);
+        let (id, data, blocks) = upload_one(&r.plane, 300_000, 13);
         assert!(blocks.len() > 3, "need spares for this test");
+        eprintln!("DBG sim blocks {:?}", blocks);
         // Corrupt one stored block; the fetch should succeed from the
         // remaining candidates after the integrity retry discards the
         // poisoned combination.
@@ -767,6 +831,72 @@ mod tests {
         assert_eq!(report.segments[&id], data);
     }
 
+    /// `corruption_fails_over_to_spare_blocks` under wall clock, where
+    /// blocks can land while a decode that fails runs: the same seven
+    /// blocks, fetched fifty times over the simulated clouds' stores,
+    /// each fetch complete and byte-exact.
+    #[test]
+    fn corruption_fails_over_to_spare_blocks_under_wall_clock() {
+        let r = rig(7, &[1e6; 5]);
+        let (id, data, blocks) = upload_one(&r.plane, 300_000, 13);
+        assert!(blocks.len() >= 6, "a poisoned combination must leave k spares");
+        let stores = r.sim_clouds.iter().map(|c| c.backing() as Arc<dyn CloudStore>);
+        let rt: Arc<dyn Runtime> = Arc::new(RealRuntime::new());
+        let plane = DataPlane::new(rt, CloudSet::new(stores.collect()), plane_config(5, &r.registry));
+        let victim = blocks[0];
+        let path = block_path(&id, victim.index);
+        let cloud = plane.clouds().get(unidrive_cloud::CloudId(victim.cloud as usize));
+        let mut corrupted = cloud.download(&path).unwrap().to_vec();
+        corrupted[10] ^= 0xAA;
+        cloud.upload(&path, Bytes::from(corrupted)).unwrap();
+        for round in 0..50 {
+            let fetch = SegmentFetch {
+                id,
+                len: data.len() as u64,
+                blocks: blocks.clone(),
+            };
+            let report = plane.download_segments(vec![fetch], None);
+            assert!(report.is_complete(), "round {round}: {:?}", report.failed);
+            assert_eq!(report.segments[&id], data, "round {round}");
+        }
+    }
+
+    /// A fetch with k blocks in hand, no candidate left and nothing in
+    /// flight keeps the batch open while its decode is out with a
+    /// worker, and settles once the result is applied.
+    #[test]
+    fn a_decode_out_with_a_worker_keeps_the_batch_open() {
+        let r = rig(12, &[1e6; 5]);
+        let (id, data, blocks) = upload_one(&r.plane, 100_000, 29);
+        let fetch = SegmentFetch {
+            id,
+            len: data.len() as u64,
+            blocks: blocks[..3].to_vec(),
+        };
+        let mut policy = DownloadPolicy::new(&r.plane, &[fetch], HashMap::new());
+        let now = r.sim.now();
+        let jobs: Vec<_> = blocks[..3]
+            .iter()
+            .map(|b| {
+                let cloud = unidrive_cloud::CloudId(b.cloud as usize);
+                (cloud, policy.next_job(cloud, now).expect("a block to fetch").token)
+            })
+            .collect();
+        let mut work = None;
+        for (cloud, job) in jobs {
+            let data = r.plane.clouds().get(cloud).download(&block_path(&id, job.index)).unwrap();
+            assert!(work.is_none(), "a decode before the k-th block");
+            work = policy.on_success(cloud, job, Some(data), now);
+        }
+        let work = work.expect("the k-th block hands out the decode");
+        assert!(!policy.is_done(), "the batch settled with the decode out");
+        let apply = (work.run)(&mut Obs::noop().span(work.span, None));
+        assert!(apply(&mut policy).is_none());
+        assert!(policy.is_done());
+        assert!(policy.failures.is_empty(), "{:?}", policy.failures);
+        assert_eq!(policy.segments[&id], data);
+    }
+
     #[test]
     fn missing_blocks_bounce_out_instead_of_looping() {
         // Deleting objects from a cloud makes its downloads fail with
@@ -775,7 +905,7 @@ mod tests {
         // forever. The batch must terminate and reconstruct from the
         // surviving blocks.
         let r = rig(8, &[1e6; 5]);
-        let (id, data, blocks) = upload_one(&r, 300_000, 17);
+        let (id, data, blocks) = upload_one(&r.plane, 300_000, 17);
         // Erase every stored block on two clouds (ransack, not outage).
         for b in blocks.iter().filter(|b| b.cloud <= 1) {
             let cloud = r.plane.clouds().get(unidrive_cloud::CloudId(b.cloud as usize));
@@ -791,7 +921,7 @@ mod tests {
         // Erase so many blocks that reconstruction is impossible: the
         // batch must settle on NotEnoughBlocks, not hang.
         let r = rig(9, &[1e6; 5]);
-        let (id, data, blocks) = upload_one(&r, 200_000, 19);
+        let (id, data, blocks) = upload_one(&r.plane, 200_000, 19);
         for b in blocks.iter().filter(|b| b.cloud <= 3) {
             let cloud = r.plane.clouds().get(unidrive_cloud::CloudId(b.cloud as usize));
             cloud.delete(&block_path(&id, b.index)).unwrap();
@@ -812,7 +942,7 @@ mod tests {
     #[test]
     fn equal_clouds_fetch_no_spare() {
         let r = rig_with(10, &[1e6; 5], Duration::from_millis(300));
-        let uploads: Vec<_> = (0..8).map(|i| upload_one(&r, 60_000, 21 + i)).collect();
+        let uploads: Vec<_> = (0..8).map(|i| upload_one(&r.plane, 60_000, 21 + i)).collect();
         let fetches = uploads.iter().map(|(id, data, blocks)| SegmentFetch {
             id: *id,
             len: data.len() as u64,
@@ -836,7 +966,7 @@ mod tests {
     #[test]
     fn a_block_stuck_on_a_slow_cloud_is_hedged() {
         let r = rig(11, &[1e6, 1e7, 1e7, 1e7, 1e7]);
-        let (id, data, blocks) = upload_one(&r, 150_000, 23);
+        let (id, data, blocks) = upload_one(&r.plane, 150_000, 23);
         let on = |cloud: u16| *blocks.iter().find(|b| b.cloud == cloud).expect("a block per cloud");
         // Cloud 1 also holds cloud 3's block: the spare it hedges with.
         let spare = on(3);

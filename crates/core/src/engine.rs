@@ -22,6 +22,13 @@
 //! known instant says so ([`TransferPolicy::wake_at`]), and one alarm
 //! actor broadcasts then.
 //!
+//! No kernel runs under the policy lock. CPU work is done by the worker
+//! that needs it, outside the lock, in one of two places: before the
+//! wire call, a [`WireOp::Upload`] payload closure encodes its block;
+//! after it, a completion may hand its worker [`Work`] (the download
+//! policy decodes and verifies a segment there), whose result the worker
+//! applies under the lock again before it broadcasts.
+//!
 //! Callers do not start engines: a batch that is joined before its
 //! caller moves on goes through [`run_batch`], which also owns the
 //! `engine.batch` span. [`TransferEngine::start`] has exactly one other
@@ -31,7 +38,7 @@
 use std::sync::Arc;
 
 use unidrive_cloud::{CloudError, CloudId, CloudSet, Retry, RetryPolicy};
-use unidrive_obs::{Obs, SeriesHandle, SeriesKind, SpanId};
+use unidrive_obs::{Obs, SeriesHandle, SeriesKind, SpanGuard, SpanId};
 use unidrive_sim::{spawn, Notifier, Runtime, Task, Time};
 use unidrive_util::bytes::Bytes;
 use unidrive_util::sync::Mutex;
@@ -92,22 +99,49 @@ pub struct JobDesc<T> {
     pub op: WireOp,
 }
 
+/// CPU work a completion hands the worker that completed it
+/// ([`TransferPolicy::on_success`]). The worker runs `run` after it has
+/// released the policy lock, inside a span named `span` (parented to
+/// the batch span, on the worker's lane; `run` may annotate it), then
+/// applies what `run` returns under the lock, which may hand it more
+/// work, and broadcasts once none is left.
+pub struct Work<P> {
+    /// Name of the span recorded around `run`.
+    pub span: &'static str,
+    /// The work itself: runs outside the lock.
+    pub run: Run<P>,
+}
+
+/// The body of a [`Work`]: runs outside the lock, may annotate its span.
+pub type Run<P> = Box<dyn FnOnce(&mut SpanGuard) -> Apply<P> + Send>;
+
+/// The result of a [`Work`], applied to the policy under its lock.
+pub type Apply<P> = Box<dyn FnOnce(&mut P) -> Option<Work<P>> + Send>;
+
+impl<P> std::fmt::Debug for Work<P> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Work").field("span", &self.span).finish()
+    }
+}
+
 /// The scheduling brain driven by the transfer engine ([`run_batch`]).
 ///
 /// All methods are called under the engine's policy lock; they must not
-/// block (no wire calls, no sleeps) — heavy work belongs in the
-/// [`WireOp`] payload closure or in the caller.
+/// block (no wire calls, no sleeps) and run no kernel: CPU work belongs
+/// in the [`WireOp`] payload closure, in the [`Work`] a completion hands
+/// its worker, or in the caller.
 ///
-/// Deadlock-safety invariant: whenever nothing is in flight and
-/// `next_job` would return `None` for every cloud, `is_done` must be
-/// `true` — the engine parks idle workers until a completion notifies
-/// them, so a policy that is "not done" yet hands out no work with
-/// nothing in flight would park everyone forever (under the simulator,
-/// a run that does so panics as a virtual-time deadlock naming every
-/// parked `{label}-{cloud}-{conn}` worker). Policies uphold this
-/// by re-deriving their finished flag after every completion (and once
-/// at construction, for empty batches).
-pub trait TransferPolicy: Send + 'static {
+/// Deadlock-safety invariant: whenever nothing is in flight, no
+/// [`Work`] is out and `next_job` would return `None` for every cloud,
+/// `is_done` must be `true` — the engine parks idle workers until a
+/// completion notifies them, so a policy that is "not done" yet hands
+/// out no work with nothing in flight would park everyone forever
+/// (under the simulator, a run that does so panics as a virtual-time
+/// deadlock naming every parked `{label}-{cloud}-{conn}` worker).
+/// Policies uphold this by re-deriving their finished flag after every
+/// completion and applied [`Work`] (and once at construction, for
+/// empty batches).
+pub trait TransferPolicy: Send + Sized + 'static {
     /// Per-job bookkeeping round-tripped through the engine.
     type Token: Send;
 
@@ -129,8 +163,15 @@ pub trait TransferPolicy: Send + 'static {
 
     /// A job finished. `data` carries downloaded bytes (`None` for
     /// uploads and deletes); `now` is the runtime clock right after the
-    /// wire call.
-    fn on_success(&mut self, cloud: CloudId, token: Self::Token, data: Option<Bytes>, now: Time);
+    /// wire call. What the completion makes due to compute is returned
+    /// as [`Work`] for this job's worker to run outside the lock.
+    fn on_success(
+        &mut self,
+        cloud: CloudId,
+        token: Self::Token,
+        data: Option<Bytes>,
+        now: Time,
+    ) -> Option<Work<Self>>;
 
     /// A job failed after retries.
     fn on_failure(&mut self, cloud: CloudId, token: Self::Token, error: CloudError, now: Time);
@@ -511,12 +552,24 @@ fn worker_loop<P: TransferPolicy>(
             }
             Err(_) => series.failures.record(1),
         }
-        {
+        let mut work = {
             let mut p = policy.lock();
             match result {
                 Ok(data) => p.on_success(cloud_id, token, data, now),
-                Err(e) => p.on_failure(cloud_id, token, e, now),
+                Err(e) => {
+                    p.on_failure(cloud_id, token, e, now);
+                    None
+                }
             }
+        };
+        // The completion's CPU work runs here, with the lock released,
+        // so other workers hand in blocks and take jobs meanwhile.
+        while let Some(Work { span, run }) = work {
+            let mut kspan = obs.span(span, params.batch_span);
+            kspan.set_track(ctx.track);
+            let apply = run(&mut kspan);
+            kspan.end();
+            work = apply(&mut policy.lock());
         }
         // The schedulable state changed: wake every parked connection
         // to re-poll (and to observe is_done on the final completion).
@@ -554,7 +607,9 @@ mod tests {
             false
         }
 
-        fn on_success(&mut self, _: CloudId, _: (), _: Option<Bytes>, _: Time) {}
+        fn on_success(&mut self, _: CloudId, _: (), _: Option<Bytes>, _: Time) -> Option<Work<Self>> {
+            None
+        }
 
         fn on_failure(&mut self, _: CloudId, _: (), _: CloudError, _: Time) {}
     }
@@ -595,8 +650,9 @@ mod tests {
             self.landed.is_some()
         }
 
-        fn on_success(&mut self, _: CloudId, _: (), _: Option<Bytes>, now: Time) {
+        fn on_success(&mut self, _: CloudId, _: (), _: Option<Bytes>, now: Time) -> Option<Work<Self>> {
             self.landed = Some(now);
+            None
         }
 
         fn on_failure(&mut self, _: CloudId, _: (), _: CloudError, _: Time) {}
@@ -622,6 +678,119 @@ mod tests {
         };
         let done = run_batch(&rt, &clouds, params, None, &[], policy);
         assert_eq!(done.landed, Some(at));
+    }
+
+    /// Whether A's work has started, and whether B has landed.
+    type Gate = Arc<(std::sync::Mutex<(bool, bool)>, std::sync::Condvar)>;
+
+    /// Waits on `gate` until `done` holds of it, for at most 5 s;
+    /// returns whether it did.
+    fn await_gate(gate: &Gate, done: impl Fn(&(bool, bool)) -> bool) -> bool {
+        let (state, cv) = &**gate;
+        let state = state.lock().unwrap();
+        let (state, _) = cv
+            .wait_timeout_while(state, Duration::from_secs(5), |s| !done(s))
+            .unwrap();
+        done(&state)
+    }
+
+    fn open_gate(gate: &Gate, open: impl FnOnce(&mut (bool, bool))) {
+        open(&mut gate.0.lock().unwrap());
+        gate.1.notify_all();
+    }
+
+    /// Job A (a delete on cloud 0) hands its worker work that waits
+    /// until job B (an upload on cloud 1, whose payload waits until that
+    /// work started) has landed; the applied result says whether it saw
+    /// B land.
+    struct OverlapPolicy {
+        gate: Gate,
+        handed: [bool; 2],
+        landed: usize,
+        saw_b: Option<bool>,
+    }
+
+    impl TransferPolicy for OverlapPolicy {
+        type Token = usize;
+
+        fn next_job(&mut self, cloud: CloudId, _now: Time) -> Option<JobDesc<usize>> {
+            let job = cloud.0;
+            if std::mem::replace(&mut self.handed[job], true) {
+                return None;
+            }
+            let op = match job {
+                0 => WireOp::Delete { path: "blocks/a".into() },
+                _ => {
+                    let gate = Arc::clone(&self.gate);
+                    let payload = move || {
+                        await_gate(&gate, |s| s.0);
+                        Bytes::from(vec![1u8])
+                    };
+                    WireOp::Upload {
+                        path: "blocks/b".into(),
+                        payload: Box::new(payload),
+                    }
+                }
+            };
+            Some(JobDesc {
+                token: job,
+                index: 0,
+                extra: false,
+                parent_span: None,
+                op,
+            })
+        }
+
+        fn is_done(&self) -> bool {
+            self.landed == 2 && self.saw_b.is_some()
+        }
+
+        fn on_success(&mut self, _: CloudId, job: usize, _: Option<Bytes>, _: Time) -> Option<Work<Self>> {
+            self.landed += 1;
+            if job == 1 {
+                open_gate(&self.gate, |s| s.1 = true);
+                return None;
+            }
+            let gate = Arc::clone(&self.gate);
+            Some(Work {
+                span: "test.work",
+                run: Box::new(move |_| {
+                    open_gate(&gate, |s| s.0 = true);
+                    let saw = await_gate(&gate, |s| s.1);
+                    Box::new(move |policy: &mut Self| {
+                        policy.saw_b = Some(saw);
+                        None
+                    })
+                }),
+            })
+        }
+
+        fn on_failure(&mut self, _: CloudId, _: usize, error: CloudError, _: Time) {
+            panic!("{error}");
+        }
+    }
+
+    /// The work a completion hands its worker runs with the policy lock
+    /// released: another worker's completion lands meanwhile. Were the
+    /// lock held, B's `on_success` could not run and the work would give
+    /// up after 5 s.
+    #[test]
+    fn work_after_a_completion_runs_outside_the_policy_lock() {
+        let rt: Arc<dyn Runtime> = Arc::new(unidrive_sim::RealRuntime::new());
+        let clouds = CloudSet::new(
+            (0..2)
+                .map(|i| Arc::new(MemCloud::new(format!("c{i}"))) as Arc<dyn CloudStore>)
+                .collect(),
+        );
+        let params = EngineParams::new("overlap", 1, RetryPolicy::new(), Obs::noop());
+        let policy = OverlapPolicy {
+            gate: Arc::default(),
+            handed: [false; 2],
+            landed: 0,
+            saw_b: None,
+        };
+        let done = run_batch(&rt, &clouds, params, None, &[], policy);
+        assert_eq!(done.saw_b, Some(true), "the work held the policy lock");
     }
 
     #[test]

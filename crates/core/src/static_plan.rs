@@ -16,7 +16,7 @@ use unidrive_cloud::{CloudError, CloudId};
 use unidrive_sim::Time;
 use unidrive_util::bytes::Bytes;
 
-use crate::engine::{JobDesc, TransferPolicy, WireOp};
+use crate::engine::{JobDesc, TransferPolicy, WireOp, Work};
 
 #[derive(Debug)]
 struct PlannedJob {
@@ -92,10 +92,17 @@ impl TransferPolicy for StaticPlan {
         self.inflight == 0 && self.queues.iter().all(VecDeque::is_empty)
     }
 
-    fn on_success(&mut self, _: CloudId, (slot, _): Self::Token, data: Option<Bytes>, now: Time) {
+    fn on_success(
+        &mut self,
+        _: CloudId,
+        (slot, _): Self::Token,
+        data: Option<Bytes>,
+        now: Time,
+    ) -> Option<Work<Self>> {
         self.inflight -= 1;
         self.landed[slot] = Some(now);
         self.data[slot] = data;
+        None
     }
 
     fn on_failure(&mut self, cloud: CloudId, (_, delete): Self::Token, error: CloudError, _: Time) {

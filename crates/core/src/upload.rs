@@ -31,7 +31,7 @@ use unidrive_meta::{block_path, BlockRef, SegmentId};
 use unidrive_sim::Time;
 
 use crate::dataplane::DataPlane;
-use crate::engine::{JobDesc, TransferEngine, TransferPolicy, WireOp};
+use crate::engine::{JobDesc, TransferEngine, TransferPolicy, WireOp, Work};
 use crate::plan::{normal_assignment, DataPlaneConfig, MAX_BLOCK_BOUNCES};
 
 /// One file to upload, already segmented.
@@ -350,7 +350,13 @@ impl TransferPolicy for UploadPolicy {
         self.st.finished
     }
 
-    fn on_success(&mut self, cloud: CloudId, job: Job, _data: Option<Bytes>, now: Time) {
+    fn on_success(
+        &mut self,
+        cloud: CloudId,
+        job: Job,
+        _data: Option<Bytes>,
+        now: Time,
+    ) -> Option<Work<Self>> {
         self.st.landed(&job, cloud.0);
         let placed = BlockRef {
             index: job.index,
@@ -362,6 +368,7 @@ impl TransferPolicy for UploadPolicy {
         }
         self.st.refresh_availability(self.k, now);
         maybe_finish(&mut self.st, self.cap);
+        None
     }
 
     fn on_failure(&mut self, cloud: CloudId, job: Job, error: CloudError, _now: Time) {

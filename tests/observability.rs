@@ -208,6 +208,14 @@ fn spans_form_a_causal_tree_rooted_at_sync_rounds() {
             }
             "engine.batch" => assert_eq!(parent_name(sp), "sync.round"),
             "engine.worker" => assert_eq!(parent_name(sp), "engine.batch"),
+            "download.decode" => {
+                let batch = by_id[&sp.parent];
+                assert_eq!(batch.name, "engine.batch");
+                assert_eq!(batch.attr("label"), Some(&FieldValue::S("download".to_owned())));
+                assert!(matches!(sp.attr("bytes"), Some(FieldValue::U(n)) if *n > 0));
+                assert_eq!(sp.attr("ok"), Some(&FieldValue::B(true)), "no block was corrupt");
+                assert!(sp.track > 0, "decoded off the worker lanes");
+            }
             "wire.attempt" => assert_eq!(parent_name(sp), "engine.block"),
             "lock.acquire" | "meta.read" | "meta.merge" | "meta.commit" => {
                 assert_eq!(parent_name(sp), "sync.round");
@@ -242,6 +250,19 @@ fn spans_form_a_causal_tree_rooted_at_sync_rounds() {
             "no {label} batch in the trace"
         );
     }
+    // The worker that completes a segment's k blocks decodes it: one
+    // decode per fetched segment, each recorded by that worker.
+    let fetched: u64 = s
+        .spans
+        .iter()
+        .filter(|sp| sp.name == "engine.batch")
+        .filter_map(|sp| match sp.attr("fetched") {
+            Some(FieldValue::U(n)) => Some(*n),
+            _ => None,
+        })
+        .sum();
+    assert!(fetched > 0, "no segment was fetched");
+    assert_eq!(s.span_count("download.decode") as u64, fetched);
     assert!(s.span_count("sync.round") >= 2, "both devices synced");
     assert!(s.span_count("meta.merge") > 0, "commit path never merged");
 }

@@ -6,7 +6,8 @@
 //! folder are both counted from outside the code under test.
 //!
 //! Also here: the straggler-after-collect leak (a reliability block that
-//! lands after its segment was garbage-collected must not stay behind).
+//! lands after its segment was garbage-collected must not stay behind),
+//! and a pass that commits and then fails to fetch what it merged in.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -16,9 +17,11 @@ use std::time::Duration;
 use unidrive::cloud::{
     CloudCaps, CloudError, CloudSet, CloudStore, ObjectInfo, SimCloud, SimCloudConfig,
 };
-use unidrive::core::{ClientConfig, DataPlaneConfig, MemFolder, SyncFolder, UniDriveClient};
+use unidrive::core::{
+    ClientConfig, DataPlaneConfig, MemFolder, SyncError, SyncFolder, UniDriveClient,
+};
 use unidrive::erasure::{Codec, RedundancyConfig};
-use unidrive::meta::{MetaMode, SegmentId, BLOCKS_DIR};
+use unidrive::meta::{block_path, MetaMode, SegmentId, BLOCKS_DIR};
 use unidrive::obs::{FieldValue, Obs, Registry};
 use unidrive::sim::{Runtime, SimRng, SimRuntime};
 use unidrive::util::bytes::Bytes;
@@ -70,6 +73,7 @@ impl CloudStore for BlockMeter {
 /// A writer and a reader over five simulated clouds.
 struct Pair {
     sim: Arc<SimRuntime>,
+    handles: Vec<Arc<SimCloud>>,
     folder_w: Arc<MemFolder>,
     folder_r: Arc<MemFolder>,
     writer: UniDriveClient,
@@ -129,6 +133,7 @@ fn pair(seed: u64, mode: MetaMode, cloud_config: impl Fn(usize) -> SimCloudConfi
     );
     Pair {
         sim,
+        handles,
         folder_w,
         folder_r,
         writer,
@@ -521,5 +526,79 @@ fn a_conflict_copy_of_a_collected_segment_stays_readable_on_both_planes() {
         }
         let audit = p.writer.data_plane().audit(p.writer.image());
         assert_eq!(audit.missing, vec![], "{mode:?}");
+    }
+}
+
+/// `(cloud, object)` of every block `client`'s image names for `path`.
+fn stored_blocks(client: &UniDriveClient, path: &str) -> Vec<(usize, String)> {
+    let image = client.image();
+    let segments = &image.file(path).expect("committed").snapshot.segments;
+    let blocks = segments.iter().flat_map(|id| {
+        let named = &image.segment(id).expect("pooled").blocks;
+        named.iter().map(move |b| (b.cloud as usize, block_path(id, b.index)))
+    });
+    blocks.collect()
+}
+
+/// R overwrites `mine.bin` while W's new `theirs.bin` has only k − 1
+/// blocks of each segment on the clouds. R's pass commits, then fails
+/// to fetch `theirs.bin`: its error names the upload, and its garbage
+/// (the first version's blocks) is deleted all the same. Once the
+/// blocks are back, R's next pass fetches `theirs.bin` and nothing of
+/// R's own.
+#[test]
+fn a_pass_that_commits_and_then_fails_its_fetch_keeps_the_commit_on_both_planes() {
+    for mode in [MetaMode::Lock, MetaMode::Oplog] {
+        let mut p = pair(17, mode, steady);
+        p.folder_r.write("mine.bin", &random_bytes(3 * THETA, 10), 1).unwrap();
+        p.reader.sync_once().unwrap();
+        // The reliability blocks land and are named: the image then
+        // knows every block of the first version.
+        p.sim.sleep(Duration::from_secs(60));
+        p.reader.sync_once().unwrap();
+        let old = stored_blocks(&p.reader, "mine.bin");
+
+        let theirs = random_bytes(3 * THETA, 11);
+        p.folder_w.write("theirs.bin", &theirs, 1).unwrap();
+        p.writer.sync_once().unwrap();
+        p.sim.sleep(Duration::from_secs(60));
+        p.writer.sync_once().unwrap();
+        let k = redundancy().k();
+        let mut hidden = Vec::new();
+        let segments = p.writer.image().file("theirs.bin").unwrap().snapshot.segments.clone();
+        for id in &segments {
+            for b in p.writer.image().segment(id).unwrap().blocks.iter().skip(k - 1) {
+                let store = p.handles[b.cloud as usize].backing();
+                let path = block_path(id, b.index);
+                hidden.push((b.cloud as usize, path.clone(), store.download(&path).unwrap()));
+                store.delete(&path).unwrap();
+            }
+        }
+
+        let mine = random_bytes(3 * THETA, 12);
+        p.folder_r.write("mine.bin", &mine, 2).unwrap();
+        match p.reader.sync_once() {
+            Err(SyncError::Committed { report, cause }) => {
+                assert_eq!(report.uploaded, vec!["mine.bin"], "{mode:?}");
+                assert!(matches!(*cause, SyncError::Download(_)), "{mode:?}: {cause}");
+            }
+            other => panic!("{mode:?}: {other:?}"),
+        }
+        for (cloud, path) in &old {
+            let left = p.handles[*cloud].backing().exists(path).unwrap();
+            assert!(!left, "{mode:?}: {path} of the replaced version left on cloud{cloud}");
+        }
+
+        for (cloud, path, data) in hidden {
+            p.handles[cloud].backing().upload(&path, data).unwrap();
+        }
+        let report = p.reader.sync_once().unwrap();
+        assert_eq!(report.uploaded, Vec::<String>::new(), "{mode:?}");
+        assert_eq!(report.downloaded, vec!["theirs.bin"], "{mode:?}");
+        assert_eq!(last_download_batch(&p), (0, segments.len() as u64), "{mode:?}");
+        assert_eq!(read(&p.folder_r, "theirs.bin"), theirs, "{mode:?}");
+        assert_eq!(read(&p.folder_r, "mine.bin"), mine, "{mode:?}");
+        assert_eq!(p.writer.sync_once().unwrap().downloaded, vec!["mine.bin"], "{mode:?}");
+        assert_eq!(read(&p.folder_w, "mine.bin"), mine, "{mode:?}");
     }
 }
