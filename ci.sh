@@ -66,8 +66,9 @@ echo "==> one trace, one artefact, one reader, one per-cloud estimator, one figu
 # every parked actor, so no engine needs a stall watchdog) and the sim
 # API nothing called, nor the fleet's shard fan-out (one sequential
 # event loop was faster on every layout measured), nor the parallel
-# ingest fork, its worker pool and its knob (ingest chunks and hashes
-# serially on the caller's thread; no caller ever widened it), nor the
+# ingest fork, its worker pool and its knob (one file's cut is one scan;
+# a pass's whole files spread over scoped threads with no pool and no
+# knob), nor the
 # second rolling hash, the chunker-kind switch, the polynomial knob and
 # ChaosCloud's two switches (the paper's Rabin scan is the one chunker;
 # a FaultPlan event says what the switches said), nor the oplog's

@@ -55,6 +55,7 @@ impl UniDriveTransfer {
             vec![UploadRequest {
                 path: name.to_owned(),
                 data,
+                previous: Vec::new(),
             }],
             &HashSet::new(),
             None,

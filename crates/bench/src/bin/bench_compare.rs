@@ -34,7 +34,7 @@ const KERNEL_ID: [&str; 3] = ["kernel", "bytes", "threads"];
 /// and jitter with the host.
 const TOLERANCE: f64 = 0.25;
 /// Kernels every `bench_kernels` report carries at least one row of.
-const KERNEL_ROWS: [&str; 7] = [
+const KERNEL_ROWS: [&str; 8] = [
     "sha1",
     "rabin_roll",
     "chunker_cut_points",
@@ -42,6 +42,7 @@ const KERNEL_ROWS: [&str; 7] = [
     "rs_encode",
     "rs_decode",
     "ingest",
+    "reingest",
 ];
 
 /// JSON type of a required field.

@@ -16,9 +16,14 @@
 //!   full 5-block stripe per iteration (the paper's N = 5)
 //! - `ingest` — end-to-end chunk + hash + encode, through the calls
 //!   `DataPlane` makes
+//! - `reingest` — the same file after one 4 KiB overwrite, re-cut from
+//!   the previous version's cut (`segment_bytes_after`: every range
+//!   hashed, only the changed one scanned) and only the segments the
+//!   previous cut lacks encoded, as an upload of an edit does
 //!
-//! Every row runs on one thread, as ingest does in the product, and
-//! says so (`threads: 1`); the host's
+//! Every row runs on one thread and says so (`threads: 1`): a row is
+//! one file, and `DataPlane` spreads a pass's *files* over threads,
+//! never one file's work. The host's
 //! `std::thread::available_parallelism` is still stamped into the
 //! report header, so reports from earlier revisions, which also timed
 //! pooled widths, compare row by row.
@@ -40,7 +45,10 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use unidrive_bench::{arg_value, quick_arg};
-use unidrive_chunker::{cut_points, segment_bytes, ChunkerConfig, RabinHash, WINDOW};
+use unidrive_chunker::{
+    cut_points, segment_bytes, segment_bytes_after, ChunkerConfig, RabinHash, WINDOW,
+};
+use unidrive_crypto::Digest;
 use unidrive_crypto::Sha1;
 use unidrive_erasure::Codec;
 use unidrive_workload::random_bytes;
@@ -145,6 +153,17 @@ fn ingest(data: &[u8], config: &ChunkerConfig, codec: &Codec) -> usize {
     segments.len()
 }
 
+/// `ingest` of an edit of a file whose previous version was cut into
+/// `previous`: `segment_bytes_after`, then a 5-block RS stripe per
+/// segment that `previous` lacks (the others deduplicate).
+fn reingest(data: &[u8], config: &ChunkerConfig, codec: &Codec, previous: &[(Digest, usize)]) -> usize {
+    let (segments, _) = segment_bytes_after(data, config, previous);
+    for s in segments.iter().filter(|s| !previous.iter().any(|(d, _)| *d == s.digest)) {
+        black_box(codec.encode_blocks(&data[s.range()], &[0, 1, 2, 3, 4]));
+    }
+    segments.len()
+}
+
 fn main() {
     let quick = quick_arg();
     let out_path = arg_value("--out").unwrap_or_else(|| "BENCH_kernels.json".to_owned());
@@ -207,6 +226,13 @@ fn main() {
     let data = random_bytes(ingest_size, 0x1265);
     let config = ChunkerConfig::new(ingest_size / 16);
     h.row("ingest", ingest_size, || ingest(&data, &config, &codec));
+    let previous: Vec<(Digest, usize)> =
+        segment_bytes(&data, &config).iter().map(|s| (s.digest, s.len)).collect();
+    let mut edited = data.to_vec();
+    for b in &mut edited[ingest_size / 2..ingest_size / 2 + 4096] {
+        *b ^= 0xA5;
+    }
+    h.row("reingest", ingest_size, || reingest(&edited, &config, &codec, &previous));
 
     let json = h.to_json(mode, parallelism);
     std::fs::write(&out_path, &json).unwrap_or_else(|e| {

@@ -301,6 +301,13 @@ impl Span {
             .find(|(k, _)| k == key)
             .and_then(|(_, v)| v.as_str())
     }
+
+    fn arg_u64(&self, key: &str) -> Option<u64> {
+        self.args
+            .iter()
+            .find(|(k, _)| k == key)
+            .and_then(|(_, v)| v.as_u64())
+    }
 }
 
 struct Trace {
@@ -585,6 +592,16 @@ fn digest_trace(trace: &Trace) {
                     .get(&cur.tid)
                     .map(|c| format!("{} [{}]", cur.name, c))
                     .unwrap_or_else(|| cur.name.clone()),
+                // How much the pass cut and hashed, how much of it a
+                // hash check of its last cut let it take unscanned, and
+                // on how many threads.
+                "upload.ingest" => format!(
+                    "{} [{} of {} B reused, {} threads]",
+                    cur.name,
+                    cur.arg_u64("reused_bytes").unwrap_or(0),
+                    cur.arg_u64("bytes").unwrap_or(0),
+                    cur.arg_u64("threads").unwrap_or(0),
+                ),
                 _ => cur.name.clone(),
             };
             println!("  {label:<32} {:>10} ms", fmt_ms(cur.dur));

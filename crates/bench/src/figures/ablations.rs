@@ -34,6 +34,7 @@ fn upload_avail_secs(plane: &DataPlane, data: &Bytes, tag: &str) -> Option<f64> 
         vec![UploadRequest {
             path: tag.to_owned(),
             data: data.clone(),
+            previous: Vec::new(),
         }],
         &HashSet::new(),
         None,
@@ -88,6 +89,7 @@ pub fn run(cx: &Ctx) {
                     vec![UploadRequest {
                         path: "a2".into(),
                         data: data.clone(),
+                        previous: Vec::new(),
                     }],
                     &HashSet::new(),
                     None,
@@ -139,6 +141,7 @@ pub fn run(cx: &Ctx) {
                     .map(|i| UploadRequest {
                         path: format!("a3-{i}"),
                         data: random_bytes(size / 8, 2200 + rep as u64 * 10 + i),
+                        previous: Vec::new(),
                     })
                     .collect();
                 let (report, _) = plane.upload_files(requests, &HashSet::new(), None, None);

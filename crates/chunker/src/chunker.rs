@@ -13,6 +13,33 @@
 //!
 //! Each segment is identified by the SHA-1 of its content, giving
 //! cross-file deduplication for free.
+//!
+//! # Re-cutting an edited file
+//!
+//! [`segment_bytes_after`] cuts a new version of a file given the cut
+//! this same config produced for an earlier version, and returns
+//! exactly what [`segment_bytes`] returns. It walks one cursor from
+//! offset 0; every position the cursor reaches is a canonical cut.
+//! Where the cursor stands on the start of a previous range, that range
+//! is taken without a Rabin scan if its bytes still hash to its digest
+//! and the test that decides whether a scan runs at all still agrees:
+//! a non-final range needs `data.len() − start > 1.5 θ` (the scan runs), the
+//! final range must end exactly at the end of the data (it does not).
+//!
+//! Why such a range is the canonical cut: a scan from `start` primes
+//! the window on `[start + 0.5θ − WINDOW, start + 0.5θ)` and stops at
+//! the first fingerprint match or at `start + 1.5θ`. The cut it finds
+//! therefore depends only on the bytes in `[start + 0.5θ − WINDOW,
+//! cut)` — all inside `[start, cut)`, since `0.5θ ≥ WINDOW` — and on
+//! the tail test. The earlier version's scan from the same `start`
+//! found `cut` over the same bytes (equal digests), and the same tail
+//! test ran it, so this version's scan finds `cut` too. Anywhere else
+//! the walk scans one cut from the cursor and goes on; a range whose
+//! digest no longer matches costs one hash, never a wrong cut, and when
+//! the scan lands on that range's end the hash is the segment's
+//! digest. The precondition is the config: a cut made with another θ
+//! is no hint (its ranges were never scans of this config), which is
+//! why a device hints with its own cuts and never a cloud image's.
 
 use unidrive_crypto::{Digest, Sha1};
 
@@ -122,39 +149,118 @@ pub fn cut_points(data: &[u8], config: &ChunkerConfig) -> Vec<(usize, usize)> {
     if data.is_empty() {
         return Vec::new();
     }
-    let mask = config.mask();
-    let min = config.min_cut();
-    let max = config.max_size();
     let mut out = Vec::new();
     let mut start = 0usize;
-    let mut hash = RabinHash::new();
-    while data.len() - start > max {
-        // Find the next cut in (start+min, start+max].
-        let mut cut = start + max;
-        // Prime the window over the last `WINDOW` bytes before the first
-        // eligible position.
-        hash.reset();
-        let prime_from = start + min - WINDOW;
-        for &b in &data[prime_from..start + min] {
-            hash.push(b);
-        }
-        // Walk expiring/arriving bytes as a pair of zipped slices so the
-        // inner loop carries no per-byte bounds checks (the loop guard
-        // guarantees `start + max < data.len()`).
-        let expiring = &data[prime_from..start + max - WINDOW];
-        let arriving = &data[start + min..start + max];
-        for (i, (&old, &new)) in expiring.iter().zip(arriving).enumerate() {
-            if hash.fingerprint() & mask == mask {
-                cut = start + min + i;
-                break;
-            }
-            hash.roll(old, new);
-        }
+    while data.len() - start > config.max_size() {
+        let cut = next_cut(data, start, config);
         out.push((start, cut - start));
         start = cut;
     }
     out.push((start, data.len() - start));
     out
+}
+
+/// [`segment_bytes`] of `data` given `previous`, the `(digest, len)`
+/// ranges in file order that [`segment_bytes`] with this same `config`
+/// produced for an earlier version of the file (or for any other
+/// data). Ranges that still hash to their digest are taken without a
+/// Rabin scan where the cursor reaches their start (see the module
+/// doc); everything else is scanned. Returns the segments, equal to
+/// `segment_bytes(data, config)`, and the bytes taken without a scan.
+///
+/// # Examples
+///
+/// ```
+/// use unidrive_chunker::{segment_bytes, segment_bytes_after, ChunkerConfig};
+///
+/// let config = ChunkerConfig::new(4096);
+/// let old: Vec<u8> = (0..100_000u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect();
+/// let cut: Vec<_> = segment_bytes(&old, &config).iter().map(|s| (s.digest, s.len)).collect();
+/// let mut new = old.clone();
+/// new[50_000] ^= 1;
+/// let (segments, reused) = segment_bytes_after(&new, &config, &cut);
+/// assert_eq!(segments, segment_bytes(&new, &config));
+/// assert!(reused > 80_000);
+/// ```
+pub fn segment_bytes_after(
+    data: &[u8],
+    config: &ChunkerConfig,
+    previous: &[(Digest, usize)],
+) -> (Vec<Segment>, usize) {
+    let mut segments = Vec::new();
+    let mut reused = 0usize;
+    // `previous[next]` starts at `previous_at`.
+    let (mut next, mut previous_at) = (0usize, 0usize);
+    let mut start = 0usize;
+    while start < data.len() {
+        while next < previous.len() && previous_at < start {
+            previous_at = previous_at.saturating_add(previous[next].1);
+            next += 1;
+        }
+        let scans = data.len() - start > config.max_size();
+        // The hash of the previous range at the cursor, when its shape
+        // still fits: `(end, digest)`.
+        let mut hinted = None;
+        if next < previous.len() && previous_at == start {
+            let (digest, len) = previous[next];
+            let end = start.saturating_add(len);
+            let fits = match next + 1 == previous.len() {
+                true => !scans && end == data.len(),
+                false => scans && len >= config.min_cut() && len <= config.max_size(),
+            };
+            if fits {
+                let actual = Sha1::digest(&data[start..end]);
+                if actual == digest {
+                    segments.push(Segment { offset: start, len, digest });
+                    reused += len;
+                    start = end;
+                    continue;
+                }
+                hinted = Some((end, actual));
+            }
+        }
+        let cut = match scans {
+            true => next_cut(data, start, config),
+            false => data.len(),
+        };
+        let digest = match hinted {
+            Some((end, digest)) if end == cut => digest,
+            _ => Sha1::digest(&data[start..cut]),
+        };
+        segments.push(Segment { offset: start, len: cut - start, digest });
+        start = cut;
+    }
+    (segments, reused)
+}
+
+/// The canonical cut after `start`, which must leave more than `1.5 θ`
+/// of `data` (the scan runs): the first position in
+/// `[start + min, start + max)` whose trailing window matches the mask,
+/// else `start + max`.
+#[inline]
+fn next_cut(data: &[u8], start: usize, config: &ChunkerConfig) -> usize {
+    let mask = config.mask();
+    let min = config.min_cut();
+    let max = config.max_size();
+    // Prime the window over the last `WINDOW` bytes before the first
+    // eligible position.
+    let mut hash = RabinHash::new();
+    let prime_from = start + min - WINDOW;
+    for &b in &data[prime_from..start + min] {
+        hash.push(b);
+    }
+    // Walk expiring/arriving bytes as a pair of zipped slices so the
+    // inner loop carries no per-byte bounds checks (the caller
+    // guarantees `start + max < data.len()`).
+    let expiring = &data[prime_from..start + max - WINDOW];
+    let arriving = &data[start + min..start + max];
+    for (i, (&old, &new)) in expiring.iter().zip(arriving).enumerate() {
+        if hash.fingerprint() & mask == mask {
+            return start + min + i;
+        }
+        hash.roll(old, new);
+    }
+    start + max
 }
 
 #[cfg(test)]

@@ -9,9 +9,11 @@
 //!
 //! The cut points come from one rolling hash, the paper's LBFS-style
 //! [`RabinHash`] over a 48-byte [`WINDOW`], whose tables are
-//! compile-time constants. A file is cut by one serial scan on the
-//! caller's thread that skips the minimum-size region after each cut.
-//! [`ChunkerConfig`] is θ alone.
+//! compile-time constants. A file is cut by one serial scan that skips
+//! the minimum-size region after each cut; [`segment_bytes_after`]
+//! re-cuts a new version of a file from the cut of an earlier one,
+//! scanning only where ranges no longer hash to their digests, with
+//! the same result. [`ChunkerConfig`] is θ alone.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -19,5 +21,5 @@
 mod chunker;
 mod rabin;
 
-pub use chunker::{cut_points, segment_bytes, ChunkerConfig, Segment};
+pub use chunker::{cut_points, segment_bytes, segment_bytes_after, ChunkerConfig, Segment};
 pub use rabin::{RabinHash, DEFAULT_POLY, WINDOW};

@@ -4,7 +4,8 @@
 //! failures reproduce exactly) instead of an external property-testing
 //! crate.
 
-use unidrive_chunker::{segment_bytes, ChunkerConfig};
+use unidrive_chunker::{segment_bytes, segment_bytes_after, ChunkerConfig};
+use unidrive_crypto::Digest;
 use unidrive_sim::SimRng;
 
 fn config() -> ChunkerConfig {
@@ -130,5 +131,114 @@ fn prefix_edit_keeps_downstream_boundaries() {
             };
             assert_eq!(cuts(&before), cuts(&after), "theta={theta}");
         }
+    }
+}
+
+/// The `(digest, len)` cut of `data`, as a device keeps it.
+fn cut_of(data: &[u8], cfg: &ChunkerConfig) -> Vec<(Digest, usize)> {
+    segment_bytes(data, cfg).iter().map(|s| (s.digest, s.len)).collect()
+}
+
+/// One random edit of `old` for the re-cut property, and its name.
+fn edited(old: &[u8], cfg: &ChunkerConfig, rng: &mut SimRng) -> (&'static str, Vec<u8>) {
+    let mut new = old.to_vec();
+    let cuts: Vec<usize> = segment_bytes(old, cfg).iter().map(|s| s.offset + s.len).collect();
+    let at = |rng: &mut SimRng, n: usize| rng.below(n as u64 + 1) as usize;
+    let noise = |rng: &mut SimRng, n: usize| (0..n).map(|_| rng.next_u64() as u8).collect::<Vec<u8>>();
+    let kind = rng.below(10);
+    let name = match kind {
+        _ if old.is_empty() && kind < 8 => {
+            let len = at(rng, 3 * cfg.theta);
+            new = noise(rng, len);
+            "write into an empty file"
+        }
+        0 => {
+            // Strictly inside one segment.
+            let segs = segment_bytes(old, cfg);
+            let s = &segs[rng.below(segs.len() as u64) as usize];
+            let from = s.offset + at(rng, s.len - 1);
+            let len = 1 + at(rng, (s.offset + s.len - from).saturating_sub(1).min(64));
+            for b in &mut new[from..(from + len).min(s.offset + s.len)] {
+                *b ^= 1 + rng.below(255) as u8;
+            }
+            "overwrite inside a segment"
+        }
+        1 => {
+            // Across the boundary after a segment.
+            let cut = cuts[rng.below(cuts.len() as u64) as usize];
+            let from = cut.saturating_sub(1 + at(rng, 40));
+            let to = (cut + 1 + at(rng, 40)).min(old.len());
+            for b in &mut new[from..to] {
+                *b = !*b;
+            }
+            "overwrite across a boundary"
+        }
+        2 => {
+            let pos = at(rng, old.len());
+            let len = 1 + at(rng, cfg.theta);
+            new.splice(pos..pos, noise(rng, len));
+            "insert"
+        }
+        3 => {
+            let from = at(rng, old.len());
+            let to = (from + 1 + at(rng, cfg.theta)).min(old.len());
+            new.drain(from..to);
+            "delete"
+        }
+        4 => {
+            let len = 1 + at(rng, 2 * cfg.theta);
+            new.extend(noise(rng, len));
+            "append"
+        }
+        5 => {
+            let last = segment_bytes(old, cfg).last().expect("non-empty").offset;
+            new.truncate(last + at(rng, old.len() - last - 1));
+            "truncate into the last segment"
+        }
+        6 => {
+            new.truncate(cuts[rng.below(cuts.len() as u64) as usize]);
+            "truncate to a boundary"
+        }
+        7 => {
+            new.clear();
+            "empty the file"
+        }
+        8 => "no change",
+        _ => {
+            // Shorter than the file the cut came from: its lengths run
+            // past the end.
+            let len = at(rng, old.len());
+            new = noise(rng, len);
+            "an unrelated file"
+        }
+    };
+    (name, new)
+}
+
+/// The re-cut returns exactly the full cut, whatever the edit since the
+/// previous cut, at θ where ranges are shorter than the Rabin window's
+/// skip region (64), at a typical θ (4096), and at a θ every file is
+/// shorter than 1.5 θ of (one final segment, no scan at all).
+#[test]
+fn recut_after_an_edit_is_the_full_cut() {
+    for (theta, max_len) in [(64usize, 3_000usize), (4096, 60_000), (65_536, 60_000)] {
+        let cfg = ChunkerConfig::new(theta);
+        let mut rng = SimRng::seed_from_u64(0xC407 ^ theta as u64);
+        let mut seen = std::collections::BTreeSet::new();
+        for round in 0..400 {
+            let old = match rng.below(16) {
+                0 => Vec::new(),
+                _ => random_vec(&mut rng, max_len),
+            };
+            let (edit, new) = edited(&old, &cfg, &mut rng);
+            seen.insert(edit);
+            let (segments, reused) = segment_bytes_after(&new, &cfg, &cut_of(&old, &cfg));
+            assert_eq!(segments, segment_bytes(&new, &cfg), "theta={theta} round={round}: {edit}");
+            assert!(reused <= new.len(), "theta={theta} round={round}: {edit}");
+            if edit == "no change" {
+                assert_eq!(reused, new.len(), "theta={theta} round={round}: an unchanged file scans");
+            }
+        }
+        assert_eq!(seen.len(), 11, "theta={theta}: edits exercised {seen:?}");
     }
 }

@@ -11,7 +11,7 @@
 //! 3. otherwise: check the small version file; if the cloud moved,
 //!    download the cloud update and materialize it into the folder.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -206,6 +206,12 @@ pub struct UniDriveClient {
     /// Local (size, mtime) of every path as of the last sync — the
     /// reference for change detection on *this* device.
     shadow: BTreeMap<String, LocalStat>,
+    /// The `(segment id, length)` cut this device's own last ingest
+    /// made of each path: the hint its next upload re-cuts from. Kept
+    /// across a download of the path (a stale cut of this config is
+    /// still a valid hint), dropped wherever the shadow drops the path,
+    /// and per process (a restarted device rescans in full once).
+    cuts: HashMap<String, Vec<(SegmentId, u64)>>,
     /// This device's commit counter.
     counter: u64,
     /// Paths whose conflict the user resolved since the last commit:
@@ -248,6 +254,7 @@ impl UniDriveClient {
             config,
             original: SyncFolderImage::new(),
             shadow: BTreeMap::new(),
+            cuts: HashMap::new(),
             counter: 0,
             resolved: BTreeSet::new(),
             pending_blocks: std::sync::Arc::new(unidrive_util::sync::Mutex::new(Vec::new())),
@@ -324,6 +331,7 @@ impl UniDriveClient {
             // Leave the shadow stale so the next sync pass detects the
             // restored content as a local change and commits it.
             self.shadow.remove(path);
+            self.cuts.remove(path);
         }
         self.resolved.insert(path.to_owned());
         Ok(true)
@@ -452,6 +460,7 @@ impl UniDriveClient {
                 requests.push(UploadRequest {
                     path: path.clone(),
                     data: data.clone(),
+                    previous: self.cuts.get(path).cloned().unwrap_or_default(),
                 });
                 stats.insert(path.clone(), *stat);
             }
@@ -462,6 +471,9 @@ impl UniDriveClient {
             Some(Arc::clone(&self.pending_blocks)),
             round,
         );
+        for segmentation in &segmentations {
+            self.cuts.insert(segmentation.path.clone(), segmentation.segments.clone());
+        }
 
         // 2. Build the local image v_l with the resolutions and the
         //    files whose uploads completed; defer the rest to the next
@@ -657,6 +669,7 @@ impl UniDriveClient {
                 }
                 None => {
                     self.shadow.remove(&path);
+                    self.cuts.remove(&path);
                 }
             }
         }
@@ -791,6 +804,7 @@ impl UniDriveClient {
                 DeltaRecord::DeleteFile { path } => {
                     self.folder.remove(path).map_err(SyncError::Folder)?;
                     self.shadow.remove(path);
+                    self.cuts.remove(path);
                     report.deleted_locally.push(path.to_owned());
                 }
                 // Conflict copies live in the image, not the folder.

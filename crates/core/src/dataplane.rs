@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use unidrive_util::bytes::Bytes;
-use unidrive_chunker::{segment_bytes, Segment};
+use unidrive_chunker::{segment_bytes, segment_bytes_after, Segment};
 use unidrive_cloud::{CloudError, CloudId, CloudSet, Retry};
 use unidrive_crypto::Sha1;
 use unidrive_erasure::Codec;
@@ -29,6 +29,12 @@ pub struct UploadRequest {
     pub path: String,
     /// Whole file content.
     pub data: Bytes,
+    /// The `(segment id, length)` cut this plane's chunker made of an
+    /// earlier version of the file, empty when there is none. Ranges
+    /// that still hash to their ids are taken without a Rabin scan, and
+    /// the segmentation is the same either way. Never another device's
+    /// layout: it may have been cut with another θ.
+    pub previous: Vec<(SegmentId, u64)>,
 }
 
 /// Segmentation outcome for one uploaded file, needed to build its
@@ -163,6 +169,14 @@ impl DataPlane {
     /// Returns the upload report plus the per-file segmentations (for
     /// metadata snapshots).
     ///
+    /// The files are cut and hashed first, each re-cut from its
+    /// request's `previous` cut, on up to `min(available_parallelism,
+    /// files, ⌈bytes / θ⌉)` scoped threads (on the caller's thread when
+    /// that is one). The workers only cut and hash: they make no
+    /// runtime call and record nothing, so a simulated schedule does
+    /// not see them, and they are joined before the batch spawns. The
+    /// `upload.ingest` span under `parent` covers them.
+    ///
     /// Without a `sink` the call returns when the batch is done and the
     /// report's `blocks` are every placement. With one, every placement
     /// goes to the sink as it lands, and the call returns once every
@@ -175,11 +189,34 @@ impl DataPlane {
         sink: Option<BlockSink>,
         parent: Option<SpanId>,
     ) -> (UploadReport, Vec<FileSegmentation>) {
+        let obs = &self.config.obs;
+        let mut ingest = obs.span("upload.ingest", parent);
+        let bytes: usize = requests.iter().map(|r| r.data.len()).sum();
+        let config = &self.config.chunker;
+        let threads = cores().min(requests.len()).min(bytes.div_ceil(config.theta));
+        let cuts = on_threads(&requests, threads, |req| {
+            let previous: Vec<_> = req.previous.iter().map(|(id, len)| (id.0, *len as usize)).collect();
+            segment_bytes_after(&req.data, config, &previous)
+        });
+        let mut reused_bytes = 0;
+        for (req, (segments, reused)) in requests.iter().zip(&cuts) {
+            obs.series_add("chunker.bytes", "rabin", (req.data.len() - reused) as u64);
+            if *reused > 0 {
+                obs.series_add("chunker.bytes", "reused", *reused as u64);
+            }
+            obs.series_add("chunker.segments", "rabin", segments.len() as u64);
+            reused_bytes += reused;
+        }
+        ingest.attr_u64("files", requests.len() as u64);
+        ingest.attr_u64("bytes", bytes as u64);
+        ingest.attr_u64("reused_bytes", reused_bytes as u64);
+        ingest.attr_u64("threads", threads as u64);
+        ingest.end();
+
         let mut segmentations = Vec::new();
         let mut uploads = Vec::new();
         let mut scheduled: HashSet<SegmentId> = HashSet::new();
-        for req in &requests {
-            let cuts = self.segment(&req.data);
+        for (req, (cuts, _)) in requests.into_iter().zip(cuts) {
             let mut seg_meta = Vec::new();
             let mut to_send = Vec::new();
             for s in cuts {
@@ -197,7 +234,7 @@ impl DataPlane {
                 segments: seg_meta,
             });
             uploads.push(FileUpload {
-                path: req.path.clone(),
+                path: req.path,
                 segments: to_send,
             });
         }
@@ -416,28 +453,43 @@ impl DataPlane {
 }
 
 /// The `ranges` whose SHA-1 is their id, hashed on up to
-/// `available_parallelism` scoped threads that each take the next
-/// unhashed range (on the caller's thread when one suffices).
+/// `available_parallelism` threads.
 fn verified(ranges: &[(SegmentId, Bytes)]) -> Vec<(SegmentId, Bytes)> {
-    let next = AtomicUsize::new(0);
-    let hash = || {
-        let mut ok = Vec::new();
-        while let Some((id, range)) = ranges.get(next.fetch_add(1, Ordering::Relaxed)) {
-            if Sha1::digest(range) == id.0 {
-                ok.push((*id, range.clone()));
-            }
-        }
-        ok
-    };
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let threads = threads.min(ranges.len());
+    let threads = cores().min(ranges.len());
+    let hashed = on_threads(ranges, threads, |(id, range)| {
+        (Sha1::digest(range) == id.0).then(|| (*id, range.clone()))
+    });
+    hashed.into_iter().flatten().collect()
+}
+
+/// The host's `available_parallelism`, 1 when it cannot say.
+fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// `f` of every item, in item order, computed on up to `threads`
+/// scoped threads that each take the next item not yet taken (on the
+/// caller's thread when `threads` is at most one). There is no pool:
+/// the threads end before this returns. `f` must not call the runtime.
+fn on_threads<T: Sync, R: Send>(items: &[T], threads: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
     if threads <= 1 {
-        return hash();
+        return items.iter().map(f).collect();
     }
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads).map(|_| scope.spawn(hash)).collect();
-        workers.into_iter().flat_map(|w| w.join().expect("hash worker panicked")).collect()
-    })
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { return done };
+            done.push((i, f(item)));
+        }
+    };
+    let mut results: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
+        workers.into_iter().flat_map(|w| w.join().expect("scoped worker panicked")).collect()
+    });
+    results.sort_unstable_by_key(|(i, _)| *i);
+    results.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -496,6 +548,7 @@ mod tests {
             vec![UploadRequest {
                 path: "doc.bin".into(),
                 data: data.clone(),
+                previous: Vec::new(),
             }],
             &HashSet::new(),
             None,
@@ -542,6 +595,7 @@ mod tests {
             vec![UploadRequest {
                 path: "a".into(),
                 data: data.clone(),
+                previous: Vec::new(),
             }],
             &HashSet::new(),
             None,
@@ -553,6 +607,7 @@ mod tests {
             vec![UploadRequest {
                 path: "b".into(),
                 data,
+                previous: Vec::new(),
             }],
             &known,
             None,
@@ -570,6 +625,7 @@ mod tests {
             vec![UploadRequest {
                 path: "x".into(),
                 data,
+                previous: Vec::new(),
             }],
             &HashSet::new(),
             None,
@@ -611,7 +667,7 @@ mod tests {
         let redundancy = RedundancyConfig::new(5, 3, 3, 2).unwrap();
         let config = DataPlaneConfig::with_params(redundancy, 64 * 1024);
         let plane = DataPlane::new(sim.clone().as_runtime(), CloudSet::new(clouds), config);
-        let file = UploadRequest { path: "f".into(), data: content(100_000, 5) };
+        let file = UploadRequest { path: "f".into(), data: content(100_000, 5), previous: Vec::new() };
         let (report, segs) = plane.upload_files(vec![file], &HashSet::new(), None, None);
         let mut image = SyncFolderImage::new();
         for (id, len) in &segs[0].segments {
@@ -716,6 +772,7 @@ mod tests {
             vec![UploadRequest {
                 path: "f".into(),
                 data: data.clone(),
+                previous: Vec::new(),
             }],
             &HashSet::new(),
             None,
@@ -803,6 +860,7 @@ mod tests {
             vec![UploadRequest {
                 path: "big.bin".into(),
                 data: data.clone(),
+                previous: Vec::new(),
             }],
             &HashSet::new(),
             None,

@@ -20,9 +20,14 @@
 //! with the scheduler's lock released, so the other connections keep
 //! handing in blocks and taking the next segment's meanwhile ("all
 //! networking resources are assigned to the next file"). While that
-//! decode is out the segment takes no block and the batch stays open;
-//! a digest mismatch discards that combination and decodes again from
-//! the spares in hand, if there are k.
+//! decode is out the segment takes no block and the batch stays open.
+//!
+//! A digest mismatch means one of the k blocks is corrupt, not which:
+//! the blocks stay in hand, and the next decode takes the untried
+//! k-subset that leaves out the blocks of failed decodes as far as it
+//! can. Only when every k-subset in hand has failed does the segment
+//! fetch one more block, and it gives up after k + 1 failed decodes,
+//! so one corrupt block among k + 1 reachable ones never loses it.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -157,8 +162,9 @@ struct FetchState {
     bounces: HashMap<u16, u32>,
     /// Blocks received.
     have: HashMap<u16, Bytes>,
-    /// Decode attempts that failed the content hash (corrupt blocks).
-    integrity_retries: u32,
+    /// The k-subsets of `have` (sorted indices) whose decode failed
+    /// the content hash: each holds a corrupt block.
+    tried: Vec<Vec<u16>>,
     /// A worker is decoding k of `have`: the fetch takes no block and
     /// is not settled until the result is applied.
     decoding: bool,
@@ -362,7 +368,7 @@ impl DownloadPolicy {
                         inflight: HashMap::new(),
                         bounces: HashMap::new(),
                         have: HashMap::new(),
-                        integrity_retries: 0,
+                        tried: Vec::new(),
                         decoding: false,
                         done: false,
                         exhausted: false,
@@ -388,20 +394,18 @@ impl DownloadPolicy {
         policy
     }
 
-    /// The decode of fetch `fi`, once it holds k blocks and none is
-    /// out: the sorted first k (sorted so that the chosen subset, and
-    /// replayed traces, do not vary with `HashMap` order), handed to a
-    /// worker as shared handles. `now`, when the k-th block landed, is
-    /// the segment's completion time.
+    /// The decode of fetch `fi`, once it holds an untried k-subset of
+    /// blocks and none is out (at first, the sorted first k: sorted so
+    /// that the chosen subset, and replayed traces, do not vary with
+    /// `HashMap` order), handed to a worker as shared handles. `now`,
+    /// when the k-th block landed, is the segment's completion time.
     fn decode(&mut self, fi: usize, now: Time) -> Option<Work<Self>> {
         let fetch = &mut self.st.fetches[fi];
-        if fetch.done || fetch.decoding || fetch.have.len() < self.k {
+        if fetch.done || fetch.decoding {
             return None;
         }
+        let used = untried(fetch, self.k)?;
         fetch.decoding = true;
-        let mut used: Vec<u16> = fetch.have.keys().copied().collect();
-        used.sort_unstable();
-        used.truncate(self.k);
         let shares: Vec<(u16, Bytes)> = used.iter().map(|i| (*i, fetch.have[i].clone())).collect();
         let (codec, id, len) = (Arc::clone(&self.codec), fetch.id, fetch.len);
         Some(Work {
@@ -434,23 +438,17 @@ impl DownloadPolicy {
             }
             Err(e @ DownloadError::IntegrityMismatch { .. }) => {
                 // One of the k blocks the decode used is corrupt (we
-                // cannot tell which): discard exactly that combination
-                // and keep any other gathered blocks; over-provisioned
-                // spares exist precisely for moments like this. With
-                // enough spares already in hand the decode goes out
-                // again right away. Give up after a few combinations.
-                fetch.integrity_retries += 1;
-                if fetch.integrity_retries > 3 {
+                // cannot tell which), so k - 1 of them may be good: keep
+                // them all and decode again from an untried subset in
+                // hand. With none, `next_job` fetches one more block,
+                // and its landing brings new subsets. Give up after
+                // k + 1 failed decodes.
+                fetch.tried.push(used);
+                if fetch.tried.len() > self.k {
                     fetch.done = true;
                     self.failures.push(e);
                     None
                 } else {
-                    for idx in used {
-                        fetch.have.remove(&idx);
-                        for c in &mut fetch.candidates {
-                            c.retain(|i| *i != idx);
-                        }
-                    }
                     self.decode(fi, now)
                 }
             }
@@ -462,6 +460,36 @@ impl DownloadPolicy {
         };
         finish_check(&mut self.st, self.k, &mut self.failures);
         work
+    }
+}
+
+/// The next k blocks of `fetch` to decode, sorted, if a k-subset of
+/// the blocks in hand has not failed yet: the first untried subset in
+/// lexicographic order of the blocks ranked by how many failed decodes
+/// used them (then by index), so that after a mismatch the next decode
+/// leaves out the suspects as far as the blocks in hand allow. With no
+/// failure yet that is the sorted first k.
+fn untried(fetch: &FetchState, k: usize) -> Option<Vec<u16>> {
+    let suspicion = |i: &u16| fetch.tried.iter().filter(|t| t.contains(i)).count();
+    let mut ranked: Vec<u16> = fetch.have.keys().copied().collect();
+    ranked.sort_unstable_by_key(|i| (suspicion(i), *i));
+    let n = ranked.len();
+    if n < k {
+        return None;
+    }
+    let mut pick: Vec<usize> = (0..k).collect();
+    loop {
+        let mut subset: Vec<u16> = pick.iter().map(|&p| ranked[p]).collect();
+        subset.sort_unstable();
+        if !fetch.tried.contains(&subset) {
+            return Some(subset);
+        }
+        // The next k-combination of positions in `ranked`.
+        let i = (0..k).rev().find(|&i| pick[i] < n - k + i)?;
+        pick[i] += 1;
+        for j in i + 1..k {
+            pick[j] = pick[j - 1] + 1;
+        }
     }
 }
 
@@ -525,11 +553,13 @@ fn next_job(
         };
         let outstanding = fetch.inflight.len();
         // Primary: fetch a block nobody has requested yet, as long as we
-        // still need more than are in flight. With probing enabled,
-        // "eligible clouds are kept sorted according to their connection
-        // speed" (paper §6.2): a much slower cloud leaves the block to
-        // the faster ones that also have candidates.
-        if fetch.have.len() + outstanding < k {
+        // still need more than are in flight: k, or one more than in
+        // hand once every k-subset in hand failed its decode (a fetch
+        // that holds k with no decode out is in that state). With
+        // probing enabled, "eligible clouds are kept sorted according
+        // to their connection speed" (paper §6.2): a much slower cloud
+        // leaves the block to the faster ones that also have candidates.
+        if fetch.have.len() + outstanding < k.max(fetch.have.len() + 1) {
             let fastest_eligible = (0..st.cloud_alive.len())
                 .filter(|&c| st.cloud_alive[c] && has_candidate(c, fetch))
                 .map(|c| probe.speed(unidrive_cloud::CloudId(c)))
@@ -619,11 +649,15 @@ fn finish_check(st: &mut DownloadState, k: usize, failures: &mut Vec<DownloadErr
             all_settled = false;
             continue;
         }
-        // Stuck: record the failure.
-        failures.push(DownloadError::NotEnoughBlocks {
-            segment: fetch.id,
-            got: fetch.have.len(),
-            need: k,
+        // Stuck: record the failure — a corrupt block, if a decode
+        // found one, else too few blocks.
+        failures.push(match fetch.tried.is_empty() {
+            true => DownloadError::NotEnoughBlocks {
+                segment: fetch.id,
+                got: fetch.have.len(),
+                need: k,
+            },
+            false => DownloadError::IntegrityMismatch { segment: fetch.id },
         });
         st.fetches[fi].exhausted = true;
     }
@@ -829,6 +863,31 @@ mod tests {
             report.failed
         );
         assert_eq!(report.segments[&id], data);
+    }
+
+    /// A segment with exactly k + 1 blocks on its clouds, one of them
+    /// corrupt, reads back byte-exact whichever block it is: a failed
+    /// decode keeps the k - 1 good blocks it used, and a decode that
+    /// leaves the corrupt one out follows.
+    #[test]
+    fn one_corrupt_block_among_k_plus_one_never_loses_the_segment() {
+        let r = rig(14, &[1e6; 5]);
+        let (id, data, blocks) = upload_one(&r.plane, 200_000, 17);
+        let k = r.plane.codec.k();
+        assert!(blocks.len() > k, "need k + 1 blocks");
+        let held = blocks[..k + 1].to_vec();
+        for victim in &held {
+            let path = block_path(&id, victim.index);
+            let cloud = r.plane.clouds().get(unidrive_cloud::CloudId(victim.cloud as usize));
+            let good = cloud.download(&path).unwrap();
+            let mut corrupted = good.to_vec();
+            corrupted[7] ^= 0x5A;
+            cloud.upload(&path, Bytes::from(corrupted)).unwrap();
+            let report = fetch_one(&r, id, data.len(), held.clone());
+            assert!(report.is_complete(), "victim {victim:?}: {:?}", report.failed);
+            assert_eq!(report.segments[&id], data, "victim {victim:?}");
+            cloud.upload(&path, good).unwrap();
+        }
     }
 
     /// `corruption_fails_over_to_spare_blocks` under wall clock, where

@@ -58,6 +58,7 @@ fn upload_one(rig: &Rig, tag: u8) -> UploadOutcome {
         vec![UploadRequest {
             path: format!("f{tag}"),
             data,
+            previous: Vec::new(),
         }],
         &HashSet::new(),
         None,
@@ -157,6 +158,7 @@ fn download_timeline_orders_segments() {
         vec![UploadRequest {
             path: "multi".into(),
             data,
+            previous: Vec::new(),
         }],
         &HashSet::new(),
         None,
@@ -192,6 +194,7 @@ fn upload_timeline_matches_file_order_under_two_phase() {
         .map(|i| UploadRequest {
             path: format!("f{i}"),
             data: content(150_000, i as u8 + 1),
+            previous: Vec::new(),
         })
         .collect();
     let (report, _) = r.plane.upload_files(requests, &HashSet::new(), None, None);
@@ -211,6 +214,7 @@ fn available_duration_is_before_total_duration() {
         vec![UploadRequest {
             path: "f".into(),
             data,
+            previous: Vec::new(),
         }],
         &HashSet::new(),
         None,

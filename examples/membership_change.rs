@@ -52,6 +52,7 @@ fn main() {
         vec![UploadRequest {
             path: "album.zip".into(),
             data: data.clone(),
+            previous: Vec::new(),
         }],
         &HashSet::new(),
         None,

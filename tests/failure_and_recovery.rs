@@ -542,6 +542,7 @@ fn image_of(plane: &DataPlane, data: &[u8]) -> unidrive::meta::SyncFolderImage {
         vec![UploadRequest {
             path: "x".into(),
             data: data.to_vec().into(),
+            previous: Vec::new(),
         }],
         &Default::default(),
         None,
@@ -697,14 +698,16 @@ fn remove_cloud_propagates_the_real_rebuild_error() {
         other => panic!("expected 2 of 3 blocks, got {other:?}"),
     }
 
-    // A survivor serves a corrupted block: the decode that used it is
-    // thrown away, and the error says what was left — or names the
-    // integrity failure — never `got: 0`.
+    // Two survivors serve a corrupted block, so every 3 of the 4 hold
+    // one (one corrupt block alone is decoded around): the error says
+    // what was left — or names the integrity failure — never `got: 0`.
     let (r, plane, image) = setup(13);
-    let path = block_on(&image, 0);
-    let mut bad = r.handles[0].download(&path).unwrap().to_vec();
-    bad[0] ^= 0xFF;
-    r.handles[0].upload(&path, bad.into()).unwrap();
+    for cloud in [0u16, 1] {
+        let path = block_on(&image, cloud);
+        let mut bad = r.handles[cloud as usize].download(&path).unwrap().to_vec();
+        bad[0] ^= 0xFF;
+        r.handles[cloud as usize].upload(&path, bad.into()).unwrap();
+    }
     match remove_cloud(&plane, &image, CloudId(4)) {
         Err(RebalanceError::Fetch(
             DownloadError::IntegrityMismatch { .. }
@@ -740,6 +743,7 @@ fn quota_exhaustion_fails_over_to_other_clouds() {
         vec![UploadRequest {
             path: "f".into(),
             data,
+            previous: Vec::new(),
         }],
         &Default::default(),
         None,

@@ -216,6 +216,12 @@ fn spans_form_a_causal_tree_rooted_at_sync_rounds() {
                 assert_eq!(sp.attr("ok"), Some(&FieldValue::B(true)), "no block was corrupt");
                 assert!(sp.track > 0, "decoded off the worker lanes");
             }
+            "upload.ingest" => {
+                assert_eq!(parent_name(sp), "sync.round");
+                for attr in ["files", "bytes", "reused_bytes", "threads"] {
+                    assert!(matches!(sp.attr(attr), Some(FieldValue::U(_))), "ingest without {attr}");
+                }
+            }
             "wire.attempt" => assert_eq!(parent_name(sp), "engine.block"),
             "lock.acquire" | "meta.read" | "meta.merge" | "meta.commit" => {
                 assert_eq!(parent_name(sp), "sync.round");
@@ -263,6 +269,24 @@ fn spans_form_a_causal_tree_rooted_at_sync_rounds() {
         .sum();
     assert!(fetched > 0, "no segment was fetched");
     assert_eq!(s.span_count("download.decode") as u64, fetched);
+    // A pass that uploads cuts and hashes its files first: one ingest
+    // span per upload batch, under the same round, ended before the
+    // batch begins.
+    let upload_batches: Vec<_> = s
+        .spans
+        .iter()
+        .filter(|sp| sp.name == "engine.batch")
+        .filter(|sp| sp.attr("label") == Some(&FieldValue::S("upload".to_owned())))
+        .collect();
+    assert_eq!(s.span_count("upload.ingest"), upload_batches.len());
+    for batch in upload_batches {
+        let ingest = s
+            .spans
+            .iter()
+            .find(|sp| sp.name == "upload.ingest" && sp.parent == batch.parent)
+            .expect("an upload batch without its ingest");
+        assert!(ingest.end_ns <= batch.start_ns, "ingest overlaps its batch");
+    }
     assert!(s.span_count("sync.round") >= 2, "both devices synced");
     assert!(s.span_count("meta.merge") > 0, "commit path never merged");
 }

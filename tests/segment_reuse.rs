@@ -5,6 +5,9 @@
 //! own obs registry, so what came off the wire and what came out of the
 //! folder are both counted from outside the code under test.
 //!
+//! The writer's side of an edit: it re-cuts the file from its own last
+//! cut, so a pass scans about the segment it touched.
+//!
 //! Also here: the straggler-after-collect leak (a reliability block that
 //! lands after its segment was garbage-collected must not stay behind),
 //! and a pass that commits and then fails to fetch what it merged in.
@@ -80,8 +83,10 @@ struct Pair {
     reader: UniDriveClient,
     /// Block-object bytes the reader's clouds served it.
     reader_block_bytes: Arc<AtomicU64>,
-    /// The reader's own registry (the writer records nowhere).
+    /// The reader's own registry.
     reader_obs: Arc<Registry>,
+    /// The writer's own registry.
+    writer_obs: Arc<Registry>,
 }
 
 fn pair(seed: u64, mode: MetaMode, cloud_config: impl Fn(usize) -> SimCloudConfig) -> Pair {
@@ -98,6 +103,7 @@ fn pair(seed: u64, mode: MetaMode, cloud_config: impl Fn(usize) -> SimCloudConfi
         }) as Arc<dyn CloudStore>
     });
     let reader_obs = Registry::with_trace_capacity(1 << 16);
+    let writer_obs = Registry::new();
     let client = |device: &str, clouds: CloudSet, folder: &Arc<MemFolder>, obs: Obs, cseed| {
         let mut config = ClientConfig::paper_default(device);
         config.data = DataPlaneConfig {
@@ -120,7 +126,7 @@ fn pair(seed: u64, mode: MetaMode, cloud_config: impl Fn(usize) -> SimCloudConfi
         "writer",
         CloudSet::new(direct.collect()),
         &folder_w,
-        Obs::noop(),
+        Obs::with_registry(Arc::clone(&writer_obs)),
         1,
     );
     let reader_handle = Obs::with_registry(Arc::clone(&reader_obs));
@@ -140,6 +146,7 @@ fn pair(seed: u64, mode: MetaMode, cloud_config: impl Fn(usize) -> SimCloudConfi
         reader,
         reader_block_bytes,
         reader_obs,
+        writer_obs,
     }
 }
 
@@ -274,6 +281,76 @@ fn an_edit_of_one_segment_downloads_about_one_segment() {
         last_download_batch(&p),
         (kept.len() as u64, edited.len() as u64)
     );
+}
+
+/// `chunker.bytes` under `label` in `registry` so far.
+fn chunker_bytes(registry: &Registry, label: &str) -> u64 {
+    let series = registry.series_snapshot();
+    series.entry("chunker.bytes", label).map_or(0, |e| e.merged().sum)
+}
+
+/// The writer re-cuts an edited file from the cut its last ingest made:
+/// a 4 KiB overwrite in one of twelve segments scans at most two
+/// segments' bytes and takes the rest as it was, and the snapshot it
+/// commits is the full cut's. The cut is the device's own and lives in
+/// the process: a fresh client on the same folder scans in full once.
+#[test]
+fn an_edit_of_one_segment_rescans_about_one_segment_on_the_writer() {
+    let mut p = pair(16, MetaMode::Lock, steady);
+    let v1 = twelve_segment_file(&p.writer, 7);
+    p.folder_w.write("f.bin", &v1, 1).unwrap();
+    let scanned = |p: &Pair| (chunker_bytes(&p.writer_obs, "rabin"), chunker_bytes(&p.writer_obs, "reused"));
+    let before = scanned(&p);
+    assert_eq!(p.writer.sync_once().unwrap().uploaded, vec!["f.bin"]);
+    let after = scanned(&p);
+    assert_eq!((after.0 - before.0, after.1 - before.1), (v1.len() as u64, 0), "a new file scans in full");
+    p.reader.sync_once().unwrap();
+
+    let mut v2 = v1.clone();
+    let (_, at, len) = segments_of(&p.writer, &v1)[5];
+    for byte in &mut v2[at + len / 4..at + len / 4 + 4096] {
+        *byte ^= 0x3c;
+    }
+    let want = p.writer.data_plane().segment_file("f.bin", &v2);
+    p.folder_w.write("f.bin", &v2, 2).unwrap();
+    let before = scanned(&p);
+    assert_eq!(p.writer.sync_once().unwrap().uploaded, vec!["f.bin"]);
+    let after = scanned(&p);
+    let (rabin, reused) = (after.0 - before.0, after.1 - before.1);
+    let two_segments = 2 * (THETA + THETA / 2) as u64;
+    assert!(rabin <= two_segments, "{rabin} bytes scanned for a 4 KiB edit");
+    assert_eq!(rabin + reused, v2.len() as u64);
+    let ids: Vec<SegmentId> = want.segments.iter().map(|(id, _)| *id).collect();
+    assert_eq!(p.writer.image().file("f.bin").unwrap().snapshot.segments, ids);
+    assert_eq!(p.reader.sync_once().unwrap().downloaded, vec!["f.bin"]);
+    assert_eq!(read(&p.folder_r, "f.bin"), v2);
+
+    // A fresh client holds no cut: its first pass scans the whole file,
+    // its next one only what changed.
+    let fresh_obs = Registry::new();
+    let mut config = ClientConfig::paper_default("writer");
+    config.data = DataPlaneConfig {
+        obs: Obs::with_registry(Arc::clone(&fresh_obs)),
+        ..DataPlaneConfig::with_params(redundancy(), THETA)
+    };
+    config.poll_interval = Duration::from_secs(5);
+    let clouds = p.handles.iter().map(|c| Arc::clone(c) as Arc<dyn CloudStore>);
+    let mut fresh = UniDriveClient::new(
+        p.sim.clone().as_runtime(),
+        CloudSet::new(clouds.collect()),
+        Arc::clone(&p.folder_w) as Arc<dyn SyncFolder>,
+        config,
+        SimRng::seed_from_u64(3),
+    );
+    fresh.sync_once().unwrap();
+    assert_eq!(chunker_bytes(&fresh_obs, "rabin"), v2.len() as u64);
+    assert_eq!(chunker_bytes(&fresh_obs, "reused"), 0);
+    let mut v3 = v2.clone();
+    overwrite_segment(&p.writer, &mut v3, 9, 0x5a);
+    p.folder_w.write("f.bin", &v3, 3).unwrap();
+    assert_eq!(fresh.sync_once().unwrap().uploaded, vec!["f.bin"]);
+    let rabin = chunker_bytes(&fresh_obs, "rabin") - v2.len() as u64;
+    assert!(rabin <= two_segments, "{rabin} bytes scanned after the first pass");
 }
 
 /// The shadow's `(size, mtime)` is not what makes a local range usable:
