@@ -221,16 +221,14 @@ fn soak(world: &World, plan: &FaultPlan, mode: MetaMode, label: &str) -> Soaked 
 }
 
 /// A device's folder as the spec states it: every file's bytes, and
-/// the conflict copy its image holds for the file, fetched from the
-/// clouds (empty if it cannot be).
+/// the conflict copies its image holds for the file, fetched from the
+/// clouds (none if they cannot be, so a lost copy fails the check).
 fn folder_of(client: &UniDriveClient, folder: &MemFolder) -> Folder<Vec<u8>> {
     let entry = |path: String| {
-        let copy = client.image().file(&path).and_then(|e| e.conflict.as_ref()).map(|(device, _)| {
-            let bytes = client.fetch_conflict_copy(&path).ok().flatten();
-            (device.clone(), bytes.map_or_else(Vec::new, |b| b.to_vec()))
-        });
+        let copies = client.conflict_copies(&path).unwrap_or_default();
+        let copies = copies.into_iter().map(|(device, bytes)| (device, bytes.to_vec())).collect();
         let content = folder.read(&path).expect("scanned file").to_vec();
-        (path, Entry { content, copy })
+        (path, Entry { content, copies })
     };
     folder.scan().expect("mem scan").into_keys().map(entry).collect()
 }

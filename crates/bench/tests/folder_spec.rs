@@ -54,8 +54,11 @@ fn script(rng: &mut SimRng) -> Script {
     for path in PATHS {
         if rng.below(3) > 0 {
             let content = 1 + rng.below(u64::from(TAGS)) as u8;
-            let copy = (rng.below(3) == 0).then(|| ("x".to_owned(), content % TAGS + 1));
-            initial.insert(path.to_owned(), Entry { content, copy });
+            let copies = (rng.below(3) == 0)
+                .then(|| ("x".to_owned(), content % TAGS + 1))
+                .into_iter()
+                .collect();
+            initial.insert(path.to_owned(), Entry { content, copies });
         }
     }
     let devices = 2 + rng.below(3) as usize;
@@ -118,7 +121,7 @@ impl Contents {
         for (path, entry) in folder {
             let snapshot = self.snapshot(&mut image, entry.content);
             image.upsert_file(path, snapshot);
-            if let Some((device, tag)) = &entry.copy {
+            for (device, tag) in &entry.copies {
                 let copy = self.snapshot(&mut image, *tag);
                 image.attach_conflict(path, device, copy);
             }
@@ -131,15 +134,16 @@ impl Contents {
         image
             .files()
             .map(|(path, e)| {
-                let copy = e
-                    .conflict
-                    .as_ref()
-                    .map(|(device, s)| (device.clone(), tag(s)));
+                let copies = e
+                    .conflicts
+                    .iter()
+                    .map(|(device, s)| (device.clone(), tag(s)))
+                    .collect();
                 (
                     path.to_owned(),
                     Entry {
                         content: tag(&e.snapshot),
-                        copy,
+                        copies,
                     },
                 )
             })
@@ -167,7 +171,7 @@ fn changes(view: &Folder<u8>, local: &Folder<u8>) -> Vec<Change<u8>> {
     for path in paths {
         match (view.get(path), local.get(path)) {
             (Some(v), Some(l)) if v.content == l.content => {
-                if v.copy.is_some() && l.copy.is_none() {
+                if !v.copies.is_empty() && l.copies.is_empty() {
                     out.push(Change::Resolve(path.clone()));
                 }
             }
@@ -333,6 +337,7 @@ fn both_planes_meet_the_folder_spec() {
                 Ok(t) => {
                     tally.contested += t.contested;
                     tally.restores += t.restores;
+                    tally.lost += t.lost;
                 }
                 Err(e) => {
                     first_failure.get_or_insert(format!("script {n}: {e}"));
@@ -340,10 +345,13 @@ fn both_planes_meet_the_folder_spec() {
             }
         }
         println!(
-            "folder_spec {name}: {SCRIPTS} scripts, {commits} commits, {} contested paths, {} restore cases",
-            tally.contested, tally.restores
+            "folder_spec {name}: {SCRIPTS} scripts, {commits} commits, {} contested paths, {} restore cases, {} versions lost",
+            tally.contested, tally.restores, tally.lost
         );
         failures.extend(first_failure);
+        if tally.lost > 0 {
+            failures.push(format!("{name}: the spec lost {} versions", tally.lost));
+        }
     }
     assert!(failures.is_empty(), "{}", failures.join("\n\n"));
 }
@@ -363,43 +371,60 @@ fn up(path: &str, tag: u8) -> Change<u8> {
     Change::Upsert(path.into(), tag)
 }
 
+fn entry(content: u8, copies: &[(&str, u8)]) -> Entry<u8> {
+    Entry {
+        content,
+        copies: copies.iter().map(|&(d, c)| (d.to_owned(), c)).collect(),
+    }
+}
+
 #[test]
-fn a_race_keeps_both_versions_and_modify_beats_delete() {
-    let commits = [
+fn a_race_keeps_every_version_and_modify_beats_delete() {
+    // Three writers from the same (empty) base.
+    let race = [
         commit("a", &[], vec![up("f", 1), up("g", 1)]),
         commit("b", &[], vec![up("f", 2), Change::Delete("g".into())]),
-        commit("c", &[0, 1], vec![up("f", 3)]),
+        commit("c", &[], vec![up("f", 3)]),
     ];
-    let (folder, tally) = spec::run(&Folder::new(), &commits, Plane::Lock);
+    let (folder, tally) = spec::run(&Folder::new(), &race, Plane::Lock);
     assert_eq!(
         folder["f"],
-        Entry {
-            content: 3,
-            copy: None
-        },
-        "c saw both"
+        entry(1, &[("b", 2), ("c", 3)]),
+        "every version stays"
     );
     assert_eq!(folder["g"].content, 1, "the delete lost to the modify");
     assert_eq!(
         tally,
         Tally {
-            contested: 2,
-            restores: 0
+            contested: 3,
+            restores: 0,
+            lost: 0
         }
     );
-    let (folder, _) = spec::run(&Folder::new(), &commits[..2], Plane::Lock);
-    assert_eq!(folder["f"].copy, Some(("b".into(), 2)));
+    // d saw a and b, not c: its resolve removes b's copy only, and its
+    // edit keeps both copies, since c's is one its view never showed.
+    let then = |change: Change<u8>, base: &[usize]| {
+        let commits: Vec<_> = race
+            .iter()
+            .cloned()
+            .chain([commit("d", base, vec![change])])
+            .collect();
+        spec::run(&Folder::new(), &commits, Plane::Lock)
+    };
+    let (folder, _) = then(Change::Resolve("f".into()), &[0, 1]);
+    assert_eq!(folder["f"], entry(1, &[("c", 3)]));
+    let (folder, tally) = then(up("f", 4), &[0, 1]);
+    assert_eq!(folder["f"], entry(1, &[("b", 2), ("c", 3), ("d", 4)]));
+    assert_eq!(tally.lost, 0);
+    // A writer that saw all three replaces them.
+    let (folder, tally) = then(up("f", 4), &[0, 1, 2]);
+    assert_eq!(folder["f"], entry(4, &[]));
+    assert_eq!(tally.lost, 0);
 }
 
 #[test]
 fn a_change_made_and_undone_unseen_is_contested_only_on_the_oplog_plane() {
-    let initial = Folder::from([(
-        "f".to_owned(),
-        Entry {
-            content: 1,
-            copy: None,
-        },
-    )]);
+    let initial = Folder::from([("f".to_owned(), entry(1, &[]))]);
     let commits = [
         commit("a", &[], vec![up("f", 2)]),
         commit("a", &[0], vec![up("f", 1)]),
@@ -408,12 +433,6 @@ fn a_change_made_and_undone_unseen_is_contested_only_on_the_oplog_plane() {
     let (lock, tally) = spec::run(&initial, &commits, Plane::Lock);
     assert_eq!((lock["f"].content, tally.restores), (3, 0));
     let (oplog, tally) = spec::run(&initial, &commits, Plane::Oplog);
-    assert_eq!(
-        oplog["f"],
-        Entry {
-            content: 1,
-            copy: Some(("b".into(), 3))
-        }
-    );
+    assert_eq!(oplog["f"], entry(1, &[("b", 3)]));
     assert_eq!(tally.restores, 1);
 }

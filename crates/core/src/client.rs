@@ -133,6 +133,16 @@ impl From<PlaneError> for SyncError {
     }
 }
 
+/// What a conflict resolution keeps
+/// ([`UniDriveClient::resolve_conflict`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Keep {
+    /// The version that won the merge.
+    Current,
+    /// The copy at this place in [`UniDriveClient::conflict_copies`].
+    Copy(usize),
+}
+
 /// What one sync pass did.
 #[derive(Debug, Clone, Default)]
 pub struct SyncReport {
@@ -281,49 +291,59 @@ impl UniDriveClient {
     pub fn conflicts(&self) -> Vec<String> {
         self.original
             .files()
-            .filter(|(p, e)| e.conflict.is_some() && !self.resolved.contains(*p))
+            .filter(|(p, e)| !e.conflicts.is_empty() && !self.resolved.contains(*p))
             .map(|(p, _)| p.to_owned())
             .collect()
     }
 
-    /// Fetches the retained conflict copy of `path` (the losing version
-    /// of a concurrent edit) so the user can inspect or restore it.
+    /// Fetches every conflict copy the image retains for `path` (the
+    /// losing versions of concurrent edits), each with the device whose
+    /// version it is, so the user can inspect them or restore one. The
+    /// order is the image's; [`Keep::Copy`] names a copy by its place in
+    /// it. Empty when the path holds no copy.
     ///
     /// # Errors
     ///
-    /// [`DownloadError`] if the copy's blocks are unreachable.
-    pub fn fetch_conflict_copy(&self, path: &str) -> Result<Option<Bytes>, DownloadError> {
+    /// [`DownloadError`] if a copy's blocks are unreachable.
+    pub fn conflict_copies(&self, path: &str) -> Result<Vec<(String, Bytes)>, DownloadError> {
         let Some(entry) = self.original.file(path) else {
-            return Ok(None);
+            return Ok(Vec::new());
         };
-        let Some((_, snapshot)) = &entry.conflict else {
-            return Ok(None);
-        };
-        self.plane
-            .download_snapshot(&self.original, snapshot)
-            .map(Some)
+        entry
+            .conflicts
+            .iter()
+            .map(|(device, snapshot)| {
+                let data = self.plane.download_snapshot(&self.original, snapshot)?;
+                Ok((device.clone(), data))
+            })
+            .collect()
     }
 
-    /// Resolves the conflict on `path`: `keep_current` keeps the
-    /// snapshot that won the merge; otherwise the retained conflict copy
-    /// is restored as the file's content (locally and, at the next sync
-    /// pass, in the cloud metadata). Either way the next sync pass
-    /// commits the resolution, which clears the copy on every device.
-    /// Returns whether an unresolved conflict existed.
+    /// Resolves the conflict on `path`. [`Keep::Current`] keeps the
+    /// snapshot that won the merge; [`Keep::Copy`] restores that copy as
+    /// the file's content (locally and, at the next sync pass, in the
+    /// cloud metadata). Either way the next sync pass commits the
+    /// resolution, which removes every copy this device's image shows on
+    /// every device; a copy another device added since stays. Returns
+    /// whether an unresolved conflict with the named copy existed.
     ///
     /// # Errors
     ///
-    /// [`SyncError::Download`] if the conflict copy's blocks are
+    /// [`SyncError::Download`] if the kept copy's blocks are
     /// unreachable, [`SyncError::Folder`] on local write failures.
-    pub fn resolve_conflict(&mut self, path: &str, keep_current: bool) -> Result<bool, SyncError> {
+    pub fn resolve_conflict(&mut self, path: &str, keep: Keep) -> Result<bool, SyncError> {
         if !self.conflicts().iter().any(|p| p == path) {
             return Ok(false);
         }
-        if !keep_current {
+        if let Keep::Copy(i) = keep {
+            let entry = self.original.file(path).expect("conflict checked above");
+            let Some((_, snapshot)) = entry.conflicts.iter().nth(i) else {
+                return Ok(false);
+            };
             let data = self
-                .fetch_conflict_copy(path)
-                .map_err(SyncError::Download)?
-                .expect("conflict checked above");
+                .plane
+                .download_snapshot(&self.original, snapshot)
+                .map_err(SyncError::Download)?;
             let mtime = self.rt.now().as_nanos();
             self.folder
                 .write(path, &data, mtime)
@@ -843,7 +863,7 @@ impl UniDriveClient {
             }
         }
         for (path, entry) in to.files() {
-            if entry.conflict.is_some() && !report.conflicts.iter().any(|p| p == path) {
+            if !entry.conflicts.is_empty() && !report.conflicts.iter().any(|p| p == path) {
                 report.conflicts.push(path.to_owned());
             }
         }
@@ -924,7 +944,8 @@ mod tests {
         // An image decoded from a cloud can name a segment its pool
         // lacks: no base then, not a panic. (The model never builds
         // one, so the bytes are written by hand.)
-        let mut w = unidrive_meta::codec::Writer::with_header(*b"UDIM", 2);
+        let (magic, version) = (unidrive_meta::IMAGE_MAGIC, unidrive_meta::IMAGE_VERSION);
+        let mut w = unidrive_meta::codec::Writer::with_header(magic, version);
         w.put_str("dev");
         w.put_u64(1);
         w.put_u64(0);
@@ -934,7 +955,7 @@ mod tests {
         for tag in ["a", "b", "a"] {
             w.put_fixed(id(tag).0.as_bytes());
         }
-        w.put_u8(0); // no conflict
+        w.put_varint(0); // no conflict copies
         w.put_u32(1); // segments: "a" only
         w.put_fixed(id("a").0.as_bytes());
         w.put_u64(10);

@@ -57,7 +57,7 @@ mod rebalance;
 mod static_plan;
 mod upload;
 
-pub use client::{build_plane, ClientConfig, SyncError, SyncReport, UniDriveClient};
+pub use client::{build_plane, ClientConfig, Keep, SyncError, SyncReport, UniDriveClient};
 pub use control::newer;
 pub use dataplane::{BlockAudit, DataPlane, FileSegmentation, LocalBase, UploadRequest};
 pub use download::{DownloadError, DownloadReport, SegmentFetch};

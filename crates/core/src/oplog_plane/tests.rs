@@ -294,7 +294,7 @@ fn a_write_the_committer_never_folded_survives_below_its_head() {
     let seg = |tag: &str| SegmentId(Sha1::digest(tag.as_bytes()));
     let f = folded.file("f").expect("f");
     assert_eq!(f.snapshot.segments, [seg("from-a")], "the first write keeps the slot");
-    let (device, copy) = f.conflict.as_ref().expect("the later write is the copy");
+    let (device, copy) = f.conflicts.first().expect("the later write is the copy");
     assert_eq!((device.as_str(), &copy.segments[..]), ("dev-b", &[seg("from-b")][..]));
 }
 

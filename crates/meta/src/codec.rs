@@ -34,6 +34,8 @@ pub enum DecodeError {
         /// The offending length.
         len: u64,
     },
+    /// A varint ran past ten bytes or past 64 bits.
+    BadVarint,
 }
 
 impl std::fmt::Display for DecodeError {
@@ -47,6 +49,7 @@ impl std::fmt::Display for DecodeError {
             DecodeError::BadChecksum => write!(f, "checksum mismatch"),
             DecodeError::BadUtf8 => write!(f, "invalid utf-8 in string field"),
             DecodeError::BadLength { len } => write!(f, "implausible length {len}"),
+            DecodeError::BadVarint => write!(f, "varint overflows 64 bits"),
         }
     }
 }
@@ -86,6 +89,17 @@ impl Writer {
     /// Appends a `u64` (big-endian).
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_be_bytes());
+    }
+
+    /// Appends a `u64` as a LEB128 varint: seven bits a byte, low
+    /// first, the high bit set on every byte but the last (so 0 and 1
+    /// are the one bytes 0 and 1).
+    pub fn put_varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
     }
 
     /// Appends length-prefixed raw bytes.
@@ -192,6 +206,28 @@ impl<'a> Reader<'a> {
         Ok(u64::from_be_bytes(
             self.take(8, context)?.try_into().expect("8 bytes"),
         ))
+    }
+
+    /// Reads a LEB128 varint written by [`Writer::put_varint`].
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::UnexpectedEof`] if the buffer ends inside it,
+    /// [`DecodeError::BadVarint`] if it does not fit a `u64`.
+    pub fn get_varint(&mut self, context: &'static str) -> Result<u64, DecodeError> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.get_u8(context)?;
+            let bits = u64::from(byte & 0x7f);
+            if bits << shift >> shift != bits {
+                return Err(DecodeError::BadVarint);
+            }
+            v |= bits << shift;
+            if byte < 0x80 {
+                return Ok(v);
+            }
+        }
+        Err(DecodeError::BadVarint)
     }
 
     /// Reads length-prefixed bytes.
@@ -301,6 +337,52 @@ mod tests {
             r.get_u64("second").unwrap_err(),
             DecodeError::UnexpectedEof { context: "second" }
         );
+    }
+
+    #[test]
+    fn varints_round_trip_and_small_ones_are_one_byte() {
+        let values = [0, 1, 127, 128, 300, u64::from(u32::MAX), u64::MAX];
+        let mut w = Writer::with_header(MAGIC, 1);
+        for v in values {
+            w.put_varint(v);
+        }
+        let buf = w.finish();
+        assert_eq!(&buf[5..7], &[0, 1], "0 and 1 encode as one byte each");
+        let mut r = Reader::with_header(&buf, MAGIC, 1).unwrap();
+        for v in values {
+            assert_eq!(r.get_varint("v").unwrap(), v);
+        }
+        assert!(r.is_exhausted());
+    }
+
+    #[test]
+    fn a_truncated_varint_is_eof() {
+        let mut w = Writer::with_header(MAGIC, 1);
+        w.put_fixed(&[0x80, 0x80]); // continuation bits with no last byte
+        let buf = w.finish();
+        let mut r = Reader::with_header(&buf, MAGIC, 1).unwrap();
+        assert_eq!(
+            r.get_varint("count").unwrap_err(),
+            DecodeError::UnexpectedEof { context: "count" }
+        );
+    }
+
+    #[test]
+    fn an_overflowing_varint_is_rejected() {
+        // Ten bytes whose last carries bits past the 64th.
+        let mut w = Writer::with_header(MAGIC, 1);
+        w.put_fixed(&[0xff; 9]);
+        w.put_u8(0x02);
+        let buf = w.finish();
+        let mut r = Reader::with_header(&buf, MAGIC, 1).unwrap();
+        assert_eq!(r.get_varint("count").unwrap_err(), DecodeError::BadVarint);
+        // Eleven bytes: past ten with the continuation bit still set.
+        let mut w = Writer::with_header(MAGIC, 1);
+        w.put_fixed(&[0x80; 10]);
+        w.put_u8(0);
+        let buf = w.finish();
+        let mut r = Reader::with_header(&buf, MAGIC, 1).unwrap();
+        assert_eq!(r.get_varint("count").unwrap_err(), DecodeError::BadVarint);
     }
 
     #[test]

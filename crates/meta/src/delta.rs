@@ -17,7 +17,7 @@ use crate::model::{decode_snapshot, encode_snapshot};
 use crate::{BlockRef, SegmentId, Snapshot, SyncFolderImage, VersionStamp};
 
 const DELTA_MAGIC: [u8; 4] = *b"UDDL";
-const DELTA_VERSION: u8 = 3;
+const DELTA_VERSION: u8 = 4;
 
 /// One log-structured update to the metadata image.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,7 +55,7 @@ pub enum DeltaRecord {
         /// Former location.
         block: BlockRef,
     },
-    /// A conflict copy was attached to a file.
+    /// A conflict copy was added to a file's set of copies.
     AttachConflict {
         /// Contested path.
         path: String,
@@ -65,8 +65,8 @@ pub enum DeltaRecord {
         snapshot: Snapshot,
     },
     /// A conflict copy was resolved: the user kept the current version.
-    /// Clears the copy only if it is still the one named here, so a
-    /// newer copy attached in the meantime survives.
+    /// Removes this copy from the file's set; a copy attached in the
+    /// meantime is not named here and stays.
     ResolveConflict {
         /// Contested path.
         path: String,
@@ -237,12 +237,15 @@ impl DeltaRecord {
 
 /// The conflict rule of both metadata planes (paper §5.2, Algorithm 1
 /// line 7): applies one commit's `records` to `image`, where
-/// `contested` names the paths another writer changed since the
-/// committer's ancestor. A contested upsert of other content becomes
-/// the file's conflict copy, tagged `device`; a contested delete is
-/// dropped; a contested upsert of a path that is gone applies (modify
-/// beats delete). Every other record applies as it stands. Returns the
-/// contested paths whose change met a different one.
+/// `contested` names the paths that hold a version the committer's
+/// ancestor did not show. A contested upsert of content the file holds
+/// already (as its snapshot or as a copy) changes nothing, one of other
+/// content is added to the file's conflict copies, tagged `device`, and
+/// one of a path that is gone applies (modify beats delete); a
+/// contested delete is dropped. Every other record applies as it
+/// stands, so a commit removes only versions its ancestor showed.
+/// Returns the contested paths whose change met a different one: a
+/// copy added, a delete dropped, or a gone path written again.
 pub(crate) fn apply_commit(
     image: &mut SyncFolderImage,
     records: &[DeltaRecord],
@@ -256,7 +259,7 @@ pub(crate) fn apply_commit(
             continue;
         };
         match (record, image.file(path)) {
-            (DeltaRecord::UpsertFile { snapshot, .. }, Some(e)) if e.snapshot == *snapshot => continue,
+            (DeltaRecord::UpsertFile { snapshot, .. }, Some(e)) if e.holds(snapshot) => continue,
             (DeltaRecord::UpsertFile { snapshot, .. }, Some(_)) => {
                 let copy = DeltaRecord::AttachConflict {
                     path: path.to_owned(),
@@ -314,12 +317,7 @@ pub(crate) fn apply_record(image: &mut SyncFolderImage, record: &DeltaRecord) {
             path,
             device,
             snapshot,
-        } => {
-            let named = image.file(path).and_then(|e| e.conflict.as_ref());
-            if named.is_some_and(|(d, s)| d == device && s == snapshot) {
-                image.resolve_conflict(path);
-            }
-        }
+        } => image.remove_conflict(path, device, snapshot),
         DeltaRecord::DropSegment { id } => {
             image.drop_unreferenced_segment(id);
         }
@@ -518,7 +516,39 @@ mod tests {
         assert_eq!(DeltaLog::decode(&log.encode()).unwrap(), log);
     }
 
-    /// A resolution clears only the copy it names: one a later commit
+    /// A log round-trips files with no copy, one and several, and
+    /// replaying it rebuilds them, each copy from its own record.
+    #[test]
+    fn a_log_of_files_with_any_number_of_copies_rebuilds_them() {
+        let mut to = SyncFolderImage::new();
+        for tag in ["a", "b", "c", "d"] {
+            to.ensure_segment(seg(tag), 10);
+        }
+        to.upsert_file("none", snap("a"));
+        to.upsert_file("one", snap("a"));
+        to.attach_conflict("one", "phone", snap("b"));
+        to.upsert_file("two", snap("b"));
+        to.attach_conflict("two", "phone", snap("c"));
+        to.attach_conflict("two", "tablet", snap("d"));
+        to.version = stamp("a", 2);
+        let mut log = DeltaLog::new(stamp("a", 1));
+        log.append(
+            DeltaLog::records_for(&SyncFolderImage::new(), &to),
+            stamp("a", 2),
+        );
+        let log = DeltaLog::decode(&log.encode()).unwrap();
+        let attached = log
+            .records
+            .iter()
+            .filter(|r| matches!(r, DeltaRecord::AttachConflict { .. }))
+            .count();
+        assert_eq!(attached, 3);
+        let mut rebuilt = SyncFolderImage::new();
+        log.apply_to(&mut rebuilt);
+        assert_eq!(rebuilt, to);
+    }
+
+    /// A resolution removes only the copy it names: one a later commit
     /// attached in the meantime is a new conflict and stays.
     #[test]
     fn resolving_an_older_copy_leaves_a_newer_one_in_place() {
@@ -527,16 +557,27 @@ mod tests {
             img.ensure_segment(seg(tag), 10);
         }
         img.upsert_file("f", snap("cur"));
+        img.attach_conflict("f", "phone", snap("old"));
         img.attach_conflict("f", "phone", snap("new"));
         let resolve = |tag: &str| DeltaRecord::ResolveConflict {
             path: "f".into(),
             device: "phone".into(),
             snapshot: snap(tag),
         };
+        let copies = |img: &SyncFolderImage| img.file("f").unwrap().conflicts.clone();
         apply_record(&mut img, &resolve("old"));
-        assert_eq!(img.file("f").unwrap().conflict, Some(("phone".into(), snap("new"))));
+        assert_eq!(
+            copies(&img),
+            BTreeSet::from([("phone".into(), snap("new"))])
+        );
+        apply_record(&mut img, &resolve("old"));
+        assert_eq!(
+            copies(&img).len(),
+            1,
+            "a second resolve of a gone copy is a no-op"
+        );
         apply_record(&mut img, &resolve("new"));
-        assert_eq!(img.file("f").unwrap().conflict, None);
+        assert!(copies(&img).is_empty());
     }
 
     #[test]

@@ -5,47 +5,46 @@
 //! computes ΔL = diff(original, local) and ΔC = diff(original, cloud)
 //! and applies ΔL to the cloud image under the one conflict rule both
 //! metadata planes share (`apply_commit` in `delta.rs`): a path only
-//! the local side changed takes its change, and a path both sides
-//! changed keeps the cloud's version in the slot, with the local one
-//! attached as a conflict copy for the user to resolve later.
+//! the local side changed takes its change, and a path the cloud side
+//! changed too (its snapshot, or a copy added) keeps the cloud's
+//! version, with the local one added to its conflict copies for the
+//! user to resolve later.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::delta::apply_commit;
 use crate::{DeltaRecord, SyncFolderImage};
 
 /// Compares two images, returning the records that turn `from`'s files
 /// into `to`'s: upserts and deletes of current snapshots in path order,
-/// then an `AttachConflict` for each conflict copy that appeared, then
-/// a `ResolveConflict` for each copy cleared while its file's current
-/// snapshot stayed the same.
+/// then an `AttachConflict` for each conflict copy `to` holds and the
+/// file as `from` left it does not (an upsert clears a file's copies),
+/// then a `ResolveConflict` for each copy removed while its file's
+/// current snapshot stayed the same.
 pub fn diff(from: &SyncFolderImage, to: &SyncFolderImage) -> Vec<DeltaRecord> {
     let mut changes = BTreeMap::new();
     let (mut attached, mut resolved) = (Vec::new(), Vec::new());
+    let none = BTreeSet::new();
     for (path, entry) in to.files() {
-        let old = from.file(path);
-        let same = old.is_some_and(|e| e.snapshot == entry.snapshot);
-        if !same {
+        let old = from.file(path).filter(|e| e.snapshot == entry.snapshot);
+        if old.is_none() {
             let snapshot = entry.snapshot.clone();
             changes.insert(path, DeltaRecord::UpsertFile { path: path.to_owned(), snapshot });
         }
-        let old_copy = old.and_then(|e| e.conflict.as_ref());
-        match (&entry.conflict, old_copy) {
-            (Some((device, snapshot)), _) if old_copy != entry.conflict.as_ref() => {
-                attached.push(DeltaRecord::AttachConflict {
-                    path: path.to_owned(),
-                    device: device.clone(),
-                    snapshot: snapshot.clone(),
-                });
-            }
-            (None, Some((device, snapshot))) if same => {
-                resolved.push(DeltaRecord::ResolveConflict {
-                    path: path.to_owned(),
-                    device: device.clone(),
-                    snapshot: snapshot.clone(),
-                });
-            }
-            _ => {}
+        let old_copies = old.map_or(&none, |e| &e.conflicts);
+        for (device, snapshot) in entry.conflicts.difference(old_copies) {
+            attached.push(DeltaRecord::AttachConflict {
+                path: path.to_owned(),
+                device: device.clone(),
+                snapshot: snapshot.clone(),
+            });
+        }
+        for (device, snapshot) in old_copies.difference(&entry.conflicts) {
+            resolved.push(DeltaRecord::ResolveConflict {
+                path: path.to_owned(),
+                device: device.clone(),
+                snapshot: snapshot.clone(),
+            });
         }
     }
     for (path, _) in from.files() {
@@ -60,7 +59,7 @@ pub fn diff(from: &SyncFolderImage, to: &SyncFolderImage) -> Vec<DeltaRecord> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct MergeOutcome {
     /// The merged image (cloud version wins contested entries; local
-    /// snapshots are retained as conflict copies).
+    /// snapshots are added to their conflict copies).
     pub image: SyncFolderImage,
     /// Contested paths, in path order: both sides changed them, and
     /// differently.
@@ -69,9 +68,9 @@ pub struct MergeOutcome {
 
 /// Merges a local image and a cloud image against their common original
 /// (Algorithm 1, line 7): `apply_commit` of ΔL onto the cloud image,
-/// where a path is contested when the cloud changed its current
-/// snapshot since the original. `local_device` labels retained
-/// conflict copies.
+/// where a path is contested when the cloud holds a version of it the
+/// original did not show — ΔC changed its current snapshot or added a
+/// copy. `local_device` labels retained conflict copies.
 ///
 /// The segment pool is the union of both pools (block locations are
 /// additive because blocks are immutable), so every snapshot either
@@ -91,7 +90,13 @@ pub fn merge3(
         }
     }
     let cloud_changes = diff(original, cloud);
-    let contested = cloud_changes.iter().filter_map(DeltaRecord::file_path).collect();
+    let contested = cloud_changes
+        .iter()
+        .filter_map(|record| match record {
+            DeltaRecord::AttachConflict { path, .. } => Some(path.as_str()),
+            other => other.file_path(),
+        })
+        .collect();
     let conflicts = apply_commit(&mut image, &diff(original, local), local_device, &contested);
     MergeOutcome { image, conflicts }
 }
@@ -213,7 +218,7 @@ mod tests {
         put(&mut cloud, "same.txt", "samecontent");
         let out = merge3(&original, &local, &cloud, "laptop");
         assert!(out.conflicts.is_empty());
-        assert!(out.image.file("same.txt").unwrap().conflict.is_none());
+        assert!(out.image.file("same.txt").unwrap().conflicts.is_empty());
     }
 
     #[test]
@@ -230,12 +235,42 @@ mod tests {
         // Cloud wins the main slot.
         assert_eq!(entry.snapshot.segments, vec![seg("cloud-edit")]);
         // Local copy retained, attributed to the device.
-        let (device, retained) = entry.conflict.as_ref().unwrap();
+        let (device, retained) = entry.conflicts.first().unwrap();
         assert_eq!(device, "laptop");
         assert_eq!(retained.segments, vec![seg("local-edit")]);
         // Both contents stay referenced so neither is garbage-collected.
         let live = out.image.referenced();
         assert!(live.contains(&seg("cloud-edit")) && live.contains(&seg("local-edit")));
+    }
+
+    /// A copy the cloud added since the original contests its path: a
+    /// local edit that never saw it is added beside it, not over it, and
+    /// a local resolve removes only the copy the original showed.
+    #[test]
+    fn a_copy_the_original_never_showed_survives_an_edit_and_a_resolve() {
+        let mut original = base();
+        for tag in ["seen", "unseen"] {
+            original.ensure_segment(seg(tag), 10);
+        }
+        original.attach_conflict("common.txt", "phone", snap("seen"));
+        let mut cloud = original.clone();
+        cloud.attach_conflict("common.txt", "tablet", snap("unseen"));
+
+        let mut edited = original.clone();
+        put(&mut edited, "common.txt", "mine");
+        let out = merge3(&original, &edited, &cloud, "laptop");
+        assert_eq!(out.conflicts, vec!["common.txt"]);
+        let entry = out.image.file("common.txt").unwrap();
+        assert_eq!(entry.snapshot, snap("common"));
+        let devices: Vec<&str> = entry.conflicts.iter().map(|(d, _)| d.as_str()).collect();
+        assert_eq!(devices, ["laptop", "phone", "tablet"]);
+
+        let mut resolved = original.clone();
+        resolved.resolve_conflict("common.txt");
+        let out = merge3(&original, &resolved, &cloud, "laptop");
+        let entry = out.image.file("common.txt").unwrap();
+        let devices: Vec<&str> = entry.conflicts.iter().map(|(d, _)| d.as_str()).collect();
+        assert_eq!(devices, ["tablet"]);
     }
 
     #[test]

@@ -26,7 +26,10 @@ pub use layout::{
     BLOCKS_DIR, DELTA_PATH, LOCK_DIR, OPLOG_BASE_PATH, OPLOG_DIR, OP_FILE_PREFIX, ROOT_DIR,
     VERSION_PATH,
 };
-pub use model::{BlockRef, FileEntry, SegmentEntry, SegmentId, Snapshot, SyncFolderImage, VersionStamp};
+pub use model::{
+    BlockRef, FileEntry, SegmentEntry, SegmentId, Snapshot, SyncFolderImage, VersionStamp,
+    IMAGE_MAGIC, IMAGE_VERSION,
+};
 pub use op::{compact, fold, op_id, FoldOutcome, MetaOp, OplogBase};
 pub use plane::{
     lock_verdict, LockConfig, LockVerdict, MergeFn, MetaMode, MetaPlane, PlaneError,

@@ -9,15 +9,17 @@
 //! A compact [`VersionStamp`] identifies each committed metadata
 //! version without global clock synchronization.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use unidrive_util::bytes::Bytes;
 use unidrive_crypto::Digest;
 
 use crate::codec::{DecodeError, Reader, Writer};
 
-const IMAGE_MAGIC: [u8; 4] = *b"UDIM";
-const IMAGE_VERSION: u8 = 2;
+/// The magic tag of an encoded [`SyncFolderImage`] (the base file).
+pub const IMAGE_MAGIC: [u8; 4] = *b"UDIM";
+/// The format version of an encoded [`SyncFolderImage`].
+pub const IMAGE_VERSION: u8 = 3;
 
 /// Content-addressed identity of a segment: the SHA-1 of its bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -90,21 +92,32 @@ impl SegmentEntry {
 /// Fig. 6). Two snapshots are equal exactly when the contents are, so
 /// a rewrite with the same bytes is no change; a file's timestamps are
 /// the device's own business and stay out of the shared image.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Snapshot {
     /// Ordered segments whose concatenation is the file content.
     pub segments: Vec<SegmentId>,
 }
 
-/// One file in the hierarchy image, with an optional retained conflict
-/// version (paper §5.2, "Conflicting Local and Cloud Updates").
+/// One file in the hierarchy image, with the conflict versions
+/// retained beside it (paper §5.2, "Conflicting Local and Cloud
+/// Updates": both versions are kept and flagged for the user).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileEntry {
     /// The current (winning) snapshot.
     pub snapshot: Snapshot,
-    /// A conflicting snapshot retained for user resolution, tagged with
-    /// the device that produced it.
-    pub conflict: Option<(String, Snapshot)>,
+    /// The conflict copies retained for user resolution, each keyed by
+    /// the device whose version lost and that version. A set: a race of
+    /// any number of writers keeps every version, and a resolution
+    /// removes only the copies it names.
+    pub conflicts: BTreeSet<(String, Snapshot)>,
+}
+
+impl FileEntry {
+    /// Whether `snapshot` is this file's current version or one of its
+    /// copies.
+    pub(crate) fn holds(&self, snapshot: &Snapshot) -> bool {
+        self.snapshot == *snapshot || self.conflicts.iter().any(|(_, s)| s == snapshot)
+    }
 }
 
 /// Identifies a committed metadata version: `(device, counter)` with a
@@ -233,7 +246,7 @@ impl SyncFolderImage {
     }
 
     /// Inserts or replaces a file's snapshot (and drops its conflict
-    /// copy). Segments the old version alone named become garbage for
+    /// copies). Segments the old version alone named become garbage for
     /// [`collect_garbage`](SyncFolderImage::collect_garbage).
     ///
     /// # Panics
@@ -247,7 +260,7 @@ impl SyncFolderImage {
             path.to_owned(),
             FileEntry {
                 snapshot,
-                conflict: None,
+                conflicts: BTreeSet::new(),
             },
         );
     }
@@ -257,9 +270,11 @@ impl SyncFolderImage {
         self.files.remove(path);
     }
 
-    /// Attaches a conflict snapshot to an existing file (both versions
-    /// retained per the paper's resolution policy), replacing any copy
-    /// retained before.
+    /// Adds a conflict copy to an existing file's set (every version
+    /// retained per the paper's resolution policy). A version the file
+    /// holds already, as its snapshot or as a copy, adds nothing: an op
+    /// can attach against a fold that lacked a concurrent write of the
+    /// same bytes.
     ///
     /// # Panics
     ///
@@ -270,13 +285,24 @@ impl SyncFolderImage {
             .files
             .get_mut(path)
             .expect("attach_conflict on missing file");
-        entry.conflict = Some((origin_device.to_owned(), snapshot));
+        if !entry.holds(&snapshot) {
+            entry.conflicts.insert((origin_device.to_owned(), snapshot));
+        }
     }
 
-    /// Clears a file's conflict (user resolved it).
+    /// Removes one conflict copy from a file's set, if it holds it.
+    pub(crate) fn remove_conflict(&mut self, path: &str, device: &str, snapshot: &Snapshot) {
+        if let Some(entry) = self.files.get_mut(path) {
+            entry
+                .conflicts
+                .retain(|(d, s)| d != device || s != snapshot);
+        }
+    }
+
+    /// Clears every conflict copy of a file (the user resolved it).
     pub fn resolve_conflict(&mut self, path: &str) {
         if let Some(entry) = self.files.get_mut(path) {
-            entry.conflict = None;
+            entry.conflicts.clear();
         }
     }
 
@@ -310,7 +336,7 @@ impl SyncFolderImage {
     fn snapshots(&self) -> impl Iterator<Item = &Snapshot> {
         self.files
             .values()
-            .flat_map(|e| std::iter::once(&e.snapshot).chain(e.conflict.as_ref().map(|(_, s)| s)))
+            .flat_map(|e| std::iter::once(&e.snapshot).chain(e.conflicts.iter().map(|(_, s)| s)))
     }
 
     fn assert_pooled(&self, snapshot: &Snapshot) {
@@ -332,13 +358,12 @@ impl SyncFolderImage {
         for (path, entry) in &self.files {
             w.put_str(path);
             encode_snapshot(&mut w, &entry.snapshot);
-            match &entry.conflict {
-                None => w.put_u8(0),
-                Some((device, snap)) => {
-                    w.put_u8(1);
-                    w.put_str(device);
-                    encode_snapshot(&mut w, snap);
-                }
+            // A varint: a file with no copy or one pays one byte for
+            // the count.
+            w.put_varint(entry.conflicts.len() as u64);
+            for (device, snap) in &entry.conflicts {
+                w.put_str(device);
+                encode_snapshot(&mut w, snap);
             }
         }
         w.put_u32(self.segments.len() as u32);
@@ -371,14 +396,18 @@ impl SyncFolderImage {
         for _ in 0..file_count {
             let path = r.get_str("file path")?;
             let snapshot = decode_snapshot(&mut r)?;
-            let conflict = match r.get_u8("conflict flag")? {
-                0 => None,
-                _ => {
-                    let device = r.get_str("conflict device")?;
-                    Some((device, decode_snapshot(&mut r)?))
-                }
-            };
-            files.insert(path, FileEntry { snapshot, conflict });
+            let mut conflicts = BTreeSet::new();
+            for _ in 0..r.get_varint("conflict count")? {
+                let device = r.get_str("conflict device")?;
+                conflicts.insert((device, decode_snapshot(&mut r)?));
+            }
+            files.insert(
+                path,
+                FileEntry {
+                    snapshot,
+                    conflicts,
+                },
+            );
         }
         let seg_count = r.get_u32("segment count")?;
         let mut segments = BTreeMap::new();
@@ -526,7 +555,7 @@ mod tests {
         assert!(img.referenced().contains(&seg("theirs")));
         // Resolving frees the conflict copy.
         img.resolve_conflict("f");
-        assert!(img.file("f").unwrap().conflict.is_none());
+        assert!(img.file("f").unwrap().conflicts.is_empty());
         assert_eq!(collected(&mut img), vec![seg("theirs")]);
     }
 
@@ -568,6 +597,45 @@ mod tests {
         };
         let decoded = SyncFolderImage::decode(&img.encode()).unwrap();
         assert_eq!(decoded, img);
+    }
+
+    #[test]
+    fn every_copy_round_trips_and_a_resolve_removes_only_its_own() {
+        let mut img = image_with(&[("f", "cur"), ("g", "s1")]);
+        for tag in ["b", "c"] {
+            img.ensure_segment(seg(tag), 10);
+        }
+        img.attach_conflict("f", "phone", snap("b"));
+        img.attach_conflict("f", "tablet", snap("c"));
+        img.attach_conflict("f", "laptop", snap("b"));
+        img.attach_conflict("f", "laptop", snap("cur"));
+        assert_eq!(
+            img.file("f").unwrap().conflicts.len(),
+            2,
+            "a held version adds nothing"
+        );
+        assert_eq!(SyncFolderImage::decode(&img.encode()).unwrap(), img);
+        img.remove_conflict("f", "phone", &snap("b"));
+        let left: Vec<_> = img.file("f").unwrap().conflicts.iter().cloned().collect();
+        assert_eq!(left, vec![("tablet".to_owned(), snap("c"))]);
+        assert_eq!(collected(&mut img), vec![seg("b")]);
+    }
+
+    /// The copy count is a varint, so a file with no copy or with one
+    /// encodes to the bytes the one-slot format's flag byte gave it, and
+    /// base sizes (and λ with them) stay put. The lengths were measured
+    /// on that format; a second copy adds its device and snapshot.
+    #[test]
+    fn files_with_at_most_one_copy_encode_to_the_one_slot_length() {
+        let mut img = image_with(&[("a/b.txt", "s1"), ("c.bin", "s2")]);
+        img.record_block(seg("s1"), BlockRef { index: 2, cloud: 4 });
+        assert_eq!(img.encode().len(), 179);
+        img.attach_conflict("c.bin", "phone", snap("s1"));
+        assert_eq!(img.encode().len(), 212);
+        img.ensure_segment(seg("s3"), 10);
+        img.attach_conflict("c.bin", "tablet", snap("s3"));
+        // The pool entry of s3, then the copy's device and snapshot.
+        assert_eq!(img.encode().len(), 212 + 32 + (4 + 6) + (4 + 20));
     }
 
     #[test]

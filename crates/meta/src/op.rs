@@ -13,11 +13,13 @@
 //!
 //! Ops that raced in the log resolve under the one conflict rule both
 //! planes share (`apply_commit` in `delta.rs`, also called by
-//! `merge3`): an op's change to a path whose last writer is an op of
-//! another device that the op's `base` (the watermark of the fold it
-//! was built on) does not cover is contested. The op first in the
-//! total order keeps the slot; a later op's upsert of other content is
-//! retained as a conflict copy, and its delete loses to the modify.
+//! `merge3`): an op's change to a path is contested when one of the
+//! path's writers — the op that last set its content, or one that
+//! added a copy since — is another device's op that the op's `base`
+//! (the watermark of the fold it was built on) does not cover. The op
+//! first in the total order keeps the slot; a later op's upsert of
+//! other content is added to the file's conflict copies, and its delete
+//! loses to the modify.
 //!
 //! The quorum lock survives only for **compaction**: when the folded
 //! log outgrows λ, the compactor folds everything into a new
@@ -35,9 +37,9 @@ use crate::delta::{apply_commit, decode_record, encode_record};
 use crate::{DeltaRecord, SyncFolderImage, VersionStamp};
 
 const OP_MAGIC: [u8; 4] = *b"UDOP";
-const OP_VERSION: u8 = 4;
+const OP_VERSION: u8 = 5;
 const OPLOG_BASE_MAGIC: [u8; 4] = *b"UDOB";
-const OPLOG_BASE_VERSION: u8 = 3;
+const OPLOG_BASE_VERSION: u8 = 4;
 
 /// One committed metadata operation: a batch of [`DeltaRecord`]s from
 /// one device's sync pass, stamped for the total fold order.
@@ -156,10 +158,11 @@ pub struct OplogBase {
     /// Per device, the highest seq folded into `image`; ops at or
     /// below it are skipped by every subsequent fold.
     pub watermark: BTreeMap<String, u64>,
-    /// Per live path, the `(device, seq)` of the op that last wrote
-    /// it — carried so concurrency detection survives compaction and
-    /// `fold(compact(log)) == fold(log)` holds exactly.
-    pub writers: BTreeMap<String, (String, u64)>,
+    /// Per live path, the `(device, seq)` of each op whose version it
+    /// holds: the one that last set its content, and every one that
+    /// added a copy since — carried so concurrency detection survives
+    /// compaction and `fold(compact(log)) == fold(log)` holds exactly.
+    pub writers: BTreeMap<String, BTreeSet<(String, u64)>>,
 }
 
 impl OplogBase {
@@ -176,8 +179,14 @@ impl OplogBase {
             w.put_str(device);
             w.put_u64(*seq);
         }
-        w.put_u32(self.writers.len() as u32);
-        for (path, (device, seq)) in &self.writers {
+        // One flat entry per writer: a path with one writer costs one
+        // entry.
+        let entries = self
+            .writers
+            .iter()
+            .flat_map(|(path, ws)| ws.iter().map(move |w| (path, w)));
+        w.put_u32(entries.clone().count() as u32);
+        for (path, (device, seq)) in entries {
             w.put_str(path);
             w.put_str(device);
             w.put_u64(*seq);
@@ -201,12 +210,12 @@ impl OplogBase {
             watermark.insert(device, seq);
         }
         let n = r.get_u32("writer count")?;
-        let mut writers = BTreeMap::new();
+        let mut writers: BTreeMap<String, BTreeSet<(String, u64)>> = BTreeMap::new();
         for _ in 0..n {
             let path = r.get_str("writer path")?;
             let device = r.get_str("writer device")?;
             let seq = r.get_u64("writer seq")?;
-            writers.insert(path, (device, seq));
+            writers.entry(path).or_default().insert((device, seq));
         }
         let image = SyncFolderImage::decode(r.get_bytes("base image")?)?;
         Ok(OplogBase {
@@ -230,8 +239,8 @@ pub struct FoldOutcome {
     pub duplicates: usize,
     /// Ops skipped because the watermark already covered them.
     pub filtered: usize,
-    /// Contested changes that met a different one (retained as a
-    /// conflict copy, or a delete that lost to a modify).
+    /// Contested changes that met a different one (added as a conflict
+    /// copy, or a delete that lost to a modify).
     pub conflicts: usize,
 }
 
@@ -263,24 +272,44 @@ pub fn fold(base: &OplogBase, ops: &[MetaOp], folder: &str) -> FoldOutcome {
     let mut conflicts = 0usize;
     let applied = batch.len();
     for op in &batch {
-        // A path is contested when its last writer is another device's
-        // op the op's base does not cover; the op's change takes the
-        // slot, and the path a new writer, only where it is not.
+        // A path is contested when one of its writers is another
+        // device's op the op's base does not cover. Where it is not, the
+        // op's change takes the slot and the op becomes the path's one
+        // writer; an op that adds a copy joins the writers.
         let contested: BTreeSet<&str> = op
             .records
             .iter()
             .filter_map(DeltaRecord::file_path)
             .filter(|path| {
-                out.writers.get(*path).is_some_and(|(device, seq)| {
-                    device != &op.device && op.base.get(device).copied().unwrap_or(0) < *seq
+                out.writers.get(*path).is_some_and(|writers| {
+                    writers.iter().any(|(device, seq)| {
+                        device != &op.device && op.base.get(device).copied().unwrap_or(0) < *seq
+                    })
                 })
             })
             .collect();
-        conflicts += apply_commit(&mut out.image, &op.records, &op.device, &contested).len();
+        let met = apply_commit(&mut out.image, &op.records, &op.device, &contested);
+        conflicts += met.len();
+        let writer = (op.device.clone(), op.seq);
         for record in &op.records {
             match record {
                 DeltaRecord::UpsertFile { path, .. } if !contested.contains(path.as_str()) => {
-                    out.writers.insert(path.clone(), (op.device.clone(), op.seq));
+                    out.writers
+                        .insert(path.clone(), BTreeSet::from([writer.clone()]));
+                }
+                // An upsert that became a copy, or a copy the committer's
+                // own merge attached against the fold it committed on.
+                DeltaRecord::UpsertFile { path, .. } if met.contains(path) => {
+                    out.writers
+                        .entry(path.clone())
+                        .or_default()
+                        .insert(writer.clone());
+                }
+                DeltaRecord::AttachConflict { path, .. } if out.image.file(path).is_some() => {
+                    out.writers
+                        .entry(path.clone())
+                        .or_default()
+                        .insert(writer.clone());
                 }
                 DeltaRecord::DeleteFile { path } if !contested.contains(path.as_str()) => {
                     out.writers.remove(path);
@@ -347,6 +376,10 @@ mod tests {
         ]
     }
 
+    fn copies(entry: &crate::FileEntry) -> Vec<(String, Snapshot)> {
+        entry.conflicts.iter().cloned().collect()
+    }
+
     fn op(device: &str, seq: u64, lamport: u64, base: &[(&str, u64)], records: Vec<DeltaRecord>) -> MetaOp {
         MetaOp {
             device: device.into(),
@@ -399,7 +432,7 @@ mod tests {
         // version is its conflict copy.
         let entry = out.base.image.file("f").unwrap();
         assert_eq!(entry.snapshot, snap("from-a2"));
-        assert_eq!(entry.conflict, Some(("b".into(), snap("from-b"))));
+        assert_eq!(copies(entry), [("b".into(), snap("from-b"))]);
         assert_eq!(out.base.image.version, ops[0].stamp());
         assert_eq!(out.base.watermark["a"], 2);
         assert_eq!(out.base.watermark["b"], 1);
@@ -442,9 +475,7 @@ mod tests {
         assert_eq!(out.conflicts, 1);
         let entry = out.base.image.file("f").unwrap();
         assert_eq!(entry.snapshot, snap("from-a"));
-        let (device, retained) = entry.conflict.as_ref().unwrap();
-        assert_eq!(device, "b");
-        assert_eq!(retained, &snap("from-b"));
+        assert_eq!(copies(entry), [("b".into(), snap("from-b"))]);
     }
 
     #[test]
@@ -457,7 +488,7 @@ mod tests {
         ];
         let out = fold(&OplogBase::new(), &ops, "root");
         assert_eq!(out.conflicts, 0);
-        assert!(out.base.image.file("f").unwrap().conflict.is_none());
+        assert!(out.base.image.file("f").unwrap().conflicts.is_empty());
     }
 
     #[test]
@@ -476,7 +507,7 @@ mod tests {
         let out = fold(&OplogBase::new(), &ops, "root");
         let entry = out.base.image.file("f").unwrap();
         assert_eq!(entry.snapshot, snap("from-a"));
-        assert_eq!(entry.conflict, Some(("b".into(), snap("from-b"))));
+        assert_eq!(copies(entry), [("b".into(), snap("from-b"))]);
         assert_eq!(out.conflicts, 1);
     }
 
@@ -548,6 +579,62 @@ mod tests {
         let out = fold(&OplogBase::new(), &[write, grow, delete(2)], "root");
         assert!(out.base.image.file("f").is_none());
         assert!(out.base.image.segment(&seg("s")).is_none());
+    }
+
+    /// a, b and c write f from the empty log: a keeps the slot, and b's
+    /// and c's versions are copies. d folded a and b only, so c's copy
+    /// contests its edit, which joins the copies; e folded all three and
+    /// replaces them.
+    #[test]
+    fn a_copy_an_op_never_folded_contests_the_path() {
+        let race = vec![
+            op("a", 1, 1, &[], upsert("f", "from-a")),
+            op("b", 1, 1, &[], upsert("f", "from-b")),
+            op("c", 1, 1, &[], upsert("f", "from-c")),
+        ];
+        let out = fold(&OplogBase::new(), &race, "root");
+        assert_eq!(out.conflicts, 2);
+        assert_eq!(copies(out.base.image.file("f").unwrap()).len(), 2);
+        let then = |last: MetaOp| {
+            let ops: Vec<MetaOp> = race.iter().cloned().chain([last]).collect();
+            fold(&OplogBase::new(), &ops, "root").base
+        };
+        let base = then(op("d", 1, 2, &[("a", 1), ("b", 1)], upsert("f", "from-d")));
+        let entry = base.image.file("f").unwrap();
+        assert_eq!(entry.snapshot, snap("from-a"));
+        assert_eq!(copies(entry).len(), 3);
+        assert_eq!(base.writers["f"].len(), 4);
+        assert_eq!(OplogBase::decode(&base.encode()).unwrap(), base);
+        let all = [("a", 1), ("b", 1), ("c", 1)];
+        let base = then(op("e", 1, 2, &all, upsert("f", "from-e")));
+        let entry = base.image.file("f").unwrap();
+        assert_eq!(entry.snapshot, snap("from-e"));
+        assert!(entry.conflicts.is_empty());
+        assert_eq!(base.writers["f"], BTreeSet::from([("e".to_owned(), 1)]));
+    }
+
+    /// A client merges against its fold before it appends, so an op can
+    /// carry the copy its own merge made as an `AttachConflict`. That
+    /// makes the op a writer too: d never folded b's op, and its edit
+    /// joins b's copy instead of clearing it.
+    #[test]
+    fn an_attached_copy_makes_its_op_a_writer() {
+        let mut attach = upsert("f", "from-b");
+        attach[2] = DeltaRecord::AttachConflict {
+            path: "f".into(),
+            device: "b".into(),
+            snapshot: snap("from-b"),
+        };
+        let ops = vec![
+            op("a", 1, 1, &[], upsert("f", "from-a")),
+            op("b", 1, 2, &[("a", 1)], attach),
+            op("d", 1, 3, &[("a", 1)], upsert("f", "from-d")),
+        ];
+        let out = fold(&OplogBase::new(), &ops, "root");
+        let entry = out.base.image.file("f").unwrap();
+        assert_eq!(entry.snapshot, snap("from-a"));
+        let devices: Vec<&str> = entry.conflicts.iter().map(|(d, _)| d.as_str()).collect();
+        assert_eq!(devices, ["b", "d"]);
     }
 
     #[test]

@@ -15,8 +15,10 @@ use unidrive_meta::{
 };
 use unidrive_sim::SimRng;
 
+const DEVICES: [&str; 3] = ["laptop", "phone", "tablet"];
+
 /// A small random image: up to 12 files with short random paths, each
-/// a random snapshot.
+/// a random snapshot with no, one or several conflict copies.
 fn random_image(rng: &mut SimRng) -> SyncFolderImage {
     let mut image = SyncFolderImage::new();
     let n_files = rng.below(12) as usize;
@@ -24,6 +26,11 @@ fn random_image(rng: &mut SimRng) -> SyncFolderImage {
         let path = random_path(rng);
         let snapshot = random_snapshot(rng, &mut image, 256);
         image.upsert_file(&path, snapshot);
+        for _ in 0..[0, 0, 1, 3][rng.below(4) as usize] {
+            let device = DEVICES[rng.below(3) as usize];
+            let copy = random_snapshot(rng, &mut image, 256);
+            image.attach_conflict(&path, device, copy);
+        }
     }
     image
 }
@@ -51,6 +58,30 @@ fn random_snapshot(rng: &mut SimRng, image: &mut SyncFolderImage, tags: u64) -> 
     Snapshot { segments }
 }
 
+/// `image` with each file's copies changed at random: all resolved, one
+/// added, or the file rewritten with the copies it had.
+fn recopied(rng: &mut SimRng, image: &SyncFolderImage) -> SyncFolderImage {
+    let mut out = image.clone();
+    for (path, entry) in image.files() {
+        match rng.below(4) {
+            0 => out.resolve_conflict(path),
+            1 => {
+                let copy = random_snapshot(rng, &mut out, 256);
+                out.attach_conflict(path, DEVICES[rng.below(3) as usize], copy);
+            }
+            2 => {
+                let snapshot = random_snapshot(rng, &mut out, 256);
+                out.upsert_file(path, snapshot);
+                for (device, copy) in &entry.conflicts {
+                    out.attach_conflict(path, device, copy.clone());
+                }
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
 fn random_path(rng: &mut SimRng) -> String {
     let segment = |rng: &mut SimRng| {
         let len = 1 + rng.below(8) as usize;
@@ -67,7 +98,7 @@ fn random_path(rng: &mut SimRng) -> String {
     path
 }
 
-/// encode/decode round-trips arbitrary images.
+/// encode/decode round-trips arbitrary images, copies included.
 #[test]
 fn image_codec_round_trips() {
     let mut rng = SimRng::seed_from_u64(0x4E01);
@@ -98,22 +129,26 @@ fn image_codec_rejects_bitflips() {
 }
 
 /// Applying records_for(from, to) onto `from` reproduces `to`'s files
-/// and its whole segment pool: ids, lengths, block lists — a segment
-/// `to` collected leaves the rebuilt pool too.
+/// with every copy, and its whole segment pool: ids, lengths, block
+/// lists — a segment `to` collected leaves the rebuilt pool too.
 #[test]
 fn delta_records_reconstruct() {
     let mut rng = SimRng::seed_from_u64(0x4E03);
-    for _ in 0..48 {
+    for n in 0..96 {
         let from = random_image(&mut rng);
-        let to = random_image(&mut rng);
+        let to = if n % 2 == 0 {
+            random_image(&mut rng)
+        } else {
+            recopied(&mut rng, &from)
+        };
         let mut log = DeltaLog::new(from.version.clone());
         log.append(DeltaLog::records_for(&from, &to), to.version.clone());
         let mut rebuilt = from.clone();
         log.apply_to(&mut rebuilt);
-        // Compare the file trees.
+        // Compare the file trees, copies included.
         let files = |img: &SyncFolderImage| {
             img.files()
-                .map(|(p, e)| (p.to_owned(), e.snapshot.clone()))
+                .map(|(p, e)| (p.to_owned(), e.clone()))
                 .collect::<Vec<_>>()
         };
         assert_eq!(files(&rebuilt), files(&to));
@@ -163,7 +198,10 @@ fn collected_pool_is_the_referenced_set() {
             match rng.below(4) {
                 0 => image.upsert_file(path, snapshot),
                 1 => image.delete_file(path),
-                2 if image.file(path).is_some() => image.attach_conflict(path, "dev", snapshot),
+                2 if image.file(path).is_some() => {
+                    let device = DEVICES[rng.below(3) as usize];
+                    image.attach_conflict(path, device, snapshot);
+                }
                 _ => image.resolve_conflict(path),
             }
         }

@@ -11,8 +11,8 @@ use unidrive::cloud::{
     FaultPlan, SimCloud, SimCloudConfig,
 };
 use unidrive::core::{
-    add_cloud, remove_cloud, ClientConfig, DataPlane, DataPlaneConfig, DownloadError, MemFolder,
-    RebalanceError, SyncFolder, UniDriveClient, UploadRequest,
+    add_cloud, remove_cloud, ClientConfig, DataPlane, DataPlaneConfig, DownloadError, Keep,
+    MemFolder, RebalanceError, SyncFolder, UniDriveClient, UploadRequest,
 };
 use unidrive::erasure::RedundancyConfig;
 use unidrive::meta::{MetaMode, Snapshot, BLOCKS_DIR};
@@ -168,7 +168,17 @@ fn conflict_resolution_keep_current_and_keep_copy() {
     assert_eq!(b.conflicts(), vec!["doc"]);
 
     // Resolve on B by restoring ITS version (the losing copy).
-    assert!(b.resolve_conflict("doc", false).unwrap());
+    let copies = b.conflict_copies("doc").unwrap();
+    let copies: Vec<_> = copies
+        .iter()
+        .map(|(d, data)| (d.as_str(), data.to_vec()))
+        .collect();
+    assert_eq!(copies, [("b", version_b.clone())]);
+    assert!(
+        !b.resolve_conflict("doc", Keep::Copy(1)).unwrap(),
+        "no second copy"
+    );
+    assert!(b.resolve_conflict("doc", Keep::Copy(0)).unwrap());
     assert!(b.conflicts().is_empty());
     assert_eq!(folder_b.read("doc").unwrap().to_vec(), version_b);
     // The restoration is an ordinary local change: committing it makes
@@ -179,7 +189,7 @@ fn conflict_resolution_keep_current_and_keep_copy() {
     assert_eq!(folder_a.read("doc").unwrap().to_vec(), version_b);
 
     // Resolving a non-conflicted file reports false.
-    assert!(!a.resolve_conflict("doc", true).unwrap());
+    assert!(!a.resolve_conflict("doc", Keep::Current).unwrap());
 }
 
 /// Resolving a conflict is a change like any other: the next commit
@@ -222,7 +232,7 @@ fn resolved_conflict_copy_is_deleted_from_the_clouds_by_the_next_commit() {
 
         // Where B's image places the losing copy's blocks.
         let entry = b.image().file("doc").unwrap();
-        let (_, copy) = entry.conflict.as_ref().expect("retained copy");
+        let (_, copy) = entry.conflicts.first().expect("retained copy");
         let objects: Vec<(usize, String)> = copy
             .segments
             .iter()
@@ -243,7 +253,7 @@ fn resolved_conflict_copy_is_deleted_from_the_clouds_by_the_next_commit() {
         }
 
         // Keep the winner, then commit once more.
-        assert!(b.resolve_conflict("doc", true).unwrap());
+        assert!(b.resolve_conflict("doc", Keep::Current).unwrap());
         folder_b.write("other", &content(10_000, 4), 3).unwrap();
         assert_eq!(b.sync_once().unwrap().uploaded, vec!["other"], "{mode:?}");
         assert!(b.conflicts().is_empty(), "{mode:?}");
@@ -259,7 +269,7 @@ fn resolved_conflict_copy_is_deleted_from_the_clouds_by_the_next_commit() {
         b.sync_once().unwrap();
         a.sync_once().unwrap();
         assert!(a.conflicts().is_empty(), "{mode:?}: A still lists {:?}", a.conflicts());
-        assert_eq!(a.fetch_conflict_copy("doc").unwrap(), None, "{mode:?}");
+        assert!(a.conflict_copies("doc").unwrap().is_empty(), "{mode:?}");
         let files = |c: &UniDriveClient| {
             let files = c.image().files();
             files.map(|(p, e)| (p.to_owned(), e.clone())).collect::<Vec<_>>()

@@ -419,8 +419,9 @@ fn a_conflict_reuses_the_segments_both_versions_share() {
     let report = p.reader.sync_once().unwrap();
     assert_eq!(report.conflicts, vec!["shared.bin"]);
     assert_eq!(read(&p.folder_r, "shared.bin"), version_w);
-    let retained = p.reader.fetch_conflict_copy("shared.bin").unwrap().unwrap();
-    assert_eq!(retained, version_r);
+    let retained = p.reader.conflict_copies("shared.bin").unwrap();
+    let retained: Vec<_> = retained.iter().map(|(d, data)| (d.as_str(), data.to_vec())).collect();
+    assert_eq!(retained, [("reader", version_r)]);
     let reused = p.reader_obs.series_snapshot().merged("download.local_segments").sum;
     assert!((9..=11).contains(&reused), "{reused} segments reused");
 }
@@ -596,10 +597,11 @@ fn a_conflict_copy_of_a_collected_segment_stays_readable_on_both_planes() {
         assert_eq!(p.reader.sync_once().unwrap().conflicts, vec!["shared.bin"], "{mode:?}");
         p.writer.sync_once().unwrap();
         for device in [&p.reader, &p.writer] {
-            let copy = device
-                .fetch_conflict_copy("shared.bin")
+            let copies = device
+                .conflict_copies("shared.bin")
                 .unwrap_or_else(|e| panic!("{mode:?} {}: {e}", device.device()));
-            assert_eq!(copy.as_deref(), Some(&version_r[..]), "{mode:?} {}", device.device());
+            let copies: Vec<&[u8]> = copies.iter().map(|(_, data)| &data[..]).collect();
+            assert_eq!(copies, [&version_r[..]], "{mode:?} {}", device.device());
         }
         let audit = p.writer.data_plane().audit(p.writer.image());
         assert_eq!(audit.missing, vec![], "{mode:?}");

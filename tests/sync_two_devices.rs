@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use unidrive::cloud::{CloudSet, CloudStore, SimCloud, SimCloudConfig};
-use unidrive::core::{ClientConfig, DataPlaneConfig, MemFolder, SyncFolder, UniDriveClient};
+use unidrive::core::{ClientConfig, DataPlaneConfig, Keep, MemFolder, SyncFolder, UniDriveClient};
 use unidrive::erasure::RedundancyConfig;
 use unidrive::meta::MetaMode;
 use unidrive::sim::{Runtime, SimRng, SimRuntime};
@@ -140,43 +140,136 @@ fn sync_survives_two_cloud_outage() {
     assert_eq!(folder_b.read("x.bin").unwrap().to_vec(), data);
 }
 
+/// What a device holds for a path: its bytes, and each conflict copy's
+/// device and bytes.
+type Held = (Vec<u8>, Vec<(String, Vec<u8>)>);
+
+/// Three devices edit one file from the same base, on both planes. The
+/// first commit keeps the slot and every other version is a conflict
+/// copy on every device; a resolution removes only the copies its
+/// device's view showed, and an edit from a view that never showed a
+/// copy keeps it.
 #[test]
 fn concurrent_edits_yield_conflict_with_both_versions_retained() {
-    let r = rig(4);
-    let folder_a = MemFolder::new();
-    let folder_b = MemFolder::new();
-    let mut a = client(&r, "device-a", &folder_a, 41);
-    let mut b = client(&r, "device-b", &folder_b, 42);
+    for mode in [MetaMode::Lock, MetaMode::Oplog] {
+        let r = rig(4);
+        let folders: Vec<Arc<MemFolder>> = (0..3).map(|_| MemFolder::new()).collect();
+        let names = ["device-a", "device-b", "device-c"];
+        let mut devices: Vec<UniDriveClient> = (0..3)
+            .map(|i| client_on(&r, names[i], &folders[i], 41 + i as u64, mode))
+            .collect();
+        let [a, b, c] = &mut devices[..] else {
+            unreachable!()
+        };
+        let write = |i: usize, path: &str, data: &[u8], mtime: u64| {
+            folders[i].write(path, data, mtime).unwrap();
+        };
+        // What every device holds for `path`.
+        let held = |devices: &[UniDriveClient], path: &str| -> Vec<Held> {
+            devices
+                .iter()
+                .zip(&folders)
+                .map(|(d, f)| {
+                    let copies = d.conflict_copies(path).expect("copies reachable");
+                    let copies = copies
+                        .into_iter()
+                        .map(|(n, data)| (n, data.to_vec()))
+                        .collect();
+                    (f.read(path).unwrap().to_vec(), copies)
+                })
+                .collect()
+        };
 
-    folder_a.write("shared.txt", &content(50_000, 1), 1).unwrap();
-    a.sync_once().unwrap();
-    b.sync_once().unwrap();
+        // All three edit the same base without syncing in between.
+        write(0, "shared.txt", &content(50_000, 1), 1);
+        for d in [&mut *a, &mut *b, &mut *c] {
+            d.sync_once().unwrap();
+        }
+        let versions: Vec<Vec<u8>> = (0..3)
+            .map(|i| content(60_000 + 10_000 * i, 2 + i as u8))
+            .collect();
+        for (i, v) in versions.iter().enumerate() {
+            write(i, "shared.txt", v, 2);
+        }
+        a.sync_once().unwrap();
+        assert_eq!(
+            b.sync_once().unwrap().conflicts,
+            vec!["shared.txt"],
+            "{mode:?}"
+        );
+        assert_eq!(
+            c.sync_once().unwrap().conflicts,
+            vec!["shared.txt"],
+            "{mode:?}"
+        );
+        for d in [&mut *a, &mut *b, &mut *c] {
+            d.sync_once().unwrap();
+        }
+        let every = (
+            versions[0].clone(),
+            vec![
+                ("device-b".to_owned(), versions[1].clone()),
+                ("device-c".to_owned(), versions[2].clone()),
+            ],
+        );
+        assert_eq!(
+            held(&devices, "shared.txt"),
+            vec![every; 3],
+            "{mode:?}: every version on every device"
+        );
 
-    // Both edit without syncing in between.
-    let version_a = content(60_000, 2);
-    let version_b = content(70_000, 3);
-    folder_a.write("shared.txt", &version_a, 2).unwrap();
-    folder_b.write("shared.txt", &version_b, 2).unwrap();
+        // A second race on a new path: A resolves having seen B's copy
+        // only, and C's copy lands after A's view.
+        let [a, b, c] = &mut devices[..] else {
+            unreachable!()
+        };
+        write(0, "g.txt", &content(20_000, 7), 3);
+        for d in [&mut *a, &mut *b, &mut *c] {
+            d.sync_once().unwrap();
+        }
+        let versions: Vec<Vec<u8>> = (0..3)
+            .map(|i| content(21_000 + 1_000 * i, 8 + i as u8))
+            .collect();
+        for (i, v) in versions.iter().enumerate() {
+            write(i, "g.txt", v, 4);
+        }
+        a.sync_once().unwrap();
+        b.sync_once().unwrap();
+        a.sync_once().unwrap();
+        assert!(
+            a.resolve_conflict("g.txt", Keep::Current).unwrap(),
+            "{mode:?}"
+        );
+        c.sync_once().unwrap();
+        a.sync_once().unwrap();
+        let copies = a.conflict_copies("g.txt").unwrap();
+        let kept: Vec<&str> = copies.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(
+            kept,
+            ["device-c"],
+            "{mode:?}: the resolve removed B's copy only"
+        );
 
-    // A commits first; B's commit discovers the cloud update and merges.
-    a.sync_once().unwrap();
-    let rep_b = b.sync_once().unwrap();
-    assert_eq!(rep_b.conflicts, vec!["shared.txt"]);
-
-    // The cloud (A's) version wins the main slot on B...
-    assert_eq!(folder_b.read("shared.txt").unwrap().to_vec(), version_a);
-    // ...and B's version is retained as a fetchable conflict copy.
-    assert_eq!(b.conflicts(), vec!["shared.txt"]);
-    let retained = b
-        .fetch_conflict_copy("shared.txt")
-        .expect("copy reachable")
-        .expect("conflict recorded");
-    assert_eq!(retained, version_b);
-
-    // A eventually also sees the conflict marker.
-    let rep_a = a.sync_once().unwrap();
-    assert!(rep_a.conflicts.contains(&"shared.txt".to_string()));
-    assert_eq!(folder_a.read("shared.txt").unwrap().to_vec(), version_a);
+        // B, whose view still shows only its own copy, edits g: C's
+        // copy, which B never saw, stays, and B's edit joins it.
+        let edit = content(25_000, 12);
+        write(1, "g.txt", &edit, 5);
+        let report = b.sync_once().unwrap();
+        assert!(report.conflicts.contains(&"g.txt".to_owned()), "{mode:?}");
+        for _ in 0..2 {
+            for d in [&mut *a, &mut *b, &mut *c] {
+                d.sync_once().unwrap();
+            }
+        }
+        let want = (
+            versions[0].clone(),
+            vec![
+                ("device-b".to_owned(), edit.clone()),
+                ("device-c".to_owned(), versions[2].clone()),
+            ],
+        );
+        assert_eq!(held(&devices, "g.txt"), vec![want; 3], "{mode:?}");
+    }
 }
 
 /// Two devices write the same bytes to a new path at different times:
