@@ -357,7 +357,7 @@ pin() { # WORKLOAD "METRIC=VALUE ..."
         END { for (m in want) { print "    " w ": no " m; bad = 1 }; exit bad }' "$out/$1.txt"
 }
 pin hot_lock "sync_up_s=4.294644 sync_down_s=0.528993 converge_s=7.455417 cloud_ops_per_round=389.675000 wire_bytes_per_payload_byte=10.121136 stored_bytes_per_live_byte=2.385105"
-pin hot_oplog "sync_up_s=0.541608 sync_down_s=0.892350 converge_s=1.699942 cloud_ops_per_round=252.250000 wire_bytes_per_payload_byte=8.310343 stored_bytes_per_live_byte=2.451485"
+pin hot_oplog "sync_up_s=0.540781 sync_down_s=0.523481 converge_s=1.329717 cloud_ops_per_round=184.375000 wire_bytes_per_payload_byte=6.964976 stored_bytes_per_live_byte=2.455895"
 pin wan_batch "sync_up_s=3.895150 sync_down_s=1.474719 converge_s=29.823731 cloud_ops_per_round=261.857143 wire_bytes_per_payload_byte=3.972170 stored_bytes_per_live_byte=2.931379"
 for m in sync_up_s converge_s; do
     awk -v m="$m" '$1 == m { v[FILENAME] = $2 + 0 }

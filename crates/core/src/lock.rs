@@ -120,6 +120,32 @@ impl QuorumLock {
     /// lost; [`PlaneError::QuorumUnreachable`] if a majority of clouds
     /// cannot even be contacted.
     pub fn acquire(&self, parent: Option<SpanId>) -> Result<LockGuard<'_>, PlaneError> {
+        let held = self.acquire_within(parent, self.config.max_attempts);
+        if matches!(held, Err(PlaneError::Contended { .. })) {
+            self.obs.series_add("lock.exhausted", &self.device, 1);
+        }
+        held
+    }
+
+    /// Takes the lock if it is free: one upload, whose file a head
+    /// keeps and lists again as in [`acquire`](Self::acquire); any other
+    /// loser withdraws and returns at once, without a backoff.
+    ///
+    /// # Errors
+    ///
+    /// [`PlaneError::Contended`] when that upload lost;
+    /// [`PlaneError::QuorumUnreachable`] as for `acquire`.
+    pub fn try_acquire(&self, parent: Option<SpanId>) -> Result<LockGuard<'_>, PlaneError> {
+        self.acquire_within(parent, 1)
+    }
+
+    /// The acquire loop with at most `uploads` uploads of a lock file;
+    /// a loser backs off only before another upload.
+    fn acquire_within(
+        &self,
+        parent: Option<SpanId>,
+        uploads: u32,
+    ) -> Result<LockGuard<'_>, PlaneError> {
         let quorum = self.clouds.quorum();
         let max = self.config.max_attempts;
         let t0 = self.rt.now();
@@ -128,7 +154,7 @@ impl QuorumLock {
         let span_id = span.id();
         let mut starved = false;
         let mut rounds = 0u64;
-        for attempt in 0..max {
+        for attempt in 0..uploads {
             let t = t0.as_nanos() + attempt as u64;
             let lock_name = lock_file_name(&self.device, t);
             let stamped = self.rt.now();
@@ -179,9 +205,11 @@ impl QuorumLock {
                 let waits = head && self.config.head_waits(lists, age);
                 if !waits {
                     self.withdraw(&lock_name);
-                    let nanos = self.config.backoff_cap(attempt).as_nanos().max(1) as u64;
-                    let wait = Duration::from_nanos(self.rng.lock().below(nanos));
-                    self.rt.sleep(wait);
+                    if attempt + 1 < uploads {
+                        let nanos = self.config.backoff_cap(attempt).as_nanos().max(1) as u64;
+                        let wait = Duration::from_nanos(self.rng.lock().below(nanos));
+                        self.rt.sleep(wait);
+                    }
                 }
                 // Bounded-wait audit: flag (once) a device that has been
                 // losing rounds longer than `STARVATION_AUDIT`, so
@@ -198,10 +226,9 @@ impl QuorumLock {
                 }
             }
         }
-        self.obs.series_add("lock.exhausted", &self.device, 1);
         span.attr_u64("rounds", rounds);
         span.attr_bool("ok", false);
-        Err(PlaneError::Contended { attempts: max })
+        Err(PlaneError::Contended { attempts: uploads })
     }
 
     /// One acquisition round over our uploaded `lock_name`, stamped

@@ -10,18 +10,27 @@
 //! ratio/floor the delta plane uses).
 //!
 //! A read costs what changed. The listing names every op object, and a
-//! pass downloads only those its adopted base does not cover and that
-//! it has not already read from that cloud. An object is never
-//! rewritten, so a torn upload damages only the object being written:
-//! the cloud did not ack it, its writer uploads it again before
-//! anything newer to that cloud, and a reader that cannot decode it
-//! reads it again on its next pass.
+//! pass downloads each one the fold lacks (neither its adopted base
+//! covers it nor its op cache holds it) once, from the first cloud
+//! whose listing shows it: the clouds' read tasks share one claim set,
+//! so a pass's new ops spread over the clouds as their listings return
+//! and arrive one round trip after the listing. A download that fails,
+//! or a body that is not the op its name promises, is read from the
+//! next cloud listing it in the same pass. The device's own objects
+//! are the exception: they are read from each cloud that lists them
+//! above what that cloud is known to hold, which is how a restarted
+//! plane learns what each cloud holds. An object is never rewritten,
+//! so a torn upload damages only the object being written: the cloud
+//! did not ack it, its writer uploads it again before anything newer
+//! to that cloud, and a reader that no cloud serves it to reads it
+//! again on its next pass.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use unidrive_util::bytes::Bytes;
-use unidrive_cloud::{CloudError, CloudId, CloudSet, Retry, RetryPolicy};
+use unidrive_util::sync::Mutex;
+use unidrive_cloud::{CloudError, CloudId, CloudSet, CloudStore, Retry, RetryPolicy};
 use unidrive_crypto::{Digest, MetadataCipher, Sha1};
 use unidrive_meta::{
     base_mark_path, compact, compaction_threshold, fold, op_object_path, parse_base_mark_name,
@@ -91,6 +100,9 @@ pub struct OplogPlane {
     lock: QuorumLock,
     delta_ratio: f64,
     delta_floor: usize,
+    /// The data plane's `connections_per_cloud`: how many deletes a
+    /// compaction's clearing keeps in flight on one cloud.
+    connections: usize,
     /// Next op sequence number. Never reused, even after a failed
     /// append: the op may have landed on a minority of clouds, and two
     /// different ops must never share an id.
@@ -114,12 +126,13 @@ pub struct OplogPlane {
     /// deletes (and whose garbage collection would destroy live
     /// segments).
     seen_ops: BTreeMap<[u8; 20], (MetaOp, usize)>,
-    /// Per cloud (by [`CloudId`]), per device: the highest seq this
-    /// plane has read from that cloud — for its own device, the
-    /// highest that cloud acked. A listed op object at or below it is
-    /// not downloaded from that cloud again, and an append uploads to
-    /// a cloud only the own ops above its entry.
-    read: Vec<BTreeMap<String, u64>>,
+    /// Per cloud (by [`CloudId`]): the highest own seq that cloud is
+    /// known to hold — it acked the upload, or a read from it decoded
+    /// the object. An own op object it lists above this is read from
+    /// that cloud, and an append uploads to it only the own ops above
+    /// this. Other devices' ops need no per-cloud entry: one read from
+    /// any cloud puts them in `seen_ops`.
+    held: Vec<u64>,
     /// The freshest base this plane has ever decoded, with its
     /// ciphertext size and id. Monotone under version-stamp comparison,
     /// for the same reason as `seen_ops`.
@@ -157,9 +170,63 @@ struct OplogFetch {
     /// Bytes of the live ops' objects (not covered by the base
     /// watermark).
     log_bytes: usize,
-    /// Clouds whose oplog directory could be listed and whose every
-    /// advertised object could be read.
+    /// Clouds whose oplog directory could be listed and that lost the
+    /// pass nothing it advertised: every op object it lists was served
+    /// by some cloud (or is gone), and its base was read or vouched for.
     reachable: usize,
+}
+
+/// An op object's name, `(device, seq)`.
+type OpName = (String, u64);
+
+/// Why one cloud did not serve an op object its listing showed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Miss {
+    /// As absent as unlisted: `NotFound` (a compaction deleted it after
+    /// the listing), or a body that is not the op its name promises (a
+    /// torn upload the cloud never acked, a foreign object).
+    Absent,
+    /// The download failed.
+    Failed,
+}
+
+/// One cloud's read of one op object: the op and the size of its
+/// object, or why the cloud did not serve it.
+type OpRead = Result<(MetaOp, usize), Miss>;
+
+/// What a read task needs to download and decode op objects.
+#[derive(Clone)]
+struct OpReader {
+    rt: Arc<dyn Runtime>,
+    retry: RetryPolicy,
+    cipher: MetadataCipher,
+}
+
+impl OpReader {
+    /// Downloads op object `name` from `cloud` and decodes it as the op
+    /// its name promises: the op and the size of its object.
+    fn read(&self, cloud: &dyn CloudStore, (device, seq): &OpName) -> OpRead {
+        let path = op_object_path(device, *seq);
+        let body = match Retry::new(&self.rt, &self.retry).run(|| cloud.download(&path)) {
+            Ok(body) => body,
+            Err(CloudError::NotFound { .. }) => return Err(Miss::Absent),
+            Err(_) => return Err(Miss::Failed),
+        };
+        let op = self.cipher.decrypt(&body).ok().and_then(|pt| MetaOp::decode(&pt).ok());
+        match op {
+            Some(op) if op.device == *device && op.seq == *seq => Ok((op, body.len())),
+            _ => Err(Miss::Absent),
+        }
+    }
+}
+
+/// What a pass's op-object downloads came to.
+#[derive(Default)]
+struct OpsRead {
+    downloads: u64,
+    /// Per other device's op object no cloud has served yet: the
+    /// clouds that tried it and why each did not serve it.
+    missed: BTreeMap<OpName, Vec<(usize, Miss)>>,
 }
 
 /// What one cloud's read task brought back.
@@ -170,8 +237,13 @@ struct CloudRead {
     base_listed: bool,
     /// Its base, downloaded only when no mark vouches for it.
     base: Option<Bytes>,
-    /// The op objects downloaded, `(device, seq, ciphertext)`.
-    objects: Vec<(String, u64, Bytes)>,
+    /// Every other device's op object its listing shows above the
+    /// adopted base's watermark: where a claim that failed elsewhere
+    /// can still be served.
+    listed: BTreeSet<OpName>,
+    /// The op objects it downloaded — the ones it claimed and its own
+    /// unread ones — and how each read went.
+    reads: Vec<(OpName, OpRead)>,
     /// The highest seq of the reading device its listing shows.
     own_top: u64,
 }
@@ -195,7 +267,7 @@ impl OplogPlane {
             rng,
         )
         .with_obs(obs.clone());
-        let read = vec![BTreeMap::new(); clouds.len()];
+        let held = vec![0; clouds.len()];
         OplogPlane {
             rt,
             clouds,
@@ -206,10 +278,11 @@ impl OplogPlane {
             lock,
             delta_ratio: config.delta_ratio,
             delta_floor: config.delta_floor,
+            connections: config.data.connections_per_cloud.max(1),
             next_seq: 1,
             recovered: false,
             seen_ops: BTreeMap::new(),
-            read,
+            held,
             adopted_base: None,
             known_ids: BTreeSet::new(),
             clearing: None,
@@ -237,16 +310,11 @@ impl OplogPlane {
         Bytes::from(self.cipher.encrypt(&op.encode(), nonce))
     }
 
-    /// The highest own seq cloud `c` is known to hold.
-    fn held(&self, c: usize) -> u64 {
-        self.read[c].get(&self.device).copied().unwrap_or(0)
-    }
-
     /// This device's uncovered ops that some cloud is not known to
     /// hold, in seq order: what the next append uploads there before
     /// its own op.
     fn my_ops(&self) -> Vec<&MetaOp> {
-        let everywhere = (0..self.read.len()).map(|c| self.held(c)).min().unwrap_or(0);
+        let everywhere = self.held.iter().copied().min().unwrap_or(0);
         let mut mine: Vec<&MetaOp> = self
             .seen_ops
             .values()
@@ -255,6 +323,28 @@ impl OplogPlane {
             .collect();
         mine.sort_by_key(|op| op.seq);
         mine
+    }
+
+    /// Records one op-object download from cloud `c`: a decoded op
+    /// joins the cache (and, if it is our own, what `c` holds); a
+    /// failed read of another device's op waits for another cloud.
+    fn take_read(&mut self, ops_read: &mut OpsRead, c: usize, name: OpName, read: OpRead) {
+        ops_read.downloads += 1;
+        match read {
+            Ok((op, size)) => {
+                if op.device == self.device {
+                    self.held[c] = self.held[c].max(op.seq);
+                }
+                ops_read.missed.remove(&name);
+                // Dedup by id into the persistent cache (same op ⇒
+                // same deterministic ciphertext ⇒ same size).
+                self.seen_ops.entry(*op.id(OPLOG_FOLDER).as_bytes()).or_insert((op, size));
+            }
+            Err(miss) if name.0 != self.device => {
+                ops_read.missed.entry(name).or_default().push((c, miss));
+            }
+            Err(_) => {}
+        }
     }
 
     /// Weighs a decoded base against the freshest one this pass holds.
@@ -275,83 +365,97 @@ impl OplogPlane {
     }
 
     /// One read pass: lists the oplog directory on every cloud
-    /// (concurrently) and downloads each op object neither the adopted
-    /// base nor an earlier read from that cloud accounts for; then
-    /// fetches the bases the listings say are new (see the layout
-    /// doc's table), decodes, dedups, folds.
+    /// (concurrently) and downloads each op object the fold lacks once,
+    /// from the first cloud whose listing shows it; then fetches the
+    /// bases the listings say are new (see the layout doc's table),
+    /// decodes, dedups, folds.
     ///
-    /// A cloud counts as reachable only when everything it advertised
-    /// could actually be read: a listing that succeeds while a base or
-    /// op-object download fails would otherwise pass the quorum gate
-    /// with acked ops missing from the fold, and the regressed image
-    /// would present as spurious remote deletes.
+    /// A cloud counts as reachable only when the pass lost nothing it
+    /// advertised: a listing that succeeds while the op objects it
+    /// names cannot be read would otherwise pass the quorum gate with
+    /// acked ops missing from the fold, and the regressed image would
+    /// present as spurious remote deletes. An op object that another
+    /// listing cloud served costs the cloud that failed it nothing.
     fn fetch(&mut self, round: Option<SpanId>) -> OplogFetch {
         let mut span = self.obs.span("meta.oplog.fold", round);
         span.attr_str("device", self.device.as_str());
-        // One task per cloud: list the oplog dir, download a base no
-        // mark vouches for, and each unread op object. A missing
-        // directory is a fresh cloud (reachable, empty); a failing
-        // listing — or a listed object the cloud then refuses to
-        // serve — is unreachable.
-        let (rt, retry) = (Arc::clone(&self.rt), self.retry.clone());
+        // One task per cloud: list the oplog dir, download its own
+        // unread op objects and a base no mark vouches for, then each
+        // op object it is first to claim. A missing directory is a
+        // fresh cloud (reachable, empty); a failing listing, or a
+        // failed read only this cloud could serve, is unreachable —
+        // and ends the task before it claims anything.
+        let reader = OpReader {
+            rt: Arc::clone(&self.rt),
+            retry: self.retry.clone(),
+            cipher: self.cipher.clone(),
+        };
         let covered = self
             .adopted_base
             .as_ref()
             .map(|(base, ..)| base.watermark.clone())
             .unwrap_or_default();
-        let (read, own) = (self.read.clone(), self.device.clone());
-        let reads = quorum::fan_out(&self.rt, &self.clouds, "oplog-read", move |id, cloud| {
-            let entries = match Retry::new(&rt, &retry).run(|| cloud.list(OPLOG_DIR)) {
+        // The claim set starts as what the fold already holds; a task
+        // claims a name by being the first to add it.
+        let claims: Arc<Mutex<BTreeSet<OpName>>> = Arc::new(Mutex::new(
+            self.seen_ops.values().map(|(op, _)| (op.device.clone(), op.seq)).collect(),
+        ));
+        let (held, own, task_reader) = (self.held.clone(), self.device.clone(), reader.clone());
+        let mut reads = quorum::fan_out(&self.rt, &self.clouds, "oplog-read", move |id, cloud| {
+            let reader = &task_reader;
+            let entries = match Retry::new(&reader.rt, &reader.retry).run(|| cloud.list(OPLOG_DIR)) {
                 Ok(entries) => entries,
                 Err(CloudError::NotFound { .. }) => Vec::new(),
                 Err(_) => return None,
             };
-            let mut names: Vec<String> = entries
-                .into_iter()
-                .filter(|e| !e.is_dir)
-                .map(|e| e.name)
-                .collect();
-            names.sort();
-            let marks: Vec<Digest> =
-                names.iter().filter_map(|name| parse_base_mark_name(name)).collect();
-            let base_listed = names.iter().any(|name| name == "base");
             let mut got = CloudRead {
+                marks: Vec::new(),
+                base_listed: false,
                 base: None,
-                objects: Vec::new(),
+                listed: BTreeSet::new(),
+                reads: Vec::new(),
                 own_top: 0,
-                base_listed,
-                marks,
             };
+            let mut own_unread = Vec::new();
+            for entry in entries.iter().filter(|e| !e.is_dir) {
+                if entry.name == "base" {
+                    got.base_listed = true;
+                } else if let Some(mark) = parse_base_mark_name(&entry.name) {
+                    got.marks.push(mark);
+                } else if let Some((device, seq)) = parse_op_object_name(&entry.name) {
+                    let above = seq > covered.get(device).copied().unwrap_or(0);
+                    if device == own {
+                        got.own_top = got.own_top.max(seq);
+                        if above && seq > held[id.0] {
+                            own_unread.push((own.clone(), seq));
+                        }
+                    } else if above {
+                        got.listed.insert((device.to_owned(), seq));
+                    }
+                }
+            }
+            own_unread.sort();
+            for name in own_unread {
+                let read = reader.read(cloud, &name);
+                if matches!(read, Err(Miss::Failed)) {
+                    return None;
+                }
+                got.reads.push((name, read));
+            }
             // A base no mark vouches for has no other source than this
             // cloud; one under an unknown mark waits for every listing.
-            if base_listed && got.marks.is_empty() {
-                match Retry::new(&rt, &retry).run(|| cloud.download(OPLOG_BASE_PATH)) {
+            if got.base_listed && got.marks.is_empty() {
+                match Retry::new(&reader.rt, &reader.retry).run(|| cloud.download(OPLOG_BASE_PATH)) {
                     Ok(body) => got.base = Some(body),
                     Err(CloudError::NotFound { .. }) => {}
                     Err(_) => return None,
                 }
             }
-            let seen = |device: &str| {
-                let base = covered.get(device).copied().unwrap_or(0);
-                base.max(read[id.0].get(device).copied().unwrap_or(0))
-            };
-            for name in &names {
-                let Some((device, seq)) = parse_op_object_name(name) else {
-                    continue;
-                };
-                if device == own {
-                    got.own_top = got.own_top.max(seq);
-                }
-                if seq <= seen(device) {
-                    continue;
-                }
-                let path = format!("{OPLOG_DIR}/{name}");
-                match Retry::new(&rt, &retry).run(|| cloud.download(&path)) {
-                    Ok(body) => got.objects.push((device.to_owned(), seq, body)),
-                    // Listed-then-gone (a compaction deleted it): as
-                    // absent as unlisted.
-                    Err(CloudError::NotFound { .. }) => {}
-                    Err(_) => return None,
+            // Claim one name at a time, so a task whose listing
+            // returns while this one downloads takes the next.
+            for name in &got.listed {
+                if claims.lock().insert(name.clone()) {
+                    got.reads.push((name.clone(), reader.read(cloud, name)));
                 }
             }
             Some(got)
@@ -363,7 +467,8 @@ impl OplogPlane {
         let mut best_base = self.adopted_base.clone();
         let mut base_reads = 0u64;
         let mut listed: BTreeSet<Digest> = BTreeSet::new();
-        for (c, got) in reads.iter().enumerate() {
+        let mut ops_read = OpsRead::default();
+        for (c, got) in reads.iter_mut().enumerate() {
             let Some(got) = got else { continue };
             listed.extend(got.marks.iter().copied());
             if let Some(ct) = &got.base {
@@ -373,26 +478,45 @@ impl OplogPlane {
                     Self::weigh(&mut best_base, base, ct.len(), id);
                 }
             }
-            for (device, seq, body) in &got.objects {
-                let Ok(pt) = self.cipher.decrypt(body) else {
-                    continue;
-                };
-                // A torn or foreign object is skipped, and read again
-                // next pass: the watermark moves only past what
-                // decoded as the op its name promises.
-                let Ok(op) = MetaOp::decode(&pt) else {
-                    continue;
-                };
-                if op.device != *device || op.seq != *seq {
-                    continue;
-                }
-                let top = self.read[c].entry(op.device.clone()).or_insert(0);
-                *top = (*top).max(op.seq);
-                // Dedup by id into the persistent cache (same op ⇒
-                // same deterministic ciphertext ⇒ same size).
-                let id = *op.id(OPLOG_FOLDER).as_bytes();
-                self.seen_ops.entry(id).or_insert((op, body.len()));
+            for (name, read) in std::mem::take(&mut got.reads) {
+                self.take_read(&mut ops_read, c, name, read);
             }
+        }
+        // A claim that failed is read, in the same pass, from the next
+        // cloud that lists it and has not tried it, every failed name
+        // at once: one more round trip per cloud that failed it.
+        loop {
+            let mut assigned: Vec<Vec<OpName>> = vec![Vec::new(); reads.len()];
+            for (name, tried) in &ops_read.missed {
+                let next = reads.iter().enumerate().find(|(c, got)| {
+                    got.as_ref().is_some_and(|got| got.listed.contains(name))
+                        && tried.iter().all(|(t, _)| t != c)
+                });
+                if let Some((c, _)) = next {
+                    assigned[c].push(name.clone());
+                }
+            }
+            if assigned.iter().all(Vec::is_empty) {
+                break;
+            }
+            let reader = reader.clone();
+            let retried = quorum::fan_out(&self.rt, &self.clouds, "oplog-read-op", move |id, cloud| {
+                let names = &assigned[id.0];
+                names.iter().map(|name| (name.clone(), reader.read(cloud, name))).collect::<Vec<_>>()
+            });
+            for (c, got) in retried.into_iter().enumerate() {
+                for (name, read) in got {
+                    self.take_read(&mut ops_read, c, name, read);
+                }
+            }
+        }
+        // A name no listing cloud served costs each cloud whose download
+        // of it failed its place in the read quorum. Gone everywhere is
+        // compacted away, and a copy that did not decode was never
+        // acked there: both are as absent as unlisted.
+        let mut lost_op = vec![false; reads.len()];
+        for (c, miss) in ops_read.missed.values().flatten() {
+            lost_op[*c] |= *miss == Miss::Failed;
         }
 
         // A new mark a quorum of listings show belongs to a
@@ -475,12 +599,11 @@ impl OplogPlane {
         }
         // A cloud whose base read failed is unreachable unless another
         // cloud served the base its marks name.
-        let reachable = reads
-            .iter()
-            .zip(&failed)
-            .filter(|(got, failed)| {
-                got.as_ref().is_some_and(|got| {
-                    !**failed || got.marks.iter().all(|mark| self.known_ids.contains(mark))
+        let reachable = (0..reads.len())
+            .filter(|&c| {
+                reads[c].as_ref().is_some_and(|got| {
+                    !lost_op[c]
+                        && (!failed[c] || got.marks.iter().all(|mark| self.known_ids.contains(mark)))
                 })
             })
             .count();
@@ -488,8 +611,8 @@ impl OplogPlane {
         // First fetch with a read quorum: resume `seq` after the
         // highest own one any listing shows (ids are never reused; the
         // dedup and the id-derived nonce both depend on it). The own
-        // ops themselves were read like anyone else's, which also told
-        // each cloud's entry in `read` what that cloud holds.
+        // ops themselves were read from each cloud listing them, which
+        // also told `held` what each cloud holds.
         if !self.recovered && quorum::require_reachable(&self.clouds, reachable).is_ok() {
             let top = reads.iter().flatten().map(|got| got.own_top).max().unwrap_or(0);
             self.next_seq = self.next_seq.max(top + 1);
@@ -517,6 +640,7 @@ impl OplogPlane {
         let outcome = fold(&base, &ops, OPLOG_FOLDER);
         span.attr_u64("reachable", reachable as u64);
         span.attr_u64("base_reads", base_reads);
+        span.attr_u64("downloads", ops_read.downloads);
         span.attr_u64("ops", ops.len() as u64);
         span.attr_u64("applied", outcome.applied as u64);
         span.attr_u64("conflicts", outcome.conflicts as u64);
@@ -547,7 +671,7 @@ impl OplogPlane {
             .map(|op| (op.seq, op_object_path(&self.device, op.seq), self.seal(op)))
             .collect();
         let newest = sealed.last().map_or(0, |(seq, ..)| *seq);
-        let held: Vec<u64> = (0..self.read.len()).map(|c| self.held(c)).collect();
+        let held = self.held.clone();
         let (rt, retry) = (Arc::clone(&self.rt), self.retry.clone());
         let tops = quorum::fan_out(&self.rt, &self.clouds, "oplog-append", move |id, cloud| {
             let mut top = held[id.0];
@@ -559,9 +683,7 @@ impl OplogPlane {
             }
             top
         });
-        for (read, top) in self.read.iter_mut().zip(&tops) {
-            read.insert(self.device.clone(), *top);
-        }
+        self.held.clone_from(&tops);
         quorum::require_acked(&self.clouds, tops.iter().map(|top| *top >= newest))
     }
 
@@ -571,6 +693,11 @@ impl OplogPlane {
     /// the log keeps working, only longer. Returns whether the live log
     /// is back within λ: a new base was committed, or the stored base
     /// found under the lock already folds all but λ of it.
+    ///
+    /// Unless `forced`, the lock is only tried: one lock upload, and a
+    /// busy lock (some other device is compacting) skips the
+    /// compaction — the append stands. A `forced` compaction, past the
+    /// escalation cap, runs the full [`QuorumLock::acquire`].
     ///
     /// The base to upload is derived *under the lock*: the stored base
     /// is re-downloaded and the fold restarts from it whenever it has
@@ -591,11 +718,12 @@ impl OplogPlane {
     /// delete per append and cloud, which the compactor's pass does not
     /// wait for. A name left behind (a cloud that did not ack, a
     /// refused delete) is listed, and deleted, by the next compaction.
-    fn try_compact(&mut self, round: Option<SpanId>) -> bool {
+    fn try_compact(&mut self, round: Option<SpanId>, forced: bool) -> bool {
         if let Some(clearing) = self.clearing.take() {
             clearing.join();
         }
-        let Ok(guard) = self.lock.acquire(round) else {
+        let acquire = if forced { QuorumLock::acquire } else { QuorumLock::try_acquire };
+        let Ok(guard) = acquire(&self.lock, round) else {
             self.obs.series_add("meta.oplog.compact_skipped", &self.device, 1);
             return false;
         };
@@ -753,16 +881,34 @@ impl OplogPlane {
             self.adopt_base(new_base, ct.len(), digest);
         }
         if stale.iter().any(|paths| !paths.is_empty()) {
-            let (rt, clouds) = (Arc::clone(&self.rt), self.clouds.clone());
-            self.clearing = Some(unidrive_sim::spawn(&self.rt, "oplog-clear", move || {
-                quorum::fan_out(&rt, &clouds, "oplog-clear", move |id, cloud| {
-                    for path in &stale[id.0] {
-                        let _ = cloud.delete(path);
-                    }
-                });
-            }));
+            self.clearing = Some(self.clear(stale));
         }
         ok
+    }
+
+    /// Deletes `stale[c]` from each cloud `c` in the background, on at
+    /// most `connections_per_cloud` concurrent requests per cloud: that
+    /// many tasks per cloud, each taking the next path.
+    fn clear(&self, stale: Vec<Vec<String>>) -> Task<()> {
+        let (rt, clouds) = (Arc::clone(&self.rt), self.clouds.clone());
+        let connections = self.connections;
+        unidrive_sim::spawn(&self.rt, "oplog-clear", move || {
+            let mut lanes = Vec::new();
+            for ((_, cloud), paths) in clouds.iter().zip(stale) {
+                let n = connections.min(paths.len());
+                let queue = Arc::new(Mutex::new(VecDeque::from(paths)));
+                for _ in 0..n {
+                    let (cloud, queue) = (Arc::clone(cloud), Arc::clone(&queue));
+                    lanes.push(unidrive_sim::spawn(&rt, "oplog-clear", move || loop {
+                        let Some(path) = queue.lock().pop_front() else { break };
+                        let _ = cloud.delete(&path);
+                    }));
+                }
+            }
+            for lane in lanes {
+                lane.join();
+            }
+        })
     }
 }
 
@@ -850,20 +996,20 @@ impl MetaPlane for OplogPlane {
 
         // λ: compact when the live log outgrows the base, mirroring the
         // delta plane's threshold. Best-effort until the log reaches
-        // OPLOG_COMPACT_ESCALATE × λ; past that, deferring further
-        // would let the op cache and the op objects grow without bound
-        // under sustained contention, so the plane keeps retrying the
-        // lock (each attempt a full backoff cycle) and flags the log as
-        // overdue if even that fails.
+        // OPLOG_COMPACT_ESCALATE × λ: a busy lock skips it. Past that,
+        // deferring further would let the op cache and the op objects
+        // grow without bound under sustained contention, so the plane
+        // keeps retrying the lock (each attempt a full backoff cycle)
+        // and flags the log as overdue if even that fails.
         let live = fetched.log_bytes + size;
         let threshold =
             compaction_threshold(fetched.base_bytes, self.delta_ratio, self.delta_floor);
         if live > threshold {
-            let mut compacted = self.try_compact(round);
+            let mut compacted = self.try_compact(round, false);
             if !compacted && live > threshold.saturating_mul(OPLOG_COMPACT_ESCALATE) {
                 self.obs.series_add("meta.oplog.compact_forced", &self.device, 1);
                 for _ in 0..OPLOG_COMPACT_FORCED_RETRIES {
-                    compacted = self.try_compact(round);
+                    compacted = self.try_compact(round, true);
                     if compacted {
                         break;
                     }

@@ -5,9 +5,9 @@
 
 use super::*;
 use crate::lock_plane::tests::{clouds, commit_file, config, plane, try_commit_file};
-use unidrive_cloud::{CloudStore, MemCloud, ObjectInfo};
-use unidrive_meta::{MetaMode, SegmentId, Snapshot, VersionStamp, PROTOCOL_COSTS};
-use unidrive_sim::RealRuntime;
+use unidrive_cloud::{ChaosCloud, CloudStore, FaultEvent, FaultKind, FaultPlan, MemCloud, ObjectInfo};
+use unidrive_meta::{MetaMode, SegmentId, Snapshot, VersionStamp, LOCK_DIR, PROTOCOL_COSTS};
+use unidrive_sim::{RealRuntime, SimRuntime};
 use unidrive_util::sync::Mutex;
 
 /// Delegates to `inner` but fails `download` of any path containing
@@ -358,7 +358,7 @@ fn stale_compactor_cannot_regress_the_stored_base() {
     let _ = commit_file(&mut a2, &img1, "dev-a", "a2.txt", 2);
     // dev-b compacts from its stale fold. The under-lock re-read
     // must restart from the stored base instead of unwinding it.
-    assert!(b.try_compact(None));
+    assert!(b.try_compact(None, false));
     let cipher = MetadataCipher::from_passphrase("test-passphrase");
     let after_ct = set
         .get(unidrive_cloud::CloudId(0))
@@ -406,31 +406,33 @@ fn restarted_device_resumes_sequence_and_preserves_log() {
     }
 }
 
+/// `inners` as a reader sees them when every download from the first
+/// `failing` of them fails.
+fn failing_first(inners: &[Arc<Counting>], failing: usize) -> CloudSet {
+    let wrapped = inners.iter().enumerate().map(|(i, c)| {
+        let inner = Arc::clone(c) as Arc<dyn CloudStore>;
+        if i < failing {
+            Arc::new(FailingDownloads { inner, only: "" }) as Arc<dyn CloudStore>
+        } else {
+            inner
+        }
+    });
+    CloudSet::new(wrapped.collect())
+}
+
 /// A cloud whose listing succeeds but whose downloads fail must not
-/// count toward the read quorum: the fold would silently miss acked
-/// ops.
+/// count toward the read quorum when no other listing cloud serves
+/// what it lists: the fold would silently miss acked ops. Here the op
+/// sits on clouds 0–2 only, and all three refuse to serve it.
 #[test]
 fn listed_but_undownloadable_cloud_is_unreachable() {
-    let inners: Vec<Arc<dyn CloudStore>> = (0..5)
-        .map(|i| Arc::new(MemCloud::new(format!("c{i}"))) as Arc<dyn CloudStore>)
-        .collect();
-    let mut w = plane(MetaMode::Oplog, CloudSet::new(inners.clone()), "dev-a", 1);
+    let (set, doubles) = counting_clouds(5);
+    for cloud in &doubles[3..] {
+        *cloud.refuse_upload.lock() = Some("oplog/ops_");
+    }
+    let mut w = plane(MetaMode::Oplog, set, "dev-a", 1);
     commit_file(w.as_mut(), &SyncFolderImage::new(), "dev-a", "f.txt", 1);
-    let wrapped: Vec<Arc<dyn CloudStore>> = inners
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            if i < 3 {
-                Arc::new(FailingDownloads {
-                    inner: Arc::clone(c),
-                    only: "",
-                }) as Arc<dyn CloudStore>
-            } else {
-                Arc::clone(c)
-            }
-        })
-        .collect();
-    let mut r = plane(MetaMode::Oplog, CloudSet::new(wrapped), "dev-b", 2);
+    let mut r = plane(MetaMode::Oplog, failing_first(&doubles, 3), "dev-b", 2);
     assert!(
         r.poll(&SyncFolderImage::new(), None).expect("poll").is_none(),
         "partial fold must not be presented"
@@ -441,6 +443,19 @@ fn listed_but_undownloadable_cloud_is_unreachable() {
         })
         .unwrap_err();
     assert!(matches!(err, PlaneError::QuorumUnreachable { reachable: 2, quorum: 3 }));
+}
+
+/// The same failing clouds cost nothing when another cloud that lists
+/// the op serves it: the fold is complete, and presented, in one pass.
+#[test]
+fn an_op_a_failing_cloud_lists_is_read_from_another() {
+    let (set, doubles) = counting_clouds(5);
+    let mut w = plane(MetaMode::Oplog, set, "dev-a", 1);
+    let image = commit_file(w.as_mut(), &SyncFolderImage::new(), "dev-a", "f.txt", 1);
+    let mut r = oplog_plane(failing_first(&doubles, 3), "dev-b", 10 * 1024, 2);
+    let fetched = r.fetch(None);
+    assert_eq!(fetched.reachable, 5);
+    assert_eq!(fetched.folded.image.encode(), image.encode());
 }
 
 /// When compaction keeps failing past the escalation cap, the plane
@@ -572,7 +587,7 @@ fn a_compaction_is_downloaded_once_in_total() {
     let third = commit_file(&mut x, &second, "dev-x", "x.txt", 4);
     assert_eq!(w.poll(&second, None).expect("poll").expect("x's file").encode(), third.encode());
     doubles[0].forget();
-    assert!(w.try_compact(None));
+    assert!(w.try_compact(None, false));
     settle(&mut w);
     let calls = doubles[0].calls();
     let covered = 1; // dev-x's op object
@@ -598,12 +613,13 @@ fn a_compaction_is_downloaded_once_in_total() {
     assert!(doubles[0].op_objects().is_empty());
 }
 
-/// An append lists the oplog directory, downloads each op object it
-/// has not read from that cloud and uploads its own:
-/// `PROTOCOL_COSTS.oplog_append` plus `oplog_op_file` per unread
-/// object, on each cloud. Three devices appending in turn read 0, 1
-/// and 2 objects; in the next round each reads the two the others
-/// appended since — never its own, never one it read before.
+/// An append lists the oplog directory and uploads its own op object
+/// on each cloud (`PROTOCOL_COSTS.oplog_append` per cloud), and
+/// downloads each op object its fold lacks once, from one cloud that
+/// lists it (`oplog_op_file` per unread object, over all clouds).
+/// Three devices appending in turn read 0, 1 and 2 objects; in the
+/// next round each reads the two the others appended since — never
+/// its own, never one it read before.
 #[test]
 fn an_append_costs_its_listing_plus_one_read_per_op_file() {
     let (set, doubles) = counting_clouds(3);
@@ -616,17 +632,40 @@ fn an_append_costs_its_listing_plus_one_read_per_op_file() {
     for (round, unread) in [[0, 1, 2], [2, 2, 2]].into_iter().enumerate() {
         for ((p, device), unread) in planes.iter_mut().zip(devices).zip(unread) {
             counter += 1;
-            doubles[0].forget();
+            doubles.iter().for_each(|cloud| cloud.forget());
             current = commit_file(p, &current, device, &format!("f{counter}.txt"), counter);
-            let calls = doubles[0].calls();
-            let mut expected = vec!["list"];
-            expected.extend(std::iter::repeat_n("download", unread));
-            expected.push("upload");
-            assert_eq!(calls, expected, "round {round}, {device}: {unread} unread");
-            let cost = PROTOCOL_COSTS.oplog_append + unread as u64 * PROTOCOL_COSTS.oplog_op_file;
-            assert_eq!(calls.len() as u64, cost);
+            let calls: Vec<&str> = doubles.iter().flat_map(|cloud| cloud.calls()).collect();
+            let count = |op: &str| calls.iter().filter(|c| **c == op).count();
+            let what = format!("round {round}, {device}: {unread} unread");
+            assert_eq!((count("list"), count("download"), count("upload")), (3, unread, 3), "{what}");
+            let cost = 3 * PROTOCOL_COSTS.oplog_append + unread as u64 * PROTOCOL_COSTS.oplog_op_file;
+            assert_eq!(calls.len() as u64, cost, "{what}");
+            for cloud in &doubles {
+                assert_eq!(cloud.calls().first(), Some(&"list"), "{what}: listed first");
+                assert_eq!(cloud.calls().last(), Some(&"upload"), "{what}: appended last");
+            }
         }
     }
+}
+
+/// A reader that finds three new op objects on each of five clouds
+/// downloads three objects in all, and a pass after it none.
+#[test]
+fn a_pass_reads_each_new_op_once() {
+    let (set, doubles) = counting_clouds(5);
+    let mut w = oplog_plane(set, "dev-w", 10 * 1024, 1);
+    let mut image = SyncFolderImage::new();
+    for i in 1..=3 {
+        image = commit_file(&mut w, &image, "dev-w", &format!("f{i}.txt"), i);
+    }
+    let (reader_set, reads) = recount(&doubles);
+    let mut r = oplog_plane(reader_set, "dev-r", 10 * 1024, 2);
+    let downloads = || reads.iter().flat_map(|c| c.calls()).filter(|c| *c == "download").count();
+    let polled = r.poll(&SyncFolderImage::new(), None).expect("poll").expect("visible");
+    assert_eq!(polled.encode(), image.encode());
+    assert_eq!(downloads(), 3);
+    assert!(r.poll(&polled, None).expect("poll").is_none());
+    assert_eq!(downloads(), 3, "nothing new, nothing read");
 }
 
 /// An append that reached only a minority is uploaded again, ahead of
@@ -846,4 +885,182 @@ fn unmarked_base_still_folds() {
     assert_eq!(folded.encode(), image.encode());
     assert!(r.poll(&folded, None).expect("poll").is_none());
     assert_eq!(base_downloads(&reads), [2; 3], "no mark vouches for it: read on every pass");
+}
+
+/// `inner` behind a fixed extra latency of `ms` on every call, in
+/// `rt`'s time.
+fn slowed(rt: &Arc<dyn Runtime>, inner: Arc<dyn CloudStore>, ms: u64) -> Arc<dyn CloudStore> {
+    let spike = FaultKind::LatencySpike { extra_ms: ms };
+    let plan = FaultPlan::with_events(0, vec![FaultEvent::always(inner.name(), spike)]);
+    Arc::new(ChaosCloud::new(inner, Arc::clone(rt), &plan))
+}
+
+fn mem_clouds(n: usize) -> Vec<Arc<dyn CloudStore>> {
+    (0..n).map(|i| Arc::new(MemCloud::new(format!("c{i}"))) as Arc<dyn CloudStore>).collect()
+}
+
+/// A torn copy of an op on the cloud whose listing returns first is
+/// replaced in the same pass by the next cloud that lists the op.
+#[test]
+fn a_torn_copy_on_the_first_cloud_to_list_is_replaced_in_the_same_pass() {
+    let sim = SimRuntime::new(40);
+    let rt = sim.clone().as_runtime();
+    let inners = mem_clouds(5);
+    let mut w = oplog_plane(CloudSet::new(inners.clone()), "dev-w", 10 * 1024, 1);
+    let image = commit_file(&mut w, &SyncFolderImage::new(), "dev-w", "f.txt", 1);
+    let path = op_object_path("dev-w", 1);
+    inners[0].upload(&path, Bytes::from(b"torn".to_vec())).expect("torn copy");
+    // Clouds 1-4 answer 100 ms after cloud 0, so cloud 0 claims the op.
+    let (set, reads) = counted(inners.iter().enumerate().map(|(i, inner)| match i {
+        0 => Arc::clone(inner),
+        _ => slowed(&rt, Arc::clone(inner), 100),
+    }));
+    let mut r = OplogPlane::new(rt, set, &config("dev-r", 10 * 1024), SimRng::seed_from_u64(2));
+    let polled = r.poll(&SyncFolderImage::new(), None).expect("poll").expect("read in one pass");
+    assert_eq!(polled.encode(), image.encode());
+    let downloads: Vec<usize> = reads.iter().map(|cloud| cloud.downloads_of(&path)).collect();
+    assert_eq!(downloads, [1, 1, 0, 0, 0]);
+}
+
+/// A cloud that fails a read only it could serve — here the reader's
+/// own op object, which a restarted plane reads from every cloud — is
+/// unreachable and claims nothing: the other device's op it lists is
+/// read from another cloud in the same pass.
+#[test]
+fn a_cloud_that_fails_its_own_reads_claims_nothing() {
+    let sim = SimRuntime::new(43);
+    let rt = sim.clone().as_runtime();
+    let inners = mem_clouds(5);
+    let mut w = oplog_plane(CloudSet::new(inners.clone()), "dev-w", 10 * 1024, 1);
+    let image = commit_file(&mut w, &SyncFolderImage::new(), "dev-w", "w.txt", 1);
+    let mut x = oplog_plane(CloudSet::new(inners.clone()), "dev-x", 10 * 1024, 2);
+    let image = commit_file(&mut x, &image, "dev-x", "x.txt", 2);
+    // Cloud 0 answers first and cannot serve dev-w's objects.
+    let members = inners.iter().enumerate().map(|(i, inner)| match i {
+        0 => {
+            let inner = Arc::clone(inner);
+            Arc::new(FailingDownloads { inner, only: "ops_dev-w" }) as Arc<dyn CloudStore>
+        }
+        _ => slowed(&rt, Arc::clone(inner), 100),
+    });
+    let set = CloudSet::new(members.collect());
+    let config = config("dev-w", 10 * 1024);
+    let mut restarted = OplogPlane::new(rt, set, &config, SimRng::seed_from_u64(3));
+    let fetched = restarted.fetch(None);
+    assert_eq!(fetched.reachable, 4);
+    assert_eq!(fetched.folded.image.encode(), image.encode());
+}
+
+/// An op object every listing cloud answers `NotFound` for — a
+/// compaction deleted it after the listings — is as absent as
+/// unlisted: no cloud loses its place in the read quorum.
+#[test]
+fn an_op_gone_from_every_listing_cloud_leaves_the_read_quorum_whole() {
+    let inners = mem_clouds(3);
+    let stale: Vec<Arc<StaleListing>> = inners
+        .iter()
+        .map(|inner| Arc::new(StaleListing { inner: Arc::clone(inner), frozen: Mutex::new(None) }))
+        .collect();
+    let mut w = oplog_plane(CloudSet::new(inners.clone()), "dev-w", 10 * 1024, 1);
+    let image = commit_file(&mut w, &SyncFolderImage::new(), "dev-w", "f1.txt", 1);
+    commit_file(&mut w, &image, "dev-w", "f2.txt", 2);
+    for (s, inner) in stale.iter().zip(&inners) {
+        *s.frozen.lock() = Some(s.inner.list(OPLOG_DIR).expect("listed"));
+        inner.delete(&op_object_path("dev-w", 2)).expect("deleted");
+    }
+    let reader_set = CloudSet::new(stale.iter().map(|s| Arc::clone(s) as Arc<dyn CloudStore>).collect());
+    let mut r = oplog_plane(reader_set, "dev-r", 10 * 1024, 2);
+    let fetched = r.fetch(None);
+    assert_eq!(fetched.reachable, 3);
+    assert_eq!(fetched.folded.image.encode(), image.encode(), "f1 only");
+}
+
+/// Two planes cross λ at the same instant: one compacts, and the
+/// other, finding the lock busy, makes one lock upload per cloud and
+/// returns with its append standing. Its forced compaction, past the
+/// escalation cap, waits out a holder and acquires.
+#[test]
+fn a_busy_lock_skips_the_compaction_but_not_a_forced_one() {
+    let sim = SimRuntime::new(41);
+    let rt = sim.clone().as_runtime();
+    let (set, doubles) = counted(mem_clouds(5).into_iter().map(|inner| slowed(&rt, inner, 50)));
+    let registry = unidrive_obs::Registry::new();
+    let plane_of = |device: &str, floor, seed| {
+        let mut config = config(device, floor);
+        config.data.obs = Obs::with_registry(Arc::clone(&registry));
+        OplogPlane::new(Arc::clone(&rt), set.clone(), &config, SimRng::seed_from_u64(seed))
+    };
+    let mut w = plane_of("dev-w", 10 * 1024, 1);
+    commit_file(&mut w, &SyncFolderImage::new(), "dev-w", "f.txt", 1);
+    let (mut a, mut b) = (plane_of("dev-a", 1, 2), plane_of("dev-b", 1, 3));
+    for p in [&mut a, &mut b] {
+        assert!(p.poll(&SyncFolderImage::new(), None).expect("poll").is_some());
+    }
+    doubles.iter().for_each(|cloud| cloud.forget());
+    let ta = unidrive_sim::spawn(&rt, "dev-a", move || {
+        let compacted = a.try_compact(None, false);
+        (a, compacted)
+    });
+    let tb = unidrive_sim::spawn(&rt, "dev-b", move || {
+        let compacted = b.try_compact(None, false);
+        (b, compacted)
+    });
+    let ((a, a_compacted), (b, b_compacted)) = (ta.join(), tb.join());
+    assert!(a_compacted ^ b_compacted, "exactly one compacts");
+    let mut loser = if a_compacted { b } else { a };
+    let lock_uploads = |cloud: &Counting, device: &str| {
+        let uploads = cloud.uploads();
+        uploads.iter().filter(|p| p.starts_with(LOCK_DIR) && p.contains(device)).count()
+    };
+    for (i, cloud) in doubles.iter().enumerate() {
+        assert_eq!(lock_uploads(cloud, &loser.device), 1, "cloud {i}");
+    }
+    let series = registry.series_snapshot();
+    assert_eq!(series.merged("meta.oplog.compact_skipped").sum, 1);
+
+    // A holder keeps the lock for 2 s; the forced path waits it out.
+    let holder_set = set.clone();
+    let holder_rt = Arc::clone(&rt);
+    let holder = unidrive_sim::spawn(&rt, "dev-z", move || {
+        let (config, rng) = (unidrive_meta::LockConfig::default(), SimRng::seed_from_u64(9));
+        let lock = QuorumLock::new(Arc::clone(&holder_rt), holder_set, "dev-z", config, rng);
+        let guard = lock.acquire(None).expect("free");
+        holder_rt.sleep(std::time::Duration::from_secs(2));
+        guard.release();
+    });
+    sim.sleep(std::time::Duration::from_secs(1));
+    let t0 = sim.now();
+    assert!(!loser.try_compact(None, false), "busy: skipped");
+    assert!(loser.try_compact(None, true), "forced: acquired");
+    assert!(sim.now() - t0 > std::time::Duration::from_secs(1), "it waited for the holder");
+    holder.join();
+}
+
+/// A compaction's clearing keeps `connections_per_cloud` deletes in
+/// flight on each cloud: 20 covered objects per cloud, over clouds
+/// whose every call takes 100 ms, clear in ⌈20 / c⌉ round trips.
+#[test]
+fn clearing_runs_a_clouds_deletes_on_every_connection() {
+    let sim = SimRuntime::new(42);
+    let rt = sim.clone().as_runtime();
+    let inners = mem_clouds(3);
+    let set = CloudSet::new(inners.iter().map(|inner| slowed(&rt, Arc::clone(inner), 100)).collect());
+    let config = config("dev-w", 1);
+    let p = OplogPlane::new(Arc::clone(&rt), set, &config, SimRng::seed_from_u64(1));
+    let paths: Vec<String> = (1..=20).map(|seq| op_object_path("dev-w", seq)).collect();
+    for inner in &inners {
+        for path in &paths {
+            inner.upload(path, Bytes::from(b"op".to_vec())).expect("planted");
+        }
+    }
+    let t0 = sim.now();
+    p.clear(vec![paths; 3]).join();
+    let took = sim.now() - t0;
+    let trips = 20u32.div_ceil(config.data.connections_per_cloud as u32);
+    assert!(trips < 20, "test premise: more than one connection");
+    let trip = std::time::Duration::from_millis(100);
+    assert!(took >= trip * trips && took < trip * (trips + 1), "{took:?} for {trips} round trips");
+    for inner in &inners {
+        assert!(inner.list(OPLOG_DIR).expect("listed").is_empty());
+    }
 }

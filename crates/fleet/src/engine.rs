@@ -207,19 +207,30 @@ fn upload_reachability(plan: &FaultPlan, now_ns: u64) -> [bool; 5] {
     ok
 }
 
-/// Charges one metadata step of `ops` calls (a sum of
-/// [`PROTOCOL_COSTS`] fields) to every reachable lane at `t`: token
-/// bucket, QPS series, `lock_ops`, shaper delay and `cloud.ops`.
-/// Returns the worst shaper delay, which gates the step.
-fn charge_meta(
-    lanes: &mut [CloudLane],
-    reachable: &[bool; 5],
-    t: u64,
-    ops: u64,
-    series: &mut SeriesBank,
-) -> u64 {
+/// What one metadata step costs each lane: `each` calls (a sum of
+/// [`PROTOCOL_COSTS`] fields) on every reachable lane, plus `spread`
+/// calls made once in total — op-object reads, each from one cloud
+/// that lists it — dealt one at a time over the reachable lanes from
+/// the `from`-th on.
+fn meta_ops(reachable: &[bool; 5], each: u64, spread: u64, from: usize) -> [u64; 5] {
+    let lanes: Vec<usize> = (0..reachable.len()).filter(|&i| reachable[i]).collect();
+    let mut ops = [0; 5];
+    for &i in &lanes {
+        ops[i] = each;
+    }
+    for k in 0..spread as usize {
+        ops[lanes[(from + k) % lanes.len()]] += 1;
+    }
+    ops
+}
+
+/// Charges one metadata step, `ops[i]` calls to lane `i` (0 on an
+/// unreachable lane), at `t`: token bucket, QPS series, `lock_ops`,
+/// shaper delay and `cloud.ops`. Returns the worst shaper delay,
+/// which gates the step.
+fn charge_meta(lanes: &mut [CloudLane], ops: &[u64; 5], t: u64, series: &mut SeriesBank) -> u64 {
     let mut worst = 0;
-    for (lane, _) in lanes.iter_mut().zip(reachable).filter(|(_, &r)| r) {
+    for (lane, &ops) in lanes.iter_mut().zip(ops).filter(|(_, &ops)| ops > 0) {
         let d = lane.bucket.consume(t, ops);
         lane.series.record(t + d, ops);
         lane.lock_ops += ops;
@@ -611,11 +622,12 @@ impl<'a> Run<'a> {
         }
 
         // Oplog: list the oplog directory, read each op object the
-        // device has not read that no compaction has covered, and upload
-        // its own — no lock round, no losers, every attempt commits on
-        // its first round; a private folder shows only the device's own
-        // objects, which it never reads. Lock: a round, then the commit
-        // under the won lock or the lost round's withdraw.
+        // device has not read that no compaction has covered — once, from
+        // one of the clouds — and upload its own: no lock round, no
+        // losers, every attempt commits on its first round; a private
+        // folder shows only the device's own objects, which it never
+        // reads. Lock: a round, then the commit under the won lock or
+        // the lost round's withdraw.
         let c = PROTOCOL_COSTS;
         // Lists this event stands for: a waiting head's since its last.
         let mut lists_now = 1;
@@ -665,11 +677,12 @@ impl<'a> Run<'a> {
                 }
                 series.add("oplog.appends", "fleet", t, 1);
                 series.add("oplog.op_file_reads", "fleet", t, unread);
-                let mut ops = c.oplog_append + unread * c.oplog_op_file;
+                let mut each = c.oplog_append;
                 if let Some((_, covered)) = compaction {
                     series.add("oplog.op_deletes", "fleet", t, covered);
-                    ops += c.oplog_compact + covered * c.oplog_op_delete;
+                    each += c.oplog_compact + covered * c.oplog_op_delete;
                 }
+                let ops = meta_ops(&reachable, each, unread * c.oplog_op_file, device as usize);
                 let fold_ns = compaction.map_or(0, |(wait, _)| wait + COMMIT_NS);
                 (LockVerdict::Hold, ops, COMMIT_NS + fold_ns)
             }
@@ -721,11 +734,11 @@ impl<'a> Run<'a> {
                     LockVerdict::Lose => c.lock_withdraw,
                 };
                 dev.kept = (outcome == LockVerdict::Head).then_some((stamped, lists, t));
-                (outcome, listed + step, LOCK_COMMIT_NS)
+                (outcome, meta_ops(&reachable, listed + step, 0, 0), LOCK_COMMIT_NS)
             }
         };
         // The shaper's worst delay gates what follows.
-        let qps_delay = charge_meta(lanes, &reachable, t, ops, series);
+        let qps_delay = charge_meta(lanes, &ops, t, series);
 
         dev.rounds += lists_now;
         let lost = lists_now - u32::from(outcome == LockVerdict::Hold);

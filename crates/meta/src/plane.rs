@@ -191,7 +191,9 @@ pub fn lock_verdict<K: Ord>(
 
 /// What one metadata step costs, in Web API calls on each cloud. The
 /// paper builds every step, the lock included, from the five cloud
-/// operations (§4, §5.2), so a step's cost is a call count per cloud.
+/// operations (§4, §5.2), so a step's cost is a call count per cloud —
+/// except [`oplog_op_file`](ProtocolCosts::oplog_op_file), a count over
+/// all clouds together.
 ///
 /// The planes do not read this: they *are* the protocol. Tests in
 /// `unidrive-core` count each step's calls on one cloud and assert them
@@ -215,9 +217,10 @@ pub struct ProtocolCosts {
     /// An oplog append before its op-object reads: oplog directory
     /// list, upload of the new op object.
     pub oplog_append: u64,
-    /// Each op object the append's listing shows that the device has
-    /// not read from that cloud and its base does not cover: its
-    /// download.
+    /// Each op object the append's listings show that the device's
+    /// fold lacks (its base does not cover it, its op cache does not
+    /// hold it): its download, once in total, from one cloud that
+    /// lists it.
     pub oplog_op_file: u64,
     /// One uncontended oplog compaction: lock-file upload, lock
     /// directory list, base re-read, oplog directory list, base upload,

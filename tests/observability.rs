@@ -12,6 +12,7 @@ use unidrive::cloud::{
 use unidrive::core::{ClientConfig, DataPlaneConfig, MemFolder, SyncFolder, UniDriveClient};
 use unidrive::erasure::RedundancyConfig;
 use unidrive::core::SyncReport;
+use unidrive::meta::MetaMode;
 use unidrive::obs::{bundle_json, FieldValue, Obs, Registry, SeriesSnapshot, Snapshot};
 use unidrive::sim::{Runtime, SimRng, SimRuntime};
 
@@ -289,4 +290,53 @@ fn spans_form_a_causal_tree_rooted_at_sync_rounds() {
     }
     assert!(s.span_count("sync.round") >= 2, "both devices synced");
     assert!(s.span_count("meta.merge") > 0, "commit path never merged");
+}
+
+/// On the oplog plane every fold span says how many op objects its pass
+/// downloaded: a reader's first pass reads the writer's one op object
+/// once over all five clouds, and its next pass reads nothing.
+#[test]
+fn an_oplog_fold_span_counts_its_op_object_downloads() {
+    let sim = SimRuntime::new(0xf0);
+    let obs = Obs::with_registry(Registry::with_trace_capacity(1 << 14));
+    let members: Vec<Arc<dyn CloudStore>> = (0..5)
+        .map(|i| {
+            let cloud = SimCloud::new(&sim, format!("cloud{i}"), SimCloudConfig::steady(2e6, 8e6));
+            Arc::new(cloud) as Arc<dyn CloudStore>
+        })
+        .collect();
+    let clouds = CloudSet::new(members);
+    let client = |device: &str, folder: &Arc<MemFolder>, seed: u64| {
+        let mut config = ClientConfig::paper_default(device);
+        config.meta_mode = MetaMode::Oplog;
+        config.data.obs = obs.clone();
+        UniDriveClient::new(
+            sim.clone().as_runtime(),
+            clouds.clone(),
+            Arc::clone(folder) as Arc<dyn SyncFolder>,
+            config,
+            SimRng::seed_from_u64(seed),
+        )
+    };
+    let (folder_a, folder_b) = (MemFolder::new(), MemFolder::new());
+    let mut a = client("device-a", &folder_a, 1);
+    let mut b = client("device-b", &folder_b, 2);
+    folder_a.write("f.txt", b"one op object", 1).unwrap();
+    a.sync_once().expect("A commits");
+    b.sync_once().expect("B fetches");
+    b.sync_once().expect("B polls");
+    assert_eq!(folder_b.read("f.txt").unwrap().to_vec(), b"one op object");
+
+    let s = obs.snapshot().unwrap();
+    let downloads: Vec<u64> = s
+        .spans
+        .iter()
+        .filter(|sp| sp.name == "meta.oplog.fold")
+        .filter(|sp| sp.attr("device") == Some(&FieldValue::S("device-b".to_owned())))
+        .map(|sp| match sp.attr("downloads") {
+            Some(FieldValue::U(n)) => *n,
+            other => panic!("a fold span without downloads: {other:?}"),
+        })
+        .collect();
+    assert_eq!(downloads, [1, 0]);
 }
