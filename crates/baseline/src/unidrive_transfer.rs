@@ -97,6 +97,7 @@ impl UniDriveTransfer {
                 id: *id,
                 len: *len,
                 blocks: blocks.clone(),
+                member: None,
             })
         };
         let file = [&segments[..]];

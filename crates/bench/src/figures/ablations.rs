@@ -110,6 +110,7 @@ pub fn run(cx: &Ctx) {
                         id: *id,
                         len: *len,
                         blocks: by_seg.get(id).cloned().unwrap_or_default(),
+                        member: None,
                     })
                     .collect();
                 let dl = plane.download_segments(fetches, None);

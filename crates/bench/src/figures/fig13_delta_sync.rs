@@ -34,7 +34,7 @@ pub fn run(_cx: &Ctx) {
             timestamp_ns: i as u64,
         };
         let records = vec![
-            DeltaRecord::EnsureSegment { id: seg, len: file_size },
+            DeltaRecord::EnsureSegment { id: seg, len: file_size, packed: None },
             DeltaRecord::AddBlock {
                 id: seg,
                 block: unidrive_meta::BlockRef {

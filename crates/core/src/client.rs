@@ -503,14 +503,14 @@ impl UniDriveClient {
             local.resolve_conflict(path);
         }
         let mut committed_stats: BTreeMap<String, Option<LocalStat>> = BTreeMap::new();
+        let mut packed: Vec<(SegmentId, crate::dataplane::PackSlot)> = Vec::new();
         for (result, segmentation) in upload.files.iter().zip(&segmentations) {
             if result.available_at.is_none() {
                 report.deferred.push(result.path.clone());
                 continue;
             }
-            for (id, len) in &segmentation.segments {
-                local.ensure_segment(*id, *len);
-            }
+            segmentation.pool(&mut local);
+            packed.extend(segmentation.packed.iter().copied());
             let stat = stats[&segmentation.path];
             let snapshot = Snapshot {
                 segments: segmentation.segments.iter().map(|(id, _)| *id).collect(),
@@ -627,6 +627,13 @@ impl UniDriveClient {
                     to_commit.remove_block(id, *b);
                 }
             }
+            // A segment this pass packed that the pool kept on blocks of
+            // its own lost them if those were collected: it reads from
+            // its pack.
+            for (id, slot) in packed.iter().filter(|(id, _)| gone.iter().any(|(g, _)| *g == id)) {
+                let len = to_commit.segment(id).map_or(0, |e| e.len);
+                to_commit.ensure_member(*id, len, slot.pack, slot.offset);
+            }
             garbage = to_commit.collect_garbage();
             // One this pass deduplicated against and still references
             // lost the blocks it relied on: abort, and upload it again.
@@ -663,12 +670,14 @@ impl UniDriveClient {
                 not_committed.map_err(SyncError::from)?;
                 // A peer collected segments this pass deduplicated
                 // against: transact again, uploading those from the
-                // bytes in hand and none that went up just now. (Only
-                // ids the ancestor pooled are ever collected, so each
-                // retry shrinks that part of `known`.)
+                // bytes in hand and none that went up just now, but for
+                // packed ones: those are packed again. (Only ids the
+                // ancestor pooled are ever collected, so each retry
+                // shrinks that part of `known`.)
                 known.retain(|id| !collected.contains(id));
                 let available = segmentations.iter().filter(|s| !report.deferred.contains(&s.path));
                 let sent = available.flat_map(|s| s.segments.iter().map(|(id, _)| *id));
+                let sent = sent.filter(|id| packed.iter().all(|(p, _)| p != id));
                 known.extend(sent.filter(|id| self.original.segment(id).is_none()));
                 return self.commit_local_update(changes, known, round);
             }
@@ -751,7 +760,7 @@ impl UniDriveClient {
         let mut orphans = vec![0; self.plane.clouds().len()];
         for (cloud, name, size) in audit.unnamed.iter().filter(|u| seen_unnamed.contains(u)) {
             let fits = |(id, _): &(SegmentId, u16)| {
-                self.original.segment(id).is_some_and(|e| {
+                self.original.segment(id).filter(|e| e.packed.is_none()).is_some_and(|e| {
                     let ours = adopted.iter().filter(|(a, b)| a == id && b.cloud == *cloud);
                     let held = e.blocks_on(*cloud) + ours.count();
                     *size == codec.block_len(e.len as usize) as u64 && held < cap
@@ -784,6 +793,47 @@ impl UniDriveClient {
             obs.series_add("scrub.missing", store.name(), on(&audit.missing));
         }
         self.pending_blocks.lock().extend(adopted.into_iter().chain(repaired));
+        self.repack(round);
+    }
+
+    /// Moves the live members of sparse packs into fresh ones
+    /// ([`DataPlane::repack`]) and commits the move through the
+    /// metadata plane, if no cloud update arrived meanwhile: the old
+    /// packs are then garbage, deleted like any other. A commit it
+    /// gives up deletes the fresh blocks; one that failed leaves them,
+    /// since a minority of clouds may hold an image naming them.
+    fn repack(&mut self, round: Option<SpanId>) {
+        let Some(repack) = self.plane.repack(&self.original, round) else {
+            return;
+        };
+        let ancestor = self.original.clone();
+        let mut image = ancestor.clone();
+        repack.apply(&mut image);
+        let garbage = image.collect_garbage();
+        let (device, rt, mut counter) = (self.config.device.clone(), Arc::clone(&self.rt), self.counter);
+        let transacted = self.meta.transact(&ancestor, round, &mut |remote| {
+            if remote != Some(&ancestor) {
+                return None;
+            }
+            counter = counter.max(ancestor.version.counter) + 1;
+            let stamp = VersionStamp {
+                device: device.clone(),
+                counter,
+                timestamp_ns: rt.now().as_nanos(),
+            };
+            image.version = stamp.clone();
+            Some((image.clone(), stamp))
+        });
+        self.counter = counter;
+        match transacted {
+            Ok(Some(committed)) => {
+                let dead = garbage.iter().flat_map(|(id, e)| e.blocks.iter().map(move |b| (*id, *b)));
+                self.plane.delete_blocks(dead, round);
+                self.original = committed;
+            }
+            Ok(None) => self.plane.delete_blocks(repack.blocks, round),
+            Err(_) => {}
+        }
     }
 
     /// Writes files changed between `from` and `to` into the local
@@ -949,17 +999,18 @@ mod tests {
         w.put_str("dev");
         w.put_u64(1);
         w.put_u64(0);
-        w.put_u32(1); // files
+        w.put_varint(1); // files
         w.put_str("f");
-        w.put_u32(3);
+        w.put_varint(3);
         for tag in ["a", "b", "a"] {
             w.put_fixed(id(tag).0.as_bytes());
         }
         w.put_varint(0); // no conflict copies
-        w.put_u32(1); // segments: "a" only
+        w.put_varint(1); // segments: "a" only
         w.put_fixed(id("a").0.as_bytes());
-        w.put_u64(10);
-        w.put_u32(0); // blocks
+        w.put_varint(10);
+        w.put_u8(0); // stored on its own blocks
+        w.put_varint(0); // blocks
         let holed = SyncFolderImage::decode(&w.finish()).unwrap();
         assert!(holed.file("f").is_some() && holed.segment(&id("b")).is_none());
         assert_eq!(base_layout(&holed, &image(&[("f", old)]), "f"), None);

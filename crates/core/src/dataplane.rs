@@ -14,7 +14,7 @@ use unidrive_meta::{block_path, BlockRef, SegmentId, Snapshot, SyncFolderImage, 
 use unidrive_obs::SpanId;
 use unidrive_sim::Runtime;
 
-use crate::download::{DownloadError, SegmentFetch};
+use crate::download::{DownloadError, Member, SegmentFetch};
 use crate::engine::{run_batch, EngineParams, WireOp};
 use crate::plan::DataPlaneConfig;
 use crate::probe::BandwidthProbe;
@@ -45,7 +45,46 @@ pub struct FileSegmentation {
     pub path: String,
     /// `(segment id, length)` in file order.
     pub segments: Vec<(SegmentId, u64)>,
+    /// The file's segments the pass put into a pack, each with where
+    /// (DESIGN §4, decision 19); empty for a file of its own segments.
+    pub packed: Vec<(SegmentId, PackSlot)>,
 }
+
+impl FileSegmentation {
+    /// Pools the file's segments in `image`, each with its length, and
+    /// those the pass packed as members of their packs.
+    pub fn pool(&self, image: &mut SyncFolderImage) {
+        for (id, len) in &self.segments {
+            image.ensure_segment(*id, *len);
+        }
+        for (id, slot) in &self.packed {
+            let len = self.segments.iter().find(|(s, _)| s == id).map_or(0, |(_, len)| *len);
+            image.ensure_segment(slot.pack, slot.pack_len);
+            image.ensure_member(*id, len, slot.pack, slot.offset);
+        }
+    }
+}
+
+/// Where a pass put a small file's segment: at `offset` in the pack
+/// `pack`, a segment of `pack_len` bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PackSlot {
+    /// The pack's id, the SHA-1 of its bytes.
+    pub pack: SegmentId,
+    /// The pack's length.
+    pub pack_len: u64,
+    /// The member's offset in the pack.
+    pub offset: u64,
+}
+
+/// A file shorter than θ / `SMALL_DIVISOR` is *small*: a pass codes the
+/// new segments of its small files as packs (DESIGN §4, decision 19).
+/// At θ = 4 MiB that is 64 KiB.
+const SMALL_DIVISOR: usize = 64;
+
+/// A pack holds at most θ / `PACK_DIVISOR` bytes: 128 KiB at θ = 4 MiB,
+/// so no pack, block or decode buffer of one is larger.
+const PACK_DIVISOR: usize = 32;
 
 /// What the folder already holds at a path about to be rewritten: a
 /// candidate source of segments for [`DataPlane::download_files`].
@@ -58,6 +97,34 @@ pub struct LocalBase {
     /// `(segment id, length)` in file order, as the last image this
     /// device synced to describes the file.
     pub layout: Vec<(SegmentId, u64)>,
+}
+
+/// The live members of sparse packs moved out of them
+/// ([`DataPlane::repack`]), for the caller to commit.
+#[derive(Debug, Clone)]
+pub(crate) struct Repack {
+    /// `(member, length, where it went)`: its slot in a fresh pack, or
+    /// `None` when it went up on its own blocks.
+    pub moved: Vec<(SegmentId, u64, Option<PackSlot>)>,
+    /// Every block the upload placed.
+    pub blocks: Vec<(SegmentId, BlockRef)>,
+}
+
+impl Repack {
+    /// `image` with the moves applied: fresh packs pooled with their
+    /// blocks, each member pointed into its fresh pack or stored on its
+    /// own blocks. Its old packs are then garbage.
+    pub(crate) fn apply(&self, image: &mut SyncFolderImage) {
+        for (id, len, slot) in &self.moved {
+            if let Some(slot) = slot {
+                image.ensure_segment(slot.pack, slot.pack_len);
+                image.ensure_member(*id, *len, slot.pack, slot.offset);
+            }
+        }
+        for (id, block) in &self.blocks {
+            image.record_block(*id, *block);
+        }
+    }
 }
 
 /// What the block objects the clouds list say against an image
@@ -160,6 +227,7 @@ impl DataPlane {
         FileSegmentation {
             path: path.to_owned(),
             segments,
+            packed: Vec::new(),
         }
     }
 
@@ -211,10 +279,11 @@ impl DataPlane {
         ingest.attr_u64("bytes", bytes as u64);
         ingest.attr_u64("reused_bytes", reused_bytes as u64);
         ingest.attr_u64("threads", threads as u64);
-        ingest.end();
 
+        let small_below = config.theta / SMALL_DIVISOR;
         let mut segmentations = Vec::new();
         let mut uploads = Vec::new();
+        let mut small = Vec::new();
         let mut scheduled: HashSet<SegmentId> = HashSet::new();
         for (req, (cuts, _)) in requests.into_iter().zip(cuts) {
             let mut seg_meta = Vec::new();
@@ -226,18 +295,46 @@ impl DataPlane {
                     to_send.push(SegmentData {
                         id,
                         data: req.data.slice(s.range()),
+                        pack: false,
                     });
                 }
+            }
+            if req.data.len() < small_below && to_send.len() == 1 {
+                small.push(to_send[0].clone());
             }
             segmentations.push(FileSegmentation {
                 path: req.path.clone(),
                 segments: seg_meta,
+                packed: Vec::new(),
             });
             uploads.push(FileUpload {
                 path: req.path,
                 segments: to_send,
             });
         }
+        let packs = pack(small, config.theta / PACK_DIVISOR);
+        let mut slots: HashMap<SegmentId, (usize, PackSlot)> = HashMap::new();
+        for (p, (data, members)) in packs.iter().enumerate() {
+            for (id, offset) in members {
+                let (pack, pack_len) = (data.id, data.data.len() as u64);
+                slots.insert(*id, (p, PackSlot { pack, pack_len, offset: *offset }));
+            }
+        }
+        // Every file naming a packed segment waits for its pack, which
+        // takes the segment's place in the upload.
+        for (upload, seg) in uploads.iter_mut().zip(&mut segmentations) {
+            seg.packed = seg.segments.iter().filter_map(|(id, _)| Some((*id, slots.get(id)?.1))).collect();
+            upload.segments.retain(|s| !slots.contains_key(&s.id));
+            for (id, _) in &seg.packed {
+                let data = &packs[slots[id].0].0;
+                if !known.contains(&data.id) {
+                    upload.segments.push(data.clone());
+                }
+            }
+        }
+        ingest.attr_u64("packed_files", segmentations.iter().filter(|s| !s.packed.is_empty()).count() as u64);
+        ingest.attr_u64("packs", packs.len() as u64);
+        ingest.end();
         (self.run_upload(uploads, sink, parent), segmentations)
     }
 
@@ -286,14 +383,18 @@ impl DataPlane {
     /// and then the fetch of what did not match, never a wrong byte.
     /// Then the wire: every other segment is fetched in ONE batch.
     /// `locate` says where a segment's blocks live (an image's pool, a
-    /// baseline's manifest); the batch span is parented to `parent`.
+    /// baseline's manifest); the batch span is parented to `parent`. A
+    /// pack is fetched once for all its members wanted, and each member
+    /// is a zero-copy slice of it, kept only if its SHA-1 is its id.
     ///
     /// # Errors
     ///
     /// [`DownloadError::NotEnoughBlocks`] with `got: 0` for a segment
     /// to fetch that `locate` does not know (metadata read from a cloud
-    /// can name one its pool lacks); otherwise the last failure of the
-    /// batch.
+    /// can name one its pool lacks);
+    /// [`DownloadError::IntegrityMismatch`] naming a pack member whose
+    /// range of its pack is not its bytes; otherwise the last failure
+    /// of the batch.
     pub fn download_files<'a>(
         &self,
         files: &'a [&'a [SegmentId]],
@@ -317,14 +418,31 @@ impl DataPlane {
                 need: self.codec.k(),
             })?);
         }
+        let members: Vec<(SegmentId, Member)> =
+            fetches.iter().filter_map(|f| Some((f.id, f.member?))).collect();
         let mut report = self.download_batch(fetches, local, parent);
         if let Some(err) = report.failed.pop() {
             return Err(err);
         }
+        let mut fetched = report.segments;
+        let mut slices = Vec::with_capacity(members.len());
+        for (pack, m) in &members {
+            let end = m.offset.checked_add(m.len).filter(|end| *end <= fetched[pack].len() as u64);
+            let Some(end) = end else {
+                return Err(DownloadError::IntegrityMismatch { segment: m.id });
+            };
+            slices.push((m.id, fetched[pack].slice(m.offset as usize..end as usize)));
+        }
+        let sliced = verified(&slices);
+        if sliced.len() < slices.len() {
+            let ok: HashSet<SegmentId> = sliced.iter().map(|(id, _)| *id).collect();
+            let bad = slices.iter().find(|(id, _)| !ok.contains(id)).expect("one failed");
+            return Err(DownloadError::IntegrityMismatch { segment: bad.0 });
+        }
+        fetched.extend(sliced);
         // A one-segment file is that segment's buffer; a longer one is
         // concatenated once, sized from the segments actually fetched,
         // never from a size the metadata claims.
-        let fetched = report.segments;
         Ok(files.iter().map(move |ids| match ids {
             [id] => fetched[id].clone(),
             _ => {
@@ -375,6 +493,55 @@ impl DataPlane {
         hits
     }
 
+    /// Moves the live members of every sparse pack of `image` — one
+    /// whose live members hold less than half its bytes — out of it: it
+    /// fetches them (each pack once), packs them as a pass packs small
+    /// files and uploads the result as one joined batch under `parent`.
+    /// A member no fresh pack takes goes up on its own blocks. `None`
+    /// when no pack is sparse, or when the fetch or an upload failed
+    /// (what landed is deleted again: no image names it).
+    pub(crate) fn repack(&self, image: &SyncFolderImage, parent: Option<SpanId>) -> Option<Repack> {
+        let live = image.referenced();
+        let mut packs: BTreeMap<SegmentId, (u64, Vec<(SegmentId, u64)>)> = BTreeMap::new();
+        for (id, entry) in image.segments().filter(|(id, _)| live.contains(id)) {
+            if let Some((pack, _)) = entry.packed {
+                let (bytes, members) = packs.entry(pack).or_default();
+                *bytes += entry.len;
+                members.push((*id, entry.len));
+            }
+        }
+        let sparse = packs.iter().filter(|(pack, (bytes, _))| {
+            image.segment(pack).is_some_and(|p| 2 * bytes < p.len)
+        });
+        let members: Vec<(SegmentId, u64)> = sparse.flat_map(|(_, (_, m))| m.iter().copied()).collect();
+        if members.is_empty() {
+            return None;
+        }
+        let ids: Vec<SegmentId> = members.iter().map(|(id, _)| *id).collect();
+        let files: Vec<&[SegmentId]> = ids.iter().map(std::slice::from_ref).collect();
+        let locate = |id: &SegmentId| SegmentFetch::from_image(image, id);
+        let data = self.download_files(&files, &[], locate, parent).ok()?;
+        let segments: Vec<SegmentData> = ids.iter().zip(data).map(|(id, data)| SegmentData { id: *id, data, pack: false }).collect();
+        let fresh = pack(segments.clone(), self.config.chunker.theta / PACK_DIVISOR);
+        let mut slots: HashMap<SegmentId, PackSlot> = HashMap::new();
+        let mut upload: Vec<SegmentData> = Vec::new();
+        for (data, packed) in fresh {
+            for (id, offset) in packed {
+                slots.insert(id, PackSlot { pack: data.id, pack_len: data.data.len() as u64, offset });
+            }
+            upload.push(data);
+        }
+        upload.extend(segments.into_iter().filter(|s| !slots.contains_key(&s.id)));
+        let batch = vec![FileUpload { path: "repack".into(), segments: upload }];
+        let report = self.run_upload(batch, None, parent);
+        if !report.all_available() {
+            self.delete_blocks(report.blocks, parent);
+            return None;
+        }
+        let moved = members.iter().map(|(id, len)| (*id, *len, slots.get(id).copied())).collect();
+        Some(Repack { moved, blocks: report.blocks })
+    }
+
     /// Deletes stored blocks of garbage-collected segments from the
     /// clouds: one delete per block, every cloud's
     /// connections working through that cloud's blocks in the order
@@ -412,7 +579,8 @@ impl DataPlane {
         let fair = self.config.redundancy.fair_share();
         let live = image.referenced();
         let mut audit = BlockAudit::default();
-        for (id, entry) in image.segments() {
+        // A pack member's blocks are its pack's, audited as the pack's.
+        for (id, entry) in image.segments().filter(|(_, e)| e.packed.is_none()) {
             let mut present = Vec::new();
             for b in &entry.blocks {
                 let name = &block_path(id, b.index)[BLOCKS_DIR.len() + 1..];
@@ -450,6 +618,42 @@ impl DataPlane {
         let params = self.engine.labelled(label);
         run_batch(&self.rt, &self.clouds, params, parent, &[size], plan)
     }
+}
+
+/// `segments`, the new segments of a pass's small files in request
+/// order, concatenated into packs of at most `cap` bytes: a pack closes
+/// when the next segment would take it past `cap`. Each pack is
+/// returned with its members' `(id, offset)`; a segment left alone in
+/// its pack stays as it is and is in none. Packs are joined and hashed
+/// on the caller's thread: a pass's packs hash in about a millisecond,
+/// and buffers made on short-lived threads stay in their allocator
+/// arenas (+10 MiB `peak_rss_mib` on `wire_small`).
+fn pack(segments: Vec<SegmentData>, cap: usize) -> Vec<(SegmentData, Vec<(SegmentId, u64)>)> {
+    let mut groups: Vec<Vec<SegmentData>> = Vec::new();
+    let mut fill = 0;
+    for segment in segments {
+        let len = segment.data.len();
+        match groups.last_mut() {
+            Some(group) if fill + len <= cap => group.push(segment),
+            _ => {
+                groups.push(vec![segment]);
+                fill = 0;
+            }
+        }
+        fill += len;
+    }
+    groups.retain(|g| g.len() > 1);
+    let joined = groups.into_iter().map(|group| {
+        let mut data = Vec::with_capacity(group.iter().map(|s| s.data.len()).sum());
+        let mut members = Vec::with_capacity(group.len());
+        for s in group {
+            members.push((s.id, data.len() as u64));
+            data.extend_from_slice(&s.data);
+        }
+        let id = SegmentId(Sha1::digest(&data));
+        (SegmentData { id, data: Bytes::from(data), pack: true }, members)
+    });
+    joined.collect()
 }
 
 /// The `ranges` whose SHA-1 is their id, hashed on up to

@@ -49,22 +49,44 @@ use crate::probe::BandwidthProbe;
 /// block locations (from the metadata's segment pool).
 #[derive(Debug, Clone)]
 pub struct SegmentFetch {
-    /// Content-addressed id.
+    /// Content-addressed id of the segment the blocks code.
     pub id: SegmentId,
     /// Plaintext length (needed to size the decode).
     pub len: u64,
     /// Known `<Block-ID, Cloud-ID>` locations.
     pub blocks: Vec<BlockRef>,
+    /// When the segment wanted is a pack member, where it lies in this
+    /// one, its pack.
+    pub member: Option<Member>,
+}
+
+/// A pack member's place in its pack (DESIGN §4, decision 19).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Member {
+    /// The member's id, the SHA-1 of its bytes.
+    pub id: SegmentId,
+    /// Its offset in the pack.
+    pub offset: u64,
+    /// Its length.
+    pub len: u64,
 }
 
 impl SegmentFetch {
-    /// The fetch for segment `id` per `image`'s segment pool; `None` if
-    /// the pool has no such entry.
+    /// The fetch for segment `id` per `image`'s segment pool: of its
+    /// pack, for a pack member. `None` if the pool has no such entry or
+    /// does not pool the member's pack as a segment of its own.
     pub fn from_image(image: &SyncFolderImage, id: &SegmentId) -> Option<Self> {
-        image.segment(id).map(|entry| SegmentFetch {
-            id: *id,
-            len: entry.len,
-            blocks: entry.blocks.clone(),
+        let entry = image.segment(id)?;
+        let Some((pack, offset)) = entry.packed else {
+            let (len, blocks) = (entry.len, entry.blocks.clone());
+            return Some(SegmentFetch { id: *id, len, blocks, member: None });
+        };
+        let stored = image.segment(&pack).filter(|p| p.packed.is_none())?;
+        Some(SegmentFetch {
+            id: pack,
+            len: stored.len,
+            blocks: stored.blocks.clone(),
+            member: Some(Member { id: *id, offset, len: entry.len }),
         })
     }
 }
@@ -146,6 +168,8 @@ impl DownloadReport {
 struct FetchState {
     id: SegmentId,
     len: usize,
+    /// Pack members the batch wants out of this segment.
+    members: u64,
     /// Block indices available per cloud.
     candidates: Vec<Vec<u16>>,
     /// Indices requested at least once.
@@ -202,7 +226,8 @@ impl DataPlane {
     /// [`download_segments`](Self::download_segments) with `local` —
     /// segments the caller already holds verified plaintext of — placed
     /// in the report beside the fetched ones; the batch span counts
-    /// both (`local_hits`, `fetched`).
+    /// both (`local_hits`, `fetched`). Fetches of one id, the members
+    /// of one pack, are fetched once.
     pub(crate) fn download_batch(
         &self,
         fetches: Vec<SegmentFetch>,
@@ -210,9 +235,9 @@ impl DataPlane {
         parent: Option<SpanId>,
     ) -> DownloadReport {
         let started = self.rt.now();
-        let fetched = fetches.len() as u64;
         let local_hits = local.len() as u64;
         let policy = DownloadPolicy::new(self, &fetches, local);
+        let fetched = policy.st.fetches.len() as u64;
         let params = self.engine.labelled("download");
         let sizes = [
             ("segments", fetched + local_hits),
@@ -308,7 +333,7 @@ impl TransferPolicy for DownloadPolicy {
             for c in &mut fetch.candidates {
                 c.retain(|i| *i != job.index);
             }
-        } else {
+        } else if !fetch.done {
             fetch.have.entry(job.index).or_insert(data);
         }
         let work = self.decode(job.fetch, now);
@@ -349,32 +374,39 @@ impl DownloadPolicy {
     fn new(plane: &DataPlane, fetches: &[SegmentFetch], local: HashMap<SegmentId, Bytes>) -> Self {
         let n_clouds = plane.clouds.len();
         let k = plane.codec.k();
+        let mut states: Vec<FetchState> = Vec::new();
+        let mut index: HashMap<SegmentId, usize> = HashMap::new();
+        for f in fetches {
+            let member = u64::from(f.member.is_some());
+            if let Some(&i) = index.get(&f.id) {
+                states[i].members += member;
+                continue;
+            }
+            index.insert(f.id, states.len());
+            let mut candidates = vec![Vec::new(); n_clouds];
+            for b in &f.blocks {
+                if (b.cloud as usize) < n_clouds {
+                    candidates[b.cloud as usize].push(b.index);
+                }
+            }
+            states.push(FetchState {
+                id: f.id,
+                len: f.len as usize,
+                members: member,
+                candidates,
+                requested: HashSet::new(),
+                over_requests: 0,
+                inflight: HashMap::new(),
+                bounces: HashMap::new(),
+                have: HashMap::new(),
+                tried: Vec::new(),
+                decoding: false,
+                done: false,
+                exhausted: false,
+            });
+        }
         let st = DownloadState {
-            fetches: fetches
-                .iter()
-                .map(|f| {
-                    let mut candidates = vec![Vec::new(); n_clouds];
-                    for b in &f.blocks {
-                        if (b.cloud as usize) < n_clouds {
-                            candidates[b.cloud as usize].push(b.index);
-                        }
-                    }
-                    FetchState {
-                        id: f.id,
-                        len: f.len as usize,
-                        candidates,
-                        requested: HashSet::new(),
-                        over_requests: 0,
-                        inflight: HashMap::new(),
-                        bounces: HashMap::new(),
-                        have: HashMap::new(),
-                        tried: Vec::new(),
-                        decoding: false,
-                        done: false,
-                        exhausted: false,
-                    }
-                })
-                .collect(),
+            fetches: states,
             cloud_alive: vec![true; n_clouds],
             finished: fetches.is_empty(),
             timeline: Vec::new(),
@@ -407,12 +439,13 @@ impl DownloadPolicy {
         let used = untried(fetch, self.k)?;
         fetch.decoding = true;
         let shares: Vec<(u16, Bytes)> = used.iter().map(|i| (*i, fetch.have[i].clone())).collect();
-        let (codec, id, len) = (Arc::clone(&self.codec), fetch.id, fetch.len);
+        let (codec, id, len, members) = (Arc::clone(&self.codec), fetch.id, fetch.len, fetch.members);
         Some(Work {
             span: "download.decode",
             run: Box::new(move |span| {
                 let result = decode_segment(&codec, id, len, &shares);
                 span.attr_u64("bytes", len as u64);
+                span.attr_u64("members", members);
                 span.attr_bool("ok", result.is_ok());
                 Box::new(move |policy: &mut Self| policy.decoded(fi, used, result, now))
             }),
@@ -431,7 +464,9 @@ impl DownloadPolicy {
         fetch.decoding = false;
         let work = match result {
             Ok(plain) => {
+                // The blocks are spent: a spare landing later is dropped.
                 fetch.done = true;
+                fetch.have.clear();
                 self.st.timeline.push((now, fetch.id));
                 self.segments.insert(fetch.id, plain);
                 None
@@ -743,6 +778,7 @@ mod tests {
                 segments: vec![SegmentData {
                     id,
                     data: Bytes::from(data.clone()),
+                    pack: false,
                 }],
             }],
             None,
@@ -763,6 +799,7 @@ mod tests {
             id,
             len: len as u64,
             blocks,
+            member: None,
         };
         r.plane.download_segments(vec![fetch], None)
     }
@@ -913,6 +950,7 @@ mod tests {
                 id,
                 len: data.len() as u64,
                 blocks: blocks.clone(),
+                member: None,
             };
             let report = plane.download_segments(vec![fetch], None);
             assert!(report.is_complete(), "round {round}: {:?}", report.failed);
@@ -931,6 +969,7 @@ mod tests {
             id,
             len: data.len() as u64,
             blocks: blocks[..3].to_vec(),
+            member: None,
         };
         let mut policy = DownloadPolicy::new(&r.plane, &[fetch], HashMap::new());
         let now = r.sim.now();
@@ -1006,6 +1045,7 @@ mod tests {
             id: *id,
             len: data.len() as u64,
             blocks: blocks.clone(),
+            member: None,
         });
         let report = r.plane.download_segments(fetches.collect(), None);
         assert!(report.is_complete(), "failures: {:?}", report.failed);
@@ -1041,6 +1081,7 @@ mod tests {
             id,
             len: data.len() as u64,
             blocks: vec![on(0), on(1), on(2), spare],
+            member: None,
         };
         let report = cold.download_segments(vec![fetch], None);
         assert!(report.is_complete(), "failures: {:?}", report.failed);

@@ -59,8 +59,8 @@ mod upload;
 
 pub use client::{build_plane, ClientConfig, Keep, SyncError, SyncReport, UniDriveClient};
 pub use control::newer;
-pub use dataplane::{BlockAudit, DataPlane, FileSegmentation, LocalBase, UploadRequest};
-pub use download::{DownloadError, DownloadReport, SegmentFetch};
+pub use dataplane::{BlockAudit, DataPlane, FileSegmentation, LocalBase, PackSlot, UploadRequest};
+pub use download::{DownloadError, DownloadReport, Member, SegmentFetch};
 pub use engine::{run_batch, EngineParams, WireOp};
 pub use folder::{DirFolder, FolderError, LocalChange, LocalStat, MemFolder, SyncFolder};
 pub use lock::{LockGuard, QuorumLock};

@@ -132,7 +132,8 @@ pub fn remove_cloud(
         }
     };
 
-    for (id, entry) in image.segments() {
+    // A pack member's blocks are its pack's: they move with it.
+    for (id, entry) in image.segments().filter(|(_, e)| e.packed.is_none()) {
         let (lost, mut blocks): (Vec<BlockRef>, Vec<BlockRef>) = entry
             .blocks
             .iter()
@@ -144,6 +145,7 @@ pub fn remove_cloud(
                 id: *id,
                 len: entry.len,
                 blocks: blocks.clone(),
+                member: None,
             };
             let plain = rebuild(plane, from_survivors, None)?;
             // Place each lost block on the surviving cloud with the
@@ -199,7 +201,8 @@ pub fn add_cloud(
     cloud: Arc<dyn CloudStore>,
 ) -> Result<RebalanceOutcome, RebalanceError> {
     let grown = with_membership(plane, plane.clouds.with_added(cloud))?;
-    let segments = image.segments().map(|(id, e)| (*id, e.len, e.blocks.clone()));
+    let stored = image.segments().filter(|(_, e)| e.packed.is_none());
+    let segments = stored.map(|(id, e)| (*id, e.len, e.blocks.clone()));
     let mut placed = Vec::new();
     repair(&grown, segments, &mut placed, None)?;
     let mut out = image.clone();
@@ -240,7 +243,7 @@ pub(crate) fn repair(
         if homes.is_empty() {
             continue;
         }
-        let plain = rebuild(plane, SegmentFetch { id, len, blocks: present }, parent)?;
+        let plain = rebuild(plane, SegmentFetch { id, len, blocks: present, member: None }, parent)?;
         let mut plan = StaticPlan::new(plane.clouds.len());
         for home in &homes {
             let op = block_upload(&plane.codec, &id, &plain, home.index);

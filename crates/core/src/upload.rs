@@ -51,6 +51,9 @@ pub(crate) struct SegmentData {
     pub id: SegmentId,
     /// Plaintext bytes.
     pub data: Bytes,
+    /// Whether it is a pack of small files' segments, which gets no
+    /// extra (DESIGN §4, decision 19).
+    pub pack: bool,
 }
 
 /// Shared sink receiving every `(segment, block)` placement of an
@@ -126,6 +129,8 @@ struct SegPlan {
     done: Vec<BlockRef>,
     /// Next over-provisioned index to mint.
     next_extra: u16,
+    /// Whether extras may be minted (not for a pack).
+    extras: bool,
     /// Total per-segment failure bounces (gives up eventually).
     bounces: u32,
     /// Files (by index) referencing this segment.
@@ -232,6 +237,7 @@ impl DataPlane {
                         inflight: vec![0; n_clouds],
                         done: Vec::new(),
                         next_extra: normal_total,
+                        extras: !seg.pack,
                         bounces: 0,
                         files: Vec::new(),
                     });
@@ -512,11 +518,12 @@ fn take_planned(st: &mut UploadState, p: usize, cloud: usize, cap: usize) -> Opt
     Some(Job { seg: p, index })
 }
 
-/// Mints the next extra of segment `p` for `cloud`, if the cloud's own
-/// blocks of `p` have all landed and the security cap allows one more.
+/// Mints the next extra of segment `p` for `cloud`, if `p` is not a
+/// pack, the cloud's own blocks of `p` have all landed and the security
+/// cap allows one more.
 fn mint_extra(st: &mut UploadState, p: usize, cloud: usize, cap: usize) -> Option<Job> {
     let seg = &mut st.segs[p];
-    if !seg.planned[cloud].is_empty() || seg.inflight[cloud] > 0 || seg.blocks_on(cloud) >= cap {
+    if !seg.extras || !seg.planned[cloud].is_empty() || seg.inflight[cloud] > 0 || seg.blocks_on(cloud) >= cap {
         return None;
     }
     let n_max = seg
@@ -604,6 +611,7 @@ mod tests {
             segments: vec![SegmentData {
                 id: unidrive_meta::SegmentId(Sha1::digest(&data)),
                 data: Bytes::from(data),
+                pack: false,
             }],
         }
     }

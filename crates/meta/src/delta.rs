@@ -13,11 +13,13 @@ use unidrive_util::bytes::Bytes;
 use unidrive_crypto::Digest;
 
 use crate::codec::{DecodeError, Reader, Writer};
-use crate::model::{decode_snapshot, encode_snapshot};
-use crate::{BlockRef, SegmentId, Snapshot, SyncFolderImage, VersionStamp};
+use crate::model::{
+    decode_block, decode_packed, decode_snapshot, encode_block, encode_packed, encode_snapshot,
+};
+use crate::{BlockRef, SegmentEntry, SegmentId, Snapshot, SyncFolderImage, VersionStamp};
 
 const DELTA_MAGIC: [u8; 4] = *b"UDDL";
-const DELTA_VERSION: u8 = 4;
+const DELTA_VERSION: u8 = 5;
 
 /// One log-structured update to the metadata image.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,12 +36,14 @@ pub enum DeltaRecord {
         /// Sync-folder-relative path.
         path: String,
     },
-    /// A segment entered the pool.
+    /// A segment entered the pool, or became a pack member.
     EnsureSegment {
         /// Content-addressed id.
         id: SegmentId,
         /// Plaintext length.
         len: u64,
+        /// For a pack member: the pack's id and the member's offset.
+        packed: Option<(SegmentId, u64)>,
     },
     /// A block finished uploading somewhere.
     AddBlock {
@@ -187,30 +191,36 @@ impl DeltaLog {
     /// appends after merging.
     pub fn records_for(from: &SyncFolderImage, to: &SyncFolderImage) -> Vec<DeltaRecord> {
         let mut records = Vec::new();
-        // Pool first so file records find their segments.
+        // Pool first so file records find their segments. A pack
+        // member's blocks are its pack's: only pointers travel for it.
+        let own = |e: &SegmentEntry| match e.packed {
+            Some(_) => Vec::new(),
+            None => e.blocks.clone(),
+        };
         for (id, entry) in to.segments() {
-            match from.segment(id) {
-                None => {
-                    records.push(DeltaRecord::EnsureSegment {
-                        id: *id,
-                        len: entry.len,
-                    });
-                    for b in &entry.blocks {
-                        records.push(DeltaRecord::AddBlock { id: *id, block: *b });
-                    }
-                }
+            let ensure = DeltaRecord::EnsureSegment {
+                id: *id,
+                len: entry.len,
+                packed: entry.packed,
+            };
+            let (old_blocks, moved) = match from.segment(id) {
+                None => (Vec::new(), true),
                 Some(old) => {
-                    for b in &entry.blocks {
-                        if !old.blocks.contains(b) {
-                            records.push(DeltaRecord::AddBlock { id: *id, block: *b });
-                        }
-                    }
-                    for b in &old.blocks {
-                        if !entry.blocks.contains(b) {
-                            records.push(DeltaRecord::RemoveBlock { id: *id, block: *b });
-                        }
-                    }
+                    let repointed = old.packed != entry.packed || old.len != entry.len;
+                    (own(old), entry.packed.is_some() && repointed)
                 }
+            };
+            let new_blocks = own(entry);
+            // Blocks it no longer stores on come first: a pointer
+            // applies only to a segment with no blocks of its own.
+            for b in old_blocks.iter().filter(|b| !new_blocks.contains(b)) {
+                records.push(DeltaRecord::RemoveBlock { id: *id, block: *b });
+            }
+            if moved {
+                records.push(ensure);
+            }
+            for b in new_blocks.iter().filter(|b| !old_blocks.contains(b)) {
+                records.push(DeltaRecord::AddBlock { id: *id, block: *b });
             }
         }
         records.extend(crate::diff(from, to));
@@ -292,9 +302,12 @@ pub(crate) fn apply_record(image: &mut SyncFolderImage, record: &DeltaRecord) {
         DeltaRecord::DeleteFile { path } => {
             image.delete_file(path);
         }
-        DeltaRecord::EnsureSegment { id, len } => {
-            image.ensure_segment(*id, *len);
-        }
+        DeltaRecord::EnsureSegment { id, len, packed } => match packed {
+            Some((pack, offset)) => {
+                image.ensure_member(*id, *len, *pack, *offset);
+            }
+            None => image.ensure_segment(*id, *len),
+        },
         DeltaRecord::AddBlock { id, block } => {
             image.record_block(*id, *block);
         }
@@ -336,22 +349,21 @@ pub(crate) fn encode_record(w: &mut Writer, r: &DeltaRecord) {
             w.put_u8(1);
             w.put_str(path);
         }
-        DeltaRecord::EnsureSegment { id, len } => {
+        DeltaRecord::EnsureSegment { id, len, packed } => {
             w.put_u8(2);
             w.put_fixed(id.0.as_bytes());
-            w.put_u64(*len);
+            w.put_varint(*len);
+            encode_packed(w, *packed);
         }
         DeltaRecord::AddBlock { id, block } => {
             w.put_u8(3);
             w.put_fixed(id.0.as_bytes());
-            w.put_u16(block.index);
-            w.put_u16(block.cloud);
+            encode_block(w, *block);
         }
         DeltaRecord::RemoveBlock { id, block } => {
             w.put_u8(4);
             w.put_fixed(id.0.as_bytes());
-            w.put_u16(block.index);
-            w.put_u16(block.cloud);
+            encode_block(w, *block);
         }
         DeltaRecord::AttachConflict {
             path,
@@ -393,21 +405,16 @@ pub(crate) fn decode_record(r: &mut Reader<'_>) -> Result<DeltaRecord, DecodeErr
         },
         2 => DeltaRecord::EnsureSegment {
             id: SegmentId(Digest(r.get_fixed::<20>("segment id")?)),
-            len: r.get_u64("segment len")?,
+            len: r.get_varint("segment len")?,
+            packed: decode_packed(r)?,
         },
         3 => DeltaRecord::AddBlock {
             id: SegmentId(Digest(r.get_fixed::<20>("segment id")?)),
-            block: BlockRef {
-                index: r.get_u16("block index")?,
-                cloud: r.get_u16("block cloud")?,
-            },
+            block: decode_block(r)?,
         },
         4 => DeltaRecord::RemoveBlock {
             id: SegmentId(Digest(r.get_fixed::<20>("segment id")?)),
-            block: BlockRef {
-                index: r.get_u16("block index")?,
-                cloud: r.get_u16("block cloud")?,
-            },
+            block: decode_block(r)?,
         },
         5 => DeltaRecord::AttachConflict {
             path: r.get_str("path")?,
@@ -485,6 +492,7 @@ mod tests {
                 DeltaRecord::EnsureSegment {
                     id: seg("s"),
                     len: 10,
+                    packed: None,
                 },
                 DeltaRecord::AddBlock {
                     id: seg("s"),
@@ -640,6 +648,7 @@ mod tests {
                 DeltaRecord::EnsureSegment {
                     id: seg("s"),
                     len: 10,
+                    packed: None,
                 },
                 DeltaRecord::AddBlock {
                     id: seg("s"),
@@ -694,6 +703,7 @@ mod tests {
                 DeltaRecord::EnsureSegment {
                     id: seg("new"),
                     len: 100_000,
+                    packed: None,
                 },
                 DeltaRecord::UpsertFile {
                     path: "files/doc-0001.bin".into(),

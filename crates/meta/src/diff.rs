@@ -75,7 +75,11 @@ pub struct MergeOutcome {
 /// The segment pool is the union of both pools (block locations are
 /// additive because blocks are immutable), so every snapshot either
 /// side names stays resolvable; what no snapshot names any more is the
-/// committer's garbage.
+/// committer's garbage. A pack pointer the local side set (one the
+/// original did not show, or of a segment the cloud no longer pools)
+/// is applied as its `EnsureSegment` record would be: a segment the
+/// cloud stores on blocks of its own keeps them. Any other pointer is
+/// the cloud's, which may have moved the member to a fresh pack.
 pub fn merge3(
     original: &SyncFolderImage,
     local: &SyncFolderImage,
@@ -84,6 +88,13 @@ pub fn merge3(
 ) -> MergeOutcome {
     let mut image = cloud.clone();
     for (id, entry) in local.segments() {
+        if let Some((pack, offset)) = entry.packed {
+            let set_here = original.segment(id).is_none_or(|o| o.packed != entry.packed);
+            if set_here || image.segment(id).is_none() {
+                image.ensure_member(*id, entry.len, pack, offset);
+            }
+            continue;
+        }
         image.ensure_segment(*id, entry.len);
         for b in &entry.blocks {
             image.record_block(*id, *b);

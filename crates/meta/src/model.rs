@@ -19,7 +19,7 @@ use crate::codec::{DecodeError, Reader, Writer};
 /// The magic tag of an encoded [`SyncFolderImage`] (the base file).
 pub const IMAGE_MAGIC: [u8; 4] = *b"UDIM";
 /// The format version of an encoded [`SyncFolderImage`].
-pub const IMAGE_VERSION: u8 = 3;
+pub const IMAGE_VERSION: u8 = 4;
 
 /// Content-addressed identity of a segment: the SHA-1 of its bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -51,12 +51,21 @@ pub struct BlockRef {
 
 /// Pool entry for one segment: its plaintext length and where its
 /// blocks are.
+///
+/// A small file's segment can be a *pack member* (DESIGN §4, decision
+/// 19): its bytes lie at `offset` in a pack, a segment of its own that
+/// the writer made by concatenating a pass's small segments and coded
+/// as one stripe. A member stores no block of its own; its `blocks` are
+/// its pack's, kept equal to them by the image and never encoded.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SegmentEntry {
     /// Plaintext segment length in bytes.
     pub len: u64,
-    /// Known block locations, updated asynchronously as uploads finish.
+    /// Known block locations, updated asynchronously as uploads finish;
+    /// for a pack member, its pack's.
     pub blocks: Vec<BlockRef>,
+    /// For a pack member: the pack's id and the member's offset in it.
+    pub packed: Option<(SegmentId, u64)>,
 }
 
 impl SegmentEntry {
@@ -189,6 +198,9 @@ pub struct SyncFolderImage {
     pub version: VersionStamp,
     files: BTreeMap<String, FileEntry>,
     segments: BTreeMap<SegmentId, SegmentEntry>,
+    /// Pack id → the pool entries that are its members: derived from
+    /// `segments`, never encoded.
+    members: BTreeMap<SegmentId, BTreeSet<SegmentId>>,
 }
 
 impl SyncFolderImage {
@@ -223,26 +235,72 @@ impl SyncFolderImage {
     }
 
     /// Registers a segment in the pool if absent; updates the length if
-    /// it was a placeholder.
-    pub fn ensure_segment(&mut self, id: SegmentId, len: u64) -> &mut SegmentEntry {
+    /// it was a placeholder. A pack member stays one.
+    pub fn ensure_segment(&mut self, id: SegmentId, len: u64) {
+        self.segments.entry(id).or_default().len = len;
+    }
+
+    /// Registers `id` as the member of `pack` at `offset`, or moves it
+    /// there from another pack, unless the pool stores it on blocks of
+    /// its own: those stand, and only the length is updated. Returns
+    /// whether `id` is now `pack`'s member.
+    pub fn ensure_member(&mut self, id: SegmentId, len: u64, pack: SegmentId, offset: u64) -> bool {
         let entry = self.segments.entry(id).or_default();
         entry.len = len;
-        entry
+        if entry.packed.is_none() && !entry.blocks.is_empty() {
+            return false;
+        }
+        if let Some((old, _)) = entry.packed.replace((pack, offset)) {
+            unlink(&mut self.members, id, old);
+        }
+        self.members.entry(pack).or_default().insert(id);
+        let blocks = self.segments.get(&pack).map(|p| p.blocks.clone()).unwrap_or_default();
+        self.segments.get_mut(&id).expect("pooled above").blocks = blocks;
+        true
     }
 
     /// Records an uploaded block's location (the scheduler's completion
-    /// callback, paper §6.2). Creates the pool entry if needed.
+    /// callback, paper §6.2). Creates the pool entry if needed. A block
+    /// of a pack member's own makes it a segment stored on its own
+    /// blocks, no longer its pack's member.
     pub fn record_block(&mut self, id: SegmentId, block: BlockRef) -> bool {
-        self.segments.entry(id).or_default().add_block(block)
+        let entry = self.segments.entry(id).or_default();
+        if let Some((pack, _)) = entry.packed.take() {
+            entry.blocks.clear();
+            unlink(&mut self.members, id, pack);
+        }
+        let added = entry.add_block(block);
+        if added {
+            self.mirror(&id);
+        }
+        added
     }
 
     /// Forgets a block location (over-provisioned block cleanup, cloud
-    /// removal).
+    /// removal). A pack member has no block of its own to forget.
     pub fn remove_block(&mut self, id: &SegmentId, block: BlockRef) -> bool {
-        self.segments
+        let removed = self
+            .segments
             .get_mut(id)
-            .map(|e| e.remove_block(block))
-            .unwrap_or(false)
+            .is_some_and(|e| e.packed.is_none() && e.remove_block(block));
+        if removed {
+            self.mirror(id);
+        }
+        removed
+    }
+
+    /// Copies `pack`'s blocks (none when it is not pooled) to its
+    /// members.
+    fn mirror(&mut self, pack: &SegmentId) {
+        let Some(members) = self.members.get(pack) else {
+            return;
+        };
+        let blocks = self.segments.get(pack).map(|p| p.blocks.clone()).unwrap_or_default();
+        for id in members {
+            if let Some(member) = self.segments.get_mut(id) {
+                member.blocks.clone_from(&blocks);
+            }
+        }
     }
 
     /// Inserts or replaces a file's snapshot (and drops its conflict
@@ -306,31 +364,53 @@ impl SyncFolderImage {
         }
     }
 
-    /// Every segment a current or conflict snapshot names: the live
-    /// part of the pool. Computed, never stored, so no image read from
-    /// a cloud can claim a live segment dead.
+    /// Every segment a current or conflict snapshot names, and the pack
+    /// of each of those that is a pack member: the live part of the
+    /// pool. Computed, never stored, so no image read from a cloud can
+    /// claim a live segment dead.
     pub fn referenced(&self) -> HashSet<SegmentId> {
-        self.snapshots()
+        let named: HashSet<SegmentId> = self
+            .snapshots()
             .flat_map(|s| s.segments.iter().copied())
-            .collect()
+            .collect();
+        let packs = named.iter().filter_map(|id| Some(self.segments.get(id)?.packed?.0));
+        let packs: Vec<SegmentId> = packs.collect();
+        named.into_iter().chain(packs).collect()
     }
 
-    /// Drops the segments no snapshot names from the pool, returning
-    /// them with their block locations (for cloud-side deletion).
+    /// Drops the segments [`referenced`](Self::referenced) leaves out
+    /// from the pool, returning them with the blocks to delete from the
+    /// clouds: a pack goes only with its last live member, and a member
+    /// goes with none (its blocks are its pack's).
     pub fn collect_garbage(&mut self) -> Vec<(SegmentId, SegmentEntry)> {
         let live = self.referenced();
-        let (kept, dead) = std::mem::take(&mut self.segments)
+        let (kept, dead): (BTreeMap<_, _>, BTreeMap<_, _>) = std::mem::take(&mut self.segments)
             .into_iter()
             .partition(|(id, _)| live.contains(id));
         self.segments = kept;
-        dead.into_iter().collect()
+        let mut dead: Vec<(SegmentId, SegmentEntry)> = dead.into_iter().collect();
+        for (id, entry) in &mut dead {
+            self.members.remove(id);
+            if let Some((pack, _)) = entry.packed {
+                entry.blocks.clear();
+                unlink(&mut self.members, *id, pack);
+            }
+        }
+        dead
     }
 
-    /// Drops one segment from the pool if no snapshot names it now.
+    /// Drops one segment from the pool if no snapshot names it now, nor
+    /// a member of it that a snapshot names.
     pub fn drop_unreferenced_segment(&mut self, id: &SegmentId) {
-        if !self.snapshots().any(|s| s.segments.contains(id)) {
-            self.segments.remove(id);
+        let named = |s: &SegmentId| self.snapshots().any(|snap| snap.segments.contains(s));
+        let members = self.members.get(id).into_iter().flatten();
+        if named(id) || members.clone().any(named) {
+            return;
         }
+        if let Some(SegmentEntry { packed: Some((pack, _)), .. }) = self.segments.remove(id) {
+            unlink(&mut self.members, *id, pack);
+        }
+        self.mirror(id);
     }
 
     fn snapshots(&self) -> impl Iterator<Item = &Snapshot> {
@@ -348,32 +428,34 @@ impl SyncFolderImage {
         }
     }
 
-    /// Serializes the whole image (the metadata *base* file).
+    /// Serializes the whole image (the metadata *base* file). Counts
+    /// and lengths are varints, a block location is two bytes, and a
+    /// pack member is its pack and offset, never its pack's blocks.
     pub fn encode(&self) -> Bytes {
         let mut w = Writer::with_header(IMAGE_MAGIC, IMAGE_VERSION);
         w.put_str(&self.version.device);
         w.put_u64(self.version.counter);
         w.put_u64(self.version.timestamp_ns);
-        w.put_u32(self.files.len() as u32);
+        w.put_varint(self.files.len() as u64);
         for (path, entry) in &self.files {
             w.put_str(path);
             encode_snapshot(&mut w, &entry.snapshot);
-            // A varint: a file with no copy or one pays one byte for
-            // the count.
             w.put_varint(entry.conflicts.len() as u64);
             for (device, snap) in &entry.conflicts {
                 w.put_str(device);
                 encode_snapshot(&mut w, snap);
             }
         }
-        w.put_u32(self.segments.len() as u32);
+        w.put_varint(self.segments.len() as u64);
         for (id, entry) in &self.segments {
             w.put_fixed(id.0.as_bytes());
-            w.put_u64(entry.len);
-            w.put_u32(entry.blocks.len() as u32);
-            for b in &entry.blocks {
-                w.put_u16(b.index);
-                w.put_u16(b.cloud);
+            w.put_varint(entry.len);
+            encode_packed(&mut w, entry.packed);
+            if entry.packed.is_none() {
+                w.put_varint(entry.blocks.len() as u64);
+                for b in &entry.blocks {
+                    encode_block(&mut w, *b);
+                }
             }
         }
         w.finish()
@@ -391,7 +473,7 @@ impl SyncFolderImage {
             counter: r.get_u64("version.counter")?,
             timestamp_ns: r.get_u64("version.timestamp")?,
         };
-        let file_count = r.get_u32("file count")?;
+        let file_count = r.get_varint("file count")?;
         let mut files = BTreeMap::new();
         for _ in 0..file_count {
             let path = r.get_str("file path")?;
@@ -409,39 +491,91 @@ impl SyncFolderImage {
                 },
             );
         }
-        let seg_count = r.get_u32("segment count")?;
-        let mut segments = BTreeMap::new();
-        for _ in 0..seg_count {
-            let raw = r.get_fixed::<20>("segment id")?;
-            let id = SegmentId(Digest(raw));
-            let len = r.get_u64("segment len")?;
-            let block_count = r.get_u32("block count")?;
-            let mut blocks = Vec::with_capacity(block_count.min(1 << 20) as usize);
-            for _ in 0..block_count {
-                blocks.push(BlockRef {
-                    index: r.get_u16("block index")?,
-                    cloud: r.get_u16("block cloud")?,
-                });
-            }
-            segments.insert(id, SegmentEntry { len, blocks });
-        }
-        Ok(SyncFolderImage {
+        let mut image = SyncFolderImage {
             version,
             files,
-            segments,
-        })
+            ..SyncFolderImage::default()
+        };
+        for _ in 0..r.get_varint("segment count")? {
+            let id = SegmentId(Digest(r.get_fixed::<20>("segment id")?));
+            let len = r.get_varint("segment len")?;
+            if let Some((pack, offset)) = decode_packed(&mut r)? {
+                image.ensure_member(id, len, pack, offset);
+                continue;
+            }
+            let count = r.get_varint("block count")?;
+            let mut blocks = Vec::with_capacity(count.min(1 << 10) as usize);
+            for _ in 0..count {
+                blocks.push(decode_block(&mut r)?);
+            }
+            image.segments.insert(id, SegmentEntry { len, blocks, packed: None });
+        }
+        // A member decoded before its pack has no blocks yet.
+        let packs: Vec<SegmentId> = image.members.keys().copied().collect();
+        for pack in &packs {
+            image.mirror(pack);
+        }
+        Ok(image)
     }
 }
 
+/// Takes `id` off `pack`'s member set.
+fn unlink(members: &mut BTreeMap<SegmentId, BTreeSet<SegmentId>>, id: SegmentId, pack: SegmentId) {
+    if let Some(set) = members.get_mut(&pack) {
+        set.remove(&id);
+        if set.is_empty() {
+            members.remove(&pack);
+        }
+    }
+}
+
+/// Encodes a pool entry's pack pointer: flag 1, the pack's id and the
+/// offset for a pack member, flag 0 otherwise.
+pub(crate) fn encode_packed(w: &mut Writer, packed: Option<(SegmentId, u64)>) {
+    match packed {
+        Some((pack, offset)) => {
+            w.put_u8(1);
+            w.put_fixed(pack.0.as_bytes());
+            w.put_varint(offset);
+        }
+        None => w.put_u8(0),
+    }
+}
+
+pub(crate) fn decode_packed(r: &mut Reader<'_>) -> Result<Option<(SegmentId, u64)>, DecodeError> {
+    match r.get_u8("pack flag")? {
+        0 => Ok(None),
+        1 => {
+            let pack = SegmentId(Digest(r.get_fixed::<20>("pack id")?));
+            Ok(Some((pack, r.get_varint("pack offset")?)))
+        }
+        other => Err(DecodeError::BadVersion { found: other }),
+    }
+}
+
+/// One block location as two bytes: its index (RS over GF(2^8) codes at
+/// most 255 blocks) and its cloud.
+pub(crate) fn encode_block(w: &mut Writer, b: BlockRef) {
+    w.put_u8(u8::try_from(b.index).expect("a block index fits a byte"));
+    w.put_u8(u8::try_from(b.cloud).expect("a cloud index fits a byte"));
+}
+
+pub(crate) fn decode_block(r: &mut Reader<'_>) -> Result<BlockRef, DecodeError> {
+    Ok(BlockRef {
+        index: u16::from(r.get_u8("block index")?),
+        cloud: u16::from(r.get_u8("block cloud")?),
+    })
+}
+
 pub(crate) fn encode_snapshot(w: &mut Writer, s: &Snapshot) {
-    w.put_u32(s.segments.len() as u32);
+    w.put_varint(s.segments.len() as u64);
     for id in &s.segments {
         w.put_fixed(id.0.as_bytes());
     }
 }
 
 pub(crate) fn decode_snapshot(r: &mut Reader<'_>) -> Result<Snapshot, DecodeError> {
-    let count = r.get_u32("snapshot segment count")?;
+    let count = r.get_varint("snapshot segment count")?;
     let mut segments = Vec::with_capacity(count.min(1 << 20) as usize);
     for _ in 0..count {
         segments.push(SegmentId(Digest(r.get_fixed::<20>("snapshot segment")?)));
@@ -482,11 +616,12 @@ mod tests {
         w.put_str("dev");
         w.put_u64(1);
         w.put_u64(1);
-        w.put_u32(0); // files
-        w.put_u32(1); // segments
+        w.put_varint(0); // files
+        w.put_varint(1); // segments
         w.put_fixed(seg("s").0.as_bytes());
-        w.put_u64(10);
-        w.put_u32(u32::MAX); // blocks claimed, none present
+        w.put_varint(10);
+        w.put_u8(0); // stored on its own blocks
+        w.put_varint(u64::from(u32::MAX)); // blocks claimed, none present
         assert_eq!(
             SyncFolderImage::decode(&w.finish()),
             Err(DecodeError::UnexpectedEof {
@@ -621,21 +756,28 @@ mod tests {
         assert_eq!(collected(&mut img), vec![seg("b")]);
     }
 
-    /// The copy count is a varint, so a file with no copy or with one
-    /// encodes to the bytes the one-slot format's flag byte gave it, and
-    /// base sizes (and λ with them) stay put. The lengths were measured
-    /// on that format; a second copy adds its device and snapshot.
+    /// The image codec's byte counts: counts and lengths are varints
+    /// (one byte each below 128), a block location is two bytes, and a
+    /// pack member costs its pack's id and a varint offset, never its
+    /// pack's blocks. The same image took 179 bytes when counts were
+    /// `u32`, lengths `u64` and a block location four bytes.
     #[test]
-    fn files_with_at_most_one_copy_encode_to_the_one_slot_length() {
+    fn the_image_codec_spends_varints_and_two_byte_block_locations() {
         let mut img = image_with(&[("a/b.txt", "s1"), ("c.bin", "s2")]);
         img.record_block(seg("s1"), BlockRef { index: 2, cloud: 4 });
-        assert_eq!(img.encode().len(), 179);
+        // Header 5, stamp 20, files 1 + 33 + 31, pool 1 + 25 + 23,
+        // checksum 8.
+        assert_eq!(img.encode().len(), 147);
         img.attach_conflict("c.bin", "phone", snap("s1"));
-        assert_eq!(img.encode().len(), 212);
+        assert_eq!(img.encode().len(), 147 + (4 + 5) + (1 + 20));
         img.ensure_segment(seg("s3"), 10);
         img.attach_conflict("c.bin", "tablet", snap("s3"));
         // The pool entry of s3, then the copy's device and snapshot.
-        assert_eq!(img.encode().len(), 212 + 32 + (4 + 6) + (4 + 20));
+        assert_eq!(img.encode().len(), 177 + 23 + (4 + 6) + (1 + 20));
+        img.ensure_member(seg("m"), 10, seg("s1"), 3);
+        assert_eq!(img.encode().len(), 231 + 20 + 1 + 1 + 20 + 1);
+        assert_eq!(img.segment(&seg("m")).unwrap().blocks, vec![BlockRef { index: 2, cloud: 4 }]);
+        assert_eq!(SyncFolderImage::decode(&img.encode()).unwrap(), img);
     }
 
     #[test]

@@ -37,9 +37,9 @@ use crate::delta::{apply_commit, decode_record, encode_record};
 use crate::{DeltaRecord, SyncFolderImage, VersionStamp};
 
 const OP_MAGIC: [u8; 4] = *b"UDOP";
-const OP_VERSION: u8 = 5;
+const OP_VERSION: u8 = 6;
 const OPLOG_BASE_MAGIC: [u8; 4] = *b"UDOB";
-const OPLOG_BASE_VERSION: u8 = 4;
+const OPLOG_BASE_VERSION: u8 = 5;
 
 /// One committed metadata operation: a batch of [`DeltaRecord`]s from
 /// one device's sync pass, stamped for the total fold order.
@@ -364,6 +364,7 @@ mod tests {
             DeltaRecord::EnsureSegment {
                 id: seg(tag),
                 len: 10,
+                packed: None,
             },
             DeltaRecord::AddBlock {
                 id: seg(tag),
@@ -561,6 +562,7 @@ mod tests {
                 DeltaRecord::EnsureSegment {
                     id: seg("t"),
                     len: 10,
+                    packed: None,
                 },
                 DeltaRecord::UpsertFile {
                     path: "f".into(),

@@ -11,11 +11,12 @@ use unidrive::cloud::{
     FaultPlan, SimCloud, SimCloudConfig,
 };
 use unidrive::core::{
-    add_cloud, remove_cloud, ClientConfig, DataPlane, DataPlaneConfig, DownloadError, Keep,
-    MemFolder, RebalanceError, SyncFolder, UniDriveClient, UploadRequest,
+    add_cloud, build_plane, remove_cloud, ClientConfig, DataPlane, DataPlaneConfig,
+    DownloadError, Keep, MemFolder, RebalanceError, SyncError, SyncFolder, UniDriveClient,
+    UploadRequest,
 };
 use unidrive::erasure::RedundancyConfig;
-use unidrive::meta::{MetaMode, Snapshot, BLOCKS_DIR};
+use unidrive::meta::{MetaMode, SegmentId, Snapshot, SyncFolderImage, VersionStamp, BLOCKS_DIR};
 use unidrive::obs::{Obs, Registry};
 use unidrive::sim::{Runtime, SimRng, SimRuntime, Time};
 
@@ -618,6 +619,184 @@ fn remove_then_add_cloud_round_trip() {
         assert!(entry.blocks_on(4) >= fair, "newcomer holds its fair share");
     }
     assert_eq!(grown.plane.download_file(&grown.image, "x").unwrap(), data);
+}
+
+/// Twenty-four small files (under θ/64 = 1 KiB) written in one pass,
+/// as six packs of four (at most θ/32 = 2 KiB; DESIGN §4, decision 19), with
+/// their reliability placements committed. Returns the files and the
+/// writer's image.
+fn packed_folder(r: &Rig) -> (Vec<(String, Vec<u8>)>, SyncFolderImage) {
+    let folder = MemFolder::new();
+    let mut a = client(r, "a", &folder, 1);
+    let files: Vec<(String, Vec<u8>)> = (0..24)
+        .map(|i| (format!("small/f{i:02}"), content(400 + 20 * (i % 4), i as u8)))
+        .collect();
+    for (path, data) in &files {
+        folder.write(path, data, 1).unwrap();
+    }
+    assert_eq!(a.sync_once().unwrap().uploaded.len(), files.len());
+    r.sim.sleep(Duration::from_secs(60));
+    a.sync_once().unwrap();
+    let image = a.image().clone();
+    for (path, _) in &files {
+        let id = image.file(path).unwrap().snapshot.segments[0];
+        assert!(image.segment(&id).unwrap().packed.is_some(), "{path} is packed");
+    }
+    (files, image)
+}
+
+/// A pack is a segment like any other: any K_r clouds rebuild every
+/// packed file, and K_s − 1 clouds cannot rebuild one.
+#[test]
+fn any_k_r_clouds_rebuild_every_packed_file_and_k_s_minus_one_cannot() {
+    let r = rig(9, &[2e6; 5]);
+    let (files, image) = packed_folder(&r);
+    let plane = data_plane(&r);
+    let redundancy = plane.config().redundancy.clone();
+    let read_with = |up: &[usize]| -> Result<(), DownloadError> {
+        for (i, handle) in r.handles.iter().enumerate() {
+            handle.set_available(up.contains(&i));
+        }
+        for (path, data) in &files {
+            assert_eq!(plane.download_file(&image, path)?, data[..], "{path} over {up:?}");
+        }
+        Ok(())
+    };
+    let n = r.handles.len();
+    let subsets = (0u32..1 << n).map(|m| (0..n).filter(|i| m & 1 << i != 0).collect::<Vec<_>>());
+    let subsets: Vec<Vec<usize>> = subsets.collect();
+    for up in subsets.iter().filter(|s| s.len() == redundancy.k_r()) {
+        read_with(up).unwrap_or_else(|e| panic!("{up:?}: {e}"));
+    }
+    for up in subsets.iter().filter(|s| s.len() == redundancy.k_s() - 1) {
+        assert!(
+            matches!(read_with(up), Err(DownloadError::NotEnoughBlocks { .. })),
+            "{up:?} rebuilt a packed file"
+        );
+    }
+}
+
+/// Removing a cloud and adding one round-trips a packed folder: the
+/// packs' blocks move, and every member, whose blocks are its pack's,
+/// follows.
+#[test]
+fn remove_then_add_cloud_round_trips_a_packed_folder() {
+    let r = rig(10, &[2e6; 5]);
+    let (files, image) = packed_folder(&r);
+    let plane = data_plane(&r);
+    let removed = remove_cloud(&plane, &image, CloudId(1)).expect("remove");
+    for (path, data) in &files {
+        assert_eq!(removed.plane.download_file(&removed.image, path).unwrap(), data[..]);
+    }
+    let newcomer = Arc::new(SimCloud::new(&r.sim, "fresh", SimCloudConfig::steady(2e6, 8e6)));
+    let grown = add_cloud(&removed.plane, &removed.image, newcomer as Arc<dyn CloudStore>)
+        .expect("add");
+    let fair = grown.plane.config().redundancy.fair_share();
+    for (path, data) in &files {
+        let id = grown.image.file(path).unwrap().snapshot.segments[0];
+        assert!(grown.image.segment(&id).unwrap().blocks_on(4) >= fair, "{path}");
+        assert_eq!(grown.plane.download_file(&grown.image, path).unwrap(), data[..]);
+    }
+}
+
+/// A pack held on exactly k + 1 blocks, one of them corrupt, still
+/// reads every member byte-exact whichever block it is: the decode
+/// fails over to the k good ones.
+#[test]
+fn one_corrupt_pack_block_among_k_plus_one_never_loses_a_member() {
+    let r = rig(12, &[2e6; 5]);
+    let (files, mut image) = packed_folder(&r);
+    let plane = data_plane(&r);
+    let k = plane.config().redundancy.k();
+    let first = image.file(&files[0].0).unwrap().snapshot.segments[0];
+    let (pack, _) = image.segment(&first).unwrap().packed.unwrap();
+    let blocks = image.segment(&pack).unwrap().blocks.clone();
+    for b in &blocks[k + 1..] {
+        image.remove_block(&pack, *b);
+    }
+    let members: Vec<&(String, Vec<u8>)> = files
+        .iter()
+        .filter(|(path, _)| {
+            let id = image.file(path).unwrap().snapshot.segments[0];
+            image.segment(&id).unwrap().packed.map(|(p, _)| p) == Some(pack)
+        })
+        .collect();
+    assert_eq!(members.len(), 4);
+    for victim in &blocks[..k + 1] {
+        let path = unidrive::meta::block_path(&pack, victim.index);
+        let cloud = r.clouds.get(CloudId(victim.cloud as usize));
+        let good = cloud.download(&path).unwrap();
+        let mut corrupted = good.to_vec();
+        corrupted[3] ^= 0x5A;
+        cloud.upload(&path, unidrive::util::bytes::Bytes::from(corrupted)).unwrap();
+        for (path, data) in &members {
+            assert_eq!(plane.download_file(&image, path).unwrap(), data[..], "{victim:?}: {path}");
+        }
+        cloud.upload(&path, good).unwrap();
+    }
+}
+
+/// A member's pointer comes from metadata read off the clouds: a wrong
+/// offset or length in it, committed through either metadata plane,
+/// makes a reader's pass fail with an integrity mismatch naming the
+/// member, and the file never reaches its folder.
+#[test]
+fn a_member_at_a_wrong_offset_or_length_is_an_integrity_mismatch_on_both_planes() {
+    for mode in [MetaMode::Lock, MetaMode::Oplog] {
+        for (case, shift, grow) in [("offset", 1u64, 0u64), ("length", 0, 1)] {
+            let case = format!("{mode:?}, wrong {case}");
+            let r = rig(11, &[2e6; 5]);
+            let mut config = ClientConfig::paper_default("a");
+            config.data = data_config(&r);
+            config.meta_mode = mode;
+            let device = |name: &str, folder: &Arc<MemFolder>, seed| {
+                let mut config = config.clone();
+                config.device = name.into();
+                let sync_folder = Arc::clone(folder) as Arc<dyn SyncFolder>;
+                let rng = SimRng::seed_from_u64(seed);
+                UniDriveClient::new(r.sim.clone().as_runtime(), r.clouds.clone(), sync_folder, config, rng)
+            };
+            let (folder_a, folder_b) = (MemFolder::new(), MemFolder::new());
+            let mut a = device("a", &folder_a, 1);
+            let mut b = device("b", &folder_b, 2);
+            for i in 0..4u8 {
+                folder_a.write(&format!("f{i}"), &content(700, i), 1).unwrap();
+            }
+            a.sync_once().unwrap();
+            assert_eq!(b.sync_once().unwrap().downloaded.len(), 4, "{case}");
+
+            // A copy of f0 under a new name, its member moved off its
+            // bytes, committed by a third device.
+            let member: SegmentId = a.image().file("f0").unwrap().snapshot.segments[0];
+            let entry = a.image().segment(&member).unwrap().clone();
+            let (pack, offset) = entry.packed.expect("f0 is packed");
+            let mut third = config.clone();
+            third.device = "m".into();
+            let rng = SimRng::seed_from_u64(3);
+            let mut plane = build_plane(r.sim.clone().as_runtime(), r.clouds.clone(), &third, rng);
+            plane
+                .transact(&SyncFolderImage::default(), None, &mut |remote| {
+                    let mut image = remote.expect("a committed").clone();
+                    image.ensure_member(member, entry.len + grow, pack, offset + shift);
+                    image.upsert_file("copy", Snapshot { segments: vec![member] });
+                    let counter = image.version.counter + 1;
+                    let stamp = VersionStamp { device: "m".into(), counter, timestamp_ns: 0 };
+                    image.version = stamp.clone();
+                    Some((image, stamp))
+                })
+                .expect("commit")
+                .expect("committed");
+
+            match b.sync_once() {
+                Err(SyncError::Download(DownloadError::IntegrityMismatch { segment })) => {
+                    assert_eq!(segment, member, "{case}")
+                }
+                other => panic!("{case}: {other:?}"),
+            }
+            assert!(folder_b.read("copy").is_err(), "{case}: a wrong byte reached the folder");
+            assert_eq!(folder_b.read("f0").unwrap().to_vec(), content(700, 0), "{case}");
+        }
+    }
 }
 
 #[test]

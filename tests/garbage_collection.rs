@@ -7,6 +7,8 @@
 //! blocks at the collected object paths, and keeps them. And GC can
 //! find every block a device stored: its image names each one, even
 //! those its detached uploads land while a pass is still committing.
+//! A pack of small files' segments lives while one of its members does,
+//! and goes, once, with the last.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -28,6 +30,7 @@ use unidrive::util::bytes::Bytes;
 const THETA: usize = 64 * 1024;
 
 /// Counts the block objects deleted through it.
+#[derive(Clone)]
 struct DeleteMeter {
     inner: Arc<dyn CloudStore>,
     block_deletes: Arc<AtomicU64>,
@@ -347,5 +350,189 @@ fn every_block_a_wall_clock_device_stores_is_named_on_both_planes() {
                 unnamed.len()
             );
         }
+    }
+}
+
+/// One device over the simulated clouds, each behind the delete meter
+/// the returned counter reads.
+fn metered_sim_device(
+    sim: &Arc<SimRuntime>,
+    handles: &[Arc<SimCloud>],
+    name: &str,
+    mode: MetaMode,
+    seed: u64,
+) -> (Arc<MemFolder>, UniDriveClient, Arc<AtomicU64>) {
+    let block_deletes = Arc::new(AtomicU64::new(0));
+    let metered = handles.iter().map(|c| {
+        let inner = Arc::clone(c) as Arc<dyn CloudStore>;
+        Arc::new(DeleteMeter { inner, block_deletes: Arc::clone(&block_deletes) }) as Arc<dyn CloudStore>
+    });
+    let folder = MemFolder::new();
+    let client = UniDriveClient::new(
+        sim.clone().as_runtime(),
+        CloudSet::new(metered.collect()),
+        Arc::clone(&folder) as Arc<dyn SyncFolder>,
+        config(name, mode),
+        SimRng::seed_from_u64(seed),
+    );
+    (folder, client, block_deletes)
+}
+
+/// Runs idle passes ΔT apart until the scrub has acted twice, so that
+/// whatever two of its audits agree on has been acted on.
+fn scrub_twice(sim: &Arc<SimRuntime>, client: &mut UniDriveClient) {
+    for _ in 0..3 {
+        sim.sleep(config("any", MetaMode::Lock).lock.stale_after);
+        client.sync_once().unwrap();
+    }
+}
+
+/// Block bytes the clouds store, over every cloud.
+fn stored_block_bytes(handles: &[Arc<SimCloud>]) -> u64 {
+    let listed = handles.iter().flat_map(|c| c.list(BLOCKS_DIR).unwrap_or_default());
+    listed.map(|o| o.size).sum()
+}
+
+/// The small files of one pass: `count` files under θ/64 = 1 KiB,
+/// sized so that they fill packs (at most θ/32 = 2 KiB) four at a time.
+fn small_files(count: usize, seed: u64) -> Vec<(String, Vec<u8>)> {
+    let file = |i: usize| (format!("s/f{i:02}"), random_bytes(400 + 20 * (i % 4), seed + i as u64));
+    (0..count).map(file).collect()
+}
+
+/// A pack's blocks stay while one member is live, and its last
+/// member's delete deletes them exactly once, on every cloud. A member stores no block
+/// of its own: the audit finds nothing short, missing or unnamed for
+/// it, and the scrub adopts nothing for it.
+#[test]
+fn a_pack_lives_until_its_last_member_and_goes_once_on_both_planes() {
+    for mode in [MetaMode::Lock, MetaMode::Oplog] {
+        let sim = SimRuntime::new(11);
+        let handles = sim_clouds(&sim);
+        let (folder_a, mut a, a_deletes) = metered_sim_device(&sim, &handles, "a", mode, 1);
+        let (folder_b, mut b, b_deletes) = metered_sim_device(&sim, &handles, "b", mode, 2);
+        // One pack whose last member holds most of its bytes, so that it
+        // stays dense when the other three go.
+        let sizes = [150, 150, 150, 1000];
+        let files: Vec<(String, Vec<u8>)> = (0..4)
+            .map(|i| (format!("s/f{i:02}"), random_bytes(sizes[i], 100 + i as u64)))
+            .collect();
+        for (path, data) in &files {
+            folder_a.write(path, data, 1).unwrap();
+        }
+        a.sync_once().unwrap();
+        settle(&sim, &mut a);
+        assert_eq!(b.sync_once().unwrap().downloaded.len(), 4, "{mode:?}");
+        let member = |image: &SyncFolderImage, path: &str| image.file(path).unwrap().snapshot.segments[0];
+        let (pack, _) = a.image().segment(&member(a.image(), "s/f00")).unwrap().packed.expect("packed");
+        let pack_objects = named_objects(a.image(), &[pack]);
+        assert_eq!(pack_objects.len(), 5, "{mode:?}: a pack gets its normal blocks, no extra");
+
+        for (path, _) in &files[..3] {
+            folder_a.remove(path).unwrap();
+        }
+        a.sync_once().unwrap();
+        assert_eq!(a_deletes.load(Ordering::Relaxed), 0, "{mode:?}: a live member keeps its pack");
+        scrub_twice(&sim, &mut a);
+        let last = member(a.image(), "s/f03");
+        let entry = a.image().segment(&last).unwrap();
+        assert_eq!(entry.packed.map(|(p, _)| p), Some(pack), "{mode:?}: the scrub re-stored a member");
+        let audit = a.data_plane().audit(a.image());
+        assert_eq!(audit, Default::default(), "{mode:?}");
+        for (cloud, path) in &pack_objects {
+            assert!(handles[*cloud].exists(path).unwrap(), "{mode:?}: {path} deleted");
+        }
+        b.sync_once().unwrap();
+        assert_eq!(folder_b.read("s/f03").unwrap().to_vec(), files[3].1, "{mode:?}");
+
+        folder_a.remove("s/f03").unwrap();
+        a.sync_once().unwrap();
+        assert_eq!(a_deletes.load(Ordering::Relaxed), 5, "{mode:?}: the last member takes the pack");
+        for (cloud, path) in &pack_objects {
+            assert!(!handles[*cloud].exists(path).unwrap(), "{mode:?}: {path} kept");
+        }
+        b.sync_once().unwrap();
+        a.sync_once().unwrap();
+        scrub_twice(&sim, &mut b);
+        assert_eq!(b_deletes.load(Ordering::Relaxed), 0, "{mode:?}: a second delete");
+        assert_eq!(a_deletes.load(Ordering::Relaxed), 5, "{mode:?}: a second delete");
+        assert!(b.image().segment(&pack).is_none() && a.image().segment(&pack).is_none(), "{mode:?}");
+    }
+}
+
+/// Files of mixed lifetimes: three packs of four lose three members
+/// each, so each is sparse (live members hold less than half its
+/// bytes). The idle pass's scrub moves the three survivors into one
+/// fresh pack and the old packs go. Prints the worst stored bytes per
+/// live byte along the way and the read amplification of one file read
+/// out of a full pack.
+#[test]
+fn sparse_packs_are_repacked_and_their_cost_is_reported() {
+    for mode in [MetaMode::Lock, MetaMode::Oplog] {
+        let sim = SimRuntime::new(12);
+        let handles = sim_clouds(&sim);
+        let (folder_a, mut a, a_deletes) = metered_sim_device(&sim, &handles, "a", mode, 1);
+        let files = small_files(12, 200);
+        for (path, data) in &files {
+            folder_a.write(path, data, 1).unwrap();
+        }
+        a.sync_once().unwrap();
+        settle(&sim, &mut a);
+        let live_bytes = |keep: &dyn Fn(usize) -> bool| -> u64 {
+            files.iter().enumerate().filter(|(i, _)| keep(*i)).map(|(_, (_, d))| d.len() as u64).sum()
+        };
+        let member = |image: &SyncFolderImage, path: &str| image.file(path).unwrap().snapshot.segments[0];
+        let packs: Vec<SegmentId> = (0..3)
+            .map(|p| a.image().segment(&member(a.image(), &files[4 * p].0)).unwrap().packed.unwrap().0)
+            .collect();
+        let mut worst_stored = stored_block_bytes(&handles) as f64 / live_bytes(&|_| true) as f64;
+
+        // Read amplification: one file read out of a full pack.
+        let before: u64 = handles.iter().map(|c| c.traffic().downloaded_bytes).sum();
+        let read = a.data_plane().download_file(a.image(), &files[0].0).unwrap();
+        assert_eq!(read[..], files[0].1[..], "{mode:?}");
+        let fetched: u64 = handles.iter().map(|c| c.traffic().downloaded_bytes).sum::<u64>() - before;
+        let amplification = fetched as f64 / files[0].1.len() as f64;
+
+        let survivor = |i: usize| i % 4 == 3;
+        for (i, (path, _)) in files.iter().enumerate().filter(|(i, _)| !survivor(*i)) {
+            folder_a.remove(path).unwrap();
+            if i % 4 == 2 {
+                a.sync_once().unwrap();
+                let live = live_bytes(&|j| j > i || survivor(j));
+                worst_stored = worst_stored.max(stored_block_bytes(&handles) as f64 / live as f64);
+            }
+        }
+        assert_eq!(a_deletes.load(Ordering::Relaxed), 0, "{mode:?}: every pack has a live member");
+        let sparse = stored_block_bytes(&handles) as f64 / live_bytes(&survivor) as f64;
+        worst_stored = worst_stored.max(sparse);
+
+        scrub_twice(&sim, &mut a);
+        settle(&sim, &mut a);
+        let image = a.image();
+        let fresh = image.segment(&member(image, &files[3].0)).unwrap().packed.expect("repacked").0;
+        assert!(!packs.contains(&fresh), "{mode:?}: a survivor stayed in its sparse pack");
+        let survivors: Vec<&(String, Vec<u8>)> = files.iter().skip(3).step_by(4).collect();
+        for (path, _) in &survivors {
+            assert_eq!(image.segment(&member(image, path)).unwrap().packed.unwrap().0, fresh, "{mode:?}");
+        }
+        for pack in &packs {
+            assert!(image.segment(pack).is_none(), "{mode:?}: an old pack is pooled");
+        }
+        assert_eq!(a_deletes.load(Ordering::Relaxed), 15, "{mode:?}: the three old packs' blocks");
+        let repacked = stored_block_bytes(&handles) as f64 / live_bytes(&survivor) as f64;
+        assert!(repacked < sparse / 3.0, "{mode:?}: {repacked:.2} after, {sparse:.2} before");
+
+        let (folder_c, mut c) = sim_device(&sim, &handles, "c", mode, 3);
+        assert_eq!(c.sync_once().unwrap().downloaded.len(), 3, "{mode:?}");
+        for (path, data) in &survivors {
+            assert_eq!(folder_c.read(path).unwrap().to_vec(), *data, "{mode:?}");
+        }
+        println!(
+            "{mode:?}: worst stored bytes per live byte {worst_stored:.2} (sparse {sparse:.2}, \
+             repacked {repacked:.2}); one {} B file out of a full pack reads {fetched} B \
+             ({amplification:.1}x)",
+            files[0].1.len()
+        );
     }
 }

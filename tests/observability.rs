@@ -214,12 +214,13 @@ fn spans_form_a_causal_tree_rooted_at_sync_rounds() {
                 assert_eq!(batch.name, "engine.batch");
                 assert_eq!(batch.attr("label"), Some(&FieldValue::S("download".to_owned())));
                 assert!(matches!(sp.attr("bytes"), Some(FieldValue::U(n)) if *n > 0));
+                assert!(matches!(sp.attr("members"), Some(FieldValue::U(_))), "decode without members");
                 assert_eq!(sp.attr("ok"), Some(&FieldValue::B(true)), "no block was corrupt");
                 assert!(sp.track > 0, "decoded off the worker lanes");
             }
             "upload.ingest" => {
                 assert_eq!(parent_name(sp), "sync.round");
-                for attr in ["files", "bytes", "reused_bytes", "threads"] {
+                for attr in ["files", "bytes", "reused_bytes", "threads", "packed_files", "packs"] {
                     assert!(matches!(sp.attr(attr), Some(FieldValue::U(_))), "ingest without {attr}");
                 }
             }
@@ -290,6 +291,53 @@ fn spans_form_a_causal_tree_rooted_at_sync_rounds() {
     }
     assert!(s.span_count("sync.round") >= 2, "both devices synced");
     assert!(s.span_count("meta.merge") > 0, "commit path never merged");
+}
+
+/// A pass of small files says what it packed: its ingest span counts
+/// the files it packed and the packs it made, and each pack's decode
+/// on the reader counts the members wanted out of it.
+#[test]
+fn a_small_file_pass_reports_its_packs_and_their_members() {
+    let sim = SimRuntime::new(0x5a);
+    let obs = Obs::with_registry(Registry::with_trace_capacity(1 << 16));
+    let clouds = CloudSet::new(
+        (0..5)
+            .map(|i| {
+                let cloud = SimCloud::new(&sim, format!("cloud{i}"), SimCloudConfig::steady(2e6, 8e6));
+                Arc::new(cloud) as Arc<dyn CloudStore>
+            })
+            .collect(),
+    );
+    let client = |device: &str, folder: &Arc<MemFolder>, seed: u64| {
+        let mut config = ClientConfig::paper_default(device);
+        config.data = DataPlaneConfig {
+            obs: obs.clone(),
+            // θ = 64 KiB: files under 1 KiB are small, packs hold 2 KiB.
+            ..DataPlaneConfig::with_params(RedundancyConfig::new(5, 3, 3, 2).unwrap(), 64 * 1024)
+        };
+        let sync_folder = Arc::clone(folder) as Arc<dyn SyncFolder>;
+        UniDriveClient::new(sim.clone().as_runtime(), clouds.clone(), sync_folder, config, SimRng::seed_from_u64(seed))
+    };
+    let (folder_a, folder_b) = (MemFolder::new(), MemFolder::new());
+    let (mut a, mut b) = (client("a", &folder_a, 1), client("b", &folder_b, 2));
+    for i in 0..8u8 {
+        let data: Vec<u8> = (0..400 + 20 * usize::from(i % 4)).map(|j| (j as u8) ^ i).collect();
+        folder_a.write(&format!("s/f{i}"), &data, 1).unwrap();
+    }
+    assert_eq!(a.sync_once().unwrap().uploaded.len(), 8);
+    assert_eq!(b.sync_once().unwrap().downloaded.len(), 8);
+
+    let s = obs.snapshot().unwrap();
+    let u = |sp: &unidrive::obs::SpanRecord, attr: &str| match sp.attr(attr) {
+        Some(FieldValue::U(n)) => *n,
+        other => panic!("{} {attr}: {other:?}", sp.name),
+    };
+    let ingests: Vec<_> = s.spans.iter().filter(|sp| sp.name == "upload.ingest").collect();
+    assert_eq!(ingests.len(), 1);
+    assert_eq!((u(ingests[0], "packed_files"), u(ingests[0], "packs")), (8, 2));
+    let decodes: Vec<u64> =
+        s.spans.iter().filter(|sp| sp.name == "download.decode").map(|sp| u(sp, "members")).collect();
+    assert_eq!(decodes, vec![4, 4], "one decode per pack, four members each");
 }
 
 /// On the oplog plane every fold span says how many op objects its pass
