@@ -356,8 +356,8 @@ pin() { # WORKLOAD "METRIC=VALUE ..."
         $1 in want { print "    " w " " $1 " " $2; if ($2 "" != want[$1]) { print "    pinned: " want[$1]; bad = 1 }; delete want[$1] }
         END { for (m in want) { print "    " w ": no " m; bad = 1 }; exit bad }' "$out/$1.txt"
 }
-pin hot_lock "sync_up_s=4.242168 sync_down_s=0.524818 converge_s=7.684311 cloud_ops_per_round=382.850000 wire_bytes_per_payload_byte=9.951666 stored_bytes_per_live_byte=2.378491"
-pin hot_oplog "sync_up_s=0.539957 sync_down_s=0.527873 converge_s=1.328421 cloud_ops_per_round=187.583333 wire_bytes_per_payload_byte=6.840769 stored_bytes_per_live_byte=2.430037"
+pin hot_lock "sync_up_s=4.242168 sync_down_s=0.524818 converge_s=7.684375 cloud_ops_per_round=382.850000 wire_bytes_per_payload_byte=9.954010 stored_bytes_per_live_byte=2.378906"
+pin hot_oplog "sync_up_s=0.539957 sync_down_s=0.527873 converge_s=1.328421 cloud_ops_per_round=187.583333 wire_bytes_per_payload_byte=6.847117 stored_bytes_per_live_byte=2.430667"
 pin wan_batch "sync_up_s=3.777029 sync_down_s=1.453087 converge_s=31.632661 cloud_ops_per_round=261.982143 wire_bytes_per_payload_byte=3.972241 stored_bytes_per_live_byte=2.889638"
 for m in sync_up_s converge_s; do
     awk -v m="$m" '$1 == m { v[FILENAME] = $2 + 0 }

@@ -588,19 +588,30 @@ fn digest_trace(trace: &Trace) {
         let mut cur: &Span = round;
         loop {
             let label = match cur.name.as_str() {
-                "engine.block" | "engine.worker" | "wire.attempt" | "download.decode" => lane_cloud
+                "engine.block" | "engine.worker" | "wire.attempt" => lane_cloud
                     .get(&cur.tid)
                     .map(|c| format!("{} [{}]", cur.name, c))
                     .unwrap_or_else(|| cur.name.clone()),
+                // The lane's cloud, and how many pack members the one
+                // decode served.
+                "download.decode" => format!(
+                    "{} [{}, {} members]",
+                    cur.name,
+                    lane_cloud.get(&cur.tid).map_or("?", String::as_str),
+                    cur.arg_u64("members").unwrap_or(0),
+                ),
                 // How much the pass cut and hashed, how much of it a
-                // hash check of its last cut let it take unscanned, and
-                // on how many threads.
+                // hash check of its last cut let it take unscanned, on
+                // how many threads, and how many small files it packed
+                // into how many packs.
                 "upload.ingest" => format!(
-                    "{} [{} of {} B reused, {} threads]",
+                    "{} [{} of {} B reused, {} threads, {} files in {} packs]",
                     cur.name,
                     cur.arg_u64("reused_bytes").unwrap_or(0),
                     cur.arg_u64("bytes").unwrap_or(0),
                     cur.arg_u64("threads").unwrap_or(0),
+                    cur.arg_u64("packed_files").unwrap_or(0),
+                    cur.arg_u64("packs").unwrap_or(0),
                 ),
                 _ => cur.name.clone(),
             };

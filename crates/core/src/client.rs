@@ -400,11 +400,7 @@ impl UniDriveClient {
             // peer collects after this image was read is caught inside
             // the transaction.
             let mut known = self.original.referenced();
-            known.retain(|id| {
-                self.original
-                    .segment(id)
-                    .is_some_and(|e| !e.blocks.is_empty())
-            });
+            known.retain(|id| !self.original.blocks_of(id).is_empty());
             self.commit_local_update(changes, known, round)
         } else {
             self.check_cloud_update(round)
@@ -799,9 +795,11 @@ impl UniDriveClient {
     /// Moves the live members of sparse packs into fresh ones
     /// ([`DataPlane::repack`]) and commits the move through the
     /// metadata plane, if no cloud update arrived meanwhile: the old
-    /// packs are then garbage, deleted like any other. A commit it
-    /// gives up deletes the fresh blocks; one that failed leaves them,
-    /// since a minority of clouds may hold an image naming them.
+    /// packs are then garbage, deleted like any other. A commit given
+    /// up or failed leaves the fresh blocks for the scrub to count: a
+    /// fresh pack's id is its content, and a peer repacking from the
+    /// same image makes the same pack, on the same block objects, and
+    /// may have committed it.
     fn repack(&mut self, round: Option<SpanId>) {
         let Some(repack) = self.plane.repack(&self.original, round) else {
             return;
@@ -825,14 +823,10 @@ impl UniDriveClient {
             Some((image.clone(), stamp))
         });
         self.counter = counter;
-        match transacted {
-            Ok(Some(committed)) => {
-                let dead = garbage.iter().flat_map(|(id, e)| e.blocks.iter().map(move |b| (*id, *b)));
-                self.plane.delete_blocks(dead, round);
-                self.original = committed;
-            }
-            Ok(None) => self.plane.delete_blocks(repack.blocks, round),
-            Err(_) => {}
+        if let Ok(Some(committed)) = transacted {
+            let dead = garbage.iter().flat_map(|(id, e)| e.blocks.iter().map(move |b| (*id, *b)));
+            self.plane.delete_blocks(dead, round);
+            self.original = committed;
         }
     }
 

@@ -498,8 +498,9 @@ impl DataPlane {
     /// fetches them (each pack once), packs them as a pass packs small
     /// files and uploads the result as one joined batch under `parent`.
     /// A member no fresh pack takes goes up on its own blocks. `None`
-    /// when no pack is sparse, or when the fetch or an upload failed
-    /// (what landed is deleted again: no image names it).
+    /// when no pack is sparse, or when the fetch or an upload failed;
+    /// what landed then stays, since a peer may upload and commit the
+    /// same content-addressed blocks.
     pub(crate) fn repack(&self, image: &SyncFolderImage, parent: Option<SpanId>) -> Option<Repack> {
         let live = image.referenced();
         let mut packs: BTreeMap<SegmentId, (u64, Vec<(SegmentId, u64)>)> = BTreeMap::new();
@@ -535,7 +536,6 @@ impl DataPlane {
         let batch = vec![FileUpload { path: "repack".into(), segments: upload }];
         let report = self.run_upload(batch, None, parent);
         if !report.all_available() {
-            self.delete_blocks(report.blocks, parent);
             return None;
         }
         let moved = members.iter().map(|(id, len)| (*id, *len, slots.get(id).copied())).collect();

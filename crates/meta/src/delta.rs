@@ -16,7 +16,7 @@ use crate::codec::{DecodeError, Reader, Writer};
 use crate::model::{
     decode_block, decode_packed, decode_snapshot, encode_block, encode_packed, encode_snapshot,
 };
-use crate::{BlockRef, SegmentEntry, SegmentId, Snapshot, SyncFolderImage, VersionStamp};
+use crate::{BlockRef, SegmentId, Snapshot, SyncFolderImage, VersionStamp};
 
 const DELTA_MAGIC: [u8; 4] = *b"UDDL";
 const DELTA_VERSION: u8 = 5;
@@ -191,35 +191,28 @@ impl DeltaLog {
     /// appends after merging.
     pub fn records_for(from: &SyncFolderImage, to: &SyncFolderImage) -> Vec<DeltaRecord> {
         let mut records = Vec::new();
-        // Pool first so file records find their segments. A pack
-        // member's blocks are its pack's: only pointers travel for it.
-        let own = |e: &SegmentEntry| match e.packed {
-            Some(_) => Vec::new(),
-            None => e.blocks.clone(),
-        };
+        // Pool first so file records find their segments.
         for (id, entry) in to.segments() {
-            let ensure = DeltaRecord::EnsureSegment {
-                id: *id,
-                len: entry.len,
-                packed: entry.packed,
-            };
-            let (old_blocks, moved) = match from.segment(id) {
-                None => (Vec::new(), true),
+            let (old_blocks, ensure) = match from.segment(id) {
+                None => (&[][..], true),
                 Some(old) => {
                     let repointed = old.packed != entry.packed || old.len != entry.len;
-                    (own(old), entry.packed.is_some() && repointed)
+                    (&old.blocks[..], entry.packed.is_some() && repointed)
                 }
             };
-            let new_blocks = own(entry);
             // Blocks it no longer stores on come first: a pointer
             // applies only to a segment with no blocks of its own.
-            for b in old_blocks.iter().filter(|b| !new_blocks.contains(b)) {
+            for b in old_blocks.iter().filter(|b| !entry.blocks.contains(b)) {
                 records.push(DeltaRecord::RemoveBlock { id: *id, block: *b });
             }
-            if moved {
-                records.push(ensure);
+            if ensure {
+                records.push(DeltaRecord::EnsureSegment {
+                    id: *id,
+                    len: entry.len,
+                    packed: entry.packed,
+                });
             }
-            for b in new_blocks.iter().filter(|b| !old_blocks.contains(b)) {
+            for b in entry.blocks.iter().filter(|b| !old_blocks.contains(b)) {
                 records.push(DeltaRecord::AddBlock { id: *id, block: *b });
             }
         }

@@ -55,14 +55,14 @@ pub struct BlockRef {
 /// A small file's segment can be a *pack member* (DESIGN §4, decision
 /// 19): its bytes lie at `offset` in a pack, a segment of its own that
 /// the writer made by concatenating a pass's small segments and coded
-/// as one stripe. A member stores no block of its own; its `blocks` are
-/// its pack's, kept equal to them by the image and never encoded.
+/// as one stripe. A member stores no block of its own: its `blocks` are
+/// empty, and a reader finds them through `packed`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SegmentEntry {
     /// Plaintext segment length in bytes.
     pub len: u64,
     /// Known block locations, updated asynchronously as uploads finish;
-    /// for a pack member, its pack's.
+    /// none for a pack member.
     pub blocks: Vec<BlockRef>,
     /// For a pack member: the pack's id and the member's offset in it.
     pub packed: Option<(SegmentId, u64)>,
@@ -198,9 +198,6 @@ pub struct SyncFolderImage {
     pub version: VersionStamp,
     files: BTreeMap<String, FileEntry>,
     segments: BTreeMap<SegmentId, SegmentEntry>,
-    /// Pack id → the pool entries that are its members: derived from
-    /// `segments`, never encoded.
-    members: BTreeMap<SegmentId, BTreeSet<SegmentId>>,
 }
 
 impl SyncFolderImage {
@@ -247,16 +244,23 @@ impl SyncFolderImage {
     pub fn ensure_member(&mut self, id: SegmentId, len: u64, pack: SegmentId, offset: u64) -> bool {
         let entry = self.segments.entry(id).or_default();
         entry.len = len;
-        if entry.packed.is_none() && !entry.blocks.is_empty() {
+        if !entry.blocks.is_empty() {
             return false;
         }
-        if let Some((old, _)) = entry.packed.replace((pack, offset)) {
-            unlink(&mut self.members, id, old);
-        }
-        self.members.entry(pack).or_default().insert(id);
-        let blocks = self.segments.get(&pack).map(|p| p.blocks.clone()).unwrap_or_default();
-        self.segments.get_mut(&id).expect("pooled above").blocks = blocks;
+        entry.packed = Some((pack, offset));
         true
+    }
+
+    /// The blocks segment `id` reads from: its own, or its pack's for a
+    /// pack member. Empty when the pool lacks either.
+    pub fn blocks_of(&self, id: &SegmentId) -> &[BlockRef] {
+        let Some(entry) = self.segments.get(id) else {
+            return &[];
+        };
+        match entry.packed {
+            Some((pack, _)) => self.segments.get(&pack).map_or(&[], |p| &p.blocks),
+            None => &entry.blocks,
+        }
     }
 
     /// Records an uploaded block's location (the scheduler's completion
@@ -265,42 +269,17 @@ impl SyncFolderImage {
     /// blocks, no longer its pack's member.
     pub fn record_block(&mut self, id: SegmentId, block: BlockRef) -> bool {
         let entry = self.segments.entry(id).or_default();
-        if let Some((pack, _)) = entry.packed.take() {
-            entry.blocks.clear();
-            unlink(&mut self.members, id, pack);
-        }
-        let added = entry.add_block(block);
-        if added {
-            self.mirror(&id);
-        }
-        added
+        entry.packed = None;
+        entry.add_block(block)
     }
 
     /// Forgets a block location (over-provisioned block cleanup, cloud
-    /// removal). A pack member has no block of its own to forget.
+    /// removal).
     pub fn remove_block(&mut self, id: &SegmentId, block: BlockRef) -> bool {
-        let removed = self
-            .segments
+        self.segments
             .get_mut(id)
-            .is_some_and(|e| e.packed.is_none() && e.remove_block(block));
-        if removed {
-            self.mirror(id);
-        }
-        removed
-    }
-
-    /// Copies `pack`'s blocks (none when it is not pooled) to its
-    /// members.
-    fn mirror(&mut self, pack: &SegmentId) {
-        let Some(members) = self.members.get(pack) else {
-            return;
-        };
-        let blocks = self.segments.get(pack).map(|p| p.blocks.clone()).unwrap_or_default();
-        for id in members {
-            if let Some(member) = self.segments.get_mut(id) {
-                member.blocks.clone_from(&blocks);
-            }
-        }
+            .map(|e| e.remove_block(block))
+            .unwrap_or(false)
     }
 
     /// Inserts or replaces a file's snapshot (and drops its conflict
@@ -379,38 +358,26 @@ impl SyncFolderImage {
     }
 
     /// Drops the segments [`referenced`](Self::referenced) leaves out
-    /// from the pool, returning them with the blocks to delete from the
-    /// clouds: a pack goes only with its last live member, and a member
-    /// goes with none (its blocks are its pack's).
+    /// from the pool, returning them with their block locations (for
+    /// cloud-side deletion): a pack goes only with its last live
+    /// member, and a member has no block of its own.
     pub fn collect_garbage(&mut self) -> Vec<(SegmentId, SegmentEntry)> {
         let live = self.referenced();
-        let (kept, dead): (BTreeMap<_, _>, BTreeMap<_, _>) = std::mem::take(&mut self.segments)
+        let (kept, dead) = std::mem::take(&mut self.segments)
             .into_iter()
             .partition(|(id, _)| live.contains(id));
         self.segments = kept;
-        let mut dead: Vec<(SegmentId, SegmentEntry)> = dead.into_iter().collect();
-        for (id, entry) in &mut dead {
-            self.members.remove(id);
-            if let Some((pack, _)) = entry.packed {
-                entry.blocks.clear();
-                unlink(&mut self.members, *id, pack);
-            }
-        }
-        dead
+        dead.into_iter().collect()
     }
 
     /// Drops one segment from the pool if no snapshot names it now, nor
     /// a member of it that a snapshot names.
     pub fn drop_unreferenced_segment(&mut self, id: &SegmentId) {
         let named = |s: &SegmentId| self.snapshots().any(|snap| snap.segments.contains(s));
-        let members = self.members.get(id).into_iter().flatten();
-        if named(id) || members.clone().any(named) {
-            return;
+        let mut members = self.segments.iter().filter(|(_, e)| e.packed.is_some_and(|(p, _)| p == *id));
+        if !named(id) && !members.any(|(m, _)| named(m)) {
+            self.segments.remove(id);
         }
-        if let Some(SegmentEntry { packed: Some((pack, _)), .. }) = self.segments.remove(id) {
-            unlink(&mut self.members, *id, pack);
-        }
-        self.mirror(id);
     }
 
     fn snapshots(&self) -> impl Iterator<Item = &Snapshot> {
@@ -451,11 +418,9 @@ impl SyncFolderImage {
             w.put_fixed(id.0.as_bytes());
             w.put_varint(entry.len);
             encode_packed(&mut w, entry.packed);
-            if entry.packed.is_none() {
-                w.put_varint(entry.blocks.len() as u64);
-                for b in &entry.blocks {
-                    encode_block(&mut w, *b);
-                }
+            w.put_varint(entry.blocks.len() as u64);
+            for b in &entry.blocks {
+                encode_block(&mut w, *b);
             }
         }
         w.finish()
@@ -491,41 +456,24 @@ impl SyncFolderImage {
                 },
             );
         }
-        let mut image = SyncFolderImage {
-            version,
-            files,
-            ..SyncFolderImage::default()
-        };
-        for _ in 0..r.get_varint("segment count")? {
+        let seg_count = r.get_varint("segment count")?;
+        let mut segments = BTreeMap::new();
+        for _ in 0..seg_count {
             let id = SegmentId(Digest(r.get_fixed::<20>("segment id")?));
             let len = r.get_varint("segment len")?;
-            if let Some((pack, offset)) = decode_packed(&mut r)? {
-                image.ensure_member(id, len, pack, offset);
-                continue;
-            }
+            let packed = decode_packed(&mut r)?;
             let count = r.get_varint("block count")?;
             let mut blocks = Vec::with_capacity(count.min(1 << 10) as usize);
             for _ in 0..count {
                 blocks.push(decode_block(&mut r)?);
             }
-            image.segments.insert(id, SegmentEntry { len, blocks, packed: None });
+            segments.insert(id, SegmentEntry { len, blocks, packed });
         }
-        // A member decoded before its pack has no blocks yet.
-        let packs: Vec<SegmentId> = image.members.keys().copied().collect();
-        for pack in &packs {
-            image.mirror(pack);
-        }
-        Ok(image)
-    }
-}
-
-/// Takes `id` off `pack`'s member set.
-fn unlink(members: &mut BTreeMap<SegmentId, BTreeSet<SegmentId>>, id: SegmentId, pack: SegmentId) {
-    if let Some(set) = members.get_mut(&pack) {
-        set.remove(&id);
-        if set.is_empty() {
-            members.remove(&pack);
-        }
+        Ok(SyncFolderImage {
+            version,
+            files,
+            segments,
+        })
     }
 }
 
@@ -756,13 +704,14 @@ mod tests {
         assert_eq!(collected(&mut img), vec![seg("b")]);
     }
 
-    /// The image codec's byte counts: counts and lengths are varints
-    /// (one byte each below 128), a block location is two bytes, and a
-    /// pack member costs its pack's id and a varint offset, never its
-    /// pack's blocks. The same image took 179 bytes when counts were
-    /// `u32`, lengths `u64` and a block location four bytes.
+    /// The copy count is a varint, so a file with no copy or with one
+    /// pays one byte for it, as the one-slot format's flag byte did: the
+    /// first copy adds only its device and snapshot. The lengths are
+    /// those of image version 4 (varint counts and lengths, two-byte
+    /// block locations), which took the first image from 179 bytes to
+    /// 147; a pack member costs its pack's id and a varint offset.
     #[test]
-    fn the_image_codec_spends_varints_and_two_byte_block_locations() {
+    fn files_with_at_most_one_copy_encode_to_the_one_slot_length() {
         let mut img = image_with(&[("a/b.txt", "s1"), ("c.bin", "s2")]);
         img.record_block(seg("s1"), BlockRef { index: 2, cloud: 4 });
         // Header 5, stamp 20, files 1 + 33 + 31, pool 1 + 25 + 23,
@@ -775,8 +724,9 @@ mod tests {
         // The pool entry of s3, then the copy's device and snapshot.
         assert_eq!(img.encode().len(), 177 + 23 + (4 + 6) + (1 + 20));
         img.ensure_member(seg("m"), 10, seg("s1"), 3);
-        assert_eq!(img.encode().len(), 231 + 20 + 1 + 1 + 20 + 1);
-        assert_eq!(img.segment(&seg("m")).unwrap().blocks, vec![BlockRef { index: 2, cloud: 4 }]);
+        assert_eq!(img.encode().len(), 231 + 20 + 1 + (1 + 20 + 1) + 1);
+        assert!(img.segment(&seg("m")).unwrap().blocks.is_empty());
+        assert_eq!(img.blocks_of(&seg("m")), [BlockRef { index: 2, cloud: 4 }]);
         assert_eq!(SyncFolderImage::decode(&img.encode()).unwrap(), img);
     }
 

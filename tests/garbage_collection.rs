@@ -536,3 +536,59 @@ fn sparse_packs_are_repacked_and_their_cost_is_reported() {
         );
     }
 }
+
+/// Two idle devices repack the same sparse packs in one ΔT window. A
+/// fresh pack's id is its content, so both upload the same block
+/// objects; the one whose commit loses must leave them, for they are
+/// the blocks the winner's image names. Every survivor still reads on
+/// a third device, and no block the image names is missing.
+#[test]
+fn two_devices_repacking_one_pack_at_once_lose_no_survivor() {
+    for mode in [MetaMode::Lock, MetaMode::Oplog] {
+        let sim = SimRuntime::new(13);
+        let handles = sim_clouds(&sim);
+        let (folder_a, mut a, _) = metered_sim_device(&sim, &handles, "a", mode, 1);
+        let (_, mut b, _) = metered_sim_device(&sim, &handles, "b", mode, 2);
+        let files = small_files(12, 300);
+        for (path, data) in &files {
+            folder_a.write(path, data, 1).unwrap();
+        }
+        a.sync_once().unwrap();
+        settle(&sim, &mut a);
+        let survivor = |i: usize| i % 4 == 3;
+        for (path, _) in files.iter().enumerate().filter(|(i, _)| !survivor(*i)).map(|(_, f)| f) {
+            folder_a.remove(path).unwrap();
+        }
+        a.sync_once().unwrap();
+        b.sync_once().unwrap();
+        assert_eq!(a.image(), b.image(), "{mode:?}");
+        let member = |image: &SyncFolderImage, path: &str| image.file(path).unwrap().snapshot.segments[0];
+        let old = a.image().segment(&member(a.image(), &files[3].0)).unwrap().packed.unwrap().0;
+
+        // Both idle passes scrub, and repack, at the same instant.
+        sim.sleep(config("any", mode).lock.stale_after);
+        let rt = sim.clone().as_runtime();
+        let idle = |mut client: UniDriveClient, name: &str| {
+            unidrive::sim::spawn(&rt, name, move || {
+                client.sync_once().unwrap();
+                client
+            })
+        };
+        let (ta, tb) = (idle(a, "a"), idle(b, "b"));
+        let (mut a, mut b) = (ta.join(), tb.join());
+        a.sync_once().unwrap();
+        b.sync_once().unwrap();
+        a.sync_once().unwrap();
+        let image = a.image();
+        let fresh = image.segment(&member(image, &files[3].0)).unwrap().packed.expect("packed").0;
+        assert_ne!(fresh, old, "{mode:?}: no device repacked");
+        let audit = a.data_plane().audit(image);
+        assert!(audit.missing.is_empty() && audit.short.is_empty(), "{mode:?}: {audit:?}");
+
+        let (folder_c, mut c) = sim_device(&sim, &handles, "c", mode, 3);
+        assert_eq!(c.sync_once().unwrap().downloaded.len(), 3, "{mode:?}");
+        for (path, data) in files.iter().enumerate().filter(|(i, _)| survivor(*i)).map(|(_, f)| f) {
+            assert_eq!(folder_c.read(path).unwrap().to_vec(), *data, "{mode:?}: {path}");
+        }
+    }
+}
