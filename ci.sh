@@ -53,7 +53,7 @@ else
     echo "    clippy not installed; skipped"
 fi
 
-echo "==> one trace, one artefact, one reader, one per-cloud estimator, one figures binary, one cost statement, one blocking primitive, one fleet event loop, one ingest path, one chunker, one object per op, one hot-folder benchmark, one static policy, one Rabin window, one channel from a landed block to the image, one metric store, one store in the fleet too, one audit of block storage, one statement of segment liveness, one conflict rule (a file's copies are a set, and a commit removes only the versions its view showed), one lock rule (one function the product, the model and the fleet call), one spare rule (a hedge on time), one statement of folder semantics: the retired names stay retired"
+echo "==> one trace, one artefact, one reader, one per-cloud estimator, one figures binary, one cost statement, one blocking primitive, one fleet event loop, one ingest path, one chunker, one object per op, one hot-folder benchmark, one static policy, one Rabin window, one channel from a landed block to the image, one metric store, one store in the fleet too, one audit of block storage, one statement of segment liveness, one conflict rule (a file's copies are a set, and a commit removes only the versions its view showed), one lock rule (one function the product, the model and the fleet call), one spare rule (a hedge on time), one statement of folder semantics, one metadata read rule: the retired names stay retired"
 # The typed Event ring, the three per-format flags, the second report
 # binary and the streaming health scoreboard (cloud health is a
 # function `obs_report` computes from the series) must not creep back;
@@ -108,9 +108,13 @@ echo "==> one trace, one artefact, one reader, one per-cloud estimator, one figu
 # lamport base (an op's base is the watermark of the fold it was built
 # on; a lamport bound counted unseen writes as seen), nor the one-slot
 # conflict copy and the fetch of that one copy (a file's copies are a
-# set, and `conflict_copies` returns every one with its device).
+# set, and `conflict_copies` returns every one with its device), nor
+# the oplog's choice among three base-read paths (a base is read by
+# the read rule both planes share: from the first cloud whose listing
+# names a mark the plane has not decoded, once, and a base no mark
+# names is never read).
 # (The bracketed letters keep this line from matching itself.)
-if grep -rnE '\bEvent::|Traced[E]vent|--metrics-[o]ut|--trace-[o]ut|--series-[o]ut|trace_[r]eport|Health[T]racker|Health[B]oard|Cloud[H]ealth|Health[C]onfig|to_json_with_[h]ealth|unidrive-[h]ealth/v1|native_[a]ppend|supports_conditional_[p]ut|max_object_[b]ytes|run_[a]ll|meta_mode_from_[a]rgs|FleetLock[P]arams|LOCK_[O]PS|OPLOG_APPEND_[O]PS|OPLOG_COMPACT_[O]PS|Sema[p]hore|SimQ[u]eue|RuntimeH[a]ndle|TransferE[r]ror|set_link_[e]nabled|deregister_[t]hread|instantaneous_[r]ate|Watchdog[C]onfig|FlightR[e]corder|partition_[w]indow|merge_by_[k]ey|shard_[o]f|--sh[a]rds|sim::sh[a]rd|cut_points_paral[l]el|WorkerP[o]ol|par_map_ind[e]xed|ingest_thre[a]ds|resync_sk[i]ps|--cuts-[o]ut|ChunkSt[a]ts|GearH[a]sh|ChunkerK[i]nd|ingest_g[e]ar|gear_cut_p[o]ints|gear_r[o]ll|GEAR_[W]INDOW|with_p[o]ly|set_flat_prob[a]bility|frame_ch[u]nks|unframe_ch[u]nks|op_file_n[a]me|my_fr[a]mes|parse_op_file_n[a]me|bench_opl[o]g|BENCH_opl[o]g|compare_opl[o]g|compare_fl[e]et|validate_opl[o]g|BenchUploadP[o]licy|BenchDownloadP[o]licy|BenchBl[o]ck|RabinH[a]sh::new\([^)]|fn w[i]ndow\(|detach_after_availa[b]ility|UploadOpt[i]ons|set_chunk_thre[s]hold|set_ga[u]ge|enable_se[r]ies|series_ena[b]led|counter_s[u]m|metrics_j[s]on|CounterN[a]mes|obs\.in[c]\(|SCHEMA_COUN[T]ERS|fn b[u]mp\(|Histogram::def[a]ult|ThrottledCl[o]ud|starvation_au[d]it|trim_pl[a]n|trim_overprovision[e]d|delete_label[l]ed|unnamed_block_ob[j]ects|recompute_refcount[s]|\.refcou[n]t|refcount: u3[2]|TreeDel[t]a|EntryChan[g]e|pub struct Confli[c]t\b|Rule::Pap[e]r|Rule::Qu[e]ue|enum RoundOu[t]come|RoundOutcome::W[o]n|Round::Wa[i]ts|Round::Wo[n]\b|DUP_SPEED_R[A]TIO|base_lam[p]ort|conflict: Optio[n]<|fetch_conflict_cop[y]\b' \
+if grep -rnE '\bEvent::|Traced[E]vent|--metrics-[o]ut|--trace-[o]ut|--series-[o]ut|trace_[r]eport|Health[T]racker|Health[B]oard|Cloud[H]ealth|Health[C]onfig|to_json_with_[h]ealth|unidrive-[h]ealth/v1|native_[a]ppend|supports_conditional_[p]ut|max_object_[b]ytes|run_[a]ll|meta_mode_from_[a]rgs|FleetLock[P]arams|LOCK_[O]PS|OPLOG_APPEND_[O]PS|OPLOG_COMPACT_[O]PS|Sema[p]hore|SimQ[u]eue|RuntimeH[a]ndle|TransferE[r]ror|set_link_[e]nabled|deregister_[t]hread|instantaneous_[r]ate|Watchdog[C]onfig|FlightR[e]corder|partition_[w]indow|merge_by_[k]ey|shard_[o]f|--sh[a]rds|sim::sh[a]rd|cut_points_paral[l]el|WorkerP[o]ol|par_map_ind[e]xed|ingest_thre[a]ds|resync_sk[i]ps|--cuts-[o]ut|ChunkSt[a]ts|GearH[a]sh|ChunkerK[i]nd|ingest_g[e]ar|gear_cut_p[o]ints|gear_r[o]ll|GEAR_[W]INDOW|with_p[o]ly|set_flat_prob[a]bility|frame_ch[u]nks|unframe_ch[u]nks|op_file_n[a]me|my_fr[a]mes|parse_op_file_n[a]me|bench_opl[o]g|BENCH_opl[o]g|compare_opl[o]g|compare_fl[e]et|validate_opl[o]g|BenchUploadP[o]licy|BenchDownloadP[o]licy|BenchBl[o]ck|RabinH[a]sh::new\([^)]|fn w[i]ndow\(|detach_after_availa[b]ility|UploadOpt[i]ons|set_chunk_thre[s]hold|set_ga[u]ge|enable_se[r]ies|series_ena[b]led|counter_s[u]m|metrics_j[s]on|CounterN[a]mes|obs\.in[c]\(|SCHEMA_COUN[T]ERS|fn b[u]mp\(|Histogram::def[a]ult|ThrottledCl[o]ud|starvation_au[d]it|trim_pl[a]n|trim_overprovision[e]d|delete_label[l]ed|unnamed_block_ob[j]ects|recompute_refcount[s]|\.refcou[n]t|refcount: u3[2]|TreeDel[t]a|EntryChan[g]e|pub struct Confli[c]t\b|Rule::Pap[e]r|Rule::Qu[e]ue|enum RoundOu[t]come|RoundOutcome::W[o]n|Round::Wa[i]ts|Round::Wo[n]\b|DUP_SPEED_R[A]TIO|base_lam[p]ort|conflict: Optio[n]<|fetch_conflict_cop[y]\b|base_wan[t]ed' \
     crates src tests examples ci.sh; then
     echo "    retired name found (see matches above)"
     exit 1
@@ -233,6 +237,11 @@ grep -q '"recovered": true' "$out/cs1.json"
 grep -q '"others_clean": true' "$out/cs1.json"
 # Every randomized round runs on both metadata planes.
 grep -q '"mode":"oplog"' "$out/cs1.json"
+# Every randomized plan rolls one cloud back for a window: the rolled
+# back metadata reached a reader on each plane at least once.
+for mode in lock oplog; do
+    grep -Eq "\"mode\":\"$mode\",\"events\":[0-9]+,\"acked\":[0-9]+,\"injected\":[0-9]+,\"rollbacks\":[1-9]" "$out/cs1.json"
+done
 
 echo "==> fleet bench: 10k-device quick run, invariants + schema + byte-identical"
 # The fleet simulator must converge with every chaos-soak invariant
@@ -357,7 +366,7 @@ pin() { # WORKLOAD "METRIC=VALUE ..."
         END { for (m in want) { print "    " w ": no " m; bad = 1 }; exit bad }' "$out/$1.txt"
 }
 pin hot_lock "sync_up_s=4.242168 sync_down_s=0.524818 converge_s=7.684375 cloud_ops_per_round=382.850000 wire_bytes_per_payload_byte=9.954010 stored_bytes_per_live_byte=2.378906"
-pin hot_oplog "sync_up_s=0.539957 sync_down_s=0.527873 converge_s=1.328421 cloud_ops_per_round=187.583333 wire_bytes_per_payload_byte=6.847117 stored_bytes_per_live_byte=2.430667"
+pin hot_oplog "sync_up_s=0.538291 sync_down_s=0.530031 converge_s=1.575751 cloud_ops_per_round=191.500000 wire_bytes_per_payload_byte=6.853139 stored_bytes_per_live_byte=2.430943"
 pin wan_batch "sync_up_s=3.777029 sync_down_s=1.453087 converge_s=31.632661 cloud_ops_per_round=261.982143 wire_bytes_per_payload_byte=3.972241 stored_bytes_per_live_byte=2.889638"
 for m in sync_up_s converge_s; do
     awk -v m="$m" '$1 == m { v[FILENAME] = $2 + 0 }

@@ -16,9 +16,11 @@
 //!   the stamp).
 //!
 //! The randomized plans draw only from *masked* fault kinds (transient
-//! bursts, outages, latency spikes, quota, torn uploads), so every soak
-//! round must pass, on both metadata planes (torn uploads landing on op
-//! objects mid-append included). A final **lethal** round, on the lock
+//! bursts, outages, latency spikes, quota, torn uploads, and one window
+//! in which one cloud — a minority by construction — serves its
+//! metadata rolled back), so every soak round must pass, on both
+//! metadata planes (torn uploads landing on op objects mid-append
+//! included). A final **lethal** round, on the lock
 //! plane, schedules what the protocol cannot absorb (delayed visibility
 //! on a lock quorum breaks the lock's read-after-write assumption,
 //! which the oplog plane absorbs by construction) and must *fail*; the
@@ -55,7 +57,7 @@ use unidrive_cloud::{
     SimCloud, SimCloudConfig,
 };
 use unidrive_core::{MemFolder, SyncError, SyncFolder, SyncReport, UniDriveClient};
-use unidrive_meta::MetaMode;
+use unidrive_meta::{MetaMode, OPLOG_DIR, ROOT_DIR};
 use unidrive_obs::{
     bundle_json, lane_span, FieldValue, HealthLane, HealthState, Obs, Registry, SpanRecord,
 };
@@ -83,6 +85,9 @@ struct RoundOutcome {
     sync_errors: usize,
     /// Faults the chaos layer injected.
     injected: u64,
+    /// Of those, reads a rollback window answered from its snapshot
+    /// with something other than the live store held.
+    rollbacks: usize,
     /// Canonicalized obs trace of the round, when requested.
     flight: Option<String>,
 }
@@ -283,6 +288,11 @@ fn run_round(plan: &FaultPlan, mode: MetaMode, want_flight: bool) -> RoundOutcom
     // An evicted `lock.*` span would blind the audit below.
     assert_eq!(snap.dropped_spans, 0, "span ring too small for a soak round");
     failed.extend(lock_invariant(&snap.spans));
+    let rollbacks = snap
+        .spans
+        .iter()
+        .filter(|s| s.name == "chaos.fault" && s.attr("kind") == Some(&FieldValue::S("rollback".into())))
+        .count();
 
     let flight = want_flight.then(|| {
         let mut snap = snap;
@@ -294,6 +304,7 @@ fn run_round(plan: &FaultPlan, mode: MetaMode, want_flight: bool) -> RoundOutcom
         acked,
         sync_errors,
         injected: world.chaos.iter().map(|h| h.injected_faults()).sum(),
+        rollbacks,
         flight,
     }
 }
@@ -423,9 +434,13 @@ fn health_verdict(lanes: &[(String, HealthLane)]) -> (bool, bool, bool) {
 }
 
 /// A randomized per-round schedule drawn only from fault kinds the
-/// protocol is supposed to mask. `DelayedVisibility` is deliberately
-/// excluded: it breaks the quorum lock's read-after-write assumption
-/// (that is what the lethal round is for).
+/// protocol is supposed to mask, ending with one rollback window on one
+/// cloud over both planes' metadata (not the lock files, not the
+/// blocks): it opens before the devices' second writes (65 s) and spans
+/// a sync period, so the rolled-back cloud hides commits from readers.
+/// `DelayedVisibility` is
+/// deliberately excluded: it breaks the quorum lock's read-after-write
+/// assumption (that is what the lethal round is for).
 fn random_plan(seed: u64) -> FaultPlan {
     let mut rng = SimRng::derive(seed, "chaos_soak/plan");
     let mut plan = FaultPlan::new(seed);
@@ -449,6 +464,11 @@ fn random_plan(seed: u64) -> FaultPlan {
         };
         plan.push(FaultEvent::always(cloud, kind).window_secs(start, end));
     }
+    let cloud = format!("c{}", rng.below(CLOUDS as u64));
+    let start = rng.below(60);
+    let prefixes = vec![format!("{ROOT_DIR}/meta."), format!("{OPLOG_DIR}/")];
+    let rollback = FaultEvent::always(cloud, FaultKind::Rollback { prefixes });
+    plan.push(rollback.window_secs(start, (start + 60 + rng.below(40)).min(280)));
     plan
 }
 
@@ -538,27 +558,29 @@ fn main() {
 
     let mut soak_json = Vec::new();
     let mut soak_ok = true;
-    println!("{:>5}  {:>5}  {:>10}  {:>6}  {:>5}  {:>8}  {:>6}  failed", "round", "mode", "seed", "events", "acked", "injected", "errors");
+    println!("{:>5}  {:>5}  {:>10}  {:>6}  {:>5}  {:>8}  {:>9}  {:>6}  failed", "round", "mode", "seed", "events", "acked", "injected", "rollbacks", "errors");
     for round in 0..rounds {
         let plan = random_plan(0x0ddba11 + round as u64);
         for mode in [MetaMode::Lock, MetaMode::Oplog] {
             let outcome = run_round(&plan, mode, false);
             soak_ok &= outcome.failed.is_empty();
             println!(
-                "{round:>5}  {mode:>5}  {:>10}  {:>6}  {:>5}  {:>8}  {:>6}  {}",
+                "{round:>5}  {mode:>5}  {:>10}  {:>6}  {:>5}  {:>8}  {:>9}  {:>6}  {}",
                 plan.seed,
                 plan.events.len(),
                 outcome.acked,
                 outcome.injected,
+                outcome.rollbacks,
                 outcome.sync_errors,
                 if outcome.failed.is_empty() { "-".to_owned() } else { outcome.failed.join(",") },
             );
             soak_json.push(format!(
-                "{{\"seed\":{},\"mode\":\"{mode}\",\"events\":{},\"acked\":{},\"injected\":{},\"sync_errors\":{},\"failed\":{}}}",
+                "{{\"seed\":{},\"mode\":\"{mode}\",\"events\":{},\"acked\":{},\"injected\":{},\"rollbacks\":{},\"sync_errors\":{},\"failed\":{}}}",
                 plan.seed,
                 plan.events.len(),
                 outcome.acked,
                 outcome.injected,
+                outcome.rollbacks,
                 outcome.sync_errors,
                 json_str_list(&outcome.failed),
             ));

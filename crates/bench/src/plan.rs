@@ -48,6 +48,13 @@ pub fn read_fault_plan(text: &str) -> Result<FaultPlan, String> {
                 probability: probability()?,
             },
             "delayed_visibility" => FaultKind::DelayedVisibility,
+            "rollback" => FaultKind::Rollback {
+                prefixes: field(e, "prefixes", Json::as_arr, "an array")?
+                    .iter()
+                    .map(|p| p.as_str().map(str::to_owned))
+                    .collect::<Option<Vec<String>>>()
+                    .ok_or("fault plan: a rollback prefix is not a string")?,
+            },
             other => return Err(format!("fault plan: unknown kind {other:?}")),
         };
         plan.push(FaultEvent {
@@ -67,7 +74,7 @@ mod tests {
 
     #[test]
     fn a_written_plan_reads_back_byte_for_byte() {
-        // All six kinds, an op filter, an `always` window (`end_ns` =
+        // All seven kinds, an op filter, an `always` window (`end_ns` =
         // u64::MAX) and a seed no f64 holds.
         let seed = (1u64 << 53) + 1;
         let plan = FaultPlan::with_events(
@@ -82,6 +89,11 @@ mod tests {
                     .window_secs(0, 280),
                 FaultEvent::always("c\"4\\", FaultKind::TornUpload { probability: 1.0 }),
                 FaultEvent::always("c4", FaultKind::DelayedVisibility).window_secs(10, 20),
+                FaultEvent::always(
+                    "c0",
+                    FaultKind::Rollback { prefixes: vec!["unidrive/meta.".into(), "a\"b/".into()] },
+                )
+                .window_secs(30, 90),
             ],
         );
         let text = plan.to_json();
@@ -109,6 +121,10 @@ mod tests {
             (
                 "{\"seed\":1,\"events\":[{\"cloud\":\"c\",\"ops\":[],\"start_ns\":0,\"end_ns\":1,\"kind\":\"latency\"}]}",
                 "`extra_ms` is not a u64",
+            ),
+            (
+                "{\"seed\":1,\"events\":[{\"cloud\":\"c\",\"ops\":[],\"start_ns\":0,\"end_ns\":1,\"kind\":\"rollback\",\"prefixes\":[7]}]}",
+                "a rollback prefix is not a string",
             ),
         ] {
             let err = read_fault_plan(text).unwrap_err();

@@ -4,7 +4,8 @@
 //! The paper's robustness claims (§3.2, §7.3) are about *correlated*,
 //! *scheduled* misbehaviour — a cloud going dark for a window, bursts of
 //! transient errors, uploads torn mid-flight, metadata becoming visible
-//! late — not just a flat per-request coin flip. A [`FaultPlan`] is a
+//! late or rolled back — not just a flat per-request coin flip. A
+//! [`FaultPlan`] is a
 //! seeded, serializable schedule of such faults; [`ChaosCloud`] applies
 //! the plan to any [`CloudStore`] deterministically (same plan, same
 //! seed ⇒ same injected faults), emitting a
@@ -18,7 +19,7 @@
 //! and a cloud that is down for the whole run is
 //! `FaultEvent::always(name, FaultKind::Outage)`.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -62,6 +63,19 @@ pub enum FaultKind {
     /// stay visible (read-your-writes survives; cross-client
     /// read-after-write does not).
     DelayedVisibility,
+    /// Rollback: reads through this handle of paths under `prefixes`
+    /// see the cloud as it stood when the window opened — objects
+    /// written since are absent, overwritten ones show their old body,
+    /// deleted ones are still there. Writes go to the live store. The
+    /// prefixes are plain path prefixes because this crate does not
+    /// know the layout (`unidrive/meta.` names the lock plane's three
+    /// files). The window's snapshot is read through the wrapped store
+    /// the instant the window opens; a read before it has been taken
+    /// sees the live store.
+    Rollback {
+        /// Path prefixes whose objects are rolled back.
+        prefixes: Vec<String>,
+    },
 }
 
 impl FaultKind {
@@ -75,6 +89,7 @@ impl FaultKind {
             FaultKind::LatencySpike { .. } => "latency",
             FaultKind::TornUpload { .. } => "torn_upload",
             FaultKind::DelayedVisibility => "delayed_visibility",
+            FaultKind::Rollback { .. } => "rollback",
         }
     }
 }
@@ -216,6 +231,18 @@ impl FaultPlan {
                     out.push_str(",\"extra_ms\":");
                     out.push_str(&extra_ms.to_string());
                 }
+                FaultKind::Rollback { prefixes } => {
+                    out.push_str(",\"prefixes\":[");
+                    for (j, prefix) in prefixes.iter().enumerate() {
+                        if j > 0 {
+                            out.push(',');
+                        }
+                        out.push('"');
+                        out.push_str(&escape_json(prefix));
+                        out.push('"');
+                    }
+                    out.push(']');
+                }
                 FaultKind::Outage | FaultKind::QuotaExhausted | FaultKind::DelayedVisibility => {}
             }
             out.push('}');
@@ -250,8 +277,8 @@ fn escape_json(s: &str) -> String {
 ///
 /// Fault gates run in a fixed order before the wrapped operation:
 /// latency spike → outage → quota (uploads) →
-/// transient roll; torn uploads and delayed visibility act on the
-/// operation itself. Every injection adds one to the `chaos.injected`
+/// transient roll; torn uploads, delayed visibility and rollback act on
+/// the operation itself. Every injection adds one to the `chaos.injected`
 /// series labelled by the cloud and traces a `chaos.fault` instant
 /// carrying its kind when an [`Obs`] is installed.
 pub struct ChaosCloud {
@@ -265,6 +292,48 @@ pub struct ChaosCloud {
     /// window: its own writes plus anything it observed before (or
     /// between) windows.
     known: Mutex<HashSet<String>>,
+    /// Per event, for a rollback window: the objects under its prefixes
+    /// as they stood when it opened, by full path (`None` until taken).
+    frozen: Vec<Option<Frozen>>,
+}
+
+/// A rollback window's snapshot, filled in by the task that takes it.
+type Frozen = Arc<Mutex<Option<BTreeMap<String, Bytes>>>>;
+
+/// `name` inside directory `dir` as a full path.
+fn join(dir: &str, name: &str) -> String {
+    if dir.is_empty() {
+        name.to_owned()
+    } else {
+        format!("{dir}/{name}")
+    }
+}
+
+/// The objects directly under each of `prefixes` on `store`, by full
+/// path; `None` if a listing or a download failed.
+fn snapshot(store: &dyn CloudStore, prefixes: &[String]) -> Option<BTreeMap<String, Bytes>> {
+    let mut frozen = BTreeMap::new();
+    for prefix in prefixes {
+        let dir = prefix.rfind('/').map_or("", |i| &prefix[..i]);
+        let entries = match store.list(dir) {
+            Ok(entries) => entries,
+            Err(CloudError::NotFound { .. }) => continue,
+            Err(_) => return None,
+        };
+        for path in entries.iter().filter(|e| !e.is_dir).map(|e| join(dir, &e.name)) {
+            if !path.starts_with(prefix.as_str()) {
+                continue;
+            }
+            match store.download(&path) {
+                Ok(body) => {
+                    frozen.insert(path, body);
+                }
+                Err(CloudError::NotFound { .. }) => {}
+                Err(_) => return None,
+            }
+        }
+    }
+    Some(frozen)
 }
 
 impl std::fmt::Debug for ChaosCloud {
@@ -296,11 +365,30 @@ impl ChaosCloud {
         salt: &str,
     ) -> ChaosCloud {
         let label = format!("chaos/{}/{}", inner.name(), salt);
-        let events = plan
+        let events: Vec<FaultEvent> = plan
             .events
             .iter()
             .filter(|e| e.cloud == inner.name())
             .cloned()
+            .collect();
+        // A rollback window's snapshot is taken by a task of its own
+        // the instant the window opens, whoever calls this handle then.
+        let frozen = events
+            .iter()
+            .map(|e| {
+                let FaultKind::Rollback { prefixes } = &e.kind else { return None };
+                let slot = Frozen::default();
+                let (rt, store, filled) = (Arc::clone(&rt), Arc::clone(&inner), Arc::clone(&slot));
+                let (prefixes, start_ns) = (prefixes.clone(), e.start_ns);
+                unidrive_sim::spawn(&Arc::clone(&rt), "chaos-rollback", move || {
+                    let now = rt.now().as_nanos();
+                    if start_ns > now {
+                        rt.sleep(Duration::from_nanos(start_ns - now));
+                    }
+                    *filled.lock() = snapshot(store.as_ref(), &prefixes);
+                });
+                Some(slot)
+            })
             .collect();
         ChaosCloud {
             inner,
@@ -310,6 +398,7 @@ impl ChaosCloud {
             injected: AtomicU64::new(0),
             obs: Mutex::new(Obs::noop()),
             known: Mutex::new(HashSet::new()),
+            frozen,
         }
     }
 
@@ -425,6 +514,25 @@ impl ChaosCloud {
     fn mark_known(&self, path: &str) {
         self.known.lock().insert(path.to_owned());
     }
+
+    /// The snapshot and prefixes of the first open rollback window
+    /// whose snapshot has been taken and whose prefixes `covers` says
+    /// hold what `op` reads.
+    fn rolled_back(
+        &self,
+        op: CloudOp,
+        covers: impl Fn(&str) -> bool,
+    ) -> Option<(BTreeMap<String, Bytes>, &[String])> {
+        let now = self.now_ns();
+        self.events.iter().zip(&self.frozen).find_map(|(e, frozen)| {
+            let FaultKind::Rollback { prefixes } = &e.kind else { return None };
+            if !e.applies(now, op) || !prefixes.iter().any(|p| covers(p)) {
+                return None;
+            }
+            let frozen = frozen.as_ref()?.lock().clone()?;
+            Some((frozen, prefixes.as_slice()))
+        })
+    }
 }
 
 impl CloudStore for ChaosCloud {
@@ -471,7 +579,18 @@ impl CloudStore for ChaosCloud {
             self.record(CloudOp::Download, "delayed_visibility");
             return Err(CloudError::not_found(path));
         }
-        let data = self.inner.download(path)?;
+        let data = self.inner.download(path);
+        if let Some((frozen, _)) = self.rolled_back(CloudOp::Download, |p| path.starts_with(p)) {
+            let old = match &data {
+                Ok(_) | Err(CloudError::NotFound { .. }) => frozen.get(path).cloned(),
+                Err(_) => return data,
+            };
+            if old.as_ref() != data.as_ref().ok() {
+                self.record(CloudOp::Download, "rollback");
+            }
+            return old.ok_or_else(|| CloudError::not_found(path));
+        }
+        let data = data?;
         if !self.visibility_delayed(CloudOp::Download) {
             self.mark_known(path);
         }
@@ -487,7 +606,36 @@ impl CloudStore for ChaosCloud {
 
     fn list(&self, path: &str) -> Result<Vec<ObjectInfo>, CloudError> {
         self.gate(CloudOp::List, path, 0)?;
-        let entries = self.inner.list(path)?;
+        let entries = self.inner.list(path);
+        let dir = format!("{path}/");
+        let inside = |prefix: &str| prefix.starts_with(&dir) || path.is_empty() || dir.starts_with(prefix);
+        if let Some((frozen, prefixes)) = self.rolled_back(CloudOp::List, inside) {
+            let live = match entries {
+                Ok(entries) => entries,
+                Err(CloudError::NotFound { .. }) => Vec::new(),
+                Err(e) => return Err(e),
+            };
+            let covered = |name: &str| prefixes.iter().any(|p| join(path, name).starts_with(p.as_str()));
+            let mut old: Vec<ObjectInfo> = live
+                .iter()
+                .filter(|e| e.is_dir || !covered(&e.name))
+                .cloned()
+                .collect();
+            old.extend(frozen.iter().filter_map(|(full, body)| {
+                let name = if path.is_empty() { full.as_str() } else { full.strip_prefix(&dir)? };
+                (!name.contains('/')).then(|| ObjectInfo {
+                    name: name.to_owned(),
+                    size: body.len() as u64,
+                    is_dir: false,
+                })
+            }));
+            old.sort_by(|a, b| a.name.cmp(&b.name));
+            if old != live {
+                self.record(CloudOp::List, "rollback");
+            }
+            return Ok(old);
+        }
+        let entries = entries?;
         if self.visibility_delayed(CloudOp::List) {
             let known = self.known.lock();
             let (kept, hidden): (Vec<ObjectInfo>, Vec<ObjectInfo>) =
@@ -528,14 +676,13 @@ impl CloudStore for ChaosCloud {
     fn caps(&self) -> crate::CloudCaps {
         let inner = self.inner.caps();
         crate::CloudCaps {
-            // A scheduled visibility window makes fresh objects
-            // invisible to other handles: read-after-write is off the
-            // table for the duration of the plan.
+            // A scheduled visibility or rollback window hides fresh
+            // objects: read-after-write is off the table for the
+            // duration of the plan.
             read_after_write: inner.read_after_write
-                && !self
-                    .events
-                    .iter()
-                    .any(|e| matches!(e.kind, FaultKind::DelayedVisibility)),
+                && !self.events.iter().any(|e| {
+                    matches!(e.kind, FaultKind::DelayedVisibility | FaultKind::Rollback { .. })
+                }),
             ..inner
         }
     }
@@ -699,6 +846,41 @@ mod tests {
         rt.sleep(Duration::from_secs(11));
         assert_eq!(b.list("").unwrap().len(), 1);
         assert!(b.download("f").is_ok());
+    }
+
+    /// A rollback window opened at 10 s: what the handle wrote, created
+    /// and deleted since is invisible to its reads under the prefixes,
+    /// and nothing else is.
+    #[test]
+    fn a_rollback_window_reads_the_cloud_as_it_stood_when_it_opened() {
+        let (_sim, rt) = sim_rt();
+        let backing: Arc<dyn CloudStore> = Arc::new(MemCloud::new("c0"));
+        let prefixes = vec!["u/meta.".to_owned(), "u/log/".to_owned()];
+        let rollback = FaultEvent::always("c0", FaultKind::Rollback { prefixes }).window_secs(10, 20);
+        let c = ChaosCloud::new(Arc::clone(&backing), Arc::clone(&rt), &FaultPlan::with_events(3, vec![rollback]));
+        let (old, new) = (Bytes::from_static(b"old"), Bytes::from_static(b"new!"));
+        for path in ["u/meta.version", "u/log/op1", "u/blocks/b"] {
+            c.upload(path, old.clone()).unwrap();
+        }
+        rt.sleep(Duration::from_secs(11));
+        c.upload("u/meta.version", new.clone()).unwrap();
+        c.upload("u/log/op2", new.clone()).unwrap();
+        c.delete("u/log/op1").unwrap();
+        c.upload("u/blocks/b", new.clone()).unwrap();
+        assert_eq!(backing.download("u/meta.version").unwrap(), new, "a write passes through");
+        assert_eq!(c.download("u/meta.version").unwrap(), old, "an overwritten object shows its old body");
+        assert!(matches!(c.download("u/log/op2").unwrap_err(), CloudError::NotFound { .. }), "a new object is absent");
+        assert_eq!(c.download("u/log/op1").unwrap(), old, "a deleted object is still there");
+        let names = |dir: &str| -> Vec<(String, u64)> {
+            c.list(dir).unwrap().into_iter().map(|e| (e.name, e.size)).collect()
+        };
+        assert_eq!(names("u/log"), [("op1".to_owned(), 3)]);
+        assert_eq!(names("u"), [("blocks".to_owned(), 0), ("log".to_owned(), 0), ("meta.version".to_owned(), 3)]);
+        assert_eq!(c.download("u/blocks/b").unwrap(), new, "a path outside the prefixes is untouched");
+        assert_eq!(c.injected_faults(), 5);
+        rt.sleep(Duration::from_secs(10));
+        assert_eq!(c.download("u/meta.version").unwrap(), new, "the window closed");
+        assert_eq!(names("u/log"), [("op2".to_owned(), 4)]);
     }
 
     #[test]

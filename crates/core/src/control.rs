@@ -6,14 +6,16 @@
 //! majority of clouds for the commit to count; readers collect version
 //! files from all clouds, pick the highest committed version, and fetch
 //! the matching delta — and the base it extends, unless that is the
-//! base the store already holds (falling back across clouds on
-//! corruption or lag). Version stamps carry a commit counter, so
-//! "newest" needs no global clock.
+//! base the store already holds — only from a cloud whose version file
+//! shows that version, falling over to the next such cloud on
+//! corruption or a racing commit (the read rule of `unidrive_meta`'s
+//! layout doc). Version stamps carry a commit counter, so "newest"
+//! needs no global clock.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use unidrive_cloud::{CloudError, CloudSet, Retry, RetryPolicy};
+use unidrive_cloud::{CloudError, CloudId, CloudSet, Retry, RetryPolicy};
 use unidrive_crypto::MetadataCipher;
 use unidrive_meta::{
     DeltaLog, PlaneError, SyncFolderImage, VersionStamp, BASE_PATH, DELTA_PATH, VERSION_PATH,
@@ -32,6 +34,15 @@ pub(crate) struct RemoteState {
     pub(crate) delta: DeltaLog,
     /// Size of the encrypted base file (drives the λ compaction test).
     pub(crate) base_bytes: usize,
+}
+
+/// The newest stamp the version files show, and the clouds whose
+/// version file shows it, in `CloudSet` order: the only clouds a read
+/// asks for a body.
+#[derive(Debug, PartialEq)]
+pub(crate) struct Newest {
+    pub(crate) stamp: VersionStamp,
+    pub(crate) holders: Vec<CloudId>,
 }
 
 /// Replicated, encrypted metadata storage over a [`CloudSet`].
@@ -90,38 +101,36 @@ impl MetadataStore {
     }
 
     /// Reads the version files from every cloud and returns the highest
-    /// committed stamp, or `None` on a fresh multi-cloud. This is the
-    /// cheap poll UniDrive performs every τ.
-    pub(crate) fn read_version(&self) -> Option<VersionStamp> {
+    /// committed stamp with the clouds that show it, or `None` on a
+    /// fresh multi-cloud. This is the cheap poll UniDrive performs
+    /// every τ.
+    pub(crate) fn read_version(&self) -> Option<Newest> {
         let (rt, retry) = (Arc::clone(&self.rt), self.retry.clone());
-        let versions = quorum::fan_out(&self.rt, &self.clouds, "meta-ver", move |_, cloud| {
-            Retry::new(&rt, &retry)
-                .run(|| cloud.download(VERSION_PATH))
-                .ok()
+        let stamps = quorum::fan_out(&self.rt, &self.clouds, "meta-ver", move |_, cloud| {
+            let data = Retry::new(&rt, &retry).run(|| cloud.download(VERSION_PATH)).ok()?;
+            VersionStamp::decode(&data).ok()
         });
-        let mut best: Option<VersionStamp> = None;
-        for data in versions.into_iter().flatten() {
-            if let Ok(stamp) = VersionStamp::decode(&data) {
-                if best.as_ref().is_none_or(|b| newer(&stamp, b)) {
-                    best = Some(stamp);
-                }
-            }
-        }
-        best
+        let stamp = stamps.iter().flatten().reduce(|best, s| if newer(s, best) { s } else { best })?;
+        let holders = (0..stamps.len())
+            .filter(|&c| stamps[c].as_ref().is_some_and(|s| !newer(stamp, s)))
+            .map(CloudId)
+            .collect();
+        Some(Newest { stamp: stamp.clone(), holders })
     }
 
-    /// Fetches metadata at least as new as `target`, the stamp the
-    /// caller's own [`read_version`](Self::read_version) returned (under
-    /// the lock, the stamp read under the lock) — read once, not again
-    /// here.
+    /// Fetches metadata at least as new as `newest`, what the caller's
+    /// own [`read_version`](Self::read_version) returned (under the
+    /// lock, what it read under the lock) — read once, not again here.
+    /// Only the clouds whose version file showed that stamp are asked,
+    /// one at a time: a lagging cloud is never asked for a body.
     ///
     /// # Errors
     ///
-    /// [`PlaneError::Unreadable`] if no cloud serves a consistent copy.
-    pub(crate) fn read_remote(&mut self, target: &VersionStamp) -> Result<RemoteState, PlaneError> {
-        // Any cloud may serve it: stale copies lose to the version
-        // check below.
-        for (_, cloud) in self.clouds.iter() {
+    /// [`PlaneError::Unreadable`] if no such cloud serves a consistent
+    /// copy.
+    pub(crate) fn read_remote(&mut self, newest: &Newest) -> Result<RemoteState, PlaneError> {
+        let target = &newest.stamp;
+        for cloud in newest.holders.iter().map(|&c| self.clouds.get(c)) {
             // Delta first: it names the base it extends, and that base
             // is usually the one already held. Only a cloud that says
             // "no such file" has no delta yet; one that merely failed
@@ -170,8 +179,8 @@ impl MetadataStore {
                 continue; // torn read: delta belongs to another base
             }
             delta.apply_to(&mut image);
-            if image.version != *target && newer(target, &image.version) {
-                continue; // stale copy
+            if newer(target, &image.version) {
+                continue; // stale copy: the version file and the delta disagree
             }
             // Only a base that served an accepted read replaces the held
             // one: a lagging cloud's older base must not evict it.
@@ -281,8 +290,8 @@ mod tests {
 
     /// A reader's whole read: the newest stamp, then metadata up to it.
     fn read(s: &mut MetadataStore) -> RemoteState {
-        let target = s.read_version().expect("committed metadata");
-        s.read_remote(&target).expect("readable")
+        let newest = s.read_version().expect("committed metadata");
+        s.read_remote(&newest).expect("readable")
     }
 
     fn sample_image(counter: u64) -> SyncFolderImage {
@@ -312,7 +321,7 @@ mod tests {
         s.write_remote(Some(&image), &delta, &image.version).unwrap();
         let remote = read(&mut s);
         assert_eq!(remote.image, image);
-        assert_eq!(s.read_version().unwrap(), image.version);
+        assert_eq!(s.read_version().unwrap().stamp, image.version);
     }
 
     #[test]
@@ -425,8 +434,8 @@ mod tests {
             "wrong",
             RetryPolicy::no_retries(),
         );
-        let target = wrong.read_version().expect("version files are plaintext");
-        assert_eq!(wrong.read_remote(&target).unwrap_err(), PlaneError::Unreadable);
+        let newest = wrong.read_version().expect("version files are plaintext");
+        assert_eq!(wrong.read_remote(&newest).unwrap_err(), PlaneError::Unreadable);
     }
 
     #[test]
@@ -449,6 +458,23 @@ mod tests {
         // A reader over all three clouds must see v2.
         let remote = read(&mut s);
         assert_eq!(remote.image.version.counter, 2);
+    }
+
+    /// A cloud whose version file lags by a commit is never asked for
+    /// a body: a fresh reader downloads its version file and nothing
+    /// else from it, though it comes first in cloud order.
+    #[test]
+    fn a_lagging_cloud_is_never_asked_for_a_body() {
+        let set = clouds(3);
+        let v1 = sample_image(1);
+        store(set.clone()).write_remote(Some(&v1), &DeltaLog::new(v1.version.clone()), &v1.version).unwrap();
+        let ahead = CloudSet::new([1, 2].map(|i| Arc::clone(set.get(unidrive_cloud::CloudId(i)))).to_vec());
+        let v2 = sample_image(2);
+        store(ahead).write_remote(Some(&v2), &DeltaLog::new(v2.version.clone()), &v2.version).unwrap();
+        let (reader_set, reads) = counted(set.iter().map(|(_, cloud)| Arc::clone(cloud)));
+        assert_eq!(read(&mut store(reader_set)).image.version, v2.version);
+        assert_eq!(reads[0].calls(), ["download"], "cloud 0: its version file only");
+        assert_eq!(reads[0].downloads_of(VERSION_PATH), 1);
     }
 
     #[test]

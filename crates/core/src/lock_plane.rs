@@ -12,7 +12,7 @@ use unidrive_obs::{Obs, SpanId};
 use unidrive_sim::{Runtime, SimRng};
 
 use crate::client::ClientConfig;
-use crate::control::{MetadataStore, RemoteState};
+use crate::control::{newer, MetadataStore, RemoteState};
 use crate::lock::QuorumLock;
 
 /// The paper's metadata plane: quorum lock around every commit of the
@@ -25,8 +25,9 @@ pub struct LockPlane {
     delta_ratio: f64,
     delta_floor: usize,
     /// The remote delta log and encrypted-base size as of the last
-    /// read/commit; valid while the remote version equals the caller's
-    /// current version (lets a commit skip re-downloading metadata).
+    /// read/commit; valid while no cloud shows a version newer than the
+    /// caller's current one (lets a commit skip re-downloading
+    /// metadata).
     cached: Option<(DeltaLog, usize)>,
 }
 
@@ -68,16 +69,12 @@ impl MetaPlane for LockPlane {
     ) -> Result<Option<SyncFolderImage>, PlaneError> {
         let mut read_span = self.obs.span("meta.read", round);
         read_span.attr_str("device", self.device.as_str());
-        let Some(version) = self.store.read_version() else {
+        let Some(newest) = self.store.read_version().filter(|n| newer(&n.stamp, &current.version)) else {
             read_span.attr_bool("cached", true);
             return Ok(None);
         };
-        if version == current.version || !crate::control::newer(&version, &current.version) {
-            read_span.attr_bool("cached", true);
-            return Ok(None);
-        }
         read_span.attr_bool("cached", false);
-        let remote = self.store.read_remote(&version);
+        let remote = self.store.read_remote(&newest);
         read_span.end();
         let RemoteState {
             image,
@@ -101,8 +98,10 @@ impl MetaPlane for LockPlane {
         // skipped entirely (the point of the version-file design, §5.2).
         let mut read_span = self.obs.span("meta.read", round);
         read_span.attr_str("device", self.device.as_str());
-        // The stamp read under the lock is the one to read up to.
-        let remote = match self.store.read_version().filter(|v| *v != current.version) {
+        // The stamp read under the lock is the one to read up to, and
+        // only a newer one than ours: a client never merges onto an
+        // image older than its own (a rolled-back quorum shows one).
+        let remote = match self.store.read_version().filter(|n| newer(&n.stamp, &current.version)) {
             None => {
                 read_span.attr_bool("cached", true);
                 self.cached.clone().map(|(delta, base_bytes)| RemoteState {
@@ -111,9 +110,9 @@ impl MetaPlane for LockPlane {
                     base_bytes,
                 })
             }
-            Some(target) => {
+            Some(newest) => {
                 read_span.attr_bool("cached", false);
-                Some(self.store.read_remote(&target)?)
+                Some(self.store.read_remote(&newest)?)
             }
         };
         read_span.end();
@@ -160,10 +159,10 @@ pub(crate) mod tests {
     use super::*;
     use crate::client::build_plane;
     use crate::oplog_plane::tests::counted;
-    use unidrive_cloud::{CloudStore, MemCloud, RetryPolicy};
+    use unidrive_cloud::{ChaosCloud, CloudStore, FaultEvent, FaultKind, FaultPlan, MemCloud, RetryPolicy};
     use unidrive_crypto::Sha1;
-    use unidrive_meta::{MetaMode, Snapshot, VersionStamp, PROTOCOL_COSTS, VERSION_PATH};
-    use unidrive_sim::RealRuntime;
+    use unidrive_meta::{MetaMode, Snapshot, VersionStamp, OPLOG_DIR, PROTOCOL_COSTS, ROOT_DIR, VERSION_PATH};
+    use unidrive_sim::{RealRuntime, SimRuntime};
 
     // The helpers below are shared with the oplog plane's tests.
 
@@ -309,5 +308,47 @@ pub(crate) mod tests {
         let committed = commit_file(reader.as_mut(), &polled, "dev-b", "c.txt", 3);
         assert_eq!(version_reads(), [1; 3], "a commit over another device's");
         assert!(committed.file("b.txt").is_some());
+    }
+
+    /// Every cloud serves both planes' metadata as it stood after
+    /// `first` (a rollback window opens at 10 s on all five), and then
+    /// the plane commits `second`. Neither a poll nor the merge of the
+    /// next commit is handed an image older than `second`.
+    fn a_rollback_of_every_cloud_never_hands_back_an_older_image(mode: MetaMode) {
+        let sim = SimRuntime::new(5);
+        let rt = sim.clone().as_runtime();
+        let prefixes = vec![format!("{ROOT_DIR}/meta."), format!("{OPLOG_DIR}/")];
+        let rollback = |i| FaultEvent::always(format!("c{i}"), FaultKind::Rollback { prefixes: prefixes.clone() });
+        let plan = FaultPlan::with_events(1, (0..5).map(|i| rollback(i).window_secs(10, 100)).collect());
+        let chaos = (0..5).map(|i| {
+            let cloud = Arc::new(MemCloud::new(format!("c{i}")));
+            Arc::new(ChaosCloud::new(cloud, Arc::clone(&rt), &plan)) as Arc<dyn CloudStore>
+        });
+        let mut config = config("dev-a", 10 * 1024);
+        config.meta_mode = mode;
+        let mut p = build_plane(Arc::clone(&rt), CloudSet::new(chaos.collect()), &config, SimRng::seed_from_u64(1));
+        let first = commit_file(p.as_mut(), &SyncFolderImage::new(), "dev-a", "a.txt", 1);
+        sim.sleep(std::time::Duration::from_secs(11));
+        let second = commit_file(p.as_mut(), &first, "dev-a", "b.txt", 2);
+        let older = |version: &VersionStamp| newer(&second.version, version);
+        let polled = p.poll(&second, None).expect("poll");
+        assert!(polled.is_none_or(|image| !older(&image.version)), "{mode}: poll");
+        let mut handed = None;
+        p.transact(&second, None, &mut |remote| {
+            handed = remote.map(|image| image.version.clone());
+            None
+        })
+        .expect("transact");
+        assert!(handed.as_ref().is_none_or(|v| !older(v)), "{mode}: build was handed {handed:?}");
+    }
+
+    #[test]
+    fn a_lock_plane_never_merges_onto_an_image_older_than_its_own() {
+        a_rollback_of_every_cloud_never_hands_back_an_older_image(MetaMode::Lock);
+    }
+
+    #[test]
+    fn an_oplog_plane_never_merges_onto_an_image_older_than_its_own() {
+        a_rollback_of_every_cloud_never_hands_back_an_older_image(MetaMode::Oplog);
     }
 }

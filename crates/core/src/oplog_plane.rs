@@ -19,7 +19,11 @@
 //! next cloud listing it in the same pass. The device's own objects
 //! are the exception: they are read from each cloud that lists them
 //! above what that cloud is known to hold, which is how a restarted
-//! plane learns what each cloud holds. An object is never rewritten,
+//! plane learns what each cloud holds. A base is read by the same rule
+//! (the layout doc's read rule): the first cloud whose listing shows a
+//! mark the plane has not decoded downloads its own base, once, and a
+//! mark it did not serve goes to the next cloud listing it; a base no
+//! mark names is never read. An object is never rewritten,
 //! so a torn upload damages only the object being written: the cloud
 //! did not ack it, its writer uploads it again before anything newer
 //! to that cloud, and a reader that no cloud serves it to reads it
@@ -30,7 +34,7 @@ use std::sync::Arc;
 
 use unidrive_util::bytes::Bytes;
 use unidrive_util::sync::Mutex;
-use unidrive_cloud::{CloudError, CloudId, CloudSet, CloudStore, Retry, RetryPolicy};
+use unidrive_cloud::{CloudError, CloudSet, CloudStore, Retry, RetryPolicy};
 use unidrive_crypto::{Digest, MetadataCipher, Sha1};
 use unidrive_meta::{
     base_mark_path, compact, compaction_threshold, fold, op_object_path, parse_base_mark_name,
@@ -64,19 +68,6 @@ fn covers(a: &OplogBase, b: &OplogBase) -> bool {
     b.watermark
         .iter()
         .all(|(device, seq)| a.watermark.get(device).copied().unwrap_or(0) >= *seq)
-}
-
-/// Whether a read pass must download a cloud's `base` itself, decided
-/// from the listing it already paid for (the table in `unidrive_meta`'s
-/// layout doc): yes when a base is listed and its marks do not vouch
-/// for it — there are none (a base written before marks existed, or
-/// whose mark upload failed), or one names a base this plane has not
-/// itself decoded. All marks known means the cloud holds a base the
-/// plane has already weighed, or an unacked newer one that an acked
-/// cloud shows under an unknown mark. A mark a quorum of listings
-/// show is fetched from one cloud before this is asked.
-fn base_wanted(base_listed: bool, marks: &[Digest], known: &BTreeSet<Digest>) -> bool {
-    base_listed && (marks.is_empty() || marks.iter().any(|id| !known.contains(id)))
 }
 
 /// Decrypts and decodes a stored base; its id is SHA-1 of the
@@ -139,10 +130,10 @@ pub struct OplogPlane {
     adopted_base: Option<(OplogBase, usize, Digest)>,
     /// Ids of the bases this plane has itself decrypted and decoded
     /// (in `fetch`, in the under-lock re-read, as its own compaction) —
-    /// never a mark it merely saw listed. A mark in here is not fetched
-    /// again ([`base_wanted`]). Pruned every fetch to the ids some
-    /// cloud still lists plus the adopted one, so it is bounded by the
-    /// cloud count.
+    /// never a mark it merely saw listed. A mark in here is never
+    /// claimed, so its base is not read again. Pruned every fetch to
+    /// the ids some cloud still lists plus the adopted one, so it is
+    /// bounded by the cloud count.
     known_ids: BTreeSet<Digest>,
     /// The deletes of the last compaction's stale names, running in the
     /// background; joined before the next compaction lists them again.
@@ -171,20 +162,29 @@ struct OplogFetch {
     /// watermark).
     log_bytes: usize,
     /// Clouds whose oplog directory could be listed and that lost the
-    /// pass nothing it advertised: every op object it lists was served
-    /// by some cloud (or is gone), and its base was read or vouched for.
+    /// pass nothing it advertised: every op object and base mark it
+    /// lists was served by some cloud (or by none that did not fail).
     reachable: usize,
 }
 
 /// An op object's name, `(device, seq)`.
 type OpName = (String, u64);
 
-/// Why one cloud did not serve an op object its listing showed.
+/// What a pass reads by the name a listing shows: an op object, or the
+/// base a mark names.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Name {
+    Op(OpName),
+    Base(Digest),
+}
+
+/// Why one cloud did not serve a name its listing showed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Miss {
     /// As absent as unlisted: `NotFound` (a compaction deleted it after
-    /// the listing), or a body that is not the op its name promises (a
-    /// torn upload the cloud never acked, a foreign object).
+    /// the listing), or a body that is not what its name promises (a
+    /// torn upload the cloud never acked, a foreign object, a base
+    /// other than the one a mark names).
     Absent,
     /// The download failed.
     Failed,
@@ -194,7 +194,11 @@ enum Miss {
 /// object, or why the cloud did not serve it.
 type OpRead = Result<(MetaOp, usize), Miss>;
 
-/// What a read task needs to download and decode op objects.
+/// One cloud's read of its base: the base, the size of its ciphertext
+/// and its id, or why the cloud served none.
+type BaseRead = Result<(OplogBase, usize, Digest), Miss>;
+
+/// What a read task needs to download and decode op objects and bases.
 #[derive(Clone)]
 struct OpReader {
     rt: Arc<dyn Runtime>,
@@ -218,25 +222,37 @@ impl OpReader {
             _ => Err(Miss::Absent),
         }
     }
+
+    /// Downloads `cloud`'s base and decodes whatever it holds.
+    fn base(&self, cloud: &dyn CloudStore) -> BaseRead {
+        let body = match Retry::new(&self.rt, &self.retry).run(|| cloud.download(OPLOG_BASE_PATH)) {
+            Ok(body) => body,
+            Err(CloudError::NotFound { .. }) => return Err(Miss::Absent),
+            Err(_) => return Err(Miss::Failed),
+        };
+        let (base, id) = decode_base(&self.cipher, &body).ok_or(Miss::Absent)?;
+        Ok((base, body.len(), id))
+    }
 }
 
-/// What a pass's op-object downloads came to.
+/// What a pass's downloads came to.
 #[derive(Default)]
-struct OpsRead {
+struct PassReads {
     downloads: u64,
-    /// Per other device's op object no cloud has served yet: the
-    /// clouds that tried it and why each did not serve it.
-    missed: BTreeMap<OpName, Vec<(usize, Miss)>>,
+    base_reads: u64,
+    /// Per name no cloud has served yet (other devices' op objects,
+    /// marks of bases the plane has not decoded): the clouds that tried
+    /// it and why each did not serve it.
+    missed: BTreeMap<Name, Vec<(usize, Miss)>>,
 }
 
 /// What one cloud's read task brought back.
 struct CloudRead {
     /// The base marks its listing shows.
     marks: Vec<Digest>,
-    /// Whether its listing shows a base.
-    base_listed: bool,
-    /// Its base, downloaded only when no mark vouches for it.
-    base: Option<Bytes>,
+    /// Its base, read when this task was the first to list an unknown
+    /// mark.
+    base: Option<BaseRead>,
     /// Every other device's op object its listing shows above the
     /// adopted base's watermark: where a claim that failed elsewhere
     /// can still be served.
@@ -246,6 +262,16 @@ struct CloudRead {
     reads: Vec<(OpName, OpRead)>,
     /// The highest seq of the reading device its listing shows.
     own_top: u64,
+}
+
+impl CloudRead {
+    /// Whether its listing shows `name`.
+    fn lists(&self, name: &Name) -> bool {
+        match name {
+            Name::Op(op) => self.listed.contains(op),
+            Name::Base(mark) => self.marks.contains(mark),
+        }
+    }
 }
 
 /// What the listing under the compaction lock showed on one cloud.
@@ -328,22 +354,48 @@ impl OplogPlane {
     /// Records one op-object download from cloud `c`: a decoded op
     /// joins the cache (and, if it is our own, what `c` holds); a
     /// failed read of another device's op waits for another cloud.
-    fn take_read(&mut self, ops_read: &mut OpsRead, c: usize, name: OpName, read: OpRead) {
-        ops_read.downloads += 1;
+    fn take_read(&mut self, pass: &mut PassReads, c: usize, name: OpName, read: OpRead) {
+        pass.downloads += 1;
         match read {
             Ok((op, size)) => {
                 if op.device == self.device {
                     self.held[c] = self.held[c].max(op.seq);
                 }
-                ops_read.missed.remove(&name);
+                pass.missed.remove(&Name::Op(name));
                 // Dedup by id into the persistent cache (same op ⇒
                 // same deterministic ciphertext ⇒ same size).
                 self.seen_ops.entry(*op.id(OPLOG_FOLDER).as_bytes()).or_insert((op, size));
             }
             Err(miss) if name.0 != self.device => {
-                ops_read.missed.entry(name).or_default().push((c, miss));
+                pass.missed.entry(Name::Op(name)).or_default().push((c, miss));
             }
             Err(_) => {}
+        }
+    }
+
+    /// Records the download of cloud `c`'s base, whose listing showed
+    /// `marks`: whatever decodes is weighed and its id becomes known;
+    /// every other unknown mark `c` lists waits for another cloud.
+    fn take_base(
+        &mut self,
+        pass: &mut PassReads,
+        best: &mut Option<(OplogBase, usize, Digest)>,
+        c: usize,
+        marks: &[Digest],
+        read: BaseRead,
+    ) {
+        pass.base_reads += 1;
+        let miss = match read {
+            Ok((base, size, id)) => {
+                self.known_ids.insert(id);
+                pass.missed.remove(&Name::Base(id));
+                Self::weigh(best, base, size, id);
+                Miss::Absent
+            }
+            Err(miss) => miss,
+        };
+        for mark in marks.iter().filter(|mark| !self.known_ids.contains(mark)) {
+            pass.missed.entry(Name::Base(*mark)).or_default().push((c, miss));
         }
     }
 
@@ -365,26 +417,28 @@ impl OplogPlane {
     }
 
     /// One read pass: lists the oplog directory on every cloud
-    /// (concurrently) and downloads each op object the fold lacks once,
-    /// from the first cloud whose listing shows it; then fetches the
-    /// bases the listings say are new (see the layout doc's table),
-    /// decodes, dedups, folds.
+    /// (concurrently) and downloads each name the plane lacks once, from
+    /// the first cloud whose listing shows it — an op object the fold
+    /// lacks, or the base a mark it has not decoded names (the read
+    /// rule of `unidrive_meta`'s layout doc); then decodes, dedups,
+    /// folds.
     ///
     /// A cloud counts as reachable only when the pass lost nothing it
     /// advertised: a listing that succeeds while the op objects it
     /// names cannot be read would otherwise pass the quorum gate with
     /// acked ops missing from the fold, and the regressed image would
-    /// present as spurious remote deletes. An op object that another
-    /// listing cloud served costs the cloud that failed it nothing.
+    /// present as spurious remote deletes. A name that another listing
+    /// cloud served costs the cloud that failed it nothing.
     fn fetch(&mut self, round: Option<SpanId>) -> OplogFetch {
         let mut span = self.obs.span("meta.oplog.fold", round);
         span.attr_str("device", self.device.as_str());
         // One task per cloud: list the oplog dir, download its own
-        // unread op objects and a base no mark vouches for, then each
-        // op object it is first to claim. A missing directory is a
-        // fresh cloud (reachable, empty); a failing listing, or a
-        // failed read only this cloud could serve, is unreachable —
-        // and ends the task before it claims anything.
+        // unread op objects, its base if it is first to list a mark
+        // not yet decoded, then each op object it is first to claim. A
+        // missing directory is a fresh cloud (reachable, empty); a
+        // failing listing, or a failed read only this cloud could
+        // serve, is unreachable — and ends the task before it claims
+        // anything.
         let reader = OpReader {
             rt: Arc::clone(&self.rt),
             retry: self.retry.clone(),
@@ -395,11 +449,12 @@ impl OplogPlane {
             .as_ref()
             .map(|(base, ..)| base.watermark.clone())
             .unwrap_or_default();
-        // The claim set starts as what the fold already holds; a task
+        // The claim set starts as what the plane already holds; a task
         // claims a name by being the first to add it.
-        let claims: Arc<Mutex<BTreeSet<OpName>>> = Arc::new(Mutex::new(
-            self.seen_ops.values().map(|(op, _)| (op.device.clone(), op.seq)).collect(),
-        ));
+        let mut held_names: BTreeSet<Name> =
+            self.seen_ops.values().map(|(op, _)| Name::Op((op.device.clone(), op.seq))).collect();
+        held_names.extend(self.known_ids.iter().map(|id| Name::Base(*id)));
+        let claims = Arc::new(Mutex::new(held_names));
         let (held, own, task_reader) = (self.held.clone(), self.device.clone(), reader.clone());
         let mut reads = quorum::fan_out(&self.rt, &self.clouds, "oplog-read", move |id, cloud| {
             let reader = &task_reader;
@@ -410,7 +465,6 @@ impl OplogPlane {
             };
             let mut got = CloudRead {
                 marks: Vec::new(),
-                base_listed: false,
                 base: None,
                 listed: BTreeSet::new(),
                 reads: Vec::new(),
@@ -418,9 +472,7 @@ impl OplogPlane {
             };
             let mut own_unread = Vec::new();
             for entry in entries.iter().filter(|e| !e.is_dir) {
-                if entry.name == "base" {
-                    got.base_listed = true;
-                } else if let Some(mark) = parse_base_mark_name(&entry.name) {
+                if let Some(mark) = parse_base_mark_name(&entry.name) {
                     got.marks.push(mark);
                 } else if let Some((device, seq)) = parse_op_object_name(&entry.name) {
                     let above = seq > covered.get(device).copied().unwrap_or(0);
@@ -442,19 +494,20 @@ impl OplogPlane {
                 }
                 got.reads.push((name, read));
             }
-            // A base no mark vouches for has no other source than this
-            // cloud; one under an unknown mark waits for every listing.
-            if got.base_listed && got.marks.is_empty() {
-                match Retry::new(&reader.rt, &reader.retry).run(|| cloud.download(OPLOG_BASE_PATH)) {
-                    Ok(body) => got.base = Some(body),
-                    Err(CloudError::NotFound { .. }) => {}
-                    Err(_) => return None,
-                }
+            // The first task to list a mark the plane has not decoded
+            // reads its own base; a base no mark names is unacked, and
+            // never read.
+            let mut claimed = false;
+            for mark in &got.marks {
+                claimed |= claims.lock().insert(Name::Base(*mark));
+            }
+            if claimed {
+                got.base = Some(reader.base(cloud));
             }
             // Claim one name at a time, so a task whose listing
             // returns while this one downloads takes the next.
             for name in &got.listed {
-                if claims.lock().insert(name.clone()) {
+                if claims.lock().insert(Name::Op(name.clone())) {
                     got.reads.push((name.clone(), reader.read(cloud, name)));
                 }
             }
@@ -465,32 +518,27 @@ impl OplogPlane {
         // read that races a compaction's base uploads must not regress
         // to a base we have moved past.
         let mut best_base = self.adopted_base.clone();
-        let mut base_reads = 0u64;
         let mut listed: BTreeSet<Digest> = BTreeSet::new();
-        let mut ops_read = OpsRead::default();
+        let mut pass = PassReads::default();
         for (c, got) in reads.iter_mut().enumerate() {
             let Some(got) = got else { continue };
             listed.extend(got.marks.iter().copied());
-            if let Some(ct) = &got.base {
-                base_reads += 1;
-                if let Some((base, id)) = decode_base(&self.cipher, ct) {
-                    self.known_ids.insert(id);
-                    Self::weigh(&mut best_base, base, ct.len(), id);
-                }
+            if let Some(read) = got.base.take() {
+                self.take_base(&mut pass, &mut best_base, c, &got.marks, read);
             }
             for (name, read) in std::mem::take(&mut got.reads) {
-                self.take_read(&mut ops_read, c, name, read);
+                self.take_read(&mut pass, c, name, read);
             }
         }
-        // A claim that failed is read, in the same pass, from the next
-        // cloud that lists it and has not tried it, every failed name
-        // at once: one more round trip per cloud that failed it.
+        // A name left unserved is read, in the same pass, from the next
+        // cloud that lists it and has not tried it, every such name at
+        // once: one more round trip per cloud that failed it. A cloud
+        // reads its base at most once per pass, for all its marks.
         loop {
-            let mut assigned: Vec<Vec<OpName>> = vec![Vec::new(); reads.len()];
-            for (name, tried) in &ops_read.missed {
+            let mut assigned: Vec<Vec<Name>> = vec![Vec::new(); reads.len()];
+            for (name, tried) in &pass.missed {
                 let next = reads.iter().enumerate().find(|(c, got)| {
-                    got.as_ref().is_some_and(|got| got.listed.contains(name))
-                        && tried.iter().all(|(t, _)| t != c)
+                    got.as_ref().is_some_and(|got| got.lists(name)) && tried.iter().all(|(t, _)| t != c)
                 });
                 if let Some((c, _)) = next {
                     assigned[c].push(name.clone());
@@ -502,11 +550,22 @@ impl OplogPlane {
             let reader = reader.clone();
             let retried = quorum::fan_out(&self.rt, &self.clouds, "oplog-read-op", move |id, cloud| {
                 let names = &assigned[id.0];
-                names.iter().map(|name| (name.clone(), reader.read(cloud, name))).collect::<Vec<_>>()
+                let base = names.iter().any(|name| matches!(name, Name::Base(_))).then(|| reader.base(cloud));
+                let ops: Vec<(OpName, OpRead)> = names
+                    .iter()
+                    .filter_map(|name| match name {
+                        Name::Op(op) => Some((op.clone(), reader.read(cloud, op))),
+                        Name::Base(_) => None,
+                    })
+                    .collect();
+                (base, ops)
             });
-            for (c, got) in retried.into_iter().enumerate() {
-                for (name, read) in got {
-                    self.take_read(&mut ops_read, c, name, read);
+            for (c, (base, ops)) in retried.into_iter().enumerate() {
+                if let (Some(read), Some(got)) = (base, &reads[c]) {
+                    self.take_base(&mut pass, &mut best_base, c, &got.marks, read);
+                }
+                for (name, read) in ops {
+                    self.take_read(&mut pass, c, name, read);
                 }
             }
         }
@@ -514,99 +573,11 @@ impl OplogPlane {
         // of it failed its place in the read quorum. Gone everywhere is
         // compacted away, and a copy that did not decode was never
         // acked there: both are as absent as unlisted.
-        let mut lost_op = vec![false; reads.len()];
-        for (c, miss) in ops_read.missed.values().flatten() {
-            lost_op[*c] |= *miss == Miss::Failed;
+        let mut lost = vec![false; reads.len()];
+        for (c, miss) in pass.missed.values().flatten() {
+            lost[*c] |= *miss == Miss::Failed;
         }
-
-        // A new mark a quorum of listings show belongs to a
-        // quorum-acked compaction: fetch its base from one cloud, the
-        // lowest-indexed one listing it, and accept it only as the
-        // base its mark names. A failed download, a failed decode or
-        // a mismatch moves on to the next cloud listing the mark.
-        let mut holders: BTreeMap<Digest, Vec<usize>> = BTreeMap::new();
-        for (c, got) in reads.iter().enumerate() {
-            for mark in got.iter().flat_map(|got| &got.marks) {
-                if !self.known_ids.contains(mark) {
-                    holders.entry(*mark).or_default().push(c);
-                }
-            }
-        }
-        let mut tried = vec![false; reads.len()];
-        let mut failed = vec![false; reads.len()];
-        for (mark, showing) in &holders {
-            if showing.len() < self.clouds.quorum() {
-                continue;
-            }
-            for &c in showing {
-                tried[c] = true;
-                let cloud = self.clouds.get(CloudId(c));
-                match Retry::new(&self.rt, &self.retry).run(|| cloud.download(OPLOG_BASE_PATH)) {
-                    Ok(ct) => {
-                        base_reads += 1;
-                        if let Some((base, id)) = decode_base(&self.cipher, &ct) {
-                            self.known_ids.insert(id);
-                            Self::weigh(&mut best_base, base, ct.len(), id);
-                            if id == *mark {
-                                break;
-                            }
-                        }
-                    }
-                    Err(CloudError::NotFound { .. }) => {}
-                    Err(_) => failed[c] = true,
-                }
-            }
-        }
-        // Every other cloud whose marks still leave its base unknown —
-        // a minority mark, or a quorum mark no holder could serve to
-        // the others — is read from itself, concurrently.
-        let wanted: Vec<bool> = reads
-            .iter()
-            .zip(&tried)
-            .map(|(got, tried)| {
-                got.as_ref().is_some_and(|got| {
-                    !tried
-                        && !got.marks.is_empty()
-                        && base_wanted(got.base_listed, &got.marks, &self.known_ids)
-                })
-            })
-            .collect();
-        if wanted.contains(&true) {
-            let (rt, retry) = (Arc::clone(&self.rt), self.retry.clone());
-            let bases = quorum::fan_out(&self.rt, &self.clouds, "oplog-read-base", move |id, cloud| {
-                if !wanted[id.0] {
-                    return Ok(None);
-                }
-                match Retry::new(&rt, &retry).run(|| cloud.download(OPLOG_BASE_PATH)) {
-                    Ok(ct) => Ok(Some(ct)),
-                    Err(CloudError::NotFound { .. }) => Ok(None),
-                    Err(e) => Err(e),
-                }
-            });
-            for (c, base) in bases.into_iter().enumerate() {
-                match base {
-                    Ok(Some(ct)) => {
-                        base_reads += 1;
-                        if let Some((base, id)) = decode_base(&self.cipher, &ct) {
-                            self.known_ids.insert(id);
-                            Self::weigh(&mut best_base, base, ct.len(), id);
-                        }
-                    }
-                    Ok(None) => {}
-                    Err(_) => failed[c] = true,
-                }
-            }
-        }
-        // A cloud whose base read failed is unreachable unless another
-        // cloud served the base its marks name.
-        let reachable = (0..reads.len())
-            .filter(|&c| {
-                reads[c].as_ref().is_some_and(|got| {
-                    !lost_op[c]
-                        && (!failed[c] || got.marks.iter().all(|mark| self.known_ids.contains(mark)))
-                })
-            })
-            .count();
+        let reachable = reads.iter().zip(&lost).filter(|(got, lost)| got.is_some() && !**lost).count();
 
         // First fetch with a read quorum: resume `seq` after the
         // highest own one any listing shows (ids are never reused; the
@@ -639,8 +610,8 @@ impl OplogPlane {
         }
         let outcome = fold(&base, &ops, OPLOG_FOLDER);
         span.attr_u64("reachable", reachable as u64);
-        span.attr_u64("base_reads", base_reads);
-        span.attr_u64("downloads", ops_read.downloads);
+        span.attr_u64("base_reads", pass.base_reads);
+        span.attr_u64("downloads", pass.downloads);
         span.attr_u64("ops", ops.len() as u64);
         span.attr_u64("applied", outcome.applied as u64);
         span.attr_u64("conflicts", outcome.conflicts as u64);

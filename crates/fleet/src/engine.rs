@@ -557,7 +557,8 @@ impl<'a> Run<'a> {
                         ack_extra_ns = ack_extra_ns.max(2 * NS_PER_SEC);
                         series.add("fault.delayed_acks", lane.name, t, 1);
                     }
-                    FaultKind::Outage | FaultKind::QuotaExhausted => {}
+                    // A rollback acts on reads only; this charges uploads.
+                    FaultKind::Outage | FaultKind::QuotaExhausted | FaultKind::Rollback { .. } => {}
                 }
             }
             slowest = slowest.max(dur);

@@ -29,21 +29,50 @@
 //! SHA-1 of the base *plaintext*, then deletes the marks it found
 //! there; a cloud acks only when base and mark both landed. The marks
 //! tell a reader which base a cloud holds before it pays for the
-//! download. A mark it has itself decrypted and decoded is never
-//! fetched again (a name it merely saw is never trusted). A new mark
-//! that a quorum of listings show is fetched from *one* cloud and
-//! accepted only if SHA-1 of the plaintext equals the mark; any other
-//! unknown mark, or a base with no mark, is fetched from its own cloud.
+//! download.
+//!
+//! # The read rule
+//!
+//! Both metadata planes read a body by one rule. A pass reads a
+//! metadata body only from a cloud whose pointer names something the
+//! plane does not hold yet, from one such cloud at a time, and falls
+//! over to the next cloud that names it. Whatever decodes is weighed by
+//! the plane's own freshness order — the version stamp on the lock
+//! plane, watermark coverage on the oplog plane; a body is never
+//! trusted because of its name.
+//!
+//! - *Lock plane.* The pointer is the version file ([`VERSION_PATH`]).
+//!   A read downloads the delta, and the base unless it holds it, only
+//!   from the clouds whose version file shows the newest stamp, in
+//!   cloud order; a lagging cloud is never asked for a body. A writer
+//!   can commit between the version read and the delta read, so the
+//!   delta's base and stamp are still checked.
+//! - *Oplog plane.* The pointers are the listing's names. The first
+//!   read task whose listing shows a mark the plane has not itself
+//!   decoded claims it and downloads its own cloud's base, at most once
+//!   per pass; a mark left unserved (the download failed, or the body's
+//!   id is not the mark) goes to the next cloud listing it, as an op
+//!   object does. A base no mark names is never read: a cloud acks a
+//!   compaction only with base and mark, so that base is unacked, and
+//!   the ops it would cover are still in the log.
+//!
+//! The id is not an acceptance test. With N = 5 and quorum 3 an acked
+//! compaction's mark can sit on only one cloud of a read quorum, and a
+//! later, unacked compaction can overwrite the base on every cloud that
+//! lists an acked mark (its base upload lands, its mark upload fails):
+//! a reader that dropped that body on an id mismatch would fold without
+//! a base over a log whose covered ops are already deleted. Coverage
+//! decides, whatever the id.
+//!
 //! Per cloud, with `A` the older base and `B` the newer:
 //!
 //! | object | listing shows | reader has decoded | download? |
 //! |---|---|---|---|
 //! | base A | {A} | A | no |
 //! | base B, mark not yet up | {A} | A | no — this cloud has not acked B; one that has shows {A,B} or {B} |
-//! | base B | {A,B} or {B} on a quorum | A | from one cloud, once; afterwards no |
-//! | base B | {A,B} or {B} on a minority | A | yes, from each such cloud; afterwards no |
-//! | base B, mark lost or never written | {} | anything | yes, every pass |
-//! | torn base | {B} | B | no; with B unknown, yes, and it fails to decode |
+//! | base B | {A,B} or {B} | A | once, from the first cloud to list B; afterwards no |
+//! | torn base | {B} | B | no; with B unknown, yes: it fails to decode, and the next cloud listing B is read |
+//! | base with no mark | {} | anything | no — the fold comes from the log |
 //! | absent base | {} | anything | no |
 //! | op object `n` | `ops_d_n` | the base covers `n` | no |
 //! | op object `n` | `ops_d_n` | `n` or later of `d` read from this cloud | no |
@@ -52,7 +81,9 @@
 //!
 //! Every confusion costs a download, never skips one a quorum-acked
 //! write depends on: an acked cloud lists the new base's mark, and it
-//! holds every acked op object whole.
+//! holds every acked op object whole. The oplog plane's tests set up
+//! each base row as cloud state and count its downloads
+//! (`the_base_read_table_row_by_row`).
 
 use unidrive_crypto::Digest;
 
